@@ -1,5 +1,5 @@
 // Command qibenchjson converts `go test -bench` output on stdin into a
-// machine-readable JSON baseline: benchmark name → {ns/op, allocs/op,
+// machine-readable JSON baseline: benchmark name → {ns/op, allocs/op, B/op,
 // gomaxprocs}. Repetitions of the same benchmark (-count N) are averaged for
 // ns/op so the emitted numbers are less noisy than any single run. The
 // GOMAXPROCS suffix the testing package appends to names is kept (and also
@@ -14,7 +14,8 @@
 //
 // With -compare FILE the command instead re-runs the benchmarks named in the
 // committed baseline (via `go test -bench` on -pkg) and exits non-zero if any
-// benchmark's ns/op regressed by more than -threshold percent. This is the
+// benchmark's ns/op regressed by more than -threshold percent, or its
+// allocs/op or B/op by more than -allocthreshold percent. This is the
 // CI performance gate: it catches large scheduler regressions while the
 // generous threshold plus -short benchtime keeps shared-runner noise from
 // flaking the build.
@@ -46,6 +47,7 @@ import (
 type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
+	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	Reps        int     `json:"reps"`
 	GOMAXPROCS  int     `json:"gomaxprocs"`
 }
@@ -62,7 +64,7 @@ func main() {
 	pkg := flag.String("pkg", ".", "package whose benchmarks are re-run in -compare mode")
 	short := flag.Bool("short", false, "in -compare mode, use a short benchtime (50ms, 1 rep)")
 	threshold := flag.Float64("threshold", 25, "in -compare mode, maximum tolerated ns/op regression in percent")
-	allocThreshold := flag.Float64("allocthreshold", 25, "in -compare mode, maximum tolerated allocs/op regression in percent")
+	allocThreshold := flag.Float64("allocthreshold", 25, "in -compare mode, maximum tolerated allocs/op and B/op regression in percent")
 	flag.Parse()
 
 	if *compare != "" {
@@ -89,6 +91,7 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 	type acc struct {
 		nsSum  float64
 		allocs int64
+		bytes  int64
 		reps   int
 		procs  int
 	}
@@ -127,6 +130,8 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 				ok = true
 			case "allocs/op":
 				a.allocs = int64(v)
+			case "B/op":
+				a.bytes = int64(v)
 			}
 		}
 		if ok {
@@ -145,6 +150,7 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 		out[name] = Result{
 			NsPerOp:     round2(a.nsSum / float64(a.reps)),
 			AllocsPerOp: a.allocs,
+			BytesPerOp:  a.bytes,
 			Reps:        a.reps,
 			GOMAXPROCS:  a.procs,
 		}
@@ -153,10 +159,12 @@ func parseBench(r io.Reader) (map[string]Result, error) {
 }
 
 // runCompare re-runs the benchmarks named in the baseline and reports every
-// ns/op regression beyond threshold and every allocs/op regression beyond
-// allocThreshold. Allocation counts are near-deterministic, so the alloc
-// gate catches garbage-producing changes that wall-clock noise on shared
-// runners would hide. Returns the process exit code.
+// ns/op regression beyond threshold and every allocs/op or B/op regression
+// beyond allocThreshold. Allocation counts and sizes are near-deterministic,
+// so the alloc gates catch garbage-producing changes that wall-clock noise on
+// shared runners would hide — B/op the ones that allocate bigger rather than
+// more often. Rows recorded before B/op was kept carry no bytes_per_op and
+// are not byte-gated. Returns the process exit code.
 func runCompare(baselinePath, pkg string, short bool, threshold, allocThreshold float64) int {
 	raw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -257,23 +265,32 @@ func runCompare(baselinePath, pkg string, short bool, threshold, allocThreshold 
 		}
 		fmt.Fprintf(os.Stderr, "qibenchjson: %s %-55s %12.0f -> %12.0f ns/op  (%+.1f%%)\n",
 			status, name, base.NsPerOp, cur.NsPerOp, delta)
-		if base.AllocsPerOp > 0 {
-			adelta := float64(cur.AllocsPerOp-base.AllocsPerOp) / float64(base.AllocsPerOp) * 100
+		for _, m := range []struct {
+			unit      string
+			base, cur int64
+		}{
+			{"allocs/op", base.AllocsPerOp, cur.AllocsPerOp},
+			{"B/op", base.BytesPerOp, cur.BytesPerOp},
+		} {
+			if m.base <= 0 {
+				continue
+			}
+			adelta := float64(m.cur-m.base) / float64(m.base) * 100
 			astatus := "ok  "
 			if adelta > allocThreshold {
 				astatus = "FAIL"
 				regressed++
 			}
-			fmt.Fprintf(os.Stderr, "qibenchjson: %s %-55s %12d -> %12d allocs/op  (%+.1f%%)\n",
-				astatus, name, base.AllocsPerOp, cur.AllocsPerOp, adelta)
+			fmt.Fprintf(os.Stderr, "qibenchjson: %s %-55s %12d -> %12d %s  (%+.1f%%)\n",
+				astatus, name, m.base, m.cur, m.unit, adelta)
 		}
 	}
 	if regressed > 0 {
-		fmt.Fprintf(os.Stderr, "qibenchjson: %d measurement(s) regressed beyond thresholds (ns/op %.0f%%, allocs/op %.0f%%) against %s\n",
+		fmt.Fprintf(os.Stderr, "qibenchjson: %d measurement(s) regressed beyond thresholds (ns/op %.0f%%, allocs/op and B/op %.0f%%) against %s\n",
 			regressed, threshold, allocThreshold, baselinePath)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "qibenchjson: all %d benchmarks within thresholds (ns/op %.0f%%, allocs/op %.0f%%) of %s\n",
+	fmt.Fprintf(os.Stderr, "qibenchjson: all %d benchmarks within thresholds (ns/op %.0f%%, allocs/op and B/op %.0f%%) of %s\n",
 		len(keys), threshold, allocThreshold, baselinePath)
 	return 0
 }

@@ -6,17 +6,32 @@ import (
 	"qithread/internal/core"
 )
 
-// choiceMeta is the per-decision context a pathChooser records alongside the
-// replayable Choice: the domain-local trace position at the decision moment
-// (-1 when the consultation site did not supply one) and, for turn choices,
-// the candidate thread ids in enumeration order. The meta log never leaves
-// the process — it exists to align decisions with trace events for
-// happens-before flip pruning (hb.go); the persisted frontier and repro
+// alignment is the per-decision context a pathChooser records alongside the
+// replayable Choices when a run is traced: the domain-local trace position at
+// each decision moment (-1 when the consultation site did not supply one)
+// and, for turn choices, the candidate thread ids in enumeration order. It
+// never leaves the process — it exists to align decisions with trace events
+// for happens-before flip pruning (hb.go); the persisted frontier and repro
 // formats carry only the Choice quad, so results directories stay
 // byte-compatible.
+type alignment struct {
+	at  []choiceMeta
+	ids []int // every turn decision's candidate ids, back to back
+}
+
 type choiceMeta struct {
-	pos int64
-	ids []int
+	pos    int64
+	off, n int32 // candidate ids are ids[off:off+n]; n == 0 when none were recorded
+}
+
+// turnIDs returns decision i's candidate thread ids, nil when it recorded
+// none (not a turn choice, or the site supplied no ids).
+func (a *alignment) turnIDs(i int) []int {
+	m := a.at[i]
+	if m.n == 0 {
+		return nil
+	}
+	return a.ids[m.off : m.off+m.n]
 }
 
 // pathChooser drives one exploration run: decisions are consumed positionally
@@ -28,9 +43,9 @@ type choiceMeta struct {
 // scheduler state (Chooser contract).
 type pathChooser struct {
 	mu     sync.Mutex
-	forced []core.Choice
+	forced flip
 	log    []core.Choice
-	meta   []choiceMeta
+	align  *alignment // nil: the run records no alignment
 }
 
 // Choose implements qithread.Chooser (consultation sites without a trace
@@ -46,40 +61,46 @@ func (c *pathChooser) ChooseAt(pos int64, kind core.ChoiceKind, ids []int, n, de
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	idx := def
-	if pos := len(c.log); pos < len(c.forced) {
+	if k := len(c.log); k < c.forced.depth() {
 		// A perturbed earlier decision can change how many candidates a later
 		// point has; out-of-range prefix entries fall back to the default
 		// rather than aborting the run (the decision tree self-repairs, and
 		// the recorded log always reflects what was actually taken).
-		if f := c.forced[pos].Index; f >= 0 && f < n {
+		if f := c.forced.index(k); f >= 0 && f < n {
 			idx = f
 		}
 	}
 	c.log = append(c.log, core.Choice{Kind: kind, N: n, Def: def, Index: idx})
-	m := choiceMeta{pos: pos}
-	if kind == core.ChooseTurn && ids != nil {
-		m.ids = append([]int(nil), ids...) // ids is only valid during the call
+	if a := c.align; a != nil {
+		m := choiceMeta{pos: pos}
+		if kind == core.ChooseTurn {
+			// ids is only valid during the call; one arena holds every copy.
+			m.off, m.n = int32(len(a.ids)), int32(len(ids))
+			a.ids = append(a.ids, ids...)
+		}
+		a.at = append(a.at, m)
 	}
-	c.meta = append(c.meta, m)
 	return idx
 }
 
-// Log returns the decisions resolved so far.
+// Log returns the decisions resolved so far without copying them: the slice
+// is capped at its length, so a straggling consultation (a hung run's threads
+// are still live) reallocates instead of writing into what the caller holds.
 func (c *pathChooser) Log() []core.Choice {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]core.Choice, len(c.log))
-	copy(out, c.log)
-	return out
+	return c.log[:len(c.log):len(c.log)]
 }
 
-// Meta returns the per-decision alignment context recorded so far.
-func (c *pathChooser) Meta() []choiceMeta {
+// Alignment returns the alignment recorded so far (empty when the run records
+// none), as copy-free as Log: stragglers only ever append past it.
+func (c *pathChooser) Alignment() alignment {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]choiceMeta, len(c.meta))
-	copy(out, c.meta)
-	return out
+	if c.align == nil {
+		return alignment{}
+	}
+	return *c.align
 }
 
 // replayChooser re-resolves a recorded decision log during schedule replay.
@@ -209,12 +230,11 @@ func (c *pctChooser) Choose(kind core.ChoiceKind, ids []int, n, def int) int {
 	return idx
 }
 
-// Log returns the decisions resolved so far; a PCT run's log makes it
-// branchable and reproducible exactly like a DPOR run's.
+// Log returns the decisions resolved so far (copy-free, like
+// pathChooser.Log); a PCT run's log makes it branchable and reproducible
+// exactly like a DPOR run's.
 func (c *pctChooser) Log() []core.Choice {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]core.Choice, len(c.log))
-	copy(out, c.log)
-	return out
+	return c.log[:len(c.log):len(c.log)]
 }

@@ -154,15 +154,17 @@ type Result struct {
 	// hashes + delivery hash) extended with the output checksum.
 	Fingerprint string
 	// Trace is the default domain's recorded schedule — the replayable half
-	// of a repro file. Nil when recording could not complete (hang).
+	// of a repro file. Nil when recording could not complete (hang), and for
+	// the search's own untraced runs (see runPath).
 	Trace []core.Event
 	// Choices is the full decision log the run resolved, forced prefix
 	// included — the other half of a repro file.
 	Choices []core.Choice
 	// meta aligns each decision with the recorded trace (position, turn
-	// candidates) for happens-before flip pruning. In-memory only — never
-	// persisted, so results directories stay format-compatible.
-	meta []choiceMeta
+	// candidates) for happens-before flip pruning; empty for untraced runs.
+	// In-memory only — never persisted, so results directories stay
+	// format-compatible.
+	meta alignment
 }
 
 // DefaultWatchdog bounds one run's real time. Explored programs are tiny;
@@ -175,12 +177,38 @@ const DefaultWatchdog = 5 * time.Second
 // the baseline run (all defaults — the execution the unhooked runtime would
 // produce).
 func RunForced(p *Program, forced []core.Choice, watchdog time.Duration) Result {
-	ch := &pathChooser{forced: forced}
-	res := runOnce(p, nil, ch, watchdog)
+	return runPath(p, prefixFlip(forced), watchdog, true)
+}
+
+// runPath is RunForced on a frontier entry. An untraced run is what the
+// search executes when nothing will read the schedule back — the fingerprint
+// comes from the scheduler's running hash, branching needs only the decision
+// log — so it retains no event trace and records no alignment. Traced runs
+// are for whoever needs the events: a repro file, the HB pruner.
+//
+// The decision log is sized up front from the log the entry was flipped from,
+// with a little headroom — sibling runs drift by a few decisions — so append
+// neither copies the log as it grows nor leaves the frontier, which retains
+// the log of every expanded run, holding a half-empty doubling.
+func runPath(p *Program, f flip, watchdog time.Duration, traced bool) Result {
+	ch := &pathChooser{forced: f}
+	if n := f.logLen(); n > 0 {
+		ch.log = make([]core.Choice, 0, n+n/8+8)
+	}
+	if traced {
+		ch.align = &alignment{}
+	}
+	res := runOnce(p, nil, ch, watchdog, traced)
 	res.Choices = ch.Log()
-	res.meta = ch.Meta()
+	res.meta = ch.Alignment()
 	return res
 }
+
+// discardSink puts a scheduler into streaming-record mode with nowhere to
+// stream to: the running trace hash is maintained, no event is retained.
+type discardSink struct{}
+
+func (discardSink) Append(core.Event) error { return nil }
 
 // RunVariant executes the program once, UNHOOKED, under an alternative base
 // configuration — the reference executions whose fingerprints the explorer
@@ -188,11 +216,12 @@ func RunForced(p *Program, forced []core.Choice, watchdog time.Duration) Result 
 // baseline policies).
 func RunVariant(p *Program, base func() qithread.Config, watchdog time.Duration) Result {
 	v := &Program{Name: p.Name, Base: base, Run: p.Run, Check: p.Check}
-	return runOnce(v, nil, nil, watchdog)
+	return runOnce(v, nil, nil, watchdog, true)
 }
 
 // runOnce builds the runtime, installs the chooser and oracle hooks, and
-// executes one run under a real-time watchdog.
+// executes one run under a real-time watchdog. An untraced run fingerprints
+// the execution exactly as a traced one does but returns no Trace.
 //
 // Failure modes leak by design: a deadlocked or hung run's goroutines park
 // forever (the deadlock handler blocks so the scheduler state stays frozen
@@ -201,13 +230,16 @@ func RunVariant(p *Program, base func() qithread.Config, watchdog time.Duration)
 // is process-fatal (the pooled thread bodies have no recovery), but legal
 // schedule perturbations cannot make a child panic unless the program itself
 // does — and that process exit is itself a loud bug report.
-func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time.Duration) Result {
+func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time.Duration, traced bool) Result {
 	if watchdog <= 0 {
 		watchdog = DefaultWatchdog
 	}
 	cfg := p.Base()
 	cfg.Record = true
 	cfg.Replay = replay
+	if !traced && cfg.StreamTrace == nil {
+		cfg.StreamTrace = func(domainID int) qithread.TraceSink { return discardSink{} }
+	}
 	if ch != nil {
 		// One shared instance across domains: the decision log is a single
 		// global sequence (the chooser serializes consultations internally).
@@ -236,6 +268,10 @@ func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time
 		done <- end{out: p.Run(rt)}
 	}()
 
+	// Stopped on return: at thousands of runs a second, unstopped watchdogs
+	// would pile up as pending timers until each one's full duration passed.
+	timer := time.NewTimer(watchdog)
+	defer timer.Stop()
 	var res Result
 	select {
 	case e := <-done:
@@ -252,13 +288,15 @@ func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time
 		}
 	case msg := <-deadlocked:
 		res = Result{Outcome: OutcomeDeadlock, Err: msg}
-	case <-time.After(watchdog):
+	case <-timer.C:
 		// The run is stuck in real time without a deterministic deadlock
 		// (e.g. a livelock through the nondeterministic edges). The frozen
 		// runtime cannot be read safely, so the result carries no trace.
 		return Result{Outcome: OutcomeHang, Err: "watchdog expired"}
 	}
-	res.Trace = rt.Trace()
+	if traced {
+		res.Trace = rt.Trace()
+	}
 	res.Fingerprint = fingerprintOf(rt, res.Output)
 	return res
 }
@@ -283,7 +321,7 @@ func fingerprintOf(rt *qithread.Runtime, output uint64) string {
 // express. It returns the run's classification; reproduction succeeded when
 // the outcome and fingerprint match the original run's.
 func ReplayRepro(p *Program, events []core.Event, choices []core.Choice, watchdog time.Duration) Result {
-	res := runOnce(p, events, newReplayChooser(choices), watchdog)
+	res := runOnce(p, events, newReplayChooser(choices), watchdog, true)
 	res.Choices = choices
 	return res
 }

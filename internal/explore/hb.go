@@ -75,20 +75,20 @@ func (f *flipPruner) prepare() bool {
 // redundant reports whether flipping decision i to alternative alt is
 // provably equivalent to the recorded run. Decision i must be a turn choice.
 func (f *flipPruner) redundant(i, alt int) bool {
-	if i >= len(f.res.meta) {
+	if i >= len(f.res.meta.at) {
 		return false
 	}
-	m := f.res.meta[i]
-	if m.pos < 0 || m.ids == nil || alt >= len(m.ids) || !f.prepare() {
+	pos, ids := f.res.meta.at[i].pos, f.res.meta.turnIDs(i)
+	if pos < 0 || alt >= len(ids) || !f.prepare() {
 		return false
 	}
-	p := int(m.pos)
+	p := int(pos)
 	if p >= len(f.res.Trace) {
 		return false
 	}
 	// q: the alternative thread's first event at or after the decision point
 	// — the operation it would have executed had it been granted the turn.
-	altTID := m.ids[alt]
+	altTID := ids[alt]
 	var q, prev = -1, -1
 	for _, k := range f.byTID[altTID] {
 		if k >= p {

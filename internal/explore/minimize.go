@@ -25,26 +25,28 @@ import (
 // It returns the minimal prefix, the VERIFIED final result of running it
 // (whose trace and decision log become the repro file), and the number of
 // verification runs spent. Each probe is one bounded run, so the whole
-// minimization costs O(log n + flips) runs.
+// minimization costs O(log n + flips) runs; only the verifying run is traced
+// — the search probes are judged by their outcome alone.
 func Minimize(p *Program, failing Result, watchdog time.Duration) ([]core.Choice, Result, int) {
 	full := failing.Choices
 	runs := 0
 	sameFailure := func(r Result) bool {
 		return r.Outcome == failing.Outcome
 	}
-	probe := func(candidate []core.Choice) (Result, bool) {
+	run := func(candidate []core.Choice, traced bool) (Result, bool) {
 		runs++
-		r := RunForced(p, candidate, watchdog)
+		r := runPath(p, prefixFlip(candidate), watchdog, traced)
 		return r, sameFailure(r)
+	}
+	probe := func(candidate []core.Choice) bool {
+		_, fails := run(candidate, false)
+		return fails
 	}
 
 	// Binary search the shortest failing cut of the full log.
-	k := sort.Search(len(full), func(k int) bool {
-		_, fails := probe(full[:k])
-		return fails
-	})
+	k := sort.Search(len(full), func(k int) bool { return probe(full[:k]) })
 	min := append([]core.Choice(nil), full[:k]...)
-	if _, fails := probe(min); !fails {
+	if !probe(min) {
 		// Non-monotone failure boundary: keep the exact full log.
 		min = append([]core.Choice(nil), full...)
 	}
@@ -56,17 +58,17 @@ func Minimize(p *Program, failing Result, watchdog time.Duration) ([]core.Choice
 		}
 		saved := min[i].Index
 		min[i].Index = min[i].Def
-		if _, fails := probe(min); !fails {
+		if !probe(min) {
 			min[i].Index = saved
 		}
 	}
 
-	final, fails := probe(min)
+	final, fails := run(min, true)
 	if !fails {
 		// Minimization must never lose the bug: fall back to the full log,
 		// which reproduced by construction.
 		min = append([]core.Choice(nil), full...)
-		final, _ = probe(min)
+		final, _ = run(min, true)
 	}
 	return min, final, runs
 }

@@ -67,23 +67,30 @@ func (p *dporPool) worker(w int) {
 	st := WorkerStat{}
 	s.mu.Lock()
 	for p.err == nil {
-		for p.budget > 0 && len(s.frontier) == 0 && p.active > 0 {
+		for p.budget > 0 && s.frontier.len() == 0 && p.active > 0 {
 			p.cond.Wait()
 		}
-		if p.err != nil || p.budget <= 0 || len(s.frontier) == 0 {
+		if p.err != nil || p.budget <= 0 || s.frontier.len() == 0 {
 			break
 		}
-		prefix := s.frontier[0]
-		s.frontier = s.frontier[1:]
-		s.executed[formatPrefix(prefix)] = true
+		f := s.frontier.pop()
 		p.budget--
 		p.active++
 		s.mu.Unlock()
 
-		res := RunForced(s.P, prefix, s.Watchdog)
+		// Only a results directory needs the popped prefix spelled out (the
+		// frontier merge of save); rendering it is off-lock work either way.
+		var line string
+		if s.Dir != "" {
+			line = string(f.appendLine(nil))
+		}
+		res := runPath(s.P, f, s.Watchdog, s.HB)
 
 		s.mu.Lock()
-		id, isNew := s.recordLocked("dpor", len(prefix), res)
+		if s.Dir != "" {
+			s.executed[line] = true
+		}
+		id, isNew := s.recordLocked("dpor", f.depth(), res)
 		st.Runs++
 		if isNew {
 			st.New++
@@ -94,13 +101,13 @@ func (p *dporPool) worker(w int) {
 			// re-runs the program many times — do it off the session lock so
 			// the other workers keep exploring.
 			s.mu.Unlock()
-			err := s.minimizeAndEmit(prefix, res, id)
+			err := s.minimizeAndEmit(f.depth(), res, id)
 			s.mu.Lock()
 			if err != nil && p.err == nil {
 				p.err = err
 			}
 		case isNew:
-			kept, pruned := s.expandLocked(prefix, &res, p.maxDepth)
+			kept, pruned := s.expandLocked(f.depth(), &res, p.maxDepth)
 			st.Branched += kept
 			st.Pruned += pruned
 		}
@@ -148,7 +155,7 @@ func (s *Session) runPCTPool(budget, d int, seed uint64, horizon int) error {
 				s.mu.Unlock()
 
 				ch := newPCTChooser(seed^uint64(i+1)*0x9e3779b97f4a7c15, d, horizon)
-				res := runOnce(s.P, nil, ch, s.Watchdog)
+				res := runOnce(s.P, nil, ch, s.Watchdog, false)
 				res.Choices = ch.Log()
 
 				s.mu.Lock()
@@ -162,7 +169,7 @@ func (s *Session) runPCTPool(budget, d int, seed uint64, horizon int) error {
 					// A PCT run is minimized from its own decision log: the
 					// log is a complete forced prefix reproducing the walk
 					// without the PRNG.
-					if err := s.minimizeAndEmit(res.Choices, res, id); err != nil {
+					if err := s.minimizeAndEmit(len(res.Choices), res, id); err != nil {
 						s.mu.Lock()
 						if firstErr == nil {
 							firstErr = err

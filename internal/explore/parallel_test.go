@@ -15,42 +15,91 @@ import (
 // to workers=1 on a drained space, and the results directory surviving both
 // concurrent writers and torn writes.
 
-// Golden sha256 sums of the results files the PRE-POOL serial explorer
-// produced at budget=120 (captured before the engine was rewritten). The
-// pool with workers=1 must reproduce them byte for byte: same pops, same run
-// ids, same branching order, same csv bytes.
+// Golden sha256 sums of the results files the serial explorer produces at
+// budget=120. The runs.csv/seen.txt sums of buggy and wakerace date from the
+// PRE-POOL explorer; the frontier.txt sums and the controlplane-race entry
+// were captured on the materialised-prefix frontier, before it was replaced
+// by structure-sharing entries. Workers=1 must reproduce all of them byte for
+// byte: same pops, same run ids, same branching order, same file bytes.
 var serialGoldens = map[string]map[string]string{
 	"buggy": {
-		runsFile: "52e4f03110631b6fcbf86c963bed61fc3499dd43a51f467d84bd72e495af003a",
-		seenFile: "2484546b5aa4c8e395fc63b0f916d182343d465efa6b5a83df696e27fa008822",
+		runsFile:     "52e4f03110631b6fcbf86c963bed61fc3499dd43a51f467d84bd72e495af003a",
+		seenFile:     "2484546b5aa4c8e395fc63b0f916d182343d465efa6b5a83df696e27fa008822",
+		frontierFile: "8c881c5902dd8580cf2d080b5f4cdac62ed3ac453a33824cbee682e08b595ed6",
 	},
 	"wakerace": {
-		runsFile: "33364bc1c10e339010999e69fc07e08152b8c323e0d4caf32c39976af4197c59",
-		seenFile: "042843909af4505c126e8cf911df1a643ebd0b3c66ac22c3dfe4e156535baf4b",
+		runsFile:     "33364bc1c10e339010999e69fc07e08152b8c323e0d4caf32c39976af4197c59",
+		seenFile:     "042843909af4505c126e8cf911df1a643ebd0b3c66ac22c3dfe4e156535baf4b",
+		frontierFile: "4fc9764c0148b284df898296c71159919a7d81f9aa49d0e992cb8d261910e97c",
 	},
+	"controlplane-race": {
+		runsFile:     "c5308cabf9bf9ca77748269b497dc7d3d1d28b9614a41671f9b11144b87c91dd",
+		seenFile:     "08a52c820fd781fbf3a8927ed2f9b6840f606f8eb6d2257d31f1ea69a92315e4",
+		frontierFile: "5c5711475d3acfdd53a0ede6a9b25b887a5fee9b14021026b82abfdfa32dedde",
+	},
+}
+
+// resultsSums returns the sha256 of each of the three search-state files.
+func resultsSums(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	sums := map[string]string{}
+	for _, file := range []string{runsFile, seenFile, frontierFile} {
+		data, err := os.ReadFile(filepath.Join(dir, file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		sums[file] = hex.EncodeToString(sum[:])
+	}
+	return sums
+}
+
+// exploreSerial runs one Workers=1 DPOR invocation over dir.
+func exploreSerial(t *testing.T, p *Program, dir string, budget int) *Session {
+	t.Helper()
+	s, err := NewSession(p, dir, testWatchdog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Workers = 1
+	if err := s.ExploreDPOR(budget, 0); err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func TestWorkersOneByteIdentical(t *testing.T) {
 	for program, want := range serialGoldens {
 		t.Run(program, func(t *testing.T) {
-			p := Lookup(program)
 			dir := t.TempDir()
-			s, err := NewSession(p, dir, testWatchdog)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.Workers = 1
-			if err := s.ExploreDPOR(120, 0); err != nil {
-				t.Fatal(err)
-			}
-			for file, wantSum := range want {
-				data, err := os.ReadFile(filepath.Join(dir, file))
-				if err != nil {
-					t.Fatal(err)
+			exploreSerial(t, Lookup(program), dir, 120)
+			for file, got := range resultsSums(t, dir) {
+				if got != want[file] {
+					t.Errorf("%s: sha256 %s, want %s (workers=1 diverged from the serial search order)", file, got, want[file])
 				}
-				sum := sha256.Sum256(data)
-				if got := hex.EncodeToString(sum[:]); got != wantSum {
-					t.Errorf("%s: sha256 %s, want %s (workers=1 diverged from the serial search order)", file, got, wantSum)
+			}
+		})
+	}
+}
+
+// TestResumeEquivalence: stopping at budget 60 and resuming for 60 more must
+// leave exactly the files one budget-120 invocation leaves. Across the
+// restart every frontier entry changes representation — a flip sharing its
+// parent run's log is written out as a line and read back as a standalone
+// prefix — so this pins that both forms denote the same prefix, in the same
+// FIFO position.
+func TestResumeEquivalence(t *testing.T) {
+	for program, want := range serialGoldens {
+		t.Run(program, func(t *testing.T) {
+			dir := t.TempDir()
+			first := exploreSerial(t, Lookup(program), dir, 60)
+			second := exploreSerial(t, Lookup(program), dir, 60)
+			if first.Runs() != 60 || second.Runs() != 120 || second.LoadWarnings() != 0 {
+				t.Fatalf("ran to %d then %d runs with %d load warnings, want 60, 120 and 0", first.Runs(), second.Runs(), second.LoadWarnings())
+			}
+			for file, got := range resultsSums(t, dir) {
+				if got != want[file] {
+					t.Errorf("%s: sha256 %s after 60+60, want the one-shot budget-120 sum %s", file, got, want[file])
 				}
 			}
 		})

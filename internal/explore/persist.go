@@ -177,28 +177,39 @@ func (s *Session) save() error {
 // neither executed nor already holds (another process's additions). Caller
 // holds mu and the directory lock.
 func (s *Session) writeFrontierMerged() error {
-	var b strings.Builder
-	mem := make(map[string]bool, len(s.frontier))
-	for _, prefix := range s.frontier {
-		line := formatPrefix(prefix)
-		mem[line] = true
-		b.WriteString(line)
-		b.WriteByte('\n')
-	}
+	// Candidates for "another process's addition": what is on disk and was
+	// not executed here. Entries the frontier still holds are struck out as
+	// they are rendered, so only the disk side is ever held as strings.
+	var disk []string
+	foreign := map[string]bool{}
 	if data, err := os.ReadFile(filepath.Join(s.Dir, frontierFile)); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" || mem[line] || s.executed[line] {
-				continue
+			if line = strings.TrimSpace(line); line != "" && !s.executed[line] {
+				disk = append(disk, line)
+				foreign[line] = true
 			}
-			if _, err := parsePrefix(line); err != nil {
-				continue // corrupt leftover; dropped on rewrite
-			}
-			b.WriteString(line)
-			b.WriteByte('\n')
 		}
 	}
-	return atomicWrite(filepath.Join(s.Dir, frontierFile), []byte(b.String()))
+	var b []byte
+	s.frontier.each(func(f flip) {
+		start := len(b)
+		b = f.appendLine(b)
+		if foreign[string(b[start:])] {
+			delete(foreign, string(b[start:]))
+		}
+		b = append(b, '\n')
+	})
+	for _, line := range disk {
+		if !foreign[line] {
+			continue
+		}
+		if _, err := parsePrefix(line); err != nil {
+			continue // corrupt leftover; dropped on rewrite
+		}
+		b = append(b, line...)
+		b = append(b, '\n')
+	}
+	return atomicWrite(filepath.Join(s.Dir, frontierFile), b)
 }
 
 // writeWorkerStats snapshots the last invocation's per-worker stats for
@@ -289,7 +300,7 @@ func (s *Session) load() error {
 					s.loadWarnings++ // corrupt entry; the rest of the frontier stands
 					continue
 				}
-				s.frontier = append(s.frontier, prefix)
+				s.frontier.push(prefixFlip(prefix))
 			}
 		}
 		repros, _ := filepath.Glob(filepath.Join(s.Dir, "repro-*.sched"))

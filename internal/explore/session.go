@@ -36,11 +36,11 @@ type Session struct {
 	// PR 8 behaviour.
 	HB bool
 
-	mu        sync.Mutex // guards all mutable state below
-	runs      int        // run ids handed out (resume continues the count)
-	seen      *seenSet   // fingerprint -> run id that first produced it
-	frontier  [][]core.Choice
-	executed  map[string]bool // prefixes popped (this session) — frontier merge input
+	mu        sync.Mutex      // guards all mutable state below
+	runs      int             // run ids handed out (resume continues the count)
+	seen      *seenSet        // fingerprint -> run id that first produced it
+	frontier  flipQueue       // unexplored forced prefixes, FIFO (frontier.go)
+	executed  map[string]bool // frontier lines popped this session — merge input, kept only with a Dir
 	failures  int
 	repros    []string        // repro file paths emitted this session and before
 	reproSigs map[string]bool // outcome+minimized-prefix signatures already emitted
@@ -185,12 +185,12 @@ func NewSession(p *Program, dir string, watchdog time.Duration) (*Session, error
 	s := &Session{
 		P: p, Dir: dir, Watchdog: watchdog,
 		seen:      newSeenSet(),
-		executed:  map[string]bool{},
 		reproSigs: map[string]bool{},
 	}
 	if dir == "" {
 		return s, nil
 	}
+	s.executed = map[string]bool{}
 	if err := s.load(); err != nil {
 		return nil, err
 	}
@@ -227,7 +227,7 @@ func (s *Session) Repros() []string {
 func (s *Session) FrontierLen() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.frontier)
+	return s.frontier.len()
 }
 
 // MaxDepth returns the deepest forced prefix run so far.
@@ -299,8 +299,8 @@ func (s *Session) logf(format string, args ...any) {
 // individually deterministic.
 func (s *Session) ExploreDPOR(budget, maxDepth int) error {
 	s.mu.Lock()
-	if s.runs == 0 && len(s.frontier) == 0 {
-		s.frontier = append(s.frontier, nil) // the all-defaults baseline
+	if s.runs == 0 && s.frontier.len() == 0 {
+		s.frontier.push(flip{}) // the all-defaults baseline
 	}
 	s.mu.Unlock()
 	if err := s.runDPORPool(budget, maxDepth); err != nil {
@@ -322,7 +322,7 @@ func (s *Session) ExplorePCT(budget, d int, seed uint64) error {
 	id, _ := s.recordLocked("pct-base", 0, base)
 	s.mu.Unlock()
 	if base.Outcome.Failure() {
-		if err := s.minimizeAndEmit(nil, base, id); err != nil {
+		if err := s.minimizeAndEmit(0, base, id); err != nil {
 			return err
 		}
 	}
@@ -335,10 +335,13 @@ func (s *Session) ExplorePCT(budget, d int, seed uint64) error {
 	return s.save()
 }
 
-// expandLocked branches one newly discovered run into its unexplored flips,
-// appending them to the frontier. It returns how many flips were kept and
+// expandLocked branches one newly discovered run into its unexplored flips —
+// every alternative of every decision from position `from` (the depth of the
+// prefix the run was forced with) on — and queues them on the frontier. The
+// flips share the run's decision log, so this allocates per chunk of
+// flipChunk entries, not per flip. It returns how many flips were kept and
 // how many the happens-before pruner dropped. Caller holds mu.
-func (s *Session) expandLocked(prefix []core.Choice, res *Result, maxDepth int) (kept, pruned int) {
+func (s *Session) expandLocked(from int, res *Result, maxDepth int) (kept, pruned int) {
 	limit := len(res.Choices)
 	if maxDepth > 0 && limit > maxDepth {
 		limit = maxDepth
@@ -347,7 +350,9 @@ func (s *Session) expandLocked(prefix []core.Choice, res *Result, maxDepth int) 
 	if s.HB {
 		pruner = newFlipPruner(res)
 	}
-	for i := len(prefix); i < limit; i++ {
+	log := new([]core.Choice) // not &res.Choices: that would pin res.Trace with it
+	*log = res.Choices
+	for i := from; i < limit; i++ {
 		d := res.Choices[i]
 		for alt := 0; alt < d.N; alt++ {
 			if alt == d.Index {
@@ -357,10 +362,7 @@ func (s *Session) expandLocked(prefix []core.Choice, res *Result, maxDepth int) 
 				pruned++
 				continue
 			}
-			branch := make([]core.Choice, i+1)
-			copy(branch, res.Choices[:i])
-			branch[i] = core.Choice{Kind: d.Kind, N: d.N, Def: d.Def, Index: alt}
-			s.frontier = append(s.frontier, branch)
+			s.frontier.push(flip{log: log, pos: int32(i), alt: int32(alt)})
 			kept++
 		}
 	}
@@ -409,48 +411,18 @@ func csvEscape(v string) string {
 	return v
 }
 
-// formatPrefix renders a forced prefix as one frontier line: space-separated
-// kind:n:def:index quads, "-" for the empty prefix.
-func formatPrefix(prefix []core.Choice) string {
-	if len(prefix) == 0 {
-		return "-"
-	}
-	parts := make([]string, len(prefix))
-	for i, c := range prefix {
-		parts[i] = fmt.Sprintf("%d:%d:%d:%d", uint8(c.Kind), c.N, c.Def, c.Index)
-	}
-	return strings.Join(parts, " ")
-}
-
-// parsePrefix inverts formatPrefix.
-func parsePrefix(line string) ([]core.Choice, error) {
-	if line == "-" {
-		return nil, nil
-	}
-	fields := strings.Fields(line)
-	out := make([]core.Choice, len(fields))
-	for i, f := range fields {
-		var kind uint8
-		var n, def, idx int
-		if _, err := fmt.Sscanf(f, "%d:%d:%d:%d", &kind, &n, &def, &idx); err != nil {
-			return nil, fmt.Errorf("bad choice %q: %v", f, err)
-		}
-		out[i] = core.Choice{Kind: core.ChoiceKind(kind), N: n, Def: def, Index: idx}
-	}
-	return out, nil
-}
-
 // minimizeAndEmit shrinks a failing run to a minimal forced prefix and writes
 // the repro schedule file. Failures that minimize to an already-emitted
 // decision prefix are the SAME bug reached through a longer path; counting
 // them (s.failures) matters, re-emitting them would bury the distinct repros.
-// id is the failing run's id (repro files are named after it). The
-// minimization probes run outside the session lock — they are pure re-runs —
-// so parallel workers keep exploring while a failure shrinks.
-func (s *Session) minimizeAndEmit(prefix []core.Choice, res Result, id int) error {
+// depth is the length of the forced prefix the failing run was found with and
+// id its run id (repro files are named after it). The minimization probes run
+// outside the session lock — they are pure re-runs — so parallel workers keep
+// exploring while a failure shrinks.
+func (s *Session) minimizeAndEmit(depth int, res Result, id int) error {
 	min, final, runs := Minimize(s.P, res, s.Watchdog)
 	s.logf("minimized %s: prefix %d -> %d decisions (%d verification runs)",
-		res.Outcome, len(prefix), len(min), runs)
+		res.Outcome, depth, len(min), runs)
 	sig := final.Outcome.String() + "|" + formatPrefix(final.Choices)
 	s.mu.Lock()
 	if s.reproSigs[sig] {
