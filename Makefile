@@ -6,14 +6,17 @@ GO ?= go
 .PHONY: check
 check: build vet race shuffle cpu-matrix soak-smoke explore-smoke controlplane-smoke
 
-# Scheduler tests at -cpu 1 and 4: the turn lease, the spin-then-park grant
-# path, and OS-thread pinning behave differently with and without real
-# parallelism available (spinning is skipped at GOMAXPROCS 1), so both shapes
-# are exercised. The pinned-domain loop additionally runs under -race at
-# -cpu 4: pinning must introduce no new cross-thread accesses.
+# Scheduler tests at -cpu 1, 2 and 4: the turn lease, the park-first grant
+# handoff, and OS-thread pinning behave differently with no parallelism, with
+# more turn-waiters than Ps (2 is the reference host's real shape, and the
+# one the deleted spin-then-park receive regressed), and with Ps to spare, so
+# all three are exercised; the handoff stress test compares its schedule
+# across the three values. The pinned-domain loop additionally runs under
+# -race at -cpu 4: pinning must introduce no new cross-thread accesses.
 .PHONY: cpu-matrix
 cpu-matrix:
-	$(GO) test -cpu 1,4 -count=1 ./internal/core ./internal/domain
+	$(GO) test -cpu 1,2,4 -count=1 ./internal/core ./internal/domain
+	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHandoffStress' ./internal/core
 	$(GO) test -race -cpu 4 -count=1 -run 'TestPinnedDomainsScheduleNeutral|TestLeaseTraceNeutral' ./internal/harness
 
 # What .github/workflows/ci.yml runs: the full gate plus the performance
@@ -103,11 +106,16 @@ bench:
 
 # Scheduler hot-path baseline: run the E14 micro-benchmarks and regenerate
 # BENCH_sched.json (benchmark name -> ns/op, allocs/op, averaged over 3 reps).
-# The two steps run sequentially (not a pipe) so compiling the converter
-# does not steal CPU from the benchmarks.
+# Every row is recorded at -cpu 1 (unsuffixed keys); the handoff-sensitive
+# rows are recorded again at -cpu 2 ("-2" keys, gomaxprocs: 2) — more
+# turn-waiters than Ps is the shape a grant-path regression shows up in, and
+# the -cpu 1 rows cannot see one. The steps run sequentially (not a pipe) so
+# compiling the converter does not steal CPU from the benchmarks.
 .PHONY: bench-json
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkMechanism|BenchmarkPolicyDispatch|BenchmarkBroadcastStorm|BenchmarkTimedWaitChurn|BenchmarkTurnHandoff|BenchmarkDomains|BenchmarkIngress|BenchmarkControlPlane|BenchmarkLogReplay|BenchmarkExplore' \
-		-benchmem -benchtime 300ms -count 3 . > .bench_sched.out
+		-benchmem -benchtime 300ms -count 3 -cpu 1 . > .bench_sched.out
+	$(GO) test -run '^$$' -bench 'BenchmarkTurnHandoff|BenchmarkMechanismSignalWait|BenchmarkBroadcastStorm|BenchmarkDomains/server|BenchmarkControlPlane|BenchmarkExploreParallel' \
+		-benchmem -benchtime 300ms -count 3 -cpu 2 . >> .bench_sched.out
 	$(GO) run ./cmd/qibenchjson < .bench_sched.out > BENCH_sched.json
 	@rm -f .bench_sched.out

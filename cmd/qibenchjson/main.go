@@ -182,28 +182,24 @@ func runCompare(baselinePath, pkg string, short bool, threshold, allocThreshold 
 	}
 
 	// The baseline keys are full sub-benchmark paths (with any GOMAXPROCS
-	// suffix); -bench matches on the top-level function name, so run the
-	// union of those with the suffix stripped.
-	tops := make(map[string]bool)
-	procSet := make(map[int]bool)
+	// suffix); -bench matches on the top-level function name, so each lane
+	// runs the union of those with the suffix stripped. A lane is one
+	// GOMAXPROCS value and one `go test` process, holding exactly the
+	// benchmarks the baseline has at that value — the way `make bench-json`
+	// records them: a single `-cpu 1,2` process would interleave the lanes,
+	// and a row measured right after its GOMAXPROCS 2 sibling reads up to 2x
+	// slower than the same row measured alone. Legacy baselines without
+	// gomaxprocs fields form one lane (0) run at the host default.
+	lanes := make(map[int]map[string]bool)
 	for name, res := range baseline {
 		top := strings.SplitN(name, "/", 2)[0]
-		tops[gomaxprocsSuffix.ReplaceAllString(top, "")] = true
-		if res.GOMAXPROCS > 0 {
-			procSet[res.GOMAXPROCS] = true
+		if lanes[res.GOMAXPROCS] == nil {
+			lanes[res.GOMAXPROCS] = make(map[string]bool)
 		}
+		lanes[res.GOMAXPROCS][gomaxprocsSuffix.ReplaceAllString(top, "")] = true
 	}
-	names := make([]string, 0, len(tops))
-	for t := range tops {
-		names = append(names, t)
-	}
-	sort.Strings(names)
-	pattern := "^(" + strings.Join(names, "|") + ")$"
-	// Re-run at exactly the proc counts the baseline was recorded at, so the
-	// fresh run reproduces the baseline's keys (suffixes included). Legacy
-	// baselines without gomaxprocs fields run at the host default.
-	procs := make([]int, 0, len(procSet))
-	for p := range procSet {
+	procs := make([]int, 0, len(lanes))
+	for p := range lanes {
 		procs = append(procs, p)
 	}
 	sort.Ints(procs)
@@ -212,30 +208,37 @@ func runCompare(baselinePath, pkg string, short bool, threshold, allocThreshold 
 	if short {
 		benchtime, count = "50ms", "1"
 	}
-	args := []string{"test", "-run", "^$",
-		"-bench", pattern, "-benchmem", "-benchtime", benchtime, "-count", count}
-	if len(procs) > 0 {
-		cpuList := make([]string, len(procs))
-		for i, p := range procs {
-			cpuList[i] = strconv.Itoa(p)
+	fresh := make(map[string]Result)
+	for _, p := range procs {
+		names := make([]string, 0, len(lanes[p]))
+		for t := range lanes[p] {
+			names = append(names, t)
 		}
-		args = append(args, "-cpu", strings.Join(cpuList, ","))
-	}
-	args = append(args, pkg)
-	cmd := exec.Command("go", args...)
-	var out bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = os.Stderr
-	fmt.Fprintf(os.Stderr, "qibenchjson: re-running %s (benchtime %s, count %s)\n",
-		strings.Join(names, " "), benchtime, count)
-	if err := cmd.Run(); err != nil {
-		fmt.Fprintln(os.Stderr, "qibenchjson: benchmark run failed:", err)
-		return 1
-	}
-	fresh, err := parseBench(&out)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qibenchjson:", err)
-		return 1
+		sort.Strings(names)
+		args := []string{"test", "-run", "^$",
+			"-bench", "^(" + strings.Join(names, "|") + ")$", "-benchmem", "-benchtime", benchtime, "-count", count}
+		if p > 0 {
+			args = append(args, "-cpu", strconv.Itoa(p))
+		}
+		args = append(args, pkg)
+		cmd := exec.Command("go", args...)
+		var out bytes.Buffer
+		cmd.Stdout = &out
+		cmd.Stderr = os.Stderr
+		fmt.Fprintf(os.Stderr, "qibenchjson: re-running %s (gomaxprocs %d, benchtime %s, count %s)\n",
+			strings.Join(names, " "), p, benchtime, count)
+		if err := cmd.Run(); err != nil {
+			fmt.Fprintln(os.Stderr, "qibenchjson: benchmark run failed:", err)
+			return 1
+		}
+		lane, err := parseBench(&out)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "qibenchjson:", err)
+			return 1
+		}
+		for name, res := range lane {
+			fresh[name] = res
+		}
 	}
 
 	keys := make([]string, 0, len(baseline))
@@ -272,7 +275,10 @@ func runCompare(baselinePath, pkg string, short bool, threshold, allocThreshold 
 			{"allocs/op", base.AllocsPerOp, cur.AllocsPerOp},
 			{"B/op", base.BytesPerOp, cur.BytesPerOp},
 		} {
-			if m.base <= 0 {
+			// A row with 0 allocs/op has nothing to gate: whatever B/op it
+			// shows is the benchmark's set-up amortized over b.N, which
+			// moves with the benchtime, not with the code.
+			if m.base <= 0 || base.AllocsPerOp == 0 {
 				continue
 			}
 			adelta := float64(m.cur-m.base) / float64(m.base) * 100

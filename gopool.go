@@ -1,7 +1,5 @@
 package qithread
 
-import "qithread/internal/spin"
-
 // Goroutine pool for thread bodies. A Runtime is single-use, so without
 // pooling every run of a partitioned program pays a fresh goroutine spawn —
 // and, worse, a fresh stack growth to the program's working depth — for
@@ -38,10 +36,9 @@ func poolWorker(fn func()) {
 		fn()
 		select {
 		case idleWorkers <- self:
-			// Spin-then-park wakeup, shared with the scheduler's grant path
-			// (internal/spin): create→run handoffs usually arrive within the
-			// spin window when another core is driving the program.
-			fn = spin.Recv(self)
+			// Park until the next spawn: like the scheduler's grant path, an
+			// idle worker must not hold a P the running program needs.
+			fn = <-self
 		default:
 			return
 		}

@@ -1,0 +1,97 @@
+package qithread
+
+import (
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+)
+
+// poolGoroutines counts the live goroutines running poolWorker, straight
+// from the runtime's stack dump: the pool is process-global and other tests
+// leave workers parked in it, so nothing derived from a baseline is exact.
+func poolGoroutines() int {
+	buf := make([]byte, 1<<20)
+	for {
+		if n := runtime.Stack(buf, true); n < len(buf) {
+			return strings.Count(string(buf[:n]), "qithread.poolWorker(")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// eventually polls cond until it holds; parking and exiting happen after a
+// body returns, so the pool settles asynchronously.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// holdIdleWorkers occupies every currently parked worker with a blocked body
+// and returns the function that lets them go, so a test starts from an empty
+// idle list whatever ran before it.
+func holdIdleWorkers(t *testing.T) (release func()) {
+	t.Helper()
+	gate := make(chan struct{})
+	var wg sync.WaitGroup
+	for len(idleWorkers) > 0 {
+		wg.Add(1)
+		started := make(chan struct{})
+		spawn(func() { close(started); <-gate; wg.Done() })
+		<-started
+	}
+	return func() { close(gate); wg.Wait() }
+}
+
+// TestPoolReusesParkedWorker: a body that returns parks its goroutine, and
+// the next spawn runs on that goroutine instead of starting a new one.
+func TestPoolReusesParkedWorker(t *testing.T) {
+	defer holdIdleWorkers(t)()
+
+	first := make(chan struct{})
+	spawn(func() { close(first) })
+	<-first
+	eventually(t, "the finished worker is parked", func() bool { return len(idleWorkers) == 1 })
+	workers := poolGoroutines()
+
+	started, gate := make(chan struct{}), make(chan struct{})
+	spawn(func() { close(started); <-gate })
+	<-started
+	if n := len(idleWorkers); n != 0 {
+		t.Errorf("%d workers still parked while the second body runs, want 0 (parked worker not taken)", n)
+	}
+	if n := poolGoroutines(); n != workers {
+		t.Errorf("pool has %d goroutines while the second body runs, had %d before: spawn started a new one", n, workers)
+	}
+	close(gate)
+}
+
+// TestPoolBoundedAfterBurst: a burst of concurrent bodies far above poolCap
+// runs on as many goroutines as it needs, but once the bodies return at most
+// poolCap of them stay behind, all parked.
+func TestPoolBoundedAfterBurst(t *testing.T) {
+	const burst = 3 * poolCap
+	gate := make(chan struct{})
+	var running, finished sync.WaitGroup
+	running.Add(burst)
+	finished.Add(burst)
+	for i := 0; i < burst; i++ {
+		spawn(func() { running.Done(); <-gate; finished.Done() })
+	}
+	running.Wait()
+	if n := poolGoroutines(); n < burst {
+		t.Fatalf("%d pool goroutines with %d bodies blocked at once", n, burst)
+	}
+	close(gate)
+	finished.Wait()
+	eventually(t, "the surplus workers have exited", func() bool {
+		n := poolGoroutines()
+		return n <= poolCap && n == len(idleWorkers)
+	})
+}

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"qithread/internal/policy"
-	"qithread/internal/spin"
 )
 
 // Scheduler is the deterministic user-space scheduler. It maintains the three
@@ -325,12 +324,12 @@ func (s *Scheduler) GetTurn(t *Thread) {
 	s.mu.Unlock()
 	// Exactly one grant token is sent per handoff, and the granter sets
 	// holder = t before sending, so one receive suffices: on return t holds
-	// the turn without re-taking the scheduler mutex. The channel is polled
-	// briefly before parking (spin-then-park): on multi-core hosts the
-	// handoff usually lands within the spin window, which is what lets
-	// OS-thread-pinned domains trade a park/unpark round trip for a few
-	// loads.
-	spin.Recv(t.grant)
+	// the turn without re-taking the scheduler mutex. The wait is a plain
+	// blocking receive (park-first): a program has more turn-waiters than Ps,
+	// so a waiter that polled would take its P from the thread that actually
+	// holds the turn, whereas a parked one costs the releaser exactly one
+	// chansend→goready that leaves the grantee in its runnext slot.
+	<-t.grant
 }
 
 // PutTurn releases the turn held by t: t moves to the tail of the run queue
@@ -422,7 +421,7 @@ func (s *Scheduler) Wait(t *Thread, obj uint64, timeout int64) WaitStatus {
 	t.wantTurn = true
 	s.releaseTurnLocked()
 	s.mu.Unlock()
-	spin.Recv(t.grant)
+	<-t.grant
 	// waitStatus was written by wakeLocked before the grant was sent; the
 	// channel receive provides the happens-before edge.
 	return t.waitStatus
@@ -844,16 +843,7 @@ func (s *Scheduler) kickLocked(self *Thread) {
 		}
 		if e := s.eligibleLocked(); e != nil {
 			if e.wantTurn {
-				e.wantTurn = false
-				s.chosen = nil
-				s.holder.Store(e)
-				if e != self {
-					s.stats.Handoffs++
-					select {
-					case e.grant <- struct{}{}:
-					default:
-					}
-				}
+				s.grantLocked(e, self)
 			}
 			return
 		}
@@ -868,6 +858,30 @@ func (s *Scheduler) kickLocked(self *Thread) {
 		}
 		s.turn.Store(s.timers.top().deadline)
 		s.expireLocked()
+	}
+}
+
+// grantLocked is the turn handoff: e, which is asking for the turn, becomes
+// the holder and — unless e is self, the thread executing this call, which
+// observes holder == self synchronously — is woken with one grant token. e is
+// parked on a plain receive of its cap-1 grant channel (or about to be), so
+// the send never blocks and the Go runtime readies e straight into the
+// sender's runnext slot. Exactly one token is in flight per handoff, and e
+// consumes it before it can ask for the turn again, so a full channel is a
+// scheduler bug; dropping the token there would hang e silently, hence the
+// panic with the queue dump.
+func (s *Scheduler) grantLocked(e, self *Thread) {
+	e.wantTurn = false
+	s.chosen = nil
+	s.holder.Store(e)
+	if e == self {
+		return
+	}
+	s.stats.Handoffs++
+	select {
+	case e.grant <- struct{}{}:
+	default:
+		panic(fmt.Sprintf("core: grant to %v which already has an unconsumed grant token\n%s", e, s.dumpLocked()))
 	}
 }
 
@@ -889,14 +903,7 @@ func (s *Scheduler) releaseTurnLocked() {
 	for {
 		if e := s.eligibleLocked(); e != nil {
 			if e.wantTurn {
-				e.wantTurn = false
-				s.chosen = nil
-				s.holder.Store(e)
-				s.stats.Handoffs++
-				select {
-				case e.grant <- struct{}{}:
-				default:
-				}
+				s.grantLocked(e, nil)
 			} else {
 				s.holder.Store(nil)
 			}

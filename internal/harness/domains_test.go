@@ -63,9 +63,9 @@ func TestDomainsDeterministic(t *testing.T) {
 // placement hint: the sharded engines produce identical fingerprints,
 // delivery logs, and outputs with domain roots pinned to OS threads and
 // unpinned, at GOMAXPROCS 1 (where pinning is skipped) and 4 (where every
-// domain root gets its own OS thread and the spin-then-park grant path
-// actually spins). CI runs this loop under -race: the pinned configuration
-// must introduce no new cross-thread accesses.
+// domain root gets its own OS thread and grants cross OS threads). CI runs
+// this loop under -race: the pinned configuration must introduce no new
+// cross-thread accesses.
 func TestPinnedDomainsScheduleNeutral(t *testing.T) {
 	params := workload.Params{Scale: 0.5, InputSeed: 7}
 	for _, w := range DomainWorkloads() {

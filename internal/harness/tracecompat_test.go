@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -130,7 +131,17 @@ func collectFingerprints(t *testing.T) map[string]string {
 			if !deep[spec.Name] && !base[cc.Name] {
 				continue
 			}
+			// The golden file was recorded at GOMAXPROCS 1, the only setting
+			// at which the ad-hoc busy-wait programs have a reproducible
+			// schedule (see adHocSyncPrograms), so they are run there.
+			procs := 0
+			if adHocSyncPrograms[spec.Name] {
+				procs = runtime.GOMAXPROCS(1)
+			}
 			hash, events, makespan, output := traceFingerprint(spec, cc.Cfg)
+			if procs > 0 {
+				runtime.GOMAXPROCS(procs)
+			}
 			out[goldenKey(spec.Name, cc.Name)] = goldenLine(spec.Name, cc.Name, hash, events, makespan, output)
 		}
 	}

@@ -4,7 +4,9 @@
 // spin whose result depends only on its inputs, so program output is
 // deterministic and comparable across scheduling modes, while the spin
 // consumes real CPU time so wall-clock measurements exercise the schedulers
-// the same way real computation would.
+// the same way real computation would. The spin is the modeled program's
+// work only: nothing in the runtime busy-waits, a thread waiting for the turn
+// parks (internal/core).
 package spin
 
 // Unit is the number of xorshift steps in one work unit. One unit costs a few

@@ -136,8 +136,10 @@ type Config struct {
 
 	// PinDomains locks each domain root goroutine — and the main thread for
 	// the duration of Run — to an OS thread, so independent scheduler
-	// domains run on real cores with a stable spin-then-park handoff path
-	// instead of migrating between Go scheduler Ps. Pinning is a pure
+	// domains run on real cores instead of migrating between Go scheduler
+	// Ps. A pinned root is woken by an OS-thread switch rather than through
+	// the granter's runnext slot, so this only pays off with cores to spare
+	// (EXPERIMENTS.md E18: it loses at GOMAXPROCS 2). Pinning is a pure
 	// placement hint: schedules, traces, and fingerprints are identical with
 	// it on or off. It is skipped automatically when GOMAXPROCS is 1, where
 	// it could only add thread churn.
