@@ -4,7 +4,7 @@ GO ?= go
 # Performance changes should also refresh the committed baseline with
 # `make bench-json` and include the BENCH_sched.json diff in the review.
 .PHONY: check
-check: build vet race shuffle cpu-matrix soak-smoke explore-smoke controlplane-smoke
+check: build vet race shuffle cpu-matrix alloc-bounds soak-smoke explore-smoke controlplane-smoke
 
 # Scheduler tests at -cpu 1, 2 and 4: the turn lease, the park-first grant
 # handoff, and OS-thread pinning behave differently with no parallelism, with
@@ -18,6 +18,17 @@ cpu-matrix:
 	$(GO) test -cpu 1,2,4 -count=1 ./internal/core ./internal/domain
 	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHandoffStress' ./internal/core
 	$(GO) test -race -cpu 4 -count=1 -run 'TestPinnedDomainsScheduleNeutral|TestLeaseTraceNeutral' ./internal/harness
+
+# The single-copy schedule path (DESIGN.md §4.7): a retained trace and a
+# loaded binary schedule each allocate about 1x their own size, and replay
+# only reads the schedule it borrows (two runtimes share one under -race).
+# Named here so that a reintroduced regrowing append or defensive copy fails
+# the gate rather than a benchmark run.
+.PHONY: alloc-bounds
+alloc-bounds:
+	$(GO) test -race -count=1 -run 'TestTraceRetentionAllocBound|TestChunkedTraceRetention' ./internal/core
+	$(GO) test -race -count=1 -run 'TestBinaryLoadAllocBound|TestBinaryLoadErrors' ./internal/trace
+	$(GO) test -race -count=1 -run 'TestReplayBorrowsSchedule' .
 
 # What .github/workflows/ci.yml runs: the full gate plus the performance
 # gate, which re-runs the BENCH_sched.json benchmarks at a short benchtime

@@ -159,7 +159,28 @@ func TestStreamingTraceFingerprint(t *testing.T) {
 	if h := trace.Hash(events); h != streamed.Fingerprint.DomainHashes[0] {
 		t.Fatalf("streamed file hashes to %016x, fingerprint says %016x", h, streamed.Fingerprint.DomainHashes[0])
 	}
+
+	// A streaming run retains nothing, and "nothing retained" reads as nil —
+	// not as an empty slice — from Runtime.Trace and Domain.Trace alike.
+	nilCfg := base
+	nilCfg.Record = true
+	nilCfg.StreamTrace = func(int) qithread.TraceSink { return discardSink{} }
+	rt := qithread.New(nilCfg)
+	workload.IngressServer(wcfg, p)(rt)
+	if rt.Fingerprint().DomainHashes[0] == qithread.New(nilCfg).Fingerprint().DomainHashes[0] {
+		t.Fatal("streamed run recorded no events")
+	}
+	if tr := rt.Trace(); tr != nil {
+		t.Fatalf("Runtime.Trace of a streaming run = %d-event non-nil slice, want nil", len(tr))
+	}
+	if tr := rt.Domain(0).Trace(); tr != nil {
+		t.Fatalf("Domain.Trace of a streaming run = %d-event non-nil slice, want nil", len(tr))
+	}
 }
+
+type discardSink struct{}
+
+func (discardSink) Append(qithread.Event) error { return nil }
 
 // TestCheckpointConfigErrors: the checkpoint API rejects misconfiguration
 // instead of producing undefined snapshots.

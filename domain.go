@@ -90,7 +90,8 @@ func (d *Domain) TurnCount() int64 {
 // be called before the domain is launched. Replay is per domain: a
 // partitioned execution replays from one recording per domain (the
 // cross-domain delivery values are reproduced by the sender domains
-// replaying, not by the log).
+// replaying, not by the log). Like Config.Replay, events is borrowed, not
+// copied: do not modify it until the run ends.
 func (d *Domain) SetReplay(events []Event) {
 	if d.sched == nil {
 		panic("qithread: Domain.SetReplay requires a deterministic Mode")

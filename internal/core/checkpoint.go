@@ -293,7 +293,7 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 	s.stats.LeaseRevokes = st.LeaseRevokes
 	s.stats.MaxLiveThreads = st.MaxLiveThreads
 	s.stats.MaxTimedWaiters = st.MaxTimedWaiters
-	s.trace = nil
+	s.trace = traceLog{}
 	s.suspended = false
 	return nil
 }

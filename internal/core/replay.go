@@ -22,13 +22,22 @@ const ErrReplayDivergence = "core: replay divergence"
 // operation, regardless of base policy; each TraceOp is verified against the
 // recording. After the recording is exhausted the base policy resumes (a
 // correct same-input replay ends exactly at the recording's end).
+//
+// The scheduler borrows schedule rather than copying it: replay only ever
+// reads it, so one loaded schedule may be enforced by any number of
+// schedulers at once, but the caller must not modify it until every run
+// replaying it has ended. An empty schedule enforces nothing and leaves
+// replay off.
 func (s *Scheduler) SetReplay(schedule []Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.nextTID != 0 {
 		panic("core: SetReplay after threads were registered")
 	}
-	s.replay = append([]Event(nil), schedule...)
+	if len(schedule) == 0 {
+		schedule = nil
+	}
+	s.replay = schedule
 	s.replayPos = 0
 }
 

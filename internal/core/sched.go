@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"qithread/internal/logio"
 	"qithread/internal/policy"
 )
 
@@ -95,7 +96,7 @@ type Scheduler struct {
 	// traceHash count and fold EVERY recorded event whether retained or
 	// streamed (see TraceOp); suspended mutes recording during a checkpoint
 	// restore's setup phase.
-	trace     []Event
+	trace     traceLog
 	traceLen  int64
 	traceHash uint64
 	suspended bool
@@ -171,7 +172,7 @@ func New(cfg Config) *Scheduler {
 	return &Scheduler{
 		cfg:       cfg,
 		stack:     cfg.Stack,
-		traceHash: fnvOffset64,
+		traceHash: logio.FNVOffset64,
 		suspended: cfg.SuspendRecording,
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"qithread/internal/logio"
+)
 
 // OpKind identifies the synchronization operation recorded by a trace event.
 // The set mirrors the 38 wrappers of the QiThread runtime library grouped by
@@ -182,23 +186,65 @@ type TraceSink interface {
 	Append(e Event) error
 }
 
-// FNV-64a parameters, matching hash/fnv; the running trace hash folds each
-// recorded event incrementally so a streaming run fingerprints in O(1)
-// memory, and a retained run's hash equals trace.Hash of its trace without a
-// final pass.
+// FoldEvent folds one event into an FNV-64a schedule hash: thread, operation,
+// object and status, each as a little-endian uint64. Seq and Domain are
+// position and attribution, not content. The scheduler folds each recorded
+// event as it happens and internal/trace.Hash folds a finished slice through
+// this same function, so a streaming run fingerprints in O(1) memory and a
+// retained run's hash equals trace.Hash of its trace without a final pass.
+func FoldEvent(h uint64, e Event) uint64 {
+	h = logio.FNVFold64(h, uint64(e.TID))
+	h = logio.FNVFold64(h, uint64(e.Op))
+	h = logio.FNVFold64(h, e.Obj)
+	return logio.FNVFold64(h, uint64(e.Status))
+}
+
+// Retained traces are kept as a list of fixed-capacity chunks, so recording
+// writes each event exactly once: a single regrowing slice re-copies the
+// whole schedule O(log n) times over (about 5x write amplification at Go's
+// 1.25x growth). The first chunk is small because most schedulers (one per
+// domain, one runtime per program) record a handful of events; capacities
+// double up to traceChunkMax (96 KiB of events), so a long run over-allocates
+// by at most one such chunk per scheduler.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	traceChunkMin = 64
+	traceChunkMax = 2048
 )
 
-// fnvFold64 folds one uint64 into an FNV-64a state, little-endian byte order
-// — exactly the per-field fold of internal/trace.Hash.
-func fnvFold64(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
+// traceLog is the retained schedule: full holds the filled chunks, which are
+// never touched again, and cur is the chunk being filled.
+type traceLog struct {
+	full [][]Event
+	cur  []Event
+}
+
+func (l *traceLog) append(e Event) {
+	if len(l.cur) == cap(l.cur) {
+		c := traceChunkMin
+		if cap(l.cur) > 0 {
+			l.full = append(l.full, l.cur)
+			c = min(2*cap(l.cur), traceChunkMax)
+		}
+		l.cur = make([]Event, 0, c)
 	}
-	return h
+	l.cur = append(l.cur, e)
+}
+
+// flatten returns the retained events as one exactly-sized slice, nil when
+// nothing is retained.
+func (l *traceLog) flatten() []Event {
+	n := len(l.cur)
+	for _, c := range l.full {
+		n += len(c)
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Event, 0, n)
+	for _, c := range l.full {
+		out = append(out, c...)
+	}
+	return append(out, l.cur...)
 }
 
 // TraceOp appends an event to the schedule trace. The caller must hold the
@@ -247,19 +293,14 @@ func (s *Scheduler) TraceOp(t *Thread, op OpKind, obj uint64, st EventStatus) {
 		Domain: s.cfg.DomainID,
 	}
 	s.traceLen++
-	h := s.traceHash
-	h = fnvFold64(h, uint64(e.TID))
-	h = fnvFold64(h, uint64(e.Op))
-	h = fnvFold64(h, e.Obj)
-	h = fnvFold64(h, uint64(e.Status))
-	s.traceHash = h
+	s.traceHash = FoldEvent(s.traceHash, e)
 	if s.cfg.Sink != nil {
 		if err := s.cfg.Sink.Append(e); err != nil {
 			panic(fmt.Sprintf("core: trace sink failed at event %d: %v", e.Seq, err))
 		}
 		return
 	}
-	s.trace = append(s.trace, e)
+	s.trace.append(e)
 }
 
 // traceVTime applies a synchronization operation's virtual-time accounting.
@@ -283,15 +324,14 @@ func (s *Scheduler) traceVTime(t *Thread) {
 	s.vLastOp = end
 }
 
-// Trace returns a copy of the recorded schedule. In streaming mode
-// (Config.Sink) events are not retained and Trace returns nil — the sink's
-// log and the running TraceHash are the record.
+// Trace returns a copy of the recorded schedule, flattened into one slice
+// the caller owns. It returns nil when nothing is retained: recording is off,
+// no event has been recorded yet, or the run streams (Config.Sink) — then the
+// sink's log and the running TraceHash are the record.
 func (s *Scheduler) Trace() []Event {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Event, len(s.trace))
-	copy(out, s.trace)
-	return out
+	return s.trace.flatten()
 }
 
 // TraceHash returns the running FNV-64a hash of the recorded schedule. It

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"qithread/internal/core"
+	"qithread/internal/logio"
 )
 
 // Channel is the sequenced cross-domain FIFO — the only legal way for
@@ -132,7 +133,7 @@ func (g *Group) NewChannel(name string, from, to *Domain, capacity int) *Channel
 		capacity: capacity,
 		retain:   g.cfg.RetainDeliveryLog,
 		ring:     make([]message, capacity),
-		hash:     fnvOffset64,
+		hash:     logio.FNVOffset64,
 	}
 	c.canSend.L = &c.mu
 	c.canRecv.L = &c.mu
@@ -204,14 +205,14 @@ func (c *Channel) dequeueLocked(recvTurn, recvXSeq int64) message {
 	c.n--
 	c.delivered++
 	h := c.hash
-	h = fnvFold(h, c.id)
-	h = fnvFold(h, m.seq)
-	h = fnvFold(h, uint64(c.from.id))
-	h = fnvFold(h, uint64(c.to.id))
-	h = fnvFold(h, uint64(m.sendTurn))
-	h = fnvFold(h, uint64(m.sendXSeq))
-	h = fnvFold(h, uint64(recvTurn))
-	h = fnvFold(h, uint64(recvXSeq))
+	h = logio.FNVFold64(h, c.id)
+	h = logio.FNVFold64(h, m.seq)
+	h = logio.FNVFold64(h, uint64(c.from.id))
+	h = logio.FNVFold64(h, uint64(c.to.id))
+	h = logio.FNVFold64(h, uint64(m.sendTurn))
+	h = logio.FNVFold64(h, uint64(m.sendXSeq))
+	h = logio.FNVFold64(h, uint64(recvTurn))
+	h = logio.FNVFold64(h, uint64(recvXSeq))
 	c.hash = h
 	if c.retain {
 		c.log = append(c.log, Delivery{

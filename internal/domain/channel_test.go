@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"qithread/internal/core"
+	"qithread/internal/logio"
 	"qithread/internal/policy"
 )
 
@@ -144,7 +145,7 @@ func TestDeliveryHashIncremental(t *testing.T) {
 	c1.Send(ta, 4)
 	c1.Recv(tb)
 
-	want := uint64(fnvOffset64)
+	want := uint64(logio.FNVOffset64)
 	for _, c := range g.Channels() {
 		log := c.deliveries()
 		hash, nd := c.stamp()
@@ -154,9 +155,9 @@ func TestDeliveryHashIncremental(t *testing.T) {
 		if h := HashDeliveries(log); h != hash {
 			t.Fatalf("channel %s: incremental hash %016x, recomputed %016x", c.Name(), hash, h)
 		}
-		want = fnvFold(want, c.ID())
-		want = fnvFold(want, nd)
-		want = fnvFold(want, hash)
+		want = logio.FNVFold64(want, c.ID())
+		want = logio.FNVFold64(want, nd)
+		want = logio.FNVFold64(want, hash)
 	}
 	if got := g.Fingerprint().Deliveries; got != want {
 		t.Fatalf("fingerprint deliveries %016x, want %016x", got, want)

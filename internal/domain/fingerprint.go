@@ -3,27 +3,9 @@ package domain
 import (
 	"fmt"
 	"strings"
-)
 
-// FNV-64a parameters, matching hash/fnv. The channel hashes are maintained
-// incrementally (one fold per delivered message, at receive time), so the
-// streaming hash.Hash64 interface buys nothing; open-coding the fold keeps
-// the per-delivery cost to a handful of multiplies with no interface calls
-// or write buffers.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	"qithread/internal/logio"
 )
-
-// fnvFold folds one uint64 into an FNV-64a state, little-endian byte order
-// (the byte order the original log hash used).
-func fnvFold(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	return h
-}
 
 // Fingerprint condenses a partitioned execution for determinism checking. It
 // replaces the single global schedule hash of the one-domain design: a
@@ -75,16 +57,16 @@ func (f Fingerprint) String() string {
 // log. Exported for tests that cross-check the incremental fold against the
 // materialized log.
 func HashDeliveries(log []Delivery) uint64 {
-	h := uint64(fnvOffset64)
+	h := uint64(logio.FNVOffset64)
 	for _, d := range log {
-		h = fnvFold(h, d.ChanID)
-		h = fnvFold(h, d.Seq)
-		h = fnvFold(h, uint64(d.From))
-		h = fnvFold(h, uint64(d.To))
-		h = fnvFold(h, uint64(d.SendTurn))
-		h = fnvFold(h, uint64(d.SendXSeq))
-		h = fnvFold(h, uint64(d.RecvTurn))
-		h = fnvFold(h, uint64(d.RecvXSeq))
+		h = logio.FNVFold64(h, d.ChanID)
+		h = logio.FNVFold64(h, d.Seq)
+		h = logio.FNVFold64(h, uint64(d.From))
+		h = logio.FNVFold64(h, uint64(d.To))
+		h = logio.FNVFold64(h, uint64(d.SendTurn))
+		h = logio.FNVFold64(h, uint64(d.SendXSeq))
+		h = logio.FNVFold64(h, uint64(d.RecvTurn))
+		h = logio.FNVFold64(h, uint64(d.RecvXSeq))
 	}
 	return h
 }
@@ -104,12 +86,12 @@ func (g *Group) Fingerprint() Fingerprint {
 	for i, d := range domains {
 		f.DomainHashes[i] = d.sched.TraceHash()
 	}
-	h := uint64(fnvOffset64)
+	h := uint64(logio.FNVOffset64)
 	for _, c := range g.Channels() {
 		ch, nd := c.stamp()
-		h = fnvFold(h, c.id)
-		h = fnvFold(h, nd)
-		h = fnvFold(h, ch)
+		h = logio.FNVFold64(h, c.id)
+		h = logio.FNVFold64(h, nd)
+		h = logio.FNVFold64(h, ch)
 	}
 	f.Deliveries = h
 	return f

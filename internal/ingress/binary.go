@@ -148,6 +148,10 @@ func loadLogBinary(br *bufio.Reader) (*Log, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ingress: batch frame %d: %w", frame, err)
 		}
+		// The reader reuses its buffer and events outlive it, so the frame is
+		// copied once and every event's Data is a view into that copy —
+		// capacity-limited, so a consumer's append cannot reach a neighbour.
+		payload = append([]byte(nil), payload...)
 		d := logio.NewDec(payload)
 		delta := d.Uvarint()
 		if delta == 0 || delta > math.MaxInt64-uint64(epoch) {
@@ -173,7 +177,7 @@ func loadLogBinary(br *bufio.Reader) (*Log, error) {
 			}
 			var data []byte
 			if n > 0 {
-				data = append([]byte(nil), raw...)
+				data = raw[:n:n]
 			}
 			b.Events = append(b.Events, Event{Source: int(src), Data: data})
 		}

@@ -69,6 +69,48 @@ func TestBinaryLogRoundTrip(t *testing.T) {
 // TestBinaryLogTextEquivalence: the same log saved as text and binary loads
 // back identical, and the binary form is smaller (hex payloads alone double
 // the text size).
+// TestBinaryLogPayloadViews: a loaded batch's payloads are views into one
+// copy of its frame. Each is capacity-limited, so a consumer appending to one
+// event's Data reallocates instead of overwriting the next event's bytes;
+// empty payloads stay nil; and the loader allocates per batch, not per event.
+func TestBinaryLogPayloadViews(t *testing.T) {
+	want := synthLog(200)
+	var buf bytes.Buffer
+	if err := want.SaveBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadLog(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := 0
+	for i, b := range got.Batches {
+		for j, e := range b.Events {
+			events++
+			switch {
+			case len(want.Batches[i].Events[j].Data) == 0 && e.Data != nil:
+				t.Fatalf("batch %d event %d: empty payload loaded as non-nil", i, j)
+			case cap(e.Data) != len(e.Data):
+				t.Fatalf("batch %d event %d: payload has %d spare bytes of its frame", i, j, cap(e.Data)-len(e.Data))
+			}
+			_ = append(e.Data, 0xee, 0xee, 0xee)
+		}
+	}
+	logsEqual(t, got, want)
+
+	perLoad := testing.AllocsPerRun(5, func() {
+		if _, err := LoadLog(bytes.NewReader(buf.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Three allocations per batch (frame copy, event slice, the frame
+	// reader's checksum scratch) plus the Batches slice's growth and the
+	// reader's fixed set-up; one per event on top of that was the old cost.
+	if limit := float64(3*len(got.Batches) + 40); perLoad > limit {
+		t.Fatalf("loading %d events in %d batches made %v allocations, want at most %v", events, len(got.Batches), perLoad, limit)
+	}
+}
+
 func TestBinaryLogTextEquivalence(t *testing.T) {
 	l := synthLog(300)
 	var text, bin bytes.Buffer

@@ -39,6 +39,8 @@ package ingress
 import (
 	"fmt"
 	"sync"
+
+	"qithread/internal/logio"
 )
 
 // Event is one external input event. Source and Data are set by the
@@ -180,7 +182,7 @@ type Gateway struct {
 // log; otherwise it collects live events from its sources.
 func NewGateway(cfg Config) *Gateway {
 	cfg = cfg.withDefaults()
-	g := &Gateway{cfg: cfg, admitHash: fnvOffset64, shedHash: fnvOffset64}
+	g := &Gateway{cfg: cfg, admitHash: logio.FNVOffset64, shedHash: logio.FNVOffset64}
 	if cfg.Replay != nil {
 		g.rep = cfg.Replay
 	} else {
@@ -383,30 +385,11 @@ func (g *Gateway) Stats() Stats {
 // payload length and payload bytes, so the hash commits to content as well
 // as order.
 func foldEvent(h uint64, e Event) uint64 {
-	h = fnvFold(h, uint64(e.Epoch))
-	h = fnvFold(h, uint64(e.Seq))
-	h = fnvFold(h, uint64(e.Source))
-	h = fnvFold(h, uint64(len(e.Data)))
-	for _, b := range e.Data {
-		h = (h ^ uint64(b)) * fnvPrime64
-	}
-	return h
-}
-
-// FNV-64a parameters, matching hash/fnv; open-coded for the same reason as
-// internal/domain's delivery hashes — the fold is on the admission path and
-// an interface-based hasher buys nothing.
-const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
-)
-
-func fnvFold(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h = (h ^ (v & 0xff)) * fnvPrime64
-		v >>= 8
-	}
-	return h
+	h = logio.FNVFold64(h, uint64(e.Epoch))
+	h = logio.FNVFold64(h, uint64(e.Seq))
+	h = logio.FNVFold64(h, uint64(e.Source))
+	h = logio.FNVFold64(h, uint64(len(e.Data)))
+	return logio.FNVFoldBytes(h, e.Data)
 }
 
 // collector is the free-running staging area between sources and the

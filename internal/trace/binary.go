@@ -191,26 +191,27 @@ func SaveBinary(w io.Writer, events []core.Event) error {
 
 // loadBinary reads the frames of a v3b schedule; the header line has already
 // been consumed by Load's auto-detection.
+//
+// The load is two passes so that every event is written exactly once. The
+// first reads and CRC-checks every frame, keeping its decoded payload (a few
+// bytes per event) and its validated event count; the second allocates the
+// result at the exact total and decodes straight into it. Decoding frame by
+// frame into a growing slice, or into per-frame chunks concatenated at the
+// end, copies the whole 48-byte-per-event schedule at least once more.
 func loadBinary(br *bufio.Reader) ([]core.Event, error) {
+	type rawFrame struct {
+		payload []byte // past the count varint
+		count   uint64
+	}
 	fr := logio.NewFrameReader(br)
-	// Frames decode into exact-size chunks concatenated once at the end:
-	// growing one slice event-by-event would memmove the whole schedule
-	// O(log n) times over, which dominates the load of a million-event file.
-	var chunks [][]core.Event
-	total := 0
-	frame := 0
+	var frames []rawFrame
+	total := uint64(0)
 	for {
 		payload, err := fr.Next()
 		if err == io.EOF {
-			out := make([]core.Event, 0, total)
-			for _, c := range chunks {
-				out = append(out, c...)
-			}
-			for i := range out {
-				out[i].Seq = int64(i)
-			}
-			return out, nil
+			break
 		}
+		frame := len(frames)
 		if err != nil {
 			return nil, fmt.Errorf("trace: schedule frame %d: %w", frame, err)
 		}
@@ -221,10 +222,17 @@ func loadBinary(br *bufio.Reader) ([]core.Event, error) {
 		if count == 0 || count > uint64(len(payload))/2 {
 			return nil, fmt.Errorf("trace: schedule frame %d: implausible event count %d for a %d-byte frame", frame, count, len(payload))
 		}
-		chunk := make([]core.Event, 0, count)
+		// The reader reuses its buffer, so the payload is copied out.
+		frames = append(frames, rawFrame{payload: append([]byte(nil), d.Bytes(uint64(d.Len()))...), count: count})
+		total += count
+	}
+	out := make([]core.Event, total)
+	pos := 0
+	for frame, f := range frames {
+		d := logio.NewDec(f.payload)
 		var prevTID, prevDom int
 		var prevObj uint64
-		for i := uint64(0); i < count; i++ {
+		for i := uint64(0); i < f.count; i++ {
 			op := d.Byte()
 			flags := d.Byte()
 			if flags&^byte(flagsKnown) != 0 {
@@ -255,22 +263,22 @@ func loadBinary(br *bufio.Reader) ([]core.Event, error) {
 			if d.Err() != nil {
 				return nil, fmt.Errorf("trace: schedule frame %d: %w", frame, d.Err())
 			}
-			chunk = append(chunk, core.Event{
+			out[pos] = core.Event{
+				Seq:    int64(pos),
 				TID:    tid,
 				Op:     core.OpKind(op),
 				Obj:    obj,
 				Status: core.EventStatus(status),
 				Domain: dom,
-			})
+			}
+			pos++
 			prevTID, prevObj, prevDom = tid, obj, dom
 		}
-		chunks = append(chunks, chunk)
-		total += len(chunk)
 		if d.Len() != 0 {
-			return nil, fmt.Errorf("trace: schedule frame %d: %d trailing bytes after %d events", frame, d.Len(), count)
+			return nil, fmt.Errorf("trace: schedule frame %d: %d trailing bytes after %d events", frame, d.Len(), f.count)
 		}
-		frame++
 	}
+	return out, nil
 }
 
 // SegmentedWriter streams a v3b schedule across rotated segment files

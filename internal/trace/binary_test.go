@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"qithread/internal/core"
 	"qithread/internal/logio"
@@ -118,6 +120,87 @@ func TestBinaryCorruptionDetected(t *testing.T) {
 			t.Errorf("bit flip at byte %d loaded without error", pos)
 		}
 	}
+}
+
+// rawSchedule frames hand-built payloads as a v3b file.
+func rawSchedule(t *testing.T, payloads ...[]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(scheduleHeaderV3B + "\n")
+	fw := logio.NewFrameWriter(&buf)
+	for _, p := range payloads {
+		if err := fw.WriteFrame(p, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBinaryLoadErrors pins every structural check of the binary loader with
+// its diagnostic. The damage sits in frame 1, behind a valid frame 0: the
+// loader reads all frames before it decodes any, and both passes must name
+// the frame they rejected.
+func TestBinaryLoadErrors(t *testing.T) {
+	good := []byte{2, byte(core.OpMutexLock), 0, 1, 3, 0, byte(core.OpMutexUnlock), flagSameTID | flagSameObj | flagSameDomain}
+	if evs, err := Load(bytes.NewReader(rawSchedule(t, good, good))); err != nil || len(evs) != 4 || evs[3].Seq != 3 || evs[3].TID != 1 {
+		t.Fatalf("valid two-frame file: %v, %+v", err, evs)
+	}
+	valid := rawSchedule(t, good, good)
+	flipped := append([]byte(nil), valid...)
+	flipped[len(flipped)-3] ^= 0x40 // inside frame 1's CRC
+	for _, tc := range []struct {
+		name string
+		file []byte
+		want string
+	}{
+		{"zero count", rawSchedule(t, good, []byte{0, 1, 0}), "schedule frame 1: implausible event count 0 for a 3-byte frame"},
+		{"count beyond payload", rawSchedule(t, good, []byte{9, 1, 0x1c}), "schedule frame 1: implausible event count 9 for a 3-byte frame"},
+		{"unknown flag", rawSchedule(t, good, []byte{1, 1, 0x20 | 0x1c}), "schedule frame 1: unknown flag bits 0x3c"},
+		{"bad status", rawSchedule(t, good, []byte{1, 1, 0x1f}), "schedule frame 1: bad event status 3"},
+		{"thread id range", rawSchedule(t, good, []byte{1, 1, 0x18, 0xff, 0xff, 0xff, 0xff, 0x0f}), "schedule frame 1: thread id 4294967295 out of range"},
+		{"short event", rawSchedule(t, good, []byte{2, 1, 0x1c, 1}), "schedule frame 1: logio: corrupt record: unexpected end of frame"},
+		{"trailing bytes", rawSchedule(t, good, []byte{1, 1, 0x1c, 7, 7}), "schedule frame 1: 2 trailing bytes after 1 events"},
+		{"bad crc", flipped, "schedule frame 1: logio: frame checksum mismatch"},
+		{"no terminator", valid[:len(valid)-1], "schedule frame 2: logio: truncated log: missing frame header"},
+		{"cut payload", valid[:len(valid)-6], "schedule frame 1: logio: truncated frame"},
+	} {
+		evs, err := Load(bytes.NewReader(tc.file))
+		if err == nil {
+			t.Errorf("%s: loaded %d events without error", tc.name, len(evs))
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q, want it to contain %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestBinaryLoadAllocBound: loading decodes every event exactly once, into a
+// result allocated at its final size. Beyond the result itself the loader
+// holds the frames' decoded payloads (a few bytes per event) and the reader's
+// fixed buffers; decoding into per-frame chunks and concatenating them read
+// 2x here.
+func TestBinaryLoadAllocBound(t *testing.T) {
+	const n = 200000
+	var buf bytes.Buffer
+	if err := SaveBinary(&buf, synthSchedule(n)); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := Load(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if err != nil || len(got) != n {
+		t.Fatalf("loaded %d events, err %v", len(got), err)
+	}
+	allocated := after.TotalAlloc - before.TotalAlloc
+	exact := uint64(n) * uint64(unsafe.Sizeof(core.Event{}))
+	if limit := exact * 120 / 100; allocated > limit {
+		t.Fatalf("loading %d events in %d frames allocated %d bytes, %.2fx the schedule itself (limit 1.2x = %d)",
+			n, (n+frameEvents-1)/frameEvents, allocated, float64(allocated)/float64(exact), limit)
+	}
+	t.Logf("allocated %.3fx the schedule", float64(allocated)/float64(exact))
 }
 
 func TestSegmentedWriter(t *testing.T) {

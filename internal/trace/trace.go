@@ -6,31 +6,21 @@ package trace
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"qithread/internal/core"
+	"qithread/internal/logio"
 )
 
 // Hash returns a hash of the complete schedule including blocking status.
 // Two runs of the same program under a deterministic scheduler must produce
 // equal hashes.
 func Hash(events []core.Event) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	put := func(v uint64) {
-		for i := range buf {
-			buf[i] = byte(v >> (8 * i))
-		}
-		h.Write(buf[:])
-	}
+	h := uint64(logio.FNVOffset64)
 	for _, e := range events {
-		put(uint64(e.TID))
-		put(uint64(e.Op))
-		put(e.Obj)
-		put(uint64(e.Status))
+		h = core.FoldEvent(h, e)
 	}
-	return h.Sum64()
+	return h
 }
 
 // PrefixHash hashes only the first k events (the whole schedule if k exceeds

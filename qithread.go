@@ -188,6 +188,9 @@ type Config struct {
 	// with a divergence diagnostic on mismatch. The recording embeds all
 	// policy effects, so a schedule recorded under any configuration
 	// replays under any deterministic Mode. Requires a deterministic Mode.
+	// The runtime borrows the slice instead of copying it: it is only read,
+	// so one loaded schedule can drive several runtimes at once, but it must
+	// not be modified until every run replaying it has ended.
 	Replay []Event
 
 	// StreamTrace, when non-nil, puts recording into streaming mode: each

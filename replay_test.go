@@ -1,9 +1,14 @@
 package qithread
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+
+	"qithread/internal/trace"
 )
 
 // replayProgram is a nontrivial program with contention, condvars and
@@ -85,6 +90,44 @@ func TestReplayReproducesSchedule(t *testing.T) {
 		if gotHandled[i] != wantHandled[i] {
 			t.Fatalf("work distribution differs at %d: %d vs %d — replay did not reproduce the execution", i, gotHandled[i], wantHandled[i])
 		}
+	}
+}
+
+// TestReplayBorrowsSchedule: the runtime enforces the caller's schedule slice
+// in place, and only ever reads it — one loaded schedule drives two runtimes
+// at once (the race detector watches the shared slice) and is bit-identical
+// to a pristine copy afterwards.
+func TestReplayBorrowsSchedule(t *testing.T) {
+	rec := New(Config{Mode: RoundRobin, Policies: AllPolicies, Record: true})
+	wantHandled := replayProgram(rec)
+	var file bytes.Buffer
+	if err := trace.SaveBinary(&file, rec.Trace()); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := trace.Load(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine := slices.Clone(loaded)
+
+	var wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rep := New(Config{Mode: RoundRobin, Policies: NoPolicies, Record: true, Replay: loaded})
+			handled := replayProgram(rep)
+			if !slices.Equal(rep.Trace(), pristine) {
+				t.Error("concurrent replay did not reproduce the recorded schedule")
+			}
+			if !slices.Equal(handled, wantHandled) {
+				t.Errorf("concurrent replay distributed work as %v, recorded %v", handled, wantHandled)
+			}
+		}()
+	}
+	wg.Wait()
+	if !slices.Equal(loaded, pristine) {
+		t.Fatal("replay modified the schedule it borrowed")
 	}
 }
 
