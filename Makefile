@@ -6,18 +6,18 @@ GO ?= go
 .PHONY: check
 check: build vet race shuffle cpu-matrix alloc-bounds soak-smoke explore-smoke controlplane-smoke
 
-# Scheduler tests at -cpu 1, 2 and 4: the turn lease, the park-first grant
-# handoff, and OS-thread pinning behave differently with no parallelism, with
-# more turn-waiters than Ps (2 is the reference host's real shape, and the
-# one the deleted spin-then-park receive regressed), and with Ps to spare, so
-# all three are exercised; the handoff stress test compares its schedule
-# across the three values. The pinned-domain loop additionally runs under
-# -race at -cpu 4: pinning must introduce no new cross-thread accesses.
+# Scheduler tests at -cpu 1, 2 and 4: the turn lease and the park-first grant
+# handoff behave differently with no parallelism, with more turn-waiters than
+# Ps (2 is the reference host's real shape, and the one the deleted
+# spin-then-park receive regressed), and with Ps to spare, so all three are
+# exercised; the handoff stress test compares its schedule across the three
+# values. The multi-domain determinism loop and the lease-neutrality loop
+# additionally run under -race at -cpu 4, where domains really overlap.
 .PHONY: cpu-matrix
 cpu-matrix:
 	$(GO) test -cpu 1,2,4 -count=1 ./internal/core ./internal/domain
 	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHandoffStress' ./internal/core
-	$(GO) test -race -cpu 4 -count=1 -run 'TestPinnedDomainsScheduleNeutral|TestLeaseTraceNeutral' ./internal/harness
+	$(GO) test -race -cpu 4 -count=1 -run 'TestDomainsDeterministic|TestLeaseTraceNeutral' ./internal/harness
 
 # The single-copy schedule path (DESIGN.md §4.7): a retained trace and a
 # loaded binary schedule each allocate about 1x their own size, and replay

@@ -327,34 +327,22 @@ func BenchmarkTurnHandoff(b *testing.B) {
 // turn mechanisms concurrently, and the vunits metric is the virtual
 // makespan, which should shrink monotonically with the domain count.
 func BenchmarkDomains(b *testing.B) {
-	for _, pinned := range []bool{false, true} {
-		mode := harness.QiThread()
-		variant := "server"
-		if pinned {
-			// Pinned rows lock each domain root to an OS thread
-			// (Config.PinDomains) so independent domains occupy real cores at
-			// GOMAXPROCS > 1; at GOMAXPROCS 1 pinning is skipped and the rows
-			// coincide with the unpinned ones. Wall-clock divergence between
-			// the two variants at -cpu 4/8 is the E18 real-parallelism signal.
-			mode = harness.QiThreadPinned()
-			variant = "server-pinned"
-		}
-		for _, nd := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/domains=%d", variant, nd), func(b *testing.B) {
-				app := workload.DomainServer(workload.DomainServerConfig{
-					Domains: nd, Workers: 3, Requests: 48,
-					AcceptWork: 60, ParseWork: 420, StateWork: 90,
-				}, benchParams)
-				var makespan int64
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					rt := qithread.New(mode.Cfg)
-					app(rt)
-					makespan = rt.VirtualMakespan()
-				}
-				b.ReportMetric(float64(makespan), "vunits")
-			})
-		}
+	mode := harness.QiThread()
+	for _, nd := range []int{1, 2, 4, 8} {
+		b.Run(fmt.Sprintf("server/domains=%d", nd), func(b *testing.B) {
+			app := workload.DomainServer(workload.DomainServerConfig{
+				Domains: nd, Workers: 3, Requests: 48,
+				AcceptWork: 60, ParseWork: 420, StateWork: 90,
+			}, benchParams)
+			var makespan int64
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rt := qithread.New(mode.Cfg)
+				app(rt)
+				makespan = rt.VirtualMakespan()
+			}
+			b.ReportMetric(float64(makespan), "vunits")
+		})
 	}
 }
 

@@ -353,10 +353,11 @@ func runCounters(r *harness.Runner, specs []programs.Spec, out string) {
 // domain count across batch sizes, where batch 1 pays one turn-holding
 // boundary slot per message and larger batches amortize the slot, lock and
 // wake-up over up to batch messages. Virtual makespans are deterministic;
-// wall clock is reported per point for reference.
+// wall clock is reported per point for reference and depends on the host's
+// core budget, hence the GOMAXPROCS in the header line.
 func runDomains(r *harness.Runner, out string) {
 	counts := []int{1, 2, 4, 8}
-	fmt.Printf("=== Scheduler domains: sharded scaling (%v domains) ===\n", counts)
+	fmt.Printf("=== Scheduler domains: sharded scaling (%v domains, GOMAXPROCS=%d) ===\n", counts, runtime.GOMAXPROCS(0))
 	points := r.DomainScaling(counts, harness.QiThread())
 	base := make(map[string]float64)
 	for _, pt := range points {
@@ -371,33 +372,6 @@ func runDomains(r *harness.Runner, out string) {
 			speedup = b / float64(pt.Makespan)
 		}
 		fmt.Printf("%-12s %8d %14v %14v %8.2fx\n", pt.Workload, pt.Domains, pt.Makespan, pt.Wall, speedup)
-	}
-
-	// Real-core parallelism (E18): the same server measured by host wall
-	// clock, unpinned vs pinned (Config.PinDomains), at whatever GOMAXPROCS
-	// this process runs with. At GOMAXPROCS >= domains the pinned rows should
-	// show real wall-clock speedup; at GOMAXPROCS 1 both variants are
-	// time-sliced and flat, and only the makespan column scales.
-	fmt.Printf("\n=== Real-core parallelism: wall clock at GOMAXPROCS=%d (%v domains) ===\n",
-		runtime.GOMAXPROCS(0), counts)
-	var par []harness.RealParallelPoint
-	for _, pinned := range []bool{false, true} {
-		par = append(par, r.DomainRealParallel(counts, pinned)...)
-	}
-	pbase := make(map[bool]float64)
-	for _, pt := range par {
-		if pt.Domains == counts[0] {
-			pbase[pt.Pinned] = float64(pt.Wall)
-		}
-	}
-	fmt.Printf("%-12s %8s %8s %14s %14s %13s\n", "workload", "pinned", "domains", "wall", "makespan", "wall-speedup")
-	for _, pt := range par {
-		speedup := 0.0
-		if b := pbase[pt.Pinned]; b > 0 && pt.Wall > 0 {
-			speedup = b / float64(pt.Wall)
-		}
-		fmt.Printf("%-12s %8v %8d %14v %14v %12.2fx\n",
-			pt.Workload, pt.Pinned, pt.Domains, pt.Wall, pt.Makespan, speedup)
 	}
 
 	const sweepDomains = 4
@@ -427,16 +401,6 @@ func runDomains(r *harness.Runner, out string) {
 		}
 		defer f.Close()
 		harness.WriteDomainCSV(f, append(points, sweep...))
-		// The wall-clock rows are host-dependent, so they go to a sibling
-		// file rather than polluting the deterministic scaling CSV.
-		ppath := strings.TrimSuffix(out, ".csv") + "_parallel.csv"
-		pf, err := os.Create(ppath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "qibench:", err)
-			os.Exit(1)
-		}
-		defer pf.Close()
-		harness.WriteRealParallelCSV(pf, par)
 	}
 }
 

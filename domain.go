@@ -156,24 +156,14 @@ func (d *Domain) Launch() {
 		}
 		spawn(func() {
 			defer rt.wg.Done()
-			run := func() {
-				// thread_begin, exactly like a Create'd child: the root's
-				// initialization is deterministically ordered within its
-				// domain.
-				s := d.sched
-				s.GetTurn(t.ct)
-				s.TraceOp(t.ct, core.OpThreadBegin, 0, core.StatusOK)
-				t.release()
-				fn(t)
-				t.exit()
-			}
-			if rt.pinRoots() {
-				// Each domain root gets its own OS thread for the run, so
-				// independent domains occupy real cores (Config.PinDomains).
-				domain.RunPinned(run)
-			} else {
-				run()
-			}
+			// thread_begin, exactly like a Create'd child: the root's
+			// initialization is deterministically ordered within its domain.
+			s := d.sched
+			s.GetTurn(t.ct)
+			s.TraceOp(t.ct, core.OpThreadBegin, 0, core.StatusOK)
+			t.release()
+			fn(t)
+			t.exit()
 		})
 	}
 }

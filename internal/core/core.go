@@ -135,10 +135,6 @@ type Config struct {
 	// traces of a partitioned execution can be merged and attributed. The
 	// default 0 is the single-domain configuration.
 	DomainID int
-	// SyncClockTick is the amount added to a thread's logical clock per
-	// executed synchronization operation in LogicalClock mode. Zero means 1.
-	// Round-robin mode ignores clocks entirely.
-	SyncClockTick int64
 	// VSyncCost is the virtual-time cost, in work units, of one
 	// synchronization operation under the turn mechanism (wrapper +
 	// scheduler queue manipulation). Zero means 12. See the virtual-time
@@ -150,12 +146,6 @@ type Config struct {
 	// determinism tests (lease on vs off must fingerprint identically) and
 	// for isolating lease effects in benchmarks.
 	NoLease bool
-	// LeaseVeto, when non-nil, is consulted before every lease grant and
-	// extension; returning true forces the slow release path for that one
-	// decision. It is a chaos hook for the lease property tests: any veto
-	// interleaving must leave the trace byte-identical. Production
-	// configurations leave it nil.
-	LeaseVeto func() bool
 	// Chooser, when non-nil, is consulted at every scheduling decision with
 	// more than one legal candidate — which runnable thread is granted the
 	// free turn, which waiter a Signal wakes — and may override the policy

@@ -177,13 +177,15 @@ func TestQuickLeaseTraceNeutral(t *testing.T) {
 		x := vetoSeed | 1
 		veto := func() bool {
 			// xorshift64; calls are serialized by turn ownership, so the
-			// shared state is race-free (see Config.LeaseVeto).
+			// shared state is race-free (see Scheduler.leaseVeto).
 			x ^= x << 13
 			x ^= x >> 7
 			x ^= x << 17
 			return x%3 == 0
 		}
-		chaotic := runScript(sc, Config{Mode: RoundRobin, LeaseVeto: veto})
+		vetoed := New(Config{Mode: RoundRobin, Record: true})
+		vetoed.leaseVeto = veto
+		chaotic := runScriptOn(vetoed, sc)
 		return tracesEqual(base, noLease) && tracesEqual(base, chaotic)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -195,15 +197,15 @@ func TestQuickLeaseTraceNeutral(t *testing.T) {
 // unchanged — the same script finishes at the same turn count with leasing
 // on, off, and vetoed, so logical timeouts behave identically.
 func TestQuickLeaseTurnCountNeutral(t *testing.T) {
-	count := func(sc script, cfg Config) int64 {
-		cfg.Record = true
-		s := New(cfg)
+	count := func(sc script, noLease bool, veto func() bool) int64 {
+		s := New(Config{Mode: RoundRobin, Record: true, NoLease: noLease})
+		s.leaseVeto = veto
 		_ = runScriptOn(s, sc)
 		return s.TurnCount()
 	}
 	f := func(sc script, vetoSeed uint64) bool {
-		on := count(sc, Config{Mode: RoundRobin})
-		off := count(sc, Config{Mode: RoundRobin, NoLease: true})
+		on := count(sc, false, nil)
+		off := count(sc, true, nil)
 		x := vetoSeed | 1
 		veto := func() bool {
 			x ^= x << 13
@@ -211,7 +213,7 @@ func TestQuickLeaseTurnCountNeutral(t *testing.T) {
 			x ^= x << 17
 			return x%2 == 0
 		}
-		chaotic := count(sc, Config{Mode: RoundRobin, LeaseVeto: veto})
+		chaotic := count(sc, false, veto)
 		return on == off && on == chaotic
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {

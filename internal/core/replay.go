@@ -57,6 +57,11 @@ func (s *Scheduler) ReplayPos() int {
 // ID-indexed thread table rather than a scan over every queue.
 func (s *Scheduler) replayEligibleLocked() *Thread {
 	want := s.replay[s.replayPos].TID
+	if want < 0 {
+		// The loaders reject this; a hand-built Config.Replay passes none.
+		panic(fmt.Sprintf("%s in domain %d at op index %d: recorded thread id %d is negative",
+			ErrReplayDivergence, s.cfg.DomainID, s.replayPos, want))
+	}
 	if want >= s.nextTID {
 		// Thread not created yet: its creator's ops come first in any
 		// consistent schedule, so this is fine only if the creator can run;

@@ -74,6 +74,13 @@ type Scheduler struct {
 	leaseExtends atomic.Int64
 	leaseHash    uint64
 
+	// leaseVeto, when non-nil, is consulted before every lease grant and
+	// extension; returning true forces the slow release path for that one
+	// decision. Only the lease property tests set it (before the first
+	// thread runs): any veto interleaving must leave the trace
+	// byte-identical.
+	leaseVeto func() bool
+
 	nextTID int
 	nextObj uint64
 	objName map[uint64]objLabel // lazily created on first NewObject
@@ -158,9 +165,6 @@ type waiter struct {
 // the policy stack is compiled from the legacy (Mode, Policies) configuration
 // via DefaultStack.
 func New(cfg Config) *Scheduler {
-	if cfg.SyncClockTick == 0 {
-		cfg.SyncClockTick = 1
-	}
 	if cfg.VSyncCost == 0 {
 		cfg.VSyncCost = 12
 	}
@@ -352,14 +356,14 @@ func (s *Scheduler) PutTurn(t *Thread) {
 		if s.holder.Load() != t {
 			panic(fmt.Sprintf("core: PutTurn by %v which does not hold the turn (holder=%v)", t, s.holder.Load()))
 		}
-		if s.cfg.LeaseVeto == nil || !s.cfg.LeaseVeto() {
+		if s.leaseVeto == nil || !s.leaseVeto() {
 			// Lease extension: the whole turn completes with one atomic add.
 			// Timed waiters cannot exist (the lease requires nWaiting == 0,
 			// and only the holder could add one), so skipping expiry is
 			// exact, not an approximation.
 			s.turn.Add(1)
 			if s.cfg.Mode == LogicalClock {
-				t.clock.Add(s.cfg.SyncClockTick)
+				t.clock.Add(syncClockTick)
 			}
 			s.leaseExtends.Add(1)
 			return
@@ -549,16 +553,12 @@ func (s *Scheduler) Exit(t *Thread) {
 func (s *Scheduler) AddWork(t *Thread, n int64) {
 	t.vtime.Add(n)
 	switch s.cfg.Mode {
-	case LogicalClock:
+	case LogicalClock, VirtualParallel:
 		// Clock changes can make a previously ineligible thread eligible.
-		s.mu.Lock()
-		t.clock.Add(n)
-		s.kickLocked(nil)
-		s.mu.Unlock()
-	case VirtualParallel:
-		// Virtual-clock changes drive eligibility here; the instruction
-		// clock is still maintained so work accounting is consistent across
-		// modes (the virtual-clock picker never reads it).
+		// Under VirtualParallel it is the virtual clock that drives
+		// eligibility; the instruction clock is still maintained so work
+		// accounting is consistent across modes (the virtual-clock picker
+		// never reads it).
 		s.mu.Lock()
 		t.clock.Add(n)
 		s.kickLocked(nil)
@@ -601,6 +601,11 @@ func (s *Scheduler) detachLocked(w *waiter) {
 	s.nWaiting--
 }
 
+// syncClockTick is the amount added to a thread's logical clock per executed
+// synchronization operation in LogicalClock mode. Round-robin mode ignores
+// clocks entirely.
+const syncClockTick = 1
+
 // advanceTimeLocked completes a scheduling turn: logical time advances, the
 // logical clock of the departing holder ticks (LogicalClock mode), and
 // expired timed waiters are woken in FIFO order. The lease fast path of
@@ -609,7 +614,7 @@ func (s *Scheduler) detachLocked(w *waiter) {
 func (s *Scheduler) advanceTimeLocked(t *Thread) {
 	s.turn.Add(1)
 	if s.cfg.Mode == LogicalClock {
-		t.clock.Add(s.cfg.SyncClockTick)
+		t.clock.Add(syncClockTick)
 	}
 	s.expireLocked()
 }
@@ -627,7 +632,7 @@ func (s *Scheduler) leaseableLocked(t *Thread) bool {
 		s.runQ.head == t && t.qnext == nil &&
 		s.wakeQ.head == nil &&
 		s.nWaiting == 0 &&
-		(s.cfg.LeaseVeto == nil || !s.cfg.LeaseVeto())
+		(s.leaseVeto == nil || !s.leaseVeto())
 }
 
 // grantLeaseLocked records a lease-grant decision and activates the fast

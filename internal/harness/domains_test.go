@@ -59,46 +59,6 @@ func TestDomainsDeterministic(t *testing.T) {
 	}
 }
 
-// TestPinnedDomainsScheduleNeutral asserts Config.PinDomains is a pure
-// placement hint: the sharded engines produce identical fingerprints,
-// delivery logs, and outputs with domain roots pinned to OS threads and
-// unpinned, at GOMAXPROCS 1 (where pinning is skipped) and 4 (where every
-// domain root gets its own OS thread and grants cross OS threads). CI runs
-// this loop under -race: the pinned configuration must introduce no new
-// cross-thread accesses.
-func TestPinnedDomainsScheduleNeutral(t *testing.T) {
-	params := workload.Params{Scale: 0.5, InputSeed: 7}
-	for _, w := range DomainWorkloads() {
-		app := w.Build(4, 0, params)
-		var refFP qithread.Fingerprint
-		var refOut uint64
-		first := true
-		for _, procs := range []int{1, 4} {
-			prev := runtime.GOMAXPROCS(procs)
-			for _, pinned := range []bool{false, true} {
-				rt := qithread.New(qithread.Config{
-					Mode: qithread.RoundRobin, Policies: qithread.AllPolicies, Record: true,
-					PinDomains: pinned,
-				})
-				out := app(rt)
-				fp := rt.Fingerprint()
-				if first {
-					refFP, refOut = fp, out
-					first = false
-					continue
-				}
-				if out != refOut {
-					t.Errorf("%s procs=%d pinned=%v: output %d, want %d", w.Name, procs, pinned, out, refOut)
-				}
-				if !fp.Equal(refFP) {
-					t.Errorf("%s procs=%d pinned=%v: fingerprint %v, want %v", w.Name, procs, pinned, fp, refFP)
-				}
-			}
-			runtime.GOMAXPROCS(prev)
-		}
-	}
-}
-
 // TestDomainsBatchedDeterministic runs the streaming (batched) result shape
 // repeatedly — 20 runs each for the batch-1 configuration (capacity-1 pipes,
 // one boundary slot per message) and a wide-batch configuration (up to 8

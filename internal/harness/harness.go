@@ -51,25 +51,6 @@ func Kendo() Mode {
 	return Mode{"logical-clock", qithread.Config{Mode: qithread.LogicalClock}}
 }
 
-// QiThreadPinned is the QiThread configuration with domain roots locked to OS
-// threads (Config.PinDomains), the real-core placement used by the
-// parallel-domains measurements (EXPERIMENTS.md E18). Pinning is a pure
-// placement hint, so this mode's schedules are identical to QiThread's.
-func QiThreadPinned() Mode {
-	return Mode{"all-policies-pinned", qithread.Config{
-		Mode: qithread.RoundRobin, Policies: qithread.AllPolicies, PinDomains: true,
-	}}
-}
-
-// QiThreadNoLease is the QiThread configuration with the scheduler's turn
-// lease disabled, used to isolate the lease's contribution in mechanism
-// benchmarks. Trace-neutral: schedules are identical to QiThread's.
-func QiThreadNoLease() Mode {
-	return Mode{"all-policies-nolease", qithread.Config{
-		Mode: qithread.RoundRobin, Policies: qithread.AllPolicies, NoTurnLease: true,
-	}}
-}
-
 // StackMode wraps an explicitly composed policy stack as an evaluation mode,
 // for configurations the bitmask cannot express (custom layer subsets or
 // orders). The stack is reused across the mode's repeated runs; its decision

@@ -2,6 +2,7 @@ package ingress
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -73,11 +74,11 @@ func (bw *BinaryLogWriter) AppendBatch(epoch int64, snap []Event) error {
 	if epoch <= bw.lastEpoch {
 		return fmt.Errorf("ingress: batch epoch %d out of order (previous %d)", epoch, bw.lastEpoch)
 	}
-	b := appendUvarint(bw.buf[:0], uint64(epoch-bw.lastEpoch))
-	b = appendUvarint(b, uint64(len(snap)))
+	b := binary.AppendUvarint(bw.buf[:0], uint64(epoch-bw.lastEpoch))
+	b = binary.AppendUvarint(b, uint64(len(snap)))
 	for _, e := range snap {
-		b = appendUvarint(b, uint64(e.Source))
-		b = appendUvarint(b, uint64(len(e.Data)))
+		b = binary.AppendUvarint(b, uint64(e.Source))
+		b = binary.AppendUvarint(b, uint64(len(e.Data)))
 		b = append(b, e.Data...)
 	}
 	bw.buf = b
@@ -109,14 +110,6 @@ func (bw *BinaryLogWriter) Close() error {
 	}
 	bw.closed = true
 	return bw.fw.Close()
-}
-
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
 }
 
 // SaveBinary writes the log in the v2b binary format.

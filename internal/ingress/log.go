@@ -94,26 +94,17 @@ func (l *Log) Save(w io.Writer) error {
 // structural deviation is an error.
 func LoadLog(r io.Reader) (*Log, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	header, err := br.ReadString('\n')
-	switch {
-	case err == io.EOF && header != "":
-		err = nil
-	case err == bufio.ErrBufferFull:
-		return nil, fmt.Errorf("ingress: bad header: first line exceeds %d bytes", br.Size())
-	}
+	header, err := logio.ReadHeader(br, "ingress: log")
 	if err != nil {
-		if err == io.EOF {
-			return nil, fmt.Errorf("ingress: empty log")
-		}
-		return nil, fmt.Errorf("ingress: reading log header: %w", err)
+		return nil, err
 	}
-	switch got := strings.TrimSpace(header); got {
+	switch header {
 	case logHeaderV1:
 		return loadLogText(br)
 	case logHeaderV2B:
 		return loadLogBinary(br)
 	default:
-		return nil, fmt.Errorf("ingress: bad header %q (want %q or %q)", got, logHeaderV1, logHeaderV2B)
+		return nil, fmt.Errorf("ingress: bad header %q (want %q or %q)", header, logHeaderV1, logHeaderV2B)
 	}
 }
 

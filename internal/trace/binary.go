@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -12,7 +13,7 @@ import (
 )
 
 // Binary schedule format, "qithread-schedule v3b". Text schedules (v1/v2)
-// cost ~20 bytes and ~1µs of Sscanf per event — fine for the thousand-event
+// cost ~20 bytes and most of a microsecond of parsing per event — fine for the thousand-event
 // traces of the determinism suite, hostile to the million-event runs of the
 // streaming experiments. v3b stores the same events in the shared framed
 // container of internal/logio:
@@ -78,13 +79,13 @@ func (fe *frameEnc) add(e core.Event) {
 	}
 	fe.body = append(fe.body, byte(e.Op), flags)
 	if flags&flagSameTID == 0 {
-		fe.body = appendUvarint(fe.body, uint64(e.TID))
+		fe.body = binary.AppendUvarint(fe.body, uint64(e.TID))
 	}
 	if flags&flagSameObj == 0 {
-		fe.body = appendUvarint(fe.body, e.Obj)
+		fe.body = binary.AppendUvarint(fe.body, e.Obj)
 	}
 	if flags&flagSameDomain == 0 {
-		fe.body = appendUvarint(fe.body, uint64(e.Domain))
+		fe.body = binary.AppendUvarint(fe.body, uint64(e.Domain))
 	}
 	fe.prevTID, fe.prevObj, fe.prevDom = e.TID, e.Obj, e.Domain
 	fe.count++
@@ -95,21 +96,13 @@ func (fe *frameEnc) flush(fw *logio.FrameWriter) error {
 	if fe.count == 0 {
 		return nil
 	}
-	fe.scratch = appendUvarint(fe.scratch[:0], uint64(fe.count))
+	fe.scratch = binary.AppendUvarint(fe.scratch[:0], uint64(fe.count))
 	fe.scratch = append(fe.scratch, fe.body...)
 	err := fw.WriteFrame(fe.scratch, true)
 	fe.body = fe.body[:0]
 	fe.count = 0
 	fe.prevTID, fe.prevObj, fe.prevDom = 0, 0, 0
 	return err
-}
-
-func appendUvarint(b []byte, v uint64) []byte {
-	for v >= 0x80 {
-		b = append(b, byte(v)|0x80)
-		v >>= 7
-	}
-	return append(b, byte(v))
 }
 
 // BinaryWriter writes a v3b binary schedule incrementally. It implements

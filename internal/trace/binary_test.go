@@ -286,9 +286,13 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Add(explored.Bytes())
 	f.Add([]byte(scheduleHeaderV3 + "\nc 1 2 0 1\n0 0 1 0 0\n"))
+	for _, file := range hostileSchedules() {
+		f.Add([]byte(file))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Load must never panic or hang; on success the result must be
-		// self-consistent (Seq densely numbered), on failure just an error.
+		// self-consistent (Seq densely numbered) and safe to replay (ids and
+		// status in range), on failure just an error.
 		evs, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -296,6 +300,9 @@ func FuzzLoad(f *testing.F) {
 		for i, e := range evs {
 			if e.Seq != int64(i) {
 				t.Fatalf("loaded schedule has Seq %d at position %d", e.Seq, i)
+			}
+			if e.TID < 0 || e.Domain < 0 || e.Status > core.StatusReturn {
+				t.Fatalf("loaded schedule has out-of-range event %+v", e)
 			}
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 
 	"qithread/internal/core"
 	"qithread/internal/logio"
@@ -59,61 +58,12 @@ func SaveExplored(w io.Writer, events []core.Event, choices []core.Choice) error
 // no decisions to replay (load those with Load).
 func LoadExplored(r io.Reader) ([]core.Event, []core.Choice, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	header, err := readHeader(br)
+	header, err := logio.ReadHeader(br, "trace: schedule")
 	if err != nil {
 		return nil, nil, err
 	}
 	if header != scheduleHeaderV3 {
 		return nil, nil, fmt.Errorf("trace: bad header %q (want %q; plain schedules load via Load)", header, scheduleHeaderV3)
 	}
-	return loadExploredBody(br)
-}
-
-// loadExploredBody parses the v3 body: v2-style event lines followed by
-// choice lines. Choice lines must follow every event line — the decision log
-// is a trailer, not an interleaving.
-func loadExploredBody(r io.Reader) ([]core.Event, []core.Choice, error) {
-	sc := logio.LineScanner(r)
-	var events []core.Event
-	var choices []core.Choice
-	line := 1 // the header was line 1
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "c ") {
-			if got := len(strings.Fields(text)); got != 5 {
-				return nil, nil, fmt.Errorf("trace: line %d: %d fields, want 5 for a choice line", line, got)
-			}
-			var kind uint8
-			var n, def, index int
-			if _, err := fmt.Sscanf(text, "c %d %d %d %d", &kind, &n, &def, &index); err != nil {
-				return nil, nil, fmt.Errorf("trace: line %d: %v", line, err)
-			}
-			choices = append(choices, core.Choice{Kind: core.ChoiceKind(kind), N: n, Def: def, Index: index})
-			continue
-		}
-		if len(choices) > 0 {
-			return nil, nil, fmt.Errorf("trace: line %d: event line after choice lines", line)
-		}
-		if got := len(strings.Fields(text)); got != 6 {
-			return nil, nil, fmt.Errorf("trace: line %d: %d fields, want 6 for this format version", line, got)
-		}
-		var seq int64
-		var tid, domain int
-		var op, status uint8
-		var obj uint64
-		if _, err := fmt.Sscanf(text, "%d %d %d %d %d %d", &seq, &tid, &op, &obj, &status, &domain); err != nil {
-			return nil, nil, fmt.Errorf("trace: line %d: %v", line, err)
-		}
-		if int64(len(events)) != seq {
-			return nil, nil, fmt.Errorf("trace: line %d: sequence %d out of order", line, seq)
-		}
-		events = append(events, core.Event{
-			Seq: seq, TID: tid, Op: core.OpKind(op), Obj: obj, Status: core.EventStatus(status), Domain: domain,
-		})
-	}
-	return events, choices, logio.ScanErr(sc.Err(), "trace: schedule", line)
+	return loadTextBody(br, 3)
 }

@@ -2,8 +2,11 @@ package trace
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"strconv"
 	"strings"
 
 	"qithread/internal/core"
@@ -26,9 +29,9 @@ import (
 // a non-zero domain. Load reads both.
 //
 // Parsing is strict: each line must carry exactly the field count of the
-// file's declared version. Earlier revisions used fmt.Sscanf, which silently
-// ignored trailing fields — a v2-style file read as v1 would silently drop
-// the domain ids instead of failing loudly.
+// file's declared version — a v2-style file read as v1 fails loudly instead
+// of silently dropping the domain ids — and every field must lie in the range
+// the binary format can store, so a loaded schedule is safe to replay.
 //
 // The format is stable across runs and diff-friendly, so recorded schedules
 // can live next to bug reports and replay them later (the record/replay use
@@ -95,82 +98,113 @@ func SaveVersion(w io.Writer, events []core.Event, version int) error {
 // every format. v1 events load with the default domain 0.
 func Load(r io.Reader) ([]core.Event, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
-	header, err := readHeader(br)
+	header, err := logio.ReadHeader(br, "trace: schedule")
 	if err != nil {
 		return nil, err
 	}
+	version := 0
 	switch header {
 	case scheduleHeaderV1:
-		return loadText(br, 5)
+		version = 1
 	case scheduleHeaderV2:
-		return loadText(br, 6)
+		version = 2
 	case scheduleHeaderV3:
 		// Explored schedules (see explored.go): the events load normally and
 		// the trailing decision log is discarded, so schedule-agnostic tools
 		// read repro files unchanged. LoadExplored retains the decisions.
-		events, _, err := loadExploredBody(br)
-		return events, err
+		version = 3
 	case scheduleHeaderV3B:
 		return loadBinary(br)
 	default:
 		return nil, fmt.Errorf("trace: bad header %q (want %q, %q, %q or %q)", header, scheduleHeaderV1, scheduleHeaderV2, scheduleHeaderV3, scheduleHeaderV3B)
 	}
+	events, _, err := loadTextBody(br, version)
+	return events, err
 }
 
-// readHeader consumes the one-line format header common to the text and
-// binary schedule encodings. The line is bounded by the bufio.Reader's buffer
-// — far beyond any valid header — so a header-less binary blob fails fast
-// instead of buffering the file.
-func readHeader(br *bufio.Reader) (string, error) {
-	line, err := br.ReadString('\n')
-	switch {
-	case err == io.EOF && line != "":
-		err = nil // header-only file: an empty schedule
-	case err == bufio.ErrBufferFull:
-		return "", fmt.Errorf("trace: bad header: first line exceeds %d bytes", br.Size())
+// loadTextBody parses the body of a text schedule: one event per line, five
+// fields under v1 and six (the domain id) under v2 and v3. v3 additionally
+// accepts the decision log ("c <kind> <n> <def> <index>" lines) after the
+// last event line — a trailer, not an interleaving. Fields are bounded as the
+// binary format bounds them.
+func loadTextBody(r io.Reader, version int) ([]core.Event, []core.Choice, error) {
+	eventFields := len(eventLine)
+	if version == 1 {
+		eventFields-- // no domain id
 	}
-	if err != nil {
-		if err == io.EOF {
-			return "", fmt.Errorf("trace: empty schedule file")
-		}
-		return "", fmt.Errorf("trace: reading schedule header: %w", err)
-	}
-	return strings.TrimSpace(line), nil
-}
-
-// loadText parses the v1 (5-field) / v2 (6-field) text body.
-func loadText(r io.Reader, fields int) ([]core.Event, error) {
 	sc := logio.LineScanner(r)
-	var out []core.Event
+	var events []core.Event
+	var choices []core.Choice
 	line := 1 // the header was line 1
+	fail := func(err error) ([]core.Event, []core.Choice, error) {
+		return nil, nil, fmt.Errorf("trace: line %d: %w", line, err)
+	}
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		f := strings.Fields(sc.Text())
+		if len(f) == 0 {
 			continue
 		}
-		if got := len(strings.Fields(text)); got != fields {
-			return nil, fmt.Errorf("trace: line %d: %d fields, want %d for this format version", line, got, fields)
+		if version == 3 && f[0] == "c" {
+			if len(f) != 5 {
+				return fail(fmt.Errorf("%d fields, want 5 for a choice line", len(f)))
+			}
+			kind, err := field(f[1], "choice kind", math.MaxUint8)
+			if err != nil {
+				return fail(err)
+			}
+			var v [3]int
+			for i := range v {
+				if v[i], err = strconv.Atoi(f[2+i]); err != nil {
+					return fail(err)
+				}
+			}
+			choices = append(choices, core.Choice{Kind: core.ChoiceKind(kind), N: v[0], Def: v[1], Index: v[2]})
+			continue
 		}
-		var seq int64
-		var tid, domain int
-		var op, status uint8
-		var obj uint64
-		var err error
-		if fields == 5 {
-			_, err = fmt.Sscanf(text, "%d %d %d %d %d", &seq, &tid, &op, &obj, &status)
-		} else {
-			_, err = fmt.Sscanf(text, "%d %d %d %d %d %d", &seq, &tid, &op, &obj, &status, &domain)
+		if len(choices) > 0 {
+			return fail(errors.New("event line after choice lines"))
 		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: line %d: %v", line, err)
+		if len(f) != eventFields {
+			return fail(fmt.Errorf("%d fields, want %d for this format version", len(f), eventFields))
 		}
-		if int64(len(out)) != seq {
-			return nil, fmt.Errorf("trace: line %d: sequence %d out of order", line, seq)
+		var v [len(eventLine)]uint64
+		for i, s := range f {
+			var err error
+			if v[i], err = field(s, eventLine[i].name, eventLine[i].max); err != nil {
+				return fail(err)
+			}
 		}
-		out = append(out, core.Event{
-			Seq: seq, TID: tid, Op: core.OpKind(op), Obj: obj, Status: core.EventStatus(status), Domain: domain,
+		if uint64(len(events)) != v[0] {
+			return fail(fmt.Errorf("sequence %d out of order", v[0]))
+		}
+		events = append(events, core.Event{
+			Seq: int64(v[0]), TID: int(v[1]), Op: core.OpKind(v[2]), Obj: v[3], Status: core.EventStatus(v[4]), Domain: int(v[5]),
 		})
 	}
-	return out, logio.ScanErr(sc.Err(), "trace: schedule", line)
+	return events, choices, logio.ScanErr(sc.Err(), "trace: schedule", line)
+}
+
+// eventLine names the fields of an event line, in order, with the largest
+// value each may hold: what the binary format can store (ids are int32 there,
+// the status is two bits wide) and what core.Event can represent.
+var eventLine = [...]struct {
+	name string
+	max  uint64
+}{
+	{"sequence", math.MaxInt64},
+	{"thread id", math.MaxInt32},
+	{"op", math.MaxUint8},
+	{"object", math.MaxUint64},
+	{"status", uint64(core.StatusReturn)},
+	{"domain id", math.MaxInt32},
+}
+
+// field parses one non-negative decimal field of a schedule line.
+func field(s, name string, max uint64) (uint64, error) {
+	v, err := strconv.ParseUint(s, 10, 64)
+	if err != nil || v > max {
+		return 0, fmt.Errorf("bad %s %q (want 0..%d)", name, s, max)
+	}
+	return v, nil
 }

@@ -33,16 +33,51 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestLoadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",
-		"not a schedule\n1 2 3 4 5\n",
-		"qithread-schedule v1\nbogus line\n",
-		"qithread-schedule v1\n5 0 1 0 0\n", // out-of-order seq
+// hostileSchedules are text schedules whose fields parse as numbers but lie
+// outside what an Event may hold; replaying the negative thread id used to
+// index the scheduler's thread table with it. One file per (version, field):
+// the bad line is always line 3, behind a valid event. FuzzLoad seeds its
+// corpus with them.
+func hostileSchedules() map[string]string {
+	out := make(map[string]string)
+	for _, v := range []struct{ header, suffix string }{
+		{scheduleHeaderV1, ""}, {scheduleHeaderV2, " 0"}, {scheduleHeaderV3, " 0"},
+	} {
+		for name, line := range map[string]string{
+			"negative tid": "1 -1 3 0 0",
+			"status 3":     "1 0 3 0 3",
+			"op 256":       "1 0 256 0 0",
+		} {
+			out[v.header+"/"+name] = v.header + "\n0 0 1 0 0" + v.suffix + "\n" + line + v.suffix + "\n"
+		}
+		if v.suffix != "" {
+			out[v.header+"/negative domain"] = v.header + "\n0 0 1 0 0 0\n1 0 3 0 0 -1\n"
+		}
 	}
-	for _, c := range cases {
-		if _, err := Load(strings.NewReader(c)); err == nil {
-			t.Errorf("Load accepted %q", c)
+	return out
+}
+
+func TestLoadRejectsGarbage(t *testing.T) {
+	cases := map[string]string{
+		"":                                   "trace: schedule: empty file",
+		"not a schedule\n1 2 3 4 5\n":        "trace: bad header",
+		"qithread-schedule v1\nbogus line\n": "trace: line 2: 2 fields, want 5",
+		"qithread-schedule v1\n5 0 1 0 0\n":  "trace: line 2: sequence 5 out of order",
+		"qithread-schedule v1\n0 0 1 0 0\nc 1 2 0 1\n": "trace: line 3: bad sequence \"c\"", // choice lines are v3 only
+	}
+	for _, in := range hostileSchedules() {
+		cases[in] = "trace: line 3: bad "
+	}
+	for in, want := range cases {
+		_, err := Load(strings.NewReader(in))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("Load(%q) = %v, want an error containing %q", in, err, want)
+		}
+		if !strings.HasPrefix(in, scheduleHeaderV3+"\n") {
+			continue
+		}
+		if _, _, err := LoadExplored(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadExplored(%q) = %v, want an error containing %q", in, err, want)
 		}
 	}
 }

@@ -174,6 +174,21 @@ func TestReplayDivergenceDetected(t *testing.T) {
 	})
 }
 
+// TestReplayNegativeThreadID: a hand-built Config.Replay passes no loader, so
+// the scheduler itself must answer an impossible thread id with the
+// divergence diagnostic, not an index-out-of-range under its mutex.
+func TestReplayNegativeThreadID(t *testing.T) {
+	defer func() {
+		r := recover()
+		if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "core: replay divergence") {
+			t.Fatalf("panic value %v, want a core: replay divergence diagnostic", r)
+		}
+	}()
+	rt := New(Config{Mode: RoundRobin, Replay: []Event{{TID: -1}}})
+	rt.Run(func(main *Thread) { main.Yield() })
+	t.Fatal("replay of a negative thread id ran to completion")
+}
+
 // TestReplayRequiresDeterministicMode: misconfiguration is rejected loudly.
 func TestReplayRequiresDeterministicMode(t *testing.T) {
 	defer func() {

@@ -21,15 +21,24 @@ type Runtime struct {
 	group *domain.Group   // partition registry; nil in Nondet mode
 
 	domMu    sync.Mutex
-	domains  []*Domain        // id order; domains[0] is the default domain
-	gateways []*Gateway       // ingress gateways in creation order (checkpoint order)
-	choosers map[int]Chooser  // per-domain choice-point hooks (Config.Chooser)
-	chMu     sync.Mutex       // guards choosers
+	domains  []*Domain       // id order; domains[0] is the default domain
+	gateways []*Gateway      // ingress gateways in creation order (checkpoint order)
+	choosers map[int]Chooser // per-domain choice-point hooks (Config.Chooser)
+	chMu     sync.Mutex      // guards choosers
 
 	wg      sync.WaitGroup
 	nthread atomic.Int64 // total threads ever created (diagnostics)
 	vMax    atomic.Int64 // Nondet mode: max final virtual clock over threads
 }
+
+// Virtual-time cost, in work units, of one synchronization operation: under
+// the deterministic turn mechanism (wrapper + scheduler queues), and as a
+// native operation in Nondet and VirtualParallel modes (a plain pthread op
+// is much cheaper than a scheduled turn).
+const (
+	vSyncCostDet    int64 = 12
+	vSyncCostNondet int64 = 4
+)
 
 // amax atomically raises a to at least v.
 func amax(a *atomic.Int64, v int64) {
@@ -48,7 +57,7 @@ func New(cfg Config) *Runtime {
 	if cfg.Mode.Deterministic() {
 		mode := core.RoundRobin
 		pol := cfg.Policies
-		cost := cfg.VSyncCostDet
+		cost := vSyncCostDet
 		switch cfg.Mode {
 		case LogicalClock:
 			mode = core.LogicalClock
@@ -57,7 +66,7 @@ func New(cfg Config) *Runtime {
 			// The ideal-parallel baseline pays native (non-turn) costs.
 			mode = core.VirtualParallel
 			pol = core.NoPolicies
-			cost = cfg.VSyncCostNondet
+			cost = vSyncCostNondet
 		}
 		// The policy stack makes every scheduling decision: the bitmask
 		// configuration compiles down to the canonical stack, while a custom
@@ -232,24 +241,12 @@ func (rt *Runtime) Run(main func(t *Thread)) {
 		t.ct = rt.sched.Register("main")
 	}
 	rt.wg.Add(1)
-	body := func() {
+	func() {
 		defer rt.wg.Done()
 		main(t)
 		t.exit()
-	}
-	if rt.pinRoots() {
-		domain.RunPinned(body)
-	} else {
-		body()
-	}
+	}()
 	rt.wg.Wait()
-}
-
-// pinRoots reports whether domain root goroutines (and Run's main thread)
-// are locked to OS threads for the run: requested by Config.PinDomains and
-// worthwhile on this host (GOMAXPROCS > 1).
-func (rt *Runtime) pinRoots() bool {
-	return rt.cfg.PinDomains && domain.PinWorthwhile()
 }
 
 // Trace returns the default domain's recorded schedule (empty unless

@@ -78,7 +78,7 @@ func (t *Thread) vMeet(v int64) {
 
 // vCost is the virtual cost of one native (non-turn) synchronization
 // operation.
-func (t *Thread) vCost() int64 { return t.rt.cfg.VSyncCostNondet }
+func (t *Thread) vCost() int64 { return vSyncCostNondet }
 
 // Name returns the thread's debugging name.
 func (t *Thread) Name() string { return t.name }
@@ -225,15 +225,19 @@ func (t *Thread) Yield() {
 	t.release()
 }
 
+// nondetSleepUnit is the real duration of one logical sleep turn in Nondet
+// mode, where no logical time base exists.
+const nondetSleepUnit = 10 * time.Microsecond
+
 // Sleep suspends the thread for the given number of logical turns,
 // corresponding to Parrot's wait(NULL, timeout) logical sleep. In Nondet mode
-// it sleeps for turns*Config.NondetSleepUnit of real time.
+// it sleeps for turns*nondetSleepUnit of real time.
 func (t *Thread) Sleep(turns int64) {
 	if turns <= 0 {
 		return
 	}
 	if !t.rt.det() {
-		time.Sleep(t.rt.cfg.NondetSleepUnit * time.Duration(turns))
+		time.Sleep(nondetSleepUnit * time.Duration(turns))
 		t.vAdd(turns)
 		return
 	}
