@@ -44,7 +44,6 @@ import (
 
 	"qithread"
 	"qithread/internal/harness"
-	"qithread/internal/policy"
 	"qithread/internal/programs"
 	"qithread/internal/trace"
 	"qithread/internal/workload"
@@ -92,10 +91,10 @@ func BenchmarkMechanismLockUnlock(b *testing.B) {
 // BenchmarkPolicyDispatch measures the cost of the hook-based policy engine
 // on the mechanism's hottest path: one uncontended lock/unlock pair, which
 // dispatches OnAcquire, OnRelease, and KeepTurn on every iteration plus
-// PickNext on every turn handoff. "bitmask-*" configures via the legacy
-// Policies shim (compiled to a stack by DefaultStack); "stack-*" passes an
-// explicitly composed stack. The acceptance bar is staying within 10% of the
-// seed's interleaved bitmask branches (see EXPERIMENTS.md).
+// PickNext on every turn handoff, under the empty and the full canonical
+// stack (Config.Policies, compiled by DefaultStack). The acceptance bar is
+// staying within 10% of the seed's interleaved bitmask branches (see
+// EXPERIMENTS.md).
 func BenchmarkPolicyDispatch(b *testing.B) {
 	for _, cfg := range []struct {
 		name string
@@ -103,9 +102,6 @@ func BenchmarkPolicyDispatch(b *testing.B) {
 	}{
 		{"bitmask-none", qithread.Config{Mode: qithread.RoundRobin}},
 		{"bitmask-all", qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies}},
-		{"stack-all", qithread.Config{Mode: qithread.RoundRobin, Stack: policy.StackFromAdvice(policy.AllPolicies)}},
-		{"stack-cswhole", qithread.Config{Mode: qithread.RoundRobin, Stack: policy.FromSet(policy.RoundRobin(), policy.CSWhole)}},
-		{"stack-logical-clock", qithread.Config{Mode: qithread.RoundRobin, Stack: policy.New(policy.LogicalClock())}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			rt := qithread.New(cfg.c)

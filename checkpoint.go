@@ -49,13 +49,15 @@ func (cp *Checkpoint) Epoch() int64 { return cp.rec.Epoch }
 // Runtime.Checkpoint.
 func (cp *Checkpoint) App() []byte { return cp.rec.App }
 
-// SaveCheckpoint writes a checkpoint ("qithread-checkpoint v1b", a
+// SaveCheckpoint writes a checkpoint ("qithread-checkpoint v2b", a
 // CRC-checked binary record; see internal/ckpt).
 func SaveCheckpoint(w io.Writer, cp *Checkpoint) error {
 	return ckpt.Save(w, cp.rec)
 }
 
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint.
+// LoadCheckpoint reads a checkpoint written by SaveCheckpoint. Checkpoints of
+// the older "v1b" layout are refused with an error naming the version: they
+// predate the embedded counter blocks and would resume with zeroed counters.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	rec, err := ckpt.Load(r)
 	if err != nil {

@@ -61,10 +61,10 @@ func main() {
 			}
 			fmt.Printf("  vanilla makespan %d, tuned makespan %d\n", res.VanillaMakespan, res.TunedMakespan)
 			// The diagnose -> configure -> rerun loop: the trial already ran
-			// through this exact stack, so the configuration below reproduces
+			// under this exact configuration, so the line below reproduces
 			// the tuned measurement as-is.
 			fmt.Printf("  stack: %s\n", res.Stack)
-			fmt.Printf("  ready to run: qithread.Config{Mode: qithread.RoundRobin, Stack: policy.StackFromAdvice(%s)}\n", goSetExpr(res.Recommended))
+			fmt.Printf("  ready to run: qithread.Config{Mode: qithread.RoundRobin, Policies: %s}\n", goSetExpr(res.Recommended))
 			fmt.Println("  tuned-run policy decisions:")
 			for _, m := range res.Metrics {
 				fmt.Printf("    %s\n", m)
@@ -76,10 +76,10 @@ func main() {
 // goSetExpr renders a policy set as the Go expression that reconstructs it.
 func goSetExpr(set qithread.Policy) string {
 	if set == qithread.NoPolicies {
-		return "policy.NoPolicies"
+		return "qithread.NoPolicies"
 	}
 	if set == qithread.AllPolicies {
-		return "policy.AllPolicies"
+		return "qithread.AllPolicies"
 	}
 	expr := ""
 	for _, name := range policy.Names() {
@@ -87,7 +87,7 @@ func goSetExpr(set qithread.Policy) string {
 			if expr != "" {
 				expr += "|"
 			}
-			expr += "policy." + name
+			expr += "qithread." + name
 		}
 	}
 	return expr

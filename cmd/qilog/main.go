@@ -1,8 +1,9 @@
 // Command qilog converts, inspects and verifies qithread's on-disk artifacts:
 // schedule files (text "qithread-schedule v1/v2" or binary v3b), ingress logs
 // (text "qithread-ingress v1" or binary v2b) and epoch checkpoints
-// ("qithread-checkpoint v1b"). Every loader auto-detects its format, so the
-// tool only has to sniff which FAMILY a file belongs to.
+// ("qithread-checkpoint v2b"; the v1b counter layout is refused by name).
+// Every loader auto-detects its format, so the tool only has to sniff which
+// FAMILY a file belongs to.
 //
 // Usage:
 //
@@ -122,7 +123,7 @@ func describe(path string, verbose bool) error {
 		if verbose {
 			for _, d := range rec.Domains {
 				fmt.Printf("  domain %d: turn=%d live=%d traced=%d hash=%016x\n",
-					d.DomainID, d.Turn, d.Live, d.TraceLen, d.TraceHash)
+					d.DomainID, d.Turns, d.Live, d.TraceLen, d.TraceHash)
 			}
 			for _, g := range rec.Gateways {
 				fmt.Printf("  gateway: epoch=%d admitted=%d shed=%d admit=%016x shed=%016x\n",

@@ -13,7 +13,7 @@ import (
 // and synchronization objects scheduled by its own deterministic turn
 // mechanism with its own policy stack. Every Runtime has a default domain
 // (id 0) that Run's main thread and everything it creates belong to;
-// additional domains come from Config.Domains or NewDomain.
+// additional domains come from Runtime.NewDomain.
 //
 // Threads and synchronization objects bind to a domain at creation: a thread
 // belongs to the domain of its creator (or the domain it was Started in),

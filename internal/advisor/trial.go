@@ -12,9 +12,9 @@ import (
 type TrialResult struct {
 	// Recommended is the policy set under trial.
 	Recommended qithread.Policy
-	// Stack is the ready-to-run policy stack compiled from the
-	// recommendation (round-robin base plus the recommended layers in
-	// canonical order). The tuned run executed through this stack.
+	// Stack is the policy stack the tuned run executed through: the
+	// canonical stack Config.Policies compiles the recommendation to
+	// (round-robin base plus the recommended layers in canonical order).
 	Stack *policy.Stack
 	// Metrics is the per-policy decision counter snapshot of the tuned run,
 	// attributing the trial's speedup to the policies that earned it.
@@ -41,10 +41,9 @@ func (t TrialResult) Helped() bool {
 }
 
 // AutoTune runs the full advisor pipeline on a program: record a vanilla
-// round-robin schedule, analyze it, compile the recommendations into a policy
-// stack, and trial that stack. The returned TrialResult carries the stack and
-// its per-policy decision metrics, closing the diagnose → configure → rerun
-// loop.
+// round-robin schedule, analyze it, and trial the recommended policy set. The
+// returned TrialResult carries the tuned run's stack and its per-policy
+// decision metrics, closing the diagnose → configure → rerun loop.
 func AutoTune(app workload.App) (recs []Recommendation, result TrialResult) {
 	rec := qithread.New(qithread.Config{Mode: qithread.RoundRobin, Record: true})
 	app(rec)
@@ -52,9 +51,9 @@ func AutoTune(app workload.App) (recs []Recommendation, result TrialResult) {
 	result.Recommended = Policies(recs)
 	result.VanillaMakespan = rec.VirtualMakespan()
 
-	result.Stack = policy.StackFromAdvice(result.Recommended)
-	tuned := qithread.New(qithread.Config{Mode: qithread.RoundRobin, Stack: result.Stack})
+	tuned := qithread.New(qithread.Config{Mode: qithread.RoundRobin, Policies: result.Recommended})
 	app(tuned)
+	result.Stack = tuned.PolicyStack()
 	result.TunedMakespan = tuned.VirtualMakespan()
 	result.Metrics = tuned.PolicyMetrics()
 	return recs, result

@@ -4,7 +4,7 @@
 //
 // A checkpoint file reuses the shared framed container of internal/logio —
 //
-//	qithread-checkpoint v1b\n
+//	qithread-checkpoint v2b\n
 //	frame (gob-encoded Record, DEFLATE under the container's encoding byte)
 //	terminator
 //
@@ -15,6 +15,14 @@
 // goroutine stacks, never message values), so the schema flexibility of gob
 // beats a hand-rolled field layout and costs nothing on the hot path — there
 // is no hot path.
+//
+// gob matches struct fields by name, and a field the stream does not carry is
+// left zero without an error, so a change to where the Record's structs
+// declare their counters needs a new header: v2b snapshots embed core.Stats
+// and ingress.Stats where v1b listed a subset of their fields flat, and a v1b
+// stream decoded into today's Record would resume with every counter — the
+// logical time and the lease hash among them — silently zero. Load therefore
+// refuses v1b by name.
 package ckpt
 
 import (
@@ -23,7 +31,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"strings"
 
 	"qithread/internal/core"
 	"qithread/internal/domain"
@@ -31,7 +38,10 @@ import (
 	"qithread/internal/logio"
 )
 
-const header = "qithread-checkpoint v1b"
+const (
+	header   = "qithread-checkpoint v2b"
+	headerV1 = "qithread-checkpoint v1b"
+)
 
 // Record is everything a resumed run needs beyond the program itself: the
 // per-domain scheduler snapshots, the boundary counters, the channel stamp
@@ -74,14 +84,15 @@ func Save(w io.Writer, r *Record) error {
 // strict: a bad header, a corrupt frame or trailing frames are errors.
 func Load(rd io.Reader) (*Record, error) {
 	br := bufio.NewReaderSize(rd, 1<<16)
-	line, err := br.ReadString('\n')
-	if err == io.EOF && line != "" {
-		err = nil
-	}
+	got, err := logio.ReadHeader(br, "ckpt: checkpoint")
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: reading checkpoint header: %w", err)
+		return nil, err
 	}
-	if got := strings.TrimSpace(line); got != header {
+	switch got {
+	case header:
+	case headerV1:
+		return nil, fmt.Errorf("ckpt: %q checkpoints are no longer readable (their counter layout would resume with zeroed counters); this build reads %q — re-record the run to take a new checkpoint", headerV1, header)
+	default:
 		return nil, fmt.Errorf("ckpt: bad header %q (want %q)", got, header)
 	}
 	fr := logio.NewFrameReader(br)

@@ -1,0 +1,328 @@
+package ckpt
+
+import (
+	"bytes"
+	"encoding/binary"
+	"encoding/gob"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+
+	"qithread/internal/core"
+	"qithread/internal/domain"
+	"qithread/internal/ingress"
+	"qithread/internal/logio"
+	"qithread/internal/policy"
+)
+
+// sampleRecord is a checkpoint with every section populated: two wait lists,
+// a non-empty admission queue, counters set in both embedded Stats blocks.
+// Empty slices are left nil, which is how gob decodes them.
+func sampleRecord() *Record {
+	return &Record{
+		Epoch: 7,
+		Domains: []core.SchedState{{
+			DomainID: 1, WaitSeq: 9, NextTID: 3, NextObj: 5, Live: 3,
+			VLastOp: 1200, VMakespan: 1300, TraceLen: 41, TraceHash: 0xfeedface,
+			Stats: core.Stats{
+				Ops: 41, Turns: 57, Waits: 6, Signals: 4, Broadcasts: 1,
+				WokenBySignal: 5, WokenByTimeout: 1, Handoffs: 30,
+				LeaseGrants: 3, LeaseExtends: 11, LeaseRevokes: 3, LeaseHash: 0xabcdef,
+				MaxLiveThreads: 3, MaxWaiting: 2, MaxTimedWaiters: 1,
+				// CaptureState leaves this nil, but it is a field of the
+				// embedded block, so the format has to carry it.
+				PolicyMetrics: []policy.Metrics{{Policy: "CSWhole", LeaseExtends: 9}, {Policy: "round-robin", Picks: 30}},
+			},
+			RunQ: []int{0},
+			Threads: []core.ThreadState{
+				{TID: 0, Clock: 10, VTime: 1200, Policy: []uint64{0, 1, 0}},
+				{TID: 1, Clock: 8, VTime: 900, Policy: []uint64{0, 0, 0}},
+				{TID: 2, Clock: 8, VTime: 950, Policy: []uint64{0, 0, 0}},
+			},
+			Waits2: []core.WaitEntry{
+				{Obj: 2, TIDs: []int{2, 1}, Seqs: []uint64{7, 8}},
+			},
+		}},
+		Xseqs:    []int64{12},
+		Channels: []domain.ChannelState{{ID: 1, SendSeq: 12, Delivered: 12, Hash: 0x1234, Closed: true}},
+		Gateways: []ingress.GatewayState{{
+			Epoch: 7, Seq: 19,
+			Queue:     []ingress.Event{{Source: 1, Data: []byte("req"), Epoch: 7, Seq: 19}},
+			AdmitHash: 0xaaaa, ShedHash: 0xbbbb,
+			Stats: ingress.Stats{Epochs: 7, Collected: 19, Admitted: 16, Shed: 2, MaxQueue: 4},
+		}},
+		App: []byte("worker accumulators"),
+	}
+}
+
+func saved(t testing.TB, r *Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, r); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// framed builds a checkpoint file by hand: header line, the given frame
+// payloads, terminator.
+func framed(t testing.TB, hdr string, payloads ...[]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.WriteString(hdr + "\n")
+	fw := logio.NewFrameWriter(&buf)
+	for _, p := range payloads {
+		if err := fw.WriteFrame(p, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func gobOf(t testing.TB, r *Record) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func TestRoundTrip(t *testing.T) {
+	want := sampleRecord()
+	file := saved(t, want)
+	if !bytes.HasPrefix(file, []byte(header+"\n")) {
+		t.Fatalf("file starts %q, want header %q", file[:len(header)+1], header)
+	}
+	got, err := Load(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("round trip changed the record:\n got  %#v\n want %#v", got, want)
+	}
+}
+
+// distinctCounters sets every numeric field of *stats (a struct pointer) to
+// its own non-zero value and fails on a field that is neither numeric nor
+// named in skip — a new kind of field needs a decision about checkpoints.
+func distinctCounters(t *testing.T, stats any, skip string) {
+	t.Helper()
+	v := reflect.ValueOf(stats).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		f, name := v.Field(i), v.Type().Field(i).Name
+		switch {
+		case f.CanInt():
+			f.SetInt(int64(100 + i))
+		case f.CanUint():
+			f.SetUint(uint64(100 + i))
+		case name != skip:
+			t.Fatalf("%s.%s is a %s, not a counter; decide whether a checkpoint carries it", v.Type(), name, f.Kind())
+		}
+	}
+}
+
+// throughFile saves and reloads one record.
+func throughFile(t *testing.T, r *Record) *Record {
+	t.Helper()
+	got, err := Load(bytes.NewReader(saved(t, r)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestSchedStateCarriesEveryCounter: a checkpoint carries every counter
+// core.Stats declares. Each numeric field gets a distinct value; restoring
+// them into a scheduler puts them where the scheduler counts (plain fields
+// and atomics alike), CaptureState must read every one back, the snapshot
+// goes through the file format, and a second scheduler of the same structure
+// restored from it must report them all from Stats(). PolicyMetrics is the
+// one exclusion: the stack's decision counters are diagnostics and a resumed
+// run counts its own. (While SchedState listed its counters field by field,
+// MaxWaiting was never added to the list and a checkpoint dropped it.)
+func TestSchedStateCarriesEveryCounter(t *testing.T) {
+	var want core.Stats
+	distinctCounters(t, &want, "PolicyMetrics")
+
+	// Schedulers of identical structure (one registered thread holding the
+	// turn, nothing recorded): what a resuming program's setup phase rebuilds
+	// before RestoreState.
+	solo := func() (*core.Scheduler, *core.Thread) {
+		s := core.New(core.Config{Record: true, SuspendRecording: true})
+		th := s.Register("main")
+		s.GetTurn(th)
+		return s, th
+	}
+	src, srcT := solo()
+	st, err := src.CaptureState(srcT)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Stats = want
+	if err := src.RestoreState(srcT, st); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = src.CaptureState(srcT); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st.Stats, want) {
+		t.Fatalf("CaptureState dropped a counter:\n got  %#v\n want %#v", st.Stats, want)
+	}
+
+	rec := throughFile(t, &Record{Domains: []core.SchedState{*st}, Xseqs: []int64{0}})
+	dst, dstT := solo()
+	if err := dst.RestoreState(dstT, &rec.Domains[0]); err != nil {
+		t.Fatal(err)
+	}
+	got := dst.Stats()
+	got.PolicyMetrics = nil
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("counters after checkpoint and resume:\n got  %#v\n want %#v", got, want)
+	}
+}
+
+// TestGatewayStateCarriesEveryCounter is the gateway half. PushBlocks and
+// MaxStage are excluded from the final comparison: the collector counts them
+// in real time on the producer side, Gateway.Stats merges them in from there,
+// and they are diagnostics of one process's timing, not state a resumed run
+// continues — the restored gateway's fresh collector has counted nothing.
+func TestGatewayStateCarriesEveryCounter(t *testing.T) {
+	var want ingress.Stats
+	distinctCounters(t, &want, "")
+
+	src := ingress.NewGateway(ingress.Config{})
+	if err := src.RestoreState(&ingress.GatewayState{Stats: want}); err != nil {
+		t.Fatal(err)
+	}
+	st := src.CaptureState()
+	if st.Stats != want {
+		t.Fatalf("CaptureState dropped a counter:\n got  %#v\n want %#v", st.Stats, want)
+	}
+
+	rec := throughFile(t, &Record{Gateways: []ingress.GatewayState{*st}})
+	dst := ingress.NewGateway(ingress.Config{})
+	if err := dst.RestoreState(&rec.Gateways[0]); err != nil {
+		t.Fatal(err)
+	}
+	want.PushBlocks, want.MaxStage = 0, 0
+	if got := dst.Stats(); got != want {
+		t.Fatalf("counters after checkpoint and resume:\n got  %#v\n want %#v", got, want)
+	}
+}
+
+// TestLoadErrors: every way a checkpoint file can be wrong is an error that
+// says what is wrong — never a Record with some of its state missing.
+func TestLoadErrors(t *testing.T) {
+	good := saved(t, sampleRecord())
+	body := good[len(header)+1:]
+
+	crcDamaged := bytes.Clone(good)
+	crcDamaged[len(crcDamaged)-3] ^= 0x40 // inside the frame's CRC trailer
+
+	payloadDamaged := bytes.Clone(good)
+	payloadDamaged[len(header)+1+8] ^= 0x01 // inside the stored payload
+
+	lopsided := sampleRecord()
+	lopsided.Xseqs = append(lopsided.Xseqs, 3)
+
+	var oversized bytes.Buffer
+	oversized.WriteString(header + "\n")
+	oversized.Write(binary.AppendUvarint(nil, logio.MaxFrame+1))
+
+	for _, c := range []struct {
+		name string
+		file []byte
+		want string // substring of the error
+	}{
+		{"empty file", nil, "empty file"},
+		{"not a checkpoint", []byte("qithread-schedule v3b\n"), `bad header "qithread-schedule v3b"`},
+		{"header without newline and nothing else", []byte(header), "truncated"},
+		{"v1b", append([]byte(headerV1+"\n"), body...), `"qithread-checkpoint v1b" checkpoints are no longer readable`},
+		{"v1b names the readable version", append([]byte(headerV1+"\n"), body...), `"qithread-checkpoint v2b"`},
+		{"no record", framed(t, header), "holds no record"},
+		{"truncated before the terminator", good[:len(good)-1], "truncated"},
+		{"truncated inside the frame", good[:len(good)/2], "truncated"},
+		{"truncated after the header", good[:len(header)+1], "truncated"},
+		{"CRC damaged", crcDamaged, "checksum mismatch"},
+		{"payload damaged", payloadDamaged, "checksum mismatch"},
+		{"trailing frame", framed(t, header, gobOf(t, sampleRecord()), []byte("extra")), "trailing frame"},
+		{"payload is not gob", framed(t, header, []byte("not a gob stream")), "decoding checkpoint"},
+		{"Xseqs != Domains", saved(t, lopsided), "2 xseq counters for 1 domains"},
+		{"frame length past MaxFrame", oversized.Bytes(), "exceeds limit"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rec, err, alloc := loadMeasured(c.file)
+			if err == nil {
+				t.Fatalf("loaded %+v, want an error containing %q", rec, c.want)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("error %q does not contain %q", err, c.want)
+			}
+			if alloc > logio.MaxFrame {
+				t.Fatalf("Load allocated %d bytes on a %d-byte file (limit %d)", alloc, len(c.file), logio.MaxFrame)
+			}
+		})
+	}
+}
+
+// loadMeasured is Load plus the bytes it allocated.
+func loadMeasured(file []byte) (*Record, error, uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rec, err := Load(bytes.NewReader(file))
+	runtime.ReadMemStats(&after)
+	return rec, err, after.TotalAlloc - before.TotalAlloc
+}
+
+// FuzzLoad: Load never panics; what it accepts is self-consistent and
+// survives a second trip through the format; and a small file cannot make it
+// allocate past logio.MaxFrame — a hostile frame length is refused before the
+// buffer is made, gob refuses slice and string counts the remaining input
+// cannot back, and DEFLATE expands at most 1032x, so for the up-to-4-KiB
+// inputs checked here (every seed is smaller) the frame, its decompression
+// and the decoded record stay under the limit together. Each input is tried
+// twice: as a file, and as the record payload of an otherwise well-formed
+// file — a mutated file almost never gets past its frame's CRC, so the second
+// form is the one that reaches the gob decoder with hostile bytes.
+func FuzzLoad(f *testing.F) {
+	good := saved(f, sampleRecord())
+	f.Add(good)
+	f.Add(saved(f, &Record{}))
+	f.Add(append([]byte(headerV1+"\n"), good[len(header)+1:]...))
+	f.Add(framed(f, header))
+	f.Add(framed(f, header, gobOf(f, sampleRecord()), []byte("extra")))
+	f.Add(append([]byte(header+"\n"), binary.AppendUvarint(nil, logio.MaxFrame+1)...))
+	f.Add(good[:len(good)/2])
+	f.Add(gobOf(f, sampleRecord()))
+	f.Add([]byte("not a gob stream"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		files := [][]byte{data}
+		if len(data) > 0 {
+			files = append(files, framed(t, header, data))
+		}
+		for _, file := range files {
+			rec, err, alloc := loadMeasured(file)
+			if len(file) <= 4096 && alloc > logio.MaxFrame {
+				t.Fatalf("Load allocated %d bytes on a %d-byte input (limit %d)", alloc, len(file), logio.MaxFrame)
+			}
+			if err != nil {
+				continue
+			}
+			if len(rec.Xseqs) != len(rec.Domains) {
+				t.Fatalf("loaded %d xseq counters for %d domains", len(rec.Xseqs), len(rec.Domains))
+			}
+			again, err := Load(bytes.NewReader(saved(t, rec)))
+			if err != nil {
+				t.Fatalf("re-saved record does not load: %v", err)
+			}
+			if !reflect.DeepEqual(again, rec) {
+				t.Fatalf("record changed on a second round trip:\n first  %#v\n second %#v", rec, again)
+			}
+		}
+	})
+}

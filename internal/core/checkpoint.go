@@ -46,7 +46,6 @@ type WaitEntry struct {
 // plain data; internal/ckpt serializes it.
 type SchedState struct {
 	DomainID int
-	Turn     int64
 	WaitSeq  uint64
 	NextTID  int
 	NextObj  uint64
@@ -57,14 +56,10 @@ type SchedState struct {
 
 	TraceLen  int64
 	TraceHash uint64
-	LeaseHash uint64
 
-	// Stats counters (the policy metrics are not checkpointed).
-	Ops, Waits, Signals, Broadcasts     int64
-	WokenBySignal, WokenByTimeout       int64
-	Handoffs, LeaseGrants, LeaseRevokes int64
-	LeaseExtends                        int64
-	MaxLiveThreads, MaxTimedWaiters     int
+	// Stats is every scheduler counter, logical time (Turns) and the lease
+	// decision hash included; PolicyMetrics is nil (not checkpointed).
+	Stats
 
 	RunQ    []int         // runnable TIDs in run-queue order (includes the caller)
 	Threads []ThreadState // live threads in TID order
@@ -110,30 +105,17 @@ func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 		s.revokeLeaseLocked()
 	}
 	st := &SchedState{
-		DomainID:        s.cfg.DomainID,
-		Turn:            s.turn.Load(),
-		WaitSeq:         s.waitSeq,
-		NextTID:         s.nextTID,
-		NextObj:         s.nextObj,
-		Live:            s.live,
-		VLastOp:         s.vLastOp,
-		VMakespan:       s.vMakespan,
-		TraceLen:        s.traceLen,
-		TraceHash:       s.traceHash,
-		LeaseHash:       s.leaseHash,
-		Ops:             s.ops.Load(),
-		Waits:           s.stats.Waits,
-		Signals:         s.signals.Load(),
-		Broadcasts:      s.broadcasts.Load(),
-		WokenBySignal:   s.stats.WokenBySignal,
-		WokenByTimeout:  s.stats.WokenByTimeout,
-		Handoffs:        s.stats.Handoffs,
-		LeaseGrants:     s.stats.LeaseGrants,
-		LeaseRevokes:    s.stats.LeaseRevokes,
-		LeaseExtends:    s.leaseExtends.Load(),
-		MaxLiveThreads:  s.stats.MaxLiveThreads,
-		MaxTimedWaiters: s.stats.MaxTimedWaiters,
-		RunQ:            []int{t.id},
+		DomainID:  s.cfg.DomainID,
+		WaitSeq:   s.waitSeq,
+		NextTID:   s.nextTID,
+		NextObj:   s.nextObj,
+		Live:      s.live,
+		VLastOp:   s.vLastOp,
+		VMakespan: s.vMakespan,
+		TraceLen:  s.traceLen,
+		TraceHash: s.traceHash,
+		Stats:     s.statsLocked(),
+		RunQ:      []int{t.id},
 	}
 	for _, th := range s.threads {
 		if th == nil {
@@ -274,25 +256,12 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 	}
 
 	// Counters, hashes, virtual time — and unmute recording.
-	s.turn.Store(st.Turn)
+	s.setStatsLocked(st.Stats)
 	s.waitSeq = st.WaitSeq
 	s.vLastOp = st.VLastOp
 	s.vMakespan = st.VMakespan
 	s.traceLen = st.TraceLen
 	s.traceHash = st.TraceHash
-	s.leaseHash = st.LeaseHash
-	s.ops.Store(st.Ops)
-	s.signals.Store(st.Signals)
-	s.broadcasts.Store(st.Broadcasts)
-	s.leaseExtends.Store(st.LeaseExtends)
-	s.stats.Waits = st.Waits
-	s.stats.WokenBySignal = st.WokenBySignal
-	s.stats.WokenByTimeout = st.WokenByTimeout
-	s.stats.Handoffs = st.Handoffs
-	s.stats.LeaseGrants = st.LeaseGrants
-	s.stats.LeaseRevokes = st.LeaseRevokes
-	s.stats.MaxLiveThreads = st.MaxLiveThreads
-	s.stats.MaxTimedWaiters = st.MaxTimedWaiters
 	s.trace = traceLog{}
 	s.suspended = false
 	return nil

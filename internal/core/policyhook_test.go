@@ -19,7 +19,7 @@ type checkedBase struct {
 
 func (p *checkedBase) Name() string { return "checked:" + p.inner.Name() }
 
-func (p *checkedBase) Attach(slot int, c *policy.Counters) { p.inner.Attach(slot, c) }
+func (p *checkedBase) Attach(slot int, m *policy.Metrics) { p.inner.Attach(slot, m) }
 
 func (p *checkedBase) PickNext(v policy.View) policy.Thread {
 	t := p.inner.PickNext(v)

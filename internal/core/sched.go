@@ -69,10 +69,9 @@ type Scheduler struct {
 	// granted and revoked only under mu; leased is atomic so the holder's
 	// mutex-free fast path and concurrent Register calls stay race-free.
 	// leaseExtends counts fast-path releases (atomic for the same reason);
-	// leaseHash folds every grant/revoke decision under mu (see Stats).
+	// every grant/revoke decision is folded into stats.LeaseHash under mu.
 	leased       atomic.Bool
 	leaseExtends atomic.Int64
-	leaseHash    uint64
 
 	// leaseVeto, when non-nil, is consulted before every lease grant and
 	// extension; returning true forces the slow release path for that one
@@ -122,10 +121,12 @@ type Scheduler struct {
 	chooseIDs   []int
 	chooseCands []*Thread
 
-	stats Stats
-	// ops, signals, and broadcasts are atomic (not Stats fields under mu) so
-	// the mutex-free fast paths — TraceOp with record/replay off, Signal and
-	// Broadcast on objects without waiters — can count without taking mu.
+	// stats holds the counters written under mu. ops, signals, and
+	// broadcasts (like turn and leaseExtends above) are atomic instead so the
+	// mutex-free fast paths — TraceOp with record/replay off, Signal and
+	// Broadcast on objects without waiters — can count without taking mu;
+	// statsLocked merges the two.
+	stats      Stats
 	ops        atomic.Int64
 	signals    atomic.Int64
 	broadcasts atomic.Int64
@@ -641,7 +642,7 @@ func (s *Scheduler) leaseableLocked(t *Thread) bool {
 func (s *Scheduler) grantLeaseLocked(t *Thread) {
 	s.leased.Store(true)
 	s.stats.LeaseGrants++
-	s.leaseHash = leaseHashFold(s.leaseHash, s.turn.Load(), int64(t.id))
+	s.stats.LeaseHash = leaseHashFold(s.stats.LeaseHash, s.turn.Load(), int64(t.id))
 }
 
 // revokeLeaseLocked records a lease-revoke decision and deactivates the fast
@@ -650,7 +651,7 @@ func (s *Scheduler) grantLeaseLocked(t *Thread) {
 func (s *Scheduler) revokeLeaseLocked() {
 	s.leased.Store(false)
 	s.stats.LeaseRevokes++
-	s.leaseHash = leaseHashFold(s.leaseHash, s.turn.Load(), -1)
+	s.stats.LeaseHash = leaseHashFold(s.stats.LeaseHash, s.turn.Load(), -1)
 }
 
 // leaseHashFold mixes one lease decision — the turn it was taken at and the

@@ -7,7 +7,10 @@ import (
 )
 
 // Stats aggregates scheduling activity for analysis and tooling. All
-// counters are monotone over one execution.
+// counters are monotone over one execution. This is the only declaration of
+// the scheduler's counters: SchedState (checkpoints) and
+// qithread.SchedulerStat (live snapshots) embed it, and DESIGN.md §4.12
+// lists who increments each field under which lock.
 type Stats struct {
 	// Ops is the number of completed synchronization operations (TraceOp
 	// calls), whether or not recording was enabled.
@@ -73,13 +76,35 @@ func (st Stats) String() string {
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats
-	st.Ops = s.ops.Load()
-	st.Signals = s.signals.Load()
-	st.Broadcasts = s.broadcasts.Load()
-	st.Turns = s.turn.Load()
-	st.LeaseExtends = s.leaseExtends.Load()
-	st.LeaseHash = s.leaseHash
+	st := s.statsLocked()
 	st.PolicyMetrics = s.stack.Metrics()
 	return st
+}
+
+// statsLocked assembles the counters from where they are counted: s.stats
+// for everything written under mu, the five atomics for the counters the
+// mutex-free paths advance. PolicyMetrics is left nil (the stack owns it).
+// Stats and CaptureState both read through here, so a counter added to Stats
+// is snapshotted and checkpointed without being named again.
+func (s *Scheduler) statsLocked() Stats {
+	st := s.stats
+	st.Ops = s.ops.Load()
+	st.Turns = s.turn.Load()
+	st.Signals = s.signals.Load()
+	st.Broadcasts = s.broadcasts.Load()
+	st.LeaseExtends = s.leaseExtends.Load()
+	return st
+}
+
+// setStatsLocked is the inverse of statsLocked (RestoreState). The policy
+// metrics are not part of it: they are diagnostics of the stack, not
+// scheduler state, and a restored run counts its own.
+func (s *Scheduler) setStatsLocked(st Stats) {
+	s.ops.Store(st.Ops)
+	s.turn.Store(st.Turns)
+	s.signals.Store(st.Signals)
+	s.broadcasts.Store(st.Broadcasts)
+	s.leaseExtends.Store(st.LeaseExtends)
+	st.PolicyMetrics = nil
+	s.stats = st
 }

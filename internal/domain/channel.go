@@ -172,7 +172,7 @@ func (c *Channel) requireEndpoint(ct *core.Thread, d *Domain, op string) {
 }
 
 func opSide(op string) string {
-	if op == "Recv" || op == "RecvBatch" {
+	if op == "RecvBatch" {
 		return "receiver"
 	}
 	return "sender"
@@ -249,25 +249,12 @@ func (c *Channel) wakeSendLocked() {
 }
 
 // Send enqueues v, blocking in real time (while holding the sender domain's
-// turn) while the channel is full. It reports false if the channel was
-// closed, in which case the message is dropped. The caller must be a
-// sender-domain thread holding that domain's turn.
+// turn) while the channel is full: SendBatch of one message. It reports false
+// if the channel was closed, in which case the message is dropped. The caller
+// must be a sender-domain thread holding that domain's turn.
 func (c *Channel) Send(ct *core.Thread, v any) bool {
-	c.requireEndpoint(ct, c.from, "Send")
-	c.mu.Lock()
-	for c.n == c.capacity && !c.closed {
-		c.sendW = true
-		c.canSend.Wait()
-	}
-	if c.closed {
-		c.mu.Unlock()
-		return false
-	}
-	c.from.xseq++
-	c.enqueueLocked(v, ct.VTime(), c.from.sched.TurnCount(), c.from.xseq)
-	c.wakeRecvLocked()
-	c.mu.Unlock()
-	return true
+	vs := [1]any{v}
+	return c.SendBatch(ct, vs[:]) == 1
 }
 
 // SendBatch enqueues min(len(vs), capacity) messages in one boundary slot:
@@ -325,28 +312,13 @@ func (c *Channel) SendBatch(ct *core.Thread, vs []any) int {
 }
 
 // Recv dequeues the next message, blocking in real time (while holding the
-// receiver domain's turn) while the channel is empty and open. It reports
-// false once the channel is closed and drained. The receiver's virtual clock
-// is raised to the sender's send-time clock, recording the cross-domain
-// happens-before edge in the virtual-time model. The caller must be a
-// receiver-domain thread holding that domain's turn.
+// receiver domain's turn) while the channel is empty and open: RecvBatch of
+// one message. It reports false once the channel is closed and drained. The
+// caller must be a receiver-domain thread holding that domain's turn.
 func (c *Channel) Recv(ct *core.Thread) (any, bool) {
-	c.requireEndpoint(ct, c.to, "Recv")
-	c.mu.Lock()
-	for c.n == 0 && !c.closed {
-		c.recvW = true
-		c.canRecv.Wait()
-	}
-	if c.n == 0 {
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.to.xseq++
-	m := c.dequeueLocked(c.to.sched.TurnCount(), c.to.xseq)
-	c.wakeSendLocked()
-	c.mu.Unlock()
-	ct.MeetVTime(m.vtime)
-	return m.v, true
+	var dst [1]any
+	_, ok := c.RecvBatch(ct, dst[:])
+	return dst[0], ok
 }
 
 // RecvBatch dequeues up to min(len(dst), capacity) messages in one boundary

@@ -26,10 +26,7 @@ type AblationRow struct {
 }
 
 // Ablation measures each program under vanilla round robin, the all-policies
-// default, each policy alone, and each leave-one-out configuration. The
-// single-policy and leave-one-out configurations are composed as explicit
-// policy stacks (StackMode), exercising the policy engine exactly the way a
-// hand-composed configuration would.
+// default, each policy alone, and each leave-one-out configuration.
 func (r *Runner) Ablation(specs []programs.Spec) []AblationRow {
 	rows := make([]AblationRow, 0, len(specs))
 	for _, spec := range specs {
@@ -43,8 +40,8 @@ func (r *Runner) Ablation(specs []programs.Spec) []AblationRow {
 		}
 		for _, name := range policy.Names() {
 			p, _ := policy.SetForName(name)
-			only := StackMode("only:"+name, policy.FromSet(policy.RoundRobin(), p))
-			without := StackMode("minus:"+name, policy.FromSet(policy.RoundRobin(), policy.AllPolicies&^p))
+			only := QiThreadWith(p)
+			without := QiThreadWith(policy.AllPolicies &^ p)
 			row.Only[name] = stats.Normalized(r.Measure(spec, only), base)
 			row.Without[name] = stats.Normalized(r.Measure(spec, without), base)
 			r.logf("ablation %-24s %-14s only %.2f without %.2f\n", spec.Name, name, row.Only[name], row.Without[name])

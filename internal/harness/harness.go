@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"qithread"
-	"qithread/internal/policy"
 	"qithread/internal/programs"
 	"qithread/internal/stats"
 	"qithread/internal/workload"
@@ -49,14 +48,6 @@ func QiThreadWith(p qithread.Policy) Mode {
 }
 func Kendo() Mode {
 	return Mode{"logical-clock", qithread.Config{Mode: qithread.LogicalClock}}
-}
-
-// StackMode wraps an explicitly composed policy stack as an evaluation mode,
-// for configurations the bitmask cannot express (custom layer subsets or
-// orders). The stack is reused across the mode's repeated runs; its decision
-// counters therefore accumulate over all repeats.
-func StackMode(name string, stk *policy.Stack) Mode {
-	return Mode{name, qithread.Config{Mode: qithread.RoundRobin, Stack: stk}}
 }
 
 // Runner measures programs.

@@ -4,9 +4,10 @@ import "fmt"
 
 // GatewayState is the checkpointable deterministic state of a Gateway: the
 // admission counters, the admitted-but-undelivered queue, the running
-// admit/shed hash commitments and the deterministic statistics. The
-// collector-side staging counters (PushBlocks, MaxStage) are real-time
-// diagnostics, not schedule inputs, and are deliberately not captured.
+// admit/shed hash commitments and the counters (the embedded Stats). The
+// collector-side staging counters (Stats.PushBlocks, Stats.MaxStage) are
+// real-time diagnostics, not schedule inputs: the collector counts them, the
+// gateway's own block never holds them, so a checkpoint carries them as zero.
 //
 // A capture is legal between admission slots (the capturing thread holds its
 // domain's turn, so no Admit is concurrent); a restore targets a freshly
@@ -22,11 +23,7 @@ type GatewayState struct {
 	AdmitHash uint64
 	ShedHash  uint64
 
-	Epochs    int64
-	Collected int64
-	Admitted  int64
-	Shed      int64
-	MaxQueue  int
+	Stats
 }
 
 // CaptureState snapshots the gateway's deterministic state. The caller must
@@ -40,11 +37,7 @@ func (g *Gateway) CaptureState() *GatewayState {
 		Seq:       g.seq,
 		AdmitHash: g.admitHash,
 		ShedHash:  g.shedHash,
-		Epochs:    g.stats.Epochs,
-		Collected: g.stats.Collected,
-		Admitted:  g.stats.Admitted,
-		Shed:      g.stats.Shed,
-		MaxQueue:  g.stats.MaxQueue,
+		Stats:     g.stats,
 	}
 	st.Queue = make([]Event, g.queued())
 	copy(st.Queue, g.queue[g.head:])
@@ -70,11 +63,7 @@ func (g *Gateway) RestoreState(st *GatewayState) error {
 	g.head = 0
 	g.admitHash = st.AdmitHash
 	g.shedHash = st.ShedHash
-	g.stats.Epochs = st.Epochs
-	g.stats.Collected = st.Collected
-	g.stats.Admitted = st.Admitted
-	g.stats.Shed = st.Shed
-	g.stats.MaxQueue = st.MaxQueue
+	g.stats = st.Stats
 	if g.rep != nil {
 		g.rep.SkipTo(st.Epoch)
 	}

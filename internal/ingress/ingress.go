@@ -67,6 +67,8 @@ func (e Event) String() string {
 
 // Stats aggregates one gateway's admission activity. All counters are
 // monotone over a run; Collected == Admitted + Shed once the run finishes.
+// This is the only declaration of the gateway's counters: GatewayState
+// (checkpoints) and qithread.GatewayStat (live snapshots) embed it.
 type Stats struct {
 	// Epochs is the number of admission slots taken (Admit calls).
 	Epochs int64

@@ -25,7 +25,7 @@ func (p *roundRobin) PickNext(v View) Thread {
 		t = v.FrontWake()
 	}
 	if t != nil {
-		p.Counters().Picks.Add(1)
+		p.m.Picks++
 	}
 	return t
 }
@@ -67,7 +67,7 @@ func (p *minClock) PickNext(v View) Thread {
 		}
 	}
 	if best != nil {
-		p.Counters().Picks.Add(1)
+		p.m.Picks++
 	}
 	return best
 }

@@ -2,53 +2,6 @@ package policy
 
 import "testing"
 
-// TestIndexFastPathParity pins Stack.indexOne's concrete-type cases to the
-// hook sets the generic interface walk computes. If a canonical policy gains
-// (or loses) a hook implementation without its indexOne case being updated,
-// the fast path would silently file it into the wrong dispatch tables; this
-// test fails instead.
-func TestIndexFastPathParity(t *testing.T) {
-	cases := []struct {
-		name string
-		mk   func() Policy
-	}{
-		{"round-robin", RoundRobin},
-		{"logical-clock", LogicalClock},
-		{"virtual-clock", VirtualClock},
-		{"BoostBlocked", NewBoostBlocked},
-		{"CreateAll", NewCreateAll},
-		{"CSWhole", NewCSWhole},
-		{"WakeAMAP", NewWakeAMAP},
-		{"BranchedWake", NewBranchedWake},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			fast := &Stack{}
-			fast.indexOne(c.mk())
-			slow := &Stack{}
-			slow.indexGeneric(c.mk())
-			check := func(hook string, nf, ns int) {
-				if nf != ns {
-					t.Errorf("%s: fast path files %d %s entries, generic walk %d",
-						c.name, nf, hook, ns)
-				}
-			}
-			check("Picker", len(fast.pickers), len(slow.pickers))
-			check("Waker", len(fast.wakers), len(slow.wakers))
-			check("Blocker", len(fast.blockers), len(slow.blockers))
-			check("Registrar", len(fast.registrars), len(slow.registrars))
-			check("Exiter", len(fast.exiters), len(slow.exiters))
-			check("Leaser", len(fast.leasers), len(slow.leasers))
-			check("Acquirer", len(fast.acquirers), len(slow.acquirers))
-			check("Signaler", len(fast.signalers), len(slow.signalers))
-			check("Broadcaster", len(fast.broadcasters), len(slow.broadcasters))
-			check("Armer", len(fast.armers), len(slow.armers))
-			check("Creator", len(fast.creators), len(slow.creators))
-			check("Aligner", len(fast.aligners), len(slow.aligners))
-		})
-	}
-}
-
 // TestCanonicalStackMatchesFromSet verifies the bundled canonical
 // constructor produces the same stack shape as the generic FromSet path.
 func TestCanonicalStackMatchesFromSet(t *testing.T) {
@@ -57,9 +10,6 @@ func TestCanonicalStackMatchesFromSet(t *testing.T) {
 		b := FromSet(RoundRobin(), set)
 		if a.String() != b.String() {
 			t.Fatalf("set %b: CanonicalStack %q != FromSet %q", set, a, b)
-		}
-		if a.Set() != set&AllPolicies {
-			t.Fatalf("set %b: round-trips to %b", set, a.Set())
 		}
 	}
 }

@@ -1,0 +1,45 @@
+package policy
+
+import "fmt"
+
+// Metrics counts the scheduling decisions one policy made — the only place
+// these counters are declared. It is both the live block a policy increments
+// (handed over by Attach) and, copied, the snapshot Stack.Metrics,
+// core.Stats.PolicyMetrics and the tools report: after a run, each speedup
+// (or slowdown) can be attributed to the policy whose decisions produced it.
+//
+// The fields are deliberately not atomic: each is incremented from exactly
+// one serialized context — Picks and WakeBoosts under the scheduler mutex,
+// the others under the turn — and turn handoffs synchronize through the
+// scheduler mutex, so plain increments are race-free and keep the hot
+// dispatch path at seed cost (an atomic add per lock acquisition measurably
+// regressed BenchmarkPolicyDispatch). Snapshots must be taken while the
+// scheduler is quiescent: between runs or after every thread joined.
+type Metrics struct {
+	// Policy is the name of the policy the block belongs to.
+	Policy string
+	// Picks counts PickNext decisions this policy won (turn grants it
+	// decided).
+	Picks int64
+	// WakeBoosts counts wake-ups this policy routed to the wake-up queue.
+	WakeBoosts int64
+	// LeaseExtends counts release points where this policy's lease kept the
+	// turn with the current thread (lease extensions).
+	LeaseExtends int64
+	// Arms counts keep_turn arming requests this policy honored.
+	Arms int64
+	// DummySyncs counts dummy synchronization alignments executed under
+	// this policy.
+	DummySyncs int64
+}
+
+// Total is the number of decisions of any kind.
+func (m Metrics) Total() int64 {
+	return m.Picks + m.WakeBoosts + m.LeaseExtends + m.Arms + m.DummySyncs
+}
+
+// String summarizes the metrics on one line.
+func (m Metrics) String() string {
+	return fmt.Sprintf("%-13s picks=%d wake-boosts=%d lease-extends=%d keep-turn-arms=%d dummy-syncs=%d",
+		m.Policy, m.Picks, m.WakeBoosts, m.LeaseExtends, m.Arms, m.DummySyncs)
+}

@@ -37,13 +37,13 @@
 // A policy implements only the hooks it needs; the stack precomputes, per
 // hook, the ordered list of policies that implement it, so dispatch is a
 // loop over a short (usually zero- or one-element) slice. Each policy also
-// owns a Counters block — the per-policy decision metrics reported by
+// owns a Metrics block — the per-policy decision counters reported by
 // qistat/qibench — and one word of per-thread state addressed by the slot
 // index the stack assigns at construction time.
 //
-// The legacy bitmask configuration (core.Policy / qithread.Policies) remains
-// as a thin compatibility shim: a bitmask compiles down to a canonical stack
-// via FromSet, producing byte-identical schedules to the original
+// The bitmask (Set; core.Policy / qithread.Config.Policies alias it) is how a
+// Runtime is configured: it compiles down to a canonical stack via
+// CanonicalStack, producing byte-identical schedules to the original
 // interleaved implementation (enforced by the trace-compatibility suite in
 // internal/harness).
 package policy
@@ -134,31 +134,29 @@ func (pt *PerThread) leaseHint() *uint64 { return &pt.words[0] }
 // Policy is one composable scheduling policy. Implementations embed Base and
 // additionally implement the hook interfaces they need (Picker, Waker,
 // Leaser, ...). All hooks run either under the scheduler mutex or under
-// the turn, so implementations need no locking of their own; each Counters
-// field must only be incremented from one of the two contexts (see Count).
+// the turn, so implementations need no locking of their own; each Metrics
+// field must only be incremented from one of the two contexts (see Metrics).
 type Policy interface {
 	// Name is the stable identifier used in stack descriptors and metrics.
 	Name() string
 	// Attach is called exactly once when the policy is placed in a stack,
-	// handing it its per-thread state slot and its counter block.
-	Attach(slot int, c *Counters)
+	// handing it its per-thread state slot and the decision counters it
+	// increments (the stack's own block: Stack.Metrics copies it).
+	Attach(slot int, m *Metrics)
 }
 
 // Base is the embeddable core of a Policy implementation: it stores the slot
 // index and counter block assigned by Stack construction.
 type Base struct {
 	slot int
-	c    *Counters
+	m    *Metrics
 }
 
 // Attach implements Policy.
-func (b *Base) Attach(slot int, c *Counters) { b.slot, b.c = slot, c }
+func (b *Base) Attach(slot int, m *Metrics) { b.slot, b.m = slot, m }
 
 // Slot returns the per-thread state slot assigned to this policy.
 func (b *Base) Slot() int { return b.slot }
-
-// Counters returns the policy's decision counters.
-func (b *Base) Counters() *Counters { return b.c }
 
 // word returns this policy's state word on t.
 func (b *Base) word(t Thread) *uint64 { return t.PolicyState().Word(b.slot) }

@@ -16,14 +16,14 @@ func (*boostBlocked) Name() string { return "BoostBlocked" }
 
 func (p *boostBlocked) PickNext(v View) Thread {
 	if t := v.FrontWake(); t != nil {
-		p.Counters().Picks.Add(1)
+		p.m.Picks++
 		return t
 	}
 	return nil
 }
 
 func (p *boostBlocked) OnWake(t Thread, timedOut bool) (Queue, bool) {
-	p.Counters().WakeBoosts.Add(1)
+	p.m.WakeBoosts++
 	return QueueWake, true
 }
 
@@ -41,7 +41,7 @@ func (*createAll) Name() string { return "CreateAll" }
 func (p *createAll) OnArm(t Thread) {
 	*p.word(t) = 1
 	p.HintLease(t, true)
-	p.Counters().Arms.Add(1)
+	p.m.Arms++
 }
 
 func (p *createAll) ExtendLease(t Thread) bool {
@@ -51,7 +51,7 @@ func (p *createAll) ExtendLease(t Thread) bool {
 	}
 	*w = 0 // one-shot: the lease covers exactly the next release point
 	p.HintLease(t, false)
-	p.Counters().LeaseExtends.Add(1)
+	p.m.LeaseExtends++
 	return true
 }
 
@@ -74,7 +74,7 @@ func (p *csWhole) OnAcquire(t Thread) bool {
 	if *w == 1 {
 		p.hintLeaseIn(ps, true)
 	}
-	p.Counters().LeaseExtends.Add(1)
+	p.m.LeaseExtends++
 	return true
 }
 
@@ -92,7 +92,7 @@ func (p *csWhole) ExtendLease(t Thread) bool {
 	if *p.word(t) == 0 {
 		return false
 	}
-	p.Counters().LeaseExtends.Add(1)
+	p.m.LeaseExtends++
 	return true
 }
 
@@ -133,7 +133,7 @@ func (p *wakeAMAP) ExtendLease(t Thread) bool {
 	if *p.word(t) == 0 {
 		return false
 	}
-	p.Counters().LeaseExtends.Add(1)
+	p.m.LeaseExtends++
 	return true
 }
 
@@ -148,7 +148,7 @@ func NewBranchedWake() Policy { return &branchedWake{} }
 
 func (*branchedWake) Name() string { return "BranchedWake" }
 
-func (p *branchedWake) OnDummySync(t Thread) { p.Counters().DummySyncs.Add(1) }
+func (p *branchedWake) OnDummySync(t Thread) { p.m.DummySyncs++ }
 
 // newSemantic returns a fresh policy object for a canonical single-policy
 // set.

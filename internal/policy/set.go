@@ -6,9 +6,9 @@ import (
 )
 
 // Set is a bitmask of the five semantics-aware scheduling policies of the
-// paper (Section 3). It is the legacy configuration surface: a Set compiles
-// down to a canonical Stack via FromSet, and core.Policy / qithread.Policy
-// alias it so existing configurations keep working unchanged.
+// paper (Section 3). It is the configuration surface: a Set compiles down to
+// a canonical Stack via CanonicalStack, and core.Policy / qithread.Policy
+// alias it.
 type Set uint8
 
 const (

@@ -34,9 +34,9 @@ type Stack struct {
 	creators     []Creator
 	aligners     []Aligner
 
-	all      []Policy
-	counters []*Counters
-	slots    int
+	all     []Policy
+	metrics []Metrics // the live counter block of all[i], Policy name filled in
+	slots   int
 
 	// buf is the inline backing for every slice above. Stacks of up to
 	// stackInlinePolicies policies — every canonical stack — construct with a
@@ -51,9 +51,8 @@ type Stack struct {
 const stackInlinePolicies = 8
 
 type stackBuf struct {
-	all      [stackInlinePolicies]Policy
-	counters [stackInlinePolicies]Counters
-	cptrs    [stackInlinePolicies]*Counters
+	all     [stackInlinePolicies]Policy
+	metrics [stackInlinePolicies]Metrics
 
 	pickers      [stackInlinePolicies]Picker
 	wakers       [stackInlinePolicies]Waker
@@ -80,27 +79,23 @@ func New(base Policy, layers ...Policy) *Stack {
 	}
 	s := &Stack{base: base}
 	n := len(layers) + 1
+	// One backing array for every policy's counter block, inline when it
+	// fits: construction-heavy benchmarks see every per-element heap
+	// allocation here.
 	if n <= stackInlinePolicies {
 		s.all = s.buf.all[:n]
-		s.counters = s.buf.cptrs[:n]
+		s.metrics = s.buf.metrics[:n]
 	} else {
 		s.all = make([]Policy, n)
-		s.counters = make([]*Counters, n)
+		s.metrics = make([]Metrics, n)
 	}
 	copy(s.all, layers)
 	s.all[n-1] = base
 	s.layers = s.all[:n-1]
 	s.slots = n
-	// One backing array for every policy's counter block, inline when it
-	// fits: construction-heavy benchmarks see every per-element heap
-	// allocation here.
-	backing := s.buf.counters[:]
-	if n > stackInlinePolicies {
-		backing = make([]Counters, n)
-	}
 	for i, p := range s.all {
-		s.counters[i] = &backing[i]
-		p.Attach(i, &backing[i])
+		s.metrics[i].Policy = p.Name()
+		p.Attach(i, &s.metrics[i])
 	}
 	// Layers dispatch in stack order; the base picker runs after all layer
 	// pickers so it only decides when no layer does (index iterates s.all,
@@ -109,11 +104,12 @@ func New(base Policy, layers ...Policy) *Stack {
 	return s
 }
 
-// index builds the dispatch table of every hook from s.all in one pass.
-// Inline-backed stacks (every canonical one) append directly into buf —
-// statically large enough — so no table grows; oversized custom stacks
-// append with ordinary slice growth. Tables dispatch in stack order, which
-// the per-policy append preserves within each table.
+// index builds the dispatch table of every hook from s.all in one pass,
+// filing each policy under the hook interfaces it satisfies. Inline-backed
+// stacks (every canonical one) append directly into buf — statically large
+// enough — so no table grows; oversized custom stacks append with ordinary
+// slice growth. Tables dispatch in stack order, which the per-policy append
+// preserves within each table.
 func (s *Stack) index() {
 	if len(s.all) <= stackInlinePolicies {
 		s.pickers = s.buf.pickers[:0]
@@ -130,95 +126,50 @@ func (s *Stack) index() {
 		s.aligners = s.buf.aligners[:0]
 	}
 	for _, p := range s.all {
-		s.indexOne(p)
+		if h, ok := p.(Picker); ok {
+			s.pickers = append(s.pickers, h)
+		}
+		if h, ok := p.(Waker); ok {
+			s.wakers = append(s.wakers, h)
+		}
+		if h, ok := p.(Blocker); ok {
+			s.blockers = append(s.blockers, h)
+		}
+		if h, ok := p.(Registrar); ok {
+			s.registrars = append(s.registrars, h)
+		}
+		if h, ok := p.(Exiter); ok {
+			s.exiters = append(s.exiters, h)
+		}
+		if h, ok := p.(Leaser); ok {
+			s.leasers = append(s.leasers, h)
+		}
+		if h, ok := p.(Acquirer); ok {
+			s.acquirers = append(s.acquirers, h)
+		}
+		if h, ok := p.(Signaler); ok {
+			s.signalers = append(s.signalers, h)
+		}
+		if h, ok := p.(Broadcaster); ok {
+			s.broadcasters = append(s.broadcasters, h)
+		}
+		if h, ok := p.(Armer); ok {
+			s.armers = append(s.armers, h)
+		}
+		if h, ok := p.(Creator); ok {
+			s.creators = append(s.creators, h)
+		}
+		if h, ok := p.(Aligner); ok {
+			s.aligners = append(s.aligners, h)
+		}
 	}
 }
-
-// indexOne files p into the dispatch tables of the hooks it implements. The
-// canonical policy types are switched on concretely — twelve interface
-// satisfaction checks per policy per stack are measurable when partitioned
-// runtimes build one stack per domain — with the generic interface walk as
-// the fallback for custom policies. TestIndexFastPathParity pins each
-// concrete case to the hook set the generic walk computes, so a hook added
-// to a canonical policy cannot silently miss its table.
-func (s *Stack) indexOne(p Policy) {
-	switch q := p.(type) {
-	case *roundRobin:
-		s.pickers = append(s.pickers, q)
-	case *minClock:
-		s.pickers = append(s.pickers, q)
-	case *boostBlocked:
-		s.pickers = append(s.pickers, q)
-		s.wakers = append(s.wakers, q)
-	case *createAll:
-		s.leasers = append(s.leasers, q)
-		s.armers = append(s.armers, q)
-	case *csWhole:
-		s.leasers = append(s.leasers, q)
-		s.acquirers = append(s.acquirers, q)
-	case *wakeAMAP:
-		s.blockers = append(s.blockers, q)
-		s.leasers = append(s.leasers, q)
-		s.signalers = append(s.signalers, q)
-		s.broadcasters = append(s.broadcasters, q)
-	case *branchedWake:
-		s.aligners = append(s.aligners, q)
-	default:
-		s.indexGeneric(p)
-	}
-}
-
-// indexGeneric files p by interface satisfaction — the path for policies
-// outside the canonical set.
-func (s *Stack) indexGeneric(p Policy) {
-	if h, ok := p.(Picker); ok {
-		s.pickers = append(s.pickers, h)
-	}
-	if h, ok := p.(Waker); ok {
-		s.wakers = append(s.wakers, h)
-	}
-	if h, ok := p.(Blocker); ok {
-		s.blockers = append(s.blockers, h)
-	}
-	if h, ok := p.(Registrar); ok {
-		s.registrars = append(s.registrars, h)
-	}
-	if h, ok := p.(Exiter); ok {
-		s.exiters = append(s.exiters, h)
-	}
-	if h, ok := p.(Leaser); ok {
-		s.leasers = append(s.leasers, h)
-	}
-	if h, ok := p.(Acquirer); ok {
-		s.acquirers = append(s.acquirers, h)
-	}
-	if h, ok := p.(Signaler); ok {
-		s.signalers = append(s.signalers, h)
-	}
-	if h, ok := p.(Broadcaster); ok {
-		s.broadcasters = append(s.broadcasters, h)
-	}
-	if h, ok := p.(Armer); ok {
-		s.armers = append(s.armers, h)
-	}
-	if h, ok := p.(Creator); ok {
-		s.creators = append(s.creators, h)
-	}
-	if h, ok := p.(Aligner); ok {
-		s.aligners = append(s.aligners, h)
-	}
-}
-
-// NewState allocates the per-thread state block for threads scheduled under
-// this stack: the lease-hint mask plus one word per policy slot. It always
-// heap-allocates the block, because the returned value is copied; callers
-// that own the PerThread's final resting place use InitState instead.
-func (s *Stack) NewState() PerThread { return PerThread{words: make([]uint64, s.slots+1)} }
 
 // InitState initializes pt in place as the per-thread state block for this
-// stack. Stacks of up to len(pt.inline)-1 policies — every canonical stack —
-// use the block embedded in pt itself, so registering a thread allocates no
-// separate state; larger custom stacks fall back to the heap.
+// stack: the lease-hint mask plus one word per policy slot. Stacks of up to
+// len(pt.inline)-1 policies — every canonical stack — use the block embedded
+// in pt itself, so registering a thread allocates no separate state; larger
+// custom stacks fall back to the heap.
 //
 // pt must not be copied after InitState: the words slice may alias pt.inline.
 // The scheduler initializes the block embedded in core.Thread in place,
@@ -381,32 +332,14 @@ func (s *Stack) Has(name string) bool {
 	return false
 }
 
-// Set returns the bitmask view of the stack's semantics-aware layers (for
-// reporting; custom layers without a legacy bit are not represented).
-func (s *Stack) Set() Set {
-	var out Set
-	for _, p := range s.layers {
-		if b, ok := SetForName(p.Name()); ok {
-			out |= b
-		}
-	}
-	return out
-}
-
 // Metrics snapshots every policy's decision counters in stack order (layers
 // first, base last).
-func (s *Stack) Metrics() []Metrics {
-	out := make([]Metrics, len(s.all))
-	for i, p := range s.all {
-		out[i] = s.counters[i].snapshot(p.Name())
-	}
-	return out
-}
+func (s *Stack) Metrics() []Metrics { return append([]Metrics(nil), s.metrics...) }
 
 // ResetMetrics zeroes every policy's decision counters.
 func (s *Stack) ResetMetrics() {
-	for _, c := range s.counters {
-		c.reset()
+	for i := range s.metrics {
+		s.metrics[i] = Metrics{Policy: s.metrics[i].Policy}
 	}
 }
 
@@ -474,12 +407,4 @@ func (b *semBundle) layers(set Set) []Policy {
 		out = append(out, &b.bw)
 	}
 	return out
-}
-
-// StackFromAdvice builds a ready-to-run stack from an advisor
-// recommendation: round-robin base plus the recommended policy set in
-// canonical order. It is the diagnose → configure → rerun bridge used by
-// qidoctor.
-func StackFromAdvice(recommended Set) *Stack {
-	return CanonicalStack(recommended)
 }

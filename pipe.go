@@ -256,61 +256,23 @@ func (p *XPipe) From() *Domain { return p.from }
 // To returns the receiver domain.
 func (p *XPipe) To() *Domain { return p.to }
 
-// Send enqueues v, blocking while the pipe is full. It reports false if the
-// pipe was closed (the message is then dropped). The caller must belong to
-// the sender domain.
+// Send enqueues v, blocking while the pipe is full: SendAll of one message.
+// It reports false if the pipe was closed (the message is then dropped). The
+// caller must belong to the sender domain.
 func (p *XPipe) Send(t *Thread, v any) bool {
-	if !p.rt.det() {
-		t.vAdd(t.vCost())
-		p.nmu.Lock()
-		for len(p.nbuf) >= p.capacity && !p.nclosed {
-			p.ncv.Wait()
-		}
-		if p.nclosed {
-			p.nmu.Unlock()
-			return false
-		}
-		p.nbuf = append(p.nbuf, xmsg{v: v, vt: t.VNow()})
-		p.ncv.Broadcast()
-		p.nmu.Unlock()
-		return true
-	}
-	s := p.from.enter(t, "xpipe sender end", p.name)
-	s.GetTurn(t.ct)
-	ok := p.ch.Send(t.ct, v)
-	s.TraceOp(t.ct, core.OpXPipeSend, p.ch.ID(), core.StatusOK)
-	t.release()
-	return ok
+	vs := [1]any{v}
+	return p.SendAll(t, vs[:]) == 1
 }
 
-// Recv dequeues the next message, blocking while the pipe is empty and open.
-// It reports false once the pipe is closed and drained. The receiver's
-// virtual clock is raised to the sender's send-time clock (the cross-domain
-// happens-before edge). The caller must belong to the receiver domain.
+// Recv dequeues the next message, blocking while the pipe is empty and open:
+// RecvUpTo of one message. It reports false once the pipe is closed and
+// drained. The receiver's virtual clock is raised to the sender's send-time
+// clock (the cross-domain happens-before edge). The caller must belong to the
+// receiver domain.
 func (p *XPipe) Recv(t *Thread) (any, bool) {
-	if !p.rt.det() {
-		p.nmu.Lock()
-		for len(p.nbuf) == 0 && !p.nclosed {
-			p.ncv.Wait()
-		}
-		if len(p.nbuf) == 0 {
-			p.nmu.Unlock()
-			return nil, false
-		}
-		m := p.nbuf[0]
-		p.nbuf = p.nbuf[1:]
-		p.ncv.Broadcast()
-		p.nmu.Unlock()
-		t.vMeet(m.vt)
-		t.vAdd(t.vCost())
-		return m.v, true
-	}
-	s := p.to.enter(t, "xpipe receiver end", p.name)
-	s.GetTurn(t.ct)
-	v, ok := p.ch.Recv(t.ct)
-	s.TraceOp(t.ct, core.OpXPipeRecv, p.ch.ID(), core.StatusOK)
-	t.release()
-	return v, ok
+	var dst [1]any
+	_, ok := p.RecvUpTo(t, dst[:])
+	return dst[0], ok
 }
 
 // SendAll sends every message of vs in order, moving up to the pipe's

@@ -337,3 +337,39 @@ func TestPipeBatchEdgeCases(t *testing.T) {
 		})
 	}
 }
+
+// TestXPipeSingleFormsAllocFree: Send and Recv are SendAll / RecvUpTo of one
+// message through a stack [1]any, so a deterministic single-message round
+// trip — sender and receiver domain both counted — allocates nothing, the
+// same as the batch forms it delegates to.
+func TestXPipeSingleFormsAllocFree(t *testing.T) {
+	rt := New(Config{Mode: RoundRobin, Policies: AllPolicies})
+	shard := rt.NewDomain("shard")
+	p := rt.NewXPipe("x", rt.Domain(0), shard, 4)
+	received := 0
+	shard.Start("rx", func(w *Thread) {
+		for {
+			if _, ok := p.Recv(w); !ok {
+				return
+			}
+			received++
+		}
+	})
+	var allocs float64
+	rt.Run(func(main *Thread) {
+		shard.Launch()
+		v := any("payload")
+		allocs = testing.AllocsPerRun(200, func() {
+			if !p.Send(main, v) {
+				t.Error("Send on an open pipe reported false")
+			}
+		})
+		p.Close(main)
+	})
+	if received != 201 { // AllocsPerRun makes one warm-up call
+		t.Fatalf("receiver got %d messages, want 201", received)
+	}
+	if allocs != 0 {
+		t.Fatalf("XPipe Send+Recv allocates %.0f objects per message, want 0", allocs)
+	}
+}

@@ -38,7 +38,6 @@ package qithread
 import (
 	"qithread/internal/core"
 	"qithread/internal/domain"
-	"qithread/internal/policy"
 )
 
 // Policy re-exports the semantics-aware policy bitmask of internal/core so
@@ -103,16 +102,9 @@ type Config struct {
 
 	// Policies enables QiThread's semantics-aware policies (RoundRobin mode
 	// only). NoPolicies yields vanilla Parrot round-robin scheduling. The
-	// bitmask is the compatibility configuration surface: it compiles down
-	// to a canonical policy stack (internal/policy) at Runtime construction.
+	// bitmask is the one way to choose policies: every scheduler domain
+	// compiles it down to its own canonical policy stack (internal/policy).
 	Policies Policy
-
-	// Stack, when non-nil, is an explicitly composed policy stack to
-	// schedule with, overriding Policies. It allows custom policy orders and
-	// subsets beyond the bitmask's canonical stack. Requires a deterministic
-	// Mode; the base policy must match the Mode's clock semantics (use
-	// policy.RoundRobin, policy.LogicalClock or policy.VirtualClock).
-	Stack *policy.Stack
 
 	// SoftBarriers honors Parrot soft-barrier performance hints placed in
 	// workloads (RoundRobin mode only). QiThread runs with this off: its
@@ -124,13 +116,6 @@ type Config struct {
 	// entirely, trading determinism for speed (the "Parrot w/ PCS" bars of
 	// Figure 8).
 	PCS bool
-
-	// Domains is the number of scheduler domains to pre-create (see Domain).
-	// Zero or one means a single-domain runtime, which behaves exactly like
-	// the original global-scheduler design. Additional domains are empty
-	// until populated with Domain.Start + Domain.Launch; more can be added
-	// later with Runtime.NewDomain.
-	Domains int
 
 	// NoTurnLease disables the scheduler's solo-thread turn lease (the
 	// amortized release path of internal/core). The lease is trace-neutral,

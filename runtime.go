@@ -2,7 +2,6 @@ package qithread
 
 import (
 	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -68,17 +67,6 @@ func New(cfg Config) *Runtime {
 			pol = core.NoPolicies
 			cost = vSyncCostNondet
 		}
-		// The policy stack makes every scheduling decision: the bitmask
-		// configuration compiles down to the canonical stack, while a custom
-		// Config.Stack is used as given (its bitmask view is kept for
-		// reporting). A stack instance carries per-scheduler state and
-		// counters, so each domain gets its own: the custom stack schedules
-		// the default domain and additional domains compile the equivalent
-		// canonical stack.
-		stk0 := cfg.Stack
-		if stk0 != nil {
-			pol = stk0.Set()
-		}
 		if cfg.StreamTrace != nil && !cfg.Record {
 			panic("qithread: Config.StreamTrace requires Record")
 		}
@@ -88,10 +76,10 @@ func New(cfg Config) *Runtime {
 		rt.group = domain.NewGroup(domain.Config{
 			RetainDeliveryLog: cfg.RetainDeliveryLog,
 			NewScheduler: func(id int) (*core.Scheduler, *policy.Stack) {
-				stk := stk0
-				if id != 0 || stk == nil {
-					stk = core.DefaultStack(mode, pol)
-				}
+				// The policy stack makes every scheduling decision: the
+				// bitmask compiles down to the canonical stack, one instance
+				// per domain (a stack carries its scheduler's counters).
+				stk := core.DefaultStack(mode, pol)
 				var sink core.TraceSink
 				if cfg.StreamTrace != nil {
 					sink = cfg.StreamTrace(id)
@@ -115,9 +103,6 @@ func New(cfg Config) *Runtime {
 		if cfg.Replay != nil {
 			panic("qithread: Config.Replay requires a deterministic Mode")
 		}
-		if cfg.Stack != nil {
-			panic("qithread: Config.Stack requires a deterministic Mode")
-		}
 		if cfg.StreamTrace != nil {
 			panic("qithread: Config.StreamTrace requires a deterministic Mode")
 		}
@@ -128,9 +113,6 @@ func New(cfg Config) *Runtime {
 			panic("qithread: Config.Chooser requires a deterministic Mode")
 		}
 		rt.addDomain("main")
-	}
-	for i := 1; i < cfg.Domains; i++ {
-		rt.addDomain("domain" + strconv.Itoa(i))
 	}
 	return rt
 }
@@ -172,7 +154,7 @@ func (rt *Runtime) domainChooser(id int) Chooser {
 	return ch
 }
 
-// NewDomain creates an additional scheduler domain (beyond Config.Domains).
+// NewDomain creates an additional scheduler domain (beyond the default one).
 // Domain ids follow creation order, so domains must be created
 // deterministically — in practice by the setup code before Run, or by the
 // main thread. Populate the domain with Domain.Start + Domain.Launch.

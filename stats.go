@@ -1,34 +1,25 @@
 package qithread
 
+import (
+	"qithread/internal/core"
+	"qithread/internal/ingress"
+)
+
 // This file is the runtime's observability surface: plain snapshot structs a
 // long-running server (or a tool like cmd/qistat) can poll without touching
 // traces or logs. Snapshots are cheap — counter reads under the scheduler
 // mutex — and safe at any point of a run; tools normally read them after Run
 // returns, a live detserver can sample them from outside the turn.
 
-// SchedulerStat is one scheduler domain's activity snapshot.
+// SchedulerStat is one scheduler domain's activity snapshot: the domain's
+// identity plus every counter of its scheduler (st.Turns, st.Ops,
+// st.LeaseExtends, st.MaxWaiting, st.PolicyMetrics, ...; the fields are
+// declared and documented once, on internal/core.Stats).
 type SchedulerStat struct {
 	// Domain and Name identify the domain (0 is the default domain).
 	Domain int
 	Name   string
-	// Turns, Ops, Waits, Signals and Broadcasts are the domain scheduler's
-	// activity counters (see internal/core.Stats).
-	Turns      int64
-	Ops        int64
-	Waits      int64
-	Signals    int64
-	Broadcasts int64
-	// LeaseGrants/LeaseExtends/LeaseRevokes are the turn-lease counters.
-	LeaseGrants  int64
-	LeaseExtends int64
-	LeaseRevokes int64
-	// MaxLiveThreads is the high-water mark of live threads in the domain.
-	MaxLiveThreads int
-	// MaxWaiting is the wait-list depth high-water mark: the most threads
-	// simultaneously blocked across all of the domain's wait lists.
-	MaxWaiting int
-	// MaxTimedWaiters is the deadline-heap high-water mark.
-	MaxTimedWaiters int
+	core.Stats
 }
 
 // SchedulerStats snapshots every scheduler domain's counters in domain-id
@@ -40,22 +31,7 @@ func (rt *Runtime) SchedulerStats() []SchedulerStat {
 	doms := rt.allDomains()
 	out := make([]SchedulerStat, 0, len(doms))
 	for _, d := range doms {
-		st := d.sched.Stats()
-		out = append(out, SchedulerStat{
-			Domain:          d.id,
-			Name:            d.name,
-			Turns:           st.Turns,
-			Ops:             st.Ops,
-			Waits:           st.Waits,
-			Signals:         st.Signals,
-			Broadcasts:      st.Broadcasts,
-			LeaseGrants:     st.LeaseGrants,
-			LeaseExtends:    st.LeaseExtends,
-			LeaseRevokes:    st.LeaseRevokes,
-			MaxLiveThreads:  st.MaxLiveThreads,
-			MaxWaiting:      st.MaxWaiting,
-			MaxTimedWaiters: st.MaxTimedWaiters,
-		})
+		out = append(out, SchedulerStat{Domain: d.id, Name: d.name, Stats: d.sched.Stats()})
 	}
 	return out
 }
@@ -68,42 +44,19 @@ type GatewayStat struct {
 	Domain int
 	// Epoch is the number of admission slots taken so far.
 	Epoch int64
-	// Collected, Admitted and Shed are the event counters: snapshotted at
-	// epoch boundaries, delivered into the domain, and rejected by the
-	// bounded admission queue.
-	Collected int64
-	Admitted  int64
-	Shed      int64
-	// PushBlocks counts producer pushes that blocked on staging
-	// backpressure.
-	PushBlocks int64
-	// MaxStage and MaxQueue are the staging and admission-queue high-water
-	// marks.
-	MaxStage int
-	MaxQueue int
+	// Stats is every admission counter (st.Collected, st.Admitted, st.Shed,
+	// st.PushBlocks, st.MaxStage, st.MaxQueue, ...; declared and documented
+	// once, on internal/ingress.Stats).
+	ingress.Stats
 }
 
 // GatewayStats snapshots every ingress gateway's admission counters in
 // creation order. Empty when the program created no gateways.
 func (rt *Runtime) GatewayStats() []GatewayStat {
-	rt.domMu.Lock()
-	gws := make([]*Gateway, len(rt.gateways))
-	copy(gws, rt.gateways)
-	rt.domMu.Unlock()
+	gws := rt.allGateways()
 	out := make([]GatewayStat, 0, len(gws))
 	for _, gw := range gws {
-		st := gw.IngressStats()
-		out = append(out, GatewayStat{
-			Name:       gw.name,
-			Domain:     gw.dom.id,
-			Epoch:      gw.Epoch(),
-			Collected:  st.Collected,
-			Admitted:   st.Admitted,
-			Shed:       st.Shed,
-			PushBlocks: st.PushBlocks,
-			MaxStage:   st.MaxStage,
-			MaxQueue:   st.MaxQueue,
-		})
+		out = append(out, GatewayStat{Name: gw.name, Domain: gw.dom.id, Epoch: gw.Epoch(), Stats: gw.IngressStats()})
 	}
 	return out
 }
