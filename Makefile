@@ -23,12 +23,19 @@ cpu-matrix:
 # loaded binary schedule each allocate about 1x their own size, and replay
 # only reads the schedule it borrows (two runtimes share one under -race).
 # Named here so that a reintroduced regrowing append or defensive copy fails
-# the gate rather than a benchmark run.
+# the gate rather than a benchmark run. The construction budget (DESIGN.md
+# §4.13) is held the same way: at most 1.5 allocations per created-and-joined
+# thread, nothing retained per exited thread but its table slot, inline thread
+# table and chooser scratch, and — at -cpu 1 and 4, two runtimes at once —
+# grant channels recycled across schedulers without a token ever left in one.
 .PHONY: alloc-bounds
 alloc-bounds:
-	$(GO) test -race -count=1 -run 'TestTraceRetentionAllocBound|TestChunkedTraceRetention' ./internal/core
+	$(GO) test -race -count=1 -run 'TestTraceRetentionAllocBound|TestChunkedTraceRetention|TestInlineTables|TestGrantChannelsRecycled' ./internal/core
 	$(GO) test -race -count=1 -run 'TestBinaryLoadAllocBound|TestBinaryLoadErrors' ./internal/trace
-	$(GO) test -race -count=1 -run 'TestReplayBorrowsSchedule' .
+	$(GO) test -race -count=1 -run 'TestReplayBorrowsSchedule|TestThreadAllocBudget|TestThreadChurnRetention' .
+	$(GO) test -race -cpu 1,4 -count=1 -run 'TestGrantRecycling' .
+	$(GO) test -race -count=1 -run 'TestCollectorStageSizedFromLastSnapshot' ./internal/ingress
+	$(GO) test -race -count=1 -run 'TestParseEventMatchesFields' ./internal/workload/controlplane
 
 # What .github/workflows/ci.yml runs: the full gate plus the performance
 # gate, which re-runs the BENCH_sched.json benchmarks at a short benchtime

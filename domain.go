@@ -136,34 +136,17 @@ func (d *Domain) Launch() {
 	threads := make([]*Thread, len(roots))
 	for i, r := range roots {
 		t := rt.newThread(r.name, d)
+		t.fn = r.fn
 		if rt.det() {
-			t.ct = d.sched.Register(r.name)
-			t.joinObj = d.sched.NewObjectKind("thread:", r.name)
+			t.register()
 		}
 		threads[i] = t
 	}
-	for i, r := range roots {
-		t := threads[i]
-		fn := r.fn
+	// A root begins with thread_begin exactly like a Create'd child (both run
+	// Thread.run), so its initialization is deterministically ordered within
+	// its domain.
+	for _, t := range threads {
 		rt.wg.Add(1)
-		if !rt.det() {
-			spawn(func() {
-				defer rt.wg.Done()
-				fn(t)
-				t.exit()
-			})
-			continue
-		}
-		spawn(func() {
-			defer rt.wg.Done()
-			// thread_begin, exactly like a Create'd child: the root's
-			// initialization is deterministically ordered within its domain.
-			s := d.sched
-			s.GetTurn(t.ct)
-			s.TraceOp(t.ct, core.OpThreadBegin, 0, core.StatusOK)
-			t.release()
-			fn(t)
-			t.exit()
-		})
+		spawn(t)
 	}
 }

@@ -5,8 +5,9 @@ package qithread
 // and, worse, a fresh stack growth to the program's working depth — for
 // every thread it creates (newstack/copystack is a measurable slice of the
 // domains benchmark, which constructs runtimes in a loop). Thread bodies all
-// have the same shape (run one function, then return to the scheduler), so
-// exited bodies park here and the next Create/Launch/Run reuses a
+// have the same shape (Thread.run: thread_begin, the program's function,
+// exit), so a worker is handed the Thread itself rather than a closure over
+// it, exited bodies park here, and the next Create/Launch reuses a
 // warm goroutine with an already-grown stack. The pool is deliberately
 // process-global: it amortizes across the sequential single-use runtimes
 // that benchmarks and the experiment harness create.
@@ -17,28 +18,28 @@ package qithread
 // the pool never holds more than poolCap goroutines.
 const poolCap = 64
 
-var idleWorkers = make(chan chan func(), poolCap)
+var idleWorkers = make(chan chan *Thread, poolCap)
 
-// spawn runs fn on a pooled goroutine, or a fresh one when no worker is
-// parked.
-func spawn(fn func()) {
+// spawn runs t's body on a pooled goroutine, or a fresh one when no worker
+// is parked.
+func spawn(t *Thread) {
 	select {
 	case w := <-idleWorkers:
-		w <- fn
+		w <- t
 	default:
-		go poolWorker(fn)
+		go poolWorker(t)
 	}
 }
 
-func poolWorker(fn func()) {
-	self := make(chan func())
+func poolWorker(t *Thread) {
+	self := make(chan *Thread)
 	for {
-		fn()
+		t.run()
 		select {
 		case idleWorkers <- self:
 			// Park until the next spawn: like the scheduler's grant path, an
 			// idle worker must not hold a P the running program needs.
-			fn = <-self
+			t = <-self
 		default:
 			return
 		}

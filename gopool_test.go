@@ -33,6 +33,16 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// spawnBody hands the pool the smallest Thread it accepts: a thread of a
+// Nondet runtime, whose run is just fn and a scheduler-free exit.
+func spawnBody(fn func()) {
+	rt := New(Config{Mode: Nondet})
+	t := rt.newThread("pooltest", rt.Domain(0))
+	t.fn = func(*Thread) { fn() }
+	rt.wg.Add(1)
+	spawn(t)
+}
+
 // holdIdleWorkers occupies every currently parked worker with a blocked body
 // and returns the function that lets them go, so a test starts from an empty
 // idle list whatever ran before it.
@@ -43,7 +53,7 @@ func holdIdleWorkers(t *testing.T) (release func()) {
 	for len(idleWorkers) > 0 {
 		wg.Add(1)
 		started := make(chan struct{})
-		spawn(func() { close(started); <-gate; wg.Done() })
+		spawnBody(func() { close(started); <-gate; wg.Done() })
 		<-started
 	}
 	return func() { close(gate); wg.Wait() }
@@ -55,13 +65,13 @@ func TestPoolReusesParkedWorker(t *testing.T) {
 	defer holdIdleWorkers(t)()
 
 	first := make(chan struct{})
-	spawn(func() { close(first) })
+	spawnBody(func() { close(first) })
 	<-first
 	eventually(t, "the finished worker is parked", func() bool { return len(idleWorkers) == 1 })
 	workers := poolGoroutines()
 
 	started, gate := make(chan struct{}), make(chan struct{})
-	spawn(func() { close(started); <-gate })
+	spawnBody(func() { close(started); <-gate })
 	<-started
 	if n := len(idleWorkers); n != 0 {
 		t.Errorf("%d workers still parked while the second body runs, want 0 (parked worker not taken)", n)
@@ -82,7 +92,7 @@ func TestPoolBoundedAfterBurst(t *testing.T) {
 	running.Add(burst)
 	finished.Add(burst)
 	for i := 0; i < burst; i++ {
-		spawn(func() { running.Done(); <-gate; finished.Done() })
+		spawnBody(func() { running.Done(); <-gate; finished.Done() })
 	}
 	running.Wait()
 	if n := poolGoroutines(); n < burst {

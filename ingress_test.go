@@ -91,6 +91,13 @@ func TestIngressSheddingDeterministic(t *testing.T) {
 			wcfg.Jitter = 20 * time.Microsecond // arrive hot: overflow the queue
 			wcfg.MaxBatch = 2
 			rec := workload.RunIngressServer(wcfg, p, cfg, nil)
+			// Whether the hot arrivals outrun a live server is up to the host
+			// (a 90-event run that starts its workers quickly can keep up);
+			// what is under test is the replay of a recording that did shed,
+			// so record again, a bounded number of times, until one does.
+			for try := 0; rec.Stats.Shed == 0 && try < 20; try++ {
+				rec = workload.RunIngressServer(wcfg, p, cfg, nil)
+			}
 			if rec.Stats.Shed == 0 {
 				t.Skipf("overload did not shed on this host (stats %+v); shedding determinism is covered by internal/ingress on a fixed log", rec.Stats)
 			}

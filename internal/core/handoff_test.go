@@ -105,9 +105,11 @@ func handoffStress(t *testing.T, cfg Config, n int) handoffRun {
 	}
 	// One token per handoff, consumed by the grantee before it can ask again:
 	// a token left behind means a grant went to a thread that never parked.
+	// Exit asserts that itself before it recycles the channel, so what is left
+	// to check here is that every channel did go back.
 	for _, th := range ths {
-		if len(th.grant) != 0 {
-			t.Errorf("%v exited with an unconsumed grant token", th)
+		if th.grant != nil {
+			t.Errorf("%v exited without recycling its grant channel", th)
 		}
 	}
 	if live := s.Live(); live != 0 {
@@ -162,4 +164,49 @@ func TestGrantToUnconsumedTokenPanics(t *testing.T) {
 		}
 	}()
 	s.PutTurn(a)
+}
+
+// TestExitWithUnconsumedTokenPanics: an exiting thread's grant channel goes
+// back to the process-global free list, where a leftover token would become a
+// spurious grant in some later thread of any scheduler. Exit must refuse to
+// recycle it, as loudly as the full-channel arm of grantLocked.
+func TestExitWithUnconsumedTokenPanics(t *testing.T) {
+	s := New(Config{Mode: RoundRobin})
+	a := s.Register("a")
+	s.GetTurn(a)
+	a.grant <- struct{}{} // the bug: a token nobody accounted for
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Exit recycled a grant channel that still held a token")
+		}
+	}()
+	s.Exit(a)
+}
+
+// TestGrantChannelsRecycled: Register takes its grant channel from the free
+// list Exit feeds, and everything on the list is an empty cap-1 channel.
+func TestGrantChannelsRecycled(t *testing.T) {
+	s := New(Config{Mode: RoundRobin})
+	a := s.Register("a")
+	g := a.grant
+	s.GetTurn(a)
+	for len(freeGrants) > 0 { // leave a's channel as the only one to take
+		<-freeGrants
+	}
+	s.Exit(a)
+	if b := New(Config{Mode: RoundRobin}).Register("b"); b.grant != g {
+		t.Error("a thread registered right after an exit did not get the recycled grant channel")
+	}
+
+	handoffStress(t, Config{Mode: RoundRobin}, 64)
+	if len(freeGrants) < 64 {
+		t.Errorf("free list holds %d channels after 64 threads exited, want >= 64", len(freeGrants))
+	}
+	for n := len(freeGrants); n > 0; n-- {
+		g := <-freeGrants
+		if len(g) != 0 || cap(g) != 1 {
+			t.Errorf("free list holds a grant channel with len %d cap %d, want 0 and 1", len(g), cap(g))
+		}
+		freeGrants <- g
+	}
 }

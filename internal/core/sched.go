@@ -47,7 +47,9 @@ type Scheduler struct {
 	// O(waiters on that object). Emptied lists stay in the map — objects are
 	// waited on repeatedly, and re-allocating the list every time the last
 	// waiter leaves is measurable churn on broadcast-heavy workloads — and are
-	// released by DestroyObject, so the map is bounded by live objects.
+	// released by DestroyObject. Every wrapper object is destroyed by its
+	// owner, a thread's join object by the thread's own exit, so the map is
+	// bounded by live objects (TestThreadChurnRetention in the root package).
 	waitLists map[uint64]*wqueue
 	nWaiting  int    // total blocked threads across all wait lists
 	waitSeq   uint64 // global FIFO park order, the heap's deadline tie-break
@@ -86,8 +88,11 @@ type Scheduler struct {
 
 	// threads maps thread ID → *Thread for O(1) replay-eligibility lookups.
 	// Entries are cleared on Exit so long-running programs do not accumulate
-	// dead threads.
-	threads []*Thread
+	// dead threads; the slot itself (one word per thread ever registered) is
+	// all an exited thread leaves behind. The table starts on threadsInline:
+	// a scheduler is built per run, and most runs stay within it.
+	threads       []*Thread
+	threadsInline [inlineThreads]*Thread
 
 	// Virtual-time model (see core.go): vLastOp is the virtual end time of
 	// the most recent synchronization operation (guarded by the turn, i.e.
@@ -116,10 +121,12 @@ type Scheduler struct {
 	// grantee until that thread actually takes the turn, so the chooser is
 	// consulted exactly once per handoff no matter how many times the grant
 	// loops run. chooseIDs/chooseCands are reusable candidate-enumeration
-	// buffers (only touched under mu).
-	chosen      *Thread
-	chooseIDs   []int
-	chooseCands []*Thread
+	// buffers (only touched under mu), inline-backed like the thread table.
+	chosen            *Thread
+	chooseIDs         []int
+	chooseCands       []*Thread
+	chooseIDsInline   [inlineCands]int
+	chooseCandsInline [inlineCands]*Thread
 
 	// stats holds the counters written under mu. ops, signals, and
 	// broadcasts (like turn and leaseExtends above) are atomic instead so the
@@ -174,13 +181,27 @@ func New(cfg Config) *Scheduler {
 	}
 	// objName and waitLists are created lazily: a Runtime constructs one
 	// scheduler per domain, and partitioned programs create domains in bulk.
-	return &Scheduler{
+	s := &Scheduler{
 		cfg:       cfg,
 		stack:     cfg.Stack,
 		traceHash: logio.FNVOffset64,
 		suspended: cfg.SuspendRecording,
 	}
+	s.threads = s.threadsInline[:0]
+	s.chooseIDs = s.chooseIDsInline[:0]
+	s.chooseCands = s.chooseCandsInline[:0]
+	return s
 }
+
+// Inline backing sizes. A scheduler is built per run (the explorer and the
+// catalog build tens of thousands), so the arrays are sized to what a small
+// run touches — eight threads, three turn or wake candidates — and to keep
+// the Scheduler in the allocation size class it would occupy without them
+// plus one step; larger runs spill to the heap as before.
+const (
+	inlineThreads = 8
+	inlineCands   = 3
+)
 
 // Stack returns the policy stack the scheduler dispatches through.
 func (s *Scheduler) Stack() *policy.Stack { return s.stack }
@@ -211,16 +232,24 @@ func (s *Scheduler) SetDeadlockHandler(fn func(msg string)) {
 // handle. Registration order determines thread IDs, so callers must register
 // deterministically: the main thread before any concurrency starts, children
 // from the create wrapper while holding the turn.
-func (s *Scheduler) Register(name string) *Thread {
+func (s *Scheduler) Register(name string) *Thread { return s.RegisterIn(new(Thread), name) }
+
+// RegisterIn is Register into caller-owned storage: t, which must be a zero
+// Thread, becomes the scheduler's queue node in place and is returned. The
+// qithread wrappers embed a Thread in their own per-thread record this way,
+// so a thread is one heap object. A registered Thread must not be copied
+// (its wait node and policy state point into it).
+func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t := &Thread{
-		id:    s.nextTID,
-		name:  name,
-		sched: s,
-		grant: make(chan struct{}, 1),
-		queue: qRun,
+	if t.sched != nil {
+		panic(fmt.Sprintf("core: RegisterIn(%q) into %v, which is already registered", name, t))
 	}
+	t.id = s.nextTID
+	t.name = name
+	t.sched = s
+	t.grant = takeGrant()
+	t.queue = qRun
 	t.wnode.t = t
 	t.wnode.heapIdx = -1
 	// A new runnable thread invalidates the solo condition: the holder's next
@@ -545,6 +574,51 @@ func (s *Scheduler) Exit(t *Thread) {
 	s.live--
 	s.stack.OnExit(t)
 	s.releaseTurnLocked()
+	s.recycleGrantLocked(t)
+}
+
+// Grant channels outlive their threads: runtimes are single-use and built by
+// the ten thousand, and a fresh cap-1 channel per thread would be a second
+// allocation beside the thread's own record. freeGrants is the process-global
+// free list (bounded, like the root package's goroutine pool; a channel that
+// finds it full is dropped for the GC), shared by every scheduler and safe
+// for that by being a channel. It holds four times the goroutine pool's 64,
+// so the threads of a few runtimes finishing at once (explorer workers,
+// domains) all fit; full, it pins 24 kB.
+const grantPoolCap = 256
+
+var freeGrants = make(chan chan struct{}, grantPoolCap)
+
+// takeGrant returns an empty cap-1 grant channel, recycled if one is free.
+func takeGrant() chan struct{} {
+	select {
+	case g := <-freeGrants:
+		return g
+	default:
+		return make(chan struct{}, 1)
+	}
+}
+
+// recycleGrantLocked returns exited thread t's grant channel to the free
+// list. Nobody can send on it again: grantLocked only sends to a thread that
+// asks for the turn, and t — off every queue, its table slot cleared — can
+// never be eligible. It is empty: t held the turn to call Exit, so it
+// consumed the one token of the handoff that gave it the turn, and
+// grantLocked sends exactly one token per handoff. A leftover token would
+// resurface as a spurious grant in whichever thread is handed the channel
+// next, in any scheduler of the process, so emptiness is asserted here, as
+// loudly as the full-channel arm of grantLocked. Threads of a run frozen by
+// a deadlock or an explorer hang never exit and simply keep theirs.
+func (s *Scheduler) recycleGrantLocked(t *Thread) {
+	g := t.grant
+	t.grant = nil
+	if len(g) != 0 {
+		panic(fmt.Sprintf("core: %v exits with an unconsumed grant token\n%s", t, s.dumpLocked()))
+	}
+	select {
+	case freeGrants <- g:
+	default:
+	}
 }
 
 // AddWork advances t's logical instruction clock by n. In LogicalClock mode

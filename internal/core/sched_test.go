@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"qithread/internal/policy"
 )
 
 // runThreads registers n threads and runs body(i, thread) on each in its own
@@ -425,4 +427,84 @@ func TestWaitersCount(t *testing.T) {
 		s.GetTurn(th)
 		s.Exit(th)
 	})
+}
+
+// keepDefault is a Chooser that takes the configured policy's own pick at
+// every choice point, and remembers the widest candidate list it was shown.
+type keepDefault struct{ widest int }
+
+func (c *keepDefault) Choose(_ policy.ChoiceKind, ids []int, n, def int) int {
+	if n > c.widest {
+		c.widest = n
+	}
+	return def
+}
+
+// TestInlineTables: a scheduler is built per run, so its thread table and
+// chooser scratch start on arrays inside the Scheduler itself; a run of up to
+// inlineThreads threads (inlineCands turn candidates) never allocates them,
+// and a wider one spills to the heap and behaves the same.
+func TestInlineTables(t *testing.T) {
+	yields := func(s *Scheduler, n int) []Event {
+		runThreads(t, s, n, func(i int, th *Thread) {
+			for r := 0; r < 3; r++ {
+				s.GetTurn(th)
+				s.TraceOp(th, OpYield, 0, StatusOK)
+				s.PutTurn(th)
+			}
+			s.GetTurn(th)
+			s.Exit(th)
+		})
+		return s.Trace()
+	}
+
+	s := New(Config{Mode: RoundRobin})
+	for i := 0; i < inlineThreads; i++ {
+		s.Register("t")
+	}
+	if &s.threads[0] != &s.threadsInline[0] || cap(s.threads) != inlineThreads {
+		t.Errorf("thread table left its inline backing at %d threads (cap %d)", len(s.threads), cap(s.threads))
+	}
+	s.Register("spill")
+	if s.threads[inlineThreads] == nil || s.threads[0] == nil || len(s.threads) != inlineThreads+1 {
+		t.Errorf("thread table lost entries spilling past %d threads", inlineThreads)
+	}
+
+	ch := &keepDefault{}
+	s = New(Config{Mode: RoundRobin, Record: true, Chooser: ch})
+	narrow := yields(s, inlineCands)
+	if ch.widest != inlineCands {
+		t.Fatalf("chooser saw at most %d candidates, want %d", ch.widest, inlineCands)
+	}
+	if &s.chooseIDs[:1][0] != &s.chooseIDsInline[0] || &s.chooseCands[:1][0] != &s.chooseCandsInline[0] {
+		t.Errorf("chooser scratch left its inline backing at %d candidates", inlineCands)
+	}
+	if want := yields(New(Config{Mode: RoundRobin, Record: true}), inlineCands); !tracesEqual(narrow, want) {
+		t.Error("default-keeping chooser changed the schedule")
+	}
+
+	ch = &keepDefault{}
+	wide := yields(New(Config{Mode: RoundRobin, Record: true, Chooser: ch}), 2*inlineCands)
+	if ch.widest != 2*inlineCands {
+		t.Fatalf("chooser saw at most %d candidates, want %d", ch.widest, 2*inlineCands)
+	}
+	if want := yields(New(Config{Mode: RoundRobin, Record: true}), 2*inlineCands); !tracesEqual(wide, want) {
+		t.Error("schedule changed once the chooser scratch spilled to the heap")
+	}
+}
+
+// TestRegisterInRejectsRegisteredThread: in-place registration takes a zero
+// Thread; handing it one that is already a queue node is a caller bug.
+func TestRegisterInRejectsRegisteredThread(t *testing.T) {
+	s := New(Config{Mode: RoundRobin})
+	var th Thread
+	if got := s.RegisterIn(&th, "once"); got != &th || th.ID() != 0 || th.Name() != "once" {
+		t.Fatalf("RegisterIn returned %v for caller storage %p", got, &th)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("registering the same Thread twice did not panic")
+		}
+	}()
+	s.RegisterIn(&th, "twice")
 }

@@ -40,7 +40,9 @@ type Thread struct {
 	sched *Scheduler
 
 	// grant carries the turn from the scheduler to a parked thread. It is
-	// buffered so the scheduler never blocks while handing over the turn.
+	// buffered so the scheduler never blocks while handing over the turn. It
+	// comes from the free list at registration and goes back, leaving nil
+	// here, at Exit (recycleGrantLocked).
 	grant chan struct{}
 
 	// wantTurn is set while the thread is blocked in GetTurn or Wait and

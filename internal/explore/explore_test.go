@@ -159,4 +159,3 @@ func TestSessionResume(t *testing.T) {
 		t.Fatalf("second invocation ended at %d total runs, want 10", s2.Runs())
 	}
 }
-

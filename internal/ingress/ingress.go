@@ -467,6 +467,12 @@ func (c *collector) closeSource(source int) {
 // time, until at least one event is staged or every source has closed.
 // exhausted reports that no further events can ever arrive (all sources
 // closed and the stage empty after the snapshot).
+//
+// The snapshot's backing array leaves with it — the gateway may retain
+// batches cut from it — so the next stage is a fresh array; only the size
+// carries over, as its capacity: epochs under steady load stage about as
+// much as the last one did, and starting from nil would regrow 1→2→4→…
+// under the producers' lock every epoch.
 func (c *collector) drain(block bool) (snap []Event, exhausted bool) {
 	c.mu.Lock()
 	if block {
@@ -474,8 +480,10 @@ func (c *collector) drain(block bool) (snap []Event, exhausted bool) {
 			c.canPull.Wait()
 		}
 	}
-	snap = c.stage
-	c.stage = nil
+	if len(c.stage) > 0 {
+		snap = c.stage
+		c.stage = make([]Event, 0, len(snap))
+	}
 	for i := range c.perSrc {
 		c.perSrc[i] = 0
 	}

@@ -198,6 +198,46 @@ func TestCollectorBackpressure(t *testing.T) {
 	}
 }
 
+// TestCollectorStageSizedFromLastSnapshot: a drained snapshot keeps its
+// backing array to itself (the gateway may retain batches cut from it), and
+// the stage that replaces it starts with the snapshot's length as capacity,
+// so a steady epoch refills it in one allocation instead of regrowing from
+// nil. An empty drain hands out nothing and leaves the sized stage alone.
+func TestCollectorStageSizedFromLastSnapshot(t *testing.T) {
+	c := newCollector(64, 64)
+	src := c.addSource()
+	fill := func(n int, tag byte) {
+		for i := 0; i < n; i++ {
+			c.push(src, []byte{tag, byte(i)})
+		}
+	}
+	fill(16, 'a')
+	first, _ := c.drain(false)
+	if len(first) != 16 {
+		t.Fatalf("first snapshot has %d events, want 16", len(first))
+	}
+	if len(c.stage) != 0 || cap(c.stage) != 16 {
+		t.Fatalf("stage after a 16-event drain: len %d cap %d, want 0 and 16", len(c.stage), cap(c.stage))
+	}
+	if empty, _ := c.drain(false); empty != nil || cap(c.stage) != 16 {
+		t.Fatalf("empty drain returned %v and left stage capacity %d, want nil and 16", empty, cap(c.stage))
+	}
+	if n := testing.AllocsPerRun(20, func() {
+		for i := 0; i < 16; i++ {
+			c.push(src, nil)
+		}
+		c.drain(false)
+	}); n != 1 {
+		t.Errorf("a steady 16-event epoch costs %.0f stage allocations, want 1", n)
+	}
+	fill(16, 'b')
+	for i, e := range first {
+		if e.Data[0] != 'a' || e.Data[1] != byte(i) {
+			t.Fatalf("retained snapshot event %d overwritten by the next epoch: %q", i, e.Data)
+		}
+	}
+}
+
 // TestPerSourceCapFairness: one source's quota cannot eat the whole stage.
 func TestPerSourceCapFairness(t *testing.T) {
 	g := NewGateway(Config{StageCap: 8, PerSourceCap: 2, MaxBatch: 8})

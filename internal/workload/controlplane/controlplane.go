@@ -2,7 +2,8 @@ package controlplane
 
 import (
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 
 	"qithread"
 	"qithread/internal/ingress"
@@ -140,7 +141,7 @@ func Anomalies(out uint64) uint64 { return out >> 48 }
 // per-run counters.
 type group struct {
 	cfg      Config
-	entities []*Entity        // owned entities, local index order
+	entities []*Entity         // owned entities, local index order
 	stripes  []*qithread.Mutex // stripe k guards entities with local index % len(stripes) == k
 	qm       *qithread.Mutex
 	qcv      *qithread.Cond
@@ -357,18 +358,49 @@ func (g *group) summarize(transitions, conflicts, skips uint64) summary {
 // parseEvent decodes an admitted payload into a task: "advance <id>" targets
 // one entity, "tick <n>" is a resync sweep (id -1). Unknown payloads are
 // dropped (id -2) — a fault spec may deliver garbage; a control plane logs
-// and ignores it.
+// and ignores it. The payload is scanned in place: this runs once per
+// admitted event, and a split into strings would be its only allocation.
 func parseEvent(data []byte, entities int) task {
-	f := strings.Fields(string(data))
-	if len(f) == 2 && f[0] == "advance" {
-		if id, err := strconv.Atoi(f[1]); err == nil && id >= 0 && id < entities {
+	verb, rest := nextField(data)
+	arg, rest := nextField(rest)
+	if extra, _ := nextField(rest); len(arg) == 0 || len(extra) != 0 {
+		return task{id: -2} // not exactly two fields
+	}
+	switch string(verb) {
+	case "advance":
+		if id, err := strconv.Atoi(string(arg)); err == nil && id >= 0 && id < entities {
 			return task{id: id}
 		}
-	}
-	if len(f) == 2 && f[0] == "tick" {
+	case "tick":
 		return task{id: -1}
 	}
 	return task{id: -2}
+}
+
+// nextField returns the first whitespace-separated field of b and what
+// follows it; the field is empty when b holds none. Whitespace is what
+// strings.Fields splits on: unicode.IsSpace, with bytes that are not valid
+// UTF-8 (a fault spec may deliver any) counting as non-space.
+func nextField(b []byte) (field, rest []byte) {
+	start := -1
+	for i := 0; i < len(b); {
+		r, n := rune(b[i]), 1
+		if r >= utf8.RuneSelf {
+			r, n = utf8.DecodeRune(b[i:])
+		}
+		if !unicode.IsSpace(r) {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			return b[start:i], b[i:]
+		}
+		i += n
+	}
+	if start < 0 {
+		return nil, nil
+	}
+	return b[start:], nil
 }
 
 // App builds the control-plane workload as a runnable app (the workload.App

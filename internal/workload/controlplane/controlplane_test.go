@@ -2,6 +2,8 @@ package controlplane
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 	"testing"
 
 	"qithread"
@@ -54,8 +56,8 @@ func TestScenarioRaceHiddenByDefault(t *testing.T) {
 // fingerprints — the workload is a pure function of (log, config).
 func TestScenarioDeterminism(t *testing.T) {
 	for _, tc := range []struct {
-		name             string
-		healthy, seeded  bool
+		name            string
+		healthy, seeded bool
 	}{
 		{"healthy", true, false},
 		{"race", false, true},
@@ -159,4 +161,101 @@ func TestObservabilitySnapshots(t *testing.T) {
 	if r.Schedulers[1].MaxWaiting == 0 && r.Schedulers[2].MaxWaiting == 0 {
 		t.Fatalf("no wait-list depth recorded in shard domains: %+v", r.Schedulers)
 	}
+}
+
+// parseEventFields is parseEvent as it was written over strings.Fields: the
+// reference the in-place scanner must agree with on every payload.
+func parseEventFields(data []byte, entities int) task {
+	f := strings.Fields(string(data))
+	if len(f) == 2 && f[0] == "advance" {
+		if id, err := strconv.Atoi(f[1]); err == nil && id >= 0 && id < entities {
+			return task{id: id}
+		}
+	}
+	if len(f) == 2 && f[0] == "tick" {
+		return task{id: -1}
+	}
+	return task{id: -2}
+}
+
+// TestParseEventMatchesFields: the byte scanner accepts and rejects exactly
+// what the strings.Fields version did — including the payloads only a fault
+// spec or a hostile source would deliver — and does it without allocating.
+func TestParseEventMatchesFields(t *testing.T) {
+	const entities = 4
+	cases := []struct {
+		payload string
+		want    int // entity id, -1 sweep, -2 dropped
+	}{
+		{"advance 0", 0},
+		{"advance 3", 3},
+		{"tick 7", -1},
+		{"tick x", -1}, // the tick argument is not interpreted
+		{"  advance 2", 2},
+		{"advance 2  ", 2},
+		{"advance \t\n\v\f\r 2", 2},
+		{"\tadvance\t1\n", 1},
+		{"advance +1", 1}, // Atoi's sign handling is part of the contract
+		{"advance -0", 0},
+		{"advance 03", 3},
+		{"advance", -2},
+		{"advance ", -2},
+		{"advance x", -2},
+		{"advance 3 4", -2},
+		{"advance 3 4 5", -2},
+		{"advance 4", -2}, // out of range: entities is exclusive
+		{"advance -1", -2},
+		{"advance 99999999999999999999", -2}, // Atoi range error
+		{"advance 1_0", -2},
+		{"advance0", -2},
+		{"Advance 0", -2},
+		{"advanced 0", -2},
+		{"tick", -2},
+		{"tick 1 2", -2},
+		{"ticks 1", -2},
+		{"", -2},
+		{" ", -2},
+		{" \t\n", -2},
+		{"advance\x000", -2}, // NUL is not whitespace
+		// Unicode whitespace, spelled as UTF-8 bytes, splits fields exactly as
+		// strings.Fields does.
+		{"advance\xc2\xa01", 1},         // U+00A0 no-break space
+		{"advance\xc2\x851", 1},         // U+0085 next line
+		{"advance\xe2\x80\x831", 1},     // U+2003 em space
+		{" tick\xe3\x80\x800 ", -1},     // U+3000 ideographic space
+		{"advance\xe2\x80\x8b1", -2},    // U+200B zero-width space is not White_Space
+		{"advance 1\xe2\x80\xa8 2", -2}, // U+2028 line separator: a third field
+		// Not UTF-8: invalid bytes are non-space field bytes.
+		{"\xff\xfe", -2},
+		{"advance \xff", -2},
+		{"advance 1\xff", -2},
+		{"\xffadvance 1", -2},
+		{"advance\xc21", -2},     // truncated two-byte sequence
+		{"advance\xe2\x801", -2}, // truncated three-byte space
+		{"tick \xf0\x9f", -1},
+		{"advance\xa01", -2}, // a bare Latin-1 NBSP byte is not U+00A0
+	}
+	for _, c := range cases {
+		got, ref := parseEvent([]byte(c.payload), entities), parseEventFields([]byte(c.payload), entities)
+		if got != ref || got.id != c.want {
+			t.Errorf("parseEvent(%q) = %d, strings.Fields version = %d, want %d", c.payload, got.id, ref.id, c.want)
+		}
+	}
+	payload := []byte("  advance \t 3 ")
+	if n := testing.AllocsPerRun(100, func() { parseEvent(payload, entities) }); n != 0 {
+		t.Errorf("parseEvent allocates %.0f objects per event, want 0", n)
+	}
+}
+
+// FuzzParseEvent: agreement with the strings.Fields version on arbitrary
+// bytes, seeded with the table's shapes.
+func FuzzParseEvent(f *testing.F) {
+	for _, s := range []string{"advance 1", "tick 0", " advance 2 ", "advance 3 4", "\xff", "advance\xe2\x801", "advance\xc2\xa01"} {
+		f.Add([]byte(s), 4)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, entities int) {
+		if got, ref := parseEvent(data, entities), parseEventFields(data, entities); got != ref {
+			t.Fatalf("parseEvent(%q, %d) = %d, strings.Fields version = %d", data, entities, got.id, ref.id)
+		}
+	})
 }

@@ -2,6 +2,8 @@ package qithread
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"testing"
 
 	"qithread/internal/trace"
@@ -200,6 +202,137 @@ func TestCreateAfterExit(t *testing.T) {
 					t.Fatalf("%d sections ran, want 6", len(order))
 				}
 			})
+		})
+	}
+}
+
+// TestThreadChurnRetention: a long-running program that keeps creating and
+// joining threads holds on to nothing per exited thread beyond its slot in
+// the scheduler's id-indexed thread table (one word, amortized to ~8–16 B by
+// the table's geometric growth). An exiting thread destroys its own join
+// object, so neither the object's name nor the wait list its joiner blocked
+// on outlives it — without that, every thread ever created left ~110 B of
+// map entries behind.
+func TestThreadChurnRetention(t *testing.T) {
+	const (
+		rounds   = 20000
+		maxBytes = 24 // per exited thread
+	)
+	liveHeap := func() uint64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	churn := func(main *Thread, n int) {
+		for i := 0; i < n; i++ {
+			main.Join(main.Create("w", func(*Thread) {}))
+		}
+	}
+	var before, after uint64
+	rt := New(Config{Mode: RoundRobin, Policies: AllPolicies})
+	rt.Run(func(main *Thread) {
+		churn(main, 100) // size the maps and the goroutine pool first
+		before = liveHeap()
+		churn(main, rounds)
+		after = liveHeap()
+	})
+	perThread := (float64(after) - float64(before)) / rounds
+	t.Logf("%.1f B retained per exited thread", perThread)
+	if perThread > maxBytes {
+		t.Fatalf("%d create/join rounds retained %.1f B per exited thread, want <= %d", rounds, perThread, maxBytes)
+	}
+}
+
+// TestGrantRecycling: grant channels are recycled through a process-global
+// free list the moment a thread exits, so a channel released by one runtime
+// is handed to a thread of another while both are mid-run. Two runtimes run
+// the same churn concurrently — waves of short-lived threads exiting while
+// sibling threads hand the turn around — and both of them, on every round,
+// must reach the same fingerprint: a token left in (or sent late on) a
+// recycled channel would surface as a spurious grant, which either trips the
+// scheduler's turn assertions or changes the schedule. The exit-side
+// emptiness assertion in internal/core panics on the first leftover token.
+// `make alloc-bounds` runs this under -race at -cpu 1,4.
+func TestGrantRecycling(t *testing.T) {
+	const (
+		waves    = 50
+		width    = 25 // threads per wave: 1,250 per runtime, 10,000 over the test
+		spinners = 3
+		rounds   = 2
+		runtimes = 2
+	)
+	churn := func(rt *Runtime) {
+		rt.Run(func(main *Thread) {
+			m := rt.NewMutex(main, "m")
+			stop, sum := false, 0
+			var spin [spinners]*Thread
+			for i := range spin {
+				spin[i] = main.Create("spin", func(w *Thread) {
+					for {
+						m.Lock(w)
+						done := stop
+						m.Unlock(w)
+						if done {
+							return
+						}
+						w.Yield()
+					}
+				})
+			}
+			var kids [width]*Thread
+			for wave := 0; wave < waves; wave++ {
+				for i := range kids {
+					if i%2 == 0 {
+						kids[i] = main.Create("brief", func(*Thread) {})
+						continue
+					}
+					kids[i] = main.Create("locker", func(w *Thread) {
+						m.Lock(w)
+						sum++
+						m.Unlock(w)
+					})
+				}
+				for _, k := range kids {
+					main.Join(k)
+				}
+			}
+			m.Lock(main)
+			stop = true
+			m.Unlock(main)
+			for _, s := range spin {
+				main.Join(s)
+			}
+			if want := waves * (width / 2); sum != want {
+				t.Errorf("%d critical sections ran, want %d", sum, want)
+			}
+		})
+	}
+	for _, cfg := range lifetimeConfigs() {
+		t.Run(cfg.Mode.String(), func(t *testing.T) {
+			var want string
+			for round := 0; round < rounds; round++ {
+				var wg sync.WaitGroup
+				var got [runtimes]string
+				for r := range got {
+					wg.Add(1)
+					go func(r int) {
+						defer wg.Done()
+						rt := New(cfg)
+						churn(rt)
+						got[r] = rt.Fingerprint().String()
+					}(r)
+				}
+				wg.Wait()
+				if round == 0 {
+					want = got[0]
+				}
+				for r, fp := range got {
+					if fp != want {
+						t.Fatalf("round %d runtime %d: fingerprint %s, want %s", round, r, fp, want)
+					}
+				}
+			}
 		})
 	}
 }

@@ -220,7 +220,8 @@ func (rt *Runtime) Scheduler() *core.Scheduler { return rt.sched }
 func (rt *Runtime) Run(main func(t *Thread)) {
 	t := rt.newThread("main", rt.Domain(0))
 	if rt.sched != nil {
-		t.ct = rt.sched.Register("main")
+		// Nothing joins the main thread, so it gets no join object.
+		t.ct = rt.sched.RegisterIn(&t.node, "main")
 	}
 	rt.wg.Add(1)
 	func() {

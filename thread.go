@@ -21,12 +21,21 @@ const workQuantum = 1024
 // pending keep-turn flag for CreateAll, the sticky wake hold for WakeAMAP)
 // lives in the per-policy state block on the core thread, maintained by the
 // policy stack's hooks.
+//
+// A Thread is the one heap record of its thread: the scheduler's queue node
+// is the embedded node, registered in place, and the body function rides on
+// the record to the goroutine pool instead of in a closure.
 type Thread struct {
 	rt   *Runtime
 	dom  *Domain      // the scheduler domain the thread belongs to
-	ct   *core.Thread // nil in Nondet mode
+	ct   *core.Thread // &node once registered; nil in Nondet mode
+	node core.Thread  // the scheduler's record of this thread (see register)
 	name string
 	id   int
+
+	// fn is the body of a Created or Launched thread, held from creation
+	// until the thread's goroutine picks it up (see run).
+	fn func(*Thread)
 
 	// workSeed seeds this thread's synthetic compute so results are
 	// deterministic per thread.
@@ -101,39 +110,54 @@ func (t *Thread) Create(name string, fn func(*Thread)) *Thread {
 	// The child joins the creator's scheduler domain; populating a different
 	// domain is Domain.Start's job.
 	child := t.rt.newThread(name, t.dom)
+	child.fn = fn
 	if !t.rt.det() {
 		t.vAdd(t.vCost())
 		child.nv.Store(t.VNow())
 		t.rt.wg.Add(1)
-		spawn(func() {
-			defer t.rt.wg.Done()
-			fn(child)
-			child.exit()
-		})
+		spawn(child)
 		return child
 	}
 	s := t.dom.sched
 	s.GetTurn(t.ct)
-	child.ct = s.Register(name)
-	child.joinObj = s.NewObjectKind("thread:", name)
+	child.register()
 	t.dom.stack.OnCreate(t.ct, child.ct)
 	s.TraceOp(t.ct, core.OpCreate, child.joinObj, core.StatusOK)
 	// The child's virtual clock starts at the creator's current virtual
 	// time (it cannot have computed anything earlier).
 	child.ct.SetVTime(t.ct.VTime())
 	t.rt.wg.Add(1)
-	spawn(func() {
-		defer t.rt.wg.Done()
-		// thread_begin: DMT systems add this implicit operation so child
-		// initialization is deterministically ordered (Figure 1b).
-		s.GetTurn(child.ct)
-		s.TraceOp(child.ct, core.OpThreadBegin, 0, core.StatusOK)
-		child.release()
-		fn(child)
-		child.exit()
-	})
+	spawn(child)
 	t.release()
 	return child
+}
+
+// register enters a Created or Launched thread into its domain's scheduler —
+// in place, the scheduler links the embedded node into its queues — and
+// allocates the object its joiners wait on. Registration order fixes thread
+// IDs, so callers hold the turn or run before the domain starts.
+func (t *Thread) register() {
+	s := t.dom.sched
+	t.ct = s.RegisterIn(&t.node, t.name)
+	t.joinObj = s.NewObjectKind("thread:", t.name)
+}
+
+// run is the body of every Created or Launched thread, executed on a pooled
+// goroutine (see spawn): thread_begin, the program's function, exit.
+func (t *Thread) run() {
+	defer t.rt.wg.Done()
+	fn := t.fn
+	t.fn = nil // the record outlives the body; what fn captured need not
+	if t.rt.det() {
+		// thread_begin: DMT systems add this implicit operation so child
+		// initialization is deterministically ordered (Figure 1b).
+		s := t.dom.sched
+		s.GetTurn(t.ct)
+		s.TraceOp(t.ct, core.OpThreadBegin, 0, core.StatusOK)
+		t.release()
+	}
+	fn(t)
+	t.exit()
 }
 
 // Join blocks until c has finished, mirroring pthread_join. Join is
@@ -182,6 +206,10 @@ func (t *Thread) exit() {
 	t.done = true
 	if t.joinObj != 0 {
 		s.Broadcast(t.ct, t.joinObj)
+		// Nobody waits on an exited thread (Join checks done first), so the
+		// join object's name and drained wait list go now rather than
+		// accumulating one entry per thread ever created.
+		s.DestroyObject(t.ct, t.joinObj)
 	}
 	s.TraceOp(t.ct, core.OpThreadEnd, 0, core.StatusOK)
 	s.Exit(t.ct)
