@@ -24,15 +24,16 @@ cpu-matrix:
 # only reads the schedule it borrows (two runtimes share one under -race).
 # Named here so that a reintroduced regrowing append or defensive copy fails
 # the gate rather than a benchmark run. The construction budget (DESIGN.md
-# §4.13) is held the same way: at most 1.5 allocations per created-and-joined
-# thread, nothing retained per exited thread but its table slot, inline thread
-# table and chooser scratch, and — at -cpu 1 and 4, two runtimes at once —
-# grant channels recycled across schedulers without a token ever left in one.
+# §4.13) is held the same way: at most 9 allocations for a runtime that ran an
+# empty main, at most 1.5 per created-and-joined thread, nothing retained per
+# exited thread but its table slot, inline thread table and chooser scratch,
+# and — at -cpu 1 and 4, two runtimes at once — grant channels recycled across
+# schedulers without a token ever left in one.
 .PHONY: alloc-bounds
 alloc-bounds:
 	$(GO) test -race -count=1 -run 'TestTraceRetentionAllocBound|TestChunkedTraceRetention|TestInlineTables|TestGrantChannelsRecycled' ./internal/core
 	$(GO) test -race -count=1 -run 'TestBinaryLoadAllocBound|TestBinaryLoadErrors' ./internal/trace
-	$(GO) test -race -count=1 -run 'TestReplayBorrowsSchedule|TestThreadAllocBudget|TestThreadChurnRetention' .
+	$(GO) test -race -count=1 -run 'TestReplayBorrowsSchedule|TestRuntimeAllocBudget|TestThreadAllocBudget|TestThreadChurnRetention' .
 	$(GO) test -race -cpu 1,4 -count=1 -run 'TestGrantRecycling' .
 	$(GO) test -race -count=1 -run 'TestCollectorStageSizedFromLastSnapshot' ./internal/ingress
 	$(GO) test -race -count=1 -run 'TestParseEventMatchesFields' ./internal/workload/controlplane
@@ -117,10 +118,11 @@ controlplane-smoke:
 explore-race:
 	$(GO) test -race -count=1 ./internal/explore
 
-# Mechanism and policy-dispatch micro-benchmarks (see EXPERIMENTS.md E9/E13).
+# Mechanism micro-benchmarks; the turn / turn-all-policies pair of
+# BenchmarkMechanismLockUnlock is the policy hooks' cost (EXPERIMENTS.md E9/E13).
 .PHONY: bench
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMechanism|BenchmarkPolicyDispatch' -count 5 -benchtime 1s .
+	$(GO) test -run '^$$' -bench 'BenchmarkMechanism' -count 5 -benchtime 1s .
 
 # Scheduler hot-path baseline: run the E14 micro-benchmarks and regenerate
 # BENCH_sched.json (benchmark name -> ns/op, allocs/op, averaged over 3 reps).
@@ -131,7 +133,7 @@ bench:
 # compiling the converter does not steal CPU from the benchmarks.
 .PHONY: bench-json
 bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkMechanism|BenchmarkPolicyDispatch|BenchmarkBroadcastStorm|BenchmarkTimedWaitChurn|BenchmarkTurnHandoff|BenchmarkDomains|BenchmarkIngress|BenchmarkControlPlane|BenchmarkLogReplay|BenchmarkExplore' \
+	$(GO) test -run '^$$' -bench 'BenchmarkMechanism|BenchmarkBroadcastStorm|BenchmarkTimedWaitChurn|BenchmarkTurnHandoff|BenchmarkDomains|BenchmarkIngress|BenchmarkControlPlane|BenchmarkLogReplay|BenchmarkExplore' \
 		-benchmem -benchtime 300ms -count 3 -cpu 1 . > .bench_sched.out
 	$(GO) test -run '^$$' -bench 'BenchmarkTurnHandoff|BenchmarkMechanismSignalWait|BenchmarkBroadcastStorm|BenchmarkDomains/server|BenchmarkControlPlane|BenchmarkExploreParallel' \
 		-benchmem -benchtime 300ms -count 3 -cpu 2 . >> .bench_sched.out

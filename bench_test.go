@@ -68,40 +68,9 @@ func BenchmarkMechanismLockUnlock(b *testing.B) {
 		// is exactly the leaseable case, so turn vs turn-nolease is the
 		// amortized release path vs the full queue-and-handoff release.
 		{"turn-nolease", qithread.Config{Mode: qithread.RoundRobin, NoTurnLease: true}},
+		// turn vs turn-all-policies is what the policy hooks add on the hottest
+		// path: OnAcquire, OnRelease and ExtendLease on every iteration.
 		{"turn-all-policies", qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies}},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			rt := qithread.New(cfg.c)
-			done := make(chan struct{})
-			go rt.Run(func(main *qithread.Thread) {
-				m := rt.NewMutex(main, "m")
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					m.Lock(main)
-					m.Unlock(main)
-				}
-				b.StopTimer()
-				close(done)
-			})
-			<-done
-		})
-	}
-}
-
-// BenchmarkPolicyDispatch measures the cost of the hook-based policy engine
-// on the mechanism's hottest path: one uncontended lock/unlock pair, which
-// dispatches OnAcquire, OnRelease, and KeepTurn on every iteration plus
-// PickNext on every turn handoff, under the empty and the full canonical
-// stack (Config.Policies, compiled by DefaultStack). The acceptance bar is
-// staying within 10% of the seed's interleaved bitmask branches (see
-// EXPERIMENTS.md).
-func BenchmarkPolicyDispatch(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		c    qithread.Config
-	}{
-		{"bitmask-none", qithread.Config{Mode: qithread.RoundRobin}},
-		{"bitmask-all", qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies}},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
 			rt := qithread.New(cfg.c)

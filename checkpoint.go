@@ -30,7 +30,7 @@ import (
 // The contract is structural replay: the resuming program re-executes its
 // SETUP (thread registration, object creation, workers parking) with
 // recording muted, and Resume verifies that the rebuilt structure matches
-// the snapshot before reinstating counters, clocks, policy words and running
+// the snapshot before reinstating counters, clocks, policy state and running
 // hashes. Programs built for checkpointing therefore keep setup separate
 // from progress (the workload carries progress in the checkpoint's App
 // payload) — the same discipline any restartable server already follows.
@@ -49,15 +49,17 @@ func (cp *Checkpoint) Epoch() int64 { return cp.rec.Epoch }
 // Runtime.Checkpoint.
 func (cp *Checkpoint) App() []byte { return cp.rec.App }
 
-// SaveCheckpoint writes a checkpoint ("qithread-checkpoint v2b", a
+// SaveCheckpoint writes a checkpoint ("qithread-checkpoint v3b", a
 // CRC-checked binary record; see internal/ckpt).
 func SaveCheckpoint(w io.Writer, cp *Checkpoint) error {
 	return ckpt.Save(w, cp.rec)
 }
 
 // LoadCheckpoint reads a checkpoint written by SaveCheckpoint. Checkpoints of
-// the older "v1b" layout are refused with an error naming the version: they
-// predate the embedded counter blocks and would resume with zeroed counters.
+// the older layouts are refused with an error naming the version: "v1b"
+// predates the embedded counter blocks and would resume with zeroed counters,
+// "v2b" carries per-thread policy state as slot words that do not map onto
+// policy.PerThread. Re-record the run to take a new one.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	rec, err := ckpt.Load(r)
 	if err != nil {
@@ -188,7 +190,7 @@ func (rt *Runtime) Checkpoint(t *Thread, app func() []byte) (*Checkpoint, error)
 
 // Resume verifies that the program's re-executed setup phase rebuilt exactly
 // the structure of Config.Resume's snapshot, then reinstates every counter,
-// clock, policy word and running hash and unmutes recording. From its return
+// clock, policy state and running hash and unmutes recording. From its return
 // the execution is the recorded run's continuation: the same threads are
 // eligible in the same order, the trace hash continues from the same fold
 // state, replayed ingress batches land on the same epochs, and the run's

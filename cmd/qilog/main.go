@@ -1,7 +1,8 @@
 // Command qilog converts, inspects and verifies qithread's on-disk artifacts:
 // schedule files (text "qithread-schedule v1/v2" or binary v3b), ingress logs
 // (text "qithread-ingress v1" or binary v2b) and epoch checkpoints
-// ("qithread-checkpoint v2b"; the v1b counter layout is refused by name).
+// ("qithread-checkpoint v3b"; the v1b counter layout and the v2b policy-word
+// layout are refused by name).
 // Every loader auto-detects its format, so the tool only has to sniff which
 // FAMILY a file belongs to.
 //

@@ -44,6 +44,7 @@ import (
 
 	"qithread"
 	"qithread/internal/explore"
+	"qithread/internal/harness"
 	"qithread/internal/trace"
 	"qithread/internal/workload"
 )
@@ -80,18 +81,12 @@ func main() {
 		os.Exit(2)
 	}
 
-	var cfg qithread.Config
-	switch *mode {
-	case "qithread", "all-policies":
-		cfg = qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies}
-	case "no-hint", "round-robin":
-		cfg = qithread.Config{Mode: qithread.RoundRobin}
-	case "logical-clock", "kendo":
-		cfg = qithread.Config{Mode: qithread.LogicalClock}
-	default:
+	m, ok := harness.ModeByName(*mode)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "qireplay: unknown mode %q\n", *mode)
 		os.Exit(2)
 	}
+	cfg := m.Cfg
 	wcfg := workload.IngressServerConfig{
 		Sources: *sources, Events: *events, Workers: *workers,
 		MaxBatch: *batch, QueueCap: *queue,

@@ -16,31 +16,28 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"qithread"
 	"qithread/internal/core"
+	"qithread/internal/harness"
 	"qithread/internal/programs"
 	"qithread/internal/trace"
 	"qithread/internal/workload"
 )
 
-func configFor(mode string) (qithread.Config, bool) {
-	switch mode {
-	case "nondet", "virtual-parallel", "non-det":
-		return qithread.Config{Mode: qithread.VirtualParallel}, true
-	case "no-hint", "vanilla", "round-robin":
-		return qithread.Config{Mode: qithread.RoundRobin}, true
-	case "parrot", "no-pcs-hint":
-		return qithread.Config{Mode: qithread.RoundRobin, SoftBarriers: true}, true
-	case "parrot-pcs", "hinted":
-		return qithread.Config{Mode: qithread.RoundRobin, SoftBarriers: true, PCS: true}, true
-	case "qithread", "all-policies":
-		return qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies}, true
-	case "logical-clock", "kendo":
-		return qithread.Config{Mode: qithread.LogicalClock}, true
-	default:
-		return qithread.Config{}, false
+// compareModes resolves the -compare argument, "mode1,mode2".
+func compareModes(arg string) (m1, m2 harness.Mode, err error) {
+	n1, n2, ok := strings.Cut(arg, ",")
+	if !ok || n1 == "" || n2 == "" {
+		return m1, m2, fmt.Errorf("-compare wants mode1,mode2")
 	}
+	m1, ok1 := harness.ModeByName(n1)
+	m2, ok2 := harness.ModeByName(n2)
+	if !ok1 || !ok2 {
+		return m1, m2, fmt.Errorf("unknown mode in -compare %q", arg)
+	}
+	return m1, m2, nil
 }
 
 func record(spec programs.Spec, cfg qithread.Config, p workload.Params) ([]core.Event, int64) {
@@ -88,33 +85,28 @@ func main() {
 	p := workload.Params{Scale: *scale, Threads: *threads, InputSeed: 7}
 
 	if *compare != "" {
-		var m1, m2 string
-		if _, err := fmt.Sscanf(*compare, "%[^,],%s", &m1, &m2); err != nil {
-			fmt.Fprintln(os.Stderr, "qitrace: -compare wants mode1,mode2")
+		m1, m2, err := compareModes(*compare)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "qitrace:", err)
 			os.Exit(1)
 		}
-		c1, ok1 := configFor(m1)
-		c2, ok2 := configFor(m2)
-		if !ok1 || !ok2 {
-			fmt.Fprintln(os.Stderr, "qitrace: unknown mode in -compare")
-			os.Exit(1)
-		}
-		t1, _ := record(spec, c1, p)
-		t2, _ := record(spec, c2, p)
+		t1, _ := record(spec, m1.Cfg, p)
+		t2, _ := record(spec, m2.Cfg, p)
 		cp := trace.CommonPrefix(t1, t2)
 		fmt.Printf("%s: %d events under %s, %d under %s, common prefix %d\n",
-			spec.Name, len(t1), m1, len(t2), m2, cp)
+			spec.Name, len(t1), m1.Name, len(t2), m2.Name, cp)
 		if cp < len(t1) && cp < len(t2) {
-			fmt.Printf("divergence:\n  %s: %v\n  %s: %v\n", m1, t1[cp], m2, t2[cp])
+			fmt.Printf("divergence:\n  %s: %v\n  %s: %v\n", m1.Name, t1[cp], m2.Name, t2[cp])
 		}
 		return
 	}
 
-	cfg, okm := configFor(*mode)
+	m, okm := harness.ModeByName(*mode)
 	if !okm {
 		fmt.Fprintf(os.Stderr, "qitrace: unknown mode %q\n", *mode)
 		os.Exit(1)
 	}
+	cfg := m.Cfg
 	if *replay != "" {
 		f, err := os.Open(*replay)
 		if err != nil {

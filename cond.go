@@ -106,7 +106,7 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 	}
 	m.owner = t
 	// Re-entering the critical section re-grants any CSWhole lease; the
-	// release below then consults the stack's leasers as usual.
+	// release below then asks the stack's ExtendLease as usual.
 	c.dom.stack.OnAcquire(t.ct)
 	s.TraceOp(t.ct, op, c.obj, core.StatusReturn)
 	t.release()

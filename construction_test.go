@@ -6,6 +6,25 @@ import (
 	"testing"
 )
 
+// minMallocs is the heap allocations of run, the cheapest of five executions
+// with settle called before each: the minimum discards an execution that a
+// background goroutine of an earlier test (or the GC's own bookkeeping)
+// allocated into.
+func minMallocs(settle, run func()) uint64 {
+	best := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		settle()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		run()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n < best {
+			best = n
+		}
+	}
+	return best
+}
+
 // TestThreadAllocBudget: the construction budget of DESIGN.md §4.13. A
 // thread is one heap record — the Thread, with the scheduler's queue node
 // embedded and registered in place — plus whatever the scheduler's maps and
@@ -43,23 +62,14 @@ func TestThreadAllocBudget(t *testing.T) {
 			}
 		})
 	}
-	// allocs is the cheapest of a few runs: the count is deterministic once
-	// every worker of the previous run is parked again, and the minimum
-	// discards a run that a background goroutine of an earlier test (or the
-	// GC's own bookkeeping) allocated into.
+	// The count is deterministic once every worker of the previous run is
+	// parked again.
 	allocs := func(threads int) uint64 {
-		best := ^uint64(0)
-		for i := 0; i < 5; i++ {
-			eventually(t, "every pool worker is parked", func() bool { return len(idleWorkers) == poolCap })
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			run(threads)
-			runtime.ReadMemStats(&after)
-			if n := after.Mallocs - before.Mallocs; n < best {
-				best = n
-			}
-		}
-		return best
+		return minMallocs(
+			func() {
+				eventually(t, "every pool worker is parked", func() bool { return len(idleWorkers) == poolCap })
+			},
+			func() { run(threads) })
 	}
 	run(large) // fill the grant-channel free list
 	lo, hi := allocs(small), allocs(large)
@@ -67,5 +77,21 @@ func TestThreadAllocBudget(t *testing.T) {
 	t.Logf("New+Run with %d threads: %d allocs, with %d: %d — %.2f per extra thread", small, lo, large, hi, perThread)
 	if perThread > maxPerThread {
 		t.Fatalf("%.2f allocations per extra created-and-joined thread, want <= %.1f", perThread, maxPerThread)
+	}
+}
+
+// TestRuntimeAllocBudget: the other half of the construction budget — what a
+// runtime costs before it has created a single thread. New plus Run of an
+// empty main is at most 9 allocations (DESIGN.md §4.13 names them): the
+// scheduler is one heap object holding its policy stack by value, where it
+// used to be three. Exact under -race for the same reason as above.
+func TestRuntimeAllocBudget(t *testing.T) {
+	const budget = 9
+	run := func() { New(Config{Mode: RoundRobin, Policies: AllPolicies}).Run(func(*Thread) {}) }
+	run() // the main thread's grant channel is on the free list from here on
+	best := minMallocs(func() {}, run)
+	t.Logf("New + Run of an empty main: %d allocs", best)
+	if best > budget {
+		t.Fatalf("New + Run of an empty main makes %d allocations, want <= %d", best, budget)
 	}
 }

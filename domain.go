@@ -32,7 +32,7 @@ type Domain struct {
 	name  string
 	inner *domain.Domain  // nil in Nondet mode
 	sched *core.Scheduler // nil in Nondet mode
-	stack *policy.Stack   // nil in Nondet mode
+	stack *policy.Stack   // sched.Stack(), cached for the wrappers' hook calls; nil in Nondet mode
 
 	mu       sync.Mutex
 	launched bool

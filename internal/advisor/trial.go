@@ -13,8 +13,7 @@ type TrialResult struct {
 	// Recommended is the policy set under trial.
 	Recommended qithread.Policy
 	// Stack is the policy stack the tuned run executed through: the
-	// canonical stack Config.Policies compiles the recommendation to
-	// (round-robin base plus the recommended layers in canonical order).
+	// round-robin base plus the recommended policies in canonical order.
 	Stack *policy.Stack
 	// Metrics is the per-policy decision counter snapshot of the tuned run,
 	// attributing the trial's speedup to the policies that earned it.

@@ -4,7 +4,7 @@
 //
 // A checkpoint file reuses the shared framed container of internal/logio —
 //
-//	qithread-checkpoint v2b\n
+//	qithread-checkpoint v3b\n
 //	frame (gob-encoded Record, DEFLATE under the container's encoding byte)
 //	terminator
 //
@@ -17,12 +17,17 @@
 // is no hot path.
 //
 // gob matches struct fields by name, and a field the stream does not carry is
-// left zero without an error, so a change to where the Record's structs
-// declare their counters needs a new header: v2b snapshots embed core.Stats
-// and ingress.Stats where v1b listed a subset of their fields flat, and a v1b
-// stream decoded into today's Record would resume with every counter — the
-// logical time and the lease hash among them — silently zero. Load therefore
-// refuses v1b by name.
+// left zero without an error, so a change to what the Record's structs mean
+// under a name needs a new header, and Load refuses the old ones by name:
+//
+//   - v1b listed a subset of the counters flat where core.Stats and
+//     ingress.Stats are embedded since v2b; decoded into today's Record it
+//     would resume with every counter — the logical time and the lease hash
+//     among them — silently zero.
+//   - v2b carried each thread's policy state (core.ThreadState.Policy) as the
+//     slot words of the policy engine of that time, whose layout depended on
+//     the enabled set; since v3b the field is the policy.PerThread struct
+//     itself, and no reading of the old words into it is right for every set.
 package ckpt
 
 import (
@@ -38,10 +43,14 @@ import (
 	"qithread/internal/logio"
 )
 
-const (
-	header   = "qithread-checkpoint v2b"
-	headerV1 = "qithread-checkpoint v1b"
-)
+const header = "qithread-checkpoint v3b"
+
+// refused maps the headers of the layouts Load no longer reads to what would
+// go wrong if it did.
+var refused = map[string]string{
+	"qithread-checkpoint v1b": "their counter layout would resume with zeroed counters",
+	"qithread-checkpoint v2b": "their per-thread policy words do not map onto today's policy state",
+}
 
 // Record is everything a resumed run needs beyond the program itself: the
 // per-domain scheduler snapshots, the boundary counters, the channel stamp
@@ -88,11 +97,10 @@ func Load(rd io.Reader) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch got {
-	case header:
-	case headerV1:
-		return nil, fmt.Errorf("ckpt: %q checkpoints are no longer readable (their counter layout would resume with zeroed counters); this build reads %q — re-record the run to take a new checkpoint", headerV1, header)
-	default:
+	if why, old := refused[got]; old {
+		return nil, fmt.Errorf("ckpt: %q checkpoints are no longer readable (%s); this build reads %q — re-record the run to take a new checkpoint", got, why, header)
+	}
+	if got != header {
 		return nil, fmt.Errorf("ckpt: bad header %q (want %q)", got, header)
 	}
 	fr := logio.NewFrameReader(br)

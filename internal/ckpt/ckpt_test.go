@@ -16,6 +16,12 @@ import (
 	"qithread/internal/policy"
 )
 
+// The headers Load refuses by name.
+const (
+	headerV1 = "qithread-checkpoint v1b"
+	headerV2 = "qithread-checkpoint v2b"
+)
+
 // sampleRecord is a checkpoint with every section populated: two wait lists,
 // a non-empty admission queue, counters set in both embedded Stats blocks.
 // Empty slices are left nil, which is how gob decodes them.
@@ -36,9 +42,9 @@ func sampleRecord() *Record {
 			},
 			RunQ: []int{0},
 			Threads: []core.ThreadState{
-				{TID: 0, Clock: 10, VTime: 1200, Policy: []uint64{0, 1, 0}},
-				{TID: 1, Clock: 8, VTime: 900, Policy: []uint64{0, 0, 0}},
-				{TID: 2, Clock: 8, VTime: 950, Policy: []uint64{0, 0, 0}},
+				{TID: 0, Clock: 10, VTime: 1200, Policy: policy.PerThread{Armed: true, CSDepth: 2}},
+				{TID: 1, Clock: 8, VTime: 900, Policy: policy.PerThread{Wake: true}},
+				{TID: 2, Clock: 8, VTime: 950},
 			},
 			Waits2: []core.WaitEntry{
 				{Obj: 2, TIDs: []int{2, 1}, Seqs: []uint64{7, 8}},
@@ -144,21 +150,28 @@ func throughFile(t *testing.T, r *Record) *Record {
 // restored from it must report them all from Stats(). PolicyMetrics is the
 // one exclusion: the stack's decision counters are diagnostics and a resumed
 // run counts its own. (While SchedState listed its counters field by field,
-// MaxWaiting was never added to the list and a checkpoint dropped it.)
+// MaxWaiting was never added to the list and a checkpoint dropped it.) The
+// thread's policy state takes the same trip: every lease a policy can leave
+// on a thread is standing at the capture and stands again after the restore.
 func TestSchedStateCarriesEveryCounter(t *testing.T) {
 	var want core.Stats
 	distinctCounters(t, &want, "PolicyMetrics")
+	wantLeases := policy.PerThread{Armed: true, Wake: true, CSDepth: 2}
 
 	// Schedulers of identical structure (one registered thread holding the
 	// turn, nothing recorded): what a resuming program's setup phase rebuilds
 	// before RestoreState.
 	solo := func() (*core.Scheduler, *core.Thread) {
-		s := core.New(core.Config{Record: true, SuspendRecording: true})
+		s := core.New(core.Config{Policies: core.AllPolicies, Record: true, SuspendRecording: true})
 		th := s.Register("main")
 		s.GetTurn(th)
 		return s, th
 	}
 	src, srcT := solo()
+	src.Stack().OnArm(srcT)
+	src.Stack().OnSignal(srcT, 1)
+	src.Stack().OnAcquire(srcT)
+	src.Stack().OnAcquire(srcT)
 	st, err := src.CaptureState(srcT)
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +196,9 @@ func TestSchedStateCarriesEveryCounter(t *testing.T) {
 	got.PolicyMetrics = nil
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("counters after checkpoint and resume:\n got  %#v\n want %#v", got, want)
+	}
+	if got := *dstT.PolicyState(); got != wantLeases {
+		t.Fatalf("policy state after checkpoint and resume: %+v, want %+v", got, wantLeases)
 	}
 }
 
@@ -243,7 +259,9 @@ func TestLoadErrors(t *testing.T) {
 		{"not a checkpoint", []byte("qithread-schedule v3b\n"), `bad header "qithread-schedule v3b"`},
 		{"header without newline and nothing else", []byte(header), "truncated"},
 		{"v1b", append([]byte(headerV1+"\n"), body...), `"qithread-checkpoint v1b" checkpoints are no longer readable`},
-		{"v1b names the readable version", append([]byte(headerV1+"\n"), body...), `"qithread-checkpoint v2b"`},
+		{"v1b names the readable version", append([]byte(headerV1+"\n"), body...), `this build reads "qithread-checkpoint v3b" — re-record the run`},
+		{"v2b", append([]byte(headerV2+"\n"), body...), `"qithread-checkpoint v2b" checkpoints are no longer readable`},
+		{"v2b names the readable version", append([]byte(headerV2+"\n"), body...), `this build reads "qithread-checkpoint v3b" — re-record the run`},
 		{"no record", framed(t, header), "holds no record"},
 		{"truncated before the terminator", good[:len(good)-1], "truncated"},
 		{"truncated inside the frame", good[:len(good)/2], "truncated"},
@@ -300,6 +318,7 @@ func FuzzLoad(f *testing.F) {
 	f.Add(good[:len(good)/2])
 	f.Add(gobOf(f, sampleRecord()))
 	f.Add([]byte("not a gob stream"))
+	f.Add(append([]byte(headerV2+"\n"), good[len(header)+1:]...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		files := [][]byte{data}
 		if len(data) > 0 {

@@ -3,13 +3,15 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"qithread/internal/policy"
 )
 
 // Epoch checkpoints. A checkpoint snapshots one scheduler's deterministic
 // state at a QUIESCENT admission boundary — the turn-holding caller is the
 // only runnable thread, every other live thread is parked on a wait list,
 // and no wake-up or timed deadline is pending — so the snapshot is a plain
-// data record: counters, clocks, per-thread policy words, and the wait-list
+// data record: counters, clocks, per-thread policy state, and the wait-list
 // membership/order, with no goroutine stacks to serialize. Resuming is
 // re-running the program's setup phase with recording muted
 // (Config.SuspendRecording) until the structure — threads registered,
@@ -29,9 +31,9 @@ import (
 // ThreadState is one live thread's checkpointable state.
 type ThreadState struct {
 	TID    int
-	Clock  int64    // logical instruction clock (LogicalClock eligibility)
-	VTime  int64    // virtual clock (critical-path model)
-	Policy []uint64 // per-thread policy state words (policy.PerThread.Snapshot)
+	Clock  int64            // logical instruction clock (LogicalClock eligibility)
+	VTime  int64            // virtual clock (critical-path model)
+	Policy policy.PerThread // lease state of the semantic policies
 }
 
 // WaitEntry is one object's wait list: the blocked threads in FIFO order
@@ -125,7 +127,7 @@ func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 			TID:    th.id,
 			Clock:  th.clock.Load(),
 			VTime:  th.vtime.Load(),
-			Policy: th.pstate.Snapshot(),
+			Policy: th.pstate,
 		})
 	}
 	objs := make([]uint64, 0, len(s.waitLists))
@@ -159,7 +161,7 @@ func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 
 // RestoreState verifies that the scheduler's rebuilt structure matches the
 // snapshot, permutes the wait lists into the recorded FIFO order, reinstates
-// every counter, clock, per-thread policy word and running hash, and unmutes
+// every counter, clock, per-thread policy state and running hash, and unmutes
 // recording. The caller must hold the turn, the scheduler must have been
 // created with SuspendRecording (no events recorded yet), and the program's
 // setup phase must have re-created exactly the snapshot's structure: same
@@ -239,7 +241,7 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 		return fmt.Errorf("core: RestoreState: wait lists hold %d threads, scheduler counts %d", s.nWaiting, waiting)
 	}
 
-	// Per-thread state: clocks and policy words.
+	// Per-thread state: clocks and policy state.
 	if len(st.Threads) != s.live {
 		return fmt.Errorf("core: RestoreState: snapshot has %d thread records for %d live threads", len(st.Threads), s.live)
 	}
@@ -247,12 +249,13 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 		if ts.TID < 0 || ts.TID >= len(s.threads) || s.threads[ts.TID] == nil {
 			return fmt.Errorf("core: RestoreState: snapshot thread %d is not live", ts.TID)
 		}
+		if !s.stack.Owns(ts.Policy) {
+			return fmt.Errorf("core: RestoreState: thread %d holds a lease (%+v) of a policy %v does not run (checkpoint taken under different Policies?)", ts.TID, ts.Policy, &s.stack)
+		}
 		th := s.threads[ts.TID]
 		th.clock.Store(ts.Clock)
 		th.vtime.Store(ts.VTime)
-		if err := th.pstate.RestoreWords(ts.Policy); err != nil {
-			return fmt.Errorf("core: RestoreState: thread %d: %w", ts.TID, err)
-		}
+		th.pstate = ts.Policy
 	}
 
 	// Counters, hashes, virtual time — and unmute recording.

@@ -69,11 +69,22 @@ func (m Mode) String() string {
 	}
 }
 
+// base returns the base turn policy that implements the mode.
+func (m Mode) base() policy.BaseKind {
+	switch m {
+	case LogicalClock:
+		return policy.LogicalClock
+	case VirtualParallel:
+		return policy.VirtualClock
+	default:
+		return policy.RoundRobin
+	}
+}
+
 // Policy is the bitmask of the five semantics-aware scheduling policies of
-// the paper (Section 3). It is a thin compatibility shim over the pluggable
-// policy engine in internal/policy: a bitmask configuration compiles down to
-// a canonical hook-based policy stack via DefaultStack, and the scheduler
-// dispatches every decision through that stack.
+// the paper (Section 3), the one way to configure them: New enables the
+// policies of Config.Policies in the scheduler's policy stack
+// (internal/policy), whose hooks make every scheduling decision.
 type Policy = policy.Set
 
 // Re-exported policy constants; see internal/policy for their semantics.
@@ -87,35 +98,14 @@ const (
 	AllPolicies  = policy.AllPolicies
 )
 
-// DefaultStack compiles a (mode, bitmask) configuration down to its canonical
-// policy stack: the mode's base turn policy plus, in RoundRobin mode only,
-// the enabled semantics-aware layers in the paper's Section 5.2 order. The
-// logical-clock and virtual-parallel baselines run without semantic layers,
-// as in the paper.
-func DefaultStack(mode Mode, set Policy) *policy.Stack {
-	switch mode {
-	case LogicalClock:
-		return policy.New(policy.LogicalClock())
-	case VirtualParallel:
-		return policy.New(policy.VirtualClock())
-	default:
-		return policy.CanonicalStack(set)
-	}
-}
-
 // Config configures a Scheduler.
 type Config struct {
 	// Mode selects the base policy. The zero value is RoundRobin.
 	Mode Mode
-	// Policies is the set of semantics-aware policies, the legacy bitmask
-	// configuration surface. When Stack is nil it is compiled down to the
-	// canonical stack via DefaultStack(Mode, Policies).
+	// Policies is the set of semantics-aware policies layered on the
+	// RoundRobin base. The LogicalClock and VirtualParallel baselines run
+	// without them, as in the paper, whatever is set here.
 	Policies Policy
-	// Stack, when non-nil, is the policy stack the scheduler dispatches
-	// through, overriding Mode/Policies-based construction. Callers composing
-	// custom stacks must keep the base policy consistent with Mode (the mode
-	// still selects clock accounting).
-	Stack *policy.Stack
 	// Record enables schedule tracing. Each completed synchronization
 	// operation appends one Event to the trace.
 	Record bool

@@ -1,160 +1,179 @@
 package core
 
 import (
-	"sync/atomic"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"qithread/internal/policy"
 )
 
-// checkedBase decorates a base picker, verifying every thread it picks is
-// reachable through the View's runnable walk — i.e. PickNext never returns a
-// blocked or exited thread.
-type checkedBase struct {
-	inner policy.Picker
-	bad   atomic.Int64
-	picks atomic.Int64
+// statsOf runs sc on a fresh scheduler and returns its trace, its counters
+// and how many threads it still counts live.
+func statsOf(sc script, cfg Config) ([]Event, Stats, int) {
+	cfg.Record = true
+	s := New(cfg)
+	tr := runScriptOn(s, sc)
+	return tr, s.Stats(), s.Live()
 }
 
-func (p *checkedBase) Name() string { return "checked:" + p.inner.Name() }
-
-func (p *checkedBase) Attach(slot int, m *policy.Metrics) { p.inner.Attach(slot, m) }
-
-func (p *checkedBase) PickNext(v policy.View) policy.Thread {
-	t := p.inner.PickNext(v)
-	if t != nil {
-		p.picks.Add(1)
-		found := false
-		for r := v.NextRunnable(nil); r != nil; r = v.NextRunnable(r) {
-			if r == t {
-				found = true
-				break
-			}
-		}
-		if !found {
-			p.bad.Add(1)
-		}
+func totalPicks(st Stats) (picks, boosts int64) {
+	for _, m := range st.PolicyMetrics {
+		picks += m.Picks
+		boosts += m.WakeBoosts
 	}
-	return t
+	return picks, boosts
 }
 
-// hookProbe is a pure-observer layer that counts hook deliveries and watches
-// the stack descriptor for mid-run drift. With boost set it routes every
-// wake-up to the wake queue, exercising the base picker's wake-queue
-// fallback under a custom stack.
-type hookProbe struct {
-	policy.Base
-	boost     bool
-	desc      func() string
-	wantDesc  string
-	descDrift atomic.Int64
-	blocks    atomic.Int64
-	wakes     atomic.Int64
-	registers atomic.Int64
-	exits     atomic.Int64
-}
-
-func (p *hookProbe) Name() string { return "probe" }
-
-func (p *hookProbe) OnBlock(policy.Thread) {
-	p.blocks.Add(1)
-	if p.desc != nil && p.desc() != p.wantDesc {
-		p.descDrift.Add(1)
-	}
-}
-
-func (p *hookProbe) OnWake(_ policy.Thread, _ bool) (policy.Queue, bool) {
-	p.wakes.Add(1)
-	if p.boost {
-		return policy.QueueWake, true
-	}
-	return policy.QueueRun, false
-}
-
-func (p *hookProbe) OnRegister(policy.Thread) { p.registers.Add(1) }
-
-func (p *hookProbe) OnExit(policy.Thread) { p.exits.Add(1) }
-
-// TestQuickHookDispatchInvariants drives random scripts through a custom
-// stack and checks the engine's dispatch invariants: picks are always
-// runnable, every OnBlock is paired with exactly one OnWake, every
-// registration with exactly one exit, and the stack descriptor never changes
-// mid-run. Identical scripts under identically composed fresh stacks must
-// also produce identical traces.
+// TestQuickHookDispatchInvariants drives random scripts through every policy
+// bitmask under the three modes and checks, on the scheduler's own counters,
+// what the scheduler-side hooks (PickNext/OnGrant, WakeQueue, OnBlock) must
+// keep true: every registered thread exits, every park is paired with
+// exactly one wake-up, every wake-up is boosted exactly when BoostBlocked
+// runs (round-robin base only), every handoff is a counted pick — grantLocked
+// panics on a pick that is not on a runnable queue, so finishing at all
+// covers that — and the same script run twice gives the same trace and the
+// same counters, per-policy ones included. The 32 sets split into the two behaviours a
+// scheduler-level script can tell apart: observe (wake-ups join the run
+// queue) and boost (BoostBlocked routes them to the wake-up queue).
 func TestQuickHookDispatchInvariants(t *testing.T) {
 	for _, boost := range []bool{false, true} {
-		boost := boost
 		name := "observe"
 		if boost {
 			name = "boost"
 		}
 		t.Run(name, func(t *testing.T) {
-			run := func(sc script) ([]Event, *checkedBase, *hookProbe) {
-				base := &checkedBase{inner: policy.RoundRobin().(policy.Picker)}
-				probe := &hookProbe{boost: boost}
-				stk := policy.New(base, probe)
-				probe.desc, probe.wantDesc = stk.String, stk.String()
-				return runScript(sc, Config{Mode: RoundRobin, Stack: stk}), base, probe
-			}
-			f := func(sc script) bool {
-				tr, base, probe := run(sc)
-				if base.bad.Load() != 0 {
-					t.Logf("%d picks not in the runnable walk", base.bad.Load())
-					return false
+			for set := NoPolicies; set <= AllPolicies; set++ {
+				if set.Has(BoostBlocked) != boost {
+					continue
 				}
-				if base.picks.Load() == 0 {
-					return false // every script schedules something
+				for _, mode := range []Mode{RoundRobin, LogicalClock, VirtualParallel} {
+					cfg := Config{Mode: mode, Policies: set}
+					f := func(sc script) bool {
+						tr, st, live := statsOf(sc, cfg)
+						n := sc.threads()
+						if live != 0 || st.MaxLiveThreads != n {
+							t.Logf("%d threads registered, %d still live", st.MaxLiveThreads, live)
+							return false
+						}
+						woken := st.WokenBySignal + st.WokenByTimeout
+						if st.Waits != woken {
+							t.Logf("waits %d != woken %d", st.Waits, woken)
+							return false
+						}
+						picks, boosts := totalPicks(st)
+						if picks == 0 || picks < st.Handoffs {
+							t.Logf("picks %d, handoffs %d", picks, st.Handoffs)
+							return false
+						}
+						wantBoosts := int64(0)
+						if boost && mode == RoundRobin {
+							wantBoosts = woken
+						}
+						if boosts != wantBoosts {
+							t.Logf("wake boosts %d, want %d", boosts, wantBoosts)
+							return false
+						}
+						tr2, st2, _ := statsOf(sc, cfg)
+						if !tracesEqual(tr, tr2) {
+							t.Logf("same script, different traces")
+							return false
+						}
+						// Handoffs splits grants by whether the grantee was already
+						// parked, which is timing, not schedule.
+						st.Handoffs, st2.Handoffs = 0, 0
+						if !reflect.DeepEqual(st, st2) {
+							t.Logf("same script, different counters:\n  %#v\n  %#v", st, st2)
+							return false
+						}
+						return true
+					}
+					if err := quick.Check(f, &quick.Config{MaxCount: 4}); err != nil {
+						t.Fatalf("%v / %v: %v", mode, set, err)
+					}
 				}
-				if probe.blocks.Load() != probe.wakes.Load() {
-					t.Logf("blocks %d != wakes %d", probe.blocks.Load(), probe.wakes.Load())
-					return false
-				}
-				n := int64(sc.threads())
-				if probe.registers.Load() != n || probe.exits.Load() != n {
-					t.Logf("registers %d exits %d, want %d", probe.registers.Load(), probe.exits.Load(), n)
-					return false
-				}
-				if probe.descDrift.Load() != 0 {
-					t.Log("stack descriptor changed mid-run")
-					return false
-				}
-				tr2, _, _ := run(sc)
-				return tracesEqual(tr, tr2)
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-				t.Fatal(err)
 			}
 		})
 	}
 }
 
-// TestQuickStackBitmaskEquivalence: any bitmask configuration and the stack
-// it compiles to via FromSet produce byte-identical traces — the compat shim
-// and the engine are observationally the same scheduler.
-func TestQuickStackBitmaskEquivalence(t *testing.T) {
-	f := func(sc script, bits uint8) bool {
-		set := policy.Set(bits) & policy.AllPolicies
-		legacy := runScript(sc, Config{Mode: RoundRobin, Policies: set})
-		stacked := runScript(sc, Config{Mode: RoundRobin, Stack: policy.FromSet(policy.RoundRobin(), set)})
-		return tracesEqual(legacy, stacked)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
+// TestPolicyMetricsDeterministic: the per-policy decision counters are a
+// function of the schedule. A pick is counted where the grant commits, not
+// where eligibility is evaluated — kickLocked re-evaluates it every time a
+// not-yet-eligible thread asks for the turn, which depends on goroutine
+// timing — so two runs of the same contended program report identical
+// PolicyMetrics, at any GOMAXPROCS (make cpu-matrix runs this package at
+// -cpu 1,2,4).
+func TestPolicyMetricsDeterministic(t *testing.T) {
+	for _, cfg := range []Config{
+		{Mode: RoundRobin, Policies: AllPolicies},
+		{Mode: LogicalClock},
+	} {
+		t.Run(cfg.Mode.String(), func(t *testing.T) {
+			for seed := uint64(1); seed <= 40; seed++ {
+				// The largest script shape: 6 threads of 14 operations.
+				sc := script{Seed: seed * 0x9e3779b97f4a7c15, NThreads: 4, NOps: 11}
+				_, a, _ := statsOf(sc, cfg)
+				_, b, _ := statsOf(sc, cfg)
+				if !reflect.DeepEqual(a.PolicyMetrics, b.PolicyMetrics) {
+					t.Fatalf("seed %d: same script, different policy metrics:\n  %v\n  %v", seed, a.PolicyMetrics, b.PolicyMetrics)
+				}
+			}
+		})
 	}
 }
 
-// TestQuickCustomBaseDeterminism: a custom minimal-clock base passed as an
-// explicit stack still schedules deterministically. (It is not trace-equal
-// to Mode: LogicalClock, which additionally ticks clocks per turn and
-// re-kicks on AddWork — the stack only replaces the pick rule.)
-func TestQuickCustomBaseDeterminism(t *testing.T) {
-	f := func(sc script) bool {
-		a := runScript(sc, Config{Mode: RoundRobin, Stack: policy.New(policy.LogicalClock())})
-		b := runScript(sc, Config{Mode: RoundRobin, Stack: policy.New(policy.LogicalClock())})
-		return tracesEqual(a, b)
+// TestReplayGrantsAreNotPicks: while a recorded schedule dictates who runs
+// next no policy decides anything, so nothing is counted as a pick.
+func TestReplayGrantsAreNotPicks(t *testing.T) {
+	sc := script{Seed: 7, NThreads: 3, NOps: 9}
+	rec, st, _ := statsOf(sc, Config{Policies: BoostBlocked})
+	if picks, _ := totalPicks(st); picks == 0 {
+		t.Fatal("the recording run counted no pick")
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	s := New(Config{Policies: BoostBlocked, Record: true})
+	s.SetReplay(rec)
+	if tr := runScriptOn(s, sc); !tracesEqual(tr, rec) {
+		t.Fatal("replay diverged from the recording")
+	}
+	if picks, _ := totalPicks(s.Stats()); picks != 0 {
+		t.Fatalf("replay counted %d picks, want 0", picks)
+	}
+}
+
+// TestRestoreRefusesForeignLeaseState: lease state in a snapshot must belong
+// to a policy the restoring scheduler runs — ExtendLease trusts the state
+// without asking the bitmask, so a checkpoint taken under other Policies is
+// refused instead of resumed with leases nobody would ever revoke.
+func TestRestoreRefusesForeignLeaseState(t *testing.T) {
+	solo := func(set Policy) (*Scheduler, *Thread) {
+		s := New(Config{Policies: set, Record: true, SuspendRecording: true})
+		th := s.Register("main")
+		s.GetTurn(th)
+		return s, th
+	}
+	src, srcT := solo(CSWhole)
+	if !src.Stack().OnAcquire(srcT) {
+		t.Fatal("CSWhole did not lease")
+	}
+	st, err := src.CaptureState(srcT)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if want := (policy.PerThread{CSDepth: 1}); st.Threads[0].Policy != want {
+		t.Fatalf("captured policy state %+v, want %+v", st.Threads[0].Policy, want)
+	}
+	dst, dstT := solo(CSWhole | WakeAMAP)
+	if err := dst.RestoreState(dstT, st); err != nil {
+		t.Fatal(err)
+	}
+	if *dstT.PolicyState() != st.Threads[0].Policy {
+		t.Fatalf("restored policy state %+v, want %+v", *dstT.PolicyState(), st.Threads[0].Policy)
+	}
+	other, otherT := solo(BoostBlocked)
+	err = other.RestoreState(otherT, st)
+	if want := "of a policy round-robin|BoostBlocked does not run"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("restore under other policies: error %v, want one containing %q", err, want)
 	}
 }

@@ -41,6 +41,12 @@ func (s *Scheduler) SetReplay(schedule []Event) {
 	s.replayPos = 0
 }
 
+// replayingLocked reports whether a recorded schedule still dictates who
+// runs next: one is installed and not yet exhausted.
+func (s *Scheduler) replayingLocked() bool {
+	return s.replay != nil && s.replayPos < len(s.replay)
+}
+
 // ReplayPos returns how many recorded operations have been consumed.
 func (s *Scheduler) ReplayPos() int {
 	s.mu.Lock()
@@ -104,7 +110,7 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 // which domain, which op, expected what, got what" is the minimum needed to
 // act on a failure without re-running it under a debugger.
 func (s *Scheduler) verifyReplayLocked(t *Thread, op OpKind, obj uint64, st EventStatus) {
-	if s.replay == nil || s.replayPos >= len(s.replay) {
+	if !s.replayingLocked() {
 		return
 	}
 	e := s.replay[s.replayPos]

@@ -12,8 +12,8 @@ import (
 )
 
 // Scheduler is the deterministic user-space scheduler. It maintains the three
-// queues of Section 3.1 (run, wake-up, wait) and grants the turn by
-// dispatching through its policy stack (internal/policy). Everything outside
+// queues of Section 3.1 (run, wake-up, wait) and grants the turn to the
+// thread its policy stack picks (internal/policy). Everything outside
 // synchronization operations is delegated to the Go runtime scheduler,
 // mirroring how Parrot and QiThread delegate non-synchronization execution to
 // the OS scheduler (Figure 4).
@@ -28,9 +28,11 @@ type Scheduler struct {
 	mu  sync.Mutex
 	cfg Config
 
-	// stack decides turn grants (PickNext) and wake-up routing (OnWake) and
-	// observes block/register/exit transitions. It is fixed at construction.
-	stack *policy.Stack
+	// stack decides turn grants (PickNext) and wake-up routing (WakeQueue)
+	// and observes threads blocking. It is held by value — a scheduler is one
+	// heap object — and fixed at construction; the wrappers reach its lease
+	// hooks through Stack().
+	stack policy.Stack
 
 	// holder is the current turn holder, nil if the turn is free. It is
 	// written only under mu, but stored atomically so GetTurn's uncontended
@@ -169,24 +171,20 @@ type waiter struct {
 	prev, next *waiter
 }
 
-// New creates a scheduler with the given configuration. When cfg.Stack is nil
-// the policy stack is compiled from the legacy (Mode, Policies) configuration
-// via DefaultStack.
+// New creates a scheduler with the given configuration; its policy stack is
+// the mode's base turn policy with the policies of cfg.Policies layered above.
 func New(cfg Config) *Scheduler {
 	if cfg.VSyncCost == 0 {
 		cfg.VSyncCost = 12
-	}
-	if cfg.Stack == nil {
-		cfg.Stack = DefaultStack(cfg.Mode, cfg.Policies)
 	}
 	// objName and waitLists are created lazily: a Runtime constructs one
 	// scheduler per domain, and partitioned programs create domains in bulk.
 	s := &Scheduler{
 		cfg:       cfg,
-		stack:     cfg.Stack,
 		traceHash: logio.FNVOffset64,
 		suspended: cfg.SuspendRecording,
 	}
+	s.stack.Init(cfg.Mode.base(), cfg.Policies)
 	s.threads = s.threadsInline[:0]
 	s.chooseIDs = s.chooseIDsInline[:0]
 	s.chooseCands = s.chooseCandsInline[:0]
@@ -203,8 +201,8 @@ const (
 	inlineCands   = 3
 )
 
-// Stack returns the policy stack the scheduler dispatches through.
-func (s *Scheduler) Stack() *policy.Stack { return s.stack }
+// Stack returns the scheduler's policy stack.
+func (s *Scheduler) Stack() *policy.Stack { return &s.stack }
 
 // VirtualMakespan returns the maximum final virtual clock over all exited
 // threads — the critical-path estimate of parallel execution time. Call it
@@ -238,7 +236,7 @@ func (s *Scheduler) Register(name string) *Thread { return s.RegisterIn(new(Thre
 // Thread, becomes the scheduler's queue node in place and is returned. The
 // qithread wrappers embed a Thread in their own per-thread record this way,
 // so a thread is one heap object. A registered Thread must not be copied
-// (its wait node and policy state point into it).
+// (its wait node points into it).
 func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -266,9 +264,7 @@ func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
 	if s.live > s.stats.MaxLiveThreads {
 		s.stats.MaxLiveThreads = s.live
 	}
-	s.stack.InitState(&t.pstate)
 	s.runQ.pushBack(t)
-	s.stack.OnRegister(t)
 	return t
 }
 
@@ -572,7 +568,6 @@ func (s *Scheduler) Exit(t *Thread) {
 	t.exited = true
 	s.threads[t.id] = nil
 	s.live--
-	s.stack.OnExit(t)
 	s.releaseTurnLocked()
 	s.recycleGrantLocked(t)
 }
@@ -753,7 +748,7 @@ func (s *Scheduler) expireLocked() {
 }
 
 // wakeLocked moves a thread out of the wait queue into the runnable queue
-// chosen by the policy stack. wakerVTime, when positive, records the
+// the policy stack routes it to. wakerVTime, when positive, records the
 // happens-before edge from the waking operation: the woken thread cannot
 // resume before its waker reached the wake-up in virtual time.
 func (s *Scheduler) wakeLocked(t *Thread, st WaitStatus, wakerVTime int64) {
@@ -788,7 +783,7 @@ func (s *Scheduler) removeRunnableLocked(t *Thread) {
 }
 
 // FrontRun returns the head of the run queue. It implements policy.View and
-// is only meaningful during a PickNext dispatch (scheduler mutex held).
+// is only meaningful during a PickNext call (scheduler mutex held).
 func (s *Scheduler) FrontRun() policy.Thread {
 	if t := s.runQ.head; t != nil {
 		return t
@@ -797,7 +792,7 @@ func (s *Scheduler) FrontRun() policy.Thread {
 }
 
 // FrontWake returns the head of the wake-up queue. It implements policy.View
-// and is only meaningful during a PickNext dispatch (scheduler mutex held).
+// and is only meaningful during a PickNext call (scheduler mutex held).
 func (s *Scheduler) FrontWake() policy.Thread {
 	if t := s.wakeQ.head; t != nil {
 		return t
@@ -807,7 +802,7 @@ func (s *Scheduler) FrontWake() policy.Thread {
 
 // NextRunnable walks the runnable threads in queue order (run queue first,
 // then wake-up queue). It implements policy.View and is only meaningful
-// during a PickNext dispatch (scheduler mutex held).
+// during a PickNext call (scheduler mutex held).
 func (s *Scheduler) NextRunnable(after policy.Thread) policy.Thread {
 	if after == nil {
 		if t := s.runQ.head; t != nil {
@@ -830,7 +825,7 @@ func (s *Scheduler) NextRunnable(after policy.Thread) policy.Thread {
 // policy stack: the recording embeds all policy effects. A committed chooser
 // override (chosen) takes precedence over the stack for the same reason.
 func (s *Scheduler) eligibleLocked() *Thread {
-	if s.replay != nil && s.replayPos < len(s.replay) {
+	if s.replayingLocked() {
 		return s.replayEligibleLocked()
 	}
 	if s.chosen != nil {
@@ -951,7 +946,22 @@ func (s *Scheduler) kickLocked(self *Thread) {
 // consumes it before it can ask for the turn again, so a full channel is a
 // scheduler bug; dropping the token there would hang e silently, hence the
 // panic with the queue dump.
+//
+// This is also where a pick is committed, so it is where the policy stack
+// counts it (eligibleLocked is re-evaluated every time a not-yet-eligible
+// thread asks, a grant happens once per handoff) and where "the pick is
+// always on a runnable queue" is asserted. A grant the recorded schedule
+// dictated is nobody's decision and is not counted.
 func (s *Scheduler) grantLocked(e, self *Thread) {
+	from := policy.QueueRun
+	if e.queue == qWake {
+		from = policy.QueueWake
+	} else if e.queue != qRun {
+		panic(fmt.Sprintf("core: grant to %v which is not runnable (queue=%v)\n%s", e, e.queue, s.dumpLocked()))
+	}
+	if !s.replayingLocked() {
+		s.stack.OnGrant(from)
+	}
 	e.wantTurn = false
 	s.chosen = nil
 	s.holder.Store(e)

@@ -61,8 +61,8 @@ type Thread struct {
 	// deadline heap) exactly while queue == qWait.
 	wnode waiter
 
-	// pstate is the per-thread state block of the scheduler's policy stack:
-	// one word per policy, assigned at registration.
+	// pstate is the lease policies' state for this thread (plain data, the
+	// zero value is "no lease").
 	pstate policy.PerThread
 
 	// waitStatus records how the most recent Wait completed.
@@ -115,8 +115,8 @@ func (t *Thread) Name() string { return t.name }
 // Clock returns the thread's current logical instruction clock.
 func (t *Thread) Clock() int64 { return t.clock.Load() }
 
-// PolicyState returns the thread's per-policy state block, making *Thread
-// implement policy.Thread.
+// PolicyState returns the thread's policy state, making *Thread implement
+// policy.Thread.
 func (t *Thread) PolicyState() *policy.PerThread { return &t.pstate }
 
 // Scheduler returns the scheduler the thread is registered with. Domain

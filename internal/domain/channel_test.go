@@ -7,7 +7,6 @@ import (
 
 	"qithread/internal/core"
 	"qithread/internal/logio"
-	"qithread/internal/policy"
 )
 
 // testGroup builds a two-domain group (RoundRobin schedulers, no semantic
@@ -20,9 +19,8 @@ func testGroup(t testing.TB, retain bool) (g *Group, da, db *Domain, ta, tb *cor
 	t.Helper()
 	g = NewGroup(Config{
 		RetainDeliveryLog: retain,
-		NewScheduler: func(id int) (*core.Scheduler, *policy.Stack) {
-			stk := core.DefaultStack(core.RoundRobin, core.NoPolicies)
-			return core.New(core.Config{Mode: core.RoundRobin, Stack: stk, DomainID: id}), stk
+		NewScheduler: func(id int) *core.Scheduler {
+			return core.New(core.Config{Mode: core.RoundRobin, DomainID: id})
 		},
 	})
 	da, db = g.Add("a"), g.Add("b")

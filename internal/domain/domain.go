@@ -38,18 +38,16 @@ import (
 	"sync"
 
 	"qithread/internal/core"
-	"qithread/internal/policy"
 )
 
-// Domain is one scheduler domain: an isolated turn mechanism plus the policy
-// stack that drives it. Threads registered with the domain's scheduler may
+// Domain is one scheduler domain: an isolated turn mechanism with its own
+// policy stack. Threads registered with the domain's scheduler may
 // only operate on synchronization objects created in the same domain;
 // crossing the boundary is legal only through a Channel.
 type Domain struct {
 	id    int
 	name  string
 	sched *core.Scheduler
-	stack *policy.Stack
 
 	// xseq counts boundary operations (channel sends, receives, closes)
 	// executed by this domain's threads, in domain-schedule order. It is only
@@ -67,18 +65,14 @@ func (d *Domain) Name() string { return d.name }
 // Scheduler returns the domain's deterministic scheduler.
 func (d *Domain) Scheduler() *core.Scheduler { return d.sched }
 
-// Stack returns the policy stack scheduling the domain.
-func (d *Domain) Stack() *policy.Stack { return d.stack }
-
 func (d *Domain) String() string { return fmt.Sprintf("domain %d (%s)", d.id, d.name) }
 
 // Config configures a Group.
 type Config struct {
-	// NewScheduler builds the scheduler and policy stack of one domain.
-	// It is called once per Add with the domain's id; implementations must
-	// set core.Config.DomainID to that id so trace events attribute
-	// correctly.
-	NewScheduler func(id int) (*core.Scheduler, *policy.Stack)
+	// NewScheduler builds the scheduler of one domain. It is called once per
+	// Add with the domain's id; implementations must set
+	// core.Config.DomainID to that id so trace events attribute correctly.
+	NewScheduler func(id int) *core.Scheduler
 
 	// RetainDeliveryLog materializes every channel's Delivery log in memory
 	// (Group.DeliveryLog). Fingerprinting does not need it — deliveries are
@@ -115,8 +109,7 @@ func (g *Group) Add(name string) *Domain {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	id := len(g.domains)
-	sched, stack := g.cfg.NewScheduler(id)
-	d := &Domain{id: id, name: name, sched: sched, stack: stack}
+	d := &Domain{id: id, name: name, sched: g.cfg.NewScheduler(id)}
 	g.domains = append(g.domains, d)
 	return d
 }

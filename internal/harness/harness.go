@@ -50,6 +50,27 @@ func Kendo() Mode {
 	return Mode{"logical-clock", qithread.Config{Mode: qithread.LogicalClock}}
 }
 
+// ModeByName returns the standard evaluation mode a tool's -mode argument
+// names: each mode's own Name plus the aliases the command-line tools have
+// always accepted for it.
+func ModeByName(name string) (Mode, bool) {
+	switch name {
+	case "non-det", "nondet", "virtual-parallel":
+		return Nondet(), true
+	case "no-hint", "vanilla", "round-robin":
+		return VanillaRR(), true
+	case "no-pcs-hint", "parrot":
+		return ParrotSoft(), true
+	case "hinted", "parrot-pcs":
+		return ParrotPCS(), true
+	case "all-policies", "qithread":
+		return QiThread(), true
+	case "logical-clock", "kendo":
+		return Kendo(), true
+	}
+	return Mode{}, false
+}
+
 // Runner measures programs.
 type Runner struct {
 	// Params sizes every execution (scale, input seed, thread override).

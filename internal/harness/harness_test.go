@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -223,6 +224,44 @@ func TestDeterministicMeasurement(t *testing.T) {
 				t.Errorf("%s: virtual makespan varies across runs: %d vs %d", mode.Name, v, ref)
 				break
 			}
+		}
+	}
+}
+
+// TestModeByName pins every -mode name the tools accept to the configuration
+// it has always selected (qitrace and qireplay each used to carry a copy of
+// this table).
+func TestModeByName(t *testing.T) {
+	rr := qithread.RoundRobin
+	for name, want := range map[string]qithread.Config{
+		"non-det":          {Mode: qithread.VirtualParallel},
+		"nondet":           {Mode: qithread.VirtualParallel},
+		"virtual-parallel": {Mode: qithread.VirtualParallel},
+		"no-hint":          {Mode: rr},
+		"vanilla":          {Mode: rr},
+		"round-robin":      {Mode: rr},
+		"no-pcs-hint":      {Mode: rr, SoftBarriers: true},
+		"parrot":           {Mode: rr, SoftBarriers: true},
+		"hinted":           {Mode: rr, SoftBarriers: true, PCS: true},
+		"parrot-pcs":       {Mode: rr, SoftBarriers: true, PCS: true},
+		"all-policies":     {Mode: rr, Policies: qithread.AllPolicies},
+		"qithread":         {Mode: rr, Policies: qithread.AllPolicies},
+		"logical-clock":    {Mode: qithread.LogicalClock},
+		"kendo":            {Mode: qithread.LogicalClock},
+	} {
+		got, ok := ModeByName(name)
+		if !ok || !reflect.DeepEqual(got.Cfg, want) {
+			t.Errorf("ModeByName(%q) = %+v, %v; want config %+v", name, got, ok, want)
+		}
+	}
+	for _, m := range []Mode{Nondet(), VanillaRR(), ParrotSoft(), ParrotPCS(), QiThread(), Kendo()} {
+		if got, ok := ModeByName(m.Name); !ok || got.Name != m.Name {
+			t.Errorf("ModeByName(%q) = %q, %v; every standard mode answers to its own name", m.Name, got.Name, ok)
+		}
+	}
+	for _, name := range []string{"", "QiThread", "policies:CSWhole"} {
+		if _, ok := ModeByName(name); ok {
+			t.Errorf("ModeByName(%q) accepted", name)
 		}
 	}
 }

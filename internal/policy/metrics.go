@@ -3,23 +3,23 @@ package policy
 import "fmt"
 
 // Metrics counts the scheduling decisions one policy made — the only place
-// these counters are declared. It is both the live block a policy increments
-// (handed over by Attach) and, copied, the snapshot Stack.Metrics,
-// core.Stats.PolicyMetrics and the tools report: after a run, each speedup
-// (or slowdown) can be attributed to the policy whose decisions produced it.
+// these counters are declared. It is both the live block the Stack's hooks
+// increment and, copied, the snapshot Stack.Metrics, core.Stats.PolicyMetrics
+// and the tools report: after a run, each speedup (or slowdown) can be
+// attributed to the policy whose decisions produced it.
 //
 // The fields are deliberately not atomic: each is incremented from exactly
 // one serialized context — Picks and WakeBoosts under the scheduler mutex,
 // the others under the turn — and turn handoffs synchronize through the
-// scheduler mutex, so plain increments are race-free and keep the hot
-// dispatch path at seed cost (an atomic add per lock acquisition measurably
-// regressed BenchmarkPolicyDispatch). Snapshots must be taken while the
-// scheduler is quiescent: between runs or after every thread joined.
+// scheduler mutex, so plain increments are race-free and keep the hooks at
+// seed cost (an atomic add per lock acquisition measurably regressed
+// BenchmarkMechanismLockUnlock/turn-all-policies). Snapshots must be taken
+// while the scheduler is quiescent: between runs or after every thread joined.
 type Metrics struct {
 	// Policy is the name of the policy the block belongs to.
 	Policy string
-	// Picks counts PickNext decisions this policy won (turn grants it
-	// decided).
+	// Picks counts the turn grants this policy decided, once per committed
+	// grant (Stack.OnGrant), so the count is a function of the schedule.
 	Picks int64
 	// WakeBoosts counts wake-ups this policy routed to the wake-up queue.
 	WakeBoosts int64

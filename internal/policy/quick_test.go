@@ -1,12 +1,13 @@
 package policy
 
 import (
-	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// fakeThread is a minimal Thread for stack-level dispatch tests.
+// fakeThread is a minimal Thread for hook tests.
 type fakeThread struct {
 	id    int
 	clock int64
@@ -18,13 +19,6 @@ func (t *fakeThread) ID() int                 { return t.id }
 func (t *fakeThread) Clock() int64            { return t.clock }
 func (t *fakeThread) VTime() int64            { return t.vtime }
 func (t *fakeThread) PolicyState() *PerThread { return &t.ps }
-
-// newFakeThread returns a thread whose policy state block is sized for stk.
-func newFakeThread(stk *Stack, id int) *fakeThread {
-	t := &fakeThread{id: id}
-	stk.InitState(&t.ps)
-	return t
-}
 
 // fakeView serves a fixed pair of queues.
 type fakeView struct{ run, wake []*fakeThread }
@@ -62,32 +56,22 @@ func (v *fakeView) NextRunnable(after Thread) Thread {
 	return nil
 }
 
-// fakeLayer is a configurable layer policy: a fixed PickNext decision, a
-// fixed OnWake decision, a fixed ExtendLease/OnAcquire answer, and call
-// counts.
-type fakeLayer struct {
-	Base
-	name     string
-	pick     Thread // nil = defer to the next picker
-	wakeQ    Queue
-	wakeOK   bool
-	keep     bool
-	retain   bool
-	acquires int
-	releases int
+func newStack(base BaseKind, set Set) *Stack {
+	s := &Stack{}
+	s.Init(base, set)
+	return s
 }
 
-func (p *fakeLayer) Name() string { return p.name }
-
-func (p *fakeLayer) PickNext(View) Thread { return p.pick }
-
-func (p *fakeLayer) OnWake(Thread, bool) (Queue, bool) { return p.wakeQ, p.wakeOK }
-
-func (p *fakeLayer) ExtendLease(Thread) bool { return p.keep }
-
-func (p *fakeLayer) OnAcquire(Thread) bool { p.acquires++; return p.retain }
-
-func (p *fakeLayer) OnRelease(Thread) { p.releases++ }
+// enabledNames lists set's policies in the Section 5.2 order.
+func enabledNames(set Set) []string {
+	var out []string
+	for _, name := range Names() {
+		if p, _ := SetForName(name); set.Has(p) {
+			out = append(out, name)
+		}
+	}
+	return out
+}
 
 // TestQuickSetStringRoundTrip: every set prints to a string ParseSet maps
 // back to the identical set.
@@ -102,206 +86,396 @@ func TestQuickSetStringRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickFromSetCanonical: compiling any bitmask to a stack yields layers
-// in the canonical Section 5.2 order, Has() answers matching the bitmask, and
-// a descriptor that never changes across calls.
-func TestQuickFromSetCanonical(t *testing.T) {
+// TestQuickDescriptorCanonical: for any bitmask the descriptor is the base
+// name followed by the enabled policies in the canonical Section 5.2 order,
+// Metrics names the same policies in the same order with the base last, and
+// a clock base runs without semantic layers whatever the bitmask asks for.
+func TestQuickDescriptorCanonical(t *testing.T) {
 	f := func(bits uint8) bool {
 		set := Set(bits) & AllPolicies
-		stk := FromSet(RoundRobin(), set)
-		// Layer names must be the enabled subsequence of the canonical order.
-		want := []string{}
-		for _, name := range Names() {
-			if p, ok := SetForName(name); ok && set.Has(p) {
-				want = append(want, name)
-			}
+		stk := newStack(RoundRobin, set)
+		names := enabledNames(set)
+		want := "round-robin"
+		if len(names) > 0 {
+			want += "|" + strings.Join(names, ">")
 		}
-		layers := stk.Layers()
-		if len(layers) != len(want) {
+		if stk.String() != want {
+			t.Logf("set %v: descriptor %q, want %q", set, stk, want)
 			return false
 		}
-		for i, p := range layers {
-			if p.Name() != want[i] {
+		var got []string
+		for _, m := range stk.Metrics() {
+			got = append(got, m.Policy)
+		}
+		if !reflect.DeepEqual(got, append(names, "round-robin")) {
+			t.Logf("set %v: metrics order %v", set, got)
+			return false
+		}
+		for _, base := range []BaseKind{LogicalClock, VirtualClock} {
+			stk := newStack(base, set)
+			if stk.String() != base.String() || len(stk.Metrics()) != 1 || stk.NeedWaiters() || stk.WantDummySync() {
+				t.Logf("set %v on %v: %q", set, base, stk)
 				return false
 			}
 		}
-		for _, name := range Names() {
-			p, _ := SetForName(name)
-			if stk.Has(name) != set.Has(p) {
-				return false
-			}
-		}
-		return stk.String() == stk.String() && stk.Base().Name() == "round-robin"
+		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestQuickPickerFirstDecisiveWins: PickNext returns the decision of the
-// first decisive layer in stack order, falling through to the base policy
-// when every layer defers.
-func TestQuickPickerFirstDecisiveWins(t *testing.T) {
-	f := func(decisive uint8, nLayers uint8) bool {
-		n := int(nLayers)%5 + 1
-		front := &fakeThread{id: 100}
-		v := &fakeView{run: []*fakeThread{front}}
-		layers := make([]Policy, n)
-		picks := make([]*fakeThread, n)
-		for i := range layers {
-			l := &fakeLayer{name: fmt.Sprintf("l%d", i)}
-			if decisive&(1<<i) != 0 {
-				picks[i] = &fakeThread{id: i}
-				l.pick = picks[i]
-			}
-			layers[i] = l
+// counts is the expected non-zero counters of one run, by policy name.
+type counts map[string]Metrics
+
+// checkCounts compares every counter block of stk — disabled policies'
+// included, which Metrics() does not report — against want.
+func checkCounts(t *testing.T, stk *Stack, want counts) {
+	t.Helper()
+	for _, m := range stk.metrics {
+		w := want[m.Policy]
+		w.Policy = m.Policy
+		if m != w {
+			t.Errorf("counters %+v, want %+v", m, w)
 		}
-		stk := New(RoundRobin(), layers...)
-		got := stk.PickNext(v)
-		for i := range layers {
-			if picks[i] != nil {
-				return got == Thread(picks[i])
-			}
-		}
-		return got == Thread(front) // all deferred: base picks FrontRun
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
-// TestQuickWakeQueueFirstOKWins: WakeQueue returns the first decisive
-// waker's queue, defaulting to the run queue when every waker defers.
-func TestQuickWakeQueueFirstOKWins(t *testing.T) {
-	f := func(okMask, queueMask, nLayers uint8) bool {
-		n := int(nLayers)%5 + 1
-		layers := make([]Policy, n)
-		for i := range layers {
-			layers[i] = &fakeLayer{
-				name:   fmt.Sprintf("l%d", i),
-				wakeOK: okMask&(1<<i) != 0,
-				wakeQ:  Queue(queueMask >> i & 1),
+// TestPolicyTable is the five policies and the three base policies one by
+// one: what each decides at its hooks, what it leaves on the thread, and what
+// it counts.
+func TestPolicyTable(t *testing.T) {
+	a, b, c := &fakeThread{id: 1}, &fakeThread{id: 2}, &fakeThread{id: 3}
+	for _, row := range []struct {
+		name string
+		base BaseKind
+		set  Set
+		run  func(t *testing.T, stk *Stack, th *fakeThread)
+		want counts
+	}{
+		{"round-robin picks the run-queue head and ignores the wake-up queue", RoundRobin, NoPolicies,
+			func(t *testing.T, stk *Stack, th *fakeThread) {
+				if got := stk.PickNext(&fakeView{run: []*fakeThread{b, a}, wake: []*fakeThread{c}}); got != Thread(b) {
+					t.Errorf("picked %v, want the run-queue head", got)
+				}
+				if got := stk.PickNext(&fakeView{}); got != nil {
+					t.Errorf("picked %v from empty queues", got)
+				}
+				if q := stk.WakeQueue(th, false); q != QueueRun {
+					t.Errorf("wake-up routed to queue %d, want the run queue", q)
+				}
+				stk.OnGrant(QueueRun)
+			},
+			counts{"round-robin": {Picks: 1}}},
+		{"logical-clock picks the minimal (clock, id) over both queues", LogicalClock, NoPolicies,
+			func(t *testing.T, stk *Stack, th *fakeThread) {
+				x, y, z := &fakeThread{id: 5, clock: 7, vtime: 1}, &fakeThread{id: 4, clock: 3, vtime: 9}, &fakeThread{id: 2, clock: 3, vtime: 9}
+				if got := stk.PickNext(&fakeView{run: []*fakeThread{x, y}, wake: []*fakeThread{z}}); got != Thread(z) {
+					t.Errorf("picked %v, want T2 (clock 3, lowest id)", got)
+				}
+				stk.OnGrant(QueueRun)
+			},
+			counts{"logical-clock": {Picks: 1}}},
+		{"virtual-clock keys on the virtual clock", VirtualClock, NoPolicies,
+			func(t *testing.T, stk *Stack, th *fakeThread) {
+				x, y := &fakeThread{id: 5, clock: 7, vtime: 1}, &fakeThread{id: 4, clock: 3, vtime: 9}
+				if got := stk.PickNext(&fakeView{run: []*fakeThread{y, x}}); got != Thread(x) {
+					t.Errorf("picked %v, want T5 (vtime 1)", got)
+				}
+				stk.OnGrant(QueueRun)
+			},
+			counts{"virtual-clock": {Picks: 1}}},
+		{"BoostBlocked routes wake-ups to the wake-up queue and picks from it first", RoundRobin, BoostBlocked,
+			func(t *testing.T, stk *Stack, th *fakeThread) {
+				if q := stk.WakeQueue(th, false); q != QueueWake {
+					t.Errorf("wake-up routed to queue %d, want the wake-up queue", q)
+				}
+				if q := stk.WakeQueue(th, true); q != QueueWake {
+					t.Errorf("timed-out wake-up routed to queue %d, want the wake-up queue", q)
+				}
+				if got := stk.PickNext(&fakeView{run: []*fakeThread{a}, wake: []*fakeThread{c, b}}); got != Thread(c) {
+					t.Errorf("picked %v, want the wake-up queue head", got)
+				}
+				if got := stk.PickNext(&fakeView{run: []*fakeThread{a}}); got != Thread(a) {
+					t.Errorf("picked %v, want the run-queue head when nobody was woken", got)
+				}
+				stk.OnGrant(QueueWake)
+				stk.OnGrant(QueueRun)
+				stk.OnGrant(QueueRun)
+			},
+			counts{"BoostBlocked": {Picks: 1, WakeBoosts: 2}, "round-robin": {Picks: 2}}},
+		{"PickNext counts nothing however often it is re-evaluated", RoundRobin, AllPolicies,
+			func(t *testing.T, stk *Stack, th *fakeThread) {
+				v := &fakeView{run: []*fakeThread{a}, wake: []*fakeThread{b}}
+				for i := 0; i < 5; i++ {
+					stk.PickNext(v)
+				}
+			},
+			counts{}},
+		{"CreateAll's lease is one-shot", RoundRobin, CreateAll,
+			func(t *testing.T, stk *Stack, th *fakeThread) {
+				if stk.ExtendLease(th) {
+					t.Error("lease extended before keep_turn")
+				}
+				stk.OnArm(th)
+				stk.OnArm(th) // arming twice is still one lease
+				if !th.ps.Armed || !stk.ExtendLease(th) {
+					t.Error("armed keep_turn did not extend the lease")
+				}
+				if th.ps.Armed || stk.ExtendLease(th) {
+					t.Error("lease outlived its one release point")
+				}
+			},
+			counts{"CreateAll": {Arms: 2, LeaseExtends: 1}}},
+		{"CSWhole nests", RoundRobin, CSWhole,
+			func(t *testing.T, stk *Stack, th *fakeThread) {
+				if !stk.OnAcquire(th) || !stk.OnAcquire(th) {
+					t.Error("lock acquisition did not begin a lease")
+				}
+				stk.OnRelease(th)
+				if th.ps.CSDepth != 1 || !stk.ExtendLease(th) {
+					t.Error("lease ended with the inner section")
+				}
+				stk.OnRelease(th)
+				if stk.ExtendLease(th) {
+					t.Error("lease outlived the outermost section")
+				}
+				stk.OnRelease(th) // unbalanced release (cond wait re-entry) must not underflow
+				if th.ps.CSDepth != 0 {
+					t.Errorf("depth %d after an unbalanced release", th.ps.CSDepth)
+				}
+			},
+			counts{"CSWhole": {LeaseExtends: 3}}},
+		{"WakeAMAP holds while waiters remain and drops on the last waiter, a broadcast and blocking", RoundRobin, WakeAMAP,
+			func(t *testing.T, stk *Stack, th *fakeThread) {
+				if !stk.NeedWaiters() {
+					t.Error("NeedWaiters false")
+				}
+				for _, end := range []func(){
+					func() { stk.OnSignal(th, 0) },
+					func() { stk.OnBroadcast(th) },
+					func() { stk.OnBlock(th) },
+				} {
+					stk.OnSignal(th, 2)
+					if !stk.ExtendLease(th) || !stk.ExtendLease(th) {
+						t.Error("wake lease not held (it is sticky) while waiters remain")
+					}
+					end()
+					if th.ps.Wake || stk.ExtendLease(th) {
+						t.Error("wake lease survived its revocation")
+					}
+				}
+			},
+			counts{"WakeAMAP": {LeaseExtends: 6}}},
+		{"BranchedWake enables and counts dummy syncs", RoundRobin, BranchedWake,
+			func(t *testing.T, stk *Stack, th *fakeThread) {
+				if !stk.WantDummySync() {
+					t.Error("WantDummySync false")
+				}
+				stk.OnDummySync(th)
+			},
+			counts{"BranchedWake": {DummySyncs: 1}}},
+		{"ExtendLease asks CreateAll, then CSWhole, then WakeAMAP, and only the winner counts", RoundRobin, AllPolicies,
+			func(t *testing.T, stk *Stack, th *fakeThread) {
+				stk.OnSignal(th, 1)
+				stk.OnAcquire(th)
+				stk.OnArm(th)
+				for _, step := range []struct {
+					winner string
+					after  func()
+				}{
+					{"CreateAll", func() {}}, // consumes the one-shot arm
+					{"CSWhole", func() { stk.OnRelease(th) }},
+					{"WakeAMAP", func() { stk.OnBroadcast(th) }},
+				} {
+					before := stk.metrics
+					if !stk.ExtendLease(th) {
+						t.Fatalf("no extension with %s's lease standing", step.winner)
+					}
+					for i, m := range stk.metrics {
+						want := before[i]
+						if m.Policy == step.winner {
+							want.LeaseExtends++
+						}
+						if m != want {
+							t.Errorf("%s should win: counters %+v, want %+v", step.winner, m, want)
+						}
+					}
+					step.after()
+				}
+				if stk.ExtendLease(th) {
+					t.Error("extension with every lease gone")
+				}
+			},
+			counts{"CreateAll": {Arms: 1, LeaseExtends: 1}, "CSWhole": {LeaseExtends: 2}, "WakeAMAP": {LeaseExtends: 1}}},
+		{"disabled policies never touch state or counters", RoundRobin, NoPolicies,
+			func(t *testing.T, stk *Stack, th *fakeThread) {
+				stk.OnArm(th)
+				if stk.OnAcquire(th) {
+					t.Error("OnAcquire leased without CSWhole")
+				}
+				stk.OnSignal(th, 3)
+				stk.OnDummySync(th)
+				if stk.NeedWaiters() || stk.WantDummySync() || stk.ExtendLease(th) {
+					t.Error("a disabled policy answered")
+				}
+				stk.OnRelease(th)
+				stk.OnBroadcast(th)
+				stk.OnBlock(th)
+			},
+			counts{}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			stk, th := newStack(row.base, row.set), &fakeThread{}
+			row.run(t, stk, th)
+			if th.ps != (PerThread{}) {
+				t.Errorf("thread left holding %+v", th.ps)
 			}
-		}
-		stk := New(RoundRobin(), layers...)
-		got := stk.WakeQueue(&fakeThread{}, false)
-		for i := range layers {
-			l := layers[i].(*fakeLayer)
-			if l.wakeOK {
-				return got == l.wakeQ
-			}
-		}
-		return got == QueueRun
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
+			checkCounts(t, stk, row.want)
+		})
 	}
 }
 
-// TestQuickRetainAndAcquireSemantics: ExtendLease grants iff any leaser with
-// a published hint grants (the hint mask gates dispatch); OnAcquire leases
-// iff any acquirer leases AND always notifies every acquirer (no
-// short-circuit — acquirers track critical-section depth and must see every
-// acquisition); OnRelease notifies every acquirer.
+// TestQuickRetainAndAcquireSemantics drives random hook sequences through
+// every bitmask against the rules written out longhand: ExtendLease grants
+// iff an enabled policy's lease stands (CreateAll's consumed by the grant),
+// OnAcquire leases iff CSWhole is enabled and every acquisition and release
+// moves the depth, a wake lease follows the last OnSignal, and the state and
+// counters of a disabled policy stay zero throughout.
 func TestQuickRetainAndAcquireSemantics(t *testing.T) {
-	f := func(keepMask, retainMask, nLayers uint8) bool {
-		n := int(nLayers)%5 + 1
-		layers := make([]Policy, n)
-		anyKeep, anyRetain := false, false
-		for i := range layers {
-			keep := keepMask&(1<<i) != 0
-			retain := retainMask&(1<<i) != 0
-			anyKeep = anyKeep || keep
-			anyRetain = anyRetain || retain
-			layers[i] = &fakeLayer{name: fmt.Sprintf("l%d", i), keep: keep, retain: retain}
-		}
-		stk := New(RoundRobin(), layers...)
-		th := newFakeThread(stk, 0)
-		for i := range layers {
-			l := layers[i].(*fakeLayer)
-			l.HintLease(th, l.keep) // Leaser contract: hint when ExtendLease may grant
-		}
-		if stk.ExtendLease(th) != anyKeep {
-			return false
-		}
-		if stk.OnAcquire(th) != anyRetain {
-			return false
-		}
-		stk.OnRelease(th)
-		for i := range layers {
-			l := layers[i].(*fakeLayer)
-			if l.acquires != 1 || l.releases != 1 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickSlotIsolation: every policy in a stack is assigned a distinct
-// per-thread state slot, InitState sizes the block to the stack, and writes
-// through one policy's slot never alias another's.
-func TestQuickSlotIsolation(t *testing.T) {
-	f := func(bits uint8) bool {
+	f := func(bits uint8, ops []uint8) bool {
 		set := Set(bits) & AllPolicies
-		stk := FromSet(RoundRobin(), set)
-		all := append(stk.Layers(), stk.Base())
-		var pt PerThread
-		stk.InitState(&pt)
-		if len(pt.words) != len(all)+1 { // +1: the lease-hint mask word
-			return false
-		}
-		seen := map[int]bool{}
-		for _, p := range all {
-			s := p.(interface{ Slot() int }).Slot()
-			if s < 0 || s >= len(all) || seen[s] {
+		stk, th := newStack(RoundRobin, set), &fakeThread{}
+		var want PerThread
+		ext := map[Set]int64{}
+		var arms int64
+		for _, op := range ops {
+			switch op % 7 {
+			case 0:
+				stk.OnArm(th)
+				if set.Has(CreateAll) {
+					want.Armed = true
+					arms++
+				}
+			case 1:
+				if stk.OnAcquire(th) != set.Has(CSWhole) {
+					return false
+				}
+				if set.Has(CSWhole) {
+					want.CSDepth++
+					ext[CSWhole]++
+				}
+			case 2:
+				stk.OnRelease(th)
+				if want.CSDepth > 0 {
+					want.CSDepth--
+				}
+			case 3:
+				left := int(op / 7 % 3)
+				stk.OnSignal(th, left)
+				want.Wake = set.Has(WakeAMAP) && left > 0
+			case 4:
+				stk.OnBroadcast(th)
+				want.Wake = false
+			case 5:
+				stk.OnBlock(th)
+				want.Wake = false
+			case 6:
+				winner := Set(0)
+				switch {
+				case want.Armed:
+					winner, want.Armed = CreateAll, false
+				case want.CSDepth > 0:
+					winner = CSWhole
+				case want.Wake:
+					winner = WakeAMAP
+				}
+				if stk.ExtendLease(th) != (winner != 0) {
+					return false
+				}
+				if winner != 0 {
+					ext[winner]++
+				}
+			}
+			if th.ps != want || !stk.Owns(th.ps) {
+				t.Logf("set %v: state %+v, want %+v", set, th.ps, want)
 				return false
 			}
-			seen[s] = true
-			*pt.Word(s) = uint64(s) + 1
 		}
-		for _, p := range all {
-			s := p.(interface{ Slot() int }).Slot()
-			if *pt.Word(s) != uint64(s)+1 {
-				return false
-			}
-		}
-		return true
+		checkCounts(t, stk, counts{
+			"CreateAll": {Arms: arms, LeaseExtends: ext[CreateAll]},
+			"CSWhole":   {LeaseExtends: ext[CSWhole]},
+			"WakeAMAP":  {LeaseExtends: ext[WakeAMAP]},
+		})
+		return !t.Failed()
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestMetricsOrderAndReset: Metrics reports layers first and the base last,
-// names match the stack descriptor, and ResetMetrics zeroes every counter.
-func TestMetricsOrderAndReset(t *testing.T) {
-	stk := FromSet(RoundRobin(), AllPolicies)
-	v := &fakeView{run: []*fakeThread{newFakeThread(stk, 1)}}
-	for i := 0; i < 7; i++ {
-		if stk.PickNext(v) == nil {
-			t.Fatal("expected a pick")
+// TestOwns: a thread state is the stack's own iff every lease in it belongs
+// to an enabled policy — what a checkpoint restore checks before trusting it.
+func TestOwns(t *testing.T) {
+	for _, c := range []struct {
+		ps    PerThread
+		owner Set
+	}{
+		{PerThread{Armed: true}, CreateAll},
+		{PerThread{CSDepth: 2}, CSWhole},
+		{PerThread{Wake: true}, WakeAMAP},
+	} {
+		for set := NoPolicies; set <= AllPolicies; set++ {
+			if got := newStack(RoundRobin, set).Owns(c.ps); got != set.Has(c.owner) {
+				t.Errorf("%v owns %+v = %v", set, c.ps, got)
+			}
 		}
+		if newStack(LogicalClock, AllPolicies).Owns(c.ps) {
+			t.Errorf("a clock base owns %+v", c.ps)
+		}
+	}
+	if !newStack(LogicalClock, NoPolicies).Owns(PerThread{}) {
+		t.Error("the zero state belongs to every stack")
+	}
+}
+
+// TestMetricsOrderAndReset: Metrics reports the enabled layers first and the
+// base last, as copies of the live blocks, and filling the stack again starts
+// every counter from zero.
+func TestMetricsOrderAndReset(t *testing.T) {
+	stk := newStack(RoundRobin, AllPolicies)
+	th := &fakeThread{}
+	for i := 0; i < 7; i++ {
+		stk.OnGrant(QueueRun)
+	}
+	stk.OnGrant(QueueWake)
+	stk.WakeQueue(th, false)
+	stk.OnArm(th)
+	stk.OnAcquire(th)
+	stk.OnDummySync(th)
+	want := []Metrics{
+		{Policy: "BoostBlocked", Picks: 1, WakeBoosts: 1},
+		{Policy: "CreateAll", Arms: 1},
+		{Policy: "CSWhole", LeaseExtends: 1},
+		{Policy: "WakeAMAP"},
+		{Policy: "BranchedWake", DummySyncs: 1},
+		{Policy: "round-robin", Picks: 7},
 	}
 	ms := stk.Metrics()
-	if len(ms) != len(stk.Layers())+1 {
-		t.Fatalf("got %d metrics, want %d", len(ms), len(stk.Layers())+1)
+	if !reflect.DeepEqual(ms, want) {
+		t.Fatalf("metrics %+v, want %+v", ms, want)
 	}
-	for i, p := range stk.Layers() {
-		if ms[i].Policy != p.Name() {
-			t.Fatalf("metrics[%d] = %q, want %q", i, ms[i].Policy, p.Name())
-		}
+	ms[0].Picks = 99
+	if stk.Metrics()[0].Picks != 1 {
+		t.Fatal("Metrics returned the live blocks, not a snapshot")
 	}
-	if last := ms[len(ms)-1]; last.Policy != "round-robin" || last.Picks == 0 {
-		t.Fatalf("base metrics %+v, want round-robin with picks", last)
-	}
-	stk.ResetMetrics()
+	stk.Init(RoundRobin, CSWhole|WakeAMAP)
 	for _, m := range stk.Metrics() {
 		if m.Total() != 0 {
-			t.Fatalf("counters for %s not reset: %+v", m.Policy, m)
+			t.Fatalf("counters for %s survived Init: %+v", m.Policy, m)
 		}
+	}
+	if got := stk.String(); got != "round-robin|CSWhole>WakeAMAP" {
+		t.Fatalf("descriptor after Init %q", got)
 	}
 }

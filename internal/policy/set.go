@@ -6,9 +6,8 @@ import (
 )
 
 // Set is a bitmask of the five semantics-aware scheduling policies of the
-// paper (Section 3). It is the configuration surface: a Set compiles down to
-// a canonical Stack via CanonicalStack, and core.Policy / qithread.Policy
-// alias it.
+// paper (Section 3). It is the configuration surface: Stack.Init enables the
+// policies of a Set, and core.Policy / qithread.Policy alias it.
 type Set uint8
 
 const (

@@ -103,7 +103,7 @@ type Config struct {
 	// Policies enables QiThread's semantics-aware policies (RoundRobin mode
 	// only). NoPolicies yields vanilla Parrot round-robin scheduling. The
 	// bitmask is the one way to choose policies: every scheduler domain
-	// compiles it down to its own canonical policy stack (internal/policy).
+	// enables them in its own policy stack (internal/policy).
 	Policies Policy
 
 	// SoftBarriers honors Parrot soft-barrier performance hints placed in

@@ -16,7 +16,6 @@ import (
 type Runtime struct {
 	cfg   Config
 	sched *core.Scheduler // default domain's scheduler; nil in Nondet mode
-	stack *policy.Stack   // default domain's policy stack; nil in Nondet mode
 	group *domain.Group   // partition registry; nil in Nondet mode
 
 	domMu    sync.Mutex
@@ -55,16 +54,13 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{cfg: cfg}
 	if cfg.Mode.Deterministic() {
 		mode := core.RoundRobin
-		pol := cfg.Policies
 		cost := vSyncCostDet
 		switch cfg.Mode {
 		case LogicalClock:
 			mode = core.LogicalClock
-			pol = core.NoPolicies
 		case VirtualParallel:
 			// The ideal-parallel baseline pays native (non-turn) costs.
 			mode = core.VirtualParallel
-			pol = core.NoPolicies
 			cost = vSyncCostNondet
 		}
 		if cfg.StreamTrace != nil && !cfg.Record {
@@ -75,27 +71,21 @@ func New(cfg Config) *Runtime {
 		}
 		rt.group = domain.NewGroup(domain.Config{
 			RetainDeliveryLog: cfg.RetainDeliveryLog,
-			NewScheduler: func(id int) (*core.Scheduler, *policy.Stack) {
-				// The policy stack makes every scheduling decision: the
-				// bitmask compiles down to the canonical stack, one instance
-				// per domain (a stack carries its scheduler's counters).
-				stk := core.DefaultStack(mode, pol)
+			NewScheduler: func(id int) *core.Scheduler {
 				var sink core.TraceSink
 				if cfg.StreamTrace != nil {
 					sink = cfg.StreamTrace(id)
 				}
-				sched := core.New(core.Config{
-					Mode: mode, Policies: pol, Stack: stk, Record: cfg.Record,
+				return core.New(core.Config{
+					Mode: mode, Policies: cfg.Policies, Record: cfg.Record,
 					Sink: sink, SuspendRecording: cfg.Resume != nil,
 					VSyncCost: cost, DomainID: id, NoLease: cfg.NoTurnLease,
 					Chooser: rt.domainChooser(id),
 				})
-				return sched, stk
 			},
 		})
 		d0 := rt.addDomain("main")
 		rt.sched = d0.sched
-		rt.stack = d0.stack
 		if cfg.Replay != nil {
 			rt.sched.SetReplay(cfg.Replay)
 		}
@@ -126,7 +116,7 @@ func (rt *Runtime) addDomain(name string) *Domain {
 	if rt.group != nil {
 		d.inner = rt.group.Add(name)
 		d.sched = d.inner.Scheduler()
-		d.stack = d.inner.Stack()
+		d.stack = d.sched.Stack()
 	}
 	rt.domains = append(rt.domains, d)
 	return d
@@ -310,13 +300,18 @@ func (rt *Runtime) det() bool { return rt.sched != nil }
 
 // PolicyStack returns the policy stack scheduling this runtime (nil in
 // Nondet mode). Its Metrics attribute scheduling decisions to policies.
-func (rt *Runtime) PolicyStack() *policy.Stack { return rt.stack }
+func (rt *Runtime) PolicyStack() *policy.Stack {
+	if rt.sched == nil {
+		return nil
+	}
+	return rt.sched.Stack()
+}
 
 // PolicyMetrics returns the per-policy decision counters of the runtime's
 // policy stack (nil in Nondet mode).
 func (rt *Runtime) PolicyMetrics() []policy.Metrics {
-	if rt.stack == nil {
+	if rt.sched == nil {
 		return nil
 	}
-	return rt.stack.Metrics()
+	return rt.sched.Stack().Metrics()
 }

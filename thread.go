@@ -19,8 +19,8 @@ const workQuantum = 1024
 // goroutine registered with the runtime's scheduler. The wrapper state the
 // semantics-aware policies need (critical-section nesting for CSWhole, the
 // pending keep-turn flag for CreateAll, the sticky wake hold for WakeAMAP)
-// lives in the per-policy state block on the core thread, maintained by the
-// policy stack's hooks.
+// is policy.PerThread on the core thread, maintained by the policy stack's
+// hooks.
 //
 // A Thread is the one heap record of its thread: the scheduler's queue node
 // is the embedded node, registered in place, and the body function rides on
@@ -121,7 +121,6 @@ func (t *Thread) Create(name string, fn func(*Thread)) *Thread {
 	s := t.dom.sched
 	s.GetTurn(t.ct)
 	child.register()
-	t.dom.stack.OnCreate(t.ct, child.ct)
 	s.TraceOp(t.ct, core.OpCreate, child.joinObj, core.StatusOK)
 	// The child's virtual clock starts at the creator's current virtual
 	// time (it cannot have computed anything earlier).
@@ -334,8 +333,8 @@ func (t *Thread) WorkSeeded(seed uint64, n int64) uint64 {
 // release point: a pending keep_turn (CreateAll's one-shot lease), an active
 // WakeAMAP unblocking loop (wake lease), or an open critical section under
 // CSWhole (CS-scoped lease). Wrappers call it at the end of every
-// synchronization operation; the stack consults its leasers in stack order
-// and the first extension wins. When no policy lease holds, PutTurn may
+// synchronization operation; the stack asks the lease policies in stack
+// order and the first extension wins. When no policy lease holds, PutTurn may
 // still extend the scheduler's own solo-thread lease (see internal/core).
 func (t *Thread) release() {
 	if t.dom.stack.ExtendLease(t.ct) {
@@ -345,7 +344,7 @@ func (t *Thread) release() {
 }
 
 // park blocks the thread on the scheduler wait queue. The scheduler's Wait
-// dispatches the stack's OnBlock hook, which ends any WakeAMAP retention
+// calls the stack's OnBlock hook, which ends any WakeAMAP retention
 // ("... or the unblocking thread itself gets blocked", Section 3.4), and
 // releases the turn unconditionally.
 func (t *Thread) park(obj uint64, timeout int64) core.WaitStatus {
