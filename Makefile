@@ -4,7 +4,7 @@ GO ?= go
 # Performance changes should also refresh the committed baseline with
 # `make bench-json` and include the BENCH_sched.json diff in the review.
 .PHONY: check
-check: build vet race shuffle cpu-matrix alloc-bounds soak-smoke explore-smoke controlplane-smoke
+check: build fmt vet race shuffle cpu-matrix alloc-bounds soak-smoke explore-smoke controlplane-smoke
 
 # Scheduler tests at -cpu 1, 2 and 4: the turn lease and the park-first grant
 # handoff behave differently with no parallelism, with more turn-waiters than
@@ -24,7 +24,7 @@ cpu-matrix:
 # only reads the schedule it borrows (two runtimes share one under -race).
 # Named here so that a reintroduced regrowing append or defensive copy fails
 # the gate rather than a benchmark run. The construction budget (DESIGN.md
-# §4.13) is held the same way: at most 9 allocations for a runtime that ran an
+# §4.13) is held the same way: three allocations for a runtime that ran an
 # empty main, at most 1.5 per created-and-joined thread, nothing retained per
 # exited thread but its table slot, inline thread table and chooser scratch,
 # and — at -cpu 1 and 4, two runtimes at once — grant channels recycled across
@@ -52,9 +52,20 @@ bench-compare:
 build:
 	$(GO) build ./...
 
+# Any file gofmt would rewrite fails the gate (PR 17 found three at its
+# parent).
+.PHONY: fmt
+fmt:
+	@out="$$(gofmt -l .)"; [ -z "$$out" ] || { echo "gofmt -l:"; echo "$$out"; exit 1; }
+
 .PHONY: vet
 vet:
 	$(GO) vet ./...
+
+# Lines of non-test Go outside benchmark/: the size the simplicity PRs quote.
+.PHONY: loc
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
 
 .PHONY: test
 test:

@@ -38,7 +38,7 @@ func (rt *Runtime) NewBarrier(t *Thread, name string, n int) *Barrier {
 	}
 	b := &Barrier{rt: rt, dom: t.dom, name: name, n: n}
 	if rt.det() {
-		s := t.dom.sched
+		s := t.dom.rec.Sched
 		s.GetTurn(t.ct)
 		b.obj = s.NewObjectKind("barrier:", name)
 		s.TraceOp(t.ct, core.OpBarrierInit, b.obj, core.StatusOK)
@@ -52,6 +52,7 @@ func (rt *Runtime) NewBarrier(t *Thread, name string, n int) *Barrier {
 // Wait blocks until n threads have arrived. It returns true in exactly one
 // of the n threads (the serial thread).
 func (b *Barrier) Wait(t *Thread) bool {
+	s := b.dom.enter(t, "barrier", b.name)
 	if !b.rt.det() {
 		b.nmu.Lock()
 		gen := b.ngen
@@ -82,7 +83,6 @@ func (b *Barrier) Wait(t *Thread) bool {
 		t.vAdd(t.vCost())
 		return false
 	}
-	s := b.dom.enter(t, "barrier", b.name)
 	s.GetTurn(t.ct)
 	b.arrived++
 	if b.arrived == b.n {
@@ -101,10 +101,10 @@ func (b *Barrier) Wait(t *Thread) bool {
 
 // Destroy retires the barrier and releases its scheduler bookkeeping.
 func (b *Barrier) Destroy(t *Thread) {
+	s := b.dom.enter(t, "barrier", b.name)
 	if !b.rt.det() {
 		return
 	}
-	s := b.dom.enter(t, "barrier", b.name)
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpBarrierDestroy, b.obj, core.StatusOK)
 	s.DestroyObject(t.ct, b.obj)

@@ -85,7 +85,7 @@ func (rt *Runtime) Quiescent(t *Thread) bool {
 	if !rt.det() {
 		panic("qithread: Quiescent requires a deterministic Mode")
 	}
-	s := t.dom.sched
+	s := t.dom.rec.Sched
 	s.GetTurn(t.ct)
 	q := s.Quiescent(t.ct)
 	t.release()
@@ -98,7 +98,7 @@ func (rt *Runtime) Quiescent(t *Thread) bool {
 // wake-up queue) would otherwise extend t's turn at every release point and
 // the woken threads would never run — the drive must force real handoffs.
 func (rt *Runtime) quiesce(t *Thread, what string) error {
-	s := t.dom.sched
+	s := t.dom.rec.Sched
 	for i := 0; ; i++ {
 		s.GetTurn(t.ct)
 		if s.Quiescent(t.ct) {
@@ -107,7 +107,7 @@ func (rt *Runtime) quiesce(t *Thread, what string) error {
 		if i >= maxQuiescenceYields {
 			dump := s.Dump()
 			s.PutTurn(t.ct)
-			return fmt.Errorf("qithread: %s: domain %d did not quiesce after %d yields; threads are waking each other across the boundary\n%s", what, t.dom.id, maxQuiescenceYields, dump)
+			return fmt.Errorf("qithread: %s: domain %d did not quiesce after %d yields; threads are waking each other across the boundary\n%s", what, t.dom.rec.ID, maxQuiescenceYields, dump)
 		}
 		s.TraceOp(t.ct, core.OpYield, 0, core.StatusOK)
 		s.PutTurn(t.ct)
@@ -144,7 +144,7 @@ func (rt *Runtime) Checkpoint(t *Thread, app func() []byte) (*Checkpoint, error)
 	if app != nil {
 		payload = app()
 	}
-	s := t.dom.sched
+	s := t.dom.rec.Sched
 	st, err := s.CaptureState(t.ct)
 	if err != nil {
 		t.release()
@@ -152,26 +152,24 @@ func (rt *Runtime) Checkpoint(t *Thread, app func() []byte) (*Checkpoint, error)
 	}
 	rec := &ckpt.Record{
 		Domains: []core.SchedState{*st},
-		Xseqs:   []int64{t.dom.inner.Xseq()},
+		Xseqs:   []int64{t.dom.rec.Xseq},
 		App:     payload,
 	}
 	err = func() error {
 		for _, d := range rt.allDomains() {
-			if d == t.dom || d.sched == nil {
+			if d == t.dom {
 				continue
 			}
-			if live, n := d.sched.Live(), d.sched.TraceLen(); live != 0 || n != 0 {
+			if live, n := d.rec.Sched.Live(), d.rec.Sched.TraceLen(); live != 0 || n != 0 {
 				return fmt.Errorf("qithread: Checkpoint from %s, but %s is active (%d live threads, %d recorded events); checkpoint boundaries require every other domain idle", t.dom.label(), d.label(), live, n)
 			}
 		}
-		if rt.group != nil {
-			for _, c := range rt.group.Channels() {
-				cs, err := c.CaptureState()
-				if err != nil {
-					return err
-				}
-				rec.Channels = append(rec.Channels, *cs)
+		for _, c := range rt.group.Channels() {
+			cs, err := c.CaptureState()
+			if err != nil {
+				return err
 			}
+			rec.Channels = append(rec.Channels, *cs)
 		}
 		for _, gw := range rt.allGateways() {
 			rec.Gateways = append(rec.Gateways, *gw.g.CaptureState())
@@ -207,7 +205,7 @@ func (rt *Runtime) Resume(t *Thread) error {
 	if len(rec.Domains) != 1 {
 		return fmt.Errorf("qithread: checkpoint holds %d domain snapshots, want 1", len(rec.Domains))
 	}
-	if got, want := t.dom.id, rec.Domains[0].DomainID; got != want {
+	if got, want := t.dom.rec.ID, rec.Domains[0].DomainID; got != want {
 		return fmt.Errorf("qithread: Resume from domain %d, but the checkpoint was taken in domain %d", got, want)
 	}
 	if err := rt.quiesce(t, "Resume"); err != nil {
@@ -216,10 +214,10 @@ func (rt *Runtime) Resume(t *Thread) error {
 	// The turn is held from here to the release below.
 	err := func() error {
 		for _, d := range rt.allDomains() {
-			if d == t.dom || d.sched == nil {
+			if d == t.dom {
 				continue
 			}
-			if live := d.sched.Live(); live != 0 {
+			if live := d.rec.Sched.Live(); live != 0 {
 				return fmt.Errorf("qithread: Resume with %d live threads in %s; the checkpoint had every other domain idle", live, d.label())
 			}
 		}
@@ -241,10 +239,10 @@ func (rt *Runtime) Resume(t *Thread) error {
 				return err
 			}
 		}
-		t.dom.inner.SetXseq(rec.Xseqs[0])
+		t.dom.rec.Xseq = rec.Xseqs[0]
 		// The scheduler restore comes last: it verifies the rebuilt thread
 		// and wait-list structure and unmutes recording.
-		return t.dom.sched.RestoreState(t.ct, &rec.Domains[0])
+		return t.dom.rec.Sched.RestoreState(t.ct, &rec.Domains[0])
 	}()
 	t.release()
 	return err

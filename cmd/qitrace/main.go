@@ -9,7 +9,6 @@
 //	qitrace -program ferret -mode qithread -n 50
 //	qitrace -program pbzip2_compress -compare qithread,logical-clock
 //	qitrace -program pbzip2_compress -mode logical-clock -inputs 4
-//	qitrace -program <multi-domain program> -deliveries -retain-deliveries
 package main
 
 import (
@@ -67,9 +66,6 @@ func main() {
 		save    = flag.String("save", "", "write the recorded schedule to this file")
 		replay  = flag.String("replay", "", "enforce a schedule previously written with -save")
 		gantt   = flag.Bool("gantt", false, "render the schedule as a per-thread timeline")
-
-		deliveries       = flag.Bool("deliveries", false, "dump the cross-domain delivery log (needs -retain-deliveries)")
-		retainDeliveries = flag.Bool("retain-deliveries", false, "materialize the delivery log (Config.RetainDeliveryLog)")
 	)
 	flag.Parse()
 
@@ -121,37 +117,6 @@ func main() {
 		}
 		cfg.Replay = sched
 		fmt.Printf("enforcing recorded schedule of %d operations from %s\n", len(sched), *replay)
-	}
-
-	if *deliveries {
-		// The delivery log is a debug facility: fingerprinting only keeps the
-		// running per-channel hashes, so without Config.RetainDeliveryLog
-		// there is no log to dump — tell the user which flag turns it on
-		// instead of printing a confusingly empty listing.
-		if !*retainDeliveries {
-			fmt.Fprintln(os.Stderr, `qitrace: -deliveries needs a run that materialized its delivery log, and this run did not:
-the log is only retained under Config.RetainDeliveryLog (fingerprints need just the running
-delivery hashes, so retention is off by default). Re-run with -retain-deliveries to record it.`)
-			os.Exit(1)
-		}
-		cfg.Record = true
-		cfg.RetainDeliveryLog = true
-		rt := qithread.New(cfg)
-		spec.Build(p)(rt)
-		log := rt.DeliveryLog()
-		if len(log) == 0 {
-			fmt.Printf("%s under %s: no cross-domain deliveries (single-domain program, or no XPipe traffic)\n", spec.Name, *mode)
-			return
-		}
-		fmt.Printf("%s under %s: %d cross-domain deliveries\n", spec.Name, *mode, len(log))
-		for i, d := range log {
-			if *n > 0 && i >= *n {
-				fmt.Printf("   ... (%d more; raise -n to see them)\n", len(log)-i)
-				break
-			}
-			fmt.Println("  ", d)
-		}
-		return
 	}
 
 	if *inputs > 1 {

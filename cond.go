@@ -34,7 +34,7 @@ type Cond struct {
 func (rt *Runtime) NewCond(t *Thread, name string) *Cond {
 	c := &Cond{rt: rt, dom: t.dom, name: name}
 	if rt.det() {
-		s := t.dom.sched
+		s := t.dom.rec.Sched
 		s.GetTurn(t.ct)
 		c.obj = s.NewObjectKind("cond:", name)
 		s.TraceOp(t.ct, core.OpCondInit, c.obj, core.StatusOK)
@@ -73,6 +73,7 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 	if m.owner != t {
 		panic("qithread: Cond.Wait with mutex " + m.name + " not held by " + t.String())
 	}
+	s := c.dom.enter(t, "cond", c.name)
 	if m.bypass() {
 		// Nondet: timeouts are modeled by a timer goroutine waking the
 		// condition; workloads in the catalog only use untimed waits in
@@ -85,7 +86,6 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 		t.vAdd(t.vCost())
 		return true
 	}
-	s := c.dom.enter(t, "cond", c.name)
 	s.GetTurn(t.ct)
 	op := core.OpCondWait
 	if timeout > 0 {
@@ -118,6 +118,7 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 // variable, so a wake-up loop runs to completion before anyone else is
 // scheduled.
 func (c *Cond) Signal(t *Thread) {
+	s := c.dom.enter(t, "cond", c.name)
 	if !c.rt.det() {
 		t.vAdd(t.vCost())
 		amax(&c.vSig, t.VNow())
@@ -129,7 +130,6 @@ func (c *Cond) Signal(t *Thread) {
 		}
 		return
 	}
-	s := c.dom.enter(t, "cond", c.name)
 	s.GetTurn(t.ct)
 	left := s.Signal(t.ct, c.obj)
 	s.TraceOp(t.ct, core.OpCondSignal, c.obj, core.StatusOK)
@@ -147,6 +147,7 @@ func (c *Cond) Signal(t *Thread) {
 
 // Broadcast wakes all waiters in FIFO order.
 func (c *Cond) Broadcast(t *Thread) {
+	s := c.dom.enter(t, "cond", c.name)
 	if !c.rt.det() {
 		t.vAdd(t.vCost())
 		amax(&c.vSig, t.VNow())
@@ -158,7 +159,6 @@ func (c *Cond) Broadcast(t *Thread) {
 		}
 		return
 	}
-	s := c.dom.enter(t, "cond", c.name)
 	s.GetTurn(t.ct)
 	s.Broadcast(t.ct, c.obj)
 	s.TraceOp(t.ct, core.OpCondBroadcast, c.obj, core.StatusOK)
@@ -169,10 +169,10 @@ func (c *Cond) Broadcast(t *Thread) {
 // Destroy retires the condition variable and releases its scheduler
 // bookkeeping (object name, empty wait-list entry).
 func (c *Cond) Destroy(t *Thread) {
+	s := c.dom.enter(t, "cond", c.name)
 	if !c.rt.det() {
 		return
 	}
-	s := c.dom.enter(t, "cond", c.name)
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpCondDestroy, c.obj, core.StatusOK)
 	s.DestroyObject(t.ct, c.obj)

@@ -82,11 +82,12 @@ func TestThreadAllocBudget(t *testing.T) {
 
 // TestRuntimeAllocBudget: the other half of the construction budget — what a
 // runtime costs before it has created a single thread. New plus Run of an
-// empty main is at most 9 allocations (DESIGN.md §4.13 names them): the
-// scheduler is one heap object holding its policy stack by value, where it
-// used to be three. Exact under -race for the same reason as above.
+// empty main is three allocations (DESIGN.md §4.13): the Runtime, which holds
+// its default domain, the channel registry and the first slot of the domain
+// list by value; the Scheduler, which holds its policy stack by value; and the
+// main Thread. Exact under -race for the same reason as above.
 func TestRuntimeAllocBudget(t *testing.T) {
-	const budget = 9
+	const budget = 3
 	run := func() { New(Config{Mode: RoundRobin, Policies: AllPolicies}).Run(func(*Thread) {}) }
 	run() // the main thread's grant channel is on the free list from here on
 	best := minMallocs(func() {}, run)

@@ -23,16 +23,17 @@ import (
 // optimization. The only legal cross-domain communication is an XPipe,
 // whose deliveries are sequenced and logged (see NewXPipe).
 //
-// In Nondet mode domains are inert grouping labels: Start/Launch run threads
+// In Nondet mode a domain has no scheduler: Start/Launch run plain threads
 // and XPipes degrade to plain buffered channels, so one workload runs
-// unchanged under every mode.
+// unchanged under every mode. The partition rules above are enforced all the
+// same — a workload that breaks them panics under every mode, not only the
+// deterministic ones.
 type Domain struct {
-	rt    *Runtime
-	id    int
-	name  string
-	inner *domain.Domain  // nil in Nondet mode
-	sched *core.Scheduler // nil in Nondet mode
-	stack *policy.Stack   // sched.Stack(), cached for the wrappers' hook calls; nil in Nondet mode
+	rt  *Runtime
+	rec domain.Domain // id, name, scheduler (nil in Nondet mode) and boundary counter; XPipe channels point at it
+
+	stack   *policy.Stack // rec.Sched.Stack(), cached for the wrappers' hook calls; nil in Nondet mode
+	chooser Chooser       // Config.Chooser(id), asked once at creation; shared by the scheduler and the domain's gateways
 
 	mu       sync.Mutex
 	launched bool
@@ -46,17 +47,19 @@ type pendingRoot struct {
 
 // ID returns the domain's creation index within its runtime (the default
 // domain is 0).
-func (d *Domain) ID() int { return d.id }
+func (d *Domain) ID() int { return d.rec.ID }
 
 // Name returns the domain's debugging name.
-func (d *Domain) Name() string { return d.name }
+func (d *Domain) Name() string { return d.rec.Name }
 
-func (d *Domain) label() string { return fmt.Sprintf("domain %d (%s)", d.id, d.name) }
+func (d *Domain) label() string { return d.rec.String() }
 
 func (d *Domain) String() string { return d.label() }
 
 // enter verifies that t may operate on a synchronization object bound to
-// this domain and returns the domain's scheduler. Cross-domain use is a
+// this domain and returns the domain's scheduler (nil in Nondet mode). Every
+// wrapper method calls it first, above its mode and PCS forks, so a partition
+// violation cannot hide behind mode selection. Cross-domain use is a
 // deterministic panic: the offending operation occupies a fixed place in its
 // thread's program order, so every run fails identically.
 func (d *Domain) enter(t *Thread, kind, name string) *core.Scheduler {
@@ -64,25 +67,25 @@ func (d *Domain) enter(t *Thread, kind, name string) *core.Scheduler {
 		panic(fmt.Sprintf("qithread: %s %q of %s used by %v of %s; cross-domain synchronization is only legal through an XPipe",
 			kind, name, d.label(), t, t.dom.label()))
 	}
-	return d.sched
+	return d.rec.Sched
 }
 
 // Trace returns the domain's recorded schedule (empty unless Config.Record;
 // nil in Nondet mode). Event sequence numbers are domain-local.
 func (d *Domain) Trace() []Event {
-	if d.sched == nil {
+	if d.rec.Sched == nil {
 		return nil
 	}
-	return d.sched.Trace()
+	return d.rec.Sched.Trace()
 }
 
 // TurnCount returns the number of completed scheduling turns in this domain
 // (0 in Nondet mode).
 func (d *Domain) TurnCount() int64 {
-	if d.sched == nil {
+	if d.rec.Sched == nil {
 		return 0
 	}
-	return d.sched.TurnCount()
+	return d.rec.Sched.TurnCount()
 }
 
 // SetReplay installs a previously recorded schedule of THIS domain to
@@ -93,10 +96,10 @@ func (d *Domain) TurnCount() int64 {
 // replaying, not by the log). Like Config.Replay, events is borrowed, not
 // copied: do not modify it until the run ends.
 func (d *Domain) SetReplay(events []Event) {
-	if d.sched == nil {
+	if d.rec.Sched == nil {
 		panic("qithread: Domain.SetReplay requires a deterministic Mode")
 	}
-	d.sched.SetReplay(events)
+	d.rec.Sched.SetReplay(events)
 }
 
 // Start queues a root thread for the domain: name and entry point, started
@@ -105,7 +108,7 @@ func (d *Domain) SetReplay(events []Event) {
 // default domain panics — the default domain's root is Run's main thread,
 // and everything else there comes from Thread.Create.
 func (d *Domain) Start(name string, fn func(*Thread)) {
-	if d.id == 0 {
+	if d.rec.ID == 0 {
 		panic("qithread: Start on the default domain; the main thread runs there — use Thread.Create")
 	}
 	d.mu.Lock()

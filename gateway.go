@@ -99,6 +99,9 @@ func (rt *Runtime) NewGateway(name string, d *Domain, cfg GatewayConfig) *Gatewa
 	if d == nil {
 		panic("qithread: gateway domain must be non-nil")
 	}
+	if d.rt != rt {
+		panic(fmt.Sprintf("qithread: gateway %q on %s, which belongs to another runtime", name, d.label()))
+	}
 	icfg := ingress.Config{
 		StageCap:     cfg.StageCap,
 		PerSourceCap: cfg.PerSourceCap,
@@ -109,7 +112,7 @@ func (rt *Runtime) NewGateway(name string, d *Domain, cfg GatewayConfig) *Gatewa
 	if cfg.Replay != nil {
 		icfg.Replay = ingress.NewReplayer(cfg.Replay)
 	}
-	if ch := rt.domainChooser(d.id); ch != nil {
+	if ch := d.chooser; ch != nil {
 		// Admission boundaries are a scheduling choice point: the domain's
 		// chooser may shrink any multi-event batch, moving the epoch boundary
 		// without changing event order. Candidate i means a batch of i+1
@@ -124,12 +127,12 @@ func (rt *Runtime) NewGateway(name string, d *Domain, cfg GatewayConfig) *Gatewa
 		name: name,
 		g:    ingress.NewGateway(icfg),
 	}
-	if d.sched != nil {
+	if d.rec.Sched != nil {
 		// The object id comes from the domain's scheduler, like every other
 		// synchronization object, so it is a pure function of the program's
 		// deterministic creation order — replays of one recording in one
 		// process must trace identical ids.
-		gw.id = d.sched.NewObjectKind("gateway:", name)
+		gw.id = d.rec.Sched.NewObjectKind("gateway:", name)
 	}
 	// Registration order is the checkpoint order: gateways are created
 	// deterministically, so a resumed run rebuilds the same sequence.
@@ -176,14 +179,11 @@ func (gw *Gateway) AddSource(s IngressSource) {
 // outside timing interleaves. It reports ok=false once ingress is exhausted
 // (all sources closed or log replayed, every admitted event delivered).
 func (gw *Gateway) Admit(t *Thread, dst []IngressEvent) (n int, ok bool) {
+	s := gw.dom.enter(t, "ingress gateway", gw.name)
 	if !gw.rt.det() {
-		if t.dom != gw.dom {
-			panic(fmt.Sprintf("qithread: gateway %q of %s used by %v of %s", gw.name, gw.dom.label(), t, t.dom.label()))
-		}
 		t.vAdd(t.vCost())
 		return gw.g.Admit(dst)
 	}
-	s := gw.dom.enter(t, "ingress gateway", gw.name)
 	s.GetTurn(t.ct)
 	n, ok = gw.g.Admit(dst)
 	s.TraceOp(t.ct, core.OpIngressAdmit, gw.id, core.StatusOK)

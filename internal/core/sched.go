@@ -21,9 +21,9 @@ import (
 // Every Table 1 primitive is O(1) or O(log n) in the number of blocked
 // threads: the wait queue is keyed by object (waitLists), timed waiters are
 // indexed by a deadline min-heap (timers), and a free turn is handed directly
-// to the already-parked next-eligible thread (kickLocked), so wake-ups never
-// rescan unrelated waiters and the woken thread resumes without re-taking the
-// scheduler mutex.
+// to the already-parked next-eligible thread (passTurnLocked), so wake-ups
+// never rescan unrelated waiters and the woken thread resumes without
+// re-taking the scheduler mutex.
 type Scheduler struct {
 	mu  sync.Mutex
 	cfg Config
@@ -538,7 +538,7 @@ func (s *Scheduler) Waiters(t *Thread, obj uint64) int {
 // lookupWaitersFast asserts the caller holds the turn and returns obj's wait
 // list, or nil if it has no waiters — all without the scheduler mutex. This
 // is safe because waitLists (and each list's contents) is only ever mutated
-// by the turn holder or, via kickLocked's idle expiry, while the turn is
+// by the turn holder or, via passTurnLocked's idle expiry, while the turn is
 // free: while t holds the turn the structure cannot change under it, and the
 // turn's handoff chain (mutex + grant channel) orders every prior mutation
 // before this read. Callers that go on to mutate the list still take mu for
@@ -902,38 +902,60 @@ func (s *Scheduler) consultLocked(kind policy.ChoiceKind, ids []int, n, def int)
 }
 
 // kickLocked grants the free turn directly to the next eligible thread if
-// that thread is currently parked waiting for it: holder is set and the
-// grant token sent in one step, so the grantee resumes without touching the
-// scheduler mutex. self is the thread executing this call (nil when unknown):
-// when the grantee is self it is not parked — it will observe holder == self
-// synchronously after kickLocked returns — so no token is sent at all, which
-// keeps the uncontended GetTurn path free of channel operations. If no thread
-// is runnable but timed waiters exist, logical time jumps forward
+// that thread is currently parked waiting for it (passTurnLocked). self is
+// the thread executing this call (nil when unknown): when the grantee is self
+// it is not parked — it will observe holder == self synchronously after
+// kickLocked returns — so no token is sent at all, which keeps the
+// uncontended GetTurn path free of channel operations.
+func (s *Scheduler) kickLocked(self *Thread) {
+	if s.holder.Load() == nil {
+		s.passTurnLocked(self, false)
+	}
+}
+
+// passTurnLocked is the grant loop: the turn goes to the next eligible thread
+// if that thread is asking for it — holder is set and the grant token sent in
+// one step (grantLocked), so the grantee resumes without touching the
+// scheduler mutex — and otherwise stays free until that thread asks. If no
+// thread is runnable but timed waiters exist, logical time jumps forward
 // deterministically to the earliest deadline — the heap top — (this is how a
 // "logical sleep" in an otherwise idle program makes progress). If nothing
 // can ever run, the deadlock handler fires.
-func (s *Scheduler) kickLocked(self *Thread) {
+//
+// held says the calling thread is giving the turn up (releaseTurnLocked)
+// rather than finding it free (kickLocked). holder then goes straight from the
+// releasing thread to its successor, or to nil when nobody is asking for the
+// turn, with no intermediate nil store: every atomic pointer store is a full
+// fence plus a GC write barrier, so the release hot path — PutTurn, Wait,
+// Exit — should pay for exactly one, and the kick path, where holder is
+// already nil, for none beyond the grant's. Leaving holder pointing at the
+// releaser until the successor is known is safe: mutex-free readers only act
+// on holder == self, and the releasing thread — the only one that could
+// match — is busy executing this call.
+func (s *Scheduler) passTurnLocked(self *Thread, held bool) {
 	for {
-		if s.holder.Load() != nil {
+		e := s.eligibleLocked()
+		if e != nil && e.wantTurn {
+			s.grantLocked(e, self)
 			return
 		}
-		if e := s.eligibleLocked(); e != nil {
-			if e.wantTurn {
-				s.grantLocked(e, self)
-			}
-			return
+		if e == nil && s.nWaiting != 0 && s.timers.len() != 0 {
+			// No runnable thread: advance logical time to the earliest timed
+			// deadline and look again.
+			s.turn.Store(s.timers.top().deadline)
+			s.expireLocked()
+			continue
 		}
-		if s.nWaiting == 0 {
-			return // no threads at all: program finished or not started
+		// The turn stays free: its next holder is still running user code,
+		// there are no threads at all (program finished or not started), or
+		// every thread is blocked without a timeout.
+		if held {
+			s.holder.Store(nil)
 		}
-		// No runnable thread. Advance logical time to the earliest timed
-		// deadline; if none exists the program is deadlocked.
-		if s.timers.len() == 0 {
+		if e == nil && s.nWaiting != 0 {
 			s.deadlockLocked()
-			return
 		}
-		s.turn.Store(s.timers.top().deadline)
-		s.expireLocked()
+		return
 	}
 }
 
@@ -977,41 +999,14 @@ func (s *Scheduler) grantLocked(e, self *Thread) {
 }
 
 // releaseTurnLocked passes the turn from its current holder to the next
-// eligible thread with a single atomic store: holder goes straight from the
-// releasing thread to its successor (or to nil when nobody is asking for the
-// turn), with no intermediate nil store. Every atomic pointer store is a full
-// fence plus a GC write barrier, so the release hot path — PutTurn, Wait,
-// Exit — should pay for exactly one. Leaving holder pointing at the releaser
-// until the successor is known is safe: mutex-free readers only act on
-// holder == self, and the releasing thread — the only one that could match —
-// is busy executing this call.
+// eligible thread, with a single atomic store (passTurnLocked).
 func (s *Scheduler) releaseTurnLocked() {
 	// Any lease ends here: Wait, Exit, and the vetoed or no-longer-solo
 	// PutTurn all release through this path.
 	if s.leased.Load() {
 		s.revokeLeaseLocked()
 	}
-	for {
-		if e := s.eligibleLocked(); e != nil {
-			if e.wantTurn {
-				s.grantLocked(e, nil)
-			} else {
-				s.holder.Store(nil)
-			}
-			return
-		}
-		if s.nWaiting == 0 {
-			s.holder.Store(nil)
-			return
-		}
-		if s.timers.len() == 0 {
-			s.holder.Store(nil)
-			s.deadlockLocked()
-			return
-		}
-		s.turn.Store(s.timers.top().deadline)
-		s.expireLocked()
-	}
+	s.passTurnLocked(nil, true)
 }
 
 // deadlockLocked reports a deterministic deadlock: every live thread is

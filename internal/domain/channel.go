@@ -131,7 +131,7 @@ func (g *Group) NewChannel(name string, from, to *Domain, capacity int) *Channel
 		from:     from,
 		to:       to,
 		capacity: capacity,
-		retain:   g.cfg.RetainDeliveryLog,
+		retain:   g.RetainDeliveryLog,
 		ring:     make([]message, capacity),
 		hash:     logio.FNVOffset64,
 	}
@@ -162,11 +162,11 @@ func (c *Channel) Capacity() int { return c.capacity }
 // requireEndpoint panics deterministically when ct is not registered with
 // the scheduler of the required endpoint domain or does not hold its turn.
 func (c *Channel) requireEndpoint(ct *core.Thread, d *Domain, op string) {
-	if ct.Scheduler() != d.sched {
+	if ct.Scheduler() != d.Sched {
 		panic(fmt.Sprintf("domain: %s on channel %q by %v, which is not in the %s-endpoint %v",
 			op, c.name, ct, opSide(op), d))
 	}
-	if !d.sched.HasTurn(ct) {
+	if !d.Sched.HasTurn(ct) {
 		panic(fmt.Sprintf("domain: %s on channel %q by %v without holding the turn of %v", op, c.name, ct, d))
 	}
 }
@@ -207,8 +207,8 @@ func (c *Channel) dequeueLocked(recvTurn, recvXSeq int64) message {
 	h := c.hash
 	h = logio.FNVFold64(h, c.id)
 	h = logio.FNVFold64(h, m.seq)
-	h = logio.FNVFold64(h, uint64(c.from.id))
-	h = logio.FNVFold64(h, uint64(c.to.id))
+	h = logio.FNVFold64(h, uint64(c.from.ID))
+	h = logio.FNVFold64(h, uint64(c.to.ID))
 	h = logio.FNVFold64(h, uint64(m.sendTurn))
 	h = logio.FNVFold64(h, uint64(m.sendXSeq))
 	h = logio.FNVFold64(h, uint64(recvTurn))
@@ -219,8 +219,8 @@ func (c *Channel) dequeueLocked(recvTurn, recvXSeq int64) message {
 			Channel:  c.name,
 			ChanID:   c.id,
 			Seq:      m.seq,
-			From:     c.from.id,
-			To:       c.to.id,
+			From:     c.from.ID,
+			To:       c.to.ID,
 			SendTurn: m.sendTurn,
 			SendXSeq: m.sendXSeq,
 			RecvTurn: recvTurn,
@@ -289,7 +289,7 @@ func (c *Channel) SendBatch(ct *core.Thread, vs []any) int {
 		return 0
 	}
 	vtime := ct.VTime()
-	sendTurn := c.from.sched.TurnCount()
+	sendTurn := c.from.Sched.TurnCount()
 	sent := 0
 	for sent < k {
 		for c.n == c.capacity {
@@ -301,8 +301,8 @@ func (c *Channel) SendBatch(ct *core.Thread, vs []any) int {
 			c.canSend.Wait()
 		}
 		for c.n < c.capacity && sent < k {
-			c.from.xseq++
-			c.enqueueLocked(vs[sent], vtime, sendTurn, c.from.xseq)
+			c.from.Xseq++
+			c.enqueueLocked(vs[sent], vtime, sendTurn, c.from.Xseq)
 			sent++
 		}
 		c.wakeRecvLocked()
@@ -352,11 +352,11 @@ func (c *Channel) RecvBatch(ct *core.Thread, dst []any) (int, bool) {
 		c.mu.Unlock()
 		return 0, false
 	}
-	recvTurn := c.to.sched.TurnCount()
+	recvTurn := c.to.Sched.TurnCount()
 	var vmax int64
 	for i := 0; i < n; i++ {
-		c.to.xseq++
-		m := c.dequeueLocked(recvTurn, c.to.xseq)
+		c.to.Xseq++
+		m := c.dequeueLocked(recvTurn, c.to.Xseq)
 		dst[i] = m.v
 		if m.vtime > vmax {
 			vmax = m.vtime
@@ -377,7 +377,7 @@ func (c *Channel) RecvBatch(ct *core.Thread, dst []any) (int, bool) {
 // through a reverse channel instead.)
 func (c *Channel) Close(ct *core.Thread) {
 	c.requireEndpoint(ct, c.from, "Close")
-	c.from.xseq++
+	c.from.Xseq++
 	c.mu.Lock()
 	c.closed = true
 	// A parked receiver must re-evaluate (it may now return its deterministic
@@ -415,7 +415,7 @@ func (c *Channel) stamp() (hash uint64, delivered uint64) {
 // message sequence — so concatenating the channels in id order yields the
 // canonical order directly. Two runs of the same program and configuration
 // must produce identical logs. The log is materialized only under
-// Config.RetainDeliveryLog (fingerprinting does not need it: deliveries are
+// RetainDeliveryLog (fingerprinting does not need it: deliveries are
 // folded into per-channel running hashes as they happen); without the flag
 // DeliveryLog returns nil. Call it after the program has finished.
 func (g *Group) DeliveryLog() []Delivery {

@@ -9,25 +9,21 @@ import (
 	"qithread/internal/logio"
 )
 
-// testGroup builds a two-domain group (RoundRobin schedulers, no semantic
-// policies) with the delivery log retained, and registers one turn-holding
-// thread per domain. Raw Channel operations require the caller to hold its
-// endpoint domain's turn; a single test goroutine may hold both domains'
-// turns at once, which lets these tests drive both channel ends without
-// real concurrency.
+// testGroup builds a group with the delivery log retained or not and two
+// domains (RoundRobin schedulers, no semantic policies), and registers one
+// turn-holding thread per domain. Raw Channel operations require the caller
+// to hold its endpoint domain's turn; a single test goroutine may hold both
+// domains' turns at once, which lets these tests drive both channel ends
+// without real concurrency.
 func testGroup(t testing.TB, retain bool) (g *Group, da, db *Domain, ta, tb *core.Thread) {
 	t.Helper()
-	g = NewGroup(Config{
-		RetainDeliveryLog: retain,
-		NewScheduler: func(id int) *core.Scheduler {
-			return core.New(core.Config{Mode: core.RoundRobin, DomainID: id})
-		},
-	})
-	da, db = g.Add("a"), g.Add("b")
-	ta = da.sched.Register("ta")
-	tb = db.sched.Register("tb")
-	da.sched.GetTurn(ta)
-	db.sched.GetTurn(tb)
+	g = &Group{RetainDeliveryLog: retain}
+	da = &Domain{ID: 0, Name: "a", Sched: core.New(core.Config{Mode: core.RoundRobin, DomainID: 0})}
+	db = &Domain{ID: 1, Name: "b", Sched: core.New(core.Config{Mode: core.RoundRobin, DomainID: 1})}
+	ta = da.Sched.Register("ta")
+	tb = db.Sched.Register("tb")
+	da.Sched.GetTurn(ta)
+	db.Sched.GetTurn(tb)
 	return g, da, db, ta, tb
 }
 
@@ -50,8 +46,8 @@ func TestSendBatchEqualsSingleSends(t *testing.T) {
 		}
 
 		// Batched run.
-		gb, _, _, sa, sb := testGroup(t, true)
-		cb := gb.NewChannel("x", gb.Domain(0), gb.Domain(1), capacity)
+		gb, da, db, sa, sb := testGroup(t, true)
+		cb := gb.NewChannel("x", da, db, capacity)
 		if n := cb.SendBatch(sa, vs); n != k {
 			t.Fatalf("SendBatch sent %d, want %d", n, k)
 		}
@@ -62,8 +58,8 @@ func TestSendBatchEqualsSingleSends(t *testing.T) {
 
 		// Single-op run under the same schedule shape: the turn is held
 		// across all k operations, exactly as SendBatch holds it.
-		gs, _, _, ua, ub := testGroup(t, true)
-		cs := gs.NewChannel("x", gs.Domain(0), gs.Domain(1), capacity)
+		gs, da, db, ua, ub := testGroup(t, true)
+		cs := gs.NewChannel("x", da, db, capacity)
 		for i := 0; i < k; i++ {
 			if !cs.Send(ua, vs[i]) {
 				t.Fatal("Send failed")
@@ -81,7 +77,7 @@ func TestSendBatchEqualsSingleSends(t *testing.T) {
 			t.Logf("unbatched: %v", gs.DeliveryLog())
 			return false
 		}
-		return gb.Fingerprint().Deliveries == gs.Fingerprint().Deliveries
+		return gb.DeliveryHash() == gs.DeliveryHash()
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -93,8 +89,8 @@ func TestSendBatchEqualsSingleSends(t *testing.T) {
 // closed-remainder (everything the sender shipped before the close) and then
 // report end-of-stream.
 func TestCloseUnderBlockedBatch(t *testing.T) {
-	g, _, _, ta, tb := testGroup(t, true)
-	c := g.NewChannel("x", g.Domain(0), g.Domain(1), 4)
+	g, da, db, ta, tb := testGroup(t, true)
+	c := g.NewChannel("x", da, db, 4)
 
 	if n := c.SendBatch(ta, []any{"a", "b"}); n != 2 {
 		t.Fatalf("SendBatch sent %d, want 2", n)
@@ -132,9 +128,9 @@ func TestCloseUnderBlockedBatch(t *testing.T) {
 // combined fingerprint must equal the (id, count, hash) fold over channels
 // in id order — so dropping the retained log cannot change fingerprints.
 func TestDeliveryHashIncremental(t *testing.T) {
-	g, _, _, ta, tb := testGroup(t, true)
-	c1 := g.NewChannel("x", g.Domain(0), g.Domain(1), 3)
-	c2 := g.NewChannel("y", g.Domain(1), g.Domain(0), 2)
+	g, da, db, ta, tb := testGroup(t, true)
+	c1 := g.NewChannel("x", da, db, 3)
+	c2 := g.NewChannel("y", db, da, 2)
 
 	c1.SendBatch(ta, []any{1, 2, 3})
 	c1.RecvBatch(tb, make([]any, 3))
@@ -157,7 +153,7 @@ func TestDeliveryHashIncremental(t *testing.T) {
 		want = logio.FNVFold64(want, nd)
 		want = logio.FNVFold64(want, hash)
 	}
-	if got := g.Fingerprint().Deliveries; got != want {
+	if got := g.DeliveryHash(); got != want {
 		t.Fatalf("fingerprint deliveries %016x, want %016x", got, want)
 	}
 }
@@ -166,12 +162,12 @@ func TestDeliveryHashIncremental(t *testing.T) {
 // it off must not change the fingerprint, and DeliveryLog must report nil so
 // callers cannot mistake "not retained" for "no deliveries".
 func TestRetainOffMatchesRetainOn(t *testing.T) {
-	run := func(retain bool) (Fingerprint, []Delivery) {
-		g, _, _, ta, tb := testGroup(t, retain)
-		c := g.NewChannel("x", g.Domain(0), g.Domain(1), 4)
+	run := func(retain bool) (uint64, []Delivery) {
+		g, da, db, ta, tb := testGroup(t, retain)
+		c := g.NewChannel("x", da, db, 4)
 		c.SendBatch(ta, []any{1, 2, 3, 4})
 		c.RecvBatch(tb, make([]any, 4))
-		return g.Fingerprint(), g.DeliveryLog()
+		return g.DeliveryHash(), g.DeliveryLog()
 	}
 	fpOn, logOn := run(true)
 	fpOff, logOff := run(false)
@@ -181,8 +177,8 @@ func TestRetainOffMatchesRetainOn(t *testing.T) {
 	if logOff != nil {
 		t.Fatalf("unretained DeliveryLog = %v, want nil", logOff)
 	}
-	if fpOn.Deliveries != fpOff.Deliveries {
-		t.Fatalf("retain flag changed fingerprint: %016x vs %016x", fpOn.Deliveries, fpOff.Deliveries)
+	if fpOn != fpOff {
+		t.Fatalf("retain flag changed fingerprint: %016x vs %016x", fpOn, fpOff)
 	}
 }
 
@@ -193,8 +189,8 @@ func TestRetainOffMatchesRetainOn(t *testing.T) {
 // targeted signals. The pre-ring implementation allocated on both sides
 // (slice append/shift on the buffer, a retained Delivery per message).
 func TestChannelSteadyStateAllocs(t *testing.T) {
-	g, _, _, ta, tb := testGroup(t, false)
-	c := g.NewChannel("x", g.Domain(0), g.Domain(1), 1)
+	g, da, db, ta, tb := testGroup(t, false)
+	c := g.NewChannel("x", da, db, 1)
 	v := any("payload")
 	allocs := testing.AllocsPerRun(200, func() {
 		if !c.Send(ta, v) {
@@ -213,8 +209,8 @@ func TestChannelSteadyStateAllocs(t *testing.T) {
 // SendBatch/RecvBatch round trip reuses the caller's slices and the ring, so
 // it must not allocate either.
 func TestChannelBatchAllocs(t *testing.T) {
-	g, _, _, ta, tb := testGroup(t, false)
-	c := g.NewChannel("x", g.Domain(0), g.Domain(1), 8)
+	g, da, db, ta, tb := testGroup(t, false)
+	c := g.NewChannel("x", da, db, 8)
 	vs := make([]any, 8)
 	for i := range vs {
 		vs[i] = any(i)

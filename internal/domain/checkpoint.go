@@ -4,20 +4,12 @@ import "fmt"
 
 // Checkpoint support. A partitioned execution checkpoints as the sum of its
 // parts: each domain's scheduler state (core.SchedState), each domain's
-// boundary-operation counter (xseq), and each channel's stamp counters and
-// running delivery hash. Channels are only checkpointable while their rings
+// boundary-operation counter (Domain.Xseq), and each channel's stamp counters
+// and running delivery hash. Channels are only checkpointable while their rings
 // are EMPTY — a quiescent admission boundary drains in-flight boundary
 // traffic first — which keeps the channel record to plain counters: no
 // message values (whose types the runtime cannot serialize) ever enter a
 // checkpoint.
-
-// Xseq returns the domain's boundary-operation counter. Callers must hold
-// the domain's turn (checkpoint capture runs at a quiescent boundary).
-func (d *Domain) Xseq() int64 { return d.xseq }
-
-// SetXseq reinstates the boundary-operation counter during a checkpoint
-// restore. Callers must hold the domain's turn.
-func (d *Domain) SetXseq(v int64) { d.xseq = v }
 
 // ChannelState is the checkpointable state of one cross-domain channel.
 type ChannelState struct {

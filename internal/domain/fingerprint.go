@@ -71,21 +71,14 @@ func HashDeliveries(log []Delivery) uint64 {
 	return h
 }
 
-// Fingerprint computes the execution fingerprint: per-domain schedule hashes
-// in id order plus the combined delivery hash. Both components are read from
-// running state — each scheduler's incremental trace hash (core.TraceHash,
-// value-identical to trace.Hash of the retained trace) and each channel's
-// running delivery hash — so the whole fingerprint is O(domains + channels),
-// independent of trace length and of whether events were retained, streamed
-// to a sink, or partially resumed from a checkpoint. Domains must have Record
-// enabled for the per-domain hashes to be meaningful (a non-recording domain
-// reports the empty-trace hash). Call it after the program has finished.
-func (g *Group) Fingerprint() Fingerprint {
-	domains := g.Domains()
-	f := Fingerprint{DomainHashes: make([]uint64, len(domains))}
-	for i, d := range domains {
-		f.DomainHashes[i] = d.sched.TraceHash()
-	}
+// DeliveryHash computes Fingerprint.Deliveries from each channel's running
+// delivery hash. Together with each scheduler's incremental trace hash
+// (core.TraceHash, value-identical to trace.Hash of the retained trace) it
+// makes a fingerprint O(domains + channels) to take, independent of trace
+// length and of whether events were retained, streamed to a sink, or
+// partially resumed from a checkpoint. Call it after the program has
+// finished.
+func (g *Group) DeliveryHash() uint64 {
 	h := uint64(logio.FNVOffset64)
 	for _, c := range g.Channels() {
 		ch, nd := c.stamp()
@@ -93,6 +86,5 @@ func (g *Group) Fingerprint() Fingerprint {
 		h = logio.FNVFold64(h, nd)
 		h = logio.FNVFold64(h, ch)
 	}
-	f.Deliveries = h
-	return f
+	return h
 }

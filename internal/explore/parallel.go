@@ -9,9 +9,8 @@ import (
 // Runtime — runs share nothing but the program definition — so the search is
 // embarrassingly parallel between runs; what needs coordination is the
 // frontier (who explores which prefix), the seen set (who branches), and
-// persistence. The pool keeps all three behind the session mutex and its
-// sharded seen set, and keeps the expensive part — executing the run — fully
-// outside any lock.
+// persistence. The pool keeps all three behind the session mutex, and keeps
+// the expensive part — executing the run — fully outside any lock.
 //
 // With one worker the pool IS the serial search: pops, records, branch
 // appends and minimizations happen in exactly the order the single-threaded

@@ -135,16 +135,17 @@ func appendRuns(path string, batch []byte) error {
 
 // writeSeenMerged snapshots the seen set (first-discovery order), keeping any
 // fingerprints present on disk that this session does not know — another
-// process's discoveries. Caller holds the directory lock.
+// process's discoveries. Caller holds mu and the directory lock.
 func (s *Session) writeSeenMerged() error {
 	var b strings.Builder
-	for _, fp := range s.seen.ordered() {
+	for _, fp := range s.seenOrdered() {
 		b.WriteString(fp)
 		b.WriteByte('\n')
 	}
 	if data, err := os.ReadFile(filepath.Join(s.Dir, seenFile)); err == nil {
 		for _, line := range strings.Split(string(data), "\n") {
-			if line = strings.TrimSpace(line); line != "" && !s.seen.has(line) {
+			line = strings.TrimSpace(line)
+			if _, known := s.seen[line]; line != "" && !known {
 				b.WriteString(line)
 				b.WriteByte('\n')
 			}
@@ -256,7 +257,7 @@ func (s *Session) load() error {
 			for _, line := range strings.Split(string(data), "\n") {
 				if line = strings.TrimSpace(line); line != "" {
 					// Discovery order; exact run ids live in runs.csv.
-					if s.seen.insert(line, id) {
+					if s.markSeen(line, id) {
 						id++
 					}
 				}

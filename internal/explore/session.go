@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"sync"
@@ -38,7 +37,7 @@ type Session struct {
 
 	mu        sync.Mutex      // guards all mutable state below
 	runs      int             // run ids handed out (resume continues the count)
-	seen      *seenSet        // fingerprint -> run id that first produced it
+	seen      map[string]int  // fingerprint -> run id that first produced it
 	frontier  flipQueue       // unexplored forced prefixes, FIFO (frontier.go)
 	executed  map[string]bool // frontier lines popped this session — merge input, kept only with a Dir
 	failures  int
@@ -89,86 +88,26 @@ type WorkerStat struct {
 	Elapsed  time.Duration // wall time inside the search loop
 }
 
-// seenSet is the sharded concurrent fingerprint -> first-run-id map. Shards
-// keep insertions from different workers off one lock; ids still come from
-// the session's run counter, so first-discovery order is well defined.
-const seenShards = 16
-
-type seenShard struct {
-	mu sync.Mutex
-	m  map[string]int
-}
-
-type seenSet struct {
-	shards [seenShards]seenShard
-}
-
-func newSeenSet() *seenSet {
-	ss := &seenSet{}
-	for i := range ss.shards {
-		ss.shards[i].m = map[string]int{}
-	}
-	return ss
-}
-
-func (ss *seenSet) shard(fp string) *seenShard {
-	h := fnv.New32a()
-	h.Write([]byte(fp))
-	return &ss.shards[h.Sum32()%seenShards]
-}
-
-// insert records fp as first discovered by run id, reporting whether it was
-// absent.
-func (ss *seenSet) insert(fp string, id int) bool {
-	sh := ss.shard(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.m[fp]; ok {
+// markSeen records fp as first discovered by run id, reporting whether it
+// was absent. Caller holds mu.
+func (s *Session) markSeen(fp string, id int) bool {
+	if _, ok := s.seen[fp]; ok {
 		return false
 	}
-	sh.m[fp] = id
+	s.seen[fp] = id
 	return true
 }
 
-func (ss *seenSet) has(fp string) bool {
-	sh := ss.shard(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, ok := sh.m[fp]
-	return ok
-}
-
-func (ss *seenSet) at(fp string) (int, bool) {
-	sh := ss.shard(fp)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	id, ok := sh.m[fp]
-	return id, ok
-}
-
-func (ss *seenSet) len() int {
-	n := 0
-	for i := range ss.shards {
-		ss.shards[i].mu.Lock()
-		n += len(ss.shards[i].m)
-		ss.shards[i].mu.Unlock()
-	}
-	return n
-}
-
-// ordered returns all fingerprints sorted by first-discovery run id.
-func (ss *seenSet) ordered() []string {
+// seenOrdered returns all fingerprints sorted by first-discovery run id.
+// Caller holds mu.
+func (s *Session) seenOrdered() []string {
 	type fpID struct {
 		fp string
 		id int
 	}
-	var all []fpID
-	for i := range ss.shards {
-		ss.shards[i].mu.Lock()
-		for fp, id := range ss.shards[i].m {
-			all = append(all, fpID{fp, id})
-		}
-		ss.shards[i].mu.Unlock()
+	all := make([]fpID, 0, len(s.seen))
+	for fp, id := range s.seen {
+		all = append(all, fpID{fp, id})
 	}
 	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
 	out := make([]string, len(all))
@@ -184,7 +123,7 @@ func (ss *seenSet) ordered() []string {
 func NewSession(p *Program, dir string, watchdog time.Duration) (*Session, error) {
 	s := &Session{
 		P: p, Dir: dir, Watchdog: watchdog,
-		seen:      newSeenSet(),
+		seen:      map[string]int{},
 		reproSigs: map[string]bool{},
 	}
 	if dir == "" {
@@ -206,7 +145,11 @@ func (s *Session) Runs() int {
 }
 
 // Distinct returns the number of distinct execution fingerprints discovered.
-func (s *Session) Distinct() int { return s.seen.len() }
+func (s *Session) Distinct() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.seen)
+}
 
 // Failures returns the number of failing runs recorded.
 func (s *Session) Failures() int {
@@ -257,14 +200,26 @@ func (s *Session) WorkerStats() []WorkerStat {
 }
 
 // Seen reports whether the fingerprint was already discovered.
-func (s *Session) Seen(fp string) bool { return s.seen.has(fp) }
+func (s *Session) Seen(fp string) bool {
+	_, ok := s.SeenAt(fp)
+	return ok
+}
 
 // SeenFPs returns the discovered fingerprints in first-discovery order.
-func (s *Session) SeenFPs() []string { return s.seen.ordered() }
+func (s *Session) SeenFPs() []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.seenOrdered()
+}
 
 // SeenAt returns the run id that first produced the fingerprint, for
 // runs-to-discovery measurements (EXPERIMENTS.md E21).
-func (s *Session) SeenAt(fp string) (int, bool) { return s.seen.at(fp) }
+func (s *Session) SeenAt(fp string) (int, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id, ok := s.seen[fp]
+	return id, ok
+}
 
 func (s *Session) logf(format string, args ...any) {
 	if s.Verbose != nil {
@@ -382,7 +337,7 @@ func (s *Session) recordLocked(strategy string, depth int, res Result) (id int, 
 	if res.Outcome.Failure() {
 		s.failures++
 	}
-	if res.Fingerprint != "" && s.seen.insert(res.Fingerprint, id) {
+	if res.Fingerprint != "" && s.markSeen(res.Fingerprint, id) {
 		isNew = true
 		s.seenDirty = true
 	}

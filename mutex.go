@@ -51,7 +51,7 @@ func (rt *Runtime) NewPCSMutex(t *Thread, name string) *Mutex {
 func (rt *Runtime) newMutex(t *Thread, name string, pcs bool) *Mutex {
 	m := &Mutex{rt: rt, dom: t.dom, name: name, pcs: pcs}
 	if rt.det() {
-		s := t.dom.sched
+		s := t.dom.rec.Sched
 		s.GetTurn(t.ct)
 		m.obj = s.NewObjectKind("mutex:", name)
 		s.TraceOp(t.ct, core.OpMutexInit, m.obj, core.StatusOK)
@@ -68,6 +68,7 @@ func (m *Mutex) bypass() bool {
 
 // Lock acquires the mutex (Figure 5, lock_wrapper).
 func (m *Mutex) Lock(t *Thread) {
+	s := m.dom.enter(t, "mutex", m.name)
 	if m.bypass() {
 		m.real.Lock()
 		m.owner = t
@@ -75,7 +76,6 @@ func (m *Mutex) Lock(t *Thread) {
 		t.vAdd(t.vCost())
 		return
 	}
-	s := m.dom.enter(t, "mutex", m.name)
 	s.GetTurn(t.ct)
 	blocked := false
 	for !m.real.TryLock() {
@@ -100,6 +100,7 @@ func (m *Mutex) Lock(t *Thread) {
 // TryLock attempts to acquire the mutex without blocking and reports whether
 // it succeeded.
 func (m *Mutex) TryLock(t *Thread) bool {
+	s := m.dom.enter(t, "mutex", m.name)
 	if m.bypass() {
 		ok := m.real.TryLock()
 		if ok {
@@ -109,7 +110,6 @@ func (m *Mutex) TryLock(t *Thread) bool {
 		t.vAdd(t.vCost())
 		return ok
 	}
-	s := m.dom.enter(t, "mutex", m.name)
 	s.GetTurn(t.ct)
 	ok := m.real.TryLock()
 	if ok {
@@ -127,6 +127,7 @@ func (m *Mutex) TryLock(t *Thread) bool {
 // calling thread already holds the turn (GetTurn is then a no-op) and the
 // release below ends the critical section's whole-turn.
 func (m *Mutex) Unlock(t *Thread) {
+	s := m.dom.enter(t, "mutex", m.name)
 	if m.bypass() {
 		if m.owner != t {
 			panic("qithread: Unlock of mutex " + m.name + " not held by " + t.String())
@@ -137,7 +138,6 @@ func (m *Mutex) Unlock(t *Thread) {
 		m.real.Unlock()
 		return
 	}
-	s := m.dom.enter(t, "mutex", m.name)
 	s.GetTurn(t.ct)
 	if m.owner != t {
 		panic("qithread: Unlock of mutex " + m.name + " not held by " + t.String())
@@ -155,10 +155,10 @@ func (m *Mutex) Unlock(t *Thread) {
 // the object's bookkeeping (name, empty wait-list entry) so long-running
 // programs that churn mutexes do not leak map entries.
 func (m *Mutex) Destroy(t *Thread) {
+	s := m.dom.enter(t, "mutex", m.name)
 	if m.bypass() {
 		return
 	}
-	s := m.dom.enter(t, "mutex", m.name)
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpMutexDestroy, m.obj, core.StatusOK)
 	s.DestroyObject(t.ct, m.obj)

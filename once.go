@@ -28,7 +28,7 @@ type Once struct {
 func (rt *Runtime) NewOnce(t *Thread, name string) *Once {
 	o := &Once{rt: rt, dom: t.dom, name: name}
 	if rt.det() {
-		s := t.dom.sched
+		s := t.dom.rec.Sched
 		s.GetTurn(t.ct)
 		o.obj = s.NewObjectKind("once:", name)
 		s.TraceOp(t.ct, core.OpOnce, o.obj, core.StatusOK)
@@ -40,6 +40,7 @@ func (rt *Runtime) NewOnce(t *Thread, name string) *Once {
 // Do runs fn if no call has run it yet, otherwise waits until the running
 // call completes.
 func (o *Once) Do(t *Thread, fn func()) {
+	s := o.dom.enter(t, "once", o.name)
 	if !o.rt.det() {
 		o.nonce.Do(func() {
 			fn()
@@ -49,7 +50,6 @@ func (o *Once) Do(t *Thread, fn func()) {
 		t.vMeet(o.vDone.Load())
 		return
 	}
-	s := o.dom.enter(t, "once", o.name)
 	s.GetTurn(t.ct)
 	for o.running {
 		s.TraceOp(t.ct, core.OpOnce, o.obj, core.StatusBlocked)

@@ -238,12 +238,15 @@ func (rt *Runtime) NewXPipe(name string, from, to *Domain, capacity int) *XPipe 
 	if from == to {
 		panic(fmt.Sprintf("qithread: XPipe %q has both endpoints in %s; use NewPipe within a domain", name, from.label()))
 	}
+	if from.rt != rt || to.rt != rt {
+		panic(fmt.Sprintf("qithread: XPipe %q from %s to %s has an endpoint in another runtime", name, from.label(), to.label()))
+	}
 	if capacity < 1 {
 		capacity = 1
 	}
 	p := &XPipe{rt: rt, name: name, from: from, to: to, capacity: capacity}
 	if rt.det() {
-		p.ch = rt.group.NewChannel(name, from.inner, to.inner, capacity)
+		p.ch = rt.group.NewChannel(name, &from.rec, &to.rec, capacity)
 	} else {
 		p.ncv = sync.NewCond(&p.nmu)
 	}
@@ -292,6 +295,7 @@ func (p *XPipe) SendAll(t *Thread, vs []any) int {
 	if len(vs) == 0 {
 		return 0
 	}
+	s := p.from.enter(t, "xpipe sender end", p.name)
 	if !p.rt.det() {
 		sent := 0
 		p.nmu.Lock()
@@ -313,7 +317,6 @@ func (p *XPipe) SendAll(t *Thread, vs []any) int {
 		p.nmu.Unlock()
 		return sent
 	}
-	s := p.from.enter(t, "xpipe sender end", p.name)
 	sent := 0
 	for sent < len(vs) {
 		s.GetTurn(t.ct)
@@ -342,6 +345,7 @@ func (p *XPipe) RecvUpTo(t *Thread, dst []any) (n int, ok bool) {
 	if len(dst) == 0 {
 		return 0, true
 	}
+	s := p.to.enter(t, "xpipe receiver end", p.name)
 	if !p.rt.det() {
 		want := len(dst)
 		if want > p.capacity {
@@ -374,7 +378,6 @@ func (p *XPipe) RecvUpTo(t *Thread, dst []any) (n int, ok bool) {
 		t.vAdd(t.vCost())
 		return n, true
 	}
-	s := p.to.enter(t, "xpipe receiver end", p.name)
 	s.GetTurn(t.ct)
 	n, ok = p.ch.RecvBatch(t.ct, dst)
 	s.TraceOp(t.ct, core.OpXPipeRecv, p.ch.ID(), core.StatusOK)
@@ -388,6 +391,7 @@ func (p *XPipe) RecvUpTo(t *Thread, dst []any) (n int, ok bool) {
 // against the close, keeping Send's result deterministic (receivers signal
 // shutdown through a reverse XPipe).
 func (p *XPipe) Close(t *Thread) {
+	s := p.from.enter(t, "xpipe sender end", p.name)
 	if !p.rt.det() {
 		p.nmu.Lock()
 		p.nclosed = true
@@ -395,7 +399,6 @@ func (p *XPipe) Close(t *Thread) {
 		p.nmu.Unlock()
 		return
 	}
-	s := p.from.enter(t, "xpipe sender end", p.name)
 	s.GetTurn(t.ct)
 	p.ch.Close(t.ct)
 	s.TraceOp(t.ct, core.OpXPipeClose, p.ch.ID(), core.StatusOK)

@@ -15,14 +15,13 @@ import (
 // A Runtime is single-use: create it, call Run, read results.
 type Runtime struct {
 	cfg   Config
-	sched *core.Scheduler // default domain's scheduler; nil in Nondet mode
-	group *domain.Group   // partition registry; nil in Nondet mode
+	main  Domain       // the default domain (id 0); its scheduler is nil in Nondet mode
+	group domain.Group // the cross-domain channels; stays empty in Nondet mode
 
 	domMu    sync.Mutex
-	domains  []*Domain       // id order; domains[0] is the default domain
-	gateways []*Gateway      // ingress gateways in creation order (checkpoint order)
-	choosers map[int]Chooser // per-domain choice-point hooks (Config.Chooser)
-	chMu     sync.Mutex      // guards choosers
+	domains  []*Domain  // id order; domains[0] is &main
+	domain0  [1]*Domain // backing array of domains until NewDomain outgrows it
+	gateways []*Gateway // ingress gateways in creation order (checkpoint order)
 
 	wg      sync.WaitGroup
 	nthread atomic.Int64 // total threads ever created (diagnostics)
@@ -51,43 +50,12 @@ func amax(a *atomic.Int64, v int64) {
 // New creates a runtime with the given configuration.
 func New(cfg Config) *Runtime {
 	cfg = cfg.withDefaults()
-	rt := &Runtime{cfg: cfg}
 	if cfg.Mode.Deterministic() {
-		mode := core.RoundRobin
-		cost := vSyncCostDet
-		switch cfg.Mode {
-		case LogicalClock:
-			mode = core.LogicalClock
-		case VirtualParallel:
-			// The ideal-parallel baseline pays native (non-turn) costs.
-			mode = core.VirtualParallel
-			cost = vSyncCostNondet
-		}
 		if cfg.StreamTrace != nil && !cfg.Record {
 			panic("qithread: Config.StreamTrace requires Record")
 		}
 		if cfg.Resume != nil && !cfg.Record {
 			panic("qithread: Config.Resume requires Record")
-		}
-		rt.group = domain.NewGroup(domain.Config{
-			RetainDeliveryLog: cfg.RetainDeliveryLog,
-			NewScheduler: func(id int) *core.Scheduler {
-				var sink core.TraceSink
-				if cfg.StreamTrace != nil {
-					sink = cfg.StreamTrace(id)
-				}
-				return core.New(core.Config{
-					Mode: mode, Policies: cfg.Policies, Record: cfg.Record,
-					Sink: sink, SuspendRecording: cfg.Resume != nil,
-					VSyncCost: cost, DomainID: id, NoLease: cfg.NoTurnLease,
-					Chooser: rt.domainChooser(id),
-				})
-			},
-		})
-		d0 := rt.addDomain("main")
-		rt.sched = d0.sched
-		if cfg.Replay != nil {
-			rt.sched.SetReplay(cfg.Replay)
 		}
 	} else {
 		if cfg.Replay != nil {
@@ -102,46 +70,58 @@ func New(cfg Config) *Runtime {
 		if cfg.Chooser != nil {
 			panic("qithread: Config.Chooser requires a deterministic Mode")
 		}
-		rt.addDomain("main")
+	}
+	rt := &Runtime{cfg: cfg}
+	rt.group.RetainDeliveryLog = cfg.RetainDeliveryLog
+	rt.domains = rt.domain0[:0]
+	rt.addDomain(&rt.main, "main")
+	if cfg.Replay != nil {
+		rt.main.rec.Sched.SetReplay(cfg.Replay)
 	}
 	return rt
 }
 
-// addDomain appends the next scheduler domain (thread-safe; callers must
-// still create domains in a deterministic order, see NewDomain).
-func (rt *Runtime) addDomain(name string) *Domain {
+// addDomain makes d the runtime's next scheduler domain (thread-safe; callers
+// must still create domains in a deterministic order, see NewDomain): the
+// next id, and in deterministic modes the domain's scheduler and its one
+// choice-point hook — the scheduler and the domain's ingress gateways share
+// the instance, so a single decision sequence covers turn, wake and admission
+// choices.
+func (rt *Runtime) addDomain(d *Domain, name string) *Domain {
 	rt.domMu.Lock()
 	defer rt.domMu.Unlock()
-	d := &Domain{rt: rt, id: len(rt.domains), name: name}
-	if rt.group != nil {
-		d.inner = rt.group.Add(name)
-		d.sched = d.inner.Scheduler()
-		d.stack = d.sched.Stack()
+	cfg := &rt.cfg
+	id := len(rt.domains)
+	d.rt = rt
+	d.rec = domain.Domain{ID: id, Name: name}
+	if cfg.Mode.Deterministic() {
+		mode := core.RoundRobin
+		cost := vSyncCostDet
+		switch cfg.Mode {
+		case LogicalClock:
+			mode = core.LogicalClock
+		case VirtualParallel:
+			// The ideal-parallel baseline pays native (non-turn) costs.
+			mode = core.VirtualParallel
+			cost = vSyncCostNondet
+		}
+		var sink core.TraceSink
+		if cfg.StreamTrace != nil {
+			sink = cfg.StreamTrace(id)
+		}
+		if cfg.Chooser != nil {
+			d.chooser = cfg.Chooser(id)
+		}
+		d.rec.Sched = core.New(core.Config{
+			Mode: mode, Policies: cfg.Policies, Record: cfg.Record,
+			Sink: sink, SuspendRecording: cfg.Resume != nil,
+			VSyncCost: cost, DomainID: id, NoLease: cfg.NoTurnLease,
+			Chooser: d.chooser,
+		})
+		d.stack = d.rec.Sched.Stack()
 	}
 	rt.domains = append(rt.domains, d)
 	return d
-}
-
-// domainChooser returns the choice-point hook for the given domain, creating
-// it via Config.Chooser on first use (nil without Config.Chooser, or when the
-// factory declines the domain). Each domain gets exactly one instance: the
-// scheduler and the domain's ingress gateways must share it so a single
-// decision sequence covers turn, wake and admission choices.
-func (rt *Runtime) domainChooser(id int) Chooser {
-	if rt.cfg.Chooser == nil {
-		return nil
-	}
-	rt.chMu.Lock()
-	defer rt.chMu.Unlock()
-	if rt.choosers == nil {
-		rt.choosers = make(map[int]Chooser)
-	}
-	ch, ok := rt.choosers[id]
-	if !ok {
-		ch = rt.cfg.Chooser(id)
-		rt.choosers[id] = ch
-	}
-	return ch
 }
 
 // NewDomain creates an additional scheduler domain (beyond the default one).
@@ -149,7 +129,7 @@ func (rt *Runtime) domainChooser(id int) Chooser {
 // deterministically — in practice by the setup code before Run, or by the
 // main thread. Populate the domain with Domain.Start + Domain.Launch.
 func (rt *Runtime) NewDomain(name string) *Domain {
-	return rt.addDomain(name)
+	return rt.addDomain(new(Domain), name)
 }
 
 // Domain returns the domain with the given id (0 is the default domain).
@@ -184,13 +164,13 @@ func (rt *Runtime) allDomains() []*Domain {
 // virtual makespans so the paper's parallelism results reproduce on any
 // host, including single-core machines.
 func (rt *Runtime) VirtualMakespan() int64 {
-	if rt.sched == nil {
+	if !rt.det() {
 		return rt.vMax.Load()
 	}
 	// A partitioned execution finishes when its slowest domain does.
 	var max int64
 	for _, d := range rt.allDomains() {
-		if v := d.sched.VirtualMakespan(); v > max {
+		if v := d.rec.Sched.VirtualMakespan(); v > max {
 			max = v
 		}
 	}
@@ -202,16 +182,16 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 
 // Scheduler exposes the underlying deterministic scheduler (nil in Nondet
 // mode). It is intended for tests and tools; programs use the wrappers.
-func (rt *Runtime) Scheduler() *core.Scheduler { return rt.sched }
+func (rt *Runtime) Scheduler() *core.Scheduler { return rt.main.rec.Sched }
 
 // Run executes main as the program's main thread and returns when every
 // thread of every domain — the main thread, everything it transitively
 // created, and all launched domain roots — has finished.
 func (rt *Runtime) Run(main func(t *Thread)) {
-	t := rt.newThread("main", rt.Domain(0))
-	if rt.sched != nil {
+	t := rt.newThread("main", &rt.main)
+	if rt.det() {
 		// Nothing joins the main thread, so it gets no join object.
-		t.ct = rt.sched.RegisterIn(&t.node, "main")
+		t.ct = rt.main.rec.Sched.RegisterIn(&t.node, "main")
 	}
 	rt.wg.Add(1)
 	func() {
@@ -225,23 +205,25 @@ func (rt *Runtime) Run(main func(t *Thread)) {
 // Trace returns the default domain's recorded schedule (empty unless
 // Config.Record). For other domains use Domain.Trace; for a whole
 // partitioned execution use Fingerprint.
-func (rt *Runtime) Trace() []Event {
-	if rt.sched == nil {
-		return nil
-	}
-	return rt.sched.Trace()
-}
+func (rt *Runtime) Trace() []Event { return rt.main.Trace() }
 
 // Fingerprint condenses the execution for determinism checking: per-domain
 // schedule hashes in id order plus a hash of the cross-domain delivery log.
 // It replaces the single global schedule hash for partitioned executions
 // (and subsumes it: with one domain it is exactly that hash plus an empty
-// log). Valid after Run returns; zero value in Nondet mode.
+// log). The domain hashes are each scheduler's running trace hash, so Record
+// must be on for them to mean anything (a non-recording domain reports the
+// empty-trace hash). Valid after Run returns; zero value in Nondet mode.
 func (rt *Runtime) Fingerprint() Fingerprint {
-	if rt.group == nil {
+	if !rt.det() {
 		return Fingerprint{}
 	}
-	return rt.group.Fingerprint()
+	doms := rt.allDomains()
+	f := Fingerprint{DomainHashes: make([]uint64, len(doms)), Deliveries: rt.group.DeliveryHash()}
+	for i, d := range doms {
+		f.DomainHashes[i] = d.rec.Sched.TraceHash()
+	}
+	return f
 }
 
 // DeliveryLog returns the canonical cross-domain delivery log: every XPipe
@@ -250,21 +232,11 @@ func (rt *Runtime) Fingerprint() Fingerprint {
 // materialized only under Config.RetainDeliveryLog (fingerprinting does not
 // need it); without the flag DeliveryLog returns nil. Valid after Run
 // returns; nil in Nondet mode and in single-domain programs with no XPipes.
-func (rt *Runtime) DeliveryLog() []Delivery {
-	if rt.group == nil {
-		return nil
-	}
-	return rt.group.DeliveryLog()
-}
+func (rt *Runtime) DeliveryLog() []Delivery { return rt.group.DeliveryLog() }
 
 // TurnCount returns the number of completed scheduling turns (0 in Nondet
 // mode).
-func (rt *Runtime) TurnCount() int64 {
-	if rt.sched == nil {
-		return 0
-	}
-	return rt.sched.TurnCount()
-}
+func (rt *Runtime) TurnCount() int64 { return rt.main.TurnCount() }
 
 // ThreadsCreated returns the total number of threads the runtime created,
 // including the main thread.
@@ -273,10 +245,10 @@ func (rt *Runtime) ThreadsCreated() int64 { return rt.nthread.Load() }
 // Stats returns the scheduler's activity counters (zero value in Nondet
 // mode, which has no deterministic scheduler).
 func (rt *Runtime) Stats() core.Stats {
-	if rt.sched == nil {
+	if !rt.det() {
 		return core.Stats{}
 	}
-	return rt.sched.Stats()
+	return rt.main.rec.Sched.Stats()
 }
 
 func (rt *Runtime) newThread(name string, d *Domain) *Thread {
@@ -296,22 +268,17 @@ func (rt *Runtime) newThread(name string, d *Domain) *Thread {
 }
 
 // det reports whether the runtime schedules deterministically.
-func (rt *Runtime) det() bool { return rt.sched != nil }
+func (rt *Runtime) det() bool { return rt.main.rec.Sched != nil }
 
 // PolicyStack returns the policy stack scheduling this runtime (nil in
 // Nondet mode). Its Metrics attribute scheduling decisions to policies.
-func (rt *Runtime) PolicyStack() *policy.Stack {
-	if rt.sched == nil {
-		return nil
-	}
-	return rt.sched.Stack()
-}
+func (rt *Runtime) PolicyStack() *policy.Stack { return rt.main.stack }
 
 // PolicyMetrics returns the per-policy decision counters of the runtime's
 // policy stack (nil in Nondet mode).
 func (rt *Runtime) PolicyMetrics() []policy.Metrics {
-	if rt.sched == nil {
+	if !rt.det() {
 		return nil
 	}
-	return rt.sched.Stack().Metrics()
+	return rt.main.stack.Metrics()
 }

@@ -35,7 +35,7 @@ type RWMutex struct {
 func (rt *Runtime) NewRWMutex(t *Thread, name string) *RWMutex {
 	rw := &RWMutex{rt: rt, dom: t.dom, name: name}
 	if rt.det() {
-		s := t.dom.sched
+		s := t.dom.rec.Sched
 		s.GetTurn(t.ct)
 		rw.obj = s.NewObjectKind("rwlock:", name)
 		s.TraceOp(t.ct, core.OpRWInit, rw.obj, core.StatusOK)
@@ -46,13 +46,13 @@ func (rt *Runtime) NewRWMutex(t *Thread, name string) *RWMutex {
 
 // RLock acquires the lock for reading (pthread_rwlock_rdlock).
 func (rw *RWMutex) RLock(t *Thread) {
+	s := rw.dom.enter(t, "rwlock", rw.name)
 	if !rw.rt.det() {
 		rw.nrw.RLock()
 		t.vMeet(rw.vWRel.Load())
 		t.vAdd(t.vCost())
 		return
 	}
-	s := rw.dom.enter(t, "rwlock", rw.name)
 	s.GetTurn(t.ct)
 	blocked := false
 	for rw.writer || rw.waitingWri > 0 {
@@ -75,10 +75,10 @@ func (rw *RWMutex) RLock(t *Thread) {
 
 // TryRLock attempts a read acquisition without blocking.
 func (rw *RWMutex) TryRLock(t *Thread) bool {
+	s := rw.dom.enter(t, "rwlock", rw.name)
 	if !rw.rt.det() {
 		return rw.nrw.TryRLock()
 	}
-	s := rw.dom.enter(t, "rwlock", rw.name)
 	s.GetTurn(t.ct)
 	ok := !rw.writer && rw.waitingWri == 0
 	if ok {
@@ -91,6 +91,7 @@ func (rw *RWMutex) TryRLock(t *Thread) bool {
 
 // WLock acquires the lock for writing (pthread_rwlock_wrlock).
 func (rw *RWMutex) WLock(t *Thread) {
+	s := rw.dom.enter(t, "rwlock", rw.name)
 	if !rw.rt.det() {
 		rw.nrw.Lock()
 		t.vMeet(rw.vWRel.Load())
@@ -98,7 +99,6 @@ func (rw *RWMutex) WLock(t *Thread) {
 		t.vAdd(t.vCost())
 		return
 	}
-	s := rw.dom.enter(t, "rwlock", rw.name)
 	s.GetTurn(t.ct)
 	blocked := false
 	rw.waitingWri++
@@ -123,10 +123,10 @@ func (rw *RWMutex) WLock(t *Thread) {
 
 // TryWLock attempts a write acquisition without blocking.
 func (rw *RWMutex) TryWLock(t *Thread) bool {
+	s := rw.dom.enter(t, "rwlock", rw.name)
 	if !rw.rt.det() {
 		return rw.nrw.TryLock()
 	}
-	s := rw.dom.enter(t, "rwlock", rw.name)
 	s.GetTurn(t.ct)
 	ok := !rw.writer && rw.readers == 0
 	if ok {
@@ -139,28 +139,29 @@ func (rw *RWMutex) TryWLock(t *Thread) bool {
 
 // RUnlock releases a read acquisition.
 func (rw *RWMutex) RUnlock(t *Thread) {
+	s := rw.dom.enter(t, "rwlock", rw.name)
 	if !rw.rt.det() {
 		t.vAdd(t.vCost())
 		amax(&rw.vRRel, t.VNow())
 		rw.nrw.RUnlock()
 		return
 	}
-	rw.unlock(t, false)
+	rw.unlock(t, s, false)
 }
 
 // WUnlock releases a write acquisition.
 func (rw *RWMutex) WUnlock(t *Thread) {
+	s := rw.dom.enter(t, "rwlock", rw.name)
 	if !rw.rt.det() {
 		t.vAdd(t.vCost())
 		amax(&rw.vWRel, t.VNow())
 		rw.nrw.Unlock()
 		return
 	}
-	rw.unlock(t, true)
+	rw.unlock(t, s, true)
 }
 
-func (rw *RWMutex) unlock(t *Thread, write bool) {
-	s := rw.dom.enter(t, "rwlock", rw.name)
+func (rw *RWMutex) unlock(t *Thread, s *core.Scheduler, write bool) {
 	s.GetTurn(t.ct)
 	if write {
 		if !rw.writer {
@@ -182,10 +183,10 @@ func (rw *RWMutex) unlock(t *Thread, write bool) {
 
 // Destroy retires the lock and releases its scheduler bookkeeping.
 func (rw *RWMutex) Destroy(t *Thread) {
+	s := rw.dom.enter(t, "rwlock", rw.name)
 	if !rw.rt.det() {
 		return
 	}
-	s := rw.dom.enter(t, "rwlock", rw.name)
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpRWDestroy, rw.obj, core.StatusOK)
 	s.DestroyObject(t.ct, rw.obj)

@@ -33,7 +33,7 @@ type Sem struct {
 func (rt *Runtime) NewSem(t *Thread, name string, value int64) *Sem {
 	sem := &Sem{rt: rt, dom: t.dom, name: name, val: value}
 	if rt.det() {
-		s := t.dom.sched
+		s := t.dom.rec.Sched
 		s.GetTurn(t.ct)
 		sem.obj = s.NewObjectKind("sem:", name)
 		s.TraceOp(t.ct, core.OpSemInit, sem.obj, core.StatusOK)
@@ -46,6 +46,7 @@ func (rt *Runtime) NewSem(t *Thread, name string, value int64) *Sem {
 
 // Wait decrements the semaphore, blocking while the count is zero (sem_wait).
 func (sem *Sem) Wait(t *Thread) {
+	s := sem.dom.enter(t, "sem", sem.name)
 	if !sem.rt.det() {
 		sem.nmu.Lock()
 		for sem.val == 0 {
@@ -57,7 +58,6 @@ func (sem *Sem) Wait(t *Thread) {
 		t.vAdd(t.vCost())
 		return
 	}
-	s := sem.dom.enter(t, "sem", sem.name)
 	s.GetTurn(t.ct)
 	blocked := false
 	for sem.val == 0 {
@@ -77,6 +77,7 @@ func (sem *Sem) Wait(t *Thread) {
 // TryWait decrements the semaphore if its count is positive and reports
 // whether it did (sem_trywait).
 func (sem *Sem) TryWait(t *Thread) bool {
+	s := sem.dom.enter(t, "sem", sem.name)
 	if !sem.rt.det() {
 		sem.nmu.Lock()
 		defer sem.nmu.Unlock()
@@ -86,7 +87,6 @@ func (sem *Sem) TryWait(t *Thread) bool {
 		sem.val--
 		return true
 	}
-	s := sem.dom.enter(t, "sem", sem.name)
 	s.GetTurn(t.ct)
 	ok := sem.val > 0
 	if ok {
@@ -100,13 +100,13 @@ func (sem *Sem) TryWait(t *Thread) bool {
 // TimedWait is Wait with a logical timeout in turns; it reports whether the
 // semaphore was acquired (sem_timedwait).
 func (sem *Sem) TimedWait(t *Thread, turns int64) bool {
+	s := sem.dom.enter(t, "sem", sem.name)
 	if !sem.rt.det() {
 		// The catalog only uses timed semaphore waits deterministically;
 		// Nondet mode falls back to an untimed wait.
 		sem.Wait(t)
 		return true
 	}
-	s := sem.dom.enter(t, "sem", sem.name)
 	s.GetTurn(t.ct)
 	for sem.val == 0 {
 		s.TraceOp(t.ct, core.OpSemTimedWait, sem.obj, core.StatusBlocked)
@@ -129,6 +129,7 @@ func (sem *Sem) TimedWait(t *Thread, turns int64) bool {
 // WakeAMAP the caller keeps the turn while more threads wait on the
 // semaphore.
 func (sem *Sem) Post(t *Thread) {
+	s := sem.dom.enter(t, "sem", sem.name)
 	if !sem.rt.det() {
 		t.vAdd(t.vCost())
 		amax(&sem.vPost, t.VNow())
@@ -138,7 +139,6 @@ func (sem *Sem) Post(t *Thread) {
 		sem.ncv.Signal()
 		return
 	}
-	s := sem.dom.enter(t, "sem", sem.name)
 	s.GetTurn(t.ct)
 	sem.val++
 	left := s.Signal(t.ct, sem.obj)
@@ -154,12 +154,12 @@ func (sem *Sem) Post(t *Thread) {
 
 // Value returns the current semaphore count (sem_getvalue).
 func (sem *Sem) Value(t *Thread) int64 {
+	s := sem.dom.enter(t, "sem", sem.name)
 	if !sem.rt.det() {
 		sem.nmu.Lock()
 		defer sem.nmu.Unlock()
 		return sem.val
 	}
-	s := sem.dom.enter(t, "sem", sem.name)
 	s.GetTurn(t.ct)
 	v := sem.val
 	s.TraceOp(t.ct, core.OpSemGetValue, sem.obj, core.StatusOK)
@@ -170,10 +170,10 @@ func (sem *Sem) Value(t *Thread) int64 {
 // Destroy retires the semaphore and releases its scheduler bookkeeping
 // (object name, empty wait-list entry).
 func (sem *Sem) Destroy(t *Thread) {
+	s := sem.dom.enter(t, "sem", sem.name)
 	if !sem.rt.det() {
 		return
 	}
-	s := sem.dom.enter(t, "sem", sem.name)
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpSemDestroy, sem.obj, core.StatusOK)
 	s.DestroyObject(t.ct, sem.obj)

@@ -33,7 +33,7 @@ func (rt *Runtime) NewSoftBarrier(t *Thread, name string, n int) *SoftBarrier {
 	}
 	sb := &SoftBarrier{rt: rt, dom: t.dom, name: name, n: n}
 	if rt.det() && rt.cfg.SoftBarriers {
-		s := t.dom.sched
+		s := t.dom.rec.Sched
 		s.GetTurn(t.ct)
 		sb.obj = s.NewObjectKind("softbarrier:", name)
 		s.TraceOp(t.ct, core.OpSoftBarrier, sb.obj, core.StatusOK)
@@ -48,10 +48,10 @@ func (rt *Runtime) NewSoftBarrier(t *Thread, name string, n int) *SoftBarrier {
 // and continues alone, so partial groups (e.g. a remainder of work items)
 // never hang.
 func (sb *SoftBarrier) Arrive(t *Thread) {
+	s := sb.dom.enter(t, "soft barrier", sb.name)
 	if !sb.rt.det() || !sb.rt.cfg.SoftBarriers {
 		return
 	}
-	s := sb.dom.enter(t, "soft barrier", sb.name)
 	s.GetTurn(t.ct)
 	sb.arrived++
 	if sb.arrived >= sb.n {

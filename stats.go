@@ -25,13 +25,13 @@ type SchedulerStat struct {
 // SchedulerStats snapshots every scheduler domain's counters in domain-id
 // order. Nil in Nondet mode (which has no deterministic schedulers).
 func (rt *Runtime) SchedulerStats() []SchedulerStat {
-	if rt.sched == nil {
+	if !rt.det() {
 		return nil
 	}
 	doms := rt.allDomains()
 	out := make([]SchedulerStat, 0, len(doms))
 	for _, d := range doms {
-		out = append(out, SchedulerStat{Domain: d.id, Name: d.name, Stats: d.sched.Stats()})
+		out = append(out, SchedulerStat{Domain: d.rec.ID, Name: d.rec.Name, Stats: d.rec.Sched.Stats()})
 	}
 	return out
 }
@@ -56,7 +56,7 @@ func (rt *Runtime) GatewayStats() []GatewayStat {
 	gws := rt.allGateways()
 	out := make([]GatewayStat, 0, len(gws))
 	for _, gw := range gws {
-		out = append(out, GatewayStat{Name: gw.name, Domain: gw.dom.id, Epoch: gw.Epoch(), Stats: gw.IngressStats()})
+		out = append(out, GatewayStat{Name: gw.name, Domain: gw.dom.rec.ID, Epoch: gw.Epoch(), Stats: gw.IngressStats()})
 	}
 	return out
 }

@@ -118,7 +118,7 @@ func (t *Thread) Create(name string, fn func(*Thread)) *Thread {
 		spawn(child)
 		return child
 	}
-	s := t.dom.sched
+	s := t.dom.rec.Sched
 	s.GetTurn(t.ct)
 	child.register()
 	s.TraceOp(t.ct, core.OpCreate, child.joinObj, core.StatusOK)
@@ -136,7 +136,7 @@ func (t *Thread) Create(name string, fn func(*Thread)) *Thread {
 // allocates the object its joiners wait on. Registration order fixes thread
 // IDs, so callers hold the turn or run before the domain starts.
 func (t *Thread) register() {
-	s := t.dom.sched
+	s := t.dom.rec.Sched
 	t.ct = s.RegisterIn(&t.node, t.name)
 	t.joinObj = s.NewObjectKind("thread:", t.name)
 }
@@ -150,7 +150,7 @@ func (t *Thread) run() {
 	if t.rt.det() {
 		// thread_begin: DMT systems add this implicit operation so child
 		// initialization is deterministically ordered (Figure 1b).
-		s := t.dom.sched
+		s := t.dom.rec.Sched
 		s.GetTurn(t.ct)
 		s.TraceOp(t.ct, core.OpThreadBegin, 0, core.StatusOK)
 		t.release()
@@ -175,7 +175,7 @@ func (t *Thread) Join(c *Thread) {
 		t.vAdd(t.vCost())
 		return
 	}
-	s := t.dom.sched
+	s := t.dom.rec.Sched
 	s.GetTurn(t.ct)
 	blocked := false
 	for !c.done {
@@ -200,7 +200,7 @@ func (t *Thread) exit() {
 		close(t.nondetDone)
 		return
 	}
-	s := t.dom.sched
+	s := t.dom.rec.Sched
 	s.GetTurn(t.ct)
 	t.done = true
 	if t.joinObj != 0 {
@@ -232,7 +232,7 @@ func (t *Thread) DummySync() {
 	if !t.rt.det() || !t.dom.stack.WantDummySync() {
 		return
 	}
-	s := t.dom.sched
+	s := t.dom.rec.Sched
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpDummySync, 0, core.StatusOK)
 	t.dom.stack.OnDummySync(t.ct)
@@ -246,7 +246,7 @@ func (t *Thread) Yield() {
 		runtime.Gosched()
 		return
 	}
-	s := t.dom.sched
+	s := t.dom.rec.Sched
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpYield, 0, core.StatusOK)
 	t.release()
@@ -268,7 +268,7 @@ func (t *Thread) Sleep(turns int64) {
 		t.vAdd(turns)
 		return
 	}
-	s := t.dom.sched
+	s := t.dom.rec.Sched
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpSleep, 0, core.StatusBlocked)
 	t.park(0, turns) // object 0 is never signaled: pure timeout
@@ -284,7 +284,7 @@ func (t *Thread) SetBaseTime() int64 {
 	if !t.rt.det() {
 		return 0
 	}
-	s := t.dom.sched
+	s := t.dom.rec.Sched
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpSetBaseTime, 0, core.StatusOK)
 	base := s.TurnCount()
@@ -315,14 +315,14 @@ func (t *Thread) WorkSeeded(seed uint64, n int64) uint64 {
 				q = n
 			}
 			v = spin.Work(v, q)
-			t.dom.sched.AddWork(t.ct, q)
+			t.dom.rec.Sched.AddWork(t.ct, q)
 			n -= q
 		}
 		return v
 	}
 	v := spin.Work(seed, n)
 	if t.rt.det() {
-		t.dom.sched.AddWork(t.ct, n)
+		t.dom.rec.Sched.AddWork(t.ct, n)
 	} else {
 		t.nv.Add(n)
 	}
@@ -340,7 +340,7 @@ func (t *Thread) release() {
 	if t.dom.stack.ExtendLease(t.ct) {
 		return
 	}
-	t.dom.sched.PutTurn(t.ct)
+	t.dom.rec.Sched.PutTurn(t.ct)
 }
 
 // park blocks the thread on the scheduler wait queue. The scheduler's Wait
@@ -348,5 +348,5 @@ func (t *Thread) release() {
 // ("... or the unblocking thread itself gets blocked", Section 3.4), and
 // releases the turn unconditionally.
 func (t *Thread) park(obj uint64, timeout int64) core.WaitStatus {
-	return t.dom.sched.Wait(t.ct, obj, timeout)
+	return t.dom.rec.Sched.Wait(t.ct, obj, timeout)
 }
