@@ -28,15 +28,20 @@ cpu-matrix:
 # empty main, at most 1.5 per created-and-joined thread, nothing retained per
 # exited thread but its table slot, inline thread table and chooser scratch,
 # and — at -cpu 1 and 4, two runtimes at once — grant channels recycled across
-# schedulers without a token ever left in one.
+# schedulers without a token ever left in one. An explored run is held to its
+# budget here too (41 allocations for the seeded control-plane race, two of
+# them the gateway), with the tests that keep its recycled scaffolding safe:
+# nothing recycled after a deadlock, a panic or a hang, no late report and no
+# stale watchdog tick ever classifying another run.
 .PHONY: alloc-bounds
 alloc-bounds:
 	$(GO) test -race -count=1 -run 'TestTraceRetentionAllocBound|TestChunkedTraceRetention|TestInlineTables|TestGrantChannelsRecycled' ./internal/core
 	$(GO) test -race -count=1 -run 'TestBinaryLoadAllocBound|TestBinaryLoadErrors' ./internal/trace
-	$(GO) test -race -count=1 -run 'TestReplayBorrowsSchedule|TestRuntimeAllocBudget|TestThreadAllocBudget|TestThreadChurnRetention' .
+	$(GO) test -race -count=1 -run 'TestReplayBorrowsSchedule|TestRuntimeAllocBudget|TestThreadAllocBudget|TestThreadChurnRetention|TestGatewayAllocBudget' .
 	$(GO) test -race -cpu 1,4 -count=1 -run 'TestGrantRecycling' .
-	$(GO) test -race -count=1 -run 'TestCollectorStageSizedFromLastSnapshot' ./internal/ingress
-	$(GO) test -race -count=1 -run 'TestParseEventMatchesFields' ./internal/workload/controlplane
+	$(GO) test -race -count=1 -run 'TestCollectorStageSizedFromLastSnapshot|TestAdmissionQueueSizedFromFirstSnapshot' ./internal/ingress
+	$(GO) test -race -count=1 -run 'TestParseEventMatchesFields|TestGroupSlabs' ./internal/workload/controlplane
+	$(GO) test -race -count=1 -run 'TestExploredRunAllocBudget|TestScaffoldNotRecycledAfterAbnormalEnd|TestLateDeadlockCannotClassifyNextRun|TestWatchdogNoStaleTick' ./internal/explore
 
 # What .github/workflows/ci.yml runs: the full gate plus the performance
 # gate, which re-runs the BENCH_sched.json benchmarks at a short benchtime

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"qithread/internal/ingress"
 )
 
 // minMallocs is the heap allocations of run, the cheapest of five executions
@@ -94,5 +96,78 @@ func TestRuntimeAllocBudget(t *testing.T) {
 	t.Logf("New + Run of an empty main: %d allocs", best)
 	if best > budget {
 		t.Fatalf("New + Run of an empty main makes %d allocations, want <= %d", best, budget)
+	}
+}
+
+// TestGatewayAllocBudget: what an ingress gateway adds to a run, measured as
+// the difference between a main thread that creates one and admits its whole
+// input and a main thread that does not (DESIGN.md §4.13). Replaying a log it
+// is the Gateway record — the ingress gateway and the log cursor are fields of
+// it, the choice point reaches the domain's chooser without a closure, the
+// runtime's gateway list starts on an inline slot — and the admission queue,
+// sized once by the first snapshot (never by QueueCap: 1,024 events of 56 B).
+// Live it is those two plus what collecting and recording cost, 16 for this
+// input: the collector and the log; per source a port, its quota slot and a
+// feeder goroutine (with the test's own source, closure and channel, 6); the
+// stage nine events grow through (5) and its successor; and per non-empty
+// epoch one logged batch (2). Exact under -race (`make alloc-bounds`). The
+// parent of the PR that set the budget read 8 and 24.
+func TestGatewayAllocBudget(t *testing.T) {
+	payload := []byte("advance 0")
+	input := &IngressLog{}
+	for epoch := int64(1); epoch <= 3; epoch++ {
+		input.Batches = append(input.Batches, ingress.Batch{Epoch: epoch,
+			Events: []IngressEvent{{Data: payload}, {Data: payload}, {Data: payload}}})
+	}
+	admitAll := func(main *Thread, gw *Gateway) {
+		var buf [2]IngressEvent
+		for n, ok, total := 0, true, 0; ok; total += n {
+			if n, ok = gw.Admit(main, buf[:]); !ok && total != input.Events() {
+				panic("gateway admitted fewer events than its input holds")
+			}
+		}
+	}
+	// Every run creates a mutex first: the scheduler's object-name table is
+	// made for the first object of a run, whatever that object is.
+	run := func(body func(rt *Runtime, main *Thread)) func() {
+		return func() {
+			rt := New(Config{Mode: RoundRobin, Policies: AllPolicies})
+			rt.Run(func(main *Thread) {
+				rt.NewMutex(main, "m")
+				body(rt, main)
+			})
+		}
+	}
+	empty := run(func(*Runtime, *Thread) {})
+	replay := run(func(rt *Runtime, main *Thread) {
+		admitAll(main, rt.Domain(0).NewGateway("gw", GatewayConfig{MaxBatch: 2, Replay: input}))
+	})
+	live := run(func(rt *Runtime, main *Thread) {
+		gw := rt.Domain(0).NewGateway("gw", GatewayConfig{MaxBatch: 2})
+		staged := make(chan struct{})
+		gw.AddSource(ingress.FuncSource("feed", func(p *ingress.Port) {
+			for i := 0; i < input.Events(); i++ {
+				p.Push(payload)
+			}
+			close(staged)
+		}))
+		<-staged // one snapshot holds the whole input, so the epochs do not depend on timing
+		admitAll(main, gw)
+	})
+	for _, tc := range []struct {
+		name   string
+		run    func()
+		budget uint64
+	}{
+		{"replay", replay, 2},
+		{"live", live, 18},
+	} {
+		tc.run() // warm the free lists
+		base := minMallocs(func() {}, empty)
+		got := minMallocs(func() {}, tc.run) - base
+		t.Logf("%s gateway: %d allocs on top of the run's %d", tc.name, got, base)
+		if got > tc.budget {
+			t.Errorf("a %s gateway makes %d allocations, want <= %d", tc.name, got, tc.budget)
+		}
 	}
 }

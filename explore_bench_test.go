@@ -91,11 +91,11 @@ func benchExploreControlPlane(b *testing.B) {
 
 // BenchmarkExploreParallel measures the worker pool's scaling: the same DPOR
 // search at 1, 2 and 4 workers. Every run executes in its own isolated
-// Runtime, so between-run work is embarrassingly parallel; the shared
-// frontier, sharded seen set and record path are the only serialization. On a
-// multi-core host workers=4 should approach 4x the workers=1 schedules/sec;
-// on a single-CPU host (the CI runner) the curve is honestly flat —
-// EXPERIMENTS.md E21 records both. Feeds BENCH_sched.json via
+// Runtime, so between-run work is embarrassingly parallel; the frontier, the
+// seen set and the record path, all under the session mutex, are the only
+// serialization. On a multi-core host workers=4 should approach 4x the
+// workers=1 schedules/sec; on a single-CPU host (the CI runner) the curve is
+// honestly flat — EXPERIMENTS.md E21 records both. Feeds BENCH_sched.json via
 // `make bench-json`.
 func BenchmarkExploreParallel(b *testing.B) {
 	p := explore.Lookup("wakerace")

@@ -86,7 +86,8 @@ type Gateway struct {
 	dom  *Domain
 	name string
 	id   uint64
-	g    *ingress.Gateway
+	g    ingress.Gateway  // initialised in place: a gateway is this one record plus its queue
+	rep  ingress.Replayer // g's cursor into GatewayConfig.Replay; unused in live mode
 }
 
 // NewGateway creates a deterministic ingress gateway owned by the given
@@ -102,31 +103,25 @@ func (rt *Runtime) NewGateway(name string, d *Domain, cfg GatewayConfig) *Gatewa
 	if d.rt != rt {
 		panic(fmt.Sprintf("qithread: gateway %q on %s, which belongs to another runtime", name, d.label()))
 	}
+	gw := &Gateway{rt: rt, dom: d, name: name}
 	icfg := ingress.Config{
 		StageCap:     cfg.StageCap,
 		PerSourceCap: cfg.PerSourceCap,
 		MaxBatch:     cfg.MaxBatch,
 		QueueCap:     cfg.QueueCap,
 		Sink:         cfg.Sink,
-	}
-	if cfg.Replay != nil {
-		icfg.Replay = ingress.NewReplayer(cfg.Replay)
-	}
-	if ch := d.chooser; ch != nil {
 		// Admission boundaries are a scheduling choice point: the domain's
 		// chooser may shrink any multi-event batch, moving the epoch boundary
-		// without changing event order. Candidate i means a batch of i+1
-		// events; the default is the full batch the bounds allow.
-		icfg.ChooseBatch = func(n int) int {
-			return ch.Choose(core.ChooseAdmit, nil, n, n-1) + 1
-		}
+		// without changing event order.
+		Chooser: d.chooser,
 	}
-	gw := &Gateway{
-		rt:   rt,
-		dom:  d,
-		name: name,
-		g:    ingress.NewGateway(icfg),
+	if cfg.Replay != nil {
+		// The cursor NewReplayer builds is copied into the record; the
+		// temporary never reaches the heap.
+		gw.rep = *ingress.NewReplayer(cfg.Replay)
+		icfg.Replay = &gw.rep
 	}
+	gw.g.Init(icfg)
 	if d.rec.Sched != nil {
 		// The object id comes from the domain's scheduler, like every other
 		// synchronization object, so it is a pure function of the program's

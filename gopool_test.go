@@ -8,17 +8,49 @@ import (
 	"time"
 )
 
-// poolGoroutines counts the live goroutines running poolWorker, straight
-// from the runtime's stack dump: the pool is process-global and other tests
-// leave workers parked in it, so nothing derived from a baseline is exact.
-func poolGoroutines() int {
+// poolStacks returns the stack of every live goroutine running poolWorker,
+// straight from the runtime's dump: the pool is process-global and other
+// tests leave workers parked in it, so nothing derived from a baseline is
+// exact.
+func poolStacks() []string {
 	buf := make([]byte, 1<<20)
 	for {
 		if n := runtime.Stack(buf, true); n < len(buf) {
-			return strings.Count(string(buf[:n]), "qithread.poolWorker(")
+			var out []string
+			for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+				if strings.Contains(g, "qithread.poolWorker(") {
+					out = append(out, g)
+				}
+			}
+			return out
 		}
 		buf = make([]byte, 2*len(buf))
 	}
+}
+
+// poolGoroutines counts the live goroutines running poolWorker.
+func poolGoroutines() int { return len(poolStacks()) }
+
+// settlePool waits until no pool goroutine is on its way anywhere. A worker
+// parks a moment after its body called wg.Done, so Run returning in the test
+// before this one does not mean its workers have reached the idle list yet;
+// until they do they are running or runnable — nothing on the way from a
+// body's return to the park blocks. A goroutine that is blocked is either
+// parked or a thread some deadlock test froze inside its body for good, and
+// neither will touch the idle list behind the caller's back.
+func settlePool(t *testing.T) {
+	t.Helper()
+	eventually(t, "every pool worker is parked or frozen", func() bool {
+		for _, g := range poolStacks() {
+			// "goroutine 7 [chan receive, 2 minutes]:"
+			state, _, _ := strings.Cut(g[strings.Index(g, "[")+1:], "]")
+			state, _, _ = strings.Cut(state, ",")
+			if state == "running" || state == "runnable" {
+				return false
+			}
+		}
+		return true
+	})
 }
 
 // eventually polls cond until it holds; parking and exiting happen after a
@@ -43,11 +75,13 @@ func spawnBody(fn func()) {
 	spawn(t)
 }
 
-// holdIdleWorkers occupies every currently parked worker with a blocked body
-// and returns the function that lets them go, so a test starts from an empty
-// idle list whatever ran before it.
+// holdIdleWorkers waits for the workers of earlier tests to park, occupies
+// every parked worker with a blocked body and returns the function that lets
+// them go, so a test starts from an idle list that is empty, and stays empty
+// but for its own spawns, whatever ran before it.
 func holdIdleWorkers(t *testing.T) (release func()) {
 	t.Helper()
+	settlePool(t)
 	gate := make(chan struct{})
 	var wg sync.WaitGroup
 	for len(idleWorkers) > 0 {

@@ -6,7 +6,7 @@ import (
 )
 
 // The control-plane scenarios (internal/workload/controlplane): the
-// production-shape workload of ROADMAP item 3, registered so qiexplore can
+// production-shape workload of EXPERIMENTS.md E22, registered so qiexplore can
 // search its schedule space and qireplay can re-execute minimized repros.
 //
 //   - "controlplane": the healthy scenario — two entities driven through the

@@ -34,7 +34,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -223,13 +222,19 @@ func RunVariant(p *Program, base func() qithread.Config, watchdog time.Duration)
 // executes one run under a real-time watchdog. An untraced run fingerprints
 // the execution exactly as a traced one does but returns no Trace.
 //
+// The completion channel and the watchdog come from a recycled scaffold
+// (scaffold.go); what is still made per run is the deadlock handler, which
+// must name its own runtime, the run goroutine's closure and cfg.Chooser.
+//
 // Failure modes leak by design: a deadlocked or hung run's goroutines park
 // forever (the deadlock handler blocks so the scheduler state stays frozen
-// and readable), which is acceptable for a bounded-budget exploration
-// process. Panics are recovered only on the main thread; a child-thread panic
-// is process-fatal (the pooled thread bodies have no recovery), but legal
-// schedule perturbations cannot make a child panic unless the program itself
-// does — and that process exit is itself a loud bug report.
+// and readable) and keep the scaffold they report on, which is acceptable for
+// a bounded-budget exploration process. Panics are recovered only on the main
+// thread (scaffold.run), and that run's scaffold is abandoned too; a
+// child-thread panic is process-fatal (the pooled thread bodies have no
+// recovery), but legal schedule perturbations cannot make a child panic
+// unless the program itself does — and that process exit is itself a loud bug
+// report.
 func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time.Duration, traced bool) Result {
 	if watchdog <= 0 {
 		watchdog = DefaultWatchdog
@@ -247,52 +252,33 @@ func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time
 	}
 	rt := qithread.New(cfg)
 
-	deadlocked := make(chan string, 1)
+	sc := takeScaffold(watchdog)
 	rt.Scheduler().SetDeadlockHandler(func(msg string) {
-		deadlocked <- msg
+		sc.done <- end{rt: rt, outcome: OutcomeDeadlock, msg: msg}
 		select {} // freeze the run; the scheduler mutex is not held here
 	})
+	go sc.run(p, rt)
 
-	type end struct {
-		out      uint64
-		panicked bool
-		msg      string
-	}
-	done := make(chan end, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				done <- end{panicked: true, msg: fmt.Sprint(r)}
-			}
-		}()
-		done <- end{out: p.Run(rt)}
-	}()
-
-	// Stopped on return: at thousands of runs a second, unstopped watchdogs
-	// would pile up as pending timers until each one's full duration passed.
-	timer := time.NewTimer(watchdog)
-	defer timer.Stop()
-	var res Result
-	select {
-	case e := <-done:
-		if e.panicked {
-			res = Result{Outcome: OutcomePanic, Err: e.msg}
-		} else if p.Check != nil {
-			if err := p.Check(e.out); err != nil {
-				res = Result{Outcome: OutcomeAssertFail, Output: e.out, Err: err.Error()}
-			} else {
-				res = Result{Outcome: OutcomeOK, Output: e.out}
-			}
-		} else {
-			res = Result{Outcome: OutcomeOK, Output: e.out}
-		}
-	case msg := <-deadlocked:
-		res = Result{Outcome: OutcomeDeadlock, Err: msg}
-	case <-timer.C:
+	e, ok := sc.await(rt)
+	if !ok {
 		// The run is stuck in real time without a deterministic deadlock
 		// (e.g. a livelock through the nondeterministic edges). The frozen
 		// runtime cannot be read safely, so the result carries no trace.
 		return Result{Outcome: OutcomeHang, Err: "watchdog expired"}
+	}
+	res := Result{Outcome: e.outcome, Output: e.out, Err: e.msg}
+	if e.outcome == OutcomeOK {
+		if p.Check != nil {
+			if err := p.Check(e.out); err != nil {
+				res.Outcome, res.Err = OutcomeAssertFail, err.Error()
+			}
+		}
+		sc.recycle()
+	} else {
+		// The scaffold is abandoned with the run, but its watchdog is still
+		// stopped: at thousands of runs a second, unstopped ones would pile
+		// up as pending timers until each one's full duration passed.
+		sc.timer.Stop()
 	}
 	if traced {
 		res.Trace = rt.Trace()
@@ -303,16 +289,19 @@ func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time
 
 // fingerprintOf condenses a finished (or deterministically frozen) run into
 // the pruning key: the partitioned-execution fingerprint plus the output
-// checksum. Two runs with equal keys took schedule-equivalent paths to the
-// same result; exploring past one of them is redundant.
+// checksum, hex fields joined by "+". Two runs with equal keys took
+// schedule-equivalent paths to the same result; exploring past one of them is
+// redundant. The key is built in one buffer — it is made once per run and
+// lives in the seen set — that stays on the stack for up to two domains.
 func fingerprintOf(rt *qithread.Runtime, output uint64) string {
 	fp := rt.Fingerprint()
-	parts := make([]string, 0, len(fp.DomainHashes)+2)
+	var buf [4*16 + 3]byte
+	b := buf[:0]
 	for _, h := range fp.DomainHashes {
-		parts = append(parts, strconv.FormatUint(h, 16))
+		b = append(strconv.AppendUint(b, h, 16), '+')
 	}
-	parts = append(parts, strconv.FormatUint(fp.Deliveries, 16), strconv.FormatUint(output, 16))
-	return strings.Join(parts, "+")
+	b = append(strconv.AppendUint(b, fp.Deliveries, 16), '+')
+	return string(strconv.AppendUint(b, output, 16))
 }
 
 // ReplayRepro re-executes a repro file produced by the explorer: the events

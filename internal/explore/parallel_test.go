@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -103,6 +104,40 @@ func TestResumeEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestExploreOrderPinned holds the serial search of the seeded control-plane
+// race — the program every explore benchmark row runs — to what it did before
+// the per-run scaffolding was recycled and the cell rebuilt from slabs (PR
+// 20): 300 runs, the ordered (outcome, fingerprint, decision count) of every
+// one folded into a hash, and the failure count. The budget-120 goldens above
+// stop before most of the failures; this runs into them and through their
+// minimizations.
+func TestExploreOrderPinned(t *testing.T) {
+	const (
+		wantOrder    = "73ccc762384470c06b26d3925533c997eea5d0308c48d1dae5fb9b81c26a0288"
+		wantFailures = 10
+	)
+	dir := t.TempDir()
+	s := exploreSerial(t, Lookup("controlplane-race"), dir, 300)
+	data, err := os.ReadFile(filepath.Join(dir, runsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	rows := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n")[1:] {
+		// run,strategy,depth,decisions,outcome,new,fingerprint,err
+		c := strings.Split(line, ",")
+		if len(c) != 8 {
+			t.Fatalf("runs.csv row %q has %d cells, want 8", line, len(c))
+		}
+		fmt.Fprintf(h, "%s %s %s\n", c[4], c[6], c[3])
+		rows++
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); rows != 300 || got != wantOrder || s.Failures() != wantFailures {
+		t.Errorf("%d runs, order hash %s, %d failures; want 300, %s, %d", rows, got, s.Failures(), wantOrder, wantFailures)
 	}
 }
 

@@ -1,0 +1,311 @@
+package explore
+
+import (
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"qithread"
+)
+
+// raceBaselineFP is the fingerprint of controlplane-race's default schedule as
+// a fresh process computes it (the constant TestCellFingerprintsPinned holds,
+// in the explorer's rendering): what every ok run below must reproduce no
+// matter whose scaffold it runs on.
+const raceBaselineFP = "f29c9ec81c5a0678+cbf29ce484222325+6789de4"
+
+// TestExploredRunAllocBudget holds one search run of the seeded control-plane
+// race — untraced and on a frontier entry, as the DPOR pool executes it; here
+// the entry that forces the default schedule — to the construction budget of
+// DESIGN.md §4.13: 41 allocations, of which 21 are the run's scaffolding (3),
+// its fingerprint (3), the gateway (2) and the cell (13), and 20 the runtime
+// (3), two more threads, four sync objects, the object-name table (2), seven
+// wait lists, the chooser and its log. Scaffolds, grant channels and pool
+// workers all come from bounded channel free lists, so once those are warm
+// the count is exact, under -race too (`make alloc-bounds`); the bound leaves
+// room for the test's own bookkeeping, not for one more allocation per run.
+// The parent of the PR that set the budget read 71.
+func TestExploredRunAllocBudget(t *testing.T) {
+	const (
+		runs   = 200
+		budget = 42
+	)
+	p := Lookup("controlplane-race")
+	base := RunForced(p, nil, testWatchdog)
+	entry := prefixFlip(base.Choices)
+	batch := func() {
+		for i := 0; i < runs; i++ {
+			if res := runPath(p, entry, testWatchdog, false); res.Outcome != OutcomeOK || res.Fingerprint != raceBaselineFP {
+				t.Fatalf("run %d: %s [%s], want ok [%s]", i, res.Outcome, res.Fingerprint, raceBaselineFP)
+			}
+		}
+	}
+	batch() // warm the free lists
+	best := ^uint64(0)
+	for i := 0; i < 5; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		batch()
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n < best {
+			best = n
+		}
+	}
+	perRun := float64(best) / runs
+	t.Logf("one search run of controlplane-race: %.2f allocs", perRun)
+	if perRun > budget {
+		t.Fatalf("%.2f allocations per explored run, want <= %d", perRun, budget)
+	}
+}
+
+// Programs that end a run every way it can end. Each builds a real runtime
+// run, so a misdirected completion message would have something to corrupt.
+
+// deadlockProgram's main thread locks one mutex twice: the scheduler reports
+// a deterministic deadlock and the handler freezes the run.
+var deadlockProgram = &Program{
+	Name: "test-deadlock",
+	Base: rrConfig(qithread.NoPolicies),
+	Run: func(rt *qithread.Runtime) uint64 {
+		rt.Run(func(main *qithread.Thread) {
+			m := rt.NewMutex(main, "m")
+			m.Lock(main)
+			m.Lock(main)
+		})
+		return 0
+	},
+}
+
+// panicProgram panics on the main thread, inside the run.
+var panicProgram = &Program{
+	Name: "test-panic",
+	Base: rrConfig(qithread.NoPolicies),
+	Run: func(rt *qithread.Runtime) uint64 {
+		rt.Run(func(main *qithread.Thread) { panic("boom") })
+		return 0
+	},
+}
+
+// hangProgram blocks outside the scheduler until release is closed, which the
+// test does once it is done so the hung run goroutines report — into the
+// scaffolds they were abandoned with — and exit.
+func hangProgram(release <-chan struct{}) *Program {
+	return &Program{
+		Name: "test-hang",
+		Base: rrConfig(qithread.NoPolicies),
+		Run: func(rt *qithread.Runtime) uint64 {
+			<-release
+			return 0
+		},
+	}
+}
+
+// eventually polls cond until it holds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(testWatchdog); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// drainScaffolds empties the free list and returns what it held.
+func drainScaffolds() []*scaffold {
+	var out []*scaffold
+	for {
+		select {
+		case sc := <-freeScaffolds:
+			out = append(out, sc)
+		default:
+			return out
+		}
+	}
+}
+
+// TestScaffoldNotRecycledAfterAbnormalEnd alternates ok runs with runs that
+// deadlock, panic on the main thread and outlive their watchdog, 1,000 times
+// on one goroutine and then 1,000 times spread over four at once. Every ok run must classify and
+// fingerprint as a fresh process would, whatever ran on its scaffold before;
+// and no scaffold of an abnormal run may come back: on one goroutine the free
+// list holds exactly the one scaffold of the last ok run after an ok run and
+// nothing after an abnormal one, never a scaffold an abnormal run took; with
+// four, what the list holds at the end carries no message and no tick, even
+// after every hung run has been released to report.
+func TestScaffoldNotRecycledAfterAbnormalEnd(t *testing.T) {
+	const rounds = 1000
+	release := make(chan struct{})
+	ok := Lookup("controlplane-race")
+	abnormal := []struct {
+		p        *Program
+		watchdog time.Duration
+		want     Outcome
+	}{
+		{deadlockProgram, testWatchdog, OutcomeDeadlock},
+		{panicProgram, testWatchdog, OutcomePanic},
+		{hangProgram(release), time.Millisecond, OutcomeHang},
+	}
+	// round runs one ok run and one abnormal run, reporting (t.Error: it is
+	// called off the test goroutine too) whether both ended as they must.
+	round := func(i int, between func()) bool {
+		if res := RunForced(ok, nil, testWatchdog); res.Outcome != OutcomeOK || res.Fingerprint != raceBaselineFP {
+			t.Errorf("round %d: ok run is %s [%s] (%s), want ok [%s]", i, res.Outcome, res.Fingerprint, res.Err, raceBaselineFP)
+			return false
+		}
+		between()
+		a := abnormal[i%len(abnormal)]
+		if res := RunForced(a.p, nil, a.watchdog); res.Outcome != a.want {
+			t.Errorf("round %d: %s run is %s (%s), want %s", i, a.p.Name, res.Outcome, res.Err, a.want)
+			return false
+		}
+		return true
+	}
+
+	drainScaffolds()
+	abandoned := map[*scaffold]bool{}
+	for i := 0; i < rounds; i++ {
+		var last *scaffold
+		peek := func() {
+			// Exactly the ok run's scaffold is free, and the abnormal run
+			// that follows is the one that takes it.
+			held := drainScaffolds()
+			if len(held) != 1 {
+				t.Fatalf("round %d: %d scaffolds free after an ok run, want 1", i, len(held))
+			}
+			last = held[0]
+			if abandoned[last] {
+				t.Fatalf("round %d: a scaffold an abnormal run took is back on the free list", i)
+			}
+			freeScaffolds <- last
+		}
+		if !round(i, peek) {
+			return
+		}
+		abandoned[last] = true
+		if n := len(freeScaffolds); n != 0 {
+			t.Fatalf("round %d: %d scaffolds free after a %s run, want 0: an abnormal end recycled its scaffold", i, n, abnormal[i%len(abnormal)].want)
+		}
+	}
+
+	const workers = 4
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds/workers; i++ {
+				if !round(i, func() {}) {
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(release)
+	// Every hung run goroutine now reports into its abandoned scaffold. Were
+	// one of those on the free list, the message would sit in its channel.
+	time.Sleep(50 * time.Millisecond)
+	held := drainScaffolds()
+	if len(held) > workers {
+		t.Errorf("%d scaffolds free after %d concurrent workers, want at most that many", len(held), workers)
+	}
+	for _, sc := range held {
+		if abandoned[sc] {
+			t.Error("a scaffold an abnormal run took is on the free list")
+		}
+		if len(sc.done) != 0 || len(sc.timer.C) != 0 {
+			t.Errorf("a free scaffold holds %d message(s) and %d tick(s), want none", len(sc.done), len(sc.timer.C))
+		}
+	}
+}
+
+// TestLateDeadlockCannotClassifyNextRun: a program detaches a thread that
+// deadlocks only after Program.Run has returned — after the run was
+// classified ok and its scaffold recycled. The thread still holds that run's
+// deadlock handler, so its report lands on the scaffold the next run is
+// using; it names the old runtime, and the next run must end ok all the same.
+func TestLateDeadlockCannotClassifyNextRun(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		goOn := make(chan struct{})
+		late := &Program{
+			Name: "test-late-deadlock",
+			Base: rrConfig(qithread.NoPolicies),
+			Run: func(rt *qithread.Runtime) uint64 {
+				go rt.Run(func(main *qithread.Thread) {
+					<-goOn
+					m := rt.NewMutex(main, "m")
+					m.Lock(main)
+					m.Lock(main)
+				})
+				return 7
+			},
+		}
+		drainScaffolds()
+		if res := RunForced(late, nil, testWatchdog); res.Outcome != OutcomeOK || res.Output != 7 {
+			t.Fatalf("detaching run is %s (%s) with output %d, want ok with 7", res.Outcome, res.Err, res.Output)
+		}
+		held := drainScaffolds()
+		if len(held) != 1 {
+			t.Fatalf("%d scaffolds free after an ok run, want 1", len(held))
+		}
+		sc := held[0]
+		close(goOn)
+		if i%2 == 0 {
+			// The report is already waiting when the next run takes the
+			// scaffold; on odd rounds it races with that run instead.
+			eventually(t, "the detached thread's deadlock is reported", func() bool { return len(sc.done) == 1 })
+		}
+		freeScaffolds <- sc
+		if res := RunForced(Lookup("controlplane-race"), nil, testWatchdog); res.Outcome != OutcomeOK || res.Fingerprint != raceBaselineFP {
+			t.Fatalf("round %d: the run after a late deadlock is %s [%s] (%s), want ok [%s]", i, res.Outcome, res.Fingerprint, res.Err, raceBaselineFP)
+		}
+	}
+}
+
+// TestWatchdogNoStaleTick: a watchdog that fired must not expire a later run.
+// A hung run abandons its scaffold, so the run after it starts on another
+// one; and a scaffold whose watchdog fired just as its run ended cleanly —
+// the tick is pending, nobody received it — is not offered for reuse.
+func TestWatchdogNoStaleTick(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	drainScaffolds()
+	if res := RunForced(hangProgram(release), nil, time.Millisecond); res.Outcome != OutcomeHang {
+		t.Fatalf("hung run is %s (%s), want hang", res.Outcome, res.Err)
+	}
+	if res := RunForced(Lookup("controlplane-race"), nil, testWatchdog); res.Outcome != OutcomeOK || res.Fingerprint != raceBaselineFP {
+		t.Fatalf("the run after a hang is %s [%s] (%s), want ok [%s]", res.Outcome, res.Fingerprint, res.Err, raceBaselineFP)
+	}
+
+	drainScaffolds()
+	sc := takeScaffold(time.Millisecond)
+	eventually(t, "the 1 ms watchdog has fired", func() bool { return len(sc.timer.C) == 1 })
+	sc.recycle()
+	next := takeScaffold(time.Hour)
+	defer next.timer.Stop()
+	if next == sc {
+		t.Fatal("a scaffold with a pending watchdog tick was recycled")
+	}
+	select {
+	case <-next.timer.C:
+		t.Fatal("the next scaffold's one-hour watchdog has already expired")
+	case <-time.After(5 * time.Millisecond):
+	}
+
+	// The list drops what does not fit rather than blocking or growing.
+	for i := 0; i < scaffoldPoolCap+3; i++ {
+		takeScaffold(time.Hour).recycle()
+	}
+	extra := make([]*scaffold, scaffoldPoolCap+3)
+	for i := range extra {
+		extra[i] = &scaffold{done: make(chan end, 1), timer: time.NewTimer(time.Hour)}
+	}
+	for _, sc := range extra {
+		sc.recycle()
+	}
+	if n := len(drainScaffolds()); n != scaffoldPoolCap {
+		t.Fatalf("free list holds %d scaffolds after %d were recycled, want its capacity %d", n, len(extra), scaffoldPoolCap)
+	}
+}

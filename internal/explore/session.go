@@ -221,12 +221,6 @@ func (s *Session) SeenAt(fp string) (int, bool) {
 	return id, ok
 }
 
-func (s *Session) logf(format string, args ...any) {
-	if s.Verbose != nil {
-		s.Verbose(format, args...)
-	}
-}
-
 // ExploreDPOR runs the fingerprint-pruned branching search: pop a forced
 // prefix, run it, and — only when the run reached a NEW fingerprint — branch
 // every decision at or past the prefix into its unexplored alternatives.
@@ -341,8 +335,10 @@ func (s *Session) recordLocked(strategy string, depth int, res Result) (id int, 
 		isNew = true
 		s.seenDirty = true
 	}
-	s.logf("run %d [%s] depth=%d decisions=%d outcome=%s new=%v",
-		id, strategy, depth, len(res.Choices), res.Outcome, isNew)
+	if s.Verbose != nil { // tested at the call: boxing the arguments allocates, every run
+		s.Verbose("run %d [%s] depth=%d decisions=%d outcome=%s new=%v",
+			id, strategy, depth, len(res.Choices), res.Outcome, isNew)
+	}
 	if s.Dir != "" {
 		line := fmt.Sprintf("%d,%s,%d,%d,%s,%v,%s,%s\n",
 			id, strategy, depth, len(res.Choices), res.Outcome, isNew,
@@ -376,13 +372,17 @@ func csvEscape(v string) string {
 // exploring while a failure shrinks.
 func (s *Session) minimizeAndEmit(depth int, res Result, id int) error {
 	min, final, runs := Minimize(s.P, res, s.Watchdog)
-	s.logf("minimized %s: prefix %d -> %d decisions (%d verification runs)",
-		res.Outcome, depth, len(min), runs)
+	if s.Verbose != nil {
+		s.Verbose("minimized %s: prefix %d -> %d decisions (%d verification runs)",
+			res.Outcome, depth, len(min), runs)
+	}
 	sig := final.Outcome.String() + "|" + formatPrefix(final.Choices)
 	s.mu.Lock()
 	if s.reproSigs[sig] {
 		s.mu.Unlock()
-		s.logf("repro: duplicate of an emitted minimized prefix; skipped")
+		if s.Verbose != nil {
+			s.Verbose("repro: duplicate of an emitted minimized prefix; skipped")
+		}
 		return nil
 	}
 	s.reproSigs[sig] = true
@@ -398,6 +398,8 @@ func (s *Session) minimizeAndEmit(depth int, res Result, id int) error {
 	s.mu.Lock()
 	s.repros = append(s.repros, path)
 	s.mu.Unlock()
-	s.logf("repro: %s (%d events, %d decisions)", path, len(final.Trace), len(final.Choices))
+	if s.Verbose != nil {
+		s.Verbose("repro: %s (%d events, %d decisions)", path, len(final.Trace), len(final.Choices))
+	}
 	return nil
 }

@@ -64,8 +64,8 @@ func (g *Gateway) RestoreState(st *GatewayState) error {
 	g.admitHash = st.AdmitHash
 	g.shedHash = st.ShedHash
 	g.stats = st.Stats
-	if g.rep != nil {
-		g.rep.SkipTo(st.Epoch)
+	if rep := g.cfg.Replay; rep != nil {
+		rep.SkipTo(st.Epoch)
 	}
 	return nil
 }

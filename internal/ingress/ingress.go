@@ -41,6 +41,7 @@ import (
 	"sync"
 
 	"qithread/internal/logio"
+	"qithread/internal/policy"
 )
 
 // Event is one external input event. Source and Data are set by the
@@ -123,15 +124,19 @@ type Config struct {
 	// mode for million-event runs. Log() returns nil; the admit/shed hashes
 	// are unaffected.
 	Sink BatchSink
-	// ChooseBatch, when non-nil, is consulted whenever an admission slot could
-	// deliver more than one event (n >= 2 after the MaxBatch/queue/dst bounds):
-	// it may shrink the batch to any size in [1, n], perturbing where the
-	// admission boundaries fall without changing which events are admitted or
-	// their order. Out-of-range returns keep the full batch. Empty batches are
-	// not offered — a slot that can deliver must deliver at least one event, so
-	// a perturbed run cannot spin forever re-admitting nothing. This is the
-	// ingress choice point of the schedule-space explorer (internal/explore).
-	ChooseBatch func(n int) int
+	// Chooser, when non-nil, is consulted (policy.ChooseAdmit: candidate i is a
+	// batch of i+1 events, the default the full batch) whenever an admission
+	// slot could deliver more than one event (n >= 2 after the
+	// MaxBatch/queue/dst bounds): it may shrink the batch to any size in
+	// [1, n], perturbing where the admission boundaries fall without changing
+	// which events are admitted or their order. Out-of-range returns keep the
+	// full batch. Empty batches are not offered — a slot that can deliver must
+	// deliver at least one event, so a perturbed run cannot spin forever
+	// re-admitting nothing. This is the ingress choice point of the
+	// schedule-space explorer (internal/explore); the qithread wrapper passes
+	// the owning domain's chooser, so one decision sequence covers turn, wake
+	// and admission choices.
+	Chooser policy.Chooser
 }
 
 func (c Config) withDefaults() Config {
@@ -160,9 +165,8 @@ func (c Config) withDefaults() Config {
 // internal mutex only orders physical access against Stats readers and the
 // collector.
 type Gateway struct {
-	cfg Config
+	cfg Config     // cfg.Replay is the log cursor in replay mode, nil in live mode
 	col *collector // nil in replay mode
-	rep *Replayer  // nil in live mode
 
 	mu    sync.Mutex
 	epoch int64   // admission slots taken
@@ -182,12 +186,17 @@ type Gateway struct {
 
 // NewGateway creates a gateway. With cfg.Replay set it re-feeds the recorded
 // log; otherwise it collects live events from its sources.
-func NewGateway(cfg Config) *Gateway {
+func NewGateway(cfg Config) *Gateway { return new(Gateway).Init(cfg) }
+
+// Init is NewGateway into caller-owned storage: g, which must be a zero
+// Gateway, is configured in place and returned. The qithread wrapper holds
+// its Gateway by value this way, so a gateway is one heap object. An
+// initialised Gateway must not be copied (it holds a mutex).
+func (g *Gateway) Init(cfg Config) *Gateway {
 	cfg = cfg.withDefaults()
-	g := &Gateway{cfg: cfg, admitHash: logio.FNVOffset64, shedHash: logio.FNVOffset64}
-	if cfg.Replay != nil {
-		g.rep = cfg.Replay
-	} else {
+	g.cfg = cfg
+	g.admitHash, g.shedHash = logio.FNVOffset64, logio.FNVOffset64
+	if cfg.Replay == nil {
 		g.col = newCollector(cfg.StageCap, cfg.PerSourceCap)
 		if cfg.Sink != nil {
 			g.sink = cfg.Sink
@@ -202,7 +211,7 @@ func NewGateway(cfg Config) *Gateway {
 func (g *Gateway) Config() Config { return g.cfg }
 
 // Replaying reports whether the gateway re-feeds a recorded log.
-func (g *Gateway) Replaying() bool { return g.rep != nil }
+func (g *Gateway) Replaying() bool { return g.cfg.Replay != nil }
 
 // AddSource registers a free-running source and starts its feeder
 // goroutine. Sources must be added in a deterministic order (by setup code,
@@ -211,7 +220,7 @@ func (g *Gateway) Replaying() bool { return g.rep != nil }
 // ignored — the log already contains their recorded events — so one program
 // builds the same structure for recording and replaying.
 func (g *Gateway) AddSource(s Source) int {
-	if g.rep != nil {
+	if g.Replaying() {
 		return -1
 	}
 	id := g.col.addSource()
@@ -243,8 +252,8 @@ func (g *Gateway) Admit(dst []Event) (n int, ok bool) {
 
 	var snap []Event
 	exhausted := false
-	if g.rep != nil {
-		snap, exhausted = g.rep.next(g.epoch, g.queued())
+	if rep := g.cfg.Replay; rep != nil {
+		snap, exhausted = rep.next(g.epoch, g.queued())
 	} else {
 		// Block for events only when nothing is deliverable; with a backlog
 		// queued, take whatever is staged (possibly nothing) and move on.
@@ -259,6 +268,14 @@ func (g *Gateway) Admit(dst []Event) (n int, ok bool) {
 				// contract: the log IS the run's nondeterministic input.
 				panic(fmt.Sprintf("ingress: batch sink failed at epoch %d: %v", g.epoch, err))
 			}
+		}
+		if g.queue == nil {
+			// The first snapshot sizes the queue: room for it plus one slot's
+			// worth of backlog, so a consumer that keeps up never regrows it
+			// (a run that falls behind grows it by doubling, up to QueueCap
+			// events). Never QueueCap itself: runtimes that admit a handful of
+			// events are built by the ten thousand.
+			g.queue = make([]Event, 0, min(len(snap)+g.cfg.MaxBatch, g.cfg.QueueCap))
 		}
 		for _, e := range snap {
 			g.seq++
@@ -287,11 +304,11 @@ func (g *Gateway) Admit(dst []Event) (n int, ok bool) {
 	if n > len(dst) {
 		n = len(dst)
 	}
-	if g.cfg.ChooseBatch != nil && n > 1 {
+	if ch := g.cfg.Chooser; ch != nil && n > 1 {
 		// The hook runs inside the turn-ordered slot, after the bounds
 		// computation common to live and replay admission, so a perturbed
 		// batch size is as deterministic as the default one.
-		if c := g.cfg.ChooseBatch(n); c >= 1 && c < n {
+		if c := ch.Choose(policy.ChooseAdmit, nil, n, n-1) + 1; c >= 1 && c < n {
 			n = c
 		}
 	}
@@ -343,8 +360,8 @@ func (g *Gateway) popQueue() Event {
 // returned log is live until admission finishes; Save it (or stop admitting)
 // before sharing it.
 func (g *Gateway) Log() *Log {
-	if g.rep != nil {
-		return g.rep.log
+	if rep := g.cfg.Replay; rep != nil {
+		return rep.log
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -238,6 +238,41 @@ func TestCollectorStageSizedFromLastSnapshot(t *testing.T) {
 	}
 }
 
+// TestAdmissionQueueSizedFromFirstSnapshot: the admission queue is made by
+// the first non-empty snapshot, with room for it plus one slot's backlog, and
+// QueueCap only ever clips that — gateways that admit a handful of events are
+// built by the ten thousand (explored runs), and QueueCap's default is 1,024
+// events of 56 bytes. A consumer that keeps up then never regrows it, and
+// Init into caller-owned storage builds exactly what NewGateway builds.
+func TestAdmissionQueueSizedFromFirstSnapshot(t *testing.T) {
+	log := &Log{}
+	for epoch := int64(1); epoch <= 8; epoch++ {
+		log.Batches = append(log.Batches, Batch{Epoch: epoch, Events: []Event{{Data: []byte{1}}, {Data: []byte{2}}, {Data: []byte{3}}}})
+	}
+	var inPlace Gateway
+	for _, tc := range []struct {
+		name    string
+		g       *Gateway
+		wantCap int
+	}{
+		{"default-queue-cap", NewGateway(Config{MaxBatch: 4, Replay: NewReplayer(log)}), 3 + 4},
+		{"clipped-by-queue-cap", NewGateway(Config{MaxBatch: 4, QueueCap: 5, Replay: NewReplayer(log)}), 5},
+		{"init-in-place", inPlace.Init(Config{MaxBatch: 4, Replay: NewReplayer(log)}), 3 + 4},
+	} {
+		if tc.g.queue != nil {
+			t.Fatalf("%s: the queue exists before the first snapshot (cap %d)", tc.name, cap(tc.g.queue))
+		}
+		buf := make([]Event, 4)
+		n, ok := tc.g.Admit(buf)
+		if n != 3 || !ok || cap(tc.g.queue) != tc.wantCap {
+			t.Fatalf("%s: first slot admitted %d (ok %v) into a queue of capacity %d, want 3 into %d", tc.name, n, ok, cap(tc.g.queue), tc.wantCap)
+		}
+		if evs := drainAll(tc.g, 4); len(evs) != 21 || cap(tc.g.queue) != tc.wantCap {
+			t.Fatalf("%s: drained %d more events leaving queue capacity %d, want 21 and %d", tc.name, len(evs), cap(tc.g.queue), tc.wantCap)
+		}
+	}
+}
+
 // TestPerSourceCapFairness: one source's quota cannot eat the whole stage.
 func TestPerSourceCapFairness(t *testing.T) {
 	g := NewGateway(Config{StageCap: 8, PerSourceCap: 2, MaxBatch: 8})

@@ -138,25 +138,28 @@ func Anomalies(out uint64) uint64 { return out >> 48 }
 
 // group is one shard's slice of the entity store plus its reconcile queue:
 // entities, stripe mutexes, the work queue its controllers drain, and the
-// per-run counters.
+// per-run counters. Everything sized by the configuration is one slab made
+// once — explored runs build a cell each, by the ten thousand.
 type group struct {
 	cfg      Config
-	entities []*Entity         // owned entities, local index order
+	k, mod   int               // the shard owns the entities with id % mod == k
+	entities []Entity          // owned entities, local index (id / mod) order
 	stripes  []*qithread.Mutex // stripe k guards entities with local index % len(stripes) == k
 	qm       *qithread.Mutex
 	qcv      *qithread.Cond
-	queue    []task
+	queue    []task // pending tasks are queue[head:]; the buffer is reused from the start whenever it drains
+	head     int
 	done     bool
+	pool     []controller
 }
 
 // newGroup builds a shard's store slice: the entities whose id % mod == k
 // (mod 1, k 0 selects everything), with Stripes lock stripes.
 func newGroup(rt *qithread.Runtime, t *qithread.Thread, cfg Config, k, mod int, label string) *group {
-	g := &group{cfg: cfg}
-	for id := 0; id < cfg.Entities; id++ {
-		if id%mod == k {
-			g.entities = append(g.entities, &Entity{ID: id})
-		}
+	g := &group{cfg: cfg, k: k, mod: mod}
+	g.entities = make([]Entity, (cfg.Entities-k+mod-1)/mod)
+	for i := range g.entities {
+		g.entities[i].ID = i*mod + k
 	}
 	ns := cfg.Stripes
 	if ns > len(g.entities) {
@@ -165,11 +168,14 @@ func newGroup(rt *qithread.Runtime, t *qithread.Thread, cfg Config, k, mod int, 
 	if ns < 1 {
 		ns = 1
 	}
-	for s := 0; s < ns; s++ {
-		g.stripes = append(g.stripes, rt.NewMutex(t, label+"stripe"+strconv.Itoa(s)))
+	g.stripes = make([]*qithread.Mutex, ns)
+	for s := range g.stripes {
+		g.stripes[s] = rt.NewMutex(t, label+"stripe"+strconv.Itoa(s))
 	}
 	g.qm = rt.NewMutex(t, label+"queue")
 	g.qcv = rt.NewCond(t, label+"work")
+	// One admitted batch plus one resync sweep fit without regrowing.
+	g.queue = make([]task, 0, cfg.MaxBatch+len(g.entities))
 	return g
 }
 
@@ -180,10 +186,8 @@ func (g *group) stripe(i int) *qithread.Mutex {
 
 // localIndex maps an entity id to its index in the shard's slice.
 func (g *group) localIndex(id int) int {
-	for i, e := range g.entities {
-		if e.ID == id {
-			return i
-		}
+	if i := id / g.mod; id >= 0 && id%g.mod == g.k && i < len(g.entities) {
+		return i
 	}
 	panic("controlplane: entity " + strconv.Itoa(id) + " not owned by this shard")
 }
@@ -196,6 +200,20 @@ func (g *group) enqueue(t *qithread.Thread, tk task) {
 	g.qcv.Signal(t)
 }
 
+// idle reports whether no task is pending. Callers hold qm.
+func (g *group) idle() bool { return g.head == len(g.queue) }
+
+// dequeue removes the oldest pending task. Callers hold qm and have
+// established that one is pending.
+func (g *group) dequeue() task {
+	tk := g.queue[g.head]
+	g.head++
+	if g.idle() {
+		g.queue, g.head = g.queue[:0], 0
+	}
+	return tk
+}
+
 // expand turns one admitted event into reconcile tasks for this shard: an
 // advance targets one entity, a tick sweeps every non-final owned entity (the
 // deterministic resync timer's requeue path).
@@ -204,7 +222,8 @@ func (g *group) expand(t *qithread.Thread, tk task) {
 		g.enqueue(t, tk)
 		return
 	}
-	for i, e := range g.entities {
+	for i := range g.entities {
+		e := &g.entities[i]
 		m := g.stripe(i)
 		m.Lock(t)
 		final := e.State == Installed
@@ -228,7 +247,7 @@ func (g *group) close(t *qithread.Thread) {
 // the apply path that trusts the snapshot; the fix re-checks the generation.
 func (g *group) reconcile(w *qithread.Thread, tk task, c *counters) {
 	i := g.localIndex(tk.id)
-	e := g.entities[i]
+	e := &g.entities[i]
 	m := g.stripe(i)
 
 	m.Lock(w)
@@ -278,47 +297,51 @@ type counters struct {
 	skips       uint64
 }
 
+// controller is one member of the shard's pool: its thread and its counters.
+type controller struct {
+	t *qithread.Thread
+	counters
+}
+
 // runControllers starts the shard's controller pool; each controller drains
-// the queue until close. The returned join function joins the pool and folds
-// the counters.
-func (g *group) runControllers(t *qithread.Thread, name string) func() (transitions, conflicts, skips uint64) {
+// the queue until close. joinControllers waits for it.
+func (g *group) runControllers(t *qithread.Thread, name string) {
 	n := g.cfg.Controllers
-	parts := make([]counters, n)
-	kids := make([]*qithread.Thread, n)
+	g.pool = make([]controller, n)
 	for i := 0; i < n; i++ {
 		if i+1 < n {
 			t.KeepTurn()
 		}
-		i := i
-		kids[i] = t.Create(name+strconv.Itoa(i), func(w *qithread.Thread) {
-			c := &parts[i]
+		c := &g.pool[i].counters
+		g.pool[i].t = t.Create(name+strconv.Itoa(i), func(w *qithread.Thread) {
 			for {
 				g.qm.Lock(w)
-				for len(g.queue) == 0 && !g.done {
+				for g.idle() && !g.done {
 					g.qcv.Wait(w, g.qm)
 				}
-				if len(g.queue) == 0 && g.done {
+				if g.idle() {
 					g.qm.Unlock(w)
 					return
 				}
-				tk := g.queue[0]
-				g.queue = g.queue[1:]
+				tk := g.dequeue()
 				g.qm.Unlock(w)
 				g.reconcile(w, tk, c)
 			}
 		})
 	}
-	return func() (transitions, conflicts, skips uint64) {
-		for _, k := range kids {
-			t.Join(k)
-		}
-		for i := range parts {
-			transitions += parts[i].transitions
-			conflicts += parts[i].conflicts
-			skips += parts[i].skips
-		}
-		return
+}
+
+// joinControllers joins the pool started by runControllers and folds its
+// counters.
+func (g *group) joinControllers(t *qithread.Thread) (transitions, conflicts, skips uint64) {
+	for i := range g.pool {
+		c := &g.pool[i]
+		t.Join(c.t)
+		transitions += c.transitions
+		conflicts += c.conflicts
+		skips += c.skips
 	}
+	return
 }
 
 // summarize folds the quiesced shard into its summary: counter totals, the
@@ -337,8 +360,9 @@ func (g *group) summarize(transitions, conflicts, skips uint64) summary {
 			v >>= 8
 		}
 	}
-	for _, e := range g.entities {
-		if e.invariantError() != nil {
+	for i := range g.entities {
+		e := &g.entities[i]
+		if !e.consistent() {
 			s.anomalies++
 		}
 		if e.State == Installed {
@@ -349,8 +373,8 @@ func (g *group) summarize(transitions, conflicts, skips uint64) summary {
 		fold(e.Steps)
 		fold(e.Generation)
 		fold(e.Requeues)
-		s.entities = append(s.entities, *e)
 	}
+	s.entities = append([]Entity(nil), g.entities...)
 	s.stateHash = h
 	return s
 }
@@ -444,7 +468,7 @@ func run(rt *qithread.Runtime, cfg Config, capture *Result) uint64 {
 				gw.AddSource(s)
 			}
 			g := newGroup(rt, main, cfg, 0, 1, "")
-			join := g.runControllers(main, "controller")
+			g.runControllers(main, "controller")
 			buf := make([]qithread.IngressEvent, cfg.MaxBatch)
 			for {
 				n, ok := gw.Admit(main, buf)
@@ -460,7 +484,7 @@ func run(rt *qithread.Runtime, cfg Config, capture *Result) uint64 {
 				}
 			}
 			g.close(main)
-			total = g.summarize(join())
+			total = g.summarize(g.joinControllers(main))
 		})
 	} else {
 		nd := cfg.Shards
@@ -483,7 +507,7 @@ func run(rt *qithread.Runtime, cfg Config, capture *Result) uint64 {
 				k := k
 				shards[k].Start("reconciler", func(e *qithread.Thread) {
 					g := newGroup(rt, e, cfg, k, nd, "s"+strconv.Itoa(k))
-					join := g.runControllers(e, "controller")
+					g.runControllers(e, "controller")
 					buf := make([]any, cfg.MaxBatch)
 					for {
 						n, ok := tasks[k].RecvUpTo(e, buf)
@@ -495,7 +519,7 @@ func run(rt *qithread.Runtime, cfg Config, capture *Result) uint64 {
 						}
 					}
 					g.close(e)
-					results[k].Send(e, g.summarize(join()))
+					results[k].Send(e, g.summarize(g.joinControllers(e)))
 				})
 			}
 			for k := 0; k < nd; k++ {

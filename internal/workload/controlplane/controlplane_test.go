@@ -163,6 +163,61 @@ func TestObservabilitySnapshots(t *testing.T) {
 	}
 }
 
+// TestGroupSlabs: a shard's slice of the store is laid out by arithmetic —
+// entity id = local index * mod + k — so ownership is checked, not searched
+// for; the task queue is one buffer reused from the start whenever it drains;
+// and the anomaly predicate and the diagnostic agree.
+func TestGroupSlabs(t *testing.T) {
+	rt := qithread.New(rrConfig(qithread.NoPolicies))
+	rt.Run(func(main *qithread.Thread) {
+		g := newGroup(rt, main, Config{Entities: 8, Stripes: 2, MaxBatch: 2}.withDefaults(), 1, 3, "s1")
+		if len(g.entities) != 3 || g.entities[0].ID != 1 || g.entities[1].ID != 4 || g.entities[2].ID != 7 {
+			t.Fatalf("shard 1 of 3 over 8 entities owns %+v, want ids 1, 4, 7", g.entities)
+		}
+		for i := range g.entities {
+			if got := g.localIndex(g.entities[i].ID); got != i {
+				t.Errorf("localIndex(%d) = %d, want %d", g.entities[i].ID, got, i)
+			}
+		}
+		for _, id := range []int{0, 2, 3, 10, -2, -1} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("localIndex(%d) on shard 1 of 3 over 8 entities did not panic", id)
+					}
+				}()
+				g.localIndex(id)
+			}()
+		}
+		if none := newGroup(rt, main, Config{Entities: 2, MaxBatch: 2}.withDefaults(), 3, 4, "s3"); len(none.entities) != 0 || len(none.stripes) != 1 {
+			t.Errorf("a shard past the last entity owns %d entities under %d stripes, want 0 and 1", len(none.entities), len(none.stripes))
+		}
+
+		buf := cap(g.queue)
+		for round := 0; round < 3; round++ {
+			for id := 0; id < buf; id++ {
+				g.enqueue(main, task{id: id})
+			}
+			for id := 0; id < buf; id++ {
+				if tk := g.dequeue(); tk.id != id {
+					t.Fatalf("round %d: dequeued task %d, want %d", round, tk.id, id)
+				}
+			}
+			if g.head != 0 || len(g.queue) != 0 || cap(g.queue) != buf {
+				t.Fatalf("round %d: drained queue has head %d, len %d, cap %d, want 0, 0, %d", round, g.head, len(g.queue), cap(g.queue), buf)
+			}
+		}
+	})
+
+	ok, bad := Entity{ID: 1, State: Installing, Steps: 2}, Entity{ID: 2, State: Known, Steps: 2}
+	if !ok.consistent() || ok.invariantError() != nil {
+		t.Errorf("%+v: consistent %v, diagnostic %v, want true and none", ok, ok.consistent(), ok.invariantError())
+	}
+	if err := bad.invariantError(); bad.consistent() || err == nil || !strings.Contains(err.Error(), "entity 2: 2 transitions applied but state is known") {
+		t.Errorf("%+v: consistent %v, diagnostic %v, want false and the double-apply report", bad, bad.consistent(), err)
+	}
+}
+
 // parseEventFields is parseEvent as it was written over strings.Fields: the
 // reference the in-place scanner must agree with on every payload.
 func parseEventFields(data []byte, entities int) task {

@@ -78,12 +78,17 @@ type Entity struct {
 	Requeues uint64
 }
 
-// invariantError returns nil when the entity's transition count is consistent
-// with its lifecycle position, or a diagnostic describing the corruption.
+// consistent reports whether the entity's transition count agrees with its
+// lifecycle position: the invariant the anomaly count checks, once per entity
+// per run.
+func (e *Entity) consistent() bool { return e.Steps == uint64(e.State) }
+
+// invariantError returns nil for a consistent entity, or a diagnostic
+// describing the corruption.
 func (e *Entity) invariantError() error {
-	if e.Steps != uint64(e.State) {
-		return fmt.Errorf("entity %d: %d transitions applied but state is %s (want %d): stale double-apply",
-			e.ID, e.Steps, e.State, e.State)
+	if e.consistent() {
+		return nil
 	}
-	return nil
+	return fmt.Errorf("entity %d: %d transitions applied but state is %s (want %d): stale double-apply",
+		e.ID, e.Steps, e.State, e.State)
 }

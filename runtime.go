@@ -19,9 +19,10 @@ type Runtime struct {
 	group domain.Group // the cross-domain channels; stays empty in Nondet mode
 
 	domMu    sync.Mutex
-	domains  []*Domain  // id order; domains[0] is &main
-	domain0  [1]*Domain // backing array of domains until NewDomain outgrows it
-	gateways []*Gateway // ingress gateways in creation order (checkpoint order)
+	domains  []*Domain   // id order; domains[0] is &main
+	domain0  [1]*Domain  // backing array of domains until NewDomain outgrows it
+	gateways []*Gateway  // ingress gateways in creation order (checkpoint order)
+	gateway0 [1]*Gateway // backing array of gateways until a second one outgrows it
 
 	wg      sync.WaitGroup
 	nthread atomic.Int64 // total threads ever created (diagnostics)
@@ -74,6 +75,7 @@ func New(cfg Config) *Runtime {
 	rt := &Runtime{cfg: cfg}
 	rt.group.RetainDeliveryLog = cfg.RetainDeliveryLog
 	rt.domains = rt.domain0[:0]
+	rt.gateways = rt.gateway0[:0]
 	rt.addDomain(&rt.main, "main")
 	if cfg.Replay != nil {
 		rt.main.rec.Sched.SetReplay(cfg.Replay)
