@@ -1,289 +1,279 @@
-// Command qistat summarizes qibench output CSVs. Given a results.csv from
-// -experiment fig8 it reports per-suite mean normalized overheads and the
-// Section 5.1 aggregate comparison of QiThread against Parrot without PCS
-// hints. Given a counters.csv from -experiment counters it reports aggregate
-// per-policy decision counters — which policy earned its keep, and where.
-// Given an ingress.csv from -experiment ingress it reports admission
-// throughput per batch size and the shed fraction of the overload points.
-// Given a recorded schedule or ingress log — text or binary, detected by the
-// auto-detecting loaders — it reports event counts and hash commitments.
-// Given a qiexplore results directory (-explore, or a directory argument) it
-// reports the exploration's coverage: runs per strategy, outcome breakdown,
-// distinct fingerprints, frontier size and depth, and the repro schedules.
-// The file kind is detected from the header.
+// Command qistat reads everything the other tools write: schedule files (text
+// "qithread-schedule v1/v2/v3" or binary v3b), ingress logs (text
+// "qithread-ingress v1" or binary v2b), epoch checkpoints
+// ("qithread-checkpoint v3b"; the v1b counter layout and the v2b policy-word
+// layout are refused by name), the table any `qibench -experiment X -o` wrote,
+// and qiexplore results directories. Every loader auto-detects its format, so
+// the tool only has to sniff which FAMILY a path belongs to.
 //
 // Usage:
 //
-//	qibench -experiment fig8 -o results.csv
-//	qistat results.csv
-//	qibench -experiment counters -o counters.csv
-//	qistat counters.csv
-//	qibench -experiment ingress -o ingress.csv
-//	qistat ingress.csv
-//	qistat run.qlog        (recorded schedule or ingress log, any format)
-//	qistat -explore results/   (qiexplore results directory)
+//	qistat [-v] path...                one summary line per path — kind, counts and hash
+//	                                   commitments; a table or an explore directory is
+//	                                   then printed in full, -v adds per-thread, per-epoch
+//	                                   and per-domain detail for the recorded artifacts
+//	qistat -explore dir                the same for a directory, insisting it is one
+//	qistat verify path...              fully decode each; the summary line only, exit
+//	                                   nonzero on the first corrupt one
+//	qistat convert -to binary|text -o out in
+//	                                   re-encode a schedule or ingress log across formats
+//
+// A table prints exactly as qibench printed it, aggregate lines included:
+// both go through harness.Table. convert is the migration path for existing
+// recordings: text logs from old runs shrink to the compact binary framing
+// (and back, for eyeballing) without touching their semantics — a converted
+// schedule replays to the same fingerprint, a converted ingress log admits the
+// same epochs.
 package main
 
 import (
 	"bytes"
-	"encoding/csv"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 
+	"qithread/internal/ckpt"
+	"qithread/internal/core"
+	"qithread/internal/harness"
 	"qithread/internal/ingress"
-	"qithread/internal/stats"
 	"qithread/internal/trace"
 )
 
 func main() {
 	args := os.Args[1:]
-	explicitExplore := len(args) == 2 && args[0] == "-explore"
-	if explicitExplore {
-		args = args[1:]
-	}
-	if len(args) != 1 {
-		fmt.Fprintln(os.Stderr, "usage: qistat results.csv|run.qlog | qistat -explore results-dir")
-		os.Exit(1)
-	}
-	if fi, err := os.Stat(args[0]); explicitExplore || (err == nil && fi.IsDir()) {
-		if err := summarizeExplore(args[0]); err != nil {
-			fmt.Fprintln(os.Stderr, "qistat:", err)
-			os.Exit(1)
+	detail, explore := summary, false
+	switch {
+	case len(args) > 0 && args[0] == "convert":
+		fs := flag.NewFlagSet("convert", flag.ExitOnError)
+		to := fs.String("to", "binary", "target encoding: binary or text")
+		out := fs.String("o", "", "output path (required)")
+		fs.Parse(args[1:])
+		if *out == "" || fs.NArg() != 1 || (*to != "binary" && *to != "text") {
+			usage()
+		}
+		if err := convert(os.Stdout, *to, *out, fs.Arg(0)); err != nil {
+			fatal(fs.Arg(0), err)
 		}
 		return
+	case len(args) > 0 && args[0] == "verify":
+		detail, args = lineOnly, args[1:]
+	case len(args) > 0 && args[0] == "-v":
+		detail, args = verbose, args[1:]
+	case len(args) > 0 && args[0] == "-explore":
+		explore, args = true, args[1:]
 	}
-	b, err := os.ReadFile(args[0])
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "qistat:", err)
-		os.Exit(1)
+	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
+		usage()
 	}
-	if bytes.HasPrefix(b, []byte("qithread-")) {
-		if err := summarizeLog(args[0], b); err != nil {
-			fmt.Fprintln(os.Stderr, "qistat:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	rows, err := csv.NewReader(bytes.NewReader(b)).ReadAll()
-	if err != nil || len(rows) < 2 {
-		fmt.Fprintln(os.Stderr, "qistat: bad csv")
-		os.Exit(1)
-	}
-	header := rows[0]
-	if len(header) >= 7 && header[0] == "program" && header[1] == "policy" {
-		summarizeCounters(rows)
-		return
-	}
-	if len(header) >= 8 && header[0] == "max_batch" && header[1] == "queue_cap" {
-		summarizeIngress(rows)
-		return
-	}
-	if len(header) >= 14 && header[0] == "entities" && header[1] == "controllers" {
-		summarizeControlPlane(rows)
-		return
-	}
-	col := func(name string) int {
-		for i, h := range header {
-			if h == name {
-				return i
-			}
-		}
-		return -1
-	}
-	suiteCol := col("suite")
-	parrotMs := col("no-pcs-hint_ms")
-	qiMs := col("all-policies_ms")
-	parrotNorm := col("no-pcs-hint_norm")
-	qiNorm := col("all-policies_norm")
-	if suiteCol < 0 || parrotMs < 0 || qiMs < 0 {
-		fmt.Fprintln(os.Stderr, "qistat: csv missing expected columns")
-		os.Exit(1)
-	}
-
-	perSuiteParrot := map[string][]float64{}
-	perSuiteQi := map[string][]float64{}
-	var ratios []float64
-	for _, row := range rows[1:] {
-		p, err1 := strconv.ParseFloat(row[parrotMs], 64)
-		q, err2 := strconv.ParseFloat(row[qiMs], 64)
-		if err1 == nil && err2 == nil && p > 0 {
-			ratios = append(ratios, q/p)
-		}
-		if pn, err := strconv.ParseFloat(row[parrotNorm], 64); err == nil {
-			perSuiteParrot[row[suiteCol]] = append(perSuiteParrot[row[suiteCol]], pn)
-		}
-		if qn, err := strconv.ParseFloat(row[qiNorm], 64); err == nil {
-			perSuiteQi[row[suiteCol]] = append(perSuiteQi[row[suiteCol]], qn)
+	for _, path := range args {
+		if err := describe(os.Stdout, path, detail, explore); err != nil {
+			fatal(path, err)
 		}
 	}
-
-	fmt.Printf("%-14s %8s %8s\n", "suite", "parrot", "qithread")
-	var suites []string
-	for s := range perSuiteParrot {
-		suites = append(suites, s)
-	}
-	sort.Strings(suites)
-	for _, s := range suites {
-		fmt.Printf("%-14s %8.2f %8.2f\n", s, stats.Mean(perSuiteParrot[s]), stats.Mean(perSuiteQi[s]))
-	}
-
-	c := stats.Compare(ratios)
-	fmt.Printf("\nQiThread vs Parrot w/o PCS (%d programs): comparable(<=110%%) %d, speedup(<90%%) %d, slower(>110%%) %d\n",
-		c.Total, c.Comparable, c.Speedup, c.Slower)
 }
 
-// summarizeLog reports a recorded artifact — schedule or ingress log, text or
-// binary — through the format-auto-detecting loaders: event counts plus the
-// hash commitments a replay must reproduce.
-func summarizeLog(path string, b []byte) error {
-	if bytes.HasPrefix(b, []byte("qithread-schedule ")) {
-		events, err := trace.Load(bytes.NewReader(b))
+func usage() {
+	fmt.Fprintln(os.Stderr, `usage:
+  qistat [-v] path...        schedule, ingress log, checkpoint, qibench -o table or qiexplore directory
+  qistat -explore dir
+  qistat verify path...
+  qistat convert -to binary|text -o out in`)
+	os.Exit(2)
+}
+
+func fatal(path string, err error) {
+	fmt.Fprintf(os.Stderr, "qistat: %s: %v\n", path, err)
+	os.Exit(1)
+}
+
+// detail is how much describe prints after a path's summary line.
+type detail int
+
+const (
+	lineOnly detail = iota // verify
+	summary                // plus the body of a table or an explore directory
+	verbose                // plus the detail lines of a recorded artifact
+)
+
+// The artifact families, told apart by sniff from the header line.
+const (
+	schedule   = "schedule"
+	explored   = "explored schedule" // text v3: events plus the decision log of the explored run
+	ingressLog = "ingress log"
+	checkpoint = "checkpoint"
+	table      = "table" // anything else: held to a qibench CSV header by harness.ReadCSV
+)
+
+func sniff(b []byte) string {
+	head, _, _ := bytes.Cut(b, []byte("\n"))
+	switch {
+	case string(bytes.TrimSpace(head)) == "qithread-schedule v3": // trimmed as the loaders trim it
+		return explored
+	case bytes.HasPrefix(head, []byte("qithread-schedule ")):
+		return schedule
+	case bytes.HasPrefix(head, []byte("qithread-ingress ")):
+		return ingressLog
+	case bytes.HasPrefix(head, []byte("qithread-checkpoint ")):
+		return checkpoint
+	}
+	return table
+}
+
+// describe fully decodes one path and prints its summary line, then as much
+// more as d asks for.
+func describe(w io.Writer, path string, d detail, explore bool) error {
+	if fi, err := os.Stat(path); explore || (err == nil && fi.IsDir()) {
+		return describeExplore(w, path, d)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	switch kind := sniff(b); kind {
+	case schedule, explored:
+		events, choices, err := loadSchedule(kind, b)
 		if err != nil {
 			return err
 		}
-		threads := map[int]bool{}
-		for _, e := range events {
-			threads[e.TID] = true
+		counts := fmt.Sprintf("%d events", len(events))
+		if kind == explored {
+			counts += fmt.Sprintf(", %d decisions", len(choices))
 		}
-		fmt.Printf("%s: schedule, %d events, %d threads, hash=%016x\n",
-			path, len(events), len(threads), trace.Hash(events))
-		return nil
-	}
-	if bytes.HasPrefix(b, []byte("qithread-ingress ")) {
+		fmt.Fprintf(w, "%s: %s, %s, %d bytes, hash=%016x\n", path, kind, counts, len(b), trace.Hash(events))
+		if d == verbose && len(events) > 0 {
+			threads := map[int]bool{}
+			ops := map[string]int{}
+			for _, e := range events {
+				threads[e.TID] = true
+				ops[e.Op.String()]++
+			}
+			names := make([]string, 0, len(ops))
+			for op := range ops {
+				names = append(names, op)
+			}
+			sort.Strings(names)
+			for i, op := range names {
+				names[i] = fmt.Sprintf("%s:%d", op, ops[op])
+			}
+			fmt.Fprintf(w, "  threads=%d ops=%s\n", len(threads), strings.Join(names, " "))
+		}
+	case ingressLog:
 		log, err := ingress.LoadLog(bytes.NewReader(b))
 		if err != nil {
 			return err
 		}
-		lastEpoch := int64(0)
-		if n := len(log.Batches); n > 0 {
-			lastEpoch = log.Batches[n-1].Epoch
+		fmt.Fprintf(w, "%s: ingress log, %d events in %d batches, %d bytes\n", path, log.Events(), len(log.Batches), len(b))
+		if d == verbose && len(log.Batches) > 0 {
+			fmt.Fprintf(w, "  epochs %d..%d\n", log.Batches[0].Epoch, log.Batches[len(log.Batches)-1].Epoch)
 		}
-		fmt.Printf("%s: ingress log, %d events in %d batches, last epoch %d\n",
-			path, log.Events(), len(log.Batches), lastEpoch)
-		return nil
+	case checkpoint:
+		rec, err := ckpt.Load(bytes.NewReader(b))
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%s: checkpoint at epoch %d, %d bytes\n", path, rec.Epoch, len(b))
+		if d == verbose {
+			for _, dom := range rec.Domains {
+				fmt.Fprintf(w, "  domain %d: turn=%d live=%d traced=%d hash=%016x\n",
+					dom.DomainID, dom.Turns, dom.Live, dom.TraceLen, dom.TraceHash)
+			}
+			for _, g := range rec.Gateways {
+				fmt.Fprintf(w, "  gateway: epoch=%d admitted=%d shed=%d admit=%016x shed=%016x\n",
+					g.Epoch, g.Admitted, g.Shed, g.AdmitHash, g.ShedHash)
+			}
+			fmt.Fprintf(w, "  channels=%d app=%d bytes\n", len(rec.Channels), len(rec.App))
+		}
+	case table:
+		t, err := harness.ReadCSV(bytes.NewReader(b))
+		if err != nil {
+			return fmt.Errorf("not a qithread artifact: %w", err)
+		}
+		fmt.Fprintf(w, "%s: %s\n", path, t)
+		if d != lineOnly {
+			t.Fprint(w)
+		}
 	}
-	return fmt.Errorf("%s: unrecognized qithread artifact (try qilog inspect)", path)
+	return nil
 }
 
-// summarizeIngress reports an ingress.csv (max_batch,queue_cap,events,
-// admitted,shed,epochs,wall_ms,admit_per_sec): per-row admission throughput
-// with events-per-slot amortization, shed fraction for the overload rows, and
-// the sweep's best batch size.
-func summarizeIngress(rows [][]string) {
-	parseI := func(s string) int64 {
-		v, _ := strconv.ParseInt(s, 10, 64)
-		return v
+// loadSchedule keeps the decision log of an explored schedule, which
+// trace.Load discards by design.
+func loadSchedule(kind string, b []byte) ([]core.Event, []core.Choice, error) {
+	if kind == explored {
+		return trace.LoadExplored(bytes.NewReader(b))
 	}
-	parseF := func(s string) float64 {
-		v, _ := strconv.ParseFloat(s, 64)
-		return v
-	}
-	fmt.Printf("%-10s %-10s %10s %8s %10s %12s %8s\n",
-		"max_batch", "queue", "admitted", "shed", "ev/epoch", "admit/s", "shed%")
-	bestBatch, bestRate := int64(0), 0.0
-	for _, row := range rows[1:] {
-		if len(row) < 8 {
-			continue
-		}
-		batch, queue := parseI(row[0]), parseI(row[1])
-		events, admitted, shed, epochs := parseI(row[2]), parseI(row[3]), parseI(row[4]), parseI(row[5])
-		rate := parseF(row[7])
-		perEpoch := 0.0
-		if epochs > 0 {
-			perEpoch = float64(admitted) / float64(epochs)
-		}
-		shedPct := 0.0
-		if events > 0 {
-			shedPct = 100 * float64(shed) / float64(events)
-		}
-		q := "default"
-		if queue > 0 {
-			q = row[1]
-		}
-		fmt.Printf("%-10d %-10s %10d %8d %10.1f %12.0f %7.1f%%\n",
-			batch, q, admitted, shed, perEpoch, rate, shedPct)
-		if queue == 0 && rate > bestRate {
-			bestRate, bestBatch = rate, batch
-		}
-	}
-	if bestBatch > 0 {
-		fmt.Printf("\nbest admission throughput: batch %d at %.0f admitted events/s\n", bestBatch, bestRate)
-	}
+	events, err := trace.Load(bytes.NewReader(b))
+	return events, nil, err
 }
 
-// summarizeControlPlane reports a controlplane.csv (entities,controllers,
-// shards,transitions,conflicts,requeues,installed,anomalies,admitted,shed,
-// max_queue,turns,max_waiting,wall_ms): per-cell reconcile throughput with
-// the wait-list depth from the scheduler snapshots, flagging any cell that
-// corrupted an entity or failed to converge, and the best wall time per
-// store size.
-func summarizeControlPlane(rows [][]string) {
-	parseI := func(s string) int64 {
-		v, _ := strconv.ParseInt(s, 10, 64)
-		return v
+// convert re-encodes a schedule or an ingress log. An explored schedule keeps
+// its decision log (text to text) or is refused: the binary format has no
+// decision section, and a repro without its decisions no longer replays.
+func convert(w io.Writer, to, out, in string) error {
+	b, err := os.ReadFile(in)
+	if err != nil {
+		return err
 	}
-	parseF := func(s string) float64 {
-		v, _ := strconv.ParseFloat(s, 64)
-		return v
+	var buf bytes.Buffer
+	n := 0
+	switch kind := sniff(b); kind {
+	case schedule, explored:
+		events, choices, err := loadSchedule(kind, b)
+		switch {
+		case err != nil:
+			return err
+		case kind == explored && to == "binary":
+			return fmt.Errorf("an explored schedule (v3) carries %d decisions and the binary format (v3b) has no decision section; qireplay -schedule needs them, keep the file as text", len(choices))
+		case kind == explored:
+			err = trace.SaveExplored(&buf, events, choices)
+		case to == "binary":
+			err = trace.SaveBinary(&buf, events)
+		default:
+			err = trace.Save(&buf, events)
+		}
+		if err != nil {
+			return err
+		}
+		n = len(events)
+	case ingressLog:
+		log, err := ingress.LoadLog(bytes.NewReader(b))
+		if err != nil {
+			return err
+		}
+		if to == "binary" {
+			err = log.SaveBinary(&buf)
+		} else {
+			err = log.Save(&buf)
+		}
+		if err != nil {
+			return err
+		}
+		n = log.Events()
+	case checkpoint:
+		return fmt.Errorf("checkpoints have a single format; nothing to convert")
+	default:
+		return fmt.Errorf("not a schedule or an ingress log (unrecognized header)")
 	}
-	fmt.Printf("%-9s %-11s %-7s %11s %9s %9s %9s %9s %10s\n",
-		"entities", "controllers", "shards", "transitions", "conflicts", "requeues", "max_wait", "wall_ms", "trans/ms")
-	type best struct {
-		wall float64
-		row  []string
+	if err := os.WriteFile(out, buf.Bytes(), 0o644); err != nil {
+		return err
 	}
-	bests := map[int64]best{}
-	bad := 0
-	for _, row := range rows[1:] {
-		if len(row) < 14 {
-			continue
-		}
-		entities := parseI(row[0])
-		transitions := parseI(row[3])
-		wall := parseF(row[13])
-		rate := 0.0
-		if wall > 0 {
-			rate = float64(transitions) / wall
-		}
-		fmt.Printf("%-9d %-11d %-7d %11d %9d %9d %9d %9.3f %10.0f\n",
-			entities, parseI(row[1]), parseI(row[2]), transitions, parseI(row[4]),
-			parseI(row[5]), parseI(row[12]), wall, rate)
-		if parseI(row[7]) != 0 || parseI(row[6]) != entities {
-			bad++
-		}
-		if b, ok := bests[entities]; !ok || wall < b.wall {
-			bests[entities] = best{wall, row}
-		}
-	}
-	if bad > 0 {
-		fmt.Printf("\nWARNING: %d cell(s) corrupted an entity or failed to install every entity\n", bad)
-	}
-	fmt.Println()
-	for _, row := range rows[1:] {
-		if len(row) < 14 {
-			continue
-		}
-		entities := parseI(row[0])
-		if b, ok := bests[entities]; ok && &b.row[0] == &row[0] {
-			fmt.Printf("best for %d entities: %s controllers x %s shards at %s ms\n",
-				entities, row[1], row[2], row[13])
-		}
-	}
+	fmt.Fprintf(w, "%s: %d events, %d -> %d bytes\n", out, n, len(b), buf.Len())
+	return nil
 }
 
-// summarizeExplore reports a qiexplore results directory from its plain-text
+// describeExplore reports a qiexplore results directory from its plain-text
 // layout (runs.csv, seen.txt, frontier.txt, repro-*.sched): runs and failure
 // breakdown per strategy, distinct-fingerprint coverage, the unexplored
 // frontier's size and depth profile, and the emitted repro schedules.
-func summarizeExplore(dir string) error {
+func describeExplore(w io.Writer, dir string, d detail) error {
 	b, err := os.ReadFile(filepath.Join(dir, "runs.csv"))
 	if err != nil {
-		return fmt.Errorf("%s: not a qiexplore results directory (%v)", dir, err)
+		return fmt.Errorf("not a qiexplore results directory (%v)", err)
 	}
 	type agg struct {
 		runs, news, maxDepth, maxDecisions int
@@ -325,7 +315,7 @@ func summarizeExplore(dir string) error {
 		}
 	}
 	if total.runs == 0 {
-		return fmt.Errorf("%s: runs.csv has no runs", dir)
+		return fmt.Errorf("runs.csv has no runs")
 	}
 
 	distinct := 0
@@ -351,8 +341,14 @@ func summarizeExplore(dir string) error {
 	}
 	repros, _ := filepath.Glob(filepath.Join(dir, "repro-*.sched"))
 	sort.Strings(repros)
+	failures := total.outcomes["assert-fail"] + total.outcomes["deadlock"] + total.outcomes["panic"]
 
-	fmt.Printf("%-10s %8s %8s %6s %6s  %s\n", "strategy", "runs", "new-fp", "depth", "decs", "outcomes")
+	fmt.Fprintf(w, "%s: explore directory, %d runs, %d distinct fingerprints, %d failures, %d repros\n",
+		dir, total.runs, distinct, failures, len(repros))
+	if d == lineOnly {
+		return nil
+	}
+	fmt.Fprintf(w, "%-10s %8s %8s %6s %6s  %s\n", "strategy", "runs", "new-fp", "depth", "decs", "outcomes")
 	line := func(name string, a *agg) {
 		kinds := make([]string, 0, len(a.outcomes))
 		for k := range a.outcomes {
@@ -363,7 +359,7 @@ func summarizeExplore(dir string) error {
 		for i, k := range kinds {
 			parts[i] = fmt.Sprintf("%s=%d", k, a.outcomes[k])
 		}
-		fmt.Printf("%-10s %8d %8d %6d %6d  %s\n", name, a.runs, a.news, a.maxDepth, a.maxDecisions, strings.Join(parts, " "))
+		fmt.Fprintf(w, "%-10s %8d %8d %6d %6d  %s\n", name, a.runs, a.news, a.maxDepth, a.maxDecisions, strings.Join(parts, " "))
 	}
 	for _, name := range order {
 		line(name, byStrategy[name])
@@ -371,26 +367,25 @@ func summarizeExplore(dir string) error {
 	if len(order) > 1 {
 		line("total", &total)
 	}
-	failures := total.outcomes["assert-fail"] + total.outcomes["deadlock"] + total.outcomes["panic"]
-	fmt.Printf("\ndistinct fingerprints: %d (%.1f%% of runs)\n", distinct, 100*float64(distinct)/float64(total.runs))
-	fmt.Printf("frontier: %d unexplored prefixes (deepest %d decisions)\n", frontier, frontierDepth)
-	fmt.Printf("failures: %d, minimized repros: %d\n", failures, len(repros))
+	fmt.Fprintf(w, "\ndistinct fingerprints: %d (%.1f%% of runs)\n", distinct, 100*float64(distinct)/float64(total.runs))
+	fmt.Fprintf(w, "frontier: %d unexplored prefixes (deepest %d decisions)\n", frontier, frontierDepth)
+	fmt.Fprintf(w, "failures: %d, minimized repros: %d\n", failures, len(repros))
 	for i, r := range repros {
 		if i == 10 {
-			fmt.Printf("  ... %d more\n", len(repros)-i)
+			fmt.Fprintf(w, "  ... %d more\n", len(repros)-i)
 			break
 		}
-		fmt.Printf("  %s\n", filepath.Base(r))
+		fmt.Fprintf(w, "  %s\n", filepath.Base(r))
 	}
-	summarizeWorkers(dir)
+	describeWorkers(w, dir)
 	return nil
 }
 
-// summarizeWorkers renders workers.txt — the per-worker stats snapshot of the
+// describeWorkers renders workers.txt — the per-worker stats snapshot of the
 // last pool invocation — as throughput and prune-rate columns. Absent for
 // directories written before the parallel engine (or never explored by one),
 // in which case it prints nothing.
-func summarizeWorkers(dir string) {
+func describeWorkers(w io.Writer, dir string) {
 	b, err := os.ReadFile(filepath.Join(dir, "workers.txt"))
 	if err != nil {
 		return
@@ -399,7 +394,7 @@ func summarizeWorkers(dir string) {
 	if len(lines) < 2 {
 		return
 	}
-	fmt.Printf("\n%-8s %8s %8s %10s %10s %10s\n", "worker", "runs", "new-fp", "runs/sec", "branched", "prune-rate")
+	fmt.Fprintf(w, "\n%-8s %8s %8s %10s %10s %10s\n", "worker", "runs", "new-fp", "runs/sec", "branched", "prune-rate")
 	for _, line := range lines[1:] {
 		cells := strings.Split(strings.TrimSpace(line), ",")
 		if len(cells) < 6 {
@@ -417,57 +412,6 @@ func summarizeWorkers(dir string) {
 		if branched+pruned > 0 {
 			pruneRate = fmt.Sprintf("%.1f%%", 100*float64(pruned)/float64(branched+pruned))
 		}
-		fmt.Printf("%-8s %8s %8s %10s %10d %10s\n", cells[0], cells[1], cells[2], rate, branched, pruneRate)
-	}
-}
-
-// summarizeCounters aggregates a counters.csv (program,policy,picks,
-// wake_boosts,turns_retained,keep_turn_arms,dummy_syncs) into per-policy
-// totals plus, per policy, the program where it made the most decisions.
-func summarizeCounters(rows [][]string) {
-	type agg struct {
-		picks, boosts, retained, arms, dummies int64
-		programs                               int
-		topProgram                             string
-		topTotal                               int64
-	}
-	order := []string{}
-	byPolicy := map[string]*agg{}
-	parse := func(s string) int64 {
-		v, _ := strconv.ParseInt(s, 10, 64)
-		return v
-	}
-	for _, row := range rows[1:] {
-		if len(row) < 7 {
-			continue
-		}
-		a := byPolicy[row[1]]
-		if a == nil {
-			a = &agg{}
-			byPolicy[row[1]] = a
-			order = append(order, row[1])
-		}
-		picks, boosts := parse(row[2]), parse(row[3])
-		retained, arms, dummies := parse(row[4]), parse(row[5]), parse(row[6])
-		a.picks += picks
-		a.boosts += boosts
-		a.retained += retained
-		a.arms += arms
-		a.dummies += dummies
-		a.programs++
-		if total := picks + boosts + retained + arms + dummies; total > a.topTotal {
-			a.topTotal, a.topProgram = total, row[0]
-		}
-	}
-	fmt.Printf("%-14s %10s %12s %14s %14s %12s %6s  %s\n",
-		"policy", "picks", "wake-boosts", "turns-retained", "keep-turn-arms", "dummy-syncs", "progs", "busiest program")
-	for _, name := range order {
-		a := byPolicy[name]
-		top := a.topProgram
-		if a.topTotal == 0 {
-			top = "-"
-		}
-		fmt.Printf("%-14s %10d %12d %14d %14d %12d %6d  %s\n",
-			name, a.picks, a.boosts, a.retained, a.arms, a.dummies, a.programs, top)
+		fmt.Fprintf(w, "%-8s %8s %8s %10s %10d %10s\n", cells[0], cells[1], cells[2], rate, branched, pruneRate)
 	}
 }

@@ -1,0 +1,260 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
+	"testing"
+
+	"qithread"
+	"qithread/internal/ckpt"
+	"qithread/internal/core"
+	"qithread/internal/explore"
+	"qithread/internal/harness"
+	"qithread/internal/ingress"
+	"qithread/internal/programs"
+	"qithread/internal/trace"
+	"qithread/internal/workload"
+)
+
+// TestStat drives the three verbs over one artifact of every kind the other
+// tools write, each generated here: the summary line of each is pinned,
+// verify refuses a damaged copy, and convert is lossless there and back —
+// including the decision log of an explored schedule, without which the file
+// no longer replays.
+func TestStat(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, save func(io.Writer) error) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	size := func(path string) int {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int(fi.Size())
+	}
+	line := func(path string, d detail) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := describe(&out, path, d, false); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		return strings.TrimPrefix(out.String(), path+": ")
+	}
+
+	// A deterministic schedule, in all three plain encodings.
+	spec, _ := programs.Find("pbzip2_compress")
+	cfg := harness.QiThread().Cfg
+	cfg.Record = true
+	rt := qithread.New(cfg)
+	spec.Build(workload.Params{Scale: 0.05, InputSeed: 7})(rt)
+	events := rt.Trace()
+	v1 := write("v1.sched", func(b io.Writer) error { return trace.Save(b, events) })
+	v2 := write("v2.sched", func(b io.Writer) error { return trace.SaveVersion(b, events, 2) })
+	v3b := write("v3b.qbin", func(b io.Writer) error { return trace.SaveBinary(b, events) })
+	for path, want := range map[string]string{
+		v1:  "schedule, 261 events, 3236 bytes, hash=8a2839aefe2cd059\n",
+		v2:  "schedule, 261 events, 3758 bytes, hash=8a2839aefe2cd059\n",
+		v3b: "schedule, 261 events, 317 bytes, hash=8a2839aefe2cd059\n",
+	} {
+		if got := line(path, summary); got != want {
+			t.Errorf("%s:\n got %q\nwant %q", filepath.Base(path), got, want)
+		}
+	}
+	wantDetail := "schedule, 261 events, 3236 bytes, hash=8a2839aefe2cd059\n" +
+		"  threads=17 ops=broadcast:1 cond_init:2 create:16 join:16 lock:49 mutex_init:1 signal:32 thread_begin:16 thread_end:17 unlock:49 wait:62\n"
+	if got := line(v1, verbose); got != wantDetail {
+		t.Errorf("-v:\n got %q\nwant %q", got, wantDetail)
+	}
+
+	// An ingress log in both encodings and a checkpoint.
+	log := &ingress.Log{Batches: []ingress.Batch{
+		{Epoch: 1, Events: []ingress.Event{{Source: 0, Data: []byte("put k1 v1")}, {Source: 1, Data: []byte("get k1")}}},
+		{Epoch: 2, Events: []ingress.Event{{Source: 2, Data: []byte{}}}},
+		{Epoch: 4, Events: []ingress.Event{{Source: 1, Data: []byte{0, 0xff, '\n'}}}},
+	}}
+	textLog := write("v1.log", log.Save)
+	binLog := write("v2b.qlog", log.SaveBinary)
+	rec := &ckpt.Record{
+		Epoch:    8,
+		Domains:  []core.SchedState{{DomainID: 0, Live: 4, TraceLen: 106, TraceHash: 0x031898876356513a, Stats: core.Stats{Turns: 60}}},
+		Xseqs:    []int64{0},
+		Gateways: []ingress.GatewayState{{Epoch: 8, AdmitHash: 0x87358aaaa23c01fd, ShedHash: 0xcbf29ce484222325, Stats: ingress.Stats{Admitted: 8}}},
+		App:      make([]byte, 40),
+	}
+	ckptPath := write("run.ckpt00008", func(b io.Writer) error { return ckpt.Save(b, rec) })
+	for path, want := range map[string]string{
+		textLog: fmt.Sprintf("ingress log, 4 events in 3 batches, %d bytes\n  epochs 1..4\n", size(textLog)),
+		binLog:  fmt.Sprintf("ingress log, 4 events in 3 batches, %d bytes\n  epochs 1..4\n", size(binLog)),
+		ckptPath: fmt.Sprintf("checkpoint at epoch 8, %d bytes\n", size(ckptPath)) +
+			"  domain 0: turn=60 live=4 traced=106 hash=031898876356513a\n" +
+			"  gateway: epoch=8 admitted=8 shed=0 admit=87358aaaa23c01fd shed=cbf29ce484222325\n" +
+			"  channels=0 app=40 bytes\n",
+	} {
+		if got := line(path, verbose); got != want {
+			t.Errorf("%s -v:\n got %q\nwant %q", filepath.Base(path), got, want)
+		}
+	}
+
+	// A 50-run serial exploration of the seeded-bug program: a pure function
+	// of (program, budget), with its first repro — an explored schedule — at
+	// run 15.
+	exDir := filepath.Join(dir, "ex")
+	s, err := explore.NewSession(explore.Lookup("buggy"), exDir, explore.DefaultWatchdog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Workers = 1
+	if err := s.ExploreDPOR(50, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := line(exDir, lineOnly), "explore directory, 50 runs, 50 distinct fingerprints, 8 failures, 8 repros\n"; got != want {
+		t.Errorf("explore directory:\n got %q\nwant %q", got, want)
+	}
+	if body := line(exDir, summary); !strings.Contains(body, "\ndpor ") || !strings.Contains(body, "repro-assert-fail-015.sched") {
+		t.Errorf("explore directory body:\n%s", body)
+	}
+	if err := describe(&bytes.Buffer{}, v1, summary, true); err == nil {
+		t.Error("-explore accepted a schedule file")
+	}
+	v3 := filepath.Join(exDir, "repro-assert-fail-015.sched")
+	if got, want := line(v3, summary), "explored schedule, 32 events, 25 decisions, 682 bytes, hash=9f98be5a6976c067\n"; got != want {
+		t.Errorf("v3:\n got %q\nwant %q", got, want)
+	}
+
+	// Every table qibench -o writes reads back and prints what the arm printed.
+	r := &harness.Runner{Params: workload.Params{Scale: 0.02, InputSeed: 42}, Repeats: 1}
+	for i := range harness.Experiments {
+		e := &harness.Experiments[i]
+		var printed bytes.Buffer
+		tab, err := e.Run(&printed, r, harness.Args{Specs: programs.BySuite("phoenix"), SoakEvents: 500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab == nil {
+			continue
+		}
+		path := write(e.Name+".csv", tab.WriteCSV)
+		_, body, _ := strings.Cut(printed.String(), "\n")
+		if got, want := line(path, summary), tab.String()+"\n"+body; got != want {
+			t.Errorf("%s.csv:\n got %q\nwant %q", e.Name, got, want)
+		}
+		if got, want := line(path, lineOnly), tab.String()+"\n"; got != want || !strings.HasPrefix(got, e.Name+" table, ") {
+			t.Errorf("verify %s.csv: %q, want %q", e.Name, got, want)
+		}
+	}
+	bad := write("bad.csv", func(w io.Writer) error {
+		_, err := io.WriteString(w, "program,suite,no-pcs-hint_ms,all-policies_ms\nfoo,bar,1.0,2.0\n")
+		return err
+	})
+	if err := describe(&bytes.Buffer{}, bad, summary, false); err == nil || strings.Contains(err.Error(), "\n") {
+		t.Errorf("a CSV no experiment declares: %v, want a one-line error", err)
+	}
+
+	// verify: one flipped byte in each binary kind; a text schedule cut
+	// mid-line, a text ingress log cut mid-batch (the text formats carry no
+	// checksum: a cut that leaves whole lines and whole batches is a valid,
+	// shorter file).
+	damaged := func(path string, damage func([]byte) []byte) {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := write("damaged-"+filepath.Base(path), func(w io.Writer) error { _, err := w.Write(damage(b)); return err })
+		if err := describe(&bytes.Buffer{}, p, lineOnly, false); err == nil {
+			t.Errorf("verify accepted a damaged %s", filepath.Base(path))
+		}
+	}
+	flip := func(b []byte) []byte { b[len(b)*2/3] ^= 0x10; return b }
+	for _, path := range []string{v3b, binLog, ckptPath} {
+		damaged(path, flip)
+	}
+	for _, path := range []string{v1, v3} {
+		damaged(path, func(b []byte) []byte { return b[:len(b)-3] })
+	}
+	damaged(textLog, func(b []byte) []byte { return b[:bytes.LastIndexByte(b[:len(b)-1], '\n')+1] })
+
+	// convert: there and back is the identity, on the file and on what it means.
+	same := func(a, b string) {
+		t.Helper()
+		x, err1 := os.ReadFile(a)
+		y, err2 := os.ReadFile(b)
+		if err1 != nil || err2 != nil || !bytes.Equal(x, y) {
+			t.Errorf("%s and %s differ (%v, %v)", filepath.Base(a), filepath.Base(b), err1, err2)
+		}
+	}
+	conv := func(to, in, name string, events int) string {
+		t.Helper()
+		out := filepath.Join(dir, name)
+		var msg bytes.Buffer
+		if err := convert(&msg, to, out, in); err != nil {
+			t.Fatalf("convert -to %s %s: %v", to, filepath.Base(in), err)
+		}
+		if want := fmt.Sprintf("%s: %d events, %d -> %d bytes\n", out, events, size(in), size(out)); msg.String() != want {
+			t.Errorf("convert printed %q, want %q", msg.String(), want)
+		}
+		return out
+	}
+	same(conv("binary", v1, "c1.qbin", 261), v3b)
+	same(conv("text", v3b, "c2.sched", 261), v1)
+	back, err := trace.Load(bytes.NewReader(mustRead(t, conv("text", conv("binary", v2, "c3.qbin", 261), "c4.sched", 261))))
+	if err != nil || trace.Hash(back) != trace.Hash(events) || !reflect.DeepEqual(back, events) {
+		t.Errorf("v2 → binary → text: %d events, hash %016x, %v", len(back), trace.Hash(back), err)
+	}
+	same(conv("binary", textLog, "c5.qlog", 4), binLog)
+	roundLog, err := ingress.LoadLog(bytes.NewReader(mustRead(t, conv("text", binLog, "c6.log", 4))))
+	if err != nil || len(roundLog.Batches) != len(log.Batches) {
+		t.Fatalf("ingress log there and back: %v", err)
+	}
+	same(filepath.Join(dir, "c6.log"), textLog)
+	for i, b := range roundLog.Batches {
+		if b.Epoch != log.Batches[i].Epoch || len(b.Events) != len(log.Batches[i].Events) {
+			t.Fatalf("batch %d: epoch %d with %d events, want %d with %d", i, b.Epoch, len(b.Events), log.Batches[i].Epoch, len(log.Batches[i].Events))
+		}
+		for j, e := range b.Events {
+			if w := log.Batches[i].Events[j]; e.Source != w.Source || !bytes.Equal(e.Data, w.Data) {
+				t.Errorf("batch %d event %d: %v, want %v", i, j, e, w)
+			}
+		}
+	}
+	// An explored schedule keeps its 25 decisions, or is refused.
+	c7 := conv("text", v3, "c7.sched", 32)
+	same(c7, v3)
+	if _, choices, err := trace.LoadExplored(bytes.NewReader(mustRead(t, c7))); err != nil || len(choices) != 25 {
+		t.Errorf("converted repro: %d decisions, %v", len(choices), err)
+	}
+	refused := filepath.Join(dir, "c8.qbin")
+	if err := convert(&bytes.Buffer{}, "binary", refused, v3); err == nil || !strings.Contains(err.Error(), "25 decisions") {
+		t.Errorf("explored schedule → binary: %v, want a refusal naming the decision log", err)
+	}
+	if _, err := os.Stat(refused); err == nil {
+		t.Error("the refused conversion still wrote its output")
+	}
+	if err := convert(&bytes.Buffer{}, "text", filepath.Join(dir, "c9"), ckptPath); err == nil {
+		t.Error("converted a checkpoint")
+	}
+}
+
+func mustRead(t *testing.T, path string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}

@@ -39,14 +39,7 @@ func compareModes(arg string) (m1, m2 harness.Mode, err error) {
 	return m1, m2, nil
 }
 
-func record(spec programs.Spec, cfg qithread.Config, p workload.Params) ([]core.Event, int64) {
-	cfg.Record = true
-	rt := qithread.New(cfg)
-	spec.Build(p)(rt)
-	return rt.Trace(), rt.VirtualMakespan()
-}
-
-func recordWithStats(spec programs.Spec, cfg qithread.Config, p workload.Params) ([]core.Event, int64, core.Stats) {
+func record(spec programs.Spec, cfg qithread.Config, p workload.Params) ([]core.Event, int64, core.Stats) {
 	cfg.Record = true
 	rt := qithread.New(cfg)
 	spec.Build(p)(rt)
@@ -86,8 +79,8 @@ func main() {
 			fmt.Fprintln(os.Stderr, "qitrace:", err)
 			os.Exit(1)
 		}
-		t1, _ := record(spec, m1.Cfg, p)
-		t2, _ := record(spec, m2.Cfg, p)
+		t1, _, _ := record(spec, m1.Cfg, p)
+		t2, _, _ := record(spec, m2.Cfg, p)
 		cp := trace.CommonPrefix(t1, t2)
 		fmt.Printf("%s: %d events under %s, %d under %s, common prefix %d\n",
 			spec.Name, len(t1), m1.Name, len(t2), m2.Name, cp)
@@ -125,7 +118,7 @@ func main() {
 			pi := p
 			pi.InputSeed += uint64(131 * i)
 			pi.InputSkew = int64(i)
-			tr, _ := record(spec, cfg, pi)
+			tr, _, _ := record(spec, cfg, pi)
 			schedules = append(schedules, tr)
 			fmt.Printf("input %d: %d events, hash %#x\n", i, len(tr), trace.Hash(tr))
 		}
@@ -133,7 +126,7 @@ func main() {
 		return
 	}
 
-	tr, makespan, stats := recordWithStats(spec, cfg, p)
+	tr, makespan, stats := record(spec, cfg, p)
 	fmt.Printf("%s under %s: %d synchronization operations, virtual makespan %d units, schedule hash %#x\n",
 		spec.Name, *mode, len(tr), makespan, trace.Hash(tr))
 	fmt.Printf("scheduler stats: %s\n", stats)

@@ -9,7 +9,7 @@
 //	terminator
 //
 // — so it gets the same CRC32C integrity checking, truncation detection and
-// tooling (qilog inspect/verify) as the binary schedule and ingress logs. The
+// tooling (qistat -v / verify) as the binary schedule and ingress logs. The
 // payload is a single encoding/gob frame: a checkpoint is a one-shot record
 // of a few kilobytes of counters, hashes and wait-list structure (never
 // goroutine stacks, never message values), so the schema flexibility of gob

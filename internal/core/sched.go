@@ -306,13 +306,6 @@ func (s *Scheduler) DestroyObject(t *Thread, obj uint64) {
 	}
 }
 
-// ObjectName returns the debugging name of an object ID.
-func (s *Scheduler) ObjectName(id uint64) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.objName[id].String()
-}
-
 // TurnCount returns the number of completed scheduling turns, the logical
 // time base used for deterministic timeouts.
 func (s *Scheduler) TurnCount() int64 { return s.turn.Load() }

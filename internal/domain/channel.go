@@ -155,10 +155,6 @@ func (c *Channel) From() *Domain { return c.from }
 // To returns the receiver domain.
 func (c *Channel) To() *Domain { return c.to }
 
-// Capacity returns the ring capacity, the maximum batch size of one
-// boundary slot.
-func (c *Channel) Capacity() int { return c.capacity }
-
 // requireEndpoint panics deterministically when ct is not registered with
 // the scheduler of the required endpoint domain or does not hold its turn.
 func (c *Channel) requireEndpoint(ct *core.Thread, d *Domain, op string) {

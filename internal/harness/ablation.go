@@ -51,6 +51,26 @@ func (r *Runner) Ablation(specs []programs.Spec) []AblationRow {
 	return rows
 }
 
+// runAblation ablates the selected programs, or — when the selection is a
+// whole suite or the catalog — one representative program per policy target:
+// a producer-consumer (WakeAMAP), a create loop (CreateAll), a lock-heavy task
+// queue (CSWhole), an OpenMP program (BranchedWake/BoostBlocked), and the
+// vips pathology (nothing helps).
+func runAblation(_ *Experiment, w io.Writer, r *Runner, a Args) (*Table, error) {
+	specs := a.Specs
+	if len(specs) > 8 {
+		specs = nil
+		for _, name := range []string{"pbzip2_compress", "histogram-pthread", "pfscan", "convert_blur", "vips"} {
+			s, _ := programs.Find(name)
+			specs = append(specs, s)
+		}
+	}
+	fmt.Fprintf(w, "=== Ablation: single-policy and leave-one-out configurations (%d programs) ===\n", len(specs))
+	fmt.Fprintln(w, "(each cell: normalized time with ONLY that policy / with all policies EXCEPT it)")
+	FprintAblation(w, r.Ablation(specs))
+	return nil, nil
+}
+
 // FprintAblation renders ablation rows as a table.
 func FprintAblation(w io.Writer, rows []AblationRow) {
 	fmt.Fprintf(w, "%-24s %8s %8s", "program", "vanilla", "all")

@@ -94,13 +94,65 @@ func ControlPlaneReplayCheck(cfg qithread.Config, replays int) error {
 	return nil
 }
 
-// WriteControlPlaneCSV writes the sweep as CSV for qistat.
-func WriteControlPlaneCSV(w io.Writer, points []ControlPlanePoint) {
-	fmt.Fprintln(w, "entities,controllers,shards,transitions,conflicts,requeues,installed,anomalies,admitted,shed,max_queue,turns,max_waiting,wall_ms")
+// runControlPlane is experiment E22: the production-shape control-plane
+// workload (internal/workload/controlplane) swept across entity-store sizes,
+// controller-pool widths and scheduler-domain shard counts, with the gateway
+// and scheduler observability snapshots reported per cell. Every cell
+// reconciles the same recorded log, so the counter columns are deterministic;
+// wall time, and the throughput derived from it, are the only host-dependent
+// columns. A replay gate re-runs the scenario input and fails the experiment
+// on any fingerprint divergence, as does a cell that corrupted an entity or
+// did not install every one; the title line is printed once the gate passed.
+func runControlPlane(e *Experiment, w io.Writer, _ *Runner, _ Args) (*Table, error) {
+	entities, controllers, shards := []int{8, 32, 128}, []int{1, 2, 4}, []int{0, 2}
+	points := ControlPlaneSweep(QiThread().Cfg, entities, controllers, shards)
+	if err := ControlPlaneReplayCheck(QiThread().Cfg, 5); err != nil {
+		return nil, fmt.Errorf("replay gate: %w", err)
+	}
+	fmt.Fprintf(w, "=== E22 control plane: entities %v x controllers %v x shards %v; replay gate: 5 scenario replays identical ===\n",
+		entities, controllers, shards)
+	t := e.newTable()
 	for _, pt := range points {
-		fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f\n",
-			pt.Entities, pt.Controllers, pt.Shards, pt.Transitions, pt.Conflicts,
-			pt.Requeues, pt.Installed, pt.Anomalies, pt.Admitted, pt.Shed,
-			pt.MaxQueue, pt.Turns, pt.MaxWait, ms(pt.Wall))
+		t.add(pt.Entities, pt.Controllers, pt.Shards, pt.Transitions, pt.Conflicts, pt.Requeues, pt.Installed,
+			pt.Anomalies, pt.Admitted, pt.Shed, pt.MaxQueue, pt.Turns, pt.MaxWait, pt.Wall,
+			ftoa(ratio(float64(pt.Transitions), float64(pt.Wall)/float64(time.Millisecond)), 0))
+	}
+	t.Fprint(w)
+	if bad := badCells(t); bad > 0 {
+		return t, fmt.Errorf("%d control-plane cell(s) corrupted an entity or failed to install every entity", bad)
+	}
+	return t, nil
+}
+
+func badCells(t *Table) (bad int) {
+	for _, row := range t.rows {
+		if t.num(row, "anomalies") != 0 || t.num(row, "installed") != t.num(row, "entities") {
+			bad++
+		}
+	}
+	return bad
+}
+
+// controlPlaneSummary flags any cell that corrupted an entity or failed to
+// converge and names the fastest cell per store size.
+func controlPlaneSummary(w io.Writer, t *Table) {
+	if bad := badCells(t); bad > 0 {
+		fmt.Fprintf(w, "WARNING: %d cell(s) corrupted an entity or failed to install every entity\n", bad)
+	}
+	var sizes []string
+	best := map[string][]string{}
+	for _, row := range t.rows {
+		n := row[t.col("entities")]
+		if b, ok := best[n]; !ok {
+			sizes = append(sizes, n)
+			best[n] = row
+		} else if t.num(row, "wall_ms") < t.num(b, "wall_ms") {
+			best[n] = row
+		}
+	}
+	for _, n := range sizes {
+		b := best[n]
+		fmt.Fprintf(w, "best for %s entities: %s controllers x %s shards at %s ms\n",
+			n, b[t.col("controllers")], b[t.col("shards")], b[t.col("wall_ms")])
 	}
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"time"
 
 	"qithread"
@@ -77,9 +78,6 @@ func DomainWorkloads() []DomainWorkload {
 // the runner's repeats.
 func (r *Runner) MeasureDomains(w DomainWorkload, domains, batch int, mode Mode) DomainPoint {
 	app := w.Build(domains, batch, r.Params)
-	if r.Warmup {
-		app(qithread.New(mode.Cfg))
-	}
 	vts := make([]time.Duration, 0, r.repeats())
 	wts := make([]time.Duration, 0, r.repeats())
 	var out uint64
@@ -133,22 +131,35 @@ func (r *Runner) DomainBatchSweep(domains int, batches []int, mode Mode) []Domai
 	return points
 }
 
-// WriteDomainCSV writes the scaling points as CSV, with makespans normalized
-// to each workload's first point (the 1-domain run for a scaling sweep, the
-// batch-1 run for a batch sweep).
-func WriteDomainCSV(w io.Writer, points []DomainPoint) {
-	fmt.Fprintln(w, "workload,domains,batch,makespan_ms,wall_ms,speedup")
-	base := make(map[string]time.Duration)
-	for _, pt := range points {
-		if _, seen := base[pt.Workload]; !seen {
-			base[pt.Workload] = pt.Makespan
-		}
+// runDomains runs the scheduler-domain experiments as one table: (1) the
+// sharded server and map-reduce workloads at 1, 2, 4, 8 domains under the full
+// QiThread configuration, in the aggregate result shape (batch 0); (2) the
+// boundary batch-size sweep — the same workloads in the streaming result
+// shape (every per-item checksum shipped to the coordinator) at a fixed
+// domain count across batch sizes, where batch 1 pays one turn-holding
+// boundary slot per message and larger batches amortize the slot, lock and
+// wake-up over up to batch messages. speedup is relative to the first row of
+// the same workload and sweep: the 1-domain run, the batch-1 run. Virtual
+// makespans are deterministic; wall clock is reported per point for reference
+// and depends on the host's core budget, hence the GOMAXPROCS in the title.
+func runDomains(e *Experiment, w io.Writer, r *Runner, _ Args) (*Table, error) {
+	counts, sweepDomains, batches := []int{1, 2, 4, 8}, 4, []int{1, 2, 4, 8, 16}
+	fmt.Fprintf(w, "=== Scheduler domains: sharded scaling (%v domains, batch 0) + boundary batch sweep (%d domains, streaming results, batch %v), GOMAXPROCS=%d ===\n",
+		counts, sweepDomains, batches, runtime.GOMAXPROCS(0))
+	points := append(r.DomainScaling(counts, QiThread()), r.DomainBatchSweep(sweepDomains, batches, QiThread())...)
+	t := e.newTable()
+	type sweep struct {
+		workload string
+		batched  bool
 	}
+	base := make(map[sweep]time.Duration)
 	for _, pt := range points {
-		speedup := 0.0
-		if b := base[pt.Workload]; b > 0 && pt.Makespan > 0 {
-			speedup = float64(b) / float64(pt.Makespan)
+		k := sweep{pt.Workload, pt.Batch > 0}
+		if _, seen := base[k]; !seen {
+			base[k] = pt.Makespan
 		}
-		fmt.Fprintf(w, "%s,%d,%d,%.3f,%.3f,%.3f\n", pt.Workload, pt.Domains, pt.Batch, ms(pt.Makespan), ms(pt.Wall), speedup)
+		t.add(pt.Workload, pt.Domains, pt.Batch, pt.Makespan, pt.Wall, ftoa(ratio(float64(base[k]), float64(pt.Makespan)), 3))
 	}
+	t.Fprint(w)
+	return t, nil
 }

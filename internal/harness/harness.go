@@ -78,8 +78,6 @@ type Runner struct {
 	// Repeats is the number of timed runs per (program, mode); the median
 	// is reported. Zero means 3.
 	Repeats int
-	// Warmup runs one untimed execution before timing when true.
-	Warmup bool
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 }
@@ -106,31 +104,11 @@ func (r *Runner) logf(format string, args ...any) {
 // slightly with real interleaving, which the median smooths.
 func (r *Runner) Measure(spec programs.Spec, mode Mode) time.Duration {
 	app := spec.Build(r.Params)
-	if r.Warmup {
-		rt := qithread.New(mode.Cfg)
-		app(rt)
-	}
 	times := make([]time.Duration, 0, r.repeats())
 	for i := 0; i < r.repeats(); i++ {
 		rt := qithread.New(mode.Cfg)
 		app(rt)
 		times = append(times, time.Duration(rt.VirtualMakespan()))
-	}
-	return stats.Median(times)
-}
-
-// MeasureWall runs one program under one mode and returns the median host
-// wall-clock time. On a machine with as many idle cores as worker threads
-// this tracks Measure; the harness reports it alongside virtual makespans
-// for reference.
-func (r *Runner) MeasureWall(spec programs.Spec, mode Mode) time.Duration {
-	app := spec.Build(r.Params)
-	times := make([]time.Duration, 0, r.repeats())
-	for i := 0; i < r.repeats(); i++ {
-		rt := qithread.New(mode.Cfg)
-		start := time.Now()
-		app(rt)
-		times = append(times, time.Since(start))
 	}
 	return stats.Median(times)
 }
@@ -170,24 +148,3 @@ func (r *Runner) MeasureRow(spec programs.Spec, modes []Mode) Row {
 	}
 	return row
 }
-
-// WriteCSVHeader writes the results.csv header for the given modes.
-func WriteCSVHeader(w io.Writer, modes []Mode) {
-	fmt.Fprint(w, "program,suite")
-	fmt.Fprintf(w, ",%s_ms", Nondet().Name)
-	for _, m := range modes {
-		fmt.Fprintf(w, ",%s_ms,%s_norm", m.Name, m.Name)
-	}
-	fmt.Fprintln(w)
-}
-
-// WriteCSVRow writes one row of results.csv.
-func WriteCSVRow(w io.Writer, row Row, modes []Mode) {
-	fmt.Fprintf(w, "%s,%s,%.3f", row.Program, row.Suite, ms(row.Base))
-	for _, m := range modes {
-		fmt.Fprintf(w, ",%.3f,%.4f", ms(row.Times[m.Name]), row.Norm[m.Name])
-	}
-	fmt.Fprintln(w)
-}
-
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

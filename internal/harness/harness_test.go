@@ -173,36 +173,18 @@ func TestSection51OnSubset(t *testing.T) {
 	if len(rows) != 14 {
 		t.Fatalf("phoenix suite rows = %d", len(rows))
 	}
-	sum := Summarize51(rows)
-	if sum.Counts.Total != 14 {
-		t.Fatalf("summary total = %d", sum.Counts.Total)
+	tab := fig8Table(experiment(t, "fig8"), rows)
+	counts, slower, _ := section51(tab)
+	if counts.Total != 14 {
+		t.Fatalf("summary total = %d", counts.Total)
 	}
-	if sum.Counts.Comparable < 10 {
-		t.Errorf("QiThread should be comparable to Parrot on most phoenix programs: %+v slower=%v", sum.Counts, sum.Slower)
+	if counts.Comparable < 10 {
+		t.Errorf("QiThread should be comparable to Parrot on most phoenix programs: %+v slower=%v", counts, slower)
 	}
 	var sb strings.Builder
-	FprintSummary(&sb, sum)
+	tab.Fprint(&sb)
 	if !strings.Contains(sb.String(), "comparable") {
 		t.Errorf("summary rendering broken: %q", sb.String())
-	}
-}
-
-// TestCSVRoundTrip checks the results.csv writer emits a parseable row per
-// program.
-func TestCSVRoundTrip(t *testing.T) {
-	r := &Runner{Params: workload.Params{Scale: 0.05, InputSeed: 42}, Repeats: 1}
-	spec, _ := programs.Find("redis")
-	modes := []Mode{VanillaRR(), QiThread()}
-	row := r.MeasureRow(spec, modes)
-	var sb strings.Builder
-	WriteCSVHeader(&sb, modes)
-	WriteCSVRow(&sb, row, modes)
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("csv lines = %d", len(lines))
-	}
-	if got, want := len(strings.Split(lines[0], ",")), len(strings.Split(lines[1], ",")); got != want {
-		t.Fatalf("csv header/row field mismatch: %d vs %d", got, want)
 	}
 }
 

@@ -54,9 +54,6 @@ func ingressServerConfig(maxBatch, queueCap int) workload.IngressServerConfig {
 // queue bound under one mode, reporting medians over the runner's repeats.
 func (r *Runner) MeasureIngress(maxBatch, queueCap int, mode Mode) IngressPoint {
 	cfg := ingressServerConfig(maxBatch, queueCap)
-	if r.Warmup {
-		workload.RunIngressServer(cfg, r.Params, mode.Cfg, nil)
-	}
 	wts := make([]time.Duration, 0, r.repeats())
 	var last workload.IngressRun
 	for i := 0; i < r.repeats(); i++ {
@@ -120,11 +117,47 @@ func IngressReplayCheck(p workload.Params, cfg qithread.Config, replays int) err
 	return nil
 }
 
-// WriteIngressCSV writes the sweep as CSV for qistat.
-func WriteIngressCSV(w io.Writer, points []IngressPoint) {
-	fmt.Fprintln(w, "max_batch,queue_cap,events,admitted,shed,epochs,wall_ms,admit_per_sec")
-	for _, pt := range points {
-		fmt.Fprintf(w, "%d,%d,%d,%d,%d,%d,%.3f,%.0f\n",
-			pt.MaxBatch, pt.QueueCap, pt.Events, pt.Admitted, pt.Shed, pt.Epochs, ms(pt.Wall), pt.Throughput)
+// runIngress runs the ingress-admission experiment (E17): the batch sweep,
+// one overload point with a deliberately tight admission queue (deterministic
+// shedding), and a record/replay determinism gate — a jittered live run whose
+// log is replayed with every observable compared. Unlike the virtual-makespan
+// experiments these measurements are wall-clock (the sources run in real
+// time), so the throughput numbers vary between hosts; the determinism gate
+// does not. The title line is printed once the gate has passed.
+func runIngress(e *Experiment, w io.Writer, r *Runner, _ Args) (*Table, error) {
+	batches := []int{1, 4, 16, 64}
+	points := r.IngressSweep(batches, QiThread())
+	if err := IngressReplayCheck(r.Params, QiThread().Cfg, 5); err != nil {
+		return nil, fmt.Errorf("record/replay gate: %w", err)
 	}
+	fmt.Fprintf(w, "=== Ingress admission: batch sweep %v + overload shedding (queue_cap 0 = default); record/replay gate: 5 jittered-log replays identical ===\n", batches)
+	t := e.newTable()
+	for _, pt := range points {
+		t.add(pt.MaxBatch, pt.QueueCap, pt.Events, pt.Admitted, pt.Shed, pt.Epochs, pt.Wall, ftoa(pt.Throughput, 0),
+			ftoa(ratio(float64(pt.Admitted), float64(pt.Epochs)), 1), ftoa(100*ratio(float64(pt.Shed), float64(pt.Events)), 1))
+	}
+	t.Fprint(w)
+	return t, nil
+}
+
+// ingressSummary names the sweep's best batch size: the highest admission
+// throughput among the rows with the default queue (the overload rows shed).
+func ingressSummary(w io.Writer, t *Table) {
+	best, bestRate := "", 0.0
+	for _, row := range t.rows {
+		if rate := t.num(row, "admit_per_sec"); t.num(row, "queue_cap") == 0 && rate > bestRate {
+			best, bestRate = row[t.col("max_batch")], rate
+		}
+	}
+	if best != "" {
+		fmt.Fprintf(w, "best admission throughput: batch %s at %.0f admitted events/s\n", best, bestRate)
+	}
+}
+
+// ratio is a/b, or 0 when there is nothing to divide by.
+func ratio(a, b float64) float64 {
+	if b == 0 {
+		return 0
+	}
+	return a / b
 }

@@ -1,0 +1,210 @@
+package harness
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sync"
+	"time"
+
+	"qithread"
+	"qithread/internal/ingress"
+	"qithread/internal/logio"
+	"qithread/internal/trace"
+	"qithread/internal/workload"
+)
+
+// runSoak is experiment E19: a million-event streaming record. The ingress
+// server runs live with BOTH streaming sinks attached — the schedule goes to
+// a rotated binary segment writer, the ingress log to a binary batch writer —
+// plus periodic epoch checkpoints, while a sampler watches the heap to show
+// recording memory stays flat. Afterwards the streamed schedule is loaded
+// back (its hash must equal the run's fingerprint), re-encoded as text to
+// measure the size and load-time ratios, and the streamed ingress log is
+// replayed in streaming mode to the recorded observables.
+func runSoak(_ *Experiment, w io.Writer, _ *Runner, a Args) (*Table, error) {
+	fmt.Fprintf(w, "=== E19 soak: bounded-memory streaming record (%d requests) ===\n", a.SoakEvents)
+	dir, err := os.MkdirTemp("", "qisoak")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	base := filepath.Join(dir, "sched.qbin")
+	sw, err := trace.NewSegmentedWriter(base, 16<<20)
+	if err != nil {
+		return nil, err
+	}
+	logPath := filepath.Join(dir, "ingress.qlog")
+	logF, err := os.Create(logPath)
+	if err != nil {
+		sw.Close()
+		return nil, err
+	}
+	defer logF.Close() // for the error returns; the recording path checks its own Close below
+	blw, err := ingress.NewBinaryLogWriter(logF)
+	if err != nil {
+		sw.Close()
+		return nil, err
+	}
+
+	wcfg := workload.IngressServerConfig{
+		Sources: 4, Events: a.SoakEvents, Workers: 3,
+		MaxBatch: 64, ParseWork: 4, StateWork: 2,
+		CheckpointEvery: 64,
+		Sink:            blw,
+	}
+	p := workload.Params{Scale: 1, InputSeed: 42}
+	rtcfg := QiThread().Cfg
+	rtcfg.StreamTrace = func(domainID int) qithread.TraceSink {
+		if domainID != 0 {
+			return nil
+		}
+		return sw
+	}
+
+	// Heap sampler: HeapAlloc every 25ms while the soak runs. A retained-mode
+	// recording of the same run grows without bound; streaming must not.
+	var (
+		samples []uint64
+		stop    = make(chan struct{})
+		done    sync.WaitGroup
+	)
+	done.Add(1)
+	go func() {
+		defer done.Done()
+		tick := time.NewTicker(25 * time.Millisecond)
+		defer tick.Stop()
+		var ms runtime.MemStats
+		for {
+			runtime.ReadMemStats(&ms)
+			samples = append(samples, ms.HeapAlloc)
+			select {
+			case <-tick.C:
+			case <-stop:
+				return
+			}
+		}
+	}()
+	run := workload.RunIngressServer(wcfg, p, rtcfg, nil)
+	close(stop)
+	done.Wait()
+	if err := sw.Close(); err != nil {
+		return nil, err
+	}
+	if err := blw.Close(); err != nil {
+		return nil, err
+	}
+	if err := logF.Close(); err != nil {
+		return nil, err
+	}
+
+	segs, err := logio.ListSegments(base)
+	if err != nil {
+		return nil, err
+	}
+	var binBytes int64
+	for _, s := range segs {
+		fi, err := os.Stat(s)
+		if err != nil {
+			return nil, err
+		}
+		binBytes += fi.Size()
+	}
+	fmt.Fprintf(w, "recorded:  %d admitted in %d epochs, %v wall (%.0f req/s)\n",
+		run.Stats.Admitted, run.Stats.Epochs, run.Wall.Round(time.Millisecond),
+		float64(run.Stats.Admitted)/run.Wall.Seconds())
+	fmt.Fprintf(w, "schedule:  %d events streamed to %d segment(s), %d bytes (%.1f B/event)\n",
+		sw.Len(), len(segs), binBytes, float64(binBytes)/float64(sw.Len()))
+	var ckptBytes int
+	if n := len(run.Checkpoints); n > 0 {
+		var buf bytes.Buffer
+		if err := qithread.SaveCheckpoint(&buf, run.Checkpoints[n-1]); err != nil {
+			return nil, err
+		}
+		ckptBytes = buf.Len()
+		fmt.Fprintf(w, "ckpts:     %d (every %d epochs), last at epoch %d is %d bytes\n",
+			n, wcfg.CheckpointEvery, run.Checkpoints[n-1].Epoch(), ckptBytes)
+	}
+	mb := func(v uint64) float64 { return float64(v) / (1 << 20) }
+	first, max, last := samples[0], samples[0], samples[len(samples)-1]
+	for _, s := range samples {
+		if s > max {
+			max = s
+		}
+	}
+	fmt.Fprintf(w, "heap:      first %.1f MB, max %.1f MB, last %.1f MB over %d samples (streaming holds it flat)\n",
+		mb(first), mb(max), mb(last), len(samples))
+
+	// Load the streamed schedule back and check it commits to the run, then
+	// time both formats. The first (untimed) load doubles as warm-up: it also
+	// produces the text re-encoding, so both timed loads run with the same
+	// live heap — otherwise whichever format loads first pays the whole GC
+	// ramp from a small heap to a hundred-megabyte one and the ratio measures
+	// allocator pacing, not decoding.
+	events, err := trace.LoadSegments(base)
+	if err != nil {
+		return nil, err
+	}
+	if h := trace.Hash(events); h != run.Fingerprint.DomainHashes[0] {
+		return nil, fmt.Errorf("streamed schedule hashes to %016x, fingerprint says %016x", h, run.Fingerprint.DomainHashes[0])
+	}
+	var text bytes.Buffer
+	if err := trace.Save(&text, events); err != nil {
+		return nil, err
+	}
+	textBytes := int64(text.Len())
+	runtime.GC()
+	t0 := time.Now()
+	if _, err := trace.LoadSegments(base); err != nil {
+		return nil, err
+	}
+	binLoad := time.Since(t0)
+	runtime.GC()
+	t0 = time.Now()
+	if _, err := trace.Load(bytes.NewReader(text.Bytes())); err != nil {
+		return nil, err
+	}
+	textLoad := time.Since(t0)
+	fmt.Fprintf(w, "load:      binary %d events in %v (%.0f ev/s), text in %v (%.0f ev/s)\n",
+		len(events), binLoad.Round(time.Millisecond), float64(len(events))/binLoad.Seconds(),
+		textLoad.Round(time.Millisecond), float64(len(events))/textLoad.Seconds())
+	fmt.Fprintf(w, "ratios:    binary is %.1fx smaller than text (%d vs %d bytes), %.1fx faster to load\n",
+		float64(textBytes)/float64(binBytes), binBytes, textBytes,
+		textLoad.Seconds()/binLoad.Seconds())
+
+	// Replay the streamed ingress log — also in streaming mode, so the check
+	// itself runs in bounded memory — and require the recorded observables.
+	lf, err := os.Open(logPath)
+	if err != nil {
+		return nil, err
+	}
+	ilog, err := qithread.LoadIngressLog(lf)
+	lf.Close()
+	if err != nil {
+		return nil, err
+	}
+	wcfg.Sink = nil
+	nullSink, err := trace.NewBinaryWriter(io.Discard)
+	if err != nil {
+		return nil, err
+	}
+	rtcfg.StreamTrace = func(domainID int) qithread.TraceSink {
+		if domainID != 0 {
+			return nil
+		}
+		return nullSink
+	}
+	rerun := workload.RunIngressServer(wcfg, p, rtcfg, ilog)
+	obs := func(r workload.IngressRun) string {
+		return fmt.Sprintf("output=%d fingerprint=[%s] admit=%016x shed=%016x",
+			r.Output, r.Fingerprint, r.AdmitHash, r.ShedHash)
+	}
+	if got, want := obs(rerun), obs(run); got != want {
+		return nil, fmt.Errorf("streamed replay diverged:\n  recorded: %s\n  replayed: %s", want, got)
+	}
+	fmt.Fprintf(w, "replay:    streamed log re-fed in streaming mode, observables identical\n  %s\n", obs(run))
+	return nil, nil
+}

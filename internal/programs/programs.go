@@ -35,11 +35,6 @@ type Spec struct {
 	Build func(p workload.Params) workload.App
 }
 
-// Suites lists the suite identifiers in Figure 8 order.
-func Suites() []string {
-	return []string{"splash2x", "npb", "parsec", "phoenix", "realworld", "imagemagick", "stl"}
-}
-
 var all []Spec
 var byName map[string]int
 

@@ -44,7 +44,10 @@ func TestFindAndNames(t *testing.T) {
 
 // TestEveryProgramEveryMode is the whole-catalog integration test: every
 // program must run to completion under every scheduling configuration and
-// produce the same output in all of them.
+// produce the same output in all of them — the nondeterministic reference,
+// the Figure 8 configurations, the logical clock, and each policy alone plus
+// two partial combinations, since every policy set induces a different legal
+// schedule of the same program.
 func TestEveryProgramEveryMode(t *testing.T) {
 	configs := []qithread.Config{
 		{Mode: qithread.Nondet},
@@ -53,6 +56,17 @@ func TestEveryProgramEveryMode(t *testing.T) {
 		{Mode: qithread.RoundRobin, Policies: qithread.NoPolicies, SoftBarriers: true, PCS: true},
 		{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies},
 		{Mode: qithread.LogicalClock},
+	}
+	for _, p := range []qithread.Policy{
+		qithread.BoostBlocked,
+		qithread.CreateAll,
+		qithread.CSWhole,
+		qithread.WakeAMAP,
+		qithread.BranchedWake,
+		qithread.BoostBlocked | qithread.WakeAMAP,
+		qithread.BoostBlocked | qithread.CSWhole | qithread.WakeAMAP,
+	} {
+		configs = append(configs, qithread.Config{Mode: qithread.RoundRobin, Policies: p})
 	}
 	for _, spec := range All() {
 		spec := spec

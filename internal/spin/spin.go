@@ -32,10 +32,3 @@ func Work(seed uint64, n int64) uint64 {
 	}
 	return x
 }
-
-// Mix folds b into a; workloads use it to accumulate per-block results into a
-// deterministic program output.
-func Mix(a, b uint64) uint64 {
-	a ^= b + 0x9e3779b97f4a7c15 + (a << 6) + (a >> 2)
-	return a
-}

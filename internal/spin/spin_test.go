@@ -48,16 +48,6 @@ func TestWorkZeroAndNegative(t *testing.T) {
 	}
 }
 
-// TestMixSensitive: Mix depends on both arguments.
-func TestMixSensitive(t *testing.T) {
-	f := func(a, b uint64) bool {
-		return Mix(a, b) != Mix(a, b+1) || b == b+1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkWorkUnit(b *testing.B) {
 	var sink uint64
 	for i := 0; i < b.N; i++ {

@@ -23,20 +23,6 @@ func Median(ds []time.Duration) time.Duration {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// Min returns the minimum of ds (0 for an empty slice).
-func Min(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	m := ds[0]
-	for _, d := range ds[1:] {
-		if d < m {
-			m = d
-		}
-	}
-	return m
-}
-
 // Mean returns the arithmetic mean of xs (NaN for an empty slice).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

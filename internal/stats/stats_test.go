@@ -60,13 +60,7 @@ func TestMedianBounds(t *testing.T) {
 	}
 }
 
-func TestMinMean(t *testing.T) {
-	if Min([]time.Duration{3, 1, 2}) != 1 {
-		t.Fatal("Min wrong")
-	}
-	if Min(nil) != 0 {
-		t.Fatal("Min(nil) wrong")
-	}
+func TestMean(t *testing.T) {
 	if Mean([]float64{1, 2, 3}) != 2 {
 		t.Fatal("Mean wrong")
 	}

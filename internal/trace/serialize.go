@@ -94,7 +94,7 @@ func SaveVersion(w io.Writer, events []core.Event, version int) error {
 
 // Load reads a schedule written by Save or SaveBinary, auto-detecting the
 // format from the header line: text v1/v2 and binary v3b all load through this
-// one entry point, so every consumer (qireplay, qistat, qitrace, qilog) reads
+// one entry point, so every consumer (qireplay, qistat, qitrace) reads
 // every format. v1 events load with the default domain 0.
 func Load(r io.Reader) ([]core.Event, error) {
 	br := bufio.NewReaderSize(r, 1<<16)

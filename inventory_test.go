@@ -1,0 +1,110 @@
+package qithread_test
+
+import (
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+
+	"qithread/internal/harness"
+)
+
+// TestInventory: the cmd/ binaries, the internal/ packages and the qibench
+// experiments are exactly the rows of the three tables of DESIGN.md §4.14, in
+// order, where each names the EXPERIMENTS.md entry, test or command that needs
+// it; every E<n> the section cites is an entry of EXPERIMENTS.md and every
+// Test, Fuzz or Benchmark function it cites exists. The experiments table and
+// README.md's command block repeat harness.Experiments and are held to it. A
+// new binary, package or experiment is a deliberate edit in two places; one
+// that cannot name what needs it does not belong (the §4.11 rule, applied to
+// the layers above the runtime).
+func TestInventory(t *testing.T) {
+	read := func(path string) string {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	design := read("DESIGN.md")
+	_, section, ok := strings.Cut(design, "\n### 4.14 ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §4.14")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	firstColumn := func(prefix string) []string {
+		var out []string
+		for _, m := range regexp.MustCompile("(?m)^\\| `"+prefix+"([\\w/]+)` \\|").FindAllStringSubmatch(section, -1) {
+			out = append(out, m[1])
+		}
+		return out
+	}
+
+	// Directories that hold Go source, relative to root, sorted.
+	goDirs := func(root string) []string {
+		var out []string
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			if rel, _ := filepath.Rel(root, filepath.Dir(path)); !slices.Contains(out, rel) {
+				out = append(out, rel)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		slices.Sort(out)
+		return out
+	}
+	for _, root := range []string{"cmd", "internal"} {
+		if have, documented := goDirs(root), firstColumn(root+"/"); !slices.Equal(have, documented) {
+			t.Errorf("%s/ holds %v,\nDESIGN.md §4.14 documents %v", root, have, documented)
+		}
+	}
+
+	readme := read("README.md")
+	var rows []string
+	for _, e := range harness.Experiments {
+		inAll := "yes"
+		if e.NotInAll != "" {
+			inAll = "no: " + e.NotInAll
+		}
+		rows = append(rows, fmt.Sprintf("| `-experiment %s` | %s | %s | %s |", e.Name, e.Entry, inAll, e.Doc))
+		if !regexp.MustCompile("(?m)^go run \\./cmd/qibench -experiment " + e.Name + "\\b.*# " + regexp.QuoteMeta(e.Doc) + "$").MatchString(readme) {
+			t.Errorf("README.md has no line `go run ./cmd/qibench -experiment %s ... # %s`", e.Name, e.Doc)
+		}
+	}
+	if want := strings.Join(rows, "\n") + "\n"; !strings.Contains(section, want) {
+		t.Errorf("DESIGN.md §4.14 does not hold the experiments table harness.Experiments generates:\n%s", want)
+	}
+
+	experiments := read("EXPERIMENTS.md")
+	for _, e := range regexp.MustCompile(`\bE\d+\b`).FindAllString(section, -1) {
+		if !strings.Contains(experiments, "\n## "+e+" — ") {
+			t.Errorf("DESIGN.md §4.14 cites %s, EXPERIMENTS.md has no such entry", e)
+		}
+	}
+	var tests []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && strings.HasSuffix(path, "_test.go") {
+			for _, m := range regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`).FindAllStringSubmatch(read(path), -1) {
+				tests = append(tests, m[1])
+			}
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`).FindAllString(section, -1) {
+		if !slices.Contains(tests, name) {
+			t.Errorf("DESIGN.md §4.14 cites %s, no _test.go file declares it", name)
+		}
+	}
+}
