@@ -49,6 +49,21 @@ alloc-bounds:
 .PHONY: ci
 ci: check bench-compare
 
+# Every fuzz target in the tree for 10 s each on top of its seed corpus. The
+# targets are found with `go test -list`, package by package, so a new Fuzz*
+# function is fuzzed in CI without an edit here or in the workflow (-fuzz takes
+# one target of one package per run). -fuzzminimizetime is cut from its 60 s
+# default: shrinking one new corpus entry of a kilobyte-sized log otherwise
+# takes the whole run (FuzzLoadLog made 10 executions in 30 s, E28).
+.PHONY: fuzz-smoke
+fuzz-smoke:
+	@set -e; for pkg in $$($(GO) list ./...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz' || true); do \
+			echo "fuzz-smoke: $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 1s $$pkg; \
+		done; \
+	done
+
 .PHONY: bench-compare
 bench-compare:
 	$(GO) run ./cmd/qibenchjson -compare BENCH_sched.json -short

@@ -2,6 +2,7 @@ package qithread_test
 
 import (
 	"bytes"
+	"io"
 	"testing"
 	"time"
 
@@ -43,31 +44,58 @@ func reload(t *testing.T, cp *qithread.Checkpoint) *qithread.Checkpoint {
 	return got
 }
 
-// TestCheckpointResumeFingerprint: record a live jittered run that
-// checkpoints every 3 epochs, then resume 20 times — cycling through every
-// checkpoint of the run, each freshly deserialized — and require every
-// resumed run to finish with the full run's fingerprint, output and
-// admission hashes.
+// resumeConfigs is every deterministic policy set TestTraceCompatibility pins
+// (internal/harness, compatConfigs): the two ingressModes — under the subtest
+// names they have always had — then vanilla round-robin, each semantics-aware
+// policy alone and each leave-one-out set.
+func resumeConfigs() map[string]qithread.Config {
+	rr := func(p qithread.Policy) qithread.Config {
+		return qithread.Config{Mode: qithread.RoundRobin, Policies: p}
+	}
+	out := map[string]qithread.Config{"rr-vanilla": rr(qithread.NoPolicies)}
+	for _, cfg := range ingressModes() {
+		out[cfg.Mode.String()] = cfg
+	}
+	for name, p := range map[string]qithread.Policy{
+		"BoostBlocked": qithread.BoostBlocked, "CreateAll": qithread.CreateAll, "CSWhole": qithread.CSWhole,
+		"WakeAMAP": qithread.WakeAMAP, "BranchedWake": qithread.BranchedWake,
+	} {
+		out["rr-only-"+name] = rr(p)
+		out["rr-minus-"+name] = rr(qithread.AllPolicies &^ p)
+	}
+	return out
+}
+
+// TestCheckpointResumeFingerprint: under every policy set, record a live
+// jittered run that checkpoints every 3 epochs, then resume 20 times —
+// cycling through every checkpoint of the run, each freshly deserialized, the
+// ingress log reloaded through the text and the binary codec in turn — and
+// require every resumed run to finish with the full run's fingerprint, output
+// and admission hashes.
 func TestCheckpointResumeFingerprint(t *testing.T) {
 	p := workload.Params{Scale: 1, InputSeed: 42}
-	for _, cfg := range ingressModes() {
-		t.Run(cfg.Mode.String(), func(t *testing.T) {
+	for name, cfg := range resumeConfigs() {
+		t.Run(name, func(t *testing.T) {
 			wcfg := checkpointTestConfig()
 			rec := workload.RunIngressServer(wcfg, p, cfg, nil)
 			if len(rec.Checkpoints) == 0 {
 				t.Fatalf("run over %d epochs took no checkpoints", rec.Stats.Epochs)
 			}
-			var buf bytes.Buffer
-			if err := rec.Log.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			log, err := qithread.LoadIngressLog(bytes.NewReader(buf.Bytes()))
-			if err != nil {
-				t.Fatal(err)
+			var logs []*qithread.IngressLog
+			for _, save := range []func(io.Writer) error{rec.Log.Save, rec.Log.SaveBinary} {
+				var buf bytes.Buffer
+				if err := save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				log, err := qithread.LoadIngressLog(&buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				logs = append(logs, log)
 			}
 			for i := 0; i < 20; i++ {
 				cp := reload(t, rec.Checkpoints[i%len(rec.Checkpoints)])
-				res := workload.ResumeIngressServer(wcfg, p, cfg, log, cp)
+				res := workload.ResumeIngressServer(wcfg, p, cfg, logs[i%len(logs)], cp)
 				if !res.Fingerprint.Equal(rec.Fingerprint) {
 					t.Fatalf("resume %d from epoch %d: fingerprint %v, full run %v",
 						i, cp.Epoch(), res.Fingerprint, rec.Fingerprint)

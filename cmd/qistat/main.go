@@ -34,11 +34,11 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"qithread/internal/ckpt"
 	"qithread/internal/core"
+	"qithread/internal/explore"
 	"qithread/internal/harness"
 	"qithread/internal/ingress"
 	"qithread/internal/trace"
@@ -46,7 +46,7 @@ import (
 
 func main() {
 	args := os.Args[1:]
-	detail, explore := summary, false
+	detail, asDir := summary, false
 	switch {
 	case len(args) > 0 && args[0] == "convert":
 		fs := flag.NewFlagSet("convert", flag.ExitOnError)
@@ -65,13 +65,13 @@ func main() {
 	case len(args) > 0 && args[0] == "-v":
 		detail, args = verbose, args[1:]
 	case len(args) > 0 && args[0] == "-explore":
-		explore, args = true, args[1:]
+		asDir, args = true, args[1:]
 	}
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
 		usage()
 	}
 	for _, path := range args {
-		if err := describe(os.Stdout, path, detail, explore); err != nil {
+		if err := describe(os.Stdout, path, detail, asDir); err != nil {
 			fatal(path, err)
 		}
 	}
@@ -112,7 +112,7 @@ const (
 func sniff(b []byte) string {
 	head, _, _ := bytes.Cut(b, []byte("\n"))
 	switch {
-	case string(bytes.TrimSpace(head)) == "qithread-schedule v3": // trimmed as the loaders trim it
+	case string(bytes.TrimSpace(head)) == trace.HeaderExplored: // trimmed as the loaders trim it
 		return explored
 	case bytes.HasPrefix(head, []byte("qithread-schedule ")):
 		return schedule
@@ -126,8 +126,8 @@ func sniff(b []byte) string {
 
 // describe fully decodes one path and prints its summary line, then as much
 // more as d asks for.
-func describe(w io.Writer, path string, d detail, explore bool) error {
-	if fi, err := os.Stat(path); explore || (err == nil && fi.IsDir()) {
+func describe(w io.Writer, path string, d detail, asDir bool) error {
+	if fi, err := os.Stat(path); asDir || (err == nil && fi.IsDir()) {
 		return describeExplore(w, path, d)
 	}
 	b, err := os.ReadFile(path)
@@ -266,152 +266,73 @@ func convert(w io.Writer, to, out, in string) error {
 	return nil
 }
 
-// describeExplore reports a qiexplore results directory from its plain-text
-// layout (runs.csv, seen.txt, frontier.txt, repro-*.sched): runs and failure
-// breakdown per strategy, distinct-fingerprint coverage, the unexplored
-// frontier's size and depth profile, and the emitted repro schedules.
+// describeExplore reports a qiexplore results directory as explore.ReadResults
+// read it: runs and failure breakdown per strategy, distinct-fingerprint
+// coverage, the unexplored frontier's size and depth profile, the emitted
+// repro schedules and — when a parallel engine last wrote the directory — each
+// worker's throughput and prune rate.
 func describeExplore(w io.Writer, dir string, d detail) error {
-	b, err := os.ReadFile(filepath.Join(dir, "runs.csv"))
+	res, err := explore.ReadResults(dir)
 	if err != nil {
-		return fmt.Errorf("not a qiexplore results directory (%v)", err)
+		return err
 	}
-	type agg struct {
-		runs, news, maxDepth, maxDecisions int
-		outcomes                           map[string]int
+	total := res.Total
+	if total.Runs == 0 {
+		return fmt.Errorf("not a qiexplore results directory (it records no runs)")
 	}
-	order := []string{}
-	byStrategy := map[string]*agg{}
-	total := agg{outcomes: map[string]int{}}
-	for _, line := range strings.Split(string(b), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "run,") {
-			continue
-		}
-		cells := strings.SplitN(line, ",", 8)
-		if len(cells) < 6 {
-			continue
-		}
-		strategy, outcome := cells[1], cells[4]
-		a := byStrategy[strategy]
-		if a == nil {
-			a = &agg{outcomes: map[string]int{}}
-			byStrategy[strategy] = a
-			order = append(order, strategy)
-		}
-		depth, _ := strconv.Atoi(cells[2])
-		decisions, _ := strconv.Atoi(cells[3])
-		for _, x := range []*agg{a, &total} {
-			x.runs++
-			x.outcomes[outcome]++
-			if cells[5] == "true" {
-				x.news++
-			}
-			if depth > x.maxDepth {
-				x.maxDepth = depth
-			}
-			if decisions > x.maxDecisions {
-				x.maxDecisions = decisions
-			}
-		}
+	skipped := ""
+	if res.Skipped > 0 {
+		skipped = fmt.Sprintf(", %d corrupt results line(s) skipped", res.Skipped)
 	}
-	if total.runs == 0 {
-		return fmt.Errorf("runs.csv has no runs")
-	}
-
-	distinct := 0
-	if b, err := os.ReadFile(filepath.Join(dir, "seen.txt")); err == nil {
-		for _, line := range strings.Split(string(b), "\n") {
-			if strings.TrimSpace(line) != "" {
-				distinct++
-			}
-		}
-	}
-	frontier, frontierDepth := 0, 0
-	if b, err := os.ReadFile(filepath.Join(dir, "frontier.txt")); err == nil {
-		for _, line := range strings.Split(string(b), "\n") {
-			line = strings.TrimSpace(line)
-			if line == "" {
-				continue
-			}
-			frontier++
-			if d := len(strings.Fields(line)); line != "-" && d > frontierDepth {
-				frontierDepth = d
-			}
-		}
-	}
-	repros, _ := filepath.Glob(filepath.Join(dir, "repro-*.sched"))
-	sort.Strings(repros)
-	failures := total.outcomes["assert-fail"] + total.outcomes["deadlock"] + total.outcomes["panic"]
-
-	fmt.Fprintf(w, "%s: explore directory, %d runs, %d distinct fingerprints, %d failures, %d repros\n",
-		dir, total.runs, distinct, failures, len(repros))
+	fmt.Fprintf(w, "%s: explore directory, %d runs, %d distinct fingerprints, %d failures, %d repros%s\n",
+		dir, total.Runs, len(res.Seen), total.Failures(), len(res.Repros), skipped)
 	if d == lineOnly {
 		return nil
 	}
 	fmt.Fprintf(w, "%-10s %8s %8s %6s %6s  %s\n", "strategy", "runs", "new-fp", "depth", "decs", "outcomes")
-	line := func(name string, a *agg) {
-		kinds := make([]string, 0, len(a.outcomes))
-		for k := range a.outcomes {
+	line := func(a explore.StrategyStat) {
+		kinds := make([]string, 0, len(a.Outcomes))
+		for k := range a.Outcomes {
 			kinds = append(kinds, k)
 		}
 		sort.Strings(kinds)
-		parts := make([]string, len(kinds))
 		for i, k := range kinds {
-			parts[i] = fmt.Sprintf("%s=%d", k, a.outcomes[k])
+			kinds[i] = fmt.Sprintf("%s=%d", k, a.Outcomes[k])
 		}
-		fmt.Fprintf(w, "%-10s %8d %8d %6d %6d  %s\n", name, a.runs, a.news, a.maxDepth, a.maxDecisions, strings.Join(parts, " "))
+		fmt.Fprintf(w, "%-10s %8d %8d %6d %6d  %s\n", a.Strategy, a.Runs, a.New, a.MaxDepth, a.MaxDecisions, strings.Join(kinds, " "))
 	}
-	for _, name := range order {
-		line(name, byStrategy[name])
+	for _, a := range res.Strategies {
+		line(a)
 	}
-	if len(order) > 1 {
-		line("total", &total)
+	if len(res.Strategies) > 1 {
+		line(total)
 	}
-	fmt.Fprintf(w, "\ndistinct fingerprints: %d (%.1f%% of runs)\n", distinct, 100*float64(distinct)/float64(total.runs))
-	fmt.Fprintf(w, "frontier: %d unexplored prefixes (deepest %d decisions)\n", frontier, frontierDepth)
-	fmt.Fprintf(w, "failures: %d, minimized repros: %d\n", failures, len(repros))
-	for i, r := range repros {
+	deepest := 0
+	for _, prefix := range res.Frontier {
+		deepest = max(deepest, len(prefix))
+	}
+	fmt.Fprintf(w, "\ndistinct fingerprints: %d (%.1f%% of runs)\n", len(res.Seen), 100*float64(len(res.Seen))/float64(total.Runs))
+	fmt.Fprintf(w, "frontier: %d unexplored prefixes (deepest %d decisions)\n", len(res.Frontier), deepest)
+	fmt.Fprintf(w, "failures: %d, minimized repros: %d\n", total.Failures(), len(res.Repros))
+	for i, r := range res.Repros {
 		if i == 10 {
-			fmt.Fprintf(w, "  ... %d more\n", len(repros)-i)
+			fmt.Fprintf(w, "  ... %d more\n", len(res.Repros)-i)
 			break
 		}
-		fmt.Fprintf(w, "  %s\n", filepath.Base(r))
+		fmt.Fprintf(w, "  %s\n", filepath.Base(r.Path))
 	}
-	describeWorkers(w, dir)
+	if len(res.Workers) > 0 {
+		fmt.Fprintf(w, "\n%-8s %8s %8s %10s %10s %10s\n", "worker", "runs", "new-fp", "runs/sec", "branched", "prune-rate")
+	}
+	for i, st := range res.Workers {
+		rate, pruneRate := "-", "-"
+		if ms := st.Elapsed.Milliseconds(); ms > 0 {
+			rate = fmt.Sprintf("%.0f", float64(st.Runs)/(float64(ms)/1e3))
+		}
+		if st.Branched+st.Pruned > 0 {
+			pruneRate = fmt.Sprintf("%.1f%%", 100*float64(st.Pruned)/float64(st.Branched+st.Pruned))
+		}
+		fmt.Fprintf(w, "%-8d %8d %8d %10s %10d %10s\n", i, st.Runs, st.New, rate, st.Branched, pruneRate)
+	}
 	return nil
-}
-
-// describeWorkers renders workers.txt — the per-worker stats snapshot of the
-// last pool invocation — as throughput and prune-rate columns. Absent for
-// directories written before the parallel engine (or never explored by one),
-// in which case it prints nothing.
-func describeWorkers(w io.Writer, dir string) {
-	b, err := os.ReadFile(filepath.Join(dir, "workers.txt"))
-	if err != nil {
-		return
-	}
-	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
-	if len(lines) < 2 {
-		return
-	}
-	fmt.Fprintf(w, "\n%-8s %8s %8s %10s %10s %10s\n", "worker", "runs", "new-fp", "runs/sec", "branched", "prune-rate")
-	for _, line := range lines[1:] {
-		cells := strings.Split(strings.TrimSpace(line), ",")
-		if len(cells) < 6 {
-			continue
-		}
-		runs, _ := strconv.Atoi(cells[1])
-		branched, _ := strconv.Atoi(cells[3])
-		pruned, _ := strconv.Atoi(cells[4])
-		ms, _ := strconv.Atoi(cells[5])
-		rate := "-"
-		if ms > 0 {
-			rate = fmt.Sprintf("%.0f", float64(runs)/(float64(ms)/1e3))
-		}
-		pruneRate := "-"
-		if branched+pruned > 0 {
-			pruneRate = fmt.Sprintf("%.1f%%", 100*float64(pruned)/float64(branched+pruned))
-		}
-		fmt.Fprintf(w, "%-8s %8s %8s %10s %10d %10s\n", cells[0], cells[1], cells[2], rate, branched, pruneRate)
-	}
 }

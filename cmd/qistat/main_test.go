@@ -64,7 +64,13 @@ func TestStat(t *testing.T) {
 	spec.Build(workload.Params{Scale: 0.05, InputSeed: 7})(rt)
 	events := rt.Trace()
 	v1 := write("v1.sched", func(b io.Writer) error { return trace.Save(b, events) })
-	v2 := write("v2.sched", func(b io.Writer) error { return trace.SaveVersion(b, events, 2) })
+	// Save writes v1 for a single-domain schedule; the same events under the
+	// v2 header carry an explicit domain column.
+	v2 := write("v2.sched", func(b io.Writer) error {
+		_, body, _ := strings.Cut(string(mustRead(t, v1)), "\n")
+		_, err := io.WriteString(b, "qithread-schedule v2\n"+strings.ReplaceAll(body, "\n", " 0\n"))
+		return err
+	})
 	v3b := write("v3b.qbin", func(b io.Writer) error { return trace.SaveBinary(b, events) })
 	for path, want := range map[string]string{
 		v1:  "schedule, 261 events, 3236 bytes, hash=8a2839aefe2cd059\n",
@@ -247,6 +253,54 @@ func TestStat(t *testing.T) {
 	}
 	if err := convert(&bytes.Buffer{}, "text", filepath.Join(dir, "c9"), ckptPath); err == nil {
 		t.Error("converted a checkpoint")
+	}
+}
+
+// TestExploreDirectoryOneReader: qistat and a resuming Session read a results
+// directory through the same explore.ReadResults, so on a directory a crashed
+// writer tore they count the same runs, failures and skipped lines. The damage
+// is internal/explore's TestLoadToleratesCorruption plus a line cut after its
+// sixth cell, which qistat's own parser used to count as a run (it asked for
+// six cells, the session for seven) and skip in silence.
+func TestExploreDirectoryOneReader(t *testing.T) {
+	dir := t.TempDir()
+	s1, err := explore.NewSession(explore.Lookup("buggy"), dir, explore.DefaultWatchdog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s1.ExploreDPOR(30, 0); err != nil {
+		t.Fatal(err)
+	}
+	for name, torn := range map[string]string{
+		"runs.csv":     "999,dpor,3\n998,dpor,3,25,assert-fail,true\n",
+		"frontier.txt": "turn:not-a-number\n",
+	} {
+		f, err := os.OpenFile(filepath.Join(dir, name), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(torn); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := explore.NewSession(explore.Lookup("buggy"), dir, explore.DefaultWatchdog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.Runs() != 30 || s2.Failures() != s1.Failures() || s2.LoadWarnings() != 3 {
+		t.Errorf("resumed session: %d runs, %d failures, %d skipped lines; want 30, %d, 3", s2.Runs(), s2.Failures(), s2.LoadWarnings(), s1.Failures())
+	}
+	var out bytes.Buffer
+	if err := describe(&out, dir, lineOnly, false); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%s: explore directory, %d runs, %d distinct fingerprints, %d failures, %d repros, %d corrupt results line(s) skipped\n",
+		dir, s2.Runs(), s2.Distinct(), s2.Failures(), len(s2.Repros()), s2.LoadWarnings())
+	if out.String() != want {
+		t.Errorf("qistat and the resumed session disagree:\n got %q\nwant %q", out.String(), want)
 	}
 }
 

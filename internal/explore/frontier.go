@@ -2,11 +2,11 @@ package explore
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 
 	"qithread/internal/core"
+	"qithread/internal/trace"
 )
 
 // flip is one frontier entry — one forced prefix nobody has run yet —
@@ -158,9 +158,9 @@ func appendChoice(dst []byte, c core.Choice) []byte {
 }
 
 // parsePrefix inverts formatPrefix. Anything else — a quad with a missing,
-// extra or non-numeric field, a kind past uint8, a count or index past int32
-// (frontier entries store them that narrow) — is an error, which the loader
-// counts as one torn line.
+// extra or non-numeric field, or one past the bounds trace.ParseChoice holds
+// every spelling of a decision to (frontier entries store counts and indices
+// as int32) — is an error, which the loader counts as one torn line.
 func parsePrefix(line string) ([]core.Choice, error) {
 	if line == "-" {
 		return nil, nil
@@ -168,26 +168,10 @@ func parsePrefix(line string) ([]core.Choice, error) {
 	fields := strings.Fields(line)
 	out := make([]core.Choice, len(fields))
 	for i, f := range fields {
-		var v [4]int
-		rest := f
-		for j := range v {
-			num := rest
-			if j < len(v)-1 {
-				var ok bool
-				if num, rest, ok = strings.Cut(rest, ":"); !ok {
-					return nil, fmt.Errorf("bad choice %q: want kind:n:def:index", f)
-				}
-			}
-			n, err := strconv.ParseInt(num, 10, 32)
-			if err == nil && j == 0 && (n < 0 || n > math.MaxUint8) {
-				err = strconv.ErrRange
-			}
-			if err != nil {
-				return nil, fmt.Errorf("bad choice %q: %v", f, err)
-			}
-			v[j] = int(n)
+		var err error
+		if out[i], err = trace.ParseChoice(strings.Split(f, ":")); err != nil {
+			return nil, fmt.Errorf("bad choice %q: %v", f, err)
 		}
-		out[i] = core.Choice{Kind: core.ChoiceKind(v[0]), N: v[1], Def: v[2], Index: v[3]}
 	}
 	return out, nil
 }

@@ -160,7 +160,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if s.FrontierLen() != 0 {
 			t.Fatalf("workers=%d: frontier not drained (%d left); invariance only holds on the full closure", workers, s.FrontierLen())
 		}
-		fps = s.SeenFPs()
+		fps = s.seenOrdered()
 		sort.Strings(fps)
 		s.mu.Lock()
 		for sig := range s.reproSigs {
@@ -199,7 +199,7 @@ func TestPCTWorkerInvariance(t *testing.T) {
 		if err := s.ExplorePCT(150, 3, 7); err != nil {
 			t.Fatal(err)
 		}
-		fps := s.SeenFPs()
+		fps := s.seenOrdered()
 		sort.Strings(fps)
 		return fps
 	}

@@ -1,14 +1,17 @@
 package explore
 
 import (
-	"bufio"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
+	"time"
 
+	"qithread/internal/core"
 	"qithread/internal/trace"
 )
 
@@ -30,9 +33,10 @@ import (
 //     process discovered are kept (appended after ours in its file order),
 //     and frontier entries another process queued survive unless this
 //     session executed them.
-//   - the loader skips torn or malformed lines (counting them in
-//     LoadWarnings) instead of aborting the resume; previously a single torn
-//     frontier line made a directory unresumable.
+//   - the one reader, ReadResults, skips torn or malformed lines (counting
+//     them; a resuming session reports the count as LoadWarnings) instead of
+//     failing: a single torn frontier line must not make a directory
+//     unresumable.
 //
 // Run ids stay process-local ordinals: two processes appending concurrently
 // will reuse ids, which qistat tolerates (it aggregates by strategy). The
@@ -142,13 +146,14 @@ func (s *Session) writeSeenMerged() error {
 		b.WriteString(fp)
 		b.WriteByte('\n')
 	}
-	if data, err := os.ReadFile(filepath.Join(s.Dir, seenFile)); err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			line = strings.TrimSpace(line)
-			if _, known := s.seen[line]; line != "" && !known {
-				b.WriteString(line)
-				b.WriteByte('\n')
-			}
+	onDisk, err := lines(s.Dir, seenFile)
+	if err != nil {
+		return err
+	}
+	for _, line := range onDisk {
+		if _, known := s.seen[line]; !known {
+			b.WriteString(line)
+			b.WriteByte('\n')
 		}
 	}
 	return atomicWrite(filepath.Join(s.Dir, seenFile), []byte(b.String()))
@@ -181,14 +186,16 @@ func (s *Session) writeFrontierMerged() error {
 	// Candidates for "another process's addition": what is on disk and was
 	// not executed here. Entries the frontier still holds are struck out as
 	// they are rendered, so only the disk side is ever held as strings.
+	onDisk, err := lines(s.Dir, frontierFile)
+	if err != nil {
+		return err
+	}
 	var disk []string
 	foreign := map[string]bool{}
-	if data, err := os.ReadFile(filepath.Join(s.Dir, frontierFile)); err == nil {
-		for _, line := range strings.Split(string(data), "\n") {
-			if line = strings.TrimSpace(line); line != "" && !s.executed[line] {
-				disk = append(disk, line)
-				foreign[line] = true
-			}
+	for _, line := range onDisk {
+		if !s.executed[line] {
+			disk = append(disk, line)
+			foreign[line] = true
 		}
 	}
 	var b []byte
@@ -220,10 +227,9 @@ func (s *Session) writeWorkerStats() error {
 		return nil
 	}
 	var b strings.Builder
-	b.WriteString("worker,runs,new,branched,pruned,elapsed_ms\n")
+	b.WriteString(workersHeader + "\n")
 	for i, st := range s.workerStats {
-		fmt.Fprintf(&b, "%d,%d,%d,%d,%d,%d\n",
-			i, st.Runs, st.New, st.Branched, st.Pruned, st.Elapsed.Milliseconds())
+		fmt.Fprintf(&b, workersRow+"\n", i, st.Runs, st.New, st.Branched, st.Pruned, st.Elapsed.Milliseconds())
 	}
 	return atomicWrite(filepath.Join(s.Dir, workersFile), []byte(b.String()))
 }
@@ -242,84 +248,191 @@ func (s *Session) writeRepro(name string, final Result) (string, error) {
 	return path, nil
 }
 
-// load resumes session state from the results directory, under the directory
-// lock so a concurrent writer's rename cannot race the reads. Torn or
-// malformed lines — a crashed writer's last batch, a partial line from a
-// concurrent append — are skipped and counted in LoadWarnings instead of
-// aborting the resume.
+// load resumes session state from what ReadResults finds in the results
+// directory, under the directory lock so a concurrent writer's rename cannot
+// race the reads. Torn or malformed lines — a crashed writer's last batch, a
+// partial line from a concurrent append — were skipped and counted; they
+// surface through LoadWarnings, because load runs inside NewSession, before a
+// caller can attach a Verbose logger.
 func (s *Session) load() error {
 	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
 		return fmt.Errorf("explore: results dir: %w", err)
 	}
 	return s.withDirLock(func() error {
-		if data, err := os.ReadFile(filepath.Join(s.Dir, seenFile)); err == nil {
-			id := 0
-			for _, line := range strings.Split(string(data), "\n") {
-				if line = strings.TrimSpace(line); line != "" {
-					// Discovery order; exact run ids live in runs.csv.
-					if s.markSeen(line, id) {
-						id++
-					}
-				}
+		res, err := ReadResults(s.Dir)
+		if err != nil {
+			return fmt.Errorf("explore: resuming: %w", err)
+		}
+		for id, fp := range res.Seen {
+			s.seen[fp] = id // discovery order; exact run ids live in runs.csv
+		}
+		s.runs, s.maxDepth, s.failures = res.Total.Runs, res.Total.MaxDepth, res.Total.Failures()
+		for _, prefix := range res.Frontier {
+			s.frontier.push(prefixFlip(prefix))
+		}
+		for _, r := range res.Repros {
+			s.repros = append(s.repros, r.Path)
+			if r.Err == nil {
+				s.reproSigs[r.Outcome+"|"+formatPrefix(r.Choices)] = true
 			}
 		}
-		if f, err := os.Open(filepath.Join(s.Dir, runsFile)); err == nil {
-			sc := bufio.NewScanner(f)
-			sc.Buffer(make([]byte, 1<<16), 1<<20)
-			for sc.Scan() {
-				line := strings.TrimSpace(sc.Text())
-				if line == "" || strings.HasPrefix(line, "run,") {
-					continue
-				}
-				cells := strings.Split(line, ",")
-				if len(cells) < 7 {
-					s.loadWarnings++ // torn append from a crashed writer
-					continue
-				}
-				s.runs++
-				if d, err := strconv.Atoi(cells[2]); err == nil && d > s.maxDepth {
-					s.maxDepth = d
-				}
-				switch cells[4] {
-				case OutcomeAssertFail.String(), OutcomeDeadlock.String(), OutcomePanic.String():
-					s.failures++
-				}
-			}
-			f.Close()
-			if err := sc.Err(); err != nil {
-				return fmt.Errorf("explore: resuming %s: %w", runsFile, err)
-			}
-		}
-		if data, err := os.ReadFile(filepath.Join(s.Dir, frontierFile)); err == nil {
-			for _, line := range strings.Split(string(data), "\n") {
-				line = strings.TrimSpace(line)
-				if line == "" {
-					continue
-				}
-				prefix, err := parsePrefix(line)
-				if err != nil {
-					s.loadWarnings++ // corrupt entry; the rest of the frontier stands
-					continue
-				}
-				s.frontier.push(prefixFlip(prefix))
-			}
-		}
-		repros, _ := filepath.Glob(filepath.Join(s.Dir, "repro-*.sched"))
-		sort.Strings(repros)
-		s.repros = repros
-		for _, path := range repros {
-			if _, choices, err := LoadRepro(path); err == nil {
-				// Outcome is encoded in the file name: repro-<outcome>-NNN.sched.
-				base := strings.TrimPrefix(filepath.Base(path), "repro-")
-				outcome := base
-				if i := strings.LastIndexByte(base, '-'); i >= 0 {
-					outcome = base[:i]
-				}
-				s.reproSigs[outcome+"|"+formatPrefix(choices)] = true
-			}
-		}
-		// Corrupt-line warnings surface through LoadWarnings: load runs
-		// inside NewSession, before a caller can attach a Verbose logger.
+		s.loadWarnings = res.Skipped
 		return nil
 	})
+}
+
+// Results is what a results directory holds: the one reading of its schema
+// (declared with the Session, session.go), shared by a resuming Session and by
+// qistat. A line a crashed or concurrent writer tore — too few cells, a field
+// that does not parse — is skipped and counted, never fatal.
+type Results struct {
+	Strategies []StrategyStat  // runs.csv, aggregated per strategy in order of first appearance
+	Total      StrategyStat    // and over all of them
+	Seen       []string        // seen.txt: the distinct fingerprints, first-discovery order
+	Frontier   [][]core.Choice // frontier.txt: the unexpanded forced prefixes, in pop order
+	Workers    []WorkerStat    // workers.txt: the last invocation's workers, by worker index
+	Repros     []Repro         // repro-*.sched, sorted by path
+	Skipped    int             // torn or corrupt lines (and unreadable repro files) skipped
+}
+
+// StrategyStat aggregates the runs.csv rows of one search strategy.
+type StrategyStat struct {
+	Strategy                          string
+	Runs, New, MaxDepth, MaxDecisions int
+	Outcomes                          map[string]int // runs per Outcome.String()
+}
+
+// Repro is one minimized repro schedule of the directory. The outcome is the
+// one its file name records (repro-<outcome>-<run id>.sched), Choices the
+// decision log the file holds, Err why it did not load.
+type Repro struct {
+	Path, Outcome string
+	Choices       []core.Choice
+	Err           error
+}
+
+// Failures counts the runs whose outcome is a bug-class result.
+func (a StrategyStat) Failures() int {
+	n := 0
+	for o := OutcomeOK; o <= OutcomeHang; o++ {
+		if o.Failure() {
+			n += a.Outcomes[o.String()]
+		}
+	}
+	return n
+}
+
+// lines returns the non-empty lines of dir/name, trimmed; a file that does not
+// exist has none.
+func lines(dir, name string) ([]string, error) {
+	data, err := os.ReadFile(filepath.Join(dir, name))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	var out []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if line = strings.TrimSpace(line); line != "" {
+			out = append(out, line)
+		}
+	}
+	return out, nil
+}
+
+// ReadResults reads a results directory without locking or modifying it. A
+// directory that holds none of the files reads as an empty Results.
+func ReadResults(dir string) (*Results, error) {
+	res := &Results{Total: StrategyStat{Strategy: "total", Outcomes: map[string]int{}}}
+	rows, err := lines(dir, runsFile)
+	if err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		if strings.HasPrefix(row, "run,") {
+			continue // runsHeader
+		}
+		cells := strings.Split(row, ",")
+		if len(cells) < 7 {
+			res.Skipped++ // torn append from a crashed writer
+			continue
+		}
+		i := slices.IndexFunc(res.Strategies, func(a StrategyStat) bool { return a.Strategy == cells[1] })
+		if i < 0 {
+			i = len(res.Strategies)
+			res.Strategies = append(res.Strategies, StrategyStat{Strategy: cells[1], Outcomes: map[string]int{}})
+		}
+		depth, _ := strconv.Atoi(cells[2])
+		decisions, _ := strconv.Atoi(cells[3])
+		for _, a := range []*StrategyStat{&res.Strategies[i], &res.Total} {
+			a.Runs++
+			a.Outcomes[cells[4]]++
+			if cells[5] == "true" {
+				a.New++
+			}
+			a.MaxDepth = max(a.MaxDepth, depth)
+			a.MaxDecisions = max(a.MaxDecisions, decisions)
+		}
+	}
+
+	if rows, err = lines(dir, seenFile); err != nil {
+		return nil, err
+	}
+	seen := make(map[string]bool, len(rows))
+	for _, fp := range rows {
+		if !seen[fp] {
+			seen[fp] = true
+			res.Seen = append(res.Seen, fp)
+		}
+	}
+
+	if rows, err = lines(dir, frontierFile); err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		prefix, err := parsePrefix(row)
+		if err != nil {
+			res.Skipped++ // corrupt entry; the rest of the frontier stands
+			continue
+		}
+		res.Frontier = append(res.Frontier, prefix)
+	}
+
+	if rows, err = lines(dir, workersFile); err != nil {
+		return nil, err
+	}
+	for _, row := range rows {
+		if strings.HasPrefix(row, "worker,") {
+			continue // workersHeader
+		}
+		var index, ms int
+		var st WorkerStat
+		if n, _ := fmt.Sscanf(row, workersRow, &index, &st.Runs, &st.New, &st.Branched, &st.Pruned, &ms); n != 6 {
+			res.Skipped++
+			continue
+		}
+		st.Elapsed = time.Duration(ms) * time.Millisecond
+		res.Workers = append(res.Workers, st)
+	}
+
+	entries, err := os.ReadDir(dir) // sorted by name
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return nil, err
+	}
+	for _, e := range entries {
+		outcome, ok := strings.CutPrefix(e.Name(), "repro-")
+		if !ok || !strings.HasSuffix(outcome, ".sched") {
+			continue
+		}
+		if i := strings.LastIndexByte(outcome, '-'); i >= 0 {
+			outcome = outcome[:i]
+		}
+		r := Repro{Path: filepath.Join(dir, e.Name()), Outcome: outcome}
+		if _, r.Choices, r.Err = LoadRepro(r.Path); r.Err != nil {
+			res.Skipped++
+		}
+		res.Repros = append(res.Repros, r)
+	}
+	return res, nil
 }

@@ -54,8 +54,9 @@ type Session struct {
 	workerStats  []WorkerStat
 }
 
-// Results-directory layout. Everything is line-oriented text so qistat can
-// summarize a directory without this package's help:
+// Results-directory layout, line-oriented text throughout. The writers are in
+// persist.go; ReadResults there is the one reader, for a resuming Session and
+// for qistat alike:
 //
 //	runs.csv     one line per run: id,strategy,depth,decisions,outcome,new,fingerprint,err
 //	seen.txt     one fingerprint per line, first-discovery order
@@ -73,6 +74,9 @@ const (
 	frontierFile = "frontier.txt"
 	workersFile  = "workers.txt"
 	runsHeader   = "run,strategy,depth,decisions,outcome,new,fingerprint,err"
+	// A workers.txt row is the worker's index and then WorkerStat's fields.
+	workersHeader = "worker,runs,new,branched,pruned,elapsed_ms"
+	workersRow    = "%d,%d,%d,%d,%d,%d"
 	// flushEvery bounds how many recorded runs may sit in the write buffer:
 	// persistence is batched (one flock + one write per batch, not per run)
 	// without letting a crash lose more than a batch.
@@ -203,13 +207,6 @@ func (s *Session) WorkerStats() []WorkerStat {
 func (s *Session) Seen(fp string) bool {
 	_, ok := s.SeenAt(fp)
 	return ok
-}
-
-// SeenFPs returns the discovered fingerprints in first-discovery order.
-func (s *Session) SeenFPs() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.seenOrdered()
 }
 
 // SeenAt returns the run id that first produced the fingerprint, for

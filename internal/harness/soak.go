@@ -12,19 +12,18 @@ import (
 
 	"qithread"
 	"qithread/internal/ingress"
-	"qithread/internal/logio"
 	"qithread/internal/trace"
 	"qithread/internal/workload"
 )
 
 // runSoak is experiment E19: a million-event streaming record. The ingress
 // server runs live with BOTH streaming sinks attached — the schedule goes to
-// a rotated binary segment writer, the ingress log to a binary batch writer —
-// plus periodic epoch checkpoints, while a sampler watches the heap to show
-// recording memory stays flat. Afterwards the streamed schedule is loaded
-// back (its hash must equal the run's fingerprint), re-encoded as text to
-// measure the size and load-time ratios, and the streamed ingress log is
-// replayed in streaming mode to the recorded observables.
+// a binary schedule writer, the ingress log to a binary batch writer, each on
+// its own file — plus periodic epoch checkpoints, while a sampler watches the
+// heap to show recording memory stays flat. Afterwards the streamed schedule
+// is loaded back (its hash must equal the run's fingerprint), re-encoded as
+// text to measure the size and load-time ratios, and the streamed ingress log
+// is replayed in streaming mode to the recorded observables.
 func runSoak(_ *Experiment, w io.Writer, _ *Runner, a Args) (*Table, error) {
 	fmt.Fprintf(w, "=== E19 soak: bounded-memory streaming record (%d requests) ===\n", a.SoakEvents)
 	dir, err := os.MkdirTemp("", "qisoak")
@@ -32,21 +31,26 @@ func runSoak(_ *Experiment, w io.Writer, _ *Runner, a Args) (*Table, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
-	base := filepath.Join(dir, "sched.qbin")
-	sw, err := trace.NewSegmentedWriter(base, 16<<20)
+	// The deferred closes are for the error returns; the recording path checks
+	// its own Close calls below.
+	schedPath := filepath.Join(dir, "sched.qbin")
+	schedF, err := os.Create(schedPath)
+	if err != nil {
+		return nil, err
+	}
+	defer schedF.Close()
+	sw, err := trace.NewBinaryWriter(schedF)
 	if err != nil {
 		return nil, err
 	}
 	logPath := filepath.Join(dir, "ingress.qlog")
 	logF, err := os.Create(logPath)
 	if err != nil {
-		sw.Close()
 		return nil, err
 	}
-	defer logF.Close() // for the error returns; the recording path checks its own Close below
+	defer logF.Close()
 	blw, err := ingress.NewBinaryLogWriter(logF)
 	if err != nil {
-		sw.Close()
 		return nil, err
 	}
 
@@ -91,33 +95,35 @@ func runSoak(_ *Experiment, w io.Writer, _ *Runner, a Args) (*Table, error) {
 	run := workload.RunIngressServer(wcfg, p, rtcfg, nil)
 	close(stop)
 	done.Wait()
-	if err := sw.Close(); err != nil {
-		return nil, err
-	}
-	if err := blw.Close(); err != nil {
-		return nil, err
-	}
-	if err := logF.Close(); err != nil {
-		return nil, err
+	for _, c := range []io.Closer{sw, schedF, blw, logF} {
+		if err := c.Close(); err != nil {
+			return nil, err
+		}
 	}
 
-	segs, err := logio.ListSegments(base)
+	// Load the streamed schedule back and check it commits to the run. This
+	// untimed load doubles as warm-up for the timed ones below: it also
+	// produces the text re-encoding, so both timed loads run with the same
+	// live heap — otherwise whichever format loads first pays the whole GC
+	// ramp from a small heap to a hundred-megabyte one and the ratio measures
+	// allocator pacing, not decoding.
+	bin, err := os.ReadFile(schedPath)
 	if err != nil {
 		return nil, err
 	}
-	var binBytes int64
-	for _, s := range segs {
-		fi, err := os.Stat(s)
-		if err != nil {
-			return nil, err
-		}
-		binBytes += fi.Size()
+	binBytes := int64(len(bin))
+	events, err := trace.Load(bytes.NewReader(bin))
+	if err != nil {
+		return nil, err
+	}
+	if h := trace.Hash(events); h != run.Fingerprint.DomainHashes[0] {
+		return nil, fmt.Errorf("streamed schedule hashes to %016x, fingerprint says %016x", h, run.Fingerprint.DomainHashes[0])
 	}
 	fmt.Fprintf(w, "recorded:  %d admitted in %d epochs, %v wall (%.0f req/s)\n",
 		run.Stats.Admitted, run.Stats.Epochs, run.Wall.Round(time.Millisecond),
 		float64(run.Stats.Admitted)/run.Wall.Seconds())
-	fmt.Fprintf(w, "schedule:  %d events streamed to %d segment(s), %d bytes (%.1f B/event)\n",
-		sw.Len(), len(segs), binBytes, float64(binBytes)/float64(sw.Len()))
+	fmt.Fprintf(w, "schedule:  %d events streamed, %d bytes (%.1f B/event)\n",
+		len(events), binBytes, float64(binBytes)/float64(len(events)))
 	var ckptBytes int
 	if n := len(run.Checkpoints); n > 0 {
 		var buf bytes.Buffer
@@ -138,19 +144,7 @@ func runSoak(_ *Experiment, w io.Writer, _ *Runner, a Args) (*Table, error) {
 	fmt.Fprintf(w, "heap:      first %.1f MB, max %.1f MB, last %.1f MB over %d samples (streaming holds it flat)\n",
 		mb(first), mb(max), mb(last), len(samples))
 
-	// Load the streamed schedule back and check it commits to the run, then
-	// time both formats. The first (untimed) load doubles as warm-up: it also
-	// produces the text re-encoding, so both timed loads run with the same
-	// live heap — otherwise whichever format loads first pays the whole GC
-	// ramp from a small heap to a hundred-megabyte one and the ratio measures
-	// allocator pacing, not decoding.
-	events, err := trace.LoadSegments(base)
-	if err != nil {
-		return nil, err
-	}
-	if h := trace.Hash(events); h != run.Fingerprint.DomainHashes[0] {
-		return nil, fmt.Errorf("streamed schedule hashes to %016x, fingerprint says %016x", h, run.Fingerprint.DomainHashes[0])
-	}
+	// Time both formats.
 	var text bytes.Buffer
 	if err := trace.Save(&text, events); err != nil {
 		return nil, err
@@ -158,7 +152,7 @@ func runSoak(_ *Experiment, w io.Writer, _ *Runner, a Args) (*Table, error) {
 	textBytes := int64(text.Len())
 	runtime.GC()
 	t0 := time.Now()
-	if _, err := trace.LoadSegments(base); err != nil {
+	if _, err := trace.Load(bytes.NewReader(bin)); err != nil {
 		return nil, err
 	}
 	binLoad := time.Since(t0)

@@ -75,17 +75,12 @@ func TestScheduleFormatV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestScheduleFormatVersionErrors covers the explicit failure modes: v1
-// cannot represent non-default domains, unknown versions are rejected, and —
-// the bug this format revision fixes — a line with more fields than its
-// declared version is an error, not a silent truncation.
+// TestScheduleFormatVersionErrors covers the explicit failure modes: unknown
+// versions are rejected, and — the bug the v2 format revision fixed — a line
+// with more fields than its declared version is an error, not a silent
+// truncation. (Save picks the version itself, so a v1 file can never be asked
+// to hold a non-default domain.)
 func TestScheduleFormatVersionErrors(t *testing.T) {
-	if err := trace.SaveVersion(&strings.Builder{}, formatEvents(true), 1); err == nil {
-		t.Error("SaveVersion(v1) accepted an event outside the default domain")
-	}
-	if err := trace.SaveVersion(&strings.Builder{}, formatEvents(false), 3); err == nil {
-		t.Error("SaveVersion accepted unknown version 3")
-	}
 	cases := []struct {
 		name, in string
 	}{

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"qithread/internal/logio"
 )
@@ -48,9 +47,6 @@ type BinaryLogWriter struct {
 	fw        *logio.FrameWriter
 	buf       []byte
 	lastEpoch int64
-	batches   int64
-	events    int64
-	closed    bool
 }
 
 // NewBinaryLogWriter writes the v2b header and returns a writer appending to
@@ -63,54 +59,30 @@ func NewBinaryLogWriter(w io.Writer) (*BinaryLogWriter, error) {
 }
 
 // AppendBatch writes one recorded batch. Epochs must be strictly increasing;
-// empty snapshots are not recorded (matching Log.append's callers).
+// empty snapshots are not recorded (matching Log.append's callers). After
+// Close it fails, as a second Close does: the frame writer is closed.
 func (bw *BinaryLogWriter) AppendBatch(epoch int64, snap []Event) error {
-	if bw.closed {
-		return fmt.Errorf("ingress: append to closed binary log writer")
-	}
-	if len(snap) == 0 {
-		return fmt.Errorf("ingress: empty batch for epoch %d", epoch)
-	}
-	if epoch <= bw.lastEpoch {
-		return fmt.Errorf("ingress: batch epoch %d out of order (previous %d)", epoch, bw.lastEpoch)
+	if err := checkBatch(bw.lastEpoch, epoch, len(snap)); err != nil {
+		return fmt.Errorf("ingress: %w", err)
 	}
 	b := binary.AppendUvarint(bw.buf[:0], uint64(epoch-bw.lastEpoch))
 	b = binary.AppendUvarint(b, uint64(len(snap)))
 	for _, e := range snap {
+		if err := checkSource(int64(e.Source)); err != nil {
+			return fmt.Errorf("ingress: epoch %d: %w", epoch, err)
+		}
 		b = binary.AppendUvarint(b, uint64(e.Source))
 		b = binary.AppendUvarint(b, uint64(len(e.Data)))
 		b = append(b, e.Data...)
 	}
 	bw.buf = b
 	bw.lastEpoch = epoch
-	bw.batches++
-	bw.events += int64(len(snap))
 	return bw.fw.WriteFrame(b, true)
-}
-
-// Batches and Events return the counts written so far.
-func (bw *BinaryLogWriter) Batches() int64 { return bw.batches }
-func (bw *BinaryLogWriter) Events() int64  { return bw.events }
-
-// Flush pushes buffered frames to the underlying writer without terminating
-// the log (checkpoint boundaries flush so the sidecar log is complete up to
-// the checkpoint).
-func (bw *BinaryLogWriter) Flush() error {
-	if bw.closed {
-		return fmt.Errorf("ingress: flush of closed binary log writer")
-	}
-	return bw.fw.Flush()
 }
 
 // Close writes the terminator and flushes. It does not close the underlying
 // writer.
-func (bw *BinaryLogWriter) Close() error {
-	if bw.closed {
-		return fmt.Errorf("ingress: double close of binary log writer")
-	}
-	bw.closed = true
-	return bw.fw.Close()
-}
+func (bw *BinaryLogWriter) Close() error { return bw.fw.Close() }
 
 // SaveBinary writes the log in the v2b binary format.
 func (l *Log) SaveBinary(w io.Writer) error {
@@ -132,12 +104,12 @@ func loadLogBinary(br *bufio.Reader) (*Log, error) {
 	fr := logio.NewFrameReader(br)
 	l := &Log{}
 	epoch := int64(0)
-	frame := 0
 	for {
 		payload, err := fr.Next()
 		if err == io.EOF {
 			return l, nil
 		}
+		frame := len(l.Batches)
 		if err != nil {
 			return nil, fmt.Errorf("ingress: batch frame %d: %w", frame, err)
 		}
@@ -146,22 +118,24 @@ func loadLogBinary(br *bufio.Reader) (*Log, error) {
 		// capacity-limited, so a consumer's append cannot reach a neighbour.
 		payload = append([]byte(nil), payload...)
 		d := logio.NewDec(payload)
-		delta := d.Uvarint()
-		if delta == 0 || delta > math.MaxInt64-uint64(epoch) {
-			return nil, fmt.Errorf("ingress: batch frame %d: bad epoch delta %d after epoch %d", frame, delta, epoch)
-		}
-		epoch += int64(delta)
+		// A delta that overflows int64 wraps to an epoch at or below the
+		// previous one, which checkBatch refuses like a zero delta.
+		next := epoch + int64(d.Uvarint())
 		count := d.Uvarint()
 		// Every event takes at least the source and length varints, so a
 		// count beyond half the payload is corruption.
-		if count == 0 || count > uint64(len(payload))/2 {
+		if count > uint64(len(payload))/2 {
 			return nil, fmt.Errorf("ingress: batch frame %d: implausible event count %d for a %d-byte frame", frame, count, len(payload))
 		}
+		if err := checkBatch(epoch, next, int(count)); err != nil {
+			return nil, fmt.Errorf("ingress: batch frame %d: %w", frame, err)
+		}
+		epoch = next
 		b := Batch{Epoch: epoch, Events: make([]Event, 0, count)}
 		for i := uint64(0); i < count; i++ {
 			src := d.Uvarint()
-			if src > math.MaxInt32 {
-				return nil, fmt.Errorf("ingress: batch frame %d: source id %d out of range", frame, src)
+			if err := checkSource(int64(src)); err != nil { // past int64 wraps negative: refused either way
+				return nil, fmt.Errorf("ingress: batch frame %d: %w", frame, err)
 			}
 			n := d.Uvarint()
 			raw := d.Bytes(n)
@@ -178,6 +152,5 @@ func loadLogBinary(br *bufio.Reader) (*Log, error) {
 			return nil, fmt.Errorf("ingress: batch frame %d: %d trailing bytes after %d events", frame, d.Len(), count)
 		}
 		l.Batches = append(l.Batches, b)
-		frame++
 	}
 }

@@ -2,6 +2,10 @@ package ingress
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -173,6 +177,82 @@ func TestIngressLineLimit(t *testing.T) {
 	}
 }
 
+// TestLogFormatsPinned holds both log writers to the bytes the parent of the
+// one-declaration-per-schema change wrote for synthLog(40): testdata/ holds
+// that build's two files (every binary frame is stored raw at this size, so
+// the bytes do not depend on compress/flate) and the SHA-256 constants were
+// recorded there too. Each file must also load to the log it was saved from.
+func TestLogFormatsPinned(t *testing.T) {
+	l := synthLog(40)
+	for _, tc := range []struct {
+		file, header, sha string
+		save              func(io.Writer) error
+	}{
+		{"v1.log", logHeaderV1, "c59eb8852c14baf2d5cdab7b06d64534e8dfbc45d60c87b07b30e40e5bd0a722", l.Save},
+		{"v2b.qlog", logHeaderV2B, "8ee6457a87a798b6385abb2cd8c096012b7fe7c214150a4ba562af5c1afa8a3a", l.SaveBinary},
+	} {
+		file, err := os.ReadFile("testdata/" + tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(file); hex.EncodeToString(sum[:]) != tc.sha {
+			t.Errorf("testdata/%s is not the file the parent build wrote (sha256 %x)", tc.file, sum)
+		}
+		if !strings.HasPrefix(string(file), tc.header+"\n") {
+			t.Errorf("testdata/%s does not start with %q", tc.file, tc.header)
+		}
+		var buf bytes.Buffer
+		if err := tc.save(&buf); err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if !bytes.Equal(buf.Bytes(), file) {
+			t.Errorf("%s: the writer's output changed", tc.file)
+		}
+		got, err := LoadLog(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("LoadLog(testdata/%s): %v", tc.file, err)
+		}
+		logsEqual(t, got, l)
+	}
+}
+
+// TestLogWritersEnforceBounds: what the loaders refuse, neither writer writes.
+// Log.Save used to check nothing, and a source id past int32 went out through
+// SaveBinary as a file loadLogBinary refused.
+func TestLogWritersEnforceBounds(t *testing.T) {
+	ev := []Event{{Source: 0}}
+	big := make([]byte, maxTextHex/2+1)
+	for name, tc := range map[string]struct {
+		log      *Log
+		textOnly bool
+	}{
+		"empty batch":          {log: &Log{Batches: []Batch{{Epoch: 1}}}},
+		"epoch zero":           {log: &Log{Batches: []Batch{{Epoch: 0, Events: ev}}}},
+		"epoch not increasing": {log: &Log{Batches: []Batch{{Epoch: 2, Events: ev}, {Epoch: 2, Events: ev}}}},
+		"negative source":      {log: &Log{Batches: []Batch{{Epoch: 1, Events: []Event{{Source: -1}}}}}},
+		"source past int32":    {log: &Log{Batches: []Batch{{Epoch: 1, Events: []Event{{Source: maxSource + 1}}}}}},
+		"payload past a line":  {log: &Log{Batches: []Batch{{Epoch: 1, Events: []Event{{Source: maxSource, Data: big}}}}}, textOnly: true},
+	} {
+		if err := tc.log.Save(io.Discard); err == nil {
+			t.Errorf("Save wrote a log with an %s", name)
+		}
+		if err := tc.log.SaveBinary(io.Discard); (err == nil) != tc.textOnly {
+			t.Errorf("SaveBinary of a log with an %s: %v", name, err)
+		}
+	}
+	// The largest event a text line holds round-trips through it.
+	atLimit := &Log{Batches: []Batch{{Epoch: 1, Events: []Event{{Source: maxSource, Data: big[1:]}}}}}
+	var buf bytes.Buffer
+	if err := atLimit.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := LoadLog(&buf)
+	if err != nil {
+		t.Fatalf("the longest line Save writes does not load: %v", err)
+	}
+	logsEqual(t, got, atLimit)
+}
+
 func TestBinaryLogWriterMisuse(t *testing.T) {
 	var buf bytes.Buffer
 	bw, err := NewBinaryLogWriter(&buf)
@@ -214,12 +294,36 @@ func FuzzLoadLog(f *testing.F) {
 	f.Add([]byte(logHeaderV2B + "\n"))
 	f.Add([]byte(logHeaderV2B + "\n\x04\x00ab\x01x\x00\x00\x00\x00\x00"))
 	f.Add([]byte(logHeaderV1 + "\nbatch 1 2\n0 -\n"))
+	f.Add([]byte(logHeaderV1 + "\nbatch 1 1000000000000000\n"))
+	f.Add([]byte(logHeaderV1 + "\nbatch 1 1000000000\n0 -\n"))
+	f.Add([]byte(logHeaderV1 + "\nbatch 1 1\n1099511627776 -\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// LoadLog must never panic; a loaded log must be structurally sound
-		// (strictly increasing epochs, non-empty batches).
+		// (strictly increasing epochs, non-empty batches) and the same log in
+		// both codecs: what one loader accepts, both writers write and both
+		// loaders read back.
 		got, err := LoadLog(bytes.NewReader(data))
 		if err != nil {
 			return
+		}
+		codecs := map[string]func(io.Writer) error{"text": got.Save, "binary": got.SaveBinary}
+		for _, b := range got.Batches {
+			for _, e := range b.Events {
+				if 2*len(e.Data) > maxTextHex {
+					delete(codecs, "text") // a frame holds a payload no text line does; Save says so
+				}
+			}
+		}
+		for name, save := range codecs {
+			var buf bytes.Buffer
+			if err := save(&buf); err != nil {
+				t.Fatalf("loaded log does not save as %s: %v", name, err)
+			}
+			again, err := LoadLog(&buf)
+			if err != nil {
+				t.Fatalf("saved as %s, the log does not reload: %v", name, err)
+			}
+			logsEqual(t, again, got)
 		}
 		last := int64(0)
 		for i, b := range got.Batches {

@@ -81,21 +81,27 @@ func TestLogSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadLogStrict(t *testing.T) {
 	cases := []struct {
-		name, in string
+		name, in, want string
 	}{
-		{"empty", ""},
-		{"bad header", "qithread-ingress v9\n"},
-		{"bad batch line", "qithread-ingress v1\nbatch 1\n"},
-		{"zero count", "qithread-ingress v1\nbatch 1 0\n"},
-		{"non-monotone epoch", "qithread-ingress v1\nbatch 2 1\n0 ff\nbatch 2 1\n0 ff\n"},
-		{"truncated batch", "qithread-ingress v1\nbatch 1 2\n0 ff\n"},
-		{"bad hex", "qithread-ingress v1\nbatch 1 1\n0 zz\n"},
-		{"bad source", "qithread-ingress v1\nbatch 1 1\n-2 ff\n"},
-		{"extra field", "qithread-ingress v1\nbatch 1 1\n0 ff trailing\n"},
+		{"empty", "", "empty file"},
+		{"bad header", "qithread-ingress v9\n", "bad header"},
+		{"bad batch line", "qithread-ingress v1\nbatch 1\n", "line 2"},
+		{"zero count", "qithread-ingress v1\nbatch 1 0\n", "line 2"},
+		{"non-monotone epoch", "qithread-ingress v1\nbatch 2 1\n0 ff\nbatch 2 1\n0 ff\n", "line 4"},
+		{"truncated batch", "qithread-ingress v1\nbatch 1 2\n0 ff\n", "line 3"},
+		{"bad hex", "qithread-ingress v1\nbatch 1 1\n0 zz\n", "line 3"},
+		{"bad source", "qithread-ingress v1\nbatch 1 1\n-2 ff\n", "line 3"},
+		{"extra field", "qithread-ingress v1\nbatch 1 1\n0 ff trailing\n", "line 3"},
+		// The count is a claim, not an allocation size: these two used to
+		// size a slice from it (the first panicked in makeslice).
+		{"hostile count", "qithread-ingress v1\nbatch 1 1000000000000000\n", "line 2"},
+		{"hostile count 1e9", "qithread-ingress v1\nbatch 1 1000000000\n0 -\n", "line 3"},
+		// What the binary codec cannot store, the text codec refuses too.
+		{"source past int32", "qithread-ingress v1\nbatch 1 1\n1099511627776 -\n", "line 3: bad source id 1099511627776"},
 	}
 	for _, c := range cases {
-		if _, err := LoadLog(strings.NewReader(c.in)); err == nil {
-			t.Errorf("%s: LoadLog accepted malformed input", c.name)
+		if _, err := LoadLog(strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: LoadLog = %v, want an error naming %q", c.name, err, c.want)
 		}
 	}
 }

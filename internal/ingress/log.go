@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -36,6 +37,39 @@ import (
 // A binary version ("qithread-ingress v2b", see binary.go) serves
 // million-event runs; LoadLog auto-detects both from the header line.
 const logHeaderV1 = "qithread-ingress v1"
+
+// The bounds of a recorded batch, the same in both codecs and on both sides
+// of each — Log.Save, BinaryLogWriter.AppendBatch, loadLogText and
+// loadLogBinary all go through checkBatch and checkSource, so neither writer
+// emits a file either loader refuses: epochs start at 1 and strictly increase,
+// a batch holds at least one event (empty snapshots are not recorded), and a
+// source id is a registration index that fits in int32. The text codec adds
+// one of its own: an event line — a source id of up to ten digits, a space,
+// the payload in hex, the newline — must fit logio.MaxLine, or loadLogText
+// could not read back what Log.Save wrote (the binary format holds it).
+const (
+	maxSource  = math.MaxInt32
+	maxTextHex = logio.MaxLine - 12
+)
+
+// checkBatch checks a batch header — its epoch against the previous batch's
+// (0 before the first) and its event count.
+func checkBatch(prev, epoch int64, events int) error {
+	if epoch <= prev {
+		return fmt.Errorf("epoch %d out of order (previous %d)", epoch, prev)
+	}
+	if events < 1 {
+		return fmt.Errorf("bad event count %d for epoch %d (want at least 1)", events, epoch)
+	}
+	return nil
+}
+
+func checkSource(src int64) error {
+	if src < 0 || src > maxSource {
+		return fmt.Errorf("bad source id %d (want 0..%d)", src, maxSource)
+	}
+	return nil
+}
 
 // Batch is one recorded admission snapshot: the events collected at one
 // epoch boundary, in arrival order.
@@ -69,24 +103,29 @@ func (l *Log) Events() int {
 // Save writes the log in the versioned text format.
 func (l *Log) Save(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintln(bw, logHeaderV1); err != nil {
-		return err
-	}
+	fmt.Fprintln(bw, logHeaderV1)
+	prev := int64(0)
 	for _, b := range l.Batches {
-		if _, err := fmt.Fprintf(bw, "batch %d %d\n", b.Epoch, len(b.Events)); err != nil {
-			return err
+		if err := checkBatch(prev, b.Epoch, len(b.Events)); err != nil {
+			return fmt.Errorf("ingress: %w", err)
 		}
+		prev = b.Epoch
+		fmt.Fprintf(bw, "batch %d %d\n", b.Epoch, len(b.Events))
 		for _, e := range b.Events {
+			if err := checkSource(int64(e.Source)); err != nil {
+				return fmt.Errorf("ingress: epoch %d: %w", b.Epoch, err)
+			}
 			data := "-"
 			if len(e.Data) > 0 {
 				data = hex.EncodeToString(e.Data)
 			}
-			if _, err := fmt.Fprintf(bw, "%d %s\n", e.Source, data); err != nil {
-				return err
+			if len(data) > maxTextHex {
+				return fmt.Errorf("ingress: epoch %d: a %d-byte payload does not fit a %d-byte text line; save the log in the binary format", b.Epoch, len(e.Data), logio.MaxLine)
 			}
+			fmt.Fprintf(bw, "%d %s\n", e.Source, data)
 		}
 	}
-	return bw.Flush()
+	return bw.Flush() // write errors stick to bw and surface here
 }
 
 // LoadLog reads a log written by Save or SaveBinary, auto-detecting the text
@@ -128,15 +167,17 @@ func loadLogText(r io.Reader) (*Log, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ingress: line %d: bad epoch: %v", line, err)
 		}
-		if epoch <= lastEpoch {
-			return nil, fmt.Errorf("ingress: line %d: epoch %d out of order (previous %d)", line, epoch, lastEpoch)
-		}
-		lastEpoch = epoch
 		count, err := strconv.Atoi(fields[2])
-		if err != nil || count < 1 {
+		if err != nil {
 			return nil, fmt.Errorf("ingress: line %d: bad event count %q", line, fields[2])
 		}
-		b := Batch{Epoch: epoch, Events: make([]Event, 0, count)}
+		if err := checkBatch(lastEpoch, epoch, count); err != nil {
+			return nil, fmt.Errorf("ingress: line %d: %w", line, err)
+		}
+		lastEpoch = epoch
+		// The count is a claim until the event lines have been read: it sizes
+		// the slice only up to what a real batch holds.
+		b := Batch{Epoch: epoch, Events: make([]Event, 0, min(count, 1024))}
 		for i := 0; i < count; i++ {
 			if !sc.Scan() {
 				if err := logio.ScanErr(sc.Err(), "ingress: log", line); err != nil {
@@ -149,9 +190,12 @@ func loadLogText(r io.Reader) (*Log, error) {
 			if len(ev) != 2 {
 				return nil, fmt.Errorf("ingress: line %d: want \"<source> <hex-payload>\", got %q", line, sc.Text())
 			}
-			src, err := strconv.Atoi(ev[0])
-			if err != nil || src < 0 {
-				return nil, fmt.Errorf("ingress: line %d: bad source id %q", line, ev[0])
+			src, err := strconv.ParseInt(ev[0], 10, 64)
+			if err == nil {
+				err = checkSource(src)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("ingress: line %d: %w", line, err)
 			}
 			var data []byte
 			if ev[1] != "-" {
@@ -160,7 +204,7 @@ func loadLogText(r io.Reader) (*Log, error) {
 					return nil, fmt.Errorf("ingress: line %d: bad payload hex: %v", line, err)
 				}
 			}
-			b.Events = append(b.Events, Event{Source: src, Data: data})
+			b.Events = append(b.Events, Event{Source: int(src), Data: data})
 		}
 		l.Batches = append(l.Batches, b)
 	}

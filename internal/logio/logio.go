@@ -2,8 +2,8 @@
 // the varint-framed, CRC32C-checksummed binary container used by binary
 // schedule files (internal/trace, "qithread-schedule v3b") and binary ingress
 // logs (internal/ingress, "qithread-ingress v2b"), plus the guarded text
-// line scanner both text loaders share and the segment naming scheme of
-// rotated long-run logs.
+// line scanner and header reader both text loaders share and the one FNV fold
+// behind every fingerprint.
 //
 // # Container layout
 //
@@ -23,8 +23,7 @@
 // silently shorter log, matching the strictness of the text parsers.
 //
 // Frames are self-contained: a reader needs no state from earlier frames to
-// decode a later one, which is what makes segment rotation (each segment a
-// complete mini-log) and mid-stream tooling cheap.
+// decode a later one.
 package logio
 
 import (
@@ -115,18 +114,6 @@ func (fw *FrameWriter) WriteFrame(payload []byte, compress bool) error {
 	var crc [4]byte
 	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(stored, crcTable))
 	if _, err := fw.bw.Write(crc[:]); err != nil {
-		return fw.fail(err)
-	}
-	return nil
-}
-
-// Flush pushes buffered bytes to the underlying writer without terminating
-// the log (streaming sinks flush at event-batch boundaries).
-func (fw *FrameWriter) Flush() error {
-	if fw.err != nil {
-		return fw.err
-	}
-	if err := fw.bw.Flush(); err != nil {
 		return fw.fail(err)
 	}
 	return nil
@@ -258,20 +245,6 @@ func (d *Dec) Uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.err = errors.New("logio: corrupt record: bad varint")
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
-}
-
-// Varint decodes one signed (zigzag) varint.
-func (d *Dec) Varint() int64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(d.b)
 	if n <= 0 {
 		d.err = errors.New("logio: corrupt record: bad varint")
 		return 0

@@ -3,7 +3,6 @@ package logio
 import (
 	"bytes"
 	"io"
-	"os"
 	"strings"
 	"testing"
 )
@@ -137,25 +136,4 @@ func TestLineScannerLimit(t *testing.T) {
 	if !sc.Scan() || sc.Text() != mid {
 		t.Fatalf("200KB line failed to scan: %v", sc.Err())
 	}
-}
-
-func TestSegmentListing(t *testing.T) {
-	dir := t.TempDir()
-	base := dir + "/run.qsched"
-	for i := 0; i < 3; i++ {
-		if err := writeFile(SegmentPath(base, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	segs, err := ListSegments(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 3 || segs[0] != SegmentPath(base, 0) || segs[2] != SegmentPath(base, 2) {
-		t.Fatalf("segments = %v", segs)
-	}
-}
-
-func writeFile(path string) error {
-	return os.WriteFile(path, []byte("seg"), 0o644)
 }

@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
-	"os"
 
 	"qithread/internal/core"
 	"qithread/internal/logio"
@@ -30,16 +28,13 @@ import (
 // flags bits 0–1 carry the event status; bits 2/3/4 mean "tid/obj/domain equal
 // to the previous event's", in which case the corresponding varint is omitted.
 // The previous-event registers reset to (0, 0, 0) at each frame start, keeping
-// frames self-contained for segment rotation and mid-stream tooling. Seq is
-// not stored at all: the loader assigns it by position, which is also what
-// lets LoadSegments renumber a rotated log globally.
+// frames self-contained. Seq is not stored at all: the loader assigns it by
+// position.
 //
 // Schedule traces are extremely repetitive (a handful of threads ping-ponging
 // over a handful of objects), so frames additionally DEFLATE-compress under
 // the container's encoding byte. Together the delta flags and compression put
 // v3b well past the 5× size/speed targets over the text format.
-
-const scheduleHeaderV3B = "qithread-schedule v3b"
 
 // frameEvents is the number of events per binary frame. Large enough to
 // amortize framing and give DEFLATE context, small enough that a streaming
@@ -112,7 +107,6 @@ func (fe *frameEnc) flush(fw *logio.FrameWriter) error {
 type BinaryWriter struct {
 	fw     *logio.FrameWriter
 	enc    frameEnc
-	n      int64
 	closed bool
 }
 
@@ -131,36 +125,20 @@ func (bw *BinaryWriter) Append(e core.Event) error {
 	if bw.closed {
 		return fmt.Errorf("trace: append to closed binary schedule writer")
 	}
+	if err := checkEvent(e); err != nil {
+		return err
+	}
 	bw.enc.add(e)
-	bw.n++
 	if bw.enc.count >= frameEvents {
 		return bw.enc.flush(bw.fw)
 	}
 	return nil
 }
 
-// Len returns the number of events appended so far.
-func (bw *BinaryWriter) Len() int64 { return bw.n }
-
-// Flush frames any buffered events and pushes them to the underlying writer
-// without terminating the log. Streaming runs flush at checkpoint boundaries
-// so a checkpoint's sidecar log is complete up to the checkpoint.
-func (bw *BinaryWriter) Flush() error {
-	if bw.closed {
-		return fmt.Errorf("trace: flush of closed binary schedule writer")
-	}
-	if err := bw.enc.flush(bw.fw); err != nil {
-		return err
-	}
-	return bw.fw.Flush()
-}
-
 // Close frames any buffered events, writes the terminator and flushes. It
-// does not close the underlying writer.
+// does not close the underlying writer. A second Close fails in the frame
+// writer, which is closed by then.
 func (bw *BinaryWriter) Close() error {
-	if bw.closed {
-		return fmt.Errorf("trace: double close of binary schedule writer")
-	}
 	bw.closed = true
 	if err := bw.enc.flush(bw.fw); err != nil {
 		return err
@@ -232,13 +210,13 @@ func loadBinary(br *bufio.Reader) ([]core.Event, error) {
 				return nil, fmt.Errorf("trace: schedule frame %d: unknown flag bits %#02x", frame, flags)
 			}
 			status := flags & flagStatusMask
-			if status > uint8(core.StatusReturn) {
+			if status > uint8(maxStatus) {
 				return nil, fmt.Errorf("trace: schedule frame %d: bad event status %d", frame, status)
 			}
 			tid, obj, dom := prevTID, prevObj, prevDom
 			if flags&flagSameTID == 0 {
 				v := d.Uvarint()
-				if v > math.MaxInt32 {
+				if v > maxID {
 					return nil, fmt.Errorf("trace: schedule frame %d: thread id %d out of range", frame, v)
 				}
 				tid = int(v)
@@ -248,7 +226,7 @@ func loadBinary(br *bufio.Reader) ([]core.Event, error) {
 			}
 			if flags&flagSameDomain == 0 {
 				v := d.Uvarint()
-				if v > math.MaxInt32 {
+				if v > maxID {
 					return nil, fmt.Errorf("trace: schedule frame %d: domain id %d out of range", frame, v)
 				}
 				dom = int(v)
@@ -270,133 +248,6 @@ func loadBinary(br *bufio.Reader) ([]core.Event, error) {
 		if d.Len() != 0 {
 			return nil, fmt.Errorf("trace: schedule frame %d: %d trailing bytes after %d events", frame, d.Len(), f.count)
 		}
-	}
-	return out, nil
-}
-
-// SegmentedWriter streams a v3b schedule across rotated segment files
-// (logio.SegmentPath naming): each segment is a complete, independently
-// loadable binary log, and the writer rotates at frame boundaries once a
-// segment passes its byte budget. It implements core.TraceSink.
-type SegmentedWriter struct {
-	base      string
-	maxBytes  int64
-	seg       int
-	f         *os.File
-	cw        countWriter
-	bw        *BinaryWriter
-	segEvents int64
-	n         int64
-}
-
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
-}
-
-// NewSegmentedWriter creates segment 0 of a rotated binary schedule at
-// base.seg00000 and returns the writer. maxBytes is the per-segment rotation
-// budget; zero means 64MB.
-func NewSegmentedWriter(base string, maxBytes int64) (*SegmentedWriter, error) {
-	if maxBytes <= 0 {
-		maxBytes = 64 << 20
-	}
-	sw := &SegmentedWriter{base: base, maxBytes: maxBytes}
-	if err := sw.open(); err != nil {
-		return nil, err
-	}
-	return sw, nil
-}
-
-func (sw *SegmentedWriter) open() error {
-	f, err := os.Create(logio.SegmentPath(sw.base, sw.seg))
-	if err != nil {
-		return err
-	}
-	sw.f = f
-	sw.cw = countWriter{w: f}
-	sw.bw, err = NewBinaryWriter(&sw.cw)
-	if err != nil {
-		f.Close()
-		return err
-	}
-	sw.segEvents = 0
-	return nil
-}
-
-func (sw *SegmentedWriter) closeSegment() error {
-	if err := sw.bw.Close(); err != nil {
-		sw.f.Close()
-		return err
-	}
-	return sw.f.Close()
-}
-
-// Append adds one event, rotating to a new segment when the current one has
-// passed its byte budget (checked at frame boundaries only, so every segment
-// holds whole frames).
-func (sw *SegmentedWriter) Append(e core.Event) error {
-	if err := sw.bw.Append(e); err != nil {
-		return err
-	}
-	sw.segEvents++
-	sw.n++
-	if sw.segEvents%frameEvents == 0 {
-		if err := sw.bw.Flush(); err != nil {
-			return err
-		}
-		if sw.cw.n >= sw.maxBytes {
-			if err := sw.closeSegment(); err != nil {
-				return err
-			}
-			sw.seg++
-			return sw.open()
-		}
-	}
-	return nil
-}
-
-// Len returns the number of events appended across all segments.
-func (sw *SegmentedWriter) Len() int64 { return sw.n }
-
-// Flush frames buffered events and pushes them to the current segment file.
-func (sw *SegmentedWriter) Flush() error { return sw.bw.Flush() }
-
-// Close terminates and closes the current segment. Earlier segments were
-// closed at rotation.
-func (sw *SegmentedWriter) Close() error { return sw.closeSegment() }
-
-// LoadSegments loads a rotated binary schedule written by SegmentedWriter,
-// concatenating the segments of base in order and renumbering Seq globally.
-func LoadSegments(base string) ([]core.Event, error) {
-	paths, err := logio.ListSegments(base)
-	if err != nil {
-		return nil, err
-	}
-	if len(paths) == 0 {
-		return nil, fmt.Errorf("trace: no schedule segments found for %s", base)
-	}
-	var out []core.Event
-	for _, p := range paths {
-		f, err := os.Open(p)
-		if err != nil {
-			return nil, err
-		}
-		evs, err := Load(f)
-		f.Close()
-		if err != nil {
-			return nil, fmt.Errorf("trace: segment %s: %w", p, err)
-		}
-		for i := range evs {
-			evs[i].Seq = int64(len(out) + i)
-		}
-		out = append(out, evs...)
 	}
 	return out, nil
 }

@@ -3,9 +3,9 @@ package trace
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
+	"io"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -203,50 +203,6 @@ func TestBinaryLoadAllocBound(t *testing.T) {
 	t.Logf("allocated %.3fx the schedule", float64(allocated)/float64(exact))
 }
 
-func TestSegmentedWriter(t *testing.T) {
-	dir := t.TempDir()
-	base := filepath.Join(dir, "sched.bin")
-	events := synthSchedule(5 * frameEvents)
-	sw, err := NewSegmentedWriter(base, 4096) // tiny budget to force rotation
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range events {
-		if err := sw.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := logio.ListSegments(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 2 {
-		t.Fatalf("expected rotation to produce multiple segments, got %d", len(segs))
-	}
-	got, err := LoadSegments(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(events) {
-		t.Fatalf("loaded %d events from %d segments, want %d", len(got), len(segs), len(events))
-	}
-	for i := range got {
-		if got[i] != events[i] {
-			t.Fatalf("event %d: got %+v, want %+v", i, got[i], events[i])
-		}
-	}
-	// A lost segment must be a loud error, not a silently shorter schedule.
-	if err := os.Remove(segs[0]); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadSegments(base); err == nil {
-		t.Fatal("LoadSegments succeeded with a missing segment")
-	}
-}
-
 // TestLoadLineLimit pins the satellite fix: the schedule text loader
 // historically used an unguarded bufio.Scanner (64KB default) while the
 // ingress loader allowed 1MB. Both now share logio.LineScanner: a line within
@@ -285,14 +241,16 @@ func FuzzLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(explored.Bytes())
-	f.Add([]byte(scheduleHeaderV3 + "\nc 1 2 0 1\n0 0 1 0 0\n"))
+	f.Add([]byte(HeaderExplored + "\nc 1 2 0 1\n0 0 1 0 0\n"))
 	for _, file := range hostileSchedules() {
 		f.Add([]byte(file))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Load must never panic or hang; on success the result must be
-		// self-consistent (Seq densely numbered) and safe to replay (ids and
-		// status in range), on failure just an error.
+		// self-consistent (Seq densely numbered), safe to replay (ids and
+		// status in range) and the same schedule in every codec: a file one
+		// loader accepts is one every writer can write and every loader reads
+		// back. On failure just an error.
 		evs, err := Load(bytes.NewReader(data))
 		if err != nil {
 			return
@@ -304,6 +262,27 @@ func FuzzLoad(f *testing.F) {
 			if e.TID < 0 || e.Domain < 0 || e.Status > core.StatusReturn {
 				t.Fatalf("loaded schedule has out-of-range event %+v", e)
 			}
+		}
+		for name, save := range map[string]func(io.Writer, []core.Event) error{"text": Save, "binary": SaveBinary} {
+			var buf bytes.Buffer
+			if err := save(&buf, evs); err != nil {
+				t.Fatalf("loaded schedule does not save as %s: %v", name, err)
+			}
+			if again, err := Load(&buf); err != nil || !slices.Equal(again, evs) {
+				t.Fatalf("saved as %s, the schedule reloads as %v, %v; want %v", name, again, err, evs)
+			}
+		}
+		// An explored schedule keeps its decision log, text to text.
+		evs, choices, err := LoadExplored(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := SaveExplored(&buf, evs, choices); err != nil {
+			t.Fatalf("loaded explored schedule does not save: %v", err)
+		}
+		if evs2, choices2, err := LoadExplored(&buf); err != nil || !slices.Equal(evs2, evs) || !slices.Equal(choices2, choices) {
+			t.Fatalf("explored schedule reloads as %v, %v, %v; want %v, %v", evs2, choices2, err, evs, choices)
 		}
 	})
 }

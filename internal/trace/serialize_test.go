@@ -34,14 +34,14 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 // hostileSchedules are text schedules whose fields parse as numbers but lie
-// outside what an Event may hold; replaying the negative thread id used to
-// index the scheduler's thread table with it. One file per (version, field):
-// the bad line is always line 3, behind a valid event. FuzzLoad seeds its
-// corpus with them.
+// outside what an Event or a Choice may hold; replaying the negative thread id
+// used to index the scheduler's thread table with it. One file per (version,
+// field): the bad line is always line 3, behind a valid event. FuzzLoad seeds
+// its corpus with them.
 func hostileSchedules() map[string]string {
 	out := make(map[string]string)
 	for _, v := range []struct{ header, suffix string }{
-		{scheduleHeaderV1, ""}, {scheduleHeaderV2, " 0"}, {scheduleHeaderV3, " 0"},
+		{scheduleHeaderV1, ""}, {scheduleHeaderV2, " 0"}, {HeaderExplored, " 0"},
 	} {
 		for name, line := range map[string]string{
 			"negative tid": "1 -1 3 0 0",
@@ -53,6 +53,16 @@ func hostileSchedules() map[string]string {
 		if v.suffix != "" {
 			out[v.header+"/negative domain"] = v.header + "\n0 0 1 0 0 0\n1 0 3 0 0 -1\n"
 		}
+	}
+	// A decision outside what a frontier entry stores: internal/explore's
+	// parsePrefix refuses the same values in frontier.txt.
+	for name, line := range map[string]string{
+		"choice kind 256":         "c 256 2 0 1",
+		"choice n past int32":     "c 1 2147483648 0 1",
+		"choice def past int32":   "c 1 2 -2147483649 1",
+		"choice index past int64": "c 1 2 0 9223372036854775808",
+	} {
+		out[HeaderExplored+"/"+name] = HeaderExplored + "\n0 0 1 0 0 0\n" + line + "\n"
 	}
 	return out
 }
@@ -73,7 +83,7 @@ func TestLoadRejectsGarbage(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("Load(%q) = %v, want an error containing %q", in, err, want)
 		}
-		if !strings.HasPrefix(in, scheduleHeaderV3+"\n") {
+		if !strings.HasPrefix(in, HeaderExplored+"\n") {
 			continue
 		}
 		if _, _, err := LoadExplored(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), want) {

@@ -23,17 +23,6 @@ func Hash(events []core.Event) uint64 {
 	return h
 }
 
-// PrefixHash hashes only the first k events (the whole schedule if k exceeds
-// its length). Stability experiments compare prefix hashes across inputs of
-// different sizes: a stable policy schedules similar inputs identically up to
-// the point where the shorter input ends.
-func PrefixHash(events []core.Event, k int) uint64 {
-	if k > len(events) {
-		k = len(events)
-	}
-	return Hash(events[:k])
-}
-
 // CommonPrefix returns the length of the longest common prefix of two
 // schedules.
 func CommonPrefix(a, b []core.Event) int {

@@ -47,22 +47,6 @@ func TestHashDeterministic(t *testing.T) {
 	}
 }
 
-// TestPrefixHashMatchesPrefix: PrefixHash(s, k) == Hash(s[:k]).
-func TestPrefixHashMatchesPrefix(t *testing.T) {
-	f := func(seed int64, n, k uint8) bool {
-		s := genSchedule(seed, int(n)+1)
-		kk := int(k) % (len(s) + 3)
-		want := kk
-		if want > len(s) {
-			want = len(s)
-		}
-		return PrefixHash(s, kk) == Hash(s[:want])
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCommonPrefix(t *testing.T) {
 	a := []core.Event{ev(0, core.OpMutexLock, 1), ev(1, core.OpMutexLock, 1), ev(0, core.OpMutexUnlock, 1)}
 	b := []core.Event{a[0], a[1], ev(2, core.OpMutexLock, 1)}

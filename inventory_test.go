@@ -2,11 +2,15 @@ package qithread_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -105,6 +109,75 @@ func TestInventory(t *testing.T) {
 	for _, name := range regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`).FindAllString(section, -1) {
 		if !slices.Contains(tests, name) {
 			t.Errorf("DESIGN.md §4.14 cites %s, no _test.go file declares it", name)
+		}
+	}
+}
+
+// TestArtifactTable: the file-format headers ("qithread-<family> v<version>")
+// are string literals that each occur exactly once in the non-test source
+// outside benchmark/ — one declaration per header, no second copy for a tool
+// to compare against — and the table of on-disk artifacts in DESIGN.md §4.7
+// names exactly that set. A new, renamed or retired header is a deliberate
+// edit in two places.
+func TestArtifactTable(t *testing.T) {
+	header := regexp.MustCompile(`^qithread-[a-z]+ v\w+$`)
+	declared := map[string][]string{}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		switch {
+		case err != nil:
+			return err
+		case path == "benchmark":
+			return fs.SkipDir
+		case d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go"):
+			return nil
+		}
+		file, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(file, func(n ast.Node) bool {
+			if lit, ok := n.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+				if s, err := strconv.Unquote(lit.Value); err == nil && header.MatchString(s) {
+					declared[s] = append(declared[s], fset.Position(lit.Pos()).String())
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for h, at := range declared {
+		if len(at) != 1 {
+			t.Errorf("header %q is spelled out %d times, want one declaration: %v", h, len(at), at)
+		}
+	}
+
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(design), "\n### 4.7 ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §4.7")
+	}
+	section, _, _ = strings.Cut(section, "\n### ")
+	documented := map[string]bool{}
+	for _, row := range regexp.MustCompile(`(?m)^\|.*\|$`).FindAllString(section, -1) {
+		for _, m := range regexp.MustCompile("`(qithread-[a-z]+ v\\w+)`").FindAllStringSubmatch(row, -1) {
+			documented[m[1]] = true
+		}
+	}
+	for h, at := range declared {
+		if !documented[h] {
+			t.Errorf("header %q (%s) has no row in the artifact table of DESIGN.md §4.7", h, at[0])
+		}
+	}
+	for h := range documented {
+		if declared[h] == nil {
+			t.Errorf("DESIGN.md §4.7 lists header %q, which the source does not declare", h)
 		}
 	}
 }

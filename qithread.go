@@ -156,10 +156,10 @@ type Config struct {
 	// returns for it (nil for a domain means retain that domain's trace in
 	// memory as usual) instead of materializing the []Event trace. This is
 	// the bounded-memory recording mode for million-event runs: RSS stays
-	// flat while trace.BinaryWriter (or a SegmentedWriter) persists the
-	// schedule, and fingerprints are identical to retained-mode runs because
-	// the running trace hash is maintained either way. Runtime.Trace returns
-	// nil for streamed domains. Requires Record and a deterministic Mode.
+	// flat while trace.BinaryWriter persists the schedule, and fingerprints
+	// are identical to retained-mode runs because the running trace hash is
+	// maintained either way. Runtime.Trace returns nil for streamed domains.
+	// Requires Record and a deterministic Mode.
 	StreamTrace func(domainID int) TraceSink
 
 	// Resume, when non-nil, prepares the runtime to continue a checkpointed
@@ -192,8 +192,7 @@ func (c Config) withDefaults() Config {
 type Event = core.Event
 
 // TraceSink re-exports the streaming trace receiver used by
-// Config.StreamTrace; internal/trace.BinaryWriter and SegmentedWriter
-// implement it.
+// Config.StreamTrace; internal/trace.BinaryWriter implements it.
 type TraceSink = core.TraceSink
 
 // Chooser re-exports the choice-point hook consulted at scheduling decisions
