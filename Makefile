@@ -12,12 +12,18 @@ check: build fmt vet race shuffle cpu-matrix alloc-bounds soak-smoke explore-smo
 # spin-then-park receive regressed), and with Ps to spare, so all three are
 # exercised; the handoff stress test compares its schedule across the three
 # values. The multi-domain determinism loop and the lease-neutrality loop
-# additionally run under -race at -cpu 4, where domains really overlap.
+# additionally run under -race at -cpu 4, where domains really overlap. The
+# hosted path (DESIGN.md §4.6, a Chooser run on one goroutine) is held to the
+# same matrix under -race — one goroutine must behave the same with Ps to
+# spare: the stress script hosted, the 705 goldens' hosted pass, and the
+# lifetime and hosting-edge tests of the root package.
 .PHONY: cpu-matrix
 cpu-matrix:
 	$(GO) test -cpu 1,2,4 -count=1 ./internal/core ./internal/domain
-	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHandoffStress' ./internal/core
+	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHandoffStress|TestHosted' ./internal/core
 	$(GO) test -race -cpu 4 -count=1 -run 'TestDomainsDeterministic|TestLeaseTraceNeutral' ./internal/harness
+	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestTraceCompatibility/hosted' ./internal/harness
+	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHosted|TestPCSRunKeepsGoroutines|TestDestroyCondWithParkedWaiters|TestDestroyMutexRecycled|TestPipeCloseWithBlockedReaders|TestCreateAfterExit|TestGrantRecycling' .
 
 # The single-copy schedule path (DESIGN.md §4.7): a retained trace and a
 # loaded binary schedule each allocate about 1x their own size, and replay
@@ -28,16 +34,20 @@ cpu-matrix:
 # empty main, at most 1.5 per created-and-joined thread, nothing retained per
 # exited thread but its table slot, inline thread table and chooser scratch,
 # and — at -cpu 1 and 4, two runtimes at once — grant channels recycled across
-# schedulers without a token ever left in one. An explored run is held to its
-# budget here too (41 allocations for the seeded control-plane race, two of
-# them the gateway), with the tests that keep its recycled scaffolding safe:
-# nothing recycled after a deadlock, a panic or a hang, no late report and no
-# stale watchdog tick ever classifying another run.
+# schedulers without a token ever left in one (or, hosted, a granted flag set;
+# coroutines and host records recycled instead). TestRecordSizesPinned holds
+# the three records the byte metrics depend on inside their allocation size
+# classes (Thread 256 exactly, Runtime <= 320, core.Scheduler <= 1152). An
+# explored run is held to its budget here too (41 allocations for the seeded
+# control-plane race, two of them the gateway; hosted, so none of them a
+# goroutine's), with the tests that keep its recycled scaffolding safe:
+# nothing recycled after a deadlock, a panic — main's or a child's — or a
+# hang, no late report and no stale watchdog tick ever classifying another run.
 .PHONY: alloc-bounds
 alloc-bounds:
 	$(GO) test -race -count=1 -run 'TestTraceRetentionAllocBound|TestChunkedTraceRetention|TestInlineTables|TestGrantChannelsRecycled' ./internal/core
 	$(GO) test -race -count=1 -run 'TestBinaryLoadAllocBound|TestBinaryLoadErrors' ./internal/trace
-	$(GO) test -race -count=1 -run 'TestReplayBorrowsSchedule|TestRuntimeAllocBudget|TestThreadAllocBudget|TestThreadChurnRetention|TestGatewayAllocBudget' .
+	$(GO) test -race -count=1 -run 'TestReplayBorrowsSchedule|TestRecordSizesPinned|TestRuntimeAllocBudget|TestThreadAllocBudget|TestThreadChurnRetention|TestGatewayAllocBudget' .
 	$(GO) test -race -cpu 1,4 -count=1 -run 'TestGrantRecycling' .
 	$(GO) test -race -count=1 -run 'TestCollectorStageSizedFromLastSnapshot|TestAdmissionQueueSizedFromFirstSnapshot' ./internal/ingress
 	$(GO) test -race -count=1 -run 'TestParseEventMatchesFields|TestGroupSlabs' ./internal/workload/controlplane

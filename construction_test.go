@@ -4,7 +4,9 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
+	"qithread/internal/core"
 	"qithread/internal/ingress"
 )
 
@@ -25,6 +27,26 @@ func minMallocs(settle, run func()) uint64 {
 		}
 	}
 	return best
+}
+
+// TestRecordSizesPinned: the benchmark's byte metrics are sums of allocation
+// size classes, so a record that sits exactly on a class edge turns one more
+// word into the next class for every instance a run makes. Thread is 256 B,
+// the 256 class exactly: one pointer more and every thread a program creates
+// costs 288 (catalog's alloc_bytes_per_op +6.5 %, over its 5 % bound — the
+// hosted-run prototype measured it). Runtime is 320, also exact. The
+// Scheduler has room inside the 1,152 class and is where per-run state that
+// must cost the other workloads nothing goes (its host pointer).
+func TestRecordSizesPinned(t *testing.T) {
+	if n := unsafe.Sizeof(Thread{}); n != 256 {
+		t.Errorf("Thread is %d B, want 256: it fills the 256 B size class exactly; per-thread state goes in core.Thread's padding or the scheduler's host record", n)
+	}
+	if n := unsafe.Sizeof(Runtime{}); n > 320 {
+		t.Errorf("Runtime is %d B, want <= 320: the next size class is 352", n)
+	}
+	if n := unsafe.Sizeof(core.Scheduler{}); n > 1152 {
+		t.Errorf("core.Scheduler is %d B, want <= 1152: the next size class is 1280", n)
+	}
 }
 
 // TestThreadAllocBudget: the construction budget of DESIGN.md §4.13. A

@@ -21,8 +21,13 @@ const poolCap = 64
 var idleWorkers = make(chan chan *Thread, poolCap)
 
 // spawn runs t's body on a pooled goroutine, or a fresh one when no worker
-// is parked.
+// is parked. A thread of a hosted scheduler (Runtime.hosted) needs no
+// goroutine: its body becomes a coroutine of the one that called Run.
 func spawn(t *Thread) {
+	if t.ct != nil && t.ct.Hosted() {
+		t.dom.rec.Sched.StartHosted(t.ct, (*hostedBody)(t))
+		return
+	}
 	select {
 	case w := <-idleWorkers:
 		w <- t
@@ -45,3 +50,10 @@ func poolWorker(t *Thread) {
 		}
 	}
 }
+
+// hostedBody is a Thread as the core.Body a host coroutine executes: the same
+// record under a type whose one method is the body, so handing it over costs
+// no closure and Thread grows no exported Run.
+type hostedBody Thread
+
+func (b *hostedBody) Run() { (*Thread)(b).run() }

@@ -12,7 +12,10 @@ import (
 // plain receive of its grant channel, and the releaser wakes it with exactly
 // one token (grantLocked). How a waiter waits must be invisible in every
 // schedule observable, whatever the number of Ps the goroutines are spread
-// over — `make cpu-matrix` runs this file at -cpu 1,2,4 and under -race.
+// over — `make cpu-matrix` runs this file at -cpu 1,2,4 and under -race. A
+// hosted scheduler (host.go) runs the same threads on one goroutine and takes
+// its grants as a flag; that too must be invisible, so every scenario is run
+// both ways against one record.
 
 // handoffRun is everything one stress execution exposes: the recorded
 // schedule and how each thread's timed waits ended.
@@ -32,8 +35,9 @@ var handoffSeen sync.Map // scenario name -> handoffRun
 // Signal or a Broadcast or left to expire, an untimed Wait released by a
 // Broadcast (a barrier), and Exit while the others are still trading turns
 // (every fourth thread leaves before the barrier). All decisions are taken
-// under the turn, so the run is a pure function of (cfg, n).
-func handoffStress(t *testing.T, cfg Config, n int) handoffRun {
+// under the turn, so the run is a pure function of (cfg, n) — hosted, with
+// thread 0 driving on one goroutine, or not.
+func handoffStress(t *testing.T, cfg Config, n int, hosted bool) handoffRun {
 	t.Helper()
 	const (
 		rounds  = 12
@@ -42,6 +46,9 @@ func handoffStress(t *testing.T, cfg Config, n int) handoffRun {
 	)
 	cfg.Record = true
 	s := New(cfg)
+	if hosted {
+		s.HostThreads()
+	}
 	ths := make([]*Thread, n)
 	for i := range ths {
 		ths[i] = s.Register(fmt.Sprintf("h%d", i))
@@ -50,54 +57,68 @@ func handoffStress(t *testing.T, cfg Config, n int) handoffRun {
 	arrived := 0     // guarded by the turn
 	timeouts := make([]int, n)
 
-	var wg sync.WaitGroup
-	for i, th := range ths {
-		wg.Add(1)
-		go func(i int, th *Thread) {
-			defer wg.Done()
-			for r := 0; r < rounds; r++ {
-				obj := uint64((i+r)%objs) + 1
-				s.GetTurn(th)
-				switch (i + r) % 4 {
-				case 0:
-					s.TraceOp(th, OpYield, 0, StatusOK)
-				case 1:
-					s.TraceOp(th, OpCondTimedWait, obj, StatusBlocked)
-					if s.Wait(th, obj, int64(r%5)+1) == WaitTimeout {
-						timeouts[i]++
-					}
-					s.TraceOp(th, OpCondTimedWait, obj, StatusReturn)
-				case 2:
-					s.TraceOp(th, OpCondSignal, obj, StatusOK)
-					s.Signal(th, obj)
-				case 3:
-					s.TraceOp(th, OpCondBroadcast, obj, StatusOK)
-					s.Broadcast(th, obj)
-				}
-				s.PutTurn(th)
-				s.AddWork(th, int64(i%3)+1)
-			}
-			if i%4 != 3 {
-				s.GetTurn(th)
-				arrived++
-				if arrived == party {
-					s.TraceOp(th, OpCondBroadcast, barrier, StatusOK)
-					s.Broadcast(th, barrier)
-				} else {
-					s.TraceOp(th, OpCondWait, barrier, StatusBlocked)
-					s.Wait(th, barrier, NoTimeout)
-					s.TraceOp(th, OpCondWait, barrier, StatusReturn)
-				}
-				s.PutTurn(th)
-			}
+	script := func(i int, th *Thread) {
+		for r := 0; r < rounds; r++ {
+			obj := uint64((i+r)%objs) + 1
 			s.GetTurn(th)
-			s.TraceOp(th, OpThreadEnd, 0, StatusOK)
-			s.Exit(th)
-		}(i, th)
+			switch (i + r) % 4 {
+			case 0:
+				s.TraceOp(th, OpYield, 0, StatusOK)
+			case 1:
+				s.TraceOp(th, OpCondTimedWait, obj, StatusBlocked)
+				if s.Wait(th, obj, int64(r%5)+1) == WaitTimeout {
+					timeouts[i]++
+				}
+				s.TraceOp(th, OpCondTimedWait, obj, StatusReturn)
+			case 2:
+				s.TraceOp(th, OpCondSignal, obj, StatusOK)
+				s.Signal(th, obj)
+			case 3:
+				s.TraceOp(th, OpCondBroadcast, obj, StatusOK)
+				s.Broadcast(th, obj)
+			}
+			s.PutTurn(th)
+			s.AddWork(th, int64(i%3)+1)
+		}
+		if i%4 != 3 {
+			s.GetTurn(th)
+			arrived++
+			if arrived == party {
+				s.TraceOp(th, OpCondBroadcast, barrier, StatusOK)
+				s.Broadcast(th, barrier)
+			} else {
+				s.TraceOp(th, OpCondWait, barrier, StatusBlocked)
+				s.Wait(th, barrier, NoTimeout)
+				s.TraceOp(th, OpCondWait, barrier, StatusReturn)
+			}
+			s.PutTurn(th)
+		}
+		s.GetTurn(th)
+		s.TraceOp(th, OpThreadEnd, 0, StatusOK)
+		s.Exit(th)
 	}
 
 	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
+	go func() {
+		defer close(done)
+		if hosted {
+			for i, th := range ths[1:] {
+				s.StartHosted(th, bodyFunc(func() { script(i+1, th) }))
+			}
+			script(0, ths[0])
+			s.DrainHosted()
+			return
+		}
+		var wg sync.WaitGroup
+		for i, th := range ths {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				script(i, th)
+			}()
+		}
+		wg.Wait()
+	}()
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
@@ -108,8 +129,8 @@ func handoffStress(t *testing.T, cfg Config, n int) handoffRun {
 	// Exit asserts that itself before it recycles the channel, so what is left
 	// to check here is that every channel did go back.
 	for _, th := range ths {
-		if th.grant != nil {
-			t.Errorf("%v exited without recycling its grant channel", th)
+		if th.grant != nil || th.granted {
+			t.Errorf("%v exited without recycling its grant channel (or with its granted flag set)", th)
 		}
 	}
 	if live := s.Live(); live != 0 {
@@ -123,8 +144,8 @@ func (a handoffRun) equal(b handoffRun) bool {
 }
 
 // TestHandoffStressNeutralAcrossProcs: the stress script yields the same
-// schedule on repeated runs and at every GOMAXPROCS the binary is run at,
-// leaves no grant token behind, and never hangs.
+// schedule on repeated runs, hosted on one goroutine, and at every GOMAXPROCS
+// the binary is run at, leaves no grant token behind, and never hangs.
 func TestHandoffStressNeutralAcrossProcs(t *testing.T) {
 	for _, cfg := range []Config{
 		{Mode: RoundRobin},
@@ -134,12 +155,15 @@ func TestHandoffStressNeutralAcrossProcs(t *testing.T) {
 		for _, n := range []int{2, 4, 64} {
 			name := fmt.Sprintf("%v/policies=%v/threads=%d", cfg.Mode, cfg.Policies, n)
 			t.Run(name, func(t *testing.T) {
-				first := handoffStress(t, cfg, n)
+				first := handoffStress(t, cfg, n, false)
 				if len(first.trace) == 0 {
 					t.Fatal("empty trace")
 				}
-				if again := handoffStress(t, cfg, n); !first.equal(again) {
+				if again := handoffStress(t, cfg, n, false); !first.equal(again) {
 					t.Fatal("schedule differs between two runs at the same GOMAXPROCS")
+				}
+				if hosted := handoffStress(t, cfg, n, true); !first.equal(hosted) {
+					t.Fatal("schedule differs between the goroutine run and the hosted run")
 				}
 				if prev, loaded := handoffSeen.LoadOrStore(name, first); loaded && !first.equal(prev.(handoffRun)) {
 					t.Fatal("schedule differs from the run at an earlier -cpu value")
@@ -153,34 +177,61 @@ func TestHandoffStressNeutralAcrossProcs(t *testing.T) {
 // channel can only come from a scheduler bug; it must be loud, not a silently
 // dropped grant that hangs the grantee.
 func TestGrantToUnconsumedTokenPanics(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
-	a, b := s.Register("a"), s.Register("b")
-	s.GetTurn(a)
-	b.grant <- struct{}{} // the bug: a token nobody accounted for
-	b.wantTurn = true
-	defer func() {
-		if recover() == nil {
-			t.Fatal("granting into a full channel did not panic")
+	for _, hosted := range []bool{false, true} {
+		s := New(Config{Mode: RoundRobin})
+		if hosted {
+			s.HostThreads()
 		}
-	}()
-	s.PutTurn(a)
+		a, b := s.Register("a"), s.Register("b")
+		s.GetTurn(a)
+		// The bug: a token nobody accounted for.
+		if hosted {
+			b.granted = true
+		} else {
+			b.grant <- struct{}{}
+		}
+		b.wantTurn = true
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("hosted=%v: granting to a thread that already has a token did not panic", hosted)
+				}
+			}()
+			s.PutTurn(a)
+		}()
+	}
 }
 
 // TestExitWithUnconsumedTokenPanics: an exiting thread's grant channel goes
 // back to the process-global free list, where a leftover token would become a
 // spurious grant in some later thread of any scheduler. Exit must refuse to
 // recycle it, as loudly as the full-channel arm of grantLocked.
+//
+// A hosted thread's token is its granted flag; left set at Exit it means a
+// grant went to a thread that never waited for it, and is refused the same way.
 func TestExitWithUnconsumedTokenPanics(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
-	a := s.Register("a")
-	s.GetTurn(a)
-	a.grant <- struct{}{} // the bug: a token nobody accounted for
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Exit recycled a grant channel that still held a token")
+	for _, hosted := range []bool{false, true} {
+		s := New(Config{Mode: RoundRobin})
+		if hosted {
+			s.HostThreads()
 		}
-	}()
-	s.Exit(a)
+		a := s.Register("a")
+		s.GetTurn(a)
+		// The bug: a token nobody accounted for.
+		if hosted {
+			a.granted = true
+		} else {
+			a.grant <- struct{}{}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("hosted=%v: Exit let a thread go that still held a grant token", hosted)
+				}
+			}()
+			s.Exit(a)
+		}()
+	}
 }
 
 // TestGrantChannelsRecycled: Register takes its grant channel from the free
@@ -198,7 +249,7 @@ func TestGrantChannelsRecycled(t *testing.T) {
 		t.Error("a thread registered right after an exit did not get the recycled grant channel")
 	}
 
-	handoffStress(t, Config{Mode: RoundRobin}, 64)
+	handoffStress(t, Config{Mode: RoundRobin}, 64, false)
 	if len(freeGrants) < 64 {
 		t.Errorf("free list holds %d channels after 64 threads exited, want >= 64", len(freeGrants))
 	}
@@ -209,4 +260,47 @@ func TestGrantChannelsRecycled(t *testing.T) {
 		}
 		freeGrants <- g
 	}
+
+	// The hosted arm: a hosted thread takes no channel and gives none back;
+	// what its run recycles instead is one coroutine per thread but the
+	// driver, each idle — no body — on the list, and the host record.
+	free := len(freeGrants)
+	for len(freeWorkers) > 0 {
+		(<-freeWorkers).stop()
+	}
+	for len(freeHosts) > 0 {
+		<-freeHosts
+	}
+	h := New(Config{Mode: RoundRobin})
+	h.HostThreads()
+	if c := h.Register("c"); c.grant != nil || !c.hosted {
+		t.Errorf("a hosted thread registered with grant channel %v, hosted %v; want nil and true", c.grant, c.hosted)
+	}
+	handoffStress(t, Config{Mode: RoundRobin}, workerPoolCap, true)
+	if len(freeGrants) != free {
+		t.Errorf("a hosted run moved the grant free list from %d to %d channels", free, len(freeGrants))
+	}
+	if n := len(freeWorkers); n != workerPoolCap-1 {
+		t.Errorf("free list holds %d coroutines after a hosted run of %d threads, want %d", n, workerPoolCap, workerPoolCap-1)
+	}
+	for n := len(freeWorkers); n > 0; n-- {
+		w := <-freeWorkers
+		if w.body != nil {
+			t.Error("free list holds a coroutine that still has a body")
+		}
+		freeWorkers <- w
+	}
+	if len(freeHosts) != 1 {
+		t.Fatalf("free list holds %d host records after one hosted run, want 1", len(freeHosts))
+	}
+	rec := <-freeHosts
+	if len(rec.workers) != 0 || len(rec.fresh) != 0 || rec.next != 0 || rec.active != 0 {
+		t.Errorf("recycled host record is not empty: %+v", *rec)
+	}
+	freeHosts <- rec
 }
+
+// bodyFunc is a function as a hosted thread's Body.
+type bodyFunc func()
+
+func (f bodyFunc) Run() { f() }

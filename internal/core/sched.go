@@ -143,6 +143,11 @@ type Scheduler struct {
 	// onDeadlock, if non-nil, is invoked instead of panicking when the
 	// scheduler detects that no thread can ever run again. Tests use it.
 	onDeadlock func(msg string)
+
+	// host, when non-nil, makes this a hosted scheduler: its threads run on
+	// one goroutine and take their grants as a flag (host.go). Set before the
+	// first Register, cleared when the run has drained.
+	host *Host
 }
 
 // objLabel is a synchronization object's debugging name, kept as the two
@@ -246,7 +251,9 @@ func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
 	t.id = s.nextTID
 	t.name = name
 	t.sched = s
-	t.grant = takeGrant()
+	if t.hosted = s.host != nil; !t.hosted {
+		t.grant = takeGrant()
+	}
 	t.queue = qRun
 	t.wnode.t = t
 	t.wnode.heapIdx = -1
@@ -346,13 +353,25 @@ func (s *Scheduler) GetTurn(t *Thread) {
 		return
 	}
 	s.mu.Unlock()
-	// Exactly one grant token is sent per handoff, and the granter sets
-	// holder = t before sending, so one receive suffices: on return t holds
-	// the turn without re-taking the scheduler mutex. The wait is a plain
-	// blocking receive (park-first): a program has more turn-waiters than Ps,
-	// so a waiter that polled would take its P from the thread that actually
-	// holds the turn, whereas a parked one costs the releaser exactly one
-	// chansend→goready that leaves the grantee in its runnext slot.
+	s.awaitGrant(t)
+}
+
+// awaitGrant parks t, which has asked for the turn and released the scheduler
+// mutex, until the turn is handed to it. Exactly one grant is issued per
+// handoff, and the granter sets holder = t before issuing it, so one wait
+// suffices: on return t holds the turn without re-taking the mutex, and
+// everything the granter wrote before the grant is visible. For a goroutine
+// thread the wait is a plain blocking receive of the grant token
+// (park-first): a program has more turn-waiters than Ps, so a waiter that
+// polled would take its P from the thread that actually holds the turn,
+// whereas a parked one costs the releaser exactly one chansend→goready that
+// leaves the grantee in its runnext slot. A hosted thread yields to, or is,
+// its run's driver (host.go).
+func (s *Scheduler) awaitGrant(t *Thread) {
+	if t.hosted {
+		s.host.await(s, t)
+		return
+	}
 	<-t.grant
 }
 
@@ -445,9 +464,8 @@ func (s *Scheduler) Wait(t *Thread, obj uint64, timeout int64) WaitStatus {
 	t.wantTurn = true
 	s.releaseTurnLocked()
 	s.mu.Unlock()
-	<-t.grant
-	// waitStatus was written by wakeLocked before the grant was sent; the
-	// channel receive provides the happens-before edge.
+	s.awaitGrant(t)
+	// waitStatus was written by wakeLocked before the grant was issued.
 	return t.waitStatus
 }
 
@@ -597,16 +615,21 @@ func takeGrant() chan struct{} {
 // next, in any scheduler of the process, so emptiness is asserted here, as
 // loudly as the full-channel arm of grantLocked. Threads of a run frozen by
 // a deadlock or an explorer hang never exit and simply keep theirs.
+//
+// A hosted thread has no channel to give back; its granted flag is held to
+// the same invariant.
 func (s *Scheduler) recycleGrantLocked(t *Thread) {
-	g := t.grant
-	t.grant = nil
-	if len(g) != 0 {
+	if len(t.grant) != 0 || t.granted {
 		panic(fmt.Sprintf("core: %v exits with an unconsumed grant token\n%s", t, s.dumpLocked()))
 	}
+	if t.hosted {
+		return
+	}
 	select {
-	case freeGrants <- g:
+	case freeGrants <- t.grant:
 	default:
 	}
+	t.grant = nil
 }
 
 // AddWork advances t's logical instruction clock by n. In LogicalClock mode
@@ -960,7 +983,9 @@ func (s *Scheduler) passTurnLocked(self *Thread, held bool) {
 // sender's runnext slot. Exactly one token is in flight per handoff, and e
 // consumes it before it can ask for the turn again, so a full channel is a
 // scheduler bug; dropping the token there would hang e silently, hence the
-// panic with the queue dump.
+// panic with the queue dump. A hosted e is suspended on its run's driver
+// instead (host.go) and its one token is its granted flag, under the same
+// assertion.
 //
 // This is also where a pick is committed, so it is where the policy stack
 // counts it (eligibleLocked is re-evaluated every time a not-yet-eligible
@@ -984,6 +1009,13 @@ func (s *Scheduler) grantLocked(e, self *Thread) {
 		return
 	}
 	s.stats.Handoffs++
+	if e.hosted {
+		if e.granted {
+			panic(fmt.Sprintf("core: grant to %v which already has an unconsumed grant token\n%s", e, s.dumpLocked()))
+		}
+		e.granted = true
+		return
+	}
 	select {
 	case e.grant <- struct{}{}:
 	default:

@@ -42,12 +42,19 @@ type Thread struct {
 	// grant carries the turn from the scheduler to a parked thread. It is
 	// buffered so the scheduler never blocks while handing over the turn. It
 	// comes from the free list at registration and goes back, leaving nil
-	// here, at Exit (recycleGrantLocked).
+	// here, at Exit (recycleGrantLocked). A hosted thread never has one.
 	grant chan struct{}
 
 	// wantTurn is set while the thread is blocked in GetTurn or Wait and
 	// should receive the turn as soon as it becomes eligible.
 	wantTurn bool
+
+	// hosted marks a thread of a hosted scheduler (host.go): it runs on the
+	// driving goroutine and its grant is the granted flag, set by grantLocked
+	// and cleared by the thread when it resumes, instead of a channel token.
+	// Both flags sit in wantTurn's padding: the record must not grow, the
+	// root package's Thread fills its allocation size class exactly.
+	hosted, granted bool
 
 	// queue is the queue currently containing the thread; qprev/qnext are
 	// the intrusive links chaining the thread into the run or wake-up queue

@@ -226,15 +226,18 @@ func RunVariant(p *Program, base func() qithread.Config, watchdog time.Duration)
 // (scaffold.go); what is still made per run is the deadlock handler, which
 // must name its own runtime, the run goroutine's closure and cfg.Chooser.
 //
-// Failure modes leak by design: a deadlocked or hung run's goroutines park
-// forever (the deadlock handler blocks so the scheduler state stays frozen
-// and readable) and keep the scaffold they report on, which is acceptable for
-// a bounded-budget exploration process. Panics are recovered only on the main
-// thread (scaffold.run), and that run's scaffold is abandoned too; a
-// child-thread panic is process-fatal (the pooled thread bodies have no
-// recovery), but legal schedule perturbations cannot make a child panic
-// unless the program itself does — and that process exit is itself a loud bug
-// report.
+// Failure modes leak by design: a deadlocked or hung run's threads stay
+// suspended forever (the deadlock handler blocks so the scheduler state stays
+// frozen and readable) and keep the scaffold they report on, which is
+// acceptable for a bounded-budget exploration process. A panic on any thread
+// of the default domain is OutcomePanic: the run is hosted (it has a
+// Chooser), so a child thread is a coroutine of the run goroutine, its panic
+// is re-raised there, in whatever the main thread was waiting on, and
+// unwinds into scaffold.run's recover like one of the main thread's own.
+// That run's scaffold is abandoned too, and the coroutine that panicked is
+// gone, not pooled. Only a thread that keeps its goroutine — another
+// domain's, or any thread of a program whose Base sets PCS — still takes the
+// process down with it, and that exit is itself a loud bug report.
 func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time.Duration, traced bool) Result {
 	if watchdog <= 0 {
 		watchdog = DefaultWatchdog

@@ -36,8 +36,8 @@ type end struct {
 //     frozen threads keep their grant channels.
 //   - A message is only ever believed by the run it names (await). A clean
 //     end proves nothing about threads the program detached.
-//   - The watchdog is stopped before the scaffold is offered for reuse, and a
-//     scaffold whose watchdog could not be stopped is dropped (recycle).
+//   - The watchdog is stopped before the scaffold is offered for reuse
+//     (recycle).
 type scaffold struct {
 	done  chan end // cap 1: the run goroutine reports and exits without a receiver
 	timer *time.Timer
@@ -64,7 +64,8 @@ func takeScaffold(watchdog time.Duration) *scaffold {
 }
 
 // run executes the program on the run goroutine and reports how it ended.
-// Panics are recovered only here, on the main thread's goroutine; see
+// Panics are recovered only here: the run goroutine is the main thread and,
+// the run being hosted, every other default-domain thread as well; see
 // runOnce.
 func (sc *scaffold) run(p *Program, rt *qithread.Runtime) {
 	defer func() {
@@ -93,16 +94,14 @@ func (sc *scaffold) await(rt *qithread.Runtime) (e end, ok bool) {
 }
 
 // recycle offers the scaffold for reuse; only a run that ended on the run
-// goroutine's OutcomeOK may call it. A failed Stop means the watchdog fired as the run ended: its
-// tick is in timer.C or, under the timer semantics go.mod's `go 1.22` selects,
-// still on its way there — a non-blocking drain can miss it and it would
-// expire a later run, a blocking drain hangs forever from go 1.23 on. That
-// scaffold is dropped instead; it takes a run that ends in the instant its
-// watchdog expires. So does one the full list has no room for.
+// goroutine's OutcomeOK may call it. The watchdog may have fired as the run
+// ended: under the timer semantics go.mod's `go 1.23` selects, no tick
+// prepared before Stop (or Reset) returns is ever received after it, so the
+// next run's watchdog cannot expire early and nothing is drained or dropped
+// here (TestWatchdogNoStaleTick). A scaffold the full list has no room for is
+// dropped for the GC.
 func (sc *scaffold) recycle() {
-	if !sc.timer.Stop() {
-		return
-	}
+	sc.timer.Stop()
 	select {
 	case freeScaffolds <- sc:
 	default:

@@ -21,8 +21,9 @@ const raceBaselineFP = "f29c9ec81c5a0678+cbf29ce484222325+6789de4"
 // DESIGN.md §4.13: 41 allocations, of which 21 are the run's scaffolding (3),
 // its fingerprint (3), the gateway (2) and the cell (13), and 20 the runtime
 // (3), two more threads, four sync objects, the object-name table (2), seven
-// wait lists, the chooser and its log. Scaffolds, grant channels and pool
-// workers all come from bounded channel free lists, so once those are warm
+// wait lists, the chooser and its log. The run is hosted: its scaffold, its
+// host record and the coroutines its two created threads run on all come from
+// bounded channel free lists, so once those are warm
 // the count is exact, under -race too (`make alloc-bounds`); the bound leaves
 // room for the test's own bookkeeping, not for one more allocation per run.
 // The parent of the PR that set the budget read 71.
@@ -77,12 +78,43 @@ var deadlockProgram = &Program{
 	},
 }
 
+// childDeadlockProgram deadlocks on a created thread — a coroutine of the run
+// goroutine — while main waits to join it: the handler freezes the coroutine,
+// and with it the goroutine that is everybody else.
+var childDeadlockProgram = &Program{
+	Name: "test-child-deadlock",
+	Base: rrConfig(qithread.NoPolicies),
+	Run: func(rt *qithread.Runtime) uint64 {
+		rt.Run(func(main *qithread.Thread) {
+			m := rt.NewMutex(main, "m")
+			main.Join(main.Create("child", func(c *qithread.Thread) {
+				m.Lock(c)
+				m.Lock(c)
+			}))
+		})
+		return 0
+	},
+}
+
 // panicProgram panics on the main thread, inside the run.
 var panicProgram = &Program{
 	Name: "test-panic",
 	Base: rrConfig(qithread.NoPolicies),
 	Run: func(rt *qithread.Runtime) uint64 {
 		rt.Run(func(main *qithread.Thread) { panic("boom") })
+		return 0
+	},
+}
+
+// childPanicProgram panics on a created thread while the main thread is
+// blocked joining it: the run is hosted, so the panic surfaces in the join.
+var childPanicProgram = &Program{
+	Name: "test-child-panic",
+	Base: rrConfig(qithread.NoPolicies),
+	Run: func(rt *qithread.Runtime) uint64 {
+		rt.Run(func(main *qithread.Thread) {
+			main.Join(main.Create("child", func(*qithread.Thread) { panic("child boom") }))
+		})
 		return 0
 	},
 }
@@ -96,6 +128,23 @@ func hangProgram(release <-chan struct{}) *Program {
 		Base: rrConfig(qithread.NoPolicies),
 		Run: func(rt *qithread.Runtime) uint64 {
 			<-release
+			return 0
+		},
+	}
+}
+
+// childHangProgram blocks a created thread outside the scheduler, inside the
+// run: hosted, that blocks every thread of the run, main's join included, and
+// only the watchdog ends it. Released, the run completes and reports into the
+// scaffold it was abandoned with.
+func childHangProgram(release <-chan struct{}) *Program {
+	return &Program{
+		Name: "test-child-hang",
+		Base: rrConfig(qithread.NoPolicies),
+		Run: func(rt *qithread.Runtime) uint64 {
+			rt.Run(func(main *qithread.Thread) {
+				main.Join(main.Create("child", func(*qithread.Thread) { <-release }))
+			})
 			return 0
 		},
 	}
@@ -126,13 +175,13 @@ func drainScaffolds() []*scaffold {
 }
 
 // TestScaffoldNotRecycledAfterAbnormalEnd alternates ok runs with runs that
-// deadlock, panic on the main thread and outlive their watchdog, 1,000 times
+// deadlock, panic on the main thread or on a child and outlive their watchdog, 1,000 times
 // on one goroutine and then 1,000 times spread over four at once. Every ok run must classify and
 // fingerprint as a fresh process would, whatever ran on its scaffold before;
 // and no scaffold of an abnormal run may come back: on one goroutine the free
 // list holds exactly the one scaffold of the last ok run after an ok run and
 // nothing after an abnormal one, never a scaffold an abnormal run took; with
-// four, what the list holds at the end carries no message and no tick, even
+// four, what the list holds at the end carries no message, even
 // after every hung run has been released to report.
 func TestScaffoldNotRecycledAfterAbnormalEnd(t *testing.T) {
 	const rounds = 1000
@@ -144,8 +193,11 @@ func TestScaffoldNotRecycledAfterAbnormalEnd(t *testing.T) {
 		want     Outcome
 	}{
 		{deadlockProgram, testWatchdog, OutcomeDeadlock},
+		{childDeadlockProgram, testWatchdog, OutcomeDeadlock},
 		{panicProgram, testWatchdog, OutcomePanic},
+		{childPanicProgram, testWatchdog, OutcomePanic},
 		{hangProgram(release), time.Millisecond, OutcomeHang},
+		{childHangProgram(release), time.Millisecond, OutcomeHang},
 	}
 	// round runs one ok run and one abnormal run, reporting (t.Error: it is
 	// called off the test goroutine too) whether both ended as they must.
@@ -215,8 +267,8 @@ func TestScaffoldNotRecycledAfterAbnormalEnd(t *testing.T) {
 		if abandoned[sc] {
 			t.Error("a scaffold an abnormal run took is on the free list")
 		}
-		if len(sc.done) != 0 || len(sc.timer.C) != 0 {
-			t.Errorf("a free scaffold holds %d message(s) and %d tick(s), want none", len(sc.done), len(sc.timer.C))
+		if len(sc.done) != 0 {
+			t.Errorf("a free scaffold holds %d message(s), want none", len(sc.done))
 		}
 	}
 }
@@ -266,8 +318,10 @@ func TestLateDeadlockCannotClassifyNextRun(t *testing.T) {
 
 // TestWatchdogNoStaleTick: a watchdog that fired must not expire a later run.
 // A hung run abandons its scaffold, so the run after it starts on another
-// one; and a scaffold whose watchdog fired just as its run ended cleanly —
-// the tick is pending, nobody received it — is not offered for reuse.
+// one; and a scaffold whose watchdog fired just as its run ended cleanly — the
+// tick was prepared, nobody received it — is recycled all the same, because
+// Stop and Reset discard it (go 1.23 timers): the run that takes it next gets
+// its full watchdog.
 func TestWatchdogNoStaleTick(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
@@ -279,19 +333,23 @@ func TestWatchdogNoStaleTick(t *testing.T) {
 		t.Fatalf("the run after a hang is %s [%s] (%s), want ok [%s]", res.Outcome, res.Fingerprint, res.Err, raceBaselineFP)
 	}
 
-	drainScaffolds()
-	sc := takeScaffold(time.Millisecond)
-	eventually(t, "the 1 ms watchdog has fired", func() bool { return len(sc.timer.C) == 1 })
-	sc.recycle()
-	next := takeScaffold(time.Hour)
-	defer next.timer.Stop()
-	if next == sc {
-		t.Fatal("a scaffold with a pending watchdog tick was recycled")
-	}
-	select {
-	case <-next.timer.C:
-		t.Fatal("the next scaffold's one-hour watchdog has already expired")
-	case <-time.After(5 * time.Millisecond):
+	// Recycle around the expiry: well after it, and within microseconds of it
+	// on either side.
+	for i, lag := range []time.Duration{5 * time.Millisecond, time.Millisecond, 1100 * time.Microsecond, 900 * time.Microsecond} {
+		drainScaffolds()
+		sc := takeScaffold(time.Millisecond)
+		time.Sleep(lag)
+		sc.recycle()
+		next := takeScaffold(time.Hour)
+		if next != sc {
+			t.Fatalf("round %d: the scaffold was not recycled", i)
+		}
+		select {
+		case <-next.timer.C:
+			t.Fatalf("round %d: a one-hour watchdog expired at once: it received the 1 ms tick of the scaffold's previous run", i)
+		case <-time.After(5 * time.Millisecond):
+		}
+		next.timer.Stop()
 	}
 
 	// The list drops what does not fit rather than blocking or growing.

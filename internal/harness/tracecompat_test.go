@@ -115,7 +115,17 @@ func goldenLine(program, config, hash string, events int, makespan int64, output
 	return fmt.Sprintf("%s,%s,%s,%d,%d,%d", program, config, hash, events, makespan, output)
 }
 
-func collectFingerprints(t *testing.T) map[string]string {
+// keepDefault is the Chooser that changes nothing: installed, it makes a run
+// hosted (qithread.Config.Chooser) and resolves every choice to the
+// configured policy's pick.
+type keepDefault struct{}
+
+func (keepDefault) Choose(_ qithread.ChoiceKind, _ []int, _, def int) int { return def }
+
+// collectFingerprints runs the matrix; hosted installs keepDefault on every
+// configuration, which moves each run that does not honor PCS hints from one
+// goroutine per thread to one goroutine in all.
+func collectFingerprints(t *testing.T, hosted bool) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	deep := map[string]bool{}
@@ -133,12 +143,18 @@ func collectFingerprints(t *testing.T) map[string]string {
 			}
 			// The golden file was recorded at GOMAXPROCS 1, the only setting
 			// at which the ad-hoc busy-wait programs have a reproducible
-			// schedule (see adHocSyncPrograms), so they are run there.
+			// schedule (see adHocSyncPrograms), so they are run there — unless
+			// the run is hosted: on one goroutine a poll loop's iteration
+			// count is the same with any number of Ps to spare.
 			procs := 0
-			if adHocSyncPrograms[spec.Name] {
+			if adHocSyncPrograms[spec.Name] && (!hosted || cc.Cfg.PCS) {
 				procs = runtime.GOMAXPROCS(1)
 			}
-			hash, events, makespan, output := traceFingerprint(spec, cc.Cfg)
+			cfg := cc.Cfg
+			if hosted {
+				cfg.Chooser = func(int) qithread.Chooser { return keepDefault{} }
+			}
+			hash, events, makespan, output := traceFingerprint(spec, cfg)
 			if procs > 0 {
 				runtime.GOMAXPROCS(procs)
 			}
@@ -148,47 +164,54 @@ func collectFingerprints(t *testing.T) map[string]string {
 	return out
 }
 
-// TestTraceCompatibility asserts the policy-engine build produces the exact
-// schedules of the seed bitmask build for all catalog programs under all
-// modes × policy sets.
+// TestTraceCompatibility asserts the build produces the exact schedules of the
+// seed bitmask build for all catalog programs under all modes × policy sets,
+// twice: on the goroutine path, one pooled goroutine per thread, and hosted,
+// every thread of a run on the goroutine that called Run
+// (internal/core/host.go). Both passes are held to the one golden file — there
+// is no hosted flavour of a schedule.
 func TestTraceCompatibility(t *testing.T) {
-	got := collectFingerprints(t)
-
 	if *updateGolden {
-		keys := make([]string, 0, len(got))
-		for k := range got {
-			keys = append(keys, k)
-		}
-		// Stable file order: catalog order × config order.
-		var lines []string
-		base := baseConfigNames()
-		deep := map[string]bool{}
-		for _, p := range deepPrograms {
-			deep[p] = true
-		}
-		for _, spec := range programs.All() {
-			for _, cc := range compatConfigs() {
-				if !deep[spec.Name] && !base[cc.Name] {
-					continue
-				}
-				lines = append(lines, got[goldenKey(spec.Name, cc.Name)])
-			}
-		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		content := "program,config,trace_sha256_8,events,makespan,output\n" + strings.Join(lines, "\n") + "\n"
-		if err := os.WriteFile(goldenPath, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d fingerprints (%d keys) to %s", len(lines), len(keys), goldenPath)
+		updateGoldenFile(t, collectFingerprints(t, false))
 		return
 	}
-
 	want := readGolden(t)
 	if len(want) == 0 {
 		t.Fatalf("no golden fingerprints in %s; run with -update-golden", goldenPath)
 	}
+	t.Run("goroutines", func(t *testing.T) { compareGolden(t, want, collectFingerprints(t, false)) })
+	t.Run("hosted", func(t *testing.T) { compareGolden(t, want, collectFingerprints(t, true)) })
+}
+
+// updateGoldenFile rewrites the golden file from got.
+func updateGoldenFile(t *testing.T, got map[string]string) {
+	// Stable file order: catalog order × config order.
+	var lines []string
+	base := baseConfigNames()
+	deep := map[string]bool{}
+	for _, p := range deepPrograms {
+		deep[p] = true
+	}
+	for _, spec := range programs.All() {
+		for _, cc := range compatConfigs() {
+			if !deep[spec.Name] && !base[cc.Name] {
+				continue
+			}
+			lines = append(lines, got[goldenKey(spec.Name, cc.Name)])
+		}
+	}
+	if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	content := "program,config,trace_sha256_8,events,makespan,output\n" + strings.Join(lines, "\n") + "\n"
+	if err := os.WriteFile(goldenPath, []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d fingerprints (%d keys) to %s", len(lines), len(got), goldenPath)
+}
+
+// compareGolden fails for every golden line got does not reproduce.
+func compareGolden(t *testing.T, want, got map[string]string) {
 	missing, mismatched := 0, 0
 	for k, w := range want {
 		g, ok := got[k]

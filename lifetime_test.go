@@ -16,7 +16,9 @@ import (
 // scheduler's bookkeeping teardown paths (DestroyObject, OnExit, wait-list
 // recycling), which are exactly where a stray map iteration or freed-slot
 // reuse would leak nondeterminism. Every scenario runs under both the
-// round-robin and the logical-clock turn mechanisms.
+// round-robin and the logical-clock turn mechanisms, and on both execution
+// paths: one pooled goroutine per thread, and hosted — every thread on the
+// goroutine that called Run (hostedConfig) — which must be the same schedule.
 
 // lifetimeConfigs are the two turn mechanisms with recording on.
 func lifetimeConfigs() []Config {
@@ -26,13 +28,28 @@ func lifetimeConfigs() []Config {
 	}
 }
 
-// runLifetime runs body three times under cfg and asserts every run produces
-// the identical schedule hash.
+// keepDefault is the Chooser that resolves every choice to the configured
+// policy's pick: it changes no schedule, and installing it makes a run hosted.
+type keepDefault struct{}
+
+func (keepDefault) Choose(_ ChoiceKind, _ []int, _, def int) int { return def }
+
+// hostedConfig is cfg with keepDefault installed on every domain.
+func hostedConfig(cfg Config) Config {
+	cfg.Chooser = func(int) Chooser { return keepDefault{} }
+	return cfg
+}
+
+// runLifetime runs body three times under cfg and three times hosted, and
+// asserts every run produces the identical schedule hash.
 func runLifetime(t *testing.T, cfg Config, body func(rt *Runtime)) {
 	t.Helper()
 	var ref uint64
-	for run := 0; run < 3; run++ {
+	for run := 0; run < 6; run++ {
 		rt := New(cfg)
+		if run >= 3 {
+			rt = New(hostedConfig(cfg))
+		}
 		body(rt)
 		h := trace.Hash(rt.Trace())
 		if run == 0 {
@@ -253,7 +270,10 @@ func TestThreadChurnRetention(t *testing.T) {
 // recycled channel would surface as a spurious grant, which either trips the
 // scheduler's turn assertions or changes the schedule. The exit-side
 // emptiness assertion in internal/core panics on the first leftover token.
-// `make alloc-bounds` runs this under -race at -cpu 1,4.
+// The hosted rounds do the same with what a hosted run recycles — coroutines
+// and host records, handed between the two driving goroutines — and must
+// reach the very same fingerprint. `make alloc-bounds` runs this under -race
+// at -cpu 1,4, `make cpu-matrix` at -cpu 1,2,4.
 func TestGrantRecycling(t *testing.T) {
 	const (
 		waves    = 50
@@ -311,7 +331,11 @@ func TestGrantRecycling(t *testing.T) {
 	for _, cfg := range lifetimeConfigs() {
 		t.Run(cfg.Mode.String(), func(t *testing.T) {
 			var want string
-			for round := 0; round < rounds; round++ {
+			for round := 0; round < 2*rounds; round++ {
+				cfg := cfg
+				if round >= rounds {
+					cfg = hostedConfig(cfg)
+				}
 				var wg sync.WaitGroup
 				var got [runtimes]string
 				for r := range got {

@@ -178,6 +178,17 @@ type Config struct {
 	// (internal/explore, cmd/qiexplore): record the index taken at each
 	// choice point and any explored execution is itself replayable. nil for a
 	// domain means that domain runs unhooked. Requires a deterministic Mode.
+	//
+	// A run under a Chooser is serial by construction, so it is hosted: the
+	// goroutine that calls Run is the main thread and every thread Created in
+	// the default domain is a coroutine of it, which makes a turn handoff a
+	// coroutine switch (internal/core/host.go). Schedules are unaffected; the
+	// contract is that a default-domain thread of a Chooser run may block
+	// natively only on something outside the run — an ingress source, an
+	// XPipe peer in another domain (those keep their goroutines) — never on
+	// another thread of its own domain except through the wrappers. A PCS
+	// mutex is a native lock a thread may park inside, so runs with PCS set
+	// keep one goroutine per thread, as every run without a Chooser does.
 	Chooser func(domainID int) Chooser
 }
 

@@ -189,9 +189,17 @@ func (rt *Runtime) Scheduler() *core.Scheduler { return rt.main.rec.Sched }
 // Run executes main as the program's main thread and returns when every
 // thread of every domain — the main thread, everything it transitively
 // created, and all launched domain roots — has finished.
+//
+// In a hosted run the calling goroutine also executes every other thread of
+// the default domain: it drives them while the main thread waits for a turn,
+// and drains the ones that outlive it before waiting for the other domains.
 func (rt *Runtime) Run(main func(t *Thread)) {
 	t := rt.newThread("main", &rt.main)
+	hosted := rt.hosted()
 	if rt.det() {
+		if hosted {
+			rt.main.rec.Sched.HostThreads()
+		}
 		// Nothing joins the main thread, so it gets no join object.
 		t.ct = rt.main.rec.Sched.RegisterIn(&t.node, "main")
 	}
@@ -201,8 +209,18 @@ func (rt *Runtime) Run(main func(t *Thread)) {
 		main(t)
 		t.exit()
 	}()
+	if hosted {
+		rt.main.rec.Sched.DrainHosted()
+	}
 	rt.wg.Wait()
 }
+
+// hosted reports whether the default domain's threads all run on the
+// goroutine that calls Run (internal/core/host.go) instead of one pooled
+// goroutine each. The configuration decides, there is no switch: a run under
+// a Chooser is serial by construction and is hosted, unless PCS objects —
+// native mutexes a thread may park inside — are honored.
+func (rt *Runtime) hosted() bool { return rt.cfg.Chooser != nil && !rt.cfg.PCS }
 
 // Trace returns the default domain's recorded schedule (empty unless
 // Config.Record). For other domains use Domain.Trace; for a whole
