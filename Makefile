@@ -51,7 +51,7 @@ alloc-bounds:
 	$(GO) test -race -cpu 1,4 -count=1 -run 'TestGrantRecycling' .
 	$(GO) test -race -count=1 -run 'TestCollectorStageSizedFromLastSnapshot|TestAdmissionQueueSizedFromFirstSnapshot' ./internal/ingress
 	$(GO) test -race -count=1 -run 'TestParseEventMatchesFields|TestGroupSlabs' ./internal/workload/controlplane
-	$(GO) test -race -count=1 -run 'TestExploredRunAllocBudget|TestScaffoldNotRecycledAfterAbnormalEnd|TestLateDeadlockCannotClassifyNextRun|TestWatchdogNoStaleTick' ./internal/explore
+	$(GO) test -race -count=1 -run 'TestExploredRunAllocBudget|TestScaffoldNotRecycledAfterAbnormalEnd|TestLateDeadlockCannotClassifyNextRun|TestWatchdogNoStaleTick|TestFrontierRetention' ./internal/explore
 
 # What .github/workflows/ci.yml runs: the full gate plus the performance
 # gate, which re-runs the BENCH_sched.json benchmarks at a short benchtime

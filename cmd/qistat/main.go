@@ -307,12 +307,8 @@ func describeExplore(w io.Writer, dir string, d detail) error {
 	if len(res.Strategies) > 1 {
 		line(total)
 	}
-	deepest := 0
-	for _, prefix := range res.Frontier {
-		deepest = max(deepest, len(prefix))
-	}
 	fmt.Fprintf(w, "\ndistinct fingerprints: %d (%.1f%% of runs)\n", len(res.Seen), 100*float64(len(res.Seen))/float64(total.Runs))
-	fmt.Fprintf(w, "frontier: %d unexplored prefixes (deepest %d decisions)\n", len(res.Frontier), deepest)
+	fmt.Fprintf(w, "frontier: %d unexplored prefixes (deepest %d decisions)\n", res.Frontier, res.FrontierDepth)
 	fmt.Fprintf(w, "failures: %d, minimized repros: %d\n", total.Failures(), len(res.Repros))
 	for i, r := range res.Repros {
 		if i == 10 {

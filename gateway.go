@@ -22,7 +22,7 @@ type IngressStats = ingress.Stats
 
 // IngressSource is a free-running producer of external events; see
 // Gateway.AddSource. The ingress package provides adapters (ListenerSource,
-// TimerSource, FuncSource).
+// FuncSource).
 type IngressSource = ingress.Source
 
 // IngressBatchSink is a streaming receiver of recorded ingress batches; see
@@ -40,9 +40,6 @@ type GatewayConfig struct {
 	// StageCap bounds the free-running staging buffer; producers block on a
 	// full stage (backpressure toward the sources). Zero means 64.
 	StageCap int
-	// PerSourceCap bounds one source's staged events so a hot source cannot
-	// starve the others. Zero means StageCap.
-	PerSourceCap int
 	// MaxBatch bounds the events delivered per admission slot. Zero means 16.
 	MaxBatch int
 	// QueueCap bounds the deterministic admission queue; collected events
@@ -105,11 +102,10 @@ func (rt *Runtime) NewGateway(name string, d *Domain, cfg GatewayConfig) *Gatewa
 	}
 	gw := &Gateway{rt: rt, dom: d, name: name}
 	icfg := ingress.Config{
-		StageCap:     cfg.StageCap,
-		PerSourceCap: cfg.PerSourceCap,
-		MaxBatch:     cfg.MaxBatch,
-		QueueCap:     cfg.QueueCap,
-		Sink:         cfg.Sink,
+		StageCap: cfg.StageCap,
+		MaxBatch: cfg.MaxBatch,
+		QueueCap: cfg.QueueCap,
+		Sink:     cfg.Sink,
 		// Admission boundaries are a scheduling choice point: the domain's
 		// chooser may shrink any multi-event batch, moving the epoch boundary
 		// without changing event order.

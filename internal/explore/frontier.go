@@ -21,8 +21,8 @@ type flip struct {
 	pos, alt int32
 }
 
-// prefixFlip wraps an explicit forced prefix (a frontier line read back from
-// disk, a caller's RunForced argument) as the flip of its own last decision.
+// prefixFlip wraps an explicit forced prefix (a caller's RunForced argument, a
+// minimization candidate) as the flip of its own last decision.
 // The flip aliases prefix; the caller must not write it while a run uses it.
 func prefixFlip(prefix []core.Choice) flip {
 	if len(prefix) == 0 {
@@ -59,22 +59,6 @@ func (f flip) index(k int) int {
 		return int(f.alt)
 	}
 	return (*f.log)[k].Index
-}
-
-// appendLine appends the flip's frontier.txt line: exactly formatPrefix of
-// the prefix it stands for, without building that prefix.
-func (f flip) appendLine(dst []byte) []byte {
-	if f.log == nil {
-		return append(dst, '-')
-	}
-	log := *f.log
-	dst = appendChoices(dst, log[:f.pos])
-	if f.pos > 0 {
-		dst = append(dst, ' ')
-	}
-	d := log[f.pos]
-	d.Index = int(f.alt)
-	return appendChoice(dst, d)
 }
 
 // flipQueue is the FIFO frontier, kept in fixed-size chunks: a push never
@@ -129,30 +113,130 @@ func (q *flipQueue) each(fn func(flip)) {
 	}
 }
 
-// formatPrefix renders a forced prefix as one frontier line: space-separated
-// kind:n:def:index quads, "-" for the empty prefix.
-func formatPrefix(prefix []core.Choice) string {
-	if len(prefix) == 0 {
-		return "-"
-	}
-	return string(appendChoices(make([]byte, 0, 8*len(prefix)), prefix))
+// frontierHeader opens frontier.txt. A file without it was written by a
+// build that spelled out one whole prefix per line; readFrontier still takes
+// those, save never writes them.
+const frontierHeader = "qithread-frontier v2"
+
+// appendFile renders the queue as frontier.txt holds it: the header, then one
+// group per stretch of queued entries sharing a decision log — an "L" line
+// spelling the log once (appendPrefix; "-" is the empty log of the baseline)
+// and an "F" line of the entries' pos:alt pairs in queue order. The file is
+// the queue's own shape, O(logs + flips) bytes, not one prefix per entry.
+func (q *flipQueue) appendFile(dst []byte) []byte {
+	dst = append(dst, frontierHeader...)
+	var cur *[]core.Choice
+	open := false
+	q.each(func(f flip) {
+		if !open || f.log != cur {
+			dst = append(dst, "\nL "...)
+			if f.log == nil {
+				dst = appendPrefix(dst, nil)
+			} else {
+				dst = appendPrefix(dst, *f.log)
+			}
+			dst = append(dst, "\nF"...)
+			cur, open = f.log, true
+		}
+		dst = append(dst, ' ')
+		dst = strconv.AppendInt(dst, int64(f.pos), 10)
+		dst = append(dst, ':')
+		dst = strconv.AppendInt(dst, int64(f.alt), 10)
+	})
+	return append(dst, '\n')
 }
 
-func appendChoices(dst []byte, choices []core.Choice) []byte {
-	for i, c := range choices {
+// readFrontier rebuilds the queue appendFile rendered, structure sharing
+// included: every entry of a group points at the one log its "L" line parsed
+// to. It also reports the deepest entry, and how many lines it skipped — an
+// "L" line that does not parse, an "F" line without a log before it or with a
+// pair that is not two int32s or whose position is past the log, anything
+// else. Skipping is per line: the groups around a bad one stand.
+func readFrontier(rows []string) (q flipQueue, deepest, skipped int) {
+	if len(rows) == 0 || rows[0] != frontierHeader {
+		for _, row := range rows {
+			prefix, err := parsePrefix(row)
+			if err != nil {
+				skipped++
+				continue
+			}
+			q.push(prefixFlip(prefix))
+			deepest = max(deepest, len(prefix))
+		}
+		return q, deepest, skipped
+	}
+	var log *[]core.Choice // of the group whose "F" line comes next
+	var group []flip
+	for _, row := range rows[1:] {
+		kind, rest, _ := strings.Cut(row, " ")
+		if kind == "L" {
+			log = nil
+			if prefix, err := parsePrefix(rest); err == nil {
+				log = &prefix
+			} else {
+				skipped++
+			}
+			continue
+		}
+		if kind != "F" || log == nil {
+			skipped++
+			continue
+		}
+		var ok bool
+		if group, ok = parseFlips(group[:0], rest, log); !ok {
+			skipped++
+		} else {
+			for _, f := range group {
+				q.push(f)
+				deepest = max(deepest, f.depth())
+			}
+		}
+		log = nil
+	}
+	return q, deepest, skipped
+}
+
+// parseFlips appends the entries an "F" line's pos:alt pairs denote over log,
+// and reports whether every pair was one. Over the empty log the only entry
+// is 0:0, the baseline.
+func parseFlips(dst []flip, pairs string, log *[]core.Choice) ([]flip, bool) {
+	for _, pair := range strings.Fields(pairs) {
+		p, a, _ := strings.Cut(pair, ":")
+		pos, err1 := strconv.ParseInt(p, 10, 32)
+		alt, err2 := strconv.ParseInt(a, 10, 32)
+		f := flip{log: log, pos: int32(pos), alt: int32(alt)}
+		switch {
+		case err1 != nil || err2 != nil || pos < 0:
+			return dst, false
+		case len(*log) == 0 && pos == 0 && alt == 0:
+			f = flip{}
+		case int(pos) >= len(*log):
+			return dst, false
+		}
+		dst = append(dst, f)
+	}
+	return dst, len(dst) > 0
+}
+
+// formatPrefix renders a forced prefix on one line: space-separated
+// kind:n:def:index quads, "-" for the empty prefix.
+func formatPrefix(prefix []core.Choice) string {
+	return string(appendPrefix(make([]byte, 0, 8*len(prefix)+1), prefix))
+}
+
+func appendPrefix(dst []byte, prefix []core.Choice) []byte {
+	if len(prefix) == 0 {
+		return append(dst, '-')
+	}
+	for i, c := range prefix {
 		if i > 0 {
 			dst = append(dst, ' ')
 		}
-		dst = appendChoice(dst, c)
-	}
-	return dst
-}
-
-func appendChoice(dst []byte, c core.Choice) []byte {
-	dst = strconv.AppendUint(dst, uint64(c.Kind), 10)
-	for _, v := range [...]int{c.N, c.Def, c.Index} {
-		dst = append(dst, ':')
-		dst = strconv.AppendInt(dst, int64(v), 10)
+		dst = strconv.AppendUint(dst, uint64(c.Kind), 10)
+		for _, v := range [...]int{c.N, c.Def, c.Index} {
+			dst = append(dst, ':')
+			dst = strconv.AppendInt(dst, int64(v), 10)
+		}
 	}
 	return dst
 }

@@ -35,7 +35,7 @@ func quickPrefix(raw [][4]uint32) []core.Choice {
 }
 
 // TestPrefixRoundTripQuick: formatPrefix and parsePrefix are inverses, and a
-// flip renders the line of the prefix it stands for without building it.
+// flip stands for its log cut at the flipped decision.
 func TestPrefixRoundTripQuick(t *testing.T) {
 	prop := func(raw [][4]uint32, alt uint16) bool {
 		prefix := quickPrefix(raw)
@@ -45,7 +45,7 @@ func TestPrefixRoundTripQuick(t *testing.T) {
 			t.Logf("parsePrefix(%q) = %v, %v; want %v", line, back, err, prefix)
 			return false
 		}
-		if got := string(prefixFlip(prefix).appendLine(nil)); got != line {
+		if got := formatPrefix(materialize(prefixFlip(prefix))); got != line {
 			t.Logf("prefixFlip line %q, want %q", got, line)
 			return false
 		}
@@ -55,8 +55,8 @@ func TestPrefixRoundTripQuick(t *testing.T) {
 			f := flip{log: &prefix, pos: int32(pos), alt: int32(alt)}
 			want := append([]core.Choice(nil), prefix[:pos+1]...)
 			want[pos].Index = int(alt)
-			if got := string(f.appendLine(nil)); got != formatPrefix(want) || !reflect.DeepEqual(materialize(f), want) {
-				t.Logf("flip at %d renders %q / %v, want %q", pos, got, materialize(f), formatPrefix(want))
+			if !reflect.DeepEqual(materialize(f), want) {
+				t.Logf("flip at %d stands for %v, want %v", pos, materialize(f), want)
 				return false
 			}
 		}
@@ -67,10 +67,10 @@ func TestPrefixRoundTripQuick(t *testing.T) {
 	}
 }
 
-// FuzzParsePrefix: the frontier-line loader must reject or round-trip any
+// FuzzParsePrefix: the decision-log loader must reject or round-trip any
 // input — never panic, never accept a line it would write back differently
-// (an accepted line is re-emitted by the next save, so a lossy parse would
-// silently rewrite another process's frontier entries).
+// (an accepted log is re-emitted by the next save, so a lossy parse would
+// silently rewrite the frontier).
 func FuzzParsePrefix(f *testing.F) {
 	for _, seed := range []string{
 		"-", "0:2:0:1", "0:3:0:2 1:2:1:0 2:4:3:0", "", " ", "turn:not-a-number", "0:2:0", "0:2:0:1:7",
@@ -88,7 +88,7 @@ func FuzzParsePrefix(f *testing.F) {
 			t.Fatalf("parsePrefix(%q) = %v, but its canonical line %q parses to %v, %v", line, prefix, formatPrefix(prefix), again, err)
 		}
 		fl := prefixFlip(prefix)
-		if got := string(fl.appendLine(nil)); got != formatPrefix(prefix) {
+		if got := formatPrefix(materialize(fl)); got != formatPrefix(prefix) {
 			t.Fatalf("parsePrefix(%q): flip renders %q, prefix renders %q", line, got, formatPrefix(prefix))
 		}
 	})
@@ -162,105 +162,172 @@ func TestExpandAllocatesPerRunNotPerFlip(t *testing.T) {
 		t.Errorf("expanding a 150-decision run allocates %.1f objects, want O(1) (<= 3), not one per flip", allocs)
 	}
 	f := s.frontier.pop()
-	if got, want := string(f.appendLine(nil)), "0:3:0:1"; got != want {
+	if got, want := formatPrefix(materialize(f)), "0:3:0:1"; got != want {
 		t.Errorf("first flip %q, want %q", got, want)
 	}
 }
 
-// TestFrontierRetention: an in-memory search of controlplane-race to the
-// benchmark's budget must end with a small live heap. The frontier holds
-// ~119k entries of ~70 decisions' depth on average; materialised, and with
-// popped entries pinned behind a resliced backing array, that was 267 MB.
-func TestFrontierRetention(t *testing.T) {
-	if testing.Short() {
-		t.Skip("explores 1,750 schedules")
-	}
-	s, err := NewSession(Lookup("controlplane-race"), "", DefaultWatchdog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Workers = 2
-	if err := s.ExploreDPOR(1750, 0); err != nil {
-		t.Fatal(err)
-	}
+// liveHeap is the heap in use after a collection.
+func liveHeap() uint64 {
 	var m runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m)
-	t.Logf("runs=%d frontier=%d live heap %.1f MB", s.Runs(), s.FrontierLen(), float64(m.HeapAlloc)/1e6)
-	if s.FrontierLen() < 100000 {
-		t.Fatalf("frontier holds %d entries; too few for the heap bound to mean anything", s.FrontierLen())
-	}
-	if limit := uint64(32 << 20); m.HeapAlloc > limit {
-		t.Errorf("live heap %d B after the search, want <= %d B", m.HeapAlloc, limit)
-	}
-	runtime.KeepAlive(s)
+	return m.HeapAlloc
 }
 
-// TestFrontierMergeKeepsForeignEntries: saving merges with the frontier.txt
-// on disk. Entries another process queued survive, after this session's own
-// and in file order; entries this session popped, entries it still holds and
-// corrupt lines do not come back.
-func TestFrontierMergeKeepsForeignEntries(t *testing.T) {
+// TestFrontierRetention: a search of controlplane-race must end with a small
+// live heap, and so must the session that resumes it. In memory, to the
+// benchmark's budget, the frontier holds ~119k entries of ~70 decisions' depth
+// on average; materialised, and with popped entries pinned behind a resliced
+// backing array, that was 267 MB. On disk it was materialised until PR 24: a
+// budget-1,000 search wrote 36.7 MB of frontier.txt, one whole prefix per
+// entry, and resuming it held +159 MB against the +5.8 MB of the session that
+// wrote it, every entry read back with a log of its own.
+func TestFrontierRetention(t *testing.T) {
+	if testing.Short() {
+		t.Skip("explores 2,750 schedules")
+	}
+	t.Run("memory", func(t *testing.T) {
+		s, err := NewSession(Lookup("controlplane-race"), "", DefaultWatchdog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Workers = 2
+		if err := s.ExploreDPOR(1750, 0); err != nil {
+			t.Fatal(err)
+		}
+		heap := liveHeap()
+		t.Logf("runs=%d frontier=%d live heap %.1f MB", s.Runs(), s.FrontierLen(), float64(heap)/1e6)
+		if s.FrontierLen() < 100000 {
+			t.Fatalf("frontier holds %d entries; too few for the heap bound to mean anything", s.FrontierLen())
+		}
+		if limit := uint64(32 << 20); heap > limit {
+			t.Errorf("live heap %d B after the search, want <= %d B", heap, limit)
+		}
+		runtime.KeepAlive(s)
+	})
+	t.Run("resumed", func(t *testing.T) {
+		const parentFrontierBytes = 36716896 // frontier.txt of this search at the parent of PR 24
+		dir := t.TempDir()
+		before := liveHeap()
+		s := exploreSerial(t, Lookup("controlplane-race"), dir, 1000)
+		wrote := int64(liveHeap() - before)
+		queued := s.FrontierLen()
+		st, err := os.Stat(filepath.Join(dir, frontierFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.KeepAlive(s)
+		s = nil
+
+		before = liveHeap()
+		r, err := NewSession(Lookup("controlplane-race"), dir, DefaultWatchdog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resumed := int64(liveHeap() - before)
+		t.Logf("frontier=%d frontier.txt %d B; live heap +%.1f MB writing, +%.1f MB resumed",
+			queued, st.Size(), float64(wrote)/1e6, float64(resumed)/1e6)
+		if queued < 50000 || r.FrontierLen() != queued || r.LoadWarnings() != 0 {
+			t.Fatalf("resumed %d of %d frontier entries with %d warnings; want all of at least 50,000 and none", r.FrontierLen(), queued, r.LoadWarnings())
+		}
+		if st.Size() > parentFrontierBytes/10 {
+			t.Errorf("frontier.txt is %d B, want at most a tenth of the %d B of one prefix per entry", st.Size(), parentFrontierBytes)
+		}
+		if resumed > 2*wrote {
+			t.Errorf("the resumed session holds +%d B live, the one that wrote the directory +%d B; want within 2x", resumed, wrote)
+		}
+		runtime.KeepAlive(r)
+	})
+}
+
+// FuzzReadFrontier: whatever bytes frontier.txt holds, loading it never
+// panics, every entry it queues is the baseline or a flip inside its log, and
+// the depth it reports is the deepest entry's. What it loads it writes back
+// as a file that loads to the same entries.
+func FuzzReadFrontier(f *testing.F) {
+	for _, seed := range []string{
+		"", frontierHeader, frontierHeader + "\nL -\nF 0:0\n",
+		frontierHeader + "\nL 0:3:0:2 1:2:1:0 2:4:3:0\nF 0:1 2:0 2:1\nL 0:2:0:1\nF 0:0\n",
+		frontierHeader + "\nL 0:2:0:1\nF 1:0\n", frontierHeader + "\nF 0:0\n", frontierHeader + "\nL 0:2:0:1\nF 0:-1 0:x\n",
+		frontierHeader + "\nL 0:2:0:1\nL\nF 0:0 0:0\nF\n", frontierHeader + "\nL 0:2:0:1\nF -1:0\nF 0:4294967296\n",
+		"-\n0:2:0:1\n0:3:0:2 1:2:1:0\nturn:not-a-number\n", "qithread-frontier v3\nL -\nF 0:0\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, reported, _ := readFrontier(splitLines(string(data)))
+		var entries [][]core.Choice
+		deepest := 0
+		q.each(func(f flip) {
+			if f != (flip{}) && (f.log == nil || f.pos < 0 || int(f.pos) >= len(*f.log)) {
+				t.Fatalf("loaded flip %d:%d over a log of %d decisions", f.pos, f.alt, f.logLen())
+			}
+			entries = append(entries, materialize(f))
+			deepest = max(deepest, f.depth())
+		})
+		if q.len() != len(entries) || reported != deepest {
+			t.Fatalf("loaded %d entries, deepest %d; the queue visits %d, deepest %d", q.len(), reported, len(entries), deepest)
+		}
+		again, _, skipped := readFrontier(splitLines(string(q.appendFile(nil))))
+		i := 0
+		again.each(func(f flip) {
+			if i < len(entries) && !reflect.DeepEqual(materialize(f), entries[i]) {
+				t.Fatalf("entry %d reloads as %v, was %v", i, materialize(f), entries[i])
+			}
+			i++
+		})
+		if skipped != 0 || i != len(entries) {
+			t.Fatalf("the %d loaded entries were written as a file that reloads %d, skipping %d lines", len(entries), i, skipped)
+		}
+	})
+}
+
+// TestSecondWriterRefused: a results directory has one writer. A session whose
+// directory gained runs after it loaded it — another session explored there —
+// is refused by name before it runs anything, and leaves every file as the
+// other session left it.
+func TestSecondWriterRefused(t *testing.T) {
 	p := Lookup("buggy")
 	dir := t.TempDir()
 	exploreSerial(t, p, dir, 10)
-	path := filepath.Join(dir, frontierFile)
-	before, err := os.ReadFile(path)
+	stale, err := NewSession(p, dir, testWatchdog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	own := strings.Split(strings.TrimSpace(string(before)), "\n")
-	const foreignA, foreignB = "0:9:0:7 1:9:0:8", "0:9:0:7 1:9:0:6"
-	// Another process's two entries, one of ours repeated, one torn line.
-	added := strings.Join([]string{foreignA, own[len(own)-1], "0:9:0", foreignB}, "\n") + "\n"
-	if err := os.WriteFile(path, append(before, added...), 0o644); err != nil {
-		t.Fatal(err)
+	exploreSerial(t, p, dir, 5)
+	snapshot := func() map[string]string {
+		files := map[string]string{}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[e.Name()] = string(data)
+		}
+		return files
 	}
-
-	s, err := NewSession(p, dir, testWatchdog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.LoadWarnings() != 1 || s.FrontierLen() != len(own)+3 {
-		t.Fatalf("loaded %d entries with %d warnings, want %d and 1", s.FrontierLen(), s.LoadWarnings(), len(own)+3)
-	}
-	// A second writer queues an entry while this session is exploring.
-	const late = "0:9:0:7 1:9:0:5"
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString("garbage\n" + late + "\n"); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	s.Workers = 1
-	if err := s.ExploreDPOR(3, 0); err != nil {
-		t.Fatal(err)
-	}
-
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(after)), "\n")
-	if len(lines) != s.FrontierLen()+1 {
-		t.Fatalf("frontier.txt has %d lines, want the session's %d plus the late foreign entry", len(lines), s.FrontierLen())
-	}
-	if got := lines[len(lines)-1]; got != late {
-		t.Errorf("last line %q, want the other writer's %q", got, late)
-	}
-	count := map[string]int{}
-	for _, l := range lines {
-		count[l]++
-	}
-	for _, popped := range own[:3] {
-		if count[popped] != 0 {
-			t.Errorf("popped entry %q came back from disk", popped)
+	before := snapshot()
+	for name, explore := range map[string]func() error{
+		"ExploreDPOR": func() error { return stale.ExploreDPOR(5, 0) },
+		"ExplorePCT":  func() error { return stale.ExplorePCT(5, 2, 0) },
+	} {
+		if err := explore(); err == nil || !strings.Contains(err.Error(), dir) {
+			t.Errorf("%s on a directory another session wrote to: %v, want an error naming %s", name, err, dir)
 		}
 	}
-	if count[foreignA] != 1 || count[foreignB] != 1 || count["garbage"] != 0 || count["0:9:0"] != 0 {
-		t.Errorf("foreign entries kept %d/%d times (want 1/1), corrupt lines %d/%d (want 0/0)",
-			count[foreignA], count[foreignB], count["garbage"], count["0:9:0"])
+	if stale.Runs() != 10 {
+		t.Errorf("the refused session ran to %d runs, want the 10 it loaded", stale.Runs())
+	}
+	if after := snapshot(); !reflect.DeepEqual(after, before) {
+		t.Errorf("the refused session changed the directory:\n%v\nwas\n%v", after, before)
+	}
+	// Whoever opens the directory now resumes from all 15 runs.
+	if s := exploreSerial(t, p, dir, 5); s.Runs() != 20 || s.LoadWarnings() != 0 {
+		t.Errorf("a fresh session ran to %d runs with %d warnings, want 20 and 0", s.Runs(), s.LoadWarnings())
 	}
 }

@@ -13,46 +13,72 @@ import (
 
 // The parallel engine's contract has three legs, each pinned here: workers=1
 // byte-identical to the serial explorer it replaced, workers=N set-identical
-// to workers=1 on a drained space, and the results directory surviving both
-// concurrent writers and torn writes.
+// to workers=1 on a drained space, and the results directory surviving torn
+// writes and refusing a second writer.
 
-// Golden sha256 sums of the results files the serial explorer produces at
-// budget=120. The runs.csv/seen.txt sums of buggy and wakerace date from the
-// PRE-POOL explorer; the frontier.txt sums and the controlplane-race entry
-// were captured on the materialised-prefix frontier, before it was replaced
-// by structure-sharing entries. Workers=1 must reproduce all of them byte for
-// byte: same pops, same run ids, same branching order, same file bytes.
+// Golden sha256 sums of the search state the serial explorer leaves at
+// budget=120. The runs.csv sums of buggy and wakerace date from the PRE-POOL
+// explorer; the frontier sums and the controlplane-race entry were captured
+// on the materialised-prefix frontier, when frontier.txt was one formatPrefix
+// line per entry. The file is groups of flips now, so the frontier sum is
+// taken over what a resuming session loads from it, each entry expanded back
+// into that line (resultsSums): Workers=1 must reproduce all of them — same
+// pops, same run ids, same branching order, same runs.csv bytes.
 var serialGoldens = map[string]map[string]string{
 	"buggy": {
 		runsFile:     "52e4f03110631b6fcbf86c963bed61fc3499dd43a51f467d84bd72e495af003a",
-		seenFile:     "2484546b5aa4c8e395fc63b0f916d182343d465efa6b5a83df696e27fa008822",
 		frontierFile: "8c881c5902dd8580cf2d080b5f4cdac62ed3ac453a33824cbee682e08b595ed6",
 	},
 	"wakerace": {
 		runsFile:     "33364bc1c10e339010999e69fc07e08152b8c323e0d4caf32c39976af4197c59",
-		seenFile:     "042843909af4505c126e8cf911df1a643ebd0b3c66ac22c3dfe4e156535baf4b",
 		frontierFile: "4fc9764c0148b284df898296c71159919a7d81f9aa49d0e992cb8d261910e97c",
 	},
 	"controlplane-race": {
 		runsFile:     "c5308cabf9bf9ca77748269b497dc7d3d1d28b9614a41671f9b11144b87c91dd",
-		seenFile:     "08a52c820fd781fbf3a8927ed2f9b6840f606f8eb6d2257d31f1ea69a92315e4",
 		frontierFile: "5c5711475d3acfdd53a0ede6a9b25b887a5fee9b14021026b82abfdfa32dedde",
 	},
 }
 
-// resultsSums returns the sha256 of each of the three search-state files.
+// expandedFrontier spells out the frontier dir holds the way frontier.txt
+// used to: one formatPrefix line per queued entry, in pop order.
+func expandedFrontier(t *testing.T, dir string) []byte {
+	t.Helper()
+	res, err := ReadResults(dir)
+	if err != nil || res.Skipped != 0 {
+		t.Fatalf("ReadResults(%s): %v, %d lines skipped", dir, err, res.Skipped)
+	}
+	var out []byte
+	res.frontier.each(func(f flip) {
+		out = append(append(out, formatPrefix(materialize(f))...), '\n')
+	})
+	return out
+}
+
+// resultsSums returns the sha256 of runs.csv and of the expanded frontier.
 func resultsSums(t *testing.T, dir string) map[string]string {
 	t.Helper()
+	runs, err := os.ReadFile(filepath.Join(dir, runsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sums := map[string]string{}
-	for _, file := range []string{runsFile, seenFile, frontierFile} {
-		data, err := os.ReadFile(filepath.Join(dir, file))
-		if err != nil {
-			t.Fatal(err)
-		}
+	for file, data := range map[string][]byte{runsFile: runs, frontierFile: expandedFrontier(t, dir)} {
 		sum := sha256.Sum256(data)
 		sums[file] = hex.EncodeToString(sum[:])
 	}
 	return sums
+}
+
+// fingerprints returns the session's seen set, sorted.
+func fingerprints(s *Session) []string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fps := make([]string, 0, len(s.seen))
+	for fp := range s.seen {
+		fps = append(fps, fp)
+	}
+	sort.Strings(fps)
+	return fps
 }
 
 // exploreSerial runs one Workers=1 DPOR invocation over dir.
@@ -84,16 +110,25 @@ func TestWorkersOneByteIdentical(t *testing.T) {
 }
 
 // TestResumeEquivalence: stopping at budget 60 and resuming for 60 more must
-// leave exactly the files one budget-120 invocation leaves. Across the
-// restart every frontier entry changes representation — a flip sharing its
-// parent run's log is written out as a line and read back as a standalone
-// prefix — so this pins that both forms denote the same prefix, in the same
-// FIFO position.
+// leave exactly the state one budget-120 invocation leaves. Across the restart
+// every frontier entry goes through frontier.txt — groups of flips written
+// out, the same groups read back over re-parsed logs — so this pins that the
+// file denotes the same prefixes, in the same FIFO positions. The old-build
+// variant rewrites the directory between the two halves into what a build
+// before the frontier header left (one whole prefix per line, and a seen.txt,
+// which nothing reads any more): such a directory still resumes.
 func TestResumeEquivalence(t *testing.T) {
 	for program, want := range serialGoldens {
-		t.Run(program, func(t *testing.T) {
+		resume := func(t *testing.T, oldBuild bool) {
 			dir := t.TempDir()
 			first := exploreSerial(t, Lookup(program), dir, 60)
+			if oldBuild {
+				for file, data := range map[string][]byte{frontierFile: expandedFrontier(t, dir), "seen.txt": []byte("not-a-fingerprint\n")} {
+					if err := os.WriteFile(filepath.Join(dir, file), data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
 			second := exploreSerial(t, Lookup(program), dir, 60)
 			if first.Runs() != 60 || second.Runs() != 120 || second.LoadWarnings() != 0 {
 				t.Fatalf("ran to %d then %d runs with %d load warnings, want 60, 120 and 0", first.Runs(), second.Runs(), second.LoadWarnings())
@@ -103,6 +138,10 @@ func TestResumeEquivalence(t *testing.T) {
 					t.Errorf("%s: sha256 %s after 60+60, want the one-shot budget-120 sum %s", file, got, want[file])
 				}
 			}
+		}
+		t.Run(program, func(t *testing.T) {
+			resume(t, false)
+			t.Run("old-build", func(t *testing.T) { resume(t, true) })
 		})
 	}
 }
@@ -160,8 +199,7 @@ func TestWorkerCountInvariance(t *testing.T) {
 		if s.FrontierLen() != 0 {
 			t.Fatalf("workers=%d: frontier not drained (%d left); invariance only holds on the full closure", workers, s.FrontierLen())
 		}
-		fps = s.seenOrdered()
-		sort.Strings(fps)
+		fps = fingerprints(s)
 		s.mu.Lock()
 		for sig := range s.reproSigs {
 			bugs = append(bugs, sig)
@@ -199,9 +237,7 @@ func TestPCTWorkerInvariance(t *testing.T) {
 		if err := s.ExplorePCT(150, 3, 7); err != nil {
 			t.Fatal(err)
 		}
-		fps := s.seenOrdered()
-		sort.Strings(fps)
-		return fps
+		return fingerprints(s)
 	}
 	fps1, fps4 := walk(1), walk(4)
 	if !equalStrings(fps1, fps4) {
@@ -284,9 +320,11 @@ func TestHBPruningKeepsBugReachable(t *testing.T) {
 	}
 }
 
-// TestLoadToleratesCorruption: a torn runs.csv line (crashed writer) and a
-// corrupt frontier entry must be skipped — counted in LoadWarnings — instead
-// of making the directory unresumable.
+// TestLoadToleratesCorruption: a torn runs.csv line (crashed writer), a
+// full-width one with a cell no session writes (it was a run at depth 0 until
+// PR 24) and corrupt frontier lines must be skipped — counted in LoadWarnings
+// — instead of making the directory unresumable. A group whose flips are out
+// of range goes as a whole; the groups around it stand.
 func TestLoadToleratesCorruption(t *testing.T) {
 	p := Lookup("buggy")
 	dir := t.TempDir()
@@ -309,14 +347,18 @@ func TestLoadToleratesCorruption(t *testing.T) {
 		f.Close()
 	}
 	appendTo(runsFile, "999,dpor,3\n") // torn mid-line: too few cells
-	appendTo(frontierFile, "turn:not-a-number\n")
+	appendTo(runsFile, "x98,dpor,3,25,ok,false,fp,\n997,dpor,3,,ok,false,fp,\n996,dpor,3,25,assert-fail,yes,fp,\n995,dpor,3,25,crashed,true,fp,\n")
+	appendTo(frontierFile, "turn:not-a-number\nL 0:2:0:x\nF 0:1\nL 0:2:0:1 0:2:0:0\nF 1:1 2:0\nF 0:1\nL -\nF 0:1\n")
 
 	s2, err := NewSession(p, dir, testWatchdog)
 	if err != nil {
 		t.Fatalf("resume after corruption: %v", err)
 	}
-	if got := s2.LoadWarnings(); got != 2 {
-		t.Errorf("LoadWarnings = %d, want 2 (one torn runs line, one corrupt frontier entry)", got)
+	if got := s2.LoadWarnings(); got != 11 {
+		t.Errorf("LoadWarnings = %d, want 11 (one torn and four unparseable runs lines; a line that is no group line, a log that does not parse and its orphaned flips, flips past their log, flips after a log was used, a non-baseline flip of the empty log)", got)
+	}
+	if s2.Distinct() != s1.Distinct() || s2.Failures() != s1.Failures() {
+		t.Errorf("resume counted %d fingerprints and %d failures, want %d and %d", s2.Distinct(), s2.Failures(), s1.Distinct(), s1.Failures())
 	}
 	if s2.Runs() != s1.Runs() {
 		t.Errorf("resume counted %d runs, want %d (torn line must not count)", s2.Runs(), s1.Runs())

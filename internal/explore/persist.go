@@ -15,39 +15,31 @@ import (
 	"qithread/internal/trace"
 )
 
-// Results-directory persistence for concurrent writers.
+// Results-directory persistence. A results directory is the state of ONE
+// writing session, stored as the session holds it:
 //
-// Three mechanisms make one directory safe to share — across the workers of
-// one invocation, across sequential resumed invocations, and across
-// concurrent processes:
-//
-//   - runs.csv grows by APPENDS under an exclusive flock of dir/.lock, in
-//     batches of up to flushEvery lines: concurrent appenders interleave at
-//     batch granularity and never tear a line mid-byte (a crash can still
-//     truncate the final line of a batch, which is why the loader below is
-//     corruption-tolerant).
-//   - seen.txt, frontier.txt and workers.txt are REPLACED via temp-file +
-//     atomic rename, so a reader (qistat, a resuming session) never observes
-//     a half-written snapshot. seen.txt and frontier.txt are merged with the
-//     on-disk state under the lock before the rename: fingerprints another
-//     process discovered are kept (appended after ours in its file order),
-//     and frontier entries another process queued survive unless this
-//     session executed them.
+//   - the session takes an exclusive flock of dir/.lock once per
+//     ExploreDPOR/ExplorePCT call — search, flushes and final save — and for
+//     NewSession's load. Before it searches it compares runs.csv with what it
+//     loaded and has appended since: a directory somebody else wrote to in
+//     between is refused by name, not merged (exclusively), and whoever wants
+//     to continue from it opens a new session.
+//   - runs.csv grows by APPENDS in batches of up to flushEvery lines, so a
+//     crash loses at most a batch (it can still truncate the batch's last
+//     line, which is why the loader below is corruption-tolerant). The seen
+//     set is its new=true rows; nothing else stores it.
+//   - frontier.txt and workers.txt are REPLACED at the end of the call via
+//     temp-file + atomic rename, so a reader (qistat) never observes a
+//     half-written snapshot. Nothing is read back while the lock is held.
 //   - the one reader, ReadResults, skips torn or malformed lines (counting
 //     them; a resuming session reports the count as LoadWarnings) instead of
 //     failing: a single torn frontier line must not make a directory
 //     unresumable.
-//
-// Run ids stay process-local ordinals: two processes appending concurrently
-// will reuse ids, which qistat tolerates (it aggregates by strategy). The
-// supported sharing shapes are in-process workers (ids unique) and
-// sequential cross-invocation resume (ids continue); concurrent processes
-// get safe file semantics and merged coverage.
 
-// withDirLock runs fn while holding an exclusive flock on dir/.lock,
-// serializing results-file writers across processes. On platforms without
-// flock it degrades to no inter-process exclusion (lockfile_other.go) —
-// in-process exclusion is already provided by the session mutex.
+// withDirLock runs fn while holding an exclusive flock on dir/.lock. On
+// platforms without flock it degrades to no inter-process exclusion
+// (lockfile_other.go); the changed-directory check of exclusively still
+// holds there.
 func (s *Session) withDirLock(fn func() error) error {
 	f, err := os.OpenFile(filepath.Join(s.Dir, ".lock"), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -59,6 +51,37 @@ func (s *Session) withDirLock(fn func() error) error {
 	}
 	defer flockRelease(f)
 	return fn()
+}
+
+// exclusively runs one ExploreDPOR/ExplorePCT call: search, then save, as the
+// directory's only writer. runs.csv is append-only, so its size is the
+// directory's version: if it is not what this session loaded plus what it
+// appended, another session has recorded runs — and popped frontier entries —
+// this one knows nothing of, and searching on would run them again under run
+// ids already taken.
+func (s *Session) exclusively(search func() error) error {
+	if s.Dir == "" {
+		return search()
+	}
+	return s.withDirLock(func() error {
+		if size := fileSize(filepath.Join(s.Dir, runsFile)); size != s.runsSize {
+			return fmt.Errorf("explore: results dir %s: %s is %d bytes, this session knows %d: another session wrote here since this one loaded it; open a new session to resume",
+				s.Dir, runsFile, size, s.runsSize)
+		}
+		if err := search(); err != nil {
+			return err
+		}
+		return s.save()
+	})
+}
+
+// fileSize is the length of the file at path, 0 when there is none.
+func fileSize(path string) int64 {
+	st, err := os.Stat(path)
+	if err != nil {
+		return 0
+	}
+	return st.Size()
 }
 
 // atomicWrite replaces path with data via a temp file in the same directory
@@ -88,136 +111,44 @@ func atomicWrite(path string, data []byte) error {
 	return nil
 }
 
-// flushLocked writes the buffered runs.csv lines and, when new fingerprints
-// arrived, the merged seen.txt snapshot. Caller holds mu. Persistence
-// failures are fatal to the session — an exploration whose results silently
-// vanish is worse than one that stops.
+// flushLocked appends the buffered runs.csv lines, the column row first when
+// the file is new. Caller holds mu and, through exclusively, the directory
+// lock. Persistence failures are fatal to the session — an exploration whose
+// results silently vanish is worse than one that stops.
 func (s *Session) flushLocked() {
-	if s.Dir == "" || (len(s.pend) == 0 && !s.seenDirty) {
+	if len(s.pend) == 0 {
 		return
 	}
-	pend := s.pend
-	s.pend = nil
-	s.pendRuns = 0
-	seenDirty := s.seenDirty
-	s.seenDirty = false
-	err := s.withDirLock(func() error {
-		if len(pend) > 0 {
-			if err := appendRuns(filepath.Join(s.Dir, runsFile), pend); err != nil {
-				return err
-			}
+	batch := s.pend
+	if s.runsSize == 0 {
+		batch = append([]byte(runsHeader+"\n"), batch...)
+	}
+	s.pend, s.pendRuns = s.pend[:0], 0
+	f, err := os.OpenFile(filepath.Join(s.Dir, runsFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err == nil {
+		var n int
+		n, err = f.Write(batch)
+		s.runsSize += int64(n)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		if seenDirty {
-			if err := s.writeSeenMerged(); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	}
 	if err != nil {
 		panic(fmt.Sprintf("explore: results dir %s: %v", s.Dir, err))
 	}
 }
 
-// appendRuns appends one batch of run lines, writing the header first when
-// the file does not exist yet.
-func appendRuns(path string, batch []byte) error {
-	_, statErr := os.Stat(path)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if statErr != nil {
-		if _, err := f.WriteString(runsHeader + "\n"); err != nil {
-			return err
-		}
-	}
-	_, err = f.Write(batch)
-	return err
-}
-
-// writeSeenMerged snapshots the seen set (first-discovery order), keeping any
-// fingerprints present on disk that this session does not know — another
-// process's discoveries. Caller holds mu and the directory lock.
-func (s *Session) writeSeenMerged() error {
-	var b strings.Builder
-	for _, fp := range s.seenOrdered() {
-		b.WriteString(fp)
-		b.WriteByte('\n')
-	}
-	onDisk, err := lines(s.Dir, seenFile)
-	if err != nil {
-		return err
-	}
-	for _, line := range onDisk {
-		if _, known := s.seen[line]; !known {
-			b.WriteString(line)
-			b.WriteByte('\n')
-		}
-	}
-	return atomicWrite(filepath.Join(s.Dir, seenFile), []byte(b.String()))
-}
-
-// save persists everything: buffered runs, the seen snapshot, the frontier
-// (merged with on-disk entries this session did not execute) and the
+// save persists what the search left: buffered runs, the frontier in the
+// structure-shared form the session holds it in (frontier.go), and the
 // per-worker stats of the invocation.
 func (s *Session) save() error {
-	if s.Dir == "" {
-		return nil
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.seenDirty = true // force a final snapshot even without new fingerprints
 	s.flushLocked()
-	return s.withDirLock(func() error {
-		if err := s.writeFrontierMerged(); err != nil {
-			return err
-		}
-		return s.writeWorkerStats()
-	})
-}
-
-// writeFrontierMerged rewrites frontier.txt: this session's remaining
-// frontier in order, then any valid on-disk entries that this session
-// neither executed nor already holds (another process's additions). Caller
-// holds mu and the directory lock.
-func (s *Session) writeFrontierMerged() error {
-	// Candidates for "another process's addition": what is on disk and was
-	// not executed here. Entries the frontier still holds are struck out as
-	// they are rendered, so only the disk side is ever held as strings.
-	onDisk, err := lines(s.Dir, frontierFile)
-	if err != nil {
+	if err := atomicWrite(filepath.Join(s.Dir, frontierFile), s.frontier.appendFile(nil)); err != nil {
 		return err
 	}
-	var disk []string
-	foreign := map[string]bool{}
-	for _, line := range onDisk {
-		if !s.executed[line] {
-			disk = append(disk, line)
-			foreign[line] = true
-		}
-	}
-	var b []byte
-	s.frontier.each(func(f flip) {
-		start := len(b)
-		b = f.appendLine(b)
-		if foreign[string(b[start:])] {
-			delete(foreign, string(b[start:]))
-		}
-		b = append(b, '\n')
-	})
-	for _, line := range disk {
-		if !foreign[line] {
-			continue
-		}
-		if _, err := parsePrefix(line); err != nil {
-			continue // corrupt leftover; dropped on rewrite
-		}
-		b = append(b, line...)
-		b = append(b, '\n')
-	}
-	return atomicWrite(filepath.Join(s.Dir, frontierFile), b)
+	return s.writeWorkerStats()
 }
 
 // writeWorkerStats snapshots the last invocation's per-worker stats for
@@ -249,11 +180,11 @@ func (s *Session) writeRepro(name string, final Result) (string, error) {
 }
 
 // load resumes session state from what ReadResults finds in the results
-// directory, under the directory lock so a concurrent writer's rename cannot
-// race the reads. Torn or malformed lines — a crashed writer's last batch, a
-// partial line from a concurrent append — were skipped and counted; they
-// surface through LoadWarnings, because load runs inside NewSession, before a
-// caller can attach a Verbose logger.
+// directory, under the directory lock so that what it reads and the runs.csv
+// size it remembers are one state. Torn or malformed lines — a crashed
+// writer's last batch — were skipped and counted; they surface through
+// LoadWarnings, because load runs inside NewSession, before a caller can
+// attach a Verbose logger.
 func (s *Session) load() error {
 	if err := os.MkdirAll(s.Dir, 0o755); err != nil {
 		return fmt.Errorf("explore: results dir: %w", err)
@@ -263,13 +194,12 @@ func (s *Session) load() error {
 		if err != nil {
 			return fmt.Errorf("explore: resuming: %w", err)
 		}
+		s.runsSize = fileSize(filepath.Join(s.Dir, runsFile))
 		for id, fp := range res.Seen {
 			s.seen[fp] = id // discovery order; exact run ids live in runs.csv
 		}
 		s.runs, s.maxDepth, s.failures = res.Total.Runs, res.Total.MaxDepth, res.Total.Failures()
-		for _, prefix := range res.Frontier {
-			s.frontier.push(prefixFlip(prefix))
-		}
+		s.frontier = res.frontier
 		for _, r := range res.Repros {
 			s.repros = append(s.repros, r.Path)
 			if r.Err == nil {
@@ -283,16 +213,19 @@ func (s *Session) load() error {
 
 // Results is what a results directory holds: the one reading of its schema
 // (declared with the Session, session.go), shared by a resuming Session and by
-// qistat. A line a crashed or concurrent writer tore — too few cells, a field
-// that does not parse — is skipped and counted, never fatal.
+// qistat. A line a crashed writer tore — too few cells, a field that does not
+// parse — is skipped and counted, never fatal.
 type Results struct {
-	Strategies []StrategyStat  // runs.csv, aggregated per strategy in order of first appearance
-	Total      StrategyStat    // and over all of them
-	Seen       []string        // seen.txt: the distinct fingerprints, first-discovery order
-	Frontier   [][]core.Choice // frontier.txt: the unexpanded forced prefixes, in pop order
-	Workers    []WorkerStat    // workers.txt: the last invocation's workers, by worker index
-	Repros     []Repro         // repro-*.sched, sorted by path
-	Skipped    int             // torn or corrupt lines (and unreadable repro files) skipped
+	Strategies    []StrategyStat // runs.csv, aggregated per strategy in order of first appearance
+	Total         StrategyStat   // and over all of them
+	Seen          []string       // the fingerprints of its new=true rows: the distinct ones, first-discovery order
+	Frontier      int            // frontier.txt: how many unexpanded forced prefixes it queues
+	FrontierDepth int            // and the length of the deepest
+	Workers       []WorkerStat   // workers.txt: the last invocation's workers, by worker index
+	Repros        []Repro        // repro-*.sched, sorted by path
+	Skipped       int            // torn or corrupt lines (and unreadable repro files) skipped
+
+	frontier flipQueue // the queue itself, in pop order, for Session.load
 }
 
 // StrategyStat aggregates the runs.csv rows of one search strategy.
@@ -329,16 +262,35 @@ func lines(dir, name string) ([]string, error) {
 	if errors.Is(err, fs.ErrNotExist) {
 		return nil, nil
 	}
-	if err != nil {
-		return nil, err
-	}
+	return splitLines(string(data)), err
+}
+
+func splitLines(data string) []string {
 	var out []string
-	for _, line := range strings.Split(string(data), "\n") {
+	for _, line := range strings.Split(data, "\n") {
 		if line = strings.TrimSpace(line); line != "" {
 			out = append(out, line)
 		}
 	}
-	return out, nil
+	return out
+}
+
+// runRow reads the depth and decision count off the cells of a runs.csv row.
+// It is ok only when the row is one recordLocked writes: an id, a depth and a
+// decision count that parse, an outcome some Outcome prints as, and a new flag
+// that is one of the two booleans.
+func runRow(cells []string) (depth, decisions int, ok bool) {
+	if len(cells) < 7 || (cells[5] != "true" && cells[5] != "false") {
+		return 0, 0, false
+	}
+	_, errID := strconv.Atoi(cells[0])
+	depth, errDepth := strconv.Atoi(cells[2])
+	decisions, errDecisions := strconv.Atoi(cells[3])
+	known := false
+	for o := OutcomeOK; o <= OutcomeHang; o++ {
+		known = known || o.String() == cells[4]
+	}
+	return depth, decisions, errID == nil && errDepth == nil && errDecisions == nil && known
 }
 
 // ReadResults reads a results directory without locking or modifying it. A
@@ -354,7 +306,8 @@ func ReadResults(dir string) (*Results, error) {
 			continue // runsHeader
 		}
 		cells := strings.Split(row, ",")
-		if len(cells) < 7 {
+		depth, decisions, ok := runRow(cells)
+		if !ok {
 			res.Skipped++ // torn append from a crashed writer
 			continue
 		}
@@ -363,8 +316,9 @@ func ReadResults(dir string) (*Results, error) {
 			i = len(res.Strategies)
 			res.Strategies = append(res.Strategies, StrategyStat{Strategy: cells[1], Outcomes: map[string]int{}})
 		}
-		depth, _ := strconv.Atoi(cells[2])
-		decisions, _ := strconv.Atoi(cells[3])
+		if cells[5] == "true" {
+			res.Seen = append(res.Seen, cells[6])
+		}
 		for _, a := range []*StrategyStat{&res.Strategies[i], &res.Total} {
 			a.Runs++
 			a.Outcomes[cells[4]]++
@@ -376,28 +330,13 @@ func ReadResults(dir string) (*Results, error) {
 		}
 	}
 
-	if rows, err = lines(dir, seenFile); err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool, len(rows))
-	for _, fp := range rows {
-		if !seen[fp] {
-			seen[fp] = true
-			res.Seen = append(res.Seen, fp)
-		}
-	}
-
 	if rows, err = lines(dir, frontierFile); err != nil {
 		return nil, err
 	}
-	for _, row := range rows {
-		prefix, err := parsePrefix(row)
-		if err != nil {
-			res.Skipped++ // corrupt entry; the rest of the frontier stands
-			continue
-		}
-		res.Frontier = append(res.Frontier, prefix)
-	}
+	var skipped int
+	res.frontier, res.FrontierDepth, skipped = readFrontier(rows)
+	res.Frontier = res.frontier.len()
+	res.Skipped += skipped
 
 	if rows, err = lines(dir, workersFile); err != nil {
 		return nil, err

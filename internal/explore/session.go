@@ -2,7 +2,6 @@ package explore
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -17,7 +16,7 @@ import (
 //
 // A session explores with Workers concurrent workers (see parallel.go), each
 // executing candidate schedules in its own isolated Runtime. Workers <= 1 is
-// the serial search, byte-identical in runs.csv/seen.txt/frontier.txt to the
+// the serial search, identical in runs.csv bytes and in frontier order to the
 // single-threaded explorer this engine replaced — run ids, record order,
 // branch order and repro naming are all preserved, which is what keeps the
 // E20 ground truth pinned.
@@ -35,20 +34,19 @@ type Session struct {
 	// PR 8 behaviour.
 	HB bool
 
-	mu        sync.Mutex      // guards all mutable state below
-	runs      int             // run ids handed out (resume continues the count)
-	seen      map[string]int  // fingerprint -> run id that first produced it
-	frontier  flipQueue       // unexplored forced prefixes, FIFO (frontier.go)
-	executed  map[string]bool // frontier lines popped this session — merge input, kept only with a Dir
+	mu        sync.Mutex     // guards all mutable state below
+	runs      int            // run ids handed out (resume continues the count)
+	seen      map[string]int // fingerprint -> run id that first produced it
+	frontier  flipQueue      // unexplored forced prefixes, FIFO (frontier.go)
 	failures  int
 	repros    []string        // repro file paths emitted this session and before
 	reproSigs map[string]bool // outcome+minimized-prefix signatures already emitted
 	maxDepth  int             // deepest forced prefix run so far
 	pruned    int             // flips dropped by happens-before pruning
 
-	pend      []byte // runs.csv lines recorded but not yet flushed
-	pendRuns  int
-	seenDirty bool
+	pend     []byte // runs.csv lines recorded but not yet flushed
+	pendRuns int
+	runsSize int64 // bytes of runs.csv as loaded plus what this session appended (persist.go)
 
 	loadWarnings int // corrupt lines skipped while resuming
 	workerStats  []WorkerStat
@@ -59,18 +57,19 @@ type Session struct {
 // for qistat alike:
 //
 //	runs.csv     one line per run: id,strategy,depth,decisions,outcome,new,fingerprint,err
-//	seen.txt     one fingerprint per line, first-discovery order
-//	frontier.txt one unexpanded forced prefix per line ("-" = empty)
+//	             (its new=true rows are the seen set, first-discovery order)
+//	frontier.txt frontierHeader, then per expanded run with flips still queued
+//	             an "L" line (its decision log) and an "F" line (their pos:alt pairs)
 //	workers.txt  per-worker throughput/prune stats of the last invocation
 //	repro-*.sched  minimized v3 repro schedules, one per distinct failure
-//	.lock        flock target serializing writers across processes
+//	.lock        flock target: one writing session at a time
 //
-// runs.csv grows by flock-protected appends; seen.txt, frontier.txt and
-// workers.txt are replaced by atomic temp-file + rename (readers and
-// concurrent writers never observe a torn file). See persist.go.
+// runs.csv grows by appends; frontier.txt and workers.txt are replaced by
+// atomic temp-file + rename (a reader never observes a torn file). A seen.txt
+// is a leftover of a build that kept the seen set twice; nothing reads it.
+// See persist.go.
 const (
 	runsFile     = "runs.csv"
-	seenFile     = "seen.txt"
 	frontierFile = "frontier.txt"
 	workersFile  = "workers.txt"
 	runsHeader   = "run,strategy,depth,decisions,outcome,new,fingerprint,err"
@@ -102,25 +101,6 @@ func (s *Session) markSeen(fp string, id int) bool {
 	return true
 }
 
-// seenOrdered returns all fingerprints sorted by first-discovery run id.
-// Caller holds mu.
-func (s *Session) seenOrdered() []string {
-	type fpID struct {
-		fp string
-		id int
-	}
-	all := make([]fpID, 0, len(s.seen))
-	for fp, id := range s.seen {
-		all = append(all, fpID{fp, id})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].id < all[j].id })
-	out := make([]string, len(all))
-	for i, e := range all {
-		out[i] = e.fp
-	}
-	return out
-}
-
 // NewSession opens (or resumes) an exploration session. A non-empty dir is
 // created if needed and prior state is loaded from it under the directory
 // lock.
@@ -133,7 +113,6 @@ func NewSession(p *Program, dir string, watchdog time.Duration) (*Session, error
 	if dir == "" {
 		return s, nil
 	}
-	s.executed = map[string]bool{}
 	if err := s.load(); err != nil {
 		return nil, err
 	}
@@ -192,7 +171,7 @@ func (s *Session) Pruned() int {
 }
 
 // LoadWarnings returns the number of corrupt results-file lines skipped while
-// resuming (torn writes from a crashed or concurrent invocation).
+// resuming (torn writes from a crashed invocation).
 func (s *Session) LoadWarnings() int { return s.loadWarnings }
 
 // WorkerStats returns each worker's contribution to the last
@@ -244,15 +223,14 @@ func (s *Session) SeenAt(fp string) (int, bool) {
 // timing-dependent, but the search remains breadth-layered and every run is
 // individually deterministic.
 func (s *Session) ExploreDPOR(budget, maxDepth int) error {
-	s.mu.Lock()
-	if s.runs == 0 && s.frontier.len() == 0 {
-		s.frontier.push(flip{}) // the all-defaults baseline
-	}
-	s.mu.Unlock()
-	if err := s.runDPORPool(budget, maxDepth); err != nil {
-		return err
-	}
-	return s.save()
+	return s.exclusively(func() error {
+		s.mu.Lock()
+		if s.runs == 0 && s.frontier.len() == 0 {
+			s.frontier.push(flip{}) // the all-defaults baseline
+		}
+		s.mu.Unlock()
+		return s.runDPORPool(budget, maxDepth)
+	})
 }
 
 // ExplorePCT runs the PCT-style deterministic random walk: `budget` runs,
@@ -263,22 +241,21 @@ func (s *Session) ExploreDPOR(budget, maxDepth int) error {
 // distributes the walk indices over the pool; the walks themselves are
 // independent, so only record order varies.
 func (s *Session) ExplorePCT(budget, d int, seed uint64) error {
-	base := RunForced(s.P, nil, s.Watchdog)
-	s.mu.Lock()
-	id, _ := s.recordLocked("pct-base", 0, base)
-	s.mu.Unlock()
-	if base.Outcome.Failure() {
-		if err := s.minimizeAndEmit(0, base, id); err != nil {
-			return err
+	return s.exclusively(func() error {
+		base := RunForced(s.P, nil, s.Watchdog)
+		s.mu.Lock()
+		id, _ := s.recordLocked("pct-base", 0, base)
+		s.mu.Unlock()
+		if base.Outcome.Failure() {
+			if err := s.minimizeAndEmit(0, base, id); err != nil {
+				return err
+			}
 		}
-	}
-	if seed == 0 {
-		seed = base.Hash()
-	}
-	if err := s.runPCTPool(budget, d, seed, len(base.Choices)); err != nil {
-		return err
-	}
-	return s.save()
+		if seed == 0 {
+			seed = base.Hash()
+		}
+		return s.runPCTPool(budget, d, seed, len(base.Choices))
+	})
 }
 
 // expandLocked branches one newly discovered run into its unexplored flips —
@@ -328,10 +305,7 @@ func (s *Session) recordLocked(strategy string, depth int, res Result) (id int, 
 	if res.Outcome.Failure() {
 		s.failures++
 	}
-	if res.Fingerprint != "" && s.markSeen(res.Fingerprint, id) {
-		isNew = true
-		s.seenDirty = true
-	}
+	isNew = res.Fingerprint != "" && s.markSeen(res.Fingerprint, id)
 	if s.Verbose != nil { // tested at the call: boxing the arguments allocates, every run
 		s.Verbose("run %d [%s] depth=%d decisions=%d outcome=%s new=%v",
 			id, strategy, depth, len(res.Choices), res.Outcome, isNew)

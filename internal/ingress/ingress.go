@@ -11,8 +11,8 @@
 // package builds that admission point out of three pieces:
 //
 //   - Collection, outside the turn: free-running Source goroutines (socket
-//     adapters, timers, synthetic feeds) push events into a bounded staging
-//     Collector in real time, with per-source backpressure. Nothing here is
+//     adapters, synthetic feeds) push events into a bounded staging
+//     Collector in real time, with backpressure. Nothing here is
 //     deterministic, and nothing here needs to be: arrival order and timing
 //     are exactly the nondeterminism being fenced off.
 //   - Admission, inside the turn: at each epoch boundary — one turn-holding
@@ -81,7 +81,7 @@ type Stats struct {
 	// Shed is the number of events rejected by the bounded admission queue.
 	Shed int64
 	// PushBlocks counts producer pushes that blocked on staging
-	// backpressure (total or per-source bound reached).
+	// backpressure (the stage was full).
 	PushBlocks int64
 	// MaxStage is the staging high-water mark (events waiting outside the
 	// turn).
@@ -102,10 +102,6 @@ type Config struct {
 	// into a full stage block in real time (backpressure toward the
 	// sources). Zero means 64.
 	StageCap int
-	// PerSourceCap bounds one source's staged events, so a single hot
-	// source cannot occupy the whole stage and starve the others. Zero
-	// means StageCap.
-	PerSourceCap int
 	// MaxBatch bounds the events delivered to the domain per admission
 	// slot. Zero means 16.
 	MaxBatch int
@@ -142,9 +138,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.StageCap <= 0 {
 		c.StageCap = 64
-	}
-	if c.PerSourceCap <= 0 || c.PerSourceCap > c.StageCap {
-		c.PerSourceCap = c.StageCap
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 16
@@ -197,7 +190,7 @@ func (g *Gateway) Init(cfg Config) *Gateway {
 	g.cfg = cfg
 	g.admitHash, g.shedHash = logio.FNVOffset64, logio.FNVOffset64
 	if cfg.Replay == nil {
-		g.col = newCollector(cfg.StageCap, cfg.PerSourceCap)
+		g.col = newCollector(cfg.StageCap)
 		if cfg.Sink != nil {
 			g.sink = cfg.Sink
 		} else {
@@ -412,7 +405,7 @@ func foldEvent(h uint64, e Event) uint64 {
 }
 
 // collector is the free-running staging area between sources and the
-// gateway: a bounded buffer with per-source quotas, filled by producer
+// gateway: a bounded buffer filled by producer
 // goroutines in real time and snapshotted by the turn-holding admission
 // slot. Everything in here is deliberately nondeterministic — it is the
 // outside world — and none of it leaks downstream except through the logged
@@ -422,17 +415,16 @@ type collector struct {
 	canPush sync.Cond
 	canPull sync.Cond
 	stage   []Event
-	perSrc  []int // staged events per source
 	cap     int
-	perCap  int
+	sources int // registered; the next source's id
 	open    int // sources not yet closed
 
 	pushBlocks int64
 	maxStage   int
 }
 
-func newCollector(stageCap, perSourceCap int) *collector {
-	c := &collector{cap: stageCap, perCap: perSourceCap}
+func newCollector(stageCap int) *collector {
+	c := &collector{cap: stageCap}
 	c.canPush.L = &c.mu
 	c.canPull.L = &c.mu
 	return c
@@ -441,18 +433,17 @@ func newCollector(stageCap, perSourceCap int) *collector {
 func (c *collector) addSource() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	id := len(c.perSrc)
-	c.perSrc = append(c.perSrc, 0)
+	c.sources++
 	c.open++
-	return id
+	return c.sources - 1
 }
 
-// push stages one event, blocking while the stage or the source's quota is
-// full (the backpressure producers feel).
+// push stages one event, blocking while the stage is full (the backpressure
+// producers feel).
 func (c *collector) push(source int, data []byte) {
 	c.mu.Lock()
 	blocked := false
-	for len(c.stage) >= c.cap || c.perSrc[source] >= c.perCap {
+	for len(c.stage) >= c.cap {
 		if !blocked {
 			blocked = true
 			c.pushBlocks++
@@ -460,7 +451,6 @@ func (c *collector) push(source int, data []byte) {
 		c.canPush.Wait()
 	}
 	c.stage = append(c.stage, Event{Source: source, Data: data})
-	c.perSrc[source]++
 	if len(c.stage) > c.maxStage {
 		c.maxStage = len(c.stage)
 	}
@@ -500,9 +490,6 @@ func (c *collector) drain(block bool) (snap []Event, exhausted bool) {
 	if len(c.stage) > 0 {
 		snap = c.stage
 		c.stage = make([]Event, 0, len(snap))
-	}
-	for i := range c.perSrc {
-		c.perSrc[i] = 0
 	}
 	exhausted = c.open == 0
 	c.mu.Unlock()

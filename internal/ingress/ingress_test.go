@@ -210,7 +210,7 @@ func TestCollectorBackpressure(t *testing.T) {
 // so a steady epoch refills it in one allocation instead of regrowing from
 // nil. An empty drain hands out nothing and leaves the sized stage alone.
 func TestCollectorStageSizedFromLastSnapshot(t *testing.T) {
-	c := newCollector(64, 64)
+	c := newCollector(64)
 	src := c.addSource()
 	fill := func(n int, tag byte) {
 		for i := 0; i < n; i++ {
@@ -279,27 +279,6 @@ func TestAdmissionQueueSizedFromFirstSnapshot(t *testing.T) {
 	}
 }
 
-// TestPerSourceCapFairness: one source's quota cannot eat the whole stage.
-func TestPerSourceCapFairness(t *testing.T) {
-	g := NewGateway(Config{StageCap: 8, PerSourceCap: 2, MaxBatch: 8})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	g.AddSource(FuncSource("hog", func(p *Port) {
-		defer wg.Done()
-		for i := 0; i < 6; i++ {
-			p.Push([]byte{byte(i)}) // blocks at 2 staged until drained
-		}
-	}))
-	evs := drainAll(g, 8)
-	wg.Wait()
-	if len(evs) != 6 {
-		t.Fatalf("admitted %d, want 6", len(evs))
-	}
-	if st := g.Stats(); st.MaxStage > 2 {
-		t.Errorf("per-source cap exceeded: maxStage %d", st.MaxStage)
-	}
-}
-
 // TestReplayDivergencePanics: an admission slot past a still-unconsumed
 // recorded batch means the replaying program took fewer slots than the
 // recording — a loud failure, not a silent misalignment.
@@ -313,16 +292,4 @@ func TestReplayDivergencePanics(t *testing.T) {
 		}
 	}()
 	r.next(6, 0) // recorded epoch 5 < current epoch 6: divergence
-}
-
-func TestTimerSource(t *testing.T) {
-	g := NewGateway(Config{MaxBatch: 8})
-	g.AddSource(TimerSource{Interval: 200 * time.Microsecond, Ticks: 3})
-	evs := drainAll(g, 8)
-	if len(evs) != 3 {
-		t.Fatalf("got %d ticks, want 3", len(evs))
-	}
-	if string(evs[2].Data) != "tick 2" {
-		t.Errorf("tick payload %q", evs[2].Data)
-	}
 }

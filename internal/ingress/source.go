@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"net"
 	"sync"
-	"time"
 )
 
 // Port is a source's handle on the collector: the free-running producer side
@@ -114,42 +113,4 @@ func (s ListenerSource) Run(p *Port) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TimerSource pushes Ticks tick events Interval apart: the deterministic
-// replacement for "the timer fired" nondeterminism. The payload of tick i is
-// Payload(i) (default: the decimal tick index), so replay reproduces
-// timer-driven work without any timer.
-type TimerSource struct {
-	Interval time.Duration
-	Ticks    int
-	Payload  func(i int) []byte
-}
-
-func (s TimerSource) Name() string { return "timer" }
-
-func (s TimerSource) Run(p *Port) {
-	for i := 0; i < s.Ticks; i++ {
-		time.Sleep(s.Interval)
-		if s.Payload != nil {
-			p.Push(s.Payload(i))
-			continue
-		}
-		p.Push([]byte("tick " + itoa(i)))
-	}
-}
-
-// itoa avoids strconv for the tiny tick payloads.
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

@@ -181,3 +181,57 @@ func TestArtifactTable(t *testing.T) {
 		}
 	}
 }
+
+// TestMakefileRunPatterns: every Test… alternative of a -run '…' pattern in the
+// Makefile matches a test function — for Parent/sub, the parent — declared in
+// one of the packages named on the same line. go test runs nothing and exits 0
+// when a pattern matches nothing, so a renamed or moved test would otherwise
+// leave cpu-matrix or alloc-bounds in silence.
+func TestMakefileRunPatterns(t *testing.T) {
+	makefile, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := 0
+	for n, line := range strings.Split(string(makefile), "\n") {
+		m := regexp.MustCompile(`-run '([^']+)'`).FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		var declared []string
+		for _, pkg := range strings.Fields(line) {
+			if pkg != "." && !strings.HasPrefix(pkg, "./") {
+				continue
+			}
+			files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, file := range files {
+				src, err := os.ReadFile(file)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, m := range regexp.MustCompile(`(?m)^func (Test\w+)\(`).FindAllSubmatch(src, -1) {
+					declared = append(declared, string(m[1]))
+				}
+			}
+		}
+		for _, alt := range strings.Split(m[1], "|") {
+			if !strings.HasPrefix(alt, "Test") {
+				continue // '^$$': the benchmark and fuzz lines run no test on purpose
+			}
+			patterns++
+			parent, _, _ := strings.Cut(alt, "/")
+			re, err := regexp.Compile(parent)
+			if err != nil {
+				t.Errorf("Makefile:%d: -run alternative %q: %v", n+1, alt, err)
+			} else if !slices.ContainsFunc(declared, re.MatchString) {
+				t.Errorf("Makefile:%d: -run alternative %q matches no test of the packages on its line", n+1, alt)
+			}
+		}
+	}
+	if patterns < 20 {
+		t.Errorf("found %d Test alternatives in the Makefile's -run patterns; the scan is broken", patterns)
+	}
+}
