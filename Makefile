@@ -13,17 +13,18 @@ check: build fmt vet race shuffle cpu-matrix alloc-bounds soak-smoke explore-smo
 # exercised; the handoff stress test compares its schedule across the three
 # values. The multi-domain determinism loop and the lease-neutrality loop
 # additionally run under -race at -cpu 4, where domains really overlap. The
-# hosted path (DESIGN.md §4.6, a Chooser run on one goroutine) is held to the
-# same matrix under -race — one goroutine must behave the same with Ps to
-# spare: the stress script hosted, the 705 goldens' hosted pass, and the
-# lifetime and hosting-edge tests of the root package.
+# hosted path (DESIGN.md §4.6: every domain of a deterministic run without
+# PCS on one goroutine) is held to the same matrix under -race — one goroutine
+# must behave the same with Ps to spare: the stress script hosted, the 705
+# goldens (hosted but for rr-soft-pcs), and the lifetime, hosting-edge and
+# replay-divergence tests of the root package.
 .PHONY: cpu-matrix
 cpu-matrix:
 	$(GO) test -cpu 1,2,4 -count=1 ./internal/core ./internal/domain
 	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHandoffStress|TestHosted' ./internal/core
 	$(GO) test -race -cpu 4 -count=1 -run 'TestDomainsDeterministic|TestLeaseTraceNeutral' ./internal/harness
-	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestTraceCompatibility/hosted' ./internal/harness
-	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHosted|TestPCSRunKeepsGoroutines|TestDestroyCondWithParkedWaiters|TestDestroyMutexRecycled|TestPipeCloseWithBlockedReaders|TestCreateAfterExit|TestGrantRecycling' .
+	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestTraceCompatibility' ./internal/harness
+	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHosted|TestPCSRunKeepsGoroutines|TestReplayUnknownThreadDiverges|TestDestroyCondWithParkedWaiters|TestDestroyMutexRecycled|TestPipeCloseWithBlockedReaders|TestCreateAfterExit|TestGrantRecycling' .
 
 # The single-copy schedule path (DESIGN.md §4.7): a retained trace and a
 # loaded binary schedule each allocate about 1x their own size, and replay

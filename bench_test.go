@@ -257,13 +257,12 @@ func BenchmarkTimedWaitChurn(b *testing.B) {
 // grows: n threads pass the turn round-robin via Yield, so every operation is
 // a PutTurn immediately granting an already-parked thread. The handoff fast
 // path hands the turn over without the woken thread re-taking the scheduler
-// mutex. The chooser rows install a default-keeping Chooser, which makes the
-// run hosted (internal/core/host.go): the same handoffs as coroutine switches
-// on one goroutine, each also consulting the chooser.
+// mutex. The run is hosted (internal/core/host.go), so a handoff is a
+// coroutine switch on one goroutine.
 func BenchmarkTurnHandoff(b *testing.B) {
-	run := func(cfg qithread.Config, n int) func(b *testing.B) {
+	run := func(n int) func(b *testing.B) {
 		return func(b *testing.B) {
-			rt := qithread.New(cfg)
+			rt := qithread.New(qithread.Config{Mode: qithread.RoundRobin})
 			done := make(chan struct{})
 			go rt.Run(func(main *qithread.Thread) {
 				perThread := b.N/n + 1
@@ -286,18 +285,9 @@ func BenchmarkTurnHandoff(b *testing.B) {
 		}
 	}
 	for _, n := range []int{4, 16, 64} {
-		b.Run(fmt.Sprintf("threads=%d", n), run(qithread.Config{Mode: qithread.RoundRobin}, n))
-	}
-	keep := func(int) qithread.Chooser { return keepDefault{} }
-	for _, n := range []int{4, 64} {
-		b.Run(fmt.Sprintf("chooser/threads=%d", n), run(qithread.Config{Mode: qithread.RoundRobin, Chooser: keep}, n))
+		b.Run(fmt.Sprintf("threads=%d", n), run(n))
 	}
 }
-
-// keepDefault is the Chooser that resolves every choice to the policy's pick.
-type keepDefault struct{}
-
-func (keepDefault) Choose(_ qithread.ChoiceKind, _ []int, _, def int) int { return def }
 
 // BenchmarkDomains measures the sharded request server (the scheduler-domain
 // scaling experiment, `qibench -experiment domains`) at 1, 2, 4 and 8

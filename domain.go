@@ -124,6 +124,12 @@ func (d *Domain) Start(name string, fn func(*Thread)) {
 // initial run queue are a pure function of the Start sequence regardless of
 // goroutine timing. Launch may be called once per domain, typically by the
 // main thread during setup; the launching thread does not block.
+//
+// A domain of a hosted run (see Run for the contract) runs on one pooled
+// goroutine: root 0 is its driver, and the other roots and every thread they
+// Create are coroutines of it. The driver drains them after its own body and
+// only then counts as finished, so Run returns after the domain's host
+// record is recycled, never while it is still in use.
 func (d *Domain) Launch() {
 	d.mu.Lock()
 	if d.launched {
@@ -134,8 +140,14 @@ func (d *Domain) Launch() {
 	roots := d.pending
 	d.pending = nil
 	d.mu.Unlock()
+	if len(roots) == 0 {
+		return
+	}
 
 	rt := d.rt
+	if rt.hosted() {
+		d.rec.Sched.HostThreads()
+	}
 	threads := make([]*Thread, len(roots))
 	for i, r := range roots {
 		t := rt.newThread(r.name, d)
@@ -147,9 +159,11 @@ func (d *Domain) Launch() {
 	}
 	// A root begins with thread_begin exactly like a Create'd child (both run
 	// Thread.run), so its initialization is deterministically ordered within
-	// its domain.
-	for _, t := range threads {
-		rt.wg.Add(1)
+	// its domain. Root 0 starts last: a hosted driver must find its siblings
+	// already handed to the host.
+	rt.wg.Add(len(threads))
+	for _, t := range threads[1:] {
 		spawn(t)
 	}
+	spawn(threads[0])
 }

@@ -10,7 +10,9 @@ package qithread
 // it, exited bodies park here, and the next Create/Launch reuses a
 // warm goroutine with an already-grown stack. The pool is deliberately
 // process-global: it amortizes across the sequential single-use runtimes
-// that benchmarks and the experiment harness create.
+// that benchmarks and the experiment harness create. In a hosted run
+// (Runtime.hosted) it serves only the drivers of launched domains; the
+// threads of PCS and Nondet runs take one goroutine each.
 //
 // Handing work over a channel establishes the happens-before edge between
 // the spawner and the body, exactly like the `go` statement it replaces. A
@@ -21,10 +23,11 @@ const poolCap = 64
 var idleWorkers = make(chan chan *Thread, poolCap)
 
 // spawn runs t's body on a pooled goroutine, or a fresh one when no worker
-// is parked. A thread of a hosted scheduler (Runtime.hosted) needs no
-// goroutine: its body becomes a coroutine of the one that called Run.
+// is parked. Of a hosted scheduler (Runtime.hosted) only a launched domain's
+// driver takes a goroutine; every other thread's body becomes a coroutine of
+// its domain's driver.
 func spawn(t *Thread) {
-	if t.ct != nil && t.ct.Hosted() {
+	if t.ct != nil && t.ct.Hosted() && !t.ct.Drives() {
 		t.dom.rec.Sched.StartHosted(t.ct, (*hostedBody)(t))
 		return
 	}

@@ -1,18 +1,22 @@
 package core
 
-import "iter"
+import (
+	"fmt"
+	"iter"
+)
 
-// Hosted runs. A run under a Chooser is serial by construction: one thread
-// holds the turn, the others are parked waiting for it, and the schedule
-// depends only on the order of synchronization operations, which the turn
-// mechanism alone decides. Such a run needs no second goroutine. A hosted
-// scheduler (HostThreads) therefore executes all its threads on the goroutine
-// that runs the first one — the driver, Runtime.Run's main thread —
-// and every other thread's body on a coroutine of it (iter.Pull): where an
-// unhosted thread parks on its grant channel a hosted one yields to the
-// driver, and where the releaser of a turn sends a grant token it sets the
-// grantee's granted flag. A turn handoff is then one or two coroutine
-// switches instead of a chansend → goready → park → schedule round trip.
+// Hosted runs. A scheduler domain is serial by construction: one thread holds
+// the turn, the others are parked waiting for it, and the schedule depends
+// only on the order of synchronization operations, which the turn mechanism
+// alone decides. Such a domain needs no second goroutine. A hosted scheduler
+// (HostThreads) therefore executes all its threads on the goroutine that runs
+// the first one — the driver: Runtime.Run's main thread in the default
+// domain, root 0 of a launched one — and every other thread's body on a
+// coroutine of it (iter.Pull): where an unhosted thread parks on its grant
+// channel a hosted one yields to the driver, and where the releaser of a turn
+// sends a grant token it sets the grantee's granted flag. A turn handoff is
+// then one or two coroutine switches instead of a chansend → goready → park
+// → schedule round trip.
 //
 // Who runs when. Only the driver resumes anybody. Whenever the driver would
 // block — its own GetTurn or Wait, or the drain after its thread exited — it
@@ -25,12 +29,12 @@ import "iter"
 // synchronization operations, and schedules are byte-identical to the
 // goroutine path's.
 //
-// What the contract is. A hosted thread that blocks natively blocks the whole
-// run, so it may only block on something outside the run (an ingress source,
-// an XPipe peer in another domain — those stay goroutines). A run frozen by a
-// deadlock handler or abandoned after a panic keeps its host record, its
-// coroutines and the goroutines under them, exactly as the goroutine path's
-// frozen threads keep their grant channels.
+// What the contract is. A hosted thread that blocks natively blocks its whole
+// domain, so it may only block on something outside the domain (an ingress
+// source, an XPipe peer — every domain has its own driving goroutine). A run
+// frozen by a deadlock handler or abandoned after a panic keeps its host
+// record, its coroutines and the goroutines under them, exactly as the
+// goroutine path's frozen threads keep their grant channels.
 
 // Body is what a hosted thread executes on its coroutine, start to finish:
 // thread_begin, the program's function, exit. The root package's Thread is
@@ -116,9 +120,14 @@ func (s *Scheduler) HostThreads() {
 // Hosted reports whether t is a thread of a hosted scheduler.
 func (t *Thread) Hosted() bool { return t.hosted }
 
+// Drives reports whether t is the driver of a hosted scheduler: thread 0, the
+// one whose goroutine every other thread of the scheduler runs on.
+func (t *Thread) Drives() bool { return t.hosted && t.id == 0 }
+
 // StartHosted is the hosted counterpart of the `go` statement: t, just
 // registered, will execute b on a pooled coroutine the first time the driver
-// has nothing granted to run. The caller is a hosted thread of s.
+// has nothing granted to run. The caller is a hosted thread of s or, before
+// the driver starts, the code that registered it.
 func (s *Scheduler) StartHosted(t *Thread, b Body) {
 	h := s.host
 	w := takeWorker()
@@ -166,9 +175,8 @@ func (h *Host) await(s *Scheduler, t *Thread) {
 
 // resume switches to one thread that can make progress and returns when it
 // next yields or its body returns. If no such thread exists — nothing fresh,
-// and a free turn although every started thread is asking for it — a deadlock
-// handler has returned instead of freezing the run, and the driver parks for
-// good as every thread of the goroutine path would.
+// and a free turn although every started thread is asking for it or blocked —
+// the domain is stuck (stuck).
 func (h *Host) resume(s *Scheduler) {
 	var t *Thread
 	if h.next < len(h.fresh) {
@@ -178,7 +186,7 @@ func (h *Host) resume(s *Scheduler) {
 			h.fresh, h.next = h.fresh[:0], 0
 		}
 	} else if t = s.holder.Load(); t == nil {
-		select {}
+		s.stuck()
 	}
 	w := h.workers[t.id]
 	w.next()
@@ -191,4 +199,24 @@ func (h *Host) resume(s *Scheduler) {
 			w.stop()
 		}
 	}
+}
+
+// stuck is the driver finding no thread of its domain that can make progress.
+// Under a replay schedule that is a divergence — the recorded thread was never
+// created, and no thread can run to create it (replayEligibleLocked leaves
+// that wait to this point) — so it panics like every other divergence, in the
+// driver: out of Runtime.Run for the default domain. Otherwise a deadlock
+// handler has returned instead of freezing the run, and the driver parks for
+// good as every thread of the goroutine path would.
+func (s *Scheduler) stuck() {
+	s.mu.Lock()
+	if !s.replayingLocked() {
+		s.mu.Unlock()
+		select {}
+	}
+	e := s.replay[s.replayPos]
+	msg := fmt.Sprintf("%s in domain %d at op index %d: expected T%d to run %v but no thread of the domain can run (%d created)\n%s",
+		ErrReplayDivergence, s.cfg.DomainID, s.replayPos, e.TID, e.Op, s.nextTID, s.dumpLocked())
+	s.mu.Unlock()
+	panic(msg)
 }

@@ -32,8 +32,9 @@ func (q queueKind) String() string {
 
 // Thread is a participant registered with a Scheduler. In the QiThread
 // architecture a Thread corresponds to one pthread; in this Go reproduction
-// it corresponds to one goroutine gated by the turn mechanism. All fields
-// other than the atomic clock are guarded by the Scheduler mutex.
+// it corresponds to one goroutine, or one coroutine of a hosted scheduler's
+// driver (host.go), gated by the turn mechanism. All fields other than the
+// atomic clock are guarded by the Scheduler mutex.
 type Thread struct {
 	id    int
 	name  string

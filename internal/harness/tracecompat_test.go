@@ -115,17 +115,10 @@ func goldenLine(program, config, hash string, events int, makespan int64, output
 	return fmt.Sprintf("%s,%s,%s,%d,%d,%d", program, config, hash, events, makespan, output)
 }
 
-// keepDefault is the Chooser that changes nothing: installed, it makes a run
-// hosted (qithread.Config.Chooser) and resolves every choice to the
-// configured policy's pick.
-type keepDefault struct{}
-
-func (keepDefault) Choose(_ qithread.ChoiceKind, _ []int, _, def int) int { return def }
-
-// collectFingerprints runs the matrix; hosted installs keepDefault on every
-// configuration, which moves each run that does not honor PCS hints from one
-// goroutine per thread to one goroutine in all.
-func collectFingerprints(t *testing.T, hosted bool) map[string]string {
+// collectFingerprints runs the part of the matrix whose configurations honor
+// PCS hints (pcs), which run one pooled goroutine per thread, or the part that
+// does not, which is hosted.
+func collectFingerprints(t *testing.T, pcs bool) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	deep := map[string]bool{}
@@ -138,23 +131,20 @@ func collectFingerprints(t *testing.T, hosted bool) map[string]string {
 	base := baseConfigNames()
 	for _, spec := range programs.All() {
 		for _, cc := range compatConfigs() {
-			if !deep[spec.Name] && !base[cc.Name] {
+			if cc.Cfg.PCS != pcs || (!deep[spec.Name] && !base[cc.Name]) {
 				continue
 			}
 			// The golden file was recorded at GOMAXPROCS 1, the only setting
 			// at which the ad-hoc busy-wait programs have a reproducible
-			// schedule (see adHocSyncPrograms), so they are run there — unless
-			// the run is hosted: on one goroutine a poll loop's iteration
-			// count is the same with any number of Ps to spare.
+			// schedule on the goroutine path (see adHocSyncPrograms), so a PCS
+			// configuration runs them there. Every other run is hosted: on one
+			// goroutine a poll loop's iteration count is the same with any
+			// number of Ps to spare.
 			procs := 0
-			if adHocSyncPrograms[spec.Name] && (!hosted || cc.Cfg.PCS) {
+			if adHocSyncPrograms[spec.Name] && cc.Cfg.PCS {
 				procs = runtime.GOMAXPROCS(1)
 			}
-			cfg := cc.Cfg
-			if hosted {
-				cfg.Chooser = func(int) qithread.Chooser { return keepDefault{} }
-			}
-			hash, events, makespan, output := traceFingerprint(spec, cfg)
+			hash, events, makespan, output := traceFingerprint(spec, cc.Cfg)
 			if procs > 0 {
 				runtime.GOMAXPROCS(procs)
 			}
@@ -165,22 +155,45 @@ func collectFingerprints(t *testing.T, hosted bool) map[string]string {
 }
 
 // TestTraceCompatibility asserts the build produces the exact schedules of the
-// seed bitmask build for all catalog programs under all modes × policy sets,
-// twice: on the goroutine path, one pooled goroutine per thread, and hosted,
-// every thread of a run on the goroutine that called Run
-// (internal/core/host.go). Both passes are held to the one golden file — there
-// is no hosted flavour of a schedule.
+// seed bitmask build for all catalog programs under all modes × policy sets.
+// Every configuration but rr-soft-pcs is hosted, every thread of a domain on
+// one goroutine (internal/core/host.go); rr-soft-pcs honors PCS hints and
+// runs one pooled goroutine per thread, and is the goroutine path's coverage.
+// The seed build ran every configuration on goroutines, so the one golden
+// file holds both paths — there is no hosted flavour of a schedule. The
+// matrix runs once, split by path: the goroutines subtest holds the PCS
+// configurations to their golden lines, the hosted subtest the rest.
 func TestTraceCompatibility(t *testing.T) {
 	if *updateGolden {
-		updateGoldenFile(t, collectFingerprints(t, false))
+		got := collectFingerprints(t, true)
+		for k, v := range collectFingerprints(t, false) {
+			got[k] = v
+		}
+		updateGoldenFile(t, got)
 		return
 	}
 	want := readGolden(t)
 	if len(want) == 0 {
 		t.Fatalf("no golden fingerprints in %s; run with -update-golden", goldenPath)
 	}
-	t.Run("goroutines", func(t *testing.T) { compareGolden(t, want, collectFingerprints(t, false)) })
-	t.Run("hosted", func(t *testing.T) { compareGolden(t, want, collectFingerprints(t, true)) })
+	pcs := map[string]bool{}
+	for _, cc := range compatConfigs() {
+		pcs[cc.Name] = cc.Cfg.PCS
+	}
+	for _, pass := range []struct {
+		name string
+		pcs  bool
+	}{{"goroutines", true}, {"hosted", false}} {
+		t.Run(pass.name, func(t *testing.T) {
+			part := map[string]string{}
+			for k, line := range want {
+				if pcs[strings.Split(line, ",")[1]] == pass.pcs {
+					part[k] = line
+				}
+			}
+			compareGolden(t, part, collectFingerprints(t, pass.pcs))
+		})
+	}
 }
 
 // updateGoldenFile rewrites the golden file from got.

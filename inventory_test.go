@@ -183,10 +183,11 @@ func TestArtifactTable(t *testing.T) {
 }
 
 // TestMakefileRunPatterns: every Test… alternative of a -run '…' pattern in the
-// Makefile matches a test function — for Parent/sub, the parent — declared in
-// one of the packages named on the same line. go test runs nothing and exits 0
-// when a pattern matches nothing, so a renamed or moved test would otherwise
-// leave cpu-matrix or alloc-bounds in silence.
+// Makefile matches a test function declared in one of the packages named on
+// the same line, and for Parent/sub, sub matches a subtest name those packages
+// pass to t.Run as a literal. go test runs nothing and exits 0 when a pattern
+// matches nothing, so a renamed, moved or folded test would otherwise leave
+// cpu-matrix or alloc-bounds in silence.
 func TestMakefileRunPatterns(t *testing.T) {
 	makefile, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -198,7 +199,7 @@ func TestMakefileRunPatterns(t *testing.T) {
 		if m == nil {
 			continue
 		}
-		var declared []string
+		var declared, subtests []string
 		for _, pkg := range strings.Fields(line) {
 			if pkg != "." && !strings.HasPrefix(pkg, "./") {
 				continue
@@ -215,6 +216,9 @@ func TestMakefileRunPatterns(t *testing.T) {
 				for _, m := range regexp.MustCompile(`(?m)^func (Test\w+)\(`).FindAllSubmatch(src, -1) {
 					declared = append(declared, string(m[1]))
 				}
+				for _, m := range regexp.MustCompile(`t\.Run\("([^"]+)"`).FindAllSubmatch(src, -1) {
+					subtests = append(subtests, string(m[1]))
+				}
 			}
 		}
 		for _, alt := range strings.Split(m[1], "|") {
@@ -222,12 +226,21 @@ func TestMakefileRunPatterns(t *testing.T) {
 				continue // '^$$': the benchmark and fuzz lines run no test on purpose
 			}
 			patterns++
-			parent, _, _ := strings.Cut(alt, "/")
+			parent, sub, nested := strings.Cut(alt, "/")
+			sub, _, _ = strings.Cut(sub, "/")
 			re, err := regexp.Compile(parent)
 			if err != nil {
 				t.Errorf("Makefile:%d: -run alternative %q: %v", n+1, alt, err)
 			} else if !slices.ContainsFunc(declared, re.MatchString) {
 				t.Errorf("Makefile:%d: -run alternative %q matches no test of the packages on its line", n+1, alt)
+			}
+			if !nested {
+				continue
+			}
+			if re, err := regexp.Compile(sub); err != nil {
+				t.Errorf("Makefile:%d: -run alternative %q: %v", n+1, alt, err)
+			} else if !slices.ContainsFunc(subtests, re.MatchString) {
+				t.Errorf("Makefile:%d: -run alternative %q names subtest %q, which no t.Run literal of the packages on its line matches", n+1, alt, sub)
 			}
 		}
 	}

@@ -17,8 +17,9 @@ import (
 // recycling), which are exactly where a stray map iteration or freed-slot
 // reuse would leak nondeterminism. Every scenario runs under both the
 // round-robin and the logical-clock turn mechanisms, and on both execution
-// paths: one pooled goroutine per thread, and hosted — every thread on the
-// goroutine that called Run (hostedConfig) — which must be the same schedule.
+// paths: hosted — every thread on the goroutine that called Run — and, with
+// Config.PCS set and no PCS object used, one pooled goroutine per thread,
+// which must be the same schedule.
 
 // lifetimeConfigs are the two turn mechanisms with recording on.
 func lifetimeConfigs() []Config {
@@ -28,27 +29,22 @@ func lifetimeConfigs() []Config {
 	}
 }
 
-// keepDefault is the Chooser that resolves every choice to the configured
-// policy's pick: it changes no schedule, and installing it makes a run hosted.
-type keepDefault struct{}
-
-func (keepDefault) Choose(_ ChoiceKind, _ []int, _, def int) int { return def }
-
-// hostedConfig is cfg with keepDefault installed on every domain.
-func hostedConfig(cfg Config) Config {
-	cfg.Chooser = func(int) Chooser { return keepDefault{} }
+// goroutinePath is cfg on the goroutine path: PCS set, which schedules
+// nothing differently in a program that creates no PCS object.
+func goroutinePath(cfg Config) Config {
+	cfg.PCS = true
 	return cfg
 }
 
-// runLifetime runs body three times under cfg and three times hosted, and
-// asserts every run produces the identical schedule hash.
+// runLifetime runs body three times under cfg and three times on the
+// goroutine path, and asserts every run produces the identical schedule hash.
 func runLifetime(t *testing.T, cfg Config, body func(rt *Runtime)) {
 	t.Helper()
 	var ref uint64
 	for run := 0; run < 6; run++ {
 		rt := New(cfg)
 		if run >= 3 {
-			rt = New(hostedConfig(cfg))
+			rt = New(goroutinePath(cfg))
 		}
 		body(rt)
 		h := trace.Hash(rt.Trace())
@@ -261,19 +257,19 @@ func TestThreadChurnRetention(t *testing.T) {
 	}
 }
 
-// TestGrantRecycling: grant channels are recycled through a process-global
-// free list the moment a thread exits, so a channel released by one runtime
-// is handed to a thread of another while both are mid-run. Two runtimes run
-// the same churn concurrently — waves of short-lived threads exiting while
-// sibling threads hand the turn around — and both of them, on every round,
-// must reach the same fingerprint: a token left in (or sent late on) a
-// recycled channel would surface as a spurious grant, which either trips the
-// scheduler's turn assertions or changes the schedule. The exit-side
-// emptiness assertion in internal/core panics on the first leftover token.
-// The hosted rounds do the same with what a hosted run recycles — coroutines
-// and host records, handed between the two driving goroutines — and must
-// reach the very same fingerprint. `make alloc-bounds` runs this under -race
-// at -cpu 1,4, `make cpu-matrix` at -cpu 1,2,4.
+// TestGrantRecycling: what a thread runs on is recycled through
+// process-global free lists the moment it exits — a hosted thread's coroutine,
+// and its run's host record once the run drains; on the goroutine path (PCS
+// set, no PCS object), its grant channel — so a record released by one
+// runtime is handed to a thread of another while both are mid-run. Two
+// runtimes run the same churn concurrently — waves of short-lived threads
+// exiting while sibling threads hand the turn around — and both of them, on
+// every round and on either path, must reach the same fingerprint: a token
+// left in (or sent late on) a recycled channel, or a granted flag left set,
+// would surface as a spurious grant, which either trips the scheduler's turn
+// assertions or changes the schedule. The exit-side emptiness assertion in
+// internal/core panics on the first leftover token. `make alloc-bounds` runs
+// this under -race at -cpu 1,4, `make cpu-matrix` at -cpu 1,2,4.
 func TestGrantRecycling(t *testing.T) {
 	const (
 		waves    = 50
@@ -334,7 +330,7 @@ func TestGrantRecycling(t *testing.T) {
 			for round := 0; round < 2*rounds; round++ {
 				cfg := cfg
 				if round >= rounds {
-					cfg = hostedConfig(cfg)
+					cfg = goroutinePath(cfg)
 				}
 				var wg sync.WaitGroup
 				var got [runtimes]string

@@ -6,10 +6,12 @@
 // operations of a multithreaded program. The original system interposes on
 // pthreads via LD_PRELOAD; this reproduction instead provides a pthreads-like
 // API (threads, mutexes, condition variables, semaphores, barriers, rwlocks)
-// whose "threads" are goroutines gated by a deterministic user-space
-// scheduler (internal/core). Everything outside synchronization is delegated
-// to the Go runtime scheduler, exactly as the paper delegates it to the OS
-// scheduler (Figure 4).
+// whose "threads" are gated by a deterministic user-space scheduler
+// (internal/core). The threads of one scheduler domain are coroutines of one
+// goroutine, since the turn runs them one at a time anyway (under Config.PCS
+// and in Nondet mode each is a goroutine); domains are the unit of
+// parallelism, and everything outside synchronization is delegated to the Go
+// runtime scheduler, as the paper delegates it to the OS scheduler (Figure 4).
 //
 // A Runtime is created with a Config choosing one of three modes:
 //
@@ -178,17 +180,6 @@ type Config struct {
 	// (internal/explore, cmd/qiexplore): record the index taken at each
 	// choice point and any explored execution is itself replayable. nil for a
 	// domain means that domain runs unhooked. Requires a deterministic Mode.
-	//
-	// A run under a Chooser is serial by construction, so it is hosted: the
-	// goroutine that calls Run is the main thread and every thread Created in
-	// the default domain is a coroutine of it, which makes a turn handoff a
-	// coroutine switch (internal/core/host.go). Schedules are unaffected; the
-	// contract is that a default-domain thread of a Chooser run may block
-	// natively only on something outside the run — an ingress source, an
-	// XPipe peer in another domain (those keep their goroutines) — never on
-	// another thread of its own domain except through the wrappers. A PCS
-	// mutex is a native lock a thread may park inside, so runs with PCS set
-	// keep one goroutine per thread, as every run without a Chooser does.
 	Chooser func(domainID int) Chooser
 }
 

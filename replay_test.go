@@ -7,7 +7,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
+	"qithread/internal/core"
 	"qithread/internal/trace"
 )
 
@@ -187,6 +189,31 @@ func TestReplayNegativeThreadID(t *testing.T) {
 	rt := New(Config{Mode: RoundRobin, Replay: []Event{{TID: -1}}})
 	rt.Run(func(main *Thread) { main.Yield() })
 	t.Fatal("replay of a negative thread id ran to completion")
+}
+
+// TestReplayUnknownThreadDiverges: a schedule whose next event belongs to a
+// thread the program never creates — any id a loader accepts — leaves the
+// turn waiting for that thread's creator while every thread there is waits
+// for the turn. The domain's driver finds nothing to resume, and that is the
+// divergence diagnostic out of Run, not a hang.
+func TestReplayUnknownThreadDiverges(t *testing.T) {
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		rt := New(Config{Mode: RoundRobin, Record: true, Replay: []Event{{TID: 3, Op: core.OpYield}}})
+		rt.Run(func(main *Thread) { main.Yield() })
+	}()
+	select {
+	case r := <-done:
+		msg, _ := r.(string)
+		for _, want := range []string{core.ErrReplayDivergence, "in domain 0 at op index 0", "expected T3 to run yield", "runQ: T0(main)"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("panic value %v, want a divergence diagnostic containing %q", r, want)
+			}
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a replay naming a thread the program never creates hung")
+	}
 }
 
 // TestReplayRequiresDeterministicMode: misconfiguration is rejected loudly.

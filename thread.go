@@ -15,12 +15,13 @@ import (
 // can be when the scheduler compares clocks.
 const workQuantum = 1024
 
-// Thread is one thread of a deterministically scheduled program. It wraps a
-// goroutine registered with the runtime's scheduler. The wrapper state the
-// semantics-aware policies need (critical-section nesting for CSWhole, the
-// pending keep-turn flag for CreateAll, the sticky wake hold for WakeAMAP)
-// is policy.PerThread on the core thread, maintained by the policy stack's
-// hooks.
+// Thread is one thread of a deterministically scheduled program, registered
+// with its domain's scheduler: a coroutine of the domain's driving goroutine
+// in a hosted run, a goroutine of its own otherwise (see Runtime.Run). The
+// wrapper state the semantics-aware policies need (critical-section nesting
+// for CSWhole, the pending keep-turn flag for CreateAll, the sticky wake hold
+// for WakeAMAP) is policy.PerThread on the core thread, maintained by the
+// policy stack's hooks.
 //
 // A Thread is the one heap record of its thread: the scheduler's queue node
 // is the embedded node, registered in place, and the body function rides on
@@ -142,7 +143,9 @@ func (t *Thread) register() {
 }
 
 // run is the body of every Created or Launched thread, executed on a pooled
-// goroutine (see spawn): thread_begin, the program's function, exit.
+// goroutine or a coroutine of its domain's driver (see spawn): thread_begin,
+// the program's function, exit — and, for a launched domain's driver, the
+// drain of its siblings, before the thread counts as finished.
 func (t *Thread) run() {
 	defer t.rt.wg.Done()
 	fn := t.fn
@@ -157,6 +160,9 @@ func (t *Thread) run() {
 	}
 	fn(t)
 	t.exit()
+	if t.ct != nil && t.ct.Drives() {
+		t.dom.rec.Sched.DrainHosted()
+	}
 }
 
 // Join blocks until c has finished, mirroring pthread_join. Join is
