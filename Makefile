@@ -6,25 +6,25 @@ GO ?= go
 .PHONY: check
 check: build fmt vet race shuffle cpu-matrix alloc-bounds soak-smoke explore-smoke controlplane-smoke
 
-# Scheduler tests at -cpu 1, 2 and 4: the turn lease and the park-first grant
-# handoff behave differently with no parallelism, with more turn-waiters than
-# Ps (2 is the reference host's real shape, and the one the deleted
-# spin-then-park receive regressed), and with Ps to spare, so all three are
-# exercised; the handoff stress test compares its schedule across the three
-# values. The multi-domain determinism loop and the lease-neutrality loop
-# additionally run under -race at -cpu 4, where domains really overlap. The
-# hosted path (DESIGN.md §4.6: every domain of a deterministic run without
-# PCS on one goroutine) is held to the same matrix under -race — one goroutine
-# must behave the same with Ps to spare: the stress script hosted, the 705
-# goldens (hosted but for rr-soft-pcs), and the lifetime, hosting-edge and
-# replay-divergence tests of the root package.
+# Scheduler tests at -cpu 1, 2 and 4: the turn lease, and the condition
+# variable the goroutines of a direct internal/core user wait on for their
+# grant, behave differently with no parallelism, with more turn-waiters than
+# Ps (2 is the reference host's real shape), and with Ps to spare, so all
+# three are exercised; the handoff stress test compares its schedule across
+# the three values and against the same script hosted. The multi-domain
+# determinism loop and the lease-neutrality loop additionally run under -race
+# at -cpu 4, where domains really overlap. Hosted runs (DESIGN.md §4.6: every
+# domain of a deterministic run on one goroutine) are held to the same matrix
+# under -race — one goroutine must behave the same with Ps to spare: the
+# stress script, the off-turn queue, the 705 goldens in one pass, and the
+# lifetime, hosting-edge, PCS and replay-divergence tests of the root package.
 .PHONY: cpu-matrix
 cpu-matrix:
 	$(GO) test -cpu 1,2,4 -count=1 ./internal/core ./internal/domain
 	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHandoffStress|TestHosted' ./internal/core
 	$(GO) test -race -cpu 4 -count=1 -run 'TestDomainsDeterministic|TestLeaseTraceNeutral' ./internal/harness
 	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestTraceCompatibility' ./internal/harness
-	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHosted|TestPCSRunKeepsGoroutines|TestReplayUnknownThreadDiverges|TestDestroyCondWithParkedWaiters|TestDestroyMutexRecycled|TestPipeCloseWithBlockedReaders|TestCreateAfterExit|TestGrantRecycling' .
+	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHosted|TestPCSRunHosted|TestPCSOffTurnDeadlock|TestPCSCondBypass|TestReplayUnknownThreadDiverges|TestDestroyCondWithParkedWaiters|TestDestroyMutexRecycled|TestPipeCloseWithBlockedReaders|TestCreateAfterExit|TestGrantRecycling' .
 
 # The single-copy schedule path (DESIGN.md §4.7): a retained trace and a
 # loaded binary schedule each allocate about 1x their own size, and replay
@@ -34,9 +34,8 @@ cpu-matrix:
 # §4.13) is held the same way: three allocations for a runtime that ran an
 # empty main, at most 1.5 per created-and-joined thread, nothing retained per
 # exited thread but its table slot, inline thread table and chooser scratch,
-# and — at -cpu 1 and 4, two runtimes at once — grant channels recycled across
-# schedulers without a token ever left in one (or, hosted, a granted flag set;
-# coroutines and host records recycled instead). TestRecordSizesPinned holds
+# and — at -cpu 1 and 4, two runtimes at once — coroutines and host records
+# recycled across schedulers without a granted flag ever left set. TestRecordSizesPinned holds
 # the three records the byte metrics depend on inside their allocation size
 # classes (Thread 256 exactly, Runtime <= 320, core.Scheduler <= 1152). An
 # explored run is held to its budget here too (41 allocations for the seeded
@@ -46,7 +45,7 @@ cpu-matrix:
 # hang, no late report and no stale watchdog tick ever classifying another run.
 .PHONY: alloc-bounds
 alloc-bounds:
-	$(GO) test -race -count=1 -run 'TestTraceRetentionAllocBound|TestChunkedTraceRetention|TestInlineTables|TestGrantChannelsRecycled' ./internal/core
+	$(GO) test -race -count=1 -run 'TestTraceRetentionAllocBound|TestChunkedTraceRetention|TestInlineTables|TestHostRecordsRecycled' ./internal/core
 	$(GO) test -race -count=1 -run 'TestBinaryLoadAllocBound|TestBinaryLoadErrors' ./internal/trace
 	$(GO) test -race -count=1 -run 'TestReplayBorrowsSchedule|TestRecordSizesPinned|TestRuntimeAllocBudget|TestThreadAllocBudget|TestThreadChurnRetention|TestGatewayAllocBudget' .
 	$(GO) test -race -cpu 1,4 -count=1 -run 'TestGrantRecycling' .

@@ -74,7 +74,7 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 		panic("qithread: Cond.Wait with mutex " + m.name + " not held by " + t.String())
 	}
 	s := c.dom.enter(t, "cond", c.name)
-	if m.bypass() {
+	if s == nil {
 		// Nondet: timeouts are modeled by a timer goroutine waking the
 		// condition; workloads in the catalog only use untimed waits in
 		// Nondet mode, so plain Wait suffices here.
@@ -92,6 +92,16 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 		op = core.OpCondTimedWait
 	}
 	s.TraceOp(t.ct, op, c.obj, core.StatusBlocked)
+	if m.bypass() {
+		// A PCS mutex under Config.PCS: released natively, retaken outside
+		// the turn; the wait is the scheduler's, which Signal wakes.
+		m.unlockBypass(t)
+		st := t.park(c.obj, timeout)
+		s.TraceOp(t.ct, op, c.obj, core.StatusReturn)
+		t.release()
+		m.Lock(t)
+		return st == core.WaitSignaled
+	}
 	// Release the mutex and wake one contender, then park on the condition
 	// variable — all within the current turn, so release-and-wait is atomic
 	// in the deterministic total order.

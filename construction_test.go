@@ -30,16 +30,16 @@ func minMallocs(settle, run func()) uint64 {
 }
 
 // TestRecordSizesPinned: the benchmark's byte metrics are sums of allocation
-// size classes, so a record that sits exactly on a class edge turns one more
-// word into the next class for every instance a run makes. Thread is 256 B,
-// the 256 class exactly: one pointer more and every thread a program creates
-// costs 288 (catalog's alloc_bytes_per_op +6.5 %, over its 5 % bound — the
-// hosted-run prototype measured it). Runtime is 320, also exact. The
-// Scheduler has room inside the 1,152 class and is where per-run state that
-// must cost the other workloads nothing goes (its host pointer).
+// size classes, so a record that sits on a class edge turns one more word
+// into the next class for every instance a run makes. Thread is 248 B, in the
+// 256 class: two pointers more and every thread a program creates costs 288
+// (catalog's alloc_bytes_per_op +6.5 %, over its 5 % bound — the hosted-run
+// prototype measured it). Runtime is 320, exact. The Scheduler has room
+// inside the 1,152 class and is where per-run state that must cost the other
+// workloads nothing goes (its host pointer).
 func TestRecordSizesPinned(t *testing.T) {
-	if n := unsafe.Sizeof(Thread{}); n != 256 {
-		t.Errorf("Thread is %d B, want 256: it fills the 256 B size class exactly; per-thread state goes in core.Thread's padding or the scheduler's host record", n)
+	if n := unsafe.Sizeof(Thread{}); n > 256 {
+		t.Errorf("Thread is %d B, want <= 256: the next size class is 288; per-thread state goes in core.Thread's padding or the scheduler's host record", n)
 	}
 	if n := unsafe.Sizeof(Runtime{}); n > 320 {
 		t.Errorf("Runtime is %d B, want <= 320: the next size class is 352", n)
@@ -52,9 +52,9 @@ func TestRecordSizesPinned(t *testing.T) {
 // TestThreadAllocBudget: the construction budget of DESIGN.md §4.13. A
 // thread is one heap record — the Thread, with the scheduler's queue node
 // embedded and registered in place — plus whatever the scheduler's maps and
-// tables amortize to; its grant channel comes from the free list, its body
-// reaches the goroutine pool without a closure, and its join object's map
-// entries are released when it exits. With both pools warm, the marginal
+// tables amortize to; its coroutine comes from the free list, its body
+// reaches it without a closure, and its join object's map entries are
+// released when it exits. With both pools warm, the marginal
 // cost of one more created-and-joined thread is therefore at most 1.5
 // allocations. Both pools are bounded channel free lists, not sync.Pools, so
 // the count is exact under -race too (`make alloc-bounds`).
@@ -95,7 +95,7 @@ func TestThreadAllocBudget(t *testing.T) {
 			},
 			func() { run(threads) })
 	}
-	run(large) // fill the grant-channel free list
+	run(large) // fill the coroutine free list
 	lo, hi := allocs(small), allocs(large)
 	perThread := (float64(hi) - float64(lo)) / (large - small)
 	t.Logf("New+Run with %d threads: %d allocs, with %d: %d — %.2f per extra thread", small, lo, large, hi, perThread)
@@ -113,7 +113,7 @@ func TestThreadAllocBudget(t *testing.T) {
 func TestRuntimeAllocBudget(t *testing.T) {
 	const budget = 3
 	run := func() { New(Config{Mode: RoundRobin, Policies: AllPolicies}).Run(func(*Thread) {}) }
-	run() // the main thread's grant channel is on the free list from here on
+	run() // the host record is on the free list from here on
 	best := minMallocs(func() {}, run)
 	t.Logf("New + Run of an empty main: %d allocs", best)
 	if best > budget {

@@ -125,11 +125,11 @@ func (d *Domain) Start(name string, fn func(*Thread)) {
 // goroutine timing. Launch may be called once per domain, typically by the
 // main thread during setup; the launching thread does not block.
 //
-// A domain of a hosted run (see Run for the contract) runs on one pooled
-// goroutine: root 0 is its driver, and the other roots and every thread they
-// Create are coroutines of it. The driver drains them after its own body and
-// only then counts as finished, so Run returns after the domain's host
-// record is recycled, never while it is still in use.
+// A domain of a deterministic run (see Run for the contract) runs on one
+// pooled goroutine: root 0 is its driver, and the other roots and every
+// thread they Create are coroutines of it. The driver drains them after its
+// own body and only then counts as finished, so Run returns after the
+// domain's host record is recycled, never while it is still in use.
 func (d *Domain) Launch() {
 	d.mu.Lock()
 	if d.launched {
@@ -145,7 +145,7 @@ func (d *Domain) Launch() {
 	}
 
 	rt := d.rt
-	if rt.hosted() {
+	if rt.det() {
 		d.rec.Sched.HostThreads()
 	}
 	threads := make([]*Thread, len(roots))

@@ -10,9 +10,8 @@ package qithread
 // it, exited bodies park here, and the next Create/Launch reuses a
 // warm goroutine with an already-grown stack. The pool is deliberately
 // process-global: it amortizes across the sequential single-use runtimes
-// that benchmarks and the experiment harness create. In a hosted run
-// (Runtime.hosted) it serves only the drivers of launched domains; the
-// threads of PCS and Nondet runs take one goroutine each.
+// that benchmarks and the experiment harness create. It serves the drivers
+// of launched deterministic domains and every thread of a Nondet run.
 //
 // Handing work over a channel establishes the happens-before edge between
 // the spawner and the body, exactly like the `go` statement it replaces. A
@@ -23,11 +22,10 @@ const poolCap = 64
 var idleWorkers = make(chan chan *Thread, poolCap)
 
 // spawn runs t's body on a pooled goroutine, or a fresh one when no worker
-// is parked. Of a hosted scheduler (Runtime.hosted) only a launched domain's
-// driver takes a goroutine; every other thread's body becomes a coroutine of
-// its domain's driver.
+// is parked, or, for a deterministic thread but a launched domain's driver,
+// on a coroutine of its domain's driver.
 func spawn(t *Thread) {
-	if t.ct != nil && t.ct.Hosted() && !t.ct.Drives() {
+	if t.ct != nil && !t.ct.Drives() {
 		t.dom.rec.Sched.StartHosted(t.ct, (*hostedBody)(t))
 		return
 	}
@@ -45,8 +43,8 @@ func poolWorker(t *Thread) {
 		t.run()
 		select {
 		case idleWorkers <- self:
-			// Park until the next spawn: like the scheduler's grant path, an
-			// idle worker must not hold a P the running program needs.
+			// Park until the next spawn: an idle worker must not hold a P
+			// the running program needs.
 			t = <-self
 		default:
 			return

@@ -4,41 +4,45 @@ import (
 	"fmt"
 	"reflect"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
+
+	"qithread/internal/trace"
 )
 
 // Hosted runs (internal/core/host.go): every scheduler domain of a
-// deterministic run without Config.PCS executes on one goroutine. That the
-// schedules are the goroutine path's is held by the 705 goldens
-// (internal/harness), whose rr-soft-pcs rows run on goroutines, and by the
-// lifetime tests, which run every scenario with and without PCS set; these
-// tests hold the edges of the selection: what is hosted, what is not, what a
-// hosted domain may still talk to, and that what a run recycles is never
-// still in use. `make cpu-matrix` runs them under -race at -cpu 1,2,4 — one
-// goroutine must behave the same with Ps to spare.
+// deterministic run executes on one goroutine. That the schedules are the
+// ones the seed build recorded on one goroutine per thread is held by the 705
+// goldens (internal/harness); these tests hold the edges: what is hosted,
+// what is not, what a hosted domain may still talk to, how a contended PCS
+// lock waits outside the turn, and that what a run recycles is never still in
+// use. `make cpu-matrix` runs them under -race at -cpu 1,2,4 — one goroutine
+// must behave the same with Ps to spare.
 
 // busyPoolGoroutines counts the pool goroutines that are running a body: the
 // ones not parked on the idle list.
 func busyPoolGoroutines() int { return poolGoroutines() - len(idleWorkers) }
 
-// TestHostedRunStartsNoGoroutines: the threads of a hosted domain are
+// poolGoroutinesTaken runs a program whose every thread is started and none
+// has returned when it calls measure, and reports how many pool goroutines
+// the run was using then.
+func poolGoroutinesTaken(t *testing.T, run func(measure func())) (n int) {
+	settlePool(t)
+	before := busyPoolGoroutines()
+	run(func() { n = busyPoolGoroutines() - before })
+	return n
+}
+
+// TestHostedRunStartsNoGoroutines: the threads of a deterministic domain are
 // coroutines of their driver, so a run of eight threads takes nothing from
-// the goroutine pool, and a launched domain takes exactly one goroutine — its
-// driver, root 0 — whatever its root and thread counts. The same run under
-// PCS or Nondet takes one goroutine per thread.
+// the goroutine pool, PCS hints honored or not, and a launched domain takes
+// exactly one goroutine — its driver, root 0 — whatever its root and thread
+// counts. The same run in Nondet mode takes one goroutine per thread.
 func TestHostedRunStartsNoGoroutines(t *testing.T) {
 	defer holdIdleWorkers(t)()
 	const threads = 8
-	// taken runs a program whose every thread is started and none has
-	// returned when body measures, and reports how many pool goroutines the
-	// run was using then.
-	taken := func(run func(measure func())) (n int) {
-		settlePool(t)
-		before := busyPoolGoroutines()
-		run(func() { n = busyPoolGoroutines() - before })
-		return n
-	}
+	taken := func(run func(measure func())) int { return poolGoroutinesTaken(t, run) }
 	mainRun := func(cfg Config) func(func()) {
 		return func(measure func()) {
 			rt := New(cfg)
@@ -95,67 +99,106 @@ func TestHostedRunStartsNoGoroutines(t *testing.T) {
 		}
 	}
 
-	rr := Config{Mode: RoundRobin, Policies: AllPolicies}
-	if n := taken(mainRun(rr)); n != 0 {
-		t.Errorf("a hosted run of %d threads took %d pool goroutines, want 0", threads+1, n)
+	for _, cfg := range []Config{{Mode: RoundRobin, Policies: AllPolicies}, {Mode: RoundRobin, Policies: AllPolicies, PCS: true}} {
+		if n := taken(mainRun(cfg)); n != 0 {
+			t.Errorf("a hosted run (PCS %v) of %d threads took %d pool goroutines, want 0", cfg.PCS, threads+1, n)
+		}
 	}
 	for _, shape := range [][2]int{{1, 0}, {1, 6}, {4, 0}, {3, 5}} {
 		if n := taken(domainRun(shape[0], shape[1])); n != 1 {
 			t.Errorf("a launched domain of %d roots and %d created threads took %d pool goroutines, want 1 (its driver)", shape[0], shape[1], n)
 		}
 	}
-	for _, cfg := range []Config{{Mode: RoundRobin, Policies: AllPolicies, PCS: true}, {Mode: Nondet}} {
-		if n := taken(mainRun(cfg)); n != threads {
-			t.Errorf("%v run (PCS %v) of %d created threads took %d pool goroutines, want one each", cfg.Mode, cfg.PCS, threads, n)
+	if n := taken(mainRun(Config{Mode: Nondet})); n != threads {
+		t.Errorf("a Nondet run of %d created threads took %d pool goroutines, want one each", threads, n)
+	}
+}
+
+// parkInPCSSection runs a program in which a thread parks — in the
+// scheduler, holding no turn — inside a PCS section another thread then
+// finds locked: the holder waits on a semaphore inside the section, and the
+// contender, created once the holder is inside, asks for the lock right after
+// its thread_begin and yields outside the turn. With post, main's Post wakes
+// the holder, which BoostBlocked runs ahead of the contender's pending turn,
+// and both sections run; without, nothing ever wakes the holder. measure is
+// called with both threads started.
+func parkInPCSSection(rt *Runtime, post bool, measure func()) (sections int) {
+	rt.Run(func(main *Thread) {
+		hot := rt.NewPCSMutex(main, "hot")
+		inside := rt.NewSem(main, "inside", 0)
+		leave := rt.NewSem(main, "leave", 0)
+		holder := main.Create("holder", func(w *Thread) {
+			hot.Lock(w)
+			inside.Post(w)
+			leave.Wait(w) // parks inside the PCS section
+			sections++
+			hot.Unlock(w)
+		})
+		inside.Wait(main)
+		contender := main.Create("contender", func(w *Thread) {
+			hot.Lock(w) // taken: yields outside the turn until the holder lets go
+			sections++
+			hot.Unlock(w)
+		})
+		measure()
+		if post {
+			leave.Post(main)
+		}
+		main.Join(holder)
+		main.Join(contender)
+	})
+	return sections
+}
+
+// TestPCSRunHosted: a PCS run is hosted like any deterministic run. A
+// contended PCS lock whose holder is parked inside its section does not block
+// the goroutine everybody runs on: the contender waits outside the turn, the
+// run completes, takes no pool goroutine, and records the same schedule
+// twenty times out of twenty.
+func TestPCSRunHosted(t *testing.T) {
+	defer holdIdleWorkers(t)()
+	var want string
+	for i := 0; i < 20; i++ {
+		settlePool(t)
+		before := busyPoolGoroutines()
+		done := make(chan string)
+		go func() {
+			rt := New(Config{Mode: RoundRobin, Policies: AllPolicies, PCS: true, Record: true})
+			n := 0
+			sections := parkInPCSSection(rt, true, func() { n = busyPoolGoroutines() - before })
+			done <- fmt.Sprintf("%d sections, %d pool goroutines, schedule %016x", sections, n, trace.Hash(rt.Trace()))
+		}()
+		select {
+		case got := <-done:
+			if i == 0 {
+				want = got
+				if !strings.HasPrefix(got, "2 sections, 0 pool goroutines,") {
+					t.Fatalf("run 0: %s, want 2 sections on no pool goroutine", got)
+				}
+			} else if got != want {
+				t.Fatalf("run %d: %s, run 0: %s", i, got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("run %d: a run that parks inside a contended PCS section hung", i)
 		}
 	}
 }
 
-// TestPCSRunKeepsGoroutines: a PCS mutex is a native lock, so a thread may
-// park — in the scheduler, holding no turn — inside a section another thread
-// then blocks on natively. Here the holder parks on a semaphore inside the
-// section, the contender blocks on the native lock right after its
-// thread_begin, and main's Post wakes the holder, which BoostBlocked runs
-// ahead of the contender's pending turn. Hosted, the contender would block the
-// one goroutine everybody runs on before main could post, and the run would
-// hang; Config.PCS therefore keeps a run on the goroutine path, and this
-// program completes.
-func TestPCSRunKeepsGoroutines(t *testing.T) {
-	cfg := Config{Mode: RoundRobin, Policies: AllPolicies, PCS: true, Record: true}
-	done := make(chan int)
-	go func() {
-		sections := 0
-		rt := New(cfg)
-		rt.Run(func(main *Thread) {
-			hot := rt.NewPCSMutex(main, "hot")
-			inside := rt.NewSem(main, "inside", 0)
-			leave := rt.NewSem(main, "leave", 0)
-			holder := main.Create("holder", func(w *Thread) {
-				hot.Lock(w)
-				inside.Post(w)
-				leave.Wait(w) // parks inside the PCS section
-				sections++
-				hot.Unlock(w)
-			})
-			inside.Wait(main)
-			contender := main.Create("contender", func(w *Thread) {
-				hot.Lock(w) // blocks natively: the holder is parked with the lock
-				sections++
-				hot.Unlock(w)
-			})
-			leave.Post(main)
-			main.Join(holder)
-			main.Join(contender)
-		})
-		done <- sections
-	}()
+// TestPCSOffTurnDeadlock: when nothing will ever wake the holder, the
+// contender waiting outside the turn is a deadlock the domain reports — with
+// the contender named in the off-turn queue — not a silent spin.
+func TestPCSOffTurnDeadlock(t *testing.T) {
+	rt := New(Config{Mode: RoundRobin, Policies: AllPolicies, PCS: true})
+	deadlock := make(chan string, 1)
+	rt.Scheduler().SetDeadlockHandler(func(msg string) { deadlock <- msg })
+	go parkInPCSSection(rt, false, func() {}) // the driver parks for good once the handler returns
 	select {
-	case n := <-done:
-		if n != 2 {
-			t.Fatalf("%d PCS sections ran, want 2", n)
+	case msg := <-deadlock:
+		if !strings.Contains(msg, "deterministic deadlock") || !strings.Contains(msg, "offTurn: [T2(contender)]") {
+			t.Fatalf("deadlock handler got %q, want the off-turn queue named", msg)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("a run that parks inside a contended PCS section hung: PCS runs must keep one goroutine per thread")
+	case <-time.After(10 * time.Second):
+		t.Fatal("a contender waiting outside the turn on a lock nobody can release was never reported")
 	}
 }
 
@@ -224,16 +267,14 @@ func shardedSquares(cfg Config) (*Runtime, string) {
 
 // TestHostedDomainsTalkThroughXPipes: four hosted domains, each on its own
 // goroutine, talk only through XPipes, and the run ends and fingerprints
-// identically to the same program on the goroutine path — Config.PCS set, no
-// PCS object used — twenty times out of twenty.
+// twenty times out of twenty as the same program did with one goroutine per
+// thread, in the last build that had that path.
 func TestHostedDomainsTalkThroughXPipes(t *testing.T) {
+	const want = "fingerprint d0:5c87401805e69b48 d1:e990ddaf40a8cf8b d2:36b427cde6ca990f d3:89347847869ee78b x:8bc2952269ad3736 sum 1518"
 	cfg := Config{Mode: RoundRobin, Policies: AllPolicies, Record: true}
-	ref := cfg
-	ref.PCS = true
-	_, want := shardedSquares(ref)
 	for i := 0; i < 20; i++ {
 		if _, got := shardedSquares(cfg); got != want {
-			t.Fatalf("hosted run %d: %s, the goroutine path's is %s", i, got, want)
+			t.Fatalf("hosted run %d: %s, want %s", i, got, want)
 		}
 	}
 }

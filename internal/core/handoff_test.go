@@ -8,14 +8,13 @@ import (
 	"time"
 )
 
-// The turn grant is park-first: a thread that is not the holder blocks on a
-// plain receive of its grant channel, and the releaser wakes it with exactly
-// one token (grantLocked). How a waiter waits must be invisible in every
-// schedule observable, whatever the number of Ps the goroutines are spread
-// over — `make cpu-matrix` runs this file at -cpu 1,2,4 and under -race. A
-// hosted scheduler (host.go) runs the same threads on one goroutine and takes
-// its grants as a flag; that too must be invisible, so every scenario is run
-// both ways against one record.
+// A turn grant is one flag per handoff (grantLocked). A hosted scheduler
+// (host.go) runs its threads on one goroutine; a direct user of this package
+// may run each on a goroutine of its own, which waits for its flag on the
+// scheduler's condition variable. How a waiter waits must be invisible in
+// every schedule observable, whatever the number of Ps the goroutines are
+// spread over — `make cpu-matrix` runs this file at -cpu 1,2,4 and under
+// -race — so every scenario is run both ways against one record.
 
 // handoffRun is everything one stress execution exposes: the recorded
 // schedule and how each thread's timed waits ended.
@@ -125,12 +124,10 @@ func handoffStress(t *testing.T, cfg Config, n int, hosted bool) handoffRun {
 		t.Fatalf("handoff stress hung (lost grant?)\n%s", s.Dump())
 	}
 	// One token per handoff, consumed by the grantee before it can ask again:
-	// a token left behind means a grant went to a thread that never parked.
-	// Exit asserts that itself before it recycles the channel, so what is left
-	// to check here is that every channel did go back.
+	// a token left behind means a grant went to a thread that never waited.
 	for _, th := range ths {
-		if th.grant != nil || th.granted {
-			t.Errorf("%v exited without recycling its grant channel (or with its granted flag set)", th)
+		if th.granted {
+			t.Errorf("%v exited with its granted flag set", th)
 		}
 	}
 	if live := s.Live(); live != 0 {
@@ -173,9 +170,9 @@ func TestHandoffStressNeutralAcrossProcs(t *testing.T) {
 	}
 }
 
-// TestGrantToUnconsumedTokenPanics: a second token into a thread's grant
-// channel can only come from a scheduler bug; it must be loud, not a silently
-// dropped grant that hangs the grantee.
+// TestGrantToUnconsumedTokenPanics: a second grant to a thread whose granted
+// flag is still set can only come from a scheduler bug; it must be loud, not
+// a silently lost grant.
 func TestGrantToUnconsumedTokenPanics(t *testing.T) {
 	for _, hosted := range []bool{false, true} {
 		s := New(Config{Mode: RoundRobin})
@@ -184,12 +181,7 @@ func TestGrantToUnconsumedTokenPanics(t *testing.T) {
 		}
 		a, b := s.Register("a"), s.Register("b")
 		s.GetTurn(a)
-		// The bug: a token nobody accounted for.
-		if hosted {
-			b.granted = true
-		} else {
-			b.grant <- struct{}{}
-		}
+		b.granted = true // the bug: a token nobody accounted for
 		b.wantTurn = true
 		func() {
 			defer func() {
@@ -202,13 +194,9 @@ func TestGrantToUnconsumedTokenPanics(t *testing.T) {
 	}
 }
 
-// TestExitWithUnconsumedTokenPanics: an exiting thread's grant channel goes
-// back to the process-global free list, where a leftover token would become a
-// spurious grant in some later thread of any scheduler. Exit must refuse to
-// recycle it, as loudly as the full-channel arm of grantLocked.
-//
-// A hosted thread's token is its granted flag; left set at Exit it means a
-// grant went to a thread that never waited for it, and is refused the same way.
+// TestExitWithUnconsumedTokenPanics: a granted flag left set at Exit means a
+// grant went to a thread that never waited for it; Exit refuses it as loudly
+// as grantLocked refuses a second grant.
 func TestExitWithUnconsumedTokenPanics(t *testing.T) {
 	for _, hosted := range []bool{false, true} {
 		s := New(Config{Mode: RoundRobin})
@@ -217,12 +205,7 @@ func TestExitWithUnconsumedTokenPanics(t *testing.T) {
 		}
 		a := s.Register("a")
 		s.GetTurn(a)
-		// The bug: a token nobody accounted for.
-		if hosted {
-			a.granted = true
-		} else {
-			a.grant <- struct{}{}
-		}
+		a.granted = true // the bug: a token nobody accounted for
 		func() {
 			defer func() {
 				if recover() == nil {
@@ -234,52 +217,17 @@ func TestExitWithUnconsumedTokenPanics(t *testing.T) {
 	}
 }
 
-// TestGrantChannelsRecycled: Register takes its grant channel from the free
-// list Exit feeds, and everything on the list is an empty cap-1 channel.
-func TestGrantChannelsRecycled(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
-	a := s.Register("a")
-	g := a.grant
-	s.GetTurn(a)
-	for len(freeGrants) > 0 { // leave a's channel as the only one to take
-		<-freeGrants
-	}
-	s.Exit(a)
-	if b := New(Config{Mode: RoundRobin}).Register("b"); b.grant != g {
-		t.Error("a thread registered right after an exit did not get the recycled grant channel")
-	}
-
-	handoffStress(t, Config{Mode: RoundRobin}, 64, false)
-	if len(freeGrants) < 64 {
-		t.Errorf("free list holds %d channels after 64 threads exited, want >= 64", len(freeGrants))
-	}
-	for n := len(freeGrants); n > 0; n-- {
-		g := <-freeGrants
-		if len(g) != 0 || cap(g) != 1 {
-			t.Errorf("free list holds a grant channel with len %d cap %d, want 0 and 1", len(g), cap(g))
-		}
-		freeGrants <- g
-	}
-
-	// The hosted arm: a hosted thread takes no channel and gives none back;
-	// what its run recycles instead is one coroutine per thread but the
-	// driver, each idle — no body — on the list, and the host record.
-	free := len(freeGrants)
+// TestHostRecordsRecycled: what a hosted run recycles is one coroutine per
+// thread but the driver, each idle — no body — on the list, and the host
+// record, emptied.
+func TestHostRecordsRecycled(t *testing.T) {
 	for len(freeWorkers) > 0 {
 		(<-freeWorkers).stop()
 	}
 	for len(freeHosts) > 0 {
 		<-freeHosts
 	}
-	h := New(Config{Mode: RoundRobin})
-	h.HostThreads()
-	if c := h.Register("c"); c.grant != nil || !c.hosted {
-		t.Errorf("a hosted thread registered with grant channel %v, hosted %v; want nil and true", c.grant, c.hosted)
-	}
 	handoffStress(t, Config{Mode: RoundRobin}, workerPoolCap, true)
-	if len(freeGrants) != free {
-		t.Errorf("a hosted run moved the grant free list from %d to %d channels", free, len(freeGrants))
-	}
 	if n := len(freeWorkers); n != workerPoolCap-1 {
 		t.Errorf("free list holds %d coroutines after a hosted run of %d threads, want %d", n, workerPoolCap, workerPoolCap-1)
 	}
@@ -294,7 +242,7 @@ func TestGrantChannelsRecycled(t *testing.T) {
 		t.Fatalf("free list holds %d host records after one hosted run, want 1", len(freeHosts))
 	}
 	rec := <-freeHosts
-	if len(rec.workers) != 0 || len(rec.fresh) != 0 || rec.next != 0 || rec.active != 0 {
+	if len(rec.workers) != 0 || len(rec.fresh) != 0 || rec.next != 0 || rec.active != 0 || len(rec.off) != 0 || rec.popped != nil || rec.idle != 0 {
 		t.Errorf("recycled host record is not empty: %+v", *rec)
 	}
 	freeHosts <- rec

@@ -12,29 +12,32 @@ import (
 // (HostThreads) therefore executes all its threads on the goroutine that runs
 // the first one — the driver: Runtime.Run's main thread in the default
 // domain, root 0 of a launched one — and every other thread's body on a
-// coroutine of it (iter.Pull): where an unhosted thread parks on its grant
-// channel a hosted one yields to the driver, and where the releaser of a turn
-// sends a grant token it sets the grantee's granted flag. A turn handoff is
-// then one or two coroutine switches instead of a chansend → goready → park
-// → schedule round trip.
+// coroutine of it (iter.Pull). A turn handoff is one or two coroutine
+// switches.
 //
 // Who runs when. Only the driver resumes anybody. Whenever the driver would
-// block — its own GetTurn or Wait, or the drain after its thread exited — it
-// resumes, one at a time, a thread that can make progress (resume): a created
-// thread that has never run, in creation order, since until it reaches its
-// thread_begin GetTurn the scheduler may be keeping the turn free for it;
-// otherwise the turn holder. Every other started thread is suspended inside
-// awaitGrant with wantTurn set, so it can do nothing until it is granted the
-// turn, and at most one thread is: no choice the driver makes reorders two
-// synchronization operations, and schedules are byte-identical to the
-// goroutine path's.
+// block — its own GetTurn or Wait, the drain after its thread exited, or a
+// contended PCS lock of its own — it resumes, one at a time, a thread that
+// can make progress (resume): a created thread that has never run, in
+// creation order, since until it reaches its thread_begin GetTurn the
+// scheduler may be keeping the turn free for it; otherwise the turn holder,
+// granted and not yet resumed; otherwise the head of the off-turn queue.
+// Every other thread is suspended inside awaitGrant with wantTurn set and can
+// do nothing until it is granted the turn, so no choice the driver makes
+// reorders two synchronization operations.
+//
+// Runnable outside the turn. A thread that finds a lock it takes outside the
+// turn (a PCS mutex under Config.PCS) taken yields without asking for the
+// turn (YieldOffTurn) into the off-turn queue, a FIFO, and retries when
+// resumed. A successful retry advances its virtual clock, so a thread back in
+// the queue with its clock unchanged has changed nothing; when every queued
+// thread has done that since anything else ran, none ever will succeed.
 //
 // What the contract is. A hosted thread that blocks natively blocks its whole
 // domain, so it may only block on something outside the domain (an ingress
 // source, an XPipe peer — every domain has its own driving goroutine). A run
 // frozen by a deadlock handler or abandoned after a panic keeps its host
-// record, its coroutines and the goroutines under them, exactly as the
-// goroutine path's frozen threads keep their grant channels.
+// record, its coroutines and the goroutines under them.
 
 // Body is what a hosted thread executes on its coroutine, start to finish:
 // thread_begin, the program's function, exit. The root package's Thread is
@@ -44,13 +47,17 @@ type Body interface{ Run() }
 // Host is the per-run record of a hosted scheduler. It hangs off the
 // Scheduler rather than widening Thread or the root package's Runtime, whose
 // allocation size classes the byte metrics depend on, and is recycled across
-// runs like a grant channel (freeHosts), so a warm hosted run allocates
-// nothing for it.
+// runs (freeHosts), so a warm hosted run allocates nothing for it.
 type Host struct {
 	workers []*worker // by thread id: the coroutine of a started or fresh thread; nil for the driver (thread 0) and once a body returned
 	fresh   []*Thread // threads StartHosted queued, in creation order; fresh[next:] have never run
 	next    int
 	active  int // workers whose body has not returned
+
+	off      []*Thread // the off-turn queue: threads that yielded outside the turn, FIFO
+	popped   *Thread   // the thread last taken off it, until it yields again or is seen to have progressed
+	poppedAt int64     // popped's virtual clock when it was taken
+	idle     int       // off-turn resumes in a row whose thread came straight back unchanged
 }
 
 // worker is one pooled coroutine. It runs the bodies it is handed one after
@@ -62,11 +69,11 @@ type worker struct {
 	yield func(struct{}) bool
 }
 
-// The free lists are bounded channels like freeGrants: shared by every
-// scheduler of the process, never dropping or duplicating an entry behind the
-// caller's back. A worker is recycled only when its body returned, a host
-// only when every body of its run did; what a frozen run holds stays with it.
-// A worker the full list has no room for is stopped, so its goroutine ends.
+// The free lists are bounded channels: shared by every scheduler of the
+// process, never dropping or duplicating an entry behind the caller's back.
+// A worker is recycled only when its body returned, a host only when every
+// body of its run did; what a frozen run holds stays with it. A worker the
+// full list has no room for is stopped, so its goroutine ends.
 const (
 	workerPoolCap = 64
 	hostPoolCap   = 32
@@ -117,9 +124,6 @@ func (s *Scheduler) HostThreads() {
 	}
 }
 
-// Hosted reports whether t is a thread of a hosted scheduler.
-func (t *Thread) Hosted() bool { return t.hosted }
-
 // Drives reports whether t is the driver of a hosted scheduler: thread 0, the
 // one whose goroutine every other thread of the scheduler runs on.
 func (t *Thread) Drives() bool { return t.hosted && t.id == 0 }
@@ -149,7 +153,7 @@ func (s *Scheduler) DrainHosted() {
 		h.resume(s)
 	}
 	s.host = nil
-	*h = Host{workers: h.workers[:0], fresh: h.fresh[:0]}
+	*h = Host{workers: h.workers[:0], fresh: h.fresh[:0], off: h.off[:0]}
 	select {
 	case freeHosts <- h:
 	default:
@@ -173,11 +177,34 @@ func (h *Host) await(s *Scheduler, t *Thread) {
 	t.granted = false
 }
 
+// YieldOffTurn suspends t, a hosted thread whose lock outside the turn is
+// taken, on the off-turn queue until the driver takes it off. The driver
+// itself resumes other threads until its own place in the queue comes up.
+func (s *Scheduler) YieldOffTurn(t *Thread) {
+	h := s.host
+	if h.popped == t && t.vtime.Load() == h.poppedAt {
+		h.idle++
+	} else {
+		h.idle = 0
+	}
+	h.popped = nil
+	h.off = append(h.off, t)
+	if t.id != 0 {
+		h.workers[t.id].yield(struct{}{})
+		return
+	}
+	for h.popped != t {
+		h.resume(s)
+	}
+}
+
 // resume switches to one thread that can make progress and returns when it
-// next yields or its body returns. If no such thread exists — nothing fresh,
-// and a free turn although every started thread is asking for it or blocked —
-// the domain is stuck (stuck).
+// next yields or its body returns (or at once, having taken the driver off
+// the off-turn queue). If none can, the domain is stuck.
 func (h *Host) resume(s *Scheduler) {
+	if h.popped != nil {
+		h.idle, h.popped = 0, nil // it went on past its retry
+	}
 	var t *Thread
 	if h.next < len(h.fresh) {
 		t = h.fresh[h.next]
@@ -185,8 +212,19 @@ func (h *Host) resume(s *Scheduler) {
 		if h.next++; h.next == len(h.fresh) {
 			h.fresh, h.next = h.fresh[:0], 0
 		}
-	} else if t = s.holder.Load(); t == nil {
+		h.idle = 0
+	} else if t = s.holder.Load(); t != nil && t.granted {
+		h.idle = 0
+	} else if len(h.off) > 0 && h.idle < len(h.off) {
+		t = h.off[0]
+		h.off = h.off[:copy(h.off, h.off[1:])]
+		h.popped, h.poppedAt = t, t.vtime.Load()
+		if t.id == 0 {
+			return
+		}
+	} else {
 		s.stuck()
+		select {}
 	}
 	w := h.workers[t.id]
 	w.next()
@@ -205,18 +243,18 @@ func (h *Host) resume(s *Scheduler) {
 // Under a replay schedule that is a divergence — the recorded thread was never
 // created, and no thread can run to create it (replayEligibleLocked leaves
 // that wait to this point) — so it panics like every other divergence, in the
-// driver: out of Runtime.Run for the default domain. Otherwise a deadlock
-// handler has returned instead of freezing the run, and the driver parks for
-// good as every thread of the goroutine path would.
+// driver: out of Runtime.Run for the default domain. With threads off the
+// turn it is a deadlock on their locks; otherwise the deadlock was reported
+// already. stuck returns if the handler did, and the driver parks for good.
 func (s *Scheduler) stuck() {
 	s.mu.Lock()
-	if !s.replayingLocked() {
-		s.mu.Unlock()
-		select {}
+	defer s.mu.Unlock()
+	if s.replayingLocked() {
+		e := s.replay[s.replayPos]
+		panic(fmt.Sprintf("%s in domain %d at op index %d: expected T%d to run %v but no thread of the domain can run (%d created)\n%s",
+			ErrReplayDivergence, s.cfg.DomainID, s.replayPos, e.TID, e.Op, s.nextTID, s.dumpLocked()))
 	}
-	e := s.replay[s.replayPos]
-	msg := fmt.Sprintf("%s in domain %d at op index %d: expected T%d to run %v but no thread of the domain can run (%d created)\n%s",
-		ErrReplayDivergence, s.cfg.DomainID, s.replayPos, e.TID, e.Op, s.nextTID, s.dumpLocked())
-	s.mu.Unlock()
-	panic(msg)
+	if len(s.host.off) > 0 {
+		s.deadlockLocked(fmt.Sprint("every thread outside the turn waits for a lock nobody can release\n  offTurn: ", s.host.off))
+	}
 }

@@ -1,14 +1,15 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
 // The hosted path's schedule neutrality is TestHandoffStressNeutralAcrossProcs
-// and its recycling TestGrantChannelsRecycled (handoff_test.go); what is here
-// is how a hosted run ends when it does not end well.
+// and its recycling TestHostRecordsRecycled (handoff_test.go); what is here
+// is how a hosted run ends when it does not end well, and the off-turn queue.
 
 // hostedRun registers n threads on a hosted scheduler and runs body(i, thread)
 // for each: thread 0 on the calling goroutine, the rest as its coroutines.
@@ -96,4 +97,108 @@ func TestHostedAfterRegisterPanics(t *testing.T) {
 		}
 	}()
 	s.HostThreads()
+}
+
+// offLock is a lock taken outside the turn, the way the root package's PCS
+// mutex is: a retry loop around YieldOffTurn, and a virtual-clock tick on
+// every acquisition and release (the off-turn queue's progress witness).
+type offLock struct{ owner *Thread }
+
+func (l *offLock) lock(s *Scheduler, th *Thread) {
+	for l.owner != nil {
+		s.YieldOffTurn(th)
+	}
+	l.owner = th
+	th.AddVTime(1)
+}
+
+func (l *offLock) unlock(th *Thread) {
+	l.owner = nil
+	th.AddVTime(1)
+}
+
+// TestHostedOffTurn: a thread that finds its lock taken leaves the turn to
+// others and is retried only when nothing fresh and no granted holder can
+// run, and it gets the lock once the holder, parked inside its section and
+// woken ahead of it (BoostBlocked), has let go.
+func TestHostedOffTurn(t *testing.T) {
+	s := New(Config{Mode: RoundRobin, Policies: BoostBlocked})
+	s.HostThreads()
+	var l offLock
+	var log []string
+	d, h := s.Register("d"), s.Register("h")
+	s.StartHosted(h, bodyFunc(func() {
+		l.lock(s, h)
+		log = append(log, "h locks")
+		s.GetTurn(h)
+		s.Wait(h, 1, NoTimeout)
+		s.PutTurn(h)
+		log = append(log, "h unlocks")
+		l.unlock(h)
+		s.GetTurn(h)
+		s.Exit(h)
+	}))
+	s.GetTurn(d)
+	s.PutTurn(d) // h runs, locks and parks
+	s.GetTurn(d)
+	c := s.Register("c")
+	s.StartHosted(c, bodyFunc(func() {
+		log = append(log, "c tries")
+		l.lock(s, c)
+		log = append(log, "c locks")
+		l.unlock(c)
+		s.GetTurn(c)
+		s.Exit(c)
+	}))
+	s.Signal(d, 1)
+	s.PutTurn(d) // h, woken, is granted the turn; c is fresh
+	s.GetTurn(d)
+	s.Exit(d)
+	s.DrainHosted()
+	want := []string{"h locks", "c tries", "h unlocks", "c locks"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("log %q, want %q", log, want)
+	}
+}
+
+// TestHostedOffTurnDeadlock: threads outside the turn that wait for a lock
+// whose holder is parked for good are a deadlock the driver reports, with
+// the off-turn queue in the message — whether the one spinning is a
+// coroutine or the driver itself — instead of retrying forever.
+func TestHostedOffTurnDeadlock(t *testing.T) {
+	for _, spinner := range []string{"T2(c)]", "T0(d)]"} {
+		s := New(Config{Mode: RoundRobin})
+		deadlock := make(chan string, 1)
+		s.SetDeadlockHandler(func(msg string) { deadlock <- msg })
+		go func() { // leaks, parked, by design
+			s.HostThreads()
+			var l offLock
+			d, h := s.Register("d"), s.Register("h")
+			s.StartHosted(h, bodyFunc(func() {
+				l.lock(s, h)
+				s.GetTurn(h)
+				s.Wait(h, 1, NoTimeout) // nobody will ever signal
+			}))
+			if spinner == "T0(d)]" {
+				s.GetTurn(d)
+				s.PutTurn(d)
+				s.GetTurn(d) // h runs, locks and parks
+				l.lock(s, d)
+				return
+			}
+			c := s.Register("c")
+			s.StartHosted(c, bodyFunc(func() { l.lock(s, c) }))
+			s.GetTurn(d)
+			s.Exit(d)
+			s.DrainHosted()
+		}()
+		select {
+		case msg := <-deadlock:
+			if !strings.Contains(msg, "deterministic deadlock") || !strings.Contains(msg, "offTurn: ["+spinner) {
+				t.Fatalf("%s spinning: handler got %q", spinner, msg)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s spinning: an off-turn deadlock was never reported", spinner)
+		}
+	}
 }

@@ -71,10 +71,8 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 	if want >= s.nextTID {
 		// Thread not created yet: its creator's ops come first in any
 		// consistent schedule, so the turn waits for the creator. If no thread
-		// can run to create it, the run has diverged: a hosted domain's driver
-		// finds nothing to resume and panics (Scheduler.stuck); on the
-		// goroutine path of a PCS run every thread stays parked on its grant
-		// channel, since no goroutine knows the others are all waiting too.
+		// can run to create it, the run has diverged: the domain's driver
+		// finds nothing to resume and panics (Scheduler.stuck).
 		return nil
 	}
 	t := s.threads[want]

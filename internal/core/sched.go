@@ -145,9 +145,13 @@ type Scheduler struct {
 	onDeadlock func(msg string)
 
 	// host, when non-nil, makes this a hosted scheduler: its threads run on
-	// one goroutine and take their grants as a flag (host.go). Set before the
-	// first Register, cleared when the run has drained.
+	// one goroutine (host.go). Set before the first Register, cleared when the
+	// run has drained.
 	host *Host
+
+	// granted wakes the goroutines of an unhosted scheduler's threads (direct
+	// users of this package) when grantLocked sets a flag; L is &mu.
+	granted sync.Cond
 }
 
 // objLabel is a synchronization object's debugging name, kept as the two
@@ -190,6 +194,7 @@ func New(cfg Config) *Scheduler {
 		suspended: cfg.SuspendRecording,
 	}
 	s.stack.Init(cfg.Mode.base(), cfg.Policies)
+	s.granted.L = &s.mu
 	s.threads = s.threadsInline[:0]
 	s.chooseIDs = s.chooseIDsInline[:0]
 	s.chooseCands = s.chooseCandsInline[:0]
@@ -251,9 +256,7 @@ func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
 	t.id = s.nextTID
 	t.name = name
 	t.sched = s
-	if t.hosted = s.host != nil; !t.hosted {
-		t.grant = takeGrant()
-	}
+	t.hosted = s.host != nil
 	t.queue = qRun
 	t.wnode.t = t
 	t.wnode.heapIdx = -1
@@ -334,7 +337,7 @@ func (s *Scheduler) HasTurn(t *Thread) bool { return s.holder.Load() == t }
 //
 // The already-holding check is a single atomic load with no mutex: holder can
 // only be t if t itself was granted the turn (a happens-before edge through
-// the grant channel) and only t can release it, so the observation is stable.
+// the grant) and only t can release it, so the observation is stable.
 func (s *Scheduler) GetTurn(t *Thread) {
 	if s.holder.Load() == t {
 		return
@@ -348,7 +351,7 @@ func (s *Scheduler) GetTurn(t *Thread) {
 	s.kickLocked(t)
 	if s.holder.Load() == t {
 		// The free turn was granted straight to the requester (the common
-		// uncontended case): no token was sent, nothing to receive.
+		// uncontended case): there is no grant to wait for.
 		s.mu.Unlock()
 		return
 	}
@@ -356,23 +359,20 @@ func (s *Scheduler) GetTurn(t *Thread) {
 	s.awaitGrant(t)
 }
 
-// awaitGrant parks t, which has asked for the turn and released the scheduler
-// mutex, until the turn is handed to it. Exactly one grant is issued per
-// handoff, and the granter sets holder = t before issuing it, so one wait
-// suffices: on return t holds the turn without re-taking the mutex, and
-// everything the granter wrote before the grant is visible. For a goroutine
-// thread the wait is a plain blocking receive of the grant token
-// (park-first): a program has more turn-waiters than Ps, so a waiter that
-// polled would take its P from the thread that actually holds the turn,
-// whereas a parked one costs the releaser exactly one chansend→goready that
-// leaves the grantee in its runnext slot. A hosted thread yields to, or is,
-// its run's driver (host.go).
+// awaitGrant suspends t, which has asked for the turn and released the
+// scheduler mutex, until grantLocked sets its granted flag, and clears it. A
+// hosted thread yields to, or is, its run's driver (host.go).
 func (s *Scheduler) awaitGrant(t *Thread) {
 	if t.hosted {
 		s.host.await(s, t)
 		return
 	}
-	<-t.grant
+	s.mu.Lock()
+	for !t.granted {
+		s.granted.Wait()
+	}
+	t.granted = false
+	s.mu.Unlock()
 }
 
 // PutTurn releases the turn held by t: t moves to the tail of the run queue
@@ -432,8 +432,7 @@ func (s *Scheduler) PutTurn(t *Thread) {
 // once t has been woken (by Signal, Broadcast, or timeout) AND has been
 // granted the turn, and reports how it was woken. Like GetTurn, the woken
 // thread receives the turn by direct handoff: the granter publishes all wake
-// state before sending the grant token, so no mutex round trip is needed
-// here after parking.
+// state before setting its granted flag.
 func (s *Scheduler) Wait(t *Thread, obj uint64, timeout int64) WaitStatus {
 	s.mu.Lock()
 	s.requireTurnLocked(t, "Wait")
@@ -551,7 +550,7 @@ func (s *Scheduler) Waiters(t *Thread, obj uint64) int {
 // is safe because waitLists (and each list's contents) is only ever mutated
 // by the turn holder or, via passTurnLocked's idle expiry, while the turn is
 // free: while t holds the turn the structure cannot change under it, and the
-// turn's handoff chain (mutex + grant channel) orders every prior mutation
+// turn's handoff chain (mutex + grant) orders every prior mutation
 // before this read. Callers that go on to mutate the list still take mu for
 // the run-queue surgery.
 func (s *Scheduler) lookupWaitersFast(t *Thread, op string, obj uint64) *wqueue {
@@ -580,56 +579,9 @@ func (s *Scheduler) Exit(t *Thread) {
 	s.threads[t.id] = nil
 	s.live--
 	s.releaseTurnLocked()
-	s.recycleGrantLocked(t)
-}
-
-// Grant channels outlive their threads: runtimes are single-use and built by
-// the ten thousand, and a fresh cap-1 channel per thread would be a second
-// allocation beside the thread's own record. freeGrants is the process-global
-// free list (bounded, like the root package's goroutine pool; a channel that
-// finds it full is dropped for the GC), shared by every scheduler and safe
-// for that by being a channel. It holds four times the goroutine pool's 64,
-// so the threads of a few runtimes finishing at once (explorer workers,
-// domains) all fit; full, it pins 24 kB.
-const grantPoolCap = 256
-
-var freeGrants = make(chan chan struct{}, grantPoolCap)
-
-// takeGrant returns an empty cap-1 grant channel, recycled if one is free.
-func takeGrant() chan struct{} {
-	select {
-	case g := <-freeGrants:
-		return g
-	default:
-		return make(chan struct{}, 1)
-	}
-}
-
-// recycleGrantLocked returns exited thread t's grant channel to the free
-// list. Nobody can send on it again: grantLocked only sends to a thread that
-// asks for the turn, and t — off every queue, its table slot cleared — can
-// never be eligible. It is empty: t held the turn to call Exit, so it
-// consumed the one token of the handoff that gave it the turn, and
-// grantLocked sends exactly one token per handoff. A leftover token would
-// resurface as a spurious grant in whichever thread is handed the channel
-// next, in any scheduler of the process, so emptiness is asserted here, as
-// loudly as the full-channel arm of grantLocked. Threads of a run frozen by
-// a deadlock or an explorer hang never exit and simply keep theirs.
-//
-// A hosted thread has no channel to give back; its granted flag is held to
-// the same invariant.
-func (s *Scheduler) recycleGrantLocked(t *Thread) {
-	if len(t.grant) != 0 || t.granted {
+	if t.granted {
 		panic(fmt.Sprintf("core: %v exits with an unconsumed grant token\n%s", t, s.dumpLocked()))
 	}
-	if t.hosted {
-		return
-	}
-	select {
-	case freeGrants <- t.grant:
-	default:
-	}
-	t.grant = nil
 }
 
 // AddWork advances t's logical instruction clock by n. In LogicalClock mode
@@ -918,11 +870,10 @@ func (s *Scheduler) consultLocked(kind policy.ChoiceKind, ids []int, n, def int)
 }
 
 // kickLocked grants the free turn directly to the next eligible thread if
-// that thread is currently parked waiting for it (passTurnLocked). self is
-// the thread executing this call (nil when unknown): when the grantee is self
-// it is not parked — it will observe holder == self synchronously after
-// kickLocked returns — so no token is sent at all, which keeps the
-// uncontended GetTurn path free of channel operations.
+// that thread is currently waiting for it (passTurnLocked). self is the
+// thread executing this call (nil when unknown): when the grantee is self it
+// is not waiting — it will observe holder == self synchronously after
+// kickLocked returns — so its granted flag is not set.
 func (s *Scheduler) kickLocked(self *Thread) {
 	if s.holder.Load() == nil {
 		s.passTurnLocked(self, false)
@@ -930,9 +881,8 @@ func (s *Scheduler) kickLocked(self *Thread) {
 }
 
 // passTurnLocked is the grant loop: the turn goes to the next eligible thread
-// if that thread is asking for it — holder is set and the grant token sent in
-// one step (grantLocked), so the grantee resumes without touching the
-// scheduler mutex — and otherwise stays free until that thread asks. If no
+// if that thread is asking for it (grantLocked), and otherwise stays free
+// until that thread asks. If no
 // thread is runnable but timed waiters exist, logical time jumps forward
 // deterministically to the earliest deadline — the heap top — (this is how a
 // "logical sleep" in an otherwise idle program makes progress). If nothing
@@ -969,7 +919,7 @@ func (s *Scheduler) passTurnLocked(self *Thread, held bool) {
 			s.holder.Store(nil)
 		}
 		if e == nil && s.nWaiting != 0 {
-			s.deadlockLocked()
+			s.deadlockLocked("all threads blocked without timeout")
 		}
 		return
 	}
@@ -977,15 +927,10 @@ func (s *Scheduler) passTurnLocked(self *Thread, held bool) {
 
 // grantLocked is the turn handoff: e, which is asking for the turn, becomes
 // the holder and — unless e is self, the thread executing this call, which
-// observes holder == self synchronously — is woken with one grant token. e is
-// parked on a plain receive of its cap-1 grant channel (or about to be), so
-// the send never blocks and the Go runtime readies e straight into the
-// sender's runnext slot. Exactly one token is in flight per handoff, and e
-// consumes it before it can ask for the turn again, so a full channel is a
-// scheduler bug; dropping the token there would hang e silently, hence the
-// panic with the queue dump. A hosted e is suspended on its run's driver
-// instead (host.go) and its one token is its granted flag, under the same
-// assertion.
+// observes holder == self synchronously — gets its granted flag, the one
+// token of the handoff, which e clears before it can ask again. A flag
+// already set is a scheduler bug that would lose a grant silently, hence the
+// panic with the queue dump.
 //
 // This is also where a pick is committed, so it is where the policy stack
 // counts it (eligibleLocked is re-evaluated every time a not-yet-eligible
@@ -1009,17 +954,12 @@ func (s *Scheduler) grantLocked(e, self *Thread) {
 		return
 	}
 	s.stats.Handoffs++
-	if e.hosted {
-		if e.granted {
-			panic(fmt.Sprintf("core: grant to %v which already has an unconsumed grant token\n%s", e, s.dumpLocked()))
-		}
-		e.granted = true
-		return
-	}
-	select {
-	case e.grant <- struct{}{}:
-	default:
+	if e.granted {
 		panic(fmt.Sprintf("core: grant to %v which already has an unconsumed grant token\n%s", e, s.dumpLocked()))
+	}
+	e.granted = true
+	if !e.hosted {
+		s.granted.Broadcast()
 	}
 }
 
@@ -1034,11 +974,10 @@ func (s *Scheduler) releaseTurnLocked() {
 	s.passTurnLocked(nil, true)
 }
 
-// deadlockLocked reports a deterministic deadlock: every live thread is
-// blocked and no timed waiter can ever unblock one. The registered handler,
-// if any, runs outside the scheduler mutex.
-func (s *Scheduler) deadlockLocked() {
-	msg := "core: deterministic deadlock: all threads blocked without timeout\n" + s.dumpLocked()
+// deadlockLocked reports a deterministic deadlock, why no thread can ever run
+// again. The registered handler, if any, runs outside the scheduler mutex.
+func (s *Scheduler) deadlockLocked(why string) {
+	msg := "core: deterministic deadlock: " + why + "\n" + s.dumpLocked()
 	if s.onDeadlock != nil {
 		fn := s.onDeadlock
 		s.mu.Unlock()

@@ -32,29 +32,22 @@ func (q queueKind) String() string {
 
 // Thread is a participant registered with a Scheduler. In the QiThread
 // architecture a Thread corresponds to one pthread; in this Go reproduction
-// it corresponds to one goroutine, or one coroutine of a hosted scheduler's
-// driver (host.go), gated by the turn mechanism. All fields other than the
+// it is a coroutine of a hosted scheduler's driver (host.go), or a goroutine
+// of a direct user of this package, gated by the turn mechanism. All fields
+// other than the
 // atomic clock are guarded by the Scheduler mutex.
 type Thread struct {
 	id    int
 	name  string
 	sched *Scheduler
 
-	// grant carries the turn from the scheduler to a parked thread. It is
-	// buffered so the scheduler never blocks while handing over the turn. It
-	// comes from the free list at registration and goes back, leaving nil
-	// here, at Exit (recycleGrantLocked). A hosted thread never has one.
-	grant chan struct{}
-
 	// wantTurn is set while the thread is blocked in GetTurn or Wait and
 	// should receive the turn as soon as it becomes eligible.
 	wantTurn bool
 
-	// hosted marks a thread of a hosted scheduler (host.go): it runs on the
-	// driving goroutine and its grant is the granted flag, set by grantLocked
-	// and cleared by the thread when it resumes, instead of a channel token.
-	// Both flags sit in wantTurn's padding: the record must not grow, the
-	// root package's Thread fills its allocation size class exactly.
+	// granted is the grant token, set by grantLocked and cleared by the
+	// thread; hosted marks a thread of a hosted scheduler (host.go). Both
+	// sit in wantTurn's padding.
 	hosted, granted bool
 
 	// queue is the queue currently containing the thread; qprev/qnext are

@@ -231,14 +231,13 @@ func RunVariant(p *Program, base func() qithread.Config, watchdog time.Duration)
 // frozen and readable) and keep the scaffold they report on, which is
 // acceptable for a bounded-budget exploration process. A panic on any thread
 // of the default domain is OutcomePanic: the run is hosted (every
-// deterministic run without PCS is), so a child thread is a coroutine of the
-// run goroutine, its panic is re-raised there, in whatever the main thread
-// was waiting on, and unwinds into scaffold.run's recover like one of the
-// main thread's own. That run's scaffold is abandoned too, and the coroutine
-// that panicked is gone, not pooled. A panic in another domain, on that
-// domain's own driving goroutine, or in any thread of a program whose Base
-// sets PCS still takes the process down with it, and that exit is itself a
-// loud bug report.
+// deterministic run is), so a child thread is a coroutine of the run
+// goroutine, its panic is re-raised there, in whatever the main thread was
+// waiting on, and unwinds into scaffold.run's recover like one of the main
+// thread's own. That run's scaffold is abandoned too, and the coroutine that
+// panicked is gone, not pooled. A panic in another domain, on that domain's
+// own driving goroutine, still takes the process down with it, and that exit
+// is itself a loud bug report.
 func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time.Duration, traced bool) Result {
 	if watchdog <= 0 {
 		watchdog = DefaultWatchdog

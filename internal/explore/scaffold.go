@@ -23,7 +23,7 @@ type end struct {
 // scaffold is what a run needs around its runtime: the channel its end is
 // reported on and its watchdog. Explored runs are built by the ten thousand
 // and a fresh pair is seven allocations, so scaffolds are recycled the way
-// grant channels are (internal/core): through freeScaffolds, a
+// coroutines are (internal/core): through freeScaffolds, a
 // process-global bounded free list that is a channel — shared by every
 // session and pool worker, and, unlike a sync.Pool, never dropping or
 // duplicating an entry behind the caller's back, so the allocation budget is
@@ -33,7 +33,7 @@ type end struct {
 //     run ended with the run goroutine's own OutcomeOK (an ok or assert-fail
 //     result). A deadlocked, panicked or hung run leaves threads behind that
 //     may still report; it abandons its scaffold to the GC, exactly as its
-//     frozen threads keep their grant channels.
+//     frozen threads keep their coroutines.
 //   - A message is only ever believed by the run it names (await). A clean
 //     end proves nothing about threads the program detached.
 //   - The watchdog is stopped before the scaffold is offered for reuse

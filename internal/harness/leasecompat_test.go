@@ -1,26 +1,11 @@
 package harness
 
 import (
-	"runtime"
 	"testing"
 
 	"qithread"
 	"qithread/internal/programs"
 )
-
-// adHocSyncPrograms are the catalog programs built on ad-hoc busy-wait
-// synchronization (workload.adHocBarrier / adHocFlag): a waiter polls an
-// atomic the peer stores OUTSIDE any scheduled operation. Hosted, the peer
-// runs only when the waiter yields the turn, so the poll loop's iteration
-// count is reproducible at any GOMAXPROCS. On the goroutine path — PCS
-// configurations — it is only at GOMAXPROCS 1: with real parallelism the
-// store lands at a wall-clock-dependent point in the waiter's yield loop, in
-// the seed build exactly as much as with leasing; the races are in the
-// modeled programs (the paper's sched_yield patch makes the loops
-// scheduler-visible, not schedule-ordered), not in the turn mechanism. Their
-// PCS configurations are therefore excluded from cross-run schedule
-// comparisons when this test runs at -cpu > 1; everything else stays covered.
-var adHocSyncPrograms = map[string]bool{"canneal": true, "x264": true}
 
 // TestLeaseTraceNeutral runs the full trace-compatibility matrix twice — once
 // with the scheduler's turn lease force-enabled (the default) and once
@@ -40,9 +25,6 @@ func TestLeaseTraceNeutral(t *testing.T) {
 	for _, spec := range programs.All() {
 		for _, cc := range compatConfigs() {
 			if !deep[spec.Name] && !base[cc.Name] {
-				continue
-			}
-			if cc.Cfg.PCS && adHocSyncPrograms[spec.Name] && runtime.GOMAXPROCS(0) > 1 {
 				continue
 			}
 			off := cc.Cfg

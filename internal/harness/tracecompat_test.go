@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -115,10 +114,9 @@ func goldenLine(program, config, hash string, events int, makespan int64, output
 	return fmt.Sprintf("%s,%s,%s,%d,%d,%d", program, config, hash, events, makespan, output)
 }
 
-// collectFingerprints runs the part of the matrix whose configurations honor
-// PCS hints (pcs), which run one pooled goroutine per thread, or the part that
-// does not, which is hosted.
-func collectFingerprints(t *testing.T, pcs bool) map[string]string {
+// collectFingerprints runs the matrix: every catalog program under the base
+// configurations, the deep programs under all of them.
+func collectFingerprints(t *testing.T) map[string]string {
 	t.Helper()
 	out := map[string]string{}
 	deep := map[string]bool{}
@@ -131,23 +129,10 @@ func collectFingerprints(t *testing.T, pcs bool) map[string]string {
 	base := baseConfigNames()
 	for _, spec := range programs.All() {
 		for _, cc := range compatConfigs() {
-			if cc.Cfg.PCS != pcs || (!deep[spec.Name] && !base[cc.Name]) {
+			if !deep[spec.Name] && !base[cc.Name] {
 				continue
 			}
-			// The golden file was recorded at GOMAXPROCS 1, the only setting
-			// at which the ad-hoc busy-wait programs have a reproducible
-			// schedule on the goroutine path (see adHocSyncPrograms), so a PCS
-			// configuration runs them there. Every other run is hosted: on one
-			// goroutine a poll loop's iteration count is the same with any
-			// number of Ps to spare.
-			procs := 0
-			if adHocSyncPrograms[spec.Name] && cc.Cfg.PCS {
-				procs = runtime.GOMAXPROCS(1)
-			}
 			hash, events, makespan, output := traceFingerprint(spec, cc.Cfg)
-			if procs > 0 {
-				runtime.GOMAXPROCS(procs)
-			}
 			out[goldenKey(spec.Name, cc.Name)] = goldenLine(spec.Name, cc.Name, hash, events, makespan, output)
 		}
 	}
@@ -156,19 +141,15 @@ func collectFingerprints(t *testing.T, pcs bool) map[string]string {
 
 // TestTraceCompatibility asserts the build produces the exact schedules of the
 // seed bitmask build for all catalog programs under all modes × policy sets.
-// Every configuration but rr-soft-pcs is hosted, every thread of a domain on
-// one goroutine (internal/core/host.go); rr-soft-pcs honors PCS hints and
-// runs one pooled goroutine per thread, and is the goroutine path's coverage.
-// The seed build ran every configuration on goroutines, so the one golden
-// file holds both paths — there is no hosted flavour of a schedule. The
-// matrix runs once, split by path: the goroutines subtest holds the PCS
-// configurations to their golden lines, the hosted subtest the rest.
+// Every configuration is hosted, every thread of a domain on one goroutine
+// (internal/core/host.go); the seed build ran every thread on a goroutine of
+// its own, and there is no hosted flavour of a schedule. The ad-hoc busy-wait
+// programs (canneal, x264) poll an atomic a peer stores outside any scheduled
+// operation; hosted, the peer runs only when the poller yields the turn, so
+// their schedules too are the same at any GOMAXPROCS.
 func TestTraceCompatibility(t *testing.T) {
+	got := collectFingerprints(t)
 	if *updateGolden {
-		got := collectFingerprints(t, true)
-		for k, v := range collectFingerprints(t, false) {
-			got[k] = v
-		}
 		updateGoldenFile(t, got)
 		return
 	}
@@ -176,24 +157,7 @@ func TestTraceCompatibility(t *testing.T) {
 	if len(want) == 0 {
 		t.Fatalf("no golden fingerprints in %s; run with -update-golden", goldenPath)
 	}
-	pcs := map[string]bool{}
-	for _, cc := range compatConfigs() {
-		pcs[cc.Name] = cc.Cfg.PCS
-	}
-	for _, pass := range []struct {
-		name string
-		pcs  bool
-	}{{"goroutines", true}, {"hosted", false}} {
-		t.Run(pass.name, func(t *testing.T) {
-			part := map[string]string{}
-			for k, line := range want {
-				if pcs[strings.Split(line, ",")[1]] == pass.pcs {
-					part[k] = line
-				}
-			}
-			compareGolden(t, part, collectFingerprints(t, pass.pcs))
-		})
-	}
+	compareGolden(t, want, got)
 }
 
 // updateGoldenFile rewrites the golden file from got.

@@ -16,10 +16,7 @@ import (
 // scheduler's bookkeeping teardown paths (DestroyObject, OnExit, wait-list
 // recycling), which are exactly where a stray map iteration or freed-slot
 // reuse would leak nondeterminism. Every scenario runs under both the
-// round-robin and the logical-clock turn mechanisms, and on both execution
-// paths: hosted — every thread on the goroutine that called Run — and, with
-// Config.PCS set and no PCS object used, one pooled goroutine per thread,
-// which must be the same schedule.
+// round-robin and the logical-clock turn mechanisms.
 
 // lifetimeConfigs are the two turn mechanisms with recording on.
 func lifetimeConfigs() []Config {
@@ -29,23 +26,13 @@ func lifetimeConfigs() []Config {
 	}
 }
 
-// goroutinePath is cfg on the goroutine path: PCS set, which schedules
-// nothing differently in a program that creates no PCS object.
-func goroutinePath(cfg Config) Config {
-	cfg.PCS = true
-	return cfg
-}
-
-// runLifetime runs body three times under cfg and three times on the
-// goroutine path, and asserts every run produces the identical schedule hash.
+// runLifetime runs body three times under cfg and asserts every run produces
+// the identical schedule hash.
 func runLifetime(t *testing.T, cfg Config, body func(rt *Runtime)) {
 	t.Helper()
 	var ref uint64
-	for run := 0; run < 6; run++ {
+	for run := 0; run < 3; run++ {
 		rt := New(cfg)
-		if run >= 3 {
-			rt = New(goroutinePath(cfg))
-		}
 		body(rt)
 		h := trace.Hash(rt.Trace())
 		if run == 0 {
@@ -258,18 +245,17 @@ func TestThreadChurnRetention(t *testing.T) {
 }
 
 // TestGrantRecycling: what a thread runs on is recycled through
-// process-global free lists the moment it exits — a hosted thread's coroutine,
-// and its run's host record once the run drains; on the goroutine path (PCS
-// set, no PCS object), its grant channel — so a record released by one
+// process-global free lists the moment it exits — its coroutine, and its
+// run's host record once the run drains — so a record released by one
 // runtime is handed to a thread of another while both are mid-run. Two
 // runtimes run the same churn concurrently — waves of short-lived threads
 // exiting while sibling threads hand the turn around — and both of them, on
-// every round and on either path, must reach the same fingerprint: a token
-// left in (or sent late on) a recycled channel, or a granted flag left set,
-// would surface as a spurious grant, which either trips the scheduler's turn
-// assertions or changes the schedule. The exit-side emptiness assertion in
-// internal/core panics on the first leftover token. `make alloc-bounds` runs
-// this under -race at -cpu 1,4, `make cpu-matrix` at -cpu 1,2,4.
+// every round, must reach the same fingerprint: a coroutine or host record
+// still in use when recycled, or a granted flag left set, would surface as a
+// spurious grant, which either trips the scheduler's turn assertions or
+// changes the schedule. The exit-side assertion in internal/core panics on
+// the first leftover token. `make alloc-bounds` runs this under -race at -cpu
+// 1,4, `make cpu-matrix` at -cpu 1,2,4.
 func TestGrantRecycling(t *testing.T) {
 	const (
 		waves    = 50
@@ -327,11 +313,7 @@ func TestGrantRecycling(t *testing.T) {
 	for _, cfg := range lifetimeConfigs() {
 		t.Run(cfg.Mode.String(), func(t *testing.T) {
 			var want string
-			for round := 0; round < 2*rounds; round++ {
-				cfg := cfg
-				if round >= rounds {
-					cfg = goroutinePath(cfg)
-				}
+			for round := 0; round < rounds; round++ {
 				var wg sync.WaitGroup
 				var got [runtimes]string
 				for r := range got {

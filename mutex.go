@@ -41,9 +41,9 @@ func (rt *Runtime) NewMutex(t *Thread, name string) *Mutex {
 
 // NewPCSMutex creates a mutex carrying Parrot's performance-critical-section
 // hint: when Config.PCS is set, operations on it bypass the deterministic
-// scheduler entirely, trading determinism for performance on hot locks (the
-// "Parrot w/ PCS" configuration of Figure 8). Without Config.PCS it behaves
-// like a normal mutex.
+// scheduler entirely — a contended Lock waits outside the turn — trading
+// determinism for performance on hot locks (the "Parrot w/ PCS" configuration
+// of Figure 8). Without Config.PCS it behaves like a normal mutex.
 func (rt *Runtime) NewPCSMutex(t *Thread, name string) *Mutex {
 	return rt.newMutex(t, name, true)
 }
@@ -70,7 +70,13 @@ func (m *Mutex) bypass() bool {
 func (m *Mutex) Lock(t *Thread) {
 	s := m.dom.enter(t, "mutex", m.name)
 	if m.bypass() {
-		m.real.Lock()
+		if s == nil {
+			m.real.Lock()
+		} else {
+			for !m.real.TryLock() {
+				s.YieldOffTurn(t.ct)
+			}
+		}
 		m.owner = t
 		t.vMeet(m.vRel.Load())
 		t.vAdd(t.vCost())
@@ -132,10 +138,7 @@ func (m *Mutex) Unlock(t *Thread) {
 		if m.owner != t {
 			panic("qithread: Unlock of mutex " + m.name + " not held by " + t.String())
 		}
-		m.owner = nil
-		t.vAdd(t.vCost())
-		m.vRel.Store(t.VNow()) // published before the release below
-		m.real.Unlock()
+		m.unlockBypass(t)
 		return
 	}
 	s.GetTurn(t.ct)
@@ -148,6 +151,14 @@ func (m *Mutex) Unlock(t *Thread) {
 	s.TraceOp(t.ct, core.OpMutexUnlock, m.obj, core.StatusOK)
 	m.dom.stack.OnRelease(t.ct)
 	t.release()
+}
+
+// unlockBypass is the bypass paths' release of a mutex t holds.
+func (m *Mutex) unlockBypass(t *Thread) {
+	m.owner = nil
+	t.vAdd(t.vCost())
+	m.vRel.Store(t.VNow()) // published before the release below
+	m.real.Unlock()
 }
 
 // Destroy retires the mutex. Like pthread_mutex_destroy it is an ordered

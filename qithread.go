@@ -8,9 +8,8 @@
 // API (threads, mutexes, condition variables, semaphores, barriers, rwlocks)
 // whose "threads" are gated by a deterministic user-space scheduler
 // (internal/core). The threads of one scheduler domain are coroutines of one
-// goroutine, since the turn runs them one at a time anyway (under Config.PCS
-// and in Nondet mode each is a goroutine); domains are the unit of
-// parallelism, and everything outside synchronization is delegated to the Go
+// goroutine, since the turn runs them one at a time anyway (in Nondet mode
+// each is a goroutine); domains are the unit of parallelism, and everything outside synchronization is delegated to the Go
 // runtime scheduler, as the paper delegates it to the OS scheduler (Figure 4).
 //
 // A Runtime is created with a Config choosing one of three modes:

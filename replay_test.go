@@ -195,24 +195,26 @@ func TestReplayNegativeThreadID(t *testing.T) {
 // thread the program never creates — any id a loader accepts — leaves the
 // turn waiting for that thread's creator while every thread there is waits
 // for the turn. The domain's driver finds nothing to resume, and that is the
-// divergence diagnostic out of Run, not a hang.
+// divergence diagnostic out of Run, not a hang — with PCS hints honored too.
 func TestReplayUnknownThreadDiverges(t *testing.T) {
-	done := make(chan any, 1)
-	go func() {
-		defer func() { done <- recover() }()
-		rt := New(Config{Mode: RoundRobin, Record: true, Replay: []Event{{TID: 3, Op: core.OpYield}}})
-		rt.Run(func(main *Thread) { main.Yield() })
-	}()
-	select {
-	case r := <-done:
-		msg, _ := r.(string)
-		for _, want := range []string{core.ErrReplayDivergence, "in domain 0 at op index 0", "expected T3 to run yield", "runQ: T0(main)"} {
-			if !strings.Contains(msg, want) {
-				t.Fatalf("panic value %v, want a divergence diagnostic containing %q", r, want)
+	for _, pcs := range []bool{false, true} {
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			rt := New(Config{Mode: RoundRobin, PCS: pcs, Record: true, Replay: []Event{{TID: 3, Op: core.OpYield}}})
+			rt.Run(func(main *Thread) { main.Yield() })
+		}()
+		select {
+		case r := <-done:
+			msg, _ := r.(string)
+			for _, want := range []string{core.ErrReplayDivergence, "in domain 0 at op index 0", "expected T3 to run yield", "runQ: T0(main)"} {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("PCS %v: panic value %v, want a divergence diagnostic containing %q", pcs, r, want)
+				}
 			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("PCS %v: a replay naming a thread the program never creates hung", pcs)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("a replay naming a thread the program never creates hung")
 	}
 }
 

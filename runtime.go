@@ -190,24 +190,20 @@ func (rt *Runtime) Scheduler() *core.Scheduler { return rt.main.rec.Sched }
 // thread of every domain — the main thread, everything it transitively
 // created, and all launched domain roots — has finished.
 //
-// A deterministic run without Config.PCS is hosted (internal/core/host.go):
-// the calling goroutine also executes every other thread of the default
-// domain, as coroutines it drives while the main thread waits for a turn and
-// drains once main has exited, before waiting for the other domains (each
-// runs on one goroutine of its own, see Domain.Launch). The contract for
-// every thread of such a run is that it blocks natively only on something
-// outside its own domain — an ingress source, an XPipe peer — and on its own
-// domain's threads only through the wrappers: a native block on a sibling
-// blocks the goroutine the sibling would have to run on. PCS runs, whose
-// PCS mutexes are native locks a thread may park inside, and Nondet runs,
-// which have no scheduler, keep one pooled goroutine per thread.
+// A deterministic run is hosted (internal/core/host.go): the calling
+// goroutine also executes every other thread of the default domain, as
+// coroutines it drives while the main thread waits for a turn and drains once
+// main has exited, before waiting for the other domains (each runs on one
+// goroutine of its own, see Domain.Launch). The contract for every thread of
+// such a run is that it blocks natively only on something outside its own
+// domain — an ingress source, an XPipe peer — and on its own domain's threads
+// only through the wrappers: a native block on a sibling blocks the goroutine
+// the sibling would have to run on. Nondet runs, which have no scheduler,
+// take one pooled goroutine per thread.
 func (rt *Runtime) Run(main func(t *Thread)) {
 	t := rt.newThread("main", &rt.main)
-	hosted := rt.hosted()
 	if rt.det() {
-		if hosted {
-			rt.main.rec.Sched.HostThreads()
-		}
+		rt.main.rec.Sched.HostThreads()
 		// Nothing joins the main thread, so it gets no join object.
 		t.ct = rt.main.rec.Sched.RegisterIn(&t.node, "main")
 	}
@@ -217,17 +213,8 @@ func (rt *Runtime) Run(main func(t *Thread)) {
 		main(t)
 		t.exit()
 	}()
-	if hosted {
-		rt.main.rec.Sched.DrainHosted()
-	}
 	rt.wg.Wait()
 }
-
-// hosted reports whether each scheduler domain's threads run on one goroutine
-// (internal/core/host.go) instead of one pooled goroutine each. There is no
-// switch: a deterministic domain is serial by construction and is hosted,
-// unless PCS objects — native mutexes a thread may park inside — are honored.
-func (rt *Runtime) hosted() bool { return rt.det() && !rt.cfg.PCS }
 
 // Trace returns the default domain's recorded schedule (empty unless
 // Config.Record). For other domains use Domain.Trace; for a whole

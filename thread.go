@@ -16,8 +16,8 @@ import (
 const workQuantum = 1024
 
 // Thread is one thread of a deterministically scheduled program, registered
-// with its domain's scheduler: a coroutine of the domain's driving goroutine
-// in a hosted run, a goroutine of its own otherwise (see Runtime.Run). The
+// with its domain's scheduler: a coroutine of the domain's driving goroutine,
+// or a goroutine of its own in Nondet mode (see Runtime.Run). The
 // wrapper state the semantics-aware policies need (critical-section nesting
 // for CSWhole, the pending keep-turn flag for CreateAll, the sticky wake hold
 // for WakeAMAP) is policy.PerThread on the core thread, maintained by the
@@ -144,8 +144,7 @@ func (t *Thread) register() {
 
 // run is the body of every Created or Launched thread, executed on a pooled
 // goroutine or a coroutine of its domain's driver (see spawn): thread_begin,
-// the program's function, exit — and, for a launched domain's driver, the
-// drain of its siblings, before the thread counts as finished.
+// the program's function, exit.
 func (t *Thread) run() {
 	defer t.rt.wg.Done()
 	fn := t.fn
@@ -160,9 +159,6 @@ func (t *Thread) run() {
 	}
 	fn(t)
 	t.exit()
-	if t.ct != nil && t.ct.Drives() {
-		t.dom.rec.Sched.DrainHosted()
-	}
 }
 
 // Join blocks until c has finished, mirroring pthread_join. Join is
@@ -197,8 +193,8 @@ func (t *Thread) Join(c *Thread) {
 	t.release()
 }
 
-// exit ends the thread: thread_end is traced, joiners are woken, and the
-// thread leaves the scheduler for good.
+// exit ends the thread: thread_end is traced, joiners are woken, the thread
+// leaves the scheduler for good, and a driver runs its domain's other threads.
 func (t *Thread) exit() {
 	if !t.rt.det() {
 		t.done = true
@@ -218,6 +214,9 @@ func (t *Thread) exit() {
 	}
 	s.TraceOp(t.ct, core.OpThreadEnd, 0, core.StatusOK)
 	s.Exit(t.ct)
+	if t.ct.Drives() {
+		s.DrainHosted()
+	}
 }
 
 // KeepTurn arms the CreateAll policy: the turn is retained across the next

@@ -2,6 +2,7 @@ package qithread
 
 import (
 	"testing"
+	"time"
 
 	"qithread/internal/core"
 )
@@ -278,27 +279,47 @@ func TestCSWholeNested(t *testing.T) {
 	}
 }
 
-// TestPCSCondBypass: a condition variable used with a PCS mutex takes the
-// native path and still synchronizes correctly.
+// TestPCSCondBypass: a condition variable used with a PCS mutex under
+// Config.PCS still synchronizes, whether main broadcasts before the waiter
+// gets to Wait or the waiter is already waiting — it waits on the scheduler
+// like any waiter, since that is what Signal and Broadcast wake, and retakes
+// the mutex outside the turn.
 func TestPCSCondBypass(t *testing.T) {
-	rt := New(Config{Mode: RoundRobin, PCS: true})
-	delivered := false
-	rt.Run(func(main *Thread) {
-		m := rt.NewPCSMutex(main, "hot")
-		cv := rt.NewCond(main, "hotcv")
-		w := main.Create("w", func(w *Thread) {
-			m.Lock(w)
-			for !delivered {
-				cv.Wait(w, m)
-			}
-			m.Unlock(w)
-		})
-		m.Lock(main)
-		delivered = true
-		m.Unlock(main)
-		cv.Broadcast(main)
-		main.Join(w)
-	})
+	for _, waiterFirst := range []bool{false, true} {
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			rt := New(Config{Mode: RoundRobin, PCS: true})
+			delivered := false
+			rt.Run(func(main *Thread) {
+				m := rt.NewPCSMutex(main, "hot")
+				cv := rt.NewCond(main, "hotcv")
+				waiting := rt.NewSem(main, "waiting", 0)
+				w := main.Create("w", func(w *Thread) {
+					m.Lock(w)
+					waiting.Post(w)
+					for !delivered {
+						cv.Wait(w, m)
+					}
+					m.Unlock(w)
+				})
+				if waiterFirst {
+					// m is free again only once w waits on cv.
+					waiting.Wait(main)
+				}
+				m.Lock(main)
+				delivered = true
+				m.Unlock(main)
+				cv.Broadcast(main)
+				main.Join(w)
+			})
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("waiter first %v: the waiter was never woken", waiterFirst)
+		}
+	}
 }
 
 // TestVirtualMakespanMonotonicity: more work means a larger makespan in
