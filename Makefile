@@ -18,13 +18,17 @@ check: build fmt vet race shuffle cpu-matrix alloc-bounds soak-smoke explore-smo
 # under -race — one goroutine must behave the same with Ps to spare: the
 # stress script, the off-turn queue, the 705 goldens in one pass, and the
 # lifetime, hosting-edge, PCS and replay-divergence tests of the root package.
+# A hosted scheduler is its goroutine's alone (DESIGN.md §4.1): the same lane
+# runs a hosted script with the entry lock held (TestHostedSchedulerTakesNoLock)
+# and checkpoints beside a busy domain, which must not read that domain's
+# scheduler.
 .PHONY: cpu-matrix
 cpu-matrix:
 	$(GO) test -cpu 1,2,4 -count=1 ./internal/core ./internal/domain
 	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHandoffStress|TestHosted' ./internal/core
 	$(GO) test -race -cpu 4 -count=1 -run 'TestDomainsDeterministic|TestLeaseTraceNeutral' ./internal/harness
 	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestTraceCompatibility' ./internal/harness
-	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHosted|TestPCSRunHosted|TestPCSOffTurnDeadlock|TestPCSCondBypass|TestReplayUnknownThreadDiverges|TestDestroyCondWithParkedWaiters|TestDestroyMutexRecycled|TestPipeCloseWithBlockedReaders|TestCreateAfterExit|TestGrantRecycling' .
+	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHosted|TestPCSRunHosted|TestPCSOffTurnDeadlock|TestPCSCondBypass|TestReplayUnknownThreadDiverges|TestDestroyCondWithParkedWaiters|TestDestroyMutexRecycled|TestPipeCloseWithBlockedReaders|TestCreateAfterExit|TestGrantRecycling|TestCheckpointRefusesActiveDomain' .
 
 # The single-copy schedule path (DESIGN.md §4.7): a retained trace and a
 # loaded binary schedule each allocate about 1x their own size, and replay

@@ -126,9 +126,10 @@ func (rt *Runtime) quiesce(t *Thread, what string) error {
 //
 // The call first drives t's domain to a quiescent boundary by yielding —
 // deterministically, so a replaying run that checkpoints at the same epochs
-// traces identical schedules. Every other domain must be idle (no live
-// threads, nothing recorded): checkpointing is an admission-boundary
-// mechanism, and cross-domain traffic must be drained first.
+// traces identical schedules. Every other domain must be idle (never
+// launched with a root; the default domain, Run's main thread's, never is):
+// checkpointing is an admission-boundary mechanism, and cross-domain traffic
+// must be drained first.
 func (rt *Runtime) Checkpoint(t *Thread, app func() []byte) (*Checkpoint, error) {
 	if !rt.det() {
 		return nil, fmt.Errorf("qithread: Checkpoint requires a deterministic Mode")
@@ -160,8 +161,8 @@ func (rt *Runtime) Checkpoint(t *Thread, app func() []byte) (*Checkpoint, error)
 			if d == t.dom {
 				continue
 			}
-			if live, n := d.rec.Sched.Live(), d.rec.Sched.TraceLen(); live != 0 || n != 0 {
-				return fmt.Errorf("qithread: Checkpoint from %s, but %s is active (%d live threads, %d recorded events); checkpoint boundaries require every other domain idle", t.dom.label(), d.label(), live, n)
+			if d.hasThreads() {
+				return fmt.Errorf("qithread: Checkpoint from %s, but %s has threads; checkpoint boundaries require every other domain idle", t.dom.label(), d.label())
 			}
 		}
 		for _, c := range rt.group.Channels() {
@@ -217,8 +218,8 @@ func (rt *Runtime) Resume(t *Thread) error {
 			if d == t.dom {
 				continue
 			}
-			if live := d.rec.Sched.Live(); live != 0 {
-				return fmt.Errorf("qithread: Resume with %d live threads in %s; the checkpoint had every other domain idle", live, d.label())
+			if d.hasThreads() {
+				return fmt.Errorf("qithread: Resume with threads in %s; the checkpoint had every other domain idle", d.label())
 			}
 		}
 		chans := rt.group.Channels()

@@ -3,6 +3,7 @@ package qithread_test
 import (
 	"bytes"
 	"io"
+	"strings"
 	"testing"
 	"time"
 
@@ -214,6 +215,63 @@ func TestStreamingTraceFingerprint(t *testing.T) {
 type discardSink struct{}
 
 func (discardSink) Append(qithread.Event) error { return nil }
+
+// TestCheckpointRefusesActiveDomain: Checkpoint and Resume refuse while
+// another domain has threads, and decide it from that domain's launch state,
+// not by reading its scheduler from the caller's goroutine (a data race, and
+// under Resume, whose recording is muted, an answer that depended on whether
+// the other domain's roots had exited yet). Run it under -race.
+func TestCheckpointRefusesActiveDomain(t *testing.T) {
+	cfg := qithread.Config{Mode: qithread.RoundRobin, Record: true}
+	var cp *qithread.Checkpoint
+	solo := qithread.New(cfg)
+	solo.Run(func(main *qithread.Thread) {
+		var err error
+		if cp, err = solo.Checkpoint(main, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	resumeCfg := cfg
+	resumeCfg.Resume = cp
+
+	// A root blocked on an XPipe Recv, its domain's turn held throughout.
+	for _, c := range []qithread.Config{cfg, resumeCfg} {
+		rt := qithread.New(c)
+		busy := rt.NewDomain("busy")
+		p := rt.NewXPipe("p", rt.Domain(0), busy, 1)
+		busy.Start("reader", func(r *qithread.Thread) { p.Recv(r) })
+		rt.Run(func(main *qithread.Thread) {
+			busy.Launch()
+			if c.Resume == nil {
+				if _, err := rt.Checkpoint(main, nil); err == nil || !strings.Contains(err.Error(), "(busy)") {
+					t.Errorf("Checkpoint beside a blocked root: err %v, want a refusal naming the domain", err)
+				}
+			} else if err := rt.Resume(main); err == nil || !strings.Contains(err.Error(), "(busy)") {
+				t.Errorf("Resume beside a blocked root: err %v, want a refusal naming the domain", err)
+			}
+			p.Close(main)
+		})
+	}
+
+	// Roots that have exited: still a domain with threads of its own, every
+	// time (the parent accepted it once they had gone).
+	for i := 0; i < 20; i++ {
+		rt := qithread.New(resumeCfg)
+		done := rt.NewDomain("done")
+		p := rt.NewXPipe("p", done, rt.Domain(0), 1)
+		done.Start("writer", func(w *qithread.Thread) { p.Close(w) })
+		rt.Run(func(main *qithread.Thread) {
+			done.Launch()
+			if _, ok := p.Recv(main); ok {
+				t.Fatal("Recv on a closed, empty XPipe succeeded")
+			}
+			time.Sleep(time.Millisecond) // let the writer's domain finish exiting
+			if err := rt.Resume(main); err == nil || !strings.Contains(err.Error(), "(done)") {
+				t.Fatalf("run %d: Resume beside a finished domain: err %v, want a refusal naming the domain", i, err)
+			}
+		})
+	}
+}
 
 // TestCheckpointConfigErrors: the checkpoint API rejects misconfiguration
 // instead of producing undefined snapshots.

@@ -37,6 +37,7 @@ type Domain struct {
 
 	mu       sync.Mutex
 	launched bool
+	rooted   bool // launched with at least one root
 	pending  []pendingRoot
 }
 
@@ -55,6 +56,19 @@ func (d *Domain) Name() string { return d.rec.Name }
 func (d *Domain) label() string { return d.rec.String() }
 
 func (d *Domain) String() string { return d.label() }
+
+// hasThreads reports whether the domain has threads of its own: the default
+// domain always (Run's main thread), another once Launch started a root.
+// Unlike the domain's scheduler, which only its own threads may touch while
+// it runs, it may be asked from any thread.
+func (d *Domain) hasThreads() bool {
+	if d.rec.ID == 0 {
+		return true
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.rooted
+}
 
 // enter verifies that t may operate on a synchronization object bound to
 // this domain and returns the domain's scheduler (nil in Nondet mode). Every
@@ -80,7 +94,8 @@ func (d *Domain) Trace() []Event {
 }
 
 // TurnCount returns the number of completed scheduling turns in this domain
-// (0 in Nondet mode).
+// (0 in Nondet mode). Call it after Run returns or from a thread of this
+// domain.
 func (d *Domain) TurnCount() int64 {
 	if d.rec.Sched == nil {
 		return 0
@@ -138,6 +153,7 @@ func (d *Domain) Launch() {
 	}
 	d.launched = true
 	roots := d.pending
+	d.rooted = len(roots) > 0
 	d.pending = nil
 	d.mu.Unlock()
 	if len(roots) == 0 {

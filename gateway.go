@@ -89,7 +89,9 @@ type Gateway struct {
 
 // NewGateway creates a deterministic ingress gateway owned by the given
 // domain. Only threads of that domain may Admit; like XPipes, gateways must
-// be created deterministically (by setup code or the main thread). One
+// be created deterministically, before the domain is launched or from a
+// thread of that domain (it takes an object id from the domain's scheduler,
+// which only that domain's threads may touch while it runs). One
 // gateway thread should own the Admit loop — concurrent admitters of the
 // same domain are legal under the turn but interleave their epochs in
 // schedule order, which is rarely what a server wants.

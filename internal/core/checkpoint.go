@@ -75,9 +75,8 @@ type SchedState struct {
 // until they block), which is deterministic: the number of yields needed is
 // a function of the schedule, not of real time.
 func (s *Scheduler) Quiescent(t *Thread) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.holder.Load() == t &&
+	defer s.unlock(s.lock())
+	return s.holder == t &&
 		s.runQ.head == t && t.qnext == nil &&
 		s.wakeQ.head == nil &&
 		s.timers.len() == 0
@@ -89,9 +88,8 @@ func (s *Scheduler) Quiescent(t *Thread) bool {
 // scheduler lease is revoked first (trace-neutral; the next solo release
 // re-grants it), so the snapshot never embeds lease mode.
 func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.holder.Load() != t {
+	defer s.unlock(s.lock())
+	if s.holder != t {
 		return nil, fmt.Errorf("core: CaptureState by %v which does not hold the turn", t)
 	}
 	if s.replay != nil {
@@ -103,7 +101,7 @@ func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 	if s.timers.len() != 0 {
 		return nil, fmt.Errorf("core: CaptureState requires quiescence: %d timed waiters pending", s.timers.len())
 	}
-	if s.leased.Load() {
+	if s.leased {
 		s.revokeLeaseLocked()
 	}
 	st := &SchedState{
@@ -125,8 +123,8 @@ func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 		}
 		st.Threads = append(st.Threads, ThreadState{
 			TID:    th.id,
-			Clock:  th.clock.Load(),
-			VTime:  th.vtime.Load(),
+			Clock:  th.clock,
+			VTime:  th.vtime,
 			Policy: th.pstate,
 		})
 	}
@@ -168,9 +166,8 @@ func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 // thread IDs live, same objects allocated, same threads parked on the same
 // objects, caller the sole runnable thread.
 func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.holder.Load() != t {
+	defer s.unlock(s.lock())
+	if s.holder != t {
 		return fmt.Errorf("core: RestoreState by %v which does not hold the turn", t)
 	}
 	if s.replay != nil {
@@ -192,7 +189,7 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 	if s.timers.len() != 0 {
 		return fmt.Errorf("core: RestoreState: %d timed waiters pending", s.timers.len())
 	}
-	if s.leased.Load() {
+	if s.leased {
 		s.revokeLeaseLocked()
 	}
 
@@ -253,8 +250,8 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 			return fmt.Errorf("core: RestoreState: thread %d holds a lease (%+v) of a policy %v does not run (checkpoint taken under different Policies?)", ts.TID, ts.Policy, &s.stack)
 		}
 		th := s.threads[ts.TID]
-		th.clock.Store(ts.Clock)
-		th.vtime.Store(ts.VTime)
+		th.clock = ts.Clock
+		th.vtime = ts.VTime
 		th.pstate = ts.Policy
 	}
 

@@ -130,7 +130,7 @@ func handoffStress(t *testing.T, cfg Config, n int, hosted bool) handoffRun {
 			t.Errorf("%v exited with its granted flag set", th)
 		}
 	}
-	if live := s.Live(); live != 0 {
+	if live := s.live; live != 0 {
 		t.Errorf("%d threads still live after the run", live)
 	}
 	return handoffRun{trace: s.Trace(), timeouts: timeouts}

@@ -13,7 +13,8 @@ import (
 // the first one — the driver: Runtime.Run's main thread in the default
 // domain, root 0 of a launched one — and every other thread's body on a
 // coroutine of it (iter.Pull). A turn handoff is one or two coroutine
-// switches.
+// switches, and entering the scheduler takes no lock: only that goroutine
+// ever does (Scheduler.lock).
 //
 // Who runs when. Only the driver resumes anybody. Whenever the driver would
 // block — its own GetTurn or Wait, the drain after its thread exited, or a
@@ -110,10 +111,9 @@ func (w *worker) bodies(yield func(struct{}) bool) {
 
 // HostThreads makes s a hosted scheduler: every thread registered from now on
 // runs on one goroutine, the one that executes the first of them, the driver.
-// It must be called before the first Register.
+// It must be called before the first Register, so no thread can be inside
+// the scheduler yet.
 func (s *Scheduler) HostThreads() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.nextTID != 0 {
 		panic("core: HostThreads after threads were registered")
 	}
@@ -182,7 +182,7 @@ func (h *Host) await(s *Scheduler, t *Thread) {
 // itself resumes other threads until its own place in the queue comes up.
 func (s *Scheduler) YieldOffTurn(t *Thread) {
 	h := s.host
-	if h.popped == t && t.vtime.Load() == h.poppedAt {
+	if h.popped == t && t.vtime == h.poppedAt {
 		h.idle++
 	} else {
 		h.idle = 0
@@ -213,12 +213,12 @@ func (h *Host) resume(s *Scheduler) {
 			h.fresh, h.next = h.fresh[:0], 0
 		}
 		h.idle = 0
-	} else if t = s.holder.Load(); t != nil && t.granted {
+	} else if t = s.holder; t != nil && t.granted {
 		h.idle = 0
 	} else if len(h.off) > 0 && h.idle < len(h.off) {
 		t = h.off[0]
 		h.off = h.off[:copy(h.off, h.off[1:])]
-		h.popped, h.poppedAt = t, t.vtime.Load()
+		h.popped, h.poppedAt = t, t.vtime
 		if t.id == 0 {
 			return
 		}
@@ -247,8 +247,6 @@ func (h *Host) resume(s *Scheduler) {
 // turn it is a deadlock on their locks; otherwise the deadlock was reported
 // already. stuck returns if the handler did, and the driver parks for good.
 func (s *Scheduler) stuck() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.replayingLocked() {
 		e := s.replay[s.replayPos]
 		panic(fmt.Sprintf("%s in domain %d at op index %d: expected T%d to run %v but no thread of the domain can run (%d created)\n%s",

@@ -5,12 +5,12 @@ import (
 	"testing/quick"
 )
 
-// The scheduler lease (PutTurn's mutex-free release path, see sched.go) must
-// be invisible in every determinism observable: same traces, same turn
-// counts, same schedules under record and replay. These tests pin the lease
-// life cycle itself — grant, extend, revoke — and the trace-neutrality claim,
+// The scheduler lease (PutTurn's extension branch, see sched.go) must be
+// invisible in every determinism observable: same traces, same turn counts,
+// same schedules under record and replay. These tests pin the lease life
+// cycle itself — grant, extend, revoke — and the trace-neutrality claim,
 // including under adversarial veto interleavings that force arbitrary
-// sequences of fast- and slow-path releases.
+// sequences of extensions and queue-and-handoff releases.
 
 // soloLoop runs one registered thread through n yield turns and an exit, the
 // canonical leaseable workload, and returns the scheduler for inspection.
@@ -34,7 +34,7 @@ func soloLoop(cfg Config, n int) *Scheduler {
 }
 
 // TestLeaseSoloThread: the first release of a solo thread grants a lease,
-// every later release extends it on the fast path, and Exit revokes it. The
+// every later release extends it, and Exit revokes it. The
 // turn count is identical to the unleased baseline (one turn per release).
 func TestLeaseSoloThread(t *testing.T) {
 	const n = 10
@@ -168,8 +168,8 @@ func TestLeaseDisabledDuringReplay(t *testing.T) {
 // script, the trace with leasing on, leasing off, and leasing subjected to a
 // randomized veto sequence — which forces arbitrary interleavings of lease
 // extensions, revocations, and re-grants — are all byte-identical. The veto
-// hook fires at both decision points (fast-path extension and slow-path
-// grant), so the chaos covers extend-vs-revoke at every release.
+// hook fires at both decision points (extension and grant), so the chaos
+// covers extend-vs-revoke at every release.
 func TestQuickLeaseTraceNeutral(t *testing.T) {
 	f := func(sc script, vetoSeed uint64) bool {
 		base := runScript(sc, Config{Mode: RoundRobin})

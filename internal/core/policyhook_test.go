@@ -15,7 +15,7 @@ func statsOf(sc script, cfg Config) ([]Event, Stats, int) {
 	cfg.Record = true
 	s := New(cfg)
 	tr := runScriptOn(s, sc)
-	return tr, s.Stats(), s.Live()
+	return tr, s.Stats(), s.live
 }
 
 func totalPicks(st Stats) (picks, boosts int64) {

@@ -278,7 +278,7 @@ func TestSignalNoWaitersIsNoop(t *testing.T) {
 		close(done)
 	}()
 	<-done
-	if s.Live() != 0 {
+	if s.live != 0 {
 		t.Fatal("thread leaked")
 	}
 }

@@ -29,8 +29,7 @@ const ErrReplayDivergence = "core: replay divergence"
 // replaying it has ended. An empty schedule enforces nothing and leaves
 // replay off.
 func (s *Scheduler) SetReplay(schedule []Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
 	if s.nextTID != 0 {
 		panic("core: SetReplay after threads were registered")
 	}
@@ -49,8 +48,7 @@ func (s *Scheduler) replayingLocked() bool {
 
 // ReplayPos returns how many recorded operations have been consumed.
 func (s *Scheduler) ReplayPos() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
 	return s.replayPos
 }
 

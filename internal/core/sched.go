@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"qithread/internal/logio"
 	"qithread/internal/policy"
@@ -22,10 +21,16 @@ import (
 // threads: the wait queue is keyed by object (waitLists), timed waiters are
 // indexed by a deadline min-heap (timers), and a free turn is handed directly
 // to the already-parked next-eligible thread (passTurnLocked), so wake-ups
-// never rescan unrelated waiters and the woken thread resumes without
-// re-taking the scheduler mutex.
+// never rescan unrelated waiters.
+//
+// One owner. Every field is plain data, owned by whoever is inside the
+// scheduler. A hosted scheduler (host.go) runs all its threads on one
+// goroutine, so entering it (lock) takes nothing; an unhosted one — a direct
+// user of this package whose threads bring goroutines of their own — is
+// entered under mu. Outside its threads, a hosted scheduler may be read
+// before its first thread runs and after its driver has drained it.
 type Scheduler struct {
-	mu  sync.Mutex
+	mu  sync.Mutex // the entry lock of an unhosted scheduler only
 	cfg Config
 
 	// stack decides turn grants (PickNext) and wake-up routing (WakeQueue)
@@ -34,12 +39,8 @@ type Scheduler struct {
 	// hooks through Stack().
 	stack policy.Stack
 
-	// holder is the current turn holder, nil if the turn is free. It is
-	// written only under mu, but stored atomically so GetTurn's uncontended
-	// fast path (the caller already holds the turn) is a single load: a
-	// thread observing itself as holder is stable, because only the holder
-	// itself can release the turn.
-	holder atomic.Pointer[Thread]
+	// holder is the current turn holder, nil if the turn is free.
+	holder *Thread
 
 	runQ  tqueue // FIFO runnable queue
 	wakeQ tqueue // FIFO just-woken queue (fed when a policy boosts wake-ups)
@@ -60,26 +61,19 @@ type Scheduler struct {
 	// peek per turn advance and the idle-time jump reads the heap top.
 	timers dheap
 
-	// turn is logical time: completed scheduling turns. It is atomic because
-	// the lease fast path of PutTurn advances it without the mutex; all other
-	// writers run under mu (and never concurrently with a lease holder, see
-	// leaseableLocked for the invariant).
-	turn atomic.Int64
+	// turn is logical time: completed scheduling turns (Stats.Turns).
+	turn int64
 
-	// Turn-leasing state. leased is set while the current holder has a
-	// scheduler lease: the solo-thread case where every queue-and-handoff
-	// release would deterministically return the turn to the same thread, so
-	// PutTurn short-circuits to a mutex-free time advance. The lease is
-	// granted and revoked only under mu; leased is atomic so the holder's
-	// mutex-free fast path and concurrent Register calls stay race-free.
-	// leaseExtends counts fast-path releases (atomic for the same reason);
-	// every grant/revoke decision is folded into stats.LeaseHash under mu.
-	leased       atomic.Bool
-	leaseExtends atomic.Int64
+	// leased is set while the current holder has a scheduler lease: the
+	// solo-thread case where every queue-and-handoff release would
+	// deterministically return the turn to the same thread, so PutTurn
+	// short-circuits to a time advance. Every grant/revoke decision is folded
+	// into stats.LeaseHash.
+	leased bool
 
 	// leaseVeto, when non-nil, is consulted before every lease grant and
-	// extension; returning true forces the slow release path for that one
-	// decision. Only the lease property tests set it (before the first
+	// extension; returning true forces the queue-and-handoff release for that
+	// one decision. Only the lease property tests set it (before the first
 	// thread runs): any veto interleaving must leave the trace
 	// byte-identical.
 	leaseVeto func() bool
@@ -123,22 +117,15 @@ type Scheduler struct {
 	// grantee until that thread actually takes the turn, so the chooser is
 	// consulted exactly once per handoff no matter how many times the grant
 	// loops run. chooseIDs/chooseCands are reusable candidate-enumeration
-	// buffers (only touched under mu), inline-backed like the thread table.
+	// buffers, inline-backed like the thread table.
 	chosen            *Thread
 	chooseIDs         []int
 	chooseCands       []*Thread
 	chooseIDsInline   [inlineCands]int
 	chooseCandsInline [inlineCands]*Thread
 
-	// stats holds the counters written under mu. ops, signals, and
-	// broadcasts (like turn and leaseExtends above) are atomic instead so the
-	// mutex-free fast paths — TraceOp with record/replay off, Signal and
-	// Broadcast on objects without waiters — can count without taking mu;
-	// statsLocked merges the two.
-	stats      Stats
-	ops        atomic.Int64
-	signals    atomic.Int64
-	broadcasts atomic.Int64
+	// stats holds every counter but Turns, which is turn (statsLocked).
+	stats Stats
 
 	// onDeadlock, if non-nil, is invoked instead of panicking when the
 	// scheduler detects that no thread can ever run again. Tests use it.
@@ -150,8 +137,27 @@ type Scheduler struct {
 	host *Host
 
 	// granted wakes the goroutines of an unhosted scheduler's threads (direct
-	// users of this package) when grantLocked sets a flag; L is &mu.
+	// users of this package) when grantLocked sets a flag; awaitGrant sets L
+	// to &mu.
 	granted sync.Cond
+}
+
+// lock enters the scheduler and unlock leaves it: defer s.unlock(s.lock()).
+// A hosted scheduler is entered only from its own goroutine and takes
+// nothing; an unhosted one takes mu. host changes only while no thread of s
+// runs (HostThreads, DrainHosted), so an entry and its exit agree.
+func (s *Scheduler) lock() bool {
+	if s.host != nil {
+		return false
+	}
+	s.mu.Lock()
+	return true
+}
+
+func (s *Scheduler) unlock(locked bool) {
+	if locked {
+		s.mu.Unlock()
+	}
 }
 
 // objLabel is a synchronization object's debugging name, kept as the two
@@ -194,7 +200,6 @@ func New(cfg Config) *Scheduler {
 		suspended: cfg.SuspendRecording,
 	}
 	s.stack.Init(cfg.Mode.base(), cfg.Policies)
-	s.granted.L = &s.mu
 	s.threads = s.threadsInline[:0]
 	s.chooseIDs = s.chooseIDsInline[:0]
 	s.chooseCands = s.chooseCandsInline[:0]
@@ -218,8 +223,7 @@ func (s *Scheduler) Stack() *policy.Stack { return &s.stack }
 // threads — the critical-path estimate of parallel execution time. Call it
 // after the program has finished.
 func (s *Scheduler) VirtualMakespan() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
 	return s.vMakespan
 }
 
@@ -231,9 +235,8 @@ func (s *Scheduler) Config() Config { return s.cfg }
 // is installed the scheduler panics with a queue dump, which is the most
 // useful behaviour for debugging workloads.
 func (s *Scheduler) SetDeadlockHandler(fn func(msg string)) {
-	s.mu.Lock()
+	defer s.unlock(s.lock())
 	s.onDeadlock = fn
-	s.mu.Unlock()
 }
 
 // Register adds a new thread to the tail of the run queue and returns its
@@ -248,8 +251,7 @@ func (s *Scheduler) Register(name string) *Thread { return s.RegisterIn(new(Thre
 // so a thread is one heap object. A registered Thread must not be copied
 // (its wait node points into it).
 func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
 	if t.sched != nil {
 		panic(fmt.Sprintf("core: RegisterIn(%q) into %v, which is already registered", name, t))
 	}
@@ -265,7 +267,7 @@ func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
 	// Registration during a lease only happens from the lease holder itself
 	// (Create runs under the turn), so the revocation is ordered before the
 	// holder's next PutTurn.
-	if s.leased.Load() {
+	if s.leased {
 		s.revokeLeaseLocked()
 	}
 	s.nextTID++
@@ -288,8 +290,7 @@ func (s *Scheduler) NewObject(name string) uint64 { return s.NewObjectKind("", n
 // only joined when a debugging name is actually rendered, so the wrappers'
 // object creation paths never pay a string concatenation.
 func (s *Scheduler) NewObjectKind(kind, name string) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
 	s.nextObj++
 	id := s.nextObj
 	if s.objName == nil {
@@ -307,8 +308,7 @@ func (s *Scheduler) NewObjectKind(kind, name string) uint64 {
 // remain wakeable and diagnosable. The caller must hold the turn, which the
 // wrappers' Destroy methods guarantee.
 func (s *Scheduler) DestroyObject(t *Thread, obj uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
 	s.requireTurnLocked(t, "DestroyObject")
 	delete(s.objName, obj)
 	if q := s.waitLists[obj]; q != nil && q.len() == 0 {
@@ -318,61 +318,52 @@ func (s *Scheduler) DestroyObject(t *Thread, obj uint64) {
 
 // TurnCount returns the number of completed scheduling turns, the logical
 // time base used for deterministic timeouts.
-func (s *Scheduler) TurnCount() int64 { return s.turn.Load() }
-
-// Live returns the number of registered, not yet exited threads.
-func (s *Scheduler) Live() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.live
+func (s *Scheduler) TurnCount() int64 {
+	defer s.unlock(s.lock())
+	return s.turn
 }
 
 // HasTurn reports whether t currently holds the turn.
-func (s *Scheduler) HasTurn(t *Thread) bool { return s.holder.Load() == t }
+func (s *Scheduler) HasTurn(t *Thread) bool {
+	defer s.unlock(s.lock())
+	return s.holder == t
+}
 
 // GetTurn blocks until t holds the turn. If t already holds the turn the call
 // returns immediately, which is what makes turn retention by the CSWhole,
 // WakeAMAP and CreateAll wrapper policies work: a retained turn simply makes
 // the next wrapper's GetTurn a no-op.
-//
-// The already-holding check is a single atomic load with no mutex: holder can
-// only be t if t itself was granted the turn (a happens-before edge through
-// the grant) and only t can release it, so the observation is stable.
 func (s *Scheduler) GetTurn(t *Thread) {
-	if s.holder.Load() == t {
+	defer s.unlock(s.lock())
+	if s.holder == t {
 		return
 	}
-	s.mu.Lock()
 	if t.exited {
-		s.mu.Unlock()
 		panic("core: GetTurn on exited thread " + t.String())
 	}
 	t.wantTurn = true
 	s.kickLocked(t)
-	if s.holder.Load() == t {
-		// The free turn was granted straight to the requester (the common
-		// uncontended case): there is no grant to wait for.
-		s.mu.Unlock()
-		return
+	if s.holder != t {
+		// Uncontended, the free turn went straight to the requester;
+		// otherwise wait for the grant.
+		s.awaitGrant(t)
 	}
-	s.mu.Unlock()
-	s.awaitGrant(t)
 }
 
-// awaitGrant suspends t, which has asked for the turn and released the
-// scheduler mutex, until grantLocked sets its granted flag, and clears it. A
-// hosted thread yields to, or is, its run's driver (host.go).
+// awaitGrant suspends t, which has asked for the turn, until grantLocked sets
+// its granted flag, and clears it. A hosted thread yields to, or is, its
+// run's driver (host.go); an unhosted one waits on granted, which releases mu
+// while it sleeps.
 func (s *Scheduler) awaitGrant(t *Thread) {
 	if t.hosted {
 		s.host.await(s, t)
 		return
 	}
-	s.mu.Lock()
+	s.granted.L = &s.mu
 	for !t.granted {
 		s.granted.Wait()
 	}
 	t.granted = false
-	s.mu.Unlock()
 }
 
 // PutTurn releases the turn held by t: t moves to the tail of the run queue
@@ -383,39 +374,32 @@ func (s *Scheduler) awaitGrant(t *Thread) {
 // to t itself: the baseline path would move t to the (otherwise empty) run
 // queue, find nobody asking for the turn, store holder = nil, and t's next
 // GetTurn would re-grant it. PutTurn therefore grants t a lease
-// (leaseableLocked) and subsequent releases take the mutex-free fast path
-// below: advance logical time, count the extension, keep the turn. The lease
-// is trace-neutral — the same thread executes the same operations in the
-// same turn order, so recorded schedules, replay, and fingerprints are
-// byte-identical with leasing on or off — and is revoked the moment the solo
-// condition can break (a thread registers, t blocks or exits).
+// (leaseableLocked) and subsequent releases only extend it: advance logical
+// time, count the extension, keep the turn. The lease is trace-neutral — the
+// same thread executes the same operations in the same turn order, so
+// recorded schedules, replay, and fingerprints are byte-identical with
+// leasing on or off — and is revoked the moment the solo condition can break
+// (a thread registers, t blocks or exits).
 func (s *Scheduler) PutTurn(t *Thread) {
-	if s.leased.Load() {
-		if s.holder.Load() != t {
-			panic(fmt.Sprintf("core: PutTurn by %v which does not hold the turn (holder=%v)", t, s.holder.Load()))
-		}
-		if s.leaseVeto == nil || !s.leaseVeto() {
-			// Lease extension: the whole turn completes with one atomic add.
-			// Timed waiters cannot exist (the lease requires nWaiting == 0,
-			// and only the holder could add one), so skipping expiry is
-			// exact, not an approximation.
-			s.turn.Add(1)
-			if s.cfg.Mode == LogicalClock {
-				t.clock.Add(syncClockTick)
-			}
-			s.leaseExtends.Add(1)
-			return
-		}
-		// Vetoed: fall through to the slow path, which revokes or re-grants
-		// under the mutex. Any veto interleaving is trace-neutral because
-		// both paths schedule the same next thread.
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
 	s.requireTurnLocked(t, "PutTurn")
+	if s.leased && (s.leaseVeto == nil || !s.leaseVeto()) {
+		// Lease extension. Timed waiters cannot exist (the lease requires
+		// nWaiting == 0, and only the holder could add one), so skipping
+		// expiry is exact, not an approximation.
+		s.turn++
+		if s.cfg.Mode == LogicalClock {
+			t.clock += syncClockTick
+		}
+		s.stats.LeaseExtends++
+		return
+	}
+	// Unleased, or vetoed: the release below re-grants or revokes. Any veto
+	// interleaving is trace-neutral because both schedule the same next
+	// thread.
 	s.advanceTimeLocked(t)
 	if s.leaseableLocked(t) {
-		if !s.leased.Load() {
+		if !s.leased {
 			s.grantLeaseLocked(t)
 		}
 		return
@@ -434,7 +418,7 @@ func (s *Scheduler) PutTurn(t *Thread) {
 // thread receives the turn by direct handoff: the granter publishes all wake
 // state before setting its granted flag.
 func (s *Scheduler) Wait(t *Thread, obj uint64, timeout int64) WaitStatus {
-	s.mu.Lock()
+	defer s.unlock(s.lock())
 	s.requireTurnLocked(t, "Wait")
 	s.stack.OnBlock(t)
 	s.advanceTimeLocked(t)
@@ -444,7 +428,7 @@ func (s *Scheduler) Wait(t *Thread, obj uint64, timeout int64) WaitStatus {
 	w.obj = obj
 	w.deadline = 0
 	if timeout > 0 {
-		w.deadline = s.turn.Load() + timeout
+		w.deadline = s.turn + timeout
 	}
 	s.waitSeq++
 	w.seq = s.waitSeq
@@ -462,7 +446,6 @@ func (s *Scheduler) Wait(t *Thread, obj uint64, timeout int64) WaitStatus {
 	s.stats.Waits++
 	t.wantTurn = true
 	s.releaseTurnLocked()
-	s.mu.Unlock()
 	s.awaitGrant(t)
 	// waitStatus was written by wakeLocked before the grant was issued.
 	return t.waitStatus
@@ -476,20 +459,20 @@ func (s *Scheduler) Wait(t *Thread, obj uint64, timeout int64) WaitStatus {
 // of the run queue otherwise — the vanilla Parrot behaviour). The caller
 // keeps the turn.
 func (s *Scheduler) Signal(t *Thread, obj uint64) int {
-	s.signals.Add(1)
-	if q := s.lookupWaitersFast(t, "Signal", obj); q == nil {
-		return 0 // no waiters: nothing to move, no mutex needed
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
+	s.requireTurnLocked(t, "Signal")
+	s.stats.Signals++
 	q := s.waitLists[obj]
+	if q == nil || q.head == nil {
+		return 0
+	}
 	remaining := q.len() - 1
 	w := q.head
 	if s.cfg.Chooser != nil && remaining > 0 {
 		w = s.chooseWakeLocked(q)
 	}
 	s.detachLocked(w)
-	s.wakeLocked(w.t, WaitSignaled, t.vtime.Load())
+	s.wakeLocked(w.t, WaitSignaled, t.vtime)
 	return remaining
 }
 
@@ -522,16 +505,14 @@ func (s *Scheduler) chooseWakeLocked(q *wqueue) *waiter {
 // Broadcast wakes all threads waiting on obj in wait-list (FIFO) order.
 // The caller keeps the turn.
 func (s *Scheduler) Broadcast(t *Thread, obj uint64) {
-	s.broadcasts.Add(1)
-	if q := s.lookupWaitersFast(t, "Broadcast", obj); q == nil {
-		return // no waiters: nothing to move, no mutex needed
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	q := s.waitLists[obj]
-	for w := q.head; w != nil; w = q.head {
-		s.detachLocked(w)
-		s.wakeLocked(w.t, WaitSignaled, t.vtime.Load())
+	defer s.unlock(s.lock())
+	s.requireTurnLocked(t, "Broadcast")
+	s.stats.Broadcasts++
+	if q := s.waitLists[obj]; q != nil {
+		for w := q.head; w != nil; w = q.head {
+			s.detachLocked(w)
+			s.wakeLocked(w.t, WaitSignaled, t.vtime)
+		}
 	}
 }
 
@@ -539,40 +520,21 @@ func (s *Scheduler) Broadcast(t *Thread, obj uint64) {
 // per-object count. The caller must hold the turn; wrappers use this for
 // diagnostics and tests.
 func (s *Scheduler) Waiters(t *Thread, obj uint64) int {
-	if q := s.lookupWaitersFast(t, "Waiters", obj); q != nil {
+	defer s.unlock(s.lock())
+	s.requireTurnLocked(t, "Waiters")
+	if q := s.waitLists[obj]; q != nil {
 		return q.len()
 	}
 	return 0
 }
 
-// lookupWaitersFast asserts the caller holds the turn and returns obj's wait
-// list, or nil if it has no waiters — all without the scheduler mutex. This
-// is safe because waitLists (and each list's contents) is only ever mutated
-// by the turn holder or, via passTurnLocked's idle expiry, while the turn is
-// free: while t holds the turn the structure cannot change under it, and the
-// turn's handoff chain (mutex + grant) orders every prior mutation
-// before this read. Callers that go on to mutate the list still take mu for
-// the run-queue surgery.
-func (s *Scheduler) lookupWaitersFast(t *Thread, op string, obj uint64) *wqueue {
-	if s.holder.Load() != t {
-		panic(fmt.Sprintf("core: %s by %v which does not hold the turn (holder=%v)", op, t, s.holder.Load()))
-	}
-	if q := s.waitLists[obj]; q != nil && q.head != nil {
-		return q
-	}
-	return nil
-}
-
 // Exit removes t from the scheduler. t must hold the turn. After Exit the
 // thread may never call scheduler primitives again.
 func (s *Scheduler) Exit(t *Thread) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
 	s.requireTurnLocked(t, "Exit")
 	s.advanceTimeLocked(t)
-	if v := t.vtime.Load(); v > s.vMakespan {
-		s.vMakespan = v
-	}
+	s.vMakespan = max(s.vMakespan, t.vtime)
 	s.removeRunnableLocked(t)
 	t.queue = qNone
 	t.exited = true
@@ -584,33 +546,26 @@ func (s *Scheduler) Exit(t *Thread) {
 	}
 }
 
-// AddWork advances t's logical instruction clock by n. In LogicalClock mode
-// clock changes can make a previously ineligible thread eligible, so the
-// scheduler is re-kicked; RoundRobin mode never consults clocks and takes a
-// lock-free fast path.
+// AddWork advances t's virtual and logical instruction clocks by n. In
+// LogicalClock mode clock changes can make a previously ineligible thread
+// eligible, so the scheduler is re-kicked; under VirtualParallel it is the
+// virtual clock that drives eligibility (the instruction clock is still
+// maintained so work accounting is consistent across modes). RoundRobin
+// never consults clocks.
 func (s *Scheduler) AddWork(t *Thread, n int64) {
-	t.vtime.Add(n)
-	switch s.cfg.Mode {
-	case LogicalClock, VirtualParallel:
-		// Clock changes can make a previously ineligible thread eligible.
-		// Under VirtualParallel it is the virtual clock that drives
-		// eligibility; the instruction clock is still maintained so work
-		// accounting is consistent across modes (the virtual-clock picker
-		// never reads it).
-		s.mu.Lock()
-		t.clock.Add(n)
+	defer s.unlock(s.lock())
+	t.vtime += n
+	t.clock += n
+	if s.cfg.Mode == LogicalClock || s.cfg.Mode == VirtualParallel {
 		s.kickLocked(nil)
-		s.mu.Unlock()
-	default:
-		t.clock.Add(n)
 	}
 }
 
 // --- internals ---
 
 func (s *Scheduler) requireTurnLocked(t *Thread, op string) {
-	if s.holder.Load() != t {
-		panic(fmt.Sprintf("core: %s by %v which does not hold the turn (holder=%v)", op, t, s.holder.Load()))
+	if s.holder != t {
+		panic(fmt.Sprintf("core: %s by %v which does not hold the turn (holder=%v)", op, t, s.holder))
 	}
 }
 
@@ -646,13 +601,13 @@ const syncClockTick = 1
 
 // advanceTimeLocked completes a scheduling turn: logical time advances, the
 // logical clock of the departing holder ticks (LogicalClock mode), and
-// expired timed waiters are woken in FIFO order. The lease fast path of
-// PutTurn performs exactly this — minus the expiry scan, which is vacuous
-// with no waiters — without the mutex.
+// expired timed waiters are woken in FIFO order. A lease extension in
+// PutTurn performs exactly this minus the expiry scan, which is vacuous with
+// no waiters.
 func (s *Scheduler) advanceTimeLocked(t *Thread) {
-	s.turn.Add(1)
+	s.turn++
 	if s.cfg.Mode == LogicalClock {
-		t.clock.Add(syncClockTick)
+		t.clock += syncClockTick
 	}
 	s.expireLocked()
 }
@@ -673,22 +628,22 @@ func (s *Scheduler) leaseableLocked(t *Thread) bool {
 		(s.leaseVeto == nil || !s.leaseVeto())
 }
 
-// grantLeaseLocked records a lease-grant decision and activates the fast
-// release path. t stays the holder and stays where it is in the run queue,
+// grantLeaseLocked records a lease-grant decision and activates lease
+// extension. t stays the holder and stays where it is in the run queue,
 // which is exactly the state the baseline release would have restored.
 func (s *Scheduler) grantLeaseLocked(t *Thread) {
-	s.leased.Store(true)
+	s.leased = true
 	s.stats.LeaseGrants++
-	s.stats.LeaseHash = leaseHashFold(s.stats.LeaseHash, s.turn.Load(), int64(t.id))
+	s.stats.LeaseHash = leaseHashFold(s.stats.LeaseHash, s.turn, int64(t.id))
 }
 
-// revokeLeaseLocked records a lease-revoke decision and deactivates the fast
-// path. The holder (if any) keeps the turn; it simply releases through the
-// normal queue-and-handoff path from now on.
+// revokeLeaseLocked records a lease-revoke decision and deactivates lease
+// extension. The holder (if any) keeps the turn; it simply releases through
+// the normal queue-and-handoff path from now on.
 func (s *Scheduler) revokeLeaseLocked() {
-	s.leased.Store(false)
+	s.leased = false
 	s.stats.LeaseRevokes++
-	s.stats.LeaseHash = leaseHashFold(s.stats.LeaseHash, s.turn.Load(), -1)
+	s.stats.LeaseHash = leaseHashFold(s.stats.LeaseHash, s.turn, -1)
 }
 
 // leaseHashFold mixes one lease decision — the turn it was taken at and the
@@ -707,7 +662,7 @@ func leaseHashFold(h uint64, turn, tid int64) uint64 {
 func (s *Scheduler) expireLocked() {
 	for s.timers.len() > 0 {
 		w := s.timers.top()
-		if w.deadline > s.turn.Load() {
+		if w.deadline > s.turn {
 			return
 		}
 		s.detachLocked(w)
@@ -751,7 +706,7 @@ func (s *Scheduler) removeRunnableLocked(t *Thread) {
 }
 
 // FrontRun returns the head of the run queue. It implements policy.View and
-// is only meaningful during a PickNext call (scheduler mutex held).
+// is only meaningful during a PickNext call.
 func (s *Scheduler) FrontRun() policy.Thread {
 	if t := s.runQ.head; t != nil {
 		return t
@@ -760,7 +715,7 @@ func (s *Scheduler) FrontRun() policy.Thread {
 }
 
 // FrontWake returns the head of the wake-up queue. It implements policy.View
-// and is only meaningful during a PickNext call (scheduler mutex held).
+// and is only meaningful during a PickNext call.
 func (s *Scheduler) FrontWake() policy.Thread {
 	if t := s.wakeQ.head; t != nil {
 		return t
@@ -770,7 +725,7 @@ func (s *Scheduler) FrontWake() policy.Thread {
 
 // NextRunnable walks the runnable threads in queue order (run queue first,
 // then wake-up queue). It implements policy.View and is only meaningful
-// during a PickNext call (scheduler mutex held).
+// during a PickNext call.
 func (s *Scheduler) NextRunnable(after policy.Thread) policy.Thread {
 	if after == nil {
 		if t := s.runQ.head; t != nil {
@@ -860,8 +815,8 @@ func (s *Scheduler) chooseTurnLocked(def *Thread) *Thread {
 // receives the domain-local trace position of the decision — s.traceLen, the
 // index the next recorded event will occupy — which is what lets the
 // schedule-space explorer align decisions with trace events for
-// happens-before pruning (internal/explore). Caller holds mu, so traceLen is
-// stable for the duration of the consultation.
+// happens-before pruning (internal/explore). The caller is inside the
+// scheduler, so traceLen is stable for the duration of the consultation.
 func (s *Scheduler) consultLocked(kind policy.ChoiceKind, ids []int, n, def int) int {
 	if tp, ok := s.cfg.Chooser.(policy.TracePosChooser); ok {
 		return tp.ChooseAt(s.traceLen, kind, ids, n, def)
@@ -875,30 +830,19 @@ func (s *Scheduler) consultLocked(kind policy.ChoiceKind, ids []int, n, def int)
 // is not waiting — it will observe holder == self synchronously after
 // kickLocked returns — so its granted flag is not set.
 func (s *Scheduler) kickLocked(self *Thread) {
-	if s.holder.Load() == nil {
-		s.passTurnLocked(self, false)
+	if s.holder == nil {
+		s.passTurnLocked(self)
 	}
 }
 
-// passTurnLocked is the grant loop: the turn goes to the next eligible thread
-// if that thread is asking for it (grantLocked), and otherwise stays free
-// until that thread asks. If no
-// thread is runnable but timed waiters exist, logical time jumps forward
-// deterministically to the earliest deadline — the heap top — (this is how a
-// "logical sleep" in an otherwise idle program makes progress). If nothing
-// can ever run, the deadlock handler fires.
-//
-// held says the calling thread is giving the turn up (releaseTurnLocked)
-// rather than finding it free (kickLocked). holder then goes straight from the
-// releasing thread to its successor, or to nil when nobody is asking for the
-// turn, with no intermediate nil store: every atomic pointer store is a full
-// fence plus a GC write barrier, so the release hot path — PutTurn, Wait,
-// Exit — should pay for exactly one, and the kick path, where holder is
-// already nil, for none beyond the grant's. Leaving holder pointing at the
-// releaser until the successor is known is safe: mutex-free readers only act
-// on holder == self, and the releasing thread — the only one that could
-// match — is busy executing this call.
-func (s *Scheduler) passTurnLocked(self *Thread, held bool) {
+// passTurnLocked is the grant loop over a free turn: the turn goes to the
+// next eligible thread if that thread is asking for it (grantLocked), and
+// otherwise stays free until that thread asks. If no thread is runnable but
+// timed waiters exist, logical time jumps forward deterministically to the
+// earliest deadline — the heap top — (this is how a "logical sleep" in an
+// otherwise idle program makes progress). If nothing can ever run, the
+// deadlock handler fires.
+func (s *Scheduler) passTurnLocked(self *Thread) {
 	for {
 		e := s.eligibleLocked()
 		if e != nil && e.wantTurn {
@@ -908,16 +852,13 @@ func (s *Scheduler) passTurnLocked(self *Thread, held bool) {
 		if e == nil && s.nWaiting != 0 && s.timers.len() != 0 {
 			// No runnable thread: advance logical time to the earliest timed
 			// deadline and look again.
-			s.turn.Store(s.timers.top().deadline)
+			s.turn = s.timers.top().deadline
 			s.expireLocked()
 			continue
 		}
 		// The turn stays free: its next holder is still running user code,
 		// there are no threads at all (program finished or not started), or
 		// every thread is blocked without a timeout.
-		if held {
-			s.holder.Store(nil)
-		}
 		if e == nil && s.nWaiting != 0 {
 			s.deadlockLocked("all threads blocked without timeout")
 		}
@@ -949,7 +890,7 @@ func (s *Scheduler) grantLocked(e, self *Thread) {
 	}
 	e.wantTurn = false
 	s.chosen = nil
-	s.holder.Store(e)
+	s.holder = e
 	if e == self {
 		return
 	}
@@ -964,35 +905,35 @@ func (s *Scheduler) grantLocked(e, self *Thread) {
 }
 
 // releaseTurnLocked passes the turn from its current holder to the next
-// eligible thread, with a single atomic store (passTurnLocked).
+// eligible thread (passTurnLocked).
 func (s *Scheduler) releaseTurnLocked() {
 	// Any lease ends here: Wait, Exit, and the vetoed or no-longer-solo
 	// PutTurn all release through this path.
-	if s.leased.Load() {
+	if s.leased {
 		s.revokeLeaseLocked()
 	}
-	s.passTurnLocked(nil, true)
+	s.holder = nil
+	s.passTurnLocked(nil)
 }
 
 // deadlockLocked reports a deterministic deadlock, why no thread can ever run
-// again. The registered handler, if any, runs outside the scheduler mutex.
+// again. The registered handler, if any, runs outside the entry lock of an
+// unhosted scheduler: the caller is inside, so it holds mu exactly when host
+// is nil.
 func (s *Scheduler) deadlockLocked(why string) {
 	msg := "core: deterministic deadlock: " + why + "\n" + s.dumpLocked()
-	if s.onDeadlock != nil {
-		fn := s.onDeadlock
-		s.mu.Unlock()
-		fn(msg)
-		s.mu.Lock()
-		return
+	if s.onDeadlock == nil {
+		panic(msg)
 	}
-	panic(msg)
+	s.unlock(s.host == nil)
+	s.onDeadlock(msg)
+	s.lock()
 }
 
 // Dump renders the scheduler state — queues, holder, wait lists — for
 // diagnostics (deadlock reports, failed quiescence drives).
 func (s *Scheduler) Dump() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
 	return s.dumpLocked()
 }
 
@@ -1000,7 +941,7 @@ func (s *Scheduler) Dump() string {
 // each object's wait list straight from the per-object structures.
 func (s *Scheduler) dumpLocked() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "  turn=%d holder=%v stack=%v\n", s.turn.Load(), s.holder.Load(), s.stack)
+	fmt.Fprintf(&b, "  turn=%d holder=%v stack=%v\n", s.turn, s.holder, s.stack)
 	fmt.Fprintf(&b, "  runQ: %s\n", threadNames(&s.runQ))
 	fmt.Fprintf(&b, "  wakeQ: %s\n", threadNames(&s.wakeQ))
 	keys := make([]uint64, 0, len(s.waitLists))

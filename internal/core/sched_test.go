@@ -362,7 +362,7 @@ func TestExitRemovesThread(t *testing.T) {
 		s.GetTurn(th)
 		s.Exit(th)
 	})
-	if got := s.Live(); got != 0 {
+	if got := s.live; got != 0 {
 		t.Fatalf("live = %d, want 0", got)
 	}
 }

@@ -26,18 +26,18 @@ type Stats struct {
 	// split by cause.
 	WokenBySignal  int64
 	WokenByTimeout int64
-	// Handoffs counts turn grants delivered by direct handoff: the scheduler
-	// set the holder and released the parked grantee in one step, without
-	// the grantee re-taking the scheduler mutex.
+	// Handoffs counts turn grants to a thread other than the one asking
+	// (grantLocked): the scheduler set the holder and the grantee's granted
+	// flag in one step, and the grantee resumes holding the turn.
 	Handoffs int64
 	// LeaseGrants counts scheduler lease grants: release points where the
 	// solo holder was handed a lease instead of a queue round trip.
 	LeaseGrants int64
-	// LeaseExtends counts turn releases absorbed by an active lease (the
-	// mutex-free PutTurn fast path).
+	// LeaseExtends counts turn releases absorbed by an active lease: PutTurn
+	// advanced logical time and the holder kept the turn.
 	LeaseExtends int64
 	// LeaseRevokes counts lease revocations (a competitor registered, the
-	// holder blocked or exited, or a veto forced the slow path).
+	// holder blocked or exited, or a veto forced a queue-and-handoff release).
 	LeaseRevokes int64
 	// LeaseHash folds every lease grant and revocation decision — with the
 	// turn count and thread it applied to — into one running hash: the
@@ -72,27 +72,23 @@ func (st Stats) String() string {
 }
 
 // Stats returns a snapshot of the scheduler's activity counters, including
-// the per-policy decision metrics of the policy stack.
+// the per-policy decision metrics of the policy stack. Like every read of a
+// hosted scheduler from outside its threads, call it before the run starts
+// or after it has finished.
 func (s *Scheduler) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
 	st := s.statsLocked()
 	st.PolicyMetrics = s.stack.Metrics()
 	return st
 }
 
-// statsLocked assembles the counters from where they are counted: s.stats
-// for everything written under mu, the five atomics for the counters the
-// mutex-free paths advance. PolicyMetrics is left nil (the stack owns it).
-// Stats and CaptureState both read through here, so a counter added to Stats
-// is snapshotted and checkpointed without being named again.
+// statsLocked is s.stats with Turns read from logical time. PolicyMetrics is
+// left nil (the stack owns it). Stats and CaptureState both read through
+// here, so a counter added to Stats is snapshotted and checkpointed without
+// being named again.
 func (s *Scheduler) statsLocked() Stats {
 	st := s.stats
-	st.Ops = s.ops.Load()
-	st.Turns = s.turn.Load()
-	st.Signals = s.signals.Load()
-	st.Broadcasts = s.broadcasts.Load()
-	st.LeaseExtends = s.leaseExtends.Load()
+	st.Turns = s.turn
 	return st
 }
 
@@ -100,11 +96,7 @@ func (s *Scheduler) statsLocked() Stats {
 // metrics are not part of it: they are diagnostics of the stack, not
 // scheduler state, and a restored run counts its own.
 func (s *Scheduler) setStatsLocked(st Stats) {
-	s.ops.Store(st.Ops)
-	s.turn.Store(st.Turns)
-	s.signals.Store(st.Signals)
-	s.broadcasts.Store(st.Broadcasts)
-	s.leaseExtends.Store(st.LeaseExtends)
+	s.turn = st.Turns
 	st.PolicyMetrics = nil
 	s.stats = st
 }

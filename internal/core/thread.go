@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"qithread/internal/policy"
 )
@@ -33,9 +32,9 @@ func (q queueKind) String() string {
 // Thread is a participant registered with a Scheduler. In the QiThread
 // architecture a Thread corresponds to one pthread; in this Go reproduction
 // it is a coroutine of a hosted scheduler's driver (host.go), or a goroutine
-// of a direct user of this package, gated by the turn mechanism. All fields
-// other than the
-// atomic clock are guarded by the Scheduler mutex.
+// of a direct user of this package, gated by the turn mechanism. Its fields
+// are plain data owned like the Scheduler's: the thread itself writes its
+// clocks between synchronization operations, the scheduler everything else.
 type Thread struct {
 	id    int
 	name  string
@@ -70,41 +69,31 @@ type Thread struct {
 	waitStatus WaitStatus
 
 	// clock is the logical instruction clock used by LogicalClock mode.
-	// It is atomic so compute code can advance it without taking the
-	// scheduler lock in RoundRobin mode.
-	clock atomic.Int64
+	clock int64
 
 	// vtime is the thread's virtual clock in work units (see the
-	// virtual-time model in core.go). It is atomic because compute code
-	// advances it without the scheduler lock.
-	vtime atomic.Int64
+	// virtual-time model in core.go).
+	vtime int64
 
 	exited bool
 }
 
 // VTime returns the thread's current virtual clock.
-func (t *Thread) VTime() int64 { return t.vtime.Load() }
+func (t *Thread) VTime() int64 { return t.vtime }
 
 // SetVTime initializes the thread's virtual clock. The create wrapper uses it
 // so a child thread starts at its creator's current virtual time.
-func (t *Thread) SetVTime(v int64) { t.vtime.Store(v) }
+func (t *Thread) SetVTime(v int64) { t.vtime = v }
 
 // MeetVTime raises the thread's virtual clock to at least v, modeling a
 // happens-before edge from an event at virtual time v (used by the PCS
 // bypass path, which synchronizes outside the turn).
-func (t *Thread) MeetVTime(v int64) {
-	for {
-		cur := t.vtime.Load()
-		if v <= cur || t.vtime.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
+func (t *Thread) MeetVTime(v int64) { t.vtime = max(t.vtime, v) }
 
 // AddVTime advances the thread's virtual clock by n without touching the
 // logical instruction clock (sync-operation cost accounting outside the
 // turn).
-func (t *Thread) AddVTime(n int64) { t.vtime.Add(n) }
+func (t *Thread) AddVTime(n int64) { t.vtime += n }
 
 // ID returns the deterministic registration index of the thread (the main
 // thread of a runtime is 0, the first created child 1, and so on).
@@ -114,7 +103,7 @@ func (t *Thread) ID() int { return t.id }
 func (t *Thread) Name() string { return t.name }
 
 // Clock returns the thread's current logical instruction clock.
-func (t *Thread) Clock() int64 { return t.clock.Load() }
+func (t *Thread) Clock() int64 { return t.clock }
 
 // PolicyState returns the thread's policy state, making *Thread implement
 // policy.Thread.

@@ -177,8 +177,8 @@ func (e Event) String() string {
 
 // TraceSink receives recorded events as they happen — the streaming,
 // bounded-memory alternative to retaining the whole []Event trace in memory
-// (Config.Sink). Append is called in trace order under the scheduler mutex
-// by the turn-holding thread; implementations (a buffered binary log writer,
+// (Config.Sink). Append is called in trace order by the turn-holding thread,
+// inside the scheduler; implementations (a buffered binary log writer,
 // internal/trace.BinaryWriter) must not call back into the scheduler. An
 // Append error is fatal to the run: losing trace events silently would break
 // the record/replay contract, so the scheduler panics.
@@ -250,33 +250,15 @@ func (l *traceLog) flatten() []Event {
 // TraceOp appends an event to the schedule trace. The caller must hold the
 // turn so events form a total order.
 //
-// When neither recording nor replaying (the common production configuration)
-// TraceOp skips the scheduler mutex entirely: every field it touches is
-// either atomic (the op counter, t.vtime) or guarded by the turn itself
-// (vLastOp — only the holder reads and writes it, and the turn's grant
-// handoff carries the happens-before edge between successive holders).
-// Record and replay are fixed before any thread runs (SetReplay panics once
-// threads exist), so the branch below is stable for a whole execution and
-// the two paths never interleave.
-//
 // The scheduler lease (see PutTurn) never changes what is traced: a leased
-// release keeps holder == t, so a leased run drives the same TraceOp path
-// with the same arguments in the same order as the queue-and-handoff run,
-// and recorded schedules stay byte-identical.
+// release keeps holder == t, so a leased run calls TraceOp with the same
+// arguments in the same order as the queue-and-handoff run, and recorded
+// schedules stay byte-identical.
 func (s *Scheduler) TraceOp(t *Thread, op OpKind, obj uint64, st EventStatus) {
-	if s.replay == nil && !s.cfg.Record {
-		if s.holder.Load() != t {
-			panic(fmt.Sprintf("core: TraceOp by %v which does not hold the turn (holder=%v)", t, s.holder.Load()))
-		}
-		s.ops.Add(1)
-		s.traceVTime(t)
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
 	s.requireTurnLocked(t, "TraceOp")
 	s.verifyReplayLocked(t, op, obj, st)
-	s.ops.Add(1)
+	s.stats.Ops++
 	s.traceVTime(t)
 	if !s.cfg.Record || s.suspended {
 		// suspended covers a checkpoint restore's setup phase: the structure
@@ -312,16 +294,11 @@ func (s *Scheduler) TraceOp(t *Thread, op OpKind, obj uint64, st EventStatus) {
 // and the min-virtual-clock simulation order. Caller holds the turn.
 func (s *Scheduler) traceVTime(t *Thread) {
 	if s.cfg.Mode == VirtualParallel {
-		t.vtime.Add(s.cfg.VSyncCost)
+		t.vtime += s.cfg.VSyncCost
 		return
 	}
-	start := t.vtime.Load()
-	if s.vLastOp > start {
-		start = s.vLastOp
-	}
-	end := start + s.cfg.VSyncCost
-	t.vtime.Store(end)
-	s.vLastOp = end
+	t.vtime = max(t.vtime, s.vLastOp) + s.cfg.VSyncCost
+	s.vLastOp = t.vtime
 }
 
 // Trace returns a copy of the recorded schedule, flattened into one slice
@@ -329,8 +306,7 @@ func (s *Scheduler) traceVTime(t *Thread) {
 // no event has been recorded yet, or the run streams (Config.Sink) — then the
 // sink's log and the running TraceHash are the record.
 func (s *Scheduler) Trace() []Event {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
 	return s.trace.flatten()
 }
 
@@ -339,15 +315,6 @@ func (s *Scheduler) Trace() []Event {
 // they were retained or streamed to a sink, which is what lets streaming and
 // retained runs produce identical fingerprints.
 func (s *Scheduler) TraceHash() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	defer s.unlock(s.lock())
 	return s.traceHash
-}
-
-// TraceLen returns the number of events recorded so far (retained or
-// streamed).
-func (s *Scheduler) TraceLen() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.traceLen
 }

@@ -58,8 +58,8 @@ func TestChunkedTraceRetention(t *testing.T) {
 		if h := trace.Hash(got); s.TraceHash() != h || streamed.TraceHash() != h {
 			t.Fatalf("n=%d: TraceHash retained %016x, streamed %016x, trace.Hash(Trace()) %016x", n, s.TraceHash(), streamed.TraceHash(), h)
 		}
-		if s.TraceLen() != int64(n) {
-			t.Fatalf("n=%d: TraceLen = %d", n, s.TraceLen())
+		if len(got) != n {
+			t.Fatalf("n=%d: retained %d events", n, len(got))
 		}
 		if tr := streamed.Trace(); tr != nil {
 			t.Fatalf("n=%d: streaming scheduler retained %d events", n, len(tr))

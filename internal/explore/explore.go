@@ -257,8 +257,10 @@ func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time
 
 	sc := takeScaffold(watchdog)
 	rt.Scheduler().SetDeadlockHandler(func(msg string) {
+		// The send orders every write of the run's scheduler before the
+		// reads below; then the run's goroutine freezes here for good.
 		sc.done <- end{rt: rt, outcome: OutcomeDeadlock, msg: msg}
-		select {} // freeze the run; the scheduler mutex is not held here
+		select {}
 	})
 	go sc.run(p, rt)
 

@@ -278,6 +278,8 @@ func TestScaffoldNotRecycledAfterAbnormalEnd(t *testing.T) {
 // classified ok and its scaffold recycled. The thread still holds that run's
 // deadlock handler, so its report lands on the scaffold the next run is
 // using; it names the old runtime, and the next run must end ok all the same.
+// The detached Run starts only once the explorer has read the runtime's
+// results, which it reads after Program.Run returns.
 func TestLateDeadlockCannotClassifyNextRun(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		goOn := make(chan struct{})
@@ -285,12 +287,14 @@ func TestLateDeadlockCannotClassifyNextRun(t *testing.T) {
 			Name: "test-late-deadlock",
 			Base: rrConfig(qithread.NoPolicies),
 			Run: func(rt *qithread.Runtime) uint64 {
-				go rt.Run(func(main *qithread.Thread) {
+				go func() {
 					<-goOn
-					m := rt.NewMutex(main, "m")
-					m.Lock(main)
-					m.Lock(main)
-				})
+					rt.Run(func(main *qithread.Thread) {
+						m := rt.NewMutex(main, "m")
+						m.Lock(main)
+						m.Lock(main)
+					})
+				}()
 				return 7
 			},
 		}

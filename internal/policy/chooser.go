@@ -59,9 +59,8 @@ func (k ChoiceKind) String() string {
 // take. Choose returns the index of the candidate to take instead; an
 // out-of-range return falls back to def.
 //
-// Calls arrive from scheduler internals (under the scheduler mutex) and from
-// turn-holding wrappers; implementations must not call back into the
-// scheduler or block.
+// Calls arrive from scheduler internals and from turn-holding wrappers;
+// implementations must not call back into the scheduler or block.
 type Chooser interface {
 	Choose(kind ChoiceKind, ids []int, n, def int) int
 }

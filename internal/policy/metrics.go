@@ -9,10 +9,10 @@ import "fmt"
 // attributed to the policy whose decisions produced it.
 //
 // The fields are deliberately not atomic: each is incremented from exactly
-// one serialized context — Picks and WakeBoosts under the scheduler mutex,
-// the others under the turn — and turn handoffs synchronize through the
-// scheduler mutex, so plain increments are race-free and keep the hooks at
-// seed cost (an atomic add per lock acquisition measurably regressed
+// one serialized context — Picks and WakeBoosts inside the scheduler, the
+// others under the turn — and a scheduler has one owner at a time, so plain
+// increments are race-free and keep the hooks at seed cost (an atomic add per
+// lock acquisition measurably regressed
 // BenchmarkMechanismLockUnlock/turn-all-policies). Snapshots must be taken
 // while the scheduler is quiescent: between runs or after every thread joined.
 type Metrics struct {

@@ -50,9 +50,9 @@ const (
 // by value in its scheduler; policy state lives on the threads (PerThread),
 // so besides the configuration a Stack carries only its decision counters.
 //
-// All hooks run either under the scheduler mutex or under the turn, so they
-// need no locking of their own; see Metrics for which counter is written in
-// which context.
+// All hooks run either inside the scheduler or under the turn, so they need
+// no locking of their own; see Metrics for which counter is written in which
+// context.
 type Stack struct {
 	base    BaseKind
 	set     Set

@@ -111,6 +111,27 @@ func TestInventory(t *testing.T) {
 			t.Errorf("DESIGN.md §4.14 cites %s, no _test.go file declares it", name)
 		}
 	}
+
+	// The internal/core row: a scheduler has one owner, so nothing in it is
+	// atomic.
+	files, err := filepath.Glob("internal/core/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"sync/atomic"` {
+				t.Errorf("%s imports sync/atomic; DESIGN.md §4.14 says no file of internal/core does", path)
+			}
+		}
+	}
 }
 
 // TestArtifactTable: the file-format headers ("qithread-<family> v<version>")

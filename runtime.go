@@ -218,7 +218,8 @@ func (rt *Runtime) Run(main func(t *Thread)) {
 
 // Trace returns the default domain's recorded schedule (empty unless
 // Config.Record). For other domains use Domain.Trace; for a whole
-// partitioned execution use Fingerprint.
+// partitioned execution use Fingerprint. Call it after Run returns or from a
+// thread of the default domain.
 func (rt *Runtime) Trace() []Event { return rt.main.Trace() }
 
 // Fingerprint condenses the execution for determinism checking: per-domain
@@ -227,7 +228,9 @@ func (rt *Runtime) Trace() []Event { return rt.main.Trace() }
 // (and subsumes it: with one domain it is exactly that hash plus an empty
 // log). The domain hashes are each scheduler's running trace hash, so Record
 // must be on for them to mean anything (a non-recording domain reports the
-// empty-trace hash). Valid after Run returns; zero value in Nondet mode.
+// empty-trace hash). Call it after Run returns: it reads every domain's
+// scheduler, which only that domain's threads may touch while it runs. Zero
+// value in Nondet mode.
 func (rt *Runtime) Fingerprint() Fingerprint {
 	if !rt.det() {
 		return Fingerprint{}
@@ -256,8 +259,9 @@ func (rt *Runtime) TurnCount() int64 { return rt.main.TurnCount() }
 // including the main thread.
 func (rt *Runtime) ThreadsCreated() int64 { return rt.nthread.Load() }
 
-// Stats returns the scheduler's activity counters (zero value in Nondet
-// mode, which has no deterministic scheduler).
+// Stats returns the default domain scheduler's activity counters (zero value
+// in Nondet mode, which has no deterministic scheduler). Call it after Run
+// returns or from a thread of the default domain.
 func (rt *Runtime) Stats() core.Stats {
 	if !rt.det() {
 		return core.Stats{}

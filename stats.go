@@ -6,10 +6,9 @@ import (
 )
 
 // This file is the runtime's observability surface: plain snapshot structs a
-// long-running server (or a tool like cmd/qistat) can poll without touching
-// traces or logs. Snapshots are cheap — counter reads under the scheduler
-// mutex — and safe at any point of a run; tools normally read them after Run
-// returns, a live detserver can sample them from outside the turn.
+// server (or a tool like cmd/qistat) reads without touching traces or logs.
+// A domain's scheduler belongs to that domain's goroutine while it runs, so
+// its counters are read after Run returns or from a thread of the domain.
 
 // SchedulerStat is one scheduler domain's activity snapshot: the domain's
 // identity plus every counter of its scheduler (st.Turns, st.Ops,
@@ -23,7 +22,8 @@ type SchedulerStat struct {
 }
 
 // SchedulerStats snapshots every scheduler domain's counters in domain-id
-// order. Nil in Nondet mode (which has no deterministic schedulers).
+// order. Nil in Nondet mode (which has no deterministic schedulers). Call it
+// after Run returns: while a domain runs, only its own threads may read it.
 func (rt *Runtime) SchedulerStats() []SchedulerStat {
 	if !rt.det() {
 		return nil
