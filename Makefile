@@ -1,8 +1,10 @@
 GO ?= go
 
-# The full gate: everything CI (and the trace-compatibility suite) needs.
-# Performance changes should also refresh the committed baseline with
-# `make bench-json` and include the BENCH_sched.json diff in the review.
+# The full gate: everything CI (and the trace-compatibility suite) needs. No
+# step is timed: what a hosted sync op allocates is counted exactly
+# (TestSyncOpsAllocateNothing, in alloc-bounds), and a performance claim is
+# alternating parent/change pairs of `bash benchmark/run.sh`
+# (benchmark/README.md).
 .PHONY: check
 check: build fmt vet race shuffle cpu-matrix alloc-bounds soak-smoke explore-smoke controlplane-smoke
 
@@ -47,21 +49,19 @@ cpu-matrix:
 # goroutine's), with the tests that keep its recycled scaffolding safe:
 # nothing recycled after a deadlock, a panic — main's or a child's — or a
 # hang, no late report and no stale watchdog tick ever classifying another run.
+# Steady state is held to zero: TestSyncOpsAllocateNothing counts the
+# allocations of a lock/unlock pair, a condition-variable ping-pong, a Yield
+# among four threads, a logical Sleep and a broadcast round to eight waiters
+# in a hosted run, with and without the lease and under all five policies.
 .PHONY: alloc-bounds
 alloc-bounds:
 	$(GO) test -race -count=1 -run 'TestTraceRetentionAllocBound|TestChunkedTraceRetention|TestInlineTables|TestHostRecordsRecycled' ./internal/core
 	$(GO) test -race -count=1 -run 'TestBinaryLoadAllocBound|TestBinaryLoadErrors' ./internal/trace
-	$(GO) test -race -count=1 -run 'TestReplayBorrowsSchedule|TestRecordSizesPinned|TestRuntimeAllocBudget|TestThreadAllocBudget|TestThreadChurnRetention|TestGatewayAllocBudget' .
+	$(GO) test -race -count=1 -run 'TestSyncOpsAllocateNothing|TestReplayBorrowsSchedule|TestRecordSizesPinned|TestRuntimeAllocBudget|TestThreadAllocBudget|TestThreadChurnRetention|TestGatewayAllocBudget' .
 	$(GO) test -race -cpu 1,4 -count=1 -run 'TestGrantRecycling' .
 	$(GO) test -race -count=1 -run 'TestCollectorStageSizedFromLastSnapshot|TestAdmissionQueueSizedFromFirstSnapshot' ./internal/ingress
 	$(GO) test -race -count=1 -run 'TestParseEventMatchesFields|TestGroupSlabs' ./internal/workload/controlplane
 	$(GO) test -race -count=1 -run 'TestExploredRunAllocBudget|TestScaffoldNotRecycledAfterAbnormalEnd|TestLateDeadlockCannotClassifyNextRun|TestWatchdogNoStaleTick|TestFrontierRetention' ./internal/explore
-
-# What .github/workflows/ci.yml runs: the full gate plus the performance
-# gate, which re-runs the BENCH_sched.json benchmarks at a short benchtime
-# and fails on any >25% ns/op regression against the committed baseline.
-.PHONY: ci
-ci: check bench-compare
 
 # Every fuzz target in the tree for 10 s each on top of its seed corpus. The
 # targets are found with `go test -list`, package by package, so a new Fuzz*
@@ -77,10 +77,6 @@ fuzz-smoke:
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 10s -fuzzminimizetime 1s $$pkg; \
 		done; \
 	done
-
-.PHONY: bench-compare
-bench-compare:
-	$(GO) run ./cmd/qibenchjson -compare BENCH_sched.json -short
 
 .PHONY: build
 build:
@@ -163,24 +159,11 @@ controlplane-smoke:
 explore-race:
 	$(GO) test -race -count=1 ./internal/explore
 
-# Mechanism micro-benchmarks; the turn / turn-all-policies pair of
-# BenchmarkMechanismLockUnlock is the policy hooks' cost (EXPERIMENTS.md E9/E13).
+# The micro-benchmarks no benchmark/ probe measures: the arm pairs of
+# BenchmarkMechanismLockUnlock (native vs turn, lease vs none, the policy
+# hooks' cost: EXPERIMENTS.md E9/E13/E18), E14's parked-population rows, PCT
+# throughput with a long DPOR search's memory, and E21's worker scaling. Compare
+# arms within one run, never against a number recorded on another day.
 .PHONY: bench
 bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkMechanism' -count 5 -benchtime 1s .
-
-# Scheduler hot-path baseline: run the E14 micro-benchmarks and regenerate
-# BENCH_sched.json (benchmark name -> ns/op, allocs/op, averaged over 3 reps).
-# Every row is recorded at -cpu 1 (unsuffixed keys); the handoff-sensitive
-# rows are recorded again at -cpu 2 ("-2" keys, gomaxprocs: 2) — more
-# turn-waiters than Ps is the shape a grant-path regression shows up in, and
-# the -cpu 1 rows cannot see one. The steps run sequentially (not a pipe) so
-# compiling the converter does not steal CPU from the benchmarks.
-.PHONY: bench-json
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkMechanism|BenchmarkBroadcastStorm|BenchmarkTimedWaitChurn|BenchmarkTurnHandoff|BenchmarkDomains|BenchmarkIngress|BenchmarkControlPlane|BenchmarkLogReplay|BenchmarkExplore' \
-		-benchmem -benchtime 300ms -count 3 -cpu 1 . > .bench_sched.out
-	$(GO) test -run '^$$' -bench 'BenchmarkTurnHandoff|BenchmarkMechanismSignalWait|BenchmarkBroadcastStorm|BenchmarkDomains/server|BenchmarkControlPlane|BenchmarkExploreParallel' \
-		-benchmem -benchtime 300ms -count 3 -cpu 2 . >> .bench_sched.out
-	$(GO) run ./cmd/qibenchjson < .bench_sched.out > BENCH_sched.json
-	@rm -f .bench_sched.out
+	$(GO) test -run '^$$' -bench 'BenchmarkMechanismLockUnlock|BenchmarkBroadcastStorm|BenchmarkTimedWaitChurn|BenchmarkExplore|BenchmarkExploreParallel' -benchmem -count 5 -benchtime 1s .

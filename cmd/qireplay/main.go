@@ -38,6 +38,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -73,8 +74,7 @@ func main() {
 	flag.Parse()
 
 	if *sched != "" {
-		replaySchedule(*sched, *program, *runs, *expect, *verbose)
-		return
+		os.Exit(replaySchedule(os.Stdout, os.Stderr, *sched, *program, *runs, *expect, *verbose))
 	}
 	if (*record == "") == (*replay == "") {
 		fmt.Fprintln(os.Stderr, "qireplay: exactly one of -record, -replay or -schedule is required")
@@ -202,24 +202,25 @@ func main() {
 // replay 0 must land in: "failure" (the default — the repro must reproduce
 // its bug) or "ok" — the fix-proof mode, replaying a failing schedule
 // against the FIXED program to show the same interleaving now runs clean.
-func replaySchedule(path, program string, runs int, expect string, verbose bool) {
+// It returns the process exit code.
+func replaySchedule(stdout, stderr io.Writer, path, program string, runs int, expect string, verbose bool) int {
 	if program == "" {
-		fmt.Fprintf(os.Stderr, "qireplay: -schedule requires -program (known: %s)\n", strings.Join(explore.Names(), ", "))
-		os.Exit(2)
+		fmt.Fprintf(stderr, "qireplay: -schedule requires -program (known: %s)\n", strings.Join(explore.Names(), ", "))
+		return 2
 	}
 	if expect != "failure" && expect != "ok" {
-		fmt.Fprintf(os.Stderr, "qireplay: -expect must be failure or ok, got %q\n", expect)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "qireplay: -expect must be failure or ok, got %q\n", expect)
+		return 2
 	}
 	p := explore.Lookup(program)
 	if p == nil {
-		fmt.Fprintf(os.Stderr, "qireplay: unknown program %q (known: %s)\n", program, strings.Join(explore.Names(), ", "))
-		os.Exit(2)
+		fmt.Fprintf(stderr, "qireplay: unknown program %q (known: %s)\n", program, strings.Join(explore.Names(), ", "))
+		return 2
 	}
 	events, choices, err := explore.LoadRepro(path)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "qireplay:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "qireplay:", err)
+		return 1
 	}
 	want := trace.Hash(events)
 	fail := false
@@ -227,33 +228,40 @@ func replaySchedule(path, program string, runs int, expect string, verbose bool)
 	for i := 0; i < runs; i++ {
 		res := explore.ReplayRepro(p, events, choices, explore.DefaultWatchdog)
 		if verbose {
-			fmt.Printf("replay %2d: outcome=%s fingerprint=[%s] schedule=%016x\n", i, res.Outcome, res.Fingerprint, res.Hash())
+			fmt.Fprintf(stdout, "replay %2d: outcome=%s fingerprint=[%s] schedule=%016x\n", i, res.Outcome, res.Fingerprint, res.Hash())
 		}
-		if got := res.Hash(); got != want {
-			fmt.Fprintf(os.Stderr, "qireplay: replay %d schedule hash %016x, recorded %016x\n", i, got, want)
+		got := res.Hash()
+		if got != want {
+			fmt.Fprintf(stderr, "qireplay: replay %d schedule hash %016x, recorded %016x\n", i, got, want)
 			fail = true
+		}
+		// A replay divergence is a panic whose text says where the run left
+		// the schedule; without it a mismatch is two bare hashes.
+		if (got != want || res.Outcome == explore.OutcomePanic) && res.Err != "" {
+			fmt.Fprintf(stderr, "qireplay: replay %d %s: %s\n", i, res.Outcome, res.Err)
 		}
 		if i == 0 {
 			ref = res
 			switch {
 			case expect == "failure" && !res.Outcome.Failure():
-				fmt.Fprintf(os.Stderr, "qireplay: replay 0 outcome %s; the repro does not reproduce a failure\n", res.Outcome)
+				fmt.Fprintf(stderr, "qireplay: replay 0 outcome %s; the repro does not reproduce a failure\n", res.Outcome)
 				fail = true
 			case expect == "ok" && res.Outcome != explore.OutcomeOK:
-				fmt.Fprintf(os.Stderr, "qireplay: replay 0 outcome %s (%q); the schedule still fails against this program\n", res.Outcome, res.Err)
+				fmt.Fprintf(stderr, "qireplay: replay 0 outcome %s (%q); the schedule still fails against this program\n", res.Outcome, res.Err)
 				fail = true
 			}
 		} else if res.Outcome != ref.Outcome || res.Fingerprint != ref.Fingerprint {
-			fmt.Fprintf(os.Stderr, "qireplay: replay %d diverged:\n  replay 0: outcome=%s fingerprint=[%s]\n  replay %d: outcome=%s fingerprint=[%s]\n",
+			fmt.Fprintf(stderr, "qireplay: replay %d diverged:\n  replay 0: outcome=%s fingerprint=[%s]\n  replay %d: outcome=%s fingerprint=[%s]\n",
 				i, ref.Outcome, ref.Fingerprint, i, res.Outcome, res.Fingerprint)
 			fail = true
 		}
 	}
 	if fail {
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("%d replays of %s reproduced %s (%q)\n  fingerprint=[%s] schedule=%016x events=%d decisions=%d\n",
+	fmt.Fprintf(stdout, "%d replays of %s reproduced %s (%q)\n  fingerprint=[%s] schedule=%016x events=%d decisions=%d\n",
 		runs, path, ref.Outcome, ref.Err, ref.Fingerprint, want, len(events), len(choices))
+	return 0
 }
 
 // observables condenses a run's determinism-relevant results into one

@@ -9,50 +9,37 @@ import (
 	"qithread/internal/explore"
 )
 
-// BenchmarkExplore measures exploration throughput in schedules per second —
-// the budget currency of `qiexplore`: how many distinct-prefix runs one core
-// can record, fingerprint and classify per second. It explores the
-// non-failing wakerace program so the per-iteration work is pure search:
-// failures trigger minimization runs outside b.N, which would make the
-// per-op figures a function of how many bugs a given iteration count
-// happens to hit. Feeds BENCH_sched.json via `make bench-json`.
+// BenchmarkExplore measures what no benchmark/ probe does: PCT throughput,
+// and the memory a long DPOR search holds.
 //
-// wakerace resolves ~15 decisions a run, so those rows cannot see what the
-// search engine costs per decision. dpor-controlplane-race is the row that
-// can: one op is one fresh in-memory session searching the seeded
+// pct explores the non-failing wakerace program, so the per-iteration work is
+// pure search: failures trigger minimization runs outside b.N, which would
+// make the per-op figures a function of how many bugs a given iteration count
+// happens to hit.
+//
+// dpor-controlplane-race is one fresh in-memory session searching the seeded
 // control-plane race (~140 decisions a run, a frontier of ~140k entries) for
 // 2,000 schedules with 2 workers, minimizations included; B/op and allocs/op
 // are per session, live-MB is the heap the finished session still holds.
 func BenchmarkExplore(b *testing.B) {
 	b.Run("dpor-controlplane-race", benchExploreControlPlane)
-	p := explore.Lookup("wakerace")
-	if p == nil {
-		b.Fatal("wakerace program not registered")
-	}
-	for _, strategy := range []string{"dpor", "pct"} {
-		b.Run(strategy, func(b *testing.B) {
-			s, err := explore.NewSession(p, "", 10*time.Second)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			switch strategy {
-			case "dpor":
-				err = s.ExploreDPOR(b.N, 0)
-			case "pct":
-				err = s.ExplorePCT(b.N, 3, 1)
-			}
-			b.StopTimer()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if s.Runs() < b.N {
-				b.Fatalf("explored %d schedules, want >= %d", s.Runs(), b.N)
-			}
-			b.ReportMetric(float64(s.Runs())/b.Elapsed().Seconds(), "schedules/sec")
-		})
-	}
+	b.Run("pct", func(b *testing.B) {
+		s, err := explore.NewSession(explore.Lookup("wakerace"), "", 10*time.Second)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		err = s.ExplorePCT(b.N, 3, 1)
+		b.StopTimer()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if s.Runs() < b.N {
+			b.Fatalf("explored %d schedules, want >= %d", s.Runs(), b.N)
+		}
+		b.ReportMetric(float64(s.Runs())/b.Elapsed().Seconds(), "schedules/sec")
+	})
 }
 
 func benchExploreControlPlane(b *testing.B) {
@@ -90,13 +77,12 @@ func benchExploreControlPlane(b *testing.B) {
 }
 
 // BenchmarkExploreParallel measures the worker pool's scaling: the same DPOR
-// search at 1, 2 and 4 workers. Every run executes in its own isolated
-// Runtime, so between-run work is embarrassingly parallel; the frontier, the
-// seen set and the record path, all under the session mutex, are the only
-// serialization. On a multi-core host workers=4 should approach 4x the
-// workers=1 schedules/sec; on a single-CPU host (the CI runner) the curve is
-// honestly flat — EXPERIMENTS.md E21 records both. Feeds BENCH_sched.json via
-// `make bench-json`.
+// search at 1, 2 and 4 workers, compared inside one binary. Every run executes
+// in its own isolated Runtime, so between-run work is embarrassingly parallel;
+// the frontier, the seen set and the record path, all under the session mutex,
+// are the only serialization. On a multi-core host workers=4 should approach
+// 4x the workers=1 schedules/sec; on a single-CPU host (the CI runner) the
+// curve is honestly flat — EXPERIMENTS.md E21 records both.
 func BenchmarkExploreParallel(b *testing.B) {
 	p := explore.Lookup("wakerace")
 	if p == nil {

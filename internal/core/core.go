@@ -125,11 +125,6 @@ type Config struct {
 	// traces of a partitioned execution can be merged and attributed. The
 	// default 0 is the single-domain configuration.
 	DomainID int
-	// VSyncCost is the virtual-time cost, in work units, of one
-	// synchronization operation under the turn mechanism (wrapper +
-	// scheduler queue manipulation). Zero means 12. See the virtual-time
-	// model below.
-	VSyncCost int64
 	// NoLease disables the scheduler's solo-thread turn lease (see
 	// Scheduler.PutTurn). The lease is trace-neutral — it only short-circuits
 	// handoffs the thread would win anyway — so this switch exists for
@@ -177,6 +172,15 @@ const (
 // deterministic scheduling — reproduce faithfully on any host, including
 // single-core CI machines where every mode would otherwise serialize
 // identically.
+
+// Virtual-time cost, in work units, of one synchronization operation: under
+// the turn mechanism (RoundRobin, LogicalClock: wrapper + scheduler queues),
+// and as a native operation (VirtualParallel, and the root package's Nondet
+// mode: a plain pthread op is much cheaper than a scheduled turn).
+const (
+	vSyncCostTurn   int64 = 12
+	VSyncCostNative int64 = 4
+)
 
 // WaitStatus reports how a Wait call completed.
 type WaitStatus uint8

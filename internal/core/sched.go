@@ -189,9 +189,6 @@ type waiter struct {
 // New creates a scheduler with the given configuration; its policy stack is
 // the mode's base turn policy with the policies of cfg.Policies layered above.
 func New(cfg Config) *Scheduler {
-	if cfg.VSyncCost == 0 {
-		cfg.VSyncCost = 12
-	}
 	// objName and waitLists are created lazily: a Runtime constructs one
 	// scheduler per domain, and partitioned programs create domains in bulk.
 	s := &Scheduler{

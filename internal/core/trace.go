@@ -294,10 +294,10 @@ func (s *Scheduler) TraceOp(t *Thread, op OpKind, obj uint64, st EventStatus) {
 // and the min-virtual-clock simulation order. Caller holds the turn.
 func (s *Scheduler) traceVTime(t *Thread) {
 	if s.cfg.Mode == VirtualParallel {
-		t.vtime += s.cfg.VSyncCost
+		t.vtime += VSyncCostNative
 		return
 	}
-	t.vtime = max(t.vtime, s.vLastOp) + s.cfg.VSyncCost
+	t.vtime = max(t.vtime, s.vLastOp) + vSyncCostTurn
 	s.vLastOp = t.vtime
 }
 

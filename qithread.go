@@ -136,11 +136,6 @@ type Config struct {
 	// the determinism checker's log diffing.
 	RetainDeliveryLog bool
 
-	// SoftBarrierTimeout is the deterministic logical timeout, in turns,
-	// after which an incomplete soft-barrier group is released. Zero means
-	// 256 turns.
-	SoftBarrierTimeout int64
-
 	// Replay, when non-nil, is a previously recorded schedule (Runtime.
 	// Trace) to ENFORCE: the scheduler grants turns in exactly the recorded
 	// order and verifies each operation against the recording, panicking
@@ -180,13 +175,6 @@ type Config struct {
 	// choice point and any explored execution is itself replayable. nil for a
 	// domain means that domain runs unhooked. Requires a deterministic Mode.
 	Chooser func(domainID int) Chooser
-}
-
-func (c Config) withDefaults() Config {
-	if c.SoftBarrierTimeout == 0 {
-		c.SoftBarrierTimeout = 256
-	}
-	return c
 }
 
 // Event re-exports the trace event type.

@@ -549,8 +549,10 @@ func TestSoftBarrierGroups(t *testing.T) {
 
 func TestSoftBarrierTimeout(t *testing.T) {
 	// Only 2 of 3 threads arrive; the soft barrier must release them after
-	// its deterministic timeout rather than hang.
-	rt := New(Config{Mode: RoundRobin, SoftBarriers: true, SoftBarrierTimeout: 10})
+	// its deterministic timeout rather than hang. With nothing else runnable
+	// the scheduler jumps straight to the deadline, so 256 turns cost no more
+	// than 10 would.
+	rt := New(Config{Mode: RoundRobin, SoftBarriers: true})
 	rt.Run(func(main *Thread) {
 		sb := rt.NewSoftBarrier(main, "sb", 3)
 		var kids []*Thread

@@ -29,15 +29,6 @@ type Runtime struct {
 	vMax    atomic.Int64 // Nondet mode: max final virtual clock over threads
 }
 
-// Virtual-time cost, in work units, of one synchronization operation: under
-// the deterministic turn mechanism (wrapper + scheduler queues), and as a
-// native operation in Nondet and VirtualParallel modes (a plain pthread op
-// is much cheaper than a scheduled turn).
-const (
-	vSyncCostDet    int64 = 12
-	vSyncCostNondet int64 = 4
-)
-
 // amax atomically raises a to at least v.
 func amax(a *atomic.Int64, v int64) {
 	for {
@@ -50,7 +41,6 @@ func amax(a *atomic.Int64, v int64) {
 
 // New creates a runtime with the given configuration.
 func New(cfg Config) *Runtime {
-	cfg = cfg.withDefaults()
 	if cfg.Mode.Deterministic() {
 		if cfg.StreamTrace != nil && !cfg.Record {
 			panic("qithread: Config.StreamTrace requires Record")
@@ -98,14 +88,11 @@ func (rt *Runtime) addDomain(d *Domain, name string) *Domain {
 	d.rec = domain.Domain{ID: id, Name: name}
 	if cfg.Mode.Deterministic() {
 		mode := core.RoundRobin
-		cost := vSyncCostDet
 		switch cfg.Mode {
 		case LogicalClock:
 			mode = core.LogicalClock
 		case VirtualParallel:
-			// The ideal-parallel baseline pays native (non-turn) costs.
 			mode = core.VirtualParallel
-			cost = vSyncCostNondet
 		}
 		var sink core.TraceSink
 		if cfg.StreamTrace != nil {
@@ -117,7 +104,7 @@ func (rt *Runtime) addDomain(d *Domain, name string) *Domain {
 		d.rec.Sched = core.New(core.Config{
 			Mode: mode, Policies: cfg.Policies, Record: cfg.Record,
 			Sink: sink, SuspendRecording: cfg.Resume != nil,
-			VSyncCost: cost, DomainID: id, NoLease: cfg.NoTurnLease,
+			DomainID: id, NoLease: cfg.NoTurnLease,
 			Chooser: d.chooser,
 		})
 		d.stack = d.rec.Sched.Stack()

@@ -42,11 +42,15 @@ func (rt *Runtime) NewSoftBarrier(t *Thread, name string, n int) *SoftBarrier {
 	return sb
 }
 
+// softBarrierTimeout is the deterministic logical timeout, in turns, after
+// which an incomplete soft-barrier group is released.
+const softBarrierTimeout = 256
+
 // Arrive announces that the calling thread reached the co-scheduling point.
 // The first n-1 arrivals park; the n-th releases the whole group in FIFO
-// order. A thread parked longer than Config.SoftBarrierTimeout turns gives up
-// and continues alone, so partial groups (e.g. a remainder of work items)
-// never hang.
+// order. A thread parked longer than softBarrierTimeout turns gives up and
+// continues alone, so partial groups (e.g. a remainder of work items) never
+// hang.
 func (sb *SoftBarrier) Arrive(t *Thread) {
 	s := sb.dom.enter(t, "soft barrier", sb.name)
 	if !sb.rt.det() || !sb.rt.cfg.SoftBarriers {
@@ -62,7 +66,7 @@ func (sb *SoftBarrier) Arrive(t *Thread) {
 		return
 	}
 	s.TraceOp(t.ct, core.OpSoftBarrier, sb.obj, core.StatusBlocked)
-	if st := t.park(sb.obj, sb.rt.cfg.SoftBarrierTimeout); st == core.WaitTimeout {
+	if st := t.park(sb.obj, softBarrierTimeout); st == core.WaitTimeout {
 		// Give up on the group: our arrival no longer counts.
 		if sb.arrived > 0 {
 			sb.arrived--

@@ -88,7 +88,7 @@ func (t *Thread) vMeet(v int64) {
 
 // vCost is the virtual cost of one native (non-turn) synchronization
 // operation.
-func (t *Thread) vCost() int64 { return vSyncCostNondet }
+func (t *Thread) vCost() int64 { return core.VSyncCostNative }
 
 // Name returns the thread's debugging name.
 func (t *Thread) Name() string { return t.name }
