@@ -42,8 +42,9 @@ cpu-matrix:
 # exited thread but its table slot, inline thread table and chooser scratch,
 # and — at -cpu 1 and 4, two runtimes at once — coroutines and host records
 # recycled across schedulers without a granted flag ever left set. TestRecordSizesPinned holds
-# the three records the byte metrics depend on inside their allocation size
-# classes (Thread 256 exactly, Runtime <= 320, core.Scheduler <= 1152). An
+# the records the byte metrics depend on inside their allocation size classes
+# (Thread 240 exactly, Cond and Sem 64, RWMutex and Barrier <= 96, Runtime
+# <= 320, core.Scheduler <= 1152). An
 # explored run is held to its budget here too (41 allocations for the seeded
 # control-plane race, two of them the gateway; hosted, so none of them a
 # goroutine's), with the tests that keep its recycled scaffolding safe:

@@ -24,11 +24,6 @@ type Barrier struct {
 	ncv  *sync.Cond
 	narr int
 	ngen uint64
-	// vArrive is the running max of arrival virtual times for the current
-	// generation; vRelease is the final max at which the latest generation
-	// was released. Departing threads meet vRelease (all guarded by nmu).
-	vArrive  int64
-	vRelease int64
 }
 
 // NewBarrier creates a barrier for n threads.
@@ -55,32 +50,18 @@ func (b *Barrier) Wait(t *Thread) bool {
 	s := b.dom.enter(t, "barrier", b.name)
 	if !b.rt.det() {
 		b.nmu.Lock()
+		defer b.nmu.Unlock()
 		gen := b.ngen
 		b.narr++
-		if v := t.VNow(); v > b.vArrive {
-			b.vArrive = v
-		}
 		if b.narr == b.n {
-			// Last arrival: this generation is released at the maximum
-			// arrival virtual time.
 			b.narr = 0
 			b.ngen++
-			b.vRelease = b.vArrive
-			b.vArrive = 0
-			rel := b.vRelease
-			b.nmu.Unlock()
-			t.vMeet(rel)
-			t.vAdd(t.vCost())
 			b.ncv.Broadcast()
 			return true
 		}
 		for gen == b.ngen {
 			b.ncv.Wait()
 		}
-		rel := b.vRelease
-		b.nmu.Unlock()
-		t.vMeet(rel)
-		t.vAdd(t.vCost())
 		return false
 	}
 	s.GetTurn(t.ct)

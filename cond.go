@@ -2,7 +2,7 @@ package qithread
 
 import (
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"qithread/internal/core"
 )
@@ -24,10 +24,6 @@ type Cond struct {
 	bindMu sync.Mutex
 	nc     *sync.Cond
 	bound  *Mutex
-
-	// vSig is the virtual time of the latest signal/broadcast, for bypass
-	// paths' critical-path accounting.
-	vSig atomic.Int64
 }
 
 // NewCond creates a condition variable.
@@ -64,7 +60,8 @@ func (c *Cond) Wait(t *Thread, m *Mutex) {
 
 // TimedWait is Wait with a logical timeout in turns. It returns true if the
 // thread was signaled and false on timeout. The mutex is re-acquired either
-// way, as with pthread_cond_timedwait.
+// way, as with pthread_cond_timedwait. In Nondet mode the timeout is
+// turns*nondetSleepUnit of real time, the unit Sleep uses.
 func (c *Cond) TimedWait(t *Thread, m *Mutex, turns int64) bool {
 	return c.wait(t, m, turns)
 }
@@ -75,16 +72,23 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 	}
 	s := c.dom.enter(t, "cond", c.name)
 	if s == nil {
-		// Nondet: timeouts are modeled by a timer goroutine waking the
-		// condition; workloads in the catalog only use untimed waits in
-		// Nondet mode, so plain Wait suffices here.
+		nc := c.nondetCond(m)
 		m.owner = nil
-		c.nondetCond(m).Wait()
+		expired := false // guarded by m.real, which the timer takes to broadcast
+		if timeout > 0 {
+			// The broadcast also wakes the other waiters; to them it is a
+			// spurious wake-up, which pthreads allows.
+			timer := time.AfterFunc(nondetSleepUnit*time.Duration(timeout), func() {
+				nc.L.Lock()
+				expired = true
+				nc.Broadcast()
+				nc.L.Unlock()
+			})
+			defer timer.Stop()
+		}
+		nc.Wait()
 		m.owner = t
-		t.vMeet(c.vSig.Load())
-		t.vMeet(m.vRel.Load())
-		t.vAdd(t.vCost())
-		return true
+		return !expired
 	}
 	s.GetTurn(t.ct)
 	op := core.OpCondWait
@@ -95,7 +99,7 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 	if m.bypass() {
 		// A PCS mutex under Config.PCS: released natively, retaken outside
 		// the turn; the wait is the scheduler's, which Signal wakes.
-		m.unlockBypass(t)
+		m.unlockBypass(t, s)
 		st := t.park(c.obj, timeout)
 		s.TraceOp(t.ct, op, c.obj, core.StatusReturn)
 		t.release()
@@ -130,8 +134,6 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 func (c *Cond) Signal(t *Thread) {
 	s := c.dom.enter(t, "cond", c.name)
 	if !c.rt.det() {
-		t.vAdd(t.vCost())
-		amax(&c.vSig, t.VNow())
 		c.bindMu.Lock()
 		nc := c.nc
 		c.bindMu.Unlock()
@@ -159,8 +161,6 @@ func (c *Cond) Signal(t *Thread) {
 func (c *Cond) Broadcast(t *Thread) {
 	s := c.dom.enter(t, "cond", c.name)
 	if !c.rt.det() {
-		t.vAdd(t.vCost())
-		amax(&c.vSig, t.VNow())
 		c.bindMu.Lock()
 		nc := c.nc
 		c.bindMu.Unlock()

@@ -31,15 +31,30 @@ func minMallocs(settle, run func()) uint64 {
 
 // TestRecordSizesPinned: the benchmark's byte metrics are sums of allocation
 // size classes, so a record that sits on a class edge turns one more word
-// into the next class for every instance a run makes. Thread is 248 B, in the
-// 256 class: two pointers more and every thread a program creates costs 288
-// (catalog's alloc_bytes_per_op +6.5 %, over its 5 % bound — the hosted-run
-// prototype measured it). Runtime is 320, exact. The Scheduler has room
-// inside the 1,152 class and is where per-run state that must cost the other
-// workloads nothing goes (its host pointer).
+// into the next class for every instance a run makes. Thread is 240 B, the
+// whole 240 class: one word more and every thread a program creates costs
+// 256, three more and 288 (catalog's alloc_bytes_per_op +6.5 %, over its 5 %
+// bound — the hosted-run prototype measured it). Cond and Sem fill the 64
+// class, RWMutex and Barrier sit at 88 in the 96 class. Runtime has room
+// inside the 320 class. The Scheduler has room inside the 1,152 class and is
+// where per-run state that must cost the other workloads nothing goes (its
+// host pointer).
 func TestRecordSizesPinned(t *testing.T) {
-	if n := unsafe.Sizeof(Thread{}); n > 256 {
-		t.Errorf("Thread is %d B, want <= 256: the next size class is 288; per-thread state goes in core.Thread's padding or the scheduler's host record", n)
+	if n := unsafe.Sizeof(Thread{}); n > 240 {
+		t.Errorf("Thread is %d B, want <= 240: the next size class is 256; per-thread state goes in core.Thread's padding or the scheduler's host record", n)
+	}
+	for _, r := range []struct {
+		name              string
+		size, class, next uintptr
+	}{
+		{"Cond", unsafe.Sizeof(Cond{}), 64, 80},
+		{"Sem", unsafe.Sizeof(Sem{}), 64, 80},
+		{"RWMutex", unsafe.Sizeof(RWMutex{}), 96, 112},
+		{"Barrier", unsafe.Sizeof(Barrier{}), 96, 112},
+	} {
+		if r.size > r.class {
+			t.Errorf("%s is %d B, want <= %d: the next size class is %d", r.name, r.size, r.class, r.next)
+		}
 	}
 	if n := unsafe.Sizeof(Runtime{}); n > 320 {
 		t.Errorf("Runtime is %d B, want <= 320: the next size class is 352", n)

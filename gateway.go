@@ -174,7 +174,6 @@ func (gw *Gateway) AddSource(s IngressSource) {
 func (gw *Gateway) Admit(t *Thread, dst []IngressEvent) (n int, ok bool) {
 	s := gw.dom.enter(t, "ingress gateway", gw.name)
 	if !gw.rt.det() {
-		t.vAdd(t.vCost())
 		return gw.g.Admit(dst)
 	}
 	s.GetTurn(t.ct)

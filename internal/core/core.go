@@ -175,8 +175,9 @@ const (
 
 // Virtual-time cost, in work units, of one synchronization operation: under
 // the turn mechanism (RoundRobin, LogicalClock: wrapper + scheduler queues),
-// and as a native operation (VirtualParallel, and the root package's Nondet
-// mode: a plain pthread op is much cheaper than a scheduled turn).
+// and as a native operation (VirtualParallel, and the root package's PCS
+// bypass outside the turn: a plain pthread op is much cheaper than a
+// scheduled turn). Nondet runs keep no virtual time.
 const (
 	vSyncCostTurn   int64 = 12
 	VSyncCostNative int64 = 4

@@ -2,7 +2,6 @@ package qithread
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"qithread/internal/core"
 )
@@ -28,9 +27,10 @@ type Mutex struct {
 	// modes), so it needs no further synchronization.
 	owner *Thread
 
-	// vRel is the virtual time of the last release, for the bypass paths'
-	// (Nondet mode, PCS) per-object critical-path accounting.
-	vRel atomic.Int64
+	// vRel is the virtual time of the last release, for the PCS bypass's
+	// per-object critical-path accounting. A plain field: a PCS run is hosted,
+	// so every thread that touches the mutex runs on one goroutine.
+	vRel int64
 }
 
 // NewMutex creates a mutex. Creation is itself a deterministically ordered
@@ -60,26 +60,28 @@ func (rt *Runtime) newMutex(t *Thread, name string, pcs bool) *Mutex {
 	return m
 }
 
-// bypass reports whether operations on this mutex skip the deterministic
-// scheduler (Nondet mode, or a PCS-hinted mutex with Config.PCS).
-func (m *Mutex) bypass() bool {
-	return !m.rt.det() || (m.pcs && m.rt.cfg.PCS)
-}
+// bypass reports whether operations on this mutex skip the turn of a
+// deterministic run: a PCS-hinted mutex with Config.PCS. (A Nondet run has no
+// turn; the wrappers take their native path before asking.)
+func (m *Mutex) bypass() bool { return m.pcs && m.rt.cfg.PCS }
 
 // Lock acquires the mutex (Figure 5, lock_wrapper).
 func (m *Mutex) Lock(t *Thread) {
 	s := m.dom.enter(t, "mutex", m.name)
+	if s == nil {
+		m.real.Lock()
+		m.owner = t
+		return
+	}
 	if m.bypass() {
-		if s == nil {
-			m.real.Lock()
-		} else {
-			for !m.real.TryLock() {
-				s.YieldOffTurn(t.ct)
-			}
+		for !m.real.TryLock() {
+			s.YieldOffTurn(t.ct)
 		}
 		m.owner = t
-		t.vMeet(m.vRel.Load())
-		t.vAdd(t.vCost())
+		// The acquisition advances the thread's virtual clock, which is how
+		// YieldOffTurn's driver tells a successful retry from a spin.
+		t.ct.MeetVTime(m.vRel)
+		t.ct.AddVTime(core.VSyncCostNative)
 		return
 	}
 	s.GetTurn(t.ct)
@@ -107,13 +109,20 @@ func (m *Mutex) Lock(t *Thread) {
 // it succeeded.
 func (m *Mutex) TryLock(t *Thread) bool {
 	s := m.dom.enter(t, "mutex", m.name)
+	if s == nil {
+		ok := m.real.TryLock()
+		if ok {
+			m.owner = t
+		}
+		return ok
+	}
 	if m.bypass() {
 		ok := m.real.TryLock()
 		if ok {
 			m.owner = t
-			t.vMeet(m.vRel.Load())
+			t.ct.MeetVTime(m.vRel)
 		}
-		t.vAdd(t.vCost())
+		t.ct.AddVTime(core.VSyncCostNative)
 		return ok
 	}
 	s.GetTurn(t.ct)
@@ -134,11 +143,11 @@ func (m *Mutex) TryLock(t *Thread) bool {
 // release below ends the critical section's whole-turn.
 func (m *Mutex) Unlock(t *Thread) {
 	s := m.dom.enter(t, "mutex", m.name)
-	if m.bypass() {
+	if s == nil || m.bypass() {
 		if m.owner != t {
 			panic("qithread: Unlock of mutex " + m.name + " not held by " + t.String())
 		}
-		m.unlockBypass(t)
+		m.unlockBypass(t, s)
 		return
 	}
 	s.GetTurn(t.ct)
@@ -153,11 +162,15 @@ func (m *Mutex) Unlock(t *Thread) {
 	t.release()
 }
 
-// unlockBypass is the bypass paths' release of a mutex t holds.
-func (m *Mutex) unlockBypass(t *Thread) {
+// unlockBypass releases a mutex t holds without taking the turn: natively in
+// Nondet mode (s is nil), and for the PCS bypass with its virtual-time
+// accounting.
+func (m *Mutex) unlockBypass(t *Thread, s *core.Scheduler) {
 	m.owner = nil
-	t.vAdd(t.vCost())
-	m.vRel.Store(t.VNow()) // published before the release below
+	if s != nil {
+		t.ct.AddVTime(core.VSyncCostNative)
+		m.vRel = t.ct.VTime()
+	}
 	m.real.Unlock()
 }
 
@@ -167,7 +180,7 @@ func (m *Mutex) unlockBypass(t *Thread) {
 // programs that churn mutexes do not leak map entries.
 func (m *Mutex) Destroy(t *Thread) {
 	s := m.dom.enter(t, "mutex", m.name)
-	if m.bypass() {
+	if s == nil || m.bypass() {
 		return
 	}
 	s.GetTurn(t.ct)

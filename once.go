@@ -2,7 +2,6 @@ package qithread
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"qithread/internal/core"
 )
@@ -20,8 +19,7 @@ type Once struct {
 	running bool
 	done    bool
 
-	nonce sync.Once
-	vDone atomic.Int64 // virtual time at which the initializer completed
+	nonce sync.Once // Nondet mode
 }
 
 // NewOnce creates a one-time initializer gate.
@@ -42,12 +40,7 @@ func (rt *Runtime) NewOnce(t *Thread, name string) *Once {
 func (o *Once) Do(t *Thread, fn func()) {
 	s := o.dom.enter(t, "once", o.name)
 	if !o.rt.det() {
-		o.nonce.Do(func() {
-			fn()
-			t.vAdd(t.vCost())
-			o.vDone.Store(t.VNow())
-		})
-		t.vMeet(o.vDone.Load())
+		o.nonce.Do(fn)
 		return
 	}
 	s.GetTurn(t.ct)

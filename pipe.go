@@ -85,94 +85,6 @@ func (p *Pipe) Recv(t *Thread) (any, bool) {
 	return v, true
 }
 
-// TryRecv dequeues without blocking; ok reports whether a message was
-// available.
-func (p *Pipe) TryRecv(t *Thread) (v any, ok bool) {
-	p.m.Lock(t)
-	if len(p.buf) > 0 {
-		v, ok = p.buf[0], true
-		p.buf = p.buf[1:]
-	}
-	p.m.Unlock(t)
-	if ok {
-		p.notFull.Signal(t)
-	}
-	return v, ok
-}
-
-// Len returns the number of queued messages.
-func (p *Pipe) Len(t *Thread) int {
-	p.m.Lock(t)
-	n := len(p.buf)
-	p.m.Unlock(t)
-	return n
-}
-
-// SendAll sends every message of vs in order, moving up to the pipe's
-// capacity per mutex acquisition — the in-domain analogue of XPipe.SendAll:
-// one lock round and one receiver wake-up per batch instead of one per
-// message. It returns the number of messages sent: len(vs), or fewer if the
-// pipe was closed while the sender was blocked (the remainder is dropped, as
-// with Send). An empty vs sends nothing. Messages beyond the pipe's capacity
-// are delivered across several batches, so a single SendAll may interleave
-// with other senders at batch granularity (each batch itself is atomic).
-func (p *Pipe) SendAll(t *Thread, vs []any) int {
-	if len(vs) == 0 {
-		return 0
-	}
-	sent := 0
-	p.m.Lock(t)
-	for sent < len(vs) {
-		for len(p.buf) >= p.capacity && !p.closed {
-			p.notFull.Wait(t, p.m)
-		}
-		if p.closed {
-			break
-		}
-		for len(p.buf) < p.capacity && sent < len(vs) {
-			p.buf = append(p.buf, vs[sent])
-			sent++
-		}
-		p.notEmpty.Broadcast(t)
-	}
-	p.m.Unlock(t)
-	return sent
-}
-
-// RecvUpTo receives up to min(len(dst), capacity) messages into dst in one
-// mutex acquisition, blocking until that many are queued or the pipe is
-// closed — the in-domain analogue of XPipe.RecvUpTo, with the same contract:
-// n is the number of messages stored, ok is false only once the pipe is
-// closed and drained, and an empty dst receives nothing. A request larger
-// than the pipe's capacity is clamped to the capacity (it could otherwise
-// never be satisfied by a full pipe).
-func (p *Pipe) RecvUpTo(t *Thread, dst []any) (n int, ok bool) {
-	if len(dst) == 0 {
-		return 0, true
-	}
-	want := len(dst)
-	if want > p.capacity {
-		want = p.capacity
-	}
-	p.m.Lock(t)
-	for len(p.buf) < want && !p.closed {
-		p.notEmpty.Wait(t, p.m)
-	}
-	n = len(p.buf)
-	if n > want {
-		n = want
-	}
-	if n == 0 {
-		p.m.Unlock(t)
-		return 0, false
-	}
-	copy(dst, p.buf[:n])
-	p.buf = p.buf[n:]
-	p.m.Unlock(t)
-	p.notFull.Broadcast(t)
-	return n, true
-}
-
 // Close marks the pipe closed and wakes all blocked senders and receivers.
 // Queued messages remain receivable; further sends fail.
 func (p *Pipe) Close(t *Thread) {
@@ -214,15 +126,9 @@ type XPipe struct {
 	// Nondet fallback state.
 	nmu      sync.Mutex
 	ncv      *sync.Cond
-	nbuf     []xmsg
+	nbuf     []any
 	nclosed  bool
 	capacity int
-}
-
-// xmsg is one Nondet-mode message with the sender's virtual time.
-type xmsg struct {
-	v  any
-	vt int64
 }
 
 // NewXPipe creates a sequenced pipe from one scheduler domain to another
@@ -306,13 +212,11 @@ func (p *XPipe) SendAll(t *Thread, vs []any) int {
 			if p.nclosed {
 				break
 			}
-			vt := t.VNow()
 			for len(p.nbuf) < p.capacity && sent < len(vs) {
-				p.nbuf = append(p.nbuf, xmsg{v: vs[sent], vt: vt})
+				p.nbuf = append(p.nbuf, vs[sent])
 				sent++
 			}
 			p.ncv.Broadcast()
-			t.vAdd(t.vCost())
 		}
 		p.nmu.Unlock()
 		return sent
@@ -363,19 +267,10 @@ func (p *XPipe) RecvUpTo(t *Thread, dst []any) (n int, ok bool) {
 			p.nmu.Unlock()
 			return 0, false
 		}
-		var vmax int64
-		for i := 0; i < n; i++ {
-			m := p.nbuf[i]
-			dst[i] = m.v
-			if m.vt > vmax {
-				vmax = m.vt
-			}
-		}
+		copy(dst, p.nbuf[:n])
 		p.nbuf = p.nbuf[n:]
 		p.ncv.Broadcast()
 		p.nmu.Unlock()
-		t.vMeet(vmax)
-		t.vAdd(t.vCost())
 		return n, true
 	}
 	s.GetTurn(t.ct)

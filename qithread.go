@@ -12,10 +12,11 @@
 // each is a goroutine); domains are the unit of parallelism, and everything outside synchronization is delegated to the Go
 // runtime scheduler, as the paper delegates it to the OS scheduler (Figure 4).
 //
-// A Runtime is created with a Config choosing one of three modes:
+// A Runtime is created with a Config choosing one of four modes:
 //
-//   - Nondet: wrappers map directly onto Go's sync primitives. This is the
-//     nondeterministic baseline all overheads are normalized against.
+//   - Nondet: wrappers map directly onto Go's sync primitives, with no
+//     scheduler and no virtual time (VirtualMakespan is 0). It checks that a
+//     program's output does not depend on the schedule.
 //   - RoundRobin: the deterministic turn-based mechanism with the round-robin
 //     base policy (Parrot and QiThread). The five semantics-aware policies of
 //     the paper (BoostBlocked, CreateAll, CSWhole, WakeAMAP, BranchedWake)
@@ -23,6 +24,9 @@
 //     performance hints via Config.SoftBarriers and Config.PCS.
 //   - LogicalClock: the Kendo/CoreDet-style baseline where the runnable
 //     thread with the minimal instruction clock runs next.
+//   - VirtualParallel: an ideal parallel execution on unbounded cores, the
+//     model of native threads that every virtual makespan is normalized
+//     against.
 //
 // Typical use:
 //
@@ -61,7 +65,8 @@ type Mode uint8
 
 const (
 	// Nondet uses Go's native synchronization primitives with no
-	// deterministic scheduling. It is the baseline for overhead numbers.
+	// deterministic scheduling and keeps no virtual time. It is the baseline
+	// for host-time overhead numbers.
 	Nondet Mode = iota
 	// RoundRobin is the deterministic turn-based mechanism with the
 	// round-robin base policy used by Parrot and QiThread.

@@ -25,18 +25,7 @@ type Runtime struct {
 	gateway0 [1]*Gateway // backing array of gateways until a second one outgrows it
 
 	wg      sync.WaitGroup
-	nthread atomic.Int64 // total threads ever created (diagnostics)
-	vMax    atomic.Int64 // Nondet mode: max final virtual clock over threads
-}
-
-// amax atomically raises a to at least v.
-func amax(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v <= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	nthread atomic.Int64 // total threads ever created (diagnostics); Create bumps it from any domain
 }
 
 // New creates a runtime with the given configuration.
@@ -151,10 +140,11 @@ func (rt *Runtime) allDomains() []*Domain {
 // parallel execution time in work units (see the virtual-time model in
 // internal/core). Valid after Run returns. The experiment harness measures
 // virtual makespans so the paper's parallelism results reproduce on any
-// host, including single-core machines.
+// host, including single-core machines. 0 in Nondet mode, which keeps no
+// virtual time: the modelled native baseline is VirtualParallel.
 func (rt *Runtime) VirtualMakespan() int64 {
 	if !rt.det() {
-		return rt.vMax.Load()
+		return 0
 	}
 	// A partitioned execution finishes when its slowest domain does.
 	var max int64

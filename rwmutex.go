@@ -2,7 +2,6 @@ package qithread
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"qithread/internal/core"
 )
@@ -24,11 +23,7 @@ type RWMutex struct {
 	writer     bool
 	waitingWri int
 
-	nrw sync.RWMutex
-	// Nondet accounting: virtual times of the last write release and the
-	// running max of read releases.
-	vWRel atomic.Int64
-	vRRel atomic.Int64
+	nrw sync.RWMutex // Nondet mode
 }
 
 // NewRWMutex creates a readers-writer lock.
@@ -49,8 +44,6 @@ func (rw *RWMutex) RLock(t *Thread) {
 	s := rw.dom.enter(t, "rwlock", rw.name)
 	if !rw.rt.det() {
 		rw.nrw.RLock()
-		t.vMeet(rw.vWRel.Load())
-		t.vAdd(t.vCost())
 		return
 	}
 	s.GetTurn(t.ct)
@@ -94,9 +87,6 @@ func (rw *RWMutex) WLock(t *Thread) {
 	s := rw.dom.enter(t, "rwlock", rw.name)
 	if !rw.rt.det() {
 		rw.nrw.Lock()
-		t.vMeet(rw.vWRel.Load())
-		t.vMeet(rw.vRRel.Load())
-		t.vAdd(t.vCost())
 		return
 	}
 	s.GetTurn(t.ct)
@@ -141,8 +131,6 @@ func (rw *RWMutex) TryWLock(t *Thread) bool {
 func (rw *RWMutex) RUnlock(t *Thread) {
 	s := rw.dom.enter(t, "rwlock", rw.name)
 	if !rw.rt.det() {
-		t.vAdd(t.vCost())
-		amax(&rw.vRRel, t.VNow())
 		rw.nrw.RUnlock()
 		return
 	}
@@ -153,8 +141,6 @@ func (rw *RWMutex) RUnlock(t *Thread) {
 func (rw *RWMutex) WUnlock(t *Thread) {
 	s := rw.dom.enter(t, "rwlock", rw.name)
 	if !rw.rt.det() {
-		t.vAdd(t.vCost())
-		amax(&rw.vWRel, t.VNow())
 		rw.nrw.Unlock()
 		return
 	}

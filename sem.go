@@ -2,7 +2,7 @@ package qithread
 
 import (
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"qithread/internal/core"
 )
@@ -24,9 +24,6 @@ type Sem struct {
 
 	nmu sync.Mutex
 	ncv *sync.Cond
-
-	// vPost is the virtual time of the latest post (Nondet accounting).
-	vPost atomic.Int64
 }
 
 // NewSem creates a semaphore with the given initial value.
@@ -48,14 +45,7 @@ func (rt *Runtime) NewSem(t *Thread, name string, value int64) *Sem {
 func (sem *Sem) Wait(t *Thread) {
 	s := sem.dom.enter(t, "sem", sem.name)
 	if !sem.rt.det() {
-		sem.nmu.Lock()
-		for sem.val == 0 {
-			sem.ncv.Wait()
-		}
-		sem.val--
-		sem.nmu.Unlock()
-		t.vMeet(sem.vPost.Load())
-		t.vAdd(t.vCost())
+		sem.nondetWait(core.NoTimeout)
 		return
 	}
 	s.GetTurn(t.ct)
@@ -98,14 +88,12 @@ func (sem *Sem) TryWait(t *Thread) bool {
 }
 
 // TimedWait is Wait with a logical timeout in turns; it reports whether the
-// semaphore was acquired (sem_timedwait).
+// semaphore was acquired (sem_timedwait). In Nondet mode the timeout is
+// turns*nondetSleepUnit of real time, the unit Sleep uses.
 func (sem *Sem) TimedWait(t *Thread, turns int64) bool {
 	s := sem.dom.enter(t, "sem", sem.name)
 	if !sem.rt.det() {
-		// The catalog only uses timed semaphore waits deterministically;
-		// Nondet mode falls back to an untimed wait.
-		sem.Wait(t)
-		return true
+		return sem.nondetWait(turns)
 	}
 	s.GetTurn(t.ct)
 	for sem.val == 0 {
@@ -125,14 +113,38 @@ func (sem *Sem) TimedWait(t *Thread, turns int64) bool {
 	return true
 }
 
+// nondetWait is Wait (timeout NoTimeout) and TimedWait in Nondet mode. A
+// timed wait ends when a timer broadcasts after timeout*nondetSleepUnit; to
+// the other waiters that wake-up is spurious, and they wait on.
+func (sem *Sem) nondetWait(timeout int64) bool {
+	sem.nmu.Lock()
+	defer sem.nmu.Unlock()
+	expired := false // guarded by nmu
+	if timeout > 0 && sem.val == 0 {
+		timer := time.AfterFunc(nondetSleepUnit*time.Duration(timeout), func() {
+			sem.nmu.Lock()
+			expired = true
+			sem.ncv.Broadcast()
+			sem.nmu.Unlock()
+		})
+		defer timer.Stop()
+	}
+	for sem.val == 0 && !expired {
+		sem.ncv.Wait()
+	}
+	if sem.val == 0 {
+		return false
+	}
+	sem.val--
+	return true
+}
+
 // Post increments the semaphore and wakes one waiter (sem_post). Under
 // WakeAMAP the caller keeps the turn while more threads wait on the
 // semaphore.
 func (sem *Sem) Post(t *Thread) {
 	s := sem.dom.enter(t, "sem", sem.name)
 	if !sem.rt.det() {
-		t.vAdd(t.vCost())
-		amax(&sem.vPost, t.VNow())
 		sem.nmu.Lock()
 		sem.val++
 		sem.nmu.Unlock()

@@ -3,7 +3,6 @@ package qithread
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"qithread/internal/core"
@@ -48,47 +47,7 @@ type Thread struct {
 	joinObj    uint64
 	done       bool
 	nondetDone chan struct{}
-
-	// nv is the thread's virtual clock in Nondet mode (deterministic modes
-	// keep it on the core thread). Atomic because joiners read it.
-	nv atomic.Int64
 }
-
-// VNow returns the thread's current virtual clock.
-func (t *Thread) VNow() int64 {
-	if t.ct != nil {
-		return t.ct.VTime()
-	}
-	return t.nv.Load()
-}
-
-// vAdd advances the thread's virtual clock by n (sync cost accounting).
-func (t *Thread) vAdd(n int64) {
-	if t.ct != nil {
-		t.ct.AddVTime(n)
-		return
-	}
-	t.nv.Add(n)
-}
-
-// vMeet raises the thread's virtual clock to at least v (a happens-before
-// edge from an event that completed at virtual time v).
-func (t *Thread) vMeet(v int64) {
-	if t.ct != nil {
-		t.ct.MeetVTime(v)
-		return
-	}
-	for {
-		cur := t.nv.Load()
-		if v <= cur || t.nv.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// vCost is the virtual cost of one native (non-turn) synchronization
-// operation.
-func (t *Thread) vCost() int64 { return core.VSyncCostNative }
 
 // Name returns the thread's debugging name.
 func (t *Thread) Name() string { return t.name }
@@ -113,8 +72,6 @@ func (t *Thread) Create(name string, fn func(*Thread)) *Thread {
 	child := t.rt.newThread(name, t.dom)
 	child.fn = fn
 	if !t.rt.det() {
-		t.vAdd(t.vCost())
-		child.nv.Store(t.VNow())
 		t.rt.wg.Add(1)
 		spawn(child)
 		return child
@@ -173,8 +130,6 @@ func (t *Thread) Join(c *Thread) {
 	}
 	if !t.rt.det() {
 		<-c.nondetDone
-		t.vMeet(c.nv.Load())
-		t.vAdd(t.vCost())
 		return
 	}
 	s := t.dom.rec.Sched
@@ -198,7 +153,6 @@ func (t *Thread) Join(c *Thread) {
 func (t *Thread) exit() {
 	if !t.rt.det() {
 		t.done = true
-		amax(&t.rt.vMax, t.nv.Load())
 		close(t.nondetDone)
 		return
 	}
@@ -270,14 +224,13 @@ func (t *Thread) Sleep(turns int64) {
 	}
 	if !t.rt.det() {
 		time.Sleep(nondetSleepUnit * time.Duration(turns))
-		t.vAdd(turns)
 		return
 	}
 	s := t.dom.rec.Sched
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpSleep, 0, core.StatusBlocked)
 	t.park(0, turns) // object 0 is never signaled: pure timeout
-	t.vAdd(turns)
+	t.ct.AddVTime(turns)
 	t.release()
 }
 
@@ -328,8 +281,6 @@ func (t *Thread) WorkSeeded(seed uint64, n int64) uint64 {
 	v := spin.Work(seed, n)
 	if t.rt.det() {
 		t.dom.rec.Sched.AddWork(t.ct, n)
-	} else {
-		t.nv.Add(n)
 	}
 	return v
 }

@@ -108,6 +108,69 @@ func TestSemTimedWaitAndValue(t *testing.T) {
 	})
 }
 
+// TestNondetTimedWaitExpires: under Nondet a timed wait that nobody ends
+// expires after turns*nondetSleepUnit of real time — a condition variable's
+// with its mutex re-acquired, and a semaphore's — while one that is signaled
+// or posted reports success. Each case runs under a 2 s bound, so a wait that
+// never expires fails the test instead of hanging it.
+func TestNondetTimedWaitExpires(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		body func(rt *Runtime, main *Thread)
+	}{
+		{"cond", func(rt *Runtime, main *Thread) {
+			m := rt.NewMutex(main, "m")
+			cv := rt.NewCond(main, "cv")
+			m.Lock(main)
+			if cv.TimedWait(main, m, 5) {
+				t.Error("Cond.TimedWait with no signaler reported a signal")
+			}
+			m.Unlock(main) // panics unless the wait re-acquired m
+			ready := false
+			w := main.Create("signaler", func(w *Thread) {
+				m.Lock(w)
+				ready = true
+				m.Unlock(w)
+				cv.Signal(w)
+			})
+			m.Lock(main)
+			for !ready {
+				if !cv.TimedWait(main, m, 1_000_000) {
+					t.Error("Cond.TimedWait timed out instead of being signaled")
+					break
+				}
+			}
+			m.Unlock(main)
+			main.Join(w)
+		}},
+		{"sem", func(rt *Runtime, main *Thread) {
+			s := rt.NewSem(main, "s", 0)
+			if s.TimedWait(main, 5) {
+				t.Error("Sem.TimedWait at zero with no poster succeeded")
+			}
+			w := main.Create("poster", func(w *Thread) { s.Post(w) })
+			if !s.TimedWait(main, 1_000_000) {
+				t.Error("Sem.TimedWait timed out instead of taking the post")
+			}
+			main.Join(w)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				rt := New(Config{Mode: Nondet})
+				rt.Run(func(main *Thread) { tc.body(rt, main) })
+			}()
+			select {
+			case <-done:
+			case <-time.After(2 * time.Second):
+				t.Fatal("a Nondet timed wait nobody ends is still blocked after 2 s")
+			}
+		})
+	}
+}
+
 // TestRWMutexTryLocks covers the try variants.
 func TestRWMutexTryLocks(t *testing.T) {
 	for _, cfg := range []Config{{Mode: Nondet}, {Mode: RoundRobin, Policies: AllPolicies}} {
@@ -323,7 +386,7 @@ func TestPCSCondBypass(t *testing.T) {
 }
 
 // TestVirtualMakespanMonotonicity: more work means a larger makespan in
-// every mode.
+// every deterministic mode; Nondet keeps no virtual time and reports 0.
 func TestVirtualMakespanMonotonicity(t *testing.T) {
 	run := func(cfg Config, work int64) int64 {
 		rt := New(cfg)
@@ -340,8 +403,10 @@ func TestVirtualMakespanMonotonicity(t *testing.T) {
 		})
 		return rt.VirtualMakespan()
 	}
+	if v := run(Config{Mode: Nondet}, 10_000); v != 0 {
+		t.Errorf("nondet: makespan %d, want 0", v)
+	}
 	for _, cfg := range []Config{
-		{Mode: Nondet},
 		{Mode: VirtualParallel},
 		{Mode: RoundRobin},
 		{Mode: RoundRobin, Policies: AllPolicies},
