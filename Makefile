@@ -19,7 +19,8 @@ check: build fmt vet race shuffle cpu-matrix alloc-bounds soak-smoke explore-smo
 # domain of a deterministic run on one goroutine) are held to the same matrix
 # under -race — one goroutine must behave the same with Ps to spare: the
 # stress script, the off-turn queue, the 705 goldens in one pass, and the
-# lifetime, hosting-edge, PCS and replay-divergence tests of the root package.
+# lifetime, hosting-edge, leftover-goroutine, PCS and replay-divergence tests
+# of the root package.
 # A hosted scheduler is its goroutine's alone (DESIGN.md §4.1): the same lane
 # runs a hosted script with the entry lock held (TestHostedSchedulerTakesNoLock)
 # and checkpoints beside a busy domain, which must not read that domain's
@@ -30,7 +31,7 @@ cpu-matrix:
 	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHandoffStress|TestHosted' ./internal/core
 	$(GO) test -race -cpu 4 -count=1 -run 'TestDomainsDeterministic|TestLeaseTraceNeutral' ./internal/harness
 	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestTraceCompatibility' ./internal/harness
-	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHosted|TestPCSRunHosted|TestPCSOffTurnDeadlock|TestPCSCondBypass|TestReplayUnknownThreadDiverges|TestDestroyCondWithParkedWaiters|TestDestroyMutexRecycled|TestPipeCloseWithBlockedReaders|TestCreateAfterExit|TestGrantRecycling|TestCheckpointRefusesActiveDomain' .
+	$(GO) test -race -cpu 1,2,4 -count=1 -run 'TestHosted|TestRunLeavesNoGoroutines|TestPCSRunHosted|TestPCSOffTurnDeadlock|TestPCSCondBypass|TestReplayUnknownThreadDiverges|TestDestroyCondWithParkedWaiters|TestDestroyMutexRecycled|TestPipeCloseWithBlockedReaders|TestCreateAfterExit|TestGrantRecycling|TestCheckpointRefusesActiveDomain' .
 
 # The single-copy schedule path (DESIGN.md §4.7): a retained trace and a
 # loaded binary schedule each allocate about 1x their own size, and replay
@@ -152,13 +153,6 @@ controlplane-smoke:
 	$(GO) run ./cmd/qireplay -program controlplane-fixed -runs 20 -expect ok \
 		-schedule "$$(ls .controlplane_smoke/repro-*.sched | head -1)"
 	@rm -rf .controlplane_smoke
-
-# The parallel engine under the race detector: worker-count invariance, the
-# HB pruner and the flock/atomic-rename persistence paths all run at
-# workers=4 inside these tests.
-.PHONY: explore-race
-explore-race:
-	$(GO) test -race -count=1 ./internal/explore
 
 # The micro-benchmarks no benchmark/ probe measures: the arm pairs of
 # BenchmarkMechanismLockUnlock (native vs turn, lease vs none, the policy

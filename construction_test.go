@@ -2,7 +2,6 @@ package qithread
 
 import (
 	"runtime"
-	"sync"
 	"testing"
 	"unsafe"
 
@@ -10,14 +9,12 @@ import (
 	"qithread/internal/ingress"
 )
 
-// minMallocs is the heap allocations of run, the cheapest of five executions
-// with settle called before each: the minimum discards an execution that a
-// background goroutine of an earlier test (or the GC's own bookkeeping)
-// allocated into.
-func minMallocs(settle, run func()) uint64 {
+// minMallocs is the heap allocations of run, the cheapest of five
+// executions: the minimum discards an execution that a background goroutine
+// of an earlier test (or the GC's own bookkeeping) allocated into.
+func minMallocs(run func()) uint64 {
 	best := ^uint64(0)
 	for i := 0; i < 5; i++ {
-		settle()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		run()
@@ -69,26 +66,15 @@ func TestRecordSizesPinned(t *testing.T) {
 // embedded and registered in place — plus whatever the scheduler's maps and
 // tables amortize to; its coroutine comes from the free list, its body
 // reaches it without a closure, and its join object's map entries are
-// released when it exits. With both pools warm, the marginal
-// cost of one more created-and-joined thread is therefore at most 1.5
-// allocations. Both pools are bounded channel free lists, not sync.Pools, so
-// the count is exact under -race too (`make alloc-bounds`).
+// released when it exits. With the free list warm, the marginal cost of one
+// more created-and-joined thread is therefore at most 1.5 allocations. The
+// free list is a bounded channel, not a sync.Pool, so the count is exact
+// under -race too (`make alloc-bounds`).
 func TestThreadAllocBudget(t *testing.T) {
 	const (
 		small, large = 32, 64
 		maxPerThread = 1.5
 	)
-	// Fill the goroutine pool: poolCap bodies blocked at once need poolCap
-	// workers, and all of them park once released (surplus ones exit).
-	gate := make(chan struct{})
-	var held sync.WaitGroup
-	held.Add(poolCap)
-	for i := 0; i < poolCap; i++ {
-		spawnBody(func() { held.Done(); <-gate })
-	}
-	held.Wait()
-	close(gate)
-
 	run := func(threads int) {
 		rt := New(Config{Mode: RoundRobin, Policies: AllPolicies})
 		rt.Run(func(main *Thread) {
@@ -101,15 +87,7 @@ func TestThreadAllocBudget(t *testing.T) {
 			}
 		})
 	}
-	// The count is deterministic once every worker of the previous run is
-	// parked again.
-	allocs := func(threads int) uint64 {
-		return minMallocs(
-			func() {
-				eventually(t, "every pool worker is parked", func() bool { return len(idleWorkers) == poolCap })
-			},
-			func() { run(threads) })
-	}
+	allocs := func(threads int) uint64 { return minMallocs(func() { run(threads) }) }
 	run(large) // fill the coroutine free list
 	lo, hi := allocs(small), allocs(large)
 	perThread := (float64(hi) - float64(lo)) / (large - small)
@@ -129,7 +107,7 @@ func TestRuntimeAllocBudget(t *testing.T) {
 	const budget = 3
 	run := func() { New(Config{Mode: RoundRobin, Policies: AllPolicies}).Run(func(*Thread) {}) }
 	run() // the host record is on the free list from here on
-	best := minMallocs(func() {}, run)
+	best := minMallocs(run)
 	t.Logf("New + Run of an empty main: %d allocs", best)
 	if best > budget {
 		t.Fatalf("New + Run of an empty main makes %d allocations, want <= %d", best, budget)
@@ -200,8 +178,8 @@ func TestGatewayAllocBudget(t *testing.T) {
 		{"live", live, 18},
 	} {
 		tc.run() // warm the free lists
-		base := minMallocs(func() {}, empty)
-		got := minMallocs(func() {}, tc.run) - base
+		base := minMallocs(empty)
+		got := minMallocs(tc.run) - base
 		t.Logf("%s gateway: %d allocs on top of the run's %d", tc.name, got, base)
 		if got > tc.budget {
 			t.Errorf("a %s gateway makes %d allocations, want <= %d", tc.name, got, tc.budget)

@@ -141,7 +141,7 @@ func (d *Domain) Start(name string, fn func(*Thread)) {
 // main thread during setup; the launching thread does not block.
 //
 // A domain of a deterministic run (see Run for the contract) runs on one
-// pooled goroutine: root 0 is its driver, and the other roots and every
+// goroutine of its own: root 0 is its driver, and the other roots and every
 // thread they Create are coroutines of it. The driver drains them after its
 // own body and only then counts as finished, so Run returns after the
 // domain's host record is recycled, never while it is still in use.

@@ -168,7 +168,7 @@ func main() {
 	}
 	say("controlplane-race passes under its default schedule (%d transitions, 0 anomalies).\n", racy.Transitions)
 	say("Find the interleaving that corrupts it, then prove the fix on that exact schedule:\n")
-	say("  qiexplore -program controlplane-race -o results/\n")
+	say("  qiexplore -program controlplane-race -dir results/\n")
 	say("  qireplay  -program controlplane-race  -runs 20 -schedule results/repro-assert-fail-*.sched\n")
 	say("  qireplay  -program controlplane-fixed -runs 20 -expect ok -schedule results/repro-assert-fail-*.sched\n")
 

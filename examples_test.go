@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -45,5 +46,43 @@ func TestExamplesSmoke(t *testing.T) {
 				t.Fatalf("example exited with error: %v\n%s", err, out)
 			}
 		})
+	}
+}
+
+// TestDetclusterExploreHintRuns: the qiexplore command detcluster prints for
+// finding its seeded race is one a user can paste. It is run as printed, with
+// results/ in a temporary directory and -budget 1 appended to keep it short,
+// and must exit zero. Skipped with -short (it shells out to the go tool).
+func TestDetclusterExploreHintRuns(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs detcluster and qiexplore")
+	}
+	bin := t.TempDir()
+	for _, pkg := range []string{"./examples/detcluster", "./cmd/qiexplore"} {
+		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+			t.Fatalf("build %s: %v\n%s", pkg, err, out)
+		}
+	}
+	out, err := exec.Command(filepath.Join(bin, "detcluster")).Output()
+	if err != nil {
+		t.Fatalf("detcluster: %v\n%s", err, out)
+	}
+	var hint []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "qiexplore" {
+			hint = f
+		}
+	}
+	if hint == nil {
+		t.Fatalf("detcluster printed no qiexplore command:\n%s", out)
+	}
+	results := t.TempDir()
+	var args []string
+	for _, a := range hint[1:] {
+		args = append(args, strings.Replace(a, "results/", results+"/", 1))
+	}
+	args = append(args, "-budget", "1")
+	if out, err := exec.Command(filepath.Join(bin, "qiexplore"), args...).CombinedOutput(); err != nil {
+		t.Fatalf("%s: %v\n%s", strings.Join(hint, " "), err, out)
 	}
 }

@@ -3,6 +3,7 @@ package qithread
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,29 +21,49 @@ import (
 // use. `make cpu-matrix` runs them under -race at -cpu 1,2,4 — one goroutine
 // must behave the same with Ps to spare.
 
-// busyPoolGoroutines counts the pool goroutines that are running a body: the
-// ones not parked on the idle list.
-func busyPoolGoroutines() int { return poolGoroutines() - len(idleWorkers) }
-
-// poolGoroutinesTaken runs a program whose every thread is started and none
-// has returned when it calls measure, and reports how many pool goroutines
-// the run was using then.
-func poolGoroutinesTaken(t *testing.T, run func(measure func())) (n int) {
-	settlePool(t)
-	before := busyPoolGoroutines()
-	run(func() { n = busyPoolGoroutines() - before })
+// spawnedGoroutines counts the live goroutines spawn started that are running
+// the closures of fn, a function of this package, or all of them when fn is
+// "" (an inlined closure's frame is "qithread.fn.fn.func1.func3.1", another's
+// "qithread.fn.func1.1"). A goroutine ends with its body, so the count is
+// exact with no settling; with fn set, a goroutine another test froze inside
+// its own body does not count.
+func spawnedGoroutines(fn string) (n int) {
+	buf := make([]byte, 1<<20)
+	size := runtime.Stack(buf, true)
+	for ; size == len(buf); size = runtime.Stack(buf, true) {
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range strings.Split(string(buf[:size]), "\n\n") {
+		if strings.Contains(g, "created by qithread.spawn") && (fn == "" || strings.Contains(g, "qithread."+fn+".")) {
+			n++
+		}
+	}
 	return n
 }
 
+// eventually polls cond until it holds, for at most ten seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestHostedRunStartsNoGoroutines: the threads of a deterministic domain are
-// coroutines of their driver, so a run of eight threads takes nothing from
-// the goroutine pool, PCS hints honored or not, and a launched domain takes
-// exactly one goroutine — its driver, root 0 — whatever its root and thread
-// counts. The same run in Nondet mode takes one goroutine per thread.
+// coroutines of their driver, so a run of eight threads starts no goroutine,
+// PCS hints honored or not, and a launched domain starts exactly one — its
+// driver, root 0 — whatever its root and thread counts. The same run in
+// Nondet mode starts one goroutine per thread. Each count is taken with every
+// thread started and none returned.
 func TestHostedRunStartsNoGoroutines(t *testing.T) {
-	defer holdIdleWorkers(t)()
 	const threads = 8
-	taken := func(run func(measure func())) int { return poolGoroutinesTaken(t, run) }
+	taken := func(run func(measure func())) (n int) {
+		run(func() { n = spawnedGoroutines(t.Name()) })
+		return n
+	}
 	mainRun := func(cfg Config) func(func()) {
 		return func(measure func()) {
 			rt := New(cfg)
@@ -101,16 +122,49 @@ func TestHostedRunStartsNoGoroutines(t *testing.T) {
 
 	for _, cfg := range []Config{{Mode: RoundRobin, Policies: AllPolicies}, {Mode: RoundRobin, Policies: AllPolicies, PCS: true}} {
 		if n := taken(mainRun(cfg)); n != 0 {
-			t.Errorf("a hosted run (PCS %v) of %d threads took %d pool goroutines, want 0", cfg.PCS, threads+1, n)
+			t.Errorf("a hosted run (PCS %v) of %d threads started %d goroutines, want 0", cfg.PCS, threads+1, n)
 		}
 	}
 	for _, shape := range [][2]int{{1, 0}, {1, 6}, {4, 0}, {3, 5}} {
 		if n := taken(domainRun(shape[0], shape[1])); n != 1 {
-			t.Errorf("a launched domain of %d roots and %d created threads took %d pool goroutines, want 1 (its driver)", shape[0], shape[1], n)
+			t.Errorf("a launched domain of %d roots and %d created threads started %d goroutines, want 1 (its driver)", shape[0], shape[1], n)
 		}
 	}
 	if n := taken(mainRun(Config{Mode: Nondet})); n != threads {
-		t.Errorf("a Nondet run of %d created threads took %d pool goroutines, want one each", threads, n)
+		t.Errorf("a Nondet run of %d created threads started %d goroutines, want one each", threads, n)
+	}
+}
+
+// TestRunLeavesNoGoroutines: a finished run leaves nothing behind. Every
+// goroutine spawn started for a run — a Nondet thread, a launched domain's
+// driver — ends with its body, so once Run has returned none is left waiting
+// for a later run.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	for _, r := range []struct {
+		name string
+		run  func()
+	}{
+		{"a Nondet run of 8 threads", func() {
+			rt := New(Config{Mode: Nondet})
+			rt.Run(func(main *Thread) {
+				var kids [8]*Thread
+				for i := range kids {
+					kids[i] = main.Create("w"+strconv.Itoa(i), func(*Thread) {})
+				}
+				for _, k := range kids {
+					main.Join(k)
+				}
+			})
+		}},
+		{"a run with a launched domain", func() {
+			rt := New(Config{Mode: RoundRobin, Policies: AllPolicies})
+			d := rt.NewDomain("d")
+			d.Start("root", func(r *Thread) { r.Join(r.Create("k", func(*Thread) {})) })
+			rt.Run(func(*Thread) { d.Launch() })
+		}},
+	} {
+		r.run()
+		eventually(t, "no goroutine of "+r.name+" is left", func() bool { return spawnedGoroutines("") == 0 })
 	}
 }
 
@@ -153,27 +207,24 @@ func parkInPCSSection(rt *Runtime, post bool, measure func()) (sections int) {
 // TestPCSRunHosted: a PCS run is hosted like any deterministic run. A
 // contended PCS lock whose holder is parked inside its section does not block
 // the goroutine everybody runs on: the contender waits outside the turn, the
-// run completes, takes no pool goroutine, and records the same schedule
-// twenty times out of twenty.
+// run completes, starts no goroutine, and records the same schedule twenty
+// times out of twenty.
 func TestPCSRunHosted(t *testing.T) {
-	defer holdIdleWorkers(t)()
 	var want string
 	for i := 0; i < 20; i++ {
-		settlePool(t)
-		before := busyPoolGoroutines()
 		done := make(chan string)
 		go func() {
 			rt := New(Config{Mode: RoundRobin, Policies: AllPolicies, PCS: true, Record: true})
 			n := 0
-			sections := parkInPCSSection(rt, true, func() { n = busyPoolGoroutines() - before })
-			done <- fmt.Sprintf("%d sections, %d pool goroutines, schedule %016x", sections, n, trace.Hash(rt.Trace()))
+			sections := parkInPCSSection(rt, true, func() { n = spawnedGoroutines("parkInPCSSection") })
+			done <- fmt.Sprintf("%d sections, %d goroutines, schedule %016x", sections, n, trace.Hash(rt.Trace()))
 		}()
 		select {
 		case got := <-done:
 			if i == 0 {
 				want = got
-				if !strings.HasPrefix(got, "2 sections, 0 pool goroutines,") {
-					t.Fatalf("run 0: %s, want 2 sections on no pool goroutine", got)
+				if !strings.HasPrefix(got, "2 sections, 0 goroutines,") {
+					t.Fatalf("run 0: %s, want 2 sections on no goroutine of their own", got)
 				}
 			} else if got != want {
 				t.Fatalf("run %d: %s, run 0: %s", i, got, want)

@@ -232,7 +232,7 @@ func TestThreadChurnRetention(t *testing.T) {
 	var before, after uint64
 	rt := New(Config{Mode: RoundRobin, Policies: AllPolicies})
 	rt.Run(func(main *Thread) {
-		churn(main, 100) // size the maps and the goroutine pool first
+		churn(main, 100) // size the maps and the coroutine free list first
 		before = liveHeap()
 		churn(main, rounds)
 		after = liveHeap()

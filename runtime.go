@@ -176,7 +176,7 @@ func (rt *Runtime) Scheduler() *core.Scheduler { return rt.main.rec.Sched }
 // domain — an ingress source, an XPipe peer — and on its own domain's threads
 // only through the wrappers: a native block on a sibling blocks the goroutine
 // the sibling would have to run on. Nondet runs, which have no scheduler,
-// take one pooled goroutine per thread.
+// start one goroutine per thread.
 func (rt *Runtime) Run(main func(t *Thread)) {
 	t := rt.newThread("main", &rt.main)
 	if rt.det() {

@@ -24,7 +24,7 @@ const workQuantum = 1024
 //
 // A Thread is the one heap record of its thread: the scheduler's queue node
 // is the embedded node, registered in place, and the body function rides on
-// the record to the goroutine pool instead of in a closure.
+// the record to its goroutine or coroutine instead of in a closure.
 type Thread struct {
 	rt   *Runtime
 	dom  *Domain      // the scheduler domain the thread belongs to
@@ -34,7 +34,7 @@ type Thread struct {
 	id   int
 
 	// fn is the body of a Created or Launched thread, held from creation
-	// until the thread's goroutine picks it up (see run).
+	// until the thread's goroutine or coroutine starts it (see run).
 	fn func(*Thread)
 
 	// workSeed seeds this thread's synthetic compute so results are
@@ -99,9 +99,27 @@ func (t *Thread) register() {
 	t.joinObj = s.NewObjectKind("thread:", t.name)
 }
 
-// run is the body of every Created or Launched thread, executed on a pooled
-// goroutine or a coroutine of its domain's driver (see spawn): thread_begin,
-// the program's function, exit.
+// spawn starts t's body: on a coroutine of its domain's driver for a
+// deterministic thread that is not a driver, on a goroutine of its own for a
+// launched domain's driver and every thread of a Nondet run.
+func spawn(t *Thread) {
+	if t.ct != nil && !t.ct.Drives() {
+		t.dom.rec.Sched.StartHosted(t.ct, (*hostedBody)(t))
+		return
+	}
+	go t.run()
+}
+
+// hostedBody is a Thread as the core.Body a host coroutine executes: the same
+// record under a type whose one method is the body, so handing it over costs
+// no closure and Thread grows no exported Run.
+type hostedBody Thread
+
+func (b *hostedBody) Run() { (*Thread)(b).run() }
+
+// run is the body of every Created or Launched thread, executed on a
+// goroutine of its own or a coroutine of its domain's driver (see spawn):
+// thread_begin, the program's function, exit.
 func (t *Thread) run() {
 	defer t.rt.wg.Done()
 	fn := t.fn
