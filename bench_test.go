@@ -15,7 +15,7 @@
 //
 // The explorer's rows are in explore_bench_test.go. What a hosted sync op
 // allocates is not timed but counted: TestSyncOpsAllocateNothing, which
-// `make alloc-bounds` runs.
+// `make check` runs in both builds.
 package qithread_test
 
 import (
@@ -173,7 +173,7 @@ var syncOps = []struct {
 // ping-pong with a partner thread, one Yield among four threads, a logical
 // Sleep, a broadcast round to eight waiters that re-park — with the lease, without
 // it, and under all five policies. The counts are exact, so this is the gate
-// a timed benchmark row cannot be (`make alloc-bounds`, under -race).
+// a timed benchmark row cannot be, exact under -race too.
 // testing.AllocsPerRun divides by the run count, so an allocation on every
 // operation fails and amortized growth below one per operation does not.
 func TestSyncOpsAllocateNothing(t *testing.T) {

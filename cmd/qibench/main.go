@@ -59,6 +59,10 @@ func main() {
 		soakEvents = flag.Int("soak-events", 200000, "requests for -experiment soak (the trace is several events per request)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "qibench: unexpected arguments:", strings.Join(flag.Args(), " "))
+		os.Exit(2)
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)

@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"qithread"
 	"qithread/internal/advisor"
@@ -30,6 +31,10 @@ func main() {
 		threads = flag.Int("threads", 0, "thread override")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "qidoctor: unexpected arguments:", strings.Join(flag.Args(), " "))
+		os.Exit(2)
+	}
 
 	var specs []programs.Spec
 	switch {

@@ -9,7 +9,7 @@
 //
 //	qiexplore -program buggy -dir results/ [-strategy dpor|pct] [-budget N]
 //	          [-workers N] [-hb] [-depth N] [-d N] [-seed N] [-watchdog D]
-//	          [-require-bug] [-rediscover N] [-v]
+//	          [-rediscover N] [-v]
 //	qiexplore -list
 //
 // Exploration resumes: re-running with the same -dir continues from the
@@ -18,8 +18,7 @@
 // schedules in its own isolated Runtime; -workers 1 reproduces the serial
 // search order byte-for-byte. -hb enables happens-before flip pruning: turn
 // flips that provably commute with the displaced window are dropped instead
-// of run. -require-bug (CI smoke) exits nonzero unless a failure was found
-// and minimized; -rediscover N exits nonzero unless at least N divergent
+// of run. -rediscover N exits nonzero unless at least N divergent
 // policy-variant fingerprints were rediscovered.
 package main
 
@@ -47,11 +46,14 @@ func main() {
 		d          = flag.Int("d", 3, "pct: priority-change points per run")
 		seed       = flag.Uint64("seed", 0, "pct: walk seed (0 = derive from the baseline schedule hash)")
 		watchdog   = flag.Duration("watchdog", explore.DefaultWatchdog, "real-time bound per run")
-		requireBug = flag.Bool("require-bug", false, "exit nonzero unless a failure was found and a repro emitted")
 		rediscover = flag.Int("rediscover", 0, "exit nonzero unless this many divergent policy-variant fingerprints were rediscovered")
 		verbose    = flag.Bool("v", false, "log every run")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "qiexplore: unexpected arguments:", strings.Join(flag.Args(), " "))
+		os.Exit(2)
+	}
 
 	if *list {
 		for _, name := range explore.Names() {
@@ -155,10 +157,6 @@ func main() {
 		}
 	}
 
-	if *requireBug && len(s.Repros()) == 0 {
-		fmt.Fprintln(os.Stderr, "qiexplore: FAIL: no failure found within budget")
-		os.Exit(1)
-	}
 	if *rediscover > 0 && found < *rediscover {
 		fmt.Fprintf(os.Stderr, "qiexplore: FAIL: rediscovered %d divergent fingerprints, want %d\n", found, *rediscover)
 		os.Exit(1)

@@ -72,6 +72,10 @@ func main() {
 		expect  = flag.String("expect", "failure", "outcome class replay 0 must produce in -schedule mode: failure | ok")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "qireplay: unexpected arguments:", strings.Join(flag.Args(), " "))
+		os.Exit(2)
+	}
 
 	if *sched != "" {
 		os.Exit(replaySchedule(os.Stdout, os.Stderr, *sched, *program, *runs, *expect, *verbose))

@@ -61,6 +61,10 @@ func main() {
 		gantt   = flag.Bool("gantt", false, "render the schedule as a per-thread timeline")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "qitrace: unexpected arguments:", strings.Join(flag.Args(), " "))
+		os.Exit(2)
+	}
 
 	if *fig1b {
 		printFig1b()

@@ -69,7 +69,7 @@ func TestRecordSizesPinned(t *testing.T) {
 // released when it exits. With the free list warm, the marginal cost of one
 // more created-and-joined thread is therefore at most 1.5 allocations. The
 // free list is a bounded channel, not a sync.Pool, so the count is exact
-// under -race too (`make alloc-bounds`).
+// under -race too.
 func TestThreadAllocBudget(t *testing.T) {
 	const (
 		small, large = 32, 64
@@ -125,7 +125,7 @@ func TestRuntimeAllocBudget(t *testing.T) {
 // input: the collector and the log; per source a port, its quota slot and a
 // feeder goroutine (with the test's own source, closure and channel, 6); the
 // stage nine events grow through (5) and its successor; and per non-empty
-// epoch one logged batch (2). Exact under -race (`make alloc-bounds`). The
+// epoch one logged batch (2). Exact under -race too. The
 // parent of the PR that set the budget read 8 and 24.
 func TestGatewayAllocBudget(t *testing.T) {
 	payload := []byte("advance 0")

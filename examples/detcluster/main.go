@@ -26,9 +26,8 @@
 //     PASSES — the bug is real but schedule-dependent, which is why
 //     qiexplore/qireplay exist (see `qiexplore -program controlplane-race`).
 //
-// With -smoke the example runs the same pipeline and is quiet on success —
-// the CI gate `make controlplane-smoke` builds on it. Any mismatch exits
-// nonzero in both modes.
+// Any mismatch exits nonzero. The explore-and-replay commands step 4 prints
+// are run as printed by TestDetclusterExploreHintRuns.
 package main
 
 import (
@@ -97,20 +96,14 @@ func feeds() []ingress.Source {
 }
 
 func main() {
-	smoke := flag.Bool("smoke", false, "quiet on success; exit nonzero on any mismatch")
-	flag.Parse()
-	say := func(format string, args ...any) {
-		if !*smoke {
-			fmt.Printf(format, args...)
-		}
-	}
+	flag.Parse() // no flags: -h prints usage and any flag exits 2
 	fail := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "detcluster: "+format+"\n", args...)
 		os.Exit(1)
 	}
 
 	// 1. Record a live cluster run.
-	say("=== 1. record: live cluster, %d entities x %d controllers x %d shard domains ===\n",
+	fmt.Printf("=== 1. record: live cluster, %d entities x %d controllers x %d shard domains ===\n",
 		entities, controllers, shards)
 	live := baseConfig()
 	live.Sources = feeds()
@@ -121,11 +114,11 @@ func main() {
 	if rec.Log == nil || rec.Log.Events() == 0 {
 		fail("live run recorded no ingress log")
 	}
-	say("recorded %d admitted events over %d epochs; all %d entities Installed\n",
+	fmt.Printf("recorded %d admitted events over %d epochs; all %d entities Installed\n",
 		rec.Log.Events(), len(rec.Log.Batches), rec.Installed)
 
 	// 2. Replay the recorded log; every observable must match.
-	say("\n=== 2. replay: %d runs of the recorded log ===\n", replays)
+	fmt.Printf("\n=== 2. replay: %d runs of the recorded log ===\n", replays)
 	replayCfg := baseConfig()
 	replayCfg.Log = rec.Log
 	ref := shape(controlplane.Run(replayCfg, rtConfig()))
@@ -134,10 +127,10 @@ func main() {
 			fail("replay %d diverged:\n  ref %s\n  got %s", i, ref, got)
 		}
 	}
-	say("%d replays, one fingerprint:\n  %s\n", replays, ref)
+	fmt.Printf("%d replays, one fingerprint:\n  %s\n", replays, ref)
 
 	// 3. Deterministic fault injection on the same recording.
-	say("\n=== 3. inject: drop/delay/duplicate faults on the recorded log ===\n")
+	fmt.Printf("\n=== 3. inject: drop/delay/duplicate faults on the recorded log ===\n")
 	spec := &controlplane.FaultSpec{Faults: []controlplane.Fault{
 		{Kind: controlplane.Drop, Source: 0, Nth: 2},
 		{Kind: controlplane.Delay, Source: 0, Nth: 4, Delay: 2},
@@ -155,24 +148,20 @@ func main() {
 		}
 	}
 	fr := controlplane.Run(faultCfg, rtConfig())
-	say("%d faulted replays, one fingerprint (%d/%d entities converged despite the faults):\n  %s\n",
+	fmt.Printf("%d faulted replays, one fingerprint (%d/%d entities converged despite the faults):\n  %s\n",
 		replays, fr.Installed, entities, fref)
 
 	// 4. The seeded race is invisible under the default schedule.
-	say("\n=== 4. the seeded race: hidden until explored ===\n")
+	fmt.Printf("\n=== 4. the seeded race: hidden until explored ===\n")
 	racy := controlplane.Run(controlplane.ScenarioConfig(false, true), qithread.Config{
 		Mode: qithread.RoundRobin, Policies: qithread.BoostBlocked, Record: true,
 	})
 	if racy.Anomalies != 0 {
 		fail("seeded race fired under the default schedule; it must stay hidden here")
 	}
-	say("controlplane-race passes under its default schedule (%d transitions, 0 anomalies).\n", racy.Transitions)
-	say("Find the interleaving that corrupts it, then prove the fix on that exact schedule:\n")
-	say("  qiexplore -program controlplane-race -dir results/\n")
-	say("  qireplay  -program controlplane-race  -runs 20 -schedule results/repro-assert-fail-*.sched\n")
-	say("  qireplay  -program controlplane-fixed -runs 20 -expect ok -schedule results/repro-assert-fail-*.sched\n")
-
-	if *smoke {
-		fmt.Println("detcluster smoke: record/replay/inject deterministic; seeded race hidden by default")
-	}
+	fmt.Printf("controlplane-race passes under its default schedule (%d transitions, 0 anomalies).\n", racy.Transitions)
+	fmt.Printf("Find the interleaving that corrupts it, then prove the fix on that exact schedule:\n")
+	fmt.Printf("  qiexplore -program controlplane-race -dir results/\n")
+	fmt.Printf("  qireplay  -program controlplane-race  -runs 20 -schedule \"$(ls results/repro-assert-fail-*.sched | head -1)\"\n")
+	fmt.Printf("  qireplay  -program controlplane-fixed -runs 20 -expect ok -schedule \"$(ls results/repro-assert-fail-*.sched | head -1)\"\n")
 }

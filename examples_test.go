@@ -2,13 +2,26 @@ package qithread_test
 
 import (
 	"context"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 )
+
+// buildBinaries builds the main packages pkgs into one temporary directory and
+// returns its path.
+func buildBinaries(t *testing.T, pkgs ...string) string {
+	t.Helper()
+	bin := t.TempDir()
+	if out, err := exec.Command("go", append([]string{"build", "-o", bin}, pkgs...)...).CombinedOutput(); err != nil {
+		t.Fatalf("go build %s: %v\n%s", strings.Join(pkgs, " "), err, out)
+	}
+	return bin
+}
 
 // TestExamplesSmoke builds every example binary and runs it once, so the
 // example programs — the documentation users actually execute — cannot
@@ -23,18 +36,13 @@ func TestExamplesSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bin := t.TempDir()
 	for _, ent := range entries {
 		if !ent.IsDir() {
 			continue
 		}
 		name := ent.Name()
 		t.Run(name, func(t *testing.T) {
-			exe := filepath.Join(bin, name)
-			build := exec.Command("go", "build", "-o", exe, "./examples/"+name)
-			if out, err := build.CombinedOutput(); err != nil {
-				t.Fatalf("build failed: %v\n%s", err, out)
-			}
+			exe := filepath.Join(buildBinaries(t, "./examples/"+name), name)
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 			run := exec.CommandContext(ctx, exe)
@@ -49,40 +57,78 @@ func TestExamplesSmoke(t *testing.T) {
 	}
 }
 
-// TestDetclusterExploreHintRuns: the qiexplore command detcluster prints for
-// finding its seeded race is one a user can paste. It is run as printed, with
-// results/ in a temporary directory and -budget 1 appended to keep it short,
-// and must exit zero. Skipped with -short (it shells out to the go tool).
+// TestDetclusterExploreHintRuns: the commands detcluster prints for finding
+// its seeded race, reproducing it and proving the fix are ones a user can
+// paste. Each runs as printed, through sh -c, in a fresh directory with the
+// built binaries first on PATH, and must exit zero: the search must emit an
+// assert-fail repro, the racy program must reproduce it 20 times out of 20,
+// and the fixed program must run the same schedule clean 20 times out of 20.
+// Skipped with -short (it shells out to the go tool).
 func TestDetclusterExploreHintRuns(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds and runs detcluster and qiexplore")
+		t.Skip("builds and runs detcluster, qiexplore and qireplay")
 	}
-	bin := t.TempDir()
-	for _, pkg := range []string{"./examples/detcluster", "./cmd/qiexplore"} {
-		if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
-			t.Fatalf("build %s: %v\n%s", pkg, err, out)
-		}
-	}
+	bin := buildBinaries(t, "./examples/detcluster", "./cmd/qiexplore", "./cmd/qireplay")
 	out, err := exec.Command(filepath.Join(bin, "detcluster")).Output()
 	if err != nil {
 		t.Fatalf("detcluster: %v\n%s", err, out)
 	}
 	var hint []string
 	for _, line := range strings.Split(string(out), "\n") {
-		if f := strings.Fields(line); len(f) > 0 && f[0] == "qiexplore" {
-			hint = f
+		if f := strings.Fields(line); len(f) > 0 && (f[0] == "qiexplore" || f[0] == "qireplay") {
+			hint = append(hint, strings.TrimSpace(line))
 		}
 	}
-	if hint == nil {
-		t.Fatalf("detcluster printed no qiexplore command:\n%s", out)
+	want := []*regexp.Regexp{
+		regexp.MustCompile(`(?m)^repro: +results/repro-assert-fail-`),
+		regexp.MustCompile(`(?m)^20 replays of results/\S+ reproduced assert-fail `),
+		regexp.MustCompile(`(?m)^20 replays of results/\S+ reproduced ok `),
 	}
-	results := t.TempDir()
-	var args []string
-	for _, a := range hint[1:] {
-		args = append(args, strings.Replace(a, "results/", results+"/", 1))
+	if len(hint) != len(want) {
+		t.Fatalf("detcluster printed %d qiexplore/qireplay commands, want %d:\n%s", len(hint), len(want), out)
 	}
-	args = append(args, "-budget", "1")
-	if out, err := exec.Command(filepath.Join(bin, "qiexplore"), args...).CombinedOutput(); err != nil {
-		t.Fatalf("%s: %v\n%s", strings.Join(hint, " "), err, out)
+	dir := t.TempDir()
+	for i, line := range hint {
+		cmd := exec.Command("sh", "-c", line)
+		cmd.Dir = dir
+		cmd.Env = append(os.Environ(), "PATH="+bin+string(os.PathListSeparator)+os.Getenv("PATH"))
+		out, err := cmd.CombinedOutput()
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", line, err, out)
+		}
+		if !want[i].Match(out) {
+			t.Fatalf("%s printed no line matching %q:\n%s", line, want[i], out)
+		}
+	}
+}
+
+// TestCLIsRefuseOperands: no binary under cmd/ but qistat takes operands, and
+// each refuses one with exit 2, naming it, rather than running as if it had
+// not been given. Every invocation succeeds without the stray operand.
+// Skipped with -short (it shells out to the go tool).
+func TestCLIsRefuseOperands(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs five binaries")
+	}
+	bin := buildBinaries(t, "./cmd/qibench", "./cmd/qidoctor", "./cmd/qiexplore", "./cmd/qireplay", "./cmd/qitrace")
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"qibench", "-list"},
+		{"qidoctor", "-program", "pbzip2_compress", "-scale", "0.01"},
+		{"qiexplore", "-list"},
+		{"qireplay", "-record", filepath.Join(dir, "r.qlog"), "-events", "16"},
+		{"qitrace", "-fig1b"},
+	} {
+		t.Run(args[0], func(t *testing.T) {
+			exe := filepath.Join(bin, args[0])
+			if out, err := exec.Command(exe, args[1:]...).CombinedOutput(); err != nil {
+				t.Fatalf("%s: %v\n%s", strings.Join(args, " "), err, out)
+			}
+			out, err := exec.Command(exe, append(args[1:], "stray")...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "unexpected arguments: stray") {
+				t.Errorf("%s stray: %v, want exit status 2 naming the operand\n%s", strings.Join(args, " "), err, out)
+			}
+		})
 	}
 }

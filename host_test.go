@@ -18,8 +18,8 @@ import (
 // goldens (internal/harness); these tests hold the edges: what is hosted,
 // what is not, what a hosted domain may still talk to, how a contended PCS
 // lock waits outside the turn, and that what a run recycles is never still in
-// use. `make cpu-matrix` runs them under -race at -cpu 1,2,4 — one goroutine
-// must behave the same with Ps to spare.
+// use. `make check` runs them at -cpu 1,2,4, plain and under -race — one
+// goroutine must behave the same with Ps to spare.
 
 // spawnedGoroutines counts the live goroutines spawn started that are running
 // the closures of fn, a function of this package, or all of them when fn is
@@ -335,7 +335,7 @@ func TestHostedDomainsTalkThroughXPipes(t *testing.T) {
 // them at once. 200 multi-domain runtimes run back to back, each launched
 // domain draining and recycling on its own driver goroutine, and once Run has
 // returned no scheduler of the run may still hold its host record. Under
-// -race (`make cpu-matrix`) that check reads what the drain writes last, so a
+// -race (`make check`) that check reads what the drain writes last, so a
 // driver counted finished before its drain is a reported race even when the
 // drain happens to have ended; a record handed out twice shows up as a
 // changed fingerprint.

@@ -13,7 +13,7 @@ import (
 // may run each on a goroutine of its own, which waits for its flag on the
 // scheduler's condition variable. How a waiter waits must be invisible in
 // every schedule observable, whatever the number of Ps the goroutines are
-// spread over — `make cpu-matrix` runs this file at -cpu 1,2,4 and under
+// spread over — `make check` runs this file at -cpu 1,2,4, plain and under
 // -race — so every scenario is run both ways against one record.
 
 // handoffRun is everything one stress execution exposes: the recorded

@@ -103,7 +103,7 @@ func TestQuickHookDispatchInvariants(t *testing.T) {
 // where eligibility is evaluated — kickLocked re-evaluates it every time a
 // not-yet-eligible thread asks for the turn, which depends on goroutine
 // timing — so two runs of the same contended program report identical
-// PolicyMetrics, at any GOMAXPROCS (make cpu-matrix runs this package at
+// PolicyMetrics, at any GOMAXPROCS (make check runs this package at
 // -cpu 1,2,4).
 func TestPolicyMetricsDeterministic(t *testing.T) {
 	for _, cfg := range []Config{

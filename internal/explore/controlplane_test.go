@@ -22,7 +22,7 @@ func TestControlplaneBaselines(t *testing.T) {
 }
 
 // TestControlplaneRaceFoundAndFixProven is the headline scenario end to end:
-// exploration finds the seeded missing-recheck race within the smoke budget,
+// exploration finds the seeded missing-recheck race within 400 runs,
 // the minimized repro reproduces it 20/20, and the SAME schedule replayed
 // against the fixed program runs clean with a divergent fingerprint — the
 // race is gone, proven on the exact interleaving that failed.

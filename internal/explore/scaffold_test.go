@@ -24,7 +24,7 @@ const raceBaselineFP = "f29c9ec81c5a0678+cbf29ce484222325+6789de4"
 // wait lists, the chooser and its log. The run is hosted: its scaffold, its
 // host record and the coroutines its two created threads run on all come from
 // bounded channel free lists, so once those are warm
-// the count is exact, under -race too (`make alloc-bounds`); the bound leaves
+// the count is exact, under -race too; the bound leaves
 // room for the test's own bookkeeping, not for one more allocation per run.
 // The parent of the PR that set the budget read 71.
 func TestExploredRunAllocBudget(t *testing.T) {

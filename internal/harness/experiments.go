@@ -80,7 +80,7 @@ var Experiments = []Experiment{
 		header:  "entities,controllers,shards,transitions,conflicts,requeues,installed,anomalies,admitted,shed,max_queue,turns,max_waiting,wall_ms,trans_per_ms",
 		summary: controlPlaneSummary, run: runControlPlane},
 	{Name: "soak", Entry: "E19", Doc: "million-event streaming record: flat heap, binary vs text, streamed replay (-soak-events)",
-		NotInAll: "fixed size whatever -scale says, 30 MB of temporary files, host-dependent numbers; `make soak`, `make soak-smoke`", run: runSoak},
+		NotInAll: "fixed size whatever -scale says, 30 MB of temporary files, host-dependent numbers; `make soak`, and `TestExperiments` at 8,000 events", run: runSoak},
 }
 
 // Figure8 measures every program in specs under the Figure 8 configurations:

@@ -27,9 +27,12 @@ func experiment(t testing.TB, name string) *Experiment {
 // byte what the arm printed below its title — rows and aggregate lines — which
 // is what makes `qistat f.csv` agree with the qibench run that wrote f.csv,
 // down to the §5.1 counts, which sit on thresholds a rounded cell can cross.
+// The soak arm records 8,000 requests: at MaxBatch 64 that is at least 125
+// admission epochs, so its checkpoint at epoch 64 is always taken and
+// reported.
 func TestExperiments(t *testing.T) {
 	r := &Runner{Params: workload.Params{Scale: 0.02, InputSeed: 42}, Repeats: 1}
-	args := Args{Specs: programs.All(), SoakEvents: 2000}
+	args := Args{Specs: programs.All(), SoakEvents: 8000}
 	for i := range Experiments {
 		e := &Experiments[i]
 		t.Run(e.Name, func(t *testing.T) {
@@ -41,6 +44,9 @@ func TestExperiments(t *testing.T) {
 			title, body, _ := strings.Cut(printed.String(), "\n")
 			if !strings.HasPrefix(title, "=== ") || body == "" {
 				t.Fatalf("printed %q: want a title line and a report", printed.String())
+			}
+			if e.Name == "soak" && !strings.Contains(body, "\nckpts: ") {
+				t.Fatalf("the soak report has no ckpts: line:\n%s", body)
 			}
 			if (tab != nil) != (e.header != "") {
 				t.Fatalf("returned table %v, declared header %q", tab, e.header)

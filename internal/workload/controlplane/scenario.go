@@ -6,8 +6,8 @@ import (
 	"qithread/internal/ingress"
 )
 
-// This file holds the built-in scenarios the explore registry and the smoke
-// tooling run: fixed, code-constructed ingress logs (no live sources, no
+// This file holds the built-in scenarios the explore registry and
+// examples/detcluster run: fixed, code-constructed ingress logs (no live sources, no
 // timing), so every run is a pure function of (scenario config, schedule) and
 // the schedule-space explorer's choice points are the only nondeterminism.
 //

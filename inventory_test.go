@@ -209,76 +209,3 @@ func TestArtifactTable(t *testing.T) {
 		}
 	}
 }
-
-// TestMakefileRunPatterns: every Test… alternative of a -run '…' pattern in the
-// Makefile matches a test function declared in one of the packages named on
-// the same line, every alternative of a -bench '…' pattern a Benchmark
-// function, and for Parent/sub, sub matches a subtest name those packages
-// pass to t.Run or b.Run as a literal. go test runs nothing and exits 0 when a
-// pattern matches nothing, so a renamed, moved, folded or deleted test or
-// benchmark would otherwise leave cpu-matrix, alloc-bounds or bench in silence.
-func TestMakefileRunPatterns(t *testing.T) {
-	makefile, err := os.ReadFile("Makefile")
-	if err != nil {
-		t.Fatal(err)
-	}
-	patterns := map[string]int{}
-	for n, line := range strings.Split(string(makefile), "\n") {
-		flags := regexp.MustCompile(`-(run|bench) '([^']+)'`).FindAllStringSubmatch(line, -1)
-		if flags == nil {
-			continue
-		}
-		var declared, subtests []string
-		for _, pkg := range strings.Fields(line) {
-			if pkg != "." && !strings.HasPrefix(pkg, "./") {
-				continue
-			}
-			files, err := filepath.Glob(filepath.Join(pkg, "*_test.go"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, file := range files {
-				src, err := os.ReadFile(file)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, m := range regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w+)\(`).FindAllSubmatch(src, -1) {
-					declared = append(declared, string(m[1]))
-				}
-				for _, m := range regexp.MustCompile(`\b[tb]\.Run\("([^"]+)"`).FindAllSubmatch(src, -1) {
-					subtests = append(subtests, string(m[1]))
-				}
-			}
-		}
-		for _, f := range flags {
-			flag, prefix := f[1], map[string]string{"run": "Test", "bench": "Benchmark"}[f[1]]
-			for _, alt := range strings.Split(strings.ReplaceAll(f[2], "$$", "$"), "|") {
-				if flag == "run" && !strings.HasPrefix(alt, prefix) {
-					continue // '^$': the benchmark and fuzz lines run no test on purpose
-				}
-				patterns[flag]++
-				parent, sub, nested := strings.Cut(alt, "/")
-				sub, _, _ = strings.Cut(sub, "/")
-				re, err := regexp.Compile(parent)
-				if err != nil {
-					t.Errorf("Makefile:%d: -%s alternative %q: %v", n+1, flag, alt, err)
-				} else if !slices.ContainsFunc(declared, func(name string) bool {
-					return strings.HasPrefix(name, prefix) && re.MatchString(name)
-				}) {
-					t.Errorf("Makefile:%d: -%s alternative %q matches no %s function of the packages on its line", n+1, flag, alt, prefix)
-				}
-				if !nested {
-					continue
-				}
-				if re, err := regexp.Compile(sub); err != nil {
-					t.Errorf("Makefile:%d: -%s alternative %q: %v", n+1, flag, alt, err)
-				} else if !slices.ContainsFunc(subtests, re.MatchString) {
-					t.Errorf("Makefile:%d: -%s alternative %q names subtest %q, which no t.Run or b.Run literal of the packages on its line matches", n+1, flag, alt, sub)
-				}
-			}
-		}
-	}
-	if patterns["run"] < 20 || patterns["bench"] == 0 {
-		t.Errorf("found %d Test alternatives in the Makefile's -run patterns and %d in its -bench patterns; the scan is broken", patterns["run"], patterns["bench"])
-	}
-}

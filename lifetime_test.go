@@ -254,8 +254,8 @@ func TestThreadChurnRetention(t *testing.T) {
 // still in use when recycled, or a granted flag left set, would surface as a
 // spurious grant, which either trips the scheduler's turn assertions or
 // changes the schedule. The exit-side assertion in internal/core panics on
-// the first leftover token. `make alloc-bounds` runs this under -race at -cpu
-// 1,4, `make cpu-matrix` at -cpu 1,2,4.
+// the first leftover token. `make check` runs this at -cpu 1,2,4, plain and
+// under -race.
 func TestGrantRecycling(t *testing.T) {
 	const (
 		waves    = 50
