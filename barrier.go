@@ -33,7 +33,7 @@ func (rt *Runtime) NewBarrier(t *Thread, name string, n int) *Barrier {
 	}
 	b := &Barrier{rt: rt, dom: t.dom, name: name, n: n}
 	if rt.det() {
-		s := t.dom.rec.Sched
+		s := t.dom.sched
 		s.GetTurn(t.ct)
 		b.obj = s.NewObjectKind("barrier:", name)
 		s.TraceOp(t.ct, core.OpBarrierInit, b.obj, core.StatusOK)

@@ -85,7 +85,7 @@ func (rt *Runtime) Quiescent(t *Thread) bool {
 	if !rt.det() {
 		panic("qithread: Quiescent requires a deterministic Mode")
 	}
-	s := t.dom.rec.Sched
+	s := t.dom.sched
 	s.GetTurn(t.ct)
 	q := s.Quiescent(t.ct)
 	t.release()
@@ -98,7 +98,7 @@ func (rt *Runtime) Quiescent(t *Thread) bool {
 // wake-up queue) would otherwise extend t's turn at every release point and
 // the woken threads would never run — the drive must force real handoffs.
 func (rt *Runtime) quiesce(t *Thread, what string) error {
-	s := t.dom.rec.Sched
+	s := t.dom.sched
 	for i := 0; ; i++ {
 		s.GetTurn(t.ct)
 		if s.Quiescent(t.ct) {
@@ -107,7 +107,7 @@ func (rt *Runtime) quiesce(t *Thread, what string) error {
 		if i >= maxQuiescenceYields {
 			dump := s.Dump()
 			s.PutTurn(t.ct)
-			return fmt.Errorf("qithread: %s: domain %d did not quiesce after %d yields; threads are waking each other across the boundary\n%s", what, t.dom.rec.ID, maxQuiescenceYields, dump)
+			return fmt.Errorf("qithread: %s: domain %d did not quiesce after %d yields; threads are waking each other across the boundary\n%s", what, t.dom.id, maxQuiescenceYields, dump)
 		}
 		s.TraceOp(t.ct, core.OpYield, 0, core.StatusOK)
 		s.PutTurn(t.ct)
@@ -145,7 +145,7 @@ func (rt *Runtime) Checkpoint(t *Thread, app func() []byte) (*Checkpoint, error)
 	if app != nil {
 		payload = app()
 	}
-	s := t.dom.rec.Sched
+	s := t.dom.sched
 	st, err := s.CaptureState(t.ct)
 	if err != nil {
 		t.release()
@@ -153,26 +153,26 @@ func (rt *Runtime) Checkpoint(t *Thread, app func() []byte) (*Checkpoint, error)
 	}
 	rec := &ckpt.Record{
 		Domains: []core.SchedState{*st},
-		Xseqs:   []int64{t.dom.rec.Xseq},
+		Xseqs:   []int64{t.dom.xseq},
 		App:     payload,
 	}
 	err = func() error {
-		for _, d := range rt.allDomains() {
+		for _, d := range registered(rt, &rt.domains) {
 			if d == t.dom {
 				continue
 			}
 			if d.hasThreads() {
-				return fmt.Errorf("qithread: Checkpoint from %s, but %s has threads; checkpoint boundaries require every other domain idle", t.dom.label(), d.label())
+				return fmt.Errorf("qithread: Checkpoint from %s, but %s has threads; checkpoint boundaries require every other domain idle", t.dom, d)
 			}
 		}
-		for _, c := range rt.group.Channels() {
-			cs, err := c.CaptureState()
+		for _, p := range registered(rt, &rt.xpipes) {
+			cs, err := p.captureState()
 			if err != nil {
 				return err
 			}
-			rec.Channels = append(rec.Channels, *cs)
+			rec.Channels = append(rec.Channels, cs)
 		}
-		for _, gw := range rt.allGateways() {
+		for _, gw := range registered(rt, &rt.gateways) {
 			rec.Gateways = append(rec.Gateways, *gw.g.CaptureState())
 		}
 		if len(rec.Gateways) > 0 {
@@ -206,7 +206,7 @@ func (rt *Runtime) Resume(t *Thread) error {
 	if len(rec.Domains) != 1 {
 		return fmt.Errorf("qithread: checkpoint holds %d domain snapshots, want 1", len(rec.Domains))
 	}
-	if got, want := t.dom.rec.ID, rec.Domains[0].DomainID; got != want {
+	if got, want := t.dom.id, rec.Domains[0].DomainID; got != want {
 		return fmt.Errorf("qithread: Resume from domain %d, but the checkpoint was taken in domain %d", got, want)
 	}
 	if err := rt.quiesce(t, "Resume"); err != nil {
@@ -214,24 +214,24 @@ func (rt *Runtime) Resume(t *Thread) error {
 	}
 	// The turn is held from here to the release below.
 	err := func() error {
-		for _, d := range rt.allDomains() {
+		for _, d := range registered(rt, &rt.domains) {
 			if d == t.dom {
 				continue
 			}
 			if d.hasThreads() {
-				return fmt.Errorf("qithread: Resume with threads in %s; the checkpoint had every other domain idle", d.label())
+				return fmt.Errorf("qithread: Resume with threads in %s; the checkpoint had every other domain idle", d)
 			}
 		}
-		chans := rt.group.Channels()
-		if len(chans) != len(rec.Channels) {
-			return fmt.Errorf("qithread: setup created %d channels, checkpoint has %d", len(chans), len(rec.Channels))
+		pipes := registered(rt, &rt.xpipes)
+		if len(pipes) != len(rec.Channels) {
+			return fmt.Errorf("qithread: setup created %d channels, checkpoint has %d", len(pipes), len(rec.Channels))
 		}
-		for i, c := range chans {
-			if err := c.RestoreState(&rec.Channels[i]); err != nil {
+		for i, p := range pipes {
+			if err := p.restoreState(&rec.Channels[i]); err != nil {
 				return err
 			}
 		}
-		gws := rt.allGateways()
+		gws := registered(rt, &rt.gateways)
 		if len(gws) != len(rec.Gateways) {
 			return fmt.Errorf("qithread: setup created %d gateways, checkpoint has %d", len(gws), len(rec.Gateways))
 		}
@@ -240,20 +240,42 @@ func (rt *Runtime) Resume(t *Thread) error {
 				return err
 			}
 		}
-		t.dom.rec.Xseq = rec.Xseqs[0]
+		t.dom.xseq = rec.Xseqs[0]
 		// The scheduler restore comes last: it verifies the rebuilt thread
 		// and wait-list structure and unmutes recording.
-		return t.dom.rec.Sched.RestoreState(t.ct, &rec.Domains[0])
+		return t.dom.sched.RestoreState(t.ct, &rec.Domains[0])
 	}()
 	t.release()
 	return err
 }
 
-// allGateways snapshots the gateway registry in creation order.
-func (rt *Runtime) allGateways() []*Gateway {
-	rt.domMu.Lock()
-	defer rt.domMu.Unlock()
-	out := make([]*Gateway, len(rt.gateways))
-	copy(out, rt.gateways)
-	return out
+// captureState snapshots the pipe's stamp counters and running hash. Only a
+// drained pipe is checkpointable: the ring holds values the runtime cannot
+// serialize, so a checkpoint boundary drains cross-domain traffic first.
+func (p *XPipe) captureState() (ckpt.ChannelState, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.n != 0 {
+		return ckpt.ChannelState{}, fmt.Errorf("qithread: XPipe %q holds %d in-flight messages; drain it before checkpointing", p.name, p.n)
+	}
+	return ckpt.ChannelState{ID: p.id, SendSeq: p.sendSeq, Delivered: p.delivered, Hash: p.hash, Closed: p.closed}, nil
+}
+
+// restoreState reinstates a captured snapshot into a pipe the resuming setup
+// rebuilt, which must sit in the captured pipe's creation slot (the id seeds
+// every stamp) and must not have carried a message yet.
+func (p *XPipe) restoreState(st *ckpt.ChannelState) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case p.id != st.ID:
+		return fmt.Errorf("qithread: restoring XPipe id %d state into XPipe %q (id %d); pipes must be re-created in the recorded order", st.ID, p.name, p.id)
+	case p.sendSeq != 0 || p.delivered != 0:
+		return fmt.Errorf("qithread: restoring into used XPipe %q (%d sent, %d delivered)", p.name, p.sendSeq, p.delivered)
+	case st.Delivered != st.SendSeq:
+		// Capture requires a drained ring, so ever-sent == ever-delivered.
+		return fmt.Errorf("qithread: corrupt XPipe state for %q: %d delivered of %d sent", p.name, st.Delivered, st.SendSeq)
+	}
+	p.sendSeq, p.delivered, p.hash, p.closed = st.SendSeq, st.Delivered, st.Hash, st.Closed
+	return nil
 }

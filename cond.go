@@ -30,7 +30,7 @@ type Cond struct {
 func (rt *Runtime) NewCond(t *Thread, name string) *Cond {
 	c := &Cond{rt: rt, dom: t.dom, name: name}
 	if rt.det() {
-		s := t.dom.rec.Sched
+		s := t.dom.sched
 		s.GetTurn(t.ct)
 		c.obj = s.NewObjectKind("cond:", name)
 		s.TraceOp(t.ct, core.OpCondInit, c.obj, core.StatusOK)

@@ -114,6 +114,26 @@ func TestRuntimeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestXPipeAllocBudget: what NewXPipe adds to a deterministic runtime
+// (DESIGN.md §4.13) is two allocations, the XPipe record — ring state, stamp
+// counters, running hash and both condition variables — and its ring. The
+// runtime's pipe list starts on an inline slot. Exact under -race too. The
+// parent of the PR that set the budget read 4: the XPipe, a separate channel
+// record, the ring and the list slot.
+func TestXPipeAllocBudget(t *testing.T) {
+	const budget = 2
+	cfg := Config{Mode: RoundRobin, Policies: AllPolicies}
+	base := minMallocs(func() { New(cfg).NewDomain("d") })
+	got := minMallocs(func() {
+		rt := New(cfg)
+		rt.NewXPipe("x", rt.Domain(0), rt.NewDomain("d"), 4)
+	}) - base
+	t.Logf("NewXPipe: %d allocs", got)
+	if got > budget {
+		t.Fatalf("NewXPipe makes %d allocations, want <= %d", got, budget)
+	}
+}
+
 // TestGatewayAllocBudget: what an ingress gateway adds to a run, measured as
 // the difference between a main thread that creates one and admits its whole
 // input and a main thread that does not (DESIGN.md §4.13). Replaying a log it

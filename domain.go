@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"qithread/internal/core"
-	"qithread/internal/domain"
 	"qithread/internal/policy"
 )
 
@@ -24,15 +23,24 @@ import (
 // whose deliveries are sequenced and logged (see NewXPipe).
 //
 // In Nondet mode a domain has no scheduler: Start/Launch run plain threads
-// and XPipes degrade to plain buffered channels, so one workload runs
+// and XPipes carry messages without stamps, so one workload runs
 // unchanged under every mode. The partition rules above are enforced all the
 // same — a workload that breaks them panics under every mode, not only the
 // deterministic ones.
 type Domain struct {
-	rt  *Runtime
-	rec domain.Domain // id, name, scheduler (nil in Nondet mode) and boundary counter; XPipe channels point at it
+	rt    *Runtime
+	id    int             // creation index within the runtime (0 is the default domain)
+	name  string          // debugging name
+	sched *core.Scheduler // the domain's scheduler; nil in Nondet mode
 
-	stack   *policy.Stack // rec.Sched.Stack(), cached for the wrappers' hook calls; nil in Nondet mode
+	// xseq counts the boundary operations of the domain's threads (one per
+	// XPipe message sent or received, one per close) in domain-schedule order,
+	// over all its pipes. Only a thread holding the domain's turn touches it;
+	// deliveries are stamped with it and a checkpoint carries it. Nondet
+	// pipes leave it at 0.
+	xseq int64
+
+	stack   *policy.Stack // sched.Stack(), cached for the wrappers' hook calls; nil in Nondet mode
 	chooser Chooser       // Config.Chooser(id), asked once at creation; shared by the scheduler and the domain's gateways
 
 	mu       sync.Mutex
@@ -48,21 +56,19 @@ type pendingRoot struct {
 
 // ID returns the domain's creation index within its runtime (the default
 // domain is 0).
-func (d *Domain) ID() int { return d.rec.ID }
+func (d *Domain) ID() int { return d.id }
 
 // Name returns the domain's debugging name.
-func (d *Domain) Name() string { return d.rec.Name }
+func (d *Domain) Name() string { return d.name }
 
-func (d *Domain) label() string { return d.rec.String() }
-
-func (d *Domain) String() string { return d.label() }
+func (d *Domain) String() string { return fmt.Sprintf("domain %d (%s)", d.id, d.name) }
 
 // hasThreads reports whether the domain has threads of its own: the default
 // domain always (Run's main thread), another once Launch started a root.
 // Unlike the domain's scheduler, which only its own threads may touch while
 // it runs, it may be asked from any thread.
 func (d *Domain) hasThreads() bool {
-	if d.rec.ID == 0 {
+	if d.id == 0 {
 		return true
 	}
 	d.mu.Lock()
@@ -79,28 +85,28 @@ func (d *Domain) hasThreads() bool {
 func (d *Domain) enter(t *Thread, kind, name string) *core.Scheduler {
 	if t.dom != d {
 		panic(fmt.Sprintf("qithread: %s %q of %s used by %v of %s; cross-domain synchronization is only legal through an XPipe",
-			kind, name, d.label(), t, t.dom.label()))
+			kind, name, d, t, t.dom))
 	}
-	return d.rec.Sched
+	return d.sched
 }
 
 // Trace returns the domain's recorded schedule (empty unless Config.Record;
 // nil in Nondet mode). Event sequence numbers are domain-local.
 func (d *Domain) Trace() []Event {
-	if d.rec.Sched == nil {
+	if d.sched == nil {
 		return nil
 	}
-	return d.rec.Sched.Trace()
+	return d.sched.Trace()
 }
 
 // TurnCount returns the number of completed scheduling turns in this domain
 // (0 in Nondet mode). Call it after Run returns or from a thread of this
 // domain.
 func (d *Domain) TurnCount() int64 {
-	if d.rec.Sched == nil {
+	if d.sched == nil {
 		return 0
 	}
-	return d.rec.Sched.TurnCount()
+	return d.sched.TurnCount()
 }
 
 // SetReplay installs a previously recorded schedule of THIS domain to
@@ -111,10 +117,10 @@ func (d *Domain) TurnCount() int64 {
 // replaying, not by the log). Like Config.Replay, events is borrowed, not
 // copied: do not modify it until the run ends.
 func (d *Domain) SetReplay(events []Event) {
-	if d.rec.Sched == nil {
+	if d.sched == nil {
 		panic("qithread: Domain.SetReplay requires a deterministic Mode")
 	}
-	d.rec.Sched.SetReplay(events)
+	d.sched.SetReplay(events)
 }
 
 // Start queues a root thread for the domain: name and entry point, started
@@ -123,13 +129,13 @@ func (d *Domain) SetReplay(events []Event) {
 // default domain panics — the default domain's root is Run's main thread,
 // and everything else there comes from Thread.Create.
 func (d *Domain) Start(name string, fn func(*Thread)) {
-	if d.rec.ID == 0 {
+	if d.id == 0 {
 		panic("qithread: Start on the default domain; the main thread runs there — use Thread.Create")
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if d.launched {
-		panic(fmt.Sprintf("qithread: Start(%q) on %s after Launch", name, d.label()))
+		panic(fmt.Sprintf("qithread: Start(%q) on %s after Launch", name, d))
 	}
 	d.pending = append(d.pending, pendingRoot{name: name, fn: fn})
 }
@@ -149,7 +155,7 @@ func (d *Domain) Launch() {
 	d.mu.Lock()
 	if d.launched {
 		d.mu.Unlock()
-		panic(fmt.Sprintf("qithread: %s launched twice", d.label()))
+		panic(fmt.Sprintf("qithread: %s launched twice", d))
 	}
 	d.launched = true
 	roots := d.pending
@@ -162,7 +168,7 @@ func (d *Domain) Launch() {
 
 	rt := d.rt
 	if rt.det() {
-		d.rec.Sched.HostThreads()
+		d.sched.HostThreads()
 	}
 	threads := make([]*Thread, len(roots))
 	for i, r := range roots {

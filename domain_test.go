@@ -126,6 +126,14 @@ func TestPartitionViolationsPanic(t *testing.T) {
 			p := rt.NewXPipe("x", main.Domain(), other, 1)
 			return func(x *Thread) { p.Close(x) }
 		}},
+		{"XPipe.SendAll of nothing from the receiver domain", nil, func(rt *Runtime, main *Thread, other *Domain) func(*Thread) {
+			p := rt.NewXPipe("x", main.Domain(), other, 1)
+			return func(x *Thread) { p.SendAll(x, nil) }
+		}},
+		{"XPipe.RecvUpTo of nothing from the sender domain", nil, func(rt *Runtime, main *Thread, other *Domain) func(*Thread) {
+			p := rt.NewXPipe("x", other, main.Domain(), 1)
+			return func(x *Thread) { p.RecvUpTo(x, nil) }
+		}},
 	}
 	for _, cfg := range partitionModes() {
 		for _, row := range rows {
@@ -211,7 +219,7 @@ func TestPartitionSetupPanics(t *testing.T) {
 						t.Errorf("panic %q does not contain %q", msg, want)
 					}
 				}
-				if n := len(rt.gateways) + len(rt.group.Channels()); n != 0 {
+				if n := len(rt.gateways) + len(rt.xpipes); n != 0 {
 					t.Errorf("the refused constructor registered %d objects with the runtime", n)
 				}
 			})
@@ -368,7 +376,7 @@ func TestCheckpointCarriesBoundaryState(t *testing.T) {
 				if err := rt.Resume(main); err != nil {
 					t.Fatal(err)
 				}
-				if got := main.dom.rec.Xseq; got != 1 {
+				if got := main.dom.xseq; got != 1 {
 					t.Fatalf("boundary counter after Resume = %d, want 1", got)
 				}
 			} else {
@@ -387,7 +395,7 @@ func TestCheckpointCarriesBoundaryState(t *testing.T) {
 			m.Lock(main)
 			m.Unlock(main)
 		})
-		if got := rt.Domain(0).rec.Xseq; got != 2 {
+		if got := rt.Domain(0).xseq; got != 2 {
 			t.Fatalf("final boundary counter = %d, want 2 (two closes)", got)
 		}
 		return rt, cp

@@ -100,7 +100,7 @@ func (rt *Runtime) NewGateway(name string, d *Domain, cfg GatewayConfig) *Gatewa
 		panic("qithread: gateway domain must be non-nil")
 	}
 	if d.rt != rt {
-		panic(fmt.Sprintf("qithread: gateway %q on %s, which belongs to another runtime", name, d.label()))
+		panic(fmt.Sprintf("qithread: gateway %q on %s, which belongs to another runtime", name, d))
 	}
 	gw := &Gateway{rt: rt, dom: d, name: name}
 	icfg := ingress.Config{
@@ -120,12 +120,12 @@ func (rt *Runtime) NewGateway(name string, d *Domain, cfg GatewayConfig) *Gatewa
 		icfg.Replay = &gw.rep
 	}
 	gw.g.Init(icfg)
-	if d.rec.Sched != nil {
+	if d.sched != nil {
 		// The object id comes from the domain's scheduler, like every other
 		// synchronization object, so it is a pure function of the program's
 		// deterministic creation order — replays of one recording in one
 		// process must trace identical ids.
-		gw.id = d.rec.Sched.NewObjectKind("gateway:", name)
+		gw.id = d.sched.NewObjectKind("gateway:", name)
 	}
 	// Registration order is the checkpoint order: gateways are created
 	// deterministically, so a resumed run rebuilds the same sequence.

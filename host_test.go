@@ -292,7 +292,7 @@ func shardedSquares(cfg Config) (*Runtime, string) {
 	}
 	sum := 0
 	rt.Run(func(main *Thread) {
-		for _, d := range rt.allDomains()[1:] {
+		for _, d := range registered(rt, &rt.domains)[1:] {
 			d.Launch()
 		}
 		m := rt.NewMutex(main, "sum")
@@ -349,9 +349,9 @@ func TestHostedRuntimesBackToBack(t *testing.T) {
 		} else if got != want {
 			t.Fatalf("runtime %d: %s, the first's is %s", i, got, want)
 		}
-		for _, d := range rt.allDomains() {
+		for _, d := range registered(rt, &rt.domains) {
 			// The host record is unexported core state; reading it is the point.
-			if !reflect.ValueOf(d.rec.Sched).Elem().FieldByName("host").IsNil() {
+			if !reflect.ValueOf(d.sched).Elem().FieldByName("host").IsNil() {
 				t.Fatalf("runtime %d: %s still holds its host record after Run returned", i, d)
 			}
 		}

@@ -38,7 +38,6 @@ import (
 	"io"
 
 	"qithread/internal/core"
-	"qithread/internal/domain"
 	"qithread/internal/ingress"
 	"qithread/internal/logio"
 )
@@ -65,12 +64,23 @@ type Record struct {
 	Domains []core.SchedState
 	// Xseqs holds each domain's boundary-operation counter, same order.
 	Xseqs []int64
-	// Channels holds the cross-domain channel states in channel-id order.
-	Channels []domain.ChannelState
+	// Channels holds the cross-domain pipe states in pipe-id order.
+	Channels []ChannelState
 	// Gateways holds the ingress gateway states in registration order.
 	Gateways []ingress.GatewayState
 	// App is the application's own serialized progress, restored verbatim.
 	App []byte
+}
+
+// ChannelState is the checkpointed state of one cross-domain pipe (an
+// XPipe): its stamp counters and running delivery hash. A checkpoint is only
+// taken with every pipe drained, so no message value ever enters it.
+type ChannelState struct {
+	ID        uint64
+	SendSeq   uint64 // messages ever enqueued
+	Delivered uint64 // messages ever delivered
+	Hash      uint64 // running delivery hash
+	Closed    bool
 }
 
 // Save writes the checkpoint record.

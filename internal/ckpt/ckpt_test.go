@@ -2,15 +2,17 @@ package ckpt
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
 	"testing"
 
 	"qithread/internal/core"
-	"qithread/internal/domain"
 	"qithread/internal/ingress"
 	"qithread/internal/logio"
 	"qithread/internal/policy"
@@ -51,7 +53,7 @@ func sampleRecord() *Record {
 			},
 		}},
 		Xseqs:    []int64{12},
-		Channels: []domain.ChannelState{{ID: 1, SendSeq: 12, Delivered: 12, Hash: 0x1234, Closed: true}},
+		Channels: []ChannelState{{ID: 1, SendSeq: 12, Delivered: 12, Hash: 0x1234, Closed: true}},
 		Gateways: []ingress.GatewayState{{
 			Epoch: 7, Seq: 19,
 			Queue:     []ingress.Event{{Source: 1, Data: []byte("req"), Epoch: 7, Seq: 19}},
@@ -110,6 +112,46 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip changed the record:\n got  %#v\n want %#v", got, want)
+	}
+}
+
+// TestCheckpointFormatPinned: testdata/v3b.ckpt is the checkpoint the parent
+// of the change that moved ChannelState into this package wrote for the run
+// of the root package's TestCheckpointCarriesBoundaryState — one domain, its
+// boundary counter at 1, one closed pipe that never carried a message — and
+// its SHA-256 was recorded there. gob names a struct type without its
+// package, so the move must not change what such a file loads to. The decoded
+// fields are compared, not re-encoded bytes: gob type ids are process-global,
+// so a re-encoding depends on which test encoded first.
+func TestCheckpointFormatPinned(t *testing.T) {
+	const sha = "e2e0aefec0a99d722b49e5ee72548304b2222d89d46e764b514bc12b59fae3bd"
+	file, err := os.ReadFile("testdata/v3b.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(file); hex.EncodeToString(sum[:]) != sha {
+		t.Errorf("testdata/v3b.ckpt is not the file the parent build wrote (sha256 %x)", sum)
+	}
+	if !bytes.HasPrefix(file, []byte(header+"\n")) {
+		t.Errorf("testdata/v3b.ckpt does not start with %q", header)
+	}
+	rec, err := Load(bytes.NewReader(file))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantChans := []ChannelState{{ID: 1, Hash: logio.FNVOffset64, Closed: true}}
+	if !reflect.DeepEqual(rec.Channels, wantChans) {
+		t.Errorf("channel states %+v, want %+v", rec.Channels, wantChans)
+	}
+	if !reflect.DeepEqual(rec.Xseqs, []int64{1}) || rec.Epoch != 0 || rec.Gateways != nil || rec.App != nil {
+		t.Errorf("loaded epoch %d, xseqs %v, %d gateways, app %q; want 0, [1], none, none", rec.Epoch, rec.Xseqs, len(rec.Gateways), rec.App)
+	}
+	if len(rec.Domains) != 1 {
+		t.Fatalf("loaded %d domain snapshots, want 1", len(rec.Domains))
+	}
+	if d := rec.Domains[0]; d.DomainID != 0 || d.TraceLen != 4 || d.TraceHash != 0x9995b082fbb3b164 || len(d.Threads) != 1 {
+		t.Errorf("domain snapshot: id %d, trace %d events hashing to %x, %d threads; want 0, 4, 9995b082fbb3b164, 1",
+			d.DomainID, d.TraceLen, d.TraceHash, len(d.Threads))
 	}
 }
 

@@ -121,7 +121,7 @@ type Config struct {
 	// RestoreState reinstates the recorded trace hash/length and unmutes.
 	SuspendRecording bool
 	// DomainID identifies the scheduler domain this scheduler instance
-	// serves (see internal/domain). Recorded events carry it, so per-domain
+	// serves (see pipe.go). Recorded events carry it, so per-domain
 	// traces of a partitioned execution can be merged and attributed. The
 	// default 0 is the single-domain configuration.
 	DomainID int

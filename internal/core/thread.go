@@ -109,11 +109,6 @@ func (t *Thread) Clock() int64 { return t.clock }
 // policy.Thread.
 func (t *Thread) PolicyState() *policy.PerThread { return &t.pstate }
 
-// Scheduler returns the scheduler the thread is registered with. Domain
-// boundary operations (internal/domain) use it to verify that a thread acts
-// only on objects of its own scheduler domain.
-func (t *Thread) Scheduler() *Scheduler { return t.sched }
-
 func (t *Thread) String() string {
 	return fmt.Sprintf("T%d(%s)", t.id, t.name)
 }

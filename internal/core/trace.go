@@ -52,7 +52,7 @@ const (
 	OpDummySync
 	OpSoftBarrier
 	OpSetBaseTime
-	// Cross-domain sequenced-pipe operations (internal/domain). They are
+	// Cross-domain sequenced-pipe operations (pipe.go). They are
 	// appended after the single-domain ops so existing recorded schedules and
 	// golden fingerprints keep their operation numbering.
 	OpXPipeSend
@@ -149,7 +149,7 @@ func (st EventStatus) String() string {
 // Event is one synchronization operation in the deterministic total order of
 // ONE scheduler domain. Seq orders events within the domain; events of
 // different domains are not mutually ordered (cross-domain causality is
-// captured by the sequenced-pipe delivery log, see internal/domain).
+// captured by the sequenced-pipe delivery log, see pipe.go).
 type Event struct {
 	Seq    int64       // position in the domain-local total order
 	TID    int         // thread ID (registration order within the domain)

@@ -28,7 +28,7 @@
 //     byte-identical schedules and fingerprints from the log alone — the
 //     collector, sources, sockets and timers are not involved at all.
 //
-// The determinism argument extends the compositional one of internal/domain:
+// The determinism argument extends the compositional one of the XPipe (pipe.go):
 // a domain's schedule is a function of the synchronization its threads
 // execute; the only new input is the event batch an admission slot returns,
 // and that batch is a function of (log, configuration). Given the log, the

@@ -2,7 +2,7 @@ package logio
 
 // FNV-64a, bit-identical to hash/fnv. Every fingerprint in the system — the
 // running schedule hash (internal/core), trace.Hash, the cross-domain
-// delivery hashes (internal/domain) and the ingress admit/shed hashes — folds
+// delivery hashes (pipe.go) and the ingress admit/shed hashes — folds
 // fixed-width fields one at a time on a hot path, so the fold is open-coded
 // here once instead of going through hash.Hash64 and a scratch buffer per
 // field. The values are persisted (.fp sidecars, checkpoints, 705 golden

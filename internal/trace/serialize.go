@@ -22,7 +22,7 @@ import (
 //	qithread-schedule v3b     framed binary
 //
 // v2 adds the scheduler-domain id of each event, so partitioned executions
-// (internal/domain) can persist per-domain schedules. Save emits v1 whenever
+// (pipe.go) can persist per-domain schedules. Save emits v1 whenever
 // every event belongs to the default domain — keeping single-domain files, and
 // the golden fingerprints derived from them, byte-identical to the original
 // format — and v2 as soon as any event carries a non-zero domain.

@@ -51,7 +51,7 @@ func (rt *Runtime) NewPCSMutex(t *Thread, name string) *Mutex {
 func (rt *Runtime) newMutex(t *Thread, name string, pcs bool) *Mutex {
 	m := &Mutex{rt: rt, dom: t.dom, name: name, pcs: pcs}
 	if rt.det() {
-		s := t.dom.rec.Sched
+		s := t.dom.sched
 		s.GetTurn(t.ct)
 		m.obj = s.NewObjectKind("mutex:", name)
 		s.TraceOp(t.ct, core.OpMutexInit, m.obj, core.StatusOK)

@@ -26,7 +26,7 @@ type Once struct {
 func (rt *Runtime) NewOnce(t *Thread, name string) *Once {
 	o := &Once{rt: rt, dom: t.dom, name: name}
 	if rt.det() {
-		s := t.dom.rec.Sched
+		s := t.dom.sched
 		s.GetTurn(t.ct)
 		o.obj = s.NewObjectKind("once:", name)
 		s.TraceOp(t.ct, core.OpOnce, o.obj, core.StatusOK)

@@ -5,7 +5,7 @@ import (
 	"sync"
 
 	"qithread/internal/core"
-	"qithread/internal/domain"
+	"qithread/internal/logio"
 )
 
 // Pipe is a deterministic, bounded, in-order message channel between
@@ -115,20 +115,66 @@ func (p *Pipe) Close(t *Thread) {
 // detected by the per-domain deadlock checkers, which see a turn-holding
 // thread as running.
 //
-// In Nondet mode an XPipe degrades to a plain buffered channel, so
-// partitioned workloads run unchanged under the nondeterministic baseline.
+// The buffer is a ring of capacity slots allocated once, so the steady-state
+// message path allocates nothing. In Nondet mode an XPipe is the same ring
+// without the turn: its operations take no schedule slot, record no stamps
+// and join no fingerprint, so partitioned workloads run unchanged under the
+// nondeterministic baseline.
 type XPipe struct {
 	rt       *Runtime
+	id       uint64 // creation order among the runtime's XPipes, from 1: seeds every stamp, and is the trace object id of the pipe's operations
 	name     string
 	from, to *Domain
-	ch       *domain.Channel // nil in Nondet mode
 
-	// Nondet fallback state.
-	nmu      sync.Mutex
-	ncv      *sync.Cond
-	nbuf     []any
-	nclosed  bool
-	capacity int
+	// mu guards the rest. It is a real mutex outside any turn: it orders the
+	// two domains' physical accesses, while each side's logical order comes
+	// from its own turn. A deterministic side waits holding its turn, so at
+	// most one sender and one receiver park; a Nondet side has no turn, so
+	// any number may, and a wake-up wakes every parked waiter of its side.
+	mu      sync.Mutex
+	canSend sync.Cond // senders park here while the ring is full
+	canRecv sync.Cond // receivers park here while the ring is short of their batch
+	sendW   int       // parked senders
+	recvW   int       // parked receivers
+
+	ring   []message // capacity slots
+	head   int       // index of the oldest queued message
+	n      int       // queued messages
+	closed bool
+
+	sendSeq   uint64     // messages ever enqueued
+	delivered uint64     // messages ever delivered
+	hash      uint64     // running FNV-64a over the delivery stamps (see recvBatch)
+	log       []Delivery // every delivery, under Config.RetainDeliveryLog only
+}
+
+// message is one queued value with its sender-side stamps.
+type message struct {
+	v        any
+	seq      uint64 // message sequence within the pipe, from 1
+	vtime    int64  // sender's virtual clock at the send
+	sendTurn int64  // sender domain's turn count at the send
+	sendXSeq int64  // sender domain's boundary sequence at the send
+}
+
+// Delivery is one completed cross-domain message transfer with its
+// sequencing stamps. Every field is a deterministic function of program +
+// configuration, so two runs must produce identical logs; see
+// Runtime.DeliveryLog.
+type Delivery struct {
+	Channel  string // pipe name
+	ChanID   uint64 // pipe id (creation order within the runtime)
+	Seq      uint64 // message sequence within the pipe, 1-based
+	From, To int    // sender and receiver domain ids
+	SendTurn int64  // sender domain's logical time at the send
+	SendXSeq int64  // sender domain's boundary sequence at the send
+	RecvTurn int64  // receiver domain's logical time at the receive
+	RecvXSeq int64  // receiver domain's boundary sequence at the receive
+}
+
+func (d Delivery) String() string {
+	return fmt.Sprintf("%s#%d msg %d: d%d(turn %d, x%d) -> d%d(turn %d, x%d)",
+		d.Channel, d.ChanID, d.Seq, d.From, d.SendTurn, d.SendXSeq, d.To, d.RecvTurn, d.RecvXSeq)
 }
 
 // NewXPipe creates a sequenced pipe from one scheduler domain to another
@@ -142,20 +188,18 @@ func (rt *Runtime) NewXPipe(name string, from, to *Domain, capacity int) *XPipe 
 		panic("qithread: XPipe endpoints must be non-nil")
 	}
 	if from == to {
-		panic(fmt.Sprintf("qithread: XPipe %q has both endpoints in %s; use NewPipe within a domain", name, from.label()))
+		panic(fmt.Sprintf("qithread: XPipe %q has both endpoints in %s; use NewPipe within a domain", name, from))
 	}
 	if from.rt != rt || to.rt != rt {
-		panic(fmt.Sprintf("qithread: XPipe %q from %s to %s has an endpoint in another runtime", name, from.label(), to.label()))
+		panic(fmt.Sprintf("qithread: XPipe %q from %s to %s has an endpoint in another runtime", name, from, to))
 	}
-	if capacity < 1 {
-		capacity = 1
-	}
-	p := &XPipe{rt: rt, name: name, from: from, to: to, capacity: capacity}
-	if rt.det() {
-		p.ch = rt.group.NewChannel(name, &from.rec, &to.rec, capacity)
-	} else {
-		p.ncv = sync.NewCond(&p.nmu)
-	}
+	p := &XPipe{rt: rt, name: name, from: from, to: to, ring: make([]message, max(capacity, 1)), hash: logio.FNVOffset64}
+	p.canSend.L = &p.mu
+	p.canRecv.L = &p.mu
+	rt.domMu.Lock()
+	defer rt.domMu.Unlock()
+	rt.xpipes = append(rt.xpipes, p)
+	p.id = uint64(len(rt.xpipes))
 	return p
 }
 
@@ -198,35 +242,19 @@ func (p *XPipe) Recv(t *Thread) (any, bool) {
 // and occupies no schedule slot. The caller must belong to the sender
 // domain.
 func (p *XPipe) SendAll(t *Thread, vs []any) int {
-	if len(vs) == 0 {
-		return 0
-	}
 	s := p.from.enter(t, "xpipe sender end", p.name)
-	if !p.rt.det() {
-		sent := 0
-		p.nmu.Lock()
-		for sent < len(vs) {
-			for len(p.nbuf) >= p.capacity && !p.nclosed {
-				p.ncv.Wait()
-			}
-			if p.nclosed {
-				break
-			}
-			for len(p.nbuf) < p.capacity && sent < len(vs) {
-				p.nbuf = append(p.nbuf, vs[sent])
-				sent++
-			}
-			p.ncv.Broadcast()
-		}
-		p.nmu.Unlock()
-		return sent
-	}
 	sent := 0
 	for sent < len(vs) {
-		s.GetTurn(t.ct)
-		n := p.ch.SendBatch(t.ct, vs[sent:])
-		s.TraceOp(t.ct, core.OpXPipeSend, p.ch.ID(), core.StatusOK)
-		t.release()
+		var turn, vtime int64
+		if s != nil {
+			s.GetTurn(t.ct)
+			turn, vtime = s.TurnCount(), t.ct.VTime()
+		}
+		n := p.sendBatch(vs[sent:], turn, vtime)
+		if s != nil {
+			s.TraceOp(t.ct, core.OpXPipeSend, p.id, core.StatusOK)
+			t.release()
+		}
 		if n == 0 {
 			break // closed: the remaining messages are dropped
 		}
@@ -246,38 +274,22 @@ func (p *XPipe) SendAll(t *Thread, vs []any) int {
 // dst receives nothing and occupies no schedule slot. The caller must
 // belong to the receiver domain.
 func (p *XPipe) RecvUpTo(t *Thread, dst []any) (n int, ok bool) {
+	s := p.to.enter(t, "xpipe receiver end", p.name)
 	if len(dst) == 0 {
 		return 0, true
 	}
-	s := p.to.enter(t, "xpipe receiver end", p.name)
-	if !p.rt.det() {
-		want := len(dst)
-		if want > p.capacity {
-			want = p.capacity
-		}
-		p.nmu.Lock()
-		for len(p.nbuf) < want && !p.nclosed {
-			p.ncv.Wait()
-		}
-		n = len(p.nbuf)
-		if n > want {
-			n = want
-		}
-		if n == 0 {
-			p.nmu.Unlock()
-			return 0, false
-		}
-		copy(dst, p.nbuf[:n])
-		p.nbuf = p.nbuf[n:]
-		p.ncv.Broadcast()
-		p.nmu.Unlock()
-		return n, true
+	var turn, vmax int64
+	if s != nil {
+		s.GetTurn(t.ct)
+		turn = s.TurnCount()
 	}
-	s.GetTurn(t.ct)
-	n, ok = p.ch.RecvBatch(t.ct, dst)
-	s.TraceOp(t.ct, core.OpXPipeRecv, p.ch.ID(), core.StatusOK)
-	t.release()
-	return n, ok
+	n, vmax = p.recvBatch(dst, turn)
+	if s != nil {
+		t.ct.MeetVTime(vmax)
+		s.TraceOp(t.ct, core.OpXPipeRecv, p.id, core.StatusOK)
+		t.release()
+	}
+	return n, n > 0
 }
 
 // Close marks the pipe closed and wakes blocked peers. Queued messages
@@ -287,15 +299,119 @@ func (p *XPipe) RecvUpTo(t *Thread, dst []any) (n int, ok bool) {
 // shutdown through a reverse XPipe).
 func (p *XPipe) Close(t *Thread) {
 	s := p.from.enter(t, "xpipe sender end", p.name)
-	if !p.rt.det() {
-		p.nmu.Lock()
-		p.nclosed = true
-		p.ncv.Broadcast()
-		p.nmu.Unlock()
-		return
+	if s != nil {
+		s.GetTurn(t.ct)
+		p.from.xseq++
 	}
-	s.GetTurn(t.ct)
-	p.ch.Close(t.ct)
-	s.TraceOp(t.ct, core.OpXPipeClose, p.ch.ID(), core.StatusOK)
-	t.release()
+	p.close()
+	if s != nil {
+		s.TraceOp(t.ct, core.OpXPipeClose, p.id, core.StatusOK)
+		t.release()
+	}
+}
+
+// close marks the ring closed and wakes every parked sender and receiver.
+func (p *XPipe) close() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.closed = true
+	wake(&p.canSend, p.sendW)
+	wake(&p.canRecv, p.recvW)
+}
+
+// wake wakes every waiter parked on c, if there are any. The caller holds
+// c.L.
+func wake(c *sync.Cond, parked int) {
+	if parked > 0 {
+		c.Broadcast()
+	}
+}
+
+// sendBatch enqueues min(len(vs), capacity) messages as one boundary slot,
+// stamped with the sender's turn count and virtual clock, and in a
+// deterministic mode each with the next boundary sequence of the sender
+// domain. It waits whenever the ring is full, at the start or mid-batch, and
+// stops at a close; it returns the number enqueued, fewer than the batch
+// only if the pipe was closed. A deterministic sender holds its domain's
+// turn throughout, so no close lands mid-batch and the batch size never
+// depends on the receiver's progress.
+func (p *XPipe) sendBatch(vs []any, turn, vtime int64) int {
+	k := min(len(vs), len(p.ring))
+	stamp := p.rt.det()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	sent := 0
+	for sent < k {
+		for p.n == len(p.ring) && !p.closed {
+			p.sendW++
+			p.canSend.Wait()
+			p.sendW--
+		}
+		if p.closed {
+			break
+		}
+		for ; p.n < len(p.ring) && sent < k; sent++ {
+			var xseq int64
+			if stamp {
+				p.from.xseq++
+				xseq = p.from.xseq
+			}
+			p.sendSeq++
+			p.ring[(p.head+p.n)%len(p.ring)] = message{v: vs[sent], seq: p.sendSeq, vtime: vtime, sendTurn: turn, sendXSeq: xseq}
+			p.n++
+		}
+		wake(&p.canRecv, p.recvW)
+	}
+	return sent
+}
+
+// recvBatch dequeues up to min(len(dst), capacity) messages into dst as one
+// boundary slot, in a deterministic mode stamping each delivery with the
+// receiver domain's turn count and next boundary sequence. It waits until
+// that many are queued or the pipe is closed; once closed, the remainder is
+// fixed by the sender's schedule. It returns the count, 0 only on a closed,
+// drained pipe, and the latest send-time virtual clock among the messages.
+//
+// A stamped delivery is folded into the pipe's running hash as it happens —
+// pipe id, message sequence, sender and receiver domain, send turn and xseq,
+// receive turn and xseq — so fingerprinting needs no log; the log is kept
+// only under Config.RetainDeliveryLog.
+func (p *XPipe) recvBatch(dst []any, turn int64) (n int, vmax int64) {
+	want := min(len(dst), len(p.ring))
+	stamp := p.rt.det()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.n < want && !p.closed {
+		p.recvW++
+		p.canRecv.Wait()
+		p.recvW--
+	}
+	n = min(p.n, want)
+	for i := range dst[:n] {
+		m := &p.ring[p.head]
+		dst[i] = m.v
+		m.v = nil // the slot must not keep the value alive
+		p.head = (p.head + 1) % len(p.ring)
+		if !stamp {
+			continue
+		}
+		p.to.xseq++
+		p.delivered++
+		vmax = max(vmax, m.vtime)
+		h := p.hash
+		for _, w := range [...]uint64{p.id, m.seq, uint64(p.from.id), uint64(p.to.id),
+			uint64(m.sendTurn), uint64(m.sendXSeq), uint64(turn), uint64(p.to.xseq)} {
+			h = logio.FNVFold64(h, w)
+		}
+		p.hash = h
+		if p.rt.cfg.RetainDeliveryLog {
+			p.log = append(p.log, Delivery{Channel: p.name, ChanID: p.id, Seq: m.seq, From: p.from.id, To: p.to.id,
+				SendTurn: m.sendTurn, SendXSeq: m.sendXSeq, RecvTurn: turn, RecvXSeq: p.to.xseq})
+		}
+	}
+	p.n -= n
+	if n > 0 {
+		wake(&p.canSend, p.sendW)
+	}
+	return n, vmax
 }

@@ -1,8 +1,13 @@
 package qithread
 
 import (
+	"reflect"
+	"runtime"
 	"testing"
+	"testing/quick"
+	"time"
 
+	"qithread/internal/logio"
 	"qithread/internal/trace"
 )
 
@@ -260,38 +265,347 @@ func TestPipeSendConcurrentCloseDrops(t *testing.T) {
 	}
 }
 
-// TestXPipeSingleFormsAllocFree: Send and Recv are SendAll / RecvUpTo of one
-// message through a stack [1]any, so a deterministic single-message round
-// trip — sender and receiver domain both counted — allocates nothing, the
-// same as the batch forms it delegates to.
+// TestXPipeSingleFormsAllocFree: the steady-state message path allocates
+// nothing — the ring is the message pool, deliveries fold into a running hash
+// and wake-ups go to parked waiters only. Send and Recv are SendAll and
+// RecvUpTo of one message through a stack [1]any, so a deterministic
+// single-message round trip allocates nothing, and neither does a batched one,
+// which reuses the caller's slices. Sender and receiver domain are both
+// counted.
 func TestXPipeSingleFormsAllocFree(t *testing.T) {
-	rt := New(Config{Mode: RoundRobin, Policies: AllPolicies})
-	shard := rt.NewDomain("shard")
-	p := rt.NewXPipe("x", rt.Domain(0), shard, 4)
-	received := 0
-	shard.Start("rx", func(w *Thread) {
-		for {
-			if _, ok := p.Recv(w); !ok {
-				return
+	for _, tc := range []struct {
+		name        string
+		k, capacity int // messages per call; pipe capacity
+	}{{"Send+Recv", 1, 4}, {"SendAll+RecvUpTo", 8, 8}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := New(Config{Mode: RoundRobin, Policies: AllPolicies})
+			shard := rt.NewDomain("shard")
+			p := rt.NewXPipe("x", rt.Domain(0), shard, tc.capacity)
+			received := 0
+			shard.Start("rx", func(w *Thread) {
+				dst := make([]any, tc.k)
+				for {
+					var ok bool
+					if tc.k == 1 {
+						dst[0], ok = p.Recv(w)
+					} else {
+						_, ok = p.RecvUpTo(w, dst)
+					}
+					if !ok {
+						return
+					}
+					received++
+				}
+			})
+			vs := make([]any, tc.k)
+			for i := range vs {
+				vs[i] = "payload"
 			}
-			received++
-		}
-	})
-	var allocs float64
-	rt.Run(func(main *Thread) {
-		shard.Launch()
-		v := any("payload")
-		allocs = testing.AllocsPerRun(200, func() {
-			if !p.Send(main, v) {
-				t.Error("Send on an open pipe reported false")
+			var allocs float64
+			rt.Run(func(main *Thread) {
+				shard.Launch()
+				allocs = testing.AllocsPerRun(200, func() {
+					if tc.k == 1 && !p.Send(main, vs[0]) || tc.k > 1 && p.SendAll(main, vs) != tc.k {
+						t.Error("sending on an open pipe fell short")
+					}
+				})
+				p.Close(main)
+			})
+			if received != 201 { // AllocsPerRun makes one warm-up call
+				t.Fatalf("receiver completed %d calls, want 201", received)
+			}
+			if allocs != 0 {
+				t.Fatalf("a round trip of %d message(s) allocates %.0f objects, want 0", tc.k, allocs)
 			}
 		})
-		p.Close(main)
-	})
-	if received != 201 { // AllocsPerRun makes one warm-up call
-		t.Fatalf("receiver got %d messages, want 201", received)
 	}
-	if allocs != 0 {
-		t.Fatalf("XPipe Send+Recv allocates %.0f objects per message, want 0", allocs)
+}
+
+// ringPipe is an XPipe from the default domain to a second one of a
+// deterministic runtime that never runs, for the tests that drive the ring's
+// batch methods with explicit stamps: one test goroutine plays both ends.
+func ringPipe(retain bool, capacity int) (*Runtime, *XPipe) {
+	rt := New(Config{Mode: RoundRobin, RetainDeliveryLog: retain})
+	return rt, rt.NewXPipe("x", rt.Domain(0), rt.NewDomain("b"), capacity)
+}
+
+// parked reads one of p's parked-waiter counts.
+func parked(p *XPipe, count *int) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return *count
+}
+
+// hashDeliveries hashes a delivery log field by field: a pipe's running
+// delivery hash equals hashDeliveries of the pipe's retained log.
+func hashDeliveries(log []Delivery) uint64 {
+	h := uint64(logio.FNVOffset64)
+	for _, d := range log {
+		h = logio.FNVFold64(h, d.ChanID)
+		h = logio.FNVFold64(h, d.Seq)
+		h = logio.FNVFold64(h, uint64(d.From))
+		h = logio.FNVFold64(h, uint64(d.To))
+		h = logio.FNVFold64(h, uint64(d.SendTurn))
+		h = logio.FNVFold64(h, uint64(d.SendXSeq))
+		h = logio.FNVFold64(h, uint64(d.RecvTurn))
+		h = logio.FNVFold64(h, uint64(d.RecvXSeq))
+	}
+	return h
+}
+
+// TestSendBatchEqualsSingleSends is the batching determinism property: under
+// the same stamps (one held turn on each side), a batch of k followed by a
+// receive of k produces exactly the deliveries of k single sends followed by
+// k single receives — consecutive message and boundary sequences, identical
+// turn stamps. Batching changes how many schedule slots a transfer occupies,
+// never the per-message stamp expansion.
+func TestSendBatchEqualsSingleSends(t *testing.T) {
+	const sendTurn, recvTurn, vtime = 5, 9, 300
+	property := func(kSeed, capSeed uint8) bool {
+		capacity := int(capSeed%8) + 1
+		k := int(kSeed%uint8(capacity)) + 1 // 1..capacity
+		vs := make([]any, k)
+		for i := range vs {
+			vs[i] = i
+		}
+
+		batched, pb := ringPipe(true, capacity)
+		if n := pb.sendBatch(vs, sendTurn, vtime); n != k {
+			t.Fatalf("sendBatch sent %d, want %d", n, k)
+		}
+		dst := make([]any, k)
+		if n, vmax := pb.recvBatch(dst, recvTurn); n != k || vmax != vtime {
+			t.Fatalf("recvBatch got (%d, vtime %d), want (%d, %d)", n, vmax, k, vtime)
+		}
+
+		single, ps := ringPipe(true, capacity)
+		for i := range vs {
+			if ps.sendBatch(vs[i:i+1], sendTurn, vtime) != 1 {
+				t.Fatal("single send failed")
+			}
+		}
+		for i := range vs {
+			var one [1]any
+			if n, _ := ps.recvBatch(one[:], recvTurn); n != 1 || one[0] != dst[i] {
+				t.Fatalf("single receive %d got (%d, %v), want (1, %v)", i, n, one[0], dst[i])
+			}
+		}
+
+		logB, logS := batched.DeliveryLog(), single.DeliveryLog()
+		if len(logB) != k || !reflect.DeepEqual(logB, logS) {
+			t.Logf("batched:  %v", logB)
+			t.Logf("single:   %v", logS)
+			return false
+		}
+		return batched.Fingerprint().Equal(single.Fingerprint())
+	}
+	if err := quick.Check(property, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCloseUnderBlockedBatch: a receiver parked waiting for a full batch
+// must, when the sender closes instead, return the closed-remainder
+// (everything shipped before the close) and then report end-of-stream.
+func TestCloseUnderBlockedBatch(t *testing.T) {
+	_, p := ringPipe(true, 4)
+	if n := p.sendBatch([]any{"a", "b"}, 1, 0); n != 2 {
+		t.Fatalf("sendBatch sent %d, want 2", n)
+	}
+	got := make(chan []any, 1)
+	go func() {
+		dst := make([]any, 4) // wants 4, only 2 will ever arrive
+		n, _ := p.recvBatch(dst, 1)
+		got <- dst[:n]
+	}()
+	for parked(p, &p.recvW) == 0 {
+		runtime.Gosched()
+	}
+	p.close()
+	if vs := <-got; !reflect.DeepEqual(vs, []any{"a", "b"}) {
+		t.Fatalf("blocked receive returned %v, want the closed-remainder [a b]", vs)
+	}
+	if n, _ := p.recvBatch(make([]any, 4), 2); n != 0 {
+		t.Fatalf("drained closed pipe delivered %d, want 0", n)
+	}
+	if n := p.sendBatch([]any{"c"}, 2, 0); n != 0 {
+		t.Fatalf("sendBatch on a closed pipe sent %d, want 0", n)
+	}
+}
+
+// TestDeliveryHashIncremental cross-checks the incremental fold against the
+// materialized log: a pipe's running hash must equal hashDeliveries of its
+// retained log, and the fingerprint's Deliveries the (id, count, hash) fold
+// over pipes in id order — so not retaining the log cannot change a
+// fingerprint.
+func TestDeliveryHashIncremental(t *testing.T) {
+	rt := New(Config{Mode: RoundRobin, RetainDeliveryLog: true})
+	b := rt.NewDomain("b")
+	x := rt.NewXPipe("x", rt.Domain(0), b, 3)
+	y := rt.NewXPipe("y", b, rt.Domain(0), 2)
+
+	x.sendBatch([]any{1, 2, 3}, 1, 0)
+	x.recvBatch(make([]any, 3), 1)
+	y.sendBatch([]any{"r"}, 2, 0)
+	y.recvBatch(make([]any, 1), 2)
+	x.sendBatch([]any{4}, 3, 0)
+	x.recvBatch(make([]any, 1), 3)
+
+	want := uint64(logio.FNVOffset64)
+	for _, p := range []*XPipe{x, y} {
+		if int(p.delivered) != len(p.log) {
+			t.Fatalf("pipe %s: delivered=%d, log has %d", p.name, p.delivered, len(p.log))
+		}
+		if h := hashDeliveries(p.log); h != p.hash {
+			t.Fatalf("pipe %s: incremental hash %016x, recomputed %016x", p.name, p.hash, h)
+		}
+		want = logio.FNVFold64(want, p.id)
+		want = logio.FNVFold64(want, p.delivered)
+		want = logio.FNVFold64(want, p.hash)
+	}
+	if got := rt.Fingerprint().Deliveries; got != want {
+		t.Fatalf("fingerprint deliveries %016x, want %016x", got, want)
+	}
+}
+
+// TestRetainOffMatchesRetainOn: the delivery log is a debug artifact; turning
+// it off must not change the fingerprint, and DeliveryLog must report nil so
+// callers cannot mistake "not retained" for "no deliveries".
+func TestRetainOffMatchesRetainOn(t *testing.T) {
+	run := func(retain bool) (Fingerprint, []Delivery) {
+		rt := New(Config{Mode: RoundRobin, Record: true, RetainDeliveryLog: retain})
+		src := rt.NewDomain("src")
+		p := rt.NewXPipe("x", src, rt.Domain(0), 4)
+		src.Start("tx", func(x *Thread) {
+			p.SendAll(x, []any{1, 2, 3, 4})
+			p.Close(x)
+		})
+		rt.Run(func(main *Thread) {
+			src.Launch()
+			dst := make([]any, 4)
+			for {
+				if _, ok := p.RecvUpTo(main, dst); !ok {
+					return
+				}
+			}
+		})
+		return rt.Fingerprint(), rt.DeliveryLog()
+	}
+	fpOn, logOn := run(true)
+	fpOff, logOff := run(false)
+	if len(logOn) != 4 {
+		t.Fatalf("retained log has %d deliveries, want 4", len(logOn))
+	}
+	if logOff != nil {
+		t.Fatalf("unretained DeliveryLog = %v, want nil", logOff)
+	}
+	if !fpOn.Equal(fpOff) {
+		t.Fatalf("retain flag changed fingerprint: %v vs %v", fpOn, fpOff)
+	}
+}
+
+// TestXPipeTraffic: an XPipe carries data under every mode — in Nondet mode
+// too, where no turn orders the senders. Four sender-domain threads push 50
+// values each through a capacity-2 pipe; the receiver, three slots at a time,
+// sees each of the 200 exactly once.
+func TestXPipeTraffic(t *testing.T) {
+	const senders, each = 4, 50
+	for _, cfg := range partitionModes() {
+		t.Run(cfg.Mode.String(), func(t *testing.T) {
+			rt := New(cfg)
+			src := rt.NewDomain("src")
+			p := rt.NewXPipe("x", src, rt.Domain(0), 2)
+			src.Start("root", func(root *Thread) {
+				var kids [senders]*Thread
+				for i := range kids {
+					kids[i] = root.Create("tx", func(x *Thread) {
+						vs := make([]any, each)
+						for j := range vs {
+							vs[j] = i*each + j
+						}
+						if n := p.SendAll(x, vs); n != each {
+							t.Errorf("sender %d: SendAll sent %d, want %d", i, n, each)
+						}
+					})
+				}
+				for _, k := range kids {
+					root.Join(k)
+				}
+				p.Close(root)
+			})
+			seen := make([]int, senders*each)
+			rt.Run(func(main *Thread) {
+				src.Launch()
+				var dst [3]any
+				for {
+					n, ok := p.RecvUpTo(main, dst[:])
+					for _, v := range dst[:n] {
+						seen[v.(int)]++
+					}
+					if !ok {
+						return
+					}
+				}
+			})
+			for v, c := range seen {
+				if c != 1 {
+					t.Fatalf("value %d arrived %d times, want once", v, c)
+				}
+			}
+		})
+	}
+}
+
+// TestXPipeCloseUnderBlockedSendAll: in Nondet mode no turn spans a SendAll,
+// so another sender-domain thread can close the pipe while a sender waits
+// mid-batch on a full ring. The sender must return what it enqueued, and the
+// receiver must get exactly the values enqueued before the close. (In a
+// deterministic mode the waiting sender holds its domain's turn, so no close
+// can land there.)
+func TestXPipeCloseUnderBlockedSendAll(t *testing.T) {
+	rt := New(Config{Mode: Nondet})
+	src := rt.NewDomain("src")
+	p := rt.NewXPipe("x", src, rt.Domain(0), 2)
+	closed := make(chan struct{})
+	sent := -1
+	src.Start("root", func(root *Thread) {
+		p.Send(root, 0) // one free slot left
+		tx := root.Create("tx", func(x *Thread) {
+			sent = p.SendAll(x, []any{1, 2}) // enqueues 1, then waits mid-batch
+		})
+		for parked(p, &p.sendW) == 0 {
+			root.Yield()
+		}
+		p.Close(root)
+		root.Join(tx)
+		close(closed)
+	})
+	var got []any
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rt.Run(func(main *Thread) {
+			src.Launch()
+			<-closed
+			var dst [2]any
+			for {
+				n, ok := p.RecvUpTo(main, dst[:])
+				got = append(got, dst[:n]...)
+				if !ok {
+					return
+				}
+			}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close did not release the sender waiting mid-batch")
+	}
+	if sent != 1 {
+		t.Errorf("SendAll returned %d, want 1: the value after the close is dropped", sent)
+	}
+	if !reflect.DeepEqual(got, []any{0, 1}) {
+		t.Errorf("received %v, want [0 1]: exactly what was enqueued before the close", got)
 	}
 }

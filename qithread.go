@@ -40,10 +40,7 @@
 //	})
 package qithread
 
-import (
-	"qithread/internal/core"
-	"qithread/internal/domain"
-)
+import "qithread/internal/core"
 
 // Policy re-exports the semantics-aware policy bitmask of internal/core so
 // users configure a Runtime without importing internal packages.
@@ -206,11 +203,3 @@ const (
 	ChooseWake  = core.ChooseWake
 	ChooseAdmit = core.ChooseAdmit
 )
-
-// Delivery re-exports one cross-domain XPipe delivery with its sequencing
-// stamps; see Runtime.DeliveryLog.
-type Delivery = domain.Delivery
-
-// Fingerprint re-exports the partitioned-execution determinism fingerprint;
-// see Runtime.Fingerprint.
-type Fingerprint = domain.Fingerprint

@@ -2,11 +2,13 @@ package qithread
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"qithread/internal/core"
-	"qithread/internal/domain"
+	"qithread/internal/logio"
 	"qithread/internal/policy"
 )
 
@@ -14,13 +16,14 @@ import (
 // threads and synchronization objects of a program belong to one Runtime.
 // A Runtime is single-use: create it, call Run, read results.
 type Runtime struct {
-	cfg   Config
-	main  Domain       // the default domain (id 0); its scheduler is nil in Nondet mode
-	group domain.Group // the cross-domain channels; stays empty in Nondet mode
+	cfg  Config
+	main Domain // the default domain (id 0); its scheduler is nil in Nondet mode
 
 	domMu    sync.Mutex
 	domains  []*Domain   // id order; domains[0] is &main
 	domain0  [1]*Domain  // backing array of domains until NewDomain outgrows it
+	xpipes   []*XPipe    // creation order: a pipe's id is its index + 1
+	xpipe0   [1]*XPipe   // backing array of xpipes until a second one outgrows it
 	gateways []*Gateway  // ingress gateways in creation order (checkpoint order)
 	gateway0 [1]*Gateway // backing array of gateways until a second one outgrows it
 
@@ -52,12 +55,12 @@ func New(cfg Config) *Runtime {
 		}
 	}
 	rt := &Runtime{cfg: cfg}
-	rt.group.RetainDeliveryLog = cfg.RetainDeliveryLog
 	rt.domains = rt.domain0[:0]
+	rt.xpipes = rt.xpipe0[:0]
 	rt.gateways = rt.gateway0[:0]
 	rt.addDomain(&rt.main, "main")
 	if cfg.Replay != nil {
-		rt.main.rec.Sched.SetReplay(cfg.Replay)
+		rt.main.sched.SetReplay(cfg.Replay)
 	}
 	return rt
 }
@@ -73,8 +76,7 @@ func (rt *Runtime) addDomain(d *Domain, name string) *Domain {
 	defer rt.domMu.Unlock()
 	cfg := &rt.cfg
 	id := len(rt.domains)
-	d.rt = rt
-	d.rec = domain.Domain{ID: id, Name: name}
+	d.rt, d.id, d.name = rt, id, name
 	if cfg.Mode.Deterministic() {
 		mode := core.RoundRobin
 		switch cfg.Mode {
@@ -90,13 +92,13 @@ func (rt *Runtime) addDomain(d *Domain, name string) *Domain {
 		if cfg.Chooser != nil {
 			d.chooser = cfg.Chooser(id)
 		}
-		d.rec.Sched = core.New(core.Config{
+		d.sched = core.New(core.Config{
 			Mode: mode, Policies: cfg.Policies, Record: cfg.Record,
 			Sink: sink, SuspendRecording: cfg.Resume != nil,
 			DomainID: id, NoLease: cfg.NoTurnLease,
 			Chooser: d.chooser,
 		})
-		d.stack = d.rec.Sched.Stack()
+		d.stack = d.sched.Stack()
 	}
 	rt.domains = append(rt.domains, d)
 	return d
@@ -127,13 +129,12 @@ func (rt *Runtime) NumDomains() int {
 	return len(rt.domains)
 }
 
-// allDomains snapshots the domain list in id order.
-func (rt *Runtime) allDomains() []*Domain {
+// registered snapshots one of the runtime's lists under domMu: the domains in
+// id order, the XPipes or the gateways in creation order.
+func registered[T any](rt *Runtime, list *[]T) []T {
 	rt.domMu.Lock()
 	defer rt.domMu.Unlock()
-	out := make([]*Domain, len(rt.domains))
-	copy(out, rt.domains)
-	return out
+	return append([]T(nil), *list...)
 }
 
 // VirtualMakespan returns the critical-path estimate of the program's
@@ -148,8 +149,8 @@ func (rt *Runtime) VirtualMakespan() int64 {
 	}
 	// A partitioned execution finishes when its slowest domain does.
 	var max int64
-	for _, d := range rt.allDomains() {
-		if v := d.rec.Sched.VirtualMakespan(); v > max {
+	for _, d := range registered(rt, &rt.domains) {
+		if v := d.sched.VirtualMakespan(); v > max {
 			max = v
 		}
 	}
@@ -161,7 +162,7 @@ func (rt *Runtime) Config() Config { return rt.cfg }
 
 // Scheduler exposes the underlying deterministic scheduler (nil in Nondet
 // mode). It is intended for tests and tools; programs use the wrappers.
-func (rt *Runtime) Scheduler() *core.Scheduler { return rt.main.rec.Sched }
+func (rt *Runtime) Scheduler() *core.Scheduler { return rt.main.sched }
 
 // Run executes main as the program's main thread and returns when every
 // thread of every domain — the main thread, everything it transitively
@@ -180,9 +181,9 @@ func (rt *Runtime) Scheduler() *core.Scheduler { return rt.main.rec.Sched }
 func (rt *Runtime) Run(main func(t *Thread)) {
 	t := rt.newThread("main", &rt.main)
 	if rt.det() {
-		rt.main.rec.Sched.HostThreads()
+		rt.main.sched.HostThreads()
 		// Nothing joins the main thread, so it gets no join object.
-		t.ct = rt.main.rec.Sched.RegisterIn(&t.node, "main")
+		t.ct = rt.main.sched.RegisterIn(&t.node, "main")
 	}
 	rt.wg.Add(1)
 	func() {
@@ -199,6 +200,37 @@ func (rt *Runtime) Run(main func(t *Thread)) {
 // thread of the default domain.
 func (rt *Runtime) Trace() []Event { return rt.main.Trace() }
 
+// Fingerprint condenses a partitioned execution for determinism checking:
+// it has no global total order to hash, but each domain's schedule plus the
+// cross-domain delivery log characterize it fully. Two runs of the same
+// program and configuration must produce equal fingerprints.
+type Fingerprint struct {
+	// DomainHashes holds each domain's schedule hash (trace.Hash) in domain
+	// id order.
+	DomainHashes []uint64
+	// Deliveries hashes the cross-domain delivery history: an FNV-64a stream
+	// of (pipe id, delivered count, pipe delivery hash) per XPipe in id
+	// order, each pipe's delivery hash being the running fold of its
+	// delivery stamps. Per pipe the delivery order IS the message-sequence
+	// order (FIFO), so this commits to exactly what hashing the canonical
+	// merged log would, without materializing it.
+	Deliveries uint64
+}
+
+// Equal reports whether two fingerprints describe the same execution.
+func (f Fingerprint) Equal(o Fingerprint) bool {
+	return f.Deliveries == o.Deliveries && slices.Equal(f.DomainHashes, o.DomainHashes)
+}
+
+func (f Fingerprint) String() string {
+	var b strings.Builder
+	for i, h := range f.DomainHashes {
+		fmt.Fprintf(&b, "d%d:%016x ", i, h)
+	}
+	fmt.Fprintf(&b, "x:%016x", f.Deliveries)
+	return b.String()
+}
+
 // Fingerprint condenses the execution for determinism checking: per-domain
 // schedule hashes in id order plus a hash of the cross-domain delivery log.
 // It replaces the single global schedule hash for partitioned executions
@@ -212,10 +244,17 @@ func (rt *Runtime) Fingerprint() Fingerprint {
 	if !rt.det() {
 		return Fingerprint{}
 	}
-	doms := rt.allDomains()
-	f := Fingerprint{DomainHashes: make([]uint64, len(doms)), Deliveries: rt.group.DeliveryHash()}
+	doms := registered(rt, &rt.domains)
+	f := Fingerprint{DomainHashes: make([]uint64, len(doms)), Deliveries: logio.FNVOffset64}
 	for i, d := range doms {
-		f.DomainHashes[i] = d.rec.Sched.TraceHash()
+		f.DomainHashes[i] = d.sched.TraceHash()
+	}
+	for _, p := range registered(rt, &rt.xpipes) {
+		p.mu.Lock()
+		f.Deliveries = logio.FNVFold64(f.Deliveries, p.id)
+		f.Deliveries = logio.FNVFold64(f.Deliveries, p.delivered)
+		f.Deliveries = logio.FNVFold64(f.Deliveries, p.hash)
+		p.mu.Unlock()
 	}
 	return f
 }
@@ -226,7 +265,15 @@ func (rt *Runtime) Fingerprint() Fingerprint {
 // materialized only under Config.RetainDeliveryLog (fingerprinting does not
 // need it); without the flag DeliveryLog returns nil. Valid after Run
 // returns; nil in Nondet mode and in single-domain programs with no XPipes.
-func (rt *Runtime) DeliveryLog() []Delivery { return rt.group.DeliveryLog() }
+func (rt *Runtime) DeliveryLog() []Delivery {
+	var out []Delivery
+	for _, p := range registered(rt, &rt.xpipes) {
+		p.mu.Lock()
+		out = append(out, p.log...)
+		p.mu.Unlock()
+	}
+	return out
+}
 
 // TurnCount returns the number of completed scheduling turns (0 in Nondet
 // mode).
@@ -243,7 +290,7 @@ func (rt *Runtime) Stats() core.Stats {
 	if !rt.det() {
 		return core.Stats{}
 	}
-	return rt.main.rec.Sched.Stats()
+	return rt.main.sched.Stats()
 }
 
 func (rt *Runtime) newThread(name string, d *Domain) *Thread {
@@ -263,7 +310,7 @@ func (rt *Runtime) newThread(name string, d *Domain) *Thread {
 }
 
 // det reports whether the runtime schedules deterministically.
-func (rt *Runtime) det() bool { return rt.main.rec.Sched != nil }
+func (rt *Runtime) det() bool { return rt.main.sched != nil }
 
 // PolicyStack returns the policy stack scheduling this runtime (nil in
 // Nondet mode). Its Metrics attribute scheduling decisions to policies.

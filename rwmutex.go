@@ -30,7 +30,7 @@ type RWMutex struct {
 func (rt *Runtime) NewRWMutex(t *Thread, name string) *RWMutex {
 	rw := &RWMutex{rt: rt, dom: t.dom, name: name}
 	if rt.det() {
-		s := t.dom.rec.Sched
+		s := t.dom.sched
 		s.GetTurn(t.ct)
 		rw.obj = s.NewObjectKind("rwlock:", name)
 		s.TraceOp(t.ct, core.OpRWInit, rw.obj, core.StatusOK)

@@ -30,7 +30,7 @@ type Sem struct {
 func (rt *Runtime) NewSem(t *Thread, name string, value int64) *Sem {
 	sem := &Sem{rt: rt, dom: t.dom, name: name, val: value}
 	if rt.det() {
-		s := t.dom.rec.Sched
+		s := t.dom.sched
 		s.GetTurn(t.ct)
 		sem.obj = s.NewObjectKind("sem:", name)
 		s.TraceOp(t.ct, core.OpSemInit, sem.obj, core.StatusOK)

@@ -33,7 +33,7 @@ func (rt *Runtime) NewSoftBarrier(t *Thread, name string, n int) *SoftBarrier {
 	}
 	sb := &SoftBarrier{rt: rt, dom: t.dom, name: name, n: n}
 	if rt.det() && rt.cfg.SoftBarriers {
-		s := t.dom.rec.Sched
+		s := t.dom.sched
 		s.GetTurn(t.ct)
 		sb.obj = s.NewObjectKind("softbarrier:", name)
 		s.TraceOp(t.ct, core.OpSoftBarrier, sb.obj, core.StatusOK)

@@ -28,10 +28,10 @@ func (rt *Runtime) SchedulerStats() []SchedulerStat {
 	if !rt.det() {
 		return nil
 	}
-	doms := rt.allDomains()
+	doms := registered(rt, &rt.domains)
 	out := make([]SchedulerStat, 0, len(doms))
 	for _, d := range doms {
-		out = append(out, SchedulerStat{Domain: d.rec.ID, Name: d.rec.Name, Stats: d.rec.Sched.Stats()})
+		out = append(out, SchedulerStat{Domain: d.id, Name: d.name, Stats: d.sched.Stats()})
 	}
 	return out
 }
@@ -53,10 +53,10 @@ type GatewayStat struct {
 // GatewayStats snapshots every ingress gateway's admission counters in
 // creation order. Empty when the program created no gateways.
 func (rt *Runtime) GatewayStats() []GatewayStat {
-	gws := rt.allGateways()
+	gws := registered(rt, &rt.gateways)
 	out := make([]GatewayStat, 0, len(gws))
 	for _, gw := range gws {
-		out = append(out, GatewayStat{Name: gw.name, Domain: gw.dom.rec.ID, Epoch: gw.Epoch(), Stats: gw.IngressStats()})
+		out = append(out, GatewayStat{Name: gw.name, Domain: gw.dom.id, Epoch: gw.Epoch(), Stats: gw.IngressStats()})
 	}
 	return out
 }

@@ -76,7 +76,7 @@ func (t *Thread) Create(name string, fn func(*Thread)) *Thread {
 		spawn(child)
 		return child
 	}
-	s := t.dom.rec.Sched
+	s := t.dom.sched
 	s.GetTurn(t.ct)
 	child.register()
 	s.TraceOp(t.ct, core.OpCreate, child.joinObj, core.StatusOK)
@@ -94,7 +94,7 @@ func (t *Thread) Create(name string, fn func(*Thread)) *Thread {
 // allocates the object its joiners wait on. Registration order fixes thread
 // IDs, so callers hold the turn or run before the domain starts.
 func (t *Thread) register() {
-	s := t.dom.rec.Sched
+	s := t.dom.sched
 	t.ct = s.RegisterIn(&t.node, t.name)
 	t.joinObj = s.NewObjectKind("thread:", t.name)
 }
@@ -104,7 +104,7 @@ func (t *Thread) register() {
 // launched domain's driver and every thread of a Nondet run.
 func spawn(t *Thread) {
 	if t.ct != nil && !t.ct.Drives() {
-		t.dom.rec.Sched.StartHosted(t.ct, (*hostedBody)(t))
+		t.dom.sched.StartHosted(t.ct, (*hostedBody)(t))
 		return
 	}
 	go t.run()
@@ -127,7 +127,7 @@ func (t *Thread) run() {
 	if t.rt.det() {
 		// thread_begin: DMT systems add this implicit operation so child
 		// initialization is deterministically ordered (Figure 1b).
-		s := t.dom.rec.Sched
+		s := t.dom.sched
 		s.GetTurn(t.ct)
 		s.TraceOp(t.ct, core.OpThreadBegin, 0, core.StatusOK)
 		t.release()
@@ -144,13 +144,13 @@ func (t *Thread) run() {
 func (t *Thread) Join(c *Thread) {
 	if c.dom != t.dom {
 		panic(fmt.Sprintf("qithread: %v of %s joins %v of %s; join is domain-local — collect completions through an XPipe",
-			t, t.dom.label(), c, c.dom.label()))
+			t, t.dom, c, c.dom))
 	}
 	if !t.rt.det() {
 		<-c.nondetDone
 		return
 	}
-	s := t.dom.rec.Sched
+	s := t.dom.sched
 	s.GetTurn(t.ct)
 	blocked := false
 	for !c.done {
@@ -174,7 +174,7 @@ func (t *Thread) exit() {
 		close(t.nondetDone)
 		return
 	}
-	s := t.dom.rec.Sched
+	s := t.dom.sched
 	s.GetTurn(t.ct)
 	t.done = true
 	if t.joinObj != 0 {
@@ -209,7 +209,7 @@ func (t *Thread) DummySync() {
 	if !t.rt.det() || !t.dom.stack.WantDummySync() {
 		return
 	}
-	s := t.dom.rec.Sched
+	s := t.dom.sched
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpDummySync, 0, core.StatusOK)
 	t.dom.stack.OnDummySync(t.ct)
@@ -223,7 +223,7 @@ func (t *Thread) Yield() {
 		runtime.Gosched()
 		return
 	}
-	s := t.dom.rec.Sched
+	s := t.dom.sched
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpYield, 0, core.StatusOK)
 	t.release()
@@ -244,7 +244,7 @@ func (t *Thread) Sleep(turns int64) {
 		time.Sleep(nondetSleepUnit * time.Duration(turns))
 		return
 	}
-	s := t.dom.rec.Sched
+	s := t.dom.sched
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpSleep, 0, core.StatusBlocked)
 	t.park(0, turns) // object 0 is never signaled: pure timeout
@@ -260,7 +260,7 @@ func (t *Thread) SetBaseTime() int64 {
 	if !t.rt.det() {
 		return 0
 	}
-	s := t.dom.rec.Sched
+	s := t.dom.sched
 	s.GetTurn(t.ct)
 	s.TraceOp(t.ct, core.OpSetBaseTime, 0, core.StatusOK)
 	base := s.TurnCount()
@@ -291,14 +291,14 @@ func (t *Thread) WorkSeeded(seed uint64, n int64) uint64 {
 				q = n
 			}
 			v = spin.Work(v, q)
-			t.dom.rec.Sched.AddWork(t.ct, q)
+			t.dom.sched.AddWork(t.ct, q)
 			n -= q
 		}
 		return v
 	}
 	v := spin.Work(seed, n)
 	if t.rt.det() {
-		t.dom.rec.Sched.AddWork(t.ct, n)
+		t.dom.sched.AddWork(t.ct, n)
 	}
 	return v
 }
@@ -314,7 +314,7 @@ func (t *Thread) release() {
 	if t.dom.stack.ExtendLease(t.ct) {
 		return
 	}
-	t.dom.rec.Sched.PutTurn(t.ct)
+	t.dom.sched.PutTurn(t.ct)
 }
 
 // park blocks the thread on the scheduler wait queue. The scheduler's Wait
@@ -322,5 +322,5 @@ func (t *Thread) release() {
 // ("... or the unblocking thread itself gets blocked", Section 3.4), and
 // releases the turn unconditionally.
 func (t *Thread) park(obj uint64, timeout int64) core.WaitStatus {
-	return t.dom.rec.Sched.Wait(t.ct, obj, timeout)
+	return t.dom.sched.Wait(t.ct, obj, timeout)
 }
