@@ -2,7 +2,6 @@ package qithread_test
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -69,10 +68,9 @@ func resumeConfigs() map[string]qithread.Config {
 
 // TestCheckpointResumeFingerprint: under every policy set, record a live
 // jittered run that checkpoints every 3 epochs, then resume 20 times —
-// cycling through every checkpoint of the run, each freshly deserialized, the
-// ingress log reloaded through the text and the binary codec in turn — and
-// require every resumed run to finish with the full run's fingerprint, output
-// and admission hashes.
+// cycling through every checkpoint of the run, each freshly deserialized,
+// against the ingress log saved and reloaded — and require every resumed run
+// to finish with the full run's fingerprint, output and admission hashes.
 func TestCheckpointResumeFingerprint(t *testing.T) {
 	p := workload.Params{Scale: 1, InputSeed: 42}
 	for name, cfg := range resumeConfigs() {
@@ -82,21 +80,17 @@ func TestCheckpointResumeFingerprint(t *testing.T) {
 			if len(rec.Checkpoints) == 0 {
 				t.Fatalf("run over %d epochs took no checkpoints", rec.Stats.Epochs)
 			}
-			var logs []*qithread.IngressLog
-			for _, save := range []func(io.Writer) error{rec.Log.Save, rec.Log.SaveBinary} {
-				var buf bytes.Buffer
-				if err := save(&buf); err != nil {
-					t.Fatal(err)
-				}
-				log, err := qithread.LoadIngressLog(&buf)
-				if err != nil {
-					t.Fatal(err)
-				}
-				logs = append(logs, log)
+			var buf bytes.Buffer
+			if err := rec.Log.SaveBinary(&buf); err != nil {
+				t.Fatal(err)
+			}
+			log, err := qithread.LoadIngressLog(&buf)
+			if err != nil {
+				t.Fatal(err)
 			}
 			for i := 0; i < 20; i++ {
 				cp := reload(t, rec.Checkpoints[i%len(rec.Checkpoints)])
-				res := workload.ResumeIngressServer(wcfg, p, cfg, logs[i%len(logs)], cp)
+				res := workload.ResumeIngressServer(wcfg, p, cfg, log, cp)
 				if !res.Fingerprint.Equal(rec.Fingerprint) {
 					t.Fatalf("resume %d from epoch %d: fingerprint %v, full run %v",
 						i, cp.Epoch(), res.Fingerprint, rec.Fingerprint)

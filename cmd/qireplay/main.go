@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	qireplay -record run.qlog [-binary] [-checkpoint-every 64] [-jitter 500us] [-events 256] [-queue 64]
+//	qireplay -record run.qlog [-checkpoint-every 64] [-jitter 500us] [-events 256] [-queue 64]
 //	qireplay -replay run.qlog [-runs 20] [-from-checkpoint run.qlog.ckpt00064]
 //	qireplay -schedule repro.sched -program buggy [-runs 20] [-expect failure|ok]
 //
@@ -23,11 +23,11 @@
 // (e.g. controlplane-fixed after exploring controlplane-race) and require
 // the same interleaving to run clean.
 //
-// -binary records the ingress log in the compact binary format (replay
-// auto-detects either format). -checkpoint-every K snapshots the execution at
-// every K-th admission epoch into <log>.ckptNNNNN files; -from-checkpoint
-// starts each replay from such a snapshot instead of re-executing the whole
-// prefix, and still must reproduce the FULL run's fingerprint sidecar.
+// -record writes the ingress log in the binary v2b format, the one LoadLog
+// reads. -checkpoint-every K snapshots the execution at every K-th admission
+// epoch into <log>.ckptNNNNN files; -from-checkpoint starts each replay from
+// such a snapshot instead of re-executing the whole prefix, and still must
+// reproduce the FULL run's fingerprint sidecar.
 //
 // The workload knobs (-sources -events -workers -batch -queue -scale -mode)
 // must match between the recording and the replay: the log captures the
@@ -64,7 +64,6 @@ func main() {
 		jitter  = flag.Duration("jitter", 500*time.Microsecond, "max random inter-event pacing per source (record mode)")
 		scale   = flag.Float64("scale", 0.25, "workload scale factor")
 		verbose = flag.Bool("v", false, "print per-run observables")
-		binary  = flag.Bool("binary", false, "record the ingress log in the binary format (replay auto-detects)")
 		ckEvery = flag.Int64("checkpoint-every", 0, "checkpoint every K admission epochs (must match between record and replay)")
 		fromCk  = flag.String("from-checkpoint", "", "resume each replay from this checkpoint file (with -replay)")
 		sched   = flag.String("schedule", "", "replay an explored repro schedule (with -program)")
@@ -102,7 +101,7 @@ func main() {
 	if *record != "" {
 		wcfg.Jitter = *jitter
 		run := workload.RunIngressServer(wcfg, p, cfg, nil)
-		if err := saveLog(*record, *mode, run, *binary); err != nil {
+		if err := saveLog(*record, *mode, run); err != nil {
 			fmt.Fprintln(os.Stderr, "qireplay:", err)
 			os.Exit(1)
 		}
@@ -275,16 +274,12 @@ func observables(run workload.IngressRun) string {
 		run.Output, run.Fingerprint, run.AdmitHash, run.ShedHash)
 }
 
-func saveLog(path, mode string, run workload.IngressRun, binary bool) error {
+func saveLog(path, mode string, run workload.IngressRun) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if binary {
-		err = run.Log.SaveBinary(f)
-	} else {
-		err = run.Log.Save(f)
-	}
+	err = run.Log.SaveBinary(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

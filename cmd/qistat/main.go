@@ -1,10 +1,10 @@
 // Command qistat reads everything the other tools write: schedule files (text
-// "qithread-schedule v1/v2/v3" or binary v3b), ingress logs (text
-// "qithread-ingress v1" or binary v2b), epoch checkpoints
-// ("qithread-checkpoint v3b"; the v1b counter layout and the v2b policy-word
-// layout are refused by name), the table any `qibench -experiment X -o` wrote,
-// and qiexplore results directories. Every loader auto-detects its format, so
-// the tool only has to sniff which FAMILY a path belongs to.
+// "qithread-schedule v1/v2/v3" or binary v3b), ingress logs (binary
+// "qithread-ingress v2b"; the hex-text v1 format is refused by name), epoch
+// checkpoints ("qithread-checkpoint v3b"; the v1b counter layout and the v2b
+// policy-word layout are refused by name), the table any `qibench -experiment
+// X -o` wrote, and qiexplore results directories. Every loader checks its own
+// header, so the tool only has to sniff which FAMILY a path belongs to.
 //
 // Usage:
 //
@@ -16,14 +16,13 @@
 //	qistat verify path...              fully decode each; the summary line only, exit
 //	                                   nonzero on the first corrupt one
 //	qistat convert -to binary|text -o out in
-//	                                   re-encode a schedule or ingress log across formats
+//	                                   re-encode a schedule across formats
 //
 // A table prints exactly as qibench printed it, aggregate lines included:
-// both go through harness.Table. convert is the migration path for existing
-// recordings: text logs from old runs shrink to the compact binary framing
-// (and back, for eyeballing) without touching their semantics — a converted
-// schedule replays to the same fingerprint, a converted ingress log admits the
-// same epochs.
+// both go through harness.Table. convert moves a schedule between the text and
+// the compact binary framing (and back, for eyeballing) without touching its
+// semantics: a converted schedule replays to the same fingerprint. Ingress
+// logs and checkpoints have a single format, so convert refuses them.
 package main
 
 import (
@@ -211,9 +210,9 @@ func loadSchedule(kind string, b []byte) ([]core.Event, []core.Choice, error) {
 	return events, nil, err
 }
 
-// convert re-encodes a schedule or an ingress log. An explored schedule keeps
-// its decision log (text to text) or is refused: the binary format has no
-// decision section, and a repro without its decisions no longer replays.
+// convert re-encodes a schedule. An explored schedule keeps its decision log
+// (text to text) or is refused: the binary format has no decision section,
+// and a repro without its decisions no longer replays.
 func convert(w io.Writer, to, out, in string) error {
 	b, err := os.ReadFile(in)
 	if err != nil {
@@ -240,24 +239,10 @@ func convert(w io.Writer, to, out, in string) error {
 			return err
 		}
 		n = len(events)
-	case ingressLog:
-		log, err := ingress.LoadLog(bytes.NewReader(b))
-		if err != nil {
-			return err
-		}
-		if to == "binary" {
-			err = log.SaveBinary(&buf)
-		} else {
-			err = log.Save(&buf)
-		}
-		if err != nil {
-			return err
-		}
-		n = log.Events()
-	case checkpoint:
-		return fmt.Errorf("checkpoints have a single format; nothing to convert")
+	case ingressLog, checkpoint:
+		return fmt.Errorf("%ss have a single format; nothing to convert", kind)
 	default:
-		return fmt.Errorf("not a schedule or an ingress log (unrecognized header)")
+		return fmt.Errorf("not a schedule (unrecognized header)")
 	}
 	if err := os.WriteFile(out, buf.Bytes(), 0o644); err != nil {
 		return err

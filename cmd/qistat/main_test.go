@@ -23,9 +23,9 @@ import (
 
 // TestStat drives the three verbs over one artifact of every kind the other
 // tools write, each generated here: the summary line of each is pinned,
-// verify refuses a damaged copy, and convert is lossless there and back —
-// including the decision log of an explored schedule, without which the file
-// no longer replays.
+// verify refuses a damaged copy and a retired format, and convert is lossless
+// there and back — including the decision log of an explored schedule,
+// without which the file no longer replays — and refuses single-format kinds.
 func TestStat(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name string, save func(io.Writer) error) string {
@@ -87,13 +87,12 @@ func TestStat(t *testing.T) {
 		t.Errorf("-v:\n got %q\nwant %q", got, wantDetail)
 	}
 
-	// An ingress log in both encodings and a checkpoint.
+	// An ingress log and a checkpoint.
 	log := &ingress.Log{Batches: []ingress.Batch{
 		{Epoch: 1, Events: []ingress.Event{{Source: 0, Data: []byte("put k1 v1")}, {Source: 1, Data: []byte("get k1")}}},
 		{Epoch: 2, Events: []ingress.Event{{Source: 2, Data: []byte{}}}},
 		{Epoch: 4, Events: []ingress.Event{{Source: 1, Data: []byte{0, 0xff, '\n'}}}},
 	}}
-	textLog := write("v1.log", log.Save)
 	binLog := write("v2b.qlog", log.SaveBinary)
 	rec := &ckpt.Record{
 		Epoch:    8,
@@ -104,8 +103,7 @@ func TestStat(t *testing.T) {
 	}
 	ckptPath := write("run.ckpt00008", func(b io.Writer) error { return ckpt.Save(b, rec) })
 	for path, want := range map[string]string{
-		textLog: fmt.Sprintf("ingress log, 4 events in 3 batches, %d bytes\n  epochs 1..4\n", size(textLog)),
-		binLog:  fmt.Sprintf("ingress log, 4 events in 3 batches, %d bytes\n  epochs 1..4\n", size(binLog)),
+		binLog: fmt.Sprintf("ingress log, 4 events in 3 batches, %d bytes\n  epochs 1..4\n", size(binLog)),
 		ckptPath: fmt.Sprintf("checkpoint at epoch 8, %d bytes\n", size(ckptPath)) +
 			"  domain 0: turn=60 live=4 traced=106 hash=031898876356513a\n" +
 			"  gateway: epoch=8 admitted=8 shed=0 admit=87358aaaa23c01fd shed=cbf29ce484222325\n" +
@@ -172,9 +170,9 @@ func TestStat(t *testing.T) {
 	}
 
 	// verify: one flipped byte in each binary kind; a text schedule cut
-	// mid-line, a text ingress log cut mid-batch (the text formats carry no
-	// checksum: a cut that leaves whole lines and whole batches is a valid,
-	// shorter file).
+	// mid-line (the text format carries no checksum: a cut that leaves whole
+	// lines is a valid, shorter file); the hex-text ingress log a build before
+	// the single format wrote, refused by name with the re-record message.
 	damaged := func(path string, damage func([]byte) []byte) {
 		t.Helper()
 		b, err := os.ReadFile(path)
@@ -193,7 +191,10 @@ func TestStat(t *testing.T) {
 	for _, path := range []string{v1, v3} {
 		damaged(path, func(b []byte) []byte { return b[:len(b)-3] })
 	}
-	damaged(textLog, func(b []byte) []byte { return b[:bytes.LastIndexByte(b[:len(b)-1], '\n')+1] })
+	if err := describe(&bytes.Buffer{}, "../../internal/ingress/testdata/v1.log", lineOnly, false); err == nil ||
+		!strings.HasPrefix(err.Error(), `ingress: "qithread-ingress v1" logs are no longer readable`) || !strings.HasSuffix(err.Error(), "re-record the run") {
+		t.Errorf("verify on a v1 ingress log: %v, want the refusal by name", err)
+	}
 
 	// convert: there and back is the identity, on the file and on what it means.
 	same := func(a, b string) {
@@ -222,22 +223,6 @@ func TestStat(t *testing.T) {
 	if err != nil || trace.Hash(back) != trace.Hash(events) || !reflect.DeepEqual(back, events) {
 		t.Errorf("v2 → binary → text: %d events, hash %016x, %v", len(back), trace.Hash(back), err)
 	}
-	same(conv("binary", textLog, "c5.qlog", 4), binLog)
-	roundLog, err := ingress.LoadLog(bytes.NewReader(mustRead(t, conv("text", binLog, "c6.log", 4))))
-	if err != nil || len(roundLog.Batches) != len(log.Batches) {
-		t.Fatalf("ingress log there and back: %v", err)
-	}
-	same(filepath.Join(dir, "c6.log"), textLog)
-	for i, b := range roundLog.Batches {
-		if b.Epoch != log.Batches[i].Epoch || len(b.Events) != len(log.Batches[i].Events) {
-			t.Fatalf("batch %d: epoch %d with %d events, want %d with %d", i, b.Epoch, len(b.Events), log.Batches[i].Epoch, len(log.Batches[i].Events))
-		}
-		for j, e := range b.Events {
-			if w := log.Batches[i].Events[j]; e.Source != w.Source || !bytes.Equal(e.Data, w.Data) {
-				t.Errorf("batch %d event %d: %v, want %v", i, j, e, w)
-			}
-		}
-	}
 	// An explored schedule keeps its 25 decisions, or is refused.
 	c7 := conv("text", v3, "c7.sched", 32)
 	same(c7, v3)
@@ -251,8 +236,10 @@ func TestStat(t *testing.T) {
 	if _, err := os.Stat(refused); err == nil {
 		t.Error("the refused conversion still wrote its output")
 	}
-	if err := convert(&bytes.Buffer{}, "text", filepath.Join(dir, "c9"), ckptPath); err == nil {
-		t.Error("converted a checkpoint")
+	for _, path := range []string{binLog, ckptPath} {
+		if err := convert(&bytes.Buffer{}, "text", filepath.Join(dir, "c9"), path); err == nil || !strings.Contains(err.Error(), "single format") {
+			t.Errorf("convert %s: %v, want the single-format error", filepath.Base(path), err)
+		}
 	}
 }
 

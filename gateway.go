@@ -29,8 +29,8 @@ type IngressSource = ingress.Source
 // GatewayConfig.Sink. ingress.BinaryLogWriter implements it.
 type IngressBatchSink = ingress.BatchSink
 
-// LoadIngressLog reads a log written by IngressLog.Save or
-// IngressLog.SaveBinary (format auto-detected); see internal/ingress.LoadLog.
+// LoadIngressLog reads a log IngressLog.SaveBinary or an
+// ingress.BinaryLogWriter wrote; see internal/ingress.LoadLog.
 func LoadIngressLog(r io.Reader) (*IngressLog, error) {
 	return ingress.LoadLog(r)
 }
@@ -51,11 +51,11 @@ type GatewayConfig struct {
 	// snapshot recorded for its epoch, and live sources are ignored. This is
 	// how an externally-driven run is reproduced offline.
 	Replay *IngressLog
-	// Sink, when non-nil (live mode only), streams recorded batches out —
-	// through an ingress.BinaryLogWriter — instead of retaining the whole
-	// IngressLog in memory: the bounded-memory recording mode for
-	// million-event runs. Gateway.Log returns nil; the admit/shed hashes are
-	// unaffected.
+	// Sink, when non-nil, streams recorded batches out — through an
+	// ingress.BinaryLogWriter — instead of retaining the whole IngressLog in
+	// memory: the bounded-memory recording mode for million-event runs.
+	// Gateway.Log returns nil; the admit/shed hashes are unaffected. A
+	// replaying gateway records nothing: setting Sink with Replay panics.
 	Sink IngressBatchSink
 }
 
@@ -147,9 +147,6 @@ func (gw *Gateway) Name() string { return gw.name }
 // Domain returns the domain whose threads admit through this gateway.
 func (gw *Gateway) Domain() *Domain { return gw.dom }
 
-// Replaying reports whether the gateway re-feeds a recorded log.
-func (gw *Gateway) Replaying() bool { return gw.g.Replaying() }
-
 // Epoch returns the number of admission slots taken so far. After a
 // checkpoint restore it continues from the checkpoint's epoch counter.
 func (gw *Gateway) Epoch() int64 { return gw.g.Epoch() }
@@ -185,8 +182,8 @@ func (gw *Gateway) Admit(t *Thread, dst []IngressEvent) (n int, ok bool) {
 
 // Log returns the gateway's ingress log: every admission snapshot so far in
 // epoch order (in replay mode, the log being replayed). Save it with
-// IngressLog.Save and replay it with GatewayConfig.Replay. Read it after the
-// run finishes.
+// IngressLog.SaveBinary and replay it with GatewayConfig.Replay. Read it
+// after the run finishes.
 func (gw *Gateway) Log() *IngressLog { return gw.g.Log() }
 
 // Hashes returns the running commitments to the admitted and shed event

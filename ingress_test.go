@@ -2,10 +2,12 @@ package qithread_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"time"
 
 	"qithread"
+	"qithread/internal/ingress"
 	"qithread/internal/workload"
 )
 
@@ -52,7 +54,7 @@ func TestIngressRecordReplayRoundTrip(t *testing.T) {
 			// The log must survive its own serialization: replay a
 			// saved-and-reloaded copy, not the in-memory object.
 			var buf bytes.Buffer
-			if err := rec.Log.Save(&buf); err != nil {
+			if err := rec.Log.SaveBinary(&buf); err != nil {
 				t.Fatal(err)
 			}
 			log, err := qithread.LoadIngressLog(bytes.NewReader(buf.Bytes()))
@@ -134,6 +136,28 @@ func TestIngressNondetSmoke(t *testing.T) {
 	if nd.Log.Events() == 0 {
 		t.Fatal("nondet run recorded no ingress log")
 	}
+}
+
+// TestGatewaySinkWithReplayPanics: a replaying gateway records nothing, so
+// NewGateway refuses a Sink beside Replay by name, before it registers the
+// gateway, instead of leaving the sink an empty log.
+func TestGatewaySinkWithReplayPanics(t *testing.T) {
+	rt := qithread.New(qithread.Config{Mode: qithread.RoundRobin})
+	log := &qithread.IngressLog{Batches: []ingress.Batch{{Epoch: 1, Events: []qithread.IngressEvent{{Data: []byte("x")}}}}}
+	var sink bytes.Buffer
+	bw, err := ingress.NewBinaryLogWriter(&sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "Sink") || !strings.Contains(msg, "Replay") {
+			t.Fatalf("NewGateway with Sink and Replay: panic %q, want one naming both fields", msg)
+		}
+		if n := len(rt.GatewayStats()); n != 0 {
+			t.Errorf("the refused gateway was registered (%d gateways)", n)
+		}
+	}()
+	rt.NewGateway("gw", rt.Domain(0), qithread.GatewayConfig{Replay: log, Sink: bw})
 }
 
 // TestGatewayCrossDomainPanics: admitting from a thread of another domain is

@@ -113,9 +113,7 @@ func (q *flipQueue) each(fn func(flip)) {
 	}
 }
 
-// frontierHeader opens frontier.txt. A file without it was written by a
-// build that spelled out one whole prefix per line; readFrontier still takes
-// those, save never writes them.
+// frontierHeader opens frontier.txt.
 const frontierHeader = "qithread-frontier v2"
 
 // appendFile renders the queue as frontier.txt holds it: the header, then one
@@ -151,19 +149,11 @@ func (q *flipQueue) appendFile(dst []byte) []byte {
 // to. It also reports the deepest entry, and how many lines it skipped — an
 // "L" line that does not parse, an "F" line without a log before it or with a
 // pair that is not two int32s or whose position is past the log, anything
-// else. Skipping is per line: the groups around a bad one stand.
+// else. Skipping is per line: the groups around a bad one stand. A file that
+// does not open with frontierHeader loads as empty, every line skipped.
 func readFrontier(rows []string) (q flipQueue, deepest, skipped int) {
 	if len(rows) == 0 || rows[0] != frontierHeader {
-		for _, row := range rows {
-			prefix, err := parsePrefix(row)
-			if err != nil {
-				skipped++
-				continue
-			}
-			q.push(prefixFlip(prefix))
-			deepest = max(deepest, len(prefix))
-		}
-		return q, deepest, skipped
+		return q, 0, len(rows)
 	}
 	var log *[]core.Choice // of the group whose "F" line comes next
 	var group []flip

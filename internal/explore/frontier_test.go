@@ -244,6 +244,28 @@ func TestFrontierRetention(t *testing.T) {
 	})
 }
 
+// TestReadFrontierHeader: frontier.txt has one encoding. A file that does
+// not open with frontierHeader — the one-prefix-per-line form builds before
+// the grouped one wrote, or a later version — loads as empty, and every line
+// of it counts as skipped, so a resuming session says how much it dropped.
+func TestReadFrontierHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name, file       string
+		entries, skipped int
+	}{
+		{"empty", "", 0, 0},
+		{"header only", frontierHeader, 0, 0},
+		{"baseline", frontierHeader + "\nL -\nF 0:0\n", 1, 0},
+		{"one prefix per line", "-\n0:2:0:1\n0:3:0:2 1:2:1:0\n", 0, 3},
+		{"later version", "qithread-frontier v3\nL -\nF 0:0\n", 0, 3},
+	} {
+		q, deepest, skipped := readFrontier(splitLines(tc.file))
+		if q.len() != tc.entries || skipped != tc.skipped || (tc.entries == 0 && deepest != 0) {
+			t.Errorf("%s: %d entries (deepest %d), %d lines skipped; want %d entries, %d skipped", tc.name, q.len(), deepest, skipped, tc.entries, tc.skipped)
+		}
+	}
+}
+
 // FuzzReadFrontier: whatever bytes frontier.txt holds, loading it never
 // panics, every entry it queues is the baseline or a flip inside its log, and
 // the depth it reports is the deepest entry's. What it loads it writes back

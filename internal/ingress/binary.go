@@ -9,10 +9,8 @@ import (
 	"qithread/internal/logio"
 )
 
-// Binary ingress log format, "qithread-ingress v2b". The text format (v1)
-// hex-encodes payloads — 2× the bytes before counting the framing — and
-// parses at strconv speed; v2b stores the same batches in the shared framed
-// container of internal/logio, one frame per recorded batch:
+// The ingress log format, "qithread-ingress v2b": the shared framed container
+// of internal/logio, one frame per recorded batch:
 //
 //	qithread-ingress v2b\n
 //	frame*            (logio framing: uvarint len, encoding, payload, CRC32C)
@@ -26,16 +24,17 @@ import (
 //
 // Epochs are strictly increasing (one per admission slot that collected
 // anything), so the delta is always positive — a zero delta is corruption.
-// Like the text format, only the collected input is stored: stamps, shedding
-// and admission order are recomputed deterministically on replay.
+// Only the collected input is stored: stamps, shedding and admission order
+// are recomputed deterministically on replay.
 const logHeaderV2B = "qithread-ingress v2b"
 
-// BatchSink receives recorded ingress batches as they are collected — the
-// streaming, bounded-memory alternative to retaining the whole Log in memory
-// (Config.Sink). AppendBatch is called once per non-empty admission snapshot,
-// under the gateway mutex, inside the turn-holding admission slot. An error
-// is fatal to the run (the gateway panics): losing input batches silently
-// would break the record/replay contract.
+// BatchSink receives recorded ingress batches as they are collected. A *Log
+// retains them in memory, the default; a BinaryLogWriter streams them out in
+// bounded memory (Config.Sink). AppendBatch is called once per non-empty
+// admission snapshot, under the gateway mutex, inside the turn-holding
+// admission slot, and must not retain snap. An error is fatal to the run (the
+// gateway panics): losing input batches silently would break the
+// record/replay contract.
 type BatchSink interface {
 	AppendBatch(epoch int64, snap []Event) error
 }
@@ -58,8 +57,8 @@ func NewBinaryLogWriter(w io.Writer) (*BinaryLogWriter, error) {
 	return &BinaryLogWriter{fw: logio.NewFrameWriter(w)}, nil
 }
 
-// AppendBatch writes one recorded batch. Epochs must be strictly increasing;
-// empty snapshots are not recorded (matching Log.append's callers). After
+// AppendBatch writes one recorded batch. Epochs must be strictly increasing
+// and a batch must hold an event, as the gateway's snapshots do. After
 // Close it fails, as a second Close does: the frame writer is closed.
 func (bw *BinaryLogWriter) AppendBatch(epoch int64, snap []Event) error {
 	if err := checkBatch(bw.lastEpoch, epoch, len(snap)); err != nil {
@@ -98,8 +97,8 @@ func (l *Log) SaveBinary(w io.Writer) error {
 	return bw.Close()
 }
 
-// loadLogBinary reads the frames of a v2b log; the header line has already
-// been consumed by LoadLog's auto-detection.
+// loadLogBinary reads the frames of a v2b log; LoadLog has consumed the
+// header line.
 func loadLogBinary(br *bufio.Reader) (*Log, error) {
 	fr := logio.NewFrameReader(br)
 	l := &Log{}

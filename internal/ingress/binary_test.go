@@ -8,8 +8,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"qithread/internal/logio"
 )
 
 // synthLog builds a deterministic log shaped like a real recording: sparse
@@ -70,9 +68,6 @@ func TestBinaryLogRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryLogTextEquivalence: the same log saved as text and binary loads
-// back identical, and the binary form is smaller (hex payloads alone double
-// the text size).
 // TestBinaryLogPayloadViews: a loaded batch's payloads are views into one
 // copy of its frame. Each is capacity-limited, so a consumer appending to one
 // event's Data reallocates instead of overwriting the next event's bytes;
@@ -115,29 +110,6 @@ func TestBinaryLogPayloadViews(t *testing.T) {
 	}
 }
 
-func TestBinaryLogTextEquivalence(t *testing.T) {
-	l := synthLog(300)
-	var text, bin bytes.Buffer
-	if err := l.Save(&text); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.SaveBinary(&bin); err != nil {
-		t.Fatal(err)
-	}
-	fromText, err := LoadLog(bytes.NewReader(text.Bytes()))
-	if err != nil {
-		t.Fatalf("load text: %v", err)
-	}
-	fromBin, err := LoadLog(bytes.NewReader(bin.Bytes()))
-	if err != nil {
-		t.Fatalf("load binary: %v", err)
-	}
-	logsEqual(t, fromBin, fromText)
-	if bin.Len() >= text.Len() {
-		t.Errorf("binary log (%d bytes) not smaller than text (%d bytes)", bin.Len(), text.Len())
-	}
-}
-
 func TestBinaryLogTruncationAndCorruption(t *testing.T) {
 	var buf bytes.Buffer
 	if err := synthLog(100).SaveBinary(&buf); err != nil {
@@ -159,98 +131,69 @@ func TestBinaryLogTruncationAndCorruption(t *testing.T) {
 	}
 }
 
-// TestIngressLineLimit pins the shared-line-scanner satellite on the ingress
-// side: the text loader still reads large payload lines (up to logio.MaxLine)
-// and rejects over-limit ones with an actionable error.
-func TestIngressLineLimit(t *testing.T) {
-	okLine := logHeaderV1 + "\nbatch 1 1\n0 " + strings.Repeat("ab", 100*1024) + "\n"
-	if _, err := LoadLog(strings.NewReader(okLine)); err != nil {
-		t.Fatalf("200KB payload line failed to load: %v", err)
-	}
-	tooLong := logHeaderV1 + "\nbatch 1 1\n0 " + strings.Repeat("ab", logio.MaxLine) + "\n"
-	_, err := LoadLog(strings.NewReader(tooLong))
-	if err == nil {
-		t.Fatal("over-limit line loaded without error")
-	}
-	if !strings.Contains(err.Error(), "line limit") {
-		t.Fatalf("over-limit error %q does not name the line limit", err)
-	}
-}
+// v1Header opens testdata/v1.log, a log in the hex-text format this build
+// refuses by name.
+const v1Header = "qithread-ingress v1"
 
-// TestLogFormatsPinned holds both log writers to the bytes the parent of the
-// one-declaration-per-schema change wrote for synthLog(40): testdata/ holds
-// that build's two files (every binary frame is stored raw at this size, so
-// the bytes do not depend on compress/flate) and the SHA-256 constants were
-// recorded there too. Each file must also load to the log it was saved from.
+// TestLogFormatsPinned holds the writer to the bytes the parent of the
+// one-declaration-per-schema change wrote for synthLog(40): testdata/v2b.qlog
+// is that build's file (every frame is stored raw at this size, so the bytes
+// do not depend on compress/flate) and the SHA-256 constant was recorded
+// there too; the file must load to the log it was saved from. The same
+// build's text log, testdata/v1.log, stays as the file LoadLog must refuse by
+// name.
 func TestLogFormatsPinned(t *testing.T) {
 	l := synthLog(40)
-	for _, tc := range []struct {
-		file, header, sha string
-		save              func(io.Writer) error
-	}{
-		{"v1.log", logHeaderV1, "c59eb8852c14baf2d5cdab7b06d64534e8dfbc45d60c87b07b30e40e5bd0a722", l.Save},
-		{"v2b.qlog", logHeaderV2B, "8ee6457a87a798b6385abb2cd8c096012b7fe7c214150a4ba562af5c1afa8a3a", l.SaveBinary},
-	} {
-		file, err := os.ReadFile("testdata/" + tc.file)
+	pinned := func(name, header, sha string) []byte {
+		t.Helper()
+		file, err := os.ReadFile("testdata/" + name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sum := sha256.Sum256(file); hex.EncodeToString(sum[:]) != tc.sha {
-			t.Errorf("testdata/%s is not the file the parent build wrote (sha256 %x)", tc.file, sum)
+		if sum := sha256.Sum256(file); hex.EncodeToString(sum[:]) != sha {
+			t.Errorf("testdata/%s is not the file the parent build wrote (sha256 %x)", name, sum)
 		}
-		if !strings.HasPrefix(string(file), tc.header+"\n") {
-			t.Errorf("testdata/%s does not start with %q", tc.file, tc.header)
+		if !strings.HasPrefix(string(file), header+"\n") {
+			t.Errorf("testdata/%s does not start with %q", name, header)
 		}
-		var buf bytes.Buffer
-		if err := tc.save(&buf); err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
-		}
-		if !bytes.Equal(buf.Bytes(), file) {
-			t.Errorf("%s: the writer's output changed", tc.file)
-		}
-		got, err := LoadLog(bytes.NewReader(file))
-		if err != nil {
-			t.Fatalf("LoadLog(testdata/%s): %v", tc.file, err)
-		}
-		logsEqual(t, got, l)
+		return file
+	}
+	file := pinned("v2b.qlog", logHeaderV2B, "8ee6457a87a798b6385abb2cd8c096012b7fe7c214150a4ba562af5c1afa8a3a")
+	var buf bytes.Buffer
+	if err := l.SaveBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), file) {
+		t.Error("v2b.qlog: the writer's output changed")
+	}
+	got, err := LoadLog(bytes.NewReader(file))
+	if err != nil {
+		t.Fatalf("LoadLog(testdata/v2b.qlog): %v", err)
+	}
+	logsEqual(t, got, l)
+
+	v1 := pinned("v1.log", v1Header, "c59eb8852c14baf2d5cdab7b06d64534e8dfbc45d60c87b07b30e40e5bd0a722")
+	if _, err := LoadLog(bytes.NewReader(v1)); err == nil || !strings.Contains(err.Error(), `"qithread-ingress v1" logs are no longer readable`) {
+		t.Errorf("LoadLog(testdata/v1.log) = %v, want the refusal naming its header", err)
 	}
 }
 
-// TestLogWritersEnforceBounds: what the loaders refuse, neither writer writes.
-// Log.Save used to check nothing, and a source id past int32 went out through
-// SaveBinary as a file loadLogBinary refused.
+// TestLogWritersEnforceBounds: what the loader refuses, the writer does not
+// write. A source id past int32 used to go out through SaveBinary as a file
+// loadLogBinary refused.
 func TestLogWritersEnforceBounds(t *testing.T) {
 	ev := []Event{{Source: 0}}
-	big := make([]byte, maxTextHex/2+1)
-	for name, tc := range map[string]struct {
-		log      *Log
-		textOnly bool
-	}{
-		"empty batch":          {log: &Log{Batches: []Batch{{Epoch: 1}}}},
-		"epoch zero":           {log: &Log{Batches: []Batch{{Epoch: 0, Events: ev}}}},
-		"epoch not increasing": {log: &Log{Batches: []Batch{{Epoch: 2, Events: ev}, {Epoch: 2, Events: ev}}}},
-		"negative source":      {log: &Log{Batches: []Batch{{Epoch: 1, Events: []Event{{Source: -1}}}}}},
-		"source past int32":    {log: &Log{Batches: []Batch{{Epoch: 1, Events: []Event{{Source: maxSource + 1}}}}}},
-		"payload past a line":  {log: &Log{Batches: []Batch{{Epoch: 1, Events: []Event{{Source: maxSource, Data: big}}}}}, textOnly: true},
+	for name, log := range map[string]*Log{
+		"empty batch":          {Batches: []Batch{{Epoch: 1}}},
+		"epoch zero":           {Batches: []Batch{{Epoch: 0, Events: ev}}},
+		"epoch not increasing": {Batches: []Batch{{Epoch: 2, Events: ev}, {Epoch: 2, Events: ev}}},
+		"negative source":      {Batches: []Batch{{Epoch: 1, Events: []Event{{Source: -1}}}}},
+		"source past int32":    {Batches: []Batch{{Epoch: 1, Events: []Event{{Source: maxSource + 1}}}}},
 	} {
-		if err := tc.log.Save(io.Discard); err == nil {
-			t.Errorf("Save wrote a log with an %s", name)
-		}
-		if err := tc.log.SaveBinary(io.Discard); (err == nil) != tc.textOnly {
-			t.Errorf("SaveBinary of a log with an %s: %v", name, err)
+		if err := log.SaveBinary(io.Discard); err == nil {
+			t.Errorf("SaveBinary wrote a log with an %s", name)
 		}
 	}
-	// The largest event a text line holds round-trips through it.
-	atLimit := &Log{Batches: []Batch{{Epoch: 1, Events: []Event{{Source: maxSource, Data: big[1:]}}}}}
-	var buf bytes.Buffer
-	if err := atLimit.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadLog(&buf)
-	if err != nil {
-		t.Fatalf("the longest line Save writes does not load: %v", err)
-	}
-	logsEqual(t, got, atLimit)
 }
 
 func TestBinaryLogWriterMisuse(t *testing.T) {
@@ -281,50 +224,44 @@ func TestBinaryLogWriterMisuse(t *testing.T) {
 }
 
 func FuzzLoadLog(f *testing.F) {
-	var text, bin bytes.Buffer
-	l := synthLog(40)
-	if err := l.Save(&text); err != nil {
+	v1, err := os.ReadFile("testdata/v1.log")
+	if err != nil {
 		f.Fatal(err)
 	}
-	if err := l.SaveBinary(&bin); err != nil {
+	var bin bytes.Buffer
+	if err := synthLog(40).SaveBinary(&bin); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(text.Bytes())
+	f.Add(v1)
 	f.Add(bin.Bytes())
 	f.Add([]byte(logHeaderV2B + "\n"))
 	f.Add([]byte(logHeaderV2B + "\n\x04\x00ab\x01x\x00\x00\x00\x00\x00"))
-	f.Add([]byte(logHeaderV1 + "\nbatch 1 2\n0 -\n"))
-	f.Add([]byte(logHeaderV1 + "\nbatch 1 1000000000000000\n"))
-	f.Add([]byte(logHeaderV1 + "\nbatch 1 1000000000\n0 -\n"))
-	f.Add([]byte(logHeaderV1 + "\nbatch 1 1\n1099511627776 -\n"))
+	// The hex-text inputs that broke its loader (E28) are refusals now.
+	f.Add([]byte(v1Header + "\nbatch 1 2\n0 -\n"))
+	f.Add([]byte(v1Header + "\nbatch 1 1000000000000000\n"))
+	f.Add([]byte(v1Header + "\nbatch 1 1000000000\n0 -\n"))
+	f.Add([]byte(v1Header + "\nbatch 1 1\n1099511627776 -\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		// LoadLog must never panic; a loaded log must be structurally sound
-		// (strictly increasing epochs, non-empty batches) and the same log in
-		// both codecs: what one loader accepts, both writers write and both
-		// loaders read back.
+		// LoadLog must never panic and never read a refused format; a loaded
+		// log must be structurally sound (strictly increasing epochs,
+		// non-empty batches), and what the loader accepts the writer writes
+		// and the loader reads back.
 		got, err := LoadLog(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		codecs := map[string]func(io.Writer) error{"text": got.Save, "binary": got.SaveBinary}
-		for _, b := range got.Batches {
-			for _, e := range b.Events {
-				if 2*len(e.Data) > maxTextHex {
-					delete(codecs, "text") // a frame holds a payload no text line does; Save says so
-				}
-			}
+		if head, _, _ := bytes.Cut(data, []byte("\n")); string(bytes.TrimSpace(head)) == v1Header {
+			t.Fatalf("a %q file loaded", v1Header)
 		}
-		for name, save := range codecs {
-			var buf bytes.Buffer
-			if err := save(&buf); err != nil {
-				t.Fatalf("loaded log does not save as %s: %v", name, err)
-			}
-			again, err := LoadLog(&buf)
-			if err != nil {
-				t.Fatalf("saved as %s, the log does not reload: %v", name, err)
-			}
-			logsEqual(t, again, got)
+		var buf bytes.Buffer
+		if err := got.SaveBinary(&buf); err != nil {
+			t.Fatalf("loaded log does not save: %v", err)
 		}
+		again, err := LoadLog(&buf)
+		if err != nil {
+			t.Fatalf("saved, the log does not reload: %v", err)
+		}
+		logsEqual(t, again, got)
 		last := int64(0)
 		for i, b := range got.Batches {
 			if b.Epoch <= last {

@@ -22,11 +22,12 @@
 //     policy (a bounded admission queue; overflow is shed), and hands the
 //     admitted batch to the domain. Every decision after the snapshot is a
 //     pure function of the snapshot sequence and the gateway configuration.
-//   - Record/replay: each snapshot is appended to a versioned ingress log
-//     (Log, "qithread-ingress v1"). A Replayer re-feeds a recorded log
-//     batch-for-batch, epoch-aligned, so an externally-driven run reproduces
-//     byte-identical schedules and fingerprints from the log alone — the
-//     collector, sources, sockets and timers are not involved at all.
+//   - Record/replay: each snapshot is appended to the run's ingress log (a
+//     retained Log, or a BinaryLogWriter streaming the v2b format). A
+//     Replayer re-feeds a recorded log batch-for-batch, epoch-aligned, so an
+//     externally-driven run reproduces byte-identical schedules and
+//     fingerprints from the log alone — the collector, sources, sockets and
+//     timers are not involved at all.
 //
 // The determinism argument extends the compositional one of the XPipe (pipe.go):
 // a domain's schedule is a function of the synchronization its threads
@@ -115,10 +116,11 @@ type Config struct {
 	// recorded snapshot of its epoch. Live sources are ignored in replay
 	// mode.
 	Replay *Replayer
-	// Sink, when non-nil (live mode only), streams recorded batches out
-	// instead of retaining the Log in memory: the bounded-memory recording
-	// mode for million-event runs. Log() returns nil; the admit/shed hashes
-	// are unaffected.
+	// Sink, when non-nil, receives the recorded batches instead of a Log
+	// retained in memory: a BinaryLogWriter is the bounded-memory recording
+	// mode for million-event runs. Log() returns nil unless the sink is a
+	// *Log; the admit/shed hashes are unaffected. A replaying gateway records
+	// nothing, so setting Sink with Replay panics.
 	Sink BatchSink
 	// Chooser, when non-nil, is consulted (policy.ChooseAdmit: candidate i is a
 	// batch of i+1 events, the default the full batch) whenever an admission
@@ -166,8 +168,7 @@ type Gateway struct {
 	seq   int64   // events ever stamped
 	queue []Event // bounded admission queue (head..)
 	head  int
-	log   *Log      // live retained mode: every snapshot, appended per epoch
-	sink  BatchSink // live streaming mode: snapshots stream out, log is nil
+	sink  BatchSink // live mode: Config.Sink, or a retained *Log; nil in replay mode
 	// admitHash and shedHash are running FNV-64a commitments to the
 	// admitted and shed event sets (epoch, seq, source, payload bytes), the
 	// O(1)-memory way to assert that two runs admitted and rejected exactly
@@ -186,25 +187,21 @@ func NewGateway(cfg Config) *Gateway { return new(Gateway).Init(cfg) }
 // its Gateway by value this way, so a gateway is one heap object. An
 // initialised Gateway must not be copied (it holds a mutex).
 func (g *Gateway) Init(cfg Config) *Gateway {
+	if cfg.Replay != nil && cfg.Sink != nil {
+		panic("ingress: Config.Sink is set together with Config.Replay, but a replaying gateway records nothing")
+	}
 	cfg = cfg.withDefaults()
 	g.cfg = cfg
 	g.admitHash, g.shedHash = logio.FNVOffset64, logio.FNVOffset64
 	if cfg.Replay == nil {
 		g.col = newCollector(cfg.StageCap)
-		if cfg.Sink != nil {
-			g.sink = cfg.Sink
-		} else {
-			g.log = &Log{}
+		g.sink = cfg.Sink
+		if g.sink == nil {
+			g.sink = &Log{}
 		}
 	}
 	return g
 }
-
-// Config returns the gateway's effective configuration (defaults applied).
-func (g *Gateway) Config() Config { return g.cfg }
-
-// Replaying reports whether the gateway re-feeds a recorded log.
-func (g *Gateway) Replaying() bool { return g.cfg.Replay != nil }
 
 // AddSource registers a free-running source and starts its feeder
 // goroutine. Sources must be added in a deterministic order (by setup code,
@@ -213,7 +210,7 @@ func (g *Gateway) Replaying() bool { return g.cfg.Replay != nil }
 // ignored — the log already contains their recorded events — so one program
 // builds the same structure for recording and replaying.
 func (g *Gateway) AddSource(s Source) int {
-	if g.Replaying() {
+	if g.cfg.Replay != nil {
 		return -1
 	}
 	id := g.col.addSource()
@@ -253,9 +250,7 @@ func (g *Gateway) Admit(dst []Event) (n int, ok bool) {
 		snap, exhausted = g.col.drain(g.queued() == 0)
 	}
 	if len(snap) > 0 {
-		if g.log != nil {
-			g.log.append(g.epoch, snap)
-		} else if g.sink != nil {
+		if g.sink != nil {
 			if err := g.sink.AppendBatch(g.epoch, snap); err != nil {
 				// Losing input batches silently would break the record/replay
 				// contract: the log IS the run's nondeterministic input.
@@ -349,16 +344,15 @@ func (g *Gateway) popQueue() Event {
 }
 
 // Log returns the gateway's ingress log: every snapshot admitted so far, in
-// epoch order. In replay mode it returns the log being replayed. The
-// returned log is live until admission finishes; Save it (or stop admitting)
-// before sharing it.
+// epoch order. In replay mode it returns the log being replayed; with a Sink
+// that is not a *Log, nil. The returned log is live until admission
+// finishes; stop admitting before saving or sharing it.
 func (g *Gateway) Log() *Log {
 	if rep := g.cfg.Replay; rep != nil {
 		return rep.log
 	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.log
+	l, _ := g.sink.(*Log)
+	return l
 }
 
 // Epoch returns the number of admission slots taken so far (the epoch the

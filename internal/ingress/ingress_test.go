@@ -2,10 +2,13 @@ package ingress
 
 import (
 	"bytes"
+	"encoding/binary"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"qithread/internal/logio"
 )
 
 // drainAll admits everything a gateway will deliver, returning the admitted
@@ -52,10 +55,10 @@ func TestGatewayStampsInOrder(t *testing.T) {
 
 func TestLogSaveLoadRoundTrip(t *testing.T) {
 	l := &Log{}
-	l.append(1, []Event{{Source: 0, Data: []byte("hello")}, {Source: 1, Data: nil}})
-	l.append(3, []Event{{Source: 2, Data: []byte{0x00, 0xff, 0x0a, 0x20}}}) // binary payload
+	l.AppendBatch(1, []Event{{Source: 0, Data: []byte("hello")}, {Source: 1, Data: nil}})
+	l.AppendBatch(3, []Event{{Source: 2, Data: []byte{0x00, 0xff, 0x0a, 0x20}}}) // binary payload
 	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
+	if err := l.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	got, err := LoadLog(bytes.NewReader(buf.Bytes()))
@@ -79,25 +82,39 @@ func TestLogSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// v2bLog frames hand-built batch payloads under the v2b header, so a test can
+// write what no writer does.
+func v2bLog(frames ...[]uint64) string {
+	var buf bytes.Buffer
+	buf.WriteString(logHeaderV2B + "\n")
+	fw := logio.NewFrameWriter(&buf)
+	for _, fields := range frames {
+		var b []byte
+		for _, v := range fields {
+			b = binary.AppendUvarint(b, v)
+		}
+		fw.WriteFrame(b, false)
+	}
+	fw.Close()
+	return buf.String()
+}
+
 func TestLoadLogStrict(t *testing.T) {
 	cases := []struct {
 		name, in, want string
 	}{
 		{"empty", "", "empty file"},
 		{"bad header", "qithread-ingress v9\n", "bad header"},
-		{"bad batch line", "qithread-ingress v1\nbatch 1\n", "line 2"},
-		{"zero count", "qithread-ingress v1\nbatch 1 0\n", "line 2"},
-		{"non-monotone epoch", "qithread-ingress v1\nbatch 2 1\n0 ff\nbatch 2 1\n0 ff\n", "line 4"},
-		{"truncated batch", "qithread-ingress v1\nbatch 1 2\n0 ff\n", "line 3"},
-		{"bad hex", "qithread-ingress v1\nbatch 1 1\n0 zz\n", "line 3"},
-		{"bad source", "qithread-ingress v1\nbatch 1 1\n-2 ff\n", "line 3"},
-		{"extra field", "qithread-ingress v1\nbatch 1 1\n0 ff trailing\n", "line 3"},
-		// The count is a claim, not an allocation size: these two used to
-		// size a slice from it (the first panicked in makeslice).
-		{"hostile count", "qithread-ingress v1\nbatch 1 1000000000000000\n", "line 2"},
-		{"hostile count 1e9", "qithread-ingress v1\nbatch 1 1000000000\n0 -\n", "line 3"},
-		// What the binary codec cannot store, the text codec refuses too.
-		{"source past int32", "qithread-ingress v1\nbatch 1 1\n1099511627776 -\n", "line 3: bad source id 1099511627776"},
+		// The hex-text format is refused by name, before its body is read.
+		{"v1 header", "qithread-ingress v1\nbatch 1 1\n0 ff\n", `"qithread-ingress v1" logs are no longer readable`},
+		{"v1 hostile count", "qithread-ingress v1\nbatch 1 1000000000000000\n", "re-record the run"},
+		// Each frame is {epoch delta, count, count × {source, len, bytes}}.
+		{"zero count", v2bLog([]uint64{1, 0}), "batch frame 0: bad event count 0"},
+		{"zero epoch delta", v2bLog([]uint64{1, 1, 0, 0}, []uint64{0, 1, 0, 0}), "batch frame 1: epoch 1 out of order"},
+		{"truncated batch", v2bLog([]uint64{1, 2, 0, 0}), "batch frame 0"},
+		{"hostile count", v2bLog([]uint64{1, 1000000000000000, 0, 0}), "implausible event count"},
+		{"source past int32", v2bLog([]uint64{1, 1, 1099511627776, 0}), "bad source id 1099511627776"},
+		{"trailing bytes", v2bLog([]uint64{1, 1, 0, 0, 7}), "1 trailing bytes"},
 	}
 	for _, c := range cases {
 		if _, err := LoadLog(strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -106,18 +123,35 @@ func TestLoadLogStrict(t *testing.T) {
 	}
 }
 
+// TestSinkWithReplayPanics: a replaying gateway records nothing, so a Sink
+// beside Replay would be handed no batch and close as an empty log. Init
+// refuses the pair by name instead of ignoring the sink.
+func TestSinkWithReplayPanics(t *testing.T) {
+	l := &Log{Batches: []Batch{{Epoch: 1, Events: []Event{{Data: []byte("x")}}}}}
+	bw, err := NewBinaryLogWriter(&bytes.Buffer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if msg, _ := recover().(string); !strings.Contains(msg, "Config.Sink") || !strings.Contains(msg, "Config.Replay") {
+			t.Fatalf("NewGateway with Sink and Replay: panic %q, want one naming both fields", msg)
+		}
+	}()
+	NewGateway(Config{Replay: NewReplayer(l), Sink: bw})
+}
+
 // TestReplayReproducesSheddingOnFixedLog: replaying one log through gateways
 // with the same tight queue always sheds the same events, and the
 // admitted/shed hash commitments match across replays.
 func TestReplayReproducesSheddingOnFixedLog(t *testing.T) {
 	// A recorded run whose snapshots overflow QueueCap=3 at MaxBatch=2.
 	l := &Log{}
-	l.append(1, []Event{
+	l.AppendBatch(1, []Event{
 		{Source: 0, Data: []byte("a")}, {Source: 0, Data: []byte("b")},
 		{Source: 1, Data: []byte("c")}, {Source: 1, Data: []byte("d")},
 		{Source: 0, Data: []byte("e")},
 	})
-	l.append(2, []Event{{Source: 1, Data: []byte("f")}, {Source: 0, Data: []byte("g")}})
+	l.AppendBatch(2, []Event{{Source: 1, Data: []byte("f")}, {Source: 0, Data: []byte("g")}})
 
 	run := func() ([]Event, uint64, uint64, Stats) {
 		g := NewGateway(Config{MaxBatch: 2, QueueCap: 3, Replay: NewReplayer(l)})
@@ -284,7 +318,7 @@ func TestAdmissionQueueSizedFromFirstSnapshot(t *testing.T) {
 // recording — a loud failure, not a silent misalignment.
 func TestReplayDivergencePanics(t *testing.T) {
 	l := &Log{}
-	l.append(5, []Event{{Source: 0, Data: []byte("x")}})
+	l.AppendBatch(5, []Event{{Source: 0, Data: []byte("x")}})
 	r := NewReplayer(l)
 	defer func() {
 		if recover() == nil {

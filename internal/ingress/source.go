@@ -14,34 +14,12 @@ type Port struct {
 	c      *collector
 	id     int
 	closed sync.Once
-	xform  func(data []byte) [][]byte // TransformPort's payload hook
 }
 
-// ID returns the source id events pushed through this port carry.
-func (p *Port) ID() int { return p.id }
-
-// Push stages one event, blocking in real time while the staging buffer or
-// this source's quota is full — the backpressure that keeps a fast producer
-// from outrunning admission. The payload is NOT copied; callers must not
-// reuse the slice.
-func (p *Port) Push(data []byte) {
-	if p.xform != nil {
-		for _, d := range p.xform(data) {
-			p.c.push(p.id, d)
-		}
-		return
-	}
-	p.c.push(p.id, data)
-}
-
-// TransformPort returns a view of p that passes every pushed payload through
-// fn first and stages whatever fn returns — none (drop), one, or several
-// (duplication). The view shares p's collector slot and source id; closing
-// either closes the source. Fault-injection adapters are the intended caller
-// (workload/controlplane.FaultSpec.Wrap).
-func TransformPort(p *Port, fn func(data []byte) [][]byte) *Port {
-	return &Port{c: p.c, id: p.id, xform: fn}
-}
+// Push stages one event, blocking in real time while the staging buffer is
+// full — the backpressure that keeps a fast producer from outrunning
+// admission. The payload is NOT copied; callers must not reuse the slice.
+func (p *Port) Push(data []byte) { p.c.push(p.id, data) }
 
 // Close marks the source exhausted. Idempotent; the gateway also closes the
 // port when the source's Run returns, so adapters only call it to end input

@@ -8,15 +8,12 @@ import (
 	"strings"
 )
 
-// MaxLine bounds one line of the text log formats. The schedule and ingress
-// text loaders share this limit (historically the schedule loader used the
-// 64KB bufio default while the ingress loader allowed 1MB — an asymmetry
-// where a long-payload ingress line saved by one tool failed to load in
-// another); 1MB comfortably covers any real line of either format.
+// MaxLine bounds one line of the text schedule formats; 1MB comfortably
+// covers any real line.
 const MaxLine = 1 << 20
 
-// LineScanner returns a bufio.Scanner guarded to MaxLine, the one line
-// reader every text log loader uses.
+// LineScanner returns a bufio.Scanner guarded to MaxLine, the text schedule
+// loader's line reader.
 func LineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 64*1024), MaxLine)

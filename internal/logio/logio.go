@@ -1,9 +1,9 @@
 // Package logio is the shared plumbing of qithread's on-disk log formats:
 // the varint-framed, CRC32C-checksummed binary container used by binary
 // schedule files (internal/trace, "qithread-schedule v3b") and binary ingress
-// logs (internal/ingress, "qithread-ingress v2b"), plus the guarded text
-// line scanner and header reader both text loaders share and the one FNV fold
-// behind every fingerprint.
+// logs (internal/ingress, "qithread-ingress v2b"), plus the guarded line
+// scanner of the text schedule loader, the header reader every loader shares
+// and the one FNV fold behind every fingerprint.
 //
 // # Container layout
 //

@@ -122,62 +122,3 @@ func (s *FaultSpec) Apply(l *ingress.Log) *ingress.Log {
 	}
 	return out
 }
-
-// Wrap adapts a live source through the spec: pushes are perturbed with the
-// occurrence matching of Apply, counted over this source's own stream (drop
-// discards the Nth push, dup stages it twice, delay holds it back Delay
-// subsequent pushes and flushes leftovers when the source finishes). A nil
-// or empty spec returns the source unchanged — the un-wrapped source itself,
-// so the no-fault path is byte-identical by construction.
-func (s *FaultSpec) Wrap(src ingress.Source) ingress.Source {
-	if s == nil || len(s.Faults) == 0 {
-		return src
-	}
-	return ingress.FuncSource(src.Name()+"+faults", func(p *ingress.Port) {
-		type parked struct {
-			data []byte
-			due  int
-		}
-		n := 0
-		var pending []parked
-		src.Run(ingress.TransformPort(p, func(data []byte) [][]byte {
-			var out [][]byte
-			kept := true
-			for _, f := range s.Faults {
-				if !f.matches(p.ID(), n) {
-					continue
-				}
-				switch f.Kind {
-				case Drop:
-					kept = false
-				case Dup:
-					out = append(out, data, append([]byte(nil), data...))
-					kept = false // already staged, twice
-				case Delay:
-					if f.Delay > 0 {
-						pending = append(pending, parked{data: data, due: n + f.Delay})
-						kept = false
-					}
-				}
-			}
-			if kept {
-				out = append(out, data)
-			}
-			n++
-			// Emit parked events whose displacement elapsed, in park order.
-			rest := pending[:0]
-			for _, d := range pending {
-				if d.due <= n {
-					out = append(out, d.data)
-				} else {
-					rest = append(rest, d)
-				}
-			}
-			pending = rest
-			return out
-		}))
-		for _, d := range pending {
-			p.Push(d.data)
-		}
-	})
-}

@@ -8,11 +8,11 @@ import (
 	"qithread/internal/ingress"
 )
 
-// saveBytes renders a log in the text format for byte-equality checks.
+// saveBytes renders a log for byte-equality checks.
 func saveBytes(t *testing.T, l *ingress.Log) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := l.Save(&buf); err != nil {
+	if err := l.SaveBinary(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -107,8 +107,8 @@ func TestFaultSpecReplayDeterminism(t *testing.T) {
 }
 
 // TestNilFaultSpecIdentity: a nil spec is the identity at every layer — the
-// transformed log is byte-identical to the input, the run fingerprint equals
-// the un-faulted run's, and Wrap returns the un-wrapped source itself.
+// transformed log is byte-identical to the input, and the run fingerprint
+// equals the un-faulted run's.
 func TestNilFaultSpecIdentity(t *testing.T) {
 	log := DemoLog(4, 3)
 	var nilSpec *FaultSpec
@@ -126,65 +126,5 @@ func TestNilFaultSpecIdentity(t *testing.T) {
 	if fingerprintOf(plain) != fingerprintOf(faulted) {
 		t.Fatalf("nil fault spec changed the run:\n  plain:  %s\n  faulted: %s",
 			fingerprintOf(plain), fingerprintOf(faulted))
-	}
-
-	var src ingress.Source = idleSource{}
-	if nilSpec.Wrap(src) != src {
-		t.Fatal("nil spec Wrap did not return the un-wrapped source")
-	}
-	if (&FaultSpec{}).Wrap(src) != src {
-		t.Fatal("empty spec Wrap did not return the un-wrapped source")
-	}
-}
-
-// idleSource is a comparable Source so the identity checks above can use ==.
-type idleSource struct{}
-
-func (idleSource) Name() string        { return "idle" }
-func (idleSource) Run(p *ingress.Port) {}
-
-// TestWrapLiveSource: a wrapped live source perturbs its push stream — the
-// recorded log sees the dropped, duplicated and delayed events — and the
-// recorded log then replays deterministically like any other.
-func TestWrapLiveSource(t *testing.T) {
-	feed := func() ingress.Source {
-		return ingress.FuncSource("feed", func(p *ingress.Port) {
-			for r := 0; r < 3; r++ {
-				for id := 0; id < 2; id++ {
-					p.Push([]byte("advance " + string(rune('0'+id))))
-				}
-			}
-		})
-	}
-	for _, tc := range []struct {
-		name string
-		spec *FaultSpec
-		want int // total recorded events from 6 pushes
-	}{
-		{"drop", &FaultSpec{Faults: []Fault{{Kind: Drop, Source: 0, Nth: 2}}}, 5},
-		{"dup", &FaultSpec{Faults: []Fault{{Kind: Dup, Source: 0, Nth: 2}}}, 7},
-		{"delay", &FaultSpec{Faults: []Fault{{Kind: Delay, Source: 0, Nth: 0, Delay: 3}}}, 6},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := Config{
-				Entities: 2, Controllers: 2, Stripes: 2,
-				ValidateWork: 8, EventWork: 4, MaxBatch: 4,
-				Sources: []ingress.Source{tc.spec.Wrap(feed())},
-			}
-			live := Run(cfg, rrConfig(qithread.AllPolicies))
-			if live.Log == nil || live.Log.Events() != tc.want {
-				t.Fatalf("recorded %d events, want %d", live.Log.Events(), tc.want)
-			}
-			// The recorded (already-faulted) log replays deterministically.
-			rcfg := cfg
-			rcfg.Sources = nil
-			rcfg.Log = live.Log
-			ref := fingerprintOf(Run(rcfg, rrConfig(qithread.AllPolicies)))
-			for i := 1; i < 5; i++ {
-				if got := fingerprintOf(Run(rcfg, rrConfig(qithread.AllPolicies))); got != ref {
-					t.Fatalf("replay %d of wrapped recording diverged", i)
-				}
-			}
-		})
 	}
 }

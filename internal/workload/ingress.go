@@ -49,8 +49,9 @@ type IngressServerConfig struct {
 	// is part of the schedule — and a resumed run keeps checkpointing on the
 	// same grid.
 	CheckpointEvery int64
-	// Sink, when non-nil (live mode only), streams recorded ingress batches
-	// out instead of retaining them in memory; the run's Log is then nil.
+	// Sink, when non-nil, streams recorded ingress batches out instead of
+	// retaining them in memory; the run's Log is then nil. A replay records
+	// nothing, so a replayed run must leave it nil (NewGateway panics).
 	// Pairs with qithread.Config.StreamTrace for bounded-memory recording of
 	// arbitrarily long runs (qibench -experiment soak).
 	Sink qithread.IngressBatchSink
