@@ -10,11 +10,8 @@ import (
 // releases all waiters in deterministic FIFO order and is reported as the
 // serial thread, mirroring PTHREAD_BARRIER_SERIAL_THREAD.
 type Barrier struct {
-	rt   *Runtime
-	dom  *Domain
-	obj  uint64
-	name string
-	n    int
+	object
+	n int
 
 	// Deterministic state, guarded by the turn.
 	arrived int
@@ -31,14 +28,9 @@ func (rt *Runtime) NewBarrier(t *Thread, name string, n int) *Barrier {
 	if n <= 0 {
 		panic("qithread: barrier count must be positive")
 	}
-	b := &Barrier{rt: rt, dom: t.dom, name: name, n: n}
-	if rt.det() {
-		s := t.dom.sched
-		s.GetTurn(t.ct)
-		b.obj = s.NewObjectKind("barrier:", name)
-		s.TraceOp(t.ct, core.OpBarrierInit, b.obj, core.StatusOK)
-		t.release()
-	} else {
+	b := &Barrier{n: n}
+	b.init(rt, t, "barrier:", name, core.OpBarrierInit)
+	if b.dom.sched == nil {
 		b.ncv = sync.NewCond(&b.nmu)
 	}
 	return b
@@ -48,7 +40,7 @@ func (rt *Runtime) NewBarrier(t *Thread, name string, n int) *Barrier {
 // of the n threads (the serial thread).
 func (b *Barrier) Wait(t *Thread) bool {
 	s := b.dom.enter(t, "barrier", b.name)
-	if !b.rt.det() {
+	if s == nil {
 		b.nmu.Lock()
 		defer b.nmu.Unlock()
 		gen := b.ngen
@@ -81,13 +73,4 @@ func (b *Barrier) Wait(t *Thread) bool {
 }
 
 // Destroy retires the barrier and releases its scheduler bookkeeping.
-func (b *Barrier) Destroy(t *Thread) {
-	s := b.dom.enter(t, "barrier", b.name)
-	if !b.rt.det() {
-		return
-	}
-	s.GetTurn(t.ct)
-	s.TraceOp(t.ct, core.OpBarrierDestroy, b.obj, core.StatusOK)
-	s.DestroyObject(t.ct, b.obj)
-	t.release()
-}
+func (b *Barrier) Destroy(t *Thread) { b.destroy(t, "barrier", core.OpBarrierDestroy) }

@@ -156,8 +156,13 @@ func main() {
 		}
 	}
 
-	want, recMode, haveSidecar := loadSidecar(*replay + ".fp")
-	if haveSidecar && recMode != "" && recMode != *mode {
+	want, recMode, err := loadSidecar(*replay + ".fp")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "qireplay:", err)
+		os.Exit(1)
+	}
+	haveSidecar := want != ""
+	if haveSidecar && recMode != *mode {
 		// A different scheduler produces a different (equally deterministic)
 		// schedule from the same ingress log, so the recorded fingerprint
 		// does not apply — only replay-vs-replay agreement is checkable.
@@ -302,23 +307,20 @@ func saveCheckpoint(path string, cp *qithread.Checkpoint) error {
 	return err
 }
 
-// loadSidecar returns the recorded observables line, the scheduling mode the
-// recording ran under (empty for sidecars without a mode line), and whether a
-// sidecar was found at all.
-func loadSidecar(path string) (obs, mode string, ok bool) {
+// loadSidecar returns the recorded observables line and the scheduling mode
+// the recording ran under, from the sidecar saveLog wrote; obs is empty when
+// there is no sidecar. A sidecar that does not open with its mode= line is
+// refused.
+func loadSidecar(path string) (obs, mode string, err error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "qireplay: no fingerprint sidecar %s; comparing replays only with each other\n", path)
-		return "", "", false
+		return "", "", nil
 	}
-	s := string(b)
-	for len(s) > 0 && (s[len(s)-1] == '\n' || s[len(s)-1] == '\r') {
-		s = s[:len(s)-1]
+	rest, found := strings.CutPrefix(strings.TrimRight(string(b), "\r\n"), "mode=")
+	mode, obs, split := strings.Cut(rest, "\n")
+	if !found || !split || obs == "" {
+		return "", "", fmt.Errorf("%s: not a fingerprint sidecar this build reads (want a mode= line, then the observables line); re-record the run", path)
 	}
-	if rest, found := strings.CutPrefix(s, "mode="); found {
-		if m, o, split := strings.Cut(rest, "\n"); split {
-			return o, m, true
-		}
-	}
-	return s, "", true
+	return obs, mode, nil
 }

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -31,6 +33,33 @@ func TestScheduleDivergencePrinted(t *testing.T) {
 	for _, want := range []string{"schedule hash", "replay divergence"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("stderr does not say %q:\n%s", want, stderr.String())
+		}
+	}
+}
+
+// TestLoadSidecar: a sidecar saveLog wrote reads back as its mode and
+// observables line; a missing one is no sidecar; one without its mode= line —
+// a format no build writes — is refused by name with a request to re-record.
+func TestLoadSidecar(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	obs, mode, err := loadSidecar(write("ok.fp", "mode=no-hint\nout=1 fp=2\n"))
+	if err != nil || obs != "out=1 fp=2" || mode != "no-hint" {
+		t.Errorf("loadSidecar = %q, %q, %v; want the observables line and mode no-hint", obs, mode, err)
+	}
+	if obs, _, err := loadSidecar(filepath.Join(dir, "missing.fp")); obs != "" || err != nil {
+		t.Errorf("missing sidecar: %q, %v; want no sidecar and no error", obs, err)
+	}
+	for _, body := range []string{"out=1 fp=2\n", "mode=qithread\n"} {
+		path := write("bad.fp", body)
+		if _, _, err := loadSidecar(path); err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "re-record") {
+			t.Errorf("sidecar %q: error %v, want one naming %s and asking for a re-record", body, err, path)
 		}
 	}
 }

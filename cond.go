@@ -15,10 +15,7 @@ import (
 // to the paper's cv_wait_map counters because every wait wrapper parks the
 // thread within the same turn that would have incremented the counter.
 type Cond struct {
-	rt   *Runtime
-	dom  *Domain
-	obj  uint64
-	name string
+	object
 
 	// Nondet mode: a sync.Cond lazily bound to the first mutex used.
 	bindMu sync.Mutex
@@ -28,14 +25,8 @@ type Cond struct {
 
 // NewCond creates a condition variable.
 func (rt *Runtime) NewCond(t *Thread, name string) *Cond {
-	c := &Cond{rt: rt, dom: t.dom, name: name}
-	if rt.det() {
-		s := t.dom.sched
-		s.GetTurn(t.ct)
-		c.obj = s.NewObjectKind("cond:", name)
-		s.TraceOp(t.ct, core.OpCondInit, c.obj, core.StatusOK)
-		t.release()
-	}
+	c := new(Cond)
+	c.init(rt, t, "cond:", name, core.OpCondInit)
 	return c
 }
 
@@ -67,10 +58,10 @@ func (c *Cond) TimedWait(t *Thread, m *Mutex, turns int64) bool {
 }
 
 func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
+	s := c.dom.enter(t, "cond", c.name)
 	if m.owner != t {
 		panic("qithread: Cond.Wait with mutex " + m.name + " not held by " + t.String())
 	}
-	s := c.dom.enter(t, "cond", c.name)
 	if s == nil {
 		nc := c.nondetCond(m)
 		m.owner = nil
@@ -133,7 +124,7 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 // scheduled.
 func (c *Cond) Signal(t *Thread) {
 	s := c.dom.enter(t, "cond", c.name)
-	if !c.rt.det() {
+	if s == nil {
 		c.bindMu.Lock()
 		nc := c.nc
 		c.bindMu.Unlock()
@@ -160,7 +151,7 @@ func (c *Cond) Signal(t *Thread) {
 // Broadcast wakes all waiters in FIFO order.
 func (c *Cond) Broadcast(t *Thread) {
 	s := c.dom.enter(t, "cond", c.name)
-	if !c.rt.det() {
+	if s == nil {
 		c.bindMu.Lock()
 		nc := c.nc
 		c.bindMu.Unlock()
@@ -178,13 +169,4 @@ func (c *Cond) Broadcast(t *Thread) {
 
 // Destroy retires the condition variable and releases its scheduler
 // bookkeeping (object name, empty wait-list entry).
-func (c *Cond) Destroy(t *Thread) {
-	s := c.dom.enter(t, "cond", c.name)
-	if !c.rt.det() {
-		return
-	}
-	s.GetTurn(t.ct)
-	s.TraceOp(t.ct, core.OpCondDestroy, c.obj, core.StatusOK)
-	s.DestroyObject(t.ct, c.obj)
-	t.release()
-}
+func (c *Cond) Destroy(t *Thread) { c.destroy(t, "cond", core.OpCondDestroy) }

@@ -31,8 +31,11 @@ func minMallocs(run func()) uint64 {
 // into the next class for every instance a run makes. Thread is 240 B, the
 // whole 240 class: one word more and every thread a program creates costs
 // 256, three more and 288 (catalog's alloc_bytes_per_op +6.5 %, over its 5 %
-// bound — the hosted-run prototype measured it). Cond and Sem fill the 64
-// class, RWMutex and Barrier sit at 88 in the 96 class. Runtime has room
+// bound — the hosted-run prototype measured it). The wrappers share one
+// header (domain, object id, name) and reach the runtime through the domain:
+// Mutex and Pipe fill the 64 class, Cond and Sem sit at 56 in it, RWMutex and
+// Barrier fill the 80 class, Once and SoftBarrier the 48 class; one field
+// more on any of them costs every instance the next class. Runtime has room
 // inside the 320 class. The Scheduler has room inside the 1,152 class and is
 // where per-run state that must cost the other workloads nothing goes (its
 // host pointer).
@@ -44,10 +47,14 @@ func TestRecordSizesPinned(t *testing.T) {
 		name              string
 		size, class, next uintptr
 	}{
+		{"Mutex", unsafe.Sizeof(Mutex{}), 64, 80},
 		{"Cond", unsafe.Sizeof(Cond{}), 64, 80},
 		{"Sem", unsafe.Sizeof(Sem{}), 64, 80},
-		{"RWMutex", unsafe.Sizeof(RWMutex{}), 96, 112},
-		{"Barrier", unsafe.Sizeof(Barrier{}), 96, 112},
+		{"RWMutex", unsafe.Sizeof(RWMutex{}), 80, 96},
+		{"Barrier", unsafe.Sizeof(Barrier{}), 80, 96},
+		{"Once", unsafe.Sizeof(Once{}), 48, 64},
+		{"SoftBarrier", unsafe.Sizeof(SoftBarrier{}), 48, 64},
+		{"Pipe", unsafe.Sizeof(Pipe{}), 64, 80},
 	} {
 		if r.size > r.class {
 			t.Errorf("%s is %d B, want <= %d: the next size class is %d", r.name, r.size, r.class, r.next)

@@ -2,6 +2,7 @@ package qithread
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"qithread/internal/core"
@@ -88,6 +89,53 @@ func (d *Domain) enter(t *Thread, kind, name string) *core.Scheduler {
 			kind, name, d, t, t.dom))
 	}
 	return d.sched
+}
+
+// object is the header every synchronization object embeds: the domain it is
+// bound to, its scheduler object id (0 in Nondet mode, and for a soft barrier
+// without Config.SoftBarriers) and its debugging name. With Domain.enter,
+// init and destroy below and Thread.await, it is the turn protocol the
+// wrappers share.
+type object struct {
+	dom  *Domain
+	obj  uint64
+	name string
+}
+
+// bind binds the object to t's domain and returns the domain's scheduler
+// (nil in Nondet mode). An object takes everything from the thread that
+// builds it; rt, the receiver of the constructor, is only a check that the
+// thread is one of its own.
+func (o *object) bind(rt *Runtime, t *Thread, kind, name string) *core.Scheduler {
+	if t.rt != rt {
+		panic(fmt.Sprintf("qithread: %s %q created by %v, a thread of another runtime", strings.TrimSuffix(kind, ":"), name, t))
+	}
+	o.dom, o.name = t.dom, name
+	return t.dom.sched
+}
+
+// init is bind, then in a deterministic run one ordered operation under the
+// turn: allocate the object id under its kind prefix ("mutex:") and trace op.
+func (o *object) init(rt *Runtime, t *Thread, kind, name string, op core.OpKind) {
+	if s := o.bind(rt, t, kind, name); s != nil {
+		s.GetTurn(t.ct)
+		o.obj = s.NewObjectKind(kind, name)
+		s.TraceOp(t.ct, op, o.obj, core.StatusOK)
+		t.release()
+	}
+}
+
+// destroy retires the object (kind as for enter): an ordered operation that
+// traces op and releases the scheduler's bookkeeping for the object id.
+func (o *object) destroy(t *Thread, kind string, op core.OpKind) {
+	s := o.dom.enter(t, kind, o.name)
+	if s == nil {
+		return
+	}
+	s.GetTurn(t.ct)
+	s.TraceOp(t.ct, op, o.obj, core.StatusOK)
+	s.DestroyObject(t.ct, o.obj)
+	t.release()
 }
 
 // Trace returns the domain's recorded schedule (empty unless Config.Record;

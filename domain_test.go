@@ -3,6 +3,7 @@ package qithread
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -73,6 +74,31 @@ func TestPartitionViolationsPanic(t *testing.T) {
 			rw := rt.NewRWMutex(main, "rw")
 			return func(x *Thread) { rw.RUnlock(x) }
 		}},
+		{"RWMutex.TryRLock", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			rw := rt.NewRWMutex(main, "rw")
+			return func(x *Thread) { rw.TryRLock(x) }
+		}},
+		{"RWMutex.TryWLock", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			rw := rt.NewRWMutex(main, "rw")
+			return func(x *Thread) { rw.TryWLock(x) }
+		}},
+		{"RWMutex.WUnlock", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			rw := rt.NewRWMutex(main, "rw")
+			return func(x *Thread) { rw.WUnlock(x) }
+		}},
+		{"RWMutex.Destroy", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			rw := rt.NewRWMutex(main, "rw")
+			return func(x *Thread) { rw.Destroy(x) }
+		}},
+		// The intruder does not hold m either: the partition is checked first.
+		{"Cond.Wait", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			m, c := rt.NewMutex(main, "m"), rt.NewCond(main, "cv")
+			return func(x *Thread) { c.Wait(x, m) }
+		}},
+		{"Cond.TimedWait", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			m, c := rt.NewMutex(main, "m"), rt.NewCond(main, "cv")
+			return func(x *Thread) { c.TimedWait(x, m, 1) }
+		}},
 		{"Cond.Signal", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
 			c := rt.NewCond(main, "cv")
 			return func(x *Thread) { c.Signal(x) }
@@ -80,6 +106,10 @@ func TestPartitionViolationsPanic(t *testing.T) {
 		{"Cond.Broadcast", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
 			c := rt.NewCond(main, "cv")
 			return func(x *Thread) { c.Broadcast(x) }
+		}},
+		{"Cond.Destroy", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			c := rt.NewCond(main, "cv")
+			return func(x *Thread) { c.Destroy(x) }
 		}},
 		{"Sem.Wait", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
 			s := rt.NewSem(main, "s", 1)
@@ -89,9 +119,29 @@ func TestPartitionViolationsPanic(t *testing.T) {
 			s := rt.NewSem(main, "s", 0)
 			return func(x *Thread) { s.Post(x) }
 		}},
+		{"Sem.TryWait", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			s := rt.NewSem(main, "s", 1)
+			return func(x *Thread) { s.TryWait(x) }
+		}},
+		{"Sem.TimedWait", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			s := rt.NewSem(main, "s", 0)
+			return func(x *Thread) { s.TimedWait(x, 1) }
+		}},
+		{"Sem.Value", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			s := rt.NewSem(main, "s", 0)
+			return func(x *Thread) { s.Value(x) }
+		}},
+		{"Sem.Destroy", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			s := rt.NewSem(main, "s", 0)
+			return func(x *Thread) { s.Destroy(x) }
+		}},
 		{"Barrier.Wait", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
 			b := rt.NewBarrier(main, "b", 2)
 			return func(x *Thread) { b.Wait(x) }
+		}},
+		{"Barrier.Destroy", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			b := rt.NewBarrier(main, "b", 2)
+			return func(x *Thread) { b.Destroy(x) }
 		}},
 		{"SoftBarrier.Arrive", func(c *Config) { c.SoftBarriers = true }, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
 			sb := rt.NewSoftBarrier(main, "sb", 2)
@@ -104,6 +154,14 @@ func TestPartitionViolationsPanic(t *testing.T) {
 		{"Pipe.Send", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
 			p := rt.NewPipe(main, "p", 1)
 			return func(x *Thread) { p.Send(x, 1) }
+		}},
+		{"Pipe.Recv", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			p := rt.NewPipe(main, "p", 1)
+			return func(x *Thread) { p.Recv(x) }
+		}},
+		{"Pipe.Close", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
+			p := rt.NewPipe(main, "p", 1)
+			return func(x *Thread) { p.Close(x) }
 		}},
 		{"Thread.Join", nil, func(rt *Runtime, main *Thread, _ *Domain) func(*Thread) {
 			c := main.Create("child", func(*Thread) {})
@@ -134,6 +192,29 @@ func TestPartitionViolationsPanic(t *testing.T) {
 			p := rt.NewXPipe("x", other, main.Domain(), 1)
 			return func(x *Thread) { p.RecvUpTo(x, nil) }
 		}},
+	}
+	// Every exported method that takes a *Thread has a row: a row's name
+	// starts with Type.Method.
+	covered := map[string]bool{}
+	for _, row := range rows {
+		name, _, _ := strings.Cut(row.name, " ")
+		covered[name] = true
+	}
+	for _, v := range []any{(*Mutex)(nil), (*RWMutex)(nil), (*Cond)(nil), (*Sem)(nil), (*Barrier)(nil),
+		(*SoftBarrier)(nil), (*Once)(nil), (*Pipe)(nil), (*XPipe)(nil), (*Gateway)(nil)} {
+		typ := reflect.TypeOf(v)
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			name := typ.Elem().Name() + "." + m.Name
+			for j := 1; j < m.Type.NumIn(); j++ {
+				if m.Type.In(j) == reflect.TypeOf((*Thread)(nil)) && !covered[name] {
+					t.Errorf("%s takes a *Thread and has no row", name)
+				}
+			}
+		}
+	}
+	if !covered["Thread.Join"] {
+		t.Error("Thread.Join has no row")
 	}
 	for _, cfg := range partitionModes() {
 		for _, row := range rows {
@@ -201,6 +282,13 @@ func TestPartitionSetupPanics(t *testing.T) {
 		{"NewGateway on a domain of another runtime", func(rt, foreign *Runtime, _ *Domain) {
 			rt.NewGateway("gw", foreign.NewDomain("theirs"), GatewayConfig{})
 		}, []string{`"gw"`, "domain 1 (theirs)", "another runtime"}},
+		{"a constructor of another runtime", func(rt, foreign *Runtime, _ *Domain) {
+			var msg string
+			rt.Run(func(main *Thread) { msg = recovered(func() { foreign.NewCond(main, "cv") }) })
+			if msg != "" {
+				panic(msg)
+			}
+		}, []string{`cond "cv"`, "T0(main)", "another runtime"}},
 		{"Runtime.Domain out of range", func(rt, _ *Runtime, _ *Domain) {
 			rt.Domain(99)
 		}, []string{"no domain 99 (have 2)"}},

@@ -79,12 +79,9 @@ type GatewayConfig struct {
 // logging and shedding still work (the log remains replayable), but the
 // downstream schedule is whatever the Go scheduler produces.
 type Gateway struct {
-	rt   *Runtime
-	dom  *Domain
-	name string
-	id   uint64
-	g    ingress.Gateway  // initialised in place: a gateway is this one record plus its queue
-	rep  ingress.Replayer // g's cursor into GatewayConfig.Replay; unused in live mode
+	object
+	g   ingress.Gateway  // initialised in place: a gateway is this one record plus its queue
+	rep ingress.Replayer // g's cursor into GatewayConfig.Replay; unused in live mode
 }
 
 // NewGateway creates a deterministic ingress gateway owned by the given
@@ -102,7 +99,7 @@ func (rt *Runtime) NewGateway(name string, d *Domain, cfg GatewayConfig) *Gatewa
 	if d.rt != rt {
 		panic(fmt.Sprintf("qithread: gateway %q on %s, which belongs to another runtime", name, d))
 	}
-	gw := &Gateway{rt: rt, dom: d, name: name}
+	gw := &Gateway{object: object{dom: d, name: name}}
 	icfg := ingress.Config{
 		StageCap: cfg.StageCap,
 		MaxBatch: cfg.MaxBatch,
@@ -125,7 +122,7 @@ func (rt *Runtime) NewGateway(name string, d *Domain, cfg GatewayConfig) *Gatewa
 		// synchronization object, so it is a pure function of the program's
 		// deterministic creation order — replays of one recording in one
 		// process must trace identical ids.
-		gw.id = d.sched.NewObjectKind("gateway:", name)
+		gw.obj = d.sched.NewObjectKind("gateway:", name)
 	}
 	// Registration order is the checkpoint order: gateways are created
 	// deterministically, so a resumed run rebuilds the same sequence.
@@ -170,12 +167,12 @@ func (gw *Gateway) AddSource(s IngressSource) {
 // (all sources closed or log replayed, every admitted event delivered).
 func (gw *Gateway) Admit(t *Thread, dst []IngressEvent) (n int, ok bool) {
 	s := gw.dom.enter(t, "ingress gateway", gw.name)
-	if !gw.rt.det() {
+	if s == nil {
 		return gw.g.Admit(dst)
 	}
 	s.GetTurn(t.ct)
 	n, ok = gw.g.Admit(dst)
-	s.TraceOp(t.ct, core.OpIngressAdmit, gw.id, core.StatusOK)
+	s.TraceOp(t.ct, core.OpIngressAdmit, gw.obj, core.StatusOK)
 	t.release()
 	return n, ok
 }

@@ -15,11 +15,11 @@
 //     execution fingerprints (the existing FNV trace/delivery/admit hashes)
 //     so equivalent interleavings are explored once. The frontier persists
 //     to the results directory, so exploration resumes across invocations.
-//   - PCT-style random walk (Walker): deterministic priority fuzzing seeded
-//     from the baseline schedule hash, with d priority-change points per run
-//     (Burckhardt et al.'s probabilistic concurrency testing, in the
-//     deterministic re-execution setting where a "random" schedule is exactly
-//     reproducible from its seed).
+//   - PCT-style random walk (Session.ExplorePCT): deterministic priority
+//     fuzzing seeded from the baseline schedule hash, with d priority-change
+//     points per run (Burckhardt et al.'s probabilistic concurrency testing,
+//     in the deterministic re-execution setting where a "random" schedule is
+//     exactly reproducible from its seed).
 //
 // An oracle classifies every run — new fingerprint, deadlock, panic, or
 // user-assertion failure via the program's registered invariant — and any

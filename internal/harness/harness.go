@@ -99,9 +99,11 @@ func (r *Runner) logf(format string, args ...any) {
 // makespan expressed as a duration (1 work unit = 1ns). Virtual makespans are
 // the critical-path model of parallel execution time (see the virtual-time
 // notes in internal/core), so results reproduce the paper's parallelism
-// effects on any host, including single-core machines. Deterministic modes
-// yield the same makespan every run; the nondeterministic baseline varies
-// slightly with real interleaving, which the median smooths.
+// effects on any host, including single-core machines. Every mode yields the
+// same makespan every run, the non-det baseline too (it is VirtualParallel's
+// native-cost model, not a Nondet run); only canneal and x264, which
+// busy-wait on atomics, move between runs (DESIGN.md §4.14), which the median
+// smooths.
 func (r *Runner) Measure(spec programs.Spec, mode Mode) time.Duration {
 	app := spec.Build(r.Params)
 	times := make([]time.Duration, 0, r.repeats())

@@ -13,10 +13,7 @@ import (
 // the turn. Under the CSWhole policy the lock wrapper retains the turn so the
 // whole critical section is scheduled as one unit (Section 3.3).
 type Mutex struct {
-	rt   *Runtime
-	dom  *Domain
-	obj  uint64
-	name string
+	object
 	pcs  bool
 	real sync.Mutex
 
@@ -49,21 +46,15 @@ func (rt *Runtime) NewPCSMutex(t *Thread, name string) *Mutex {
 }
 
 func (rt *Runtime) newMutex(t *Thread, name string, pcs bool) *Mutex {
-	m := &Mutex{rt: rt, dom: t.dom, name: name, pcs: pcs}
-	if rt.det() {
-		s := t.dom.sched
-		s.GetTurn(t.ct)
-		m.obj = s.NewObjectKind("mutex:", name)
-		s.TraceOp(t.ct, core.OpMutexInit, m.obj, core.StatusOK)
-		t.release()
-	}
+	m := &Mutex{pcs: pcs}
+	m.init(rt, t, "mutex:", name, core.OpMutexInit)
 	return m
 }
 
 // bypass reports whether operations on this mutex skip the turn of a
 // deterministic run: a PCS-hinted mutex with Config.PCS. (A Nondet run has no
 // turn; the wrappers take their native path before asking.)
-func (m *Mutex) bypass() bool { return m.pcs && m.rt.cfg.PCS }
+func (m *Mutex) bypass() bool { return m.pcs && m.dom.rt.cfg.PCS }
 
 // Lock acquires the mutex (Figure 5, lock_wrapper).
 func (m *Mutex) Lock(t *Thread) {
@@ -85,18 +76,8 @@ func (m *Mutex) Lock(t *Thread) {
 		return
 	}
 	s.GetTurn(t.ct)
-	blocked := false
-	for !m.real.TryLock() {
-		s.TraceOp(t.ct, core.OpMutexLock, m.obj, core.StatusBlocked)
-		blocked = true
-		t.park(m.obj, core.NoTimeout)
-	}
+	t.await(s, core.OpMutexLock, m.obj, m.real.TryLock)
 	m.owner = t
-	st := core.StatusOK
-	if blocked {
-		st = core.StatusReturn
-	}
-	s.TraceOp(t.ct, core.OpMutexLock, m.obj, st)
 	if m.dom.stack.OnAcquire(t.ct) {
 		// A policy (CSWhole) retains the turn at the acquisition site: the
 		// critical section runs as a whole.
@@ -179,12 +160,9 @@ func (m *Mutex) unlockBypass(t *Thread, s *core.Scheduler) {
 // the object's bookkeeping (name, empty wait-list entry) so long-running
 // programs that churn mutexes do not leak map entries.
 func (m *Mutex) Destroy(t *Thread) {
-	s := m.dom.enter(t, "mutex", m.name)
-	if s == nil || m.bypass() {
+	if m.bypass() {
+		m.dom.enter(t, "mutex", m.name)
 		return
 	}
-	s.GetTurn(t.ct)
-	s.TraceOp(t.ct, core.OpMutexDestroy, m.obj, core.StatusOK)
-	s.DestroyObject(t.ct, m.obj)
-	t.release()
+	m.destroy(t, "mutex", core.OpMutexDestroy)
 }

@@ -10,10 +10,7 @@ import (
 // caller returns only after fn has completed. The initializer runs outside
 // the turn so it may itself perform synchronization operations.
 type Once struct {
-	rt   *Runtime
-	dom  *Domain
-	obj  uint64
-	name string
+	object
 
 	// Deterministic state, guarded by the turn.
 	running bool
@@ -24,14 +21,8 @@ type Once struct {
 
 // NewOnce creates a one-time initializer gate.
 func (rt *Runtime) NewOnce(t *Thread, name string) *Once {
-	o := &Once{rt: rt, dom: t.dom, name: name}
-	if rt.det() {
-		s := t.dom.sched
-		s.GetTurn(t.ct)
-		o.obj = s.NewObjectKind("once:", name)
-		s.TraceOp(t.ct, core.OpOnce, o.obj, core.StatusOK)
-		t.release()
-	}
+	o := new(Once)
+	o.init(rt, t, "once:", name, core.OpOnce)
 	return o
 }
 
@@ -39,7 +30,7 @@ func (rt *Runtime) NewOnce(t *Thread, name string) *Once {
 // call completes.
 func (o *Once) Do(t *Thread, fn func()) {
 	s := o.dom.enter(t, "once", o.name)
-	if !o.rt.det() {
+	if s == nil {
 		o.nonce.Do(fn)
 		return
 	}

@@ -17,8 +17,6 @@ import (
 // wrappers, so every policy (BoostBlocked, WakeAMAP, ...) applies to pipe
 // traffic exactly as it does to hand-written queues.
 type Pipe struct {
-	rt       *Runtime
-	name     string
 	m        *Mutex
 	notEmpty *Cond
 	notFull  *Cond
@@ -35,8 +33,6 @@ func (rt *Runtime) NewPipe(t *Thread, name string, capacity int) *Pipe {
 		capacity = 1
 	}
 	return &Pipe{
-		rt:       rt,
-		name:     name,
 		m:        rt.NewMutex(t, name+".m"),
 		notEmpty: rt.NewCond(t, name+".ne"),
 		notFull:  rt.NewCond(t, name+".nf"),

@@ -13,10 +13,7 @@ import (
 // preferred once waiting, preventing writer starvation under read-heavy
 // workloads such as the Berkeley DB and OpenLDAP models.
 type RWMutex struct {
-	rt   *Runtime
-	dom  *Domain
-	obj  uint64
-	name string
+	object
 
 	// Deterministic state, guarded by the turn.
 	readers    int
@@ -28,37 +25,21 @@ type RWMutex struct {
 
 // NewRWMutex creates a readers-writer lock.
 func (rt *Runtime) NewRWMutex(t *Thread, name string) *RWMutex {
-	rw := &RWMutex{rt: rt, dom: t.dom, name: name}
-	if rt.det() {
-		s := t.dom.sched
-		s.GetTurn(t.ct)
-		rw.obj = s.NewObjectKind("rwlock:", name)
-		s.TraceOp(t.ct, core.OpRWInit, rw.obj, core.StatusOK)
-		t.release()
-	}
+	rw := new(RWMutex)
+	rw.init(rt, t, "rwlock:", name, core.OpRWInit)
 	return rw
 }
 
 // RLock acquires the lock for reading (pthread_rwlock_rdlock).
 func (rw *RWMutex) RLock(t *Thread) {
 	s := rw.dom.enter(t, "rwlock", rw.name)
-	if !rw.rt.det() {
+	if s == nil {
 		rw.nrw.RLock()
 		return
 	}
 	s.GetTurn(t.ct)
-	blocked := false
-	for rw.writer || rw.waitingWri > 0 {
-		s.TraceOp(t.ct, core.OpRLock, rw.obj, core.StatusBlocked)
-		blocked = true
-		t.park(rw.obj, core.NoTimeout)
-	}
+	t.await(s, core.OpRLock, rw.obj, func() bool { return !rw.writer && rw.waitingWri == 0 })
 	rw.readers++
-	st := core.StatusOK
-	if blocked {
-		st = core.StatusReturn
-	}
-	s.TraceOp(t.ct, core.OpRLock, rw.obj, st)
 	// CSWhole deliberately does NOT retain the turn for read-side critical
 	// sections: multiple readers hold the lock concurrently, and scheduling
 	// one reader's section "as a whole" would serialize all of them — the
@@ -69,7 +50,7 @@ func (rw *RWMutex) RLock(t *Thread) {
 // TryRLock attempts a read acquisition without blocking.
 func (rw *RWMutex) TryRLock(t *Thread) bool {
 	s := rw.dom.enter(t, "rwlock", rw.name)
-	if !rw.rt.det() {
+	if s == nil {
 		return rw.nrw.TryRLock()
 	}
 	s.GetTurn(t.ct)
@@ -85,25 +66,15 @@ func (rw *RWMutex) TryRLock(t *Thread) bool {
 // WLock acquires the lock for writing (pthread_rwlock_wrlock).
 func (rw *RWMutex) WLock(t *Thread) {
 	s := rw.dom.enter(t, "rwlock", rw.name)
-	if !rw.rt.det() {
+	if s == nil {
 		rw.nrw.Lock()
 		return
 	}
 	s.GetTurn(t.ct)
-	blocked := false
 	rw.waitingWri++
-	for rw.writer || rw.readers > 0 {
-		s.TraceOp(t.ct, core.OpWLock, rw.obj, core.StatusBlocked)
-		blocked = true
-		t.park(rw.obj, core.NoTimeout)
-	}
+	t.await(s, core.OpWLock, rw.obj, func() bool { return !rw.writer && rw.readers == 0 })
 	rw.waitingWri--
 	rw.writer = true
-	st := core.StatusOK
-	if blocked {
-		st = core.StatusReturn
-	}
-	s.TraceOp(t.ct, core.OpWLock, rw.obj, st)
 	// CSWhole targets mutex critical sections (Section 3.3); writer
 	// sections of database-style rwlocks are long, and retaining the turn
 	// through them would serialize threads working on unrelated objects —
@@ -114,7 +85,7 @@ func (rw *RWMutex) WLock(t *Thread) {
 // TryWLock attempts a write acquisition without blocking.
 func (rw *RWMutex) TryWLock(t *Thread) bool {
 	s := rw.dom.enter(t, "rwlock", rw.name)
-	if !rw.rt.det() {
+	if s == nil {
 		return rw.nrw.TryLock()
 	}
 	s.GetTurn(t.ct)
@@ -130,7 +101,7 @@ func (rw *RWMutex) TryWLock(t *Thread) bool {
 // RUnlock releases a read acquisition.
 func (rw *RWMutex) RUnlock(t *Thread) {
 	s := rw.dom.enter(t, "rwlock", rw.name)
-	if !rw.rt.det() {
+	if s == nil {
 		rw.nrw.RUnlock()
 		return
 	}
@@ -140,7 +111,7 @@ func (rw *RWMutex) RUnlock(t *Thread) {
 // WUnlock releases a write acquisition.
 func (rw *RWMutex) WUnlock(t *Thread) {
 	s := rw.dom.enter(t, "rwlock", rw.name)
-	if !rw.rt.det() {
+	if s == nil {
 		rw.nrw.Unlock()
 		return
 	}
@@ -168,13 +139,4 @@ func (rw *RWMutex) unlock(t *Thread, s *core.Scheduler, write bool) {
 }
 
 // Destroy retires the lock and releases its scheduler bookkeeping.
-func (rw *RWMutex) Destroy(t *Thread) {
-	s := rw.dom.enter(t, "rwlock", rw.name)
-	if !rw.rt.det() {
-		return
-	}
-	s.GetTurn(t.ct)
-	s.TraceOp(t.ct, core.OpRWDestroy, rw.obj, core.StatusOK)
-	s.DestroyObject(t.ct, rw.obj)
-	t.release()
-}
+func (rw *RWMutex) Destroy(t *Thread) { rw.destroy(t, "rwlock", core.OpRWDestroy) }

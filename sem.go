@@ -13,10 +13,7 @@ import (
 // the BranchedWake instrumentation targets branches that skip a sem_post
 // (Figure 3, Figure 7b).
 type Sem struct {
-	rt   *Runtime
-	dom  *Domain
-	obj  uint64
-	name string
+	object
 
 	// val is the semaphore count. In deterministic modes it is guarded by
 	// the turn; in Nondet mode by nmu.
@@ -28,14 +25,9 @@ type Sem struct {
 
 // NewSem creates a semaphore with the given initial value.
 func (rt *Runtime) NewSem(t *Thread, name string, value int64) *Sem {
-	sem := &Sem{rt: rt, dom: t.dom, name: name, val: value}
-	if rt.det() {
-		s := t.dom.sched
-		s.GetTurn(t.ct)
-		sem.obj = s.NewObjectKind("sem:", name)
-		s.TraceOp(t.ct, core.OpSemInit, sem.obj, core.StatusOK)
-		t.release()
-	} else {
+	sem := &Sem{val: value}
+	sem.init(rt, t, "sem:", name, core.OpSemInit)
+	if sem.dom.sched == nil {
 		sem.ncv = sync.NewCond(&sem.nmu)
 	}
 	return sem
@@ -44,23 +36,13 @@ func (rt *Runtime) NewSem(t *Thread, name string, value int64) *Sem {
 // Wait decrements the semaphore, blocking while the count is zero (sem_wait).
 func (sem *Sem) Wait(t *Thread) {
 	s := sem.dom.enter(t, "sem", sem.name)
-	if !sem.rt.det() {
+	if s == nil {
 		sem.nondetWait(core.NoTimeout)
 		return
 	}
 	s.GetTurn(t.ct)
-	blocked := false
-	for sem.val == 0 {
-		s.TraceOp(t.ct, core.OpSemWait, sem.obj, core.StatusBlocked)
-		blocked = true
-		t.park(sem.obj, core.NoTimeout)
-	}
+	t.await(s, core.OpSemWait, sem.obj, func() bool { return sem.val > 0 })
 	sem.val--
-	st := core.StatusOK
-	if blocked {
-		st = core.StatusReturn
-	}
-	s.TraceOp(t.ct, core.OpSemWait, sem.obj, st)
 	t.release()
 }
 
@@ -68,7 +50,7 @@ func (sem *Sem) Wait(t *Thread) {
 // whether it did (sem_trywait).
 func (sem *Sem) TryWait(t *Thread) bool {
 	s := sem.dom.enter(t, "sem", sem.name)
-	if !sem.rt.det() {
+	if s == nil {
 		sem.nmu.Lock()
 		defer sem.nmu.Unlock()
 		if sem.val == 0 {
@@ -92,7 +74,7 @@ func (sem *Sem) TryWait(t *Thread) bool {
 // turns*nondetSleepUnit of real time, the unit Sleep uses.
 func (sem *Sem) TimedWait(t *Thread, turns int64) bool {
 	s := sem.dom.enter(t, "sem", sem.name)
-	if !sem.rt.det() {
+	if s == nil {
 		return sem.nondetWait(turns)
 	}
 	s.GetTurn(t.ct)
@@ -144,7 +126,7 @@ func (sem *Sem) nondetWait(timeout int64) bool {
 // semaphore.
 func (sem *Sem) Post(t *Thread) {
 	s := sem.dom.enter(t, "sem", sem.name)
-	if !sem.rt.det() {
+	if s == nil {
 		sem.nmu.Lock()
 		sem.val++
 		sem.nmu.Unlock()
@@ -167,7 +149,7 @@ func (sem *Sem) Post(t *Thread) {
 // Value returns the current semaphore count (sem_getvalue).
 func (sem *Sem) Value(t *Thread) int64 {
 	s := sem.dom.enter(t, "sem", sem.name)
-	if !sem.rt.det() {
+	if s == nil {
 		sem.nmu.Lock()
 		defer sem.nmu.Unlock()
 		return sem.val
@@ -181,13 +163,4 @@ func (sem *Sem) Value(t *Thread) int64 {
 
 // Destroy retires the semaphore and releases its scheduler bookkeeping
 // (object name, empty wait-list entry).
-func (sem *Sem) Destroy(t *Thread) {
-	s := sem.dom.enter(t, "sem", sem.name)
-	if !sem.rt.det() {
-		return
-	}
-	s.GetTurn(t.ct)
-	s.TraceOp(t.ct, core.OpSemDestroy, sem.obj, core.StatusOK)
-	s.DestroyObject(t.ct, sem.obj)
-	t.release()
-}
+func (sem *Sem) Destroy(t *Thread) { sem.destroy(t, "sem", core.OpSemDestroy) }

@@ -16,11 +16,8 @@ import (
 // hinted workloads are unchanged under QiThread, whose policies are meant to
 // make these hints unnecessary.
 type SoftBarrier struct {
-	rt   *Runtime
-	dom  *Domain
-	obj  uint64
-	name string
-	n    int
+	object
+	n int
 
 	// arrived is guarded by the turn.
 	arrived int
@@ -31,13 +28,11 @@ func (rt *Runtime) NewSoftBarrier(t *Thread, name string, n int) *SoftBarrier {
 	if n <= 0 {
 		panic("qithread: soft barrier count must be positive")
 	}
-	sb := &SoftBarrier{rt: rt, dom: t.dom, name: name, n: n}
-	if rt.det() && rt.cfg.SoftBarriers {
-		s := t.dom.sched
-		s.GetTurn(t.ct)
-		sb.obj = s.NewObjectKind("softbarrier:", name)
-		s.TraceOp(t.ct, core.OpSoftBarrier, sb.obj, core.StatusOK)
-		t.release()
+	sb := &SoftBarrier{n: n}
+	if rt.cfg.SoftBarriers {
+		sb.init(rt, t, "softbarrier:", name, core.OpSoftBarrier)
+	} else {
+		sb.bind(rt, t, "softbarrier:", name)
 	}
 	return sb
 }
@@ -53,7 +48,7 @@ const softBarrierTimeout = 256
 // hang.
 func (sb *SoftBarrier) Arrive(t *Thread) {
 	s := sb.dom.enter(t, "soft barrier", sb.name)
-	if !sb.rt.det() || !sb.rt.cfg.SoftBarriers {
+	if s == nil || !sb.dom.rt.cfg.SoftBarriers {
 		return
 	}
 	s.GetTurn(t.ct)

@@ -146,23 +146,13 @@ func (t *Thread) Join(c *Thread) {
 		panic(fmt.Sprintf("qithread: %v of %s joins %v of %s; join is domain-local — collect completions through an XPipe",
 			t, t.dom, c, c.dom))
 	}
-	if !t.rt.det() {
+	s := t.dom.sched
+	if s == nil {
 		<-c.nondetDone
 		return
 	}
-	s := t.dom.sched
 	s.GetTurn(t.ct)
-	blocked := false
-	for !c.done {
-		s.TraceOp(t.ct, core.OpJoin, c.joinObj, core.StatusBlocked)
-		blocked = true
-		t.park(c.joinObj, core.NoTimeout)
-	}
-	st := core.StatusOK
-	if blocked {
-		st = core.StatusReturn
-	}
-	s.TraceOp(t.ct, core.OpJoin, c.joinObj, st)
+	t.await(s, core.OpJoin, c.joinObj, func() bool { return c.done })
 	t.release()
 }
 
@@ -323,4 +313,18 @@ func (t *Thread) release() {
 // releases the turn unconditionally.
 func (t *Thread) park(obj uint64, timeout int64) core.WaitStatus {
 	return t.dom.sched.Wait(t.ct, obj, timeout)
+}
+
+// await is the blocking acquisition of every wrapper: holding the turn, it
+// parks on obj until ready reports true (ready may itself acquire, as a
+// trylock does), tracing op Blocked before each park and then OK, or Return
+// if it parked. The caller takes the turn before and releases it after.
+func (t *Thread) await(s *core.Scheduler, op core.OpKind, obj uint64, ready func() bool) {
+	st := core.StatusOK
+	for !ready() {
+		s.TraceOp(t.ct, op, obj, core.StatusBlocked)
+		st = core.StatusReturn
+		t.park(obj, core.NoTimeout)
+	}
+	s.TraceOp(t.ct, op, obj, st)
 }
