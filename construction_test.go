@@ -28,10 +28,9 @@ func minMallocs(run func()) uint64 {
 
 // TestRecordSizesPinned: the benchmark's byte metrics are sums of allocation
 // size classes, so a record that sits on a class edge turns one more word
-// into the next class for every instance a run makes. Thread is 240 B, the
-// whole 240 class: one word more and every thread a program creates costs
-// 256, three more and 288 (catalog's alloc_bytes_per_op +6.5 %, over its 5 %
-// bound — the hosted-run prototype measured it). The wrappers share one
+// into the next class for every instance a run makes. Thread is 216 B, in
+// the 224 class: one word more fills it, two more and every thread a program
+// creates costs 240. The wrappers share one
 // header (domain, object id, name) and reach the runtime through the domain:
 // Mutex and Pipe fill the 64 class, Cond and Sem sit at 56 in it, RWMutex and
 // Barrier fill the 80 class, Once and SoftBarrier the 48 class; one field
@@ -40,8 +39,8 @@ func minMallocs(run func()) uint64 {
 // where per-run state that must cost the other workloads nothing goes (its
 // host pointer).
 func TestRecordSizesPinned(t *testing.T) {
-	if n := unsafe.Sizeof(Thread{}); n > 240 {
-		t.Errorf("Thread is %d B, want <= 240: the next size class is 256; per-thread state goes in core.Thread's padding or the scheduler's host record", n)
+	if n := unsafe.Sizeof(Thread{}); n > 224 {
+		t.Errorf("Thread is %d B, want <= 224: the next size class is 240; per-thread state goes in core.Thread's padding or the scheduler's host record", n)
 	}
 	for _, r := range []struct {
 		name              string

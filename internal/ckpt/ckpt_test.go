@@ -35,8 +35,7 @@ func sampleRecord() *Record {
 			VLastOp: 1200, VMakespan: 1300, TraceLen: 41, TraceHash: 0xfeedface,
 			Stats: core.Stats{
 				Ops: 41, Turns: 57, Waits: 6, Signals: 4, Broadcasts: 1,
-				WokenBySignal: 5, WokenByTimeout: 1, Handoffs: 30,
-				LeaseGrants: 3, LeaseExtends: 11, LeaseRevokes: 3, LeaseHash: 0xabcdef,
+				WokenBySignal: 5, WokenByTimeout: 1, Handoffs: 30, LeaseExtends: 11,
 				MaxLiveThreads: 3, MaxWaiting: 2, MaxTimedWaiters: 1,
 				// CaptureState leaves this nil, but it is a field of the
 				// embedded block, so the format has to carry it.

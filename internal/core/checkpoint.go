@@ -59,8 +59,8 @@ type SchedState struct {
 	TraceLen  int64
 	TraceHash uint64
 
-	// Stats is every scheduler counter, logical time (Turns) and the lease
-	// decision hash included; PolicyMetrics is nil (not checkpointed).
+	// Stats is every scheduler counter, logical time (Turns) included;
+	// PolicyMetrics is nil (not checkpointed).
 	Stats
 
 	RunQ    []int         // runnable TIDs in run-queue order (includes the caller)
@@ -84,9 +84,7 @@ func (s *Scheduler) Quiescent(t *Thread) bool {
 
 // CaptureState snapshots the scheduler's deterministic state. The caller
 // must hold the turn and the scheduler must be quiescent (see Quiescent);
-// otherwise an error is returned and nothing is captured. An active
-// scheduler lease is revoked first (trace-neutral; the next solo release
-// re-grants it), so the snapshot never embeds lease mode.
+// otherwise an error is returned and nothing is captured.
 func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 	defer s.unlock(s.lock())
 	if s.holder != t {
@@ -100,9 +98,6 @@ func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 	}
 	if s.timers.len() != 0 {
 		return nil, fmt.Errorf("core: CaptureState requires quiescence: %d timed waiters pending", s.timers.len())
-	}
-	if s.leased {
-		s.revokeLeaseLocked()
 	}
 	st := &SchedState{
 		DomainID:  s.cfg.DomainID,
@@ -138,11 +133,8 @@ func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 	waiting := 0
 	for _, obj := range objs {
 		we := WaitEntry{Obj: obj}
-		for w := s.waitLists[obj].head; w != nil; w = w.next {
-			if w.deadline != 0 {
-				return nil, fmt.Errorf("core: CaptureState: %v waits on object %d with a timeout", w.t, obj)
-			}
-			we.TIDs = append(we.TIDs, w.t.id)
+		for w := s.waitLists[obj].head; w != nil; w = w.qnext {
+			we.TIDs = append(we.TIDs, w.id)
 			we.Seqs = append(we.Seqs, w.seq)
 			waiting++
 		}
@@ -189,12 +181,12 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 	if s.timers.len() != 0 {
 		return fmt.Errorf("core: RestoreState: %d timed waiters pending", s.timers.len())
 	}
-	if s.leased {
-		s.revokeLeaseLocked()
-	}
 
-	// Verify and permute the wait lists: same objects, same member sets,
-	// relinked into the recorded FIFO order with the recorded park sequences.
+	// Verify the wait lists — same objects, same member sets, one park
+	// sequence per member — before permuting any: a checkpoint is outside
+	// input, and a list relinked from a snapshot that names a thread twice
+	// would be cyclic. Then relink them into the recorded FIFO order with the
+	// recorded park sequences.
 	nonEmpty := 0
 	for _, q := range s.waitLists {
 		if q.head != nil {
@@ -205,6 +197,7 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 		return fmt.Errorf("core: RestoreState: %d objects have waiters, snapshot has %d", nonEmpty, len(st.Waits2))
 	}
 	waiting := 0
+	listed := make([]bool, len(s.threads))
 	for _, we := range st.Waits2 {
 		q := s.waitLists[we.Obj]
 		if q == nil || q.len() != len(we.TIDs) {
@@ -214,38 +207,46 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 			}
 			return fmt.Errorf("core: RestoreState: object %d has %d waiters, snapshot has %d", we.Obj, have, len(we.TIDs))
 		}
-		members := make(map[int]*waiter, q.len())
-		for w := q.head; w != nil; w = w.next {
-			if w.deadline != 0 || w.heapIdx >= 0 {
-				return fmt.Errorf("core: RestoreState: %v waits on object %d with a timeout", w.t, we.Obj)
-			}
-			members[w.t.id] = w
+		if len(we.Seqs) != len(we.TIDs) {
+			return fmt.Errorf("core: RestoreState: object %d lists %d waiters with %d park sequences", we.Obj, len(we.TIDs), len(we.Seqs))
 		}
-		// Relink in recorded order.
-		q.head, q.tail, q.n = nil, nil, 0
-		for i, tid := range we.TIDs {
-			w := members[tid]
-			if w == nil {
+		for _, tid := range we.TIDs {
+			if tid < 0 || tid >= len(s.threads) || s.threads[tid] == nil || s.threads[tid].queue != qWait || s.threads[tid].obj != we.Obj {
 				return fmt.Errorf("core: RestoreState: thread %d not waiting on object %d as the snapshot requires", tid, we.Obj)
 			}
-			w.prev, w.next = nil, nil
-			q.pushBack(w)
-			w.seq = we.Seqs[i]
-			waiting++
+			if listed[tid] {
+				return fmt.Errorf("core: RestoreState: object %d lists thread %d twice", we.Obj, tid)
+			}
+			listed[tid] = true
 		}
+		waiting += len(we.TIDs)
 	}
 	if waiting != s.nWaiting {
-		return fmt.Errorf("core: RestoreState: wait lists hold %d threads, scheduler counts %d", s.nWaiting, waiting)
+		return fmt.Errorf("core: RestoreState: snapshot lists %d waiting threads, scheduler counts %d", waiting, s.nWaiting)
+	}
+	for _, we := range st.Waits2 {
+		q := s.waitLists[we.Obj]
+		q.head, q.tail, q.n = nil, nil, 0
+		for i, tid := range we.TIDs {
+			w := s.threads[tid]
+			q.pushBack(w)
+			w.seq = we.Seqs[i]
+		}
 	}
 
 	// Per-thread state: clocks and policy state.
 	if len(st.Threads) != s.live {
 		return fmt.Errorf("core: RestoreState: snapshot has %d thread records for %d live threads", len(st.Threads), s.live)
 	}
+	restored := make([]bool, len(s.threads))
 	for _, ts := range st.Threads {
 		if ts.TID < 0 || ts.TID >= len(s.threads) || s.threads[ts.TID] == nil {
 			return fmt.Errorf("core: RestoreState: snapshot thread %d is not live", ts.TID)
 		}
+		if restored[ts.TID] {
+			return fmt.Errorf("core: RestoreState: snapshot lists thread %d twice", ts.TID)
+		}
+		restored[ts.TID] = true
 		if !s.stack.Owns(ts.Policy) {
 			return fmt.Errorf("core: RestoreState: thread %d holds a lease (%+v) of a policy %v does not run (checkpoint taken under different Policies?)", ts.TID, ts.Policy, &s.stack)
 		}

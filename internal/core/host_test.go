@@ -100,13 +100,13 @@ func TestHostedSchedulerTakesNoLock(t *testing.T) {
 		s.HostThreads()
 		d := s.Register("d")
 		cv := s.NewObject("cv")
-		for i := 0; i < 3; i++ { // solo: the first release grants a lease, the others extend it
+		for i := 0; i < 3; i++ { // solo: every release keeps the turn
 			s.GetTurn(d)
 			s.TraceOp(d, OpYield, 0, StatusOK)
 			s.PutTurn(d)
 		}
 		s.GetTurn(d)
-		a, b := s.Register("a"), s.Register("b") // the first revokes the lease
+		a, b := s.Register("a"), s.Register("b") // d is no longer solo
 		ready := false                           // guarded by the turn
 		s.StartHosted(a, bodyFunc(func() {
 			s.GetTurn(a)
@@ -146,7 +146,7 @@ func TestHostedSchedulerTakesNoLock(t *testing.T) {
 	}()
 	select {
 	case st := <-done:
-		if st.LeaseGrants != 1 || st.LeaseExtends != 2 || st.WokenBySignal != 1 || st.WokenByTimeout != 1 || st.Ops == 0 {
+		if st.LeaseExtends != 3 || st.WokenBySignal != 1 || st.WokenByTimeout != 1 || st.Ops == 0 {
 			t.Errorf("the script did not take every path: %+v", st)
 		}
 	case <-time.After(10 * time.Second):

@@ -2,22 +2,23 @@ package core
 
 import "fmt"
 
-// Intrusive scheduler queues. The run and wake-up queues chain threads
-// through links embedded in Thread, and each per-object wait list chains
-// waiter nodes through links embedded in waiter, so membership changes are
-// O(1) pointer surgery instead of the O(n) slice scan-and-shift of the
-// original implementation. FIFO order — which the deterministic schedule
-// depends on — is preserved exactly: pushBack appends, unlink keeps the
-// relative order of the remaining elements.
+// Intrusive scheduler queues. The run queue, the wake-up queue and each
+// per-object wait list chain threads through the one pair of links embedded
+// in Thread, so membership changes are O(1) pointer surgery instead of the
+// O(n) slice scan-and-shift of the original implementation. FIFO order —
+// which the deterministic schedule depends on — is preserved exactly:
+// pushBack appends, unlink keeps the relative order of the remaining
+// elements.
 //
 // Timed waiters are additionally indexed by a binary min-heap (dheap) keyed
 // by (deadline, seq), so the per-turn expiry check is an O(1) peek and the
 // idle-time jump reads the earliest deadline off the heap top instead of
 // scanning every blocked thread.
 
-// tqueue is an intrusive FIFO queue of threads (the run and wake-up queues).
-// A thread is in at most one tqueue at a time (tracked by Thread.queue), so a
-// single pair of links per thread suffices.
+// tqueue is an intrusive FIFO queue of threads: the run queue, the wake-up
+// queue, or one object's wait list. A thread is in at most one tqueue at a
+// time (Thread.queue says which kind), so a single pair of links per thread
+// suffices.
 type tqueue struct {
 	head, tail *Thread
 	n          int
@@ -56,59 +57,20 @@ func (q *tqueue) remove(t *Thread) {
 	q.n--
 }
 
-// wqueue is an intrusive FIFO queue of waiter nodes (one per object with
-// blocked threads; see Scheduler.waitLists).
-type wqueue struct {
-	head, tail *waiter
-	n          int
-}
-
-func (q *wqueue) len() int { return q.n }
-
-// pushBack appends w to the tail of the queue.
-func (q *wqueue) pushBack(w *waiter) {
-	w.prev, w.next = q.tail, nil
-	if q.tail != nil {
-		q.tail.next = w
-	} else {
-		q.head = w
-	}
-	q.tail = w
-	q.n++
-}
-
-// remove unlinks w from the queue in O(1). w must be in this queue. It is
-// safe to call while iterating, provided the iteration reads w.next before
-// removing w.
-func (q *wqueue) remove(w *waiter) {
-	if w.prev != nil {
-		w.prev.next = w.next
-	} else {
-		q.head = w.next
-	}
-	if w.next != nil {
-		w.next.prev = w.prev
-	} else {
-		q.tail = w.prev
-	}
-	w.prev, w.next = nil, nil
-	q.n--
-}
-
 // dheap is a binary min-heap of timed waiters ordered by (deadline, seq).
 // The seq tie-break makes same-deadline waiters expire in their global FIFO
 // registration order, exactly the order the old full-queue expiry scan
 // produced, so the deterministic schedule is unchanged. Each waiter caches
 // its heap index so Signal/Broadcast can delist a timed waiter in O(log n).
 type dheap struct {
-	ws []*waiter
+	ws []*Thread
 }
 
 func (h *dheap) len() int { return len(h.ws) }
 
 // top returns the waiter with the earliest (deadline, seq). The heap must be
 // non-empty.
-func (h *dheap) top() *waiter { return h.ws[0] }
+func (h *dheap) top() *Thread { return h.ws[0] }
 
 func (h *dheap) less(i, j int) bool {
 	a, b := h.ws[i], h.ws[j]
@@ -122,7 +84,7 @@ func (h *dheap) swap(i, j int) {
 }
 
 // push adds w to the heap in O(log n).
-func (h *dheap) push(w *waiter) {
+func (h *dheap) push(w *Thread) {
 	w.heapIdx = len(h.ws)
 	h.ws = append(h.ws, w)
 	h.up(w.heapIdx)
@@ -130,7 +92,7 @@ func (h *dheap) push(w *waiter) {
 
 // remove deletes w from the heap in O(log n) via its cached index and marks
 // it untimed (heapIdx = -1).
-func (h *dheap) remove(w *waiter) {
+func (h *dheap) remove(w *Thread) {
 	i := w.heapIdx
 	last := len(h.ws) - 1
 	h.swap(i, last)

@@ -8,8 +8,7 @@ import (
 )
 
 // script is a randomized mini-program: nThreads threads each perform a
-// deterministic sequence of operations derived from a seed. Operations are
-// drawn from {plain turn, signal obj, wait obj with timeout, work}. The
+// deterministic sequence of operations derived from a seed (program). The
 // waits always carry timeouts so random programs cannot deadlock.
 type script struct {
 	Seed     uint64
@@ -20,6 +19,45 @@ type script struct {
 func (sc script) threads() int { return int(sc.NThreads)%5 + 2 }
 func (sc script) ops() int     { return int(sc.NOps)%12 + 3 }
 
+// program decodes the script into one operation list per thread.
+func (sc script) program() [][]scriptOp {
+	prog := make([][]scriptOp, sc.threads())
+	for i := range prog {
+		x := sc.Seed + uint64(i)*0x9e3779b97f4a7c15
+		for range sc.ops() {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			prog[i] = append(prog[i], scriptOp{kind: byte(x), arg: byte(x >> 8)})
+		}
+	}
+	return prog
+}
+
+// scriptOp is one operation of a script thread: kind % nScriptOps selects
+// it, arg its object, timeout or amount of work.
+type scriptOp struct{ kind, arg byte }
+
+// The operations of a script thread (lockstep.thread, modeldiff_test.go).
+// All but work take the turn; the rest of them release it at the wrappers'
+// policy-aware release point, as the qithread wrappers do.
+const (
+	opYield     = iota
+	opSignal    // signal one of objects 1-3; WakeAMAP sees the waiters left
+	opWait      // wait 3-9 turns at most on one of objects 1-3
+	opWork      // compute, outside the turn
+	opBroadcast // broadcast on one of objects 1-3
+	opArm       // keep_turn (CreateAll): the next release point keeps the turn
+	opLock      // enter a critical section (CSWhole keeps the turn in it)
+	opUnlock    // leave one
+	opDestroy   // DestroyObject on one of objects 1-3, waited on or not
+	nScriptOps
+)
+
+func (op scriptOp) obj() uint64    { return uint64(op.arg%3) + 1 }
+func (op scriptOp) timeout() int64 { return int64(op.arg%7) + 3 }
+func (op scriptOp) work() int64    { return int64(op.arg % 64) }
+
 // runScript executes the script under cfg and returns the recorded trace.
 func runScript(sc script, cfg Config) []Event {
 	cfg.Record = true
@@ -27,49 +65,21 @@ func runScript(sc script, cfg Config) []Event {
 }
 
 // runScriptOn executes the script on an existing scheduler (which the caller
-// can then inspect for stats or turn counts) and returns the recorded trace.
+// can then inspect for stats or turn counts), each thread on a goroutine of
+// its own, and returns the recorded trace.
 func runScriptOn(s *Scheduler, sc script) []Event {
-	n := sc.threads()
-	ths := make([]*Thread, n)
-	for i := range ths {
-		ths[i] = s.Register(fmt.Sprintf("t%d", i))
+	prog := sc.program()
+	l := &lockstep{s: s, cov: new(coverage)}
+	for i := range prog {
+		l.ths = append(l.ths, s.Register(fmt.Sprintf("t%d", i)))
 	}
 	var wg sync.WaitGroup
-	for i, th := range ths {
+	for i, th := range l.ths {
 		wg.Add(1)
-		go func(i int, th *Thread) {
+		go func() {
 			defer wg.Done()
-			x := sc.Seed + uint64(i)*0x9e3779b97f4a7c15
-			for op := 0; op < sc.ops(); op++ {
-				x ^= x << 13
-				x ^= x >> 7
-				x ^= x << 17
-				switch x % 4 {
-				case 0:
-					s.GetTurn(th)
-					s.TraceOp(th, OpYield, 0, StatusOK)
-					s.PutTurn(th)
-				case 1:
-					obj := x%3 + 1
-					s.GetTurn(th)
-					s.TraceOp(th, OpCondSignal, obj, StatusOK)
-					s.Signal(th, obj)
-					s.PutTurn(th)
-				case 2:
-					obj := x%3 + 1
-					s.GetTurn(th)
-					s.TraceOp(th, OpCondWait, obj, StatusBlocked)
-					s.Wait(th, obj, int64(x%7)+3)
-					s.TraceOp(th, OpCondWait, obj, StatusReturn)
-					s.PutTurn(th)
-				case 3:
-					s.AddWork(th, int64(x%64))
-				}
-			}
-			s.GetTurn(th)
-			s.TraceOp(th, OpThreadEnd, 0, StatusOK)
-			s.Exit(th)
-		}(i, th)
+			l.thread(th, prog[i])
+		}()
 	}
 	wg.Wait()
 	return s.Trace()

@@ -83,7 +83,7 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 	case qRun, qWake:
 		return t
 	case qWait:
-		if t.wnode.deadline > 0 {
+		if t.deadline > 0 {
 			// Blocked with a pending logical timeout: the caller's idle path
 			// will jump time to the deadline heap's top and expire it, after
 			// which the thread becomes eligible. This is how a recorded
@@ -95,7 +95,7 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 		// the executions have diverged.
 		panic(fmt.Sprintf("%s in domain %d at op index %d: expected T%d to run %v but it is blocked on %s#%d\n%s",
 			ErrReplayDivergence, s.cfg.DomainID, s.replayPos, want, s.replay[s.replayPos].Op,
-			s.objName[t.wnode.obj].String(), t.wnode.obj, s.dumpLocked()))
+			s.objName[t.obj].String(), t.obj, s.dumpLocked()))
 	}
 	panic(fmt.Sprintf("%s in domain %d at op index %d: expected T%d to run %v but it has exited\n%s",
 		ErrReplayDivergence, s.cfg.DomainID, s.replayPos, want, s.replay[s.replayPos].Op, s.dumpLocked()))

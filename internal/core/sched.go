@@ -53,7 +53,7 @@ type Scheduler struct {
 	// released by DestroyObject. Every wrapper object is destroyed by its
 	// owner, a thread's join object by the thread's own exit, so the map is
 	// bounded by live objects (TestThreadChurnRetention in the root package).
-	waitLists map[uint64]*wqueue
+	waitLists map[uint64]*tqueue
 	nWaiting  int    // total blocked threads across all wait lists
 	waitSeq   uint64 // global FIFO park order, the heap's deadline tie-break
 
@@ -63,20 +63,6 @@ type Scheduler struct {
 
 	// turn is logical time: completed scheduling turns (Stats.Turns).
 	turn int64
-
-	// leased is set while the current holder has a scheduler lease: the
-	// solo-thread case where every queue-and-handoff release would
-	// deterministically return the turn to the same thread, so PutTurn
-	// short-circuits to a time advance. Every grant/revoke decision is folded
-	// into stats.LeaseHash.
-	leased bool
-
-	// leaseVeto, when non-nil, is consulted before every lease grant and
-	// extension; returning true forces the queue-and-handoff release for that
-	// one decision. Only the lease property tests set it (before the first
-	// thread runs): any veto interleaving must leave the trace
-	// byte-identical.
-	leaseVeto func() bool
 
 	nextTID int
 	nextObj uint64
@@ -174,18 +160,6 @@ func (l objLabel) String() string {
 	return l.kind + l.name
 }
 
-// waiter is one blocked thread's membership in a per-object wait list. It is
-// embedded in Thread (wnode) so parking allocates nothing; heapIdx is the
-// node's position in the deadline heap, -1 while untimed or delisted.
-type waiter struct {
-	t          *Thread
-	obj        uint64
-	deadline   int64 // absolute turn count; 0 means no timeout
-	seq        uint64
-	heapIdx    int
-	prev, next *waiter
-}
-
 // New creates a scheduler with the given configuration; its policy stack is
 // the mode's base turn policy with the policies of cfg.Policies layered above.
 func New(cfg Config) *Scheduler {
@@ -246,7 +220,7 @@ func (s *Scheduler) Register(name string) *Thread { return s.RegisterIn(new(Thre
 // Thread, becomes the scheduler's queue node in place and is returned. The
 // qithread wrappers embed a Thread in their own per-thread record this way,
 // so a thread is one heap object. A registered Thread must not be copied
-// (its wait node points into it).
+// (the queues link to it).
 func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
 	defer s.unlock(s.lock())
 	if t.sched != nil {
@@ -257,16 +231,7 @@ func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
 	t.sched = s
 	t.hosted = s.host != nil
 	t.queue = qRun
-	t.wnode.t = t
-	t.wnode.heapIdx = -1
-	// A new runnable thread invalidates the solo condition: the holder's next
-	// release must queue and hand off normally or the newcomer never runs.
-	// Registration during a lease only happens from the lease holder itself
-	// (Create runs under the turn), so the revocation is ordered before the
-	// holder's next PutTurn.
-	if s.leased {
-		s.revokeLeaseLocked()
-	}
+	t.heapIdx = -1
 	s.nextTID++
 	s.threads = append(s.threads, t)
 	s.live++
@@ -367,23 +332,22 @@ func (s *Scheduler) awaitGrant(t *Thread) {
 // and the next eligible thread is granted the turn.
 //
 // When t is the only live thread of the scheduler — no other runnable
-// thread, no waiter — every such release deterministically returns the turn
-// to t itself: the baseline path would move t to the (otherwise empty) run
-// queue, find nobody asking for the turn, store holder = nil, and t's next
-// GetTurn would re-grant it. PutTurn therefore grants t a lease
-// (leaseableLocked) and subsequent releases only extend it: advance logical
-// time, count the extension, keep the turn. The lease is trace-neutral — the
-// same thread executes the same operations in the same turn order, so
-// recorded schedules, replay, and fingerprints are byte-identical with
-// leasing on or off — and is revoked the moment the solo condition can break
-// (a thread registers, t blocks or exits).
+// thread, no waiter — that release deterministically returns the turn to t
+// itself: it would move t to the (otherwise empty) run queue, find nobody
+// asking for the turn, store holder = nil, and t's next GetTurn would
+// re-grant it. PutTurn therefore keeps the turn with t (soloLocked), the
+// solo lease: it advances logical time, counts a lease extension and
+// returns. The lease is trace-neutral — the same thread executes the same
+// operations in the same turn order, so recorded schedules, replay, and
+// fingerprints are byte-identical with it on or off — and it is no state of
+// its own: every release asks the queues again, so a thread registered or
+// woken since the last one is seen.
 func (s *Scheduler) PutTurn(t *Thread) {
 	defer s.unlock(s.lock())
 	s.requireTurnLocked(t, "PutTurn")
-	if s.leased && (s.leaseVeto == nil || !s.leaseVeto()) {
-		// Lease extension. Timed waiters cannot exist (the lease requires
-		// nWaiting == 0, and only the holder could add one), so skipping
-		// expiry is exact, not an approximation.
+	if s.soloLocked(t) {
+		// advanceTimeLocked without the expiry, which is vacuous: nobody
+		// waits, so no timer can expire.
 		s.turn++
 		if s.cfg.Mode == LogicalClock {
 			t.clock += syncClockTick
@@ -391,16 +355,7 @@ func (s *Scheduler) PutTurn(t *Thread) {
 		s.stats.LeaseExtends++
 		return
 	}
-	// Unleased, or vetoed: the release below re-grants or revokes. Any veto
-	// interleaving is trace-neutral because both schedule the same next
-	// thread.
 	s.advanceTimeLocked(t)
-	if s.leaseableLocked(t) {
-		if !s.leased {
-			s.grantLeaseLocked(t)
-		}
-		return
-	}
 	s.removeRunnableLocked(t)
 	t.queue = qRun
 	s.runQ.pushBack(t)
@@ -421,21 +376,20 @@ func (s *Scheduler) Wait(t *Thread, obj uint64, timeout int64) WaitStatus {
 	s.advanceTimeLocked(t)
 	s.removeRunnableLocked(t)
 	t.queue = qWait
-	w := &t.wnode
-	w.obj = obj
-	w.deadline = 0
+	t.obj = obj
+	t.deadline = 0
 	if timeout > 0 {
-		w.deadline = s.turn + timeout
+		t.deadline = s.turn + timeout
 	}
 	s.waitSeq++
-	w.seq = s.waitSeq
-	s.waitListFor(obj).pushBack(w)
+	t.seq = s.waitSeq
+	s.waitListFor(obj).pushBack(t)
 	s.nWaiting++
 	if s.nWaiting > s.stats.MaxWaiting {
 		s.stats.MaxWaiting = s.nWaiting
 	}
-	if w.deadline > 0 {
-		s.timers.push(w)
+	if t.deadline > 0 {
+		s.timers.push(t)
 		if s.timers.len() > s.stats.MaxTimedWaiters {
 			s.stats.MaxTimedWaiters = s.timers.len()
 		}
@@ -469,7 +423,7 @@ func (s *Scheduler) Signal(t *Thread, obj uint64) int {
 		w = s.chooseWakeLocked(q)
 	}
 	s.detachLocked(w)
-	s.wakeLocked(w.t, WaitSignaled, t.vtime)
+	s.wakeLocked(w, WaitSignaled, t.vtime)
 	return remaining
 }
 
@@ -482,10 +436,10 @@ func (s *Scheduler) Signal(t *Thread, obj uint64) int {
 // but not which waiter a recorded signal woke, so reproducing an explored
 // run feeds the recorded wake decisions back through a Chooser (see
 // internal/explore).
-func (s *Scheduler) chooseWakeLocked(q *wqueue) *waiter {
+func (s *Scheduler) chooseWakeLocked(q *tqueue) *Thread {
 	ids := s.chooseIDs[:0]
-	for w := q.head; w != nil; w = w.next {
-		ids = append(ids, w.t.id)
+	for w := q.head; w != nil; w = w.qnext {
+		ids = append(ids, w.id)
 	}
 	s.chooseIDs = ids
 	idx := s.consultLocked(policy.ChooseWake, ids, len(ids), 0)
@@ -494,7 +448,7 @@ func (s *Scheduler) chooseWakeLocked(q *wqueue) *waiter {
 		return w
 	}
 	for ; idx > 0; idx-- {
-		w = w.next
+		w = w.qnext
 	}
 	return w
 }
@@ -508,7 +462,7 @@ func (s *Scheduler) Broadcast(t *Thread, obj uint64) {
 	if q := s.waitLists[obj]; q != nil {
 		for w := q.head; w != nil; w = q.head {
 			s.detachLocked(w)
-			s.wakeLocked(w.t, WaitSignaled, t.vtime)
+			s.wakeLocked(w, WaitSignaled, t.vtime)
 		}
 	}
 }
@@ -568,12 +522,12 @@ func (s *Scheduler) requireTurnLocked(t *Thread, op string) {
 
 // waitListFor returns the wait list of obj, creating it (and the lazily
 // allocated map) on first use.
-func (s *Scheduler) waitListFor(obj uint64) *wqueue {
+func (s *Scheduler) waitListFor(obj uint64) *tqueue {
 	q := s.waitLists[obj]
 	if q == nil {
-		q = &wqueue{}
+		q = &tqueue{}
 		if s.waitLists == nil {
-			s.waitLists = make(map[uint64]*wqueue)
+			s.waitLists = make(map[uint64]*tqueue)
 		}
 		s.waitLists[obj] = q
 	}
@@ -583,7 +537,7 @@ func (s *Scheduler) waitListFor(obj uint64) *wqueue {
 // detachLocked removes w from its object's wait list and, when timed, from
 // the deadline heap. The (possibly emptied) list itself stays in waitLists
 // until DestroyObject so repeated waits on the same object reuse it.
-func (s *Scheduler) detachLocked(w *waiter) {
+func (s *Scheduler) detachLocked(w *Thread) {
 	s.waitLists[w.obj].remove(w)
 	if w.heapIdx >= 0 {
 		s.timers.remove(w)
@@ -598,9 +552,9 @@ const syncClockTick = 1
 
 // advanceTimeLocked completes a scheduling turn: logical time advances, the
 // logical clock of the departing holder ticks (LogicalClock mode), and
-// expired timed waiters are woken in FIFO order. A lease extension in
-// PutTurn performs exactly this minus the expiry scan, which is vacuous with
-// no waiters.
+// expired timed waiters are woken in FIFO order. A solo release in PutTurn
+// performs exactly this minus the expiry scan, which is vacuous with no
+// waiters.
 func (s *Scheduler) advanceTimeLocked(t *Thread) {
 	s.turn++
 	if s.cfg.Mode == LogicalClock {
@@ -609,46 +563,19 @@ func (s *Scheduler) advanceTimeLocked(t *Thread) {
 	s.expireLocked()
 }
 
-// leaseableLocked reports whether t, the current holder with its turn just
-// advanced, may hold the scheduler lease: t is the sole runnable thread (the
-// run queue is exactly [t], the wake-up queue is empty) and nobody waits —
-// i.e. t is the only live thread, so every release deterministically
-// re-selects t until a new thread registers. Replay runs never lease (the
-// recorded schedule drives eligibility), NoLease disables it, and the veto
-// hook can refuse a single decision.
-func (s *Scheduler) leaseableLocked(t *Thread) bool {
+// soloLocked reports whether PutTurn keeps the turn with t, the holder: t is
+// the sole runnable thread (the run queue is exactly [t], the wake-up queue
+// is empty) and nobody waits — i.e. t is the only live thread, so the
+// release would re-select t. Whether time advances first does not matter:
+// with no waiter there is no timer to expire. Replay runs never keep the
+// turn this way (the recorded schedule drives eligibility), and NoLease
+// disables it.
+func (s *Scheduler) soloLocked(t *Thread) bool {
 	return !s.cfg.NoLease &&
 		s.replay == nil &&
 		s.runQ.head == t && t.qnext == nil &&
 		s.wakeQ.head == nil &&
-		s.nWaiting == 0 &&
-		(s.leaseVeto == nil || !s.leaseVeto())
-}
-
-// grantLeaseLocked records a lease-grant decision and activates lease
-// extension. t stays the holder and stays where it is in the run queue,
-// which is exactly the state the baseline release would have restored.
-func (s *Scheduler) grantLeaseLocked(t *Thread) {
-	s.leased = true
-	s.stats.LeaseGrants++
-	s.stats.LeaseHash = leaseHashFold(s.stats.LeaseHash, s.turn, int64(t.id))
-}
-
-// revokeLeaseLocked records a lease-revoke decision and deactivates lease
-// extension. The holder (if any) keeps the turn; it simply releases through
-// the normal queue-and-handoff path from now on.
-func (s *Scheduler) revokeLeaseLocked() {
-	s.leased = false
-	s.stats.LeaseRevokes++
-	s.stats.LeaseHash = leaseHashFold(s.stats.LeaseHash, s.turn, -1)
-}
-
-// leaseHashFold mixes one lease decision — the turn it was taken at and the
-// thread it applied to (-1 for a revoke) — into the running decision hash
-// (an FNV/Fibonacci-style mix; only determinism matters, not distribution).
-func leaseHashFold(h uint64, turn, tid int64) uint64 {
-	h ^= uint64(turn) * 0x9e3779b97f4a7c15
-	return (h ^ uint64(tid)) * 1099511628211
+		s.nWaiting == 0
 }
 
 // expireLocked wakes every timed waiter whose deadline has passed: heap pops
@@ -663,7 +590,7 @@ func (s *Scheduler) expireLocked() {
 			return
 		}
 		s.detachLocked(w)
-		s.wakeLocked(w.t, WaitTimeout, 0)
+		s.wakeLocked(w, WaitTimeout, 0)
 	}
 }
 
@@ -904,11 +831,6 @@ func (s *Scheduler) grantLocked(e, self *Thread) {
 // releaseTurnLocked passes the turn from its current holder to the next
 // eligible thread (passTurnLocked).
 func (s *Scheduler) releaseTurnLocked() {
-	// Any lease ends here: Wait, Exit, and the vetoed or no-longer-solo
-	// PutTurn all release through this path.
-	if s.leased {
-		s.revokeLeaseLocked()
-	}
 	s.holder = nil
 	s.passTurnLocked(nil)
 }
@@ -950,11 +872,7 @@ func (s *Scheduler) dumpLocked() string {
 		if s.waitLists[k].head == nil {
 			continue // retained-but-empty list: no blocked threads to report
 		}
-		var names []string
-		for w := s.waitLists[k].head; w != nil; w = w.next {
-			names = append(names, w.t.String())
-		}
-		fmt.Fprintf(&b, "  waitQ[%s#%d]: %s\n", s.objName[k].String(), k, strings.Join(names, " "))
+		fmt.Fprintf(&b, "  waitQ[%s#%d]: %s\n", s.objName[k].String(), k, threadNames(s.waitLists[k]))
 	}
 	return b.String()
 }

@@ -30,22 +30,10 @@ type Stats struct {
 	// (grantLocked): the scheduler set the holder and the grantee's granted
 	// flag in one step, and the grantee resumes holding the turn.
 	Handoffs int64
-	// LeaseGrants counts scheduler lease grants: release points where the
-	// solo holder was handed a lease instead of a queue round trip.
-	LeaseGrants int64
-	// LeaseExtends counts turn releases absorbed by an active lease: PutTurn
-	// advanced logical time and the holder kept the turn.
+	// LeaseExtends counts turn releases absorbed by the solo lease: PutTurn
+	// found the holder the only live thread, advanced logical time and let
+	// it keep the turn.
 	LeaseExtends int64
-	// LeaseRevokes counts lease revocations (a competitor registered, the
-	// holder blocked or exited, or a veto forced a queue-and-handoff release).
-	LeaseRevokes int64
-	// LeaseHash folds every lease grant and revocation decision — with the
-	// turn count and thread it applied to — into one running hash: the
-	// recorded lease decision trail. Because the lease is trace-neutral it
-	// adds no schedule events; this hash is the determinism observable that
-	// the decisions themselves (not just their effects) were identical
-	// across runs.
-	LeaseHash uint64
 	// MaxLiveThreads is the high-water mark of registered live threads.
 	MaxLiveThreads int
 	// MaxWaiting is the high-water mark of blocked threads across all wait

@@ -50,16 +50,19 @@ type Thread struct {
 	hosted, granted bool
 
 	// queue is the queue currently containing the thread; qprev/qnext are
-	// the intrusive links chaining the thread into the run or wake-up queue
-	// (see queue.go).
+	// the intrusive links chaining the thread into it: the run queue, the
+	// wake-up queue or, while queue == qWait, obj's wait list (see queue.go).
 	queue        queueKind
 	qprev, qnext *Thread
 
-	// wnode is the thread's wait-list node. A thread blocks on at most one
-	// object at a time, so embedding the node makes parking allocation-free;
-	// it is linked into the per-object wait list (and, when timed, the
-	// deadline heap) exactly while queue == qWait.
-	wnode waiter
+	// The thread's wait: the object it is blocked on, its absolute deadline
+	// in turns (0: no timeout), its park sequence number (the deadline
+	// heap's tie-break) and its position in the deadline heap, -1 while
+	// untimed or not waiting. Meaningful while queue == qWait.
+	obj      uint64
+	deadline int64
+	seq      uint64
+	heapIdx  int
 
 	// pstate is the lease policies' state for this thread (plain data, the
 	// zero value is "no lease").
