@@ -39,15 +39,16 @@ loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | \
 		awk '{ n++ } !/^[ \t]*(\/\/.*)?$$/ { c++ } END { printf "%d lines, %d of them code\n", n, c }'
 
-# The micro-benchmarks of the root package, the rows no benchmark/ probe
-# measures: the arm pairs of BenchmarkMechanismLockUnlock (native vs turn,
-# lease vs none, the policy hooks' cost: EXPERIMENTS.md E9/E13/E18), E14's
-# parked-population rows, PCT throughput with a long DPOR search's memory, and
-# E21's worker scaling. Compare arms within one run, never against a number
-# recorded on another day.
+# The micro-benchmarks, the rows no benchmark/ probe isolates: in the root
+# package the arm pairs of BenchmarkMechanismLockUnlock (native vs turn, lease
+# vs none, the policy hooks' cost: EXPERIMENTS.md E9/E13/E18), E14's
+# parked-population rows, PCT throughput with a long DPOR search's memory and
+# E21's worker scaling; in internal/logio the fingerprint fold in its event
+# and delivery shapes (E42). Compare arms within one run, never against a
+# number recorded on another day.
 .PHONY: bench
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count 5 -benchtime 1s .
+	$(GO) test -run '^$$' -bench . -benchmem -count 5 -benchtime 1s . ./internal/logio
 
 # E19 million-event soak: streaming (bounded-memory) record of a ~2M-event
 # ingress run with epoch checkpoints, then binary-vs-text size and load-time

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 )
 
 const (
@@ -111,9 +112,10 @@ func (fw *FrameWriter) WriteFrame(payload []byte, compress bool) error {
 	if _, err := fw.bw.Write(stored); err != nil {
 		return fw.fail(err)
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(stored, crcTable))
-	if _, err := fw.bw.Write(crc[:]); err != nil {
+	// The checksum reuses head: a local array handed to the io.Writer would
+	// escape, one allocation per frame.
+	binary.LittleEndian.PutUint32(fw.head[:4], crc32.Checksum(stored, crcTable))
+	if _, err := fw.bw.Write(fw.head[:4]); err != nil {
 		return fw.fail(err)
 	}
 	return nil
@@ -143,10 +145,17 @@ func (fw *FrameWriter) fail(err error) error {
 // FrameReader reads the framed container back. Any structural deviation —
 // truncation before the terminator, an oversized length, a CRC mismatch, a
 // corrupt DEFLATE stream — is an error; no partial frame is ever returned.
+//
+// A warm reader allocates nothing per frame: the checksum and the
+// decompressor's source and limit live in the record, since locals handed to
+// an io.Reader escape.
 type FrameReader struct {
 	br     *bufio.Reader
 	stored []byte
+	crc    [4]byte
 	plain  bytes.Buffer
+	src    bytes.Reader
+	lim    io.LimitedReader
 	fl     io.ReadCloser
 	done   bool
 }
@@ -177,18 +186,13 @@ func (fr *FrameReader) Next() ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("logio: truncated frame: missing encoding byte: %w", eofy(err))
 	}
-	if uint64(cap(fr.stored)) < n {
-		fr.stored = make([]byte, n)
-	}
-	fr.stored = fr.stored[:n]
-	if _, err := io.ReadFull(fr.br, fr.stored); err != nil {
+	if err := fr.readStored(int(n)); err != nil {
 		return nil, fmt.Errorf("logio: truncated frame payload: %w", eofy(err))
 	}
-	var crc [4]byte
-	if _, err := io.ReadFull(fr.br, crc[:]); err != nil {
+	if _, err := io.ReadFull(fr.br, fr.crc[:]); err != nil {
 		return nil, fmt.Errorf("logio: truncated frame checksum: %w", eofy(err))
 	}
-	if want, got := binary.LittleEndian.Uint32(crc[:]), crc32.Checksum(fr.stored, crcTable); want != got {
+	if want, got := binary.LittleEndian.Uint32(fr.crc[:]), crc32.Checksum(fr.stored, crcTable); want != got {
 		return nil, fmt.Errorf("logio: frame checksum mismatch: stored %08x, computed %08x", want, got)
 	}
 	switch enc {
@@ -196,21 +200,43 @@ func (fr *FrameReader) Next() ([]byte, error) {
 		return fr.stored, nil
 	case encodingFlate:
 		fr.plain.Reset()
+		fr.src.Reset(fr.stored)
 		if fr.fl == nil {
-			fr.fl = flate.NewReader(bytes.NewReader(fr.stored))
+			fr.fl = flate.NewReader(&fr.src)
 		} else {
-			fr.fl.(flate.Resetter).Reset(bytes.NewReader(fr.stored), nil)
+			fr.fl.(flate.Resetter).Reset(&fr.src, nil)
 		}
-		if _, err := io.CopyN(&fr.plain, fr.fl, MaxFrame+1); err != io.EOF {
-			if err == nil {
-				return nil, fmt.Errorf("logio: decompressed frame exceeds limit %d", MaxFrame)
-			}
+		fr.lim = io.LimitedReader{R: fr.fl, N: MaxFrame + 1}
+		if _, err := fr.plain.ReadFrom(&fr.lim); err != nil {
 			return nil, fmt.Errorf("logio: corrupt compressed frame: %w", err)
+		}
+		if fr.plain.Len() > MaxFrame {
+			return nil, fmt.Errorf("logio: decompressed frame exceeds limit %d", MaxFrame)
 		}
 		return fr.plain.Bytes(), nil
 	default:
 		return nil, fmt.Errorf("logio: unknown frame encoding %d", enc)
 	}
+}
+
+// readStored reads an n-byte stored payload into fr.stored. A buffer that
+// already holds n bytes is reused as is. Otherwise it grows as bytes arrive,
+// in chunks that double from 64 KiB: a length prefix is only a claim, and
+// a truncated or hostile file must cost about what it holds, not the
+// MaxFrame it names.
+func (fr *FrameReader) readStored(n int) error {
+	fr.stored = fr.stored[:0]
+	for len(fr.stored) < n {
+		if len(fr.stored) == cap(fr.stored) {
+			fr.stored = slices.Grow(fr.stored, min(max(cap(fr.stored), 64<<10), n-len(fr.stored)))
+		}
+		got, err := io.ReadFull(fr.br, fr.stored[len(fr.stored):min(cap(fr.stored), n)])
+		fr.stored = fr.stored[:len(fr.stored)+got]
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // eofy maps a bare io.EOF to io.ErrUnexpectedEOF: inside a frame, EOF is

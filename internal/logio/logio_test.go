@@ -2,7 +2,9 @@ package logio
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -37,10 +39,22 @@ func readFrames(b []byte) ([][]byte, error) {
 	}
 }
 
+// noise returns n incompressible bytes.
+func noise(n int) []byte {
+	b := make([]byte, n)
+	x := uint32(1)
+	for i := range b {
+		x = x*1664525 + 1013904223
+		b[i] = byte(x >> 24)
+	}
+	return b
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	frames := [][]byte{
 		[]byte("a"),
 		bytes.Repeat([]byte("deterministic "), 200), // compressible, > CompressMin
+		noise(300 << 10), // stored raw either way, read in growing chunks
 		{0, 1, 2, 255},
 	}
 	for _, compress := range []bool{false, true} {
@@ -79,6 +93,59 @@ func TestTruncationDetected(t *testing.T) {
 	}
 	if _, err := readFrames(full); err != nil {
 		t.Fatalf("full log failed: %v", err)
+	}
+}
+
+// TestTruncatedFrameAllocBounded feeds a 5-byte log whose one frame claims
+// MaxFrame bytes: the reader must fail as truncated having allocated about
+// what the file holds, not the claimed 64 MiB.
+func TestTruncatedFrameAllocBounded(t *testing.T) {
+	hostile := binary.AppendUvarint(nil, MaxFrame)
+	hostile = append(hostile, 0x00) // encoding byte: raw
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readFrames(hostile)
+	runtime.ReadMemStats(&after)
+	const want = "logio: truncated frame payload: unexpected EOF"
+	if err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a %d-byte log allocated %d bytes", len(hostile), got)
+	}
+}
+
+// TestFrameIOAllocFree: a warm writer and reader allocate nothing per frame,
+// raw or compressed.
+func TestFrameIOAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"raw", []byte("one small frame")},
+		{"flate", bytes.Repeat([]byte("deterministic "), 200)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var pipe bytes.Buffer
+			fw := NewFrameWriter(&pipe)
+			fr := NewFrameReader(&pipe)
+			frame := func() {
+				if err := fw.WriteFrame(tc.payload, true); err != nil {
+					t.Fatal(err)
+				}
+				if err := fw.bw.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				got, err := fr.Next()
+				if err != nil || !bytes.Equal(got, tc.payload) {
+					t.Fatalf("Next = %d bytes, %v", len(got), err)
+				}
+			}
+			frame() // warm: buffers, compressor and decompressor exist
+			if allocs := testing.AllocsPerRun(100, frame); allocs != 0 {
+				t.Fatalf("%.1f allocations per frame written and read", allocs)
+			}
+		})
 	}
 }
 
