@@ -44,11 +44,13 @@ loc:
 # vs none, the policy hooks' cost: EXPERIMENTS.md E9/E13/E18), E14's
 # parked-population rows, PCT throughput with a long DPOR search's memory and
 # E21's worker scaling; in internal/logio the fingerprint fold in its event
-# and delivery shapes (E42). Compare arms within one run, never against a
+# and delivery shapes (E42); in internal/ingress one admission slot with an
+# empty queue and behind a standing backlog, whose difference is the admission
+# queue's copy compaction (E43). Compare arms within one run, never against a
 # number recorded on another day.
 .PHONY: bench
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count 5 -benchtime 1s . ./internal/logio
+	$(GO) test -run '^$$' -bench . -benchmem -count 5 -benchtime 1s . ./internal/logio ./internal/ingress
 
 # E19 million-event soak: streaming (bounded-memory) record of a ~2M-event
 # ingress run with epoch checkpoints, then binary-vs-text size and load-time

@@ -163,7 +163,8 @@ func (d *Domain) TurnCount() int64 {
 // partitioned execution replays from one recording per domain (the
 // cross-domain delivery values are reproduced by the sender domains
 // replaying, not by the log). Like Config.Replay, events is borrowed, not
-// copied: do not modify it until the run ends.
+// copied, and the domain's trace keeps the replayed prefix by reference: do
+// not modify it until the run has ended and its traces have been read.
 func (d *Domain) SetReplay(events []Event) {
 	if d.sched == nil {
 		panic("qithread: Domain.SetReplay requires a deterministic Mode")

@@ -25,9 +25,11 @@ const ErrReplayDivergence = "core: replay divergence"
 //
 // The scheduler borrows schedule rather than copying it: replay only ever
 // reads it, so one loaded schedule may be enforced by any number of
-// schedulers at once, but the caller must not modify it until every run
-// replaying it has ended. An empty schedule enforces nothing and leaves
-// replay off.
+// schedulers at once. A recording scheduler also retains the verified prefix
+// of schedule by reference instead of copying it into its trace (traceLog),
+// so the caller must not modify schedule until every run replaying it has
+// ended and its traces have been read. An empty schedule enforces nothing
+// and leaves replay off.
 func (s *Scheduler) SetReplay(schedule []Event) {
 	defer s.unlock(s.lock())
 	if s.nextTID != 0 {
@@ -102,14 +104,16 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 }
 
 // verifyReplayLocked checks one executed operation against the recording and
-// advances the cursor. The divergence diagnostic names the domain, the op
-// index, and both operations in expected-vs-actual form with object names —
-// a schedule-space explorer replays thousands of schedules, and "which run,
-// which domain, which op, expected what, got what" is the minimum needed to
-// act on a failure without re-running it under a debugger.
-func (s *Scheduler) verifyReplayLocked(t *Thread, op OpKind, obj uint64, st EventStatus) {
+// advances the cursor. It returns the index of the recorded operation the
+// executed one matched, -1 when the recording no longer dictates the order.
+// The divergence diagnostic names the domain, the op index, and both
+// operations in expected-vs-actual form with object names — a schedule-space
+// explorer replays thousands of schedules, and "which run, which domain,
+// which op, expected what, got what" is the minimum needed to act on a
+// failure without re-running it under a debugger.
+func (s *Scheduler) verifyReplayLocked(t *Thread, op OpKind, obj uint64, st EventStatus) int {
 	if !s.replayingLocked() {
-		return
+		return -1
 	}
 	e := s.replay[s.replayPos]
 	if e.TID != t.id || e.Op != op || e.Obj != obj || e.Status != st {
@@ -119,4 +123,5 @@ func (s *Scheduler) verifyReplayLocked(t *Thread, op OpKind, obj uint64, st Even
 			t.id, op, obj, s.objName[obj].String(), st))
 	}
 	s.replayPos++
+	return s.replayPos - 1
 }

@@ -150,13 +150,18 @@ func (st EventStatus) String() string {
 // ONE scheduler domain. Seq orders events within the domain; events of
 // different domains are not mutually ordered (cross-domain causality is
 // captured by the sequenced-pipe delivery log, see pipe.go).
+//
+// The word-sized fields come first and the two one-byte fields share the
+// last word: 40 bytes, where declaring Op and Status between the words pads
+// each to a word of its own (48). Every retained, loaded and flattened
+// schedule is an []Event, so the order is a sixth of their size.
 type Event struct {
 	Seq    int64       // position in the domain-local total order
 	TID    int         // thread ID (registration order within the domain)
-	Op     OpKind      // operation kind
 	Obj    uint64      // synchronization object ID, 0 when not applicable
-	Status EventStatus // blocks / returns annotation
 	Domain int         // scheduler domain the event belongs to (0 = default)
+	Op     OpKind      // operation kind
+	Status EventStatus // blocks / returns annotation
 }
 
 // String renders the event like a row of Figure 1b. Events of non-default
@@ -204,18 +209,40 @@ func FoldEvent(h uint64, e Event) uint64 {
 // whole schedule O(log n) times over (about 5x write amplification at Go's
 // 1.25x growth). The first chunk is small because most schedulers (one per
 // domain, one runtime per program) record a handful of events; capacities
-// double up to traceChunkMax (96 KiB of events), so a long run over-allocates
+// double up to traceChunkMax (80 KiB of events), so a long run over-allocates
 // by at most one such chunk per scheduler.
 const (
 	traceChunkMin = 64
 	traceChunkMax = 2048
 )
 
-// traceLog is the retained schedule: full holds the filled chunks, which are
-// never touched again, and cur is the chunk being filled.
+// traceLog is the retained schedule: the first borrowed events of the
+// schedule being replayed, then full, the filled chunks, which are never
+// touched again, and cur, the chunk being filled.
+//
+// A replaying scheduler verifies every operation against the recording, so
+// while the trace is exactly the verified prefix of the recording it keeps a
+// count instead of a second copy: borrowed events are the recording's, with
+// Seq their position and Domain the scheduler's. The first event that is not
+// the next one of the recording — the replay ran out, recording was muted for
+// a replayed op, the trace did not start at position 0 — goes to the chunks,
+// and from then on every event does.
 type traceLog struct {
-	full [][]Event
-	cur  []Event
+	borrowed int
+	full     [][]Event
+	cur      []Event
+}
+
+// borrow retains the event at trace position seq by counting it, and reports
+// whether it could: the event must be the replay's event at index replayed,
+// just verified equal to it (-1 when the op was not replayed), and every
+// event retained so far must be borrowed, seq of them.
+func (l *traceLog) borrow(seq int64, replayed int) bool {
+	if len(l.cur) > 0 || replayed != l.borrowed || seq != int64(l.borrowed) {
+		return false
+	}
+	l.borrowed++
+	return true
 }
 
 func (l *traceLog) append(e Event) {
@@ -231,9 +258,10 @@ func (l *traceLog) append(e Event) {
 }
 
 // flatten returns the retained events as one exactly-sized slice, nil when
-// nothing is retained.
-func (l *traceLog) flatten() []Event {
-	n := len(l.cur)
+// nothing is retained. replay is the schedule the borrowed events come from
+// and domain the id they are recorded under.
+func (l *traceLog) flatten(replay []Event, domain int) []Event {
+	n := l.borrowed + len(l.cur)
 	for _, c := range l.full {
 		n += len(c)
 	}
@@ -241,6 +269,10 @@ func (l *traceLog) flatten() []Event {
 		return nil
 	}
 	out := make([]Event, 0, n)
+	for i, e := range replay[:l.borrowed] {
+		e.Seq, e.Domain = int64(i), domain
+		out = append(out, e)
+	}
 	for _, c := range l.full {
 		out = append(out, c...)
 	}
@@ -257,7 +289,7 @@ func (l *traceLog) flatten() []Event {
 func (s *Scheduler) TraceOp(t *Thread, op OpKind, obj uint64, st EventStatus) {
 	defer s.unlock(s.lock())
 	s.requireTurnLocked(t, "TraceOp")
-	s.verifyReplayLocked(t, op, obj, st)
+	replayed := s.verifyReplayLocked(t, op, obj, st)
 	s.stats.Ops++
 	s.traceVTime(t)
 	if !s.cfg.Record || s.suspended {
@@ -282,7 +314,9 @@ func (s *Scheduler) TraceOp(t *Thread, op OpKind, obj uint64, st EventStatus) {
 		}
 		return
 	}
-	s.trace.append(e)
+	if !s.trace.borrow(e.Seq, replayed) {
+		s.trace.append(e)
+	}
 }
 
 // traceVTime applies a synchronization operation's virtual-time accounting.
@@ -304,10 +338,12 @@ func (s *Scheduler) traceVTime(t *Thread) {
 // Trace returns a copy of the recorded schedule, flattened into one slice
 // the caller owns. It returns nil when nothing is retained: recording is off,
 // no event has been recorded yet, or the run streams (Config.Sink) — then the
-// sink's log and the running TraceHash are the record.
+// sink's log and the running TraceHash are the record. A replaying
+// scheduler's trace starts with the verified prefix of the schedule it
+// replays, read from that schedule here (see SetReplay).
 func (s *Scheduler) Trace() []Event {
 	defer s.unlock(s.lock())
-	return s.trace.flatten()
+	return s.trace.flatten(s.replay, s.cfg.DomainID)
 }
 
 // TraceHash returns the running FNV-64a hash of the recorded schedule. It

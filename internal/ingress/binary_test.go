@@ -236,6 +236,7 @@ func FuzzLoadLog(f *testing.F) {
 	f.Add(bin.Bytes())
 	f.Add([]byte(logHeaderV2B + "\n"))
 	f.Add([]byte(logHeaderV2B + "\n\x04\x00ab\x01x\x00\x00\x00\x00\x00"))
+	f.Add(append(bytes.Clone(bin.Bytes()), "junk"...)) // bytes after the terminator
 	// The hex-text inputs that broke its loader (E28) are refusals now.
 	f.Add([]byte(v1Header + "\nbatch 1 2\n0 -\n"))
 	f.Add([]byte(v1Header + "\nbatch 1 1000000000000000\n"))

@@ -409,6 +409,7 @@ type collector struct {
 	canPush sync.Cond
 	canPull sync.Cond
 	stage   []Event
+	spare   []Event // the last snapshot: the next stage once that is drained
 	cap     int
 	sources int // registered; the next source's id
 	open    int // sources not yet closed
@@ -469,11 +470,14 @@ func (c *collector) closeSource(source int) {
 // exhausted reports that no further events can ever arrive (all sources
 // closed and the stage empty after the snapshot).
 //
-// The snapshot's backing array leaves with it — the gateway may retain
-// batches cut from it — so the next stage is a fresh array; only the size
-// carries over, as its capacity: epochs under steady load stage about as
-// much as the last one did, and starting from nil would regrow 1→2→4→…
-// under the producers' lock every epoch.
+// The stage is double-buffered: the snapshot's array becomes the spare and
+// the previous snapshot's array, cleared so it keeps no payload alive,
+// becomes the next stage. The swap is safe because nothing retains a
+// snapshot past the Admit that drained it: Admit copies the events into its
+// queue, a BatchSink must not retain snap, and a Log copies the batch. The
+// snapshot therefore stays intact until the next drain, and a steady epoch
+// stages into an array that already has its size: no allocation under the
+// producers' lock.
 func (c *collector) drain(block bool) (snap []Event, exhausted bool) {
 	c.mu.Lock()
 	if block {
@@ -482,8 +486,9 @@ func (c *collector) drain(block bool) (snap []Event, exhausted bool) {
 		}
 	}
 	if len(c.stage) > 0 {
+		clear(c.spare)
 		snap = c.stage
-		c.stage = make([]Event, 0, len(snap))
+		c.stage, c.spare = c.spare[:0], snap
 	}
 	exhausted = c.open == 0
 	c.mu.Unlock()

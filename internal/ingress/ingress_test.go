@@ -3,6 +3,8 @@ package ingress
 import (
 	"bytes"
 	"encoding/binary"
+	"io"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -115,6 +117,8 @@ func TestLoadLogStrict(t *testing.T) {
 		{"hostile count", v2bLog([]uint64{1, 1000000000000000, 0, 0}), "implausible event count"},
 		{"source past int32", v2bLog([]uint64{1, 1, 1099511627776, 0}), "bad source id 1099511627776"},
 		{"trailing bytes", v2bLog([]uint64{1, 1, 0, 0, 7}), "1 trailing bytes"},
+		// One 10-byte frame and the terminator, then a second file's bytes.
+		{"bytes after the terminator", v2bLog([]uint64{1, 1, 0, 0}) + "junk", "batch frame 1: logio: data after the terminator, at byte 11 past the header"},
 	}
 	for _, c := range cases {
 		if _, err := LoadLog(strings.NewReader(c.in)); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -238,12 +242,12 @@ func TestCollectorBackpressure(t *testing.T) {
 	}
 }
 
-// TestCollectorStageSizedFromLastSnapshot: a drained snapshot keeps its
-// backing array to itself (the gateway may retain batches cut from it), and
-// the stage that replaces it starts with the snapshot's length as capacity,
-// so a steady epoch refills it in one allocation instead of regrowing from
-// nil. An empty drain hands out nothing and leaves the sized stage alone.
-func TestCollectorStageSizedFromLastSnapshot(t *testing.T) {
+// TestCollectorStageDoubleBuffered: the stage and the last snapshot swap
+// arrays. A snapshot stays intact until the next drain — producers meanwhile
+// fill the other array — and then becomes the stage, cleared so it keeps no
+// payload alive. A steady epoch therefore costs no stage allocation, and an
+// empty drain hands out nothing and leaves both arrays alone.
+func TestCollectorStageDoubleBuffered(t *testing.T) {
 	c := newCollector(64)
 	src := c.addSource()
 	fill := func(n int, tag byte) {
@@ -251,30 +255,191 @@ func TestCollectorStageSizedFromLastSnapshot(t *testing.T) {
 			c.push(src, []byte{tag, byte(i)})
 		}
 	}
+	check := func(what string, evs []Event, tag byte) {
+		t.Helper()
+		if len(evs) != 16 {
+			t.Fatalf("%s has %d events, want 16", what, len(evs))
+		}
+		for i, e := range evs {
+			if len(e.Data) != 2 || e.Data[0] != tag || e.Data[1] != byte(i) {
+				t.Fatalf("%s event %d is %q, want %q", what, i, e.Data, []byte{tag, byte(i)})
+			}
+		}
+	}
 	fill(16, 'a')
 	first, _ := c.drain(false)
-	if len(first) != 16 {
-		t.Fatalf("first snapshot has %d events, want 16", len(first))
+	fill(16, 'b')
+	check("the first snapshot after the next epoch staged", first, 'a')
+	second, _ := c.drain(false)
+	check("the second snapshot", second, 'b')
+	if cap(c.stage) < 16 || &c.stage[:1][0] != &first[0] {
+		t.Fatalf("the stage after the second drain is not the first snapshot's array")
 	}
-	if len(c.stage) != 0 || cap(c.stage) != 16 {
-		t.Fatalf("stage after a 16-event drain: len %d cap %d, want 0 and 16", len(c.stage), cap(c.stage))
+	for i, e := range first {
+		if e.Data != nil {
+			t.Fatalf("the recycled stage still holds payload %d: %q", i, e.Data)
+		}
 	}
-	if empty, _ := c.drain(false); empty != nil || cap(c.stage) != 16 {
-		t.Fatalf("empty drain returned %v and left stage capacity %d, want nil and 16", empty, cap(c.stage))
+	if empty, _ := c.drain(false); empty != nil || &c.spare[0] != &second[0] {
+		t.Fatalf("an empty drain returned %v or replaced the spare array", empty)
 	}
 	if n := testing.AllocsPerRun(20, func() {
 		for i := 0; i < 16; i++ {
 			c.push(src, nil)
 		}
 		c.drain(false)
-	}); n != 1 {
-		t.Errorf("a steady 16-event epoch costs %.0f stage allocations, want 1", n)
+	}); n != 0 {
+		t.Errorf("a steady 16-event epoch costs %.0f stage allocations, want 0", n)
 	}
-	fill(16, 'b')
-	for i, e := range first {
-		if e.Data[0] != 'a' || e.Data[1] != byte(i) {
-			t.Fatalf("retained snapshot event %d overwritten by the next epoch: %q", i, e.Data)
+}
+
+// checkSink is a BatchSink that pushes the next epoch's events into the
+// collector from inside Admit, as a producer racing the admission slot
+// would, and checks that the snapshot it was handed does not change.
+type checkSink struct {
+	t    *testing.T
+	port *Port
+	next byte
+}
+
+func (s *checkSink) AppendBatch(epoch int64, snap []Event) error {
+	before := slices.Clone(snap)
+	for i := 0; i < 16; i++ {
+		s.port.Push([]byte{s.next, byte(i)})
+	}
+	s.next++
+	if !slices.EqualFunc(before, snap, func(a, b Event) bool { return a.Source == b.Source && bytes.Equal(a.Data, b.Data) }) {
+		s.t.Errorf("epoch %d: the snapshot changed while Admit held it", epoch)
+	}
+	return nil
+}
+
+// TestSnapshotIntactDuringAdmit: every event Admit delivers is one staged
+// for its epoch, although the next epoch is staged while the slot runs.
+func TestSnapshotIntactDuringAdmit(t *testing.T) {
+	sink := &checkSink{t: t, next: 1}
+	g := NewGateway(Config{StageCap: 64, MaxBatch: 16, Sink: sink})
+	sink.port = &Port{c: g.col, id: g.col.addSource()}
+	sink.port.Push([]byte{0, 0})
+	dst := make([]Event, 16)
+	for epoch := 0; epoch < 8; epoch++ {
+		want := 16
+		if epoch == 0 {
+			want = 1
 		}
+		if n, ok := g.Admit(dst); !ok || n != want {
+			t.Fatalf("epoch %d admitted %d (ok %v), want %d", epoch+1, n, ok, want)
+		}
+		for i, e := range dst[:want] {
+			if !bytes.Equal(e.Data, []byte{byte(epoch), byte(i)}) {
+				t.Fatalf("epoch %d delivered event %d with payload %q", epoch+1, i, e.Data)
+			}
+		}
+	}
+}
+
+// TestRetainedLogSurvivesLaterEpochs: a gateway without a Sink retains its
+// input in a Log, and every recorded batch stays intact however many epochs
+// reuse the collector's arrays after it.
+func TestRetainedLogSurvivesLaterEpochs(t *testing.T) {
+	g := NewGateway(Config{StageCap: 64, MaxBatch: 64})
+	port := &Port{c: g.col, id: g.col.addSource()}
+	dst := make([]Event, 64)
+	const epochs = 50
+	for epoch := 0; epoch < epochs; epoch++ {
+		for i := 0; i <= epoch%16; i++ {
+			port.Push([]byte{byte(epoch), byte(i)})
+		}
+		if n, ok := g.Admit(dst); !ok || n != epoch%16+1 {
+			t.Fatalf("epoch %d admitted %d (ok %v), want %d", epoch+1, n, ok, epoch%16+1)
+		}
+	}
+	l := g.Log()
+	if len(l.Batches) != epochs {
+		t.Fatalf("the log holds %d batches, want %d", len(l.Batches), epochs)
+	}
+	for epoch, b := range l.Batches {
+		if b.Epoch != int64(epoch+1) || len(b.Events) != epoch%16+1 {
+			t.Fatalf("batch %d: epoch %d with %d events", epoch, b.Epoch, len(b.Events))
+		}
+		for i, e := range b.Events {
+			if !bytes.Equal(e.Data, []byte{byte(epoch), byte(i)}) {
+				t.Fatalf("batch %d event %d overwritten by a later epoch: %q", epoch, i, e.Data)
+			}
+		}
+	}
+}
+
+// TestAdmitAllocFree: a warm recording gateway — steady stage, a binary log
+// sink with its compressor in use — allocates nothing per admission slot.
+func TestAdmitAllocFree(t *testing.T) {
+	bw, err := NewBinaryLogWriter(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := NewGateway(Config{StageCap: 64, MaxBatch: 16, Sink: bw})
+	port := &Port{c: g.col, id: g.col.addSource()}
+	payload := bytes.Repeat([]byte("event "), 10) // 16 of them pass logio.CompressMin
+	dst := make([]Event, 16)
+	epoch := func() {
+		for i := 0; i < 16; i++ {
+			port.Push(payload)
+		}
+		if n, ok := g.Admit(dst); n != 16 || !ok {
+			t.Fatalf("admitted %d (ok %v), want 16", n, ok)
+		}
+	}
+	epoch()
+	if n := testing.AllocsPerRun(100, epoch); n != 0 {
+		t.Fatalf("a steady admission slot recording to a binary log allocates %.1f times, want 0", n)
+	}
+	if err := bw.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// BenchmarkAdmit measures one admission slot of 16 events, staged through a
+// port and recorded to a binary log on io.Discard, with the gateway warm. In
+// steady the queue is empty between slots. In backlog a first snapshot of
+// 240 events leaves 224 queued in a 256-slot queue, and each slot appends 16
+// and delivers 16: every second slot finds the array full with its head
+// advanced, and pushQueue compacts, copying the 224-event backlog to the
+// front. The difference between the arms is what a ring buffer would save.
+func BenchmarkAdmit(b *testing.B) {
+	for _, arm := range []struct {
+		name    string
+		backlog int
+	}{{"steady", 0}, {"backlog", 224}} {
+		b.Run(arm.name, func(b *testing.B) {
+			bw, err := NewBinaryLogWriter(io.Discard)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := NewGateway(Config{StageCap: 256, MaxBatch: 16, Sink: bw})
+			port := &Port{c: g.col, id: g.col.addSource()}
+			payload := make([]byte, 16)
+			dst := make([]Event, 16)
+			slot := func(events int) {
+				for i := 0; i < events; i++ {
+					port.Push(payload)
+				}
+				if n, ok := g.Admit(dst); n != 16 || !ok {
+					b.Fatalf("admitted %d (ok %v), want 16", n, ok)
+				}
+			}
+			slot(16 + arm.backlog)
+			slot(16) // warm: both stage arrays sized
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				slot(16)
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(16*b.N), "ns/event")
+			if st := g.Stats(); st.MaxQueue != 16+arm.backlog || st.Shed != 0 {
+				b.Fatalf("queue high-water mark %d, shed %d: want %d and 0", st.MaxQueue, st.Shed, 16+arm.backlog)
+			}
+		})
 	}
 }
 

@@ -20,7 +20,9 @@
 // the payload is stored: raw or DEFLATE (compress/flate, stdlib). The
 // explicit zero-length terminator distinguishes a cleanly closed log from a
 // truncated one — a plain EOF before the terminator is an error, never a
-// silently shorter log, matching the strictness of the text parsers.
+// silently shorter log, matching the strictness of the text parsers. The
+// terminator also ends the file: a byte after it is an error too, so two
+// logs concatenated into one file are refused rather than read as the first.
 //
 // Frames are self-contained: a reader needs no state from earlier frames to
 // decode a later one.
@@ -57,20 +59,80 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
+// bufSize is the size of a frame writer's or reader's buffer.
+const bufSize = 1 << 16
+
+// The codec state a writer or reader needs for its lifetime — the 64 KiB
+// buffer, the DEFLATE compressor (1.2 MB at BestSpeed) and decompressor
+// (48 KB) — is recycled through bounded free lists, so a warm recording
+// run allocates none of it per log file: a FrameWriter takes its buffer and
+// compressor here and returns them at Close, a FrameReader its buffer and
+// decompressor, returned at the terminator. The records themselves are not
+// recycled, so a writer used after Close fails on its own error and never
+// reaches state another writer now holds. The lists are channels, not a
+// sync.Pool: a GC cycle empties a pool, and a run's own allocation triggers
+// one per log file. codecPoolCap is one recording run's writers (the
+// benchmark's sharded server writes a schedule for each of its three domains
+// and one ingress log), so an idle process retains at most codecPoolCap of
+// each: about 5.5 MB in all.
+const codecPoolCap = 4
+
+// freeList is a bounded free list: take returns a recycled value when one is
+// there, put drops the value when the list is full.
+type freeList[T any] chan T
+
+func (f freeList[T]) take() (v T, ok bool) {
+	select {
+	case v = <-f:
+		return v, true
+	default:
+		return v, false
+	}
+}
+
+func (f freeList[T]) put(v T) {
+	select {
+	case f <- v:
+	default:
+	}
+}
+
+var (
+	freeBufWriters  = make(freeList[*bufio.Writer], codecPoolCap)
+	freeCompressors = make(freeList[*flate.Writer], codecPoolCap)
+	freeBufReaders  = make(freeList[*bufio.Reader], codecPoolCap)
+	freeInflaters   = make(freeList[io.ReadCloser], codecPoolCap)
+	// noInput is what an idle recycled reader or decompressor reads from, so
+	// it keeps no log's input alive. Nothing reads it.
+	noInput = new(bytes.Reader)
+)
+
 // FrameWriter writes the framed binary container onto an io.Writer. Callers
 // write their header line first (w is not buffered on their behalf until the
 // first frame), then any number of frames, then Close to emit the terminator.
 type FrameWriter struct {
-	bw   *bufio.Writer
-	comp *flate.Writer
-	cbuf bytes.Buffer
-	head [binary.MaxVarintLen64 + 1]byte
-	err  error
+	bw    *bufio.Writer // nil once closed
+	ownBW bool          // bw came from the free list, not from the caller
+	comp  *flate.Writer // nil until the first compressed frame, and once closed
+	cbuf  bytes.Buffer
+	head  [binary.MaxVarintLen64 + 1]byte
+	err   error
 }
 
-// NewFrameWriter creates a frame writer on w.
+// NewFrameWriter creates a frame writer on w. A *bufio.Writer of at least
+// 64 KiB is written directly and stays the caller's; any other w is buffered
+// by a recycled writer.
 func NewFrameWriter(w io.Writer) *FrameWriter {
-	return &FrameWriter{bw: bufio.NewWriterSize(w, 1<<16)}
+	fw := &FrameWriter{}
+	if bw, ok := w.(*bufio.Writer); ok && bw.Size() >= bufSize {
+		fw.bw = bw
+	} else if bw, ok := freeBufWriters.take(); ok {
+		bw.Reset(w)
+		fw.bw, fw.ownBW = bw, true
+	} else {
+		fw.bw, fw.ownBW = bufio.NewWriterSize(w, bufSize), true
+	}
+	return fw
 }
 
 // WriteFrame appends one frame holding payload. When compress is set and the
@@ -89,10 +151,13 @@ func (fw *FrameWriter) WriteFrame(payload []byte, compress bool) error {
 	stored, enc := payload, byte(encodingRaw)
 	if compress && len(payload) >= CompressMin {
 		fw.cbuf.Reset()
-		if fw.comp == nil {
-			fw.comp, _ = flate.NewWriter(&fw.cbuf, flate.BestSpeed)
-		} else {
+		if fw.comp != nil {
 			fw.comp.Reset(&fw.cbuf)
+		} else if c, ok := freeCompressors.take(); ok {
+			c.Reset(&fw.cbuf)
+			fw.comp = c
+		} else {
+			fw.comp, _ = flate.NewWriter(&fw.cbuf, flate.BestSpeed)
 		}
 		if _, err := fw.comp.Write(payload); err != nil {
 			return fw.fail(err)
@@ -122,7 +187,9 @@ func (fw *FrameWriter) WriteFrame(payload []byte, compress bool) error {
 }
 
 // Close writes the terminator frame and flushes. It does not close the
-// underlying writer. The FrameWriter must not be used afterwards.
+// underlying writer. It returns the buffer and compressor to the free lists:
+// afterwards every call fails with "logio: writer closed", a second Close
+// included.
 func (fw *FrameWriter) Close() error {
 	if fw.err != nil {
 		return fw.err
@@ -134,6 +201,18 @@ func (fw *FrameWriter) Close() error {
 		return fw.fail(err)
 	}
 	fw.err = errors.New("logio: writer closed")
+	// Reset so that, idle on a free list, neither keeps this log's writer or
+	// this record's buffer alive.
+	if fw.ownBW {
+		fw.bw.Reset(io.Discard)
+		freeBufWriters.put(fw.bw)
+	}
+	fw.bw = nil
+	if fw.comp != nil {
+		fw.comp.Reset(io.Discard)
+		freeCompressors.put(fw.comp)
+		fw.comp = nil
+	}
 	return nil
 }
 
@@ -144,25 +223,59 @@ func (fw *FrameWriter) fail(err error) error {
 
 // FrameReader reads the framed container back. Any structural deviation —
 // truncation before the terminator, an oversized length, a CRC mismatch, a
-// corrupt DEFLATE stream — is an error; no partial frame is ever returned.
+// corrupt DEFLATE stream, a byte after the terminator — is an error; no
+// partial frame is ever returned.
 //
 // A warm reader allocates nothing per frame: the checksum and the
 // decompressor's source and limit live in the record, since locals handed to
 // an io.Reader escape.
 type FrameReader struct {
-	br     *bufio.Reader
+	in     countingReader
+	ownBR  bool // in.br came from the free list, not from the caller
 	stored []byte
 	crc    [4]byte
 	plain  bytes.Buffer
 	src    bytes.Reader
 	lim    io.LimitedReader
-	fl     io.ReadCloser
+	fl     io.ReadCloser // nil until the first compressed frame, and after the terminator
 	done   bool
 }
 
-// NewFrameReader creates a frame reader on r.
+// countingReader is the reader's input with its position: the bytes consumed
+// since the frames began, so an error can name an offset.
+type countingReader struct {
+	br  *bufio.Reader
+	off int64
+}
+
+func (c *countingReader) ReadByte() (byte, error) {
+	b, err := c.br.ReadByte()
+	if err == nil {
+		c.off++
+	}
+	return b, err
+}
+
+func (c *countingReader) readFull(p []byte) (int, error) {
+	n, err := io.ReadFull(c.br, p)
+	c.off += int64(n)
+	return n, err
+}
+
+// NewFrameReader creates a frame reader on r. A *bufio.Reader of at least
+// 64 KiB (the loaders read their header line through one) is read directly
+// and stays the caller's; any other r is buffered by a recycled reader.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{br: bufio.NewReaderSize(r, 1<<16)}
+	fr := &FrameReader{}
+	if br, ok := r.(*bufio.Reader); ok && br.Size() >= bufSize {
+		fr.in.br = br
+	} else if br, ok := freeBufReaders.take(); ok {
+		br.Reset(r)
+		fr.in.br, fr.ownBR = br, true
+	} else {
+		fr.in.br, fr.ownBR = bufio.NewReaderSize(r, bufSize), true
+	}
+	return fr
 }
 
 // Next returns the next frame's decoded payload, or io.EOF after the
@@ -171,25 +284,24 @@ func (fr *FrameReader) Next() ([]byte, error) {
 	if fr.done {
 		return nil, io.EOF
 	}
-	n, err := binary.ReadUvarint(fr.br)
+	n, err := binary.ReadUvarint(&fr.in)
 	if err != nil {
 		return nil, fmt.Errorf("logio: truncated log: missing frame header (no terminator seen): %w", err)
 	}
 	if n == 0 {
-		fr.done = true
-		return nil, io.EOF
+		return nil, fr.end()
 	}
 	if n > MaxFrame {
 		return nil, fmt.Errorf("logio: frame length %d exceeds limit %d", n, MaxFrame)
 	}
-	enc, err := fr.br.ReadByte()
+	enc, err := fr.in.ReadByte()
 	if err != nil {
 		return nil, fmt.Errorf("logio: truncated frame: missing encoding byte: %w", eofy(err))
 	}
 	if err := fr.readStored(int(n)); err != nil {
 		return nil, fmt.Errorf("logio: truncated frame payload: %w", eofy(err))
 	}
-	if _, err := io.ReadFull(fr.br, fr.crc[:]); err != nil {
+	if _, err := fr.in.readFull(fr.crc[:]); err != nil {
 		return nil, fmt.Errorf("logio: truncated frame checksum: %w", eofy(err))
 	}
 	if want, got := binary.LittleEndian.Uint32(fr.crc[:]), crc32.Checksum(fr.stored, crcTable); want != got {
@@ -202,9 +314,12 @@ func (fr *FrameReader) Next() ([]byte, error) {
 		fr.plain.Reset()
 		fr.src.Reset(fr.stored)
 		if fr.fl == nil {
-			fr.fl = flate.NewReader(&fr.src)
-		} else {
+			fr.fl, _ = freeInflaters.take()
+		}
+		if fr.fl != nil {
 			fr.fl.(flate.Resetter).Reset(&fr.src, nil)
+		} else {
+			fr.fl = flate.NewReader(&fr.src)
 		}
 		fr.lim = io.LimitedReader{R: fr.fl, N: MaxFrame + 1}
 		if _, err := fr.plain.ReadFrom(&fr.lim); err != nil {
@@ -219,6 +334,31 @@ func (fr *FrameReader) Next() ([]byte, error) {
 	}
 }
 
+// end handles the terminator: the input must end there. On a clean end the
+// buffer (when the reader owns it) and the decompressor go back to the free
+// lists, and every later Next returns io.EOF.
+func (fr *FrameReader) end() error {
+	switch _, err := fr.in.ReadByte(); err {
+	case io.EOF:
+	case nil:
+		return fmt.Errorf("logio: data after the terminator, at byte %d past the header", fr.in.off-1)
+	default:
+		return fmt.Errorf("logio: reading past the terminator: %w", err)
+	}
+	fr.done = true
+	if fr.ownBR {
+		fr.in.br.Reset(noInput)
+		freeBufReaders.put(fr.in.br)
+	}
+	fr.in.br = nil
+	if fr.fl != nil {
+		fr.fl.(flate.Resetter).Reset(noInput, nil)
+		freeInflaters.put(fr.fl)
+		fr.fl = nil
+	}
+	return io.EOF
+}
+
 // readStored reads an n-byte stored payload into fr.stored. A buffer that
 // already holds n bytes is reused as is. Otherwise it grows as bytes arrive,
 // in chunks that double from 64 KiB: a length prefix is only a claim, and
@@ -230,7 +370,7 @@ func (fr *FrameReader) readStored(n int) error {
 		if len(fr.stored) == cap(fr.stored) {
 			fr.stored = slices.Grow(fr.stored, min(max(cap(fr.stored), 64<<10), n-len(fr.stored)))
 		}
-		got, err := io.ReadFull(fr.br, fr.stored[len(fr.stored):min(cap(fr.stored), n)])
+		got, err := fr.in.readFull(fr.stored[len(fr.stored):min(cap(fr.stored), n)])
 		fr.stored = fr.stored[:len(fr.stored)+got]
 		if err != nil {
 			return err

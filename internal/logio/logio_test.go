@@ -1,6 +1,7 @@
 package logio
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -146,6 +147,167 @@ func TestFrameIOAllocFree(t *testing.T) {
 				t.Fatalf("%.1f allocations per frame written and read", allocs)
 			}
 		})
+	}
+}
+
+// TestTrailingBytesRefused: the terminator ends the input. A byte after it —
+// a second log appended to the first — is an error naming where it starts,
+// not a log that silently stops at the first terminator.
+func TestTrailingBytesRefused(t *testing.T) {
+	full := writeFrames(t, [][]byte{[]byte("abc")}, false) // a 9-byte frame, then the terminator
+	if _, err := readFrames(append(full, full...)); err == nil || err.Error() != "logio: data after the terminator, at byte 10 past the header" {
+		t.Fatalf("two logs in one input: %v", err)
+	}
+	fr := NewFrameReader(bytes.NewReader(full))
+	for i := 0; i < 3; i++ {
+		if _, err := fr.Next(); (i == 0) != (err == nil) || (i > 0 && err != io.EOF) {
+			t.Fatalf("Next %d on a clean log: %v", i, err)
+		}
+	}
+}
+
+// emptyFreeLists drops whatever earlier tests left on the codec free lists,
+// so a test knows which entry the next taker gets.
+func emptyFreeLists() {
+	for {
+		_, a := freeBufWriters.take()
+		_, b := freeCompressors.take()
+		_, c := freeBufReaders.take()
+		_, d := freeInflaters.take()
+		if !a && !b && !c && !d {
+			return
+		}
+	}
+}
+
+// TestWarmWriterReusesCodecState: a frame writer opened after another one
+// closed takes its buffer and compressor, and a reader after another one
+// reached its terminator takes its buffer and decompressor, so a
+// write-and-close cycle allocates kilobytes (the records and the compressed
+// output), not the 1.2 MB a fresh BestSpeed compressor costs.
+func TestWarmWriterReusesCodecState(t *testing.T) {
+	frame := bytes.Repeat([]byte("deterministic "), 200)
+	var out bytes.Buffer
+	cycle := func() {
+		out.Reset()
+		fw := NewFrameWriter(&out)
+		for i := 0; i < 4; i++ {
+			if err := fw.WriteFrame(frame, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		fr := NewFrameReader(bytes.NewReader(out.Bytes()))
+		for {
+			if _, err := fr.Next(); err == io.EOF {
+				break
+			} else if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	emptyFreeLists()
+	cycle()
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("a warm write-and-read cycle of one log allocates %d bytes, want under 64 KiB", per)
+	} else {
+		t.Logf("a warm write-and-read cycle of one log allocates %d bytes", per)
+	}
+}
+
+// TestClosedWriterOwnsNothing: a writer used after Close fails with its own
+// error while another writer compresses with the compressor and buffer it
+// gave back — under -race, any touch of them from the closed writer is a
+// reported race — and the other writer's log reads back whole.
+func TestClosedWriterOwnsNothing(t *testing.T) {
+	frame := bytes.Repeat([]byte("deterministic "), 200)
+	emptyFreeLists()
+	var first, second bytes.Buffer
+	closed := NewFrameWriter(&first)
+	if err := closed.WriteFrame(frame, true); err != nil {
+		t.Fatal(err)
+	}
+	comp := closed.comp
+	if err := closed.Close(); err != nil {
+		t.Fatal(err)
+	}
+	size := first.Len()
+	other := NewFrameWriter(&second)
+	done := make(chan error)
+	go func() {
+		for i := 0; i < 100; i++ {
+			if err := other.WriteFrame(frame, true); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- other.Close()
+	}()
+	for i := 0; i < 100; i++ {
+		if err := closed.WriteFrame(frame, true); err == nil || err.Error() != "logio: writer closed" {
+			t.Errorf("WriteFrame after Close: %v, want logio: writer closed", err)
+		}
+	}
+	if err := closed.Close(); err == nil {
+		t.Error("a second Close succeeded")
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if first.Len() != size {
+		t.Fatalf("the closed writer's log grew from %d to %d bytes", size, first.Len())
+	}
+	got, err := readFrames(second.Bytes())
+	if err != nil || len(got) != 100 {
+		t.Fatalf("the other writer's log reads back as %d frames, %v", len(got), err)
+	}
+	if c, _ := freeCompressors.take(); c != comp {
+		t.Fatalf("the other writer did not compress with the recycled compressor")
+	}
+}
+
+// TestCallerBuffersStayTheCallers: a writer or reader handed a buffered
+// stream of at least 64 KiB works through it directly, and at Close or the
+// terminator gives it back to nobody but the caller: it is not reset, not
+// put on a free list, and what it buffered is still there.
+func TestCallerBuffersStayTheCallers(t *testing.T) {
+	emptyFreeLists()
+	var out bytes.Buffer
+	bw := bufio.NewWriterSize(&out, 1<<16)
+	fw := NewFrameWriter(bw)
+	if err := fw.WriteFrame([]byte("abc"), false); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := freeBufWriters.take(); ok {
+		t.Fatal("Close put the caller's bufio.Writer on the free list")
+	}
+	bw.WriteString("tail")
+	if err := bw.Flush(); err != nil || !bytes.HasSuffix(out.Bytes(), []byte("\x00tail")) {
+		t.Fatalf("the caller's writer after Close: %v, %q", err, out.Bytes())
+	}
+	br := bufio.NewReaderSize(bytes.NewReader(out.Bytes()[:out.Len()-4]), 1<<16)
+	fr := NewFrameReader(br)
+	for {
+		if _, err := fr.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, ok := freeBufReaders.take(); ok {
+		t.Fatal("the terminator put the caller's bufio.Reader on the free list")
 	}
 }
 

@@ -1,6 +1,7 @@
 package programs
 
 import (
+	"slices"
 	"testing"
 
 	"qithread"
@@ -110,6 +111,33 @@ func TestEveryProgramDeterministic(t *testing.T) {
 				} else if h != ref {
 					t.Fatalf("%s: schedule hash differs across runs: %#x vs %#x", spec.Name, h, ref)
 				}
+			}
+		})
+	}
+}
+
+// TestEveryProgramReplaysItsTrace: replaying a catalog program's recorded
+// schedule under the configuration that recorded it returns, from Trace(), a
+// schedule deep-equal to the recording — Seq and Domain included — and the
+// same output. The replaying run retains the schedule it verified by
+// reference (core's traceLog), so this is the borrowed prefix read back.
+func TestEveryProgramReplaysItsTrace(t *testing.T) {
+	for _, spec := range All() {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			t.Parallel()
+			app := spec.Build(tinyParams)
+			cfg := qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies, Record: true}
+			rec := qithread.New(cfg)
+			want := app(rec)
+			recorded := rec.Trace()
+			cfg.Replay = recorded
+			rep := qithread.New(cfg)
+			if got := app(rep); got != want {
+				t.Fatalf("replay output %#x, recorded %#x", got, want)
+			}
+			if got := rep.Trace(); !slices.Equal(got, recorded) {
+				t.Fatalf("replay traced %d events, recorded %d, or they differ", len(got), len(recorded))
 			}
 		})
 	}

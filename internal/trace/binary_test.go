@@ -165,6 +165,8 @@ func TestBinaryLoadErrors(t *testing.T) {
 		{"trailing bytes", rawSchedule(t, good, []byte{1, 1, 0x1c, 7, 7}), "schedule frame 1: 2 trailing bytes after 1 events"},
 		{"bad crc", flipped, "schedule frame 1: logio: frame checksum mismatch"},
 		{"no terminator", valid[:len(valid)-1], "schedule frame 2: logio: truncated log: missing frame header"},
+		// Two 14-byte frames and the terminator, then a second file.
+		{"bytes after the terminator", append(slices.Clone(valid), "GARBAGE after terminator"...), "schedule frame 2: logio: data after the terminator, at byte 29 past the header"},
 		{"cut payload", valid[:len(valid)-6], "schedule frame 1: logio: truncated frame"},
 	} {
 		evs, err := Load(bytes.NewReader(tc.file))
@@ -233,6 +235,7 @@ func FuzzLoad(f *testing.F) {
 	}
 	f.Add(text.Bytes())
 	f.Add(bin.Bytes())
+	f.Add(append(bytes.Clone(bin.Bytes()), "GARBAGE after terminator"...))
 	f.Add([]byte(scheduleHeaderV3B + "\n"))
 	f.Add([]byte(scheduleHeaderV3B + "\n\x05\x00abcde\x00\x00\x00\x00\x00"))
 	f.Add([]byte("qithread-schedule v9\n"))

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -192,5 +193,34 @@ func TestEngineScheduleDeterminismQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResumedReplayTraceIsTheTail: a run resumed from an epoch checkpoint
+// against the recorded ingress log retains only what it executes after the
+// checkpoint, with Seq continuing from the checkpoint's trace length. Its
+// Trace() must be exactly the tail of the uninterrupted replay's.
+func TestResumedReplayTraceIsTheTail(t *testing.T) {
+	cfg := IngressServerConfig{Sources: 2, Events: 48, Workers: 2, ParseWork: 20, StateWork: 5, MaxBatch: 4, CheckpointEvery: 3}
+	p := Params{Scale: 1, InputSeed: 42}
+	rtcfg := qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies, Record: true}
+	live := RunIngressServer(cfg, p, rtcfg, nil)
+	if len(live.Checkpoints) == 0 {
+		t.Fatalf("run over %d epochs took no checkpoints", live.Stats.Epochs)
+	}
+	full := qithread.New(rtcfg)
+	runIngressServer(full, cfg, p, live.Log)
+	want := full.Trace()
+	for _, cp := range live.Checkpoints {
+		rtcfg.Resume = cp
+		rt := qithread.New(rtcfg)
+		res := runIngressServer(rt, cfg, p, live.Log)
+		got := rt.Trace()
+		if len(got) == 0 || len(got) >= len(want) || !slices.Equal(got, want[len(want)-len(got):]) {
+			t.Fatalf("resumed at epoch %d: traced %d events, not the tail of the full replay's %d", cp.Epoch(), len(got), len(want))
+		}
+		if !res.Fingerprint.Equal(live.Fingerprint) {
+			t.Fatalf("resumed at epoch %d: fingerprint %v, recording %v", cp.Epoch(), res.Fingerprint, live.Fingerprint)
+		}
 	}
 }

@@ -145,8 +145,10 @@ type Config struct {
 	// policy effects, so a schedule recorded under any configuration
 	// replays under any deterministic Mode. Requires a deterministic Mode.
 	// The runtime borrows the slice instead of copying it: it is only read,
-	// so one loaded schedule can drive several runtimes at once, but it must
-	// not be modified until every run replaying it has ended.
+	// so one loaded schedule can drive several runtimes at once, and a
+	// recording run's trace keeps the replayed prefix by reference instead
+	// of a second copy. It must not be modified until every run replaying it
+	// has ended and its traces have been read.
 	Replay []Event
 
 	// StreamTrace, when non-nil, puts recording into streaming mode: each

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"qithread/internal/core"
+	"qithread/internal/ingress"
 	"qithread/internal/trace"
 )
 
@@ -130,6 +131,140 @@ func TestReplayBorrowsSchedule(t *testing.T) {
 	wg.Wait()
 	if !slices.Equal(loaded, pristine) {
 		t.Fatal("replay modified the schedule it borrowed")
+	}
+}
+
+// TestTruncatedReplayTrace: a schedule cut short at k is enforced for k
+// operations, which the replaying run retains by reference, and the run
+// records the rest itself. Its Trace() must be exactly what a streaming run
+// of the same replay hands its sink, with the recording's first k events
+// first.
+func TestTruncatedReplayTrace(t *testing.T) {
+	rec := New(Config{Mode: RoundRobin, Policies: AllPolicies, Record: true})
+	replayProgram(rec)
+	recorded := rec.Trace()
+	n := len(recorded)
+	for _, k := range []int{1, n / 3, n - 1, n} {
+		rep := New(Config{Mode: RoundRobin, Policies: AllPolicies, Record: true, Replay: recorded[:k]})
+		replayProgram(rep)
+		var sink sliceSink
+		streamed := New(Config{Mode: RoundRobin, Policies: AllPolicies, Record: true, Replay: recorded[:k],
+			StreamTrace: func(int) TraceSink { return &sink }})
+		replayProgram(streamed)
+		got := rep.Trace()
+		if !slices.Equal(got, sink.events) || !slices.Equal(got[:k], recorded[:k]) {
+			t.Fatalf("k=%d of %d: Trace() %d events, streamed %d; the borrowed prefix or the recorded rest is wrong", k, n, len(got), len(sink.events))
+		}
+		if !rep.Fingerprint().Equal(streamed.Fingerprint()) {
+			t.Fatalf("k=%d: fingerprint %v retained, %v streamed", k, rep.Fingerprint(), streamed.Fingerprint())
+		}
+	}
+}
+
+type sliceSink struct{ events []Event }
+
+func (s *sliceSink) Append(e Event) error {
+	s.events = append(s.events, e)
+	return nil
+}
+
+// serverShape is a small deterministic sharded server, the shape of the
+// benchmark's server_record and replay workloads: domain 0 admits ingress
+// events and routes them by payload over one XPipe per shard domain, where
+// two workers each take batches and update a locked state. With input nil it
+// records two live sources; otherwise it replays input and, when scheds is
+// set, enforces one recorded schedule per domain. It returns every domain's
+// Trace() and the ingress log.
+func serverShape(input *IngressLog, scheds [][]Event) ([][]Event, *IngressLog) {
+	const shards, batch, events = 2, 4, 64
+	cfg := Config{Mode: RoundRobin, Policies: AllPolicies, Record: true}
+	if scheds != nil {
+		cfg.Replay = scheds[0]
+	}
+	rt := New(cfg)
+	doms := make([]*Domain, shards)
+	pipes := make([]*XPipe, shards)
+	for k := range doms {
+		doms[k] = rt.NewDomain(fmt.Sprintf("shard%d", k))
+		if scheds != nil {
+			doms[k].SetReplay(scheds[k+1])
+		}
+		pipes[k] = rt.NewXPipe(fmt.Sprintf("route%d", k), rt.Domain(0), doms[k], batch)
+	}
+	gw := rt.NewGateway("ingress", rt.Domain(0), GatewayConfig{StageCap: batch, MaxBatch: batch, Replay: input})
+	for s := 0; s < 2; s++ {
+		gw.AddSource(ingress.FuncSource("feed", func(p *ingress.Port) {
+			for i := s; i < events; i += 2 {
+				p.Push([]byte{byte(i)})
+			}
+		}))
+	}
+	rt.Run(func(main *Thread) {
+		for k := range doms {
+			doms[k].Start("root", func(root *Thread) {
+				state := rt.NewMutex(root, "state")
+				var kids []*Thread
+				for w := 0; w < 2; w++ {
+					kids = append(kids, root.Create("worker", func(w *Thread) {
+						buf := make([]any, batch)
+						for {
+							n, ok := pipes[k].RecvUpTo(w, buf)
+							for range n {
+								state.Lock(w)
+								w.Work(3)
+								state.Unlock(w)
+							}
+							if !ok {
+								return
+							}
+						}
+					}))
+				}
+				for _, kid := range kids {
+					root.Join(kid)
+				}
+			})
+			doms[k].Launch()
+		}
+		buf := make([]IngressEvent, batch)
+		for {
+			n, ok := gw.Admit(main, buf)
+			for _, e := range buf[:n] {
+				pipes[int(e.Data[0])%shards].Send(main, e.Data[0])
+			}
+			if !ok {
+				break
+			}
+		}
+		for _, p := range pipes {
+			p.Close(main)
+		}
+	})
+	traces := make([][]Event, rt.NumDomains())
+	for d := range traces {
+		traces[d] = rt.Domain(d).Trace()
+	}
+	return traces, gw.Log()
+}
+
+// TestServerReplayTraces: a multi-domain server replaying its ingress log
+// and every domain's recorded schedule returns, from every domain, a Trace()
+// deep-equal to the recording, Seq and Domain included — the borrowed
+// prefixes carry the domain ids of their schedulers.
+func TestServerReplayTraces(t *testing.T) {
+	recorded, log := serverShape(nil, nil)
+	for d, tr := range recorded {
+		if len(tr) == 0 || tr[len(tr)-1].Domain != d {
+			t.Fatalf("domain %d recorded %d events", d, len(tr))
+		}
+	}
+	for _, scheds := range [][][]Event{nil, recorded} {
+		replayed, _ := serverShape(log, scheds)
+		for d := range recorded {
+			if !slices.Equal(replayed[d], recorded[d]) {
+				t.Fatalf("schedule replay %v: domain %d traced %d events, recorded %d, or they differ", scheds != nil, d, len(replayed[d]), len(recorded[d]))
+			}
+		}
 	}
 }
 
