@@ -12,6 +12,9 @@
 //     bookkeeping ops run against the full parked population.
 //   - BenchmarkTimedWaitChurn     — many concurrent logical sleeps churning
 //     the timed-waiter structure.
+//   - BenchmarkWorkOffload        — a Work computed inline against one handed
+//     to a helper beside a runnable partner: the measurement the offload
+//     threshold rests on.
 //
 // The explorer's rows are in explore_bench_test.go. What a hosted sync op
 // allocates is not timed but counted: TestSyncOpsAllocateNothing, which
@@ -20,6 +23,7 @@ package qithread_test
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"qithread"
@@ -122,6 +126,18 @@ var syncOps = []struct {
 			}
 		}
 	}},
+	{"offloaded-work", func(rt *qithread.Runtime, main *qithread.Thread) (func(), func()) {
+		done := false
+		partner := main.Create("partner", func(w *qithread.Thread) {
+			for !done {
+				w.Yield()
+			}
+		})
+		return func() { main.Work(qithread.OffloadThreshold) }, func() {
+			done = true
+			main.Join(partner)
+		}
+	}},
 	{"sleep-3", func(rt *qithread.Runtime, main *qithread.Thread) (func(), func()) {
 		return func() { main.Sleep(3) }, func() {}
 	}},
@@ -170,9 +186,11 @@ var syncOps = []struct {
 
 // TestSyncOpsAllocateNothing: a synchronization operation of a hosted run
 // allocates nothing in steady state — a lock/unlock pair, a condition-variable
-// ping-pong with a partner thread, one Yield among four threads, a logical
-// Sleep, a broadcast round to eight waiters that re-park — with the lease, without
-// it, and under all five policies. The counts are exact, so this is the gate
+// ping-pong with a partner thread, one Yield among four threads, an offloaded
+// Work beside a runnable partner, a logical Sleep, a broadcast round to eight
+// waiters that re-park — with the lease, without it, and under all five
+// policies. (AllocsPerRun measures at GOMAXPROCS=1, where the driver runs an
+// offloaded job itself; TestOffloadAllocatesNothing counts the helper path.) The counts are exact, so this is the gate
 // a timed benchmark row cannot be, exact under -race too.
 // testing.AllocsPerRun divides by the run count, so an allocation on every
 // operation fails and amortized growth below one per operation does not.
@@ -320,4 +338,45 @@ func BenchmarkTimedWaitChurn(b *testing.B) {
 		close(done)
 	})
 	<-done
+}
+
+// BenchmarkWorkOffload is the measurement qithread's offload threshold rests
+// on (thread.go, EXPERIMENTS.md E44). Main and a partner thread each loop on
+// one Work of n units and a Yield; one op is main's iteration, so it covers
+// one Work of each thread. Inline, the two computations take turns on the
+// domain's one goroutine; offloaded (every Work handed to a helper, forced
+// through the test seam), a helper computes one while the driver computes or
+// joins the other, at the price of a queue round trip and a rejoin per Work.
+// With a P to spare, the n at which offloaded overtakes inline is where the
+// threshold belongs; at GOMAXPROCS=1 the offloaded arm is the inline one plus
+// that price.
+func BenchmarkWorkOffload(b *testing.B) {
+	for _, n := range []int64{16, 64, 256, 1024} {
+		for _, arm := range []struct {
+			name string
+			min  int64
+		}{{"inline", math.MaxInt64}, {"offloaded", 1}} {
+			b.Run(fmt.Sprintf("n=%d/%s", n, arm.name), func(b *testing.B) {
+				defer qithread.SetOffloadMin(arm.min)()
+				rt := qithread.New(qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies})
+				rt.Run(func(main *qithread.Thread) {
+					done := false
+					partner := main.Create("partner", func(w *qithread.Thread) {
+						for !done {
+							w.Work(n)
+							w.Yield()
+						}
+					})
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						main.Work(n)
+						main.Yield()
+					}
+					b.StopTimer()
+					done = true
+					main.Join(partner)
+				})
+			})
+		}
+	}
 }

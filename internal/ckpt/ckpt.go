@@ -31,7 +31,6 @@
 package ckpt
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/gob"
 	"fmt"
@@ -102,7 +101,8 @@ func Save(w io.Writer, r *Record) error {
 // Load reads a checkpoint record written by Save. Like the log loaders it is
 // strict: a bad header, a corrupt frame or trailing frames are errors.
 func Load(rd io.Reader) (*Record, error) {
-	br := bufio.NewReaderSize(rd, 1<<16)
+	br := logio.TakeReader(rd)
+	defer logio.PutReader(br, rd)
 	got, err := logio.ReadHeader(br, "ckpt: checkpoint")
 	if err != nil {
 		return nil, err

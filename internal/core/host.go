@@ -17,15 +17,30 @@ import (
 // ever does (Scheduler.lock).
 //
 // Who runs when. Only the driver resumes anybody. Whenever the driver would
-// block — its own GetTurn or Wait, the drain after its thread exited, or a
-// contended PCS lock of its own — it resumes, one at a time, a thread that
-// can make progress (resume): a created thread that has never run, in
-// creation order, since until it reaches its thread_begin GetTurn the
-// scheduler may be keeping the turn free for it; otherwise the turn holder,
-// granted and not yet resumed; otherwise the head of the off-turn queue.
-// Every other thread is suspended inside awaitGrant with wantTurn set and can
-// do nothing until it is granted the turn, so no choice the driver makes
-// reorders two synchronization operations.
+// block — its own GetTurn or Wait, the drain after its thread exited, a
+// contended PCS lock or an offloaded computation of its own — it resumes, one
+// at a time, a thread that can make progress (resume): a created thread that
+// has never run, in creation order, since until it reaches its thread_begin
+// GetTurn the scheduler may be keeping the turn free for it; otherwise the
+// turn holder, granted and not yet resumed; otherwise the head of the
+// off-turn queue; otherwise the oldest computing thread. Every other thread
+// is suspended inside awaitGrant with wantTurn set and can do nothing until
+// it is granted the turn, so no choice the driver makes reorders two
+// synchronization operations.
+//
+// Computing elsewhere. A thread that declares a large pure computation hands
+// it to a helper goroutine and yields (YieldComputing) onto the computing
+// FIFO, neither wanting the turn nor holding a grant. The driver rejoins the
+// oldest computing thread only when nothing else can run: it joins the
+// computation — waits for the helper that took it, or runs it if no helper
+// has — and resumes the thread, which then accounts for its work. Meanwhile
+// the domain's other threads run and the helper computes on another P. The
+// rejoin order depends only on the order of the yields, never on which
+// computation finished first, so the interleaving of the domain's threads is
+// the same at any GOMAXPROCS. A computing thread can make progress, so the
+// domain is stuck only when the FIFO is empty too; a rejoin restarts the
+// off-turn queue's count of fruitless retries, since the rejoined thread may
+// release a lock.
 //
 // Runnable outside the turn. A thread that finds a lock it takes outside the
 // turn (a PCS mutex under Config.PCS) taken yields without asking for the
@@ -59,6 +74,23 @@ type Host struct {
 	popped   *Thread   // the thread last taken off it, until it yields again or is seen to have progressed
 	poppedAt int64     // popped's virtual clock when it was taken
 	idle     int       // off-turn resumes in a row whose thread came straight back unchanged
+
+	computing []computing // threads whose declared computation runs elsewhere, FIFO
+	rejoined  bool        // the driver was taken off computing, until its YieldComputing sees it
+}
+
+// Job is a declared pure computation a hosted thread handed to another
+// goroutine (YieldComputing). Join returns once its result is ready, running
+// it on the caller if no other goroutine has taken it: the driver calls it
+// when it rejoins the thread. It is the one cross-goroutine wait of a hosted
+// domain, and it lives behind this interface so the scheduler stays free of
+// sync and sync/atomic.
+type Job interface{ Join() }
+
+// computing is an entry of the computing FIFO.
+type computing struct {
+	t   *Thread
+	job Job
 }
 
 // worker is one pooled coroutine. It runs the bodies it is handed one after
@@ -153,7 +185,7 @@ func (s *Scheduler) DrainHosted() {
 		h.resume(s)
 	}
 	s.host = nil
-	*h = Host{workers: h.workers[:0], fresh: h.fresh[:0], off: h.off[:0]}
+	*h = Host{workers: h.workers[:0], fresh: h.fresh[:0], off: h.off[:0], computing: h.computing[:0]}
 	select {
 	case freeHosts <- h:
 	default:
@@ -198,9 +230,36 @@ func (s *Scheduler) YieldOffTurn(t *Thread) {
 	}
 }
 
+// YieldComputing suspends t, a hosted thread whose declared computation job
+// runs on another goroutine, on the computing FIFO until the driver rejoins
+// it: joins job and resumes t, once nothing else can run, oldest first. The
+// driver itself resumes other threads until its own entry comes up. Whether a
+// thread yields here is the caller's decision from the program alone, and the
+// rejoin order depends only on program state, so the schedule does not depend
+// on which goroutine ran the job or when it finished. An unhosted thread,
+// which waits on a goroutine of its own, joins at once.
+func (s *Scheduler) YieldComputing(t *Thread, job Job) {
+	h := s.host
+	if h == nil {
+		job.Join()
+		return
+	}
+	s.stats.Offloads++
+	h.computing = append(h.computing, computing{t, job})
+	if t.id != 0 {
+		h.workers[t.id].yield(struct{}{})
+		return
+	}
+	for !h.rejoined {
+		h.resume(s)
+	}
+	h.rejoined = false
+}
+
 // resume switches to one thread that can make progress and returns when it
 // next yields or its body returns (or at once, having taken the driver off
-// the off-turn queue). If none can, the domain is stuck.
+// the off-turn queue or the computing FIFO). If none can, the domain is
+// stuck.
 func (h *Host) resume(s *Scheduler) {
 	if h.popped != nil {
 		h.idle, h.popped = 0, nil // it went on past its retry
@@ -220,6 +279,17 @@ func (h *Host) resume(s *Scheduler) {
 		h.off = h.off[:copy(h.off, h.off[1:])]
 		h.popped, h.poppedAt = t, t.vtime
 		if t.id == 0 {
+			return
+		}
+	} else if len(h.computing) > 0 {
+		c := h.computing[0]
+		n := copy(h.computing, h.computing[1:])
+		h.computing[n] = computing{}
+		h.computing = h.computing[:n]
+		h.idle = 0 // what it does next may release a lock an off-turn thread waits for
+		c.job.Join()
+		if t = c.t; t.id == 0 {
+			h.rejoined = true
 			return
 		}
 	} else {

@@ -19,7 +19,10 @@ import (
 // the turn count, each thread's request flag, clocks, wait status and policy
 // state, the schedule, and every chooser consultation. The scheduler's one
 // state the model lacks is the solo lease, and the comparison says exactly
-// where it may show (soloLease).
+// where it may show (soloLease). A compute op is a hosted yield the model
+// does not see (Table 1 has no such primitive): a pure payload runs when the
+// driver rejoins the thread, and the rejoin must be FIFO and leave the state
+// as the model has it.
 
 // lockstep runs script threads on a scheduler and, when m is set, on the
 // model in lockstep. Each primitive is applied to the model first: the
@@ -31,12 +34,14 @@ type lockstep struct {
 	ths       []*Thread
 	real, ref *answers // the chooser answering s, and its twin answering m
 	cov       *coverage
+	computing []*Thread // with m: threads in a compute op, in the order they yielded
 }
 
 // coverage counts what the scripts exercised.
 type coverage struct {
 	scripts, ops, idleJumps, timeouts, leaseExtends, policyKeeps int
 	turnChoices, wakeChoices, destroyBusy, destroyIdle           int
+	computes, overlapped                                         int // compute ops; of them, rejoined after another thread ran
 }
 
 // answers is a Chooser that gives a fixed, repeating sequence of answers and
@@ -95,6 +100,8 @@ func (l *lockstep) thread(th *Thread, ops []scriptOp) {
 			l.turn(th, OpCondDestroy, obj, StatusOK)
 			l.destroy(th, obj)
 			l.release(th)
+		case opCompute:
+			l.compute(th, op.work())
 		}
 	}
 	l.turn(th, OpThreadEnd, 0, StatusOK)
@@ -221,6 +228,51 @@ func (l *lockstep) destroy(th *Thread, obj uint64) {
 	}
 	l.s.DestroyObject(th, obj)
 	l.check(th, fmt.Sprintf("destroy %d", obj))
+}
+
+// compute hands a pure payload off and yields on the computing FIFO
+// (YieldComputing); the model takes no step. With the model the run is
+// hosted, and the payload's Join, which the driver calls at the rejoin,
+// checks it rejoins the oldest thread still computing.
+func (l *lockstep) compute(th *Thread, n int64) {
+	j := &scriptJob{n: n}
+	if l.m != nil {
+		l.computing = append(l.computing, th)
+		j.l, j.th, j.ops = l, th, l.cov.ops
+	}
+	l.s.YieldComputing(th, j)
+	if !j.done {
+		panic(fmt.Sprintf("%v resumed from a compute op before its payload ran", th))
+	}
+	l.check(th, "compute")
+}
+
+// scriptJob is a compute op's payload: n steps of an LCG.
+type scriptJob struct {
+	n    int64
+	v    uint64
+	done bool
+	l    *lockstep // with the model: the FIFO to check, the thread and the primitives checked at its yield
+	th   *Thread
+	ops  int
+}
+
+func (j *scriptJob) Join() {
+	if l := j.l; l != nil {
+		if len(l.computing) == 0 || l.computing[0] != j.th {
+			panic(fmt.Sprintf("rejoined %v, but the oldest thread computing is %v", j.th, l.computing))
+		}
+		l.computing = l.computing[1:]
+		l.cov.computes++
+		if l.cov.ops > j.ops {
+			l.cov.overlapped++
+		}
+	}
+	v := uint64(j.n)
+	for range j.n {
+		v = v*6364136223846793005 + 1442695040888963407
+	}
+	j.v, j.done = v, true
 }
 
 func (l *lockstep) exit(th *Thread) {
@@ -448,6 +500,7 @@ func TestQuickModelDifferential(t *testing.T) {
 		"idle time jumps": cov.idleJumps, "timeouts": cov.timeouts, "solo lease extensions": cov.leaseExtends,
 		"policy leases": cov.policyKeeps, "turn choices": cov.turnChoices, "wake choices": cov.wakeChoices,
 		"destroys with waiters": cov.destroyBusy, "destroys without": cov.destroyIdle,
+		"compute ops": cov.computes, "rejoins after another thread ran": cov.overlapped,
 	} {
 		if n == 0 {
 			t.Errorf("no script exercised %s", what)

@@ -39,8 +39,8 @@ func (sc script) program() [][]scriptOp {
 type scriptOp struct{ kind, arg byte }
 
 // The operations of a script thread (lockstep.thread, modeldiff_test.go).
-// All but work take the turn; the rest of them release it at the wrappers'
-// policy-aware release point, as the qithread wrappers do.
+// All but work and compute take the turn; the rest of them release it at the
+// wrappers' policy-aware release point, as the qithread wrappers do.
 const (
 	opYield     = iota
 	opSignal    // signal one of objects 1-3; WakeAMAP sees the waiters left
@@ -51,6 +51,7 @@ const (
 	opLock      // enter a critical section (CSWhole keeps the turn in it)
 	opUnlock    // leave one
 	opDestroy   // DestroyObject on one of objects 1-3, waited on or not
+	opCompute   // a declared computation handed off: a hosted thread yields until rejoined
 	nScriptOps
 )
 

@@ -34,6 +34,11 @@ type Stats struct {
 	// found the holder the only live thread, advanced logical time and let
 	// it keep the turn.
 	LeaseExtends int64
+	// Offloads counts declared computations a hosted thread handed to
+	// another goroutine and yielded over (YieldComputing). Whether a thread
+	// offloads depends only on the amount it declares, so the count is a
+	// function of the program, like the schedule, which it does not change.
+	Offloads int64
 	// MaxLiveThreads is the high-water mark of registered live threads.
 	MaxLiveThreads int
 	// MaxWaiting is the high-water mark of blocked threads across all wait

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -143,10 +144,18 @@ func collectFingerprints(t *testing.T) map[string]string {
 // seed bitmask build for all catalog programs under all modes × policy sets.
 // Every configuration is hosted, every thread of a domain on one goroutine
 // (internal/core/host.go); the seed build ran every thread on a goroutine of
-// its own, and there is no hosted flavour of a schedule. The ad-hoc busy-wait
-// programs (canneal, x264) poll an atomic a peer stores outside any scheduled
-// operation; hosted, the peer runs only when the poller yields the turn, so
-// their schedules too are the same at any GOMAXPROCS.
+// its own, and there is no hosted flavour of a schedule.
+//
+// The ad-hoc busy-wait programs (canneal, x264) poll an atomic a peer stores
+// outside any scheduled operation, so what a poll sees depends on which
+// threads have run, not only on the order of synchronization operations.
+// Hosted, a peer runs only when the poller yields — the turn, or a declared
+// Work of at least the offload threshold, over which a thread yields to its
+// driver until it is rejoined (thread.go). Both are functions of the program,
+// so their schedules are the same at any GOMAXPROCS
+// (TestAdHocProgramsIndependentOfGOMAXPROCS). Three canneal rows were
+// re-recorded when Work began to yield: under rr-vanilla, rr-all and rr-soft
+// its poller now sees its peer suspended at a Work, and spins more turns.
 func TestTraceCompatibility(t *testing.T) {
 	got := collectFingerprints(t)
 	if *updateGolden {
@@ -158,6 +167,41 @@ func TestTraceCompatibility(t *testing.T) {
 		t.Fatalf("no golden fingerprints in %s; run with -update-golden", goldenPath)
 	}
 	compareGolden(t, want, got)
+}
+
+// TestAdHocProgramsIndependentOfGOMAXPROCS: the programs whose threads poll
+// an atomic outside any scheduled operation record the same fingerprints —
+// schedule, event count, makespan, output — at one P, where no helper
+// goroutine exists and a driver runs every offloaded Work itself, and at four
+// Ps, where helpers take it, in one process, under every base configuration.
+func TestAdHocProgramsIndependentOfGOMAXPROCS(t *testing.T) {
+	base := baseConfigNames()
+	fingerprints := func() []string {
+		var out []string
+		for _, name := range []string{"canneal", "x264"} {
+			spec, ok := programs.Find(name)
+			if !ok {
+				t.Fatalf("%s missing from the catalog", name)
+			}
+			for _, cc := range compatConfigs() {
+				if base[cc.Name] {
+					hash, events, makespan, output := traceFingerprint(spec, cc.Cfg)
+					out = append(out, goldenLine(name, cc.Name, hash, events, makespan, output))
+				}
+			}
+		}
+		return out
+	}
+	prev := runtime.GOMAXPROCS(1)
+	one := fingerprints()
+	runtime.GOMAXPROCS(4)
+	four := fingerprints()
+	runtime.GOMAXPROCS(prev)
+	for i := range one {
+		if one[i] != four[i] {
+			t.Errorf("GOMAXPROCS=1: %s\n  GOMAXPROCS=4: %s", one[i], four[i])
+		}
+	}
 }
 
 // updateGoldenFile rewrites the golden file from got.

@@ -1,7 +1,6 @@
 package ingress
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"math"
@@ -82,7 +81,8 @@ func (l *Log) Events() int {
 // strict: any structural deviation is an error, and a header of a format no
 // longer read is refused by name.
 func LoadLog(r io.Reader) (*Log, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := logio.TakeReader(r)
+	defer logio.PutReader(br, r)
 	header, err := logio.ReadHeader(br, "ingress: log")
 	if err != nil {
 		return nil, err

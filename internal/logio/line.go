@@ -13,10 +13,11 @@ import (
 const MaxLine = 1 << 20
 
 // LineScanner returns a bufio.Scanner guarded to MaxLine, the text schedule
-// loader's line reader.
+// loader's line reader. Its buffer starts at the scanner's 4 KiB and grows
+// only for a longer line: r is buffered already (TakeReader).
 func LineScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), MaxLine)
+	sc.Buffer(nil, MaxLine)
 	return sc
 }
 

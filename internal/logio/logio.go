@@ -67,7 +67,8 @@ const bufSize = 1 << 16
 // (48 KB) — is recycled through bounded free lists, so a warm recording
 // run allocates none of it per log file: a FrameWriter takes its buffer and
 // compressor here and returns them at Close, a FrameReader its buffer and
-// decompressor, returned at the terminator. The records themselves are not
+// decompressor, returned at the terminator, and a loader the buffer it reads
+// the header through (TakeReader), returned when the load ends. The records themselves are not
 // recycled, so a writer used after Close fails on its own error and never
 // reaches state another writer now holds. The lists are channels, not a
 // sync.Pool: a GC cycle empties a pool, and a run's own allocation triggers
@@ -267,15 +268,35 @@ func (c *countingReader) readFull(p []byte) (int, error) {
 // and stays the caller's; any other r is buffered by a recycled reader.
 func NewFrameReader(r io.Reader) *FrameReader {
 	fr := &FrameReader{}
-	if br, ok := r.(*bufio.Reader); ok && br.Size() >= bufSize {
-		fr.in.br = br
-	} else if br, ok := freeBufReaders.take(); ok {
-		br.Reset(r)
-		fr.in.br, fr.ownBR = br, true
-	} else {
-		fr.in.br, fr.ownBR = bufio.NewReaderSize(r, bufSize), true
-	}
+	fr.in.br = TakeReader(r)
+	fr.ownBR = fr.in.br != r
 	return fr
+}
+
+// TakeReader returns a 64 KiB buffered reader on r: r itself when it is a
+// *bufio.Reader that size or larger, which stays the caller's, otherwise one
+// from the free list. A loader reads its header and body through it and hands
+// it back with PutReader once the load is done, so a warm load allocates no
+// buffer.
+func TakeReader(r io.Reader) *bufio.Reader {
+	if br, ok := r.(*bufio.Reader); ok && br.Size() >= bufSize {
+		return br
+	}
+	if br, ok := freeBufReaders.take(); ok {
+		br.Reset(r)
+		return br
+	}
+	return bufio.NewReaderSize(r, bufSize)
+}
+
+// PutReader recycles br, which TakeReader(r) returned, unless it is r itself:
+// a buffer that belongs to the caller is never recycled. br may not be used
+// afterwards.
+func PutReader(br *bufio.Reader, r io.Reader) {
+	if br != r {
+		br.Reset(noInput)
+		freeBufReaders.put(br)
+	}
 }
 
 // Next returns the next frame's decoded payload, or io.EOF after the
@@ -347,8 +368,7 @@ func (fr *FrameReader) end() error {
 	}
 	fr.done = true
 	if fr.ownBR {
-		fr.in.br.Reset(noInput)
-		freeBufReaders.put(fr.in.br)
+		PutReader(fr.in.br, nil)
 	}
 	fr.in.br = nil
 	if fr.fl != nil {

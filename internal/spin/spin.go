@@ -5,8 +5,9 @@
 // deterministic and comparable across scheduling modes, while the spin
 // consumes real CPU time so wall-clock measurements exercise the schedulers
 // the same way real computation would. The spin is the modeled program's
-// work only: nothing in the runtime busy-waits, a thread waiting for the turn
-// parks (internal/core).
+// work only: nothing in the runtime busy-waits for the turn, a thread waiting
+// for it parks (internal/core). The one bounded poll is a helper's, waiting
+// for offloaded work (offload.go).
 package spin
 
 // Unit is the number of xorshift steps in one work unit. One unit costs a few

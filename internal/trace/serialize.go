@@ -143,7 +143,8 @@ func LoadExplored(r io.Reader) ([]core.Event, []core.Choice, error) {
 
 // load holds the one header switch.
 func load(r io.Reader, explored bool) ([]core.Event, []core.Choice, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := logio.TakeReader(r)
+	defer logio.PutReader(br, r)
 	header, err := logio.ReadHeader(br, "trace: schedule")
 	if err != nil {
 		return nil, nil, err

@@ -9,9 +9,9 @@ import (
 	"qithread/internal/spin"
 )
 
-// workQuantum is the number of work units executed between logical-clock
-// updates in LogicalClock mode, bounding how stale a computing thread's clock
-// can be when the scheduler compares clocks.
+// workQuantum is the number of work units the logical-clock modes charge per
+// clock update, and the chunk their compute is chained in: the order of
+// updates and the result the goldens pin.
 const workQuantum = 1024
 
 // Thread is one thread of a deterministically scheduled program, registered
@@ -265,30 +265,46 @@ func (t *Thread) Work(n int64) uint64 {
 	return t.WorkSeeded(t.workSeed+uint64(t.id)+1, n)
 }
 
+// offloadThreshold is the declared Work, in units, from which a deterministic
+// thread hands the computation to a helper goroutine and lets its domain run
+// other threads until it is rejoined (core.Scheduler.YieldComputing). With a
+// helper already polling, offloading pays from 16–64 units on
+// (BenchmarkWorkOffload, EXPERIMENTS.md E44); 256 leaves a margin for a
+// helper that must first be woken. It is a constant in units, not a measured
+// time, so whether a thread yields — and with it the interleaving an ad-hoc
+// busy-wait observes — is a function of the program alone, on any host and
+// at any GOMAXPROCS.
+const offloadThreshold = 256
+
+// offloadMin is offloadThreshold, a variable only so tests can force or
+// disable offloading (export_test.go).
+var offloadMin int64 = offloadThreshold
+
 // WorkSeeded is Work with an explicit seed, for workloads whose output must
 // be a pure function of program input rather than thread identity.
 func (t *Thread) WorkSeeded(seed uint64, n int64) uint64 {
 	if n <= 0 {
 		return seed
 	}
-	if t.rt.det() && (t.rt.cfg.Mode == LogicalClock || t.rt.cfg.Mode == VirtualParallel) {
-		// Chunked so clock updates are frequent enough for the
-		// logical-clock policy to make timely decisions.
-		v := seed
-		for n > 0 {
-			q := int64(workQuantum)
-			if n < q {
-				q = n
-			}
-			v = spin.Work(v, q)
-			t.dom.sched.AddWork(t.ct, q)
-			n -= q
-		}
-		return v
+	if !t.rt.det() {
+		return spin.Work(seed, n)
 	}
-	v := spin.Work(seed, n)
-	if t.rt.det() {
-		t.dom.sched.AddWork(t.ct, n)
+	// The logical-clock modes charge the work a quantum at a time, and the
+	// compute is chained per quantum to match (workQuantum).
+	q := n
+	if t.rt.cfg.Mode == LogicalClock || t.rt.cfg.Mode == VirtualParallel {
+		q = workQuantum
+	}
+	var v uint64
+	if n >= offloadMin {
+		j := spin.Offload(seed, n, q)
+		t.dom.sched.YieldComputing(t.ct, j)
+		v = j.Collect()
+	} else {
+		v = spin.Chain(seed, n, q)
+	}
+	for ; n > 0; n -= q {
+		t.dom.sched.AddWork(t.ct, min(n, q))
 	}
 	return v
 }
