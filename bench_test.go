@@ -27,6 +27,7 @@ import (
 	"testing"
 
 	"qithread"
+	"qithread/internal/core"
 )
 
 // BenchmarkMechanismLockUnlock measures the host-time cost of one
@@ -35,20 +36,24 @@ import (
 // little-to-none overhead" (Section 1).
 func BenchmarkMechanismLockUnlock(b *testing.B) {
 	for _, cfg := range []struct {
-		name string
-		c    qithread.Config
+		name    string
+		c       qithread.Config
+		noLease bool // core.DisableLeases
 	}{
-		{"nondet", qithread.Config{Mode: qithread.Nondet}},
-		{"turn", qithread.Config{Mode: qithread.RoundRobin}},
+		{"nondet", qithread.Config{Mode: qithread.Nondet}, false},
+		{"turn", qithread.Config{Mode: qithread.RoundRobin}, false},
 		// turn-nolease isolates the scheduler lease: the solo benchmark thread
 		// is exactly the leaseable case, so turn vs turn-nolease is the
 		// amortized release path vs the full queue-and-handoff release.
-		{"turn-nolease", qithread.Config{Mode: qithread.RoundRobin, NoTurnLease: true}},
+		{"turn-nolease", qithread.Config{Mode: qithread.RoundRobin}, true},
 		// turn vs turn-all-policies is what the policy hooks add on the hottest
 		// path: OnAcquire, OnRelease and ExtendLease on every iteration.
-		{"turn-all-policies", qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies}},
+		{"turn-all-policies", qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies}, false},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
+			if cfg.noLease {
+				defer core.DisableLeases()()
+			}
 			rt := qithread.New(cfg.c)
 			done := make(chan struct{})
 			go rt.Run(func(main *qithread.Thread) {
@@ -196,16 +201,20 @@ var syncOps = []struct {
 // operation fails and amortized growth below one per operation does not.
 func TestSyncOpsAllocateNothing(t *testing.T) {
 	for _, cfg := range []struct {
-		name string
-		c    qithread.Config
+		name    string
+		c       qithread.Config
+		noLease bool // core.DisableLeases
 	}{
-		{"round-robin", qithread.Config{Mode: qithread.RoundRobin}},
-		{"no-lease", qithread.Config{Mode: qithread.RoundRobin, NoTurnLease: true}},
-		{"all-policies", qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies}},
+		{"round-robin", qithread.Config{Mode: qithread.RoundRobin}, false},
+		{"no-lease", qithread.Config{Mode: qithread.RoundRobin}, true},
+		{"all-policies", qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies}, false},
 	} {
 		for _, so := range syncOps {
 			t.Run(cfg.name+"/"+so.name, func(t *testing.T) {
 				var allocs float64
+				if cfg.noLease {
+					defer core.DisableLeases()()
+				}
 				rt := qithread.New(cfg.c)
 				rt.Run(func(main *qithread.Thread) {
 					op, stop := so.setup(rt, main)

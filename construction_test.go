@@ -28,9 +28,11 @@ func minMallocs(run func()) uint64 {
 
 // TestRecordSizesPinned: the benchmark's byte metrics are sums of allocation
 // size classes, so a record that sits on a class edge turns one more word
-// into the next class for every instance a run makes. Thread is 216 B, in
-// the 224 class: one word more fills it, two more and every thread a program
-// creates costs 240. The wrappers share one
+// into the next class for every instance a run makes. Thread is 208 B and
+// fills the 208 class: one word more and every thread a program creates
+// costs 224. It embeds core.Thread (120 B), whose flags share one word; the
+// per-run record a hosted scheduler hangs off itself, core.Host, is 112 B,
+// its threads outside the turn one FIFO. The wrappers share one
 // header (domain, object id, name) and reach the runtime through the domain:
 // Mutex and Pipe fill the 64 class, Cond and Sem sit at 56 in it, RWMutex and
 // Barrier fill the 80 class, Once and SoftBarrier the 48 class; one field
@@ -40,8 +42,14 @@ func minMallocs(run func()) uint64 {
 // host pointer). An Event is not allocated alone but by the schedule: at 40 B
 // rather than 48 a schedule is a sixth smaller.
 func TestRecordSizesPinned(t *testing.T) {
-	if n := unsafe.Sizeof(Thread{}); n > 224 {
-		t.Errorf("Thread is %d B, want <= 224: the next size class is 240; per-thread state goes in core.Thread's padding or the scheduler's host record", n)
+	if n := unsafe.Sizeof(Thread{}); n > 208 {
+		t.Errorf("Thread is %d B, want <= 208: the next size class is 224; per-thread state goes in core.Thread's padding or the scheduler's host record", n)
+	}
+	if n := unsafe.Sizeof(core.Thread{}); n > 120 {
+		t.Errorf("core.Thread is %d B, want <= 120: it is embedded in Thread; a flag goes in wantTurn's padding", n)
+	}
+	if n := unsafe.Sizeof(core.Host{}); n > 112 {
+		t.Errorf("core.Host is %d B, want <= 112: the threads outside the turn are one FIFO", n)
 	}
 	for _, r := range []struct {
 		name              string

@@ -47,6 +47,7 @@ type Domain struct {
 	mu       sync.Mutex
 	launched bool
 	rooted   bool // launched with at least one root
+	drained  bool // under rt.domMu: its driver drained it (pipe.go)
 	pending  []pendingRoot
 }
 
@@ -138,6 +139,21 @@ func (o *object) destroy(t *Thread, kind string, op core.OpKind) {
 	t.release()
 }
 
+// finished takes the domain, its driver done draining it, off the runtime's
+// live domains. If every domain still live waits in an XPipe, none ever will
+// run again: the deadlock is reported here (see XPipe.wait).
+func (d *Domain) finished() {
+	rt := d.rt
+	rt.domMu.Lock()
+	d.drained = true
+	rt.xlive--
+	msg := rt.parkLocked()
+	rt.domMu.Unlock()
+	if msg != "" {
+		rt.reportDeadlock(msg, nil)
+	}
+}
+
 // Trace returns the domain's recorded schedule (empty unless Config.Record;
 // nil in Nondet mode). Event sequence numbers are domain-local.
 func (d *Domain) Trace() []Event {
@@ -227,6 +243,11 @@ func (d *Domain) Launch() {
 			t.register()
 		}
 		threads[i] = t
+	}
+	if rt.det() {
+		rt.domMu.Lock()
+		rt.xlive++ // before any root runs: the domain is live until it drained
+		rt.domMu.Unlock()
 	}
 	// A root begins with thread_begin exactly like a Create'd child (both run
 	// Thread.run), so its initialization is deterministically ordered within

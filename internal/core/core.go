@@ -129,7 +129,8 @@ type Config struct {
 	// Scheduler.PutTurn). The lease is trace-neutral — it only short-circuits
 	// handoffs the thread would win anyway — so this switch exists for
 	// determinism tests (lease on vs off must fingerprint identically) and
-	// for isolating lease effects in benchmarks.
+	// for isolating lease effects in benchmarks; through the root package
+	// they reach it with DisableLeases.
 	NoLease bool
 	// Chooser, when non-nil, is consulted at every scheduling decision with
 	// more than one legal candidate — which runnable thread is granted the

@@ -242,7 +242,7 @@ func TestHostRecordsRecycled(t *testing.T) {
 		t.Fatalf("free list holds %d host records after one hosted run, want 1", len(freeHosts))
 	}
 	rec := <-freeHosts
-	if len(rec.workers) != 0 || len(rec.fresh) != 0 || rec.next != 0 || rec.active != 0 || len(rec.off) != 0 || rec.popped != nil || rec.idle != 0 {
+	if len(rec.workers) != 0 || len(rec.fresh) != 0 || rec.next != 0 || rec.active != 0 || len(rec.aside) != 0 || rec.popped != nil || rec.idle != 0 {
 		t.Errorf("recycled host record is not empty: %+v", *rec)
 	}
 	freeHosts <- rec

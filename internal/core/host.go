@@ -22,32 +22,27 @@ import (
 // at a time, a thread that can make progress (resume): a created thread that
 // has never run, in creation order, since until it reaches its thread_begin
 // GetTurn the scheduler may be keeping the turn free for it; otherwise the
-// turn holder, granted and not yet resumed; otherwise the head of the
-// off-turn queue; otherwise the oldest computing thread. Every other thread
-// is suspended inside awaitGrant with wantTurn set and can do nothing until
-// it is granted the turn, so no choice the driver makes reorders two
-// synchronization operations.
+// turn holder, granted and not yet resumed; otherwise the head of the FIFO of
+// threads outside the turn. Every other thread is suspended inside awaitGrant
+// with wantTurn set and can do nothing until it is granted the turn, so no
+// choice the driver makes reorders two synchronization operations.
 //
-// Computing elsewhere. A thread that declares a large pure computation hands
-// it to a helper goroutine and yields (YieldComputing) onto the computing
-// FIFO, neither wanting the turn nor holding a grant. The driver rejoins the
-// oldest computing thread only when nothing else can run: it joins the
-// computation — waits for the helper that took it, or runs it if no helper
-// has — and resumes the thread, which then accounts for its work. Meanwhile
-// the domain's other threads run and the helper computes on another P. The
-// rejoin order depends only on the order of the yields, never on which
-// computation finished first, so the interleaving of the domain's threads is
-// the same at any GOMAXPROCS. A computing thread can make progress, so the
-// domain is stuck only when the FIFO is empty too; a rejoin restarts the
-// off-turn queue's count of fruitless retries, since the rejoined thread may
-// release a lock.
-//
-// Runnable outside the turn. A thread that finds a lock it takes outside the
-// turn (a PCS mutex under Config.PCS) taken yields without asking for the
-// turn (YieldOffTurn) into the off-turn queue, a FIFO, and retries when
-// resumed. A successful retry advances its virtual clock, so a thread back in
-// the queue with its clock unchanged has changed nothing; when every queued
-// thread has done that since anything else ran, none ever will succeed.
+// Outside the turn. A thread suspends itself outside the turn, neither
+// wanting it nor holding a grant, for one of two reasons: a lock it takes
+// outside the turn (a PCS mutex under Config.PCS) is taken, and it will retry
+// when resumed (YieldOffTurn); or it handed a declared pure computation to a
+// helper goroutine (YieldComputing), and the driver, when it takes the entry,
+// joins the computation — waits for the helper, or runs it if no helper took
+// it — before resuming the thread. Both wait in one FIFO (Host.aside) and come
+// off it in the order they yielded, never in the order computations finish,
+// so the interleaving of the domain's threads is the same at any GOMAXPROCS.
+// A successful retry advances the thread's virtual clock, so a retry back in
+// the FIFO with its clock unchanged has changed nothing; idle counts those in
+// a row, and each moves the FIFO along by one. A computation's entry thus
+// reaches the head before idle can reach the FIFO's length, and taking it
+// restarts the count, since the rejoined thread may release a lock. When idle
+// does reach the length, every entry is a retry that came straight back since
+// anything else ran: none ever will succeed, and the domain is stuck.
 //
 // What the contract is. A hosted thread that blocks natively blocks its whole
 // domain, so it may only block on something outside the domain (an ingress
@@ -70,28 +65,28 @@ type Host struct {
 	next    int
 	active  int // workers whose body has not returned
 
-	off      []*Thread // the off-turn queue: threads that yielded outside the turn, FIFO
-	popped   *Thread   // the thread last taken off it, until it yields again or is seen to have progressed
-	poppedAt int64     // popped's virtual clock when it was taken
-	idle     int       // off-turn resumes in a row whose thread came straight back unchanged
-
-	computing []computing // threads whose declared computation runs elsewhere, FIFO
-	rejoined  bool        // the driver was taken off computing, until its YieldComputing sees it
+	aside    []aside // threads suspended outside the turn, FIFO
+	popped   *Thread // the thread last taken off it, until it yields again or is seen to have progressed
+	poppedAt int64   // popped's virtual clock when it was taken
+	idle     int     // retries in a row whose thread came straight back unchanged
 }
 
 // Job is a declared pure computation a hosted thread handed to another
 // goroutine (YieldComputing). Join returns once its result is ready, running
 // it on the caller if no other goroutine has taken it: the driver calls it
-// when it rejoins the thread. It is the one cross-goroutine wait of a hosted
-// domain, and it lives behind this interface so the scheduler stays free of
-// sync and sync/atomic.
+// when it takes the thread off the FIFO. It is the one cross-goroutine wait
+// of a hosted domain, and it lives behind this interface so the scheduler
+// stays free of sync and sync/atomic.
 type Job interface{ Join() }
 
-// computing is an entry of the computing FIFO.
-type computing struct {
+// aside is an entry of the FIFO outside the turn: a lock retry, or with a
+// job an offloaded computation.
+type aside struct {
 	t   *Thread
 	job Job
 }
+
+func (a aside) String() string { return a.t.String() }
 
 // worker is one pooled coroutine. It runs the bodies it is handed one after
 // the other: between two it is suspended in its own yield, on the free list.
@@ -158,7 +153,7 @@ func (s *Scheduler) HostThreads() {
 
 // Drives reports whether t is the driver of a hosted scheduler: thread 0, the
 // one whose goroutine every other thread of the scheduler runs on.
-func (t *Thread) Drives() bool { return t.hosted && t.id == 0 }
+func (t *Thread) Drives() bool { return t.sched.host != nil && t.id == 0 }
 
 // StartHosted is the hosted counterpart of the `go` statement: t, just
 // registered, will execute b on a pooled coroutine the first time the driver
@@ -185,7 +180,7 @@ func (s *Scheduler) DrainHosted() {
 		h.resume(s)
 	}
 	s.host = nil
-	*h = Host{workers: h.workers[:0], fresh: h.fresh[:0], off: h.off[:0], computing: h.computing[:0]}
+	*h = Host{workers: h.workers[:0], fresh: h.fresh[:0], aside: h.aside[:0]}
 	select {
 	case freeHosts <- h:
 	default:
@@ -210,8 +205,7 @@ func (h *Host) await(s *Scheduler, t *Thread) {
 }
 
 // YieldOffTurn suspends t, a hosted thread whose lock outside the turn is
-// taken, on the off-turn queue until the driver takes it off. The driver
-// itself resumes other threads until its own place in the queue comes up.
+// taken, at the tail of the FIFO outside the turn; resumed, it retries.
 func (s *Scheduler) YieldOffTurn(t *Thread) {
 	h := s.host
 	if h.popped == t && t.vtime == h.poppedAt {
@@ -219,8 +213,33 @@ func (s *Scheduler) YieldOffTurn(t *Thread) {
 	} else {
 		h.idle = 0
 	}
+	s.yieldAside(t, nil)
+}
+
+// YieldComputing suspends t, a hosted thread whose declared computation job
+// runs on another goroutine, at the tail of the FIFO outside the turn; the
+// driver joins job when it takes the entry, then resumes t. Whether a thread
+// yields here is the caller's decision from the program alone, and the FIFO
+// order depends only on program state, so the schedule does not depend on
+// which goroutine ran the job or when it finished. An unhosted thread, which
+// waits on a goroutine of its own, joins at once.
+func (s *Scheduler) YieldComputing(t *Thread, job Job) {
+	if s.host == nil {
+		job.Join()
+		return
+	}
+	s.stats.Offloads++
+	s.host.idle = 0 // t ran, and was not a retry coming straight back
+	s.yieldAside(t, job)
+}
+
+// yieldAside queues t, with job if it computes, and suspends it until the
+// driver takes the entry. The driver itself resumes other threads until its
+// own entry comes up.
+func (s *Scheduler) yieldAside(t *Thread, job Job) {
+	h := s.host
 	h.popped = nil
-	h.off = append(h.off, t)
+	h.aside = append(h.aside, aside{t, job})
 	if t.id != 0 {
 		h.workers[t.id].yield(struct{}{})
 		return
@@ -230,36 +249,9 @@ func (s *Scheduler) YieldOffTurn(t *Thread) {
 	}
 }
 
-// YieldComputing suspends t, a hosted thread whose declared computation job
-// runs on another goroutine, on the computing FIFO until the driver rejoins
-// it: joins job and resumes t, once nothing else can run, oldest first. The
-// driver itself resumes other threads until its own entry comes up. Whether a
-// thread yields here is the caller's decision from the program alone, and the
-// rejoin order depends only on program state, so the schedule does not depend
-// on which goroutine ran the job or when it finished. An unhosted thread,
-// which waits on a goroutine of its own, joins at once.
-func (s *Scheduler) YieldComputing(t *Thread, job Job) {
-	h := s.host
-	if h == nil {
-		job.Join()
-		return
-	}
-	s.stats.Offloads++
-	h.computing = append(h.computing, computing{t, job})
-	if t.id != 0 {
-		h.workers[t.id].yield(struct{}{})
-		return
-	}
-	for !h.rejoined {
-		h.resume(s)
-	}
-	h.rejoined = false
-}
-
 // resume switches to one thread that can make progress and returns when it
 // next yields or its body returns (or at once, having taken the driver off
-// the off-turn queue or the computing FIFO). If none can, the domain is
-// stuck.
+// the FIFO outside the turn). If none can, the domain is stuck.
 func (h *Host) resume(s *Scheduler) {
 	if h.popped != nil {
 		h.idle, h.popped = 0, nil // it went on past its retry
@@ -274,22 +266,18 @@ func (h *Host) resume(s *Scheduler) {
 		h.idle = 0
 	} else if t = s.holder; t != nil && t.granted {
 		h.idle = 0
-	} else if len(h.off) > 0 && h.idle < len(h.off) {
-		t = h.off[0]
-		h.off = h.off[:copy(h.off, h.off[1:])]
+	} else if h.idle < len(h.aside) {
+		a := h.aside[0]
+		n := copy(h.aside, h.aside[1:])
+		h.aside[n] = aside{}
+		h.aside = h.aside[:n]
+		t = a.t
 		h.popped, h.poppedAt = t, t.vtime
-		if t.id == 0 {
-			return
+		if a.job != nil {
+			h.idle = 0 // what it does next may release a lock a retry waits for
+			a.job.Join()
 		}
-	} else if len(h.computing) > 0 {
-		c := h.computing[0]
-		n := copy(h.computing, h.computing[1:])
-		h.computing[n] = computing{}
-		h.computing = h.computing[:n]
-		h.idle = 0 // what it does next may release a lock an off-turn thread waits for
-		c.job.Join()
-		if t = c.t; t.id == 0 {
-			h.rejoined = true
+		if t.id == 0 {
 			return
 		}
 	} else {
@@ -319,10 +307,9 @@ func (h *Host) resume(s *Scheduler) {
 func (s *Scheduler) stuck() {
 	if s.replayingLocked() {
 		e := s.replay[s.replayPos]
-		panic(fmt.Sprintf("%s in domain %d at op index %d: expected T%d to run %v but no thread of the domain can run (%d created)\n%s",
-			ErrReplayDivergence, s.cfg.DomainID, s.replayPos, e.TID, e.Op, s.nextTID, s.dumpLocked()))
+		panic(s.divergedLocked("expected T%d to run %v but no thread of the domain can run (%d created)", e.TID, e.Op, s.nextTID))
 	}
-	if len(s.host.off) > 0 {
-		s.deadlockLocked(fmt.Sprint("every thread outside the turn waits for a lock nobody can release\n  offTurn: ", s.host.off))
+	if len(s.host.aside) > 0 {
+		s.deadlockLocked(fmt.Sprint("every thread outside the turn waits for a lock nobody can release\n  offTurn: ", s.host.aside))
 	}
 }

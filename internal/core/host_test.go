@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -9,7 +10,8 @@ import (
 
 // The hosted path's schedule neutrality is TestHandoffStressNeutralAcrossProcs
 // and its recycling TestHostRecordsRecycled (handoff_test.go); what is here
-// is how a hosted run ends when it does not end well, and the off-turn queue.
+// is how a hosted run ends when it does not end well, and the FIFO outside
+// the turn.
 
 // hostedRun registers n threads on a hosted scheduler and runs body(i, thread)
 // for each: thread 0 on the calling goroutine, the rest as its coroutines.
@@ -169,7 +171,7 @@ func TestHostedAfterRegisterPanics(t *testing.T) {
 
 // offLock is a lock taken outside the turn, the way the root package's PCS
 // mutex is: a retry loop around YieldOffTurn, and a virtual-clock tick on
-// every acquisition and release (the off-turn queue's progress witness).
+// every acquisition and release (the FIFO outside the turn's progress witness).
 type offLock struct{ owner *Thread }
 
 func (l *offLock) lock(s *Scheduler, th *Thread) {
@@ -231,7 +233,7 @@ func TestHostedOffTurn(t *testing.T) {
 
 // TestHostedOffTurnDeadlock: threads outside the turn that wait for a lock
 // whose holder is parked for good are a deadlock the driver reports, with
-// the off-turn queue in the message — whether the one spinning is a
+// the FIFO outside the turn in the message — whether the one spinning is a
 // coroutine or the driver itself — instead of retrying forever.
 func TestHostedOffTurnDeadlock(t *testing.T) {
 	for _, spinner := range []string{"T2(c)]", "T0(d)]"} {
@@ -267,6 +269,141 @@ func TestHostedOffTurnDeadlock(t *testing.T) {
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s spinning: an off-turn deadlock was never reported", spinner)
+		}
+	}
+}
+
+// jobFunc is a function as a Job: the driver calls it when it takes the
+// computing thread's entry off the FIFO outside the turn.
+type jobFunc func()
+
+func (f jobFunc) Join() { f() }
+
+// TestAsideResumesInYieldOrder: a computation and a lock retry wait in one
+// FIFO outside the turn and come off it in the order they yielded. c takes
+// the lock and offloads a computation, then r finds the lock taken and
+// yields behind it: c's entry comes off first, c lets the lock go, and r's
+// first retry takes it. Taking every retry before any computation would
+// spend a fruitless retry of r first.
+func TestAsideResumesInYieldOrder(t *testing.T) {
+	s := New(Config{Mode: RoundRobin})
+	s.HostThreads()
+	var l offLock
+	var log []string
+	d, c, r := s.Register("d"), s.Register("c"), s.Register("r")
+	s.StartHosted(c, bodyFunc(func() {
+		l.lock(s, c)
+		s.YieldComputing(c, jobFunc(func() { log = append(log, "c joined") }))
+		l.unlock(c)
+		s.GetTurn(c)
+		s.Exit(c)
+	}))
+	s.StartHosted(r, bodyFunc(func() {
+		for l.owner != nil {
+			log = append(log, "r tries")
+			s.YieldOffTurn(r)
+		}
+		l.lock(s, r)
+		log = append(log, "r locks")
+		l.unlock(r)
+		s.GetTurn(r)
+		s.Exit(r)
+	}))
+	s.GetTurn(d)
+	s.PutTurn(d) // c is next and has never run: the turn stays free for it
+	s.GetTurn(d)
+	s.Exit(d)
+	s.DrainHosted()
+	want := []string{"r tries", "c joined", "r locks"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("log %q, want %q", log, want)
+	}
+}
+
+// TestAsideStuckOnlyOnRetries: the driver declares its domain stuck once as
+// many retries in a row as the FIFO outside the turn holds came straight
+// back, never while a computation waits in it. k spinners queue on a lock h
+// holds, h steps aside behind them, and each retries once in vain before h,
+// taken off, offloads a computation: it queues behind the spinners, each
+// retries in vain again, and only then is the computation joined, which
+// frees the lock — k fruitless retries after k fruitless retries, at no
+// point the report. With the holder waiting for a turn nobody will give up
+// instead, the k-th fruitless retry is the deadlock report.
+func TestAsideStuckOnlyOnRetries(t *testing.T) {
+	spin := func(s *Scheduler, l *offLock, th *Thread, fruitless *int) {
+		for l.owner != nil {
+			s.YieldOffTurn(th)
+			if l.owner != nil {
+				*fruitless++
+			}
+		}
+		l.lock(s, th)
+		l.unlock(th)
+		s.GetTurn(th)
+		s.Exit(th)
+	}
+	for k := 1; k <= 5; k++ {
+		s := New(Config{Mode: RoundRobin}) // no handler: a report panics out of the run
+		s.HostThreads()
+		var l offLock
+		fruitless := 0
+		d := s.Register("d")
+		for range k {
+			th := s.Register("s")
+			s.StartHosted(th, bodyFunc(func() { spin(s, &l, th, &fruitless) }))
+		}
+		h := s.Register("h")
+		l.owner = h
+		s.StartHosted(h, bodyFunc(func() {
+			s.YieldOffTurn(h)
+			s.YieldComputing(h, jobFunc(func() {}))
+			l.unlock(h)
+			s.GetTurn(h)
+			s.Exit(h)
+		}))
+		s.GetTurn(d)
+		s.PutTurn(d)
+		s.GetTurn(d)
+		s.Exit(d)
+		s.DrainHosted()
+		if fruitless != 2*k {
+			t.Errorf("%d spinners: %d fruitless retries before the computation was joined, want %d", k, fruitless, 2*k)
+		}
+	}
+	for k := 1; k <= 5; k++ {
+		s := New(Config{Mode: RoundRobin})
+		type report struct {
+			fruitless int
+			msg       string
+		}
+		reported := make(chan report, 1)
+		fruitless := 0
+		s.SetDeadlockHandler(func(msg string) { reported <- report{fruitless, msg} })
+		go func() { // leaks, parked, by design
+			s.HostThreads()
+			var l offLock
+			d := s.Register("d")
+			for range k {
+				th := s.Register("s")
+				s.StartHosted(th, bodyFunc(func() { spin(s, &l, th, &fruitless) }))
+			}
+			l.lock(s, d)
+			s.GetTurn(d)
+			s.PutTurn(d)
+			s.GetTurn(d) // the first spinner is next and never asks
+		}()
+		queue := make([]string, k)
+		for i := range queue {
+			queue[i] = fmt.Sprintf("T%d(s)", i+1)
+		}
+		want := "offTurn: [" + strings.Join(queue, " ") + "]"
+		select {
+		case r := <-reported:
+			if r.fruitless != k || !strings.Contains(r.msg, want) {
+				t.Errorf("%d spinners: reported after %d fruitless retries, want %d and %s; report %q", k, r.fruitless, k, want, r.msg)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d spinners on a lock nobody can release were never reported", k)
 		}
 	}
 }

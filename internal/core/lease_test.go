@@ -159,3 +159,15 @@ func TestQuickLeaseTurnCountNeutral(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDisableLeases: the seam unleases every scheduler New builds while it is
+// on — a solo thread's releases then extend nothing — and only those.
+func TestDisableLeases(t *testing.T) {
+	restore := DisableLeases()
+	off := soloLoop(Config{Mode: RoundRobin}, 10).Stats().LeaseExtends
+	restore()
+	on := soloLoop(Config{Mode: RoundRobin}, 10).Stats().LeaseExtends
+	if off != 0 || on != 10 {
+		t.Fatalf("solo releases extended %d times with leases disabled and %d after, want 0 and 10", off, on)
+	}
+}

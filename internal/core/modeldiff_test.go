@@ -230,7 +230,7 @@ func (l *lockstep) destroy(th *Thread, obj uint64) {
 	l.check(th, fmt.Sprintf("destroy %d", obj))
 }
 
-// compute hands a pure payload off and yields on the computing FIFO
+// compute hands a pure payload off and yields on the FIFO outside the turn
 // (YieldComputing); the model takes no step. With the model the run is
 // hosted, and the payload's Join, which the driver calls at the rejoin,
 // checks it rejoins the oldest thread still computing.

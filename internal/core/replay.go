@@ -42,6 +42,14 @@ func (s *Scheduler) SetReplay(schedule []Event) {
 	s.replayPos = 0
 }
 
+// divergedLocked is the one replay-divergence diagnostic, the value every
+// divergence panics with: the prefix, the domain, the op index the run left
+// the recording at, why (format and args), and the scheduler state.
+func (s *Scheduler) divergedLocked(format string, args ...any) string {
+	return fmt.Sprintf("%s in domain %d at op index %d: %s\n%s",
+		ErrReplayDivergence, s.cfg.DomainID, s.replayPos, fmt.Sprintf(format, args...), s.dumpLocked())
+}
+
 // replayingLocked reports whether a recorded schedule still dictates who
 // runs next: one is installed and not yet exhausted.
 func (s *Scheduler) replayingLocked() bool {
@@ -65,8 +73,7 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 	want := s.replay[s.replayPos].TID
 	if want < 0 {
 		// The loaders reject this; a hand-built Config.Replay passes none.
-		panic(fmt.Sprintf("%s in domain %d at op index %d: recorded thread id %d is negative",
-			ErrReplayDivergence, s.cfg.DomainID, s.replayPos, want))
+		panic(s.divergedLocked("recorded thread id %d is negative", want))
 	}
 	if want >= s.nextTID {
 		// Thread not created yet: its creator's ops come first in any
@@ -78,8 +85,7 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 	t := s.threads[want]
 	if t == nil {
 		// The thread existed and is neither runnable nor waiting: it exited.
-		panic(fmt.Sprintf("%s in domain %d at op index %d: expected T%d to run %v but it has exited\n%s",
-			ErrReplayDivergence, s.cfg.DomainID, s.replayPos, want, s.replay[s.replayPos].Op, s.dumpLocked()))
+		panic(s.divergedLocked("expected T%d to run %v but it has exited", want, s.replay[s.replayPos].Op))
 	}
 	switch t.queue {
 	case qRun, qWake:
@@ -95,30 +101,27 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 		}
 		// Blocked without a timeout: no future action can make it eligible —
 		// the executions have diverged.
-		panic(fmt.Sprintf("%s in domain %d at op index %d: expected T%d to run %v but it is blocked on %s#%d\n%s",
-			ErrReplayDivergence, s.cfg.DomainID, s.replayPos, want, s.replay[s.replayPos].Op,
-			s.objName[t.obj].String(), t.obj, s.dumpLocked()))
+		panic(s.divergedLocked("expected T%d to run %v but it is blocked on %s#%d",
+			want, s.replay[s.replayPos].Op, s.objName[t.obj].String(), t.obj))
 	}
-	panic(fmt.Sprintf("%s in domain %d at op index %d: expected T%d to run %v but it has exited\n%s",
-		ErrReplayDivergence, s.cfg.DomainID, s.replayPos, want, s.replay[s.replayPos].Op, s.dumpLocked()))
+	panic(s.divergedLocked("expected T%d to run %v but it has exited", want, s.replay[s.replayPos].Op))
 }
 
 // verifyReplayLocked checks one executed operation against the recording and
 // advances the cursor. It returns the index of the recorded operation the
 // executed one matched, -1 when the recording no longer dictates the order.
 // The divergence diagnostic names the domain, the op index, and both
-// operations in expected-vs-actual form with object names — a schedule-space
-// explorer replays thousands of schedules, and "which run, which domain,
-// which op, expected what, got what" is the minimum needed to act on a
-// failure without re-running it under a debugger.
+// operations in expected-vs-actual form with object names, then dumps the
+// queues — a schedule-space explorer replays thousands of schedules, and
+// "which run, which domain, which op, expected what, got what" is the
+// minimum needed to act on a failure without re-running it under a debugger.
 func (s *Scheduler) verifyReplayLocked(t *Thread, op OpKind, obj uint64, st EventStatus) int {
 	if !s.replayingLocked() {
 		return -1
 	}
 	e := s.replay[s.replayPos]
 	if e.TID != t.id || e.Op != op || e.Obj != obj || e.Status != st {
-		panic(fmt.Sprintf("%s in domain %d at op index %d: expected {T%d %v obj=%d(%s) %v}, executed {T%d %v obj=%d(%s) %v}",
-			ErrReplayDivergence, s.cfg.DomainID, s.replayPos,
+		panic(s.divergedLocked("expected {T%d %v obj=%d(%s) %v}, executed {T%d %v obj=%d(%s) %v}",
 			e.TID, e.Op, e.Obj, s.objName[e.Obj].String(), e.Status,
 			t.id, op, obj, s.objName[obj].String(), st))
 	}

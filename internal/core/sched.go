@@ -163,6 +163,7 @@ func (l objLabel) String() string {
 // New creates a scheduler with the given configuration; its policy stack is
 // the mode's base turn policy with the policies of cfg.Policies layered above.
 func New(cfg Config) *Scheduler {
+	cfg.NoLease = cfg.NoLease || noLeases
 	// objName and waitLists are created lazily: a Runtime constructs one
 	// scheduler per domain, and partitioned programs create domains in bulk.
 	s := &Scheduler{
@@ -175,6 +176,20 @@ func New(cfg Config) *Scheduler {
 	s.chooseIDs = s.chooseIDsInline[:0]
 	s.chooseCands = s.chooseCandsInline[:0]
 	return s
+}
+
+// noLeases makes New build every scheduler with Config.NoLease (DisableLeases).
+var noLeases bool
+
+// DisableLeases makes every scheduler New builds unleased, as if its
+// Config.NoLease were set, until the returned function restores the default.
+// It is a seam for tests and benchmarks that compare leased runs with
+// unleased ones through the root package, whose Config has no such field:
+// call it only while no run is in flight.
+func DisableLeases() (restore func()) {
+	old := noLeases
+	noLeases = true
+	return func() { noLeases = old }
 }
 
 // Inline backing sizes. A scheduler is built per run (the explorer and the
@@ -210,6 +225,13 @@ func (s *Scheduler) SetDeadlockHandler(fn func(msg string)) {
 	s.onDeadlock = fn
 }
 
+// DeadlockHandler returns the handler SetDeadlockHandler installed, nil if
+// none. The root package hands it cross-domain deadlocks as well.
+func (s *Scheduler) DeadlockHandler() func(msg string) {
+	defer s.unlock(s.lock())
+	return s.onDeadlock
+}
+
 // Register adds a new thread to the tail of the run queue and returns its
 // handle. Registration order determines thread IDs, so callers must register
 // deterministically: the main thread before any concurrency starts, children
@@ -229,7 +251,6 @@ func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
 	t.id = s.nextTID
 	t.name = name
 	t.sched = s
-	t.hosted = s.host != nil
 	t.queue = qRun
 	t.heapIdx = -1
 	s.nextTID++
@@ -300,7 +321,7 @@ func (s *Scheduler) GetTurn(t *Thread) {
 	if s.holder == t {
 		return
 	}
-	if t.exited {
+	if t.queue == qNone {
 		panic("core: GetTurn on exited thread " + t.String())
 	}
 	t.wantTurn = true
@@ -315,9 +336,10 @@ func (s *Scheduler) GetTurn(t *Thread) {
 // awaitGrant suspends t, which has asked for the turn, until grantLocked sets
 // its granted flag, and clears it. A hosted thread yields to, or is, its
 // run's driver (host.go); an unhosted one waits on granted, which releases mu
-// while it sleeps.
+// while it sleeps. Whether s is hosted cannot change under a thread of s
+// (see lock).
 func (s *Scheduler) awaitGrant(t *Thread) {
-	if t.hosted {
+	if s.host != nil {
 		s.host.await(s, t)
 		return
 	}
@@ -488,7 +510,6 @@ func (s *Scheduler) Exit(t *Thread) {
 	s.vMakespan = max(s.vMakespan, t.vtime)
 	s.removeRunnableLocked(t)
 	t.queue = qNone
-	t.exited = true
 	s.threads[t.id] = nil
 	s.live--
 	s.releaseTurnLocked()
@@ -823,7 +844,7 @@ func (s *Scheduler) grantLocked(e, self *Thread) {
 		panic(fmt.Sprintf("core: grant to %v which already has an unconsumed grant token\n%s", e, s.dumpLocked()))
 	}
 	e.granted = true
-	if !e.hosted {
+	if s.host == nil {
 		s.granted.Broadcast()
 	}
 }

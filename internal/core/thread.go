@@ -45,13 +45,13 @@ type Thread struct {
 	wantTurn bool
 
 	// granted is the grant token, set by grantLocked and cleared by the
-	// thread; hosted marks a thread of a hosted scheduler (host.go). Both
-	// sit in wantTurn's padding.
-	hosted, granted bool
+	// thread. It sits in wantTurn's padding.
+	granted bool
 
-	// queue is the queue currently containing the thread; qprev/qnext are
-	// the intrusive links chaining the thread into it: the run queue, the
-	// wake-up queue or, while queue == qWait, obj's wait list (see queue.go).
+	// queue is the queue currently containing the thread — qNone once it
+	// exited; qprev/qnext are the intrusive links chaining the thread into
+	// it: the run queue, the wake-up queue or, while queue == qWait, obj's
+	// wait list (see queue.go).
 	queue        queueKind
 	qprev, qnext *Thread
 
@@ -77,8 +77,6 @@ type Thread struct {
 	// vtime is the thread's virtual clock in work units (see the
 	// virtual-time model in core.go).
 	vtime int64
-
-	exited bool
 }
 
 // VTime returns the thread's current virtual clock.

@@ -4,12 +4,13 @@ import (
 	"testing"
 
 	"qithread"
+	"qithread/internal/core"
 	"qithread/internal/programs"
 )
 
 // TestLeaseTraceNeutral runs the full trace-compatibility matrix twice — once
 // with the scheduler's turn lease force-enabled (the default) and once
-// force-disabled (Config.NoTurnLease) — and asserts every fingerprint is
+// force-disabled (core.DisableLeases) — and asserts every fingerprint is
 // byte-identical. Together with TestTraceCompatibility (which checks the
 // leased build against the pre-lease golden file) this pins the lease's
 // trace-neutrality claim from both sides: leasing changes no schedule, no
@@ -27,10 +28,10 @@ func TestLeaseTraceNeutral(t *testing.T) {
 			if !deep[spec.Name] && !base[cc.Name] {
 				continue
 			}
-			off := cc.Cfg
-			off.NoTurnLease = true
 			onLine := fingerprintLine(spec, cc.Name, cc.Cfg)
-			offLine := fingerprintLine(spec, cc.Name, off)
+			restore := core.DisableLeases()
+			offLine := fingerprintLine(spec, cc.Name, cc.Cfg)
+			restore()
 			checked++
 			if onLine != offLine {
 				mismatched++

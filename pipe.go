@@ -2,6 +2,7 @@ package qithread
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"qithread/internal/core"
@@ -107,9 +108,11 @@ func (p *Pipe) Close(t *Thread) {
 // rendezvous points, not free-running queues: place them off the hot paths
 // (work distribution, result collection). Cross-domain deadlock — two
 // domains blocked on each other's pipes — is possible exactly as in a Kahn
-// process network; it is deterministic (every run hangs identically) but not
-// detected by the per-domain deadlock checkers, which see a turn-holding
-// thread as running.
+// process network, and as deterministic. The per-domain deadlock checkers
+// see a turn-holding thread as running, so the runtime detects it instead:
+// once every live domain waits in an XPipe, it reports the cycle, or the
+// chain ending at a domain that finished without serving its pipe (see
+// parkLocked). Nondet pipes are not checked.
 //
 // The buffer is a ring of capacity slots allocated once, so the steady-state
 // message path allocates nothing. In Nondet mode an XPipe is the same ring
@@ -132,6 +135,11 @@ type XPipe struct {
 	canRecv sync.Cond // receivers park here while the ring is short of their batch
 	sendW   int       // parked senders
 	recvW   int       // parked receivers
+
+	// The deterministic thread parked on each side, if any, for the
+	// cross-domain deadlock detector: set by the thread as it parks, cleared
+	// by the peer operation that wakes it, under rt.domMu as well.
+	sendT, recvT *core.Thread
 
 	ring   []message // capacity slots
 	head   int       // index of the oldest queued message
@@ -246,7 +254,7 @@ func (p *XPipe) SendAll(t *Thread, vs []any) int {
 			s.GetTurn(t.ct)
 			turn, vtime = s.TurnCount(), t.ct.VTime()
 		}
-		n := p.sendBatch(vs[sent:], turn, vtime)
+		n := p.sendBatch(t.ct, vs[sent:], turn, vtime)
 		if s != nil {
 			s.TraceOp(t.ct, core.OpXPipeSend, p.id, core.StatusOK)
 			t.release()
@@ -279,7 +287,7 @@ func (p *XPipe) RecvUpTo(t *Thread, dst []any) (n int, ok bool) {
 		s.GetTurn(t.ct)
 		turn = s.TurnCount()
 	}
-	n, vmax = p.recvBatch(dst, turn)
+	n, vmax = p.recvBatch(t.ct, dst, turn)
 	if s != nil {
 		t.ct.MeetVTime(vmax)
 		s.TraceOp(t.ct, core.OpXPipeRecv, p.id, core.StatusOK)
@@ -311,16 +319,160 @@ func (p *XPipe) close() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.closed = true
-	wake(&p.canSend, p.sendW)
-	wake(&p.canRecv, p.recvW)
+	p.wake(&p.canSend, p.sendW, &p.sendT)
+	p.wake(&p.canRecv, p.recvW, &p.recvT)
 }
 
-// wake wakes every waiter parked on c, if there are any. The caller holds
-// c.L.
-func wake(c *sync.Cond, parked int) {
+// wake wakes every waiter parked on c, if there are any, and clears the
+// side's parked deterministic thread (slot): from here on it is running. The
+// caller holds p.mu.
+func (p *XPipe) wake(c *sync.Cond, parked int, slot **core.Thread) {
 	if parked > 0 {
 		c.Broadcast()
+		if *slot != nil {
+			p.rt.domMu.Lock()
+			*slot = nil
+			p.rt.xparked--
+			p.rt.domMu.Unlock()
+		}
 	}
+}
+
+// wait parks the caller on c, one of the pipe's sides, until a peer operation
+// wakes it. A deterministic thread (ct, nil for a Nondet one) waits holding
+// its domain's turn, and with it the domain's one goroutine, so it is first
+// recorded in the side's slot. If that leaves every live domain of the
+// runtime waiting in an XPipe (parkLocked), wait takes the record back,
+// reports the deadlock (reportDeadlock, which releases p.mu around a
+// handler) and returns, for the caller to look at the pipe again: the next
+// wait parks for good. The caller holds p.mu.
+func (p *XPipe) wait(ct *core.Thread, c *sync.Cond, parked *int, slot **core.Thread) {
+	if ct != nil {
+		rt := p.rt
+		rt.domMu.Lock()
+		*slot = ct
+		rt.xparked++
+		msg := rt.parkLocked()
+		if msg != "" {
+			*slot = nil
+			rt.xparked--
+		}
+		rt.domMu.Unlock()
+		if msg != "" {
+			rt.reportDeadlock(msg, &p.mu)
+			return
+		}
+	}
+	*parked++
+	c.Wait()
+	*parked--
+}
+
+// reportDeadlock hands a cross-domain deadlock report to the default
+// domain's deadlock handler, with held, a lock the caller holds, released
+// around the call; without a handler it panics, held still held.
+func (rt *Runtime) reportDeadlock(msg string, held *sync.Mutex) {
+	h := rt.main.sched.DeadlockHandler()
+	if h == nil {
+		panic(msg)
+	}
+	if held != nil {
+		held.Unlock()
+		defer held.Lock()
+	}
+	h(msg)
+}
+
+// Cross-domain deadlock. A domain is live from its Launch (the default
+// domain from New) until its driver has drained it, and parked while one of
+// its threads waits in a deterministic XPipe operation: its one goroutine
+// waits there, and only a peer operation on that pipe, which clears the
+// parked slot as it wakes it, can end the wait. A domain waiting anywhere
+// else — an ingress source in Gateway.Admit, a helper's computation — is not
+// parked. So once every live domain is parked, none will run again. The
+// lock order is p.mu, then rt.domMu, which guards the live and parked counts,
+// every pipe's slots and Domain.drained; no pipe's mu is taken under
+// domMu.
+
+// parkLocked is the detector, run whenever a domain parks or finishes: if
+// that left every live domain parked, and the deadlock has not been reported
+// yet, it returns the report, and otherwise "". The report is a function of
+// where the domains wait, which by the Kahn argument does not depend on
+// which of them parked last: every parked domain in id order with its
+// thread, side and pipe, then from each in turn the walk along wait-for
+// edges (domain, pipe, peer domain) until it closes a cycle, reaches a
+// domain that is not live, or joins an earlier walk. The caller holds domMu.
+func (rt *Runtime) parkLocked() string {
+	if rt.xlive == 0 || rt.xparked != rt.xlive || rt.xreported {
+		return ""
+	}
+	rt.xreported = true
+	waits := make([]xwait, len(rt.domains))
+	for _, p := range rt.xpipes {
+		if p.sendT != nil {
+			waits[p.from.id] = xwait{p, p.sendT, true}
+		}
+		if p.recvT != nil {
+			waits[p.to.id] = xwait{p, p.recvT, false}
+		}
+	}
+	var b strings.Builder
+	b.WriteString("qithread: cross-domain deadlock: every live domain waits in an XPipe\n")
+	for id, w := range waits {
+		if w.p != nil {
+			fmt.Fprintf(&b, "  %v: %v\n", rt.domains[id], w)
+		}
+	}
+	walk := make([]int, len(waits)) // the walk that visited a domain, from 1
+	for start := range waits {
+		if waits[start].p == nil || walk[start] != 0 {
+			continue
+		}
+		d, last := rt.domains[start], xwait{}
+		path := d.String()
+		for walk[d.id] == 0 && waits[d.id].p != nil {
+			walk[d.id] = start + 1
+			last = waits[d.id]
+			d = last.peer()
+			path += " -> " + d.String()
+		}
+		switch {
+		case waits[d.id].p == nil && !d.drained:
+			fmt.Fprintf(&b, "  chain: %s, which was never launched\n", path)
+		case waits[d.id].p == nil && last.send:
+			fmt.Fprintf(&b, "  chain: %s, which finished without draining xpipe %q\n", path, last.p.name)
+		case waits[d.id].p == nil:
+			fmt.Fprintf(&b, "  chain: %s, which finished without closing xpipe %q\n", path, last.p.name)
+		case walk[d.id] == start+1:
+			fmt.Fprintf(&b, "  cycle: %s\n", path)
+		default:
+			fmt.Fprintf(&b, "  chain: %s, which waits as above\n", path)
+		}
+	}
+	return b.String()
+}
+
+// xwait is where a parked domain waits: the pipe, its thread there and the
+// side.
+type xwait struct {
+	p    *XPipe
+	t    *core.Thread
+	send bool
+}
+
+// peer is the domain whose operation on the pipe would end the wait.
+func (w xwait) peer() *Domain {
+	if w.send {
+		return w.p.to
+	}
+	return w.p.from
+}
+
+func (w xwait) String() string {
+	if w.send {
+		return fmt.Sprintf("%v sends on xpipe %q (#%d) to %v", w.t, w.p.name, w.p.id, w.p.to)
+	}
+	return fmt.Sprintf("%v receives on xpipe %q (#%d) from %v", w.t, w.p.name, w.p.id, w.p.from)
 }
 
 // sendBatch enqueues min(len(vs), capacity) messages as one boundary slot,
@@ -331,7 +483,7 @@ func wake(c *sync.Cond, parked int) {
 // only if the pipe was closed. A deterministic sender holds its domain's
 // turn throughout, so no close lands mid-batch and the batch size never
 // depends on the receiver's progress.
-func (p *XPipe) sendBatch(vs []any, turn, vtime int64) int {
+func (p *XPipe) sendBatch(ct *core.Thread, vs []any, turn, vtime int64) int {
 	k := min(len(vs), len(p.ring))
 	stamp := p.rt.det()
 	p.mu.Lock()
@@ -339,9 +491,7 @@ func (p *XPipe) sendBatch(vs []any, turn, vtime int64) int {
 	sent := 0
 	for sent < k {
 		for p.n == len(p.ring) && !p.closed {
-			p.sendW++
-			p.canSend.Wait()
-			p.sendW--
+			p.wait(ct, &p.canSend, &p.sendW, &p.sendT)
 		}
 		if p.closed {
 			break
@@ -356,7 +506,7 @@ func (p *XPipe) sendBatch(vs []any, turn, vtime int64) int {
 			p.ring[(p.head+p.n)%len(p.ring)] = message{v: vs[sent], seq: p.sendSeq, vtime: vtime, sendTurn: turn, sendXSeq: xseq}
 			p.n++
 		}
-		wake(&p.canRecv, p.recvW)
+		p.wake(&p.canRecv, p.recvW, &p.recvT)
 	}
 	return sent
 }
@@ -372,15 +522,13 @@ func (p *XPipe) sendBatch(vs []any, turn, vtime int64) int {
 // pipe id, message sequence, sender and receiver domain, send turn and xseq,
 // receive turn and xseq — so fingerprinting needs no log; the log is kept
 // only under Config.RetainDeliveryLog.
-func (p *XPipe) recvBatch(dst []any, turn int64) (n int, vmax int64) {
+func (p *XPipe) recvBatch(ct *core.Thread, dst []any, turn int64) (n int, vmax int64) {
 	want := min(len(dst), len(p.ring))
 	stamp := p.rt.det()
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.n < want && !p.closed {
-		p.recvW++
-		p.canRecv.Wait()
-		p.recvW--
+		p.wait(ct, &p.canRecv, &p.recvW, &p.recvT)
 	}
 	n = min(p.n, want)
 	for i := range dst[:n] {
@@ -407,7 +555,7 @@ func (p *XPipe) recvBatch(dst []any, turn int64) (n int, vmax int64) {
 	}
 	p.n -= n
 	if n > 0 {
-		wake(&p.canSend, p.sendW)
+		p.wake(&p.canSend, p.sendW, &p.sendT)
 	}
 	return n, vmax
 }

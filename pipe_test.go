@@ -370,23 +370,23 @@ func TestSendBatchEqualsSingleSends(t *testing.T) {
 		}
 
 		batched, pb := ringPipe(true, capacity)
-		if n := pb.sendBatch(vs, sendTurn, vtime); n != k {
+		if n := pb.sendBatch(nil, vs, sendTurn, vtime); n != k {
 			t.Fatalf("sendBatch sent %d, want %d", n, k)
 		}
 		dst := make([]any, k)
-		if n, vmax := pb.recvBatch(dst, recvTurn); n != k || vmax != vtime {
+		if n, vmax := pb.recvBatch(nil, dst, recvTurn); n != k || vmax != vtime {
 			t.Fatalf("recvBatch got (%d, vtime %d), want (%d, %d)", n, vmax, k, vtime)
 		}
 
 		single, ps := ringPipe(true, capacity)
 		for i := range vs {
-			if ps.sendBatch(vs[i:i+1], sendTurn, vtime) != 1 {
+			if ps.sendBatch(nil, vs[i:i+1], sendTurn, vtime) != 1 {
 				t.Fatal("single send failed")
 			}
 		}
 		for i := range vs {
 			var one [1]any
-			if n, _ := ps.recvBatch(one[:], recvTurn); n != 1 || one[0] != dst[i] {
+			if n, _ := ps.recvBatch(nil, one[:], recvTurn); n != 1 || one[0] != dst[i] {
 				t.Fatalf("single receive %d got (%d, %v), want (1, %v)", i, n, one[0], dst[i])
 			}
 		}
@@ -409,13 +409,13 @@ func TestSendBatchEqualsSingleSends(t *testing.T) {
 // (everything shipped before the close) and then report end-of-stream.
 func TestCloseUnderBlockedBatch(t *testing.T) {
 	_, p := ringPipe(true, 4)
-	if n := p.sendBatch([]any{"a", "b"}, 1, 0); n != 2 {
+	if n := p.sendBatch(nil, []any{"a", "b"}, 1, 0); n != 2 {
 		t.Fatalf("sendBatch sent %d, want 2", n)
 	}
 	got := make(chan []any, 1)
 	go func() {
 		dst := make([]any, 4) // wants 4, only 2 will ever arrive
-		n, _ := p.recvBatch(dst, 1)
+		n, _ := p.recvBatch(nil, dst, 1)
 		got <- dst[:n]
 	}()
 	for parked(p, &p.recvW) == 0 {
@@ -425,10 +425,10 @@ func TestCloseUnderBlockedBatch(t *testing.T) {
 	if vs := <-got; !reflect.DeepEqual(vs, []any{"a", "b"}) {
 		t.Fatalf("blocked receive returned %v, want the closed-remainder [a b]", vs)
 	}
-	if n, _ := p.recvBatch(make([]any, 4), 2); n != 0 {
+	if n, _ := p.recvBatch(nil, make([]any, 4), 2); n != 0 {
 		t.Fatalf("drained closed pipe delivered %d, want 0", n)
 	}
-	if n := p.sendBatch([]any{"c"}, 2, 0); n != 0 {
+	if n := p.sendBatch(nil, []any{"c"}, 2, 0); n != 0 {
 		t.Fatalf("sendBatch on a closed pipe sent %d, want 0", n)
 	}
 }
@@ -444,12 +444,12 @@ func TestDeliveryHashIncremental(t *testing.T) {
 	x := rt.NewXPipe("x", rt.Domain(0), b, 3)
 	y := rt.NewXPipe("y", b, rt.Domain(0), 2)
 
-	x.sendBatch([]any{1, 2, 3}, 1, 0)
-	x.recvBatch(make([]any, 3), 1)
-	y.sendBatch([]any{"r"}, 2, 0)
-	y.recvBatch(make([]any, 1), 2)
-	x.sendBatch([]any{4}, 3, 0)
-	x.recvBatch(make([]any, 1), 3)
+	x.sendBatch(nil, []any{1, 2, 3}, 1, 0)
+	x.recvBatch(nil, make([]any, 3), 1)
+	y.sendBatch(nil, []any{"r"}, 2, 0)
+	y.recvBatch(nil, make([]any, 1), 2)
+	x.sendBatch(nil, []any{4}, 3, 0)
+	x.recvBatch(nil, make([]any, 1), 3)
 
 	want := uint64(logio.FNVOffset64)
 	for _, p := range []*XPipe{x, y} {
@@ -607,5 +607,68 @@ func TestXPipeCloseUnderBlockedSendAll(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, []any{0, 1}) {
 		t.Errorf("received %v, want [0 1]: exactly what was enqueued before the close", got)
+	}
+}
+
+// TestXPipeDeadlockReported: domains that wait in XPipes on each other are a
+// deadlock the runtime reports, not a hang. Two launched domains that each
+// receive from the other before they send form a cycle; a main thread that
+// receives more than a finished domain sent it is the end of a chain. The
+// report goes to the default domain's deadlock handler from whichever
+// domain parked or finished last, and its text does not depend on which that
+// was. Closing the pipes from here then lets every domain finish, so the run
+// leaves no goroutine behind.
+func TestXPipeDeadlockReported(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		build func(rt *Runtime) (main func(*Thread), pipes []*XPipe)
+		want  string
+	}{
+		{"cycle", func(rt *Runtime) (func(*Thread), []*XPipe) {
+			a, b := rt.NewDomain("a"), rt.NewDomain("b")
+			ab, ba := rt.NewXPipe("ab", a, b, 1), rt.NewXPipe("ba", b, a, 1)
+			a.Start("ra", func(t *Thread) { ba.Recv(t); ab.Send(t, 1) })
+			b.Start("rb", func(t *Thread) { ab.Recv(t); ba.Send(t, 2) })
+			return func(*Thread) { a.Launch(); b.Launch() }, []*XPipe{ab, ba}
+		}, `qithread: cross-domain deadlock: every live domain waits in an XPipe
+  domain 1 (a): T0(ra) receives on xpipe "ba" (#2) from domain 2 (b)
+  domain 2 (b): T0(rb) receives on xpipe "ab" (#1) from domain 1 (a)
+  cycle: domain 1 (a) -> domain 2 (b) -> domain 1 (a)
+`},
+		{"chain", func(rt *Runtime) (func(*Thread), []*XPipe) {
+			b := rt.NewDomain("b")
+			x := rt.NewXPipe("x", b, rt.Domain(0), 1)
+			b.Start("rb", func(t *Thread) { x.Send(t, 1) })
+			return func(main *Thread) { b.Launch(); x.Recv(main); x.Recv(main) }, []*XPipe{x}
+		}, `qithread: cross-domain deadlock: every live domain waits in an XPipe
+  domain 0 (main): T0(main) receives on xpipe "x" (#1) from domain 1 (b)
+  chain: domain 0 (main) -> domain 1 (b), which finished without closing xpipe "x"
+`},
+	} {
+		rt := New(Config{Mode: RoundRobin})
+		main, pipes := c.build(rt)
+		report := make(chan string, 1)
+		rt.Scheduler().SetDeadlockHandler(func(msg string) { report <- msg })
+		done := make(chan struct{})
+		go func() {
+			rt.Run(main)
+			close(done)
+		}()
+		select {
+		case msg := <-report:
+			if msg != c.want {
+				t.Errorf("%s: report\n%s\nwant\n%s", c.name, msg, c.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: a cross-domain deadlock was never reported", c.name)
+		}
+		for _, p := range pipes {
+			p.close()
+		}
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the run did not finish once its pipes were closed", c.name)
+		}
 	}
 }

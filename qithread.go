@@ -120,12 +120,6 @@ type Config struct {
 	// Figure 8).
 	PCS bool
 
-	// NoTurnLease disables the scheduler's solo-thread turn lease (the
-	// amortized release path of internal/core). The lease is trace-neutral,
-	// so this switch exists for determinism tests and for isolating lease
-	// effects in benchmarks, not for production use.
-	NoTurnLease bool
-
 	// Record enables schedule tracing for determinism and stability
 	// analysis.
 	Record bool

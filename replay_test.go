@@ -271,7 +271,8 @@ func TestServerReplayTraces(t *testing.T) {
 // TestReplayDivergenceDetected: replaying a schedule against a different
 // program panics with a divergence diagnostic at the first mismatch, and the
 // diagnostic is actionable on its own — it names the domain, the op index,
-// and the expected-vs-executed operations with their objects. A schedule
+// and the expected-vs-executed operations with their objects, and dumps the
+// scheduler's queues like every other divergence. A schedule
 // explorer replays thousands of schedules; "which op, expected what, got
 // what" must not require re-running under a debugger.
 func TestReplayDivergenceDetected(t *testing.T) {
@@ -296,6 +297,8 @@ func TestReplayDivergenceDetected(t *testing.T) {
 			"expected {T0 " + recorded[1].Op.String(),
 			"executed {T0 lock",
 			"mutex:other",
+			"holder=T0(main)", // the scheduler state follows the reason
+			"runQ: T0(main)",
 		} {
 			if !strings.Contains(msg, want) {
 				t.Fatalf("divergence diagnostic missing %q:\n%s", want, msg)

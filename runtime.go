@@ -29,6 +29,12 @@ type Runtime struct {
 
 	wg      sync.WaitGroup
 	nthread atomic.Int64 // total threads ever created (diagnostics); Create bumps it from any domain
+
+	// The cross-domain deadlock detector's state (pipe.go), under domMu: the
+	// live domains, how many of them are parked in an XPipe, and whether the
+	// deadlock they then form was reported.
+	xlive, xparked int32
+	xreported      bool
 }
 
 // New creates a runtime with the given configuration.
@@ -55,6 +61,9 @@ func New(cfg Config) *Runtime {
 		}
 	}
 	rt := &Runtime{cfg: cfg}
+	if cfg.Mode.Deterministic() {
+		rt.xlive = 1 // the default domain, until Run's drain
+	}
 	rt.domains = rt.domain0[:0]
 	rt.xpipes = rt.xpipe0[:0]
 	rt.gateways = rt.gateway0[:0]
@@ -95,8 +104,7 @@ func (rt *Runtime) addDomain(d *Domain, name string) *Domain {
 		d.sched = core.New(core.Config{
 			Mode: mode, Policies: cfg.Policies, Record: cfg.Record,
 			Sink: sink, SuspendRecording: cfg.Resume != nil,
-			DomainID: id, NoLease: cfg.NoTurnLease,
-			Chooser: d.chooser,
+			DomainID: id, Chooser: d.chooser,
 		})
 		d.stack = d.sched.Stack()
 	}

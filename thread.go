@@ -157,7 +157,8 @@ func (t *Thread) Join(c *Thread) {
 }
 
 // exit ends the thread: thread_end is traced, joiners are woken, the thread
-// leaves the scheduler for good, and a driver runs its domain's other threads.
+// leaves the scheduler for good, and a driver runs its domain's other threads
+// and then counts the domain finished.
 func (t *Thread) exit() {
 	if !t.rt.det() {
 		t.done = true
@@ -178,6 +179,7 @@ func (t *Thread) exit() {
 	s.Exit(t.ct)
 	if t.ct.Drives() {
 		s.DrainHosted()
+		t.dom.finished()
 	}
 }
 
