@@ -43,9 +43,10 @@ loc:
 # package the arm pairs of BenchmarkMechanismLockUnlock (native vs turn, lease
 # vs none, the policy hooks' cost: EXPERIMENTS.md E9/E13/E18), E14's
 # parked-population rows, PCT throughput with a long DPOR search's memory,
-# E21's worker scaling and BenchmarkWorkOffload's inline against offloaded
+# E21's worker scaling, BenchmarkWorkOffload's inline against offloaded
 # Work at 16 to 1,024 units, the measurement the offload threshold rests on
-# (E44); in internal/logio the fingerprint fold in its event
+# (E44), and BenchmarkCreateJoinLive's 64 live threads each joined while it
+# runs (E46); in internal/logio the fingerprint fold in its event
 # and delivery shapes (E42); in internal/ingress one admission slot with an
 # empty queue and behind a standing backlog, whose difference is the admission
 # queue's copy compaction (E43). Compare arms within one run, never against a

@@ -15,6 +15,8 @@
 //   - BenchmarkWorkOffload        — a Work computed inline against one handed
 //     to a helper beside a runnable partner: the measurement the offload
 //     threshold rests on.
+//   - BenchmarkCreateJoinLive     — 64 threads live at once, each joined
+//     while it still runs: a thread's construction cost with a blocking join.
 //
 // The explorer's rows are in explore_bench_test.go. What a hosted sync op
 // allocates is not timed but counted: TestSyncOpsAllocateNothing, which
@@ -388,4 +390,34 @@ func BenchmarkWorkOffload(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkCreateJoinLive measures a thread's construction cost where it is
+// largest: 64 threads created back to back under KeepTurn, so all of them
+// live at once, then each joined while it is still running — it waits on a
+// semaphore that main posts just before the join — so every join blocks. One
+// op is one batch of 64; ns/thread is comparable with the traced
+// wrappers.create_join_us, whose joins never block.
+func BenchmarkCreateJoinLive(b *testing.B) {
+	const threads = 64
+	rt := qithread.New(qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies})
+	rt.Run(func(main *qithread.Thread) {
+		gate := rt.NewSem(main, "gate", 0)
+		body := func(w *qithread.Thread) { gate.Wait(w) }
+		var kids [threads]*qithread.Thread
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k := range kids {
+				main.KeepTurn()
+				kids[k] = main.Create("w", body)
+			}
+			for _, k := range kids {
+				gate.Post(main)
+				main.Join(k)
+			}
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*threads), "ns/thread")
+	})
 }

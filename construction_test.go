@@ -13,17 +13,23 @@ import (
 // executions: the minimum discards an execution that a background goroutine
 // of an earlier test (or the GC's own bookkeeping) allocated into.
 func minMallocs(run func()) uint64 {
-	best := ^uint64(0)
+	n, _ := minAllocs(run)
+	return n
+}
+
+// minAllocs is minMallocs with the bytes allocated, each the minimum over the
+// five executions.
+func minAllocs(run func()) (mallocs, bytes uint64) {
+	mallocs, bytes = ^uint64(0), ^uint64(0)
 	for i := 0; i < 5; i++ {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		run()
 		runtime.ReadMemStats(&after)
-		if n := after.Mallocs - before.Mallocs; n < best {
-			best = n
-		}
+		mallocs = min(mallocs, after.Mallocs-before.Mallocs)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
 	}
-	return best
+	return mallocs, bytes
 }
 
 // TestRecordSizesPinned: the benchmark's byte metrics are sums of allocation
@@ -81,21 +87,24 @@ func TestRecordSizesPinned(t *testing.T) {
 
 // TestThreadAllocBudget: the construction budget of DESIGN.md §4.13. A
 // thread is one heap record — the Thread, with the scheduler's queue node
-// embedded and registered in place — plus whatever the scheduler's maps and
-// tables amortize to; its coroutine comes from the free list, its body
-// reaches it without a closure, and its join object's map entries are
-// released when it exits. With the free list warm, the marginal cost of one
-// more created-and-joined thread is therefore at most 1.5 allocations. The
-// free list is a bounded channel, not a sync.Pool, so the count is exact
-// under -race too.
+// embedded and registered in place — plus whatever the scheduler's thread
+// table amortizes to; its coroutine comes from the free list, its body
+// reaches it without a closure, and its join object is an id on the node, not
+// a map entry. With the free list warm, the marginal cost of one more thread
+// is therefore at most 1.5 allocations whether or not its joiner blocks (an
+// exiting thread's emptied wait list is the next join's), and a thread that
+// lives beside the others costs its record and its table slot, at most 256 B.
+// The free lists are bounded channels, not sync.Pools, so the counts are
+// exact under -race too.
 func TestThreadAllocBudget(t *testing.T) {
-	const (
-		small, large = 32, 64
-		maxPerThread = 1.5
-	)
-	run := func(threads int) {
-		rt := New(Config{Mode: RoundRobin, Policies: AllPolicies})
-		rt.Run(func(main *Thread) {
+	const small, large = 32, 64
+	for _, c := range []struct {
+		name  string
+		body  func(main *Thread, threads int)
+		bytes bool    // budget bytes rather than allocations
+		max   float64 // per extra thread
+	}{
+		{"created and joined", func(main *Thread, threads int) {
 			var kids [large]*Thread
 			for i := 0; i < threads; i++ {
 				kids[i] = main.Create("w", func(*Thread) {})
@@ -103,15 +112,42 @@ func TestThreadAllocBudget(t *testing.T) {
 			for i := 0; i < threads; i++ {
 				main.Join(kids[i])
 			}
+		}, false, 1.5},
+		{"joiner blocks", func(main *Thread, threads int) {
+			for i := 0; i < threads; i++ {
+				main.Join(main.Create("w", func(*Thread) {}))
+			}
+		}, false, 1.5},
+		{"live at once", func(main *Thread, threads int) {
+			var kids [large]*Thread
+			for i := 0; i < threads; i++ {
+				main.KeepTurn()
+				kids[i] = main.Create("w", func(*Thread) {})
+			}
+			for i := 0; i < threads; i++ {
+				main.Join(kids[i])
+			}
+		}, true, 256},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			run := func(threads int) func() {
+				return func() {
+					New(Config{Mode: RoundRobin, Policies: AllPolicies}).Run(func(main *Thread) { c.body(main, threads) })
+				}
+			}
+			run(large)() // fill the coroutine free list
+			loN, loB := minAllocs(run(small))
+			hiN, hiB := minAllocs(run(large))
+			lo, hi, unit := float64(loN), float64(hiN), "allocs"
+			if c.bytes {
+				lo, hi, unit = float64(loB), float64(hiB), "B"
+			}
+			perThread := (hi - lo) / (large - small)
+			t.Logf("New+Run with %d threads: %.0f %s, with %d: %.0f — %.2f per extra thread", small, lo, unit, large, hi, perThread)
+			if perThread > c.max {
+				t.Fatalf("%.2f %s per extra thread, want <= %.1f", perThread, unit, c.max)
+			}
 		})
-	}
-	allocs := func(threads int) uint64 { return minMallocs(func() { run(threads) }) }
-	run(large) // fill the coroutine free list
-	lo, hi := allocs(small), allocs(large)
-	perThread := (float64(hi) - float64(lo)) / (large - small)
-	t.Logf("New+Run with %d threads: %d allocs, with %d: %d — %.2f per extra thread", small, lo, large, hi, perThread)
-	if perThread > maxPerThread {
-		t.Fatalf("%.2f allocations per extra created-and-joined thread, want <= %.1f", perThread, maxPerThread)
 	}
 }
 

@@ -102,7 +102,7 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 		// Blocked without a timeout: no future action can make it eligible —
 		// the executions have diverged.
 		panic(s.divergedLocked("expected T%d to run %v but it is blocked on %s#%d",
-			want, s.replay[s.replayPos].Op, s.objName[t.obj].String(), t.obj))
+			want, s.replay[s.replayPos].Op, s.labelLocked(t.obj), t.obj))
 	}
 	panic(s.divergedLocked("expected T%d to run %v but it has exited", want, s.replay[s.replayPos].Op))
 }
@@ -122,8 +122,8 @@ func (s *Scheduler) verifyReplayLocked(t *Thread, op OpKind, obj uint64, st Even
 	e := s.replay[s.replayPos]
 	if e.TID != t.id || e.Op != op || e.Obj != obj || e.Status != st {
 		panic(s.divergedLocked("expected {T%d %v obj=%d(%s) %v}, executed {T%d %v obj=%d(%s) %v}",
-			e.TID, e.Op, e.Obj, s.objName[e.Obj].String(), e.Status,
-			t.id, op, obj, s.objName[obj].String(), st))
+			e.TID, e.Op, e.Obj, s.labelLocked(e.Obj), e.Status,
+			t.id, op, obj, s.labelLocked(obj), st))
 	}
 	s.replayPos++
 	return s.replayPos - 1

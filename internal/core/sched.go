@@ -49,13 +49,18 @@ type Scheduler struct {
 	// Signal and the per-object waiter count are O(1) and Broadcast is
 	// O(waiters on that object). Emptied lists stay in the map — objects are
 	// waited on repeatedly, and re-allocating the list every time the last
-	// waiter leaves is measurable churn on broadcast-heavy workloads — and are
-	// released by DestroyObject. Every wrapper object is destroyed by its
-	// owner, a thread's join object by the thread's own exit, so the map is
-	// bounded by live objects (TestThreadChurnRetention in the root package).
-	waitLists map[uint64]*tqueue
-	nWaiting  int    // total blocked threads across all wait lists
-	waitSeq   uint64 // global FIFO park order, the heap's deadline tie-break
+	// waiter leaves is measurable churn on broadcast-heavy workloads — until
+	// DestroyObject moves them to spareLists, where waitListFor finds them
+	// before it allocates. Every wrapper object is destroyed by its owner, a
+	// thread's join object by the thread's own exit, so the map is bounded by
+	// live objects (TestThreadChurnRetention in the root package), and a
+	// program that joins threads one after another blocks every joiner on the
+	// same recycled list.
+	waitLists  map[uint64]*tqueue
+	spareLists [spareWaitLists]*tqueue
+	nSpare     int
+	nWaiting   int    // total blocked threads across all wait lists
+	waitSeq    uint64 // global FIFO park order, the heap's deadline tie-break
 
 	// timers indexes timed waiters by (deadline, seq): expiry is an O(1)
 	// peek per turn advance and the idle-time jump reads the heap top.
@@ -64,9 +69,13 @@ type Scheduler struct {
 	// turn is logical time: completed scheduling turns (Stats.Turns).
 	turn int64
 
+	// nextObj numbers every object, wrapper objects and threads' join
+	// objects alike. objName labels the wrapper objects only: a join object
+	// is named by its thread (labelLocked), so creating a thread adds no map
+	// entry.
 	nextTID int
 	nextObj uint64
-	objName map[uint64]objLabel // lazily created on first NewObject
+	objName map[uint64]objLabel // lazily created on first NewObjectKind
 
 	// threads maps thread ID → *Thread for O(1) replay-eligibility lookups.
 	// Entries are cleared on Exit so long-running programs do not accumulate
@@ -202,6 +211,11 @@ const (
 	inlineCands   = 3
 )
 
+// spareWaitLists bounds the emptied wait lists a scheduler keeps for reuse
+// (spareLists): enough for the few objects a program retires between two
+// blocking waits, not a cache of every list it ever made.
+const spareWaitLists = 4
+
 // Stack returns the scheduler's policy stack.
 func (s *Scheduler) Stack() *policy.Stack { return &s.stack }
 
@@ -283,20 +297,57 @@ func (s *Scheduler) NewObjectKind(kind, name string) uint64 {
 	return id
 }
 
+// NewJoinObject allocates t's join object, the object its joiners wait on,
+// from the same counter as NewObject, and records it in t (JoinObject). It
+// stores no label: reports name the object "thread:" + t's name for as long as
+// t lives (labelLocked). Call it right after registering t, under the same
+// ordering rules as NewObject.
+func (s *Scheduler) NewJoinObject(t *Thread) {
+	defer s.unlock(s.lock())
+	s.nextObj++
+	t.joinObj = s.nextObj
+}
+
 // DestroyObject releases the scheduler bookkeeping of a retired
 // synchronization object: its debugging name and its (empty) wait-list
 // entry, so long-running programs that create and destroy objects do not
-// accumulate map entries. Destroying an object with blocked waiters is a
-// program bug (as in pthreads); the wait list is then kept so the waiters
-// remain wakeable and diagnosable. The caller must hold the turn, which the
-// wrappers' Destroy methods guarantee.
+// accumulate map entries; the emptied list is kept for reuse (spareLists).
+// Destroying an object with blocked waiters is a program bug (as in pthreads);
+// the wait list is then kept so the waiters remain wakeable and diagnosable.
+// A join object is retired only by its own exiting thread, and is unnamed
+// from then on. The caller must hold the turn, which the wrappers' Destroy
+// methods guarantee.
 func (s *Scheduler) DestroyObject(t *Thread, obj uint64) {
 	defer s.unlock(s.lock())
 	s.requireTurnLocked(t, "DestroyObject")
-	delete(s.objName, obj)
+	if obj == t.joinObj {
+		t.joinGone = true // t exits: only a thread retires its join object
+	} else {
+		delete(s.objName, obj)
+	}
 	if q := s.waitLists[obj]; q != nil && q.len() == 0 {
 		delete(s.waitLists, obj)
+		if s.nSpare < len(s.spareLists) {
+			s.spareLists[s.nSpare] = q
+			s.nSpare++
+		}
 	}
+}
+
+// labelLocked renders obj's debugging name for reports: a wrapper object's
+// stored label, "thread:" + name for a live thread's join object not yet
+// retired (found by scanning the thread table: only reports ask), and the
+// empty string for an object that is retired or was never allocated.
+func (s *Scheduler) labelLocked(obj uint64) string {
+	if l, ok := s.objName[obj]; ok {
+		return l.String()
+	}
+	for _, t := range s.threads {
+		if obj != 0 && t != nil && t.joinObj == obj && !t.joinGone {
+			return "thread:" + t.name
+		}
+	}
+	return ""
 }
 
 // TurnCount returns the number of completed scheduling turns, the logical
@@ -541,12 +592,17 @@ func (s *Scheduler) requireTurnLocked(t *Thread, op string) {
 	}
 }
 
-// waitListFor returns the wait list of obj, creating it (and the lazily
-// allocated map) on first use.
+// waitListFor returns the wait list of obj, on first use a spare one or a new
+// one (and the lazily allocated map).
 func (s *Scheduler) waitListFor(obj uint64) *tqueue {
 	q := s.waitLists[obj]
 	if q == nil {
-		q = &tqueue{}
+		if s.nSpare > 0 {
+			s.nSpare--
+			q, s.spareLists[s.nSpare] = s.spareLists[s.nSpare], nil
+		} else {
+			q = &tqueue{}
+		}
 		if s.waitLists == nil {
 			s.waitLists = make(map[uint64]*tqueue)
 		}
@@ -893,7 +949,7 @@ func (s *Scheduler) dumpLocked() string {
 		if s.waitLists[k].head == nil {
 			continue // retained-but-empty list: no blocked threads to report
 		}
-		fmt.Fprintf(&b, "  waitQ[%s#%d]: %s\n", s.objName[k].String(), k, threadNames(s.waitLists[k]))
+		fmt.Fprintf(&b, "  waitQ[%s#%d]: %s\n", s.labelLocked(k), k, threadNames(s.waitLists[k]))
 	}
 	return b.String()
 }

@@ -45,8 +45,15 @@ type Thread struct {
 	wantTurn bool
 
 	// granted is the grant token, set by grantLocked and cleared by the
-	// thread. It sits in wantTurn's padding.
+	// thread. It sits in wantTurn's padding, as do waitStatus and joinGone.
 	granted bool
+
+	// waitStatus records how the most recent Wait completed.
+	waitStatus WaitStatus
+
+	// joinGone is set when DestroyObject retires joinObj: from then on
+	// reports render the object like any other retired one, unnamed.
+	joinGone bool
 
 	// queue is the queue currently containing the thread — qNone once it
 	// exited; qprev/qnext are the intrusive links chaining the thread into
@@ -68,8 +75,11 @@ type Thread struct {
 	// zero value is "no lease").
 	pstate policy.PerThread
 
-	// waitStatus records how the most recent Wait completed.
-	waitStatus WaitStatus
+	// joinObj is the object the thread's joiners wait on and its exit
+	// broadcasts (NewJoinObject), 0 for a thread nobody can join. The
+	// scheduler stores no label for it: labelLocked renders "thread:" + name
+	// from the thread itself.
+	joinObj uint64
 
 	// clock is the logical instruction clock used by LogicalClock mode.
 	clock int64
@@ -102,6 +112,10 @@ func (t *Thread) ID() int { return t.id }
 
 // Name returns the debugging name given at registration.
 func (t *Thread) Name() string { return t.name }
+
+// JoinObject returns the id of the thread's join object, 0 if NewJoinObject
+// never gave it one.
+func (t *Thread) JoinObject() uint64 { return t.joinObj }
 
 // Clock returns the thread's current logical instruction clock.
 func (t *Thread) Clock() int64 { return t.clock }

@@ -18,19 +18,19 @@ const raceBaselineFP = "f29c9ec81c5a0678+cbf29ce484222325+6789de4"
 // TestExploredRunAllocBudget holds one search run of the seeded control-plane
 // race — untraced and on a frontier entry, as the DPOR pool executes it; here
 // the entry that forces the default schedule — to the construction budget of
-// DESIGN.md §4.13: 41 allocations, of which 21 are the run's scaffolding (3),
-// its fingerprint (3), the gateway (2) and the cell (13), and 20 the runtime
+// DESIGN.md §4.13: 40 allocations, of which 20 are the run's scaffolding (3),
+// its fingerprint (2), the gateway (2) and the cell (13), and 20 the runtime
 // (3), two more threads, four sync objects, the object-name table (2), seven
 // wait lists, the chooser and its log. The run is hosted: its scaffold, its
 // host record and the coroutines its two created threads run on all come from
-// bounded channel free lists, so once those are warm
-// the count is exact, under -race too; the bound leaves
-// room for the test's own bookkeeping, not for one more allocation per run.
-// The parent of the PR that set the budget read 71.
+// bounded channel free lists, so once those are warm the count is exact,
+// under -race too, and the budget is that count. The parent of the PR that
+// set the first budget read 71; the fingerprint stopped copying the domain
+// list at 41.
 func TestExploredRunAllocBudget(t *testing.T) {
 	const (
 		runs   = 200
-		budget = 42
+		budget = 40
 	)
 	p := Lookup("controlplane-race")
 	base := RunForced(p, nil, testWatchdog)

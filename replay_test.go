@@ -365,3 +365,79 @@ func TestReplayRequiresDeterministicMode(t *testing.T) {
 	}()
 	New(Config{Mode: Nondet, Replay: []Event{{}}})
 }
+
+// TestJoinObjectLabels pins how reports name a thread's join object:
+// `thread:<name>`, rendered from the live thread rather than stored beside
+// the wrapper objects' labels. A seeded deadlock's report lists the blocked
+// join's wait list under that label, and a replay that departs from its
+// recording at a join names the thread in the expected operation — unless
+// the thread has already retired the object on its way out.
+func TestJoinObjectLabels(t *testing.T) {
+	t.Run("deadlock", func(t *testing.T) {
+		defer func() {
+			msg, _ := recover().(string)
+			for _, want := range []string{
+				"core: deterministic deadlock",
+				"  waitQ[mutex:m#1]: T1(stuck)\n",
+				"  waitQ[thread:stuck#2]: T0(main)\n",
+			} {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("deadlock report missing %q:\n%s", want, msg)
+				}
+			}
+		}()
+		rt := New(Config{Mode: RoundRobin})
+		rt.Run(func(main *Thread) {
+			m := rt.NewMutex(main, "m")
+			m.Lock(main)
+			main.Join(main.Create("stuck", func(w *Thread) { m.Lock(w) }))
+		})
+		t.Fatal("a join on a thread blocked for good ran to completion")
+	})
+	t.Run("divergence", func(t *testing.T) {
+		// kid yields before it exits, so main's join finds it alive.
+		program := func(rt *Runtime, join bool) {
+			rt.Run(func(main *Thread) {
+				kid := main.Create("kid", func(w *Thread) { w.Yield(); w.Yield() })
+				if join {
+					main.Join(kid)
+				} else {
+					main.Yield()
+				}
+			})
+		}
+		rec := New(Config{Mode: RoundRobin, Record: true})
+		program(rec, true)
+		defer func() {
+			msg, _ := recover().(string)
+			for _, want := range []string{
+				core.ErrReplayDivergence,
+				"expected {T0 join obj=1(thread:kid) blocks}, executed {T0 yield obj=0() }",
+			} {
+				if !strings.Contains(msg, want) {
+					t.Fatalf("divergence diagnostic missing %q:\n%s", want, msg)
+				}
+			}
+		}()
+		program(New(Config{Mode: RoundRobin, Replay: rec.Trace()}), false)
+		t.Fatal("a replay that yields where the recording joins ran to completion")
+	})
+	t.Run("retired", func(t *testing.T) {
+		// The schedule has kid join its own join object where kid exits: by
+		// then kid's exit has destroyed the object, so it has no name.
+		defer func() {
+			msg, _ := recover().(string)
+			want := "expected {T1 join obj=1() blocks}, executed {T1 thread_end obj=0() }"
+			if !strings.Contains(msg, want) {
+				t.Fatalf("divergence diagnostic missing %q:\n%s", want, msg)
+			}
+		}()
+		rt := New(Config{Mode: RoundRobin, Replay: []Event{
+			{TID: 0, Op: core.OpCreate, Obj: 1},
+			{TID: 1, Op: core.OpThreadBegin},
+			{TID: 1, Op: core.OpJoin, Obj: 1, Status: core.StatusBlocked},
+		}})
+		rt.Run(func(main *Thread) { main.Join(main.Create("kid", func(*Thread) {})) })
+		t.Fatal("a replay that joins where the program exits ran to completion")
+	})
+}

@@ -138,11 +138,14 @@ func (rt *Runtime) NumDomains() int {
 }
 
 // registered snapshots one of the runtime's lists under domMu: the domains in
-// id order, the XPipes or the gateways in creation order.
+// id order, the XPipes or the gateways in creation order. The lists are only
+// ever appended to, so the snapshot is a view of the list capped at its
+// length, not a copy: later appends write past its end or into a new array,
+// and an append to the view copies.
 func registered[T any](rt *Runtime, list *[]T) []T {
 	rt.domMu.Lock()
 	defer rt.domMu.Unlock()
-	return append([]T(nil), *list...)
+	return (*list)[:len(*list):len(*list)]
 }
 
 // VirtualMakespan returns the critical-path estimate of the program's

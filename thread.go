@@ -43,8 +43,8 @@ type Thread struct {
 
 	// join state. done is written by the exiting thread and read by joiners;
 	// in deterministic modes both happen under the turn, in Nondet mode the
-	// nondetDone channel provides the ordering.
-	joinObj    uint64
+	// nondetDone channel provides the ordering. The object joiners wait on is
+	// node's join object (core.Thread.JoinObject).
 	done       bool
 	nondetDone chan struct{}
 }
@@ -79,7 +79,7 @@ func (t *Thread) Create(name string, fn func(*Thread)) *Thread {
 	s := t.dom.sched
 	s.GetTurn(t.ct)
 	child.register()
-	s.TraceOp(t.ct, core.OpCreate, child.joinObj, core.StatusOK)
+	s.TraceOp(t.ct, core.OpCreate, child.node.JoinObject(), core.StatusOK)
 	// The child's virtual clock starts at the creator's current virtual
 	// time (it cannot have computed anything earlier).
 	child.ct.SetVTime(t.ct.VTime())
@@ -91,12 +91,13 @@ func (t *Thread) Create(name string, fn func(*Thread)) *Thread {
 
 // register enters a Created or Launched thread into its domain's scheduler —
 // in place, the scheduler links the embedded node into its queues — and
-// allocates the object its joiners wait on. Registration order fixes thread
-// IDs, so callers hold the turn or run before the domain starts.
+// allocates the object its joiners wait on, which the node holds.
+// Registration order fixes thread IDs, so callers hold the turn or run before
+// the domain starts.
 func (t *Thread) register() {
 	s := t.dom.sched
 	t.ct = s.RegisterIn(&t.node, t.name)
-	t.joinObj = s.NewObjectKind("thread:", t.name)
+	s.NewJoinObject(t.ct)
 }
 
 // spawn starts t's body: on a coroutine of its domain's driver for a
@@ -152,7 +153,7 @@ func (t *Thread) Join(c *Thread) {
 		return
 	}
 	s.GetTurn(t.ct)
-	t.await(s, core.OpJoin, c.joinObj, func() bool { return c.done })
+	t.await(s, core.OpJoin, c.node.JoinObject(), func() bool { return c.done })
 	t.release()
 }
 
@@ -168,12 +169,12 @@ func (t *Thread) exit() {
 	s := t.dom.sched
 	s.GetTurn(t.ct)
 	t.done = true
-	if t.joinObj != 0 {
-		s.Broadcast(t.ct, t.joinObj)
+	if obj := t.node.JoinObject(); obj != 0 {
+		s.Broadcast(t.ct, obj)
 		// Nobody waits on an exited thread (Join checks done first), so the
-		// join object's name and drained wait list go now rather than
-		// accumulating one entry per thread ever created.
-		s.DestroyObject(t.ct, t.joinObj)
+		// join object's drained wait list goes now, to be reused, rather than
+		// one map entry accumulating per thread ever created.
+		s.DestroyObject(t.ct, obj)
 	}
 	s.TraceOp(t.ct, core.OpThreadEnd, 0, core.StatusOK)
 	s.Exit(t.ct)
