@@ -49,11 +49,13 @@ loc:
 # runs (E46); in internal/logio the fingerprint fold in its event
 # and delivery shapes (E42); in internal/ingress one admission slot with an
 # empty queue and behind a standing backlog, whose difference is the admission
-# queue's copy compaction (E43). Compare arms within one run, never against a
-# number recorded on another day.
+# queue's copy compaction (E43), and BenchmarkLogLoad's 200k-event v2b ingress
+# log load, whose allocs/op count slabs, not batches (E47); in internal/trace
+# BenchmarkScheduleLoad's 100k-event schedule in the text and binary formats.
+# Compare arms within one run, never against a number recorded on another day.
 .PHONY: bench
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count 5 -benchtime 1s . ./internal/logio ./internal/ingress
+	$(GO) test -run '^$$' -bench . -benchmem -count 5 -benchtime 1s . ./internal/logio ./internal/ingress ./internal/trace
 
 # E19 million-event soak: streaming (bounded-memory) record of a ~2M-event
 # ingress run with epoch checkpoints, then binary-vs-text size and load-time

@@ -155,7 +155,11 @@ func (d *Domain) finished() {
 }
 
 // Trace returns the domain's recorded schedule (empty unless Config.Record;
-// nil in Nondet mode). Event sequence numbers are domain-local.
+// nil in Nondet mode). Event sequence numbers are domain-local. After a
+// replay that recorded nothing beyond the schedule passed to SetReplay, the
+// result may be that schedule itself (len == cap, so an append copies): it is
+// read-only under the same borrow contract as SetReplay. See
+// core.Scheduler.Trace.
 func (d *Domain) Trace() []Event {
 	if d.sched == nil {
 		return nil
@@ -179,8 +183,9 @@ func (d *Domain) TurnCount() int64 {
 // partitioned execution replays from one recording per domain (the
 // cross-domain delivery values are reproduced by the sender domains
 // replaying, not by the log). Like Config.Replay, events is borrowed, not
-// copied, and the domain's trace keeps the replayed prefix by reference: do
-// not modify it until the run has ended and its traces have been read.
+// copied, and the domain's trace keeps the replayed prefix by reference (Trace
+// may return events itself): do not modify it while the run replays it or a
+// trace of the run is in use.
 func (d *Domain) SetReplay(events []Event) {
 	if d.sched == nil {
 		panic("qithread: Domain.SetReplay requires a deterministic Mode")

@@ -27,9 +27,10 @@ const ErrReplayDivergence = "core: replay divergence"
 // reads it, so one loaded schedule may be enforced by any number of
 // schedulers at once. A recording scheduler also retains the verified prefix
 // of schedule by reference instead of copying it into its trace (traceLog),
-// so the caller must not modify schedule until every run replaying it has
-// ended and its traces have been read. An empty schedule enforces nothing
-// and leaves replay off.
+// and Trace may return schedule's prefix itself, so the caller must not
+// modify schedule while a run replays it or a trace read from such a run is
+// in use, nor modify such a trace. An empty schedule enforces nothing and
+// leaves replay off.
 func (s *Scheduler) SetReplay(schedule []Event) {
 	defer s.unlock(s.lock())
 	if s.nextTID != 0 {

@@ -226,20 +226,26 @@ const (
 // Seq their position and Domain the scheduler's. The first event that is not
 // the next one of the recording — the replay ran out, recording was muted for
 // a replayed op, the trace did not start at position 0 — goes to the chunks,
-// and from then on every event does.
+// and from then on every event does. relabeled records that some borrowed
+// event of the recording carries another Seq or Domain than the trace gives
+// it, so the recording itself cannot stand in for the trace.
 type traceLog struct {
-	borrowed int
-	full     [][]Event
-	cur      []Event
+	borrowed  int
+	relabeled bool
+	full      [][]Event
+	cur       []Event
 }
 
-// borrow retains the event at trace position seq by counting it, and reports
-// whether it could: the event must be the replay's event at index replayed,
+// borrow retains e, the event at trace position e.Seq, by counting it, and
+// reports whether it could: e must be the replay's event at index replayed,
 // just verified equal to it (-1 when the op was not replayed), and every
-// event retained so far must be borrowed, seq of them.
-func (l *traceLog) borrow(seq int64, replayed int) bool {
-	if len(l.cur) > 0 || replayed != l.borrowed || seq != int64(l.borrowed) {
+// event retained so far must be borrowed, e.Seq of them.
+func (l *traceLog) borrow(e Event, replay []Event, replayed int) bool {
+	if len(l.cur) > 0 || replayed != l.borrowed || e.Seq != int64(l.borrowed) {
 		return false
+	}
+	if r := replay[replayed]; r.Seq != e.Seq || r.Domain != e.Domain {
+		l.relabeled = true
 	}
 	l.borrowed++
 	return true
@@ -259,7 +265,10 @@ func (l *traceLog) append(e Event) {
 
 // flatten returns the retained events as one exactly-sized slice, nil when
 // nothing is retained. replay is the schedule the borrowed events come from
-// and domain the id they are recorded under.
+// and domain the id they are recorded under. When the trace is all borrowed
+// and the schedule's events already read as the trace's, the result is the
+// schedule's own prefix, capacity-limited so an append cannot reach the rest
+// of it; otherwise it is a copy.
 func (l *traceLog) flatten(replay []Event, domain int) []Event {
 	n := l.borrowed + len(l.cur)
 	for _, c := range l.full {
@@ -267,6 +276,9 @@ func (l *traceLog) flatten(replay []Event, domain int) []Event {
 	}
 	if n == 0 {
 		return nil
+	}
+	if n == l.borrowed && !l.relabeled {
+		return replay[:n:n]
 	}
 	out := make([]Event, 0, n)
 	for i, e := range replay[:l.borrowed] {
@@ -314,7 +326,7 @@ func (s *Scheduler) TraceOp(t *Thread, op OpKind, obj uint64, st EventStatus) {
 		}
 		return
 	}
-	if !s.trace.borrow(e.Seq, replayed) {
+	if !s.trace.borrow(e, s.replay, replayed) {
 		s.trace.append(e)
 	}
 }
@@ -335,12 +347,16 @@ func (s *Scheduler) traceVTime(t *Thread) {
 	s.vLastOp = t.vtime
 }
 
-// Trace returns a copy of the recorded schedule, flattened into one slice
-// the caller owns. It returns nil when nothing is retained: recording is off,
-// no event has been recorded yet, or the run streams (Config.Sink) — then the
-// sink's log and the running TraceHash are the record. A replaying
-// scheduler's trace starts with the verified prefix of the schedule it
-// replays, read from that schedule here (see SetReplay).
+// Trace returns the recorded schedule as one slice. It returns nil when
+// nothing is retained: recording is off, no event has been recorded yet, or
+// the run streams (Config.Sink) — then the sink's log and the running
+// TraceHash are the record. A replaying scheduler's trace starts with the
+// verified prefix of the schedule it replays (see SetReplay). When the whole
+// trace is that prefix and the schedule's events already carry their
+// positions as Seq and this scheduler's DomainID, the result is the schedule
+// itself, len == cap: it is read-only under the same borrow contract as
+// SetReplay, and an append to it copies. Otherwise the result is a fresh
+// copy the caller owns.
 func (s *Scheduler) Trace() []Event {
 	defer s.unlock(s.lock())
 	return s.trace.flatten(s.replay, s.cfg.DomainID)

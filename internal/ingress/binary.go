@@ -97,11 +97,36 @@ func (l *Log) SaveBinary(w io.Writer) error {
 	return bw.Close()
 }
 
+// Loaded batches share their backing arrays: each frame is copied into a
+// payload slab and each batch's events are taken from an event slab, so a
+// load allocates per slab, not per frame. Slabs double from the first
+// frame's needs up to these sizes (64 KiB each; a bigger frame gets a slab of
+// its own size), so a small log allocates less than one full slab.
+const (
+	payloadSlabMax = 64 << 10
+	eventSlabMax   = 2048
+)
+
+// take returns a capacity-limited view of the next n elements of *slab, so an
+// append to the view reallocates instead of overwriting a neighbour. When
+// fewer than n elements are left, *slab is first replaced by a fresh slab
+// twice the size of the last one, capped at limit and never below n.
+func take[T any](slab *[]T, n, limit int) []T {
+	s := *slab
+	if cap(s)-len(s) < n {
+		s = make([]T, 0, max(n, min(2*cap(s), limit)))
+	}
+	*slab = s[:len(s)+n]
+	return s[len(s) : len(s)+n : len(s)+n]
+}
+
 // loadLogBinary reads the frames of a v2b log; LoadLog has consumed the
 // header line.
 func loadLogBinary(br *bufio.Reader) (*Log, error) {
 	fr := logio.NewFrameReader(br)
 	l := &Log{}
+	var payloads []byte
+	var events []Event
 	epoch := int64(0)
 	for {
 		payload, err := fr.Next()
@@ -113,16 +138,17 @@ func loadLogBinary(br *bufio.Reader) (*Log, error) {
 			return nil, fmt.Errorf("ingress: batch frame %d: %w", frame, err)
 		}
 		// The reader reuses its buffer and events outlive it, so the frame is
-		// copied once and every event's Data is a view into that copy —
-		// capacity-limited, so a consumer's append cannot reach a neighbour.
-		payload = append([]byte(nil), payload...)
+		// copied once, into the payload slab, and every event's Data is a
+		// capacity-limited view into that copy.
+		payload = append(take(&payloads, len(payload), payloadSlabMax)[:0], payload...)
 		d := logio.NewDec(payload)
 		// A delta that overflows int64 wraps to an epoch at or below the
 		// previous one, which checkBatch refuses like a zero delta.
 		next := epoch + int64(d.Uvarint())
 		count := d.Uvarint()
 		// Every event takes at least the source and length varints, so a
-		// count beyond half the payload is corruption.
+		// count beyond half the payload is corruption. Only a count within
+		// that bound may size the event slab.
 		if count > uint64(len(payload))/2 {
 			return nil, fmt.Errorf("ingress: batch frame %d: implausible event count %d for a %d-byte frame", frame, count, len(payload))
 		}
@@ -130,8 +156,8 @@ func loadLogBinary(br *bufio.Reader) (*Log, error) {
 			return nil, fmt.Errorf("ingress: batch frame %d: %w", frame, err)
 		}
 		epoch = next
-		b := Batch{Epoch: epoch, Events: make([]Event, 0, count)}
-		for i := uint64(0); i < count; i++ {
+		b := Batch{Epoch: epoch, Events: take(&events, int(count), eventSlabMax)}
+		for i := range b.Events {
 			src := d.Uvarint()
 			if err := checkSource(int64(src)); err != nil { // past int64 wraps negative: refused either way
 				return nil, fmt.Errorf("ingress: batch frame %d: %w", frame, err)
@@ -141,11 +167,10 @@ func loadLogBinary(br *bufio.Reader) (*Log, error) {
 			if d.Err() != nil {
 				return nil, fmt.Errorf("ingress: batch frame %d: %w", frame, d.Err())
 			}
-			var data []byte
 			if n > 0 {
-				data = raw[:n:n]
+				b.Events[i].Data = raw[:n:n]
 			}
-			b.Events = append(b.Events, Event{Source: int(src), Data: data})
+			b.Events[i].Source = int(src)
 		}
 		if d.Len() != 0 {
 			return nil, fmt.Errorf("ingress: batch frame %d: %d trailing bytes after %d events", frame, d.Len(), count)

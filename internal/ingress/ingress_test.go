@@ -115,6 +115,7 @@ func TestLoadLogStrict(t *testing.T) {
 		{"zero epoch delta", v2bLog([]uint64{1, 1, 0, 0}, []uint64{0, 1, 0, 0}), "batch frame 1: epoch 1 out of order"},
 		{"truncated batch", v2bLog([]uint64{1, 2, 0, 0}), "batch frame 0"},
 		{"hostile count", v2bLog([]uint64{1, 1000000000000000, 0, 0}), "implausible event count"},
+		{"most plausible count", v2bLog(mostPlausibleCount()), "batch frame 0: logio: corrupt record: bad varint"},
 		{"source past int32", v2bLog([]uint64{1, 1, 1099511627776, 0}), "bad source id 1099511627776"},
 		{"trailing bytes", v2bLog([]uint64{1, 1, 0, 0, 7}), "1 trailing bytes"},
 		// One 10-byte frame and the terminator, then a second file's bytes.

@@ -141,8 +141,9 @@ type Config struct {
 	// The runtime borrows the slice instead of copying it: it is only read,
 	// so one loaded schedule can drive several runtimes at once, and a
 	// recording run's trace keeps the replayed prefix by reference instead
-	// of a second copy. It must not be modified until every run replaying it
-	// has ended and its traces have been read.
+	// of a second copy; Runtime.Trace may return the slice itself. It must
+	// not be modified while a run replays it or a trace of such a run is in
+	// use.
 	Replay []Event
 
 	// StreamTrace, when non-nil, puts recording into streaming mode: each

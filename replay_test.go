@@ -268,6 +268,120 @@ func TestServerReplayTraces(t *testing.T) {
 	}
 }
 
+// TestReplayTraceIsTheSchedule: after a fully verified replay of loaded
+// binary schedules, the default domain's and a launched domain's Trace() is
+// the loaded schedule itself — same backing array, len == cap — and still
+// equals the recording, so an append copies instead of writing into the
+// schedule. Where the trace is not exactly the schedule, Trace() is a fresh
+// copy (a second call returns another array) equal to the recording: a replay
+// that ran out with recording continuing, a schedule whose borrowed events
+// carry another Seq or Domain, and a run resumed from a checkpoint.
+func TestReplayTraceIsTheSchedule(t *testing.T) {
+	sameArray := func(a, b []Event) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
+	fresh := func(what string, trace func() []Event, want []Event) {
+		t.Helper()
+		got := trace()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: Trace() has %d events, the recording %d, or they differ", what, len(got), len(want))
+		}
+		if sameArray(got, trace()) {
+			t.Fatalf("%s: two Trace() calls returned one array, want a fresh copy each", what)
+		}
+	}
+
+	recorded, recordedLog := serverShape(nil, nil)
+	var logFile bytes.Buffer
+	if err := recordedLog.SaveBinary(&logFile); err != nil {
+		t.Fatal(err)
+	}
+	log, err := LoadIngressLog(&logFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded := make([][]Event, len(recorded))
+	for d, tr := range recorded {
+		var file bytes.Buffer
+		if err := trace.SaveBinary(&file, tr); err != nil {
+			t.Fatal(err)
+		}
+		if loaded[d], err = trace.Load(&file); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pristine := make([][]Event, len(loaded))
+	for d := range loaded {
+		pristine[d] = slices.Clone(loaded[d])
+	}
+	replayed, _ := serverShape(log, loaded)
+	for _, d := range []int{0, 1} { // the default domain and a launched one
+		got := replayed[d]
+		if !sameArray(got, loaded[d]) || len(got) != cap(got) || !slices.Equal(got, recorded[d]) {
+			t.Fatalf("domain %d: Trace() (%d events, cap %d) is not the %d-event schedule it replayed, or differs from the recording",
+				d, len(got), cap(got), len(loaded[d]))
+		}
+		_ = append(got, Event{TID: 99, Op: core.OpYield})
+		if !slices.Equal(loaded[d], pristine[d]) {
+			t.Fatalf("domain %d: appending to Trace() modified the schedule", d)
+		}
+	}
+
+	rec := New(Config{Mode: RoundRobin, Policies: AllPolicies, Record: true})
+	replayProgram(rec)
+	want := rec.Trace()
+	for name, schedule := range map[string][]Event{
+		"replay ran out": slices.Clone(want[:len(want)/2]),
+		"other Seq":      slices.Clone(want),
+		"other Domain":   slices.Clone(want),
+	} {
+		switch name {
+		case "other Seq":
+			schedule[len(schedule)/2].Seq = -1
+		case "other Domain":
+			schedule[len(schedule)/2].Domain = 7
+		}
+		rep := New(Config{Mode: RoundRobin, Policies: AllPolicies, Record: true, Replay: schedule})
+		replayProgram(rep)
+		fresh(name, rep.Trace, want)
+	}
+
+	// The resumed run re-creates the mutex, resumes at the checkpoint and
+	// retains only what follows it: the recording's tail.
+	var cp *Checkpoint
+	program := func(rt *Runtime, resume bool) {
+		rt.Run(func(main *Thread) {
+			m := rt.NewMutex(main, "m")
+			if resume {
+				if err := rt.Resume(main); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				for range 3 {
+					m.Lock(main)
+					m.Unlock(main)
+				}
+				var err error
+				if cp, err = rt.Checkpoint(main, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for range 4 {
+				m.Lock(main)
+				m.Unlock(main)
+			}
+		})
+	}
+	full := New(Config{Mode: RoundRobin, Record: true})
+	program(full, false)
+	whole := full.Trace()
+	resumed := New(Config{Mode: RoundRobin, Record: true, Resume: cp})
+	program(resumed, true)
+	n := len(resumed.Trace())
+	if n == 0 || n >= len(whole) {
+		t.Fatalf("resumed checkpoint: traced %d events of the recording's %d", n, len(whole))
+	}
+	fresh("resumed checkpoint", resumed.Trace, whole[len(whole)-n:])
+}
+
 // TestReplayDivergenceDetected: replaying a schedule against a different
 // program panics with a divergence diagnostic at the first mismatch, and the
 // diagnostic is actionable on its own — it names the domain, the op index,

@@ -208,7 +208,10 @@ func (rt *Runtime) Run(main func(t *Thread)) {
 // Trace returns the default domain's recorded schedule (empty unless
 // Config.Record). For other domains use Domain.Trace; for a whole
 // partitioned execution use Fingerprint. Call it after Run returns or from a
-// thread of the default domain.
+// thread of the default domain. After a replay that recorded nothing beyond
+// Config.Replay, the result may be Config.Replay itself (len == cap, so an
+// append copies): it is read-only under the same borrow contract as
+// Config.Replay.
 func (rt *Runtime) Trace() []Event { return rt.main.Trace() }
 
 // Fingerprint condenses a partitioned execution for determinism checking:
