@@ -51,11 +51,14 @@ loc:
 # empty queue and behind a standing backlog, whose difference is the admission
 # queue's copy compaction (E43), and BenchmarkLogLoad's 200k-event v2b ingress
 # log load, whose allocs/op count slabs, not batches (E47); in internal/trace
-# BenchmarkScheduleLoad's 100k-event schedule in the text and binary formats.
+# BenchmarkScheduleLoad's 100k-event schedule in the text and binary formats;
+# in internal/explore BenchmarkExploreRun's B/op for one untraced search run
+# of controlplane-race and for one 150-decision expand, the explorer's own
+# cost per explored schedule (E48).
 # Compare arms within one run, never against a number recorded on another day.
 .PHONY: bench
 bench:
-	$(GO) test -run '^$$' -bench . -benchmem -count 5 -benchtime 1s . ./internal/logio ./internal/ingress ./internal/trace
+	$(GO) test -run '^$$' -bench . -benchmem -count 5 -benchtime 1s . ./internal/logio ./internal/ingress ./internal/trace ./internal/explore
 
 # E19 million-event soak: streaming (bounded-memory) record of a ~2M-event
 # ingress run with epoch checkpoints, then binary-vs-text size and load-time

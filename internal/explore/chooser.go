@@ -1,18 +1,69 @@
 package explore
 
 import (
+	"math"
 	"sync"
 
 	"qithread/internal/core"
 )
 
+// decision is one resolved choice point as the explorer keeps it: a
+// core.Choice in the width the search needs, 16 bytes to the Choice's 32. A
+// run's decision log, every frontier entry's shared prefix and every
+// minimization probe are []decision; a []core.Choice is made only where one
+// crosses the package's API (Result.Choices, Minimize, the repro files).
+type decision struct {
+	n, def, index int32
+	kind          core.ChoiceKind
+}
+
+// logged packs a consultation's values for the log. Counts and indices come
+// from in-memory candidate lists, and the on-disk formats bound them to int32
+// already (trace.ParseChoice). One that still does not fit is saturated, not
+// wrapped: no logged count exceeds MaxInt32, so a saturated index is out of
+// range of every count the log holds, and a forced prefix or a replay takes
+// the default there, as for any out-of-range index.
+func logged(kind core.ChoiceKind, n, def, idx int) decision {
+	return decision{n: clamp32(n), def: clamp32(def), index: clamp32(idx), kind: kind}
+}
+
+func clamp32(v int) int32 {
+	return int32(max(min(v, math.MaxInt32), math.MinInt32))
+}
+
+// choicesOf spells a decision log out as the API's []core.Choice (nil for an
+// empty log).
+func choicesOf(log []decision) []core.Choice {
+	if len(log) == 0 {
+		return nil
+	}
+	out := make([]core.Choice, len(log))
+	for i, d := range log {
+		out[i] = core.Choice{Kind: d.kind, N: int(d.n), Def: int(d.def), Index: int(d.index)}
+	}
+	return out
+}
+
+// decisionsOf packs a caller's []core.Choice (logged says what becomes of a
+// value past int32).
+func decisionsOf(choices []core.Choice) []decision {
+	if len(choices) == 0 {
+		return nil
+	}
+	out := make([]decision, len(choices))
+	for i, c := range choices {
+		out[i] = logged(c.Kind, c.N, c.Def, c.Index)
+	}
+	return out
+}
+
 // alignment is the per-decision context a pathChooser records alongside the
-// replayable Choices when a run is traced: the domain-local trace position at
+// replayable decisions when a run is traced: the domain-local trace position at
 // each decision moment (-1 when the consultation site did not supply one)
 // and, for turn choices, the candidate thread ids in enumeration order. It
 // never leaves the process — it exists to align decisions with trace events
 // for happens-before flip pruning (hb.go); the persisted frontier and repro
-// formats carry only the Choice quad, so results directories stay
+// formats carry only the decision quad, so results directories stay
 // byte-compatible.
 type alignment struct {
 	at  []choiceMeta
@@ -44,7 +95,7 @@ func (a *alignment) turnIDs(i int) []int {
 type pathChooser struct {
 	mu     sync.Mutex
 	forced flip
-	log    []core.Choice
+	log    []decision
 	align  *alignment // nil: the run records no alignment
 }
 
@@ -70,7 +121,7 @@ func (c *pathChooser) ChooseAt(pos int64, kind core.ChoiceKind, ids []int, n, de
 			idx = f
 		}
 	}
-	c.log = append(c.log, core.Choice{Kind: kind, N: n, Def: def, Index: idx})
+	c.log = append(c.log, logged(kind, n, def, idx))
 	if a := c.align; a != nil {
 		m := choiceMeta{pos: pos}
 		if kind == core.ChooseTurn {
@@ -86,7 +137,7 @@ func (c *pathChooser) ChooseAt(pos int64, kind core.ChoiceKind, ids []int, n, de
 // Log returns the decisions resolved so far without copying them: the slice
 // is capped at its length, so a straggling consultation (a hung run's threads
 // are still live) reallocates instead of writing into what the caller holds.
-func (c *pathChooser) Log() []core.Choice {
+func (c *pathChooser) Log() []decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.log[:len(c.log):len(c.log)]
@@ -170,7 +221,7 @@ type pctChooser struct {
 	change map[int]bool // decision positions where a change point fires
 	low    uint64       // descending priorities handed out at change points
 	pos    int
-	log    []core.Choice
+	log    []decision
 }
 
 // newPCTChooser draws d change points in [0, horizon) from the seed.
@@ -226,14 +277,14 @@ func (c *pctChooser) Choose(kind core.ChoiceKind, ids []int, n, def int) int {
 		idx = int(c.next() % uint64(n))
 	}
 	c.pos++
-	c.log = append(c.log, core.Choice{Kind: kind, N: n, Def: def, Index: idx})
+	c.log = append(c.log, logged(kind, n, def, idx))
 	return idx
 }
 
 // Log returns the decisions resolved so far (copy-free, like
 // pathChooser.Log); a PCT run's log makes it branchable and reproducible
 // exactly like a DPOR run's.
-func (c *pctChooser) Log() []core.Choice {
+func (c *pctChooser) Log() []decision {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.log[:len(c.log):len(c.log)]

@@ -40,7 +40,7 @@ func TestChoiceDeterminismQuick(t *testing.T) {
 				// decision log is the complete forced prefix of the run.
 				walk := newPCTChooser(seed, int(d%4)+1, 64)
 				first := runOnce(p, nil, walk, 10*time.Second, true)
-				first.Choices = walk.Log()
+				first.Choices = choicesOf(walk.Log())
 				if first.Outcome != OutcomeOK {
 					t.Fatalf("seed %#x: wakerace is correct under every schedule, got %s (%s)", seed, first.Outcome, first.Err)
 				}

@@ -157,8 +157,11 @@ type Result struct {
 	// the search's own untraced runs (see runPath).
 	Trace []core.Event
 	// Choices is the full decision log the run resolved, forced prefix
-	// included — the other half of a repro file.
+	// included — the other half of a repro file. The search's own runs leave
+	// it nil and keep only log; RunForced, ReplayRepro and Minimize fill it.
 	Choices []core.Choice
+	// log is the decision log as the search keeps it (chooser.go).
+	log []decision
 	// meta aligns each decision with the recorded trace (position, turn
 	// candidates) for happens-before flip pruning; empty for untraced runs.
 	// In-memory only — never persisted, so results directories stay
@@ -176,7 +179,9 @@ const DefaultWatchdog = 5 * time.Second
 // the baseline run (all defaults — the execution the unhooked runtime would
 // produce).
 func RunForced(p *Program, forced []core.Choice, watchdog time.Duration) Result {
-	return runPath(p, prefixFlip(forced), watchdog, true)
+	res := runPath(p, prefixFlip(decisionsOf(forced)), len(forced), watchdog, true)
+	res.Choices = choicesOf(res.log)
+	return res
 }
 
 // runPath is RunForced on a frontier entry. An untraced run is what the
@@ -185,23 +190,35 @@ func RunForced(p *Program, forced []core.Choice, watchdog time.Duration) Result 
 // log — so it retains no event trace and records no alignment. Traced runs
 // are for whoever needs the events: a repro file, the HB pruner.
 //
-// The decision log is sized up front from the log the entry was flipped from,
-// with a little headroom — sibling runs drift by a few decisions — so append
-// neither copies the log as it grows nor leaves the frontier, which retains
-// the log of every expanded run, holding a half-empty doubling.
-func runPath(p *Program, f flip, watchdog time.Duration, traced bool) Result {
+// The decision log is allocated once, for size decisions with a little
+// headroom: size is the length of the log the entry was flipped from (a
+// minimization probe passes the failing run's), and sibling runs drift by a
+// few decisions. So append neither copies the log as it grows nor leaves the
+// frontier, which retains the log of every expanded run, holding a half-empty
+// doubling.
+func runPath(p *Program, f flip, size int, watchdog time.Duration, traced bool) Result {
 	ch := &pathChooser{forced: f}
-	if n := f.logLen(); n > 0 {
-		ch.log = make([]core.Choice, 0, n+n/8+8)
+	if size > 0 {
+		size += size/8 + 8
+		ch.log = make([]decision, 0, size)
 	}
 	if traced {
 		ch.align = &alignment{}
 	}
 	res := runOnce(p, nil, ch, watchdog, traced)
-	res.Choices = ch.Log()
+	res.log = ch.Log()
 	res.meta = ch.Alignment()
+	if testHookLogCap != nil {
+		ch.mu.Lock()
+		testHookLogCap(size, cap(ch.log))
+		ch.mu.Unlock()
+	}
 	return res
 }
+
+// testHookLogCap, when set by a test, is handed the capacity runPath sized a
+// run's decision log for and the capacity it ended with.
+var testHookLogCap func(sized, final int)
 
 // discardSink puts a scheduler into streaming-record mode with nowhere to
 // stream to: the running trace hash is maintained, no event is retained.

@@ -1,9 +1,13 @@
 package explore
 
 import (
+	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
+	"unsafe"
 
+	"qithread/internal/core"
 	"qithread/internal/trace"
 )
 
@@ -157,5 +161,74 @@ func TestSessionResume(t *testing.T) {
 	}
 	if s2.Runs() != 10 {
 		t.Fatalf("second invocation ended at %d total runs, want 10", s2.Runs())
+	}
+}
+
+// TestDecisionIs16Bytes: a logged decision is half a core.Choice. Every run's
+// log, every expanded run's log the frontier shares and every minimization
+// probe's log is a slice of them.
+func TestDecisionIs16Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(decision{}); got != 16 {
+		t.Errorf("decision is %d bytes, want 16", got)
+	}
+}
+
+// TestMinimizeProbesSizedOnce: every minimization probe of a failing
+// controlplane-race run ends with the decision log it was allocated, sized
+// for the failing run's log — not one regrown by doubling from its prefix.
+func TestMinimizeProbesSizedOnce(t *testing.T) {
+	p := Lookup("controlplane-race")
+	failing := firstSingleFlipFailure(t, p)
+	type caps struct{ sized, final int }
+	var probes []caps
+	testHookLogCap = func(sized, final int) { probes = append(probes, caps{sized, final}) }
+	defer func() { testHookLogCap = nil }()
+	_, final, runs := Minimize(p, failing, testWatchdog)
+	if !final.Outcome.Failure() {
+		t.Fatalf("minimized to %s, want a failure", final.Outcome)
+	}
+	if len(probes) != runs || runs == 0 {
+		t.Fatalf("%d probes seen for %d minimization runs", len(probes), runs)
+	}
+	for i, c := range probes {
+		if c.final != c.sized || c.sized < len(failing.Choices) {
+			t.Errorf("probe %d: log sized %d for a %d-decision failing run, ended at capacity %d", i, c.sized, len(failing.Choices), c.final)
+		}
+	}
+}
+
+// firstSingleFlipFailure returns the first failing run among the single-flip
+// perturbations of p's default schedule.
+func firstSingleFlipFailure(t *testing.T, p *Program) Result {
+	t.Helper()
+	base := RunForced(p, nil, testWatchdog)
+	for i, d := range base.Choices {
+		for alt := 0; alt < d.N; alt++ {
+			if alt == d.Index {
+				continue
+			}
+			prefix := append(append([]core.Choice(nil), base.Choices[:i]...), core.Choice{Kind: d.Kind, N: d.N, Def: d.Def, Index: alt})
+			if res := RunForced(p, prefix, testWatchdog); res.Outcome.Failure() {
+				return res
+			}
+		}
+	}
+	t.Fatalf("no single flip of %s's default schedule fails", p.Name)
+	return Result{}
+}
+
+// TestCSVEscapeCutsOnRune: runs.csv's err column is cut at 200 bytes, and a
+// multi-byte rune straddling the cut is dropped whole rather than split.
+func TestCSVEscapeCutsOnRune(t *testing.T) {
+	msg := strings.Repeat("a", 199) + "é…"
+	got := csvEscape(msg)
+	if !utf8.ValidString(got) {
+		t.Fatalf("csvEscape(199 ASCII bytes + %q) = %q, not valid UTF-8", "é…", got[190:])
+	}
+	if want := strings.Repeat("a", 199) + "..."; got != want {
+		t.Errorf("csvEscape cut to %q, want %q", got[190:], want[190:])
+	}
+	if got := csvEscape("a,b\nc"); got != "a;b\\nc" {
+		t.Errorf("csvEscape(%q) = %q", "a,b\nc", got)
 	}
 }

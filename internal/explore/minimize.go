@@ -28,38 +28,43 @@ import (
 // minimization costs O(log n + flips) runs; only the verifying run is traced
 // — the search probes are judged by their outcome alone.
 func Minimize(p *Program, failing Result, watchdog time.Duration) ([]core.Choice, Result, int) {
-	full := failing.Choices
+	min, final, runs := minimize(p, decisionsOf(failing.Choices), failing.Outcome, watchdog)
+	final.Choices = choicesOf(final.log)
+	return choicesOf(min), final, runs
+}
+
+// minimize is Minimize on the decision log the search keeps. Every probe
+// resolves about as many decisions as the failing run did, so each one's log
+// is sized for len(full) up front (runPath), not regrown from its prefix.
+func minimize(p *Program, full []decision, outcome Outcome, watchdog time.Duration) ([]decision, Result, int) {
 	runs := 0
-	sameFailure := func(r Result) bool {
-		return r.Outcome == failing.Outcome
-	}
-	run := func(candidate []core.Choice, traced bool) (Result, bool) {
+	run := func(candidate []decision, traced bool) (Result, bool) {
 		runs++
-		r := runPath(p, prefixFlip(candidate), watchdog, traced)
-		return r, sameFailure(r)
+		r := runPath(p, prefixFlip(candidate), len(full), watchdog, traced)
+		return r, r.Outcome == outcome
 	}
-	probe := func(candidate []core.Choice) bool {
+	probe := func(candidate []decision) bool {
 		_, fails := run(candidate, false)
 		return fails
 	}
 
 	// Binary search the shortest failing cut of the full log.
 	k := sort.Search(len(full), func(k int) bool { return probe(full[:k]) })
-	min := append([]core.Choice(nil), full[:k]...)
+	min := append([]decision(nil), full[:k]...)
 	if !probe(min) {
 		// Non-monotone failure boundary: keep the exact full log.
-		min = append([]core.Choice(nil), full...)
+		min = append([]decision(nil), full...)
 	}
 
 	// Greedily revert perturbed decisions to the policy default.
 	for i := range min {
-		if min[i].Index == min[i].Def {
+		if min[i].index == min[i].def {
 			continue
 		}
-		saved := min[i].Index
-		min[i].Index = min[i].Def
+		saved := min[i].index
+		min[i].index = min[i].def
 		if !probe(min) {
-			min[i].Index = saved
+			min[i].index = saved
 		}
 	}
 
@@ -67,7 +72,7 @@ func Minimize(p *Program, failing Result, watchdog time.Duration) ([]core.Choice
 	if !fails {
 		// Minimization must never lose the bug: fall back to the full log,
 		// which reproduced by construction.
-		min = append([]core.Choice(nil), full...)
+		min = append([]decision(nil), full...)
 		final, _ = run(min, true)
 	}
 	return min, final, runs

@@ -73,7 +73,7 @@ func (s *Session) runDPORPool(budget, maxDepth int) error {
 		active++
 		s.mu.Unlock()
 
-		res := runPath(s.P, f, s.Watchdog, s.HB)
+		res := runPath(s.P, f, f.logLen(), s.Watchdog, s.HB)
 
 		s.mu.Lock()
 		id, isNew := s.recordLocked("dpor", f.depth(), res)
@@ -124,7 +124,7 @@ func (s *Session) runPCTPool(budget, d int, seed uint64, horizon int) error {
 
 		ch := newPCTChooser(seed^uint64(i+1)*0x9e3779b97f4a7c15, d, horizon)
 		res := runOnce(s.P, nil, ch, s.Watchdog, false)
-		res.Choices = ch.Log()
+		res.log = ch.Log()
 
 		s.mu.Lock()
 		id, isNew := s.recordLocked("pct", d, res)
@@ -136,7 +136,7 @@ func (s *Session) runPCTPool(budget, d int, seed uint64, horizon int) error {
 		if isNew && res.Outcome.Failure() {
 			// A PCT run is minimized from its own decision log: the log is a
 			// complete forced prefix reproducing the walk without the PRNG.
-			if err := s.minimizeAndEmit(len(res.Choices), res, id); err != nil {
+			if err := s.minimizeAndEmit(len(res.log), res, id); err != nil {
 				s.mu.Lock()
 				next = budget // stops the other workers
 				s.mu.Unlock()

@@ -161,14 +161,24 @@ func TestResumeEquivalence(t *testing.T) {
 // 20): 300 runs, the ordered (outcome, fingerprint, decision count) of every
 // one folded into a hash, and the failure count. The budget-120 goldens above
 // stop before most of the failures; this runs into them and through their
-// minimizations.
+// minimizations. The frontier.txt the search leaves is pinned byte for byte
+// too, its sum recorded while the queue still held 16-byte flips: a pair read
+// under the wrong span's log changes it.
 func TestExploreOrderPinned(t *testing.T) {
 	const (
 		wantOrder    = "73ccc762384470c06b26d3925533c997eea5d0308c48d1dae5fb9b81c26a0288"
+		wantFrontier = "774de68a7ac3e317bae73bba2c99e293e048a63b1da56bb84a048c32eb1aa4d7"
 		wantFailures = 10
 	)
 	dir := t.TempDir()
 	s := exploreSerial(t, Lookup("controlplane-race"), dir, 300)
+	frontier, err := os.ReadFile(filepath.Join(dir, frontierFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(frontier); hex.EncodeToString(sum[:]) != wantFrontier {
+		t.Errorf("frontier.txt (%d B) sha256 %x, want %s", len(frontier), sum, wantFrontier)
+	}
 	data, err := os.ReadFile(filepath.Join(dir, runsFile))
 	if err != nil {
 		t.Fatal(err)

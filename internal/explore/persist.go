@@ -173,7 +173,7 @@ func (s *Session) writeRepro(name string, final Result) (string, error) {
 		return "", fmt.Errorf("explore: repro file: %w", err)
 	}
 	defer f.Close()
-	if err := trace.SaveExplored(f, final.Trace, final.Choices); err != nil {
+	if err := trace.SaveExplored(f, final.Trace, choicesOf(final.log)); err != nil {
 		return "", fmt.Errorf("explore: repro file: %w", err)
 	}
 	return path, nil
@@ -203,7 +203,7 @@ func (s *Session) load() error {
 		for _, r := range res.Repros {
 			s.repros = append(s.repros, r.Path)
 			if r.Err == nil {
-				s.reproSigs[r.Outcome+"|"+formatPrefix(r.Choices)] = true
+				s.reproSigs[r.Outcome+"|"+formatPrefix(decisionsOf(r.Choices))] = true
 			}
 		}
 		s.loadWarnings = res.Skipped

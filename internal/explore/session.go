@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"qithread/internal/core"
 )
@@ -265,7 +266,7 @@ func (s *Session) ExplorePCT(budget, d int, seed uint64) error {
 // flipChunk entries, not per flip. It returns how many flips were kept and
 // how many the happens-before pruner dropped. Caller holds mu.
 func (s *Session) expandLocked(from int, res *Result, maxDepth int) (kept, pruned int) {
-	limit := len(res.Choices)
+	limit := len(res.log)
 	if maxDepth > 0 && limit > maxDepth {
 		limit = maxDepth
 	}
@@ -273,19 +274,19 @@ func (s *Session) expandLocked(from int, res *Result, maxDepth int) (kept, prune
 	if s.HB {
 		pruner = newFlipPruner(res)
 	}
-	log := new([]core.Choice) // not &res.Choices: that would pin res.Trace with it
-	*log = res.Choices
+	log := new([]decision) // not &res.log: that would pin res.Trace with it
+	*log = res.log
 	for i := from; i < limit; i++ {
-		d := res.Choices[i]
-		for alt := 0; alt < d.N; alt++ {
-			if alt == d.Index {
+		d := res.log[i]
+		for alt := int32(0); alt < d.n; alt++ {
+			if alt == d.index {
 				continue
 			}
-			if pruner != nil && d.Kind == core.ChooseTurn && pruner.redundant(i, alt) {
+			if pruner != nil && d.kind == core.ChooseTurn && pruner.redundant(i, int(alt)) {
 				pruned++
 				continue
 			}
-			s.frontier.push(flip{log: log, pos: int32(i), alt: int32(alt)})
+			s.frontier.push(flip{log: log, pos: int32(i), alt: alt})
 			kept++
 		}
 	}
@@ -308,11 +309,11 @@ func (s *Session) recordLocked(strategy string, depth int, res Result) (id int, 
 	isNew = res.Fingerprint != "" && s.markSeen(res.Fingerprint, id)
 	if s.Verbose != nil { // tested at the call: boxing the arguments allocates, every run
 		s.Verbose("run %d [%s] depth=%d decisions=%d outcome=%s new=%v",
-			id, strategy, depth, len(res.Choices), res.Outcome, isNew)
+			id, strategy, depth, len(res.log), res.Outcome, isNew)
 	}
 	if s.Dir != "" {
 		line := fmt.Sprintf("%d,%s,%d,%d,%s,%v,%s,%s\n",
-			id, strategy, depth, len(res.Choices), res.Outcome, isNew,
+			id, strategy, depth, len(res.log), res.Outcome, isNew,
 			res.Fingerprint, csvEscape(res.Err))
 		s.pend = append(s.pend, line...)
 		s.pendRuns++
@@ -323,12 +324,18 @@ func (s *Session) recordLocked(strategy string, depth int, res Result) (id int, 
 	return id, isNew
 }
 
-// csvEscape flattens an error message onto one comma-free line.
+// csvEscape flattens an error message onto one comma-free line of at most
+// 200 bytes before its "...". The cut falls on a rune boundary: deadlock
+// dumps carry thread and object names, which are user strings.
 func csvEscape(v string) string {
 	v = strings.ReplaceAll(v, "\n", "\\n")
 	v = strings.ReplaceAll(v, ",", ";")
 	if len(v) > 200 {
-		v = v[:200] + "..."
+		cut := 200
+		for cut > 0 && !utf8.RuneStart(v[cut]) {
+			cut--
+		}
+		v = v[:cut] + "..."
 	}
 	return v
 }
@@ -342,12 +349,12 @@ func csvEscape(v string) string {
 // outside the session lock — they are pure re-runs — so parallel workers keep
 // exploring while a failure shrinks.
 func (s *Session) minimizeAndEmit(depth int, res Result, id int) error {
-	min, final, runs := Minimize(s.P, res, s.Watchdog)
+	min, final, runs := minimize(s.P, res.log, res.Outcome, s.Watchdog)
 	if s.Verbose != nil {
 		s.Verbose("minimized %s: prefix %d -> %d decisions (%d verification runs)",
 			res.Outcome, depth, len(min), runs)
 	}
-	sig := final.Outcome.String() + "|" + formatPrefix(final.Choices)
+	sig := final.Outcome.String() + "|" + formatPrefix(final.log)
 	s.mu.Lock()
 	if s.reproSigs[sig] {
 		s.mu.Unlock()
@@ -370,7 +377,7 @@ func (s *Session) minimizeAndEmit(depth int, res Result, id int) error {
 	s.repros = append(s.repros, path)
 	s.mu.Unlock()
 	if s.Verbose != nil {
-		s.Verbose("repro: %s (%d events, %d decisions)", path, len(final.Trace), len(final.Choices))
+		s.Verbose("repro: %s (%d events, %d decisions)", path, len(final.Trace), len(final.log))
 	}
 	return nil
 }
