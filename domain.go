@@ -150,7 +150,7 @@ func (d *Domain) finished() {
 	msg := rt.parkLocked()
 	rt.domMu.Unlock()
 	if msg != "" {
-		rt.reportDeadlock(msg, nil)
+		rt.main.sched.ReportDeadlock(msg)
 	}
 }
 
@@ -239,6 +239,7 @@ func (d *Domain) Launch() {
 	rt := d.rt
 	if rt.det() {
 		d.sched.HostThreads()
+		d.sched.ShareDeadlockHandler(rt.main.sched)
 	}
 	threads := make([]*Thread, len(roots))
 	for i, r := range roots {

@@ -122,9 +122,11 @@ type Scheduler struct {
 	// stats holds every counter but Turns, which is turn (statsLocked).
 	stats Stats
 
-	// onDeadlock, if non-nil, is invoked instead of panicking when the
-	// scheduler detects that no thread can ever run again. Tests use it.
+	// onDeadlock, if non-nil, receives the deadlock reports of s and of every
+	// scheduler that shares it (ReportDeadlock); deadlocks, if non-nil, is the
+	// scheduler whose handler receives s's instead (ShareDeadlockHandler).
 	onDeadlock func(msg string)
+	deadlocks  *Scheduler
 
 	// host, when non-nil, makes this a hosted scheduler: its threads run on
 	// one goroutine (host.go). Set before the first Register, cleared when the
@@ -230,20 +232,32 @@ func (s *Scheduler) VirtualMakespan() int64 {
 // Config returns the scheduler configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
-// SetDeadlockHandler installs a handler called when the scheduler detects a
-// deterministic deadlock (no runnable thread, no timed waiter). If no handler
-// is installed the scheduler panics with a queue dump, which is the most
-// useful behaviour for debugging workloads.
+// SetDeadlockHandler installs the runtime's deadlock handler: fn receives
+// every deadlock report instead of the panic ReportDeadlock raises without a
+// handler. Install it before Run, on the default domain's scheduler; it then
+// receives every domain's deadlock, a domain's own and a cross-domain one
+// alike. fn runs on the goroutine of the domain that reports, which does not
+// proceed once fn returns, and other domains may still be running then.
 func (s *Scheduler) SetDeadlockHandler(fn func(msg string)) {
 	defer s.unlock(s.lock())
 	s.onDeadlock = fn
 }
 
-// DeadlockHandler returns the handler SetDeadlockHandler installed, nil if
-// none. The root package hands it cross-domain deadlocks as well.
-func (s *Scheduler) DeadlockHandler() func(msg string) {
-	defer s.unlock(s.lock())
-	return s.onDeadlock
+// ShareDeadlockHandler makes owner's handler receive s's deadlock reports:
+// the root package gives every domain it launches the default domain's.
+func (s *Scheduler) ShareDeadlockHandler(owner *Scheduler) { s.deadlocks = owner }
+
+// ReportDeadlock delivers a deadlock report, the one path every deadlock of a
+// runtime takes: to the handler SetDeadlockHandler installed, or, without
+// one, as a panic. The caller holds no lock the handler could need.
+func (s *Scheduler) ReportDeadlock(msg string) {
+	if s.deadlocks != nil {
+		s = s.deadlocks
+	}
+	if s.onDeadlock == nil {
+		panic(msg)
+	}
+	s.onDeadlock(msg)
 }
 
 // Register adds a new thread to the tail of the run queue and returns its
@@ -912,18 +926,15 @@ func (s *Scheduler) releaseTurnLocked() {
 	s.passTurnLocked(nil)
 }
 
-// deadlockLocked reports a deterministic deadlock, why no thread can ever run
-// again. The registered handler, if any, runs outside the entry lock of an
-// unhosted scheduler: the caller is inside, so it holds mu exactly when host
-// is nil.
+// deadlockLocked reports a deterministic deadlock of s's domain, why no
+// thread of it can ever run again, with the entry lock of an unhosted
+// scheduler released around the delivery: the caller is inside, so it holds
+// mu exactly when host is nil.
 func (s *Scheduler) deadlockLocked(why string) {
-	msg := "core: deterministic deadlock: " + why + "\n" + s.dumpLocked()
-	if s.onDeadlock == nil {
-		panic(msg)
-	}
+	msg := fmt.Sprintf("core: deterministic deadlock in domain %d: %s\n%s", s.cfg.DomainID, why, s.dumpLocked())
 	s.unlock(s.host == nil)
-	s.onDeadlock(msg)
-	s.lock()
+	defer s.lock()
+	s.ReportDeadlock(msg)
 }
 
 // Dump renders the scheduler state — queues, holder, wait lists — for

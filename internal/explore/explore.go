@@ -275,7 +275,10 @@ func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time
 	sc := takeScaffold(watchdog)
 	rt.Scheduler().SetDeadlockHandler(func(msg string) {
 		// The send orders every write of the run's scheduler before the
-		// reads below; then the run's goroutine freezes here for good.
+		// reads below; then the run's goroutine freezes here for good. The
+		// later rt.Fingerprint read is race-free only because no registered
+		// program launches a domain: a launched domain's deadlock would
+		// arrive here too, on that domain's goroutine, with others running.
 		sc.done <- end{rt: rt, outcome: OutcomeDeadlock, msg: msg}
 		select {}
 	})

@@ -139,6 +139,38 @@ func TestInventory(t *testing.T) {
 			}
 		}
 	}
+
+	// No exported function or method of internal/core has a sync type in its
+	// signature: a caller's lock is released by the caller or inside the core,
+	// never handed across, so the core's entry lock can go without an API
+	// change (DESIGN.md §4.1).
+	files, err := filepath.Glob("internal/core/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || !fn.Name.IsExported() {
+				continue
+			}
+			ast.Inspect(fn.Type, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok {
+					if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "sync" {
+						t.Errorf("%s: exported %s takes or returns sync.%s", path, fn.Name.Name, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
 }
 
 // TestArtifactTable: the file-format headers ("qithread-<family> v<version>")

@@ -343,9 +343,9 @@ func (p *XPipe) wake(c *sync.Cond, parked int, slot **core.Thread) {
 // its domain's turn, and with it the domain's one goroutine, so it is first
 // recorded in the side's slot. If that leaves every live domain of the
 // runtime waiting in an XPipe (parkLocked), wait takes the record back,
-// reports the deadlock (reportDeadlock, which releases p.mu around a
-// handler) and returns, for the caller to look at the pipe again: the next
-// wait parks for good. The caller holds p.mu.
+// reports the deadlock with p.mu released (core.Scheduler.ReportDeadlock) and
+// returns, for the caller to look at the pipe again: the next wait parks for
+// good. The caller holds p.mu.
 func (p *XPipe) wait(ct *core.Thread, c *sync.Cond, parked *int, slot **core.Thread) {
 	if ct != nil {
 		rt := p.rt
@@ -359,28 +359,15 @@ func (p *XPipe) wait(ct *core.Thread, c *sync.Cond, parked *int, slot **core.Thr
 		}
 		rt.domMu.Unlock()
 		if msg != "" {
-			rt.reportDeadlock(msg, &p.mu)
+			p.mu.Unlock()
+			defer p.mu.Lock()
+			rt.main.sched.ReportDeadlock(msg)
 			return
 		}
 	}
 	*parked++
 	c.Wait()
 	*parked--
-}
-
-// reportDeadlock hands a cross-domain deadlock report to the default
-// domain's deadlock handler, with held, a lock the caller holds, released
-// around the call; without a handler it panics, held still held.
-func (rt *Runtime) reportDeadlock(msg string, held *sync.Mutex) {
-	h := rt.main.sched.DeadlockHandler()
-	if h == nil {
-		panic(msg)
-	}
-	if held != nil {
-		held.Unlock()
-		defer held.Lock()
-	}
-	h(msg)
 }
 
 // Cross-domain deadlock. A domain is live from its Launch (the default

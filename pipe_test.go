@@ -3,6 +3,7 @@ package qithread
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -607,6 +608,64 @@ func TestXPipeCloseUnderBlockedSendAll(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, []any{0, 1}) {
 		t.Errorf("received %v, want [0 1]: exactly what was enqueued before the close", got)
+	}
+}
+
+// TestLaunchedDomainDeadlockReported: a launched domain's own deadlock reaches
+// the handler installed on the default domain's scheduler, and its report
+// names the domain. The root of domain 1 locks m and joins a child that
+// blocks on m. The report is delivered on the domain's goroutine, which would
+// then park for good; the handler ends it instead (runtime.Goexit, which a
+// hosted coroutine passes on to its driver), so the frozen domain leaves no
+// goroutine of spawn's behind for TestRunLeavesNoGoroutines to find. When the
+// main thread then receives on an XPipe from that domain, only the in-domain
+// report arrives: the frozen domain is live but not parked in an XPipe, so the
+// cross-domain detector stays silent. Closing the pipe then lets main finish.
+func TestLaunchedDomainDeadlockReported(t *testing.T) {
+	for _, viaPipe := range []bool{false, true} {
+		rt := New(Config{Mode: RoundRobin})
+		d := rt.NewDomain("d")
+		x := rt.NewXPipe("x", d, rt.Domain(0), 1)
+		d.Start("r", func(t *Thread) {
+			m := rt.NewMutex(t, "m")
+			m.Lock(t)
+			t.Join(t.Create("stuck", func(t *Thread) { m.Lock(t) }))
+			x.Send(t, 1)
+		})
+		report := make(chan string, 2)
+		rt.Scheduler().SetDeadlockHandler(func(msg string) {
+			report <- msg
+			runtime.Goexit()
+		})
+		go rt.Run(func(main *Thread) {
+			d.Launch()
+			if viaPipe {
+				x.Recv(main)
+			}
+		})
+		select {
+		case msg := <-report:
+			for _, want := range []string{"in domain 1", "waitQ[mutex:m#2]: T1(stuck)", "waitQ[thread:stuck#3]: T0(r)"} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("pipe %v: report lacks %q:\n%s", viaPipe, want, msg)
+				}
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("pipe %v: the launched domain's deadlock was never reported", viaPipe)
+		}
+		if viaPipe {
+			// Once the main thread is parked in the XPipe, the detector has
+			// run for that park: a report it made would already be counted.
+			for parked := int32(0); parked != 1; time.Sleep(time.Millisecond) {
+				rt.domMu.Lock()
+				parked = rt.xparked
+				rt.domMu.Unlock()
+			}
+		}
+		if n := len(report); n != 0 {
+			t.Errorf("pipe %v: %d report(s) after the in-domain one, want none:\n%s", viaPipe, n, <-report)
+		}
+		x.close()
 	}
 }
 
