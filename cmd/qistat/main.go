@@ -145,7 +145,7 @@ func describe(w io.Writer, path string, d detail, asDir bool) error {
 		}
 		fmt.Fprintf(w, "%s: %s, %s, %d bytes, hash=%016x\n", path, kind, counts, len(b), trace.Hash(events))
 		if d == verbose && len(events) > 0 {
-			threads := map[int]bool{}
+			threads := map[int32]bool{}
 			ops := map[string]int{}
 			for _, e := range events {
 				threads[e.TID] = true

@@ -339,7 +339,7 @@ func TestLaunchRegistersRootsInStartOrder(t *testing.T) {
 				var begins []int
 				for _, e := range d.Trace() {
 					if e.Op == core.OpThreadBegin {
-						begins = append(begins, e.TID)
+						begins = append(begins, int(e.TID))
 					}
 				}
 				for i := 0; i < roots; i++ {

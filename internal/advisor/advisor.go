@@ -72,15 +72,15 @@ func Analyze(events []core.Event) []Recommendation {
 func detectWakeAMAP(events []core.Event) []Recommendation {
 	type objStat struct {
 		signals       int
-		signalThreads map[int]bool
-		waitThreads   map[int]bool
+		signalThreads map[int32]bool
+		waitThreads   map[int32]bool
 		waits         int
 	}
 	stats := map[uint64]*objStat{}
 	get := func(obj uint64) *objStat {
 		st := stats[obj]
 		if st == nil {
-			st = &objStat{signalThreads: map[int]bool{}, waitThreads: map[int]bool{}}
+			st = &objStat{signalThreads: map[int32]bool{}, waitThreads: map[int32]bool{}}
 			stats[obj] = st
 		}
 		return st
@@ -130,7 +130,7 @@ func detectCreateAll(events []core.Event) []Recommendation {
 	creates := 0
 	interleaved := 0
 	lastCreateIdx := -2
-	creator := -1
+	creator := int32(-1)
 	for i, e := range events {
 		if e.Op != core.OpCreate {
 			continue
@@ -201,15 +201,15 @@ func detectCSWhole(events []core.Event) []Recommendation {
 // most threads skip.
 func detectBranchedWake(events []core.Event) []Recommendation {
 	type semStat struct {
-		postThreads map[int]bool
-		waitThreads map[int]bool
+		postThreads map[int32]bool
+		waitThreads map[int32]bool
 		posts       int
 	}
 	stats := map[uint64]*semStat{}
 	get := func(obj uint64) *semStat {
 		st := stats[obj]
 		if st == nil {
-			st = &semStat{postThreads: map[int]bool{}, waitThreads: map[int]bool{}}
+			st = &semStat{postThreads: map[int32]bool{}, waitThreads: map[int32]bool{}}
 			stats[obj] = st
 		}
 		return st

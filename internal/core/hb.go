@@ -116,7 +116,7 @@ func ParksThread(op OpKind) bool {
 // analyze each domain separately or not at all).
 func ComputeHB(events []Event) *HB {
 	h := &HB{clocks: make([]VClock, len(events)), events: events}
-	threads := map[int]VClock{}
+	threads := map[int32]VClock{}
 	objects := map[uint64]VClock{}
 	var lifecycle VClock
 	for k, e := range events {
@@ -128,7 +128,7 @@ func ComputeHB(events []Event) *HB {
 			tc = tc.joinInto(lifecycle)
 		}
 		// Tick program order, growing the clock to cover this tid.
-		if e.TID >= len(tc) {
+		if int(e.TID) >= len(tc) {
 			grown := make(VClock, e.TID+1)
 			copy(grown, tc)
 			tc = grown

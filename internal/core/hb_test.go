@@ -4,7 +4,7 @@ import "testing"
 
 // ev builds one trace event; Seq is positional in these tests.
 func ev(tid int, op OpKind, obj uint64) Event {
-	return Event{TID: tid, Op: op, Obj: obj}
+	return Event{TID: int32(tid), Op: op, Obj: obj}
 }
 
 // TestHBProgramOrder: a thread's own events are always ordered, never

@@ -125,8 +125,8 @@ func TestQuickScheduleDeterminism(t *testing.T) {
 func TestQuickTraceWellFormed(t *testing.T) {
 	f := func(sc script) bool {
 		tr := runScript(sc, Config{Mode: RoundRobin, Policies: BoostBlocked})
-		ends := map[int]int{}
-		pendingWait := map[int]int{}
+		ends := map[int32]int{}
+		pendingWait := map[int32]int{}
 		for i, e := range tr {
 			if e.Seq != int64(i) {
 				return false

@@ -76,7 +76,7 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 		// The loaders reject this; a hand-built Config.Replay passes none.
 		panic(s.divergedLocked("recorded thread id %d is negative", want))
 	}
-	if want >= s.nextTID {
+	if int(want) >= s.nextTID {
 		// Thread not created yet: its creator's ops come first in any
 		// consistent schedule, so the turn waits for the creator. If no thread
 		// can run to create it, the run has diverged: the domain's driver
@@ -121,7 +121,7 @@ func (s *Scheduler) verifyReplayLocked(t *Thread, op OpKind, obj uint64, st Even
 		return -1
 	}
 	e := s.replay[s.replayPos]
-	if e.TID != t.id || e.Op != op || e.Obj != obj || e.Status != st {
+	if int(e.TID) != t.id || e.Op != op || e.Obj != obj || e.Status != st {
 		panic(s.divergedLocked("expected {T%d %v obj=%d(%s) %v}, executed {T%d %v obj=%d(%s) %v}",
 			e.TID, e.Op, e.Obj, s.labelLocked(e.Obj), e.Status,
 			t.id, op, obj, s.labelLocked(obj), st))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -270,11 +271,16 @@ func (s *Scheduler) Register(name string) *Thread { return s.RegisterIn(new(Thre
 // Thread, becomes the scheduler's queue node in place and is returned. The
 // qithread wrappers embed a Thread in their own per-thread record this way,
 // so a thread is one heap object. A registered Thread must not be copied
-// (the queues link to it).
+// (the queues link to it). A domain registers at most math.MaxInt32+1
+// threads: an Event holds the id as an int32, and a wrapped id would alias a
+// live thread's in the schedule.
 func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
 	defer s.unlock(s.lock())
 	if t.sched != nil {
 		panic(fmt.Sprintf("core: RegisterIn(%q) into %v, which is already registered", name, t))
+	}
+	if s.nextTID > math.MaxInt32 {
+		panic(fmt.Sprintf("core: RegisterIn(%q): thread id %d is past math.MaxInt32, the largest a schedule event holds", name, s.nextTID))
 	}
 	t.id = s.nextTID
 	t.name = name

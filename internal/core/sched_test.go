@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -507,4 +509,25 @@ func TestRegisterInRejectsRegisteredThread(t *testing.T) {
 		}
 	}()
 	s.RegisterIn(&th, "twice")
+}
+
+// TestRegisterInRefusesIDPastInt32: an Event holds a thread id as an int32,
+// so the id math.MaxInt32 is the last a domain hands out; the next
+// registration panics rather than record an id that wraps onto T0's.
+func TestRegisterInRefusesIDPastInt32(t *testing.T) {
+	s := New(Config{Mode: RoundRobin})
+	s.nextTID = math.MaxInt32
+	if th := s.Register("last"); th.ID() != math.MaxInt32 {
+		t.Fatalf("the thread at the bound got id %d, want %d", th.ID(), math.MaxInt32)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "thread id 2147483648 is past math.MaxInt32") {
+			t.Fatalf("registering past the bound: panic %q", msg)
+		}
+		if int64(s.nextTID) != math.MaxInt32+1 || s.live != 1 {
+			t.Fatalf("the refused registration changed the scheduler: nextTID %d, live %d", s.nextTID, s.live)
+		}
+	}()
+	s.Register("wrapped")
 }

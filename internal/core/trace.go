@@ -151,15 +151,15 @@ func (st EventStatus) String() string {
 // different domains are not mutually ordered (cross-domain causality is
 // captured by the sequenced-pipe delivery log, see pipe.go).
 //
-// The word-sized fields come first and the two one-byte fields share the
-// last word: 40 bytes, where declaring Op and Status between the words pads
-// each to a word of its own (48). Every retained, loaded and flattened
-// schedule is an []Event, so the order is a sixth of their size.
+// TID and Domain are int32, the bound both trace codecs enforce and that
+// RegisterIn and addDomain refuse to pass. The two words come first, the two
+// int32 share the third word and Op and Status the last: 32 bytes, the size
+// of every event of every retained, loaded and flattened schedule.
 type Event struct {
 	Seq    int64       // position in the domain-local total order
-	TID    int         // thread ID (registration order within the domain)
 	Obj    uint64      // synchronization object ID, 0 when not applicable
-	Domain int         // scheduler domain the event belongs to (0 = default)
+	TID    int32       // thread ID (registration order within the domain)
+	Domain int32       // scheduler domain the event belongs to (0 = default)
 	Op     OpKind      // operation kind
 	Status EventStatus // blocks / returns annotation
 }
@@ -209,7 +209,7 @@ func FoldEvent(h uint64, e Event) uint64 {
 // whole schedule O(log n) times over (about 5x write amplification at Go's
 // 1.25x growth). The first chunk is small because most schedulers (one per
 // domain, one runtime per program) record a handful of events; capacities
-// double up to traceChunkMax (80 KiB of events), so a long run over-allocates
+// double up to traceChunkMax (64 KiB of events), so a long run over-allocates
 // by at most one such chunk per scheduler.
 const (
 	traceChunkMin = 64
@@ -282,7 +282,7 @@ func (l *traceLog) flatten(replay []Event, domain int) []Event {
 	}
 	out := make([]Event, 0, n)
 	for i, e := range replay[:l.borrowed] {
-		e.Seq, e.Domain = int64(i), domain
+		e.Seq, e.Domain = int64(i), int32(domain)
 		out = append(out, e)
 	}
 	for _, c := range l.full {
@@ -312,11 +312,11 @@ func (s *Scheduler) TraceOp(t *Thread, op OpKind, obj uint64, st EventStatus) {
 	}
 	e := Event{
 		Seq:    s.traceLen,
-		TID:    t.id,
+		TID:    int32(t.id),
 		Op:     op,
 		Obj:    obj,
 		Status: st,
-		Domain: s.cfg.DomainID,
+		Domain: int32(s.cfg.DomainID),
 	}
 	s.traceLen++
 	s.traceHash = FoldEvent(s.traceHash, e)

@@ -67,7 +67,8 @@ func (f *flipPruner) prepare() bool {
 	f.hb = core.ComputeHB(f.res.Trace)
 	f.byTID = map[int][]int{}
 	for k, e := range f.res.Trace {
-		f.byTID[e.TID] = append(f.byTID[e.TID], k)
+		tid := int(e.TID)
+		f.byTID[tid] = append(f.byTID[tid], k)
 	}
 	return true
 }

@@ -54,9 +54,9 @@ type frameEnc struct {
 	body    []byte
 	scratch []byte
 	count   int
-	prevTID int
+	prevTID int32
 	prevObj uint64
-	prevDom int
+	prevDom int32
 }
 
 func (fe *frameEnc) add(e core.Event) {
@@ -168,7 +168,7 @@ func SaveBinary(w io.Writer, events []core.Event) error {
 // bytes per event) and its validated event count; the second allocates the
 // result at the exact total and decodes straight into it. Decoding frame by
 // frame into a growing slice, or into per-frame chunks concatenated at the
-// end, copies the whole 48-byte-per-event schedule at least once more.
+// end, copies the whole 32-byte-per-event schedule at least once more.
 func loadBinary(br *bufio.Reader) ([]core.Event, error) {
 	type rawFrame struct {
 		payload []byte // past the count varint
@@ -201,7 +201,7 @@ func loadBinary(br *bufio.Reader) ([]core.Event, error) {
 	pos := 0
 	for frame, f := range frames {
 		d := logio.NewDec(f.payload)
-		var prevTID, prevDom int
+		var prevTID, prevDom int32
 		var prevObj uint64
 		for i := uint64(0); i < f.count; i++ {
 			op := d.Byte()
@@ -219,7 +219,7 @@ func loadBinary(br *bufio.Reader) ([]core.Event, error) {
 				if v > maxID {
 					return nil, fmt.Errorf("trace: schedule frame %d: thread id %d out of range", frame, v)
 				}
-				tid = int(v)
+				tid = int32(v)
 			}
 			if flags&flagSameObj == 0 {
 				obj = d.Uvarint()
@@ -229,7 +229,7 @@ func loadBinary(br *bufio.Reader) ([]core.Event, error) {
 				if v > maxID {
 					return nil, fmt.Errorf("trace: schedule frame %d: domain id %d out of range", frame, v)
 				}
-				dom = int(v)
+				dom = int32(v)
 			}
 			if d.Err() != nil {
 				return nil, fmt.Errorf("trace: schedule frame %d: %w", frame, d.Err())

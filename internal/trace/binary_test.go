@@ -20,7 +20,7 @@ import (
 func synthSchedule(n int) []core.Event {
 	out := make([]core.Event, n)
 	for i := range out {
-		tid := (i * 7) % 5
+		tid := int32((i * 7) % 5)
 		e := core.Event{
 			Seq: int64(i),
 			TID: tid,
@@ -36,7 +36,7 @@ func synthSchedule(n int) []core.Event {
 			e.Op, e.Obj = core.OpYield, 0
 		}
 		if i%97 == 0 {
-			e.Domain = 1 + i%3
+			e.Domain = int32(1 + i%3)
 		}
 		out[i] = e
 	}
@@ -161,6 +161,7 @@ func TestBinaryLoadErrors(t *testing.T) {
 		{"unknown flag", rawSchedule(t, good, []byte{1, 1, 0x20 | 0x1c}), "schedule frame 1: unknown flag bits 0x3c"},
 		{"bad status", rawSchedule(t, good, []byte{1, 1, 0x1f}), "schedule frame 1: bad event status 3"},
 		{"thread id range", rawSchedule(t, good, []byte{1, 1, 0x18, 0xff, 0xff, 0xff, 0xff, 0x0f}), "schedule frame 1: thread id 4294967295 out of range"},
+		{"domain id past int32", rawSchedule(t, good, []byte{1, 1, 0x0c, 0x80, 0x80, 0x80, 0x80, 0x08}), "schedule frame 1: domain id 2147483648 out of range"},
 		{"short event", rawSchedule(t, good, []byte{2, 1, 0x1c, 1}), "schedule frame 1: logio: corrupt record: unexpected end of frame"},
 		{"trailing bytes", rawSchedule(t, good, []byte{1, 1, 0x1c, 7, 7}), "schedule frame 1: 2 trailing bytes after 1 events"},
 		{"bad crc", flipped, "schedule frame 1: logio: frame checksum mismatch"},
@@ -307,11 +308,18 @@ func BenchmarkScheduleLoad(b *testing.B) {
 	}{{"text", text.Bytes()}, {"binary", bin.Bytes()}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.SetBytes(int64(len(events)))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			for i := 0; i < b.N; i++ {
 				if _, err := Load(bytes.NewReader(c.data)); err != nil {
 					b.Fatal(err)
 				}
 			}
+			runtime.ReadMemStats(&after)
+			// Bytes allocated per loaded event: the binary loader's result
+			// slice (unsafe.Sizeof(core.Event{}) a piece) plus its frames'
+			// payload copies.
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N*len(events)), "B/event")
 		})
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"math"
 	"os"
 	"slices"
 	"strings"
@@ -80,7 +81,10 @@ func TestFormatsPinned(t *testing.T) {
 
 // TestWritersEnforceBounds: what the loaders refuse, the writers refuse to
 // write — a text file with a negative id or a binary one whose status was
-// silently masked to two bits is a file nothing reads back.
+// silently masked to two bits is a file nothing reads back. An id past int32
+// cannot be written at all: core.Event holds ids as int32, so the negative
+// rows are the writers' id bound (the loaders' past-int32 rows are in
+// TestLoadersEnforceBounds and TestBinaryRejectsOutOfRangeIDs).
 func TestWritersEnforceBounds(t *testing.T) {
 	good := core.Event{Seq: 0, TID: maxID, Op: core.OpMutexLock, Obj: 1<<64 - 1, Status: maxStatus, Domain: maxID}
 	writers := map[string]func([]core.Event) error{
@@ -94,9 +98,9 @@ func TestWritersEnforceBounds(t *testing.T) {
 		}
 		for what, mutate := range map[string]func(*core.Event){
 			"negative thread id":       func(e *core.Event) { e.TID = -1 },
-			"thread id past int32":     func(e *core.Event) { e.TID = maxID + 1 },
+			"thread id at MinInt32":    func(e *core.Event) { e.TID = math.MinInt32 },
 			"negative domain id":       func(e *core.Event) { e.Domain = -1 },
-			"domain id past int32":     func(e *core.Event) { e.Domain = maxID + 1 },
+			"domain id at MinInt32":    func(e *core.Event) { e.Domain = math.MinInt32 },
 			"status past StatusReturn": func(e *core.Event) { e.Status = maxStatus + 1 },
 		} {
 			bad := good

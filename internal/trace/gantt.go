@@ -32,9 +32,9 @@ func Gantt(w io.Writer, events []core.Event, width int) {
 	var tids []int
 	seen := map[int]bool{}
 	for _, e := range events {
-		if !seen[e.TID] {
-			seen[e.TID] = true
-			tids = append(tids, e.TID)
+		if tid := int(e.TID); !seen[tid] {
+			seen[tid] = true
+			tids = append(tids, tid)
 		}
 	}
 	sort.Ints(tids)
@@ -47,7 +47,7 @@ func Gantt(w io.Writer, events []core.Event, width int) {
 		rows[i] = []byte(strings.Repeat(".", width))
 	}
 	for i, e := range events[:width] {
-		rows[rowOf[e.TID]][i] = glyph(e)
+		rows[rowOf[int(e.TID)]][i] = glyph(e)
 	}
 	// Ruler.
 	ruler := make([]byte, width)

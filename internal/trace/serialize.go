@@ -56,8 +56,8 @@ const (
 // The bounds of an event's fields, the same in every codec and on both sides
 // of it — saveText, BinaryWriter.Append, loadText and loadBinary all enforce
 // them, so no writer emits a file a loader refuses and a loaded schedule is
-// safe to replay: ids are int32 in the binary format and index the
-// scheduler's tables, the status is two bits wide.
+// safe to replay: ids are int32 in the binary format and in core.Event and
+// index the scheduler's tables, the status is two bits wide.
 const (
 	maxID     = math.MaxInt32 // thread and domain ids
 	maxStatus = core.StatusReturn
@@ -209,7 +209,7 @@ func loadText(r io.Reader, header string) ([]core.Event, []core.Choice, error) {
 			return fail(fmt.Errorf("sequence %d out of order", v[0]))
 		}
 		events = append(events, core.Event{
-			Seq: int64(v[0]), TID: int(v[1]), Op: core.OpKind(v[2]), Obj: v[3], Status: core.EventStatus(v[4]), Domain: int(v[5]),
+			Seq: int64(v[0]), TID: int32(v[1]), Op: core.OpKind(v[2]), Obj: v[3], Status: core.EventStatus(v[4]), Domain: int32(v[5]),
 		})
 	}
 	return events, choices, logio.ScanErr(sc.Err(), "trace: schedule", line)

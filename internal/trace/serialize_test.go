@@ -44,14 +44,16 @@ func hostileSchedules() map[string]string {
 		{scheduleHeaderV1, ""}, {scheduleHeaderV2, " 0"}, {HeaderExplored, " 0"},
 	} {
 		for name, line := range map[string]string{
-			"negative tid": "1 -1 3 0 0",
-			"status 3":     "1 0 3 0 3",
-			"op 256":       "1 0 256 0 0",
+			"negative tid":   "1 -1 3 0 0",
+			"tid past int32": "1 2147483648 3 0 0",
+			"status 3":       "1 0 3 0 3",
+			"op 256":         "1 0 256 0 0",
 		} {
 			out[v.header+"/"+name] = v.header + "\n0 0 1 0 0" + v.suffix + "\n" + line + v.suffix + "\n"
 		}
 		if v.suffix != "" {
 			out[v.header+"/negative domain"] = v.header + "\n0 0 1 0 0 0\n1 0 3 0 0 -1\n"
+			out[v.header+"/domain past int32"] = v.header + "\n0 0 1 0 0 0\n1 0 3 0 0 2147483648\n"
 		}
 	}
 	// A decision outside what a frontier entry stores: internal/explore's

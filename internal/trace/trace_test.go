@@ -9,7 +9,7 @@ import (
 )
 
 func ev(tid int, op core.OpKind, obj uint64) core.Event {
-	return core.Event{TID: tid, Op: op, Obj: obj}
+	return core.Event{TID: int32(tid), Op: op, Obj: obj}
 }
 
 func genSchedule(seed int64, n int) []core.Event {
@@ -21,7 +21,7 @@ func genSchedule(seed int64, n int) []core.Event {
 		x ^= x << 17
 		out[i] = core.Event{
 			Seq:    int64(i),
-			TID:    int(x % 7),
+			TID:    int32(x % 7),
 			Op:     core.OpKind(1 + x%12),
 			Obj:    (x >> 8) % 5,
 			Status: core.EventStatus(x % 3),

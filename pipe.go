@@ -130,11 +130,12 @@ type XPipe struct {
 	// from its own turn. A deterministic side waits holding its turn, so at
 	// most one sender and one receiver park; a Nondet side has no turn, so
 	// any number may, and a wake-up wakes every parked waiter of its side.
-	mu      sync.Mutex
-	canSend sync.Cond // senders park here while the ring is full
-	canRecv sync.Cond // receivers park here while the ring is short of their batch
-	sendW   int       // parked senders
-	recvW   int       // parked receivers
+	mu       sync.Mutex
+	canSend  sync.Cond // senders park here while the ring is full
+	canRecv  sync.Cond // receivers park here while the ring is short of their batch
+	sendW    int       // parked senders
+	recvW    int       // parked receivers
+	recvWant int       // fewest queued messages a parked receiver waits for, 0 after a wake-up (wakeRecv)
 
 	// The deterministic thread parked on each side, if any, for the
 	// cross-domain deadlock detector: set by the thread as it parks, cleared
@@ -234,17 +235,17 @@ func (p *XPipe) Recv(t *Thread) (any, bool) {
 
 // SendAll sends every message of vs in order, moving up to the pipe's
 // capacity per turn-holding boundary slot: each batch costs one schedule
-// slot, one channel lock acquisition, and one receiver wake-up, instead of
-// one of each per message. When len(vs) <= capacity — the intended shape:
-// size the pipe for the program's natural transfer unit — the whole call is
-// a single boundary slot. Batch sizes are deterministic (always
-// min(remaining, capacity), never dependent on the receiver's real-time
-// progress), and the per-batch stamps expand into per-message Delivery
-// entries identical to the same messages sent one Send at a time under a
-// retained turn. It returns the number of messages sent: len(vs), or fewer
-// if the pipe was closed (the rest are dropped). An empty vs sends nothing
-// and occupies no schedule slot. The caller must belong to the sender
-// domain.
+// slot, one channel lock acquisition, and at most one receiver wake-up,
+// instead of one of each per message. When len(vs) <= capacity — the
+// intended shape: size the pipe for the program's natural transfer unit —
+// the whole call is a single boundary slot. Batch sizes are deterministic
+// (always min(remaining, capacity), never dependent on the receiver's
+// real-time progress), and the per-batch stamps expand into per-message
+// Delivery entries identical to the same messages sent one Send at a time
+// under a retained turn. It returns the number of messages sent: len(vs), or
+// fewer if the pipe was closed (the rest are dropped). An empty vs sends
+// nothing and occupies no schedule slot. The caller must belong to the
+// sender domain.
 func (p *XPipe) SendAll(t *Thread, vs []any) int {
 	s := p.from.enter(t, "xpipe sender end", p.name)
 	sent := 0
@@ -320,7 +321,20 @@ func (p *XPipe) close() {
 	defer p.mu.Unlock()
 	p.closed = true
 	p.wake(&p.canSend, p.sendW, &p.sendT)
-	p.wake(&p.canRecv, p.recvW, &p.recvT)
+	p.wakeRecv()
+}
+
+// wakeRecv wakes the parked receivers once the ring holds the smallest batch
+// any of them waits for, or the pipe is closed; a send that leaves every
+// parked receiver short wakes none, and a deterministic one stays recorded
+// as parked. Each parker lowers recvWant to its batch and each wake-up
+// resets it, so the receivers that wake and are still short set it again as
+// they park. The caller holds p.mu.
+func (p *XPipe) wakeRecv() {
+	if p.n >= p.recvWant || p.closed {
+		p.recvWant = 0
+		p.wake(&p.canRecv, p.recvW, &p.recvT)
+	}
 }
 
 // wake wakes every waiter parked on c, if there are any, and clears the
@@ -493,7 +507,7 @@ func (p *XPipe) sendBatch(ct *core.Thread, vs []any, turn, vtime int64) int {
 			p.ring[(p.head+p.n)%len(p.ring)] = message{v: vs[sent], seq: p.sendSeq, vtime: vtime, sendTurn: turn, sendXSeq: xseq}
 			p.n++
 		}
-		p.wake(&p.canRecv, p.recvW, &p.recvT)
+		p.wakeRecv()
 	}
 	return sent
 }
@@ -515,6 +529,9 @@ func (p *XPipe) recvBatch(ct *core.Thread, dst []any, turn int64) (n int, vmax i
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for p.n < want && !p.closed {
+		if p.recvWant == 0 || want < p.recvWant {
+			p.recvWant = want
+		}
 		p.wait(ct, &p.canRecv, &p.recvW, &p.recvT)
 	}
 	n = min(p.n, want)

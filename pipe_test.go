@@ -3,11 +3,13 @@ package qithread
 import (
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"qithread/internal/core"
 	"qithread/internal/logio"
 	"qithread/internal/trace"
 )
@@ -431,6 +433,116 @@ func TestCloseUnderBlockedBatch(t *testing.T) {
 	}
 	if n := p.sendBatch(nil, []any{"c"}, 2, 0); n != 0 {
 		t.Fatalf("sendBatch on a closed pipe sent %d, want 0", n)
+	}
+}
+
+// TestPartialSendLeavesReceiverParked: a send that leaves a parked receiver
+// short of its batch does not wake it. A deterministic receiver therefore
+// stays recorded as parked (recvT) across the partial send, where a wake-up
+// would clear the record for the receiver to re-park and set it again; the
+// send that completes the batch wakes it and clears the record.
+func TestPartialSendLeavesReceiverParked(t *testing.T) {
+	rt, p := ringPipe(false, 4)
+	ct := new(core.Thread) // the receiver domain's thread; the runtime never runs
+	rt.domMu.Lock()
+	rt.xlive++ // the receiver's domain is live too, so one parked thread is no deadlock
+	rt.domMu.Unlock()
+	got := make(chan int, 1)
+	go func() {
+		n, _ := p.recvBatch(ct, make([]any, 4), 1)
+		got <- n
+	}()
+	for parked(p, &p.recvW) == 0 {
+		runtime.Gosched()
+	}
+	recorded := func() (*core.Thread, int32) {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		rt.domMu.Lock()
+		defer rt.domMu.Unlock()
+		return p.recvT, rt.xparked
+	}
+	for i := range 3 {
+		p.sendBatch(nil, []any{i}, 1, 0)
+		if slot, n := recorded(); slot != ct || n != 1 {
+			t.Fatalf("after %d of 4 messages the receiver is recorded as %v (%d parked), want %v still parked", i+1, slot, n, ct)
+		}
+	}
+	p.sendBatch(nil, []any{3}, 1, 0)
+	if n := <-got; n != 4 {
+		t.Fatalf("the receiver got %d messages, want its batch of 4", n)
+	}
+	if slot, n := recorded(); slot != nil || n != 0 {
+		t.Fatalf("after the batch completed the receiver is recorded as %v (%d parked), want none", slot, n)
+	}
+}
+
+// TestMixedBatchReceivers: Nondet receivers parked for batches of different
+// sizes share one wake-up threshold, the smallest batch any of them waits
+// for: with the one-message receiver parked first and three larger ones
+// after it, a single message still reaches it, no further send or close
+// needed. Every message reaches exactly one receiver, whatever the mix of
+// batch sizes, and a close releases the receivers still short of theirs.
+func TestMixedBatchReceivers(t *testing.T) {
+	for _, total := range []int{0, 2, 7, 200} {
+		_, p := ringPipe(false, 5)
+		sizes := []int{1, 3, 5, 5}
+		// Every batch received, then one empty batch per receiver at the close.
+		got := make(chan []any, total+len(sizes))
+		for i, k := range sizes {
+			go func() {
+				dst := make([]any, k)
+				for {
+					n, _ := p.recvBatch(nil, dst, 1)
+					got <- slices.Clone(dst[:n])
+					if n == 0 {
+						return
+					}
+				}
+			}()
+			for parked(p, &p.recvW) <= i {
+				runtime.Gosched()
+			}
+		}
+		receive := func() []any {
+			select {
+			case b := <-got:
+				return b
+			case <-time.After(10 * time.Second):
+				t.Fatalf("total %d: no receiver returned", total)
+				return nil
+			}
+		}
+		seen := make([]int, total)
+		for i := 0; i < total; {
+			k := min(1+i%2, total-i) // sends of one and of two messages
+			vs := []any{i, i + 1}[:k]
+			if n := p.sendBatch(nil, vs, 1, 0); n != k {
+				t.Fatalf("total %d: sendBatch sent %d, want %d", total, n, k)
+			}
+			if i == 0 {
+				if b := receive(); len(b) != 1 || b[0] != 0 {
+					t.Fatalf("total %d: the first message alone delivered %v, want [0] to the one-message receiver", total, b)
+				}
+				seen[0]++
+			}
+			i += k
+		}
+		p.close()
+		for done := 0; done < len(sizes); {
+			b := receive()
+			if len(b) == 0 {
+				done++
+			}
+			for _, v := range b {
+				seen[v.(int)]++
+			}
+		}
+		for v, c := range seen {
+			if c != 1 {
+				t.Fatalf("total %d: message %d was received %d times, want once", total, v, c)
+			}
+		}
 	}
 }
 

@@ -254,7 +254,7 @@ func serverShape(input *IngressLog, scheds [][]Event) ([][]Event, *IngressLog) {
 func TestServerReplayTraces(t *testing.T) {
 	recorded, log := serverShape(nil, nil)
 	for d, tr := range recorded {
-		if len(tr) == 0 || tr[len(tr)-1].Domain != d {
+		if len(tr) == 0 || int(tr[len(tr)-1].Domain) != d {
 			t.Fatalf("domain %d recorded %d events", d, len(tr))
 		}
 	}

@@ -2,6 +2,7 @@ package qithread
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync"
@@ -85,6 +86,10 @@ func (rt *Runtime) addDomain(d *Domain, name string) *Domain {
 	defer rt.domMu.Unlock()
 	cfg := &rt.cfg
 	id := len(rt.domains)
+	if id > math.MaxInt32 {
+		// An Event holds the domain id as an int32; past it the id would wrap.
+		panic(fmt.Sprintf("qithread: NewDomain(%q): domain id %d is past math.MaxInt32, the largest a schedule event holds", name, id))
+	}
 	d.rt, d.id, d.name = rt, id, name
 	if cfg.Mode.Deterministic() {
 		mode := core.RoundRobin
