@@ -3,9 +3,11 @@ package qithread_test
 import (
 	"fmt"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"qithread"
 	"qithread/internal/explore"
 )
 
@@ -20,7 +22,9 @@ import (
 // dpor-controlplane-race is one fresh in-memory session searching the seeded
 // control-plane race (~140 decisions a run, a frontier of ~140k entries) for
 // 2,000 schedules with 2 workers, minimizations included; B/op and allocs/op
-// are per session, live-MB is the heap the finished session still holds.
+// are per session, live-MB is the heap the finished session still holds, and
+// runs/schedule is the program executions per explored schedule, the
+// minimizations' included.
 func BenchmarkExplore(b *testing.B) {
 	b.Run("dpor-controlplane-race", benchExploreControlPlane)
 	b.Run("pct", func(b *testing.B) {
@@ -48,10 +52,16 @@ func benchExploreControlPlane(b *testing.B) {
 	if p == nil {
 		b.Fatal("controlplane-race program not registered")
 	}
+	var runs atomic.Int64
+	counted := *p
+	counted.Run = func(rt *qithread.Runtime) uint64 {
+		runs.Add(1)
+		return p.Run(rt)
+	}
 	var live, frontier float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, err := explore.NewSession(p, "", explore.DefaultWatchdog)
+		s, err := explore.NewSession(&counted, "", explore.DefaultWatchdog)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -72,6 +82,7 @@ func benchExploreControlPlane(b *testing.B) {
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(budget*b.N)/b.Elapsed().Seconds(), "schedules/sec")
+	b.ReportMetric(float64(runs.Load())/float64(budget*b.N), "runs/schedule")
 	b.ReportMetric(live/float64(b.N), "live-MB")
 	b.ReportMetric(frontier/float64(b.N), "frontier-entries")
 }

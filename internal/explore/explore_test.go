@@ -1,12 +1,17 @@
 package explore
 
 import (
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unicode/utf8"
 	"unsafe"
 
+	"qithread"
 	"qithread/internal/core"
 	"qithread/internal/trace"
 )
@@ -195,6 +200,136 @@ func TestMinimizeProbesSizedOnce(t *testing.T) {
 			t.Errorf("probe %d: log sized %d for a %d-decision failing run, ended at capacity %d", i, c.sized, len(failing.Choices), c.final)
 		}
 	}
+}
+
+// TestMinimizationRunBudget counts every program execution of the 300-run
+// serial controlplane-race search TestExploreOrderPinned pins: 300 explored
+// schedules and the minimizations of their 10 failures. A DPOR failure starts
+// its minimization at the depth it was forced to, so no run searches for its
+// cut, and the greedy pass's last failing run is its final result: in memory
+// the 10 minimizations cost 15 runs, and a results directory adds the one
+// traced run per repro file. Searching every cut and tracing every final run
+// cost 95.
+func TestMinimizationRunBudget(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		dir  string
+		want int64
+	}{
+		{"in-memory", "", 315},
+		{"results-dir", t.TempDir(), 325},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := *Lookup("controlplane-race")
+			var runs atomic.Int64
+			run := p.Run
+			p.Run = func(rt *qithread.Runtime) uint64 {
+				runs.Add(1)
+				return run(rt)
+			}
+			s := exploreSerial(t, &p, tc.dir, 300)
+			if got := runs.Load(); got != tc.want || s.Failures() != 10 {
+				t.Errorf("%d program runs for 300 schedules and %d failures, want %d and 10", got, s.Failures(), tc.want)
+			}
+		})
+	}
+}
+
+// TestKnownCutMatchesSearch: a DPOR failure's minimization starts at the depth
+// it was forced to instead of binary-searching its log, because every shorter
+// cut replays an expanded, passing ancestor. For every failure of a serial
+// 1,000-run search the known cut and the search (cut -1) must end in the same
+// prefix and the same final run. A frontier.txt written by hand breaks that
+// ancestry: its entry forces a failing run's whole log, or that log and one
+// decision more, so the known cut is longer than the search's. The repro it
+// yields may be longer too, but it is still verified, and replays to the
+// failure.
+func TestKnownCutMatchesSearch(t *testing.T) {
+	for _, program := range []string{"controlplane-race", "buggy"} {
+		for _, hb := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/hb=%v", program, hb), func(t *testing.T) {
+				knownCutMatchesSearch(t, Lookup(program), hb)
+			})
+		}
+	}
+
+	// The second hand-written log runs one decision past the program's: the
+	// forced prefix is longer than the log of the run it forces.
+	p := Lookup("controlplane-race")
+	failing := firstSingleFlipFailure(t, p)
+	full := decisionsOf(failing.Choices)
+	for name, log := range map[string][]decision{
+		"hand-written-frontier":      full,
+		"hand-written-frontier-long": append(full[:len(full):len(full)], full[len(full)-1]),
+	} {
+		t.Run(name, func(t *testing.T) {
+			last := len(log) - 1
+			dir := t.TempDir()
+			frontier := fmt.Sprintf("%s\nL %s\nF %d:%d\n", frontierHeader, formatPrefix(log), last, log[last].index)
+			if err := os.WriteFile(filepath.Join(dir, frontierFile), []byte(frontier), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			var cuts []int
+			testHookMinimize = func(res Result, cut int) { cuts = append(cuts, cut) }
+			defer func() { testHookMinimize = nil }()
+			s := exploreSerial(t, p, dir, 1)
+			repros := s.Repros()
+			if len(cuts) != 1 || cuts[0] != len(log) || len(repros) != 1 {
+				t.Fatalf("minimized from cuts %v and wrote %d repros, want one from cut %d and one repro", cuts, len(repros), len(log))
+			}
+			events, choices, err := LoadRepro(repros[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			re := ReplayRepro(p, events, choices, testWatchdog)
+			if re.Outcome != failing.Outcome || trace.Hash(re.Trace) != trace.Hash(events) {
+				t.Fatalf("repro replays to %s (schedule hash %#x), want %s (%#x)", re.Outcome, trace.Hash(re.Trace), failing.Outcome, trace.Hash(events))
+			}
+		})
+	}
+}
+
+// knownCutMatchesSearch minimizes every failure of a serial 1,000-run search
+// of p three ways: by the search, which is the reference, and from its known
+// cut with and without a repro to write. All three keep the same prefix and
+// end in the same run; with a repro the final run carries the same trace.
+// With hb the failing runs are traced, so a known-cut minimization that keeps
+// no revert returns the failing run itself.
+func knownCutMatchesSearch(t *testing.T, p *Program, hb bool) {
+	type failure struct {
+		res Result
+		cut int
+	}
+	var failures []failure
+	testHookMinimize = func(res Result, cut int) { failures = append(failures, failure{res, cut}) }
+	defer func() { testHookMinimize = nil }()
+	s, err := NewSession(p, "", testWatchdog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Workers, s.HB = 1, hb
+	if err := s.ExploreDPOR(1000, 0); err != nil {
+		t.Fatal(err)
+	}
+	testHookMinimize = nil
+	if len(failures) == 0 {
+		t.Fatal("1,000 runs minimized no failure")
+	}
+	for _, f := range failures {
+		if f.cut < 0 {
+			t.Fatalf("a DPOR failure was minimized from cut %d", f.cut)
+		}
+		searched, want, _ := minimize(p, f.res, -1, true, testWatchdog)
+		for _, repro := range []bool{false, true} {
+			known, got, _ := minimize(p, f.res, f.cut, repro, testWatchdog)
+			if formatPrefix(known) != formatPrefix(searched) || formatPrefix(got.log) != formatPrefix(want.log) ||
+				got.Outcome != want.Outcome || got.Fingerprint != want.Fingerprint || (repro && got.Hash() != want.Hash()) {
+				t.Errorf("failure at cut %d of %d decisions, repro %v: known cut kept %d decisions and ended %s with %d, the search kept %d and ended %s with %d",
+					f.cut, len(f.res.log), repro, len(known), got.Outcome, len(got.log), len(searched), want.Outcome, len(want.log))
+			}
+		}
+	}
+	t.Logf("%d failures minimized alike", len(failures))
 }
 
 // firstSingleFlipFailure returns the first failing run among the single-flip

@@ -17,44 +17,67 @@ import (
 //     still fails (decisions past the cut fall back to policy defaults). The
 //     failure predicate is monotone for single-flip bugs — force fewer
 //     perturbations and the default schedule passes — and where it is not,
-//     the post-verification below catches the miss and falls back.
+//     the re-check of the cut catches the miss and keeps the full log.
 //  3. A greedy pass then reverts every non-default decision inside the kept
 //     prefix back to the default, keeping each reversion that still fails:
 //     what remains is (close to) the minimal set of perturbed decisions.
 //
 // It returns the minimal prefix, the VERIFIED final result of running it
 // (whose trace and decision log become the repro file), and the number of
-// verification runs spent. Each probe is one bounded run, so the whole
-// minimization costs O(log n + flips) runs; only the verifying run is traced
-// — the search probes are judged by their outcome alone.
+// runs spent: the search's probes and the greedy pass's, judged by their
+// outcome alone, and one traced run of the minimal prefix unless the last run
+// that failed with it already carries a trace.
 func Minimize(p *Program, failing Result, watchdog time.Duration) ([]core.Choice, Result, int) {
-	min, final, runs := minimize(p, decisionsOf(failing.Choices), failing.Outcome, watchdog)
+	failing.log = decisionsOf(failing.Choices)
+	min, final, runs := minimize(p, failing, -1, true, watchdog)
 	final.Choices = choicesOf(final.log)
 	return choicesOf(min), final, runs
 }
 
-// minimize is Minimize on the decision log the search keeps. Every probe
-// resolves about as many decisions as the failing run did, so each one's log
-// is sized for len(full) up front (runPath), not regrown from its prefix.
-func minimize(p *Program, full []decision, outcome Outcome, watchdog time.Duration) ([]decision, Result, int) {
+// minimize is Minimize on the decision log the search keeps. A cut >= 0 is a
+// prefix length of failing.log already known to be the shortest failing one,
+// and step 2's search is skipped: a DPOR failure's is the depth it was forced
+// to, because every shorter cut of its log replays an expanded, so passing,
+// ancestor, and the known cut replays the failing run itself. A cut < 0
+// searches.
+//
+// Every run that fails with min as its forced prefix is remembered — at a
+// known cut, the failing run itself — and the last one is returned as the
+// final result. Only when repro is set (a repro file will be written) and
+// that run carries no trace is min run once more, traced, to verify it; if
+// that run passes, the full log, which reproduced by construction, is run
+// traced instead. So an in-memory session makes no traced run, and a traced
+// failure whose greedy pass keeps no revert is its own final result.
+//
+// Every probe resolves about as many decisions as the failing run did, so
+// each one's log is sized for len(failing.log) up front (runPath), not
+// regrown from its prefix.
+func minimize(p *Program, failing Result, cut int, repro bool, watchdog time.Duration) ([]decision, Result, int) {
+	full := failing.log
 	runs := 0
 	run := func(candidate []decision, traced bool) (Result, bool) {
 		runs++
 		r := runPath(p, prefixFlip(candidate), len(full), watchdog, traced)
-		return r, r.Outcome == outcome
-	}
-	probe := func(candidate []decision) bool {
-		_, fails := run(candidate, false)
-		return fails
+		return r, r.Outcome == failing.Outcome
 	}
 
-	// Binary search the shortest failing cut of the full log.
-	k := sort.Search(len(full), func(k int) bool { return probe(full[:k]) })
-	min := append([]decision(nil), full[:k]...)
-	if !probe(min) {
-		// Non-monotone failure boundary: keep the exact full log.
-		min = append([]decision(nil), full...)
+	final := failing
+	if cut < 0 {
+		// Binary search the shortest failing cut of the full log.
+		cut = sort.Search(len(full), func(k int) bool {
+			_, fails := run(full[:k], false)
+			return fails
+		})
+		r, fails := run(full[:cut], false)
+		if fails {
+			final = r
+		} else {
+			// Non-monotone failure boundary: keep the exact full log.
+			cut = len(full)
+		}
 	}
+	cut = min(cut, len(full)) // a log shorter than its forced prefix: a hand-edited frontier.txt
+	min := append([]decision(nil), full[:cut]...)
 
 	// Greedily revert perturbed decisions to the policy default.
 	for i := range min {
@@ -63,17 +86,21 @@ func minimize(p *Program, full []decision, outcome Outcome, watchdog time.Durati
 		}
 		saved := min[i].index
 		min[i].index = min[i].def
-		if !probe(min) {
+		if r, fails := run(min, false); fails {
+			final = r
+		} else {
 			min[i].index = saved
 		}
 	}
 
-	final, fails := run(min, true)
-	if !fails {
-		// Minimization must never lose the bug: fall back to the full log,
-		// which reproduced by construction.
-		min = append([]decision(nil), full...)
-		final, _ = run(min, true)
+	if repro && final.Trace == nil {
+		var fails bool
+		if final, fails = run(min, true); !fails {
+			// Minimization must never lose the bug: fall back to the full
+			// log, which reproduced by construction.
+			min = append([]decision(nil), full...)
+			final, _ = run(min, true)
+		}
 	}
 	return min, final, runs
 }

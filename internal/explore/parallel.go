@@ -85,8 +85,9 @@ func (s *Session) runDPORPool(budget, maxDepth int) error {
 		switch {
 		case isNew && res.Outcome.Failure():
 			// A failing path is a leaf; don't branch past a bug. Minimization
-			// re-runs the program many times — do it off the session lock so
-			// the other workers keep exploring.
+			// re-runs the program — do it off the session lock so the other
+			// workers keep exploring. Its cut is known: every shorter cut of
+			// the log replays an expanded ancestor, which passed.
 			s.mu.Unlock()
 			err = s.minimizeAndEmit(f.depth(), res, id)
 			s.mu.Lock()
@@ -136,7 +137,8 @@ func (s *Session) runPCTPool(budget, d int, seed uint64, horizon int) error {
 		if isNew && res.Outcome.Failure() {
 			// A PCT run is minimized from its own decision log: the log is a
 			// complete forced prefix reproducing the walk without the PRNG.
-			if err := s.minimizeAndEmit(len(res.log), res, id); err != nil {
+			// Nothing is known of its shorter cuts, so the cut is searched.
+			if err := s.minimizeAndEmit(-1, res, id); err != nil {
 				s.mu.Lock()
 				next = budget // stops the other workers
 				s.mu.Unlock()

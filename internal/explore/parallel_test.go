@@ -163,13 +163,28 @@ func TestResumeEquivalence(t *testing.T) {
 // stop before most of the failures; this runs into them and through their
 // minimizations. The frontier.txt the search leaves is pinned byte for byte
 // too, its sum recorded while the queue still held 16-byte flips: a pair read
-// under the wrong span's log changes it.
+// under the wrong span's log changes it. So is every repro file, by name and
+// sha256, recorded while every minimization still binary-searched its cut and
+// ended in a traced run of its own: a known cut or a reused run must write the
+// same bytes.
 func TestExploreOrderPinned(t *testing.T) {
 	const (
 		wantOrder    = "73ccc762384470c06b26d3925533c997eea5d0308c48d1dae5fb9b81c26a0288"
 		wantFrontier = "774de68a7ac3e317bae73bba2c99e293e048a63b1da56bb84a048c32eb1aa4d7"
 		wantFailures = 10
 	)
+	wantRepros := map[string]string{
+		"repro-assert-fail-015.sched": "814d352c8bb286257089a8cebeb77d913c047883b6dd830a815be7c59f759237",
+		"repro-assert-fail-043.sched": "af51b96898a0cf399179fc4350b02fc23f90cfdb78db56bccc10fe16b71a2cc2",
+		"repro-assert-fail-049.sched": "7b22a2c5cbc5c539af87c14e43ce4d06db777a92f9d6ecfe0110f3e14cbf3750",
+		"repro-assert-fail-103.sched": "0068c7cb5f067bf194240dcac5266c3d09d64716f377c04534650295433828c3",
+		"repro-assert-fail-109.sched": "56e4f989560aa135585a2f78d892bb16611fe3e60b1c97b573630dc823ff3735",
+		"repro-assert-fail-165.sched": "4beefcf3bf002ad20d88580d3afc786eab0f3ab287311f7b98f28c490a277988",
+		"repro-assert-fail-193.sched": "c75d2f6238ba373e496bbe1e9fdaed6924b30ca2a87ca39f6ad72bc682188850",
+		"repro-assert-fail-199.sched": "e07204d7703ac5fbb1b30edeb18620f11e6d951b958b4224080b7e5f06dcd5c3",
+		"repro-assert-fail-253.sched": "c7b83d9ddf0ffa3730d88db938c1458420e1e3cec2cbe81c707c689bf0e5a4a4",
+		"repro-assert-fail-259.sched": "70855802aa521a52a517aeded4f37c3abf1d26b415e1c5d9e567b13cc5c43713",
+	}
 	dir := t.TempDir()
 	s := exploreSerial(t, Lookup("controlplane-race"), dir, 300)
 	frontier, err := os.ReadFile(filepath.Join(dir, frontierFile))
@@ -178,6 +193,23 @@ func TestExploreOrderPinned(t *testing.T) {
 	}
 	if sum := sha256.Sum256(frontier); hex.EncodeToString(sum[:]) != wantFrontier {
 		t.Errorf("frontier.txt (%d B) sha256 %x, want %s", len(frontier), sum, wantFrontier)
+	}
+	repros, err := filepath.Glob(filepath.Join(dir, "repro-*.sched"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(repros) != len(wantRepros) {
+		t.Errorf("%d repro files, want %d", len(repros), len(wantRepros))
+	}
+	for _, path := range repros {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Base(path)
+		if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != wantRepros[name] {
+			t.Errorf("%s (%d B) sha256 %x, want %q", name, len(data), sum, wantRepros[name])
+		}
 	}
 	data, err := os.ReadFile(filepath.Join(dir, runsFile))
 	if err != nil {

@@ -165,15 +165,19 @@ func (s *Session) writeWorkerStats() error {
 	return atomicWrite(filepath.Join(s.Dir, workersFile), []byte(b.String()))
 }
 
-// writeRepro saves one minimized repro schedule file.
+// writeRepro saves one minimized repro schedule file. A file that did not
+// close cleanly is not written.
 func (s *Session) writeRepro(name string, final Result) (string, error) {
 	path := filepath.Join(s.Dir, name)
 	f, err := os.Create(path)
 	if err != nil {
 		return "", fmt.Errorf("explore: repro file: %w", err)
 	}
-	defer f.Close()
-	if err := trace.SaveExplored(f, final.Trace, choicesOf(final.log)); err != nil {
+	err = trace.SaveExplored(f, final.Trace, choicesOf(final.log))
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return "", fmt.Errorf("explore: repro file: %w", err)
 	}
 	return path, nil

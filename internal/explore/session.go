@@ -344,15 +344,20 @@ func csvEscape(v string) string {
 // the repro schedule file. Failures that minimize to an already-emitted
 // decision prefix are the SAME bug reached through a longer path; counting
 // them (s.failures) matters, re-emitting them would bury the distinct repros.
-// depth is the length of the forced prefix the failing run was found with and
-// id its run id (repro files are named after it). The minimization probes run
-// outside the session lock — they are pure re-runs — so parallel workers keep
-// exploring while a failure shrinks.
-func (s *Session) minimizeAndEmit(depth int, res Result, id int) error {
-	min, final, runs := minimize(s.P, res.log, res.Outcome, s.Watchdog)
+// cut is the shortest failing cut of the run's log when it is known (the
+// depth of the forced prefix a DPOR failure was found with), -1 when the
+// minimization must search for it (a PCT walk), and id is the run id (repro
+// files are named after it). The minimization probes run outside the session
+// lock — they are pure re-runs — so parallel workers keep exploring while a
+// failure shrinks.
+func (s *Session) minimizeAndEmit(cut int, res Result, id int) error {
+	if testHookMinimize != nil {
+		testHookMinimize(res, cut)
+	}
+	min, final, runs := minimize(s.P, res, cut, s.Dir != "", s.Watchdog)
 	if s.Verbose != nil {
-		s.Verbose("minimized %s: prefix %d -> %d decisions (%d verification runs)",
-			res.Outcome, depth, len(min), runs)
+		s.Verbose("minimized %s: %d decisions -> %d-decision prefix (%d runs)",
+			res.Outcome, len(res.log), len(min), runs)
 	}
 	sig := final.Outcome.String() + "|" + formatPrefix(final.log)
 	s.mu.Lock()
@@ -381,3 +386,7 @@ func (s *Session) minimizeAndEmit(depth int, res Result, id int) error {
 	}
 	return nil
 }
+
+// testHookMinimize, when set by a test, is handed every failing run a session
+// minimizes and the cut it starts from.
+var testHookMinimize func(res Result, cut int)
