@@ -3,7 +3,6 @@ package qithread
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"qithread/internal/core"
 	"qithread/internal/policy"
@@ -44,10 +43,10 @@ type Domain struct {
 	stack   *policy.Stack // sched.Stack(), cached for the wrappers' hook calls; nil in Nondet mode
 	chooser Chooser       // Config.Chooser(id), asked once at creation; shared by the scheduler and the domain's gateways
 
-	mu       sync.Mutex
+	// The domain's lifecycle, under rt.domMu.
 	launched bool
 	rooted   bool // launched with at least one root
-	drained  bool // under rt.domMu: its driver drained it (pipe.go)
+	drained  bool // its driver drained it (pipe.go)
 	pending  []pendingRoot
 }
 
@@ -73,8 +72,8 @@ func (d *Domain) hasThreads() bool {
 	if d.id == 0 {
 		return true
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.rt.domMu.Lock()
+	defer d.rt.domMu.Unlock()
 	return d.rooted
 }
 
@@ -202,8 +201,8 @@ func (d *Domain) Start(name string, fn func(*Thread)) {
 	if d.id == 0 {
 		panic("qithread: Start on the default domain; the main thread runs there — use Thread.Create")
 	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
+	d.rt.domMu.Lock()
+	defer d.rt.domMu.Unlock()
 	if d.launched {
 		panic(fmt.Sprintf("qithread: Start(%q) on %s after Launch", name, d))
 	}
@@ -222,21 +221,24 @@ func (d *Domain) Start(name string, fn func(*Thread)) {
 // own body and only then counts as finished, so Run returns after the
 // domain's host record is recycled, never while it is still in use.
 func (d *Domain) Launch() {
-	d.mu.Lock()
+	rt := d.rt
+	rt.domMu.Lock()
 	if d.launched {
-		d.mu.Unlock()
+		rt.domMu.Unlock()
 		panic(fmt.Sprintf("qithread: %s launched twice", d))
 	}
 	d.launched = true
 	roots := d.pending
 	d.rooted = len(roots) > 0
 	d.pending = nil
-	d.mu.Unlock()
+	if d.rooted && rt.det() {
+		rt.xlive++ // before any root runs: the domain is live until it drained
+	}
+	rt.domMu.Unlock()
 	if len(roots) == 0 {
 		return
 	}
 
-	rt := d.rt
 	if rt.det() {
 		d.sched.HostThreads()
 		d.sched.ShareDeadlockHandler(rt.main.sched)
@@ -249,11 +251,6 @@ func (d *Domain) Launch() {
 			t.register()
 		}
 		threads[i] = t
-	}
-	if rt.det() {
-		rt.domMu.Lock()
-		rt.xlive++ // before any root runs: the domain is live until it drained
-		rt.domMu.Unlock()
 	}
 	// A root begins with thread_begin exactly like a Create'd child (both run
 	// Thread.run), so its initialization is deterministically ordered within

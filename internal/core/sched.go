@@ -377,12 +377,6 @@ func (s *Scheduler) TurnCount() int64 {
 	return s.turn
 }
 
-// HasTurn reports whether t currently holds the turn.
-func (s *Scheduler) HasTurn(t *Thread) bool {
-	defer s.unlock(s.lock())
-	return s.holder == t
-}
-
 // GetTurn blocks until t holds the turn. If t already holds the turn the call
 // returns immediately, which is what makes turn retention by the CSWhole,
 // WakeAMAP and CreateAll wrapper policies work: a retained turn simply makes

@@ -87,7 +87,10 @@ func TestGetTurnReentrant(t *testing.T) {
 	runThreads(t, s, 1, func(i int, th *Thread) {
 		s.GetTurn(th)
 		s.GetTurn(th) // must not deadlock: already holder
-		if !s.HasTurn(th) {
+		locked := s.lock()
+		held := s.holder == th
+		s.unlock(locked)
+		if !held {
 			t.Error("expected to hold turn")
 		}
 		s.PutTurn(th)

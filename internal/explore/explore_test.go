@@ -209,27 +209,31 @@ func TestMinimizeProbesSizedOnce(t *testing.T) {
 // cut, and the greedy pass's last failing run is its final result: in memory
 // the 10 minimizations cost 15 runs, and a results directory adds the one
 // traced run per repro file. Searching every cut and tracing every final run
-// cost 95.
+// cost 95. A failure that minimizes to an emitted repro's prefix gets no
+// traced run: a 1,000-run serial search of buggy keeps 121 repros of its 210
+// failures, and tracing all 210 cost 1,729.
 func TestMinimizationRunBudget(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		dir  string
-		want int64
+		name, program    string
+		dir              string
+		budget, failures int
+		want             int64
 	}{
-		{"in-memory", "", 315},
-		{"results-dir", t.TempDir(), 325},
+		{"in-memory", "controlplane-race", "", 300, 10, 315},
+		{"results-dir", "controlplane-race", t.TempDir(), 300, 10, 325},
+		{"results-dir-duplicates", "buggy", t.TempDir(), 1000, 210, 1640},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := *Lookup("controlplane-race")
+			p := *Lookup(tc.program)
 			var runs atomic.Int64
 			run := p.Run
 			p.Run = func(rt *qithread.Runtime) uint64 {
 				runs.Add(1)
 				return run(rt)
 			}
-			s := exploreSerial(t, &p, tc.dir, 300)
-			if got := runs.Load(); got != tc.want || s.Failures() != 10 {
-				t.Errorf("%d program runs for 300 schedules and %d failures, want %d and 10", got, s.Failures(), tc.want)
+			s := exploreSerial(t, &p, tc.dir, tc.budget)
+			if got := runs.Load(); got != tc.want || s.Failures() != tc.failures {
+				t.Errorf("%d program runs for %d schedules and %d failures, want %d and %d", got, tc.budget, s.Failures(), tc.want, tc.failures)
 			}
 		})
 	}
@@ -319,9 +323,13 @@ func knownCutMatchesSearch(t *testing.T, p *Program, hb bool) {
 		if f.cut < 0 {
 			t.Fatalf("a DPOR failure was minimized from cut %d", f.cut)
 		}
-		searched, want, _ := minimize(p, f.res, -1, true, testWatchdog)
+		searched, want, _ := minimize(p, f.res, -1, testWatchdog)
+		searched, want, _ = traceRepro(p, f.res, searched, want, testWatchdog)
 		for _, repro := range []bool{false, true} {
-			known, got, _ := minimize(p, f.res, f.cut, repro, testWatchdog)
+			known, got, _ := minimize(p, f.res, f.cut, testWatchdog)
+			if repro {
+				known, got, _ = traceRepro(p, f.res, known, got, testWatchdog)
+			}
 			if formatPrefix(known) != formatPrefix(searched) || formatPrefix(got.log) != formatPrefix(want.log) ||
 				got.Outcome != want.Outcome || got.Fingerprint != want.Fingerprint || (repro && got.Hash() != want.Hash()) {
 				t.Errorf("failure at cut %d of %d decisions, repro %v: known cut kept %d decisions and ended %s with %d, the search kept %d and ended %s with %d",

@@ -29,35 +29,34 @@ import (
 // that failed with it already carries a trace.
 func Minimize(p *Program, failing Result, watchdog time.Duration) ([]core.Choice, Result, int) {
 	failing.log = decisionsOf(failing.Choices)
-	min, final, runs := minimize(p, failing, -1, true, watchdog)
+	min, final, runs := minimize(p, failing, -1, watchdog)
+	min, final, traced := traceRepro(p, failing, min, final, watchdog)
 	final.Choices = choicesOf(final.log)
-	return choicesOf(min), final, runs
+	return choicesOf(min), final, runs + traced
 }
 
-// minimize is Minimize on the decision log the search keeps. A cut >= 0 is a
-// prefix length of failing.log already known to be the shortest failing one,
-// and step 2's search is skipped: a DPOR failure's is the depth it was forced
-// to, because every shorter cut of its log replays an expanded, so passing,
-// ancestor, and the known cut replays the failing run itself. A cut < 0
-// searches.
+// minimize is Minimize on the decision log the search keeps, without the
+// traced run. A cut >= 0 is a prefix length of failing.log already known to
+// be the shortest failing one, and step 2's search is skipped: a DPOR
+// failure's is the depth it was forced to, because every shorter cut of its
+// log replays an expanded, so passing, ancestor, and the known cut replays
+// the failing run itself. A cut < 0 searches.
 //
 // Every run that fails with min as its forced prefix is remembered — at a
 // known cut, the failing run itself — and the last one is returned as the
-// final result. Only when repro is set (a repro file will be written) and
-// that run carries no trace is min run once more, traced, to verify it; if
-// that run passes, the full log, which reproduced by construction, is run
-// traced instead. So an in-memory session makes no traced run, and a traced
-// failure whose greedy pass keeps no revert is its own final result.
+// final result. Runs are deterministic, so its decision log is the one a
+// traced run of min records, and a session can tell a duplicate repro from
+// it before tracing anything.
 //
 // Every probe resolves about as many decisions as the failing run did, so
 // each one's log is sized for len(failing.log) up front (runPath), not
 // regrown from its prefix.
-func minimize(p *Program, failing Result, cut int, repro bool, watchdog time.Duration) ([]decision, Result, int) {
+func minimize(p *Program, failing Result, cut int, watchdog time.Duration) ([]decision, Result, int) {
 	full := failing.log
 	runs := 0
-	run := func(candidate []decision, traced bool) (Result, bool) {
+	run := func(candidate []decision) (Result, bool) {
 		runs++
-		r := runPath(p, prefixFlip(candidate), len(full), watchdog, traced)
+		r := runPath(p, prefixFlip(candidate), len(full), watchdog, false)
 		return r, r.Outcome == failing.Outcome
 	}
 
@@ -65,10 +64,10 @@ func minimize(p *Program, failing Result, cut int, repro bool, watchdog time.Dur
 	if cut < 0 {
 		// Binary search the shortest failing cut of the full log.
 		cut = sort.Search(len(full), func(k int) bool {
-			_, fails := run(full[:k], false)
+			_, fails := run(full[:k])
 			return fails
 		})
-		r, fails := run(full[:cut], false)
+		r, fails := run(full[:cut])
 		if fails {
 			final = r
 		} else {
@@ -86,21 +85,27 @@ func minimize(p *Program, failing Result, cut int, repro bool, watchdog time.Dur
 		}
 		saved := min[i].index
 		min[i].index = min[i].def
-		if r, fails := run(min, false); fails {
+		if r, fails := run(min); fails {
 			final = r
 		} else {
 			min[i].index = saved
 		}
 	}
-
-	if repro && final.Trace == nil {
-		var fails bool
-		if final, fails = run(min, true); !fails {
-			// Minimization must never lose the bug: fall back to the full
-			// log, which reproduced by construction.
-			min = append([]decision(nil), full...)
-			final, _ = run(min, true)
-		}
-	}
 	return min, final, runs
+}
+
+// traceRepro returns the traced run a repro file records for minimize's
+// result, and the runs it made. A final result that carries a trace is its
+// own; otherwise min is run once more, traced, and if that run passes, the
+// full failing log, which reproduced by construction, is run traced instead:
+// minimization must never lose the bug.
+func traceRepro(p *Program, failing Result, min []decision, final Result, watchdog time.Duration) ([]decision, Result, int) {
+	if final.Trace != nil {
+		return min, final, 0
+	}
+	full := failing.log
+	if r := runPath(p, prefixFlip(min), len(full), watchdog, true); r.Outcome == failing.Outcome {
+		return min, r, 1
+	}
+	return full, runPath(p, prefixFlip(full), len(full), watchdog, true), 2
 }

@@ -347,14 +347,15 @@ func csvEscape(v string) string {
 // cut is the shortest failing cut of the run's log when it is known (the
 // depth of the forced prefix a DPOR failure was found with), -1 when the
 // minimization must search for it (a PCT walk), and id is the run id (repro
-// files are named after it). The minimization probes run outside the session
-// lock — they are pure re-runs — so parallel workers keep exploring while a
-// failure shrinks.
+// files are named after it). A duplicate is known from the untraced runs of
+// the minimization, so only a new repro's prefix gets a traced run, for its
+// file. The minimization probes run outside the session lock — they are pure
+// re-runs — so parallel workers keep exploring while a failure shrinks.
 func (s *Session) minimizeAndEmit(cut int, res Result, id int) error {
 	if testHookMinimize != nil {
 		testHookMinimize(res, cut)
 	}
-	min, final, runs := minimize(s.P, res, cut, s.Dir != "", s.Watchdog)
+	min, final, runs := minimize(s.P, res, cut, s.Watchdog)
 	if s.Verbose != nil {
 		s.Verbose("minimized %s: %d decisions -> %d-decision prefix (%d runs)",
 			res.Outcome, len(res.log), len(min), runs)
@@ -373,6 +374,7 @@ func (s *Session) minimizeAndEmit(cut int, res Result, id int) error {
 	if s.Dir == "" {
 		return nil
 	}
+	_, final, _ = traceRepro(s.P, res, min, final, s.Watchdog)
 	name := fmt.Sprintf("repro-%s-%03d.sched", final.Outcome, id)
 	path, err := s.writeRepro(name, final)
 	if err != nil {

@@ -28,7 +28,7 @@
 // burst with waiters remaining, an armed creation loop), ExtendLease is the
 // per-release-point validation that the lease still stands, and the revoking
 // hooks end it. The scheduler (internal/core) layers its own solo-thread
-// lease underneath; see the lease state machine in DESIGN.md §4.6.
+// lease underneath, a predicate; see turn leasing in DESIGN.md §4.6.
 //
 // A disabled policy's hook is one bitmask test that falls through: it never
 // touches per-thread state or a counter. The bitmask (Set; core.Policy /

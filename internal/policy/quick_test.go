@@ -73,19 +73,6 @@ func enabledNames(set Set) []string {
 	return out
 }
 
-// TestQuickSetStringRoundTrip: every set prints to a string ParseSet maps
-// back to the identical set.
-func TestQuickSetStringRoundTrip(t *testing.T) {
-	f := func(bits uint8) bool {
-		set := Set(bits) & AllPolicies
-		got, err := ParseSet(set.String())
-		return err == nil && got == set
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestQuickDescriptorCanonical: for any bitmask the descriptor is the base
 // name followed by the enabled policies in the canonical Section 5.2 order,
 // Metrics names the same policies in the same order with the base last, and

@@ -1,10 +1,5 @@
 package policy
 
-import (
-	"fmt"
-	"strings"
-)
-
 // Set is a bitmask of the five semantics-aware scheduling policies of the
 // paper (Section 3). It is the configuration surface: Stack.Init enables the
 // policies of a Set, and core.Policy / qithread.Policy alias it.
@@ -84,24 +79,4 @@ func SetForName(name string) (Set, bool) {
 		}
 	}
 	return 0, false
-}
-
-// ParseSet parses a '+'-separated policy list as printed by Set.String
-// ("BoostBlocked+WakeAMAP"), or the shorthands "none" and "all".
-func ParseSet(s string) (Set, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "none":
-		return NoPolicies, nil
-	case "all":
-		return AllPolicies, nil
-	}
-	var out Set
-	for _, part := range strings.Split(s, "+") {
-		p, ok := SetForName(strings.TrimSpace(part))
-		if !ok {
-			return 0, fmt.Errorf("policy: unknown policy %q", part)
-		}
-		out |= p
-	}
-	return out, nil
 }

@@ -26,6 +26,8 @@ import (
 // new binary, package or experiment is a deliberate edit in two places; one
 // that cannot name what needs it does not belong (the §4.11 rule, applied to
 // the layers above the runtime).
+// It also holds EXPERIMENTS.md to 115,000 bytes and DESIGN.md to 57,000,
+// and EXPERIMENTS.md's entries to an unbroken run from E1 to the newest.
 func TestInventory(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -94,6 +96,30 @@ func TestInventory(t *testing.T) {
 			t.Errorf("DESIGN.md §4.14 cites %s, EXPERIMENTS.md has no such entry", e)
 		}
 	}
+
+	// The design record stays at the size a reader reads whole: an entry
+	// grows by compressing an older one to its claim, result and commit, and
+	// a compression keeps the entry's heading, so E1 to the newest entry
+	// have no gap.
+	for _, doc := range []struct {
+		name, text string
+		max        int
+	}{{"EXPERIMENTS.md", experiments, 115_000}, {"DESIGN.md", design, 57_000}} {
+		if len(doc.text) > doc.max {
+			t.Errorf("%s is %d bytes, over its budget of %d", doc.name, len(doc.text), doc.max)
+		}
+	}
+	last := 0
+	for _, m := range regexp.MustCompile(`(?m)^## E(\d+) — `).FindAllStringSubmatch(experiments, -1) {
+		n, _ := strconv.Atoi(m[1])
+		last = max(last, n)
+	}
+	for n := 1; n <= last; n++ {
+		if !strings.Contains(experiments, fmt.Sprintf("\n## E%d — ", n)) {
+			t.Errorf("EXPERIMENTS.md has entries up to E%d but no E%d", last, n)
+		}
+	}
+
 	var tests []string
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err == nil && strings.HasSuffix(path, "_test.go") {

@@ -20,7 +20,7 @@ type Runtime struct {
 	cfg  Config
 	main Domain // the default domain (id 0); its scheduler is nil in Nondet mode
 
-	domMu    sync.Mutex
+	domMu    sync.Mutex  // guards the lists below, the detector state and each domain's lifecycle flags
 	domains  []*Domain   // id order; domains[0] is &main
 	domain0  [1]*Domain  // backing array of domains until NewDomain outgrows it
 	xpipes   []*XPipe    // creation order: a pipe's id is its index + 1
