@@ -73,25 +73,6 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // quiesces; the bound turns that into a diagnostic instead of a hang.
 const maxQuiescenceYields = 1 << 20
 
-// Quiescent reports whether t is the sole runnable thread of its domain with
-// no pending wake-up and no timed waiter — the state in which Checkpoint is
-// legal. Yielding lets woken-but-unparked threads run until they block, so
-//
-//	for !rt.Quiescent(t) { t.Yield() }
-//
-// deterministically drives the domain to a boundary (the yield count is a
-// function of the schedule, not of real time).
-func (rt *Runtime) Quiescent(t *Thread) bool {
-	if !rt.det() {
-		panic("qithread: Quiescent requires a deterministic Mode")
-	}
-	s := t.dom.sched
-	s.GetTurn(t.ct)
-	q := s.Quiescent(t.ct)
-	t.release()
-	return q
-}
-
 // quiesce drives t's domain to a quiescent boundary with traced yields. The
 // yields release through PutTurn directly, not Thread.release: a policy turn
 // retention (WakeAMAP keeps the turn with a waker that has threads in the

@@ -194,7 +194,11 @@ func TestStreamingTraceFingerprint(t *testing.T) {
 	nilCfg.Record = true
 	nilCfg.StreamTrace = func(int) qithread.TraceSink { return discardSink{} }
 	rt := qithread.New(nilCfg)
-	workload.IngressServer(wcfg, p)(rt)
+	rt.Run(func(main *qithread.Thread) {
+		m := rt.NewMutex(main, "m")
+		m.Lock(main)
+		m.Unlock(main)
+	})
 	if rt.Fingerprint().DomainHashes[0] == qithread.New(nilCfg).Fingerprint().DomainHashes[0] {
 		t.Fatal("streamed run recorded no events")
 	}

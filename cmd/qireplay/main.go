@@ -36,9 +36,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"strings"
 	"time"
@@ -309,13 +311,16 @@ func saveCheckpoint(path string, cp *qithread.Checkpoint) error {
 
 // loadSidecar returns the recorded observables line and the scheduling mode
 // the recording ran under, from the sidecar saveLog wrote; obs is empty when
-// there is no sidecar. A sidecar that does not open with its mode= line is
-// refused.
+// there is no sidecar. A sidecar that cannot be read, or does not open with
+// its mode= line, is refused.
 func loadSidecar(path string) (obs, mode string, err error) {
 	b, err := os.ReadFile(path)
-	if err != nil {
+	if errors.Is(err, fs.ErrNotExist) {
 		fmt.Fprintf(os.Stderr, "qireplay: no fingerprint sidecar %s; comparing replays only with each other\n", path)
 		return "", "", nil
+	}
+	if err != nil {
+		return "", "", err
 	}
 	rest, found := strings.CutPrefix(strings.TrimRight(string(b), "\r\n"), "mode=")
 	mode, obs, split := strings.Cut(rest, "\n")

@@ -38,8 +38,9 @@ func TestScheduleDivergencePrinted(t *testing.T) {
 }
 
 // TestLoadSidecar: a sidecar saveLog wrote reads back as its mode and
-// observables line; a missing one is no sidecar; one without its mode= line —
-// a format no build writes — is refused by name with a request to re-record.
+// observables line; a missing one is no sidecar; one that exists but cannot be
+// read is an error, not a missing one; one without its mode= line — a format
+// no build writes — is refused by name with a request to re-record.
 func TestLoadSidecar(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, body string) string {
@@ -55,6 +56,13 @@ func TestLoadSidecar(t *testing.T) {
 	}
 	if obs, _, err := loadSidecar(filepath.Join(dir, "missing.fp")); obs != "" || err != nil {
 		t.Errorf("missing sidecar: %q, %v; want no sidecar and no error", obs, err)
+	}
+	unreadable := filepath.Join(dir, "dir.fp")
+	if err := os.Mkdir(unreadable, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := loadSidecar(unreadable); err == nil {
+		t.Errorf("sidecar path %s is a directory: no error, want the read error", unreadable)
 	}
 	for _, body := range []string{"out=1 fp=2\n", "mode=qithread\n"} {
 		path := write("bad.fp", body)

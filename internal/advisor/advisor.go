@@ -259,10 +259,3 @@ func Policies(recs []Recommendation) qithread.Policy {
 	}
 	return p
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

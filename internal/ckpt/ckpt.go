@@ -92,7 +92,7 @@ func Save(w io.Writer, r *Record) error {
 		return fmt.Errorf("ckpt: encoding checkpoint: %w", err)
 	}
 	fw := logio.NewFrameWriter(w)
-	if err := fw.WriteFrame(payload.Bytes(), true); err != nil {
+	if err := fw.WriteFrame(payload.Bytes()); err != nil {
 		return err
 	}
 	return fw.Close()

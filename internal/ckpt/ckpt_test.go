@@ -80,7 +80,7 @@ func framed(t testing.TB, hdr string, payloads ...[]byte) []byte {
 	buf.WriteString(hdr + "\n")
 	fw := logio.NewFrameWriter(&buf)
 	for _, p := range payloads {
-		if err := fw.WriteFrame(p, true); err != nil {
+		if err := fw.WriteFrame(p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func TestSchedStateCarriesEveryCounter(t *testing.T) {
 	// turn, nothing recorded): what a resuming program's setup phase rebuilds
 	// before RestoreState.
 	solo := func() (*core.Scheduler, *core.Thread) {
-		s := core.New(core.Config{Policies: core.AllPolicies, Record: true, SuspendRecording: true})
+		s := core.New(core.Config{Policies: policy.AllPolicies, Record: true, SuspendRecording: true})
 		th := s.Register("main")
 		s.GetTurn(th)
 		return s, th

@@ -76,10 +76,7 @@ type SchedState struct {
 // a function of the schedule, not of real time.
 func (s *Scheduler) Quiescent(t *Thread) bool {
 	defer s.unlock(s.lock())
-	return s.holder == t &&
-		s.runQ.head == t && t.qnext == nil &&
-		s.wakeQ.head == nil &&
-		s.timers.len() == 0
+	return s.holder == t && s.onlyRunnableLocked(t) && s.timers.len() == 0
 }
 
 // CaptureState snapshots the scheduler's deterministic state. The caller
@@ -93,7 +90,7 @@ func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 	if s.replay != nil {
 		return nil, fmt.Errorf("core: CaptureState during schedule replay is not supported")
 	}
-	if s.runQ.head != t || t.qnext != nil || s.wakeQ.head != nil {
+	if !s.onlyRunnableLocked(t) {
 		return nil, fmt.Errorf("core: CaptureState requires quiescence: %v is not the sole runnable thread", t)
 	}
 	if s.timers.len() != 0 {
@@ -175,7 +172,7 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 		return fmt.Errorf("core: RestoreState: structure mismatch: have %d threads ever/%d objects/%d live, snapshot has %d/%d/%d (setup phase diverged)",
 			s.nextTID, s.nextObj, s.live, st.NextTID, st.NextObj, st.Live)
 	}
-	if len(st.RunQ) != 1 || s.runQ.head != t || t.qnext != nil || s.wakeQ.head != nil || t.id != st.RunQ[0] {
+	if len(st.RunQ) != 1 || !s.onlyRunnableLocked(t) || t.id != st.RunQ[0] {
 		return fmt.Errorf("core: RestoreState: %v must be the sole runnable thread and match the snapshot's runnable %v", t, st.RunQ)
 	}
 	if s.timers.len() != 0 {

@@ -23,89 +23,16 @@
 // qithread package.
 package core
 
-import (
-	"fmt"
-
-	"qithread/internal/policy"
-)
-
-// Mode selects the base scheduling policy of a Scheduler.
-type Mode uint8
-
-const (
-	// RoundRobin passes the turn around the run queue in FIFO order. It is
-	// the base policy of both Parrot and QiThread and provides schedule
-	// stability: the schedule depends only on the synchronization structure
-	// of the program, not on input sizes or compute durations.
-	RoundRobin Mode = iota
-	// LogicalClock grants the turn to the runnable thread with the smallest
-	// instruction clock (see AddWork), ties broken by thread ID. This is the
-	// Kendo / CoreDet baseline. It balances imbalanced synchronization
-	// without annotations but is not stable: input changes perturb clocks
-	// and therefore schedules.
-	LogicalClock
-	// VirtualParallel simulates an UNCONSTRAINED parallel execution: the
-	// runnable thread with the smallest virtual clock acts next (greedy
-	// list scheduling on unbounded cores) and synchronization operations do
-	// NOT serialize through a global turn in virtual time — only real
-	// per-object dependencies (who holds the lock, who signals whom) order
-	// threads. Its virtual makespan models the nondeterministic pthreads
-	// baseline the paper normalizes against, while remaining deterministic
-	// and noise-free. It is a measurement baseline, not a DMT policy.
-	VirtualParallel
-)
-
-// String returns the conventional name of the mode.
-func (m Mode) String() string {
-	switch m {
-	case RoundRobin:
-		return "round-robin"
-	case LogicalClock:
-		return "logical-clock"
-	case VirtualParallel:
-		return "virtual-parallel"
-	default:
-		return fmt.Sprintf("mode(%d)", uint8(m))
-	}
-}
-
-// base returns the base turn policy that implements the mode.
-func (m Mode) base() policy.BaseKind {
-	switch m {
-	case LogicalClock:
-		return policy.LogicalClock
-	case VirtualParallel:
-		return policy.VirtualClock
-	default:
-		return policy.RoundRobin
-	}
-}
-
-// Policy is the bitmask of the five semantics-aware scheduling policies of
-// the paper (Section 3), the one way to configure them: New enables the
-// policies of Config.Policies in the scheduler's policy stack
-// (internal/policy), whose hooks make every scheduling decision.
-type Policy = policy.Set
-
-// Re-exported policy constants; see internal/policy for their semantics.
-const (
-	BoostBlocked = policy.BoostBlocked
-	CreateAll    = policy.CreateAll
-	CSWhole      = policy.CSWhole
-	WakeAMAP     = policy.WakeAMAP
-	BranchedWake = policy.BranchedWake
-	NoPolicies   = policy.NoPolicies
-	AllPolicies  = policy.AllPolicies
-)
+import "qithread/internal/policy"
 
 // Config configures a Scheduler.
 type Config struct {
-	// Mode selects the base policy. The zero value is RoundRobin.
-	Mode Mode
+	// Mode selects the base policy. The zero value is policy.RoundRobin.
+	Mode policy.BaseKind
 	// Policies is the set of semantics-aware policies layered on the
-	// RoundRobin base. The LogicalClock and VirtualParallel baselines run
+	// round-robin base. The logical-clock and virtual-clock baselines run
 	// without them, as in the paper, whatever is set here.
-	Policies Policy
+	Policies policy.Set
 	// Record enables schedule tracing. Each completed synchronization
 	// operation appends one Event to the trace.
 	Record bool
@@ -142,22 +69,8 @@ type Config struct {
 	Chooser policy.Chooser
 }
 
-// Chooser re-exports the choice-point hook of the policy engine; see
-// internal/policy.Chooser and Config.Chooser.
-type Chooser = policy.Chooser
-
-// ChoiceKind re-exports the choice-point kind enumeration.
-type ChoiceKind = policy.ChoiceKind
-
 // Choice re-exports one recorded choice-point resolution.
 type Choice = policy.Choice
-
-// Re-exported choice kinds; see internal/policy for their semantics.
-const (
-	ChooseTurn  = policy.ChooseTurn
-	ChooseWake  = policy.ChooseWake
-	ChooseAdmit = policy.ChooseAdmit
-)
 
 // Virtual time. The scheduler maintains a critical-path ("virtual time")
 // model of the execution: compute between synchronization operations advances
@@ -176,7 +89,7 @@ const (
 
 // Virtual-time cost, in work units, of one synchronization operation: under
 // the turn mechanism (RoundRobin, LogicalClock: wrapper + scheduler queues),
-// and as a native operation (VirtualParallel, and the root package's PCS
+// and as a native operation (VirtualClock, and the root package's PCS
 // bypass outside the turn: a plain pthread op is much cheaper than a
 // scheduled turn). Nondet runs keep no virtual time.
 const (

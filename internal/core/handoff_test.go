@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"qithread/internal/policy"
 )
 
 // A turn grant is one flag per handoff (grantLocked). A hosted scheduler
@@ -145,9 +147,9 @@ func (a handoffRun) equal(b handoffRun) bool {
 // the binary is run at, leaves no grant token behind, and never hangs.
 func TestHandoffStressNeutralAcrossProcs(t *testing.T) {
 	for _, cfg := range []Config{
-		{Mode: RoundRobin},
-		{Mode: RoundRobin, Policies: BoostBlocked},
-		{Mode: LogicalClock},
+		{Mode: policy.RoundRobin},
+		{Mode: policy.RoundRobin, Policies: policy.BoostBlocked},
+		{Mode: policy.LogicalClock},
 	} {
 		for _, n := range []int{2, 4, 64} {
 			name := fmt.Sprintf("%v/policies=%v/threads=%d", cfg.Mode, cfg.Policies, n)
@@ -175,7 +177,7 @@ func TestHandoffStressNeutralAcrossProcs(t *testing.T) {
 // a silently lost grant.
 func TestGrantToUnconsumedTokenPanics(t *testing.T) {
 	for _, hosted := range []bool{false, true} {
-		s := New(Config{Mode: RoundRobin})
+		s := New(Config{Mode: policy.RoundRobin})
 		if hosted {
 			s.HostThreads()
 		}
@@ -199,7 +201,7 @@ func TestGrantToUnconsumedTokenPanics(t *testing.T) {
 // as grantLocked refuses a second grant.
 func TestExitWithUnconsumedTokenPanics(t *testing.T) {
 	for _, hosted := range []bool{false, true} {
-		s := New(Config{Mode: RoundRobin})
+		s := New(Config{Mode: policy.RoundRobin})
 		if hosted {
 			s.HostThreads()
 		}
@@ -227,7 +229,7 @@ func TestHostRecordsRecycled(t *testing.T) {
 	for len(freeHosts) > 0 {
 		<-freeHosts
 	}
-	handoffStress(t, Config{Mode: RoundRobin}, workerPoolCap, true)
+	handoffStress(t, Config{Mode: policy.RoundRobin}, workerPoolCap, true)
 	if n := len(freeWorkers); n != workerPoolCap-1 {
 		t.Errorf("free list holds %d coroutines after a hosted run of %d threads, want %d", n, workerPoolCap, workerPoolCap-1)
 	}

@@ -148,9 +148,6 @@ func ComputeHB(events []Event) *HB {
 	return h
 }
 
-// Clock returns event i's vector clock.
-func (h *HB) Clock(i int) VClock { return h.clocks[i] }
-
 // Ordered reports whether event i happens before event j (i < j in trace
 // order is assumed; the trace is consistent with HB, so i ≺ j iff i's clock
 // is contained in j's).

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"qithread/internal/policy"
 )
 
 // The hosted path's schedule neutrality is TestHandoffStressNeutralAcrossProcs
@@ -35,7 +37,7 @@ func TestHostedBodyPanicReachesDriver(t *testing.T) {
 	for len(freeWorkers) > 0 {
 		(<-freeWorkers).stop()
 	}
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	var got any
 	func() {
 		defer func() { got = recover() }()
@@ -61,7 +63,7 @@ func TestHostedBodyPanicReachesDriver(t *testing.T) {
 // thread freezes the run, one that returns leaves the driver parked.
 func TestHostedDeadlock(t *testing.T) {
 	for _, freeze := range []bool{true, false} {
-		s := New(Config{Mode: RoundRobin})
+		s := New(Config{Mode: policy.RoundRobin})
 		deadlock := make(chan string, 1)
 		s.SetDeadlockHandler(func(msg string) {
 			deadlock <- msg
@@ -94,7 +96,7 @@ func TestHostedDeadlock(t *testing.T) {
 // every primitive — leased and unleased releases, a signal, a broadcast and a
 // timed-wait expiry, recording, LogicalClock work — must still finish.
 func TestHostedSchedulerTakesNoLock(t *testing.T) {
-	s := New(Config{Mode: LogicalClock, Record: true})
+	s := New(Config{Mode: policy.LogicalClock, Record: true})
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	done := make(chan Stats, 1)
@@ -159,7 +161,7 @@ func TestHostedSchedulerTakesNoLock(t *testing.T) {
 // TestHostedAfterRegisterPanics: hosting is decided before the first
 // thread exists; a scheduler cannot change paths under its threads.
 func TestHostedAfterRegisterPanics(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	s.Register("early")
 	defer func() {
 		if recover() == nil {
@@ -192,7 +194,7 @@ func (l *offLock) unlock(th *Thread) {
 // run, and it gets the lock once the holder, parked inside its section and
 // woken ahead of it (BoostBlocked), has let go.
 func TestHostedOffTurn(t *testing.T) {
-	s := New(Config{Mode: RoundRobin, Policies: BoostBlocked})
+	s := New(Config{Mode: policy.RoundRobin, Policies: policy.BoostBlocked})
 	s.HostThreads()
 	var l offLock
 	var log []string
@@ -237,7 +239,7 @@ func TestHostedOffTurn(t *testing.T) {
 // coroutine or the driver itself — instead of retrying forever.
 func TestHostedOffTurnDeadlock(t *testing.T) {
 	for _, spinner := range []string{"T2(c)]", "T0(d)]"} {
-		s := New(Config{Mode: RoundRobin})
+		s := New(Config{Mode: policy.RoundRobin})
 		deadlock := make(chan string, 1)
 		s.SetDeadlockHandler(func(msg string) { deadlock <- msg })
 		go func() { // leaks, parked, by design
@@ -286,7 +288,7 @@ func (f jobFunc) Join() { f() }
 // first retry takes it. Taking every retry before any computation would
 // spend a fruitless retry of r first.
 func TestAsideResumesInYieldOrder(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	s.HostThreads()
 	var l offLock
 	var log []string
@@ -343,7 +345,7 @@ func TestAsideStuckOnlyOnRetries(t *testing.T) {
 		s.Exit(th)
 	}
 	for k := 1; k <= 5; k++ {
-		s := New(Config{Mode: RoundRobin}) // no handler: a report panics out of the run
+		s := New(Config{Mode: policy.RoundRobin}) // no handler: a report panics out of the run
 		s.HostThreads()
 		var l offLock
 		fruitless := 0
@@ -371,7 +373,7 @@ func TestAsideStuckOnlyOnRetries(t *testing.T) {
 		}
 	}
 	for k := 1; k <= 5; k++ {
-		s := New(Config{Mode: RoundRobin})
+		s := New(Config{Mode: policy.RoundRobin})
 		type report struct {
 			fruitless int
 			msg       string

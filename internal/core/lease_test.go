@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"qithread/internal/policy"
 )
 
 // The solo lease (PutTurn's soloLocked branch, see sched.go) must be
@@ -37,7 +39,7 @@ func soloLoop(cfg Config, n int) *Scheduler {
 // release).
 func TestLeaseSoloThread(t *testing.T) {
 	const n = 10
-	st := soloLoop(Config{Mode: RoundRobin}, n).Stats()
+	st := soloLoop(Config{Mode: policy.RoundRobin}, n).Stats()
 	if st.LeaseExtends != n {
 		t.Fatalf("LeaseExtends = %d, want %d (every release of a solo thread)", st.LeaseExtends, n)
 	}
@@ -49,7 +51,7 @@ func TestLeaseSoloThread(t *testing.T) {
 // TestLeaseDisabled: NoLease turns the lease off — every release takes the
 // queue-and-handoff path.
 func TestLeaseDisabled(t *testing.T) {
-	st := soloLoop(Config{Mode: RoundRobin, NoLease: true}, 10).Stats()
+	st := soloLoop(Config{Mode: policy.RoundRobin, NoLease: true}, 10).Stats()
 	if st.LeaseExtends != 0 {
 		t.Fatalf("NoLease run kept the turn %d times", st.LeaseExtends)
 	}
@@ -62,7 +64,7 @@ func TestLeaseDisabled(t *testing.T) {
 // it, so the holder's next release hands off and the newcomer runs. A lease
 // that outlived the registration would never schedule the child.
 func TestLeaseRevokedOnRegister(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	a := s.Register("a")
 	childRan := false
 	done := make(chan struct{})
@@ -99,7 +101,7 @@ func TestLeaseRevokedOnRegister(t *testing.T) {
 // a leased run exactly, which is the record/replay half of trace neutrality.
 func TestLeaseDisabledDuringReplay(t *testing.T) {
 	run := func(replay []Event) (*Scheduler, []Event) {
-		s := New(Config{Mode: RoundRobin, Record: true})
+		s := New(Config{Mode: policy.RoundRobin, Record: true})
 		if replay != nil {
 			s.SetReplay(replay)
 		}
@@ -136,7 +138,7 @@ func TestLeaseDisabledDuringReplay(t *testing.T) {
 // lease on and off is byte-identical.
 func TestQuickLeaseTraceNeutral(t *testing.T) {
 	f := func(sc script) bool {
-		return tracesEqual(runScript(sc, Config{Mode: RoundRobin}), runScript(sc, Config{Mode: RoundRobin, NoLease: true}))
+		return tracesEqual(runScript(sc, Config{Mode: policy.RoundRobin}), runScript(sc, Config{Mode: policy.RoundRobin, NoLease: true}))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -148,7 +150,7 @@ func TestQuickLeaseTraceNeutral(t *testing.T) {
 // on and off, so logical timeouts behave identically.
 func TestQuickLeaseTurnCountNeutral(t *testing.T) {
 	count := func(sc script, noLease bool) int64 {
-		s := New(Config{Mode: RoundRobin, Record: true, NoLease: noLease})
+		s := New(Config{Mode: policy.RoundRobin, Record: true, NoLease: noLease})
 		_ = runScriptOn(s, sc)
 		return s.TurnCount()
 	}
@@ -164,9 +166,9 @@ func TestQuickLeaseTurnCountNeutral(t *testing.T) {
 // on — a solo thread's releases then extend nothing — and only those.
 func TestDisableLeases(t *testing.T) {
 	restore := DisableLeases()
-	off := soloLoop(Config{Mode: RoundRobin}, 10).Stats().LeaseExtends
+	off := soloLoop(Config{Mode: policy.RoundRobin}, 10).Stats().LeaseExtends
 	restore()
-	on := soloLoop(Config{Mode: RoundRobin}, 10).Stats().LeaseExtends
+	on := soloLoop(Config{Mode: policy.RoundRobin}, 10).Stats().LeaseExtends
 	if off != 0 || on != 10 {
 		t.Fatalf("solo releases extended %d times with leases disabled and %d after, want 0 and 10", off, on)
 	}

@@ -14,7 +14,7 @@ import (
 // bases; the five semantic policies' rules (Section 3). No lease, intrusive
 // list, deadline heap, host or lock: every step is a loop over a slice.
 type model struct {
-	mode      Mode
+	mode      policy.BaseKind
 	set       policy.Set
 	choose    func(policy.ChoiceKind, []int, int) int // nil: no chooser
 	holder    int                                     // -1: the turn is free
@@ -43,8 +43,8 @@ type mthread struct {
 func newModel(cfg Config, n int, choose func(policy.ChoiceKind, []int, int) int) *model {
 	m := &model{mode: cfg.Mode, set: cfg.Policies, choose: choose, holder: -1, chosen: -1,
 		waits: map[uint64][]int{}, th: make([]mthread, n)}
-	if cfg.Mode != RoundRobin {
-		m.set = NoPolicies // the clock baselines run without the semantic policies
+	if cfg.Mode != policy.RoundRobin {
+		m.set = policy.NoPolicies // the clock baselines run without the semantic policies
 	}
 	for t := range n {
 		m.run = append(m.run, t)
@@ -137,7 +137,7 @@ func (m *model) exit(t int) {
 func (m *model) traceOp(t int, op OpKind, obj uint64, st EventStatus) {
 	m.requireTurn(t, "trace")
 	th := &m.th[t]
-	if m.mode == VirtualParallel {
+	if m.mode == policy.VirtualClock {
 		th.vtime += VSyncCostNative
 	} else {
 		th.vtime = max(th.vtime, m.vLastOp) + vSyncCostTurn
@@ -150,7 +150,7 @@ func (m *model) traceOp(t int, op OpKind, obj uint64, st EventStatus) {
 func (m *model) addWork(t int, n int64) {
 	m.th[t].vtime += n
 	m.th[t].clock += n
-	if m.mode != RoundRobin {
+	if m.mode != policy.RoundRobin {
 		m.pass()
 	}
 }
@@ -168,23 +168,23 @@ func (m *model) release(t int) {
 	}
 }
 
-func (m *model) arm(t int) { m.th[t].ps.Armed = m.th[t].ps.Armed || m.set.Has(CreateAll) }
+func (m *model) arm(t int) { m.th[t].ps.Armed = m.th[t].ps.Armed || m.set.Has(policy.CreateAll) }
 
 func (m *model) acquire(t int) bool {
-	if m.set.Has(CSWhole) {
+	if m.set.Has(policy.CSWhole) {
 		m.th[t].ps.CSDepth++
 	}
-	return m.set.Has(CSWhole)
+	return m.set.Has(policy.CSWhole)
 }
 
 func (m *model) leave(t int) { m.th[t].ps.CSDepth -= min(m.th[t].ps.CSDepth, 1) }
 
-func (m *model) signaled(t, left int) { m.th[t].ps.Wake = m.set.Has(WakeAMAP) && left > 0 }
+func (m *model) signaled(t, left int) { m.th[t].ps.Wake = m.set.Has(policy.WakeAMAP) && left > 0 }
 
 // tick ends a turn: time advances, the clock ticks, expired waiters wake.
 func (m *model) tick(t int) {
 	m.turn++
-	if m.mode == LogicalClock {
+	if m.mode == policy.LogicalClock {
 		m.th[t].clock++
 	}
 	m.expire()
@@ -218,7 +218,7 @@ func (m *model) unwait(w int) { m.waits[m.th[w].obj] = without(m.waits[m.th[w].o
 func (m *model) wakeUp(t int, st WaitStatus, wakerV int64) {
 	m.th[t].status = st
 	m.th[t].vtime = max(m.th[t].vtime, wakerV)
-	if m.set.Has(BoostBlocked) {
+	if m.set.Has(policy.BoostBlocked) {
 		m.wake = append(m.wake, t)
 	} else {
 		m.run = append(m.run, t)
@@ -277,10 +277,10 @@ func (m *model) eligible() int {
 // round robin the run queue's head, a clock base the runnable thread with
 // the smallest (clock, id) — virtual clock under VirtualParallel.
 func (m *model) pick() int {
-	if len(m.wake) > 0 && m.set.Has(BoostBlocked) {
+	if len(m.wake) > 0 && m.set.Has(policy.BoostBlocked) {
 		return m.wake[0]
 	}
-	if m.mode == RoundRobin {
+	if m.mode == policy.RoundRobin {
 		if len(m.run) == 0 {
 			return -1
 		}
@@ -289,7 +289,7 @@ func (m *model) pick() int {
 	best, bestKey := -1, int64(0)
 	for _, t := range append(slices.Clone(m.run), m.wake...) {
 		key := m.th[t].clock
-		if m.mode == VirtualParallel {
+		if m.mode == policy.VirtualClock {
 			key = m.th[t].vtime
 		}
 		if best < 0 || key < bestKey || key == bestKey && t < best {

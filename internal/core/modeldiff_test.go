@@ -444,11 +444,11 @@ func runLockstep(prog [][]scriptOp, cfg Config, seq []int, cov *coverage) (err e
 // modelConfigs are the base policies and policy sets the differential
 // scripts run under.
 var modelConfigs = []Config{
-	{Mode: RoundRobin, Policies: NoPolicies},
-	{Mode: RoundRobin, Policies: BoostBlocked},
-	{Mode: RoundRobin, Policies: AllPolicies},
-	{Mode: LogicalClock},
-	{Mode: VirtualParallel},
+	{Mode: policy.RoundRobin, Policies: policy.NoPolicies},
+	{Mode: policy.RoundRobin, Policies: policy.BoostBlocked},
+	{Mode: policy.RoundRobin, Policies: policy.AllPolicies},
+	{Mode: policy.LogicalClock},
+	{Mode: policy.VirtualClock},
 }
 
 // answersOf is a chooser's answer sequence drawn from seed: one to eight

@@ -44,11 +44,11 @@ func TestQuickHookDispatchInvariants(t *testing.T) {
 			name = "boost"
 		}
 		t.Run(name, func(t *testing.T) {
-			for set := NoPolicies; set <= AllPolicies; set++ {
-				if set.Has(BoostBlocked) != boost {
+			for set := policy.NoPolicies; set <= policy.AllPolicies; set++ {
+				if set.Has(policy.BoostBlocked) != boost {
 					continue
 				}
-				for _, mode := range []Mode{RoundRobin, LogicalClock, VirtualParallel} {
+				for _, mode := range []policy.BaseKind{policy.RoundRobin, policy.LogicalClock, policy.VirtualClock} {
 					cfg := Config{Mode: mode, Policies: set}
 					f := func(sc script) bool {
 						tr, st, live := statsOf(sc, cfg)
@@ -68,7 +68,7 @@ func TestQuickHookDispatchInvariants(t *testing.T) {
 							return false
 						}
 						wantBoosts := int64(0)
-						if boost && mode == RoundRobin {
+						if boost && mode == policy.RoundRobin {
 							wantBoosts = woken
 						}
 						if boosts != wantBoosts {
@@ -107,8 +107,8 @@ func TestQuickHookDispatchInvariants(t *testing.T) {
 // -cpu 1,2,4).
 func TestPolicyMetricsDeterministic(t *testing.T) {
 	for _, cfg := range []Config{
-		{Mode: RoundRobin, Policies: AllPolicies},
-		{Mode: LogicalClock},
+		{Mode: policy.RoundRobin, Policies: policy.AllPolicies},
+		{Mode: policy.LogicalClock},
 	} {
 		t.Run(cfg.Mode.String(), func(t *testing.T) {
 			for seed := uint64(1); seed <= 40; seed++ {
@@ -128,11 +128,11 @@ func TestPolicyMetricsDeterministic(t *testing.T) {
 // next no policy decides anything, so nothing is counted as a pick.
 func TestReplayGrantsAreNotPicks(t *testing.T) {
 	sc := script{Seed: 7, NThreads: 3, NOps: 9}
-	rec, st, _ := statsOf(sc, Config{Policies: BoostBlocked})
+	rec, st, _ := statsOf(sc, Config{Policies: policy.BoostBlocked})
 	if picks, _ := totalPicks(st); picks == 0 {
 		t.Fatal("the recording run counted no pick")
 	}
-	s := New(Config{Policies: BoostBlocked, Record: true})
+	s := New(Config{Policies: policy.BoostBlocked, Record: true})
 	s.SetReplay(rec)
 	if tr := runScriptOn(s, sc); !tracesEqual(tr, rec) {
 		t.Fatal("replay diverged from the recording")
@@ -147,13 +147,13 @@ func TestReplayGrantsAreNotPicks(t *testing.T) {
 // without asking the bitmask, so a checkpoint taken under other Policies is
 // refused instead of resumed with leases nobody would ever revoke.
 func TestRestoreRefusesForeignLeaseState(t *testing.T) {
-	solo := func(set Policy) (*Scheduler, *Thread) {
+	solo := func(set policy.Set) (*Scheduler, *Thread) {
 		s := New(Config{Policies: set, Record: true, SuspendRecording: true})
 		th := s.Register("main")
 		s.GetTurn(th)
 		return s, th
 	}
-	src, srcT := solo(CSWhole)
+	src, srcT := solo(policy.CSWhole)
 	if !src.Stack().OnAcquire(srcT) {
 		t.Fatal("CSWhole did not lease")
 	}
@@ -164,14 +164,14 @@ func TestRestoreRefusesForeignLeaseState(t *testing.T) {
 	if want := (policy.PerThread{CSDepth: 1}); st.Threads[0].Policy != want {
 		t.Fatalf("captured policy state %+v, want %+v", st.Threads[0].Policy, want)
 	}
-	dst, dstT := solo(CSWhole | WakeAMAP)
+	dst, dstT := solo(policy.CSWhole | policy.WakeAMAP)
 	if err := dst.RestoreState(dstT, st); err != nil {
 		t.Fatal(err)
 	}
 	if *dstT.PolicyState() != st.Threads[0].Policy {
 		t.Fatalf("restored policy state %+v, want %+v", *dstT.PolicyState(), st.Threads[0].Policy)
 	}
-	other, otherT := solo(BoostBlocked)
+	other, otherT := solo(policy.BoostBlocked)
 	err = other.RestoreState(otherT, st)
 	if want := "of a policy round-robin|BoostBlocked does not run"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("restore under other policies: error %v, want one containing %q", err, want)

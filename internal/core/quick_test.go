@@ -5,6 +5,8 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+
+	"qithread/internal/policy"
 )
 
 // script is a randomized mini-program: nThreads threads each perform a
@@ -101,14 +103,17 @@ func tracesEqual(a, b []Event) bool {
 // TestQuickScheduleDeterminism: any random script produces the identical
 // trace on repeated runs, under every deterministic mode and policy setting.
 func TestQuickScheduleDeterminism(t *testing.T) {
-	for _, cfg := range []Config{
-		{Mode: RoundRobin},
-		{Mode: RoundRobin, Policies: BoostBlocked},
-		{Mode: LogicalClock},
-		{Mode: VirtualParallel},
+	for _, c := range []struct {
+		mode string
+		cfg  Config
+	}{
+		{"round-robin", Config{Mode: policy.RoundRobin}},
+		{"round-robin", Config{Mode: policy.RoundRobin, Policies: policy.BoostBlocked}},
+		{"logical-clock", Config{Mode: policy.LogicalClock}},
+		{"virtual-parallel", Config{Mode: policy.VirtualClock}},
 	} {
-		cfg := cfg
-		t.Run(cfg.Mode.String()+"/"+cfg.Policies.String(), func(t *testing.T) {
+		cfg := c.cfg
+		t.Run(c.mode+"/"+cfg.Policies.String(), func(t *testing.T) {
 			f := func(sc script) bool {
 				return tracesEqual(runScript(sc, cfg), runScript(sc, cfg))
 			}
@@ -124,7 +129,7 @@ func TestQuickScheduleDeterminism(t *testing.T) {
 // preceded by a matching wait-block from the same thread.
 func TestQuickTraceWellFormed(t *testing.T) {
 	f := func(sc script) bool {
-		tr := runScript(sc, Config{Mode: RoundRobin, Policies: BoostBlocked})
+		tr := runScript(sc, Config{Mode: policy.RoundRobin, Policies: policy.BoostBlocked})
 		ends := map[int32]int{}
 		pendingWait := map[int32]int{}
 		for i, e := range tr {
@@ -190,8 +195,8 @@ func TestQuickVirtualMakespanSane(t *testing.T) {
 		return s.VirtualMakespan()
 	}
 	f := func(sc script) bool {
-		rr := run(sc, Config{Mode: RoundRobin})
-		vp := run(sc, Config{Mode: VirtualParallel})
+		rr := run(sc, Config{Mode: policy.RoundRobin})
+		vp := run(sc, Config{Mode: policy.VirtualClock})
 		return rr > 0 && vp > 0 && rr >= vp
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -202,7 +207,7 @@ func TestQuickVirtualMakespanSane(t *testing.T) {
 // TestVirtualParallelOrdersByVTime: under VirtualParallel the thread with
 // the smaller virtual clock executes its operation first.
 func TestVirtualParallelOrdersByVTime(t *testing.T) {
-	s := New(Config{Mode: VirtualParallel, Record: true})
+	s := New(Config{Mode: policy.VirtualClock, Record: true})
 	var wg sync.WaitGroup
 	ths := []*Thread{s.Register("a"), s.Register("b")}
 	for i, th := range ths {
@@ -227,7 +232,7 @@ func TestVirtualParallelOrdersByVTime(t *testing.T) {
 // TestWakeEdgeRaisesVTime: a woken thread resumes no earlier (in virtual
 // time) than its waker's wake-up operation.
 func TestWakeEdgeRaisesVTime(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	var waiterV int64
 	var wg sync.WaitGroup
 	waiter := s.Register("waiter")
@@ -258,7 +263,7 @@ func TestWakeEdgeRaisesVTime(t *testing.T) {
 // TestExitedThreadMisuse: using a thread after Exit panics with a clear
 // diagnostic instead of corrupting the queues.
 func TestExitedThreadMisuse(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	th := s.Register("t")
 	done := make(chan struct{})
 	go func() {
@@ -278,7 +283,7 @@ func TestExitedThreadMisuse(t *testing.T) {
 // TestSignalNoWaitersIsNoop: signaling an object nobody waits on neither
 // blocks nor corrupts state (pthread_cond_signal semantics).
 func TestSignalNoWaitersIsNoop(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	th := s.Register("t")
 	done := make(chan struct{})
 	go func() {

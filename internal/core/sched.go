@@ -183,7 +183,7 @@ func New(cfg Config) *Scheduler {
 		traceHash: logio.FNVOffset64,
 		suspended: cfg.SuspendRecording,
 	}
-	s.stack.Init(cfg.Mode.base(), cfg.Policies)
+	s.stack.Init(cfg.Mode, cfg.Policies)
 	s.threads = s.threadsInline[:0]
 	s.chooseIDs = s.chooseIDsInline[:0]
 	s.chooseCands = s.chooseCandsInline[:0]
@@ -229,9 +229,6 @@ func (s *Scheduler) VirtualMakespan() int64 {
 	defer s.unlock(s.lock())
 	return s.vMakespan
 }
-
-// Config returns the scheduler configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
 
 // SetDeadlockHandler installs the runtime's deadlock handler: fn receives
 // every deadlock report instead of the panic ReportDeadlock raises without a
@@ -436,7 +433,7 @@ func (s *Scheduler) PutTurn(t *Thread) {
 		// advanceTimeLocked without the expiry, which is vacuous: nobody
 		// waits, so no timer can expire.
 		s.turn++
-		if s.cfg.Mode == LogicalClock {
+		if s.cfg.Mode == policy.LogicalClock {
 			t.clock += syncClockTick
 		}
 		s.stats.LeaseExtends++
@@ -554,18 +551,6 @@ func (s *Scheduler) Broadcast(t *Thread, obj uint64) {
 	}
 }
 
-// Waiters returns the number of threads currently blocked on obj, an O(1)
-// per-object count. The caller must hold the turn; wrappers use this for
-// diagnostics and tests.
-func (s *Scheduler) Waiters(t *Thread, obj uint64) int {
-	defer s.unlock(s.lock())
-	s.requireTurnLocked(t, "Waiters")
-	if q := s.waitLists[obj]; q != nil {
-		return q.len()
-	}
-	return 0
-}
-
 // Exit removes t from the scheduler. t must hold the turn. After Exit the
 // thread may never call scheduler primitives again.
 func (s *Scheduler) Exit(t *Thread) {
@@ -585,7 +570,7 @@ func (s *Scheduler) Exit(t *Thread) {
 
 // AddWork advances t's virtual and logical instruction clocks by n. In
 // LogicalClock mode clock changes can make a previously ineligible thread
-// eligible, so the scheduler is re-kicked; under VirtualParallel it is the
+// eligible, so the scheduler is re-kicked; under VirtualClock it is the
 // virtual clock that drives eligibility (the instruction clock is still
 // maintained so work accounting is consistent across modes). RoundRobin
 // never consults clocks.
@@ -593,7 +578,7 @@ func (s *Scheduler) AddWork(t *Thread, n int64) {
 	defer s.unlock(s.lock())
 	t.vtime += n
 	t.clock += n
-	if s.cfg.Mode == LogicalClock || s.cfg.Mode == VirtualParallel {
+	if s.cfg.Mode != policy.RoundRobin {
 		s.kickLocked(nil)
 	}
 }
@@ -648,25 +633,29 @@ const syncClockTick = 1
 // waiters.
 func (s *Scheduler) advanceTimeLocked(t *Thread) {
 	s.turn++
-	if s.cfg.Mode == LogicalClock {
+	if s.cfg.Mode == policy.LogicalClock {
 		t.clock += syncClockTick
 	}
 	s.expireLocked()
 }
 
 // soloLocked reports whether PutTurn keeps the turn with t, the holder: t is
-// the sole runnable thread (the run queue is exactly [t], the wake-up queue
-// is empty) and nobody waits — i.e. t is the only live thread, so the
-// release would re-select t. Whether time advances first does not matter:
-// with no waiter there is no timer to expire. Replay runs never keep the
-// turn this way (the recorded schedule drives eligibility), and NoLease
+// the only runnable thread and nobody waits — i.e. t is the only live thread,
+// so the release would re-select t. Whether time advances first does not
+// matter: with no waiter there is no timer to expire. Replay runs never keep
+// the turn this way (the recorded schedule drives eligibility), and NoLease
 // disables it.
 func (s *Scheduler) soloLocked(t *Thread) bool {
 	return !s.cfg.NoLease &&
 		s.replay == nil &&
-		s.runQ.head == t && t.qnext == nil &&
-		s.wakeQ.head == nil &&
+		s.onlyRunnableLocked(t) &&
 		s.nWaiting == 0
+}
+
+// onlyRunnableLocked reports whether t is the only runnable thread: the run
+// queue is exactly [t] and the wake-up queue is empty.
+func (s *Scheduler) onlyRunnableLocked(t *Thread) bool {
+	return s.runQ.head == t && t.qnext == nil && s.wakeQ.head == nil
 }
 
 // expireLocked wakes every timed waiter whose deadline has passed: heap pops

@@ -30,7 +30,7 @@ func runThreads(t *testing.T, s *Scheduler, n int, body func(i int, th *Thread))
 }
 
 func TestRoundRobinOrder(t *testing.T) {
-	s := New(Config{Mode: RoundRobin, Record: true})
+	s := New(Config{Mode: policy.RoundRobin, Record: true})
 	var order []int
 	var mu sync.Mutex
 	runThreads(t, s, 4, func(i int, th *Thread) {
@@ -53,7 +53,7 @@ func TestRoundRobinOrder(t *testing.T) {
 }
 
 func TestTurnExclusive(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	var inTurn, max, count int
 	var mu sync.Mutex
 	runThreads(t, s, 8, func(i int, th *Thread) {
@@ -83,7 +83,7 @@ func TestTurnExclusive(t *testing.T) {
 }
 
 func TestGetTurnReentrant(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	runThreads(t, s, 1, func(i int, th *Thread) {
 		s.GetTurn(th)
 		s.GetTurn(th) // must not deadlock: already holder
@@ -100,7 +100,7 @@ func TestGetTurnReentrant(t *testing.T) {
 }
 
 func TestWaitSignalFIFO(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	const obj = uint64(99)
 	var woken []int
 	var mu sync.Mutex
@@ -146,7 +146,7 @@ func TestWaitSignalFIFO(t *testing.T) {
 }
 
 func TestBroadcastWakesAllInOrder(t *testing.T) {
-	s := New(Config{Mode: RoundRobin, Policies: BoostBlocked})
+	s := New(Config{Mode: policy.RoundRobin, Policies: policy.BoostBlocked})
 	const obj = uint64(7)
 	var woken []int
 	var mu sync.Mutex
@@ -176,7 +176,7 @@ func TestBroadcastWakesAllInOrder(t *testing.T) {
 }
 
 func TestWaitTimeout(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	runThreads(t, s, 1, func(i int, th *Thread) {
 		s.GetTurn(th)
 		st := s.Wait(th, 42, 5)
@@ -195,7 +195,7 @@ func TestWaitTimeout(t *testing.T) {
 }
 
 func TestTimeoutOrderingAmongWaiters(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	var order []int
 	var mu sync.Mutex
 	runThreads(t, s, 2, func(i int, th *Thread) {
@@ -218,7 +218,7 @@ func TestTimeoutOrderingAmongWaiters(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	deadlock := make(chan string, 1)
 	s.SetDeadlockHandler(func(msg string) {
 		select {
@@ -243,8 +243,8 @@ func TestDeadlockDetection(t *testing.T) {
 func TestBoostBlockedPriority(t *testing.T) {
 	// One thread is woken while two other threads sit in the run queue; with
 	// BoostBlocked the woken thread must run before them.
-	run := func(policies Policy) []int {
-		s := New(Config{Mode: RoundRobin, Policies: policies})
+	run := func(policies policy.Set) []int {
+		s := New(Config{Mode: policy.RoundRobin, Policies: policies})
 		const obj = uint64(3)
 		var order []int
 		var mu sync.Mutex
@@ -282,7 +282,7 @@ func TestBoostBlockedPriority(t *testing.T) {
 		return order
 	}
 
-	boosted := run(BoostBlocked)
+	boosted := run(policy.BoostBlocked)
 	// Find the positions of the waiter's record (0) and check what ran
 	// between the signal and it: with BoostBlocked the waiter runs
 	// immediately after the signaler's PutTurn even though thread 2 was
@@ -299,7 +299,7 @@ func TestBoostBlockedPriority(t *testing.T) {
 	if bp < 0 {
 		t.Fatalf("waiter never ran: %v", boosted)
 	}
-	vanilla := run(NoPolicies)
+	vanilla := run(policy.NoPolicies)
 	vp := posOf(vanilla, 0)
 	if bp > vp {
 		t.Fatalf("BoostBlocked did not prioritize woken thread: boosted=%v vanilla=%v", boosted, vanilla)
@@ -307,7 +307,7 @@ func TestBoostBlockedPriority(t *testing.T) {
 }
 
 func TestLogicalClockMinRuns(t *testing.T) {
-	s := New(Config{Mode: LogicalClock})
+	s := New(Config{Mode: policy.LogicalClock})
 	var order []int
 	var mu sync.Mutex
 	runThreads(t, s, 2, func(i int, th *Thread) {
@@ -333,7 +333,7 @@ func TestLogicalClockMinRuns(t *testing.T) {
 }
 
 func TestLogicalClockTieBreakByID(t *testing.T) {
-	s := New(Config{Mode: LogicalClock})
+	s := New(Config{Mode: policy.LogicalClock})
 	var first int = -1
 	var mu sync.Mutex
 	runThreads(t, s, 3, func(i int, th *Thread) {
@@ -353,7 +353,7 @@ func TestLogicalClockTieBreakByID(t *testing.T) {
 }
 
 func TestExitRemovesThread(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	runThreads(t, s, 3, func(i int, th *Thread) {
 		if i == 0 {
 			s.GetTurn(th)
@@ -373,7 +373,7 @@ func TestExitRemovesThread(t *testing.T) {
 }
 
 func TestTraceTotalOrder(t *testing.T) {
-	s := New(Config{Mode: RoundRobin, Record: true})
+	s := New(Config{Mode: policy.RoundRobin, Record: true})
 	runThreads(t, s, 3, func(i int, th *Thread) {
 		for r := 0; r < 5; r++ {
 			s.GetTurn(th)
@@ -396,7 +396,7 @@ func TestTraceTotalOrder(t *testing.T) {
 }
 
 func TestRequireTurnPanics(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	th := s.Register("t0")
 	defer func() {
 		if recover() == nil {
@@ -407,7 +407,7 @@ func TestRequireTurnPanics(t *testing.T) {
 }
 
 func TestWaitersCount(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	const obj = uint64(11)
 	runThreads(t, s, 3, func(i int, th *Thread) {
 		if i < 2 {
@@ -420,11 +420,11 @@ func TestWaitersCount(t *testing.T) {
 			s.GetTurn(th)
 			s.PutTurn(th)
 			s.GetTurn(th)
-			if got := s.Waiters(th, obj); got != 2 {
+			if got := s.waitLists[obj].len(); got != 2 {
 				t.Errorf("waiters = %d, want 2", got)
 			}
 			s.Broadcast(th, obj)
-			if got := s.Waiters(th, obj); got != 0 {
+			if got := s.waitLists[obj].len(); got != 0 {
 				t.Errorf("waiters after broadcast = %d, want 0", got)
 			}
 			s.PutTurn(th)
@@ -463,7 +463,7 @@ func TestInlineTables(t *testing.T) {
 		return s.Trace()
 	}
 
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	for i := 0; i < inlineThreads; i++ {
 		s.Register("t")
 	}
@@ -476,7 +476,7 @@ func TestInlineTables(t *testing.T) {
 	}
 
 	ch := &keepDefault{}
-	s = New(Config{Mode: RoundRobin, Record: true, Chooser: ch})
+	s = New(Config{Mode: policy.RoundRobin, Record: true, Chooser: ch})
 	narrow := yields(s, inlineCands)
 	if ch.widest != inlineCands {
 		t.Fatalf("chooser saw at most %d candidates, want %d", ch.widest, inlineCands)
@@ -484,16 +484,16 @@ func TestInlineTables(t *testing.T) {
 	if &s.chooseIDs[:1][0] != &s.chooseIDsInline[0] || &s.chooseCands[:1][0] != &s.chooseCandsInline[0] {
 		t.Errorf("chooser scratch left its inline backing at %d candidates", inlineCands)
 	}
-	if want := yields(New(Config{Mode: RoundRobin, Record: true}), inlineCands); !tracesEqual(narrow, want) {
+	if want := yields(New(Config{Mode: policy.RoundRobin, Record: true}), inlineCands); !tracesEqual(narrow, want) {
 		t.Error("default-keeping chooser changed the schedule")
 	}
 
 	ch = &keepDefault{}
-	wide := yields(New(Config{Mode: RoundRobin, Record: true, Chooser: ch}), 2*inlineCands)
+	wide := yields(New(Config{Mode: policy.RoundRobin, Record: true, Chooser: ch}), 2*inlineCands)
 	if ch.widest != 2*inlineCands {
 		t.Fatalf("chooser saw at most %d candidates, want %d", ch.widest, 2*inlineCands)
 	}
-	if want := yields(New(Config{Mode: RoundRobin, Record: true}), 2*inlineCands); !tracesEqual(wide, want) {
+	if want := yields(New(Config{Mode: policy.RoundRobin, Record: true}), 2*inlineCands); !tracesEqual(wide, want) {
 		t.Error("schedule changed once the chooser scratch spilled to the heap")
 	}
 }
@@ -501,7 +501,7 @@ func TestInlineTables(t *testing.T) {
 // TestRegisterInRejectsRegisteredThread: in-place registration takes a zero
 // Thread; handing it one that is already a queue node is a caller bug.
 func TestRegisterInRejectsRegisteredThread(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	var th Thread
 	if got := s.RegisterIn(&th, "once"); got != &th || th.ID() != 0 || th.Name() != "once" {
 		t.Fatalf("RegisterIn returned %v for caller storage %p", got, &th)
@@ -518,7 +518,7 @@ func TestRegisterInRejectsRegisteredThread(t *testing.T) {
 // so the id math.MaxInt32 is the last a domain hands out; the next
 // registration panics rather than record an id that wraps onto T0's.
 func TestRegisterInRefusesIDPastInt32(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	s.nextTID = math.MaxInt32
 	if th := s.Register("last"); th.ID() != math.MaxInt32 {
 		t.Fatalf("the thread at the bound got id %d, want %d", th.ID(), math.MaxInt32)

@@ -4,10 +4,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"qithread/internal/policy"
 )
 
 func TestStatsCounters(t *testing.T) {
-	s := New(Config{Mode: RoundRobin})
+	s := New(Config{Mode: policy.RoundRobin})
 	var wg sync.WaitGroup
 	waiter := s.Register("waiter")
 	signaler := s.Register("signaler")

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"qithread/internal/logio"
+	"qithread/internal/policy"
 )
 
 // OpKind identifies the synchronization operation recorded by a trace event.
@@ -335,11 +336,11 @@ func (s *Scheduler) TraceOp(t *Thread, op OpKind, obj uint64, st EventStatus) {
 // Under the turn mechanism (RoundRobin, LogicalClock) synchronization
 // operations serialize: this operation starts when both the previous
 // operation in the total order has ended and this thread has reached it.
-// Under VirtualParallel — the ideal parallel baseline — operations cost only
+// Under VirtualClock — the ideal parallel baseline — operations cost only
 // their own time; ordering constraints flow exclusively through wake-up edges
 // and the min-virtual-clock simulation order. Caller holds the turn.
 func (s *Scheduler) traceVTime(t *Thread) {
-	if s.cfg.Mode == VirtualParallel {
+	if s.cfg.Mode == policy.VirtualClock {
 		t.vtime += VSyncCostNative
 		return
 	}

@@ -3,7 +3,7 @@ package explore
 import (
 	"testing"
 
-	"qithread/internal/core"
+	"qithread/internal/policy"
 )
 
 // BenchmarkExploreRun measures what one explored schedule costs the search.
@@ -30,7 +30,7 @@ func BenchmarkExploreRun(b *testing.B) {
 	b.Run("expand", func(b *testing.B) {
 		res := Result{log: make([]decision, 150)}
 		for i := range res.log {
-			res.log[i] = decision{kind: core.ChooseTurn, n: 3, index: int32(i % 3)}
+			res.log[i] = decision{kind: policy.ChooseTurn, n: 3, index: int32(i % 3)}
 		}
 		s, err := NewSession(Lookup("buggy"), "", testWatchdog)
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"qithread/internal/core"
+	"qithread/internal/policy"
 )
 
 // decision is one resolved choice point as the explorer keeps it: a
@@ -14,7 +15,7 @@ import (
 // crosses the package's API (Result.Choices, Minimize, the repro files).
 type decision struct {
 	n, def, index int32
-	kind          core.ChoiceKind
+	kind          policy.ChoiceKind
 }
 
 // logged packs a consultation's values for the log. Counts and indices come
@@ -23,7 +24,7 @@ type decision struct {
 // wrapped: no logged count exceeds MaxInt32, so a saturated index is out of
 // range of every count the log holds, and a forced prefix or a replay takes
 // the default there, as for any out-of-range index.
-func logged(kind core.ChoiceKind, n, def, idx int) decision {
+func logged(kind policy.ChoiceKind, n, def, idx int) decision {
 	return decision{n: clamp32(n), def: clamp32(def), index: clamp32(idx), kind: kind}
 }
 
@@ -101,14 +102,14 @@ type pathChooser struct {
 
 // Choose implements qithread.Chooser (consultation sites without a trace
 // position — ingress admission).
-func (c *pathChooser) Choose(kind core.ChoiceKind, ids []int, n, def int) int {
+func (c *pathChooser) Choose(kind policy.ChoiceKind, ids []int, n, def int) int {
 	return c.ChooseAt(-1, kind, ids, n, def)
 }
 
 // ChooseAt implements policy.TracePosChooser: the scheduler's turn and wake
 // sites pass the trace index the decision happened at, which the flip-set
 // pruner needs to align decisions with recorded events.
-func (c *pathChooser) ChooseAt(pos int64, kind core.ChoiceKind, ids []int, n, def int) int {
+func (c *pathChooser) ChooseAt(pos int64, kind policy.ChoiceKind, ids []int, n, def int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	idx := def
@@ -124,7 +125,7 @@ func (c *pathChooser) ChooseAt(pos int64, kind core.ChoiceKind, ids []int, n, de
 	c.log = append(c.log, logged(kind, n, def, idx))
 	if a := c.align; a != nil {
 		m := choiceMeta{pos: pos}
-		if kind == core.ChooseTurn {
+		if kind == policy.ChooseTurn {
 			// ids is only valid during the call; one arena holds every copy.
 			m.off, m.n = int32(len(a.ids)), int32(len(ids))
 			a.ids = append(a.ids, ids...)
@@ -173,9 +174,9 @@ func newReplayChooser(choices []core.Choice) *replayChooser {
 	c := &replayChooser{}
 	for _, ch := range choices {
 		switch ch.Kind {
-		case core.ChooseWake:
+		case policy.ChooseWake:
 			c.wake = append(c.wake, ch)
-		case core.ChooseAdmit:
+		case policy.ChooseAdmit:
 			c.admit = append(c.admit, ch)
 		}
 	}
@@ -183,15 +184,15 @@ func newReplayChooser(choices []core.Choice) *replayChooser {
 }
 
 // Choose implements qithread.Chooser.
-func (c *replayChooser) Choose(kind core.ChoiceKind, ids []int, n, def int) int {
+func (c *replayChooser) Choose(kind policy.ChoiceKind, ids []int, n, def int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var stream []core.Choice
 	var pos *int
 	switch kind {
-	case core.ChooseWake:
+	case policy.ChooseWake:
 		stream, pos = c.wake, &c.wpos
-	case core.ChooseAdmit:
+	case policy.ChooseAdmit:
 		stream, pos = c.admit, &c.apos
 	default:
 		return def
@@ -257,12 +258,12 @@ func (c *pctChooser) priority(tid int) uint64 {
 }
 
 // Choose implements qithread.Chooser.
-func (c *pctChooser) Choose(kind core.ChoiceKind, ids []int, n, def int) int {
+func (c *pctChooser) Choose(kind policy.ChoiceKind, ids []int, n, def int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	idx := def
 	switch kind {
-	case core.ChooseTurn, core.ChooseWake:
+	case policy.ChooseTurn, policy.ChooseWake:
 		best := uint64(0)
 		for i, id := range ids {
 			if p := c.priority(id); p > best {
@@ -273,7 +274,7 @@ func (c *pctChooser) Choose(kind core.ChoiceKind, ids []int, n, def int) int {
 			c.low++
 			c.prio[ids[idx]] = c.low // below every sampled priority
 		}
-	case core.ChooseAdmit:
+	case policy.ChooseAdmit:
 		idx = int(c.next() % uint64(n))
 	}
 	c.pos++

@@ -11,7 +11,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
-	"qithread/internal/core"
+	"qithread/internal/policy"
 )
 
 // materialize spells out the prefix a flip stands for, the way the frontier
@@ -31,7 +31,7 @@ func materialize(f flip) []decision {
 func quickPrefix(raw [][4]uint32) []decision {
 	prefix := make([]decision, len(raw))
 	for i, r := range raw {
-		prefix[i] = decision{kind: core.ChoiceKind(r[0] % 3), n: int32(r[1] >> 1), def: int32(r[2] >> 1), index: int32(r[3] >> 1)}
+		prefix[i] = decision{kind: policy.ChoiceKind(r[0] % 3), n: int32(r[1] >> 1), def: int32(r[2] >> 1), index: int32(r[3] >> 1)}
 	}
 	return prefix
 }
@@ -149,7 +149,7 @@ func TestFlipQueueFIFO(t *testing.T) {
 func TestExpandAllocatesPerRunNotPerFlip(t *testing.T) {
 	res := Result{log: make([]decision, 150)}
 	for i := range res.log {
-		res.log[i] = decision{kind: core.ChooseTurn, n: 3, def: 0, index: int32(i % 3)}
+		res.log[i] = decision{kind: policy.ChooseTurn, n: 3, def: 0, index: int32(i % 3)}
 	}
 	s, err := NewSession(Lookup("buggy"), "", testWatchdog)
 	if err != nil {

@@ -7,7 +7,7 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"qithread/internal/core"
+	"qithread/internal/policy"
 )
 
 // Session is one exploration of one program: the fingerprint-pruned state
@@ -282,7 +282,7 @@ func (s *Session) expandLocked(from int, res *Result, maxDepth int) (kept, prune
 			if alt == d.index {
 				continue
 			}
-			if pruner != nil && d.kind == core.ChooseTurn && pruner.redundant(i, int(alt)) {
+			if pruner != nil && d.kind == policy.ChooseTurn && pruner.redundant(i, int(alt)) {
 				pruned++
 				continue
 			}

@@ -76,7 +76,7 @@ func (bw *BinaryLogWriter) AppendBatch(epoch int64, snap []Event) error {
 	}
 	bw.buf = b
 	bw.lastEpoch = epoch
-	return bw.fw.WriteFrame(b, true)
+	return bw.fw.WriteFrame(b)
 }
 
 // Close writes the terminator and flushes. It does not close the underlying

@@ -95,7 +95,7 @@ func v2bLog(frames ...[]uint64) string {
 		for _, v := range fields {
 			b = binary.AppendUvarint(b, v)
 		}
-		fw.WriteFrame(b, false)
+		fw.WriteFrame(b)
 	}
 	fw.Close()
 	return buf.String()

@@ -136,10 +136,10 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 	return fw
 }
 
-// WriteFrame appends one frame holding payload. When compress is set and the
-// payload is large enough to benefit, it is stored DEFLATE-compressed
-// (falling back to raw storage if compression does not shrink it).
-func (fw *FrameWriter) WriteFrame(payload []byte, compress bool) error {
+// WriteFrame appends one frame holding payload, stored DEFLATE-compressed
+// when it is at least CompressMin bytes and compression shrinks it, raw
+// otherwise.
+func (fw *FrameWriter) WriteFrame(payload []byte) error {
 	if fw.err != nil {
 		return fw.err
 	}
@@ -150,7 +150,7 @@ func (fw *FrameWriter) WriteFrame(payload []byte, compress bool) error {
 		return fw.fail(fmt.Errorf("logio: frame payload %d bytes exceeds limit %d", len(payload), MaxFrame))
 	}
 	stored, enc := payload, byte(encodingRaw)
-	if compress && len(payload) >= CompressMin {
+	if len(payload) >= CompressMin {
 		fw.cbuf.Reset()
 		if fw.comp != nil {
 			fw.comp.Reset(&fw.cbuf)

@@ -10,12 +10,12 @@ import (
 	"testing"
 )
 
-func writeFrames(t *testing.T, frames [][]byte, compress bool) []byte {
+func writeFrames(t *testing.T, frames [][]byte) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	fw := NewFrameWriter(&buf)
 	for _, f := range frames {
-		if err := fw.WriteFrame(f, compress); err != nil {
+		if err := fw.WriteFrame(f); err != nil {
 			t.Fatalf("WriteFrame: %v", err)
 		}
 	}
@@ -53,38 +53,34 @@ func noise(n int) []byte {
 
 func TestFrameRoundTrip(t *testing.T) {
 	frames := [][]byte{
-		[]byte("a"),
+		[]byte("a"), // below CompressMin: stored raw
 		bytes.Repeat([]byte("deterministic "), 200), // compressible, > CompressMin
-		noise(300 << 10), // stored raw either way, read in growing chunks
+		noise(300 << 10), // does not shrink: stored raw, read in growing chunks
 		{0, 1, 2, 255},
 	}
-	for _, compress := range []bool{false, true} {
-		got, err := readFrames(writeFrames(t, frames, compress))
-		if err != nil {
-			t.Fatalf("compress=%v: read: %v", compress, err)
-		}
-		if len(got) != len(frames) {
-			t.Fatalf("compress=%v: %d frames, want %d", compress, len(got), len(frames))
-		}
-		for i := range frames {
-			if !bytes.Equal(got[i], frames[i]) {
-				t.Errorf("compress=%v: frame %d mismatch", compress, i)
-			}
+	got, err := readFrames(writeFrames(t, frames))
+	if err != nil {
+		t.Fatalf("read: %v", err)
+	}
+	if len(got) != len(frames) {
+		t.Fatalf("%d frames, want %d", len(got), len(frames))
+	}
+	for i := range frames {
+		if !bytes.Equal(got[i], frames[i]) {
+			t.Errorf("frame %d mismatch", i)
 		}
 	}
 }
 
 func TestCompressionShrinks(t *testing.T) {
 	frame := bytes.Repeat([]byte("deterministic "), 500)
-	raw := writeFrames(t, [][]byte{frame}, false)
-	comp := writeFrames(t, [][]byte{frame}, true)
-	if len(comp) >= len(raw) {
-		t.Fatalf("compressed container %d bytes, raw %d", len(comp), len(raw))
+	if comp := writeFrames(t, [][]byte{frame}); len(comp) >= len(frame) {
+		t.Fatalf("container %d bytes for a %d-byte compressible payload", len(comp), len(frame))
 	}
 }
 
 func TestTruncationDetected(t *testing.T) {
-	full := writeFrames(t, [][]byte{bytes.Repeat([]byte("x"), 100)}, false)
+	full := writeFrames(t, [][]byte{bytes.Repeat([]byte("x"), 100)})
 	// Every strict prefix must fail: either a truncated frame or a missing
 	// terminator, never a silent short read.
 	for cut := 0; cut < len(full); cut++ {
@@ -131,7 +127,7 @@ func TestFrameIOAllocFree(t *testing.T) {
 			fw := NewFrameWriter(&pipe)
 			fr := NewFrameReader(&pipe)
 			frame := func() {
-				if err := fw.WriteFrame(tc.payload, true); err != nil {
+				if err := fw.WriteFrame(tc.payload); err != nil {
 					t.Fatal(err)
 				}
 				if err := fw.bw.Flush(); err != nil {
@@ -154,7 +150,7 @@ func TestFrameIOAllocFree(t *testing.T) {
 // a second log appended to the first — is an error naming where it starts,
 // not a log that silently stops at the first terminator.
 func TestTrailingBytesRefused(t *testing.T) {
-	full := writeFrames(t, [][]byte{[]byte("abc")}, false) // a 9-byte frame, then the terminator
+	full := writeFrames(t, [][]byte{[]byte("abc")}) // a 9-byte frame, then the terminator
 	if _, err := readFrames(append(full, full...)); err == nil || err.Error() != "logio: data after the terminator, at byte 10 past the header" {
 		t.Fatalf("two logs in one input: %v", err)
 	}
@@ -192,7 +188,7 @@ func TestWarmWriterReusesCodecState(t *testing.T) {
 		out.Reset()
 		fw := NewFrameWriter(&out)
 		for i := 0; i < 4; i++ {
-			if err := fw.WriteFrame(frame, true); err != nil {
+			if err := fw.WriteFrame(frame); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -233,7 +229,7 @@ func TestClosedWriterOwnsNothing(t *testing.T) {
 	emptyFreeLists()
 	var first, second bytes.Buffer
 	closed := NewFrameWriter(&first)
-	if err := closed.WriteFrame(frame, true); err != nil {
+	if err := closed.WriteFrame(frame); err != nil {
 		t.Fatal(err)
 	}
 	comp := closed.comp
@@ -245,7 +241,7 @@ func TestClosedWriterOwnsNothing(t *testing.T) {
 	done := make(chan error)
 	go func() {
 		for i := 0; i < 100; i++ {
-			if err := other.WriteFrame(frame, true); err != nil {
+			if err := other.WriteFrame(frame); err != nil {
 				done <- err
 				return
 			}
@@ -253,7 +249,7 @@ func TestClosedWriterOwnsNothing(t *testing.T) {
 		done <- other.Close()
 	}()
 	for i := 0; i < 100; i++ {
-		if err := closed.WriteFrame(frame, true); err == nil || err.Error() != "logio: writer closed" {
+		if err := closed.WriteFrame(frame); err == nil || err.Error() != "logio: writer closed" {
 			t.Errorf("WriteFrame after Close: %v, want logio: writer closed", err)
 		}
 	}
@@ -284,7 +280,7 @@ func TestCallerBuffersStayTheCallers(t *testing.T) {
 	var out bytes.Buffer
 	bw := bufio.NewWriterSize(&out, 1<<16)
 	fw := NewFrameWriter(bw)
-	if err := fw.WriteFrame([]byte("abc"), false); err != nil {
+	if err := fw.WriteFrame([]byte("abc")); err != nil {
 		t.Fatal(err)
 	}
 	if err := fw.Close(); err != nil {
@@ -312,7 +308,7 @@ func TestCallerBuffersStayTheCallers(t *testing.T) {
 }
 
 func TestBitFlipDetected(t *testing.T) {
-	full := writeFrames(t, [][]byte{bytes.Repeat([]byte("y"), 64)}, false)
+	full := writeFrames(t, [][]byte{bytes.Repeat([]byte("y"), 64)})
 	// Flip each bit of the stored payload region; the CRC must catch it.
 	// (Flipping header bytes may instead produce structural errors, which is
 	// fine too — the invariant is "never silently wrong".)

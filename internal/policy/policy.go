@@ -31,8 +31,8 @@
 // lease underneath, a predicate; see turn leasing in DESIGN.md §4.6.
 //
 // A disabled policy's hook is one bitmask test that falls through: it never
-// touches per-thread state or a counter. The bitmask (Set; core.Policy /
-// qithread.Config.Policies alias it) is the one way to configure policies.
+// touches per-thread state or a counter. The bitmask (Set; qithread.Policy
+// aliases it) is the one way to configure policies.
 package policy
 
 // Queue identifies the runnable queue a thread is placed on when it leaves

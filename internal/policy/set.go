@@ -2,7 +2,8 @@ package policy
 
 // Set is a bitmask of the five semantics-aware scheduling policies of the
 // paper (Section 3). It is the configuration surface: Stack.Init enables the
-// policies of a Set, and core.Policy / qithread.Policy alias it.
+// policies of a Set, core.Config.Policies is one, and qithread.Policy
+// aliases it.
 type Set uint8
 
 const (

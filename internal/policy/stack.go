@@ -17,6 +17,9 @@ const (
 	LogicalClock
 	// VirtualClock is LogicalClock keyed on the virtual clock: greedy list
 	// scheduling on unbounded cores, the ideal-parallel measurement baseline.
+	// Its synchronization operations do not serialize through the turn in
+	// virtual time (core's traceVTime): only real per-object dependencies
+	// order threads.
 	VirtualClock
 )
 

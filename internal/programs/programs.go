@@ -15,7 +15,6 @@ package programs
 
 import (
 	"fmt"
-	"sort"
 
 	"qithread/internal/workload"
 )
@@ -74,16 +73,6 @@ func Find(name string) (Spec, bool) {
 		return Spec{}, false
 	}
 	return all[i], true
-}
-
-// Names returns all program names sorted alphabetically (for CLI listings).
-func Names() []string {
-	out := make([]string, 0, len(all))
-	for _, s := range all {
-		out = append(out, s.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func init() {

@@ -93,7 +93,7 @@ func (fe *frameEnc) flush(fw *logio.FrameWriter) error {
 	}
 	fe.scratch = binary.AppendUvarint(fe.scratch[:0], uint64(fe.count))
 	fe.scratch = append(fe.scratch, fe.body...)
-	err := fw.WriteFrame(fe.scratch, true)
+	err := fw.WriteFrame(fe.scratch)
 	fe.body = fe.body[:0]
 	fe.count = 0
 	fe.prevTID, fe.prevObj, fe.prevDom = 0, 0, 0

@@ -129,7 +129,7 @@ func rawSchedule(t *testing.T, payloads ...[]byte) []byte {
 	buf.WriteString(scheduleHeaderV3B + "\n")
 	fw := logio.NewFrameWriter(&buf)
 	for _, p := range payloads {
-		if err := fw.WriteFrame(p, false); err != nil {
+		if err := fw.WriteFrame(p); err != nil {
 			t.Fatal(err)
 		}
 	}

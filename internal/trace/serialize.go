@@ -11,6 +11,7 @@ import (
 
 	"qithread/internal/core"
 	"qithread/internal/logio"
+	"qithread/internal/policy"
 )
 
 // A schedule file is one header line and then the events, in one of three
@@ -259,5 +260,5 @@ func ParseChoice(f []string) (core.Choice, error) {
 		}
 		v[i] = n
 	}
-	return core.Choice{Kind: core.ChoiceKind(v[0]), N: int(v[1]), Def: int(v[2]), Index: int(v[3])}, nil
+	return core.Choice{Kind: policy.ChoiceKind(v[0]), N: int(v[1]), Def: int(v[2]), Index: int(v[3])}, nil
 }

@@ -73,15 +73,6 @@ type IngressRun struct {
 	Checkpoints []*qithread.Checkpoint
 }
 
-// IngressServer builds the ingress-driven server as a plain App (live
-// sources, log discarded) for benchmarks and the experiment harness.
-func IngressServer(cfg IngressServerConfig, p Params) App {
-	return func(rt *qithread.Runtime) uint64 {
-		r := runIngressServer(rt, cfg, p, nil)
-		return r.Output
-	}
-}
-
 // RunIngressServer runs the ingress server once on a fresh runtime. With
 // replay nil the sources run live and the returned Log is the recording;
 // with a replay log the sources are ignored and the run reproduces the

@@ -169,7 +169,18 @@ func TestInventory(t *testing.T) {
 	// No exported function or method of internal/core has a sync type in its
 	// signature: a caller's lock is released by the caller or inside the core,
 	// never handed across, so the core's entry lock can go without an API
-	// change (DESIGN.md §4.1).
+	// change (DESIGN.md §4.1). And internal/core names no scheduling decision
+	// of its own: no type Mode beside policy.BaseKind, and no type or constant
+	// that is an internal/policy name under a second one, but the Choice that
+	// benchmark/ compiles against (DESIGN.md §4.2).
+	isPolicyName := func(e ast.Expr) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		pkg, ok := sel.X.(*ast.Ident)
+		return ok && pkg.Name == "policy"
+	}
 	files, err := filepath.Glob("internal/core/*.go")
 	if err != nil {
 		t.Fatal(err)
@@ -183,6 +194,24 @@ func TestInventory(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, decl := range f.Decls {
+			if gen, ok := decl.(*ast.GenDecl); ok {
+				for _, spec := range gen.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						if spec.Name.Name == "Mode" {
+							t.Errorf("%s declares type Mode; the base policy is policy.BaseKind", path)
+						} else if isPolicyName(spec.Type) && spec.Name.Name != "Choice" {
+							t.Errorf("%s: type %s is a second name for an internal/policy type", path, spec.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for i, v := range spec.Values {
+							if gen.Tok == token.CONST && isPolicyName(v) {
+								t.Errorf("%s: constant %s is a second name for an internal/policy constant", path, spec.Names[i].Name)
+							}
+						}
+					}
+				}
+			}
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || !fn.Name.IsExported() {
 				continue

@@ -40,21 +40,24 @@
 //	})
 package qithread
 
-import "qithread/internal/core"
+import (
+	"qithread/internal/core"
+	"qithread/internal/policy"
+)
 
-// Policy re-exports the semantics-aware policy bitmask of internal/core so
+// Policy re-exports the semantics-aware policy bitmask of internal/policy so
 // users configure a Runtime without importing internal packages.
-type Policy = core.Policy
+type Policy = policy.Set
 
-// Re-exported policy constants; see the core package for their semantics.
+// Re-exported policy constants; see internal/policy for their semantics.
 const (
-	BoostBlocked = core.BoostBlocked
-	CreateAll    = core.CreateAll
-	CSWhole      = core.CSWhole
-	WakeAMAP     = core.WakeAMAP
-	BranchedWake = core.BranchedWake
-	NoPolicies   = core.NoPolicies
-	AllPolicies  = core.AllPolicies
+	BoostBlocked = policy.BoostBlocked
+	CreateAll    = policy.CreateAll
+	CSWhole      = policy.CSWhole
+	WakeAMAP     = policy.WakeAMAP
+	BranchedWake = policy.BranchedWake
+	NoPolicies   = policy.NoPolicies
+	AllPolicies  = policy.AllPolicies
 )
 
 // Mode selects how a Runtime schedules synchronization operations.
@@ -186,17 +189,17 @@ type TraceSink = core.TraceSink
 // Chooser re-exports the choice-point hook consulted at scheduling decisions
 // with more than one legal candidate; see Config.Chooser and
 // internal/policy.Chooser.
-type Chooser = core.Chooser
+type Chooser = policy.Chooser
 
 // ChoiceKind re-exports the choice-point kind enumeration (turn/wake/admit).
-type ChoiceKind = core.ChoiceKind
+type ChoiceKind = policy.ChoiceKind
 
 // Choice re-exports one recorded choice-point resolution.
-type Choice = core.Choice
+type Choice = policy.Choice
 
 // Re-exported choice kinds; see internal/policy for their semantics.
 const (
-	ChooseTurn  = core.ChooseTurn
-	ChooseWake  = core.ChooseWake
-	ChooseAdmit = core.ChooseAdmit
+	ChooseTurn  = policy.ChooseTurn
+	ChooseWake  = policy.ChooseWake
+	ChooseAdmit = policy.ChooseAdmit
 )

@@ -92,12 +92,12 @@ func (rt *Runtime) addDomain(d *Domain, name string) *Domain {
 	}
 	d.rt, d.id, d.name = rt, id, name
 	if cfg.Mode.Deterministic() {
-		mode := core.RoundRobin
+		mode := policy.RoundRobin
 		switch cfg.Mode {
 		case LogicalClock:
-			mode = core.LogicalClock
+			mode = policy.LogicalClock
 		case VirtualParallel:
-			mode = core.VirtualParallel
+			mode = policy.VirtualClock
 		}
 		var sink core.TraceSink
 		if cfg.StreamTrace != nil {
