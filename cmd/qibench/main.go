@@ -16,6 +16,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,12 +30,17 @@ import (
 	"qithread/internal/workload"
 )
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "qibench:", err)
-	os.Exit(1)
+func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "qibench:", err)
+		os.Exit(1)
+	}
 }
 
-func main() {
+// run is qibench. Its deferred calls stop the CPU profile and write the heap
+// profile on every return, a failing run's included, and an error of theirs
+// is run's.
+func run() (err error) {
 	const all = "all"
 	var names, skipped []string
 	for _, e := range harness.Experiments {
@@ -65,28 +71,26 @@ func main() {
 	}
 
 	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fatal(err)
+		f, ferr := os.Create(*cpuprofile)
+		if ferr != nil {
+			return ferr
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+		if ferr := pprof.StartCPUProfile(f); ferr != nil {
+			return ferr
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			err = errors.Join(err, f.Close())
+		}()
 	}
 	if *memprofile != "" {
-		path := *memprofile
 		defer func() {
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "qibench:", err)
-				return
+			f, ferr := os.Create(*memprofile)
+			if ferr == nil {
+				runtime.GC() // settle the heap so the profile shows live objects
+				ferr = errors.Join(pprof.WriteHeapProfile(f), f.Close())
 			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "qibench:", err)
-			}
+			err = errors.Join(err, ferr)
 		}()
 	}
 
@@ -101,7 +105,7 @@ func main() {
 			}
 			fmt.Printf("%-28s %-12s %2d threads %s\n", s.Name, s.Suite, s.Threads, hints)
 		}
-		return
+		return nil
 	}
 
 	var arms []*harness.Experiment
@@ -111,23 +115,23 @@ func main() {
 		}
 	}
 	if len(arms) == 0 {
-		fatal(fmt.Errorf("unknown experiment %q (want %s or %s)", *experiment, strings.Join(names, ", "), all))
+		return fmt.Errorf("unknown experiment %q (want %s or %s)", *experiment, strings.Join(names, ", "), all)
 	}
 	if *out != "" && !slices.ContainsFunc(arms, (*harness.Experiment).Tabular) {
-		fatal(fmt.Errorf("-o: -experiment %s prints no table", *experiment))
+		return fmt.Errorf("-o: -experiment %s prints no table", *experiment)
 	}
 	args := harness.Args{Specs: programs.All(), Chart: *chart, SoakEvents: *soakEvents}
 	if *program != "" {
 		s, ok := programs.Find(*program)
 		if !ok {
-			fatal(fmt.Errorf("unknown program %q", *program))
+			return fmt.Errorf("unknown program %q", *program)
 		}
 		args.Specs = []programs.Spec{s}
 	} else if *suite != "" {
 		args.Specs = programs.BySuite(*suite)
 	}
 	if len(args.Specs) == 0 {
-		fatal(fmt.Errorf("no programs selected"))
+		return fmt.Errorf("no programs selected")
 	}
 	r := &harness.Runner{
 		Params:  workload.Params{Scale: *scale, Threads: *threads, InputSeed: 42},
@@ -144,14 +148,15 @@ func main() {
 		t, err := e.Run(os.Stdout, r, args)
 		if t != nil && *out != "" {
 			if err := writeCSV(*out, t); err != nil {
-				fatal(err)
+				return err
 			}
 			*out = "" // -experiment all: the first table only
 		}
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", e.Name, err))
+			return fmt.Errorf("%s: %w", e.Name, err)
 		}
 	}
+	return nil
 }
 
 func writeCSV(path string, t *harness.Table) error {

@@ -3,7 +3,7 @@
 // executions through the runtime's choice-point hook, classifies each run
 // (new fingerprint / deadlock / panic / assertion failure), and emits a
 // minimized repro schedule for every failure found. Repros replay with
-// qireplay -schedule; results directories summarize with qistat -explore.
+// qireplay -schedule; `qistat dir` summarizes a results directory.
 //
 // Usage:
 //

@@ -12,7 +12,6 @@
 //	                                   commitments; a table or an explore directory is
 //	                                   then printed in full, -v adds per-thread, per-epoch
 //	                                   and per-domain detail for the recorded artifacts
-//	qistat -explore dir                the same for a directory, insisting it is one
 //	qistat verify path...              fully decode each; the summary line only, exit
 //	                                   nonzero on the first corrupt one
 //	qistat convert -to binary|text -o out in
@@ -45,7 +44,7 @@ import (
 
 func main() {
 	args := os.Args[1:]
-	detail, asDir := summary, false
+	detail := summary
 	switch {
 	case len(args) > 0 && args[0] == "convert":
 		fs := flag.NewFlagSet("convert", flag.ExitOnError)
@@ -63,14 +62,12 @@ func main() {
 		detail, args = lineOnly, args[1:]
 	case len(args) > 0 && args[0] == "-v":
 		detail, args = verbose, args[1:]
-	case len(args) > 0 && args[0] == "-explore":
-		asDir, args = true, args[1:]
 	}
 	if len(args) == 0 || strings.HasPrefix(args[0], "-") {
 		usage()
 	}
 	for _, path := range args {
-		if err := describe(os.Stdout, path, detail, asDir); err != nil {
+		if err := describe(os.Stdout, path, detail); err != nil {
 			fatal(path, err)
 		}
 	}
@@ -79,7 +76,6 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   qistat [-v] path...        schedule, ingress log, checkpoint, qibench -o table or qiexplore directory
-  qistat -explore dir
   qistat verify path...
   qistat convert -to binary|text -o out in`)
 	os.Exit(2)
@@ -125,8 +121,8 @@ func sniff(b []byte) string {
 
 // describe fully decodes one path and prints its summary line, then as much
 // more as d asks for.
-func describe(w io.Writer, path string, d detail, asDir bool) error {
-	if fi, err := os.Stat(path); asDir || (err == nil && fi.IsDir()) {
+func describe(w io.Writer, path string, d detail) error {
+	if fi, err := os.Stat(path); err == nil && fi.IsDir() {
 		return describeExplore(w, path, d)
 	}
 	b, err := os.ReadFile(path)

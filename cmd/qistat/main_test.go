@@ -50,7 +50,7 @@ func TestStat(t *testing.T) {
 	line := func(path string, d detail) string {
 		t.Helper()
 		var out bytes.Buffer
-		if err := describe(&out, path, d, false); err != nil {
+		if err := describe(&out, path, d); err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
 		return strings.TrimPrefix(out.String(), path+": ")
@@ -132,9 +132,6 @@ func TestStat(t *testing.T) {
 	if body := line(exDir, summary); !strings.Contains(body, "\ndpor ") || !strings.Contains(body, "repro-assert-fail-015.sched") {
 		t.Errorf("explore directory body:\n%s", body)
 	}
-	if err := describe(&bytes.Buffer{}, v1, summary, true); err == nil {
-		t.Error("-explore accepted a schedule file")
-	}
 	v3 := filepath.Join(exDir, "repro-assert-fail-015.sched")
 	if got, want := line(v3, summary), "explored schedule, 32 events, 25 decisions, 682 bytes, hash=9f98be5a6976c067\n"; got != want {
 		t.Errorf("v3:\n got %q\nwant %q", got, want)
@@ -165,7 +162,7 @@ func TestStat(t *testing.T) {
 		_, err := io.WriteString(w, "program,suite,no-pcs-hint_ms,all-policies_ms\nfoo,bar,1.0,2.0\n")
 		return err
 	})
-	if err := describe(&bytes.Buffer{}, bad, summary, false); err == nil || strings.Contains(err.Error(), "\n") {
+	if err := describe(&bytes.Buffer{}, bad, summary); err == nil || strings.Contains(err.Error(), "\n") {
 		t.Errorf("a CSV no experiment declares: %v, want a one-line error", err)
 	}
 
@@ -180,7 +177,7 @@ func TestStat(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := write("damaged-"+filepath.Base(path), func(w io.Writer) error { _, err := w.Write(damage(b)); return err })
-		if err := describe(&bytes.Buffer{}, p, lineOnly, false); err == nil {
+		if err := describe(&bytes.Buffer{}, p, lineOnly); err == nil {
 			t.Errorf("verify accepted a damaged %s", filepath.Base(path))
 		}
 	}
@@ -191,7 +188,7 @@ func TestStat(t *testing.T) {
 	for _, path := range []string{v1, v3} {
 		damaged(path, func(b []byte) []byte { return b[:len(b)-3] })
 	}
-	if err := describe(&bytes.Buffer{}, "../../internal/ingress/testdata/v1.log", lineOnly, false); err == nil ||
+	if err := describe(&bytes.Buffer{}, "../../internal/ingress/testdata/v1.log", lineOnly); err == nil ||
 		!strings.HasPrefix(err.Error(), `ingress: "qithread-ingress v1" logs are no longer readable`) || !strings.HasSuffix(err.Error(), "re-record the run") {
 		t.Errorf("verify on a v1 ingress log: %v, want the refusal by name", err)
 	}
@@ -287,7 +284,7 @@ func TestExploreDirectoryOneReader(t *testing.T) {
 			s2.Runs(), s2.Failures(), s2.LoadWarnings(), s2.FrontierLen(), s1.Failures(), s1.FrontierLen())
 	}
 	var out bytes.Buffer
-	if err := describe(&out, dir, lineOnly, false); err != nil {
+	if err := describe(&out, dir, lineOnly); err != nil {
 		t.Fatal(err)
 	}
 	want := fmt.Sprintf("%s: explore directory, %d runs, %d distinct fingerprints, %d failures, %d repros, %d corrupt results line(s) skipped\n",

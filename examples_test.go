@@ -1,8 +1,11 @@
 package qithread_test
 
 import (
+	"bytes"
+	"compress/gzip"
 	"context"
 	"errors"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -130,5 +133,45 @@ func TestCLIsRefuseOperands(t *testing.T) {
 				t.Errorf("%s stray: %v, want exit status 2 naming the operand\n%s", strings.Join(args, " "), err, out)
 			}
 		})
+	}
+}
+
+// TestQibenchProfilesEveryExit: qibench stops and writes the profiles
+// -cpuprofile and -memprofile ask for on its way out of a failing run too —
+// the run one most wants profiled — so both files are gzip streams (pprof's
+// format) that read to EOF. A heap profile it cannot write makes an
+// otherwise successful run exit 1. Skipped with -short (it shells out to the
+// go tool).
+func TestQibenchProfilesEveryExit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs qibench")
+	}
+	exe := filepath.Join(buildBinaries(t, "./cmd/qibench"), "qibench")
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-cpuprofile", cpu, "-memprofile", mem, "-experiment", "nosuch"}, `unknown experiment "nosuch"`},
+		{[]string{"-memprofile", filepath.Join(dir, "missing", "mem.pprof"), "-list"}, "missing/mem.pprof"},
+	} {
+		out, err := exec.Command(exe, c.args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(string(out), c.want) {
+			t.Errorf("qibench %s: %v, want exit status 1 and %q\n%s", strings.Join(c.args, " "), err, c.want, out)
+		}
+	}
+	for _, path := range []string{cpu, mem} {
+		b, err := os.ReadFile(path)
+		if err == nil {
+			var zr *gzip.Reader
+			if zr, err = gzip.NewReader(bytes.NewReader(b)); err == nil {
+				_, err = io.Copy(io.Discard, zr)
+			}
+		}
+		if err != nil {
+			t.Errorf("%s (%d bytes): %v; want a gzip stream", filepath.Base(path), len(b), err)
+		}
 	}
 }

@@ -204,6 +204,7 @@ func TestSchedStateCarriesEveryCounter(t *testing.T) {
 	// before RestoreState.
 	solo := func() (*core.Scheduler, *core.Thread) {
 		s := core.New(core.Config{Policies: policy.AllPolicies, Record: true, SuspendRecording: true})
+		s.HostThreads()
 		th := s.Register("main")
 		s.GetTurn(th)
 		return s, th

@@ -52,44 +52,33 @@ func decodeScript(data []byte) [][]decodedOp {
 func runDecoded(script [][]decodedOp, cfg Config) []Event {
 	cfg.Record = true
 	s := New(cfg)
-	ths := make([]*Thread, len(script))
-	for i := range ths {
-		ths[i] = s.Register("f")
-	}
-	done := make(chan struct{}, len(ths))
-	for i, th := range ths {
-		go func(i int, th *Thread) {
-			defer func() { done <- struct{}{} }()
-			for _, op := range script[i] {
-				switch op.kind {
-				case 0:
-					s.GetTurn(th)
-					s.TraceOp(th, OpYield, 0, StatusOK)
-					s.PutTurn(th)
-				case 1:
-					s.GetTurn(th)
-					s.TraceOp(th, OpCondSignal, uint64(op.arg%4)+1, StatusOK)
-					s.Signal(th, uint64(op.arg%4)+1)
-					s.PutTurn(th)
-				case 2:
-					// Timed waits only: fuzz programs must terminate.
-					s.GetTurn(th)
-					s.TraceOp(th, OpCondTimedWait, uint64(op.arg%4)+1, StatusBlocked)
-					s.Wait(th, uint64(op.arg%4)+1, int64(op.arg%5)+1)
-					s.TraceOp(th, OpCondTimedWait, uint64(op.arg%4)+1, StatusReturn)
-					s.PutTurn(th)
-				case 3:
-					s.AddWork(th, int64(op.arg))
-				}
+	hostedRun(s, len(script), func(i int, th *Thread) {
+		for _, op := range script[i] {
+			switch op.kind {
+			case 0:
+				s.GetTurn(th)
+				s.TraceOp(th, OpYield, 0, StatusOK)
+				s.PutTurn(th)
+			case 1:
+				s.GetTurn(th)
+				s.TraceOp(th, OpCondSignal, uint64(op.arg%4)+1, StatusOK)
+				s.Signal(th, uint64(op.arg%4)+1)
+				s.PutTurn(th)
+			case 2:
+				// Timed waits only: fuzz programs must terminate.
+				s.GetTurn(th)
+				s.TraceOp(th, OpCondTimedWait, uint64(op.arg%4)+1, StatusBlocked)
+				s.Wait(th, uint64(op.arg%4)+1, int64(op.arg%5)+1)
+				s.TraceOp(th, OpCondTimedWait, uint64(op.arg%4)+1, StatusReturn)
+				s.PutTurn(th)
+			case 3:
+				s.AddWork(th, int64(op.arg))
 			}
-			s.GetTurn(th)
-			s.TraceOp(th, OpThreadEnd, 0, StatusOK)
-			s.Exit(th)
-		}(i, th)
-	}
-	for range ths {
-		<-done
-	}
+		}
+		s.GetTurn(th)
+		s.TraceOp(th, OpThreadEnd, 0, StatusOK)
+		s.Exit(th)
+	})
 	return s.Trace()
 }
 

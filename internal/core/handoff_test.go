@@ -10,13 +10,12 @@ import (
 	"qithread/internal/policy"
 )
 
-// A turn grant is one flag per handoff (grantLocked). A hosted scheduler
-// (host.go) runs its threads on one goroutine; a direct user of this package
-// may run each on a goroutine of its own, which waits for its flag on the
-// scheduler's condition variable. How a waiter waits must be invisible in
-// every schedule observable, whatever the number of Ps the goroutines are
-// spread over — `make check` runs this file at -cpu 1,2,4, plain and under
-// -race — so every scenario is run both ways against one record.
+// A turn grant is one flag per handoff (grantLocked), consumed by its
+// grantee. These tests hold the hosted path (host.go) to that: the same
+// schedule on every run and at every GOMAXPROCS `make check` runs the package
+// at (-cpu 1,2,4, plain and under -race), no token left behind, and a loud
+// panic on a second one. unhosted_test.go runs the same stress script with
+// each thread on a goroutine of its own against the hosted record.
 
 // handoffRun is everything one stress execution exposes: the recorded
 // schedule and how each thread's timed waits ended.
@@ -31,14 +30,18 @@ type handoffRun struct {
 // execution is what makes the neutrality check span the cpu values.
 var handoffSeen sync.Map // scenario name -> handoffRun
 
+// runner runs n threads of s, body(i, thread) on each: hostedRun, or
+// goroutineRun on an unhosted scheduler.
+type runner func(s *Scheduler, n int, body func(i int, th *Thread))
+
 // handoffStress runs n threads through a fixed script mixing every way the
 // turn changes hands: Yield (PutTurn handoff), timed Wait cut short by a
 // Signal or a Broadcast or left to expire, an untimed Wait released by a
 // Broadcast (a barrier), and Exit while the others are still trading turns
 // (every fourth thread leaves before the barrier). All decisions are taken
-// under the turn, so the run is a pure function of (cfg, n) — hosted, with
-// thread 0 driving on one goroutine, or not.
-func handoffStress(t *testing.T, cfg Config, n int, hosted bool) handoffRun {
+// under the turn, so the run is a pure function of (cfg, n), whichever
+// runner runs it.
+func handoffStress(t *testing.T, cfg Config, n int, run runner) handoffRun {
 	t.Helper()
 	const (
 		rounds  = 12
@@ -47,18 +50,13 @@ func handoffStress(t *testing.T, cfg Config, n int, hosted bool) handoffRun {
 	)
 	cfg.Record = true
 	s := New(cfg)
-	if hosted {
-		s.HostThreads()
-	}
 	ths := make([]*Thread, n)
-	for i := range ths {
-		ths[i] = s.Register(fmt.Sprintf("h%d", i))
-	}
 	party := n - n/4 // threads with i%4 == 3 exit early
 	arrived := 0     // guarded by the turn
 	timeouts := make([]int, n)
 
 	script := func(i int, th *Thread) {
+		ths[i] = th
 		for r := 0; r < rounds; r++ {
 			obj := uint64((i+r)%objs) + 1
 			s.GetTurn(th)
@@ -102,23 +100,7 @@ func handoffStress(t *testing.T, cfg Config, n int, hosted bool) handoffRun {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if hosted {
-			for i, th := range ths[1:] {
-				s.StartHosted(th, bodyFunc(func() { script(i+1, th) }))
-			}
-			script(0, ths[0])
-			s.DrainHosted()
-			return
-		}
-		var wg sync.WaitGroup
-		for i, th := range ths {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				script(i, th)
-			}()
-		}
-		wg.Wait()
+		run(s, n, script)
 	}()
 	select {
 	case <-done:
@@ -143,26 +125,19 @@ func (a handoffRun) equal(b handoffRun) bool {
 }
 
 // TestHandoffStressNeutralAcrossProcs: the stress script yields the same
-// schedule on repeated runs, hosted on one goroutine, and at every GOMAXPROCS
-// the binary is run at, leaves no grant token behind, and never hangs.
+// schedule on repeated hosted runs, and at every GOMAXPROCS the binary is run
+// at, leaves no grant token behind, and never hangs.
 func TestHandoffStressNeutralAcrossProcs(t *testing.T) {
-	for _, cfg := range []Config{
-		{Mode: policy.RoundRobin},
-		{Mode: policy.RoundRobin, Policies: policy.BoostBlocked},
-		{Mode: policy.LogicalClock},
-	} {
+	for _, cfg := range handoffConfigs {
 		for _, n := range []int{2, 4, 64} {
 			name := fmt.Sprintf("%v/policies=%v/threads=%d", cfg.Mode, cfg.Policies, n)
 			t.Run(name, func(t *testing.T) {
-				first := handoffStress(t, cfg, n, false)
+				first := handoffStress(t, cfg, n, hostedRun)
 				if len(first.trace) == 0 {
 					t.Fatal("empty trace")
 				}
-				if again := handoffStress(t, cfg, n, false); !first.equal(again) {
+				if again := handoffStress(t, cfg, n, hostedRun); !first.equal(again) {
 					t.Fatal("schedule differs between two runs at the same GOMAXPROCS")
-				}
-				if hosted := handoffStress(t, cfg, n, true); !first.equal(hosted) {
-					t.Fatal("schedule differs between the goroutine run and the hosted run")
 				}
 				if prev, loaded := handoffSeen.LoadOrStore(name, first); loaded && !first.equal(prev.(handoffRun)) {
 					t.Fatal("schedule differs from the run at an earlier -cpu value")
@@ -172,51 +147,47 @@ func TestHandoffStressNeutralAcrossProcs(t *testing.T) {
 	}
 }
 
+// handoffConfigs are the base policies and policy sets the stress script
+// runs under.
+var handoffConfigs = []Config{
+	{Mode: policy.RoundRobin},
+	{Mode: policy.RoundRobin, Policies: policy.BoostBlocked},
+	{Mode: policy.LogicalClock},
+}
+
 // TestGrantToUnconsumedTokenPanics: a second grant to a thread whose granted
 // flag is still set can only come from a scheduler bug; it must be loud, not
 // a silently lost grant.
 func TestGrantToUnconsumedTokenPanics(t *testing.T) {
-	for _, hosted := range []bool{false, true} {
-		s := New(Config{Mode: policy.RoundRobin})
-		if hosted {
-			s.HostThreads()
+	s := New(Config{Mode: policy.RoundRobin})
+	s.HostThreads()
+	a, b := s.Register("a"), s.Register("b")
+	s.GetTurn(a)
+	b.granted = true // the bug: a token nobody accounted for
+	b.wantTurn = true
+	defer func() {
+		if recover() == nil {
+			t.Fatal("granting to a thread that already has a token did not panic")
 		}
-		a, b := s.Register("a"), s.Register("b")
-		s.GetTurn(a)
-		b.granted = true // the bug: a token nobody accounted for
-		b.wantTurn = true
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("hosted=%v: granting to a thread that already has a token did not panic", hosted)
-				}
-			}()
-			s.PutTurn(a)
-		}()
-	}
+	}()
+	s.PutTurn(a)
 }
 
 // TestExitWithUnconsumedTokenPanics: a granted flag left set at Exit means a
 // grant went to a thread that never waited for it; Exit refuses it as loudly
 // as grantLocked refuses a second grant.
 func TestExitWithUnconsumedTokenPanics(t *testing.T) {
-	for _, hosted := range []bool{false, true} {
-		s := New(Config{Mode: policy.RoundRobin})
-		if hosted {
-			s.HostThreads()
+	s := New(Config{Mode: policy.RoundRobin})
+	s.HostThreads()
+	a := s.Register("a")
+	s.GetTurn(a)
+	a.granted = true // the bug: a token nobody accounted for
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Exit let a thread go that still held a grant token")
 		}
-		a := s.Register("a")
-		s.GetTurn(a)
-		a.granted = true // the bug: a token nobody accounted for
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("hosted=%v: Exit let a thread go that still held a grant token", hosted)
-				}
-			}()
-			s.Exit(a)
-		}()
-	}
+	}()
+	s.Exit(a)
 }
 
 // TestHostRecordsRecycled: what a hosted run recycles is one coroutine per
@@ -229,7 +200,7 @@ func TestHostRecordsRecycled(t *testing.T) {
 	for len(freeHosts) > 0 {
 		<-freeHosts
 	}
-	handoffStress(t, Config{Mode: policy.RoundRobin}, workerPoolCap, true)
+	handoffStress(t, Config{Mode: policy.RoundRobin}, workerPoolCap, hostedRun)
 	if n := len(freeWorkers); n != workerPoolCap-1 {
 		t.Errorf("free list holds %d coroutines after a hosted run of %d threads, want %d", n, workerPoolCap, workerPoolCap-1)
 	}

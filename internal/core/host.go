@@ -221,13 +221,8 @@ func (s *Scheduler) YieldOffTurn(t *Thread) {
 // driver joins job when it takes the entry, then resumes t. Whether a thread
 // yields here is the caller's decision from the program alone, and the FIFO
 // order depends only on program state, so the schedule does not depend on
-// which goroutine ran the job or when it finished. An unhosted thread, which
-// waits on a goroutine of its own, joins at once.
+// which goroutine ran the job or when it finished.
 func (s *Scheduler) YieldComputing(t *Thread, job Job) {
-	if s.host == nil {
-		job.Join()
-		return
-	}
 	s.stats.Offloads++
 	s.host.idle = 0 // t ran, and was not a retry coming straight back
 	s.yieldAside(t, job)

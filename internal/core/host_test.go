@@ -15,8 +15,9 @@ import (
 // is how a hosted run ends when it does not end well, and the FIFO outside
 // the turn.
 
-// hostedRun registers n threads on a hosted scheduler and runs body(i, thread)
-// for each: thread 0 on the calling goroutine, the rest as its coroutines.
+// hostedRun is how a test of this package runs threads: it makes s hosted,
+// registers n threads and runs body(i, thread) for each, thread 0 on the
+// calling goroutine — before any other — and the rest as its coroutines.
 func hostedRun(s *Scheduler, n int, body func(i int, th *Thread)) {
 	s.HostThreads()
 	ths := make([]*Thread, n)
@@ -87,74 +88,6 @@ func TestHostedDeadlock(t *testing.T) {
 			t.Fatalf("freeze=%v: a deadlocked hosted run returned", freeze)
 		case <-time.After(20 * time.Millisecond):
 		}
-	}
-}
-
-// TestHostedSchedulerTakesNoLock: a hosted scheduler is its driver's goroutine
-// alone, so no primitive takes the entry lock an unhosted one needs. With mu
-// held by the test throughout, a three-thread hosted script that touches
-// every primitive — leased and unleased releases, a signal, a broadcast and a
-// timed-wait expiry, recording, LogicalClock work — must still finish.
-func TestHostedSchedulerTakesNoLock(t *testing.T) {
-	s := New(Config{Mode: policy.LogicalClock, Record: true})
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	done := make(chan Stats, 1)
-	go func() {
-		s.HostThreads()
-		d := s.Register("d")
-		cv := s.NewObject("cv")
-		for i := 0; i < 3; i++ { // solo: every release keeps the turn
-			s.GetTurn(d)
-			s.TraceOp(d, OpYield, 0, StatusOK)
-			s.PutTurn(d)
-		}
-		s.GetTurn(d)
-		a, b := s.Register("a"), s.Register("b") // d is no longer solo
-		ready := false                           // guarded by the turn
-		s.StartHosted(a, bodyFunc(func() {
-			s.GetTurn(a)
-			for !ready {
-				s.TraceOp(a, OpCondWait, cv, StatusBlocked)
-				s.Wait(a, cv, NoTimeout)
-			}
-			s.TraceOp(a, OpCondWait, cv, StatusReturn)
-			s.PutTurn(a)
-			s.AddWork(a, 100)
-			s.GetTurn(a)
-			s.Exit(a)
-		}))
-		s.StartHosted(b, bodyFunc(func() {
-			s.GetTurn(b)
-			s.TraceOp(b, OpSleep, 0, StatusBlocked)
-			if s.Wait(b, 0, 1) != WaitTimeout {
-				t.Error("b's timed wait was not expired")
-			}
-			s.PutTurn(b)
-			s.GetTurn(b)
-			s.Exit(b)
-		}))
-		s.PutTurn(d) // a parks on cv, b on its timeout
-		s.GetTurn(d)
-		ready = true
-		s.TraceOp(d, OpCondSignal, cv, StatusOK)
-		s.Signal(d, cv)
-		s.TraceOp(d, OpCondBroadcast, cv, StatusOK)
-		s.Broadcast(d, cv)
-		s.PutTurn(d)
-		s.GetTurn(d)
-		st := s.Stats()
-		s.Exit(d)
-		s.DrainHosted()
-		done <- st
-	}()
-	select {
-	case st := <-done:
-		if st.LeaseExtends != 3 || st.WokenBySignal != 1 || st.WokenByTimeout != 1 || st.Ops == 0 {
-			t.Errorf("the script did not take every path: %+v", st)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("a hosted scheduler waited for its entry lock")
 	}
 }
 

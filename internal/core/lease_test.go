@@ -14,13 +14,12 @@ import (
 // leased scheduler against a lease-free Table 1 model after every operation.
 
 // soloLoop runs one registered thread through n yield turns and an exit, the
-// canonical leaseable workload, and returns the scheduler for inspection.
-func soloLoop(cfg Config, n int) *Scheduler {
+// canonical leaseable workload, enforcing replay while it lasts, and returns
+// the scheduler for inspection.
+func soloLoop(cfg Config, replay []Event, n int) *Scheduler {
 	s := New(cfg)
-	th := s.Register("solo")
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
+	s.SetReplay(replay)
+	hostedRun(s, 1, func(_ int, th *Thread) {
 		for i := 0; i < n; i++ {
 			s.GetTurn(th)
 			s.TraceOp(th, OpYield, 0, StatusOK)
@@ -29,8 +28,7 @@ func soloLoop(cfg Config, n int) *Scheduler {
 		s.GetTurn(th)
 		s.TraceOp(th, OpThreadEnd, 0, StatusOK)
 		s.Exit(th)
-	}()
-	<-done
+	})
 	return s
 }
 
@@ -39,7 +37,7 @@ func soloLoop(cfg Config, n int) *Scheduler {
 // release).
 func TestLeaseSoloThread(t *testing.T) {
 	const n = 10
-	st := soloLoop(Config{Mode: policy.RoundRobin}, n).Stats()
+	st := soloLoop(Config{Mode: policy.RoundRobin}, nil, n).Stats()
 	if st.LeaseExtends != n {
 		t.Fatalf("LeaseExtends = %d, want %d (every release of a solo thread)", st.LeaseExtends, n)
 	}
@@ -51,7 +49,7 @@ func TestLeaseSoloThread(t *testing.T) {
 // TestLeaseDisabled: NoLease turns the lease off — every release takes the
 // queue-and-handoff path.
 func TestLeaseDisabled(t *testing.T) {
-	st := soloLoop(Config{Mode: policy.RoundRobin, NoLease: true}, 10).Stats()
+	st := soloLoop(Config{Mode: policy.RoundRobin, NoLease: true}, nil, 10).Stats()
 	if st.LeaseExtends != 0 {
 		t.Fatalf("NoLease run kept the turn %d times", st.LeaseExtends)
 	}
@@ -65,33 +63,28 @@ func TestLeaseDisabled(t *testing.T) {
 // that outlived the registration would never schedule the child.
 func TestLeaseRevokedOnRegister(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
+	s.HostThreads()
 	a := s.Register("a")
 	childRan := false
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		// A solo stretch: two releases that keep the turn.
-		s.GetTurn(a)
-		s.PutTurn(a)
-		s.GetTurn(a)
-		s.PutTurn(a)
-		// Register under the turn, exactly like the create wrapper does.
-		s.GetTurn(a)
-		b := s.Register("b")
-		bDone := make(chan struct{})
-		go func() {
-			defer close(bDone)
-			s.GetTurn(b)
-			childRan = true
-			s.Exit(b)
-		}()
-		s.PutTurn(a) // must hand off to b, not keep the turn
-		<-bDone
-		s.GetTurn(a)
-		s.Exit(a)
-	}()
-	<-done
-	if !childRan {
+	// A solo stretch: two releases that keep the turn.
+	s.GetTurn(a)
+	s.PutTurn(a)
+	s.GetTurn(a)
+	s.PutTurn(a)
+	// Register under the turn, exactly like the create wrapper does.
+	s.GetTurn(a)
+	b := s.Register("b")
+	s.StartHosted(b, bodyFunc(func() {
+		s.GetTurn(b)
+		childRan = true
+		s.Exit(b)
+	}))
+	s.PutTurn(a) // must hand off to b, not keep the turn
+	s.GetTurn(a)
+	ran := childRan // before a's next turn: the drain would run b anyway
+	s.Exit(a)
+	s.DrainHosted()
+	if !ran {
 		t.Fatal("registered thread never ran")
 	}
 }
@@ -101,24 +94,7 @@ func TestLeaseRevokedOnRegister(t *testing.T) {
 // a leased run exactly, which is the record/replay half of trace neutrality.
 func TestLeaseDisabledDuringReplay(t *testing.T) {
 	run := func(replay []Event) (*Scheduler, []Event) {
-		s := New(Config{Mode: policy.RoundRobin, Record: true})
-		if replay != nil {
-			s.SetReplay(replay)
-		}
-		th := s.Register("t")
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			for i := 0; i < 5; i++ {
-				s.GetTurn(th)
-				s.TraceOp(th, OpYield, 0, StatusOK)
-				s.PutTurn(th)
-			}
-			s.GetTurn(th)
-			s.TraceOp(th, OpThreadEnd, 0, StatusOK)
-			s.Exit(th)
-		}()
-		<-done
+		s := soloLoop(Config{Mode: policy.RoundRobin, Record: true}, replay, 5)
 		return s, s.Trace()
 	}
 	rec, events := run(nil)
@@ -166,9 +142,9 @@ func TestQuickLeaseTurnCountNeutral(t *testing.T) {
 // on — a solo thread's releases then extend nothing — and only those.
 func TestDisableLeases(t *testing.T) {
 	restore := DisableLeases()
-	off := soloLoop(Config{Mode: policy.RoundRobin}, 10).Stats().LeaseExtends
+	off := soloLoop(Config{Mode: policy.RoundRobin}, nil, 10).Stats().LeaseExtends
 	restore()
-	on := soloLoop(Config{Mode: policy.RoundRobin}, 10).Stats().LeaseExtends
+	on := soloLoop(Config{Mode: policy.RoundRobin}, nil, 10).Stats().LeaseExtends
 	if off != 0 || on != 10 {
 		t.Fatalf("solo releases extended %d times with leases disabled and %d after, want 0 and 10", off, on)
 	}

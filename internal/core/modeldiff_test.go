@@ -12,12 +12,12 @@ import (
 )
 
 // The differential test of the scheduler against the model of Table 1
-// (model_test.go). A script (quick_test.go) runs on a hosted scheduler —
-// HostThreads, one Body per script thread — while the model is stepped with
-// the same primitives in the same order, and after every primitive the two
-// must agree on the turn holder, the run and wake-up queues, every wait list,
-// the turn count, each thread's request flag, clocks, wait status and policy
-// state, the schedule, and every chooser consultation. The scheduler's one
+// (model_test.go). A script (quick_test.go) runs on a hosted scheduler
+// (lockstep.run) while the model is stepped with the same primitives in the
+// same order, and after every primitive the two must agree on the turn
+// holder, the run and wake-up queues, every wait list, the turn count, each
+// thread's request flag, clocks, wait status and policy state, the schedule,
+// and every chooser consultation. The scheduler's one
 // state the model lacks is the solo lease, and the comparison says exactly
 // where it may show (soloLease). A compute op is a hosted yield the model
 // does not see (Table 1 has no such primitive): a pure payload runs when the
@@ -231,9 +231,9 @@ func (l *lockstep) destroy(th *Thread, obj uint64) {
 }
 
 // compute hands a pure payload off and yields on the FIFO outside the turn
-// (YieldComputing); the model takes no step. With the model the run is
-// hosted, and the payload's Join, which the driver calls at the rejoin,
-// checks it rejoins the oldest thread still computing.
+// (YieldComputing); the model takes no step. With the model, the payload's
+// Join, which the driver calls at the rejoin, checks it rejoins the oldest
+// thread still computing.
 func (l *lockstep) compute(th *Thread, n int64) {
 	j := &scriptJob{n: n}
 	if l.m != nil {
@@ -392,6 +392,16 @@ func queueIDs(q *tqueue) []int {
 	return ids
 }
 
+// run runs prog's threads on l.s, hosted: script thread i is thread i.
+func (l *lockstep) run(prog [][]scriptOp) {
+	hostedRun(l.s, len(prog), func(i int, th *Thread) {
+		if i == 0 { // the driver starts first, with every thread registered
+			l.ths = slices.Clone(l.s.threads)
+		}
+		l.thread(th, prog[i])
+	})
+}
+
 // runLockstep runs prog on a hosted scheduler under cfg with the model in
 // lockstep — with a chooser giving the answers seq when seq is not empty —
 // adds what it exercised to cov, and returns the first disagreement, refusal
@@ -412,15 +422,7 @@ func runLockstep(prog [][]scriptOp, cfg Config, seq []int, cov *coverage) (err e
 			err = fmt.Errorf("%v", r)
 		}
 	}()
-	l.s.HostThreads()
-	for i := range prog {
-		l.ths = append(l.ths, l.s.Register(fmt.Sprintf("t%d", i)))
-	}
-	for i, th := range l.ths[1:] {
-		l.s.StartHosted(th, bodyFunc(func() { l.thread(th, prog[i+1]) }))
-	}
-	l.thread(l.ths[0], prog[0])
-	l.s.DrainHosted()
+	l.run(prog)
 	if l.s.VirtualMakespan() != l.m.makespan {
 		return fmt.Errorf("virtual makespan %d, model %d", l.s.VirtualMakespan(), l.m.makespan)
 	}

@@ -149,6 +149,7 @@ func TestReplayGrantsAreNotPicks(t *testing.T) {
 func TestRestoreRefusesForeignLeaseState(t *testing.T) {
 	solo := func(set policy.Set) (*Scheduler, *Thread) {
 		s := New(Config{Policies: set, Record: true, SuspendRecording: true})
+		s.HostThreads()
 		th := s.Register("main")
 		s.GetTurn(th)
 		return s, th

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -68,23 +66,11 @@ func runScript(sc script, cfg Config) []Event {
 }
 
 // runScriptOn executes the script on an existing scheduler (which the caller
-// can then inspect for stats or turn counts), each thread on a goroutine of
-// its own, and returns the recorded trace.
+// can then inspect for stats or turn counts), hosted, and returns the
+// recorded trace.
 func runScriptOn(s *Scheduler, sc script) []Event {
-	prog := sc.program()
 	l := &lockstep{s: s, cov: new(coverage)}
-	for i := range prog {
-		l.ths = append(l.ths, s.Register(fmt.Sprintf("t%d", i)))
-	}
-	var wg sync.WaitGroup
-	for i, th := range l.ths {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			l.thread(th, prog[i])
-		}()
-	}
-	wg.Wait()
+	l.run(sc.program())
 	return s.Trace()
 }
 
@@ -169,29 +155,18 @@ func TestQuickVirtualMakespanSane(t *testing.T) {
 	run := func(sc script, cfg Config) int64 {
 		cfg.Record = false
 		s := New(cfg)
-		n := sc.threads()
-		ths := make([]*Thread, n)
-		for i := range ths {
-			ths[i] = s.Register(fmt.Sprintf("t%d", i))
-		}
-		var wg sync.WaitGroup
-		for i, th := range ths {
-			wg.Add(1)
-			go func(i int, th *Thread) {
-				defer wg.Done()
-				x := sc.Seed + uint64(i)
-				for op := 0; op < sc.ops(); op++ {
-					x ^= x<<13 ^ x>>7
-					s.AddWork(th, int64(x%128)+1)
-					s.GetTurn(th)
-					s.TraceOp(th, OpYield, 0, StatusOK)
-					s.PutTurn(th)
-				}
+		hostedRun(s, sc.threads(), func(i int, th *Thread) {
+			x := sc.Seed + uint64(i)
+			for op := 0; op < sc.ops(); op++ {
+				x ^= x<<13 ^ x>>7
+				s.AddWork(th, int64(x%128)+1)
 				s.GetTurn(th)
-				s.Exit(th)
-			}(i, th)
-		}
-		wg.Wait()
+				s.TraceOp(th, OpYield, 0, StatusOK)
+				s.PutTurn(th)
+			}
+			s.GetTurn(th)
+			s.Exit(th)
+		})
 		return s.VirtualMakespan()
 	}
 	f := func(sc script) bool {
@@ -208,21 +183,14 @@ func TestQuickVirtualMakespanSane(t *testing.T) {
 // the smaller virtual clock executes its operation first.
 func TestVirtualParallelOrdersByVTime(t *testing.T) {
 	s := New(Config{Mode: policy.VirtualClock, Record: true})
-	var wg sync.WaitGroup
-	ths := []*Thread{s.Register("a"), s.Register("b")}
-	for i, th := range ths {
-		wg.Add(1)
-		go func(i int, th *Thread) {
-			defer wg.Done()
-			if i == 0 {
-				s.AddWork(th, 1000) // thread a is "later" in virtual time
-			}
-			s.GetTurn(th)
-			s.TraceOp(th, OpYield, 0, StatusOK)
-			s.Exit(th)
-		}(i, th)
-	}
-	wg.Wait()
+	hostedRun(s, 2, func(i int, th *Thread) {
+		if i == 0 {
+			s.AddWork(th, 1000) // thread a is "later" in virtual time
+		}
+		s.GetTurn(th)
+		s.TraceOp(th, OpYield, 0, StatusOK)
+		s.Exit(th)
+	})
 	tr := s.Trace()
 	if len(tr) != 2 || tr[0].TID != 1 {
 		t.Fatalf("expected thread b (vtime 0) first, got %v", tr)
@@ -234,27 +202,21 @@ func TestVirtualParallelOrdersByVTime(t *testing.T) {
 func TestWakeEdgeRaisesVTime(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
 	var waiterV int64
-	var wg sync.WaitGroup
-	waiter := s.Register("waiter")
-	signaler := s.Register("signaler")
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		s.GetTurn(waiter)
-		s.Wait(waiter, 9, NoTimeout)
-		waiterV = waiter.VTime()
-		s.Exit(waiter)
-	}()
-	go func() {
-		defer wg.Done()
-		s.GetTurn(signaler)
-		s.PutTurn(signaler) // let the waiter park first
-		s.AddWork(signaler, 5000)
-		s.GetTurn(signaler)
-		s.Signal(signaler, 9)
-		s.Exit(signaler)
-	}()
-	wg.Wait()
+	hostedRun(s, 2, func(i int, th *Thread) {
+		if i == 0 { // the waiter
+			s.GetTurn(th)
+			s.Wait(th, 9, NoTimeout)
+			waiterV = th.VTime()
+			s.Exit(th)
+			return
+		}
+		s.GetTurn(th)
+		s.PutTurn(th) // let the waiter park first
+		s.AddWork(th, 5000)
+		s.GetTurn(th)
+		s.Signal(th, 9)
+		s.Exit(th)
+	})
 	if waiterV < 5000 {
 		t.Fatalf("woken thread's vtime %d should be >= signaler's 5000", waiterV)
 	}
@@ -264,38 +226,32 @@ func TestWakeEdgeRaisesVTime(t *testing.T) {
 // diagnostic instead of corrupting the queues.
 func TestExitedThreadMisuse(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
-	th := s.Register("t")
-	done := make(chan struct{})
-	go func() {
+	var exited *Thread
+	hostedRun(s, 1, func(_ int, th *Thread) {
 		s.GetTurn(th)
 		s.Exit(th)
-		close(done)
-	}()
-	<-done
+		exited = th
+	})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on GetTurn after Exit")
 		}
 	}()
-	s.GetTurn(th)
+	s.GetTurn(exited)
 }
 
 // TestSignalNoWaitersIsNoop: signaling an object nobody waits on neither
 // blocks nor corrupts state (pthread_cond_signal semantics).
 func TestSignalNoWaitersIsNoop(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
-	th := s.Register("t")
-	done := make(chan struct{})
-	go func() {
+	hostedRun(s, 1, func(_ int, th *Thread) {
 		s.GetTurn(th)
 		s.Signal(th, 77)
 		s.Broadcast(th, 77)
 		s.PutTurn(th)
 		s.GetTurn(th)
 		s.Exit(th)
-		close(done)
-	}()
-	<-done
+	})
 	if s.live != 0 {
 		t.Fatal("thread leaked")
 	}

@@ -26,10 +26,11 @@ import (
 //
 // One owner. Every field is plain data, owned by whoever is inside the
 // scheduler. A hosted scheduler (host.go) runs all its threads on one
-// goroutine, so entering it (lock) takes nothing; an unhosted one — a direct
-// user of this package whose threads bring goroutines of their own — is
-// entered under mu. Outside its threads, a hosted scheduler may be read
-// before its first thread runs and after its driver has drained it.
+// goroutine, so entering it (lock) takes nothing. An unhosted one, whose
+// threads bring goroutines of their own, is entered under mu: its one user
+// is benchmark/probes.go, and unhosted_test.go its one test file. Outside its
+// threads, a hosted scheduler may be read before its first thread runs and
+// after its driver has drained it.
 type Scheduler struct {
 	mu  sync.Mutex // the entry lock of an unhosted scheduler only
 	cfg Config
@@ -134,9 +135,8 @@ type Scheduler struct {
 	// run has drained.
 	host *Host
 
-	// granted wakes the goroutines of an unhosted scheduler's threads (direct
-	// users of this package) when grantLocked sets a flag; awaitGrant sets L
-	// to &mu.
+	// granted wakes the goroutines of an unhosted scheduler's threads when
+	// grantLocked sets a flag; awaitGrant sets L to &mu.
 	granted sync.Cond
 }
 

@@ -1,44 +1,20 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"strings"
-	"sync"
 	"testing"
 
 	"qithread/internal/policy"
 )
 
-// runThreads registers n threads and runs body(i, thread) on each in its own
-// goroutine, waiting for all to finish. Bodies must end with Exit.
-func runThreads(t *testing.T, s *Scheduler, n int, body func(i int, th *Thread)) {
-	t.Helper()
-	ths := make([]*Thread, n)
-	for i := range ths {
-		ths[i] = s.Register(fmt.Sprintf("t%d", i))
-	}
-	var wg sync.WaitGroup
-	for i, th := range ths {
-		wg.Add(1)
-		go func(i int, th *Thread) {
-			defer wg.Done()
-			body(i, th)
-		}(i, th)
-	}
-	wg.Wait()
-}
-
 func TestRoundRobinOrder(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin, Record: true})
 	var order []int
-	var mu sync.Mutex
-	runThreads(t, s, 4, func(i int, th *Thread) {
+	hostedRun(s, 4, func(i int, th *Thread) {
 		for r := 0; r < 3; r++ {
 			s.GetTurn(th)
-			mu.Lock()
 			order = append(order, i)
-			mu.Unlock()
 			s.PutTurn(th)
 		}
 		s.GetTurn(th)
@@ -52,45 +28,12 @@ func TestRoundRobinOrder(t *testing.T) {
 	}
 }
 
-func TestTurnExclusive(t *testing.T) {
-	s := New(Config{Mode: policy.RoundRobin})
-	var inTurn, max, count int
-	var mu sync.Mutex
-	runThreads(t, s, 8, func(i int, th *Thread) {
-		for r := 0; r < 50; r++ {
-			s.GetTurn(th)
-			mu.Lock()
-			inTurn++
-			if inTurn > max {
-				max = inTurn
-			}
-			count++
-			mu.Unlock()
-			mu.Lock()
-			inTurn--
-			mu.Unlock()
-			s.PutTurn(th)
-		}
-		s.GetTurn(th)
-		s.Exit(th)
-	})
-	if max != 1 {
-		t.Fatalf("turn held by %d threads simultaneously", max)
-	}
-	if count != 8*50 {
-		t.Fatalf("count = %d, want %d", count, 8*50)
-	}
-}
-
 func TestGetTurnReentrant(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
-	runThreads(t, s, 1, func(i int, th *Thread) {
+	hostedRun(s, 1, func(i int, th *Thread) {
 		s.GetTurn(th)
 		s.GetTurn(th) // must not deadlock: already holder
-		locked := s.lock()
-		held := s.holder == th
-		s.unlock(locked)
-		if !held {
+		if s.holder != th {
 			t.Error("expected to hold turn")
 		}
 		s.PutTurn(th)
@@ -103,41 +46,33 @@ func TestWaitSignalFIFO(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
 	const obj = uint64(99)
 	var woken []int
-	var mu sync.Mutex
 	nWaiters := 3
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		runThreads(t, s, nWaiters+1, func(i int, th *Thread) {
-			if i < nWaiters {
-				s.GetTurn(th)
-				st := s.Wait(th, obj, NoTimeout)
-				if st != WaitSignaled {
-					t.Errorf("waiter %d: status %v", i, st)
-				}
-				mu.Lock()
-				woken = append(woken, i)
-				mu.Unlock()
-				s.PutTurn(th)
-				s.GetTurn(th)
-				s.Exit(th)
-				return
+	hostedRun(s, nWaiters+1, func(i int, th *Thread) {
+		if i < nWaiters {
+			s.GetTurn(th)
+			st := s.Wait(th, obj, NoTimeout)
+			if st != WaitSignaled {
+				t.Errorf("waiter %d: status %v", i, st)
 			}
-			// Signaler: let all waiters park first by cycling turns.
-			for r := 0; r < nWaiters+2; r++ {
-				s.GetTurn(th)
-				s.PutTurn(th)
-			}
-			for r := 0; r < nWaiters; r++ {
-				s.GetTurn(th)
-				s.Signal(th, obj)
-				s.PutTurn(th)
-			}
+			woken = append(woken, i)
+			s.PutTurn(th)
 			s.GetTurn(th)
 			s.Exit(th)
-		})
-	}()
-	<-done
+			return
+		}
+		// Signaler: let all waiters park first by cycling turns.
+		for r := 0; r < nWaiters+2; r++ {
+			s.GetTurn(th)
+			s.PutTurn(th)
+		}
+		for r := 0; r < nWaiters; r++ {
+			s.GetTurn(th)
+			s.Signal(th, obj)
+			s.PutTurn(th)
+		}
+		s.GetTurn(th)
+		s.Exit(th)
+	})
 	for i := 0; i < nWaiters; i++ {
 		if woken[i] != i {
 			t.Fatalf("wake order %v, want FIFO 0..%d", woken, nWaiters-1)
@@ -149,14 +84,11 @@ func TestBroadcastWakesAllInOrder(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin, Policies: policy.BoostBlocked})
 	const obj = uint64(7)
 	var woken []int
-	var mu sync.Mutex
-	runThreads(t, s, 4, func(i int, th *Thread) {
+	hostedRun(s, 4, func(i int, th *Thread) {
 		if i < 3 {
 			s.GetTurn(th)
 			s.Wait(th, obj, NoTimeout)
-			mu.Lock()
 			woken = append(woken, i)
-			mu.Unlock()
 			s.PutTurn(th)
 		} else {
 			for r := 0; r < 5; r++ {
@@ -177,7 +109,7 @@ func TestBroadcastWakesAllInOrder(t *testing.T) {
 
 func TestWaitTimeout(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
-	runThreads(t, s, 1, func(i int, th *Thread) {
+	hostedRun(s, 1, func(i int, th *Thread) {
 		s.GetTurn(th)
 		st := s.Wait(th, 42, 5)
 		if st != WaitTimeout {
@@ -197,46 +129,20 @@ func TestWaitTimeout(t *testing.T) {
 func TestTimeoutOrderingAmongWaiters(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
 	var order []int
-	var mu sync.Mutex
-	runThreads(t, s, 2, func(i int, th *Thread) {
+	hostedRun(s, 2, func(i int, th *Thread) {
 		s.GetTurn(th)
 		var timeout int64 = 20
 		if i == 1 {
 			timeout = 10 // second thread expires first
 		}
 		s.Wait(th, uint64(100+i), timeout)
-		mu.Lock()
 		order = append(order, i)
-		mu.Unlock()
 		s.PutTurn(th)
 		s.GetTurn(th)
 		s.Exit(th)
 	})
 	if len(order) != 2 || order[0] != 1 || order[1] != 0 {
 		t.Fatalf("timeout wake order %v, want [1 0]", order)
-	}
-}
-
-func TestDeadlockDetection(t *testing.T) {
-	s := New(Config{Mode: policy.RoundRobin})
-	deadlock := make(chan string, 1)
-	s.SetDeadlockHandler(func(msg string) {
-		select {
-		case deadlock <- msg:
-		default:
-		}
-		// Tests must still terminate: wake everything via broadcast is not
-		// possible from here (no turn), so the handler simply records and
-		// the test leaks the blocked goroutine deliberately.
-	})
-	th := s.Register("t0")
-	go func() {
-		s.GetTurn(th)
-		s.Wait(th, 5, NoTimeout) // nobody will ever signal
-	}()
-	msg := <-deadlock
-	if msg == "" {
-		t.Fatal("expected deadlock diagnostic")
 	}
 }
 
@@ -247,18 +153,12 @@ func TestBoostBlockedPriority(t *testing.T) {
 		s := New(Config{Mode: policy.RoundRobin, Policies: policies})
 		const obj = uint64(3)
 		var order []int
-		var mu sync.Mutex
-		record := func(i int) {
-			mu.Lock()
-			order = append(order, i)
-			mu.Unlock()
-		}
-		runThreads(t, s, 3, func(i int, th *Thread) {
+		hostedRun(s, 3, func(i int, th *Thread) {
 			switch i {
 			case 0: // waiter
 				s.GetTurn(th)
 				s.Wait(th, obj, NoTimeout)
-				record(0)
+				order = append(order, 0)
 				s.PutTurn(th)
 			case 1: // signaler
 				s.GetTurn(th)
@@ -267,12 +167,12 @@ func TestBoostBlockedPriority(t *testing.T) {
 				s.Signal(th, obj)
 				s.PutTurn(th)
 				s.GetTurn(th)
-				record(1)
+				order = append(order, 1)
 				s.PutTurn(th)
 			case 2: // bystander doing sync ops
 				for r := 0; r < 3; r++ {
 					s.GetTurn(th)
-					record(2)
+					order = append(order, 2)
 					s.PutTurn(th)
 				}
 			}
@@ -309,8 +209,7 @@ func TestBoostBlockedPriority(t *testing.T) {
 func TestLogicalClockMinRuns(t *testing.T) {
 	s := New(Config{Mode: policy.LogicalClock})
 	var order []int
-	var mu sync.Mutex
-	runThreads(t, s, 2, func(i int, th *Thread) {
+	hostedRun(s, 2, func(i int, th *Thread) {
 		if i == 0 {
 			// Thread 0 accumulates a large clock before its first sync op,
 			// so thread 1 (clock 0) must execute sync ops first even though
@@ -319,9 +218,7 @@ func TestLogicalClockMinRuns(t *testing.T) {
 		}
 		for r := 0; r < 3; r++ {
 			s.GetTurn(th)
-			mu.Lock()
 			order = append(order, i)
-			mu.Unlock()
 			s.PutTurn(th)
 		}
 		s.GetTurn(th)
@@ -335,14 +232,11 @@ func TestLogicalClockMinRuns(t *testing.T) {
 func TestLogicalClockTieBreakByID(t *testing.T) {
 	s := New(Config{Mode: policy.LogicalClock})
 	var first int = -1
-	var mu sync.Mutex
-	runThreads(t, s, 3, func(i int, th *Thread) {
+	hostedRun(s, 3, func(i int, th *Thread) {
 		s.GetTurn(th)
-		mu.Lock()
 		if first == -1 {
 			first = i
 		}
-		mu.Unlock()
 		s.PutTurn(th)
 		s.GetTurn(th)
 		s.Exit(th)
@@ -354,7 +248,7 @@ func TestLogicalClockTieBreakByID(t *testing.T) {
 
 func TestExitRemovesThread(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
-	runThreads(t, s, 3, func(i int, th *Thread) {
+	hostedRun(s, 3, func(i int, th *Thread) {
 		if i == 0 {
 			s.GetTurn(th)
 			s.Exit(th) // exits immediately; others must still make progress
@@ -374,7 +268,7 @@ func TestExitRemovesThread(t *testing.T) {
 
 func TestTraceTotalOrder(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin, Record: true})
-	runThreads(t, s, 3, func(i int, th *Thread) {
+	hostedRun(s, 3, func(i int, th *Thread) {
 		for r := 0; r < 5; r++ {
 			s.GetTurn(th)
 			s.TraceOp(th, OpYield, 0, StatusOK)
@@ -397,6 +291,7 @@ func TestTraceTotalOrder(t *testing.T) {
 
 func TestRequireTurnPanics(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
+	s.HostThreads()
 	th := s.Register("t0")
 	defer func() {
 		if recover() == nil {
@@ -409,7 +304,7 @@ func TestRequireTurnPanics(t *testing.T) {
 func TestWaitersCount(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
 	const obj = uint64(11)
-	runThreads(t, s, 3, func(i int, th *Thread) {
+	hostedRun(s, 3, func(i int, th *Thread) {
 		if i < 2 {
 			s.GetTurn(th)
 			s.Wait(th, obj, NoTimeout)
@@ -451,7 +346,7 @@ func (c *keepDefault) Choose(_ policy.ChoiceKind, ids []int, n, def int) int {
 // and a wider one spills to the heap and behaves the same.
 func TestInlineTables(t *testing.T) {
 	yields := func(s *Scheduler, n int) []Event {
-		runThreads(t, s, n, func(i int, th *Thread) {
+		hostedRun(s, n, func(i int, th *Thread) {
 			for r := 0; r < 3; r++ {
 				s.GetTurn(th)
 				s.TraceOp(th, OpYield, 0, StatusOK)
@@ -464,6 +359,7 @@ func TestInlineTables(t *testing.T) {
 	}
 
 	s := New(Config{Mode: policy.RoundRobin})
+	s.HostThreads()
 	for i := 0; i < inlineThreads; i++ {
 		s.Register("t")
 	}
@@ -502,6 +398,7 @@ func TestInlineTables(t *testing.T) {
 // Thread; handing it one that is already a queue node is a caller bug.
 func TestRegisterInRejectsRegisteredThread(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
+	s.HostThreads()
 	var th Thread
 	if got := s.RegisterIn(&th, "once"); got != &th || th.ID() != 0 || th.Name() != "once" {
 		t.Fatalf("RegisterIn returned %v for caller storage %p", got, &th)
@@ -519,6 +416,7 @@ func TestRegisterInRejectsRegisteredThread(t *testing.T) {
 // registration panics rather than record an id that wraps onto T0's.
 func TestRegisterInRefusesIDPastInt32(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
+	s.HostThreads()
 	s.nextTID = math.MaxInt32
 	if th := s.Register("last"); th.ID() != math.MaxInt32 {
 		t.Fatalf("the thread at the bound got id %d, want %d", th.ID(), math.MaxInt32)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"strings"
-	"sync"
 	"testing"
 
 	"qithread/internal/policy"
@@ -10,37 +9,31 @@ import (
 
 func TestStatsCounters(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
-	var wg sync.WaitGroup
-	waiter := s.Register("waiter")
-	signaler := s.Register("signaler")
-	if got := s.Stats().MaxLiveThreads; got != 2 {
-		t.Fatalf("MaxLiveThreads = %d", got)
-	}
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		s.GetTurn(waiter)
-		s.TraceOp(waiter, OpCondWait, 1, StatusBlocked)
-		s.Wait(waiter, 1, NoTimeout)
-		s.TraceOp(waiter, OpCondWait, 1, StatusReturn)
-		s.GetTurn(waiter)
-		s.Exit(waiter)
-	}()
-	go func() {
-		defer wg.Done()
-		s.GetTurn(signaler)
-		s.PutTurn(signaler) // let the waiter park
-		s.GetTurn(signaler)
-		s.TraceOp(signaler, OpCondSignal, 1, StatusOK)
-		s.Signal(signaler, 1)
-		s.PutTurn(signaler)
-		s.GetTurn(signaler)
-		s.TraceOp(signaler, OpSleep, 0, StatusBlocked)
-		s.Wait(signaler, 99, 3) // times out
-		s.GetTurn(signaler)
-		s.Exit(signaler)
-	}()
-	wg.Wait()
+	hostedRun(s, 2, func(i int, th *Thread) {
+		if i == 0 { // the waiter
+			if got := s.Stats().MaxLiveThreads; got != 2 {
+				t.Errorf("MaxLiveThreads = %d", got)
+			}
+			s.GetTurn(th)
+			s.TraceOp(th, OpCondWait, 1, StatusBlocked)
+			s.Wait(th, 1, NoTimeout)
+			s.TraceOp(th, OpCondWait, 1, StatusReturn)
+			s.GetTurn(th)
+			s.Exit(th)
+			return
+		}
+		s.GetTurn(th)
+		s.PutTurn(th) // let the waiter park
+		s.GetTurn(th)
+		s.TraceOp(th, OpCondSignal, 1, StatusOK)
+		s.Signal(th, 1)
+		s.PutTurn(th)
+		s.GetTurn(th)
+		s.TraceOp(th, OpSleep, 0, StatusBlocked)
+		s.Wait(th, 99, 3) // times out
+		s.GetTurn(th)
+		s.Exit(th)
+	})
 	st := s.Stats()
 	if st.Ops != 4 {
 		t.Errorf("Ops = %d, want 4", st.Ops)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"reflect"
-	"sync"
 	"testing"
 
 	"qithread/internal/policy"
@@ -16,8 +15,7 @@ func TestSameDeadlineFIFOExpiry(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
 	const target = int64(50) // common deadline, far past every park turn
 	var order []int
-	var mu sync.Mutex
-	runThreads(t, s, 3, func(i int, th *Thread) {
+	hostedRun(s, 3, func(i int, th *Thread) {
 		s.GetTurn(th)
 		// Wait advances the turn by one before stamping the deadline, so
 		// parking at turn T with timeout target-T-1 lands exactly on target.
@@ -29,9 +27,7 @@ func TestSameDeadlineFIFOExpiry(t *testing.T) {
 		if st != WaitTimeout {
 			t.Errorf("thread %d: status %v, want timeout", i, st)
 		}
-		mu.Lock()
 		order = append(order, i)
-		mu.Unlock()
 		s.PutTurn(th)
 		s.GetTurn(th)
 		s.Exit(th)
@@ -46,7 +42,7 @@ func TestSameDeadlineFIFOExpiry(t *testing.T) {
 // generous timeout fires, and t2 drives the turns and sends the signal. Every
 // operation is traced so the schedule can be recorded and replayed.
 func timedMixWorkload(t *testing.T, s *Scheduler) {
-	runThreads(t, s, 3, func(i int, th *Thread) {
+	hostedRun(s, 3, func(i int, th *Thread) {
 		switch i {
 		case 0:
 			s.GetTurn(th)
@@ -110,7 +106,7 @@ func TestReplayMixedTimeouts(t *testing.T) {
 // same turn count.
 func TestIdleSleepJumpReplay(t *testing.T) {
 	run := func(s *Scheduler) {
-		runThreads(t, s, 1, func(i int, th *Thread) {
+		hostedRun(s, 1, func(i int, th *Thread) {
 			s.GetTurn(th)
 			s.TraceOp(th, OpSleep, 0, StatusBlocked)
 			if st := s.Wait(th, 9, 1000); st != WaitTimeout {

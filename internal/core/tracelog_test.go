@@ -17,7 +17,8 @@ func (s *sliceSink) Append(e core.Event) error {
 	return nil
 }
 
-// record drives n events through one turn-holding thread: enough variety in
+// record drives n events through one turn-holding thread, the driver of a
+// hosted scheduler that never hands the turn on: enough variety in
 // thread-independent fields that a misplaced or duplicated chunk shows up in
 // the comparison, and nothing but TraceOp between the two memory readings.
 // A non-empty replay is enforced while it lasts.
@@ -25,6 +26,7 @@ func record(cfg core.Config, replay []core.Event, n int) (*core.Scheduler, uint6
 	cfg.Record = true
 	s := core.New(cfg)
 	s.SetReplay(replay)
+	s.HostThreads()
 	th := s.Register("t0")
 	s.GetTurn(th)
 	var before, after runtime.MemStats

@@ -169,10 +169,12 @@ func TestInventory(t *testing.T) {
 	// No exported function or method of internal/core has a sync type in its
 	// signature: a caller's lock is released by the caller or inside the core,
 	// never handed across, so the core's entry lock can go without an API
-	// change (DESIGN.md §4.1). And internal/core names no scheduling decision
-	// of its own: no type Mode beside policy.BaseKind, and no type or constant
-	// that is an internal/policy name under a second one, but the Choice that
-	// benchmark/ compiles against (DESIGN.md §4.2).
+	// change (DESIGN.md §4.1). That lock and the unhosted grant wait are the
+	// only sync in the core: sched.go alone imports it, and names it only as
+	// the types of the fields mu and granted. And internal/core names no
+	// scheduling decision of its own: no type Mode beside policy.BaseKind, and
+	// no type or constant that is an internal/policy name under a second one,
+	// but the Choice that benchmark/ compiles against (DESIGN.md §4.2).
 	isPolicyName := func(e ast.Expr) bool {
 		sel, ok := e.(*ast.SelectorExpr)
 		if !ok {
@@ -193,6 +195,25 @@ func TestInventory(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for _, imp := range f.Imports {
+			if imp.Path.Value == `"sync"` && path != "internal/core/sched.go" {
+				t.Errorf("%s imports sync; in internal/core only sched.go does, for the unhosted mode (DESIGN.md §4.1)", path)
+			}
+		}
+		unhosted := map[ast.Expr]bool{} // the types of the fields mu and granted
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.Field:
+				if len(n.Names) == 1 && (n.Names[0].Name == "mu" || n.Names[0].Name == "granted") {
+					unhosted[n.Type] = true
+				}
+			case *ast.SelectorExpr:
+				if pkg, ok := n.X.(*ast.Ident); ok && pkg.Name == "sync" && !unhosted[n] {
+					t.Errorf("%s: sync.%s outside the types of the fields mu and granted", path, n.Sel.Name)
+				}
+			}
+			return true
+		})
 		for _, decl := range f.Decls {
 			if gen, ok := decl.(*ast.GenDecl); ok {
 				for _, spec := range gen.Specs {
@@ -224,6 +245,45 @@ func TestInventory(t *testing.T) {
 				}
 				return true
 			})
+		}
+	}
+
+	// The unhosted mode's tests are one file. Everywhere else in the core
+	// and checkpoint tests, a function that registers threads on a scheduler
+	// hosts it, so deleting the mode deletes that file and no other test.
+	var hostedTests []string
+	for _, glob := range []string{"internal/core/*_test.go", "internal/ckpt/*_test.go"} {
+		files, err := filepath.Glob(glob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hostedTests = append(hostedTests, files...)
+	}
+	for _, path := range hostedTests {
+		if path == "internal/core/unhosted_test.go" {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			calls := map[string]bool{}
+			ast.Inspect(fn, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+						calls[sel.Sel.Name] = true
+					}
+				}
+				return true
+			})
+			if (calls["Register"] || calls["RegisterIn"]) && !calls["HostThreads"] {
+				t.Errorf("%s: %s registers threads on a scheduler it does not host; a test of the unhosted mode belongs in internal/core/unhosted_test.go", path, fn.Name.Name)
+			}
 		}
 	}
 }
