@@ -55,7 +55,6 @@ func run() (err error) {
 		program    = flag.String("program", "", "restrict to one program (Figure 8 label)")
 		scale      = flag.Float64("scale", 0.25, "workload scale factor (1.0 = paper-sized)")
 		threads    = flag.Int("threads", 0, "override worker thread count (0 = per-program default)")
-		repeats    = flag.Int("repeats", 1, "timed runs per (program, mode); measurements are deterministic so 1 suffices")
 		out        = flag.String("o", "", "write the experiment's table as CSV to this path (-experiment "+all+": the first table, Figure 8's)")
 		chart      = flag.Bool("chart", false, "render Figure 8 as ASCII bars")
 		verbose    = flag.Bool("v", false, "log every measurement")
@@ -133,10 +132,7 @@ func run() (err error) {
 	if len(args.Specs) == 0 {
 		return fmt.Errorf("no programs selected")
 	}
-	r := &harness.Runner{
-		Params:  workload.Params{Scale: *scale, Threads: *threads, InputSeed: 42},
-		Repeats: *repeats,
-	}
+	r := &harness.Runner{Params: workload.Params{Scale: *scale, Threads: *threads, InputSeed: 42}}
 	if *verbose {
 		r.Log = os.Stderr
 	}

@@ -2,10 +2,10 @@
 // mode it executes the ingress-driven request server live — free-running
 // sources pacing themselves with random jitter, so arrival timing genuinely
 // differs between invocations — and saves the ingress log plus a fingerprint
-// sidecar (<log>.fp). In replay mode it re-feeds the recorded log any number
-// of times and diffs every run's observables (output checksum, determinism
-// fingerprint, admitted/shed hashes) against the sidecar and against each
-// other, exiting nonzero on any divergence.
+// sidecar (<log>.fp). In replay mode it re-feeds the recorded log -runs
+// times (at least once) and diffs every run's observables (output checksum,
+// determinism fingerprint, admitted/shed hashes) against the sidecar and
+// against each other, exiting nonzero on any divergence.
 //
 // Usage:
 //
@@ -56,7 +56,7 @@ func main() {
 	var (
 		record  = flag.String("record", "", "run live and write the ingress log to this path")
 		replay  = flag.String("replay", "", "re-feed a recorded ingress log")
-		runs    = flag.Int("runs", 20, "replay count (with -replay)")
+		runs    = flag.Int("runs", 20, "replay count, at least 1 (with -replay or -schedule)")
 		mode    = flag.String("mode", "qithread", "scheduling configuration (qithread | no-hint | logical-clock)")
 		sources = flag.Int("sources", 4, "free-running event sources")
 		events  = flag.Int("events", 256, "total events across sources")
@@ -83,6 +83,11 @@ func main() {
 	}
 	if (*record == "") == (*replay == "") {
 		fmt.Fprintln(os.Stderr, "qireplay: exactly one of -record, -replay or -schedule is required")
+		os.Exit(2)
+	}
+	if *replay != "" && *runs < 1 {
+		// A check of no replays would pass whatever the log holds.
+		fmt.Fprintf(os.Stderr, "qireplay: -runs %d: a replay check needs at least one run\n", *runs)
 		os.Exit(2)
 	}
 
@@ -181,7 +186,7 @@ func main() {
 		} else {
 			run = workload.RunIngressServer(wcfg, p, cfg, log)
 		}
-		got := observables(run)
+		got := run.Observables()
 		if *verbose {
 			fmt.Printf("replay %2d: %s\n", i, got)
 		}
@@ -220,6 +225,10 @@ func replaySchedule(stdout, stderr io.Writer, path, program string, runs int, ex
 	}
 	if expect != "failure" && expect != "ok" {
 		fmt.Fprintf(stderr, "qireplay: -expect must be failure or ok, got %q\n", expect)
+		return 2
+	}
+	if runs < 1 {
+		fmt.Fprintf(stderr, "qireplay: -runs %d: a replay check needs at least one run\n", runs)
 		return 2
 	}
 	p := explore.Lookup(program)
@@ -274,13 +283,6 @@ func replaySchedule(stdout, stderr io.Writer, path, program string, runs int, ex
 	return 0
 }
 
-// observables condenses a run's determinism-relevant results into one
-// comparable line (also the sidecar format).
-func observables(run workload.IngressRun) string {
-	return fmt.Sprintf("output=%d fingerprint=[%s] admit=%016x shed=%016x",
-		run.Output, run.Fingerprint, run.AdmitHash, run.ShedHash)
-}
-
 func saveLog(path, mode string, run workload.IngressRun) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -293,7 +295,7 @@ func saveLog(path, mode string, run workload.IngressRun) error {
 	if err != nil {
 		return err
 	}
-	sidecar := fmt.Sprintf("mode=%s\n%s\n", mode, observables(run))
+	sidecar := fmt.Sprintf("mode=%s\n%s\n", mode, run.Observables())
 	return os.WriteFile(path+".fp", []byte(sidecar), 0o644)
 }
 

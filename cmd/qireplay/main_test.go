@@ -15,6 +15,34 @@ import (
 // diagnostic — the only text that says where — reaches stderr beside the two
 // schedule hashes.
 func TestScheduleDivergencePrinted(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := replaySchedule(&stdout, &stderr, buggyRepro(t), "wakerace", 1, "failure", false); code != 1 {
+		t.Errorf("exit code %d, want 1", code)
+	}
+	for _, want := range []string{"schedule hash", "replay divergence"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr does not say %q:\n%s", want, stderr.String())
+		}
+	}
+}
+
+// TestScheduleRunsBelowOneRefused: -schedule with -runs 0 or below is a usage
+// error. Were it run, the check would pass with no replay made, here with a
+// buggy repro against the wrong program, which replays as a divergence.
+func TestScheduleRunsBelowOneRefused(t *testing.T) {
+	repro := buggyRepro(t)
+	for _, runs := range []int{0, -1} {
+		var stdout, stderr bytes.Buffer
+		if code := replaySchedule(&stdout, &stderr, repro, "wakerace", runs, "failure", false); code != 2 || !strings.Contains(stderr.String(), "-runs") {
+			t.Errorf("-runs %d: exit code %d, want 2 and a refusal naming -runs\nstdout: %s\nstderr: %s", runs, code, &stdout, &stderr)
+		}
+	}
+}
+
+// buggyRepro explores the buggy program and returns the path of the first
+// repro it writes.
+func buggyRepro(t *testing.T) string {
+	t.Helper()
 	s, err := explore.NewSession(explore.Lookup("buggy"), t.TempDir(), explore.DefaultWatchdog)
 	if err != nil {
 		t.Fatal(err)
@@ -26,15 +54,7 @@ func TestScheduleDivergencePrinted(t *testing.T) {
 	if len(repros) == 0 {
 		t.Fatal("exploring buggy found no failure to write a repro of")
 	}
-	var stdout, stderr bytes.Buffer
-	if code := replaySchedule(&stdout, &stderr, repros[0], "wakerace", 1, "failure", false); code != 1 {
-		t.Errorf("exit code %d, want 1", code)
-	}
-	for _, want := range []string{"schedule hash", "replay divergence"} {
-		if !strings.Contains(stderr.String(), want) {
-			t.Errorf("stderr does not say %q:\n%s", want, stderr.String())
-		}
-	}
+	return repros[0]
 }
 
 // TestLoadSidecar: a sidecar saveLog wrote reads back as its mode and

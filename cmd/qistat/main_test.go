@@ -138,7 +138,7 @@ func TestStat(t *testing.T) {
 	}
 
 	// Every table qibench -o writes reads back and prints what the arm printed.
-	r := &harness.Runner{Params: workload.Params{Scale: 0.02, InputSeed: 42}, Repeats: 1}
+	r := &harness.Runner{Params: workload.Params{Scale: 0.02, InputSeed: 42}}
 	for i := range harness.Experiments {
 		e := &harness.Experiments[i]
 		var printed bytes.Buffer

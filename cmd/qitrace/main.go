@@ -1,14 +1,13 @@
 // Command qitrace records and inspects deterministic synchronization
 // schedules. It can dump the schedule of any catalog program under any
 // scheduling configuration, reproduce the Figure 1b serialized pbzip2
-// schedule, and compare the schedules of two configurations or two inputs.
+// schedule, and compare the schedules of two configurations.
 //
 // Usage:
 //
 //	qitrace -fig1b                             # Figure 1b: first 25 turns of pbzip2
 //	qitrace -program ferret -mode qithread -n 50
 //	qitrace -program pbzip2_compress -compare qithread,logical-clock
-//	qitrace -program pbzip2_compress -mode logical-clock -inputs 4
 package main
 
 import (
@@ -54,7 +53,6 @@ func main() {
 		n       = flag.Int("n", 40, "events to print (0 = all)")
 		scale   = flag.Float64("scale", 0.05, "workload scale")
 		threads = flag.Int("threads", 0, "thread override")
-		inputs  = flag.Int("inputs", 0, "compare schedules across this many input variants")
 		fig1b   = flag.Bool("fig1b", false, "reproduce Figure 1b (pbzip2, 2 consumers, vanilla round robin)")
 		save    = flag.String("save", "", "write the recorded schedule to this file")
 		replay  = flag.String("replay", "", "enforce a schedule previously written with -save")
@@ -114,20 +112,6 @@ func main() {
 		}
 		cfg.Replay = sched
 		fmt.Printf("enforcing recorded schedule of %d operations from %s\n", len(sched), *replay)
-	}
-
-	if *inputs > 1 {
-		var schedules [][]core.Event
-		for i := 0; i < *inputs; i++ {
-			pi := p
-			pi.InputSeed += uint64(131 * i)
-			pi.InputSkew = int64(i)
-			tr, _, _ := record(spec, cfg, pi)
-			schedules = append(schedules, tr)
-			fmt.Printf("input %d: %d events, hash %#x\n", i, len(tr), trace.Hash(tr))
-		}
-		fmt.Printf("distinct schedules: %d of %d inputs\n", trace.DistinctSchedules(schedules), *inputs)
-		return
 	}
 
 	tr, makespan, stats := record(spec, cfg, p)

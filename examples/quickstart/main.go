@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"qithread"
-	"qithread/internal/trace"
 )
 
 // program is a deterministic multithreaded program against the qithread API:
@@ -72,8 +71,7 @@ func runOnce(cfg qithread.Config, extraWork int64) (uint64, uint64, int) {
 	cfg.Record = true
 	rt := qithread.New(cfg)
 	out := program(extraWork)(rt)
-	tr := rt.Trace()
-	return out, trace.Hash(tr), len(tr)
+	return out, rt.Fingerprint().DomainHashes[0], len(rt.Trace())
 }
 
 func main() {

@@ -136,6 +136,27 @@ func TestCLIsRefuseOperands(t *testing.T) {
 	}
 }
 
+// TestQireplayRunsBelowOneRefused: qireplay -replay with -runs 0 or below
+// exits 2 and says why, where it would otherwise report zero replays identical
+// to the recording. Skipped with -short (it shells out to the go tool).
+func TestQireplayRunsBelowOneRefused(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs qireplay")
+	}
+	exe := filepath.Join(buildBinaries(t, "./cmd/qireplay"), "qireplay")
+	log := filepath.Join(t.TempDir(), "r.qlog")
+	if out, err := exec.Command(exe, "-record", log, "-events", "16").CombinedOutput(); err != nil {
+		t.Fatalf("qireplay -record: %v\n%s", err, out)
+	}
+	for _, runs := range []string{"0", "-1"} {
+		out, err := exec.Command(exe, "-replay", log, "-events", "16", "-runs", runs).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(string(out), "-runs "+runs) {
+			t.Errorf("qireplay -replay -runs %s: %v, want exit status 2 naming -runs\n%s", runs, err, out)
+		}
+	}
+}
+
 // TestQibenchProfilesEveryExit: qibench stops and writes the profiles
 // -cpuprofile and -memprofile ask for on its way out of a failing run too —
 // the run one most wants profiled — so both files are gzip streams (pprof's

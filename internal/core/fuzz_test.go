@@ -6,80 +6,28 @@ import (
 	"qithread/internal/policy"
 )
 
-// FuzzScheduleDeterminism drives the scheduler with programs decoded from
-// fuzzer-generated bytes: each byte triple (thread, action, argument)
-// becomes one operation of a cooperating thread. The invariant under test is
+// FuzzScheduleDeterminism drives the scheduler with script programs decoded
+// from fuzzer-generated bytes: each (thread, kind, argument) triple becomes
+// one scriptOp of one of three threads (readOps). The invariant under test is
 // the central one of the system: the same program yields the same trace on
 // two consecutive runs, under both queue-based and clock-based policies,
-// and never corrupts the scheduler (panics other than deliberate deadlock
-// detection would fail the fuzz run).
+// and never corrupts the scheduler (a panic fails the fuzz run).
 func FuzzScheduleDeterminism(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 1, 1, 2, 2, 2, 3, 0, 3, 1})
 	f.Add([]byte{5, 2, 9, 1, 1, 1, 0, 2, 2, 3, 3, 3, 2, 0, 0, 4, 1, 7})
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		sc := decodeScript(data)
+		prog := make([][]scriptOp, 3)
+		readOps(prog, data)
 		for _, cfg := range []Config{
-			{Mode: policy.RoundRobin, Policies: policy.BoostBlocked},
-			{Mode: policy.LogicalClock},
+			{Mode: policy.RoundRobin, Policies: policy.BoostBlocked, Record: true},
+			{Mode: policy.LogicalClock, Record: true},
 		} {
-			a := runDecoded(sc, cfg)
-			b := runDecoded(sc, cfg)
-			if !tracesEqual(a, b) {
+			if !tracesEqual(runScriptOn(New(cfg), prog), runScriptOn(New(cfg), prog)) {
 				t.Fatalf("nondeterministic trace under %v", cfg.Mode)
 			}
 		}
 	})
-}
-
-// decodedOp is one decoded operation.
-type decodedOp struct {
-	kind byte
-	arg  byte
-}
-
-// decodeScript splits fuzz bytes into per-thread op lists for 3 threads.
-func decodeScript(data []byte) [][]decodedOp {
-	const threads = 3
-	ops := make([][]decodedOp, threads)
-	for i := 0; i+2 < len(data) && i < 60; i += 3 {
-		tid := int(data[i]) % threads
-		ops[tid] = append(ops[tid], decodedOp{kind: data[i+1] % 4, arg: data[i+2]})
-	}
-	return ops
-}
-
-func runDecoded(script [][]decodedOp, cfg Config) []Event {
-	cfg.Record = true
-	s := New(cfg)
-	hostedRun(s, len(script), func(i int, th *Thread) {
-		for _, op := range script[i] {
-			switch op.kind {
-			case 0:
-				s.GetTurn(th)
-				s.TraceOp(th, OpYield, 0, StatusOK)
-				s.PutTurn(th)
-			case 1:
-				s.GetTurn(th)
-				s.TraceOp(th, OpCondSignal, uint64(op.arg%4)+1, StatusOK)
-				s.Signal(th, uint64(op.arg%4)+1)
-				s.PutTurn(th)
-			case 2:
-				// Timed waits only: fuzz programs must terminate.
-				s.GetTurn(th)
-				s.TraceOp(th, OpCondTimedWait, uint64(op.arg%4)+1, StatusBlocked)
-				s.Wait(th, uint64(op.arg%4)+1, int64(op.arg%5)+1)
-				s.TraceOp(th, OpCondTimedWait, uint64(op.arg%4)+1, StatusReturn)
-				s.PutTurn(th)
-			case 3:
-				s.AddWork(th, int64(op.arg))
-			}
-		}
-		s.GetTurn(th)
-		s.TraceOp(th, OpThreadEnd, 0, StatusOK)
-		s.Exit(th)
-	})
-	return s.Trace()
 }
 
 // FuzzModelDifferential is the differential test of modeldiff_test.go on
@@ -120,8 +68,8 @@ func FuzzModelDifferential(f *testing.F) {
 // its low three bits mod 5 index modelConfigs, bit 0x08 sets NoLease. The
 // low three bits of byte 1 mod 5 are the thread count less two, its high
 // five how many chooser answers follow (a chooser is installed when there
-// are any), each answer byte mod 8 an answer in -1..6. Every (thread, kind,
-// arg) triple after them is one operation of a thread, up to 96 of them.
+// are any), each answer byte mod 8 an answer in -1..6. The bytes after them
+// are the threads' operations (readOps).
 func decodeModelCase(data []byte) (prog [][]scriptOp, cfg Config, seq []int) {
 	data = append(data[:len(data):len(data)], 0, 0)
 	cfg = modelConfigs[int(data[0]&7)%len(modelConfigs)]
@@ -131,12 +79,17 @@ func decodeModelCase(data []byte) (prog [][]scriptOp, cfg Config, seq []int) {
 	for _, b := range data[2 : 2+k] {
 		seq = append(seq, int(b%8)-1)
 	}
-	data = data[2+k:]
+	readOps(prog, data[2+k:])
+	return prog, cfg, seq
+}
+
+// readOps reads data as (thread, kind, arg) triples, up to 96 of them, and
+// appends each as one operation of thread number thread mod len(prog).
+func readOps(prog [][]scriptOp, data []byte) {
 	for i := 0; i+2 < len(data) && i < 3*96; i += 3 {
 		t := int(data[i]) % len(prog)
 		prog[t] = append(prog[t], scriptOp{kind: data[i+1], arg: data[i+2]})
 	}
-	return prog, cfg, seq
 }
 
 // encodeModelCase is the input decodeModelCase reads as (prog, cfg, seq).

@@ -127,7 +127,7 @@ func TestQuickLeaseTraceNeutral(t *testing.T) {
 func TestQuickLeaseTurnCountNeutral(t *testing.T) {
 	count := func(sc script, noLease bool) int64 {
 		s := New(Config{Mode: policy.RoundRobin, Record: true, NoLease: noLease})
-		_ = runScriptOn(s, sc)
+		_ = runScriptOn(s, sc.program())
 		return s.TurnCount()
 	}
 	f := func(sc script) bool {

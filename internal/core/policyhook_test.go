@@ -14,7 +14,7 @@ import (
 func statsOf(sc script, cfg Config) ([]Event, Stats, int) {
 	cfg.Record = true
 	s := New(cfg)
-	tr := runScriptOn(s, sc)
+	tr := runScriptOn(s, sc.program())
 	return tr, s.Stats(), s.live
 }
 
@@ -134,7 +134,7 @@ func TestReplayGrantsAreNotPicks(t *testing.T) {
 	}
 	s := New(Config{Policies: policy.BoostBlocked, Record: true})
 	s.SetReplay(rec)
-	if tr := runScriptOn(s, sc); !tracesEqual(tr, rec) {
+	if tr := runScriptOn(s, sc.program()); !tracesEqual(tr, rec) {
 		t.Fatal("replay diverged from the recording")
 	}
 	if picks, _ := totalPicks(s.Stats()); picks != 0 {

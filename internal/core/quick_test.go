@@ -62,15 +62,15 @@ func (op scriptOp) work() int64    { return int64(op.arg % 64) }
 // runScript executes the script under cfg and returns the recorded trace.
 func runScript(sc script, cfg Config) []Event {
 	cfg.Record = true
-	return runScriptOn(New(cfg), sc)
+	return runScriptOn(New(cfg), sc.program())
 }
 
-// runScriptOn executes the script on an existing scheduler (which the caller
-// can then inspect for stats or turn counts), hosted, and returns the
+// runScriptOn executes a script program on an existing scheduler (which the
+// caller can then inspect for stats or turn counts), hosted, and returns the
 // recorded trace.
-func runScriptOn(s *Scheduler, sc script) []Event {
+func runScriptOn(s *Scheduler, prog [][]scriptOp) []Event {
 	l := &lockstep{s: s, cov: new(coverage)}
-	l.run(sc.program())
+	l.run(prog)
 	return s.Trace()
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestAblationStructure(t *testing.T) {
-	r := &Runner{Params: workload.Params{Scale: 0.15, InputSeed: 42}, Repeats: 1}
+	r := &Runner{Params: workload.Params{Scale: 0.15, InputSeed: 42}}
 	spec, _ := programs.Find("pbzip2_compress")
 	rows := r.Ablation([]programs.Spec{spec})
 	if len(rows) != 1 {
@@ -34,7 +34,7 @@ func TestAblationStructure(t *testing.T) {
 }
 
 func TestChartRendering(t *testing.T) {
-	r := &Runner{Params: workload.Params{Scale: 0.05, InputSeed: 42}, Repeats: 1}
+	r := &Runner{Params: workload.Params{Scale: 0.05, InputSeed: 42}}
 	spec, _ := programs.Find("redis")
 	modes := []Mode{VanillaRR(), QiThread()}
 	rows := []Row{r.MeasureRow(spec, modes)}

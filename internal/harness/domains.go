@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"qithread"
-	"qithread/internal/stats"
 	"qithread/internal/workload"
 )
 
@@ -17,7 +16,7 @@ import (
 // through one virtual-time chain (vLastOp); per-domain turns serialize only
 // within a shard, so the virtual makespan should improve monotonically with
 // the domain count while the output checksum and the per-domain determinism
-// fingerprints stay fixed. Wall-clock medians are reported alongside for
+// fingerprints stay fixed. Wall-clock times are reported alongside for
 // reference, as everywhere else in the harness.
 
 // DomainPoint is one (workload, domain count, batch size) measurement.
@@ -28,9 +27,9 @@ type DomainPoint struct {
 	// message per shard), B>=1 streams per-item results through a
 	// capacity-B pipe (see workload.DomainServerConfig.Batch).
 	Batch int
-	// Makespan is the median virtual makespan (1 work unit = 1ns).
+	// Makespan is the virtual makespan (1 work unit = 1ns).
 	Makespan time.Duration
-	// Wall is the median host wall-clock time.
+	// Wall is the host wall-clock time.
 	Wall time.Duration
 	// Output is the workload checksum, identical across domain counts and
 	// batch sizes.
@@ -74,26 +73,19 @@ func DomainWorkloads() []DomainWorkload {
 }
 
 // MeasureDomains measures one sharded workload at one domain count and batch
-// size under one mode, returning median virtual makespan and wall time over
-// the runner's repeats.
+// size under one mode, returning one run's virtual makespan and wall time.
 func (r *Runner) MeasureDomains(w DomainWorkload, domains, batch int, mode Mode) DomainPoint {
 	app := w.Build(domains, batch, r.Params)
-	vts := make([]time.Duration, 0, r.repeats())
-	wts := make([]time.Duration, 0, r.repeats())
-	var out uint64
-	for i := 0; i < r.repeats(); i++ {
-		rt := qithread.New(mode.Cfg)
-		start := time.Now()
-		out = app(rt)
-		wts = append(wts, time.Since(start))
-		vts = append(vts, time.Duration(rt.VirtualMakespan()))
-	}
+	rt := qithread.New(mode.Cfg)
+	start := time.Now()
+	out := app(rt)
+	wall := time.Since(start)
 	return DomainPoint{
 		Workload: w.Name,
 		Domains:  domains,
 		Batch:    batch,
-		Makespan: stats.Median(vts),
-		Wall:     stats.Median(wts),
+		Makespan: time.Duration(rt.VirtualMakespan()),
+		Wall:     wall,
 		Output:   out,
 	}
 }

@@ -147,7 +147,7 @@ func TestDomainsOutputIndependent(t *testing.T) {
 // synchronization instead of the whole process sharing one turn chain.
 // Virtual makespans are deterministic, so strict comparison is safe.
 func TestDomainsMakespanMonotonic(t *testing.T) {
-	r := &Runner{Params: workload.Params{Scale: 1, InputSeed: 3}, Repeats: 1}
+	r := &Runner{Params: workload.Params{Scale: 1, InputSeed: 3}}
 	for _, w := range DomainWorkloads() {
 		var last DomainPoint
 		for i, nd := range []int{1, 2, 4} {

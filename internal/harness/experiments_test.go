@@ -31,7 +31,7 @@ func experiment(t testing.TB, name string) *Experiment {
 // admission epochs, so its checkpoint at epoch 64 is always taken and
 // reported.
 func TestExperiments(t *testing.T) {
-	r := &Runner{Params: workload.Params{Scale: 0.02, InputSeed: 42}, Repeats: 1}
+	r := &Runner{Params: workload.Params{Scale: 0.02, InputSeed: 42}}
 	args := Args{Specs: programs.All(), SoakEvents: 8000}
 	for i := range Experiments {
 		e := &Experiments[i]

@@ -75,18 +75,8 @@ func ModeByName(name string) (Mode, bool) {
 type Runner struct {
 	// Params sizes every execution (scale, input seed, thread override).
 	Params workload.Params
-	// Repeats is the number of timed runs per (program, mode); the median
-	// is reported. Zero means 3.
-	Repeats int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
-}
-
-func (r *Runner) repeats() int {
-	if r.Repeats <= 0 {
-		return 3
-	}
-	return r.Repeats
 }
 
 func (r *Runner) logf(format string, args ...any) {
@@ -95,24 +85,18 @@ func (r *Runner) logf(format string, args ...any) {
 	}
 }
 
-// Measure runs one program under one mode and returns the median virtual
+// Measure runs one program once under one mode and returns its virtual
 // makespan expressed as a duration (1 work unit = 1ns). Virtual makespans are
 // the critical-path model of parallel execution time (see the virtual-time
 // notes in internal/core), so results reproduce the paper's parallelism
 // effects on any host, including single-core machines. Every mode yields the
 // same makespan every run, the non-det baseline too (it is VirtualParallel's
 // native-cost model, not a Nondet run); only canneal and x264, which
-// busy-wait on atomics, move between runs (DESIGN.md §4.14), which the median
-// smooths.
+// busy-wait on atomics, move between runs (DESIGN.md §4.14).
 func (r *Runner) Measure(spec programs.Spec, mode Mode) time.Duration {
-	app := spec.Build(r.Params)
-	times := make([]time.Duration, 0, r.repeats())
-	for i := 0; i < r.repeats(); i++ {
-		rt := qithread.New(mode.Cfg)
-		app(rt)
-		times = append(times, time.Duration(rt.VirtualMakespan()))
-	}
-	return stats.Median(times)
+	rt := qithread.New(mode.Cfg)
+	spec.Build(r.Params)(rt)
+	return time.Duration(rt.VirtualMakespan())
 }
 
 // Row is one program's measurements across modes, normalized to the
@@ -123,7 +107,7 @@ type Row struct {
 	Hints   workload.Hints
 	// Base is the nondeterministic execution time.
 	Base time.Duration
-	// Times maps mode name to median execution time.
+	// Times maps mode name to execution time.
 	Times map[string]time.Duration
 	// Norm maps mode name to time normalized to Base (the bar heights).
 	Norm map[string]float64

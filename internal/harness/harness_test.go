@@ -14,7 +14,7 @@ import (
 // testParams is sized so shapes are visible but tests stay fast.
 var testParams = workload.Params{Scale: 0.25, InputSeed: 42}
 
-func runner() *Runner { return &Runner{Params: testParams, Repeats: 1} }
+func runner() *Runner { return &Runner{Params: testParams} }
 
 func norm(t *testing.T, name string, mode Mode) float64 {
 	t.Helper()
@@ -154,7 +154,7 @@ func TestStabilityExperiment(t *testing.T) {
 // thread counts and checks the variation metric is finite and the runs
 // complete.
 func TestScalabilitySmoke(t *testing.T) {
-	r := &Runner{Params: workload.Params{Scale: 0.1, InputSeed: 42}, Repeats: 1}
+	r := &Runner{Params: workload.Params{Scale: 0.1, InputSeed: 42}}
 	res := r.Scalability([]string{"barnes", "pbzip2_decompress"}, []int{2, 4, 8})
 	for _, re := range res {
 		for mode, dev := range re.MaxDeviationPct {
@@ -168,7 +168,7 @@ func TestScalabilitySmoke(t *testing.T) {
 // TestSection51OnSubset exercises the Figure 8 pipeline end to end on one
 // suite and checks the summary bookkeeping.
 func TestSection51OnSubset(t *testing.T) {
-	r := &Runner{Params: workload.Params{Scale: 0.1, InputSeed: 42}, Repeats: 1}
+	r := &Runner{Params: workload.Params{Scale: 0.1, InputSeed: 42}}
 	rows := r.Figure8(programs.BySuite("phoenix"))
 	if len(rows) != 14 {
 		t.Fatalf("phoenix suite rows = %d", len(rows))

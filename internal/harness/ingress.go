@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"qithread"
-	"qithread/internal/stats"
 	"qithread/internal/workload"
 )
 
@@ -31,9 +30,9 @@ type IngressPoint struct {
 	Shed     int64
 	// Epochs is the number of admission slots taken.
 	Epochs int64
-	// Wall is the median host wall-clock time of the run.
+	// Wall is the host wall-clock time of the run.
 	Wall time.Duration
-	// Throughput is admitted events per second of median wall time.
+	// Throughput is admitted events per second of wall time.
 	Throughput float64
 	// Output is the workload checksum (fixed across batch sizes while no
 	// event is shed).
@@ -51,28 +50,21 @@ func ingressServerConfig(maxBatch, queueCap int) workload.IngressServerConfig {
 }
 
 // MeasureIngress measures the ingress server at one admission batch size and
-// queue bound under one mode, reporting medians over the runner's repeats.
+// queue bound under one mode, from one run.
 func (r *Runner) MeasureIngress(maxBatch, queueCap int, mode Mode) IngressPoint {
-	cfg := ingressServerConfig(maxBatch, queueCap)
-	wts := make([]time.Duration, 0, r.repeats())
-	var last workload.IngressRun
-	for i := 0; i < r.repeats(); i++ {
-		last = workload.RunIngressServer(cfg, r.Params, mode.Cfg, nil)
-		wts = append(wts, last.Wall)
-	}
-	wall := stats.Median(wts)
+	run := workload.RunIngressServer(ingressServerConfig(maxBatch, queueCap), r.Params, mode.Cfg, nil)
 	pt := IngressPoint{
 		MaxBatch: maxBatch,
 		QueueCap: queueCap,
-		Events:   last.Stats.Collected,
-		Admitted: last.Stats.Admitted,
-		Shed:     last.Stats.Shed,
-		Epochs:   last.Stats.Epochs,
-		Wall:     wall,
-		Output:   last.Output,
+		Events:   run.Stats.Collected,
+		Admitted: run.Stats.Admitted,
+		Shed:     run.Stats.Shed,
+		Epochs:   run.Stats.Epochs,
+		Wall:     run.Wall,
+		Output:   run.Output,
 	}
-	if wall > 0 {
-		pt.Throughput = float64(pt.Admitted) / wall.Seconds()
+	if run.Wall > 0 {
+		pt.Throughput = float64(pt.Admitted) / run.Wall.Seconds()
 	}
 	return pt
 }
@@ -108,10 +100,8 @@ func IngressReplayCheck(p workload.Params, cfg qithread.Config, replays int) err
 	rec := workload.RunIngressServer(wcfg, p, cfg, nil)
 	for i := 0; i < replays; i++ {
 		rep := workload.RunIngressServer(wcfg, p, cfg, rec.Log)
-		if rep.Output != rec.Output || !rep.Fingerprint.Equal(rec.Fingerprint) ||
-			rep.AdmitHash != rec.AdmitHash || rep.ShedHash != rec.ShedHash {
-			return fmt.Errorf("ingress replay %d diverged: output %d vs %d, fingerprint %v vs %v",
-				i, rep.Output, rec.Output, rep.Fingerprint, rec.Fingerprint)
+		if got, want := rep.Observables(), rec.Observables(); got != want {
+			return fmt.Errorf("ingress replay %d diverged:\n  recorded: %s\n  replayed: %s", i, want, got)
 		}
 	}
 	return nil

@@ -192,13 +192,9 @@ func runSoak(_ *Experiment, w io.Writer, _ *Runner, a Args) (*Table, error) {
 		return nullSink
 	}
 	rerun := workload.RunIngressServer(wcfg, p, rtcfg, ilog)
-	obs := func(r workload.IngressRun) string {
-		return fmt.Sprintf("output=%d fingerprint=[%s] admit=%016x shed=%016x",
-			r.Output, r.Fingerprint, r.AdmitHash, r.ShedHash)
-	}
-	if got, want := obs(rerun), obs(run); got != want {
+	if got, want := rerun.Observables(), run.Observables(); got != want {
 		return nil, fmt.Errorf("streamed replay diverged:\n  recorded: %s\n  replayed: %s", want, got)
 	}
-	fmt.Fprintf(w, "replay:    streamed log re-fed in streaming mode, observables identical\n  %s\n", obs(run))
+	fmt.Fprintf(w, "replay:    streamed log re-fed in streaming mode, observables identical\n  %s\n", run.Observables())
 	return nil, nil
 }

@@ -73,6 +73,15 @@ type IngressRun struct {
 	Checkpoints []*qithread.Checkpoint
 }
 
+// Observables condenses the run's determinism-relevant results (output,
+// fingerprint, admitted and shed hashes) into one comparable line. qireplay
+// stores it in a recording's .fp sidecar and compares a replay's line with it
+// byte for byte, so its text is part of that file's format.
+func (r IngressRun) Observables() string {
+	return fmt.Sprintf("output=%d fingerprint=[%s] admit=%016x shed=%016x",
+		r.Output, r.Fingerprint, r.AdmitHash, r.ShedHash)
+}
+
 // RunIngressServer runs the ingress server once on a fresh runtime. With
 // replay nil the sources run live and the returned Log is the recording;
 // with a replay log the sources are ignored and the run reproduces the

@@ -27,7 +27,9 @@ import (
 // that cannot name what needs it does not belong (the §4.11 rule, applied to
 // the layers above the runtime).
 // It also holds EXPERIMENTS.md to 115,000 bytes and DESIGN.md to 57,000,
-// and EXPERIMENTS.md's entries to an unbroken run from E1 to the newest.
+// EXPERIMENTS.md's entries to an unbroken run from E1 to the newest, and the
+// examples to the public API: none imports internal/harness, and quickstart
+// imports no internal package.
 func TestInventory(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -164,6 +166,30 @@ func TestInventory(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	// The examples show the library, not the harness: qibench runs every
+	// experiment of internal/harness, so no example imports it, and
+	// quickstart, the tour of the public API, imports no internal package.
+	err = filepath.WalkDir("examples", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		quickstart := strings.HasPrefix(filepath.ToSlash(path), "examples/quickstart/")
+		for _, imp := range f.Imports {
+			pkg, _ := strconv.Unquote(imp.Path.Value)
+			if pkg == "qithread/internal/harness" || quickstart && strings.HasPrefix(pkg, "qithread/internal/") {
+				t.Errorf("%s imports %s; an example uses the public API, and qibench runs the experiments", path, pkg)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// No exported function or method of internal/core has a sync type in its
