@@ -31,8 +31,10 @@
 //
 // The workload knobs (-sources -events -workers -batch -queue -scale -mode)
 // must match between the recording and the replay: the log captures the
-// external input, not the program. -checkpoint-every must match too — the
-// quiescence drive at each checkpoint is part of the schedule.
+// external input, not the program. -events is scaled like the rest: a run
+// records max(events × scale, sources × workers) events, so -record -events
+// 64 at the default -scale 0.25 records 16. -checkpoint-every must match too
+// — the quiescence drive at each checkpoint is part of the schedule.
 package main
 
 import (
@@ -59,7 +61,7 @@ func main() {
 		runs    = flag.Int("runs", 20, "replay count, at least 1 (with -replay or -schedule)")
 		mode    = flag.String("mode", "qithread", "scheduling configuration (qithread | no-hint | logical-clock)")
 		sources = flag.Int("sources", 4, "free-running event sources")
-		events  = flag.Int("events", 256, "total events across sources")
+		events  = flag.Int("events", 256, "events across sources before -scale; a run records max(events*scale, sources*workers)")
 		workers = flag.Int("workers", 3, "worker pool size")
 		batch   = flag.Int("batch", 16, "admission batch bound")
 		queue   = flag.Int("queue", 0, "admission queue bound (0 = default; small values shed)")

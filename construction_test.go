@@ -168,6 +168,59 @@ func TestRuntimeAllocBudget(t *testing.T) {
 	}
 }
 
+// TestWaitListAllocBudget: an object's wait list is a field of its entry in
+// the scheduler's object table (DESIGN.md §4.13), so a thread that blocks on
+// an object allocates nothing for it: a thread blocking on 16 semaphores in
+// turn costs what blocking 16 times on one of them does, the table having
+// grown when the semaphores were created. Exact under -race too. The parent
+// of the PR that set the budget allocated a list per waited-on object and
+// their map: 19 more for the distinct semaphores.
+func TestWaitListAllocBudget(t *testing.T) {
+	const n = 16
+	var waits int64
+	run := func(distinct bool) func() {
+		return func() {
+			rt := New(Config{Mode: RoundRobin})
+			rt.Run(func(main *Thread) {
+				var sems [n]*Sem
+				for i := range sems {
+					sems[i] = rt.NewSem(main, "s", 0)
+				}
+				ack := rt.NewSem(main, "ack", 0)
+				sem := func(i int) *Sem {
+					if distinct {
+						return sems[i]
+					}
+					return sems[0]
+				}
+				waiter := main.Create("waiter", func(w *Thread) {
+					for i := 0; i < n; i++ {
+						sem(i).Wait(w)
+						ack.Post(w)
+					}
+				})
+				for i := 0; i < n; i++ {
+					sem(i).Post(main)
+					ack.Wait(main)
+				}
+				main.Join(waiter)
+			})
+			waits = rt.Stats().Waits
+		}
+	}
+	run(true)() // warm the free lists
+	one := minMallocs(run(false))
+	oneWaits := waits
+	many := minMallocs(run(true))
+	t.Logf("%d blocking waits on one semaphore: %d allocs; %d on %d semaphores: %d allocs", oneWaits, one, waits, n, many)
+	if waits < n || waits != oneWaits {
+		t.Fatalf("%d and %d blocking waits, want the same count, at least %d", oneWaits, waits, n)
+	}
+	if many > one {
+		t.Fatalf("blocking on %d distinct semaphores costs %d allocations more than blocking on one, want none", n, many-one)
+	}
+}
+
 // TestXPipeAllocBudget: what NewXPipe adds to a deterministic runtime
 // (DESIGN.md §4.13) is two allocations, the XPipe record — ring state, stamp
 // counters, running hash and both condition variables — and its ring. The

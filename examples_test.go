@@ -157,6 +157,30 @@ func TestQireplayRunsBelowOneRefused(t *testing.T) {
 	}
 }
 
+// TestQireplayRecordsScaledEvents: -events counts events before -scale, and
+// a run records max(events × scale, sources × workers) of them: at the
+// default scale 0.25 with 4 sources and 3 workers, -events 64 records 16 and
+// -events 16 records 12. -record prints that count, and a replay of the log
+// replays as many. Skipped with -short (it shells out to the go tool).
+func TestQireplayRecordsScaledEvents(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs qireplay")
+	}
+	exe := filepath.Join(buildBinaries(t, "./cmd/qireplay"), "qireplay")
+	dir := t.TempDir()
+	for _, c := range []struct{ events, want string }{{"64", "16"}, {"16", "12"}} {
+		log := filepath.Join(dir, "r"+c.events+".qlog")
+		out, err := exec.Command(exe, "-record", log, "-events", c.events).CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "recorded "+c.want+" events") {
+			t.Errorf("qireplay -record -events %s: %v, want %s events recorded\n%s", c.events, err, c.want, out)
+		}
+		out, err = exec.Command(exe, "-replay", log, "-events", c.events, "-runs", "1").CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "1 replays of "+c.want+" events") {
+			t.Errorf("qireplay -replay of the -events %s log: %v, want %s events replayed\n%s", c.events, err, c.want, out)
+		}
+	}
+}
+
 // TestQibenchProfilesEveryExit: qibench stops and writes the profiles
 // -cpuprofile and -memprofile ask for on its way out of a failing run too —
 // the run one most wants profiled — so both files are gzip streams (pprof's

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"qithread/internal/policy"
 )
@@ -120,17 +119,10 @@ func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 			Policy: th.pstate,
 		})
 	}
-	objs := make([]uint64, 0, len(s.waitLists))
-	for obj, q := range s.waitLists {
-		if q.head != nil {
-			objs = append(objs, obj)
-		}
-	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i] < objs[j] })
 	waiting := 0
-	for _, obj := range objs {
+	for _, obj := range s.waitedObjsLocked() {
 		we := WaitEntry{Obj: obj}
-		for w := s.waitLists[obj].head; w != nil; w = w.qnext {
+		for w := s.objs[obj].waits.head; w != nil; w = w.qnext {
 			we.TIDs = append(we.TIDs, w.id)
 			we.Seqs = append(we.Seqs, w.seq)
 			waiting++
@@ -184,25 +176,15 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 	// input, and a list relinked from a snapshot that names a thread twice
 	// would be cyclic. Then relink them into the recorded FIFO order with the
 	// recorded park sequences.
-	nonEmpty := 0
-	for _, q := range s.waitLists {
-		if q.head != nil {
-			nonEmpty++
-		}
-	}
-	if nonEmpty != len(st.Waits2) {
+	if nonEmpty := len(s.waitedObjsLocked()); nonEmpty != len(st.Waits2) {
 		return fmt.Errorf("core: RestoreState: %d objects have waiters, snapshot has %d", nonEmpty, len(st.Waits2))
 	}
 	waiting := 0
 	listed := make([]bool, len(s.threads))
 	for _, we := range st.Waits2 {
-		q := s.waitLists[we.Obj]
-		if q == nil || q.len() != len(we.TIDs) {
-			have := 0
-			if q != nil {
-				have = q.len()
-			}
-			return fmt.Errorf("core: RestoreState: object %d has %d waiters, snapshot has %d", we.Obj, have, len(we.TIDs))
+		e, ok := s.objs[we.Obj]
+		if !ok || e.waits.n != len(we.TIDs) {
+			return fmt.Errorf("core: RestoreState: object %d has %d waiters, snapshot has %d", we.Obj, e.waits.n, len(we.TIDs))
 		}
 		if len(we.Seqs) != len(we.TIDs) {
 			return fmt.Errorf("core: RestoreState: object %d lists %d waiters with %d park sequences", we.Obj, len(we.TIDs), len(we.Seqs))
@@ -222,13 +204,14 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 		return fmt.Errorf("core: RestoreState: snapshot lists %d waiting threads, scheduler counts %d", waiting, s.nWaiting)
 	}
 	for _, we := range st.Waits2 {
-		q := s.waitLists[we.Obj]
-		q.head, q.tail, q.n = nil, nil, 0
+		e := s.objs[we.Obj]
+		e.waits = tqueue{}
 		for i, tid := range we.TIDs {
 			w := s.threads[tid]
-			q.pushBack(w)
+			e.waits.pushBack(w)
 			w.seq = we.Seqs[i]
 		}
+		s.objs[we.Obj] = e
 	}
 
 	// Per-thread state: clocks and policy state.

@@ -316,8 +316,8 @@ func (l *lockstep) diff() string {
 	}
 	got, want := map[uint64][]parked{}, map[uint64][]parked{}
 	timed := 0
-	for obj, q := range s.waitLists {
-		for t := q.head; t != nil; t = t.qnext {
+	for obj, e := range s.objs {
+		for t := e.waits.head; t != nil; t = t.qnext {
 			got[obj] = append(got[obj], parked{t.id, t.deadline, t.seq})
 		}
 	}

@@ -21,10 +21,8 @@ import "fmt"
 // suffices.
 type tqueue struct {
 	head, tail *Thread
-	n          int
+	n          int // length
 }
-
-func (q *tqueue) len() int { return q.n }
 
 // pushBack appends t to the tail of the queue.
 func (q *tqueue) pushBack(t *Thread) {

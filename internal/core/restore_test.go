@@ -85,10 +85,92 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 			case c.want != "" && !strings.Contains(err.Error(), c.want):
 				t.Fatalf("RestoreState: %v, want an error containing %q", err, c.want)
 			}
-			if got := queueIDs(s.waitLists[obj]); !slices.Equal(got, []int{1, 2}) {
+			e := s.objs[obj]
+			if got := queueIDs(&e.waits); !slices.Equal(got, []int{1, 2}) {
 				t.Fatalf("wait list after RestoreState: %v, want [1 2]", got)
 			}
 			finish(s, main, obj)
 		})
 	}
+}
+
+// parkedOnThree is the setup phase of a checkpointed program whose waiters
+// spread over three objects of the object table, created as cond:x (1),
+// mutex:y (2) and sem:z (3): threads 1 and 3 park on y, 2 and 4 on x, so the
+// first list to fill is not the lowest id's, and thread 5 on z, which main
+// then destroys with thread 5 still on it. With late, threads 1 and 2 yield
+// twice first, so each pair parks in the other order.
+func parkedOnThree(late bool) (s *Scheduler, main *Thread, objs [3]uint64) {
+	s = New(Config{Record: true, SuspendRecording: true})
+	s.HostThreads()
+	main = s.Register("main")
+	for i, k := range []string{"cond:", "mutex:", "sem:"} {
+		objs[i] = s.NewObjectKind(k, string(rune('x'+i)))
+	}
+	for i, obj := range []uint64{objs[1], objs[0], objs[1], objs[0], objs[2]} {
+		th := s.Register(string(rune('a' + i)))
+		s.StartHosted(th, bodyFunc(func() {
+			s.GetTurn(th)
+			for y := 0; late && i < 2 && y < 2; y++ {
+				s.PutTurn(th)
+				s.GetTurn(th)
+			}
+			s.Wait(th, obj, NoTimeout)
+			s.Exit(th)
+		}))
+	}
+	s.GetTurn(main)
+	for s.nWaiting < 5 {
+		s.PutTurn(main)
+		s.GetTurn(main)
+	}
+	s.DestroyObject(main, objs[2])
+	return s, main, objs
+}
+
+// TestCheckpointThroughObjectTable: CaptureState reads each object's wait
+// list from its table entry in id order, the destroyed object's kept list
+// included; RestoreState, on a rebuilt run whose pairs parked the other way
+// round, relinks every list into the recorded FIFO order; and the report
+// names each live object by its label and the destroyed one by its id alone.
+func TestCheckpointThroughObjectTable(t *testing.T) {
+	src, main, objs := parkedOnThree(false)
+	snap, err := src.CaptureState(main)
+	if err != nil {
+		t.Fatal(err)
+	}
+	finishThree := func(s *Scheduler, main *Thread) {
+		for _, obj := range objs {
+			s.Broadcast(main, obj)
+		}
+		s.Exit(main)
+		s.DrainHosted()
+	}
+	want := []WaitEntry{{Obj: objs[0], TIDs: []int{2, 4}}, {Obj: objs[1], TIDs: []int{1, 3}}, {Obj: objs[2], TIDs: []int{5}}}
+	if !slices.EqualFunc(snap.Waits2, want, func(a, b WaitEntry) bool { return a.Obj == b.Obj && slices.Equal(a.TIDs, b.TIDs) }) {
+		t.Fatalf("captured wait lists %+v, want %+v", snap.Waits2, want)
+	}
+	dump := src.Dump()
+	for _, line := range []string{"waitQ[cond:x#1]: T2(b) T4(d)", "waitQ[mutex:y#2]: T1(a) T3(c)", "waitQ[#3]: T5(e)"} {
+		if !strings.Contains(dump, line) {
+			t.Errorf("report lacks %q:\n%s", line, dump)
+		}
+	}
+	finishThree(src, main)
+
+	dst, dmain, _ := parkedOnThree(true)
+	e := dst.objs[objs[1]]
+	if got := queueIDs(&e.waits); !slices.Equal(got, []int{3, 1}) {
+		t.Fatalf("rebuilt run parked %v on mutex:y, want [3 1]", got)
+	}
+	if err := dst.RestoreState(dmain, snap); err != nil {
+		t.Fatal(err)
+	}
+	for _, we := range want {
+		e := dst.objs[we.Obj]
+		if got := queueIDs(&e.waits); !slices.Equal(got, we.TIDs) {
+			t.Errorf("object %d's list after RestoreState is %v, want %v", we.Obj, got, we.TIDs)
+		}
+	}
+	finishThree(dst, dmain)
 }

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -19,10 +19,10 @@ import (
 // the OS scheduler (Figure 4).
 //
 // Every Table 1 primitive is O(1) or O(log n) in the number of blocked
-// threads: the wait queue is keyed by object (waitLists), timed waiters are
-// indexed by a deadline min-heap (timers), and a free turn is handed directly
-// to the already-parked next-eligible thread (passTurnLocked), so wake-ups
-// never rescan unrelated waiters.
+// threads: each object's wait list is a field of its entry in the object
+// table (objs), timed waiters are indexed by a deadline min-heap (timers),
+// and a free turn is handed directly to the already-parked next-eligible
+// thread (passTurnLocked), so wake-ups never rescan unrelated waiters.
 //
 // One owner. Every field is plain data, owned by whoever is inside the
 // scheduler. A hosted scheduler (host.go) runs all its threads on one
@@ -47,22 +47,19 @@ type Scheduler struct {
 	runQ  tqueue // FIFO runnable queue
 	wakeQ tqueue // FIFO just-woken queue (fed when a policy boosts wake-ups)
 
-	// waitLists holds one FIFO wait list per object with blocked threads, so
-	// Signal and the per-object waiter count are O(1) and Broadcast is
-	// O(waiters on that object). Emptied lists stay in the map — objects are
-	// waited on repeatedly, and re-allocating the list every time the last
-	// waiter leaves is measurable churn on broadcast-heavy workloads — until
-	// DestroyObject moves them to spareLists, where waitListFor finds them
-	// before it allocates. Every wrapper object is destroyed by its owner, a
-	// thread's join object by the thread's own exit, so the map is bounded by
-	// live objects (TestThreadChurnRetention in the root package), and a
-	// program that joins threads one after another blocks every joiner on the
-	// same recycled list.
-	waitLists  map[uint64]*tqueue
-	spareLists [spareWaitLists]*tqueue
-	nSpare     int
-	nWaiting   int    // total blocked threads across all wait lists
-	waitSeq    uint64 // global FIFO park order, the heap's deadline tie-break
+	// objs is the object table: one entry per named object and per object a
+	// thread has waited on, holding the object's label and its FIFO wait
+	// list by value (objEntry), so Signal and the per-object waiter count are
+	// O(1), Broadcast is O(waiters on that object), and an object costs a map
+	// slot, never a heap record of its own. An entry whose list empties stays
+	// until DestroyObject deletes it. Every wrapper object is destroyed by its
+	// owner, a thread's join object by the thread's own exit, so the table is
+	// bounded by live objects (TestThreadChurnRetention in the root package).
+	// It is created on first use: a Runtime constructs one scheduler per
+	// domain, and partitioned programs create domains in bulk.
+	objs     map[uint64]objEntry
+	nWaiting int    // total blocked threads across all wait lists
+	waitSeq  uint64 // global FIFO park order, the heap's deadline tie-break
 
 	// timers indexes timed waiters by (deadline, seq): expiry is an O(1)
 	// peek per turn advance and the idle-time jump reads the heap top.
@@ -72,12 +69,11 @@ type Scheduler struct {
 	turn int64
 
 	// nextObj numbers every object, wrapper objects and threads' join
-	// objects alike. objName labels the wrapper objects only: a join object
-	// is named by its thread (labelLocked), so creating a thread adds no map
+	// objects alike. Only wrapper objects are labelled in objs: a join object
+	// is named by its thread (labelLocked), so creating a thread adds no
 	// entry.
 	nextTID int
 	nextObj uint64
-	objName map[uint64]objLabel // lazily created on first NewObjectKind
 
 	// threads maps thread ID → *Thread for O(1) replay-eligibility lookups.
 	// Entries are cleared on Exit so long-running programs do not accumulate
@@ -158,26 +154,27 @@ func (s *Scheduler) unlock(locked bool) {
 	}
 }
 
-// objLabel is a synchronization object's debugging name, kept as the two
-// parts the wrappers supply ("mutex:" + "reqs") so object creation never
-// concatenates; rendering joins them on demand.
-type objLabel struct {
-	kind, name string
+// objEntry is an object's entry in the scheduler's object table: its
+// debugging name, kept as the two parts the wrappers supply ("mutex:" +
+// "reqs") so object creation never concatenates, and its wait list. The kind
+// is an index into objKinds, one byte, which keeps the entry at 48 B.
+type objEntry struct {
+	name  string
+	waits tqueue
+	kind  uint8
 }
 
-func (l objLabel) String() string {
-	if l.kind == "" {
-		return l.name
-	}
-	return l.kind + l.name
-}
+// objKinds are the kind prefixes an objEntry indexes, the wrappers' object
+// kinds; the first, no prefix, is NewObject's.
+var objKinds = [...]string{"", "mutex:", "cond:", "sem:", "rwlock:", "barrier:", "once:", "softbarrier:", "gateway:"}
+
+// label renders the entry's debugging name, "" for an entry that has none.
+func (e objEntry) label() string { return objKinds[e.kind] + e.name }
 
 // New creates a scheduler with the given configuration; its policy stack is
 // the mode's base turn policy with the policies of cfg.Policies layered above.
 func New(cfg Config) *Scheduler {
 	cfg.NoLease = cfg.NoLease || noLeases
-	// objName and waitLists are created lazily: a Runtime constructs one
-	// scheduler per domain, and partitioned programs create domains in bulk.
 	s := &Scheduler{
 		cfg:       cfg,
 		traceHash: logio.FNVOffset64,
@@ -213,11 +210,6 @@ const (
 	inlineThreads = 8
 	inlineCands   = 3
 )
-
-// spareWaitLists bounds the emptied wait lists a scheduler keeps for reuse
-// (spareLists): enough for the few objects a program retires between two
-// blocking waits, not a cache of every list it ever made.
-const spareWaitLists = 4
 
 // Stack returns the scheduler's policy stack.
 func (s *Scheduler) Stack() *policy.Stack { return &s.stack }
@@ -300,18 +292,27 @@ func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
 func (s *Scheduler) NewObject(name string) uint64 { return s.NewObjectKind("", name) }
 
 // NewObjectKind is NewObject with the name split into a kind prefix and the
-// caller-supplied name ("mutex:", "reqs"). The two parts are stored as-is and
-// only joined when a debugging name is actually rendered, so the wrappers'
-// object creation paths never pay a string concatenation.
+// caller-supplied name ("mutex:", "reqs"). A kind of objKinds, the wrappers',
+// is stored apart and only joined to the name when a debugging name is
+// actually rendered, so the wrappers' object creation paths never pay a
+// string concatenation; any other kind is joined at once.
 func (s *Scheduler) NewObjectKind(kind, name string) uint64 {
 	defer s.unlock(s.lock())
-	s.nextObj++
-	id := s.nextObj
-	if s.objName == nil {
-		s.objName = make(map[uint64]objLabel)
+	k := slices.Index(objKinds[:], kind)
+	if k < 0 {
+		k, name = 0, kind+name
 	}
-	s.objName[id] = objLabel{kind: kind, name: name}
-	return id
+	s.nextObj++
+	s.putObjLocked(s.nextObj, objEntry{name: name, kind: uint8(k)})
+	return s.nextObj
+}
+
+// putObjLocked writes obj's entry, creating the table on first use.
+func (s *Scheduler) putObjLocked(obj uint64, e objEntry) {
+	if s.objs == nil {
+		s.objs = make(map[uint64]objEntry)
+	}
+	s.objs[obj] = e
 }
 
 // NewJoinObject allocates t's join object, the object its joiners wait on,
@@ -326,28 +327,23 @@ func (s *Scheduler) NewJoinObject(t *Thread) {
 }
 
 // DestroyObject releases the scheduler bookkeeping of a retired
-// synchronization object: its debugging name and its (empty) wait-list
-// entry, so long-running programs that create and destroy objects do not
-// accumulate map entries; the emptied list is kept for reuse (spareLists).
+// synchronization object, its entry in the object table, so long-running
+// programs that create and destroy objects do not accumulate entries.
 // Destroying an object with blocked waiters is a program bug (as in pthreads);
-// the wait list is then kept so the waiters remain wakeable and diagnosable.
-// A join object is retired only by its own exiting thread, and is unnamed
-// from then on. The caller must hold the turn, which the wrappers' Destroy
-// methods guarantee.
+// the entry then loses its name but keeps its wait list, so the waiters
+// remain wakeable and diagnosable. A join object is retired only by its own
+// exiting thread, and is unnamed from then on. The caller must hold the turn,
+// which the wrappers' Destroy methods guarantee.
 func (s *Scheduler) DestroyObject(t *Thread, obj uint64) {
 	defer s.unlock(s.lock())
 	s.requireTurnLocked(t, "DestroyObject")
 	if obj == t.joinObj {
 		t.joinGone = true // t exits: only a thread retires its join object
-	} else {
-		delete(s.objName, obj)
 	}
-	if q := s.waitLists[obj]; q != nil && q.len() == 0 {
-		delete(s.waitLists, obj)
-		if s.nSpare < len(s.spareLists) {
-			s.spareLists[s.nSpare] = q
-			s.nSpare++
-		}
+	if e := s.objs[obj]; e.waits.head == nil {
+		delete(s.objs, obj)
+	} else {
+		s.objs[obj] = objEntry{waits: e.waits} // unnamed, still wakeable
 	}
 }
 
@@ -356,8 +352,8 @@ func (s *Scheduler) DestroyObject(t *Thread, obj uint64) {
 // retired (found by scanning the thread table: only reports ask), and the
 // empty string for an object that is retired or was never allocated.
 func (s *Scheduler) labelLocked(obj uint64) string {
-	if l, ok := s.objName[obj]; ok {
-		return l.String()
+	if l := s.objs[obj].label(); l != "" {
+		return l
 	}
 	for _, t := range s.threads {
 		if obj != 0 && t != nil && t.joinObj == obj && !t.joinGone {
@@ -467,7 +463,9 @@ func (s *Scheduler) Wait(t *Thread, obj uint64, timeout int64) WaitStatus {
 	}
 	s.waitSeq++
 	t.seq = s.waitSeq
-	s.waitListFor(obj).pushBack(t)
+	e := s.objs[obj]
+	e.waits.pushBack(t)
+	s.putObjLocked(obj, e)
 	s.nWaiting++
 	if s.nWaiting > s.stats.MaxWaiting {
 		s.stats.MaxWaiting = s.nWaiting
@@ -497,16 +495,17 @@ func (s *Scheduler) Signal(t *Thread, obj uint64) int {
 	defer s.unlock(s.lock())
 	s.requireTurnLocked(t, "Signal")
 	s.stats.Signals++
-	q := s.waitLists[obj]
-	if q == nil || q.head == nil {
+	e := s.objs[obj]
+	if e.waits.head == nil {
 		return 0
 	}
-	remaining := q.len() - 1
-	w := q.head
+	remaining := e.waits.n - 1
+	w := e.waits.head
 	if s.cfg.Chooser != nil && remaining > 0 {
-		w = s.chooseWakeLocked(q)
+		w = s.chooseWakeLocked(&e.waits)
 	}
-	s.detachLocked(w)
+	s.detachLocked(&e.waits, w)
+	s.objs[obj] = e
 	s.wakeLocked(w, WaitSignaled, t.vtime)
 	return remaining
 }
@@ -537,18 +536,22 @@ func (s *Scheduler) chooseWakeLocked(q *tqueue) *Thread {
 	return w
 }
 
-// Broadcast wakes all threads waiting on obj in wait-list (FIFO) order.
-// The caller keeps the turn.
+// Broadcast wakes all threads waiting on obj in wait-list (FIFO) order. It
+// empties a copy of the object's entry and writes it back once, not once per
+// waiter. The caller keeps the turn.
 func (s *Scheduler) Broadcast(t *Thread, obj uint64) {
 	defer s.unlock(s.lock())
 	s.requireTurnLocked(t, "Broadcast")
 	s.stats.Broadcasts++
-	if q := s.waitLists[obj]; q != nil {
-		for w := q.head; w != nil; w = q.head {
-			s.detachLocked(w)
-			s.wakeLocked(w, WaitSignaled, t.vtime)
-		}
+	e := s.objs[obj]
+	if e.waits.head == nil {
+		return
 	}
+	for w := e.waits.head; w != nil; w = e.waits.head {
+		s.detachLocked(&e.waits, w)
+		s.wakeLocked(w, WaitSignaled, t.vtime)
+	}
+	s.objs[obj] = e
 }
 
 // Exit removes t from the scheduler. t must hold the turn. After Exit the
@@ -591,30 +594,12 @@ func (s *Scheduler) requireTurnLocked(t *Thread, op string) {
 	}
 }
 
-// waitListFor returns the wait list of obj, on first use a spare one or a new
-// one (and the lazily allocated map).
-func (s *Scheduler) waitListFor(obj uint64) *tqueue {
-	q := s.waitLists[obj]
-	if q == nil {
-		if s.nSpare > 0 {
-			s.nSpare--
-			q, s.spareLists[s.nSpare] = s.spareLists[s.nSpare], nil
-		} else {
-			q = &tqueue{}
-		}
-		if s.waitLists == nil {
-			s.waitLists = make(map[uint64]*tqueue)
-		}
-		s.waitLists[obj] = q
-	}
-	return q
-}
-
-// detachLocked removes w from its object's wait list and, when timed, from
-// the deadline heap. The (possibly emptied) list itself stays in waitLists
-// until DestroyObject so repeated waits on the same object reuse it.
-func (s *Scheduler) detachLocked(w *Thread) {
-	s.waitLists[w.obj].remove(w)
+// detachLocked removes w from q, its object's wait list, and, when timed,
+// from the deadline heap. q is a copy of the list from w's entry in objs,
+// which the caller writes back; the (possibly emptied) entry stays there
+// until DestroyObject.
+func (s *Scheduler) detachLocked(q *tqueue, w *Thread) {
+	q.remove(w)
 	if w.heapIdx >= 0 {
 		s.timers.remove(w)
 	}
@@ -669,7 +654,9 @@ func (s *Scheduler) expireLocked() {
 		if w.deadline > s.turn {
 			return
 		}
-		s.detachLocked(w)
+		e := s.objs[w.obj]
+		s.detachLocked(&e.waits, w)
+		s.objs[w.obj] = e
 		s.wakeLocked(w, WaitTimeout, 0)
 	}
 }
@@ -938,23 +925,27 @@ func (s *Scheduler) Dump() string {
 func (s *Scheduler) dumpLocked() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "  turn=%d holder=%v stack=%v\n", s.turn, s.holder, s.stack)
-	fmt.Fprintf(&b, "  runQ: %s\n", threadNames(&s.runQ))
-	fmt.Fprintf(&b, "  wakeQ: %s\n", threadNames(&s.wakeQ))
-	keys := make([]uint64, 0, len(s.waitLists))
-	for k := range s.waitLists {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, k := range keys {
-		if s.waitLists[k].head == nil {
-			continue // retained-but-empty list: no blocked threads to report
-		}
-		fmt.Fprintf(&b, "  waitQ[%s#%d]: %s\n", s.labelLocked(k), k, threadNames(s.waitLists[k]))
+	fmt.Fprintf(&b, "  runQ: %s\n", threadNames(s.runQ))
+	fmt.Fprintf(&b, "  wakeQ: %s\n", threadNames(s.wakeQ))
+	for _, k := range s.waitedObjsLocked() {
+		fmt.Fprintf(&b, "  waitQ[%s#%d]: %s\n", s.labelLocked(k), k, threadNames(s.objs[k].waits))
 	}
 	return b.String()
 }
 
-func threadNames(q *tqueue) string {
+// waitedObjsLocked returns the objects with blocked threads in id order.
+func (s *Scheduler) waitedObjsLocked() []uint64 {
+	var objs []uint64
+	for k, e := range s.objs {
+		if e.waits.head != nil {
+			objs = append(objs, k)
+		}
+	}
+	slices.Sort(objs)
+	return objs
+}
+
+func threadNames(q tqueue) string {
 	if q.head == nil {
 		return "(empty)"
 	}

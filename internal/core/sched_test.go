@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"qithread/internal/policy"
 )
@@ -301,6 +302,17 @@ func TestRequireTurnPanics(t *testing.T) {
 	s.PutTurn(th)
 }
 
+// TestObjEntrySize: an object's table entry, its name, its wait list and a
+// one-byte kind, is 48 B. Every slot of the object table is one, so the
+// catalog's byte metric moves with it: with a 56-B entry the catalog read
+// 7,324 B/op, against 7,222 at 48 B and 7,295 for the two maps and the heap
+// lists the table replaced.
+func TestObjEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(objEntry{}); n > 48 {
+		t.Errorf("objEntry is %d B, want <= 48", n)
+	}
+}
+
 func TestWaitersCount(t *testing.T) {
 	s := New(Config{Mode: policy.RoundRobin})
 	const obj = uint64(11)
@@ -315,11 +327,11 @@ func TestWaitersCount(t *testing.T) {
 			s.GetTurn(th)
 			s.PutTurn(th)
 			s.GetTurn(th)
-			if got := s.waitLists[obj].len(); got != 2 {
+			if got := s.objs[obj].waits.n; got != 2 {
 				t.Errorf("waiters = %d, want 2", got)
 			}
 			s.Broadcast(th, obj)
-			if got := s.waitLists[obj].len(); got != 0 {
+			if got := s.objs[obj].waits.n; got != 0 {
 				t.Errorf("waiters after broadcast = %d, want 0", got)
 			}
 			s.PutTurn(th)

@@ -239,9 +239,9 @@ func RunVariant(p *Program, base func() qithread.Config, watchdog time.Duration)
 // executes one run under a real-time watchdog. An untraced run fingerprints
 // the execution exactly as a traced one does but returns no Trace.
 //
-// The completion channel and the watchdog come from a recycled scaffold
-// (scaffold.go); what is still made per run is the deadlock handler, which
-// must name its own runtime, the run goroutine's closure and cfg.Chooser.
+// The run goroutine, the completion channel and the watchdog come from a
+// recycled scaffold (scaffold.go); what is still made per run is the
+// deadlock handler, which must name its own runtime, and cfg.Chooser.
 //
 // Failure modes leak by design: a deadlocked or hung run's threads stay
 // suspended forever (the deadlock handler blocks so the scheduler state stays
@@ -282,9 +282,19 @@ func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time
 		sc.done <- end{rt: rt, outcome: OutcomeDeadlock, msg: msg}
 		select {}
 	})
-	go sc.run(p, rt)
+	sc.start(p, rt)
 
 	e, ok := sc.await(rt)
+	if ok && e.outcome == OutcomeOK {
+		sc.recycle()
+	} else {
+		// The scaffold is abandoned with the run, but its watchdog is still
+		// stopped — at thousands of runs a second, unstopped ones would pile
+		// up as pending timers until each one's full duration passed — and
+		// so is its run goroutine, which ends if the run ever does.
+		sc.timer.Stop()
+		sc.stop()
+	}
 	if !ok {
 		// The run is stuck in real time without a deterministic deadlock
 		// (e.g. a livelock through the nondeterministic edges). The frozen
@@ -292,18 +302,10 @@ func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time
 		return Result{Outcome: OutcomeHang, Err: "watchdog expired"}
 	}
 	res := Result{Outcome: e.outcome, Output: e.out, Err: e.msg}
-	if e.outcome == OutcomeOK {
-		if p.Check != nil {
-			if err := p.Check(e.out); err != nil {
-				res.Outcome, res.Err = OutcomeAssertFail, err.Error()
-			}
+	if e.outcome == OutcomeOK && p.Check != nil {
+		if err := p.Check(e.out); err != nil {
+			res.Outcome, res.Err = OutcomeAssertFail, err.Error()
 		}
-		sc.recycle()
-	} else {
-		// The scaffold is abandoned with the run, but its watchdog is still
-		// stopped: at thousands of runs a second, unstopped ones would pile
-		// up as pending timers until each one's full duration passed.
-		sc.timer.Stop()
 	}
 	if traced {
 		res.Trace = rt.Trace()
@@ -317,15 +319,17 @@ func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time
 // checksum, hex fields joined by "+". Two runs with equal keys took
 // schedule-equivalent paths to the same result; exploring past one of them is
 // redundant. The key is built in one buffer — it is made once per run and
-// lives in the seen set — that stays on the stack for up to two domains.
+// lives in the seen set — from the fingerprint's parts, which like the
+// buffer stay on the stack for up to two domains.
 func fingerprintOf(rt *qithread.Runtime, output uint64) string {
-	fp := rt.Fingerprint()
+	var hbuf [2]uint64
+	hs, deliveries := rt.AppendFingerprint(hbuf[:0])
 	var buf [4*16 + 3]byte
 	b := buf[:0]
-	for _, h := range fp.DomainHashes {
+	for _, h := range hs {
 		b = append(strconv.AppendUint(b, h, 16), '+')
 	}
-	b = append(strconv.AppendUint(b, fp.Deliveries, 16), '+')
+	b = append(strconv.AppendUint(b, deliveries, 16), '+')
 	return string(strconv.AppendUint(b, output, 16))
 }
 

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -18,24 +19,26 @@ const raceBaselineFP = "f29c9ec81c5a0678+cbf29ce484222325+6789de4"
 // TestExploredRunAllocBudget holds one search run of the seeded control-plane
 // race — untraced and on a frontier entry, as the DPOR pool executes it; here
 // the entry that forces the default schedule — to the construction budget of
-// DESIGN.md §4.13: 40 allocations, of which 20 are the run's scaffolding (3),
-// its fingerprint (2), the gateway (2) and the cell (13), and 20 the runtime
-// (3), two more threads, four sync objects, the object-name table (2), seven
-// wait lists, the chooser and its log. The run is hosted: its scaffold, its
-// host record and the coroutines its two created threads run on all come from
-// bounded channel free lists, so once those are warm the count is exact,
-// under -race too, and the budget is that count. The parent of the PR that
-// set the first budget read 71; the fingerprint stopped copying the domain
-// list at 41.
+// DESIGN.md §4.13: 31 allocations, of which 18 are the run's scaffolding (2:
+// the deadlock handler and the chooser's closure), its fingerprint key, the
+// gateway (2) and the cell (13), and 13 the runtime (3), two more threads,
+// four sync objects, the object table (2), the chooser and its log. The run
+// is hosted: its scaffold with its run goroutine, its host record and the
+// coroutines its two created threads run on all come from bounded channel
+// free lists, so once those are warm the count is exact, under -race too, and
+// the budget is that count. The parent of the PR that set the first budget
+// read 71; the fingerprint stopped copying the domain list at 41. At 40, a
+// heap list per waited-on object, a goroutine per run and the fingerprint's
+// hash slice went, for 31.
 //
-// The run's bytes are held too: 6,288 B with 16-byte decisions, and the
+// The run's bytes are held too: 6,064 B with 16-byte decisions, and the
 // budget is that plus 5 %. With 32-byte core.Choice entries in its log the
-// same run read 8,592 B.
+// same run read 8,592 B, and with the heap lists 6,288 B.
 func TestExploredRunAllocBudget(t *testing.T) {
 	const (
 		runs        = 200
-		budget      = 40
-		bytesBudget = 6603
+		budget      = 31
+		bytesBudget = 6367
 	)
 	p := Lookup("controlplane-race")
 	base := RunForced(p, nil, testWatchdog)
@@ -376,5 +379,111 @@ func TestWatchdogNoStaleTick(t *testing.T) {
 	}
 	if n := len(drainScaffolds()); n != scaffoldPoolCap {
 		t.Fatalf("free list holds %d scaffolds after %d were recycled, want its capacity %d", n, len(extra), scaffoldPoolCap)
+	}
+}
+
+// idleRunGoroutines counts the run goroutines parked in loop waiting for a
+// next run.
+func idleRunGoroutines() (n int) {
+	buf := make([]byte, 1<<20)
+	for runtime.Stack(buf, true) == len(buf) {
+		buf = make([]byte, 2*len(buf))
+	}
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, " [chan receive") && strings.Contains(g, "explore.(*scaffold).loop(") && !strings.Contains(g, "explore.(*scaffold).run(") {
+			n++
+		}
+	}
+	return n
+}
+
+// startedFree counts the scaffolds on the free list that have a run
+// goroutine, leaving the list as it was.
+func startedFree() (n int) {
+	held := drainScaffolds()
+	for _, sc := range held {
+		if sc.runs != nil {
+			n++
+		}
+		freeScaffolds <- sc
+	}
+	return n
+}
+
+// TestRunGoroutinesBounded: a run goroutine idles only on a scaffold of the
+// free list. scaffoldPoolCap+8 runs at once take that many scaffolds, of which
+// the list keeps scaffoldPoolCap; then runs deadlock, panic and hang on
+// recycled ones. Afterwards the idle run goroutines are those of the free
+// list, at most scaffoldPoolCap. Scaffolds that other tests drained and
+// dropped keep their idle goroutines: those are counted first and set aside.
+func TestRunGoroutinesBounded(t *testing.T) {
+	held := drainScaffolds()
+	leaked := idleRunGoroutines()
+	for _, sc := range held {
+		if sc.runs != nil {
+			leaked--
+		}
+		sc.stop()
+	}
+	t.Logf("%d idle run goroutines of scaffolds other tests dropped", leaked)
+
+	const concurrent = scaffoldPoolCap + 8
+	var started sync.WaitGroup
+	started.Add(concurrent)
+	gate := make(chan struct{})
+	gated := &Program{
+		Name: "test-gated",
+		Base: rrConfig(qithread.NoPolicies),
+		Run: func(*qithread.Runtime) uint64 {
+			started.Done()
+			<-gate
+			return 1
+		},
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < concurrent; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if res := RunForced(gated, nil, testWatchdog); res.Outcome != OutcomeOK {
+				t.Errorf("gated run is %s (%s), want ok", res.Outcome, res.Err)
+			}
+		}()
+	}
+	started.Wait() // every run holds its own scaffold now
+	close(gate)
+	wg.Wait()
+	if n := startedFree(); n != scaffoldPoolCap {
+		t.Fatalf("%d scaffolds with a run goroutine free after %d concurrent runs, want %d", n, concurrent, scaffoldPoolCap)
+	}
+
+	release := make(chan struct{})
+	for _, a := range []struct {
+		p        *Program
+		watchdog time.Duration
+		want     Outcome
+	}{
+		{deadlockProgram, testWatchdog, OutcomeDeadlock},
+		{childDeadlockProgram, testWatchdog, OutcomeDeadlock},
+		{panicProgram, testWatchdog, OutcomePanic},
+		{childPanicProgram, testWatchdog, OutcomePanic},
+		{hangProgram(release), time.Millisecond, OutcomeHang},
+		{childHangProgram(release), time.Millisecond, OutcomeHang},
+	} {
+		if res := RunForced(a.p, nil, a.watchdog); res.Outcome != a.want {
+			t.Fatalf("%s run is %s (%s), want %s", a.p.Name, res.Outcome, res.Err, a.want)
+		}
+	}
+	close(release)
+	idle := 0
+	eventually(t, "only the free list's run goroutines idle", func() bool {
+		idle = idleRunGoroutines() - leaked
+		return idle == startedFree()
+	})
+	if idle > scaffoldPoolCap {
+		t.Fatalf("%d run goroutines idle, want at most %d", idle, scaffoldPoolCap)
+	}
+	if res := RunForced(Lookup("controlplane-race"), nil, testWatchdog); res.Outcome != OutcomeOK || res.Fingerprint != raceBaselineFP {
+		t.Fatalf("the run after them is %s [%s] (%s), want ok [%s]", res.Outcome, res.Fingerprint, res.Err, raceBaselineFP)
 	}
 }

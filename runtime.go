@@ -263,19 +263,27 @@ func (rt *Runtime) Fingerprint() Fingerprint {
 	if !rt.det() {
 		return Fingerprint{}
 	}
-	doms := registered(rt, &rt.domains)
-	f := Fingerprint{DomainHashes: make([]uint64, len(doms)), Deliveries: logio.FNVOffset64}
-	for i, d := range doms {
-		f.DomainHashes[i] = d.sched.TraceHash()
+	hs, deliveries := rt.AppendFingerprint(make([]uint64, 0, rt.NumDomains()))
+	return Fingerprint{DomainHashes: hs, Deliveries: deliveries}
+}
+
+// AppendFingerprint is Fingerprint without a slice of its own: it appends
+// the domain hashes to hs and returns the result with the delivery hash. The
+// explorer builds a run's pruning key from it on a stack buffer. Deterministic
+// runtimes only.
+func (rt *Runtime) AppendFingerprint(hs []uint64) ([]uint64, uint64) {
+	for _, d := range registered(rt, &rt.domains) {
+		hs = append(hs, d.sched.TraceHash())
 	}
+	deliveries := uint64(logio.FNVOffset64)
 	for _, p := range registered(rt, &rt.xpipes) {
 		p.mu.Lock()
-		f.Deliveries = logio.FNVFold64(f.Deliveries, p.id)
-		f.Deliveries = logio.FNVFold64(f.Deliveries, p.delivered)
-		f.Deliveries = logio.FNVFold64(f.Deliveries, p.hash)
+		deliveries = logio.FNVFold64(deliveries, p.id)
+		deliveries = logio.FNVFold64(deliveries, p.delivered)
+		deliveries = logio.FNVFold64(deliveries, p.hash)
 		p.mu.Unlock()
 	}
-	return f
+	return hs, deliveries
 }
 
 // DeliveryLog returns the canonical cross-domain delivery log: every XPipe

@@ -172,8 +172,8 @@ func (t *Thread) exit() {
 	if obj := t.node.JoinObject(); obj != 0 {
 		s.Broadcast(t.ct, obj)
 		// Nobody waits on an exited thread (Join checks done first), so the
-		// join object's drained wait list goes now, to be reused, rather than
-		// one map entry accumulating per thread ever created.
+		// join object's drained table entry goes now rather than one
+		// accumulating per thread ever created.
 		s.DestroyObject(t.ct, obj)
 	}
 	s.TraceOp(t.ct, core.OpThreadEnd, 0, core.StatusOK)
