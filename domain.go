@@ -166,16 +166,6 @@ func (d *Domain) Trace() []Event {
 	return d.sched.Trace()
 }
 
-// TurnCount returns the number of completed scheduling turns in this domain
-// (0 in Nondet mode). Call it after Run returns or from a thread of this
-// domain.
-func (d *Domain) TurnCount() int64 {
-	if d.sched == nil {
-		return 0
-	}
-	return d.sched.TurnCount()
-}
-
 // SetReplay installs a previously recorded schedule of THIS domain to
 // enforce, exactly like Config.Replay does for the default domain. It must
 // be called before the domain is launched. Replay is per domain: a

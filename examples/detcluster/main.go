@@ -16,7 +16,7 @@
 //  1. Record a live cluster: jittered event feeds push host advances and
 //     resync ticks while controllers reconcile across scheduler domains.
 //  2. Replay the recorded log N times: every fingerprint (per-domain
-//     schedule hashes + cross-domain delivery log + output + admission
+//     schedule hashes + cross-domain delivery hash + output + admission
 //     hashes) must be byte-identical.
 //  3. Inject faults deterministically: a FaultSpec (drop one event, delay
 //     another, duplicate a third) transforms the recorded log as a pure

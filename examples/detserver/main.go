@@ -14,8 +14,8 @@
 // drains each shard with RecvUpTo.
 //
 // Determinism is now compositional: instead of one global schedule hash, the
-// execution is fingerprinted by every domain's schedule hash plus the
-// canonical cross-domain delivery log, and the example shows the whole
+// execution is fingerprinted by every domain's schedule hash plus a hash of
+// every cross-domain delivery's stamps, and the example shows the whole
 // fingerprint is identical on every run.
 package main
 
@@ -120,8 +120,8 @@ func shardEngine(rt *qithread.Runtime, shard int, out *qithread.XPipe) func(*qit
 }
 
 // server runs the sharded server once and returns the per-shard journals
-// (in shard order), the execution fingerprint, and the delivery log.
-func server(cfg qithread.Config) ([]string, qithread.Fingerprint, []qithread.Delivery) {
+// (in shard order) and the execution fingerprint.
+func server(cfg qithread.Config) ([]string, qithread.Fingerprint) {
 	rt := qithread.New(cfg)
 	doms := make([]*qithread.Domain, shards)
 	pipes := make([]*qithread.XPipe, shards)
@@ -156,19 +156,14 @@ func server(cfg qithread.Config) ([]string, qithread.Fingerprint, []qithread.Del
 			journals[k] = strings.Join(entries, " ")
 		}
 	})
-	return journals, rt.Fingerprint(), rt.DeliveryLog()
+	return journals, rt.Fingerprint()
 }
 
 func main() {
-	cfg := qithread.Config{
-		Mode: qithread.RoundRobin, Policies: qithread.AllPolicies, Record: true,
-		// The example prints the delivery log, so materialize it; the
-		// fingerprint alone would not need the flag.
-		RetainDeliveryLog: true,
-	}
+	cfg := qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies, Record: true}
 
-	j1, fp1, log1 := server(cfg)
-	j2, fp2, _ := server(cfg)
+	j1, fp1 := server(cfg)
+	j2, fp2 := server(cfg)
 
 	for k := range j1 {
 		fmt.Printf("shard %d mutation order, run 1: %s\n", k, j1[k])
@@ -176,15 +171,11 @@ func main() {
 	}
 	fmt.Println("fingerprint, run 1:", fp1)
 	fmt.Println("fingerprint, run 2:", fp2)
-	fmt.Println("cross-domain deliveries:")
-	for _, d := range log1 {
-		fmt.Println("  ", d)
-	}
 	same := fp1.Equal(fp2)
 	for k := range j1 {
 		same = same && j1[k] == j2[k]
 	}
-	fmt.Printf("deterministic: %v (%d per-domain schedules + delivery log identical)\n",
+	fmt.Printf("deterministic: %v (%d per-domain schedules + delivery hash identical)\n",
 		same, len(fp1.DomainHashes))
 
 	fmt.Println()

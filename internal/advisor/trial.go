@@ -12,8 +12,10 @@ import (
 type TrialResult struct {
 	// Recommended is the policy set under trial.
 	Recommended qithread.Policy
-	// Stack is the policy stack the tuned run executed through: the
-	// round-robin base plus the recommended policies in canonical order.
+	// Stack describes the policy stack the tuned run executed through: the
+	// round-robin base plus the recommended policies in canonical order. It
+	// is built from Recommended and has counted nothing; Metrics holds the
+	// tuned run's counters.
 	Stack *policy.Stack
 	// Metrics is the per-policy decision counter snapshot of the tuned run,
 	// attributing the trial's speedup to the policies that earned it.
@@ -52,8 +54,9 @@ func AutoTune(app workload.App) (recs []Recommendation, result TrialResult) {
 
 	tuned := qithread.New(qithread.Config{Mode: qithread.RoundRobin, Policies: result.Recommended})
 	app(tuned)
-	result.Stack = tuned.PolicyStack()
+	result.Stack = new(policy.Stack)
+	result.Stack.Init(policy.RoundRobin, result.Recommended)
 	result.TunedMakespan = tuned.VirtualMakespan()
-	result.Metrics = tuned.PolicyMetrics()
+	result.Metrics = tuned.Stats().PolicyMetrics
 	return recs, result
 }

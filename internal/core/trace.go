@@ -150,7 +150,7 @@ func (st EventStatus) String() string {
 // Event is one synchronization operation in the deterministic total order of
 // ONE scheduler domain. Seq orders events within the domain; events of
 // different domains are not mutually ordered (cross-domain causality is
-// captured by the sequenced-pipe delivery log, see pipe.go).
+// captured by the sequenced-pipe delivery stamps, see pipe.go).
 //
 // TID and Domain are int32, the bound both trace codecs enforce and that
 // RegisterIn and addDomain refuse to pass. The two words come first, the two

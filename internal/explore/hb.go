@@ -6,7 +6,7 @@ import "qithread/internal/core"
 // schedule space AFTER paying for a run: two interleavings that differ only
 // in the order of independent operations hash differently (the trace hash is
 // order-sensitive), so fingerprint-only DPOR runs both and branches both.
-// The independence relation recovered by core.ComputeHB lets the explorer
+// The independence relation recovered by computeHB (below) lets the explorer
 // refuse such flips up front.
 //
 // The rule: a turn-choice flip at decision i toward alternative thread a is
@@ -34,7 +34,7 @@ import "qithread/internal/core"
 // (duplicate fingerprints, failures) pay nothing.
 type flipPruner struct {
 	res      *Result
-	hb       *core.HB
+	hb       *happensBefore
 	disabled bool
 	byTID    map[int][]int // tid -> indices of its events, in trace order
 }
@@ -64,7 +64,7 @@ func (f *flipPruner) prepare() bool {
 			return false
 		}
 	}
-	f.hb = core.ComputeHB(f.res.Trace)
+	f.hb = computeHB(f.res.Trace)
 	f.byTID = map[int][]int{}
 	for k, e := range f.res.Trace {
 		tid := int(e.TID)
@@ -101,7 +101,7 @@ func (f *flipPruner) redundant(i, alt int) bool {
 	if q < 0 {
 		return false // alt never ran again; nothing to commute against
 	}
-	if prev >= 0 && core.ParksThread(f.res.Trace[prev].Op) {
+	if prev >= 0 && parksThread(f.res.Trace[prev].Op) {
 		// The alternative thread is mid-wake-up: its next operation is the
 		// re-acquisition / return leg of a parked wait, and when it runs
 		// relative to the wake window is exactly what the policies schedule
@@ -113,16 +113,182 @@ func (f *flipPruner) redundant(i, alt int) bool {
 	// displaced span touches no wake-sensitive operation: commuting an event
 	// past a signal/wait/post changes which threads are parked when the wake
 	// fires, which the clock-based independence relation cannot see
-	// (core.WakeSensitive).
+	// (wakeSensitive).
 	for k := p; k <= q; k++ {
-		if core.WakeSensitive(f.res.Trace[k].Op) {
+		if wakeSensitive(f.res.Trace[k].Op) {
 			return false
 		}
 	}
 	for k := p; k < q; k++ {
-		if !f.hb.Concurrent(k, q) {
+		if !f.hb.concurrent(k, q) {
 			return false
 		}
 	}
 	return true
+}
+
+// Happens-before analysis over a recorded schedule. The trace is a TOTAL
+// order (one event per turn-held operation), but most of that order is an
+// artifact of the turn mechanism, not of synchronization: two events of
+// different threads on different objects could have executed in either order
+// without changing any thread's view. Vector clocks recover the PARTIAL
+// order that synchronization actually imposes, and the explorer uses it as a
+// real independence relation: a schedule perturbation that only swaps
+// HB-concurrent events cannot produce a new behaviour, so the flip need not
+// be run at all (flipPruner above, DESIGN.md §4.9).
+//
+// The rules are deliberately conservative — every edge added here must be a
+// real happens-before edge, but extra edges only cost pruning power, never
+// soundness (an event pair reported ordered is simply never pruned):
+//
+//   - program order: each thread's events are totally ordered;
+//   - object order: ALL operations on the same synchronization object are
+//     totally ordered (each op joins the object's clock and publishes back
+//     into it). This over-orders same-object pairs like two read-locks, which
+//     is the safe direction;
+//   - thread lifecycle: create and thread-end publish into a shared lifecycle
+//     clock that thread-begin and join read. This over-orders unrelated
+//     create/begin pairs — again the safe direction — and needs no pairing of
+//     begin events with their create (the trace does not record which thread
+//     a create spawned, only its join object).
+//
+// Events with Obj == 0 that are not lifecycle events (yield, sleep,
+// keep-turn, dummy-sync, set-base-time) synchronize with nothing: they are
+// thread-local from a happens-before perspective and carry only program
+// order.
+
+// vclock is a vector clock over thread ids: v[tid] counts the events of
+// thread tid known to have happened before (or at) the clock's owner.
+type vclock []int64
+
+// joinInto merges other into v component-wise (v = v ⊔ other), growing v as
+// needed, and returns the (possibly reallocated) result.
+func (v vclock) joinInto(other vclock) vclock {
+	if len(other) > len(v) {
+		grown := make(vclock, len(other))
+		copy(grown, v)
+		v = grown
+	}
+	for i, c := range other {
+		if c > v[i] {
+			v[i] = c
+		}
+	}
+	return v
+}
+
+// leq reports v ≤ other component-wise — v's knowledge is contained in
+// other's, i.e. v happens before or equals other.
+func (v vclock) leq(other vclock) bool {
+	for i, c := range v {
+		if c == 0 {
+			continue
+		}
+		if i >= len(other) || c > other[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// happensBefore is the happens-before analysis of one single-domain trace:
+// one vector clock per event, in trace order.
+type happensBefore struct {
+	clocks []vclock
+	events []core.Event
+}
+
+// hbLifecyclePublish and hbLifecycleJoin report whether the event
+// synchronizes through the shared lifecycle clock, and in which direction.
+func hbLifecyclePublish(op core.OpKind) bool { return op == core.OpCreate || op == core.OpThreadEnd }
+func hbLifecycleJoin(op core.OpKind) bool    { return op == core.OpThreadBegin || op == core.OpJoin }
+
+// wakeSensitive reports whether the operation's PLACEMENT in the schedule
+// carries wake-up semantics beyond what its vector clock records. A signal
+// wakes whichever waiter the policy picks among those parked AT THAT MOMENT;
+// a wait's position decides whether it parks before or after a wake-up
+// exists. Vector clocks see only the object's total order, not this
+// membership-in-the-wait-set structure, so two linearizations that commute an
+// HB-concurrent event past a wake-sensitive window can still steer the
+// scheduler's wake targeting differently — the exact divergences the paper's
+// policies pin (Figures 5-7). The explorer therefore never treats a schedule
+// perturbation that displaces one of these operations as redundant.
+func wakeSensitive(op core.OpKind) bool {
+	switch op {
+	case core.OpCondWait, core.OpCondTimedWait, core.OpCondSignal, core.OpCondBroadcast,
+		core.OpSemWait, core.OpSemTryWait, core.OpSemTimedWait, core.OpSemPost,
+		core.OpBarrierWait:
+		return true
+	}
+	return false
+}
+
+// parksThread reports whether the operation parked its thread until a wake-up:
+// the thread's NEXT operation (a condition wait's mutex re-acquisition, the
+// return from a semaphore or barrier wait) executes inside the wake-up window,
+// where the paper's policies deliberately diverge on who runs first
+// (signal-to-reacquire, Figure 5). The explorer never prunes a flip that
+// re-times such an operation.
+func parksThread(op core.OpKind) bool {
+	switch op {
+	case core.OpCondWait, core.OpCondTimedWait, core.OpSemWait, core.OpSemTimedWait, core.OpBarrierWait:
+		return true
+	}
+	return false
+}
+
+// computeHB computes per-event vector clocks for a recorded schedule. The
+// events must belong to one scheduler domain (cross-domain causality flows
+// through XPipe deliveries, not the trace; callers with partitioned traces
+// analyze each domain separately or not at all).
+func computeHB(events []core.Event) *happensBefore {
+	h := &happensBefore{clocks: make([]vclock, len(events)), events: events}
+	threads := map[int32]vclock{}
+	objects := map[uint64]vclock{}
+	var lifecycle vclock
+	for k, e := range events {
+		tc := threads[e.TID]
+		if e.Obj != 0 {
+			tc = tc.joinInto(objects[e.Obj])
+		}
+		if hbLifecycleJoin(e.Op) {
+			tc = tc.joinInto(lifecycle)
+		}
+		// Tick program order, growing the clock to cover this tid.
+		if int(e.TID) >= len(tc) {
+			grown := make(vclock, e.TID+1)
+			copy(grown, tc)
+			tc = grown
+		}
+		tc[e.TID]++
+		snapshot := make(vclock, len(tc))
+		copy(snapshot, tc)
+		h.clocks[k] = snapshot
+		if e.Obj != 0 {
+			objects[e.Obj] = objects[e.Obj].joinInto(snapshot)
+		}
+		if hbLifecyclePublish(e.Op) {
+			lifecycle = lifecycle.joinInto(snapshot)
+		}
+		threads[e.TID] = tc
+	}
+	return h
+}
+
+// ordered reports whether event i happens before event j (i < j in trace
+// order is assumed; the trace is consistent with HB, so i ≺ j iff i's clock
+// is contained in j's).
+func (h *happensBefore) ordered(i, j int) bool {
+	return h.clocks[i].leq(h.clocks[j])
+}
+
+// concurrent reports whether events i and j (i < j in trace order) are
+// independent under the happens-before relation: neither synchronization nor
+// program order forces their relative order, so swapping them yields an
+// equivalent execution.
+func (h *happensBefore) concurrent(i, j int) bool {
+	if h.events[i].TID == h.events[j].TID {
+		return false
+	}
+	return !h.ordered(i, j)
 }

@@ -184,6 +184,17 @@ func drainScaffolds() []*scaffold {
 	}
 }
 
+// dropScaffolds empties the free list and stops the run goroutine of every
+// scaffold it held, so none idles for the rest of the test binary. It
+// returns how many scaffolds the list held.
+func dropScaffolds() int {
+	held := drainScaffolds()
+	for _, sc := range held {
+		sc.stop()
+	}
+	return len(held)
+}
+
 // TestScaffoldNotRecycledAfterAbnormalEnd alternates ok runs with runs that
 // deadlock, panic on the main thread or on a child and outlive their watchdog, 1,000 times
 // on one goroutine and then 1,000 times spread over four at once. Every ok run must classify and
@@ -225,7 +236,7 @@ func TestScaffoldNotRecycledAfterAbnormalEnd(t *testing.T) {
 		return true
 	}
 
-	drainScaffolds()
+	dropScaffolds()
 	abandoned := map[*scaffold]bool{}
 	for i := 0; i < rounds; i++ {
 		var last *scaffold
@@ -280,6 +291,7 @@ func TestScaffoldNotRecycledAfterAbnormalEnd(t *testing.T) {
 		if len(sc.done) != 0 {
 			t.Errorf("a free scaffold holds %d message(s), want none", len(sc.done))
 		}
+		sc.stop()
 	}
 }
 
@@ -308,7 +320,7 @@ func TestLateDeadlockCannotClassifyNextRun(t *testing.T) {
 				return 7
 			},
 		}
-		drainScaffolds()
+		dropScaffolds()
 		if res := RunForced(late, nil, testWatchdog); res.Outcome != OutcomeOK || res.Output != 7 {
 			t.Fatalf("detaching run is %s (%s) with output %d, want ok with 7", res.Outcome, res.Err, res.Output)
 		}
@@ -339,7 +351,7 @@ func TestLateDeadlockCannotClassifyNextRun(t *testing.T) {
 func TestWatchdogNoStaleTick(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
-	drainScaffolds()
+	dropScaffolds()
 	if res := RunForced(hangProgram(release), nil, time.Millisecond); res.Outcome != OutcomeHang {
 		t.Fatalf("hung run is %s (%s), want hang", res.Outcome, res.Err)
 	}
@@ -350,7 +362,7 @@ func TestWatchdogNoStaleTick(t *testing.T) {
 	// Recycle around the expiry: well after it, and within microseconds of it
 	// on either side.
 	for i, lag := range []time.Duration{5 * time.Millisecond, time.Millisecond, 1100 * time.Microsecond, 900 * time.Microsecond} {
-		drainScaffolds()
+		dropScaffolds()
 		sc := takeScaffold(time.Millisecond)
 		time.Sleep(lag)
 		sc.recycle()
@@ -377,7 +389,7 @@ func TestWatchdogNoStaleTick(t *testing.T) {
 	for _, sc := range extra {
 		sc.recycle()
 	}
-	if n := len(drainScaffolds()); n != scaffoldPoolCap {
+	if n := dropScaffolds(); n != scaffoldPoolCap {
 		t.Fatalf("free list holds %d scaffolds after %d were recycled, want its capacity %d", n, len(extra), scaffoldPoolCap)
 	}
 }
@@ -414,8 +426,9 @@ func startedFree() (n int) {
 // free list. scaffoldPoolCap+8 runs at once take that many scaffolds, of which
 // the list keeps scaffoldPoolCap; then runs deadlock, panic and hang on
 // recycled ones. Afterwards the idle run goroutines are those of the free
-// list, at most scaffoldPoolCap. Scaffolds that other tests drained and
-// dropped keep their idle goroutines: those are counted first and set aside.
+// list, at most scaffoldPoolCap. A test that drains the free list stops what
+// it drained (dropScaffolds), so before this one starts no run goroutine may
+// idle outside the list.
 func TestRunGoroutinesBounded(t *testing.T) {
 	held := drainScaffolds()
 	leaked := idleRunGoroutines()
@@ -425,7 +438,9 @@ func TestRunGoroutinesBounded(t *testing.T) {
 		}
 		sc.stop()
 	}
-	t.Logf("%d idle run goroutines of scaffolds other tests dropped", leaked)
+	if leaked != 0 {
+		t.Errorf("%d idle run goroutines of scaffolds dropped without stop", leaked)
+	}
 
 	const concurrent = scaffoldPoolCap + 8
 	var started sync.WaitGroup

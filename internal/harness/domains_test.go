@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -11,15 +10,14 @@ import (
 
 // TestDomainsDeterministic runs the sharded server and map-reduce engines
 // repeatedly at different GOMAXPROCS and asserts that every run produces the
-// identical partitioned-execution fingerprint: per-domain schedule hashes,
-// the full cross-domain delivery log, and the output checksum.
+// identical partitioned-execution fingerprint — per-domain schedule hashes
+// and the cross-domain delivery hash — and the output checksum.
 func TestDomainsDeterministic(t *testing.T) {
 	params := workload.Params{Scale: 0.5, InputSeed: 7}
 	for _, w := range DomainWorkloads() {
 		for _, nd := range []int{2, 4} {
 			app := w.Build(nd, 0, params)
 			var refFP qithread.Fingerprint
-			var refLog []qithread.Delivery
 			var refOut uint64
 			first := true
 			for _, procs := range []int{1, 4} {
@@ -27,17 +25,12 @@ func TestDomainsDeterministic(t *testing.T) {
 				for run := 0; run < 3; run++ {
 					rt := qithread.New(qithread.Config{
 						Mode: qithread.RoundRobin, Policies: qithread.AllPolicies, Record: true,
-						RetainDeliveryLog: true,
 					})
 					out := app(rt)
 					fp := rt.Fingerprint()
-					log := rt.DeliveryLog()
 					if first {
-						refFP, refLog, refOut = fp, log, out
+						refFP, refOut = fp, out
 						first = false
-						if len(refLog) != nd {
-							t.Errorf("%s domains=%d: %d deliveries, want %d (one per shard)", w.Name, nd, len(refLog), nd)
-						}
 						if len(fp.DomainHashes) != nd+1 {
 							t.Errorf("%s domains=%d: fingerprint covers %d domains, want %d", w.Name, nd, len(fp.DomainHashes), nd+1)
 						}
@@ -48,9 +41,6 @@ func TestDomainsDeterministic(t *testing.T) {
 					}
 					if !fp.Equal(refFP) {
 						t.Errorf("%s domains=%d procs=%d run=%d: fingerprint %v, want %v", w.Name, nd, procs, run, fp, refFP)
-					}
-					if !reflect.DeepEqual(log, refLog) {
-						t.Errorf("%s domains=%d procs=%d run=%d: delivery log diverged:\n got %v\nwant %v", w.Name, nd, procs, run, log, refLog)
 					}
 				}
 				runtime.GOMAXPROCS(prev)
@@ -63,7 +53,7 @@ func TestDomainsDeterministic(t *testing.T) {
 // repeatedly — 20 runs each for the batch-1 configuration (capacity-1 pipes,
 // one boundary slot per message) and a wide-batch configuration (up to 8
 // messages per slot) — and asserts that every run produces the identical
-// fingerprint, delivery log, and output. The two configurations have
+// fingerprint and output. The two configurations have
 // different schedules (fingerprints are per configuration), but each must be
 // perfectly repeatable: batching must not leak the peer domain's real-time
 // progress into the batch boundaries.
@@ -73,21 +63,15 @@ func TestDomainsBatchedDeterministic(t *testing.T) {
 		for _, batch := range []int{1, 8} {
 			app := w.Build(3, batch, params)
 			var refFP qithread.Fingerprint
-			var refLog []qithread.Delivery
 			var refOut uint64
 			for run := 0; run < 20; run++ {
 				rt := qithread.New(qithread.Config{
 					Mode: qithread.RoundRobin, Policies: qithread.AllPolicies, Record: true,
-					RetainDeliveryLog: true,
 				})
 				out := app(rt)
 				fp := rt.Fingerprint()
-				log := rt.DeliveryLog()
 				if run == 0 {
-					refFP, refLog, refOut = fp, log, out
-					if len(refLog) == 0 {
-						t.Errorf("%s batch=%d: empty delivery log; streaming shape should ship per-item results", w.Name, batch)
-					}
+					refFP, refOut = fp, out
 					continue
 				}
 				if out != refOut {
@@ -95,9 +79,6 @@ func TestDomainsBatchedDeterministic(t *testing.T) {
 				}
 				if !fp.Equal(refFP) {
 					t.Errorf("%s batch=%d run=%d: fingerprint %v, want %v", w.Name, batch, run, fp, refFP)
-				}
-				if !reflect.DeepEqual(log, refLog) {
-					t.Errorf("%s batch=%d run=%d: delivery log diverged", w.Name, batch, run)
 				}
 			}
 		}

@@ -404,7 +404,7 @@ func runCounters(e *Experiment, w io.Writer, r *Runner, a Args) (*Table, error) 
 	for _, spec := range a.Specs {
 		rt := qithread.New(QiThread().Cfg)
 		spec.Build(r.Params)(rt)
-		for _, m := range rt.PolicyMetrics() {
+		for _, m := range rt.Stats().PolicyMetrics {
 			t.add(spec.Name, m.Policy, m.Picks, m.WakeBoosts, m.LeaseExtends, m.Arms, m.DummySyncs)
 		}
 	}

@@ -29,7 +29,10 @@ import (
 // It also holds EXPERIMENTS.md to 115,000 bytes and DESIGN.md to 57,000,
 // EXPERIMENTS.md's entries to an unbroken run from E1 to the newest, and the
 // examples to the public API: none imports internal/harness, and quickstart
-// imports no internal package.
+// imports no internal package. And every exported function and method a
+// non-test file of the root package declares is called somewhere in the
+// module, tests included, outside its own declaration: an export nothing
+// calls is a second way to do something, or a way to do nothing.
 func TestInventory(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -137,6 +140,55 @@ func TestInventory(t *testing.T) {
 	for _, name := range regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z]\w*`).FindAllString(section, -1) {
 		if !slices.Contains(tests, name) {
 			t.Errorf("DESIGN.md §4.14 cites %s, no _test.go file declares it", name)
+		}
+	}
+
+	// Calls are matched by name, the function's or the method's, as a Go
+	// reader searching the tree would; a call inside a function of the same
+	// name, the function itself or a namesake it forwards to, does not count.
+	calls := map[string]bool{}
+	var exported []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		root := filepath.Dir(path) == "." && !strings.HasSuffix(path, "_test.go")
+		for _, decl := range f.Decls {
+			self := ""
+			if fn, ok := decl.(*ast.FuncDecl); ok {
+				self = fn.Name.Name
+				if root && fn.Name.IsExported() {
+					exported = append(exported, self)
+				}
+			}
+			ast.Inspect(decl, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					name := ""
+					switch fun := call.Fun.(type) {
+					case *ast.Ident:
+						name = fun.Name
+					case *ast.SelectorExpr:
+						name = fun.Sel.Name
+					}
+					if name != self {
+						calls[name] = true
+					}
+				}
+				return true
+			})
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range exported {
+		if !calls[name] {
+			t.Errorf("the root package exports %s, and nothing in the module calls it", name)
 		}
 	}
 

@@ -100,9 +100,10 @@ func (p *Pipe) Close(t *Thread) {
 // operation occupies exactly one deterministic slot in its domain's schedule
 // no matter how the two domains' real speeds interleave. Each completed
 // delivery is stamped with the sender's and receiver's domain-local schedule
-// positions; the stamps form the runtime's delivery log (DeliveryLog), the
+// positions, and the stamps are folded into the pipe's delivery hash, the
 // canonical record of cross-domain causality that, together with the
-// per-domain schedules, fingerprints a partitioned execution.
+// per-domain schedules, fingerprints a partitioned execution
+// (Fingerprint.Deliveries).
 //
 // Because a blocked boundary operation stalls its whole domain, XPipes are
 // rendezvous points, not free-running queues: place them off the hot paths
@@ -147,10 +148,9 @@ type XPipe struct {
 	n      int       // queued messages
 	closed bool
 
-	sendSeq   uint64     // messages ever enqueued
-	delivered uint64     // messages ever delivered
-	hash      uint64     // running FNV-64a over the delivery stamps (see recvBatch)
-	log       []Delivery // every delivery, under Config.RetainDeliveryLog only
+	sendSeq   uint64 // messages ever enqueued
+	delivered uint64 // messages ever delivered
+	hash      uint64 // running FNV-64a over the delivery stamps (see recvBatch)
 }
 
 // message is one queued value with its sender-side stamps.
@@ -162,32 +162,13 @@ type message struct {
 	sendXSeq int64  // sender domain's boundary sequence at the send
 }
 
-// Delivery is one completed cross-domain message transfer with its
-// sequencing stamps. Every field is a deterministic function of program +
-// configuration, so two runs must produce identical logs; see
-// Runtime.DeliveryLog.
-type Delivery struct {
-	Channel  string // pipe name
-	ChanID   uint64 // pipe id (creation order within the runtime)
-	Seq      uint64 // message sequence within the pipe, 1-based
-	From, To int    // sender and receiver domain ids
-	SendTurn int64  // sender domain's logical time at the send
-	SendXSeq int64  // sender domain's boundary sequence at the send
-	RecvTurn int64  // receiver domain's logical time at the receive
-	RecvXSeq int64  // receiver domain's boundary sequence at the receive
-}
-
-func (d Delivery) String() string {
-	return fmt.Sprintf("%s#%d msg %d: d%d(turn %d, x%d) -> d%d(turn %d, x%d)",
-		d.Channel, d.ChanID, d.Seq, d.From, d.SendTurn, d.SendXSeq, d.To, d.RecvTurn, d.RecvXSeq)
-}
-
 // NewXPipe creates a sequenced pipe from one scheduler domain to another
 // (they must differ — within a domain use NewPipe, which the turn already
 // orders). Any sender-domain thread may send, any receiver-domain thread may
 // receive, and only sender-domain threads may close. XPipes must be created
 // deterministically (by setup code or the main thread): creation order
-// assigns the pipe id that orders the delivery log.
+// assigns the pipe id that seeds every delivery stamp and orders the pipes in
+// the fingerprint.
 func (rt *Runtime) NewXPipe(name string, from, to *Domain, capacity int) *XPipe {
 	if from == nil || to == nil {
 		panic("qithread: XPipe endpoints must be non-nil")
@@ -207,12 +188,6 @@ func (rt *Runtime) NewXPipe(name string, from, to *Domain, capacity int) *XPipe 
 	p.id = uint64(len(rt.xpipes))
 	return p
 }
-
-// From returns the sender domain.
-func (p *XPipe) From() *Domain { return p.from }
-
-// To returns the receiver domain.
-func (p *XPipe) To() *Domain { return p.to }
 
 // Send enqueues v, blocking while the pipe is full: SendAll of one message.
 // It reports false if the pipe was closed (the message is then dropped). The
@@ -241,11 +216,11 @@ func (p *XPipe) Recv(t *Thread) (any, bool) {
 // the whole call is a single boundary slot. Batch sizes are deterministic
 // (always min(remaining, capacity), never dependent on the receiver's
 // real-time progress), and the per-batch stamps expand into per-message
-// Delivery entries identical to the same messages sent one Send at a time
-// under a retained turn. It returns the number of messages sent: len(vs), or
-// fewer if the pipe was closed (the rest are dropped). An empty vs sends
-// nothing and occupies no schedule slot. The caller must belong to the
-// sender domain.
+// deliveries that hash identically to the same messages sent one Send at a
+// time under a retained turn. It returns the number of messages sent:
+// len(vs), or fewer if the pipe was closed (the rest are dropped). An empty
+// vs sends nothing and occupies no schedule slot. The caller must belong to
+// the sender domain.
 func (p *XPipe) SendAll(t *Thread, vs []any) int {
 	s := p.from.enter(t, "xpipe sender end", p.name)
 	sent := 0
@@ -521,8 +496,7 @@ func (p *XPipe) sendBatch(ct *core.Thread, vs []any, turn, vtime int64) int {
 //
 // A stamped delivery is folded into the pipe's running hash as it happens —
 // pipe id, message sequence, sender and receiver domain, send turn and xseq,
-// receive turn and xseq — so fingerprinting needs no log; the log is kept
-// only under Config.RetainDeliveryLog.
+// receive turn and xseq — so fingerprinting needs no log.
 func (p *XPipe) recvBatch(ct *core.Thread, dst []any, turn int64) (n int, vmax int64) {
 	want := min(len(dst), len(p.ring))
 	stamp := p.rt.det()
@@ -552,10 +526,6 @@ func (p *XPipe) recvBatch(ct *core.Thread, dst []any, turn int64) (n int, vmax i
 			h = logio.FNVFold64(h, w)
 		}
 		p.hash = h
-		if p.rt.cfg.RetainDeliveryLog {
-			p.log = append(p.log, Delivery{Channel: p.name, ChanID: p.id, Seq: m.seq, From: p.from.id, To: p.to.id,
-				SendTurn: m.sendTurn, SendXSeq: m.sendXSeq, RecvTurn: turn, RecvXSeq: p.to.xseq})
-		}
 	}
 	p.n -= n
 	if n > 0 {

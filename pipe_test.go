@@ -327,8 +327,8 @@ func TestXPipeSingleFormsAllocFree(t *testing.T) {
 // ringPipe is an XPipe from the default domain to a second one of a
 // deterministic runtime that never runs, for the tests that drive the ring's
 // batch methods with explicit stamps: one test goroutine plays both ends.
-func ringPipe(retain bool, capacity int) (*Runtime, *XPipe) {
-	rt := New(Config{Mode: RoundRobin, RetainDeliveryLog: retain})
+func ringPipe(capacity int) (*Runtime, *XPipe) {
+	rt := New(Config{Mode: RoundRobin})
 	return rt, rt.NewXPipe("x", rt.Domain(0), rt.NewDomain("b"), capacity)
 }
 
@@ -339,29 +339,12 @@ func parked(p *XPipe, count *int) int {
 	return *count
 }
 
-// hashDeliveries hashes a delivery log field by field: a pipe's running
-// delivery hash equals hashDeliveries of the pipe's retained log.
-func hashDeliveries(log []Delivery) uint64 {
-	h := uint64(logio.FNVOffset64)
-	for _, d := range log {
-		h = logio.FNVFold64(h, d.ChanID)
-		h = logio.FNVFold64(h, d.Seq)
-		h = logio.FNVFold64(h, uint64(d.From))
-		h = logio.FNVFold64(h, uint64(d.To))
-		h = logio.FNVFold64(h, uint64(d.SendTurn))
-		h = logio.FNVFold64(h, uint64(d.SendXSeq))
-		h = logio.FNVFold64(h, uint64(d.RecvTurn))
-		h = logio.FNVFold64(h, uint64(d.RecvXSeq))
-	}
-	return h
-}
-
 // TestSendBatchEqualsSingleSends is the batching determinism property: under
 // the same stamps (one held turn on each side), a batch of k followed by a
 // receive of k produces exactly the deliveries of k single sends followed by
 // k single receives — consecutive message and boundary sequences, identical
-// turn stamps. Batching changes how many schedule slots a transfer occupies,
-// never the per-message stamp expansion.
+// turn stamps, so the same delivery count and hash. Batching changes how many
+// schedule slots a transfer occupies, never the per-message stamp expansion.
 func TestSendBatchEqualsSingleSends(t *testing.T) {
 	const sendTurn, recvTurn, vtime = 5, 9, 300
 	property := func(kSeed, capSeed uint8) bool {
@@ -372,7 +355,7 @@ func TestSendBatchEqualsSingleSends(t *testing.T) {
 			vs[i] = i
 		}
 
-		batched, pb := ringPipe(true, capacity)
+		batched, pb := ringPipe(capacity)
 		if n := pb.sendBatch(nil, vs, sendTurn, vtime); n != k {
 			t.Fatalf("sendBatch sent %d, want %d", n, k)
 		}
@@ -381,7 +364,7 @@ func TestSendBatchEqualsSingleSends(t *testing.T) {
 			t.Fatalf("recvBatch got (%d, vtime %d), want (%d, %d)", n, vmax, k, vtime)
 		}
 
-		single, ps := ringPipe(true, capacity)
+		single, ps := ringPipe(capacity)
 		for i := range vs {
 			if ps.sendBatch(nil, vs[i:i+1], sendTurn, vtime) != 1 {
 				t.Fatal("single send failed")
@@ -394,10 +377,9 @@ func TestSendBatchEqualsSingleSends(t *testing.T) {
 			}
 		}
 
-		logB, logS := batched.DeliveryLog(), single.DeliveryLog()
-		if len(logB) != k || !reflect.DeepEqual(logB, logS) {
-			t.Logf("batched:  %v", logB)
-			t.Logf("single:   %v", logS)
+		if pb.delivered != uint64(k) || ps.delivered != uint64(k) || pb.hash != ps.hash {
+			t.Logf("batched: %d deliveries, hash %016x", pb.delivered, pb.hash)
+			t.Logf("single:  %d deliveries, hash %016x", ps.delivered, ps.hash)
 			return false
 		}
 		return batched.Fingerprint().Equal(single.Fingerprint())
@@ -411,7 +393,7 @@ func TestSendBatchEqualsSingleSends(t *testing.T) {
 // must, when the sender closes instead, return the closed-remainder
 // (everything shipped before the close) and then report end-of-stream.
 func TestCloseUnderBlockedBatch(t *testing.T) {
-	_, p := ringPipe(true, 4)
+	_, p := ringPipe(4)
 	if n := p.sendBatch(nil, []any{"a", "b"}, 1, 0); n != 2 {
 		t.Fatalf("sendBatch sent %d, want 2", n)
 	}
@@ -442,7 +424,7 @@ func TestCloseUnderBlockedBatch(t *testing.T) {
 // would clear the record for the receiver to re-park and set it again; the
 // send that completes the batch wakes it and clears the record.
 func TestPartialSendLeavesReceiverParked(t *testing.T) {
-	rt, p := ringPipe(false, 4)
+	rt, p := ringPipe(4)
 	ct := new(core.Thread) // the receiver domain's thread; the runtime never runs
 	rt.domMu.Lock()
 	rt.xlive++ // the receiver's domain is live too, so one parked thread is no deadlock
@@ -485,7 +467,7 @@ func TestPartialSendLeavesReceiverParked(t *testing.T) {
 // batch sizes, and a close releases the receivers still short of theirs.
 func TestMixedBatchReceivers(t *testing.T) {
 	for _, total := range []int{0, 2, 7, 200} {
-		_, p := ringPipe(false, 5)
+		_, p := ringPipe(5)
 		sizes := []int{1, 3, 5, 5}
 		// Every batch received, then one empty batch per receiver at the close.
 		got := make(chan []any, total+len(sizes))
@@ -547,29 +529,42 @@ func TestMixedBatchReceivers(t *testing.T) {
 }
 
 // TestDeliveryHashIncremental cross-checks the incremental fold against the
-// materialized log: a pipe's running hash must equal hashDeliveries of its
-// retained log, and the fingerprint's Deliveries the (id, count, hash) fold
-// over pipes in id order — so not retaining the log cannot change a
-// fingerprint.
+// stamps the test drives: a pipe's running hash must equal the fold of each
+// delivery's eight stamps — pipe id, message sequence, sender and receiver
+// domain, send turn and xseq, receive turn and xseq — in delivery order, and
+// the fingerprint's Deliveries the (id, count, hash) fold over pipes in id
+// order. Each domain's xseq counts its boundary messages, sent and received.
 func TestDeliveryHashIncremental(t *testing.T) {
-	rt := New(Config{Mode: RoundRobin, RetainDeliveryLog: true})
+	rt := New(Config{Mode: RoundRobin})
 	b := rt.NewDomain("b")
 	x := rt.NewXPipe("x", rt.Domain(0), b, 3)
 	y := rt.NewXPipe("y", b, rt.Domain(0), 2)
 
-	x.sendBatch(nil, []any{1, 2, 3}, 1, 0)
-	x.recvBatch(nil, make([]any, 3), 1)
-	y.sendBatch(nil, []any{"r"}, 2, 0)
-	y.recvBatch(nil, make([]any, 1), 2)
-	x.sendBatch(nil, []any{4}, 3, 0)
-	x.recvBatch(nil, make([]any, 1), 3)
+	x.sendBatch(nil, []any{1, 2, 3}, 1, 0) // d0 xseq 1..3
+	x.recvBatch(nil, make([]any, 3), 1)    // d1 xseq 1..3
+	y.sendBatch(nil, []any{"r"}, 2, 0)     // d1 xseq 4
+	y.recvBatch(nil, make([]any, 1), 2)    // d0 xseq 4
+	x.sendBatch(nil, []any{4}, 3, 0)       // d0 xseq 5
+	x.recvBatch(nil, make([]any, 1), 3)    // d1 xseq 5
 
+	// seq, from, to, send turn, send xseq, receive turn, receive xseq
+	stamps := map[*XPipe][][7]uint64{
+		x: {{1, 0, 1, 1, 1, 1, 1}, {2, 0, 1, 1, 2, 1, 2}, {3, 0, 1, 1, 3, 1, 3}, {4, 0, 1, 3, 5, 3, 5}},
+		y: {{1, 1, 0, 2, 4, 2, 4}},
+	}
 	want := uint64(logio.FNVOffset64)
 	for _, p := range []*XPipe{x, y} {
-		if int(p.delivered) != len(p.log) {
-			t.Fatalf("pipe %s: delivered=%d, log has %d", p.name, p.delivered, len(p.log))
+		h := uint64(logio.FNVOffset64)
+		for _, d := range stamps[p] {
+			h = logio.FNVFold64(h, p.id)
+			for _, w := range d {
+				h = logio.FNVFold64(h, w)
+			}
 		}
-		if h := hashDeliveries(p.log); h != p.hash {
+		if int(p.delivered) != len(stamps[p]) {
+			t.Fatalf("pipe %s: delivered=%d, want %d", p.name, p.delivered, len(stamps[p]))
+		}
+		if h != p.hash {
 			t.Fatalf("pipe %s: incremental hash %016x, recomputed %016x", p.name, p.hash, h)
 		}
 		want = logio.FNVFold64(want, p.id)
@@ -581,46 +576,11 @@ func TestDeliveryHashIncremental(t *testing.T) {
 	}
 }
 
-// TestRetainOffMatchesRetainOn: the delivery log is a debug artifact; turning
-// it off must not change the fingerprint, and DeliveryLog must report nil so
-// callers cannot mistake "not retained" for "no deliveries".
-func TestRetainOffMatchesRetainOn(t *testing.T) {
-	run := func(retain bool) (Fingerprint, []Delivery) {
-		rt := New(Config{Mode: RoundRobin, Record: true, RetainDeliveryLog: retain})
-		src := rt.NewDomain("src")
-		p := rt.NewXPipe("x", src, rt.Domain(0), 4)
-		src.Start("tx", func(x *Thread) {
-			p.SendAll(x, []any{1, 2, 3, 4})
-			p.Close(x)
-		})
-		rt.Run(func(main *Thread) {
-			src.Launch()
-			dst := make([]any, 4)
-			for {
-				if _, ok := p.RecvUpTo(main, dst); !ok {
-					return
-				}
-			}
-		})
-		return rt.Fingerprint(), rt.DeliveryLog()
-	}
-	fpOn, logOn := run(true)
-	fpOff, logOff := run(false)
-	if len(logOn) != 4 {
-		t.Fatalf("retained log has %d deliveries, want 4", len(logOn))
-	}
-	if logOff != nil {
-		t.Fatalf("unretained DeliveryLog = %v, want nil", logOff)
-	}
-	if !fpOn.Equal(fpOff) {
-		t.Fatalf("retain flag changed fingerprint: %v vs %v", fpOn, fpOff)
-	}
-}
-
 // TestXPipeTraffic: an XPipe carries data under every mode — in Nondet mode
 // too, where no turn orders the senders. Four sender-domain threads push 50
 // values each through a capacity-2 pipe; the receiver, three slots at a time,
-// sees each of the 200 exactly once.
+// sees each of the 200 exactly once. A deterministic run stamps every one of
+// them into the delivery hash; a Nondet run stamps none.
 func TestXPipeTraffic(t *testing.T) {
 	const senders, each = 4, 50
 	for _, cfg := range partitionModes() {
@@ -664,6 +624,13 @@ func TestXPipeTraffic(t *testing.T) {
 				if c != 1 {
 					t.Fatalf("value %d arrived %d times, want once", v, c)
 				}
+			}
+			want := uint64(senders * each)
+			if !rt.det() {
+				want = 0
+			}
+			if p.delivered != want {
+				t.Fatalf("%d stamped deliveries, want %d", p.delivered, want)
 			}
 		})
 	}

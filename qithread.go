@@ -127,14 +127,6 @@ type Config struct {
 	// analysis.
 	Record bool
 
-	// RetainDeliveryLog materializes the cross-domain delivery log
-	// (Runtime.DeliveryLog) in memory as messages cross XPipes. Off by
-	// default: fingerprinting folds every delivery into per-pipe running
-	// hashes at receive time, so the boundary is O(1) memory in steady state
-	// and the log itself is only needed for debugging — trace inspection and
-	// the determinism checker's log diffing.
-	RetainDeliveryLog bool
-
 	// Replay, when non-nil, is a previously recorded schedule (Runtime.
 	// Trace) to ENFORCE: the scheduler grants turns in exactly the recorded
 	// order and verifies each operation against the recording, panicking

@@ -221,8 +221,8 @@ func (rt *Runtime) Trace() []Event { return rt.main.Trace() }
 
 // Fingerprint condenses a partitioned execution for determinism checking:
 // it has no global total order to hash, but each domain's schedule plus the
-// cross-domain delivery log characterize it fully. Two runs of the same
-// program and configuration must produce equal fingerprints.
+// stamps of every cross-domain delivery characterize it fully. Two runs of
+// the same program and configuration must produce equal fingerprints.
 type Fingerprint struct {
 	// DomainHashes holds each domain's schedule hash (trace.Hash) in domain
 	// id order.
@@ -231,8 +231,8 @@ type Fingerprint struct {
 	// of (pipe id, delivered count, pipe delivery hash) per XPipe in id
 	// order, each pipe's delivery hash being the running fold of its
 	// delivery stamps. Per pipe the delivery order IS the message-sequence
-	// order (FIFO), so this commits to exactly what hashing the canonical
-	// merged log would, without materializing it.
+	// order (FIFO), so this commits to every stamp of every delivery
+	// without keeping a log of them.
 	Deliveries uint64
 }
 
@@ -251,12 +251,12 @@ func (f Fingerprint) String() string {
 }
 
 // Fingerprint condenses the execution for determinism checking: per-domain
-// schedule hashes in id order plus a hash of the cross-domain delivery log.
+// schedule hashes in id order plus a hash of the cross-domain deliveries.
 // It replaces the single global schedule hash for partitioned executions
-// (and subsumes it: with one domain it is exactly that hash plus an empty
-// log). The domain hashes are each scheduler's running trace hash, so Record
-// must be on for them to mean anything (a non-recording domain reports the
-// empty-trace hash). Call it after Run returns: it reads every domain's
+// (and subsumes it: with one domain it is exactly that hash plus the hash of
+// no deliveries). The domain hashes are each scheduler's running trace hash,
+// so Record must be on for them to mean anything (a non-recording domain
+// reports the empty-trace hash). Call it after Run returns: it reads every domain's
 // scheduler, which only that domain's threads may touch while it runs. Zero
 // value in Nondet mode.
 func (rt *Runtime) Fingerprint() Fingerprint {
@@ -285,26 +285,6 @@ func (rt *Runtime) AppendFingerprint(hs []uint64) ([]uint64, uint64) {
 	}
 	return hs, deliveries
 }
-
-// DeliveryLog returns the canonical cross-domain delivery log: every XPipe
-// delivery ordered by (pipe id, message sequence), each stamped with the
-// sender's and receiver's domain-local schedule positions. The log is
-// materialized only under Config.RetainDeliveryLog (fingerprinting does not
-// need it); without the flag DeliveryLog returns nil. Valid after Run
-// returns; nil in Nondet mode and in single-domain programs with no XPipes.
-func (rt *Runtime) DeliveryLog() []Delivery {
-	var out []Delivery
-	for _, p := range registered(rt, &rt.xpipes) {
-		p.mu.Lock()
-		out = append(out, p.log...)
-		p.mu.Unlock()
-	}
-	return out
-}
-
-// TurnCount returns the number of completed scheduling turns (0 in Nondet
-// mode).
-func (rt *Runtime) TurnCount() int64 { return rt.main.TurnCount() }
 
 // ThreadsCreated returns the total number of threads the runtime created,
 // including the main thread.
@@ -338,16 +318,3 @@ func (rt *Runtime) newThread(name string, d *Domain) *Thread {
 
 // det reports whether the runtime schedules deterministically.
 func (rt *Runtime) det() bool { return rt.main.sched != nil }
-
-// PolicyStack returns the policy stack scheduling this runtime (nil in
-// Nondet mode). Its Metrics attribute scheduling decisions to policies.
-func (rt *Runtime) PolicyStack() *policy.Stack { return rt.main.stack }
-
-// PolicyMetrics returns the per-policy decision counters of the runtime's
-// policy stack (nil in Nondet mode).
-func (rt *Runtime) PolicyMetrics() []policy.Metrics {
-	if !rt.det() {
-		return nil
-	}
-	return rt.main.stack.Metrics()
-}

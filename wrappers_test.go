@@ -1,6 +1,7 @@
 package qithread
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -462,11 +463,74 @@ func TestThreadAccessors(t *testing.T) {
 	if rt.ThreadsCreated() != 2 {
 		t.Errorf("ThreadsCreated = %d", rt.ThreadsCreated())
 	}
-	if rt.TurnCount() == 0 {
-		t.Error("TurnCount should be positive after a run")
+	if rt.Stats().Turns == 0 {
+		t.Error("Stats().Turns should be positive after a run")
 	}
 	if rt.Config().Mode != RoundRobin {
 		t.Error("Config accessor broken")
+	}
+}
+
+// TestSetBaseTime covers the paper's set_base_time primitive (Section 5).
+// Under RoundRobin each call records exactly one set_base_time event and
+// returns the domain's turn count at the call: the turns completed before it,
+// which without turn-retaining policies is the event's schedule position. A
+// schedule recorded with the calls replays without divergence and hands every
+// call the same base. Under Nondet it returns 0 and records nothing.
+func TestSetBaseTime(t *testing.T) {
+	const calls = 3
+	// run has main and a worker each call SetBaseTime calls times between
+	// critical sections on one mutex; bases[tid] holds what thread tid got.
+	run := func(cfg Config) (rt *Runtime, bases [2][calls]int64) {
+		rt = New(cfg)
+		rt.Run(func(main *Thread) {
+			m := rt.NewMutex(main, "m")
+			before := rt.Stats().Turns // main is the only thread yet
+			bases[0][0] = main.SetBaseTime()
+			if bases[0][0] != before {
+				t.Errorf("%v: SetBaseTime returned %d with %d turns completed", cfg.Policies, bases[0][0], before)
+			}
+			w := main.Create("w", func(w *Thread) {
+				for i := range calls {
+					m.Lock(w)
+					bases[1][i] = w.SetBaseTime()
+					m.Unlock(w)
+				}
+			})
+			for i := 1; i < calls; i++ {
+				m.Lock(main)
+				m.Unlock(main)
+				bases[0][i] = main.SetBaseTime()
+			}
+			main.Join(w)
+		})
+		return rt, bases
+	}
+
+	for _, pol := range []Policy{NoPolicies, AllPolicies} {
+		cfg := Config{Mode: RoundRobin, Policies: pol, Record: true}
+		rec, bases := run(cfg)
+		var seqs [2][]int64
+		for _, e := range rec.Trace() {
+			if e.Op == core.OpSetBaseTime {
+				seqs[e.TID] = append(seqs[e.TID], e.Seq)
+			}
+		}
+		for tid, got := range seqs {
+			if len(got) != calls || pol == NoPolicies && !slices.Equal(got, bases[tid][:]) {
+				t.Errorf("%v: thread %d: set_base_time events at %v, SetBaseTime returned %v", pol, tid, got, bases[tid])
+			}
+		}
+		cfg.Replay = rec.Trace()
+		rep, repBases := run(cfg)
+		if !slices.Equal(rep.Trace(), rec.Trace()) || repBases != bases {
+			t.Errorf("%v: replay returned bases %v, recorded %v (schedules equal: %v)", pol, repBases, bases, slices.Equal(rep.Trace(), rec.Trace()))
+		}
+	}
+
+	nondet, bases := run(Config{Mode: Nondet, Record: true})
+	if bases != [2][calls]int64{} || len(nondet.Trace()) != 0 {
+		t.Errorf("Nondet: SetBaseTime returned %v and recorded %d events, want zeros and none", bases, len(nondet.Trace()))
 	}
 }
 
