@@ -53,7 +53,7 @@ loc:
 # log load, whose allocs/op count slabs, not batches (E47); in internal/trace
 # BenchmarkScheduleLoad's 100k-event schedule in the text and binary formats;
 # in internal/explore BenchmarkExploreRun's B/op for one untraced search run
-# of controlplane-race (6,064 B and 31 allocs/op, the counts
+# of controlplane-race (5,712 B and 31 allocs/op, the counts
 # TestExploredRunAllocBudget holds, E56) and for one 150-decision expand
 # (8,776 B, 4 allocs), the explorer's own cost per explored schedule (E48).
 # Compare arms within one run, never against a number recorded on another day.

@@ -56,18 +56,18 @@ func (b *Barrier) Wait(t *Thread) bool {
 		}
 		return false
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	b.arrived++
 	if b.arrived == b.n {
 		b.arrived = 0
-		s.Broadcast(t.ct, b.obj)
-		s.TraceOp(t.ct, core.OpBarrierWait, b.obj, core.StatusOK)
+		s.Broadcast(t.ct(), b.obj)
+		s.TraceOp(t.ct(), core.OpBarrierWait, b.obj, core.StatusOK)
 		t.release()
 		return true
 	}
-	s.TraceOp(t.ct, core.OpBarrierWait, b.obj, core.StatusBlocked)
+	s.TraceOp(t.ct(), core.OpBarrierWait, b.obj, core.StatusBlocked)
 	t.park(b.obj, core.NoTimeout)
-	s.TraceOp(t.ct, core.OpBarrierWait, b.obj, core.StatusReturn)
+	s.TraceOp(t.ct(), core.OpBarrierWait, b.obj, core.StatusReturn)
 	t.release()
 	return false
 }

@@ -30,6 +30,8 @@ import (
 
 	"qithread"
 	"qithread/internal/core"
+	"qithread/internal/programs"
+	"qithread/internal/workload"
 )
 
 // BenchmarkMechanismLockUnlock measures the host-time cost of one
@@ -228,6 +230,47 @@ func TestSyncOpsAllocateNothing(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// statsSink keeps TestStatsAllocatesNothing's snapshot from being optimized
+// away.
+var statsSink core.Snapshot
+
+// TestStatsAllocatesNothing: a finished run's Stats is a value — every
+// counter, and the policy stack's decision counters as a fixed array — so
+// reading it allocates nothing, exact under -race too. The array's entries
+// after the base policy are zero, so the sums the benchmark's catalog
+// workload forms over PolicyMetrics (benchmark/catalog.go: lease extensions
+// and decisions of every policy) take them in unchanged: over one pass of
+// that workload at seed 1 — every catalog program but the two whose ad-hoc
+// synchronization makes their counts timing-dependent, scale 0.1, the
+// QiThread configuration — they read what the slice of named entries summed
+// to before the array, constants recorded on that build.
+func TestStatsAllocatesNothing(t *testing.T) {
+	const wantLeaseExtends, wantDecisions = 21083, 85677
+	cfg := qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies}
+	p := workload.Params{Scale: 0.1, InputSeed: 1}
+	var leaseExtends, decisions int64
+	var last *qithread.Runtime
+	for _, s := range programs.All() {
+		if s.Name == "canneal" || s.Name == "x264" {
+			continue
+		}
+		last = qithread.New(cfg)
+		s.Build(p)(last)
+		for _, m := range last.Stats().PolicyMetrics {
+			leaseExtends += m.LeaseExtends
+			decisions += m.Total()
+		}
+	}
+	t.Logf("one catalog pass: %d policy lease extensions, %d policy decisions", leaseExtends, decisions)
+	if leaseExtends != wantLeaseExtends || decisions != wantDecisions {
+		t.Errorf("one catalog pass sums to %d lease extensions and %d decisions over PolicyMetrics, want %d and %d",
+			leaseExtends, decisions, wantLeaseExtends, wantDecisions)
+	}
+	if n := testing.AllocsPerRun(100, func() { statsSink = last.Stats() }); n != 0 {
+		t.Errorf("Stats of a finished run makes %.1f allocations, want 0", n)
 	}
 }
 

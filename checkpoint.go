@@ -81,17 +81,17 @@ const maxQuiescenceYields = 1 << 20
 func (rt *Runtime) quiesce(t *Thread, what string) error {
 	s := t.dom.sched
 	for i := 0; ; i++ {
-		s.GetTurn(t.ct)
-		if s.Quiescent(t.ct) {
+		s.GetTurn(t.ct())
+		if s.Quiescent(t.ct()) {
 			return nil // the caller proceeds under this turn hold
 		}
 		if i >= maxQuiescenceYields {
 			dump := s.Dump()
-			s.PutTurn(t.ct)
+			s.PutTurn(t.ct())
 			return fmt.Errorf("qithread: %s: domain %d did not quiesce after %d yields; threads are waking each other across the boundary\n%s", what, t.dom.id, maxQuiescenceYields, dump)
 		}
-		s.TraceOp(t.ct, core.OpYield, 0, core.StatusOK)
-		s.PutTurn(t.ct)
+		s.TraceOp(t.ct(), core.OpYield, 0, core.StatusOK)
+		s.PutTurn(t.ct())
 	}
 }
 
@@ -127,7 +127,7 @@ func (rt *Runtime) Checkpoint(t *Thread, app func() []byte) (*Checkpoint, error)
 		payload = app()
 	}
 	s := t.dom.sched
-	st, err := s.CaptureState(t.ct)
+	st, err := s.CaptureState(t.ct())
 	if err != nil {
 		t.release()
 		return nil, err
@@ -224,7 +224,7 @@ func (rt *Runtime) Resume(t *Thread) error {
 		t.dom.xseq = rec.Xseqs[0]
 		// The scheduler restore comes last: it verifies the rebuilt thread
 		// and wait-list structure and unmutes recording.
-		return t.dom.sched.RestoreState(t.ct, &rec.Domains[0])
+		return t.dom.sched.RestoreState(t.ct(), &rec.Domains[0])
 	}()
 	t.release()
 	return err

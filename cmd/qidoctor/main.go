@@ -72,6 +72,9 @@ func main() {
 			fmt.Printf("  ready to run: qithread.Config{Mode: qithread.RoundRobin, Policies: %s}\n", goSetExpr(res.Recommended))
 			fmt.Println("  tuned-run policy decisions:")
 			for _, m := range res.Metrics {
+				if m.Policy == "" {
+					break // the zero entries after the base policy
+				}
 				fmt.Printf("    %s\n", m)
 			}
 		}

@@ -38,7 +38,7 @@ func compareModes(arg string) (m1, m2 harness.Mode, err error) {
 	return m1, m2, nil
 }
 
-func record(spec programs.Spec, cfg qithread.Config, p workload.Params) ([]core.Event, int64, core.Stats) {
+func record(spec programs.Spec, cfg qithread.Config, p workload.Params) ([]core.Event, int64, core.Snapshot) {
 	cfg.Record = true
 	rt := qithread.New(cfg)
 	spec.Build(p)(rt)

@@ -81,18 +81,18 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 		m.owner = t
 		return !expired
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	op := core.OpCondWait
 	if timeout > 0 {
 		op = core.OpCondTimedWait
 	}
-	s.TraceOp(t.ct, op, c.obj, core.StatusBlocked)
+	s.TraceOp(t.ct(), op, c.obj, core.StatusBlocked)
 	if m.bypass() {
 		// A PCS mutex under Config.PCS: released natively, retaken outside
 		// the turn; the wait is the scheduler's, which Signal wakes.
 		m.unlockBypass(t, s)
 		st := t.park(c.obj, timeout)
-		s.TraceOp(t.ct, op, c.obj, core.StatusReturn)
+		s.TraceOp(t.ct(), op, c.obj, core.StatusReturn)
 		t.release()
 		m.Lock(t)
 		return st == core.WaitSignaled
@@ -102,18 +102,18 @@ func (c *Cond) wait(t *Thread, m *Mutex, timeout int64) bool {
 	// in the deterministic total order.
 	m.owner = nil
 	m.real.Unlock()
-	s.Signal(t.ct, m.obj)
-	c.dom.stack.OnRelease(t.ct)
+	s.Signal(t.ct(), m.obj)
+	c.dom.stack.OnRelease(t.ct())
 	st := t.park(c.obj, timeout)
 	for !m.real.TryLock() {
-		s.TraceOp(t.ct, core.OpMutexLock, m.obj, core.StatusBlocked)
+		s.TraceOp(t.ct(), core.OpMutexLock, m.obj, core.StatusBlocked)
 		t.park(m.obj, core.NoTimeout)
 	}
 	m.owner = t
 	// Re-entering the critical section re-grants any CSWhole lease; the
 	// release below then asks the stack's ExtendLease as usual.
-	c.dom.stack.OnAcquire(t.ct)
-	s.TraceOp(t.ct, op, c.obj, core.StatusReturn)
+	c.dom.stack.OnAcquire(t.ct())
+	s.TraceOp(t.ct(), op, c.obj, core.StatusReturn)
 	t.release()
 	return st == core.WaitSignaled
 }
@@ -133,9 +133,9 @@ func (c *Cond) Signal(t *Thread) {
 		}
 		return
 	}
-	s.GetTurn(t.ct)
-	left := s.Signal(t.ct, c.obj)
-	s.TraceOp(t.ct, core.OpCondSignal, c.obj, core.StatusOK)
+	s.GetTurn(t.ct())
+	left := s.Signal(t.ct(), c.obj)
+	s.TraceOp(t.ct(), core.OpCondSignal, c.obj, core.StatusOK)
 	if c.dom.stack.NeedWaiters() {
 		// Sticky wake lease (WakeAMAP): hold the turn lease — across whatever
 		// operations this thread performs next — while more threads wait
@@ -143,7 +143,7 @@ func (c *Cond) Signal(t *Thread) {
 		// scheduled and the woken threads resume aligned (Section 3.4).
 		// Signal already returned the remaining per-object waiter count, so
 		// no second scheduler call is needed.
-		c.dom.stack.OnSignal(t.ct, left)
+		c.dom.stack.OnSignal(t.ct(), left)
 	}
 	t.release()
 }
@@ -160,10 +160,10 @@ func (c *Cond) Broadcast(t *Thread) {
 		}
 		return
 	}
-	s.GetTurn(t.ct)
-	s.Broadcast(t.ct, c.obj)
-	s.TraceOp(t.ct, core.OpCondBroadcast, c.obj, core.StatusOK)
-	c.dom.stack.OnBroadcast(t.ct) // nobody is left waiting here
+	s.GetTurn(t.ct())
+	s.Broadcast(t.ct(), c.obj)
+	s.TraceOp(t.ct(), core.OpCondBroadcast, c.obj, core.StatusOK)
+	c.dom.stack.OnBroadcast(t.ct()) // nobody is left waiting here
 	t.release()
 }
 

@@ -118,9 +118,9 @@ func (o *object) bind(rt *Runtime, t *Thread, kind, name string) *core.Scheduler
 // turn: allocate the object id under its kind prefix ("mutex:") and trace op.
 func (o *object) init(rt *Runtime, t *Thread, kind, name string, op core.OpKind) {
 	if s := o.bind(rt, t, kind, name); s != nil {
-		s.GetTurn(t.ct)
+		s.GetTurn(t.ct())
 		o.obj = s.NewObjectKind(kind, name)
-		s.TraceOp(t.ct, op, o.obj, core.StatusOK)
+		s.TraceOp(t.ct(), op, o.obj, core.StatusOK)
 		t.release()
 	}
 }
@@ -132,9 +132,9 @@ func (o *object) destroy(t *Thread, kind string, op core.OpKind) {
 	if s == nil {
 		return
 	}
-	s.GetTurn(t.ct)
-	s.TraceOp(t.ct, op, o.obj, core.StatusOK)
-	s.DestroyObject(t.ct, o.obj)
+	s.GetTurn(t.ct())
+	s.TraceOp(t.ct(), op, o.obj, core.StatusOK)
+	s.DestroyObject(t.ct(), o.obj)
 	t.release()
 }
 

@@ -331,7 +331,7 @@ func TestLaunchRegistersRootsInStartOrder(t *testing.T) {
 				for i := 0; i < roots; i++ {
 					i := i
 					d.Start(fmt.Sprintf("r%d", i), func(x *Thread) {
-						tids[i] = x.ct.ID()
+						tids[i] = x.ct().ID()
 						x.Yield()
 					})
 				}

@@ -170,9 +170,9 @@ func (gw *Gateway) Admit(t *Thread, dst []IngressEvent) (n int, ok bool) {
 	if s == nil {
 		return gw.g.Admit(dst)
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	n, ok = gw.g.Admit(dst)
-	s.TraceOp(t.ct, core.OpIngressAdmit, gw.obj, core.StatusOK)
+	s.TraceOp(t.ct(), core.OpIngressAdmit, gw.obj, core.StatusOK)
 	t.release()
 	return n, ok
 }

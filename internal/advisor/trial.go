@@ -18,8 +18,10 @@ type TrialResult struct {
 	// tuned run's counters.
 	Stack *policy.Stack
 	// Metrics is the per-policy decision counter snapshot of the tuned run,
-	// attributing the trial's speedup to the policies that earned it.
-	Metrics []policy.Metrics
+	// attributing the trial's speedup to the policies that earned it: the
+	// stack's policies, base last, then zero entries (Policy ""), which a
+	// listing skips.
+	Metrics [policy.Slots]policy.Metrics
 	// VanillaMakespan and TunedMakespan are virtual makespans without and
 	// with the recommended policies.
 	VanillaMakespan int64

@@ -67,6 +67,38 @@ type SchedState struct {
 	Waits2  []WaitEntry   // per-object wait lists in object-id order
 }
 
+// Stats is the counters block of a SchedState as checkpoint files carry it:
+// Counters field for field, then PolicyMetrics, which CaptureState leaves
+// nil. gob writes a struct's type name and field list into the file, so this
+// layout is part of the format, and neither Counters (no PolicyMetrics) nor
+// Snapshot (an array, which gob writes even when it is zero) can stand in for
+// it. TestStatsDeclaredOnce holds its fields to Counters'.
+type Stats struct {
+	Ops, Turns, Waits, Signals, Broadcasts      int64
+	WokenBySignal, WokenByTimeout               int64
+	Handoffs, LeaseExtends, Offloads            int64
+	MaxLiveThreads, MaxWaiting, MaxTimedWaiters int
+	PolicyMetrics                               []policy.Metrics
+}
+
+// checkpointed is c in the file layout.
+func (c Counters) checkpointed() Stats {
+	return Stats{Ops: c.Ops, Turns: c.Turns, Waits: c.Waits, Signals: c.Signals, Broadcasts: c.Broadcasts,
+		WokenBySignal: c.WokenBySignal, WokenByTimeout: c.WokenByTimeout,
+		Handoffs: c.Handoffs, LeaseExtends: c.LeaseExtends, Offloads: c.Offloads,
+		MaxLiveThreads: c.MaxLiveThreads, MaxWaiting: c.MaxWaiting, MaxTimedWaiters: c.MaxTimedWaiters}
+}
+
+// counters is the inverse of checkpointed. The policy metrics are not part
+// of it: they are diagnostics of the stack, not scheduler state, and a
+// restored run counts its own.
+func (st *Stats) counters() Counters {
+	return Counters{Ops: st.Ops, Turns: st.Turns, Waits: st.Waits, Signals: st.Signals, Broadcasts: st.Broadcasts,
+		WokenBySignal: st.WokenBySignal, WokenByTimeout: st.WokenByTimeout,
+		Handoffs: st.Handoffs, LeaseExtends: st.LeaseExtends, Offloads: st.Offloads,
+		MaxLiveThreads: st.MaxLiveThreads, MaxWaiting: st.MaxWaiting, MaxTimedWaiters: st.MaxTimedWaiters}
+}
+
 // Quiescent reports whether t — which must hold the turn — is the sole
 // runnable thread with no pending wake-up and no timed waiter: the state in
 // which CaptureState is legal. A checkpointing thread drives the scheduler
@@ -105,10 +137,10 @@ func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 		VMakespan: s.vMakespan,
 		TraceLen:  s.traceLen,
 		TraceHash: s.traceHash,
-		Stats:     s.statsLocked(),
+		Stats:     s.countersLocked().checkpointed(),
 		RunQ:      []int{t.id},
 	}
-	for _, th := range s.threads {
+	for _, th := range s.tableLocked() {
 		if th == nil {
 			continue
 		}
@@ -179,8 +211,9 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 	if nonEmpty := len(s.waitedObjsLocked()); nonEmpty != len(st.Waits2) {
 		return fmt.Errorf("core: RestoreState: %d objects have waiters, snapshot has %d", nonEmpty, len(st.Waits2))
 	}
+	threads := s.tableLocked()
 	waiting := 0
-	listed := make([]bool, len(s.threads))
+	listed := make([]bool, len(threads))
 	for _, we := range st.Waits2 {
 		e, ok := s.objs[we.Obj]
 		if !ok || e.waits.n != len(we.TIDs) {
@@ -190,7 +223,7 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 			return fmt.Errorf("core: RestoreState: object %d lists %d waiters with %d park sequences", we.Obj, len(we.TIDs), len(we.Seqs))
 		}
 		for _, tid := range we.TIDs {
-			if tid < 0 || tid >= len(s.threads) || s.threads[tid] == nil || s.threads[tid].queue != qWait || s.threads[tid].obj != we.Obj {
+			if tid < 0 || tid >= len(threads) || threads[tid] == nil || threads[tid].queue != qWait || threads[tid].obj != we.Obj {
 				return fmt.Errorf("core: RestoreState: thread %d not waiting on object %d as the snapshot requires", tid, we.Obj)
 			}
 			if listed[tid] {
@@ -207,7 +240,7 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 		e := s.objs[we.Obj]
 		e.waits = tqueue{}
 		for i, tid := range we.TIDs {
-			w := s.threads[tid]
+			w := threads[tid]
 			e.waits.pushBack(w)
 			w.seq = we.Seqs[i]
 		}
@@ -218,9 +251,9 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 	if len(st.Threads) != s.live {
 		return fmt.Errorf("core: RestoreState: snapshot has %d thread records for %d live threads", len(st.Threads), s.live)
 	}
-	restored := make([]bool, len(s.threads))
+	restored := make([]bool, len(threads))
 	for _, ts := range st.Threads {
-		if ts.TID < 0 || ts.TID >= len(s.threads) || s.threads[ts.TID] == nil {
+		if ts.TID < 0 || ts.TID >= len(threads) || threads[ts.TID] == nil {
 			return fmt.Errorf("core: RestoreState: snapshot thread %d is not live", ts.TID)
 		}
 		if restored[ts.TID] {
@@ -230,14 +263,14 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 		if !s.stack.Owns(ts.Policy) {
 			return fmt.Errorf("core: RestoreState: thread %d holds a lease (%+v) of a policy %v does not run (checkpoint taken under different Policies?)", ts.TID, ts.Policy, &s.stack)
 		}
-		th := s.threads[ts.TID]
+		th := threads[ts.TID]
 		th.clock = ts.Clock
 		th.vtime = ts.VTime
 		th.pstate = ts.Policy
 	}
 
 	// Counters, hashes, virtual time — and unmute recording.
-	s.setStatsLocked(st.Stats)
+	s.setCountersLocked(st.Stats.counters())
 	s.waitSeq = st.WaitSeq
 	s.vLastOp = st.VLastOp
 	s.vMakespan = st.VMakespan

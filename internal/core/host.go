@@ -58,8 +58,10 @@ type Body interface{ Run() }
 // Host is the per-run record of a hosted scheduler. It hangs off the
 // Scheduler rather than widening Thread or the root package's Runtime, whose
 // allocation size classes the byte metrics depend on, and is recycled across
-// runs (freeHosts), so a warm hosted run allocates nothing for it.
+// runs (freeHosts), so a warm hosted run allocates nothing for it — nor for
+// its thread table, which keeps its capacity from run to run.
 type Host struct {
+	threads []*Thread // the scheduler's thread table (Scheduler.threads), by thread id
 	workers []*worker // by thread id: the coroutine of a started or fresh thread; nil for the driver (thread 0) and once a body returned
 	fresh   []*Thread // threads StartHosted queued, in creation order; fresh[next:] have never run
 	next    int
@@ -149,6 +151,7 @@ func (s *Scheduler) HostThreads() {
 	default:
 		s.host = &Host{}
 	}
+	s.threads = &s.host.threads
 }
 
 // Drives reports whether t is the driver of a hosted scheduler: thread 0, the
@@ -173,14 +176,17 @@ func (s *Scheduler) StartHosted(t *Thread, b Body) {
 
 // DrainHosted runs the threads that outlive the driver's own: called on the
 // driving goroutine once the driver thread has exited, it returns when every
-// body has returned, and gives the host record back.
+// body has returned, and gives the host record back. Every thread has exited
+// by then, and Exit cleared its table entry; the table is cleared anyway, so
+// a recycled host keeps no Thread of an earlier run alive.
 func (s *Scheduler) DrainHosted() {
 	h := s.host
 	for h.active > 0 {
 		h.resume(s)
 	}
-	s.host = nil
-	*h = Host{workers: h.workers[:0], fresh: h.fresh[:0], aside: h.aside[:0]}
+	s.host, s.threads = nil, nil
+	clear(h.threads)
+	*h = Host{threads: h.threads[:0], workers: h.workers[:0], fresh: h.fresh[:0], aside: h.aside[:0]}
 	select {
 	case freeHosts <- h:
 	default:

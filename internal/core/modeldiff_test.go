@@ -396,7 +396,7 @@ func queueIDs(q *tqueue) []int {
 func (l *lockstep) run(prog [][]scriptOp) {
 	hostedRun(l.s, len(prog), func(i int, th *Thread) {
 		if i == 0 { // the driver starts first, with every thread registered
-			l.ths = slices.Clone(l.s.threads)
+			l.ths = slices.Clone(l.s.tableLocked())
 		}
 		l.thread(th, prog[i])
 	})

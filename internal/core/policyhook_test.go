@@ -11,14 +11,14 @@ import (
 
 // statsOf runs sc on a fresh scheduler and returns its trace, its counters
 // and how many threads it still counts live.
-func statsOf(sc script, cfg Config) ([]Event, Stats, int) {
+func statsOf(sc script, cfg Config) ([]Event, Snapshot, int) {
 	cfg.Record = true
 	s := New(cfg)
 	tr := runScriptOn(s, sc.program())
 	return tr, s.Stats(), s.live
 }
 
-func totalPicks(st Stats) (picks, boosts int64) {
+func totalPicks(st Snapshot) (picks, boosts int64) {
 	for _, m := range st.PolicyMetrics {
 		picks += m.Picks
 		boosts += m.WakeBoosts

@@ -83,7 +83,7 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 		// finds nothing to resume and panics (Scheduler.stuck).
 		return nil
 	}
-	t := s.threads[want]
+	t := (*s.threads)[want]
 	if t == nil {
 		// The thread existed and is neither runnable nor waiting: it exited.
 		panic(s.divergedLocked("expected T%d to run %v but it has exited", want, s.replay[s.replayPos].Op))

@@ -75,13 +75,15 @@ type Scheduler struct {
 	nextTID int
 	nextObj uint64
 
-	// threads maps thread ID → *Thread for O(1) replay-eligibility lookups.
-	// Entries are cleared on Exit so long-running programs do not accumulate
-	// dead threads; the slot itself (one word per thread ever registered) is
-	// all an exited thread leaves behind. The table starts on threadsInline:
-	// a scheduler is built per run, and most runs stay within it.
-	threads       []*Thread
-	threadsInline [inlineThreads]*Thread
+	// threads is the thread table, thread ID → *Thread, for O(1)
+	// replay-eligibility lookups. Entries are cleared on Exit so long-running
+	// programs do not accumulate dead threads; the slot itself (one word per
+	// thread ever registered) is all an exited thread leaves behind. A hosted
+	// scheduler's table is its host record's (Host.threads), which is
+	// recycled with its capacity, so a run on a warm host grows no table; an
+	// unhosted scheduler makes its own at its first Register. Nil before the
+	// first thread and once a hosted run has drained (tableLocked).
+	threads *[]*Thread
 
 	// Virtual-time model (see core.go): vLastOp is the virtual end time of
 	// the most recent synchronization operation (guarded by the turn, i.e.
@@ -117,8 +119,8 @@ type Scheduler struct {
 	chooseIDsInline   [inlineCands]int
 	chooseCandsInline [inlineCands]*Thread
 
-	// stats holds every counter but Turns, which is turn (statsLocked).
-	stats Stats
+	// stats holds every counter but Turns, which is turn (countersLocked).
+	stats Counters
 
 	// onDeadlock, if non-nil, receives the deadlock reports of s and of every
 	// scheduler that shares it (ReportDeadlock); deadlocks, if non-nil, is the
@@ -181,7 +183,6 @@ func New(cfg Config) *Scheduler {
 		suspended: cfg.SuspendRecording,
 	}
 	s.stack.Init(cfg.Mode, cfg.Policies)
-	s.threads = s.threadsInline[:0]
 	s.chooseIDs = s.chooseIDsInline[:0]
 	s.chooseCands = s.chooseCandsInline[:0]
 	return s
@@ -201,15 +202,19 @@ func DisableLeases() (restore func()) {
 	return func() { noLeases = old }
 }
 
-// Inline backing sizes. A scheduler is built per run (the explorer and the
-// catalog build tens of thousands), so the arrays are sized to what a small
-// run touches — eight threads, three turn or wake candidates — and to keep
-// the Scheduler in the allocation size class it would occupy without them
-// plus one step; larger runs spill to the heap as before.
-const (
-	inlineThreads = 8
-	inlineCands   = 3
-)
+// inlineCands is the inline backing size of the candidate buffers. A
+// scheduler is built per run (the explorer and the catalog build tens of
+// thousands), so they are sized to what a small run touches, three turn or
+// wake candidates; larger runs spill to the heap.
+const inlineCands = 3
+
+// tableLocked is the thread table, nil while there is none (threads).
+func (s *Scheduler) tableLocked() []*Thread {
+	if s.threads == nil {
+		return nil
+	}
+	return *s.threads
+}
 
 // Stack returns the scheduler's policy stack.
 func (s *Scheduler) Stack() *policy.Stack { return &s.stack }
@@ -277,7 +282,10 @@ func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
 	t.queue = qRun
 	t.heapIdx = -1
 	s.nextTID++
-	s.threads = append(s.threads, t)
+	if s.threads == nil {
+		s.threads = new([]*Thread) // unhosted: HostThreads lends a hosted one its host's
+	}
+	*s.threads = append(*s.threads, t)
 	s.live++
 	if s.live > s.stats.MaxLiveThreads {
 		s.stats.MaxLiveThreads = s.live
@@ -355,7 +363,7 @@ func (s *Scheduler) labelLocked(obj uint64) string {
 	if l := s.objs[obj].label(); l != "" {
 		return l
 	}
-	for _, t := range s.threads {
+	for _, t := range s.tableLocked() {
 		if obj != 0 && t != nil && t.joinObj == obj && !t.joinGone {
 			return "thread:" + t.name
 		}
@@ -563,7 +571,7 @@ func (s *Scheduler) Exit(t *Thread) {
 	s.vMakespan = max(s.vMakespan, t.vtime)
 	s.removeRunnableLocked(t)
 	t.queue = qNone
-	s.threads[t.id] = nil
+	(*s.threads)[t.id] = nil
 	s.live--
 	s.releaseTurnLocked()
 	if t.granted {

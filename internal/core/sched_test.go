@@ -352,10 +352,12 @@ func (c *keepDefault) Choose(_ policy.ChoiceKind, ids []int, n, def int) int {
 	return def
 }
 
-// TestInlineTables: a scheduler is built per run, so its thread table and
-// chooser scratch start on arrays inside the Scheduler itself; a run of up to
-// inlineThreads threads (inlineCands turn candidates) never allocates them,
-// and a wider one spills to the heap and behaves the same.
+// TestInlineTables: a scheduler is built per run, so its chooser scratch
+// starts on arrays inside the Scheduler itself, and a run of up to
+// inlineCands turn candidates never allocates them, while a wider one spills
+// to the heap and behaves the same. Its thread table is its host record's: a
+// hosted scheduler registers into the host's table, which keeps its capacity
+// when the run drains and comes back cleared, holding no thread of the run.
 func TestInlineTables(t *testing.T) {
 	yields := func(s *Scheduler, n int) []Event {
 		hostedRun(s, n, func(i int, th *Thread) {
@@ -370,17 +372,25 @@ func TestInlineTables(t *testing.T) {
 		return s.Trace()
 	}
 
+	const threads = 17
 	s := New(Config{Mode: policy.RoundRobin})
 	s.HostThreads()
-	for i := 0; i < inlineThreads; i++ {
+	h := s.host
+	for i := 0; i < threads; i++ {
 		s.Register("t")
 	}
-	if &s.threads[0] != &s.threadsInline[0] || cap(s.threads) != inlineThreads {
-		t.Errorf("thread table left its inline backing at %d threads (cap %d)", len(s.threads), cap(s.threads))
+	if s.threads != &h.threads || len(h.threads) != threads || h.threads[0] == nil || h.threads[threads-1] == nil {
+		t.Fatalf("%d threads registered into a table of %d that is not the host record's", threads, len(s.tableLocked()))
 	}
-	s.Register("spill")
-	if s.threads[inlineThreads] == nil || s.threads[0] == nil || len(s.threads) != inlineThreads+1 {
-		t.Errorf("thread table lost entries spilling past %d threads", inlineThreads)
+	for _, th := range h.threads {
+		s.GetTurn(th)
+		s.Exit(th)
+	}
+	h.threads[0] = &Thread{} // a stale entry the drain must not hand on
+	s.DrainHosted()
+	if s.threads != nil || len(h.threads) != 0 || cap(h.threads) < threads || h.threads[:1][0] != nil {
+		t.Errorf("drained host: scheduler table %v, host table len %d cap %d, first slot %v; want none, 0, >= %d, nil",
+			s.threads, len(h.threads), cap(h.threads), h.threads[:1][0], threads)
 	}
 
 	ch := &keepDefault{}

@@ -6,12 +6,12 @@ import (
 	"qithread/internal/policy"
 )
 
-// Stats aggregates scheduling activity for analysis and tooling. All
-// counters are monotone over one execution. This is the only declaration of
-// the scheduler's counters: SchedState (checkpoints) and
-// qithread.SchedulerStat (live snapshots) embed it, and DESIGN.md §4.12
-// lists who increments each field under which lock.
-type Stats struct {
+// Counters holds the scheduler's activity counters, for analysis and tooling.
+// All are monotone over one execution. This is the only declaration of them:
+// the scheduler keeps one, Snapshot embeds it, a checkpoint carries it in the
+// file layout of Stats, and DESIGN.md §4.12 lists who increments each field
+// under which lock.
+type Counters struct {
 	// Ops is the number of completed synchronization operations (TraceOp
 	// calls), whether or not recording was enabled.
 	Ops int64
@@ -50,15 +50,23 @@ type Stats struct {
 	// MaxTimedWaiters is the high-water mark of the deadline heap: the most
 	// threads simultaneously blocked with a logical timeout.
 	MaxTimedWaiters int
-	// PolicyMetrics is the per-policy decision counter snapshot of the
-	// scheduler's policy stack, in stack order (semantic layers first, base
-	// policy last). It attributes scheduling decisions — turn grants,
-	// wake-up boosts, turn retentions — to the policy that made them.
-	PolicyMetrics []policy.Metrics
 }
 
-// String summarizes the stats on one line.
-func (st Stats) String() string {
+// Snapshot is what Scheduler.Stats returns and qithread.SchedulerStat
+// embeds: every counter, and the policy stack's decision counters by value,
+// so taking one allocates nothing.
+type Snapshot struct {
+	Counters
+	// PolicyMetrics attributes scheduling decisions — turn grants, wake-up
+	// boosts, turn retentions — to the policy that made them: the enabled
+	// semantic layers in stack order, then the base policy, then zero
+	// entries (Policy "") up to policy.Slots. A listing stops at the first
+	// entry without a name; a sum can take them all.
+	PolicyMetrics [policy.Slots]policy.Metrics
+}
+
+// String summarizes the counters on one line.
+func (st Counters) String() string {
 	return fmt.Sprintf("ops=%d turns=%d waits=%d signals=%d broadcasts=%d woken(signal=%d timeout=%d) maxThreads=%d",
 		st.Ops, st.Turns, st.Waits, st.Signals, st.Broadcasts,
 		st.WokenBySignal, st.WokenByTimeout, st.MaxLiveThreads)
@@ -68,28 +76,23 @@ func (st Stats) String() string {
 // the per-policy decision metrics of the policy stack. Like every read of a
 // hosted scheduler from outside its threads, call it before the run starts
 // or after it has finished.
-func (s *Scheduler) Stats() Stats {
+func (s *Scheduler) Stats() Snapshot {
 	defer s.unlock(s.lock())
-	st := s.statsLocked()
-	st.PolicyMetrics = s.stack.Metrics()
-	return st
+	return Snapshot{Counters: s.countersLocked(), PolicyMetrics: s.stack.Metrics()}
 }
 
-// statsLocked is s.stats with Turns read from logical time. PolicyMetrics is
-// left nil (the stack owns it). Stats and CaptureState both read through
-// here, so a counter added to Stats is snapshotted and checkpointed without
-// being named again.
-func (s *Scheduler) statsLocked() Stats {
-	st := s.stats
-	st.Turns = s.turn
-	return st
+// countersLocked is s.stats with Turns read from logical time. Stats and
+// CaptureState both read through here, so a counter added to Counters is
+// snapshotted without being named again; the checkpoint's block (Stats)
+// must name it too, which TestStatsDeclaredOnce enforces.
+func (s *Scheduler) countersLocked() Counters {
+	c := s.stats
+	c.Turns = s.turn
+	return c
 }
 
-// setStatsLocked is the inverse of statsLocked (RestoreState). The policy
-// metrics are not part of it: they are diagnostics of the stack, not
-// scheduler state, and a restored run counts its own.
-func (s *Scheduler) setStatsLocked(st Stats) {
-	s.turn = st.Turns
-	st.PolicyMetrics = nil
-	s.stats = st
+// setCountersLocked is the inverse of countersLocked (RestoreState).
+func (s *Scheduler) setCountersLocked(c Counters) {
+	s.turn = c.Turns
+	s.stats = c
 }

@@ -110,8 +110,17 @@ func (t *Thread) AddVTime(n int64) { t.vtime += n }
 // thread of a runtime is 0, the first created child 1, and so on).
 func (t *Thread) ID() int { return t.id }
 
-// Name returns the debugging name given at registration.
+// Name returns the thread's debugging name: the one given at registration,
+// or before it by SetName.
 func (t *Thread) Name() string { return t.name }
+
+// SetName names a thread that is not registered. A record that embeds a
+// Thread keeps its name there whether or not it is ever registered: the root
+// package's Nondet threads never are.
+func (t *Thread) SetName(name string) { t.name = name }
+
+// Registered reports whether t has been registered with a scheduler.
+func (t *Thread) Registered() bool { return t.sched != nil }
 
 // JoinObject returns the id of the thread's join object, 0 if NewJoinObject
 // never gave it one.

@@ -95,7 +95,7 @@ func TestHostedSchedulerTakesNoLock(t *testing.T) {
 	s := New(Config{Mode: policy.LogicalClock, Record: true})
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	done := make(chan Stats, 1)
+	done := make(chan Snapshot, 1)
 	go func() {
 		s.HostThreads()
 		d := s.Register("d")
@@ -265,7 +265,7 @@ func TestUnhostedProbeTurn(t *testing.T) {
 // goroutines.
 func TestUnhostedWaitSignal(t *testing.T) {
 	const rounds = 500
-	pingPong := func(run runner) Stats {
+	pingPong := func(run runner) Snapshot {
 		s := New(Config{})
 		objs := [2]uint64{s.NewObject("a"), s.NewObject("b")}
 		ball := 0 // guarded by the turn

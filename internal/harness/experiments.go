@@ -405,6 +405,9 @@ func runCounters(e *Experiment, w io.Writer, r *Runner, a Args) (*Table, error) 
 		rt := qithread.New(QiThread().Cfg)
 		spec.Build(r.Params)(rt)
 		for _, m := range rt.Stats().PolicyMetrics {
+			if m.Policy == "" {
+				break // the zero entries after the base policy
+			}
 			t.add(spec.Name, m.Policy, m.Picks, m.WakeBoosts, m.LeaseExtends, m.Arms, m.DummySyncs)
 		}
 	}

@@ -2,13 +2,15 @@ package policy
 
 import "fmt"
 
-// Metrics counts the scheduling decisions one policy made — the only place
-// these counters are declared. It is both the live block the Stack's hooks
-// increment and, copied, the snapshot Stack.Metrics, core.Stats.PolicyMetrics
-// and the tools report: after a run, each speedup (or slowdown) can be
-// attributed to the policy whose decisions produced it.
+// Metrics counts the scheduling decisions one policy made, under the
+// policy's name: the snapshot Stack.Metrics, core.Snapshot.PolicyMetrics and
+// the tools report, so that after a run each speedup (or slowdown) can be
+// attributed to the policy whose decisions produced it. The Stack's live
+// blocks are these counters without the name (counts), which is a constant
+// of the slot; a checkpoint file names this struct and its fields
+// (core.Stats), so they keep their names and order.
 //
-// The fields are deliberately not atomic: each is incremented from exactly
+// The counters are deliberately not atomic: each is incremented from exactly
 // one serialized context — Picks and WakeBoosts inside the scheduler, the
 // others under the turn — and a scheduler has one owner at a time, so plain
 // increments are race-free and keep the hooks at seed cost (an atomic add per

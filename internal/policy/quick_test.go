@@ -91,7 +91,7 @@ func TestQuickDescriptorCanonical(t *testing.T) {
 			return false
 		}
 		var got []string
-		for _, m := range stk.Metrics() {
+		for _, m := range listed(stk.Metrics()) {
 			got = append(got, m.Policy)
 		}
 		if !reflect.DeepEqual(got, append(names, "round-robin")) {
@@ -100,7 +100,7 @@ func TestQuickDescriptorCanonical(t *testing.T) {
 		}
 		for _, base := range []BaseKind{LogicalClock, VirtualClock} {
 			stk := newStack(base, set)
-			if stk.String() != base.String() || len(stk.Metrics()) != 1 || stk.NeedWaiters() || stk.WantDummySync() {
+			if stk.String() != base.String() || len(listed(stk.Metrics())) != 1 || stk.NeedWaiters() || stk.WantDummySync() {
 				t.Logf("set %v on %v: %q", set, base, stk)
 				return false
 			}
@@ -112,14 +112,61 @@ func TestQuickDescriptorCanonical(t *testing.T) {
 	}
 }
 
-// counts is the expected non-zero counters of one run, by policy name.
-type counts map[string]Metrics
+// wantCounts is the expected non-zero counters of one run, by policy name.
+type wantCounts map[string]Metrics
+
+// blocks is every counter block of stk under its slot's name, disabled
+// policies' included, which Metrics() does not report.
+func blocks(stk *Stack) (out [Slots]Metrics) {
+	for i, n := range setNames {
+		out[i] = stk.counts[i].named(n.s)
+	}
+	out[slotBase] = stk.counts[slotBase].named(stk.base.String())
+	return out
+}
+
+// listed is the named entries of a snapshot, the zero ones after the base
+// policy dropped.
+func listed(ms [Slots]Metrics) []Metrics {
+	for i, m := range ms {
+		if m.Policy == "" {
+			return ms[:i]
+		}
+	}
+	return ms[:]
+}
+
+// TestCountsMirrorMetrics: a slot's live block is Metrics without the name,
+// field for field, so named copies every counter there is.
+func TestCountsMirrorMetrics(t *testing.T) {
+	var want []string
+	m := reflect.TypeOf(Metrics{})
+	for i := 1; i < m.NumField(); i++ {
+		want = append(want, m.Field(i).Name)
+	}
+	var got []string
+	c := reflect.TypeOf(counts{})
+	for i := 0; i < c.NumField(); i++ {
+		got = append(got, c.Field(i).Name)
+	}
+	if m.Field(0).Name != "Policy" || !reflect.DeepEqual(got, want) {
+		t.Fatalf("counts has fields %v, Metrics %v after its name", got, want)
+	}
+	var blk counts
+	v := reflect.ValueOf(&blk).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(i + 1))
+	}
+	if got := blk.named("p"); got != (Metrics{"p", 1, 2, 3, 4, 5}) {
+		t.Fatalf("named copied %+v", got)
+	}
+}
 
 // checkCounts compares every counter block of stk — disabled policies'
 // included, which Metrics() does not report — against want.
-func checkCounts(t *testing.T, stk *Stack, want counts) {
+func checkCounts(t *testing.T, stk *Stack, want wantCounts) {
 	t.Helper()
-	for _, m := range stk.metrics {
+	for _, m := range blocks(stk) {
 		w := want[m.Policy]
 		w.Policy = m.Policy
 		if m != w {
@@ -138,7 +185,7 @@ func TestPolicyTable(t *testing.T) {
 		base BaseKind
 		set  Set
 		run  func(t *testing.T, stk *Stack, th *fakeThread)
-		want counts
+		want wantCounts
 	}{
 		{"round-robin picks the run-queue head and ignores the wake-up queue", RoundRobin, NoPolicies,
 			func(t *testing.T, stk *Stack, th *fakeThread) {
@@ -153,7 +200,7 @@ func TestPolicyTable(t *testing.T) {
 				}
 				stk.OnGrant(QueueRun)
 			},
-			counts{"round-robin": {Picks: 1}}},
+			wantCounts{"round-robin": {Picks: 1}}},
 		{"logical-clock picks the minimal (clock, id) over both queues", LogicalClock, NoPolicies,
 			func(t *testing.T, stk *Stack, th *fakeThread) {
 				x, y, z := &fakeThread{id: 5, clock: 7, vtime: 1}, &fakeThread{id: 4, clock: 3, vtime: 9}, &fakeThread{id: 2, clock: 3, vtime: 9}
@@ -162,7 +209,7 @@ func TestPolicyTable(t *testing.T) {
 				}
 				stk.OnGrant(QueueRun)
 			},
-			counts{"logical-clock": {Picks: 1}}},
+			wantCounts{"logical-clock": {Picks: 1}}},
 		{"virtual-clock keys on the virtual clock", VirtualClock, NoPolicies,
 			func(t *testing.T, stk *Stack, th *fakeThread) {
 				x, y := &fakeThread{id: 5, clock: 7, vtime: 1}, &fakeThread{id: 4, clock: 3, vtime: 9}
@@ -171,7 +218,7 @@ func TestPolicyTable(t *testing.T) {
 				}
 				stk.OnGrant(QueueRun)
 			},
-			counts{"virtual-clock": {Picks: 1}}},
+			wantCounts{"virtual-clock": {Picks: 1}}},
 		{"BoostBlocked routes wake-ups to the wake-up queue and picks from it first", RoundRobin, BoostBlocked,
 			func(t *testing.T, stk *Stack, th *fakeThread) {
 				if q := stk.WakeQueue(th, false); q != QueueWake {
@@ -190,7 +237,7 @@ func TestPolicyTable(t *testing.T) {
 				stk.OnGrant(QueueRun)
 				stk.OnGrant(QueueRun)
 			},
-			counts{"BoostBlocked": {Picks: 1, WakeBoosts: 2}, "round-robin": {Picks: 2}}},
+			wantCounts{"BoostBlocked": {Picks: 1, WakeBoosts: 2}, "round-robin": {Picks: 2}}},
 		{"PickNext counts nothing however often it is re-evaluated", RoundRobin, AllPolicies,
 			func(t *testing.T, stk *Stack, th *fakeThread) {
 				v := &fakeView{run: []*fakeThread{a}, wake: []*fakeThread{b}}
@@ -198,7 +245,7 @@ func TestPolicyTable(t *testing.T) {
 					stk.PickNext(v)
 				}
 			},
-			counts{}},
+			wantCounts{}},
 		{"CreateAll's lease is one-shot", RoundRobin, CreateAll,
 			func(t *testing.T, stk *Stack, th *fakeThread) {
 				if stk.ExtendLease(th) {
@@ -213,7 +260,7 @@ func TestPolicyTable(t *testing.T) {
 					t.Error("lease outlived its one release point")
 				}
 			},
-			counts{"CreateAll": {Arms: 2, LeaseExtends: 1}}},
+			wantCounts{"CreateAll": {Arms: 2, LeaseExtends: 1}}},
 		{"CSWhole nests", RoundRobin, CSWhole,
 			func(t *testing.T, stk *Stack, th *fakeThread) {
 				if !stk.OnAcquire(th) || !stk.OnAcquire(th) {
@@ -232,7 +279,7 @@ func TestPolicyTable(t *testing.T) {
 					t.Errorf("depth %d after an unbalanced release", th.ps.CSDepth)
 				}
 			},
-			counts{"CSWhole": {LeaseExtends: 3}}},
+			wantCounts{"CSWhole": {LeaseExtends: 3}}},
 		{"WakeAMAP holds while waiters remain and drops on the last waiter, a broadcast and blocking", RoundRobin, WakeAMAP,
 			func(t *testing.T, stk *Stack, th *fakeThread) {
 				if !stk.NeedWaiters() {
@@ -253,7 +300,7 @@ func TestPolicyTable(t *testing.T) {
 					}
 				}
 			},
-			counts{"WakeAMAP": {LeaseExtends: 6}}},
+			wantCounts{"WakeAMAP": {LeaseExtends: 6}}},
 		{"BranchedWake enables and counts dummy syncs", RoundRobin, BranchedWake,
 			func(t *testing.T, stk *Stack, th *fakeThread) {
 				if !stk.WantDummySync() {
@@ -261,7 +308,7 @@ func TestPolicyTable(t *testing.T) {
 				}
 				stk.OnDummySync(th)
 			},
-			counts{"BranchedWake": {DummySyncs: 1}}},
+			wantCounts{"BranchedWake": {DummySyncs: 1}}},
 		{"ExtendLease asks CreateAll, then CSWhole, then WakeAMAP, and only the winner counts", RoundRobin, AllPolicies,
 			func(t *testing.T, stk *Stack, th *fakeThread) {
 				stk.OnSignal(th, 1)
@@ -275,11 +322,11 @@ func TestPolicyTable(t *testing.T) {
 					{"CSWhole", func() { stk.OnRelease(th) }},
 					{"WakeAMAP", func() { stk.OnBroadcast(th) }},
 				} {
-					before := stk.metrics
+					before := blocks(stk)
 					if !stk.ExtendLease(th) {
 						t.Fatalf("no extension with %s's lease standing", step.winner)
 					}
-					for i, m := range stk.metrics {
+					for i, m := range blocks(stk) {
 						want := before[i]
 						if m.Policy == step.winner {
 							want.LeaseExtends++
@@ -294,7 +341,7 @@ func TestPolicyTable(t *testing.T) {
 					t.Error("extension with every lease gone")
 				}
 			},
-			counts{"CreateAll": {Arms: 1, LeaseExtends: 1}, "CSWhole": {LeaseExtends: 2}, "WakeAMAP": {LeaseExtends: 1}}},
+			wantCounts{"CreateAll": {Arms: 1, LeaseExtends: 1}, "CSWhole": {LeaseExtends: 2}, "WakeAMAP": {LeaseExtends: 1}}},
 		{"disabled policies never touch state or counters", RoundRobin, NoPolicies,
 			func(t *testing.T, stk *Stack, th *fakeThread) {
 				stk.OnArm(th)
@@ -310,7 +357,7 @@ func TestPolicyTable(t *testing.T) {
 				stk.OnBroadcast(th)
 				stk.OnBlock(th)
 			},
-			counts{}},
+			wantCounts{}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			stk, th := newStack(row.base, row.set), &fakeThread{}
@@ -389,7 +436,7 @@ func TestQuickRetainAndAcquireSemantics(t *testing.T) {
 				return false
 			}
 		}
-		checkCounts(t, stk, counts{
+		checkCounts(t, stk, wantCounts{
 			"CreateAll": {Arms: arms, LeaseExtends: ext[CreateAll]},
 			"CSWhole":   {LeaseExtends: ext[CSWhole]},
 			"WakeAMAP":  {LeaseExtends: ext[WakeAMAP]},
@@ -426,9 +473,9 @@ func TestOwns(t *testing.T) {
 	}
 }
 
-// TestMetricsOrderAndReset: Metrics reports the enabled layers first and the
-// base last, as copies of the live blocks, and filling the stack again starts
-// every counter from zero.
+// TestMetricsOrderAndReset: Metrics reports the enabled layers first, the
+// base next and zero entries after it, as copies of the live blocks, and
+// filling the stack again starts every counter from zero.
 func TestMetricsOrderAndReset(t *testing.T) {
 	stk := newStack(RoundRobin, AllPolicies)
 	th := &fakeThread{}
@@ -440,7 +487,7 @@ func TestMetricsOrderAndReset(t *testing.T) {
 	stk.OnArm(th)
 	stk.OnAcquire(th)
 	stk.OnDummySync(th)
-	want := []Metrics{
+	want := [Slots]Metrics{
 		{Policy: "BoostBlocked", Picks: 1, WakeBoosts: 1},
 		{Policy: "CreateAll", Arms: 1},
 		{Policy: "CSWhole", LeaseExtends: 1},
@@ -457,10 +504,9 @@ func TestMetricsOrderAndReset(t *testing.T) {
 		t.Fatal("Metrics returned the live blocks, not a snapshot")
 	}
 	stk.Init(RoundRobin, CSWhole|WakeAMAP)
-	for _, m := range stk.Metrics() {
-		if m.Total() != 0 {
-			t.Fatalf("counters for %s survived Init: %+v", m.Policy, m)
-		}
+	ms = stk.Metrics()
+	if want := [Slots]Metrics{{Policy: "CSWhole"}, {Policy: "WakeAMAP"}, {Policy: "round-robin"}}; ms != want {
+		t.Fatalf("metrics after Init %+v, want %+v", ms, want)
 	}
 	if got := stk.String(); got != "round-robin|CSWhole>WakeAMAP" {
 		t.Fatalf("descriptor after Init %q", got)

@@ -46,20 +46,38 @@ const (
 	slotBase
 )
 
+// Slots is the number of counter blocks a Stack keeps, and so the length of
+// its snapshot (Metrics): one per semantic policy and one for the base.
+const Slots = slotBase + 1
+
+// counts is one slot's live decision counters: a Metrics without the policy
+// name, which is a constant of the slot and is attached when a snapshot is
+// taken. The fields are Metrics' own, in its order (TestCountsMirrorMetrics).
+type counts struct {
+	Picks, WakeBoosts, LeaseExtends, Arms, DummySyncs int64
+}
+
+// named is the slot's snapshot under the given policy name.
+func (c *counts) named(policy string) Metrics {
+	return Metrics{Policy: policy, Picks: c.Picks, WakeBoosts: c.WakeBoosts,
+		LeaseExtends: c.LeaseExtends, Arms: c.Arms, DummySyncs: c.DummySyncs}
+}
+
 // Stack is a base turn policy with the enabled semantics-aware policies
 // layered above it in the Section 5.2 order. The composition is fixed by Init
 // and never changes mid-run, which is what makes schedules deterministic and
 // decisions attributable. It is plain data with no pointer into itself, held
 // by value in its scheduler; policy state lives on the threads (PerThread),
-// so besides the configuration a Stack carries only its decision counters.
+// so besides the configuration a Stack carries only its decision counters,
+// one unnamed block per slot: 248 B, held by TestRecordSizesPinned.
 //
 // All hooks run either inside the scheduler or under the turn, so they need
 // no locking of their own; see Metrics for which counter is written in which
 // context.
 type Stack struct {
-	base    BaseKind
-	set     Set
-	metrics [slotBase + 1]Metrics
+	base   BaseKind
+	set    Set
+	counts [Slots]counts
 }
 
 // Init fills s in place: the base turn policy plus, on a round-robin base
@@ -71,10 +89,6 @@ func (s *Stack) Init(base BaseKind, set Set) {
 		set = NoPolicies
 	}
 	*s = Stack{base: base, set: set & AllPolicies}
-	for i, n := range setNames {
-		s.metrics[i].Policy = n.s
-	}
-	s.metrics[slotBase].Policy = base.String()
 }
 
 // --- scheduler-level hooks ---
@@ -116,9 +130,9 @@ func (s *Stack) PickNext(v View) Thread {
 // base policy's.
 func (s *Stack) OnGrant(from Queue) {
 	if from == QueueWake {
-		s.metrics[slotBoostBlocked].Picks++
+		s.counts[slotBoostBlocked].Picks++
 	} else {
-		s.metrics[slotBase].Picks++
+		s.counts[slotBase].Picks++
 	}
 }
 
@@ -127,7 +141,7 @@ func (s *Stack) OnGrant(from Queue) {
 // vanilla Parrot behaviour).
 func (s *Stack) WakeQueue(t Thread, timedOut bool) Queue {
 	if s.set.Has(BoostBlocked) {
-		s.metrics[slotBoostBlocked].WakeBoosts++
+		s.counts[slotBoostBlocked].WakeBoosts++
 		return QueueWake
 	}
 	return QueueRun
@@ -166,11 +180,11 @@ func (s *Stack) ExtendLease(t Thread) bool {
 	switch {
 	case ps.Armed:
 		ps.Armed = false
-		s.metrics[slotCreateAll].LeaseExtends++
+		s.counts[slotCreateAll].LeaseExtends++
 	case ps.CSDepth > 0:
-		s.metrics[slotCSWhole].LeaseExtends++
+		s.counts[slotCSWhole].LeaseExtends++
 	case ps.Wake:
-		s.metrics[slotWakeAMAP].LeaseExtends++
+		s.counts[slotWakeAMAP].LeaseExtends++
 	default:
 		return false
 	}
@@ -185,7 +199,7 @@ func (s *Stack) OnAcquire(t Thread) bool {
 		return false
 	}
 	t.PolicyState().CSDepth++
-	s.metrics[slotCSWhole].LeaseExtends++
+	s.counts[slotCSWhole].LeaseExtends++
 	return true
 }
 
@@ -226,7 +240,7 @@ func (s *Stack) OnBroadcast(t Thread) {
 func (s *Stack) OnArm(t Thread) {
 	if s.set.Has(CreateAll) {
 		t.PolicyState().Armed = true
-		s.metrics[slotCreateAll].Arms++
+		s.counts[slotCreateAll].Arms++
 	}
 }
 
@@ -240,7 +254,7 @@ func (s *Stack) WantDummySync() bool { return s.set.Has(BranchedWake) }
 // a branch (Figure 7b).
 func (s *Stack) OnDummySync(t Thread) {
 	if s.set.Has(BranchedWake) {
-		s.metrics[slotBranchedWake].DummySyncs++
+		s.counts[slotBranchedWake].DummySyncs++
 	}
 }
 
@@ -255,16 +269,22 @@ func (s *Stack) Owns(ps PerThread) bool {
 		(!ps.Wake || s.set.Has(WakeAMAP))
 }
 
-// Metrics snapshots the decision counters of the enabled policies in stack
-// order, the base policy last.
-func (s *Stack) Metrics() []Metrics {
-	out := make([]Metrics, 0, len(s.metrics))
-	for i, n := range setNames {
-		if s.set.Has(n.p) {
-			out = append(out, s.metrics[i])
+// Metrics snapshots the decision counters by value: the enabled policies in
+// stack order, then the base policy, then zero entries (Policy "") up to
+// Slots, so a snapshot has one size whatever the stack and taking it
+// allocates nothing. A consumer that lists the policies stops at the first
+// entry without a name; a sum over all entries needs no such care.
+func (s *Stack) Metrics() [Slots]Metrics {
+	var out [Slots]Metrics
+	n := 0
+	for i, p := range setNames {
+		if s.set.Has(p.p) {
+			out[n] = s.counts[i].named(p.s)
+			n++
 		}
 	}
-	return append(out, s.metrics[slotBase])
+	out[n] = s.counts[slotBase].named(s.base.String())
+	return out
 }
 
 // String renders the stack descriptor: base|layer>layer>...

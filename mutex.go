@@ -66,19 +66,19 @@ func (m *Mutex) Lock(t *Thread) {
 	}
 	if m.bypass() {
 		for !m.real.TryLock() {
-			s.YieldOffTurn(t.ct)
+			s.YieldOffTurn(t.ct())
 		}
 		m.owner = t
 		// The acquisition advances the thread's virtual clock, which is how
 		// YieldOffTurn's driver tells a successful retry from a spin.
-		t.ct.MeetVTime(m.vRel)
-		t.ct.AddVTime(core.VSyncCostNative)
+		t.ct().MeetVTime(m.vRel)
+		t.ct().AddVTime(core.VSyncCostNative)
 		return
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	t.await(s, core.OpMutexLock, m.obj, m.real.TryLock)
 	m.owner = t
-	if m.dom.stack.OnAcquire(t.ct) {
+	if m.dom.stack.OnAcquire(t.ct()) {
 		// A policy (CSWhole) retains the turn at the acquisition site: the
 		// critical section runs as a whole.
 		return
@@ -101,18 +101,18 @@ func (m *Mutex) TryLock(t *Thread) bool {
 		ok := m.real.TryLock()
 		if ok {
 			m.owner = t
-			t.ct.MeetVTime(m.vRel)
+			t.ct().MeetVTime(m.vRel)
 		}
-		t.ct.AddVTime(core.VSyncCostNative)
+		t.ct().AddVTime(core.VSyncCostNative)
 		return ok
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	ok := m.real.TryLock()
 	if ok {
 		m.owner = t
 	}
-	s.TraceOp(t.ct, core.OpMutexTryLock, m.obj, core.StatusOK)
-	if ok && m.dom.stack.OnAcquire(t.ct) {
+	s.TraceOp(t.ct(), core.OpMutexTryLock, m.obj, core.StatusOK)
+	if ok && m.dom.stack.OnAcquire(t.ct()) {
 		return true
 	}
 	t.release()
@@ -131,15 +131,15 @@ func (m *Mutex) Unlock(t *Thread) {
 		m.unlockBypass(t, s)
 		return
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	if m.owner != t {
 		panic("qithread: Unlock of mutex " + m.name + " not held by " + t.String())
 	}
 	m.owner = nil
 	m.real.Unlock()
-	s.Signal(t.ct, m.obj)
-	s.TraceOp(t.ct, core.OpMutexUnlock, m.obj, core.StatusOK)
-	m.dom.stack.OnRelease(t.ct)
+	s.Signal(t.ct(), m.obj)
+	s.TraceOp(t.ct(), core.OpMutexUnlock, m.obj, core.StatusOK)
+	m.dom.stack.OnRelease(t.ct())
 	t.release()
 }
 
@@ -149,8 +149,8 @@ func (m *Mutex) Unlock(t *Thread) {
 func (m *Mutex) unlockBypass(t *Thread, s *core.Scheduler) {
 	m.owner = nil
 	if s != nil {
-		t.ct.AddVTime(core.VSyncCostNative)
-		m.vRel = t.ct.VTime()
+		t.ct().AddVTime(core.VSyncCostNative)
+		m.vRel = t.ct().VTime()
 	}
 	m.real.Unlock()
 }

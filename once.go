@@ -34,24 +34,24 @@ func (o *Once) Do(t *Thread, fn func()) {
 		o.nonce.Do(fn)
 		return
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	for o.running {
-		s.TraceOp(t.ct, core.OpOnce, o.obj, core.StatusBlocked)
+		s.TraceOp(t.ct(), core.OpOnce, o.obj, core.StatusBlocked)
 		t.park(o.obj, core.NoTimeout)
 	}
 	if o.done {
-		s.TraceOp(t.ct, core.OpOnce, o.obj, core.StatusOK)
+		s.TraceOp(t.ct(), core.OpOnce, o.obj, core.StatusOK)
 		t.release()
 		return
 	}
 	o.running = true
-	s.TraceOp(t.ct, core.OpOnce, o.obj, core.StatusOK)
+	s.TraceOp(t.ct(), core.OpOnce, o.obj, core.StatusOK)
 	t.release()
 	fn()
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	o.running = false
 	o.done = true
-	s.Broadcast(t.ct, o.obj)
-	s.TraceOp(t.ct, core.OpOnce, o.obj, core.StatusReturn)
+	s.Broadcast(t.ct(), o.obj)
+	s.TraceOp(t.ct(), core.OpOnce, o.obj, core.StatusReturn)
 	t.release()
 }

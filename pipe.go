@@ -227,12 +227,12 @@ func (p *XPipe) SendAll(t *Thread, vs []any) int {
 	for sent < len(vs) {
 		var turn, vtime int64
 		if s != nil {
-			s.GetTurn(t.ct)
-			turn, vtime = s.TurnCount(), t.ct.VTime()
+			s.GetTurn(t.ct())
+			turn, vtime = s.TurnCount(), t.ct().VTime()
 		}
-		n := p.sendBatch(t.ct, vs[sent:], turn, vtime)
+		n := p.sendBatch(t.ct(), vs[sent:], turn, vtime)
 		if s != nil {
-			s.TraceOp(t.ct, core.OpXPipeSend, p.id, core.StatusOK)
+			s.TraceOp(t.ct(), core.OpXPipeSend, p.id, core.StatusOK)
 			t.release()
 		}
 		if n == 0 {
@@ -260,13 +260,13 @@ func (p *XPipe) RecvUpTo(t *Thread, dst []any) (n int, ok bool) {
 	}
 	var turn, vmax int64
 	if s != nil {
-		s.GetTurn(t.ct)
+		s.GetTurn(t.ct())
 		turn = s.TurnCount()
 	}
-	n, vmax = p.recvBatch(t.ct, dst, turn)
+	n, vmax = p.recvBatch(t.ct(), dst, turn)
 	if s != nil {
-		t.ct.MeetVTime(vmax)
-		s.TraceOp(t.ct, core.OpXPipeRecv, p.id, core.StatusOK)
+		t.ct().MeetVTime(vmax)
+		s.TraceOp(t.ct(), core.OpXPipeRecv, p.id, core.StatusOK)
 		t.release()
 	}
 	return n, n > 0
@@ -280,12 +280,12 @@ func (p *XPipe) RecvUpTo(t *Thread, dst []any) (n int, ok bool) {
 func (p *XPipe) Close(t *Thread) {
 	s := p.from.enter(t, "xpipe sender end", p.name)
 	if s != nil {
-		s.GetTurn(t.ct)
+		s.GetTurn(t.ct())
 		p.from.xseq++
 	}
 	p.close()
 	if s != nil {
-		s.TraceOp(t.ct, core.OpXPipeClose, p.id, core.StatusOK)
+		s.TraceOp(t.ct(), core.OpXPipeClose, p.id, core.StatusOK)
 		t.release()
 	}
 }

@@ -199,7 +199,7 @@ func (rt *Runtime) Run(main func(t *Thread)) {
 	if rt.det() {
 		rt.main.sched.HostThreads()
 		// Nothing joins the main thread, so it gets no join object.
-		t.ct = rt.main.sched.RegisterIn(&t.node, "main")
+		rt.main.sched.RegisterIn(&t.node, "main")
 	}
 	rt.wg.Add(1)
 	func() {
@@ -293,21 +293,17 @@ func (rt *Runtime) ThreadsCreated() int64 { return rt.nthread.Load() }
 // Stats returns the default domain scheduler's activity counters (zero value
 // in Nondet mode, which has no deterministic scheduler). Call it after Run
 // returns or from a thread of the default domain.
-func (rt *Runtime) Stats() core.Stats {
+func (rt *Runtime) Stats() core.Snapshot {
 	if !rt.det() {
-		return core.Stats{}
+		return core.Snapshot{}
 	}
 	return rt.main.sched.Stats()
 }
 
 func (rt *Runtime) newThread(name string, d *Domain) *Thread {
 	id := rt.nthread.Add(1) - 1
-	t := &Thread{
-		rt:   rt,
-		dom:  d,
-		name: name,
-		id:   int(id),
-	}
+	t := &Thread{rt: rt, dom: d, id: int(id)}
+	t.node.SetName(name)
 	if !rt.det() {
 		// Only Nondet-mode Join reads the done channel; deterministic modes
 		// order exit observation under the turn, so they skip the allocation.

@@ -37,7 +37,7 @@ func (rw *RWMutex) RLock(t *Thread) {
 		rw.nrw.RLock()
 		return
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	t.await(s, core.OpRLock, rw.obj, func() bool { return !rw.writer && rw.waitingWri == 0 })
 	rw.readers++
 	// CSWhole deliberately does NOT retain the turn for read-side critical
@@ -53,12 +53,12 @@ func (rw *RWMutex) TryRLock(t *Thread) bool {
 	if s == nil {
 		return rw.nrw.TryRLock()
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	ok := !rw.writer && rw.waitingWri == 0
 	if ok {
 		rw.readers++
 	}
-	s.TraceOp(t.ct, core.OpTryRLock, rw.obj, core.StatusOK)
+	s.TraceOp(t.ct(), core.OpTryRLock, rw.obj, core.StatusOK)
 	t.release()
 	return ok
 }
@@ -70,7 +70,7 @@ func (rw *RWMutex) WLock(t *Thread) {
 		rw.nrw.Lock()
 		return
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	rw.waitingWri++
 	t.await(s, core.OpWLock, rw.obj, func() bool { return !rw.writer && rw.readers == 0 })
 	rw.waitingWri--
@@ -88,12 +88,12 @@ func (rw *RWMutex) TryWLock(t *Thread) bool {
 	if s == nil {
 		return rw.nrw.TryLock()
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	ok := !rw.writer && rw.readers == 0
 	if ok {
 		rw.writer = true
 	}
-	s.TraceOp(t.ct, core.OpTryWLock, rw.obj, core.StatusOK)
+	s.TraceOp(t.ct(), core.OpTryWLock, rw.obj, core.StatusOK)
 	t.release()
 	return ok
 }
@@ -119,7 +119,7 @@ func (rw *RWMutex) WUnlock(t *Thread) {
 }
 
 func (rw *RWMutex) unlock(t *Thread, s *core.Scheduler, write bool) {
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	if write {
 		if !rw.writer {
 			panic("qithread: WUnlock of rwlock not write-locked")
@@ -133,8 +133,8 @@ func (rw *RWMutex) unlock(t *Thread, s *core.Scheduler, write bool) {
 	}
 	// All contenders re-evaluate deterministically; the scheduler wakes them
 	// in FIFO order and each retries under its own turn.
-	s.Broadcast(t.ct, rw.obj)
-	s.TraceOp(t.ct, core.OpRWUnlock, rw.obj, core.StatusOK)
+	s.Broadcast(t.ct(), rw.obj)
+	s.TraceOp(t.ct(), core.OpRWUnlock, rw.obj, core.StatusOK)
 	t.release()
 }
 

@@ -40,7 +40,7 @@ func (sem *Sem) Wait(t *Thread) {
 		sem.nondetWait(core.NoTimeout)
 		return
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	t.await(s, core.OpSemWait, sem.obj, func() bool { return sem.val > 0 })
 	sem.val--
 	t.release()
@@ -59,12 +59,12 @@ func (sem *Sem) TryWait(t *Thread) bool {
 		sem.val--
 		return true
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	ok := sem.val > 0
 	if ok {
 		sem.val--
 	}
-	s.TraceOp(t.ct, core.OpSemTryWait, sem.obj, core.StatusOK)
+	s.TraceOp(t.ct(), core.OpSemTryWait, sem.obj, core.StatusOK)
 	t.release()
 	return ok
 }
@@ -77,20 +77,20 @@ func (sem *Sem) TimedWait(t *Thread, turns int64) bool {
 	if s == nil {
 		return sem.nondetWait(turns)
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	for sem.val == 0 {
-		s.TraceOp(t.ct, core.OpSemTimedWait, sem.obj, core.StatusBlocked)
+		s.TraceOp(t.ct(), core.OpSemTimedWait, sem.obj, core.StatusBlocked)
 		if st := t.park(sem.obj, turns); st == core.WaitTimeout {
 			if sem.val > 0 {
 				break // value arrived exactly with the timeout
 			}
-			s.TraceOp(t.ct, core.OpSemTimedWait, sem.obj, core.StatusReturn)
+			s.TraceOp(t.ct(), core.OpSemTimedWait, sem.obj, core.StatusReturn)
 			t.release()
 			return false
 		}
 	}
 	sem.val--
-	s.TraceOp(t.ct, core.OpSemTimedWait, sem.obj, core.StatusReturn)
+	s.TraceOp(t.ct(), core.OpSemTimedWait, sem.obj, core.StatusReturn)
 	t.release()
 	return true
 }
@@ -133,15 +133,15 @@ func (sem *Sem) Post(t *Thread) {
 		sem.ncv.Signal()
 		return
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	sem.val++
-	left := s.Signal(t.ct, sem.obj)
-	s.TraceOp(t.ct, core.OpSemPost, sem.obj, core.StatusOK)
+	left := s.Signal(t.ct(), sem.obj)
+	s.TraceOp(t.ct(), core.OpSemPost, sem.obj, core.StatusOK)
 	if sem.dom.stack.NeedWaiters() {
 		// Sticky retention (WakeAMAP) across the posting loop; see
 		// Cond.Signal. The remaining waiter count comes straight from the
 		// Signal call.
-		sem.dom.stack.OnSignal(t.ct, left)
+		sem.dom.stack.OnSignal(t.ct(), left)
 	}
 	t.release()
 }
@@ -154,9 +154,9 @@ func (sem *Sem) Value(t *Thread) int64 {
 		defer sem.nmu.Unlock()
 		return sem.val
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	v := sem.val
-	s.TraceOp(t.ct, core.OpSemGetValue, sem.obj, core.StatusOK)
+	s.TraceOp(t.ct(), core.OpSemGetValue, sem.obj, core.StatusOK)
 	t.release()
 	return v
 }

@@ -51,22 +51,22 @@ func (sb *SoftBarrier) Arrive(t *Thread) {
 	if s == nil || !sb.dom.rt.cfg.SoftBarriers {
 		return
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	sb.arrived++
 	if sb.arrived >= sb.n {
 		sb.arrived = 0
-		s.Broadcast(t.ct, sb.obj)
-		s.TraceOp(t.ct, core.OpSoftBarrier, sb.obj, core.StatusOK)
+		s.Broadcast(t.ct(), sb.obj)
+		s.TraceOp(t.ct(), core.OpSoftBarrier, sb.obj, core.StatusOK)
 		t.release()
 		return
 	}
-	s.TraceOp(t.ct, core.OpSoftBarrier, sb.obj, core.StatusBlocked)
+	s.TraceOp(t.ct(), core.OpSoftBarrier, sb.obj, core.StatusBlocked)
 	if st := t.park(sb.obj, softBarrierTimeout); st == core.WaitTimeout {
 		// Give up on the group: our arrival no longer counts.
 		if sb.arrived > 0 {
 			sb.arrived--
 		}
 	}
-	s.TraceOp(t.ct, core.OpSoftBarrier, sb.obj, core.StatusReturn)
+	s.TraceOp(t.ct(), core.OpSoftBarrier, sb.obj, core.StatusReturn)
 	t.release()
 }

@@ -12,13 +12,15 @@ import (
 
 // SchedulerStat is one scheduler domain's activity snapshot: the domain's
 // identity plus every counter of its scheduler (st.Turns, st.Ops,
-// st.LeaseExtends, st.MaxWaiting, st.PolicyMetrics, ...; the fields are
-// declared and documented once, on internal/core.Stats).
+// st.LeaseExtends, st.MaxWaiting, ...; the fields are declared and
+// documented once, on internal/core.Counters) and its policy stack's
+// decision counters (st.PolicyMetrics, whose zero entries after the base
+// policy a listing skips; see core.Snapshot).
 type SchedulerStat struct {
 	// Domain and Name identify the domain (0 is the default domain).
 	Domain int
 	Name   string
-	core.Stats
+	core.Snapshot
 }
 
 // SchedulerStats snapshots every scheduler domain's counters in domain-id
@@ -31,7 +33,7 @@ func (rt *Runtime) SchedulerStats() []SchedulerStat {
 	doms := registered(rt, &rt.domains)
 	out := make([]SchedulerStat, 0, len(doms))
 	for _, d := range doms {
-		out = append(out, SchedulerStat{Domain: d.id, Name: d.name, Stats: d.sched.Stats()})
+		out = append(out, SchedulerStat{Domain: d.id, Name: d.name, Snapshot: d.sched.Stats()})
 	}
 	return out
 }

@@ -24,13 +24,13 @@ const workQuantum = 1024
 //
 // A Thread is the one heap record of its thread: the scheduler's queue node
 // is the embedded node, registered in place, and the body function rides on
-// the record to its goroutine or coroutine instead of in a closure.
+// the record to its goroutine or coroutine instead of in a closure. The node
+// holds the thread's name too, in every mode. The record fills the 176-B
+// size class (TestRecordSizesPinned).
 type Thread struct {
 	rt   *Runtime
-	dom  *Domain      // the scheduler domain the thread belongs to
-	ct   *core.Thread // &node once registered; nil in Nondet mode
-	node core.Thread  // the scheduler's record of this thread (see register)
-	name string
+	dom  *Domain     // the scheduler domain the thread belongs to
+	node core.Thread // the scheduler's record of this thread (see register)
 	id   int
 
 	// fn is the body of a Created or Launched thread, held from creation
@@ -50,7 +50,16 @@ type Thread struct {
 }
 
 // Name returns the thread's debugging name.
-func (t *Thread) Name() string { return t.name }
+func (t *Thread) Name() string { return t.node.Name() }
+
+// ct is the thread's scheduler record, the embedded node, once registered;
+// nil before that and in Nondet mode, which registers no thread.
+func (t *Thread) ct() *core.Thread {
+	if !t.node.Registered() {
+		return nil
+	}
+	return &t.node
+}
 
 // ID returns the thread's creation index within its runtime (main is 0).
 func (t *Thread) ID() int { return t.id }
@@ -59,7 +68,7 @@ func (t *Thread) ID() int { return t.id }
 // its creator, or the domain it was Started in.
 func (t *Thread) Domain() *Domain { return t.dom }
 
-func (t *Thread) String() string { return fmt.Sprintf("T%d(%s)", t.id, t.name) }
+func (t *Thread) String() string { return fmt.Sprintf("T%d(%s)", t.id, t.Name()) }
 
 // Create starts a new thread running fn, mirroring pthread_create. It is a
 // synchronization operation: the child's position in the run queue, and
@@ -77,12 +86,12 @@ func (t *Thread) Create(name string, fn func(*Thread)) *Thread {
 		return child
 	}
 	s := t.dom.sched
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	child.register()
-	s.TraceOp(t.ct, core.OpCreate, child.node.JoinObject(), core.StatusOK)
+	s.TraceOp(t.ct(), core.OpCreate, child.node.JoinObject(), core.StatusOK)
 	// The child's virtual clock starts at the creator's current virtual
 	// time (it cannot have computed anything earlier).
-	child.ct.SetVTime(t.ct.VTime())
+	child.ct().SetVTime(t.ct().VTime())
 	t.rt.wg.Add(1)
 	spawn(child)
 	t.release()
@@ -96,16 +105,15 @@ func (t *Thread) Create(name string, fn func(*Thread)) *Thread {
 // the domain starts.
 func (t *Thread) register() {
 	s := t.dom.sched
-	t.ct = s.RegisterIn(&t.node, t.name)
-	s.NewJoinObject(t.ct)
+	s.NewJoinObject(s.RegisterIn(&t.node, t.node.Name()))
 }
 
 // spawn starts t's body: on a coroutine of its domain's driver for a
 // deterministic thread that is not a driver, on a goroutine of its own for a
 // launched domain's driver and every thread of a Nondet run.
 func spawn(t *Thread) {
-	if t.ct != nil && !t.ct.Drives() {
-		t.dom.sched.StartHosted(t.ct, (*hostedBody)(t))
+	if t.ct() != nil && !t.ct().Drives() {
+		t.dom.sched.StartHosted(t.ct(), (*hostedBody)(t))
 		return
 	}
 	go t.run()
@@ -129,8 +137,8 @@ func (t *Thread) run() {
 		// thread_begin: DMT systems add this implicit operation so child
 		// initialization is deterministically ordered (Figure 1b).
 		s := t.dom.sched
-		s.GetTurn(t.ct)
-		s.TraceOp(t.ct, core.OpThreadBegin, 0, core.StatusOK)
+		s.GetTurn(t.ct())
+		s.TraceOp(t.ct(), core.OpThreadBegin, 0, core.StatusOK)
 		t.release()
 	}
 	fn(t)
@@ -152,7 +160,7 @@ func (t *Thread) Join(c *Thread) {
 		<-c.nondetDone
 		return
 	}
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	t.await(s, core.OpJoin, c.node.JoinObject(), func() bool { return c.done })
 	t.release()
 }
@@ -167,18 +175,18 @@ func (t *Thread) exit() {
 		return
 	}
 	s := t.dom.sched
-	s.GetTurn(t.ct)
+	s.GetTurn(t.ct())
 	t.done = true
 	if obj := t.node.JoinObject(); obj != 0 {
-		s.Broadcast(t.ct, obj)
+		s.Broadcast(t.ct(), obj)
 		// Nobody waits on an exited thread (Join checks done first), so the
 		// join object's drained table entry goes now rather than one
 		// accumulating per thread ever created.
-		s.DestroyObject(t.ct, obj)
+		s.DestroyObject(t.ct(), obj)
 	}
-	s.TraceOp(t.ct, core.OpThreadEnd, 0, core.StatusOK)
-	s.Exit(t.ct)
-	if t.ct.Drives() {
+	s.TraceOp(t.ct(), core.OpThreadEnd, 0, core.StatusOK)
+	s.Exit(t.ct())
+	if t.ct().Drives() {
 		s.DrainHosted()
 		t.dom.finished()
 	}
@@ -190,7 +198,7 @@ func (t *Thread) exit() {
 // uninstrumented ones under other configurations (Figure 7a).
 func (t *Thread) KeepTurn() {
 	if t.rt.det() {
-		t.dom.stack.OnArm(t.ct)
+		t.dom.stack.OnArm(t.ct())
 	}
 }
 
@@ -203,9 +211,9 @@ func (t *Thread) DummySync() {
 		return
 	}
 	s := t.dom.sched
-	s.GetTurn(t.ct)
-	s.TraceOp(t.ct, core.OpDummySync, 0, core.StatusOK)
-	t.dom.stack.OnDummySync(t.ct)
+	s.GetTurn(t.ct())
+	s.TraceOp(t.ct(), core.OpDummySync, 0, core.StatusOK)
+	t.dom.stack.OnDummySync(t.ct())
 	t.release()
 }
 
@@ -217,8 +225,8 @@ func (t *Thread) Yield() {
 		return
 	}
 	s := t.dom.sched
-	s.GetTurn(t.ct)
-	s.TraceOp(t.ct, core.OpYield, 0, core.StatusOK)
+	s.GetTurn(t.ct())
+	s.TraceOp(t.ct(), core.OpYield, 0, core.StatusOK)
 	t.release()
 }
 
@@ -238,10 +246,10 @@ func (t *Thread) Sleep(turns int64) {
 		return
 	}
 	s := t.dom.sched
-	s.GetTurn(t.ct)
-	s.TraceOp(t.ct, core.OpSleep, 0, core.StatusBlocked)
+	s.GetTurn(t.ct())
+	s.TraceOp(t.ct(), core.OpSleep, 0, core.StatusBlocked)
 	t.park(0, turns) // object 0 is never signaled: pure timeout
-	t.ct.AddVTime(turns)
+	t.ct().AddVTime(turns)
 	t.release()
 }
 
@@ -254,8 +262,8 @@ func (t *Thread) SetBaseTime() int64 {
 		return 0
 	}
 	s := t.dom.sched
-	s.GetTurn(t.ct)
-	s.TraceOp(t.ct, core.OpSetBaseTime, 0, core.StatusOK)
+	s.GetTurn(t.ct())
+	s.TraceOp(t.ct(), core.OpSetBaseTime, 0, core.StatusOK)
 	base := s.TurnCount()
 	t.release()
 	return base
@@ -301,13 +309,13 @@ func (t *Thread) WorkSeeded(seed uint64, n int64) uint64 {
 	var v uint64
 	if n >= offloadMin {
 		j := spin.Offload(seed, n, q)
-		t.dom.sched.YieldComputing(t.ct, j)
+		t.dom.sched.YieldComputing(t.ct(), j)
 		v = j.Collect()
 	} else {
 		v = spin.Chain(seed, n, q)
 	}
 	for ; n > 0; n -= q {
-		t.dom.sched.AddWork(t.ct, min(n, q))
+		t.dom.sched.AddWork(t.ct(), min(n, q))
 	}
 	return v
 }
@@ -320,10 +328,10 @@ func (t *Thread) WorkSeeded(seed uint64, n int64) uint64 {
 // order and the first extension wins. When no policy lease holds, PutTurn may
 // still extend the scheduler's own solo-thread lease (see internal/core).
 func (t *Thread) release() {
-	if t.dom.stack.ExtendLease(t.ct) {
+	if t.dom.stack.ExtendLease(t.ct()) {
 		return
 	}
-	t.dom.sched.PutTurn(t.ct)
+	t.dom.sched.PutTurn(t.ct())
 }
 
 // park blocks the thread on the scheduler wait queue. The scheduler's Wait
@@ -331,7 +339,7 @@ func (t *Thread) release() {
 // ("... or the unblocking thread itself gets blocked", Section 3.4), and
 // releases the turn unconditionally.
 func (t *Thread) park(obj uint64, timeout int64) core.WaitStatus {
-	return t.dom.sched.Wait(t.ct, obj, timeout)
+	return t.dom.sched.Wait(t.ct(), obj, timeout)
 }
 
 // await is the blocking acquisition of every wrapper: holding the turn, it
@@ -341,9 +349,9 @@ func (t *Thread) park(obj uint64, timeout int64) core.WaitStatus {
 func (t *Thread) await(s *core.Scheduler, op core.OpKind, obj uint64, ready func() bool) {
 	st := core.StatusOK
 	for !ready() {
-		s.TraceOp(t.ct, op, obj, core.StatusBlocked)
+		s.TraceOp(t.ct(), op, obj, core.StatusBlocked)
 		st = core.StatusReturn
 		t.park(obj, core.NoTimeout)
 	}
-	s.TraceOp(t.ct, op, obj, st)
+	s.TraceOp(t.ct(), op, obj, st)
 }
