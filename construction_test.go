@@ -48,10 +48,11 @@ func minAllocs(run func()) (mallocs, bytes uint64) {
 // 56 in it, RWMutex and Barrier fill the 80 class, Once and SoftBarrier the
 // 48 class; one field more on any of them costs every instance the next
 // class. Runtime has room inside the 320 class. The Scheduler has room inside
-// the 896 class (888 B): its policy stack keeps six unnamed 40-B counter
-// blocks (policy.Stack, 248 B), and its counters carry no snapshot slice. An
-// Event is not allocated alone but by the schedule: with its ids at int32 it
-// is 32 B rather than 40, a fifth off every schedule.
+// the 896 class (840 B): its policy stack keeps six unnamed 40-B counter
+// blocks (policy.Stack, 248 B), its counters carry no snapshot slice, and its
+// chooser enumerates candidates into one inline id buffer. An Event is not
+// allocated alone but by the schedule: with its ids at int32 it is 32 B
+// rather than 40, a fifth off every schedule.
 func TestRecordSizesPinned(t *testing.T) {
 	if n := unsafe.Sizeof(Thread{}); n > 176 {
 		t.Errorf("Thread is %d B, want <= 176: the next size class is 192; per-thread state goes in core.Thread's padding or the scheduler's host record", n)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 	"strings"
 	"sync"
 
@@ -111,13 +110,12 @@ type Scheduler struct {
 	// override committed by the Chooser while the turn is free: it pins the
 	// grantee until that thread actually takes the turn, so the chooser is
 	// consulted exactly once per handoff no matter how many times the grant
-	// loops run. chooseIDs/chooseCands are reusable candidate-enumeration
-	// buffers, inline-backed like the thread table.
-	chosen            *Thread
-	chooseIDs         []int
-	chooseCands       []*Thread
-	chooseIDsInline   [inlineCands]int
-	chooseCandsInline [inlineCands]*Thread
+	// loops run. chooseIDs is the reusable candidate-enumeration buffer
+	// (choose.go), backed by chooseIDsInline until a run shows the chooser
+	// more than inlineCands candidates.
+	chosen          *Thread
+	chooseIDs       []int
+	chooseIDsInline [inlineCands]int
 
 	// stats holds every counter but Turns, which is turn (countersLocked).
 	stats Counters
@@ -156,23 +154,6 @@ func (s *Scheduler) unlock(locked bool) {
 	}
 }
 
-// objEntry is an object's entry in the scheduler's object table: its
-// debugging name, kept as the two parts the wrappers supply ("mutex:" +
-// "reqs") so object creation never concatenates, and its wait list. The kind
-// is an index into objKinds, one byte, which keeps the entry at 48 B.
-type objEntry struct {
-	name  string
-	waits tqueue
-	kind  uint8
-}
-
-// objKinds are the kind prefixes an objEntry indexes, the wrappers' object
-// kinds; the first, no prefix, is NewObject's.
-var objKinds = [...]string{"", "mutex:", "cond:", "sem:", "rwlock:", "barrier:", "once:", "softbarrier:", "gateway:"}
-
-// label renders the entry's debugging name, "" for an entry that has none.
-func (e objEntry) label() string { return objKinds[e.kind] + e.name }
-
 // New creates a scheduler with the given configuration; its policy stack is
 // the mode's base turn policy with the policies of cfg.Policies layered above.
 func New(cfg Config) *Scheduler {
@@ -184,7 +165,6 @@ func New(cfg Config) *Scheduler {
 	}
 	s.stack.Init(cfg.Mode, cfg.Policies)
 	s.chooseIDs = s.chooseIDsInline[:0]
-	s.chooseCands = s.chooseCandsInline[:0]
 	return s
 }
 
@@ -201,12 +181,6 @@ func DisableLeases() (restore func()) {
 	noLeases = true
 	return func() { noLeases = old }
 }
-
-// inlineCands is the inline backing size of the candidate buffers. A
-// scheduler is built per run (the explorer and the catalog build tens of
-// thousands), so they are sized to what a small run touches, three turn or
-// wake candidates; larger runs spill to the heap.
-const inlineCands = 3
 
 // tableLocked is the thread table, nil while there is none (threads).
 func (s *Scheduler) tableLocked() []*Thread {
@@ -294,83 +268,6 @@ func (s *Scheduler) RegisterIn(t *Thread, name string) *Thread {
 	return t
 }
 
-// NewObject allocates a deterministic ID for a synchronization object.
-// Callers must allocate deterministically (under the turn, or before any
-// concurrency), which the qithread wrappers guarantee.
-func (s *Scheduler) NewObject(name string) uint64 { return s.NewObjectKind("", name) }
-
-// NewObjectKind is NewObject with the name split into a kind prefix and the
-// caller-supplied name ("mutex:", "reqs"). A kind of objKinds, the wrappers',
-// is stored apart and only joined to the name when a debugging name is
-// actually rendered, so the wrappers' object creation paths never pay a
-// string concatenation; any other kind is joined at once.
-func (s *Scheduler) NewObjectKind(kind, name string) uint64 {
-	defer s.unlock(s.lock())
-	k := slices.Index(objKinds[:], kind)
-	if k < 0 {
-		k, name = 0, kind+name
-	}
-	s.nextObj++
-	s.putObjLocked(s.nextObj, objEntry{name: name, kind: uint8(k)})
-	return s.nextObj
-}
-
-// putObjLocked writes obj's entry, creating the table on first use.
-func (s *Scheduler) putObjLocked(obj uint64, e objEntry) {
-	if s.objs == nil {
-		s.objs = make(map[uint64]objEntry)
-	}
-	s.objs[obj] = e
-}
-
-// NewJoinObject allocates t's join object, the object its joiners wait on,
-// from the same counter as NewObject, and records it in t (JoinObject). It
-// stores no label: reports name the object "thread:" + t's name for as long as
-// t lives (labelLocked). Call it right after registering t, under the same
-// ordering rules as NewObject.
-func (s *Scheduler) NewJoinObject(t *Thread) {
-	defer s.unlock(s.lock())
-	s.nextObj++
-	t.joinObj = s.nextObj
-}
-
-// DestroyObject releases the scheduler bookkeeping of a retired
-// synchronization object, its entry in the object table, so long-running
-// programs that create and destroy objects do not accumulate entries.
-// Destroying an object with blocked waiters is a program bug (as in pthreads);
-// the entry then loses its name but keeps its wait list, so the waiters
-// remain wakeable and diagnosable. A join object is retired only by its own
-// exiting thread, and is unnamed from then on. The caller must hold the turn,
-// which the wrappers' Destroy methods guarantee.
-func (s *Scheduler) DestroyObject(t *Thread, obj uint64) {
-	defer s.unlock(s.lock())
-	s.requireTurnLocked(t, "DestroyObject")
-	if obj == t.joinObj {
-		t.joinGone = true // t exits: only a thread retires its join object
-	}
-	if e := s.objs[obj]; e.waits.head == nil {
-		delete(s.objs, obj)
-	} else {
-		s.objs[obj] = objEntry{waits: e.waits} // unnamed, still wakeable
-	}
-}
-
-// labelLocked renders obj's debugging name for reports: a wrapper object's
-// stored label, "thread:" + name for a live thread's join object not yet
-// retired (found by scanning the thread table: only reports ask), and the
-// empty string for an object that is retired or was never allocated.
-func (s *Scheduler) labelLocked(obj uint64) string {
-	if l := s.objs[obj].label(); l != "" {
-		return l
-	}
-	for _, t := range s.tableLocked() {
-		if obj != 0 && t != nil && t.joinObj == obj && !t.joinGone {
-			return "thread:" + t.name
-		}
-	}
-	return ""
-}
-
 // TurnCount returns the number of completed scheduling turns, the logical
 // time base used for deterministic timeouts.
 func (s *Scheduler) TurnCount() int64 {
@@ -434,12 +331,7 @@ func (s *Scheduler) PutTurn(t *Thread) {
 	defer s.unlock(s.lock())
 	s.requireTurnLocked(t, "PutTurn")
 	if s.soloLocked(t) {
-		// advanceTimeLocked without the expiry, which is vacuous: nobody
-		// waits, so no timer can expire.
-		s.turn++
-		if s.cfg.Mode == policy.LogicalClock {
-			t.clock += syncClockTick
-		}
+		s.advanceTimeLocked(t)
 		s.stats.LeaseExtends++
 		return
 	}
@@ -448,118 +340,6 @@ func (s *Scheduler) PutTurn(t *Thread) {
 	t.queue = qRun
 	s.runQ.pushBack(t)
 	s.releaseTurnLocked()
-}
-
-// Wait atomically releases the turn and blocks t on the wait list of obj,
-// mirroring the wait primitive of Table 1. timeout, when positive, is a
-// relative logical time in turns; NoTimeout (0) never expires. Wait returns
-// once t has been woken (by Signal, Broadcast, or timeout) AND has been
-// granted the turn, and reports how it was woken. Like GetTurn, the woken
-// thread receives the turn by direct handoff: the granter publishes all wake
-// state before setting its granted flag.
-func (s *Scheduler) Wait(t *Thread, obj uint64, timeout int64) WaitStatus {
-	defer s.unlock(s.lock())
-	s.requireTurnLocked(t, "Wait")
-	s.stack.OnBlock(t)
-	s.advanceTimeLocked(t)
-	s.removeRunnableLocked(t)
-	t.queue = qWait
-	t.obj = obj
-	t.deadline = 0
-	if timeout > 0 {
-		t.deadline = s.turn + timeout
-	}
-	s.waitSeq++
-	t.seq = s.waitSeq
-	e := s.objs[obj]
-	e.waits.pushBack(t)
-	s.putObjLocked(obj, e)
-	s.nWaiting++
-	if s.nWaiting > s.stats.MaxWaiting {
-		s.stats.MaxWaiting = s.nWaiting
-	}
-	if t.deadline > 0 {
-		s.timers.push(t)
-		if s.timers.len() > s.stats.MaxTimedWaiters {
-			s.stats.MaxTimedWaiters = s.timers.len()
-		}
-	}
-	s.stats.Waits++
-	t.wantTurn = true
-	s.releaseTurnLocked()
-	s.awaitGrant(t)
-	// waitStatus was written by wakeLocked before the grant was issued.
-	return t.waitStatus
-}
-
-// Signal wakes the first thread waiting on obj, if any, and returns the
-// number of threads still waiting there — an O(1) read of the per-object
-// wait list that wrappers feed to the policy stack's OnSignal hook (WakeAMAP)
-// without a second scheduler call. The woken thread joins the runnable queue
-// chosen by the policy stack (the wake-up queue under BoostBlocked, the tail
-// of the run queue otherwise — the vanilla Parrot behaviour). The caller
-// keeps the turn.
-func (s *Scheduler) Signal(t *Thread, obj uint64) int {
-	defer s.unlock(s.lock())
-	s.requireTurnLocked(t, "Signal")
-	s.stats.Signals++
-	e := s.objs[obj]
-	if e.waits.head == nil {
-		return 0
-	}
-	remaining := e.waits.n - 1
-	w := e.waits.head
-	if s.cfg.Chooser != nil && remaining > 0 {
-		w = s.chooseWakeLocked(&e.waits)
-	}
-	s.detachLocked(&e.waits, w)
-	s.objs[obj] = e
-	s.wakeLocked(w, WaitSignaled, t.vtime)
-	return remaining
-}
-
-// chooseWakeLocked consults the chooser about which of obj's waiters this
-// signal wakes — a choice point with one candidate per waiter, in FIFO park
-// order, defaulting to the head (the unhooked behaviour). The caller holds
-// the turn, so the wait list is frozen and the decision point is
-// deterministic. Unlike turn choices, wake choices are consulted in replay
-// runs too: replay enforces the schedule by thread id, which pins who runs
-// but not which waiter a recorded signal woke, so reproducing an explored
-// run feeds the recorded wake decisions back through a Chooser (see
-// internal/explore).
-func (s *Scheduler) chooseWakeLocked(q *tqueue) *Thread {
-	ids := s.chooseIDs[:0]
-	for w := q.head; w != nil; w = w.qnext {
-		ids = append(ids, w.id)
-	}
-	s.chooseIDs = ids
-	idx := s.consultLocked(policy.ChooseWake, ids, len(ids), 0)
-	w := q.head
-	if idx <= 0 || idx >= len(ids) {
-		return w
-	}
-	for ; idx > 0; idx-- {
-		w = w.qnext
-	}
-	return w
-}
-
-// Broadcast wakes all threads waiting on obj in wait-list (FIFO) order. It
-// empties a copy of the object's entry and writes it back once, not once per
-// waiter. The caller keeps the turn.
-func (s *Scheduler) Broadcast(t *Thread, obj uint64) {
-	defer s.unlock(s.lock())
-	s.requireTurnLocked(t, "Broadcast")
-	s.stats.Broadcasts++
-	e := s.objs[obj]
-	if e.waits.head == nil {
-		return
-	}
-	for w := e.waits.head; w != nil; w = e.waits.head {
-		s.detachLocked(&e.waits, w)
-		s.wakeLocked(w, WaitSignaled, t.vtime)
-	}
-	s.objs[obj] = e
 }
 
 // Exit removes t from the scheduler. t must hold the turn. After Exit the
@@ -602,18 +382,6 @@ func (s *Scheduler) requireTurnLocked(t *Thread, op string) {
 	}
 }
 
-// detachLocked removes w from q, its object's wait list, and, when timed,
-// from the deadline heap. q is a copy of the list from w's entry in objs,
-// which the caller writes back; the (possibly emptied) entry stays there
-// until DestroyObject.
-func (s *Scheduler) detachLocked(q *tqueue, w *Thread) {
-	q.remove(w)
-	if w.heapIdx >= 0 {
-		s.timers.remove(w)
-	}
-	s.nWaiting--
-}
-
 // syncClockTick is the amount added to a thread's logical clock per executed
 // synchronization operation in LogicalClock mode. Round-robin mode ignores
 // clocks entirely.
@@ -621,9 +389,7 @@ const syncClockTick = 1
 
 // advanceTimeLocked completes a scheduling turn: logical time advances, the
 // logical clock of the departing holder ticks (LogicalClock mode), and
-// expired timed waiters are woken in FIFO order. A solo release in PutTurn
-// performs exactly this minus the expiry scan, which is vacuous with no
-// waiters.
+// expired timed waiters are woken in FIFO order (waits.go).
 func (s *Scheduler) advanceTimeLocked(t *Thread) {
 	s.turn++
 	if s.cfg.Mode == policy.LogicalClock {
@@ -649,47 +415,6 @@ func (s *Scheduler) soloLocked(t *Thread) bool {
 // queue is exactly [t] and the wake-up queue is empty.
 func (s *Scheduler) onlyRunnableLocked(t *Thread) bool {
 	return s.runQ.head == t && t.qnext == nil && s.wakeQ.head == nil
-}
-
-// expireLocked wakes every timed waiter whose deadline has passed: heap pops
-// in (deadline, seq) order, which is FIFO registration order among waiters
-// sharing a deadline — the same order the old full-queue scan woke them in.
-// When nothing has expired (the overwhelmingly common case on a turn
-// advance) this is a single heap peek.
-func (s *Scheduler) expireLocked() {
-	for s.timers.len() > 0 {
-		w := s.timers.top()
-		if w.deadline > s.turn {
-			return
-		}
-		e := s.objs[w.obj]
-		s.detachLocked(&e.waits, w)
-		s.objs[w.obj] = e
-		s.wakeLocked(w, WaitTimeout, 0)
-	}
-}
-
-// wakeLocked moves a thread out of the wait queue into the runnable queue
-// the policy stack routes it to. wakerVTime, when positive, records the
-// happens-before edge from the waking operation: the woken thread cannot
-// resume before its waker reached the wake-up in virtual time.
-func (s *Scheduler) wakeLocked(t *Thread, st WaitStatus, wakerVTime int64) {
-	t.waitStatus = st
-	if st == WaitTimeout {
-		s.stats.WokenByTimeout++
-	} else {
-		s.stats.WokenBySignal++
-	}
-	if wakerVTime > 0 {
-		t.MeetVTime(wakerVTime)
-	}
-	if s.stack.WakeQueue(t, st == WaitTimeout) == policy.QueueWake {
-		t.queue = qWake
-		s.wakeQ.pushBack(t)
-	} else {
-		t.queue = qRun
-		s.runQ.pushBack(t)
-	}
 }
 
 // removeRunnableLocked removes t from the run or wake-up queue.
@@ -762,65 +487,6 @@ func (s *Scheduler) eligibleLocked() *Thread {
 		return def
 	}
 	return s.chooseTurnLocked(def)
-}
-
-// chooseTurnLocked consults the chooser about which runnable thread the free
-// turn goes to. It runs at the deterministic grant moment: the turn is free
-// and the stack's pick is asking for it — the instant the unhooked scheduler
-// would grant. The runnable set is frozen while the turn is free (queues are
-// mutated only by the turn holder or by the deterministic idle-expiry path,
-// which only runs when nothing is runnable), so the candidate enumeration,
-// the default index, and therefore the decision point itself do not depend
-// on when the grant loop happens to run. The chosen thread is committed in
-// s.chosen until it actually takes the turn: a candidate that is still
-// executing user code cannot be granted immediately, but being runnable it
-// must eventually ask (every thread's next synchronization operation — and
-// its exit — begins with GetTurn), and it cannot block or exit without the
-// turn, so the commitment stays valid.
-func (s *Scheduler) chooseTurnLocked(def *Thread) *Thread {
-	ids := s.chooseIDs[:0]
-	cands := s.chooseCands[:0]
-	defIdx := 0
-	for t := s.runQ.head; t != nil; t = t.qnext {
-		if t == def {
-			defIdx = len(cands)
-		}
-		ids = append(ids, t.id)
-		cands = append(cands, t)
-	}
-	for t := s.wakeQ.head; t != nil; t = t.qnext {
-		if t == def {
-			defIdx = len(cands)
-		}
-		ids = append(ids, t.id)
-		cands = append(cands, t)
-	}
-	s.chooseIDs, s.chooseCands = ids, cands
-	if len(cands) < 2 {
-		return def
-	}
-	pick := def
-	if idx := s.consultLocked(policy.ChooseTurn, ids, len(cands), defIdx); idx >= 0 && idx < len(cands) {
-		pick = cands[idx]
-	}
-	// Commit even when the chooser kept the default, so the chooser is asked
-	// exactly once per handoff regardless of how many grant attempts follow.
-	s.chosen = pick
-	return pick
-}
-
-// consultLocked forwards one choice-point consultation to the configured
-// chooser. A chooser implementing policy.TracePosChooser additionally
-// receives the domain-local trace position of the decision — s.traceLen, the
-// index the next recorded event will occupy — which is what lets the
-// schedule-space explorer align decisions with trace events for
-// happens-before pruning (internal/explore). The caller is inside the
-// scheduler, so traceLen is stable for the duration of the consultation.
-func (s *Scheduler) consultLocked(kind policy.ChoiceKind, ids []int, n, def int) int {
-	if tp, ok := s.cfg.Chooser.(policy.TracePosChooser); ok {
-		return tp.ChooseAt(s.traceLen, kind, ids, n, def)
-	}
-	return s.cfg.Chooser.Choose(kind, ids, n, def)
 }
 
 // kickLocked grants the free turn directly to the next eligible thread if
@@ -939,18 +605,6 @@ func (s *Scheduler) dumpLocked() string {
 		fmt.Fprintf(&b, "  waitQ[%s#%d]: %s\n", s.labelLocked(k), k, threadNames(s.objs[k].waits))
 	}
 	return b.String()
-}
-
-// waitedObjsLocked returns the objects with blocked threads in id order.
-func (s *Scheduler) waitedObjsLocked() []uint64 {
-	var objs []uint64
-	for k, e := range s.objs {
-		if e.waits.head != nil {
-			objs = append(objs, k)
-		}
-	}
-	slices.Sort(objs)
-	return objs
 }
 
 func threadNames(q tqueue) string {

@@ -353,7 +353,7 @@ func (c *keepDefault) Choose(_ policy.ChoiceKind, ids []int, n, def int) int {
 }
 
 // TestInlineTables: a scheduler is built per run, so its chooser scratch
-// starts on arrays inside the Scheduler itself, and a run of up to
+// starts on an array inside the Scheduler itself, and a run of up to
 // inlineCands turn candidates never allocates them, while a wider one spills
 // to the heap and behaves the same. Its thread table is its host record's: a
 // hosted scheduler registers into the host's table, which keeps its capacity
@@ -399,7 +399,7 @@ func TestInlineTables(t *testing.T) {
 	if ch.widest != inlineCands {
 		t.Fatalf("chooser saw at most %d candidates, want %d", ch.widest, inlineCands)
 	}
-	if &s.chooseIDs[:1][0] != &s.chooseIDsInline[0] || &s.chooseCands[:1][0] != &s.chooseCandsInline[0] {
+	if &s.chooseIDs[:1][0] != &s.chooseIDsInline[0] {
 		t.Errorf("chooser scratch left its inline backing at %d candidates", inlineCands)
 	}
 	if want := yields(New(Config{Mode: policy.RoundRobin, Record: true}), inlineCands); !tracesEqual(narrow, want) {

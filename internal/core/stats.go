@@ -65,11 +65,13 @@ type Snapshot struct {
 	PolicyMetrics [policy.Slots]policy.Metrics
 }
 
-// String summarizes the counters on one line.
+// String summarizes the counters on one line, every field of Counters in
+// declaration order (TestCountersStringNamesEveryField).
 func (st Counters) String() string {
-	return fmt.Sprintf("ops=%d turns=%d waits=%d signals=%d broadcasts=%d woken(signal=%d timeout=%d) maxThreads=%d",
+	return fmt.Sprintf("ops=%d turns=%d waits=%d signals=%d broadcasts=%d woken(signal=%d timeout=%d) handoffs=%d leaseExtends=%d offloads=%d maxThreads=%d maxWaiting=%d maxTimedWaiters=%d",
 		st.Ops, st.Turns, st.Waits, st.Signals, st.Broadcasts,
-		st.WokenBySignal, st.WokenByTimeout, st.MaxLiveThreads)
+		st.WokenBySignal, st.WokenByTimeout, st.Handoffs, st.LeaseExtends, st.Offloads,
+		st.MaxLiveThreads, st.MaxWaiting, st.MaxTimedWaiters)
 }
 
 // Stats returns a snapshot of the scheduler's activity counters, including

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"reflect"
+	"regexp"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -52,5 +56,26 @@ func TestStatsCounters(t *testing.T) {
 	}
 	if !strings.Contains(st.String(), "ops=4") {
 		t.Errorf("String() = %q", st.String())
+	}
+}
+
+// TestCountersStringNamesEveryField: the one-line summary renders every
+// counter, in declaration order, so a counter added to Counters cannot be
+// left out of it. Each field gets a distinct value, and the numbers the
+// line prints must be exactly those values in field order.
+func TestCountersStringNamesEveryField(t *testing.T) {
+	var c Counters
+	v := reflect.ValueOf(&c).Elem()
+	var want []string
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetInt(int64(101 + i))
+		want = append(want, strconv.Itoa(101+i))
+	}
+	var got []string
+	for _, m := range regexp.MustCompile(`=(\d+)`).FindAllStringSubmatch(c.String(), -1) {
+		got = append(got, m[1])
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("String() = %q prints %v, want every field of Counters in order: %v", c.String(), got, want)
 	}
 }

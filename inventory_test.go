@@ -20,7 +20,8 @@ import (
 // TestInventory: the cmd/ binaries, the internal/ packages and the qibench
 // experiments are exactly the rows of the three tables of DESIGN.md §4.14, in
 // order, where each names the EXPERIMENTS.md entry, test or command that needs
-// it; every E<n> the section cites is an entry of EXPERIMENTS.md and every
+// it, and the non-test files of internal/core the rows of §4.1's file table,
+// each with what it owns; every E<n> the section cites is an entry of EXPERIMENTS.md and every
 // Test, Fuzz or Benchmark function it cites exists. The experiments table and
 // README.md's command block repeat harness.Experiments and are held to it. A
 // new binary, package or experiment is a deliberate edit in two places; one
@@ -79,6 +80,28 @@ func TestInventory(t *testing.T) {
 		}
 	}
 
+	_, turn, ok := strings.Cut(design, "\n### 4.1 ")
+	if !ok {
+		t.Fatal("DESIGN.md has no §4.1")
+	}
+	turn, _, _ = strings.Cut(turn, "\n### ")
+	var coreFiles, coreDocumented []string
+	entries, err := os.ReadDir("internal/core")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if name := e.Name(); strings.HasSuffix(name, ".go") && !strings.HasSuffix(name, "_test.go") {
+			coreFiles = append(coreFiles, name)
+		}
+	}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(\\w+\\.go)` \\|").FindAllStringSubmatch(turn, -1) {
+		coreDocumented = append(coreDocumented, m[1])
+	}
+	if !slices.Equal(coreFiles, coreDocumented) {
+		t.Errorf("internal/core holds %v,\nDESIGN.md §4.1 documents %v", coreFiles, coreDocumented)
+	}
+
 	readme := read("README.md")
 	var rows []string
 	for _, e := range harness.Experiments {
@@ -126,7 +149,7 @@ func TestInventory(t *testing.T) {
 	}
 
 	var tests []string
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err == nil && strings.HasSuffix(path, "_test.go") {
 			for _, m := range regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w+)\(`).FindAllStringSubmatch(read(path), -1) {
 				tests = append(tests, m[1])
