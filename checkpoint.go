@@ -1,6 +1,7 @@
 package qithread
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -43,13 +44,13 @@ type Checkpoint struct {
 
 // Epoch returns the ingress epoch the checkpoint was taken at (0 when no
 // gateway was registered).
-func (cp *Checkpoint) Epoch() int64 { return cp.rec.Epoch }
+func (cp *Checkpoint) Epoch() int64 { return cp.rec.Epoch() }
 
 // App returns the application's own progress payload, exactly as passed to
 // Runtime.Checkpoint.
 func (cp *Checkpoint) App() []byte { return cp.rec.App }
 
-// SaveCheckpoint writes a checkpoint ("qithread-checkpoint v3b", a
+// SaveCheckpoint writes a checkpoint ("qithread-checkpoint v4b", a
 // CRC-checked binary record; see internal/ckpt).
 func SaveCheckpoint(w io.Writer, cp *Checkpoint) error {
 	return ckpt.Save(w, cp.rec)
@@ -59,7 +60,8 @@ func SaveCheckpoint(w io.Writer, cp *Checkpoint) error {
 // the older layouts are refused with an error naming the version: "v1b"
 // predates the embedded counter blocks and would resume with zeroed counters,
 // "v2b" carries per-thread policy state as slot words that do not map onto
-// policy.PerThread. Re-record the run to take a new one.
+// policy.PerThread, and "v3b" holds its one domain in lists that would decode
+// into an empty snapshot. Re-record the run to take a new one.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	rec, err := ckpt.Load(r)
 	if err != nil {
@@ -73,26 +75,48 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 // quiesces; the bound turns that into a diagnostic instead of a hang.
 const maxQuiescenceYields = 1 << 20
 
-// quiesce drives t's domain to a quiescent boundary with traced yields. The
-// yields release through PutTurn directly, not Thread.release: a policy turn
-// retention (WakeAMAP keeps the turn with a waker that has threads in the
-// wake-up queue) would otherwise extend t's turn at every release point and
-// the woken threads would never run — the drive must force real handoffs.
+// quiesce drives t's domain to a checkpoint boundary with traced yields and
+// returns holding the turn, or releases it and says why the boundary cannot
+// be reached. The yields release through PutTurn directly, not
+// Thread.release: a policy turn retention (WakeAMAP keeps the turn with a
+// waker that has threads in the wake-up queue) would otherwise extend t's
+// turn at every release point and the woken threads would never run — the
+// drive must force real handoffs. Every other domain must be idle (never
+// launched with a root; the default domain, Run's main thread's, never is):
+// checkpointing is an admission-boundary mechanism, and cross-domain traffic
+// must be drained first.
 func (rt *Runtime) quiesce(t *Thread, what string) error {
 	s := t.dom.sched
 	for i := 0; ; i++ {
 		s.GetTurn(t.ct())
-		if s.Quiescent(t.ct()) {
-			return nil // the caller proceeds under this turn hold
-		}
-		if i >= maxQuiescenceYields {
-			dump := s.Dump()
+		err := s.Quiescent(t.ct(), what)
+		if errors.Is(err, core.ErrNotQuiescent) && i < maxQuiescenceYields {
+			s.TraceOp(t.ct(), core.OpYield, 0, core.StatusOK)
 			s.PutTurn(t.ct())
-			return fmt.Errorf("qithread: %s: domain %d did not quiesce after %d yields; threads are waking each other across the boundary\n%s", what, t.dom.id, maxQuiescenceYields, dump)
+			continue
 		}
-		s.TraceOp(t.ct(), core.OpYield, 0, core.StatusOK)
+		switch {
+		case err == nil:
+			if err = rt.othersIdle(t, what); err == nil {
+				return nil // the caller proceeds under this turn hold
+			}
+		case errors.Is(err, core.ErrNotQuiescent):
+			err = fmt.Errorf("qithread: %s: domain %d did not quiesce after %d yields; threads are waking each other across the boundary\n%s", what, t.dom.id, maxQuiescenceYields, s.Dump())
+		}
 		s.PutTurn(t.ct())
+		return err
 	}
+}
+
+// othersIdle refuses a checkpoint boundary while a domain other than t's has
+// threads.
+func (rt *Runtime) othersIdle(t *Thread, what string) error {
+	for _, d := range registered(rt, &rt.domains) {
+		if d != t.dom && d.hasThreads() {
+			return fmt.Errorf("qithread: %s from %s, but %s has threads; a checkpoint boundary requires every other domain idle", what, t.dom, d)
+		}
+	}
+	return nil
 }
 
 // Checkpoint snapshots the execution's deterministic state: t's domain's
@@ -107,10 +131,8 @@ func (rt *Runtime) quiesce(t *Thread, what string) error {
 //
 // The call first drives t's domain to a quiescent boundary by yielding —
 // deterministically, so a replaying run that checkpoints at the same epochs
-// traces identical schedules. Every other domain must be idle (never
-// launched with a root; the default domain, Run's main thread's, never is):
-// checkpointing is an admission-boundary mechanism, and cross-domain traffic
-// must be drained first.
+// traces identical schedules — and refuses while another domain has threads
+// (see quiesce).
 func (rt *Runtime) Checkpoint(t *Thread, app func() []byte) (*Checkpoint, error) {
 	if !rt.det() {
 		return nil, fmt.Errorf("qithread: Checkpoint requires a deterministic Mode")
@@ -121,49 +143,25 @@ func (rt *Runtime) Checkpoint(t *Thread, app func() []byte) (*Checkpoint, error)
 	if err := rt.quiesce(t, "Checkpoint"); err != nil {
 		return nil, err
 	}
-	// The turn is held from here to the release below.
-	var payload []byte
+	defer t.release()
+	rec := &ckpt.Record{Xseq: t.dom.xseq}
 	if app != nil {
-		payload = app()
+		rec.App = app()
 	}
-	s := t.dom.sched
-	st, err := s.CaptureState(t.ct())
-	if err != nil {
-		t.release()
-		return nil, err
-	}
-	rec := &ckpt.Record{
-		Domains: []core.SchedState{*st},
-		Xseqs:   []int64{t.dom.xseq},
-		App:     payload,
-	}
-	err = func() error {
-		for _, d := range registered(rt, &rt.domains) {
-			if d == t.dom {
-				continue
-			}
-			if d.hasThreads() {
-				return fmt.Errorf("qithread: Checkpoint from %s, but %s has threads; checkpoint boundaries require every other domain idle", t.dom, d)
-			}
-		}
-		for _, p := range registered(rt, &rt.xpipes) {
-			cs, err := p.captureState()
-			if err != nil {
-				return err
-			}
-			rec.Channels = append(rec.Channels, cs)
-		}
-		for _, gw := range registered(rt, &rt.gateways) {
-			rec.Gateways = append(rec.Gateways, *gw.g.CaptureState())
-		}
-		if len(rec.Gateways) > 0 {
-			rec.Epoch = rec.Gateways[0].Epoch
-		}
-		return nil
-	}()
-	t.release()
+	st, err := t.dom.sched.CaptureState(t.ct())
 	if err != nil {
 		return nil, err
+	}
+	rec.Domain = *st
+	for _, p := range registered(rt, &rt.xpipes) {
+		cs, err := p.captureState()
+		if err != nil {
+			return nil, err
+		}
+		rec.Channels = append(rec.Channels, cs)
+	}
+	for _, gw := range registered(rt, &rt.gateways) {
+		rec.Gateways = append(rec.Gateways, *gw.g.CaptureState())
 	}
 	return &Checkpoint{rec: rec}, nil
 }
@@ -184,50 +182,35 @@ func (rt *Runtime) Resume(t *Thread) error {
 		return fmt.Errorf("qithread: Resume without Config.Resume")
 	}
 	rec := cp.rec
-	if len(rec.Domains) != 1 {
-		return fmt.Errorf("qithread: checkpoint holds %d domain snapshots, want 1", len(rec.Domains))
-	}
-	if got, want := t.dom.id, rec.Domains[0].DomainID; got != want {
+	if got, want := t.dom.id, rec.Domain.DomainID; got != want {
 		return fmt.Errorf("qithread: Resume from domain %d, but the checkpoint was taken in domain %d", got, want)
 	}
 	if err := rt.quiesce(t, "Resume"); err != nil {
 		return err
 	}
-	// The turn is held from here to the release below.
-	err := func() error {
-		for _, d := range registered(rt, &rt.domains) {
-			if d == t.dom {
-				continue
-			}
-			if d.hasThreads() {
-				return fmt.Errorf("qithread: Resume with threads in %s; the checkpoint had every other domain idle", d)
-			}
+	defer t.release()
+	pipes := registered(rt, &rt.xpipes)
+	if len(pipes) != len(rec.Channels) {
+		return fmt.Errorf("qithread: setup created %d channels, checkpoint has %d", len(pipes), len(rec.Channels))
+	}
+	for i, p := range pipes {
+		if err := p.restoreState(&rec.Channels[i]); err != nil {
+			return err
 		}
-		pipes := registered(rt, &rt.xpipes)
-		if len(pipes) != len(rec.Channels) {
-			return fmt.Errorf("qithread: setup created %d channels, checkpoint has %d", len(pipes), len(rec.Channels))
+	}
+	gws := registered(rt, &rt.gateways)
+	if len(gws) != len(rec.Gateways) {
+		return fmt.Errorf("qithread: setup created %d gateways, checkpoint has %d", len(gws), len(rec.Gateways))
+	}
+	for i, gw := range gws {
+		if err := gw.g.RestoreState(&rec.Gateways[i]); err != nil {
+			return err
 		}
-		for i, p := range pipes {
-			if err := p.restoreState(&rec.Channels[i]); err != nil {
-				return err
-			}
-		}
-		gws := registered(rt, &rt.gateways)
-		if len(gws) != len(rec.Gateways) {
-			return fmt.Errorf("qithread: setup created %d gateways, checkpoint has %d", len(gws), len(rec.Gateways))
-		}
-		for i, gw := range gws {
-			if err := gw.g.RestoreState(&rec.Gateways[i]); err != nil {
-				return err
-			}
-		}
-		t.dom.xseq = rec.Xseqs[0]
-		// The scheduler restore comes last: it verifies the rebuilt thread
-		// and wait-list structure and unmutes recording.
-		return t.dom.sched.RestoreState(t.ct(), &rec.Domains[0])
-	}()
-	t.release()
-	return err
+	}
+	t.dom.xseq = rec.Xseq
+	// The scheduler restore comes last: it verifies the rebuilt thread and
+	// wait-list structure and unmutes recording.
+	return t.dom.sched.RestoreState(t.ct(), &rec.Domain)
 }
 
 // captureState snapshots the pipe's stamp counters and running hash. Only a
@@ -239,7 +222,7 @@ func (p *XPipe) captureState() (ckpt.ChannelState, error) {
 	if p.n != 0 {
 		return ckpt.ChannelState{}, fmt.Errorf("qithread: XPipe %q holds %d in-flight messages; drain it before checkpointing", p.name, p.n)
 	}
-	return ckpt.ChannelState{ID: p.id, SendSeq: p.sendSeq, Delivered: p.delivered, Hash: p.hash, Closed: p.closed}, nil
+	return ckpt.ChannelState{ID: p.id, Messages: p.sendSeq, Hash: p.hash, Closed: p.closed}, nil
 }
 
 // restoreState reinstates a captured snapshot into a pipe the resuming setup
@@ -253,10 +236,7 @@ func (p *XPipe) restoreState(st *ckpt.ChannelState) error {
 		return fmt.Errorf("qithread: restoring XPipe id %d state into XPipe %q (id %d); pipes must be re-created in the recorded order", st.ID, p.name, p.id)
 	case p.sendSeq != 0 || p.delivered != 0:
 		return fmt.Errorf("qithread: restoring into used XPipe %q (%d sent, %d delivered)", p.name, p.sendSeq, p.delivered)
-	case st.Delivered != st.SendSeq:
-		// Capture requires a drained ring, so ever-sent == ever-delivered.
-		return fmt.Errorf("qithread: corrupt XPipe state for %q: %d delivered of %d sent", p.name, st.Delivered, st.SendSeq)
 	}
-	p.sendSeq, p.delivered, p.hash, p.closed = st.SendSeq, st.Delivered, st.Hash, st.Closed
+	p.sendSeq, p.delivered, p.hash, p.closed = st.Messages, st.Messages, st.Hash, st.Closed
 	return nil
 }

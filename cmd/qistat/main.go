@@ -1,10 +1,11 @@
 // Command qistat reads everything the other tools write: schedule files (text
 // "qithread-schedule v1/v2/v3" or binary v3b), ingress logs (binary
 // "qithread-ingress v2b"; the hex-text v1 format is refused by name), epoch
-// checkpoints ("qithread-checkpoint v3b"; the v1b counter layout and the v2b
-// policy-word layout are refused by name), the table any `qibench -experiment
-// X -o` wrote, and qiexplore results directories. Every loader checks its own
-// header, so the tool only has to sniff which FAMILY a path belongs to.
+// checkpoints ("qithread-checkpoint v4b"; the v1b counter layout, the v2b
+// policy-word layout and the v3b per-domain lists are refused by name), the
+// table any `qibench -experiment X -o` wrote, and qiexplore results
+// directories. Every loader checks its own header, so the tool only has to
+// sniff which FAMILY a path belongs to.
 //
 // Usage:
 //
@@ -171,12 +172,11 @@ func describe(w io.Writer, path string, d detail) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%s: checkpoint at epoch %d, %d bytes\n", path, rec.Epoch, len(b))
+		fmt.Fprintf(w, "%s: checkpoint at epoch %d, %d bytes\n", path, rec.Epoch(), len(b))
 		if d == verbose {
-			for _, dom := range rec.Domains {
-				fmt.Fprintf(w, "  domain %d: turn=%d live=%d traced=%d hash=%016x\n",
-					dom.DomainID, dom.Turns, dom.Live, dom.TraceLen, dom.TraceHash)
-			}
+			dom := &rec.Domain
+			fmt.Fprintf(w, "  domain %d: turn=%d live=%d traced=%d hash=%016x\n",
+				dom.DomainID, dom.Turns, len(dom.Threads), dom.TraceLen, dom.TraceHash)
 			for _, g := range rec.Gateways {
 				fmt.Fprintf(w, "  gateway: epoch=%d admitted=%d shed=%d admit=%016x shed=%016x\n",
 					g.Epoch, g.Admitted, g.Shed, g.AdmitHash, g.ShedHash)

@@ -95,9 +95,7 @@ func TestStat(t *testing.T) {
 	}}
 	binLog := write("v2b.qlog", log.SaveBinary)
 	rec := &ckpt.Record{
-		Epoch:    8,
-		Domains:  []core.SchedState{{DomainID: 0, Live: 4, TraceLen: 106, TraceHash: 0x031898876356513a, Stats: core.Stats{Turns: 60}}},
-		Xseqs:    []int64{0},
+		Domain:   core.SchedState{DomainID: 0, Threads: make([]core.ThreadState, 4), TraceLen: 106, TraceHash: 0x031898876356513a, Counters: core.Counters{Turns: 60}},
 		Gateways: []ingress.GatewayState{{Epoch: 8, AdmitHash: 0x87358aaaa23c01fd, ShedHash: 0xcbf29ce484222325, Stats: ingress.Stats{Admitted: 8}}},
 		App:      make([]byte, 40),
 	}

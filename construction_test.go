@@ -324,10 +324,10 @@ func TestGatewayAllocBudget(t *testing.T) {
 	}
 	empty := run(func(*Runtime, *Thread) {})
 	replay := run(func(rt *Runtime, main *Thread) {
-		admitAll(main, rt.Domain(0).NewGateway("gw", GatewayConfig{MaxBatch: 2, Replay: input}))
+		admitAll(main, rt.NewGateway("gw", rt.Domain(0), GatewayConfig{MaxBatch: 2, Replay: input}))
 	})
 	live := run(func(rt *Runtime, main *Thread) {
-		gw := rt.Domain(0).NewGateway("gw", GatewayConfig{MaxBatch: 2})
+		gw := rt.NewGateway("gw", rt.Domain(0), GatewayConfig{MaxBatch: 2})
 		staged := make(chan struct{})
 		gw.AddSource(ingress.FuncSource("feed", func(p *ingress.Port) {
 			for i := 0; i < input.Events(); i++ {

@@ -2,15 +2,20 @@ package qithread
 
 import (
 	"bytes"
+	"encoding/gob"
 	"fmt"
+	"os"
 	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"qithread/internal/ckpt"
 	"qithread/internal/core"
 	"qithread/internal/ingress"
+	"qithread/internal/logio"
 )
 
 // partitionModes are the two ends of mode selection: the partition rules of
@@ -394,7 +399,7 @@ func TestChooserOncePerDomain(t *testing.T) {
 
 	// Three events are staged before the gateway thread exists, so its first
 	// admission slot has a multi-event batch to offer the chooser.
-	gw := front.NewGateway("gw", GatewayConfig{})
+	gw := rt.NewGateway("gw", front, GatewayConfig{})
 	staged := make(chan struct{})
 	gw.AddSource(ingress.FuncSource("three", func(p *ingress.Port) {
 		for i := 0; i < 3; i++ {
@@ -447,53 +452,61 @@ func TestChooserOncePerDomain(t *testing.T) {
 	}
 }
 
+// boundaryProgram is TestCheckpointCarriesBoundaryState's run: domain 0
+// closes an XPipe to a never-launched domain under a mutex and checkpoints,
+// or, with cfg.Resume, creates the mutex and resumes there; either way it
+// then sends on the pipe, closes it again and takes the mutex once more. fail
+// gets each way the run departs from the uninterrupted one.
+func boundaryProgram(cfg Config, fail func(format string, args ...any)) (rt *Runtime, cp *Checkpoint) {
+	rt = New(cfg)
+	idle := rt.NewDomain("idle") // never launched
+	p := rt.NewXPipe("x", rt.Domain(0), idle, 2)
+	rt.Run(func(main *Thread) {
+		m := rt.NewMutex(main, "m")
+		if cfg.Resume != nil {
+			if err := rt.Resume(main); err != nil {
+				fail("%v", err)
+			}
+			if got := main.dom.xseq; got != 1 {
+				fail("boundary counter after Resume = %d, want 1", got)
+			}
+		} else {
+			m.Lock(main)
+			p.Close(main)
+			m.Unlock(main)
+			var err error
+			if cp, err = rt.Checkpoint(main, nil); err != nil {
+				fail("%v", err)
+			}
+		}
+		if p.Send(main, "late") {
+			fail("Send on the closed pipe succeeded")
+		}
+		p.Close(main)
+		m.Lock(main)
+		m.Unlock(main)
+	})
+	if got := rt.Domain(0).xseq; got != 2 {
+		fail("final boundary counter = %d, want 2 (two closes)", got)
+	}
+	return rt, cp
+}
+
+// boundaryConfig is the configuration boundaryProgram records under.
+var boundaryConfig = Config{Mode: RoundRobin, Policies: AllPolicies, Record: true}
+
 // TestCheckpointCarriesBoundaryState: the only boundary state a legal
 // checkpoint can carry — every other domain idle, every channel drained — is
 // a domain's boundary-operation counter and a channel's closed flag. Both
 // round-trip: the resumed run sees the pipe closed, continues the counter, and
 // ends on the fingerprint of the run that was never interrupted.
 func TestCheckpointCarriesBoundaryState(t *testing.T) {
-	cfg := Config{Mode: RoundRobin, Policies: AllPolicies, Record: true}
-	run := func(cfg Config) (rt *Runtime, cp *Checkpoint) {
-		rt = New(cfg)
-		idle := rt.NewDomain("idle") // never launched
-		p := rt.NewXPipe("x", rt.Domain(0), idle, 2)
-		rt.Run(func(main *Thread) {
-			m := rt.NewMutex(main, "m")
-			if cfg.Resume != nil {
-				if err := rt.Resume(main); err != nil {
-					t.Fatal(err)
-				}
-				if got := main.dom.xseq; got != 1 {
-					t.Fatalf("boundary counter after Resume = %d, want 1", got)
-				}
-			} else {
-				m.Lock(main)
-				p.Close(main)
-				m.Unlock(main)
-				var err error
-				if cp, err = rt.Checkpoint(main, nil); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if p.Send(main, "late") {
-				t.Error("Send on the closed pipe succeeded")
-			}
-			p.Close(main)
-			m.Lock(main)
-			m.Unlock(main)
-		})
-		if got := rt.Domain(0).xseq; got != 2 {
-			t.Fatalf("final boundary counter = %d, want 2 (two closes)", got)
-		}
-		return rt, cp
+	cfg := boundaryConfig
+	full, cp := boundaryProgram(cfg, t.Fatalf)
+	if got := cp.rec.Xseq; got != 1 {
+		t.Fatalf("checkpoint boundary counter = %v, want 1", got)
 	}
-
-	full, cp := run(cfg)
-	if got := cp.rec.Xseqs; len(got) != 1 || got[0] != 1 {
-		t.Fatalf("checkpoint boundary counters = %v, want [1]", got)
-	}
-	if got := cp.rec.Channels; len(got) != 1 || got[0].ID != 1 || !got[0].Closed || got[0].SendSeq != 0 {
+	if got := cp.rec.Channels; len(got) != 1 || got[0].ID != 1 || !got[0].Closed || got[0].Messages != 0 {
 		t.Fatalf("checkpoint channel states = %+v, want one closed, unused channel with id 1", got)
 	}
 	var buf bytes.Buffer
@@ -505,8 +518,79 @@ func TestCheckpointCarriesBoundaryState(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Resume = loaded
-	resumed, _ := run(cfg)
+	resumed, _ := boundaryProgram(cfg, t.Fatalf)
 	if got, want := resumed.Fingerprint(), full.Fingerprint(); !got.Equal(want) {
 		t.Fatalf("resumed run's fingerprint %v, uninterrupted run's %v", got, want)
 	}
+}
+
+// FuzzResume: a checkpoint is outside input, so whatever LoadCheckpoint
+// accepts must, as Config.Resume of boundaryProgram, either be refused by
+// Resume or lead to a run that ends — never a panic, never a hang (the three
+// bugs TestRestoreRejectsHostileSnapshot records were one of each kind or a
+// silent wrong state). Each input is the record payload of an otherwise
+// well-formed checkpoint file, so that mutations reach the decoder past the
+// frame's CRC. The seeds are internal/ckpt/testdata/v4b.ckpt — this
+// program's checkpoint — and one mutation of it per kind of field.
+func FuzzResume(f *testing.F) {
+	file, err := os.ReadFile("internal/ckpt/testdata/v4b.ckpt")
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, mutate := range []func(r *ckpt.Record){
+		func(*ckpt.Record) {},
+		func(r *ckpt.Record) { r.Domain.NextObj++ },                         // structure
+		func(r *ckpt.Record) { r.Domain.Holder = 5 },                        // turn holder
+		func(r *ckpt.Record) { r.Domain.Turns, r.Domain.TraceLen = -1, -1 }, // counters, trace position
+		func(r *ckpt.Record) { r.Domain.Threads[0].TID = 1 },                // thread records
+		func(r *ckpt.Record) { r.Domain.Threads[0].Policy.CSDepth = 3 },     // policy state
+		func(r *ckpt.Record) { // wait lists
+			r.Domain.WaitLists = []core.WaitEntry{{Obj: 1, Waiters: []core.Waiter{{TID: 0}}}}
+		},
+		func(r *ckpt.Record) { r.Xseq = -7 },                                                   // boundary counter
+		func(r *ckpt.Record) { r.Channels = nil },                                              // channel list
+		func(r *ckpt.Record) { r.Channels[0].Messages, r.Channels[0].Closed = 1<<64-1, false }, // channel state
+		func(r *ckpt.Record) { r.Gateways = make([]ingress.GatewayState, 1) },                  // gateways
+	} {
+		rec, err := ckpt.Load(bytes.NewReader(file))
+		if err != nil {
+			f.Fatal(err)
+		}
+		mutate(rec)
+		var payload bytes.Buffer
+		if err := gob.NewEncoder(&payload).Encode(rec); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var file bytes.Buffer
+		file.WriteString("qithread-checkpoint v4b\n")
+		fw := logio.NewFrameWriter(&file)
+		if err := fw.WriteFrame(payload); err != nil {
+			t.Skip(err)
+		}
+		if err := fw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		cp, err := LoadCheckpoint(&file)
+		if err != nil {
+			return
+		}
+		cfg := boundaryConfig
+		cfg.Resume = cp
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			boundaryProgram(cfg, func(string, ...any) {})
+		}()
+		select {
+		case r := <-done:
+			if r != nil {
+				t.Fatalf("resuming %#v panicked: %v", cp.rec, r)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("resuming %#v did not end in 10 s", cp.rec)
+		}
+	})
 }

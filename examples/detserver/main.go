@@ -252,7 +252,7 @@ func tcpServer(replay *qithread.IngressLog) ([]string, qithread.Fingerprint, *qi
 		in[k] = rt.NewXPipe(fmt.Sprintf("cmds%d", k), rt.Domain(0), doms[k], journalCap)
 		out[k] = rt.NewXPipe(fmt.Sprintf("tcpjournal%d", k), doms[k], rt.Domain(0), journalCap)
 	}
-	gw := rt.Domain(0).NewGateway("tcp", qithread.GatewayConfig{MaxBatch: 8, Replay: replay})
+	gw := rt.NewGateway("tcp", rt.Domain(0), qithread.GatewayConfig{MaxBatch: 8, Replay: replay})
 
 	if replay == nil {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")

@@ -132,12 +132,6 @@ func (rt *Runtime) NewGateway(name string, d *Domain, cfg GatewayConfig) *Gatewa
 	return gw
 }
 
-// NewGateway creates an ingress gateway owned by this domain; see
-// Runtime.NewGateway.
-func (d *Domain) NewGateway(name string, cfg GatewayConfig) *Gateway {
-	return d.rt.NewGateway(name, d, cfg)
-}
-
 // Name returns the gateway's debugging name.
 func (gw *Gateway) Name() string { return gw.name }
 

@@ -165,7 +165,7 @@ func TestGatewaySinkWithReplayPanics(t *testing.T) {
 func TestGatewayCrossDomainPanics(t *testing.T) {
 	rt := qithread.New(qithread.Config{Mode: qithread.RoundRobin})
 	d1 := rt.NewDomain("other")
-	gw := d1.NewGateway("gw", qithread.GatewayConfig{})
+	gw := rt.NewGateway("gw", d1, qithread.GatewayConfig{})
 	rt.Run(func(main *qithread.Thread) {
 		defer func() {
 			if recover() == nil {

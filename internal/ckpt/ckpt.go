@@ -4,7 +4,7 @@
 //
 // A checkpoint file reuses the shared framed container of internal/logio —
 //
-//	qithread-checkpoint v3b\n
+//	qithread-checkpoint v4b\n
 //	frame (gob-encoded Record, DEFLATE under the container's encoding byte)
 //	terminator
 //
@@ -28,6 +28,14 @@
 //     slot words of the policy engine of that time, whose layout depended on
 //     the enabled set; since v3b the field is the policy.PerThread struct
 //     itself, and no reading of the old words into it is right for every set.
+//   - v3b held lists where a resumable checkpoint has one value — a list of
+//     domain snapshots, a parallel list of boundary counters, a one-entry run
+//     queue — each wait list as parallel thread and park-sequence slices, and
+//     a pipe's sent and delivered counts apart. Since v4b the record holds
+//     the one domain, its counter and turn holder, one (thread, sequence)
+//     pair per waiter and one message count per pipe, so every state it can
+//     hold is one Resume can check; a v3b file would decode into an empty
+//     domain snapshot and zeroed pipe stamps.
 package ckpt
 
 import (
@@ -41,28 +49,27 @@ import (
 	"qithread/internal/logio"
 )
 
-const header = "qithread-checkpoint v3b"
+const header = "qithread-checkpoint v4b"
 
 // refused maps the headers of the layouts Load no longer reads to what would
 // go wrong if it did.
 var refused = map[string]string{
 	"qithread-checkpoint v1b": "their counter layout would resume with zeroed counters",
 	"qithread-checkpoint v2b": "their per-thread policy words do not map onto today's policy state",
+	"qithread-checkpoint v3b": "their per-domain lists would decode into an empty domain snapshot and zeroed pipe stamps",
 }
 
 // Record is everything a resumed run needs beyond the program itself: the
-// per-domain scheduler snapshots, the boundary counters, the channel stamp
-// state, the ingress gateway state, and an opaque application payload (the
-// program's own progress — e.g. per-worker accumulators — which the runtime
-// cannot reconstruct).
+// checkpointing domain's scheduler snapshot and boundary counter, the channel
+// stamp state, the ingress gateway state, and an opaque application payload
+// (the program's own progress — e.g. per-worker accumulators — which the
+// runtime cannot reconstruct). A checkpoint is taken with every other domain
+// idle, so their state is the state a resuming setup rebuilds.
 type Record struct {
-	// Epoch is the ingress epoch the checkpoint was taken at (0 for programs
-	// without ingress; then it is just a label).
-	Epoch int64
-	// Domains holds one scheduler snapshot per domain, in domain-id order.
-	Domains []core.SchedState
-	// Xseqs holds each domain's boundary-operation counter, same order.
-	Xseqs []int64
+	// Domain is the checkpointing domain's scheduler snapshot.
+	Domain core.SchedState
+	// Xseq is that domain's boundary-operation counter.
+	Xseq int64
 	// Channels holds the cross-domain pipe states in pipe-id order.
 	Channels []ChannelState
 	// Gateways holds the ingress gateway states in registration order.
@@ -71,15 +78,24 @@ type Record struct {
 	App []byte
 }
 
+// Epoch is the ingress epoch the checkpoint was taken at: the first
+// gateway's, or 0 for a program without ingress.
+func (r *Record) Epoch() int64 {
+	if len(r.Gateways) == 0 {
+		return 0
+	}
+	return r.Gateways[0].Epoch
+}
+
 // ChannelState is the checkpointed state of one cross-domain pipe (an
-// XPipe): its stamp counters and running delivery hash. A checkpoint is only
-// taken with every pipe drained, so no message value ever enters it.
+// XPipe): its stamp counter and running delivery hash. A checkpoint is only
+// taken with every pipe drained, so no message value ever enters it, and
+// every message the pipe ever carried was both sent and delivered.
 type ChannelState struct {
-	ID        uint64
-	SendSeq   uint64 // messages ever enqueued
-	Delivered uint64 // messages ever delivered
-	Hash      uint64 // running delivery hash
-	Closed    bool
+	ID       uint64
+	Messages uint64 // messages ever sent, all of them delivered
+	Hash     uint64 // running delivery hash
+	Closed   bool
 }
 
 // Save writes the checkpoint record.
@@ -130,9 +146,6 @@ func Load(rd io.Reader) (*Record, error) {
 			return nil, fmt.Errorf("ckpt: trailing frame after the checkpoint record")
 		}
 		return nil, err
-	}
-	if len(r.Xseqs) != len(r.Domains) {
-		return nil, fmt.Errorf("ckpt: %d xseq counters for %d domains", len(r.Xseqs), len(r.Domains))
 	}
 	return r, nil
 }

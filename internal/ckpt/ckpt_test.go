@@ -22,37 +22,35 @@ import (
 const (
 	headerV1 = "qithread-checkpoint v1b"
 	headerV2 = "qithread-checkpoint v2b"
+	headerV3 = "qithread-checkpoint v3b"
 )
 
 // sampleRecord is a checkpoint with every section populated: two wait lists,
-// a non-empty admission queue, counters set in both embedded Stats blocks.
-// Empty slices are left nil, which is how gob decodes them.
+// a non-empty admission queue, counters set in the scheduler's and the
+// gateway's embedded blocks. Empty slices are left nil, which is how gob
+// decodes them.
 func sampleRecord() *Record {
 	return &Record{
-		Epoch: 7,
-		Domains: []core.SchedState{{
-			DomainID: 1, WaitSeq: 9, NextTID: 3, NextObj: 5, Live: 3,
+		Domain: core.SchedState{
+			DomainID: 1, WaitSeq: 9, NextTID: 3, NextObj: 5, Holder: 0,
 			VLastOp: 1200, VMakespan: 1300, TraceLen: 41, TraceHash: 0xfeedface,
-			Stats: core.Stats{
+			Counters: core.Counters{
 				Ops: 41, Turns: 57, Waits: 6, Signals: 4, Broadcasts: 1,
 				WokenBySignal: 5, WokenByTimeout: 1, Handoffs: 30, LeaseExtends: 11,
 				MaxLiveThreads: 3, MaxWaiting: 2, MaxTimedWaiters: 1,
-				// CaptureState leaves this nil, but it is a field of the
-				// embedded block, so the format has to carry it.
-				PolicyMetrics: []policy.Metrics{{Policy: "CSWhole", LeaseExtends: 9}, {Policy: "round-robin", Picks: 30}},
 			},
-			RunQ: []int{0},
 			Threads: []core.ThreadState{
 				{TID: 0, Clock: 10, VTime: 1200, Policy: policy.PerThread{Armed: true, CSDepth: 2}},
 				{TID: 1, Clock: 8, VTime: 900, Policy: policy.PerThread{Wake: true}},
 				{TID: 2, Clock: 8, VTime: 950},
 			},
-			Waits2: []core.WaitEntry{
-				{Obj: 2, TIDs: []int{2, 1}, Seqs: []uint64{7, 8}},
+			WaitLists: []core.WaitEntry{
+				{Obj: 2, Waiters: []core.Waiter{{TID: 2, Seq: 7}, {TID: 1, Seq: 8}}},
+				{Obj: 4, Waiters: []core.Waiter{{TID: 0, Seq: 3}}},
 			},
-		}},
-		Xseqs:    []int64{12},
-		Channels: []ChannelState{{ID: 1, SendSeq: 12, Delivered: 12, Hash: 0x1234, Closed: true}},
+		},
+		Xseq:     12,
+		Channels: []ChannelState{{ID: 1, Messages: 12, Hash: 0x1234, Closed: true}},
 		Gateways: []ingress.GatewayState{{
 			Epoch: 7, Seq: 19,
 			Queue:     []ingress.Event{{Source: 1, Data: []byte("req"), Epoch: 7, Seq: 19}},
@@ -114,26 +112,30 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCheckpointFormatPinned: testdata/v3b.ckpt is the checkpoint the parent
-// of the change that moved ChannelState into this package wrote for the run
-// of the root package's TestCheckpointCarriesBoundaryState — one domain, its
-// boundary counter at 1, one closed pipe that never carried a message — and
-// its SHA-256 was recorded there. gob names a struct type without its
-// package, so the move must not change what such a file loads to. The decoded
-// fields are compared, not re-encoded bytes: gob type ids are process-global,
-// so a re-encoding depends on which test encoded first.
+// TestCheckpointFormatPinned: testdata/v4b.ckpt is the checkpoint the build
+// that introduced the v4b layout wrote for the run of the root package's
+// TestCheckpointCarriesBoundaryState — one domain, its boundary counter at 1,
+// one closed pipe that never carried a message — and its SHA-256 was
+// recorded there; it must load to that run's state. The decoded fields are
+// compared, not re-encoded bytes: gob type ids are process-global, so a
+// re-encoding depends on which test encoded first. testdata/v3b.ckpt is the
+// same run's checkpoint in the previous layout, which Load refuses by name.
 func TestCheckpointFormatPinned(t *testing.T) {
-	const sha = "e2e0aefec0a99d722b49e5ee72548304b2222d89d46e764b514bc12b59fae3bd"
-	file, err := os.ReadFile("testdata/v3b.ckpt")
-	if err != nil {
-		t.Fatal(err)
+	pinned := func(name, header, sha string) []byte {
+		t.Helper()
+		file, err := os.ReadFile("testdata/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum := sha256.Sum256(file); hex.EncodeToString(sum[:]) != sha {
+			t.Errorf("testdata/%s is not the file its build wrote (sha256 %x)", name, sum)
+		}
+		if !bytes.HasPrefix(file, []byte(header+"\n")) {
+			t.Errorf("testdata/%s does not start with %q", name, header)
+		}
+		return file
 	}
-	if sum := sha256.Sum256(file); hex.EncodeToString(sum[:]) != sha {
-		t.Errorf("testdata/v3b.ckpt is not the file the parent build wrote (sha256 %x)", sum)
-	}
-	if !bytes.HasPrefix(file, []byte(header+"\n")) {
-		t.Errorf("testdata/v3b.ckpt does not start with %q", header)
-	}
+	file := pinned("v4b.ckpt", header, "0d15908bd53351ce1d1f39739c6958cad539a591aaaeede88c17411d309d59d3")
 	rec, err := Load(bytes.NewReader(file))
 	if err != nil {
 		t.Fatal(err)
@@ -142,33 +144,34 @@ func TestCheckpointFormatPinned(t *testing.T) {
 	if !reflect.DeepEqual(rec.Channels, wantChans) {
 		t.Errorf("channel states %+v, want %+v", rec.Channels, wantChans)
 	}
-	if !reflect.DeepEqual(rec.Xseqs, []int64{1}) || rec.Epoch != 0 || rec.Gateways != nil || rec.App != nil {
-		t.Errorf("loaded epoch %d, xseqs %v, %d gateways, app %q; want 0, [1], none, none", rec.Epoch, rec.Xseqs, len(rec.Gateways), rec.App)
+	if rec.Xseq != 1 || rec.Epoch() != 0 || rec.Gateways != nil || rec.App != nil {
+		t.Errorf("loaded epoch %d, xseq %d, %d gateways, app %q; want 0, 1, none, none", rec.Epoch(), rec.Xseq, len(rec.Gateways), rec.App)
 	}
-	if len(rec.Domains) != 1 {
-		t.Fatalf("loaded %d domain snapshots, want 1", len(rec.Domains))
+	if d := rec.Domain; d.DomainID != 0 || d.Holder != 0 || d.TraceLen != 4 || d.TraceHash != 0x9995b082fbb3b164 || len(d.Threads) != 1 || d.WaitLists != nil {
+		t.Errorf("domain snapshot: id %d, holder T%d, trace %d events hashing to %x, %d threads, %d wait lists; want 0, T0, 4, 9995b082fbb3b164, 1, none",
+			d.DomainID, d.Holder, d.TraceLen, d.TraceHash, len(d.Threads), len(d.WaitLists))
 	}
-	if d := rec.Domains[0]; d.DomainID != 0 || d.TraceLen != 4 || d.TraceHash != 0x9995b082fbb3b164 || len(d.Threads) != 1 {
-		t.Errorf("domain snapshot: id %d, trace %d events hashing to %x, %d threads; want 0, 4, 9995b082fbb3b164, 1",
-			d.DomainID, d.TraceLen, d.TraceHash, len(d.Threads))
+
+	v3 := pinned("v3b.ckpt", headerV3, "e2e0aefec0a99d722b49e5ee72548304b2222d89d46e764b514bc12b59fae3bd")
+	if _, err := Load(bytes.NewReader(v3)); err == nil || !strings.Contains(err.Error(), `"qithread-checkpoint v3b" checkpoints are no longer readable`) {
+		t.Errorf("Load(testdata/v3b.ckpt) = %v, want the refusal naming its header", err)
 	}
 }
 
-// distinctCounters sets every numeric field of *stats (a struct pointer) to
-// its own non-zero value and fails on a field that is neither numeric nor
-// named in skip — a new kind of field needs a decision about checkpoints.
-func distinctCounters(t *testing.T, stats any, skip string) {
+// distinctCounters sets every field of *stats (a struct pointer) to its own
+// non-zero value and fails on a field that is not numeric — a new kind of
+// field needs a decision about checkpoints.
+func distinctCounters(t *testing.T, stats any) {
 	t.Helper()
 	v := reflect.ValueOf(stats).Elem()
 	for i := 0; i < v.NumField(); i++ {
-		f, name := v.Field(i), v.Type().Field(i).Name
-		switch {
+		switch f := v.Field(i); {
 		case f.CanInt():
 			f.SetInt(int64(100 + i))
 		case f.CanUint():
 			f.SetUint(uint64(100 + i))
-		case name != skip:
-			t.Fatalf("%s.%s is a %s, not a counter; decide whether a checkpoint carries it", v.Type(), name, f.Kind())
+		default:
+			t.Fatalf("%s.%s is a %s, not a counter; decide whether a checkpoint carries it", v.Type(), v.Type().Field(i).Name, f.Kind())
 		}
 	}
 }
@@ -184,19 +187,18 @@ func throughFile(t *testing.T, r *Record) *Record {
 }
 
 // TestSchedStateCarriesEveryCounter: a checkpoint carries every counter of
-// core.Stats, the file's counters block. Each numeric field gets a distinct
-// value; restoring them into a scheduler puts them where the scheduler counts
-// (its core.Counters), CaptureState must read every one back, the snapshot
-// goes through the file format, and a second scheduler of the same structure
-// restored from it must report them all from Stats(). PolicyMetrics is the
-// one exclusion: the stack's decision counters are diagnostics and a resumed
-// run counts its own. (While SchedState listed its counters field by field,
-// MaxWaiting was never added to the list and a checkpoint dropped it.) The
-// thread's policy state takes the same trip: every lease a policy can leave
-// on a thread is standing at the capture and stands again after the restore.
+// core.Counters, which SchedState embeds. Each field gets a distinct value;
+// restoring them into a scheduler puts them where the scheduler counts,
+// CaptureState must read every one back, the snapshot goes through the file
+// format, and a second scheduler of the same structure restored from it must
+// report them all from Stats(). (While SchedState listed its counters field
+// by field, MaxWaiting was never added to the list and a checkpoint dropped
+// it.) The thread's policy state takes the same trip: every lease a policy
+// can leave on a thread is standing at the capture and stands again after
+// the restore.
 func TestSchedStateCarriesEveryCounter(t *testing.T) {
-	var want core.Stats
-	distinctCounters(t, &want, "PolicyMetrics")
+	var want core.Counters
+	distinctCounters(t, &want)
 	wantLeases := policy.PerThread{Armed: true, Wake: true, CSDepth: 2}
 
 	// Schedulers of identical structure (one registered thread holding the
@@ -218,30 +220,24 @@ func TestSchedStateCarriesEveryCounter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Stats = want
+	st.Counters = want
 	if err := src.RestoreState(srcT, st); err != nil {
 		t.Fatal(err)
 	}
 	if st, err = src.CaptureState(srcT); err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(st.Stats, want) {
-		t.Fatalf("CaptureState dropped a counter:\n got  %#v\n want %#v", st.Stats, want)
+	if st.Counters != want {
+		t.Fatalf("CaptureState dropped a counter:\n got  %#v\n want %#v", st.Counters, want)
 	}
 
-	rec := throughFile(t, &Record{Domains: []core.SchedState{*st}, Xseqs: []int64{0}})
+	rec := throughFile(t, &Record{Domain: *st})
 	dst, dstT := solo()
-	if err := dst.RestoreState(dstT, &rec.Domains[0]); err != nil {
+	if err := dst.RestoreState(dstT, &rec.Domain); err != nil {
 		t.Fatal(err)
 	}
-	// The scheduler reports its counters as core.Counters, the fields of the
-	// file's block but PolicyMetrics: compared by name.
-	got := reflect.ValueOf(dst.Stats().Counters)
-	for i := 0; i < got.NumField(); i++ {
-		name := got.Type().Field(i).Name
-		if w := reflect.ValueOf(want).FieldByName(name); !w.IsValid() || !w.Equal(got.Field(i)) {
-			t.Errorf("counter %s after checkpoint and resume: %v, want %v", name, got.Field(i), w)
-		}
+	if got := dst.Stats().Counters; got != want {
+		t.Errorf("counters after checkpoint and resume:\n got  %#v\n want %#v", got, want)
 	}
 	if got := *dstT.PolicyState(); got != wantLeases {
 		t.Fatalf("policy state after checkpoint and resume: %+v, want %+v", got, wantLeases)
@@ -255,7 +251,7 @@ func TestSchedStateCarriesEveryCounter(t *testing.T) {
 // continues — the restored gateway's fresh collector has counted nothing.
 func TestGatewayStateCarriesEveryCounter(t *testing.T) {
 	var want ingress.Stats
-	distinctCounters(t, &want, "")
+	distinctCounters(t, &want)
 
 	src := ingress.NewGateway(ingress.Config{})
 	if err := src.RestoreState(&ingress.GatewayState{Stats: want}); err != nil {
@@ -289,9 +285,6 @@ func TestLoadErrors(t *testing.T) {
 	payloadDamaged := bytes.Clone(good)
 	payloadDamaged[len(header)+1+8] ^= 0x01 // inside the stored payload
 
-	lopsided := sampleRecord()
-	lopsided.Xseqs = append(lopsided.Xseqs, 3)
-
 	var oversized bytes.Buffer
 	oversized.WriteString(header + "\n")
 	oversized.Write(binary.AppendUvarint(nil, logio.MaxFrame+1))
@@ -305,9 +298,11 @@ func TestLoadErrors(t *testing.T) {
 		{"not a checkpoint", []byte("qithread-schedule v3b\n"), `bad header "qithread-schedule v3b"`},
 		{"header without newline and nothing else", []byte(header), "truncated"},
 		{"v1b", append([]byte(headerV1+"\n"), body...), `"qithread-checkpoint v1b" checkpoints are no longer readable`},
-		{"v1b names the readable version", append([]byte(headerV1+"\n"), body...), `this build reads "qithread-checkpoint v3b" — re-record the run`},
+		{"v1b names the readable version", append([]byte(headerV1+"\n"), body...), `this build reads "qithread-checkpoint v4b" — re-record the run`},
 		{"v2b", append([]byte(headerV2+"\n"), body...), `"qithread-checkpoint v2b" checkpoints are no longer readable`},
-		{"v2b names the readable version", append([]byte(headerV2+"\n"), body...), `this build reads "qithread-checkpoint v3b" — re-record the run`},
+		{"v2b names the readable version", append([]byte(headerV2+"\n"), body...), `this build reads "qithread-checkpoint v4b" — re-record the run`},
+		{"v3b", append([]byte(headerV3+"\n"), body...), `"qithread-checkpoint v3b" checkpoints are no longer readable`},
+		{"v3b names the readable version", append([]byte(headerV3+"\n"), body...), `this build reads "qithread-checkpoint v4b" — re-record the run`},
 		{"no record", framed(t, header), "holds no record"},
 		{"truncated before the terminator", good[:len(good)-1], "truncated"},
 		{"truncated inside the frame", good[:len(good)/2], "truncated"},
@@ -316,7 +311,6 @@ func TestLoadErrors(t *testing.T) {
 		{"payload damaged", payloadDamaged, "checksum mismatch"},
 		{"trailing frame", framed(t, header, gobOf(t, sampleRecord()), []byte("extra")), "trailing frame"},
 		{"payload is not gob", framed(t, header, []byte("not a gob stream")), "decoding checkpoint"},
-		{"Xseqs != Domains", saved(t, lopsided), "2 xseq counters for 1 domains"},
 		{"frame length past MaxFrame", oversized.Bytes(), "exceeds limit"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -343,8 +337,8 @@ func loadMeasured(file []byte) (*Record, error, uint64) {
 	return rec, err, after.TotalAlloc - before.TotalAlloc
 }
 
-// FuzzLoad: Load never panics; what it accepts is self-consistent and
-// survives a second trip through the format; and a small file cannot make it
+// FuzzLoad: Load never panics; what it accepts survives a second trip
+// through the format; and a small file cannot make it
 // allocate past logio.MaxFrame — a hostile frame length is refused before the
 // buffer is made, gob refuses slice and string counts the remaining input
 // cannot back, and DEFLATE expands at most 1032x, so for the up-to-4-KiB
@@ -377,9 +371,6 @@ func FuzzLoad(f *testing.F) {
 			}
 			if err != nil {
 				continue
-			}
-			if len(rec.Xseqs) != len(rec.Domains) {
-				t.Fatalf("loaded %d xseq counters for %d domains", len(rec.Xseqs), len(rec.Domains))
 			}
 			again, err := Load(bytes.NewReader(saved(t, rec)))
 			if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"qithread/internal/policy"
@@ -35,12 +36,16 @@ type ThreadState struct {
 	Policy policy.PerThread // lease state of the semantic policies
 }
 
-// WaitEntry is one object's wait list: the blocked threads in FIFO order
-// with their park sequence numbers.
+// WaitEntry is one object's wait list: the blocked threads in FIFO order.
 type WaitEntry struct {
-	Obj  uint64
-	TIDs []int
-	Seqs []uint64
+	Obj     uint64
+	Waiters []Waiter
+}
+
+// Waiter is one blocked thread and its park sequence number.
+type Waiter struct {
+	TID int
+	Seq uint64
 }
 
 // SchedState is the checkpointable snapshot of one scheduler. All fields are
@@ -50,7 +55,7 @@ type SchedState struct {
 	WaitSeq  uint64
 	NextTID  int
 	NextObj  uint64
-	Live     int
+	Holder   int // the checkpointing thread: the turn holder, sole runnable
 
 	VLastOp   int64
 	VMakespan int64
@@ -58,87 +63,69 @@ type SchedState struct {
 	TraceLen  int64
 	TraceHash uint64
 
-	// Stats is every scheduler counter, logical time (Turns) included;
-	// PolicyMetrics is nil (not checkpointed).
-	Stats
+	// Counters is every scheduler counter, logical time (Turns) included.
+	// The per-policy decision metrics are not part of it: they are
+	// diagnostics of the stack, not scheduler state, and a restored run
+	// counts its own.
+	Counters
 
-	RunQ    []int         // runnable TIDs in run-queue order (includes the caller)
-	Threads []ThreadState // live threads in TID order
-	Waits2  []WaitEntry   // per-object wait lists in object-id order
+	Threads   []ThreadState // live threads in TID order
+	WaitLists []WaitEntry   // per-object wait lists in object-id order
 }
 
-// Stats is the counters block of a SchedState as checkpoint files carry it:
-// Counters field for field, then PolicyMetrics, which CaptureState leaves
-// nil. gob writes a struct's type name and field list into the file, so this
-// layout is part of the format, and neither Counters (no PolicyMetrics) nor
-// Snapshot (an array, which gob writes even when it is zero) can stand in for
-// it. TestStatsDeclaredOnce holds its fields to Counters'.
-type Stats struct {
-	Ops, Turns, Waits, Signals, Broadcasts      int64
-	WokenBySignal, WokenByTimeout               int64
-	Handoffs, LeaseExtends, Offloads            int64
-	MaxLiveThreads, MaxWaiting, MaxTimedWaiters int
-	PolicyMetrics                               []policy.Metrics
+// ErrNotQuiescent is wrapped by the errors of Quiescent, CaptureState and
+// RestoreState that more yields can cure: another thread is runnable or a
+// timed waiter is pending.
+var ErrNotQuiescent = errors.New("not quiescent")
+
+// quiescentLocked is the checkpoint boundary check: it says why t cannot
+// take or restore a snapshot (what) now, or returns nil. t must hold the
+// turn, no schedule may be replaying, t must be the sole runnable thread, and
+// no timed waiter may be pending.
+func (s *Scheduler) quiescentLocked(t *Thread, what string) error {
+	switch {
+	case s.holder != t:
+		return fmt.Errorf("core: %s by %v which does not hold the turn", what, t)
+	case s.replay != nil:
+		return fmt.Errorf("core: %s during schedule replay is not supported", what)
+	case !s.onlyRunnableLocked(t):
+		return fmt.Errorf("core: %s requires quiescence: %v is not the sole runnable thread (%w)", what, t, ErrNotQuiescent)
+	case s.timers.len() != 0:
+		return fmt.Errorf("core: %s requires quiescence: %d timed waiters pending (%w)", what, s.timers.len(), ErrNotQuiescent)
+	}
+	return nil
 }
 
-// checkpointed is c in the file layout.
-func (c Counters) checkpointed() Stats {
-	return Stats{Ops: c.Ops, Turns: c.Turns, Waits: c.Waits, Signals: c.Signals, Broadcasts: c.Broadcasts,
-		WokenBySignal: c.WokenBySignal, WokenByTimeout: c.WokenByTimeout,
-		Handoffs: c.Handoffs, LeaseExtends: c.LeaseExtends, Offloads: c.Offloads,
-		MaxLiveThreads: c.MaxLiveThreads, MaxWaiting: c.MaxWaiting, MaxTimedWaiters: c.MaxTimedWaiters}
-}
-
-// counters is the inverse of checkpointed. The policy metrics are not part
-// of it: they are diagnostics of the stack, not scheduler state, and a
-// restored run counts its own.
-func (st *Stats) counters() Counters {
-	return Counters{Ops: st.Ops, Turns: st.Turns, Waits: st.Waits, Signals: st.Signals, Broadcasts: st.Broadcasts,
-		WokenBySignal: st.WokenBySignal, WokenByTimeout: st.WokenByTimeout,
-		Handoffs: st.Handoffs, LeaseExtends: st.LeaseExtends, Offloads: st.Offloads,
-		MaxLiveThreads: st.MaxLiveThreads, MaxWaiting: st.MaxWaiting, MaxTimedWaiters: st.MaxTimedWaiters}
-}
-
-// Quiescent reports whether t — which must hold the turn — is the sole
-// runnable thread with no pending wake-up and no timed waiter: the state in
-// which CaptureState is legal. A checkpointing thread drives the scheduler
-// to quiescence by yielding (each yield lets woken-but-unparked threads run
-// until they block), which is deterministic: the number of yields needed is
-// a function of the schedule, not of real time.
-func (s *Scheduler) Quiescent(t *Thread) bool {
+// Quiescent reports why t's scheduler is not in the state in which
+// CaptureState and RestoreState are legal, or nil when it is. A
+// checkpointing thread drives the scheduler to quiescence by yielding while
+// the error wraps ErrNotQuiescent (each yield lets woken-but-unparked threads
+// run until they block), which is deterministic: the number of yields needed
+// is a function of the schedule, not of real time.
+func (s *Scheduler) Quiescent(t *Thread, what string) error {
 	defer s.unlock(s.lock())
-	return s.holder == t && s.onlyRunnableLocked(t) && s.timers.len() == 0
+	return s.quiescentLocked(t, what)
 }
 
-// CaptureState snapshots the scheduler's deterministic state. The caller
-// must hold the turn and the scheduler must be quiescent (see Quiescent);
-// otherwise an error is returned and nothing is captured.
+// CaptureState snapshots the scheduler's deterministic state. The scheduler
+// must be quiescent for t (see Quiescent); otherwise an error is returned and
+// nothing is captured.
 func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 	defer s.unlock(s.lock())
-	if s.holder != t {
-		return nil, fmt.Errorf("core: CaptureState by %v which does not hold the turn", t)
-	}
-	if s.replay != nil {
-		return nil, fmt.Errorf("core: CaptureState during schedule replay is not supported")
-	}
-	if !s.onlyRunnableLocked(t) {
-		return nil, fmt.Errorf("core: CaptureState requires quiescence: %v is not the sole runnable thread", t)
-	}
-	if s.timers.len() != 0 {
-		return nil, fmt.Errorf("core: CaptureState requires quiescence: %d timed waiters pending", s.timers.len())
+	if err := s.quiescentLocked(t, "CaptureState"); err != nil {
+		return nil, err
 	}
 	st := &SchedState{
 		DomainID:  s.cfg.DomainID,
 		WaitSeq:   s.waitSeq,
 		NextTID:   s.nextTID,
 		NextObj:   s.nextObj,
-		Live:      s.live,
+		Holder:    t.id,
 		VLastOp:   s.vLastOp,
 		VMakespan: s.vMakespan,
 		TraceLen:  s.traceLen,
 		TraceHash: s.traceHash,
-		Stats:     s.countersLocked().checkpointed(),
-		RunQ:      []int{t.id},
+		Counters:  s.countersLocked(),
 	}
 	for _, th := range s.tableLocked() {
 		if th == nil {
@@ -155,11 +142,10 @@ func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 	for _, obj := range s.waitedObjsLocked() {
 		we := WaitEntry{Obj: obj}
 		for w := s.objs[obj].waits.head; w != nil; w = w.qnext {
-			we.TIDs = append(we.TIDs, w.id)
-			we.Seqs = append(we.Seqs, w.seq)
-			waiting++
+			we.Waiters = append(we.Waiters, Waiter{TID: w.id, Seq: w.seq})
 		}
-		st.Waits2 = append(st.Waits2, we)
+		waiting += len(we.Waiters)
+		st.WaitLists = append(st.WaitLists, we)
 	}
 	if waiting != s.nWaiting {
 		return nil, fmt.Errorf("core: CaptureState: wait lists hold %d threads, scheduler counts %d", waiting, s.nWaiting)
@@ -173,18 +159,15 @@ func (s *Scheduler) CaptureState(t *Thread) (*SchedState, error) {
 // RestoreState verifies that the scheduler's rebuilt structure matches the
 // snapshot, permutes the wait lists into the recorded FIFO order, reinstates
 // every counter, clock, per-thread policy state and running hash, and unmutes
-// recording. The caller must hold the turn, the scheduler must have been
-// created with SuspendRecording (no events recorded yet), and the program's
-// setup phase must have re-created exactly the snapshot's structure: same
-// thread IDs live, same objects allocated, same threads parked on the same
-// objects, caller the sole runnable thread.
+// recording. The scheduler must be quiescent for t (see Quiescent), it must
+// have been created with SuspendRecording (no events recorded yet), and the
+// program's setup phase must have re-created exactly the snapshot's
+// structure: same thread IDs live, same objects allocated, same threads
+// parked on the same objects, the snapshot's holder the caller.
 func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 	defer s.unlock(s.lock())
-	if s.holder != t {
-		return fmt.Errorf("core: RestoreState by %v which does not hold the turn", t)
-	}
-	if s.replay != nil {
-		return fmt.Errorf("core: RestoreState during schedule replay is not supported")
+	if err := s.quiescentLocked(t, "RestoreState"); err != nil {
+		return err
 	}
 	if s.traceLen != 0 {
 		return fmt.Errorf("core: RestoreState after %d events were recorded; create the scheduler with SuspendRecording", s.traceLen)
@@ -192,37 +175,31 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 	if s.cfg.DomainID != st.DomainID {
 		return fmt.Errorf("core: RestoreState: snapshot is for domain %d, scheduler is domain %d", st.DomainID, s.cfg.DomainID)
 	}
-	if s.nextTID != st.NextTID || s.nextObj != st.NextObj || s.live != st.Live {
+	if s.nextTID != st.NextTID || s.nextObj != st.NextObj || s.live != len(st.Threads) {
 		return fmt.Errorf("core: RestoreState: structure mismatch: have %d threads ever/%d objects/%d live, snapshot has %d/%d/%d (setup phase diverged)",
-			s.nextTID, s.nextObj, s.live, st.NextTID, st.NextObj, st.Live)
+			s.nextTID, s.nextObj, s.live, st.NextTID, st.NextObj, len(st.Threads))
 	}
-	if len(st.RunQ) != 1 || !s.onlyRunnableLocked(t) || t.id != st.RunQ[0] {
-		return fmt.Errorf("core: RestoreState: %v must be the sole runnable thread and match the snapshot's runnable %v", t, st.RunQ)
-	}
-	if s.timers.len() != 0 {
-		return fmt.Errorf("core: RestoreState: %d timed waiters pending", s.timers.len())
+	if t.id != st.Holder {
+		return fmt.Errorf("core: RestoreState by %v, but the snapshot was taken by T%d", t, st.Holder)
 	}
 
-	// Verify the wait lists — same objects, same member sets, one park
-	// sequence per member — before permuting any: a checkpoint is outside
-	// input, and a list relinked from a snapshot that names a thread twice
-	// would be cyclic. Then relink them into the recorded FIFO order with the
-	// recorded park sequences.
-	if nonEmpty := len(s.waitedObjsLocked()); nonEmpty != len(st.Waits2) {
-		return fmt.Errorf("core: RestoreState: %d objects have waiters, snapshot has %d", nonEmpty, len(st.Waits2))
+	// Verify the wait lists — same objects, same member sets — before
+	// permuting any: a checkpoint is outside input, and a list relinked from a
+	// snapshot that names a thread twice would be cyclic. Then relink them
+	// into the recorded FIFO order with the recorded park sequences.
+	if nonEmpty := len(s.waitedObjsLocked()); nonEmpty != len(st.WaitLists) {
+		return fmt.Errorf("core: RestoreState: %d objects have waiters, snapshot has %d", nonEmpty, len(st.WaitLists))
 	}
 	threads := s.tableLocked()
 	waiting := 0
 	listed := make([]bool, len(threads))
-	for _, we := range st.Waits2 {
+	for _, we := range st.WaitLists {
 		e, ok := s.objs[we.Obj]
-		if !ok || e.waits.n != len(we.TIDs) {
-			return fmt.Errorf("core: RestoreState: object %d has %d waiters, snapshot has %d", we.Obj, e.waits.n, len(we.TIDs))
+		if !ok || e.waits.n != len(we.Waiters) {
+			return fmt.Errorf("core: RestoreState: object %d has %d waiters, snapshot has %d", we.Obj, e.waits.n, len(we.Waiters))
 		}
-		if len(we.Seqs) != len(we.TIDs) {
-			return fmt.Errorf("core: RestoreState: object %d lists %d waiters with %d park sequences", we.Obj, len(we.TIDs), len(we.Seqs))
-		}
-		for _, tid := range we.TIDs {
+		for _, w := range we.Waiters {
+			tid := w.TID
 			if tid < 0 || tid >= len(threads) || threads[tid] == nil || threads[tid].queue != qWait || threads[tid].obj != we.Obj {
 				return fmt.Errorf("core: RestoreState: thread %d not waiting on object %d as the snapshot requires", tid, we.Obj)
 			}
@@ -231,26 +208,24 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 			}
 			listed[tid] = true
 		}
-		waiting += len(we.TIDs)
+		waiting += len(we.Waiters)
 	}
 	if waiting != s.nWaiting {
 		return fmt.Errorf("core: RestoreState: snapshot lists %d waiting threads, scheduler counts %d", waiting, s.nWaiting)
 	}
-	for _, we := range st.Waits2 {
+	for _, we := range st.WaitLists {
 		e := s.objs[we.Obj]
 		e.waits = tqueue{}
-		for i, tid := range we.TIDs {
-			w := threads[tid]
-			e.waits.pushBack(w)
-			w.seq = we.Seqs[i]
+		for _, w := range we.Waiters {
+			th := threads[w.TID]
+			e.waits.pushBack(th)
+			th.seq = w.Seq
 		}
 		s.objs[we.Obj] = e
 	}
 
-	// Per-thread state: clocks and policy state.
-	if len(st.Threads) != s.live {
-		return fmt.Errorf("core: RestoreState: snapshot has %d thread records for %d live threads", len(st.Threads), s.live)
-	}
+	// Per-thread state: clocks and policy state. The structure check above
+	// matched the record count to the live count.
 	restored := make([]bool, len(threads))
 	for _, ts := range st.Threads {
 		if ts.TID < 0 || ts.TID >= len(threads) || threads[ts.TID] == nil {
@@ -270,7 +245,7 @@ func (s *Scheduler) RestoreState(t *Thread, st *SchedState) error {
 	}
 
 	// Counters, hashes, virtual time — and unmute recording.
-	s.setCountersLocked(st.Stats.counters())
+	s.setCountersLocked(st.Counters)
 	s.waitSeq = st.WaitSeq
 	s.vLastOp = st.VLastOp
 	s.vMakespan = st.VMakespan

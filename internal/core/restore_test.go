@@ -39,12 +39,13 @@ func finish(s *Scheduler, main *Thread, obj uint64) {
 // TestRestoreRejectsHostileSnapshot: a checkpoint is outside input
 // (qithread.LoadCheckpoint reads a file), so RestoreState must refuse a
 // snapshot whose wait or thread entries do not describe the rebuilt
-// structure — with an error, before it relinks anything: a wait entry with
-// fewer park sequences than threads (which panicked with an index out of
-// range), one that lists a thread twice (which relinked the wait list into
-// a cycle, so the next Dump never returned), and a thread list that names
-// one thread twice and leaves another out (which left the missing thread's
-// clocks as the setup phase rebuilt them).
+// structure — with an error, before it relinks anything: a wait entry that
+// lists a thread twice (which relinked the wait list into a cycle, so the
+// next Dump never returned), and a thread list that names one thread twice
+// and leaves another out (which left the missing thread's clocks as the setup
+// phase rebuilt them). A wait entry with fewer park sequences than threads,
+// which panicked with an index out of range, cannot be written down since
+// each waiter carries its own sequence (WaitEntry.Waiters).
 func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 	src, main, obj := parkedPair()
 	snap, err := src.CaptureState(main)
@@ -52,19 +53,16 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	finish(src, main, obj)
-	if len(snap.Waits2) != 1 || !slices.Equal(snap.Waits2[0].TIDs, []int{1, 2}) || len(snap.Threads) != 3 {
-		t.Fatalf("captured %+v, want threads 1 and 2 parked on one object", snap)
+	if len(snap.WaitLists) != 1 || !slices.Equal(waiterIDs(snap.WaitLists[0]), []int{1, 2}) || len(snap.Threads) != 3 {
+		t.Fatalf("captured %#v, want threads 1 and 2 parked on one object", snap)
 	}
 	for _, c := range []struct {
 		name, want string
 		edit       func(st *SchedState)
 	}{
 		{"the snapshot as captured", "", func(*SchedState) {}},
-		{"fewer park sequences than waiters", "with 1 park sequences", func(st *SchedState) {
-			st.Waits2[0].Seqs = st.Waits2[0].Seqs[:1]
-		}},
 		{"a waiter listed twice", "lists thread 1 twice", func(st *SchedState) {
-			st.Waits2[0].TIDs = []int{1, 1}
+			st.WaitLists[0].Waiters[1].TID = 1
 		}},
 		{"a thread listed twice, another missing", "lists thread 1 twice", func(st *SchedState) {
 			st.Threads[2] = st.Threads[1]
@@ -72,7 +70,7 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			st := *snap
-			st.Waits2 = []WaitEntry{{Obj: snap.Waits2[0].Obj, TIDs: slices.Clone(snap.Waits2[0].TIDs), Seqs: slices.Clone(snap.Waits2[0].Seqs)}}
+			st.WaitLists = []WaitEntry{{Obj: snap.WaitLists[0].Obj, Waiters: slices.Clone(snap.WaitLists[0].Waiters)}}
 			st.Threads = slices.Clone(snap.Threads)
 			c.edit(&st)
 			s, main, obj := parkedPair()
@@ -146,9 +144,13 @@ func TestCheckpointThroughObjectTable(t *testing.T) {
 		s.Exit(main)
 		s.DrainHosted()
 	}
-	want := []WaitEntry{{Obj: objs[0], TIDs: []int{2, 4}}, {Obj: objs[1], TIDs: []int{1, 3}}, {Obj: objs[2], TIDs: []int{5}}}
-	if !slices.EqualFunc(snap.Waits2, want, func(a, b WaitEntry) bool { return a.Obj == b.Obj && slices.Equal(a.TIDs, b.TIDs) }) {
-		t.Fatalf("captured wait lists %+v, want %+v", snap.Waits2, want)
+	want := [][]int{{2, 4}, {1, 3}, {5}} // objs[i]'s waiters, FIFO
+	ok := len(snap.WaitLists) == len(want)
+	for i := 0; ok && i < len(want); i++ {
+		ok = snap.WaitLists[i].Obj == objs[i] && slices.Equal(waiterIDs(snap.WaitLists[i]), want[i])
+	}
+	if !ok {
+		t.Fatalf("captured wait lists %+v, want objects %v with waiters %v", snap.WaitLists, objs, want)
 	}
 	dump := src.Dump()
 	for _, line := range []string{"waitQ[cond:x#1]: T2(b) T4(d)", "waitQ[mutex:y#2]: T1(a) T3(c)", "waitQ[#3]: T5(e)"} {
@@ -166,11 +168,20 @@ func TestCheckpointThroughObjectTable(t *testing.T) {
 	if err := dst.RestoreState(dmain, snap); err != nil {
 		t.Fatal(err)
 	}
-	for _, we := range want {
-		e := dst.objs[we.Obj]
-		if got := queueIDs(&e.waits); !slices.Equal(got, we.TIDs) {
-			t.Errorf("object %d's list after RestoreState is %v, want %v", we.Obj, got, we.TIDs)
+	for i, tids := range want {
+		e := dst.objs[objs[i]]
+		if got := queueIDs(&e.waits); !slices.Equal(got, tids) {
+			t.Errorf("object %d's list after RestoreState is %v, want %v", objs[i], got, tids)
 		}
 	}
 	finishThree(dst, dmain)
+}
+
+// waiterIDs lists a captured wait list's thread ids in FIFO order.
+func waiterIDs(we WaitEntry) []int {
+	var ids []int
+	for _, w := range we.Waiters {
+		ids = append(ids, w.TID)
+	}
+	return ids
 }

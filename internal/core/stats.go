@@ -8,9 +8,8 @@ import (
 
 // Counters holds the scheduler's activity counters, for analysis and tooling.
 // All are monotone over one execution. This is the only declaration of them:
-// the scheduler keeps one, Snapshot embeds it, a checkpoint carries it in the
-// file layout of Stats, and DESIGN.md §4.12 lists who increments each field
-// under which lock.
+// the scheduler keeps one, Snapshot and a checkpoint's SchedState embed it,
+// and DESIGN.md §4.12 lists who increments each field under which lock.
 type Counters struct {
 	// Ops is the number of completed synchronization operations (TraceOp
 	// calls), whether or not recording was enabled.
@@ -85,8 +84,7 @@ func (s *Scheduler) Stats() Snapshot {
 
 // countersLocked is s.stats with Turns read from logical time. Stats and
 // CaptureState both read through here, so a counter added to Counters is
-// snapshotted without being named again; the checkpoint's block (Stats)
-// must name it too, which TestStatsDeclaredOnce enforces.
+// snapshotted and checkpointed without being named again.
 func (s *Scheduler) countersLocked() Counters {
 	c := s.stats
 	c.Turns = s.turn

@@ -37,7 +37,7 @@ func TestWarmLoadsAllocateNoBuffer(t *testing.T) {
 	if err := l.SaveBinary(&log); err != nil {
 		t.Fatal(err)
 	}
-	if err := ckpt.Save(&cp, &ckpt.Record{Domains: []core.SchedState{{}}, Xseqs: []int64{0}}); err != nil {
+	if err := ckpt.Save(&cp, &ckpt.Record{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {

@@ -7,8 +7,7 @@ import "fmt"
 // the tools report, so that after a run each speedup (or slowdown) can be
 // attributed to the policy whose decisions produced it. The Stack's live
 // blocks are these counters without the name (counts), which is a constant
-// of the slot; a checkpoint file names this struct and its fields
-// (core.Stats), so they keep their names and order.
+// of the slot.
 //
 // The counters are deliberately not atomic: each is incremented from exactly
 // one serialized context — Picks and WakeBoosts inside the scheduler, the

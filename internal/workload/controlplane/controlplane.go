@@ -463,7 +463,7 @@ func run(rt *qithread.Runtime, cfg Config, capture *Result) uint64 {
 	var gw *qithread.Gateway
 	if cfg.Shards <= 0 {
 		rt.Run(func(main *qithread.Thread) {
-			gw = rt.Domain(0).NewGateway("cluster", gcfg)
+			gw = rt.NewGateway("cluster", rt.Domain(0), gcfg)
 			for _, s := range cfg.Sources {
 				gw.AddSource(s)
 			}
@@ -489,7 +489,7 @@ func run(rt *qithread.Runtime, cfg Config, capture *Result) uint64 {
 	} else {
 		nd := cfg.Shards
 		rt.Run(func(main *qithread.Thread) {
-			gw = rt.Domain(0).NewGateway("cluster", gcfg)
+			gw = rt.NewGateway("cluster", rt.Domain(0), gcfg)
 			for _, s := range cfg.Sources {
 				gw.AddSource(s)
 			}
