@@ -8,8 +8,8 @@
 //	qibench -experiment all
 //	qibench -list
 //
-// A tabular arm prints a title line and its table; -o writes the same table
-// as CSV and `qistat table.csv` prints it again, aggregate lines included.
+// Every arm prints a title line and its table; -o writes the same table as
+// CSV and `qistat table.csv` prints it again, aggregate lines included.
 // Apart from the wall-clock columns all measurements are virtual makespans
 // (critical-path model, see DESIGN.md) and therefore deterministic: the same
 // invocation prints the same numbers.
@@ -22,7 +22,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"slices"
 	"strings"
 
 	"qithread/internal/harness"
@@ -115,9 +114,6 @@ func run() (err error) {
 	}
 	if len(arms) == 0 {
 		return fmt.Errorf("unknown experiment %q (want %s or %s)", *experiment, strings.Join(names, ", "), all)
-	}
-	if *out != "" && !slices.ContainsFunc(arms, (*harness.Experiment).Tabular) {
-		return fmt.Errorf("-o: -experiment %s prints no table", *experiment)
 	}
 	args := harness.Args{Specs: programs.All(), Chart: *chart, SoakEvents: *soakEvents}
 	if *program != "" {

@@ -65,7 +65,7 @@ func (s *Scheduler) pickLocked(kind policy.ChoiceKind, def *Thread, qs ...*tqueu
 		}
 	}
 	s.chooseIDs = ids
-	idx := s.consultLocked(kind, ids, len(ids), defIdx)
+	idx := s.cfg.Chooser.Choose(kind, ids, len(ids), defIdx)
 	for _, q := range qs {
 		for t := q.head; t != nil; t = t.qnext {
 			if idx == 0 {
@@ -75,18 +75,4 @@ func (s *Scheduler) pickLocked(kind policy.ChoiceKind, def *Thread, qs ...*tqueu
 		}
 	}
 	return def
-}
-
-// consultLocked forwards one choice-point consultation to the configured
-// chooser. A chooser implementing policy.TracePosChooser additionally
-// receives the domain-local trace position of the decision — s.traceLen, the
-// index the next recorded event will occupy — which is what lets the
-// schedule-space explorer align decisions with trace events for
-// happens-before pruning (internal/explore). The caller is inside the
-// scheduler, so traceLen is stable for the duration of the consultation.
-func (s *Scheduler) consultLocked(kind policy.ChoiceKind, ids []int, n, def int) int {
-	if tp, ok := s.cfg.Chooser.(policy.TracePosChooser); ok {
-		return tp.ChooseAt(s.traceLen, kind, ids, n, def)
-	}
-	return s.cfg.Chooser.Choose(kind, ids, n, def)
 }

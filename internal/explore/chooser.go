@@ -60,7 +60,7 @@ func decisionsOf(choices []core.Choice) []decision {
 
 // alignment is the per-decision context a pathChooser records alongside the
 // replayable decisions when a run is traced: the domain-local trace position at
-// each decision moment (-1 when the consultation site did not supply one)
+// each decision moment (-1 for an admission choice, which is not thread-ordered)
 // and, for turn choices, the candidate thread ids in enumeration order. It
 // never leaves the process — it exists to align decisions with trace events
 // for happens-before flip pruning (hb.go); the persisted frontier and repro
@@ -86,6 +86,21 @@ func (a *alignment) turnIDs(i int) []int {
 	return a.ids[m.off : m.off+m.n]
 }
 
+// eventLog is a traced run's schedule, which the default domain streams to it
+// (Config.StreamTrace) and which becomes Result.Trace. Its length is the
+// trace index the next event will take, and a pathChooser reads it as each
+// turn and wake decision's position: an event is appended in TraceOp and a
+// turn or wake decision is made inside the grant or the signal, both under
+// that domain's scheduler lock, and an explored program runs in that one
+// domain (runOnce).
+type eventLog []core.Event
+
+// Append implements qithread.TraceSink.
+func (l *eventLog) Append(e core.Event) error {
+	*l = append(*l, e)
+	return nil
+}
+
 // pathChooser drives one exploration run: decisions are consumed positionally
 // against a forced prefix — take the prefix's index while it lasts, the
 // configured policy's default after — and every consultation is recorded, so
@@ -97,19 +112,12 @@ type pathChooser struct {
 	mu     sync.Mutex
 	forced flip
 	log    []decision
+	trace  *eventLog  // the traced run's schedule, nil when untraced
 	align  *alignment // nil: the run records no alignment
 }
 
-// Choose implements qithread.Chooser (consultation sites without a trace
-// position — ingress admission).
+// Choose implements qithread.Chooser.
 func (c *pathChooser) Choose(kind policy.ChoiceKind, ids []int, n, def int) int {
-	return c.ChooseAt(-1, kind, ids, n, def)
-}
-
-// ChooseAt implements policy.TracePosChooser: the scheduler's turn and wake
-// sites pass the trace index the decision happened at, which the flip-set
-// pruner needs to align decisions with recorded events.
-func (c *pathChooser) ChooseAt(pos int64, kind policy.ChoiceKind, ids []int, n, def int) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	idx := def
@@ -124,7 +132,10 @@ func (c *pathChooser) ChooseAt(pos int64, kind policy.ChoiceKind, ids []int, n, 
 	}
 	c.log = append(c.log, logged(kind, n, def, idx))
 	if a := c.align; a != nil {
-		m := choiceMeta{pos: pos}
+		m := choiceMeta{pos: -1}
+		if kind != policy.ChooseAdmit {
+			m.pos = int64(len(*c.trace))
+		}
 		if kind == policy.ChooseTurn {
 			// ids is only valid during the call; one arena holds every copy.
 			m.off, m.n = int32(len(a.ids)), int32(len(ids))

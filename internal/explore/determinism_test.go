@@ -39,7 +39,7 @@ func TestChoiceDeterminismQuick(t *testing.T) {
 				// A seeded priority walk perturbs every choice kind; its
 				// decision log is the complete forced prefix of the run.
 				walk := newPCTChooser(seed, int(d%4)+1, 64)
-				first := runOnce(p, nil, walk, 10*time.Second, true)
+				first := runOnce(p, nil, walk, 10*time.Second, new(eventLog))
 				first.Choices = choicesOf(walk.Log())
 				if first.Outcome != OutcomeOK {
 					t.Fatalf("seed %#x: wakerace is correct under every schedule, got %s (%s)", seed, first.Outcome, first.Err)

@@ -203,9 +203,9 @@ func runPath(p *Program, f flip, size int, watchdog time.Duration, traced bool) 
 		ch.log = make([]decision, 0, size)
 	}
 	if traced {
-		ch.align = &alignment{}
+		ch.trace, ch.align = new(eventLog), &alignment{}
 	}
-	res := runOnce(p, nil, ch, watchdog, traced)
+	res := runOnce(p, nil, ch, watchdog, ch.trace)
 	res.log = ch.Log()
 	res.meta = ch.Alignment()
 	if testHookLogCap != nil {
@@ -232,12 +232,14 @@ func (discardSink) Append(core.Event) error { return nil }
 // baseline policies).
 func RunVariant(p *Program, base func() qithread.Config, watchdog time.Duration) Result {
 	v := &Program{Name: p.Name, Base: base, Run: p.Run, Check: p.Check}
-	return runOnce(v, nil, nil, watchdog, true)
+	return runOnce(v, nil, nil, watchdog, new(eventLog))
 }
 
 // runOnce builds the runtime, installs the chooser and oracle hooks, and
-// executes one run under a real-time watchdog. An untraced run fingerprints
-// the execution exactly as a traced one does but returns no Trace.
+// executes one run under a real-time watchdog. A traced run streams its
+// default domain's schedule into tr, which becomes Result.Trace; an untraced
+// run (tr nil) fingerprints the execution exactly as a traced one does but
+// returns no Trace.
 //
 // The run goroutine, the completion channel and the watchdog come from a
 // recycled scaffold (scaffold.go); what is still made per run is the
@@ -255,14 +257,21 @@ func RunVariant(p *Program, base func() qithread.Config, watchdog time.Duration)
 // panicked is gone, not pooled. A panic in another domain, on that domain's
 // own driving goroutine, still takes the process down with it, and that exit
 // is itself a loud bug report.
-func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time.Duration, traced bool) Result {
+func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time.Duration, tr *eventLog) Result {
 	if watchdog <= 0 {
 		watchdog = DefaultWatchdog
 	}
 	cfg := p.Base()
 	cfg.Record = true
 	cfg.Replay = replay
-	if !traced && cfg.StreamTrace == nil {
+	if tr != nil {
+		cfg.StreamTrace = func(domainID int) qithread.TraceSink {
+			if domainID != 0 {
+				return nil
+			}
+			return tr
+		}
+	} else if cfg.StreamTrace == nil {
 		cfg.StreamTrace = func(domainID int) qithread.TraceSink { return discardSink{} }
 	}
 	if ch != nil {
@@ -307,8 +316,8 @@ func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time
 			res.Outcome, res.Err = OutcomeAssertFail, err.Error()
 		}
 	}
-	if traced {
-		res.Trace = rt.Trace()
+	if tr != nil {
+		res.Trace = *tr
 	}
 	res.Fingerprint = fingerprintOf(rt, res.Output)
 	return res
@@ -339,7 +348,7 @@ func fingerprintOf(rt *qithread.Runtime, output uint64) string {
 // express. It returns the run's classification; reproduction succeeded when
 // the outcome and fingerprint match the original run's.
 func ReplayRepro(p *Program, events []core.Event, choices []core.Choice, watchdog time.Duration) Result {
-	res := runOnce(p, events, newReplayChooser(choices), watchdog, true)
+	res := runOnce(p, events, newReplayChooser(choices), watchdog, new(eventLog))
 	res.Choices = choices
 	return res
 }

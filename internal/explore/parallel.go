@@ -124,7 +124,7 @@ func (s *Session) runPCTPool(budget, d int, seed uint64, horizon int) error {
 		}
 
 		ch := newPCTChooser(seed^uint64(i+1)*0x9e3779b97f4a7c15, d, horizon)
-		res := runOnce(s.P, nil, ch, s.Watchdog, false)
+		res := runOnce(s.P, nil, ch, s.Watchdog, nil)
 		res.log = ch.Log()
 
 		s.mu.Lock()

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -11,25 +12,30 @@ import (
 func TestAblationStructure(t *testing.T) {
 	r := &Runner{Params: workload.Params{Scale: 0.15, InputSeed: 42}}
 	spec, _ := programs.Find("pbzip2_compress")
-	rows := r.Ablation([]programs.Spec{spec})
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
+	tab, err := experiment(t, "ablation").Run(io.Discard, r, Args{Specs: []programs.Spec{spec}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	row := rows[0]
-	for _, p := range []string{"BoostBlocked", "CreateAll", "CSWhole", "WakeAMAP", "BranchedWake"} {
-		if row.Only[p] <= 0 || row.Without[p] <= 0 {
-			t.Errorf("missing ablation cell for %s: %+v", p, row)
+	want := []string{"none", "BoostBlocked", "CreateAll", "CSWhole", "WakeAMAP", "BranchedWake"}
+	if len(tab.rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(tab.rows), len(want))
+	}
+	cell := map[string]float64{}
+	for i, row := range tab.rows {
+		if row[0] != "pbzip2_compress" || row[1] != want[i] {
+			t.Fatalf("row %d labelled %q, want pbzip2_compress %s", i, row[:2], want[i])
+		}
+		for _, c := range []string{"only", "without"} {
+			if v := tab.num(row, c); !(v > 0) {
+				t.Errorf("%s %s cell %v", row[1], c, v)
+			}
+			cell[c+" "+row[1]] = tab.num(row, c)
 		}
 	}
 	// The headline synergy: removing WakeAMAP from the full set must
 	// re-serialize pbzip2 (worse than half of vanilla is already failure).
-	if row.Without["WakeAMAP"] < row.AllPolicies*2 {
-		t.Errorf("removing WakeAMAP should hurt pbzip2: all=%.2f without=%.2f", row.AllPolicies, row.Without["WakeAMAP"])
-	}
-	var sb strings.Builder
-	FprintAblation(&sb, rows)
-	if !strings.Contains(sb.String(), "pbzip2_compress") {
-		t.Errorf("ablation table missing program: %s", sb.String())
+	if all := cell["without none"]; cell["without WakeAMAP"] < all*2 {
+		t.Errorf("removing WakeAMAP should hurt pbzip2: all=%.2f without=%.2f", all, cell["without WakeAMAP"])
 	}
 }
 

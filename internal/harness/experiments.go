@@ -8,6 +8,7 @@ import (
 
 	"qithread"
 	"qithread/internal/core"
+	"qithread/internal/policy"
 	"qithread/internal/programs"
 	"qithread/internal/stats"
 	"qithread/internal/trace"
@@ -15,11 +16,10 @@ import (
 )
 
 // Experiment is one row of the registry below: everything `qibench
-// -experiment NAME` is. A tabular arm declares its CSV schema here, once —
-// header names the columns of the Table it returns, the first labels of them
-// are text and the rest numeric, summary prints the aggregate lines under the
-// table — and prints a title line followed by the table; a prose arm leaves
-// the three empty, prints its own report and returns no table.
+// -experiment NAME` is. The arm declares its CSV schema here, once — header
+// names the columns of the Table it returns, the first labels of them are
+// text and the rest numeric, summary prints the aggregate lines under the
+// table — and prints a title line followed by the table.
 type Experiment struct {
 	Name string
 	// Entry is the EXPERIMENTS.md entry (or entries) recording its numbers.
@@ -45,10 +45,7 @@ type Args struct {
 	SoakEvents int
 }
 
-// Tabular reports whether the arm returns a table (what `qibench -o` needs).
-func (e *Experiment) Tabular() bool { return e.header != "" }
-
-// Run executes the arm, printing to w. The table is nil for a prose arm.
+// Run executes the arm, printing to w, and returns the table it printed.
 func (e *Experiment) Run(w io.Writer, r *Runner, a Args) (*Table, error) {
 	return e.run(e, w, r, a)
 }
@@ -61,11 +58,21 @@ var Experiments = []Experiment{
 	{Name: "fig8", Entry: "E2, E3", Doc: "Figure 8: normalized execution times + the §5.1 aggregates (-chart for ASCII bars)",
 		header: "program,suite,non-det_ms,no-hint_ms,no-hint_norm,no-pcs-hint_ms,no-pcs-hint_norm,hinted_ms,hinted_norm,all-policies_ms,all-policies_norm",
 		labels: 2, summary: fig8Summary, run: runFig8},
-	{Name: "policies", Entry: "E4", Doc: "§5.2: per-policy effectiveness, the five policies enabled cumulatively", run: runPolicies},
-	{Name: "scalability", Entry: "E6", Doc: "§5.3: five programs at 4, 8, 16 and 32 threads", run: runScalability},
-	{Name: "stability", Entry: "E7", Doc: "§2: distinct schedules across 8 pbzip2 inputs", run: runStability},
-	{Name: "x264", Entry: "E5", Doc: "§5.2: x264 with BoostBlocked toggled", run: runX264},
-	{Name: "ablation", Entry: "E10", Doc: "single-policy and leave-one-out configurations", run: runAblation},
+	{Name: "policies", Entry: "E4", Doc: "§5.2: the five policies enabled cumulatively; benefited/hurt per step",
+		header: "program,no-hint_ms,+BoostBlocked_ms,+CreateAll_ms,+CSWhole_ms,+WakeAMAP_ms,+BranchedWake_ms",
+		labels: 1, summary: policiesSummary, run: runPolicies},
+	{Name: "scalability", Entry: "E6", Doc: "§5.3: five programs at 4, 8, 16 and 32 threads; max deviation",
+		header: "program,threads,non-det_ms,no-pcs-hint_ms,no-pcs-hint_norm,all-policies_ms,all-policies_norm",
+		labels: 1, summary: scalabilitySummary, run: runScalability},
+	{Name: "stability", Entry: "E7", Doc: "§2: 8 pbzip2 inputs' schedules; distinct ones per mode",
+		header: "mode,input,events,prefix,schedule",
+		labels: 1, summary: stabilitySummary, run: runStability},
+	{Name: "x264", Entry: "E5", Doc: "§5.2: x264 with BoostBlocked toggled",
+		header: "mode,makespan_ms,norm",
+		labels: 1, run: runX264},
+	{Name: "ablation", Entry: "E10", Doc: "per program and policy: time with it only, with all but it",
+		header: "program,policy,only,without",
+		labels: 2, run: runAblation},
 	{Name: "counters", Entry: "E24", Doc: "per-policy decision counters: which policy decided what, per program",
 		NotInAll: "648 rows of per-program detail; policies and ablation carry the headline",
 		header:   "program,policy,picks,wake_boosts,lease_extends,keep_turn_arms,dummy_syncs",
@@ -80,7 +87,9 @@ var Experiments = []Experiment{
 		header:  "entities,controllers,shards,transitions,conflicts,requeues,installed,anomalies,admitted,shed,max_queue,turns,max_waiting,wall_ms,trans_per_ms",
 		summary: controlPlaneSummary, run: runControlPlane},
 	{Name: "soak", Entry: "E19", Doc: "million-event streaming record: flat heap, binary vs text, streamed replay (-soak-events)",
-		NotInAll: "fixed size whatever -scale says, 30 MB of temporary files, host-dependent numbers; `make soak`, and `TestExperiments` at 8,000 events", run: runSoak},
+		NotInAll: "fixed size whatever -scale says, 30 MB of temporary files, host-dependent numbers; `make soak`, and `TestExperiments` at 8,000 events",
+		header:   "requests,admitted,epochs,wall_ms,events,bin_bytes,text_bytes,bin_load_ms,text_load_ms,ckpts,ckpt_epoch,ckpt_bytes,heap_first_mb,heap_max_mb,heap_last_mb,heap_samples",
+		summary:  soakSummary, run: runSoak},
 }
 
 // Figure8 measures every program in specs under the Figure 8 configurations:
@@ -179,178 +188,143 @@ func fig8Summary(w io.Writer, t *Table) {
 	fmt.Fprintf(w, "  QiThread overhead >400%%: %d  %v\n", len(high), high)
 }
 
-// PolicyStep is one entry of the Section 5.2 incremental study.
-type PolicyStep struct {
-	Name string
-	// Policies is the cumulative policy set of this step.
-	Policies qithread.Policy
-	// Benefited lists programs whose time dropped below 90% of the previous
-	// step's time.
-	Benefited []string
-	// Hurt lists programs whose time rose above 110% of the previous
-	// step's time (the paper reports three such instances).
-	Hurt []string
+// runPolicies is the Section 5.2 incremental study: each program under
+// vanilla round robin, then with the five policies enabled one at a time in
+// the paper's order (BoostBlocked, CreateAll, CSWhole, WakeAMAP,
+// BranchedWake), each step keeping the policies before it. A row holds one
+// program's makespan at every step.
+func runPolicies(e *Experiment, w io.Writer, r *Runner, a Args) (*Table, error) {
+	fmt.Fprintf(w, "=== Section 5.2: per-policy effectiveness (%d programs, makespan as each policy is added) ===\n", len(a.Specs))
+	t := e.newTable()
+	for _, spec := range a.Specs {
+		cells := []any{spec.Name, r.Measure(spec, VanillaRR())}
+		var set qithread.Policy
+		for _, name := range policy.Names() {
+			p, _ := policy.SetForName(name)
+			set |= p
+			d := r.Measure(spec, QiThreadWith(set))
+			cells = append(cells, d)
+			r.logf("policy step +%-13s %-28s %v\n", name, spec.Name, d)
+		}
+		t.add(cells...)
+	}
+	t.Fprint(w)
+	return t, nil
 }
 
-// PolicySteps returns the enablement order of Section 5.2.
-func PolicySteps() []PolicyStep {
-	return []PolicyStep{
-		{Name: "BoostBlocked", Policies: qithread.BoostBlocked},
-		{Name: "CreateAll", Policies: qithread.BoostBlocked | qithread.CreateAll},
-		{Name: "CSWhole", Policies: qithread.BoostBlocked | qithread.CreateAll | qithread.CSWhole},
-		{Name: "WakeAMAP", Policies: qithread.BoostBlocked | qithread.CreateAll | qithread.CSWhole | qithread.WakeAMAP},
-		{Name: "BranchedWake", Policies: qithread.AllPolicies},
-	}
-}
-
-// PolicyEffectiveness applies the five policies cumulatively in the paper's
-// order (BoostBlocked, CreateAll, CSWhole, WakeAMAP, BranchedWake), starting
-// from vanilla round robin, and records which programs each step benefits
-// (time < 90% of the previous configuration) and hurts (> 110%).
-func (r *Runner) PolicyEffectiveness(specs []programs.Spec) []PolicyStep {
-	steps := PolicySteps()
-	prev := make(map[string]float64, len(specs)) // previous step's makespan
-	for _, spec := range specs {
-		prev[spec.Name] = float64(r.Measure(spec, VanillaRR()))
-	}
-	for si := range steps {
-		mode := QiThreadWith(steps[si].Policies)
-		for _, spec := range specs {
-			t := float64(r.Measure(spec, mode))
-			p := prev[spec.Name]
-			if p > 0 {
-				switch {
-				case t < 0.90*p:
-					steps[si].Benefited = append(steps[si].Benefited, spec.Name)
-				case t > 1.10*p:
-					steps[si].Hurt = append(steps[si].Hurt, spec.Name)
-				}
+// policyShifts compares every step column of a policies table with the
+// column before it: a program benefits from a step when its makespan drops
+// below 90% of the previous step's and is hurt when it rises above 110% (the
+// paper reports three such instances). It returns the step names and, per
+// step, the benefited and hurt programs in name order.
+func policyShifts(t *Table) (steps []string, benefited, hurt [][]string) {
+	cols := t.cols[t.exp.labels:]
+	for k := 1; k < len(cols); k++ {
+		var b, h []string
+		for _, row := range t.rows {
+			p, d := float64(t.dur(row, cols[k-1])), float64(t.dur(row, cols[k]))
+			switch {
+			case p <= 0:
+			case d < 0.90*p:
+				b = append(b, row[0])
+			case d > 1.10*p:
+				h = append(h, row[0])
 			}
-			prev[spec.Name] = t
-			r.logf("policy step %-14s %-28s %10.0f (prev %10.0f)\n", steps[si].Name, spec.Name, t, p)
 		}
-		sort.Strings(steps[si].Benefited)
-		sort.Strings(steps[si].Hurt)
+		sort.Strings(b)
+		sort.Strings(h)
+		steps = append(steps, strings.TrimSuffix(cols[k], "_ms"))
+		benefited, hurt = append(benefited, b), append(hurt, h)
 	}
-	return steps
+	return steps, benefited, hurt
 }
 
-func runPolicies(_ *Experiment, w io.Writer, r *Runner, a Args) (*Table, error) {
-	fmt.Fprintf(w, "=== Section 5.2: per-policy effectiveness (%d programs) ===\n", len(a.Specs))
-	for _, st := range r.PolicyEffectiveness(a.Specs) {
-		fmt.Fprintf(w, "+%-13s benefited %3d programs, hurt %d\n", st.Name, len(st.Benefited), len(st.Hurt))
-		if len(st.Benefited) > 0 {
-			fmt.Fprintf(w, "    benefited: %s\n", strings.Join(st.Benefited, " "))
+// policiesSummary prints, per step, how many programs it benefited and hurt
+// and which.
+func policiesSummary(w io.Writer, t *Table) {
+	steps, benefited, hurt := policyShifts(t)
+	for k, step := range steps {
+		fmt.Fprintf(w, "%-14s benefited %3d programs, hurt %d\n", step, len(benefited[k]), len(hurt[k]))
+		if len(benefited[k]) > 0 {
+			fmt.Fprintf(w, "    benefited: %s\n", strings.Join(benefited[k], " "))
 		}
-		if len(st.Hurt) > 0 {
-			fmt.Fprintf(w, "    hurt:      %s\n", strings.Join(st.Hurt, " "))
+		if len(hurt[k]) > 0 {
+			fmt.Fprintf(w, "    hurt:      %s\n", strings.Join(hurt[k], " "))
 		}
 	}
-	return nil, nil
 }
 
-// ScalabilityResult holds one program's overheads across thread counts
-// (Section 5.3).
-type ScalabilityResult struct {
-	Program string
-	Threads []int
-	// Norm[mode][k] is the normalized time at Threads[k].
-	Norm map[string][]float64
-	// MaxDeviationPct[mode] is the maximum deviation from the mean
-	// normalized overhead across thread counts, the paper's variation
-	// metric.
-	MaxDeviationPct map[string]float64
-}
-
-// Scalability measures the given programs at each thread count under Parrot
-// (w/o PCS) and QiThread, normalizing to nondeterministic execution at the
-// same thread count. The paper's five scalability programs are barnes,
-// bodytrack, histogram, convert_shear and pbzip2_decompress at 4–32 threads.
-func (r *Runner) Scalability(names []string, threadCounts []int) []ScalabilityResult {
-	modes := []Mode{ParrotSoft(), QiThread()}
-	var out []ScalabilityResult
-	for _, name := range names {
-		spec, ok := programs.Find(name)
-		if !ok {
-			panic("harness: unknown program " + name)
-		}
-		res := ScalabilityResult{
-			Program:         name,
-			Threads:         threadCounts,
-			Norm:            map[string][]float64{},
-			MaxDeviationPct: map[string]float64{},
-		}
+// runScalability is Section 5.3: the five randomly selected programs of the
+// paper at 4, 8, 16 and 32 threads under Parrot (w/o PCS) and QiThread, each
+// normalized to nondeterministic execution at the same thread count.
+func runScalability(e *Experiment, w io.Writer, r *Runner, _ Args) (*Table, error) {
+	threadCounts := []int{4, 8, 16, 32}
+	fmt.Fprintf(w, "=== Section 5.3: scalability (%v threads) ===\n", threadCounts)
+	t := e.newTable()
+	for _, name := range []string{"barnes", "bodytrack", "histogram", "convert_shear", "pbzip2_decompress"} {
+		spec, _ := programs.Find(name)
 		for _, tc := range threadCounts {
 			sub := *r
 			sub.Params.Threads = tc
 			base := sub.Measure(spec, Nondet())
-			for _, m := range modes {
-				t := sub.Measure(spec, m)
-				res.Norm[m.Name] = append(res.Norm[m.Name], stats.Normalized(t, base))
+			cells := []any{name, tc, base}
+			for _, m := range []Mode{ParrotSoft(), QiThread()} {
+				d := sub.Measure(spec, m)
+				cells = append(cells, d, ftoa(stats.Normalized(d, base), 4))
 			}
+			t.add(cells...)
 			r.logf("scalability %-24s %2d threads done\n", name, tc)
 		}
-		for _, m := range modes {
-			res.MaxDeviationPct[m.Name] = stats.MaxDeviationPct(res.Norm[m.Name])
-		}
-		out = append(out, res)
 	}
-	return out
+	t.Fprint(w)
+	return t, nil
 }
 
-func runScalability(_ *Experiment, w io.Writer, r *Runner, _ Args) (*Table, error) {
-	// The five randomly selected programs of Section 5.3.
-	names := []string{"barnes", "bodytrack", "histogram", "convert_shear", "pbzip2_decompress"}
-	threadCounts := []int{4, 8, 16, 32}
-	fmt.Fprintf(w, "=== Section 5.3: scalability (%v threads) ===\n", threadCounts)
-	worst := map[string]float64{}
-	for _, re := range r.Scalability(names, threadCounts) {
-		fmt.Fprintf(w, "%-24s", re.Program)
-		for _, mode := range []string{ParrotSoft().Name, QiThread().Name} {
-			fmt.Fprintf(w, "  %s:", mode)
-			for _, n := range re.Norm[mode] {
-				fmt.Fprintf(w, " %.2f", n)
-			}
-			fmt.Fprintf(w, " (dev %.0f%%)", re.MaxDeviationPct[mode])
-			worst[mode] = max(worst[mode], re.MaxDeviationPct[mode])
+// scalabilityDeviations returns, per program of a scalability table in row
+// order, each configuration's maximum deviation from its mean normalized
+// overhead across the thread counts — the paper's variation metric —
+// computed from the makespan cells, which are exact.
+func scalabilityDeviations(t *Table) (names []string, dev map[string][]float64) {
+	norms := map[string]map[string][]float64{}
+	for _, row := range t.rows {
+		if norms[row[0]] == nil {
+			names = append(names, row[0])
+			norms[row[0]] = map[string][]float64{}
 		}
-		fmt.Fprintln(w)
+		for _, m := range []string{ParrotSoft().Name, QiThread().Name} {
+			norms[row[0]][m] = append(norms[row[0]][m], stats.Normalized(t.dur(row, m+"_ms"), t.dur(row, Nondet().Name+"_ms")))
+		}
 	}
+	dev = map[string][]float64{}
+	for _, name := range names {
+		for m, ns := range norms[name] {
+			dev[m] = append(dev[m], stats.MaxDeviationPct(ns))
+		}
+	}
+	return names, dev
+}
+
+// scalabilitySummary prints every program's deviation per configuration and
+// the worst of them.
+func scalabilitySummary(w io.Writer, t *Table) {
+	names, dev := scalabilityDeviations(t)
+	modes := []string{ParrotSoft().Name, QiThread().Name}
+	lines := [][]string{append([]string{"max deviation from mean"}, modes...)}
+	worst := map[string]float64{}
+	for i, name := range names {
+		line := []string{name}
+		for _, m := range modes {
+			line = append(line, ftoa(dev[m][i], 0)+"%")
+			worst[m] = max(worst[m], dev[m][i])
+		}
+		lines = append(lines, line)
+	}
+	fprintAligned(w, 1, lines)
 	fmt.Fprintf(w, "max variation from mean overhead: qithread %.0f%%, parrot %.0f%%\n",
 		worst[QiThread().Name], worst[ParrotSoft().Name])
-	return nil, nil
 }
 
-// StabilityResult reports how many distinct schedules a policy produced
-// across a set of program inputs (Section 2: CoreDet uses five different
-// schedules to process eight different pbzip2 files; round robin uses one).
-type StabilityResult struct {
-	Mode      string
-	Inputs    int
-	Distinct  int
-	PrefixLen []int // common-prefix length of each input's schedule vs input 0
-}
-
-// Stability runs spec once per input under the given mode, recording
-// schedules, and counts prefix-distinct schedules.
-func (r *Runner) Stability(spec programs.Spec, mode Mode, inputs []workload.Params) StabilityResult {
-	cfg := mode.Cfg
-	cfg.Record = true
-	var schedules [][]core.Event
-	for _, in := range inputs {
-		app := spec.Build(in)
-		rt := qithread.New(cfg)
-		app(rt)
-		schedules = append(schedules, rt.Trace())
-	}
-	res := StabilityResult{Mode: mode.Name, Inputs: len(inputs), Distinct: trace.DistinctSchedules(schedules)}
-	for _, s := range schedules {
-		res.PrefixLen = append(res.PrefixLen, trace.CommonPrefix(schedules[0], s))
-	}
-	return res
-}
-
-// StabilityInputs builds n input variants with the same structure (block
+// stabilityInputs builds n input variants with the same structure (block
 // count) but different content: per-block compute amounts are perturbed the
 // way different input files perturb instruction counts. Round-robin policies
 // schedule all variants identically — their schedules depend only on the
@@ -359,7 +333,7 @@ func (r *Runner) Stability(spec programs.Spec, mode Mode, inputs []workload.Para
 // changes can perturb instruction counts and subsequently the schedules").
 // Inputs of different sizes additionally differ in schedule length for every
 // policy, so the controlled experiment varies content at fixed size.
-func StabilityInputs(base workload.Params, n int) []workload.Params {
+func stabilityInputs(base workload.Params, n int) []workload.Params {
 	out := make([]workload.Params, n)
 	for i := range out {
 		p := base
@@ -370,27 +344,79 @@ func StabilityInputs(base workload.Params, n int) []workload.Params {
 	return out
 }
 
-func runStability(_ *Experiment, w io.Writer, r *Runner, _ Args) (*Table, error) {
+// runStability is the Section 2 comparison: how many distinct schedules each
+// policy produces across eight pbzip2 inputs (CoreDet uses five different
+// schedules to process eight different pbzip2 files; round robin uses one).
+// A row is one input's schedule under one mode: its length, its common
+// prefix with input 0's, and which of the mode's prefix-stability classes it
+// falls in (1 is input 0's).
+func runStability(e *Experiment, w io.Writer, r *Runner, _ Args) (*Table, error) {
 	fmt.Fprintln(w, "=== Section 2: schedule stability across 8 inputs (pbzip2) ===")
 	spec, _ := programs.Find("pbzip2_compress")
-	inputs := StabilityInputs(workload.Params{Scale: r.Params.Scale, InputSeed: 7, Threads: r.Params.Threads}, 8)
+	inputs := stabilityInputs(workload.Params{Scale: r.Params.Scale, InputSeed: 7, Threads: r.Params.Threads}, 8)
+	t := e.newTable()
 	for _, mode := range []Mode{VanillaRR(), QiThread(), Kendo()} {
-		res := r.Stability(spec, mode, inputs)
-		fmt.Fprintf(w, "%-22s distinct schedules: %d of %d inputs (prefix agreement vs input 0: %v)\n",
-			mode.Name, res.Distinct, res.Inputs, res.PrefixLen)
+		cfg := mode.Cfg
+		cfg.Record = true
+		schedules := make([][]core.Event, len(inputs))
+		for i, in := range inputs {
+			rt := qithread.New(cfg)
+			spec.Build(in)(rt)
+			schedules[i] = rt.Trace()
+		}
+		for i, class := range trace.ScheduleClasses(schedules) {
+			t.add(mode.Name, i, len(schedules[i]), trace.CommonPrefix(schedules[0], schedules[i]), class)
+		}
 	}
-	return nil, nil
+	t.Fprint(w)
+	return t, nil
 }
 
-func runX264(_ *Experiment, w io.Writer, r *Runner, _ Args) (*Table, error) {
+// stabilityDistinct counts, per mode of a stability table in row order, its
+// inputs and its distinct schedules.
+func stabilityDistinct(t *Table) (modes []string, inputs, distinct map[string]int) {
+	classes := map[string]map[string]bool{}
+	inputs = map[string]int{}
+	for _, row := range t.rows {
+		if classes[row[0]] == nil {
+			modes = append(modes, row[0])
+			classes[row[0]] = map[string]bool{}
+		}
+		inputs[row[0]]++
+		classes[row[0]][row[t.col("schedule")]] = true
+	}
+	distinct = map[string]int{}
+	for m, c := range classes {
+		distinct[m] = len(c)
+	}
+	return modes, inputs, distinct
+}
+
+// stabilitySummary prints every mode's distinct schedule count.
+func stabilitySummary(w io.Writer, t *Table) {
+	modes, inputs, distinct := stabilityDistinct(t)
+	lines := [][]string{{"mode", "inputs", "distinct schedules"}}
+	for _, m := range modes {
+		lines = append(lines, []string{m, fmt.Sprint(inputs[m]), fmt.Sprint(distinct[m])})
+	}
+	fprintAligned(w, 1, lines)
+}
+
+// runX264 is the x264 case of Section 5.2: its overhead under Parrot, under
+// QiThread, and under QiThread without BoostBlocked, each normalized to
+// nondeterministic execution (the first row).
+func runX264(e *Experiment, w io.Writer, r *Runner, _ Args) (*Table, error) {
 	fmt.Fprintln(w, "=== Section 5.2: x264 with BoostBlocked toggled ===")
 	spec, _ := programs.Find("x264")
 	base := r.Measure(spec, Nondet())
+	t := e.newTable()
+	t.add(Nondet().Name, base, ftoa(1, 4))
 	for _, mode := range []Mode{ParrotSoft(), QiThread(), QiThreadWith(qithread.AllPolicies &^ qithread.BoostBlocked)} {
-		n := stats.Normalized(r.Measure(spec, mode), base)
-		fmt.Fprintf(w, "%-40s %.2fx (overhead %+.0f%%)\n", mode.Name, n, stats.OverheadPct(n))
+		d := r.Measure(spec, mode)
+		t.add(mode.Name, d, ftoa(stats.Normalized(d, base), 4))
 	}
-	return nil, nil
+	t.Fprint(w)
+	return t, nil
 }
 
 // runCounters runs each program once under the full QiThread stack and

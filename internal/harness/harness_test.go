@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -97,34 +99,23 @@ func TestPolicyEffectivenessOrder(t *testing.T) {
 		}
 		specs = append(specs, s)
 	}
-	steps := runner().PolicyEffectiveness(specs)
-	find := func(stepName, prog string) bool {
-		for _, st := range steps {
-			if st.Name != stepName {
-				continue
-			}
-			for _, b := range st.Benefited {
-				if b == prog {
-					return true
-				}
-			}
-		}
-		return false
+	tab, err := experiment(t, "policies").Run(io.Discard, runner(), Args{Specs: specs})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !find("WakeAMAP", "pbzip2_compress") {
-		t.Errorf("WakeAMAP should benefit pbzip2_compress; steps: %+v", steps)
+	steps, benefited, _ := policyShifts(tab)
+	if want := []string{"+BoostBlocked", "+CreateAll", "+CSWhole", "+WakeAMAP", "+BranchedWake"}; !slices.Equal(steps, want) {
+		t.Fatalf("steps %v, want %v", steps, want)
+	}
+	if !slices.Contains(benefited[3], "pbzip2_compress") {
+		t.Errorf("WakeAMAP should benefit pbzip2_compress; it benefited %v", benefited[3])
 	}
 	// BranchedWake's beneficiaries must all be OpenMP-structured programs
 	// (the gomp barrier of Figure 3): in this subset, the ImageMagick, STL
 	// and NPB entries.
-	for _, st := range steps {
-		if st.Name != "BranchedWake" {
-			continue
-		}
-		for _, b := range st.Benefited {
-			if b == "pbzip2_compress" || b == "histogram-pthread" {
-				t.Errorf("BranchedWake should only affect OpenMP programs, benefited %s", b)
-			}
+	for _, b := range benefited[4] {
+		if b == "pbzip2_compress" || b == "histogram-pthread" {
+			t.Errorf("BranchedWake should only affect OpenMP programs, benefited %s", b)
 		}
 	}
 }
@@ -133,33 +124,42 @@ func TestPolicyEffectivenessOrder(t *testing.T) {
 // pbzip2 input files, round-robin-based scheduling uses ONE schedule
 // (prefix-stable), the logical-clock policy uses several — CoreDet used five.
 func TestStabilityExperiment(t *testing.T) {
-	spec, _ := programs.Find("pbzip2_compress")
-	inputs := StabilityInputs(workload.Params{Scale: 0.1, InputSeed: 7}, 8)
-
-	rr := runner().Stability(spec, QiThread(), inputs)
-	if rr.Distinct != 1 {
-		t.Errorf("QiThread (round robin) should use one schedule for all inputs, got %d", rr.Distinct)
+	tab, err := experiment(t, "stability").Run(io.Discard, &Runner{Params: workload.Params{Scale: 0.1}}, Args{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	vrr := runner().Stability(spec, VanillaRR(), inputs)
-	if vrr.Distinct != 1 {
-		t.Errorf("vanilla round robin should use one schedule for all inputs, got %d", vrr.Distinct)
+	_, n, distinct := stabilityDistinct(tab)
+	for _, m := range []string{QiThread().Name, VanillaRR().Name, Kendo().Name} {
+		if n[m] != 8 {
+			t.Errorf("%s: %d inputs recorded, want 8", m, n[m])
+		}
 	}
-	lc := runner().Stability(spec, Kendo(), inputs)
-	if lc.Distinct < 2 {
-		t.Errorf("logical clock should be unstable across inputs, got %d distinct schedules", lc.Distinct)
+	if d := distinct[QiThread().Name]; d != 1 {
+		t.Errorf("QiThread (round robin) should use one schedule for all inputs, got %d", d)
+	}
+	if d := distinct[VanillaRR().Name]; d != 1 {
+		t.Errorf("vanilla round robin should use one schedule for all inputs, got %d", d)
+	}
+	if d := distinct[Kendo().Name]; d < 2 {
+		t.Errorf("logical clock should be unstable across inputs, got %d distinct schedules", d)
 	}
 }
 
-// TestScalabilitySmoke runs the Section 5.3 sweep on two programs with small
-// thread counts and checks the variation metric is finite and the runs
-// complete.
+// TestScalabilitySmoke runs the Section 5.3 sweep and checks the variation
+// metric is finite and the runs complete.
 func TestScalabilitySmoke(t *testing.T) {
-	r := &Runner{Params: workload.Params{Scale: 0.1, InputSeed: 42}}
-	res := r.Scalability([]string{"barnes", "pbzip2_decompress"}, []int{2, 4, 8})
-	for _, re := range res {
-		for mode, dev := range re.MaxDeviationPct {
-			if dev < 0 || dev != dev { // NaN check
-				t.Errorf("%s %s: bad deviation %v (norms %v)", re.Program, mode, dev, re.Norm[mode])
+	tab, err := experiment(t, "scalability").Run(io.Discard, &Runner{Params: workload.Params{Scale: 0.1, InputSeed: 42}}, Args{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, dev := scalabilityDeviations(tab)
+	if !slices.Equal(names, []string{"barnes", "bodytrack", "histogram", "convert_shear", "pbzip2_decompress"}) {
+		t.Fatalf("programs %v", names)
+	}
+	for mode, devs := range dev {
+		for i, d := range devs {
+			if d < 0 || d != d { // NaN check
+				t.Errorf("%s %s: bad deviation %v", names[i], mode, d)
 			}
 		}
 	}

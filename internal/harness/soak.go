@@ -23,9 +23,9 @@ import (
 // heap to show recording memory stays flat. Afterwards the streamed schedule
 // is loaded back (its hash must equal the run's fingerprint), re-encoded as
 // text to measure the size and load-time ratios, and the streamed ingress log
-// is replayed in streaming mode to the recorded observables.
-func runSoak(_ *Experiment, w io.Writer, _ *Runner, a Args) (*Table, error) {
-	fmt.Fprintf(w, "=== E19 soak: bounded-memory streaming record (%d requests) ===\n", a.SoakEvents)
+// is replayed in streaming mode to the recorded observables. The one row is
+// printed once that replay gate has passed.
+func runSoak(e *Experiment, w io.Writer, _ *Runner, a Args) (*Table, error) {
 	dir, err := os.MkdirTemp("", "qisoak")
 	if err != nil {
 		return nil, err
@@ -119,30 +119,18 @@ func runSoak(_ *Experiment, w io.Writer, _ *Runner, a Args) (*Table, error) {
 	if h := trace.Hash(events); h != run.Fingerprint.DomainHashes[0] {
 		return nil, fmt.Errorf("streamed schedule hashes to %016x, fingerprint says %016x", h, run.Fingerprint.DomainHashes[0])
 	}
-	fmt.Fprintf(w, "recorded:  %d admitted in %d epochs, %v wall (%.0f req/s)\n",
-		run.Stats.Admitted, run.Stats.Epochs, run.Wall.Round(time.Millisecond),
-		float64(run.Stats.Admitted)/run.Wall.Seconds())
-	fmt.Fprintf(w, "schedule:  %d events streamed, %d bytes (%.1f B/event)\n",
-		len(events), binBytes, float64(binBytes)/float64(len(events)))
-	var ckptBytes int
+	ckptEpoch, ckptBytes := any("-"), any("-")
 	if n := len(run.Checkpoints); n > 0 {
 		var buf bytes.Buffer
 		if err := qithread.SaveCheckpoint(&buf, run.Checkpoints[n-1]); err != nil {
 			return nil, err
 		}
-		ckptBytes = buf.Len()
-		fmt.Fprintf(w, "ckpts:     %d (every %d epochs), last at epoch %d is %d bytes\n",
-			n, wcfg.CheckpointEvery, run.Checkpoints[n-1].Epoch(), ckptBytes)
+		ckptEpoch, ckptBytes = run.Checkpoints[n-1].Epoch(), buf.Len()
 	}
-	mb := func(v uint64) float64 { return float64(v) / (1 << 20) }
-	first, max, last := samples[0], samples[0], samples[len(samples)-1]
+	first, peak, last := samples[0], samples[0], samples[len(samples)-1]
 	for _, s := range samples {
-		if s > max {
-			max = s
-		}
+		peak = max(peak, s)
 	}
-	fmt.Fprintf(w, "heap:      first %.1f MB, max %.1f MB, last %.1f MB over %d samples (streaming holds it flat)\n",
-		mb(first), mb(max), mb(last), len(samples))
 
 	// Time both formats.
 	var text bytes.Buffer
@@ -162,12 +150,6 @@ func runSoak(_ *Experiment, w io.Writer, _ *Runner, a Args) (*Table, error) {
 		return nil, err
 	}
 	textLoad := time.Since(t0)
-	fmt.Fprintf(w, "load:      binary %d events in %v (%.0f ev/s), text in %v (%.0f ev/s)\n",
-		len(events), binLoad.Round(time.Millisecond), float64(len(events))/binLoad.Seconds(),
-		textLoad.Round(time.Millisecond), float64(len(events))/textLoad.Seconds())
-	fmt.Fprintf(w, "ratios:    binary is %.1fx smaller than text (%d vs %d bytes), %.1fx faster to load\n",
-		float64(textBytes)/float64(binBytes), binBytes, textBytes,
-		textLoad.Seconds()/binLoad.Seconds())
 
 	// Replay the streamed ingress log — also in streaming mode, so the check
 	// itself runs in bounded memory — and require the recorded observables.
@@ -195,6 +177,24 @@ func runSoak(_ *Experiment, w io.Writer, _ *Runner, a Args) (*Table, error) {
 	if got, want := rerun.Observables(), run.Observables(); got != want {
 		return nil, fmt.Errorf("streamed replay diverged:\n  recorded: %s\n  replayed: %s", want, got)
 	}
-	fmt.Fprintf(w, "replay:    streamed log re-fed in streaming mode, observables identical\n  %s\n", run.Observables())
-	return nil, nil
+	fmt.Fprintf(w, "=== E19 soak: bounded-memory streaming record (%d requests, a checkpoint every %d epochs); streamed replay: observables identical ===\n",
+		a.SoakEvents, wcfg.CheckpointEvery)
+	mb := func(v uint64) string { return ftoa(float64(v)/(1<<20), 1) }
+	t := e.newTable()
+	t.add(a.SoakEvents, run.Stats.Admitted, run.Stats.Epochs, run.Wall, len(events), binBytes, textBytes, binLoad, textLoad,
+		len(run.Checkpoints), ckptEpoch, ckptBytes, mb(first), mb(peak), mb(last), len(samples))
+	t.Fprint(w)
+	return t, nil
+}
+
+// soakSummary derives the soak's headline ratios from its row: admission
+// throughput, schedule bytes per event, and the binary format's size and
+// load-time advantage over text.
+func soakSummary(w io.Writer, t *Table) {
+	for _, row := range t.rows {
+		fmt.Fprintf(w, "recorded %.0f req/s at %.1f B/event\n",
+			ratio(t.num(row, "admitted"), t.num(row, "wall_ms")/1000), ratio(t.num(row, "bin_bytes"), t.num(row, "events")))
+		fmt.Fprintf(w, "binary is %.1fx smaller than text and %.1fx faster to load\n",
+			ratio(t.num(row, "text_bytes"), t.num(row, "bin_bytes")), ratio(t.num(row, "text_load_ms"), t.num(row, "bin_load_ms")))
+	}
 }

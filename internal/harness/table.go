@@ -10,7 +10,7 @@ import (
 	"time"
 )
 
-// Table is the one rendering of a tabular experiment. The arm builds it from
+// Table is the one rendering of an experiment. The arm builds it from
 // its measurements, the terminal shows it (Fprint), `qibench -o` writes it
 // (WriteCSV) and qistat reads it back (ReadCSV) and shows it again; the
 // aggregate lines under a table are a function of its cells, never of the
@@ -66,6 +66,15 @@ func (t *Table) num(row []string, col string) float64 {
 	return v
 }
 
+// dur reads a duration cell back to the nanosecond it was written from (ms
+// writes whole nanoseconds exactly), so a threshold on a ratio of two
+// makespans decides the same from the file as from the measurement; 0 for
+// "-" or any cell that is not a duration.
+func (t *Table) dur(row []string, col string) time.Duration {
+	d, _ := time.ParseDuration(row[t.col(col)] + "ms")
+	return d
+}
+
 // Fprint renders the table in aligned columns — labels to the left, numbers
 // to the right — followed by the experiment's aggregate lines.
 func (t *Table) Fprint(w io.Writer) {
@@ -116,11 +125,10 @@ func ReadCSV(r io.Reader) (*Table, error) {
 	var t *Table
 	var known []string
 	for i := range Experiments {
-		if e := &Experiments[i]; e.header != "" {
-			known = append(known, e.Name)
-			if e.header == strings.Join(header, ",") {
-				t = e.newTable()
-			}
+		e := &Experiments[i]
+		known = append(known, e.Name)
+		if e.header == strings.Join(header, ",") {
+			t = e.newTable()
 		}
 	}
 	if t == nil {

@@ -65,25 +65,6 @@ type Chooser interface {
 	Choose(kind ChoiceKind, ids []int, n, def int) int
 }
 
-// TracePosChooser is an optional Chooser extension. When the scheduler's
-// chooser implements it, the turn and wake consultation sites call ChooseAt
-// instead of Choose and pass pos — the domain-local trace position at the
-// decision moment, i.e. the index the next recorded event will occupy.
-//
-// The position is what lets an explorer align a decision log with the
-// recorded schedule after the run: decision i happened at trace index pos, so
-// the events a candidate thread would have executed had it been chosen are
-// exactly its events at or after pos. That alignment is the input to the
-// happens-before independence pruning of internal/explore — without it, a
-// flip set can only be pruned by fingerprint equality after paying for the
-// run. Admission choices carry no position (they are not thread-ordered), and
-// choosers that do not implement the extension are consulted through Choose
-// exactly as before.
-type TracePosChooser interface {
-	Chooser
-	ChooseAt(pos int64, kind ChoiceKind, ids []int, n, def int) int
-}
-
 // Choice records one resolved choice point: the decision kind, the number of
 // candidates, the index the configured policy would have taken, and the index
 // actually taken. A run's []Choice, alongside its schedule, is what makes an

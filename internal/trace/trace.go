@@ -48,25 +48,26 @@ func StablePrefix(a, b []core.Event) bool {
 	return CommonPrefix(a, b) == n
 }
 
-// DistinctSchedules groups a set of schedules by prefix-stability and returns
-// the number of equivalence classes — the "five different schedules for
-// eight different files" measurement reported for CoreDet on pbzip2.
-func DistinctSchedules(schedules [][]core.Event) int {
-	classes := 0
-	assigned := make([]bool, len(schedules))
+// ScheduleClasses groups a set of schedules by prefix-stability and returns
+// each schedule's class, numbered from 1 in order of first appearance; the
+// number of classes is the "five different schedules for eight different
+// files" measurement reported for CoreDet on pbzip2.
+func ScheduleClasses(schedules [][]core.Event) []int {
+	class := make([]int, len(schedules))
+	n := 0
 	for i := range schedules {
-		if assigned[i] {
+		if class[i] != 0 {
 			continue
 		}
-		classes++
-		assigned[i] = true
+		n++
+		class[i] = n
 		for j := i + 1; j < len(schedules); j++ {
-			if !assigned[j] && StablePrefix(schedules[i], schedules[j]) {
-				assigned[j] = true
+			if class[j] == 0 && StablePrefix(schedules[i], schedules[j]) {
+				class[j] = n
 			}
 		}
 	}
-	return classes
+	return class
 }
 
 // Format renders a schedule like the rows of Figure 1b, up to limit events

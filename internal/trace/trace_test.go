@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -83,18 +84,20 @@ func TestCommonPrefixProperties(t *testing.T) {
 func TestDistinctSchedules(t *testing.T) {
 	a := genSchedule(1, 20)
 	b := genSchedule(2, 20)
-	if got := DistinctSchedules([][]core.Event{a, a, a}); got != 1 {
-		t.Fatalf("identical schedules: %d classes", got)
-	}
-	if got := DistinctSchedules([][]core.Event{a, b}); got != 2 {
-		t.Fatalf("different schedules: %d classes", got)
-	}
-	// A prefix counts as the same schedule (shorter input, same policy).
-	if got := DistinctSchedules([][]core.Event{a, a[:10], b}); got != 2 {
-		t.Fatalf("prefix grouping: %d classes", got)
-	}
-	if got := DistinctSchedules(nil); got != 0 {
-		t.Fatalf("empty: %d", got)
+	for _, c := range []struct {
+		name      string
+		schedules [][]core.Event
+		want      []int
+	}{
+		{"identical schedules", [][]core.Event{a, a, a}, []int{1, 1, 1}},
+		{"different schedules", [][]core.Event{a, b}, []int{1, 2}},
+		// A prefix counts as the same schedule (shorter input, same policy).
+		{"prefix grouping", [][]core.Event{a, b, a[:10], b}, []int{1, 2, 1, 2}},
+		{"empty", nil, []int{}},
+	} {
+		if got := ScheduleClasses(c.schedules); !slices.Equal(got, c.want) {
+			t.Errorf("%s: classes %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 

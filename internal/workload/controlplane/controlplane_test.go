@@ -210,11 +210,8 @@ func TestGroupSlabs(t *testing.T) {
 	})
 
 	ok, bad := Entity{ID: 1, State: Installing, Steps: 2}, Entity{ID: 2, State: Known, Steps: 2}
-	if !ok.consistent() || ok.invariantError() != nil {
-		t.Errorf("%+v: consistent %v, diagnostic %v, want true and none", ok, ok.consistent(), ok.invariantError())
-	}
-	if err := bad.invariantError(); bad.consistent() || err == nil || !strings.Contains(err.Error(), "entity 2: 2 transitions applied but state is known") {
-		t.Errorf("%+v: consistent %v, diagnostic %v, want false and the double-apply report", bad, bad.consistent(), err)
+	if !ok.consistent() || bad.consistent() {
+		t.Errorf("consistent: %+v %v, %+v %v; want true, false", ok, ok.consistent(), bad, bad.consistent())
 	}
 }
 

@@ -13,10 +13,7 @@
 // replay the same schedule to prove the fix.
 package controlplane
 
-import (
-	"fmt"
-	"strconv"
-)
+import "strconv"
 
 // State is one entity's position in the linear install lifecycle, the guarded
 // transition chain of a cluster-install control plane. Transitions advance one
@@ -82,13 +79,3 @@ type Entity struct {
 // lifecycle position: the invariant the anomaly count checks, once per entity
 // per run.
 func (e *Entity) consistent() bool { return e.Steps == uint64(e.State) }
-
-// invariantError returns nil for a consistent entity, or a diagnostic
-// describing the corruption.
-func (e *Entity) invariantError() error {
-	if e.consistent() {
-		return nil
-	}
-	return fmt.Errorf("entity %d: %d transitions applied but state is %s (want %d): stale double-apply",
-		e.ID, e.Steps, e.State, e.State)
-}

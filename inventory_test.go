@@ -389,6 +389,65 @@ func TestInventory(t *testing.T) {
 	}
 }
 
+// TestDocCommands: every single-backtick span of README.md and EXPERIMENTS.md
+// that runs `go test -bench` names only benchmarks that some `func
+// Benchmark...` of the module starts with, and every span that runs `qibench
+// -experiment` names a row of harness.Experiments (or all), so a
+// "Regenerate:" line still regenerates what it says. Fenced blocks are not
+// spans; a span may wrap a line.
+func TestDocCommands(t *testing.T) {
+	var benchmarks []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir // build caches, not the module's source
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range regexp.MustCompile(`(?m)^func (Benchmark\w*)\(`).FindAllSubmatch(src, -1) {
+			benchmarks = append(benchmarks, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arms := []string{"all"}
+	for _, e := range harness.Experiments {
+		arms = append(arms, e.Name)
+	}
+	var (
+		fence      = regexp.MustCompile("(?ms)^```.*?^```")
+		span       = regexp.MustCompile("`([^`]+)`")
+		benchFlag  = regexp.MustCompile(`^go test .*-bench[= ](\S+)`)
+		benchName  = regexp.MustCompile(`Benchmark\w*`)
+		experiment = regexp.MustCompile(`^qibench .*-experiment[= ](\S+)`)
+	)
+	for _, doc := range []string{"README.md", "EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range span.FindAllSubmatch(fence.ReplaceAll(text, nil), -1) {
+			cmd := strings.Join(strings.Fields(string(m[1])), " ")
+			if f := benchFlag.FindStringSubmatch(cmd); f != nil {
+				for _, name := range benchName.FindAllString(f[1], -1) {
+					if !slices.ContainsFunc(benchmarks, func(b string) bool { return strings.HasPrefix(b, name) }) {
+						t.Errorf("%s: `%s`: no func %s... in the module", doc, cmd, name)
+					}
+				}
+			}
+			if f := experiment.FindStringSubmatch(cmd); f != nil && !slices.Contains(arms, f[1]) {
+				t.Errorf("%s: `%s`: %s is not a row of harness.Experiments", doc, cmd, f[1])
+			}
+		}
+	}
+}
+
 // TestArtifactTable: the file-format headers ("qithread-<family> v<version>")
 // are string literals that each occur exactly once in the non-test source
 // outside benchmark/ — one declaration per header, no second copy for a tool
