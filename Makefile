@@ -51,7 +51,9 @@ loc:
 # empty queue and behind a standing backlog, whose difference is the admission
 # queue's copy compaction (E43), and BenchmarkLogLoad's 200k-event v2b ingress
 # log load, whose allocs/op count slabs, not batches (E47); in internal/trace
-# BenchmarkScheduleLoad's 100k-event schedule in the text and binary formats;
+# BenchmarkScheduleLoad's 100k-event schedule in the text and binary formats
+# (binary ~25 allocated B per loaded event: the 24-B core.Event, which holds
+# no sequence number, and the frames as stored);
 # in internal/explore BenchmarkExploreRun's B/op for one untraced search run
 # of controlplane-race (5,712 B and 31 allocs/op, the counts
 # TestExploredRunAllocBudget holds, E56) and for one 150-decision expand

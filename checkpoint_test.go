@@ -2,6 +2,8 @@ package qithread_test
 
 import (
 	"bytes"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -213,6 +215,52 @@ func TestStreamingTraceFingerprint(t *testing.T) {
 type discardSink struct{}
 
 func (discardSink) Append(qithread.Event) error { return nil }
+
+type collectSink struct{ events []qithread.Event }
+
+func (s *collectSink) Append(e qithread.Event) error {
+	s.events = append(s.events, e)
+	return nil
+}
+
+// TestResumedScheduleSavesAndLoads: the schedule a run resumed from a
+// checkpoint records — here the default domain's, streamed from the last
+// checkpoint of a recorded ingress run — is a schedule like any other, its
+// events numbered from 0 by their position in it: saved as text and as
+// binary, it loads back equal.
+func TestResumedScheduleSavesAndLoads(t *testing.T) {
+	p := workload.Params{Scale: 1, InputSeed: 42}
+	cfg := qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies}
+	wcfg := checkpointTestConfig()
+	rec := workload.RunIngressServer(wcfg, p, cfg, nil)
+	if len(rec.Checkpoints) == 0 {
+		t.Fatalf("run over %d epochs took no checkpoints", rec.Stats.Epochs)
+	}
+	sink := &collectSink{}
+	cfg.StreamTrace = func(domainID int) qithread.TraceSink {
+		if domainID != 0 {
+			return nil
+		}
+		return sink
+	}
+	cp := reload(t, rec.Checkpoints[len(rec.Checkpoints)-1])
+	if res := workload.ResumeIngressServer(wcfg, p, cfg, rec.Log, cp); !res.Fingerprint.Equal(rec.Fingerprint) {
+		t.Fatalf("resumed fingerprint %v, full run %v", res.Fingerprint, rec.Fingerprint)
+	}
+	if len(sink.events) == 0 {
+		t.Fatalf("resumed run from epoch %d recorded no events", cp.Epoch())
+	}
+	for name, save := range map[string]func(io.Writer, []qithread.Event) error{"text": trace.Save, "binary": trace.SaveBinary} {
+		var file bytes.Buffer
+		if err := save(&file, sink.events); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got, err := trace.Load(&file)
+		if err != nil || !slices.Equal(got, sink.events) {
+			t.Errorf("%s: the resumed run's %d events load back as %d, err %v", name, len(sink.events), len(got), err)
+		}
+	}
+}
 
 // TestCheckpointRefusesActiveDomain: Checkpoint and Resume refuse while
 // another domain has threads, and decide it from that domain's launch state,

@@ -87,7 +87,7 @@ func main() {
 		fmt.Printf("%s: %d events under %s, %d under %s, common prefix %d\n",
 			spec.Name, len(t1), m1.Name, len(t2), m2.Name, cp)
 		if cp < len(t1) && cp < len(t2) {
-			fmt.Printf("divergence:\n  %s: %v\n  %s: %v\n", m1.Name, t1[cp], m2.Name, t2[cp])
+			fmt.Printf("divergence:\n  %s: %4d %v\n  %s: %4d %v\n", m1.Name, cp, t1[cp], m2.Name, cp, t2[cp])
 		}
 		return
 	}

@@ -51,8 +51,9 @@ func minAllocs(run func()) (mallocs, bytes uint64) {
 // the 896 class (840 B): its policy stack keeps six unnamed 40-B counter
 // blocks (policy.Stack, 248 B), its counters carry no snapshot slice, and its
 // chooser enumerates candidates into one inline id buffer. An Event is not
-// allocated alone but by the schedule: with its ids at int32 it is 32 B
-// rather than 40, a fifth off every schedule.
+// allocated alone but by the schedule: with its ids at int32 and its
+// position left to its index in the schedule it is 24 B rather than 40,
+// two fifths off every schedule.
 func TestRecordSizesPinned(t *testing.T) {
 	if n := unsafe.Sizeof(Thread{}); n > 176 {
 		t.Errorf("Thread is %d B, want <= 176: the next size class is 192; per-thread state goes in core.Thread's padding or the scheduler's host record", n)
@@ -89,8 +90,8 @@ func TestRecordSizesPinned(t *testing.T) {
 	if n := unsafe.Sizeof(core.Scheduler{}); n > 896 {
 		t.Errorf("core.Scheduler is %d B, want <= 896: the next size class is 1024", n)
 	}
-	if n := unsafe.Sizeof(Event{}); n > 32 {
-		t.Errorf("Event is %d B, want <= 32: every retained, loaded and flattened schedule is an []Event; the two words go first, the int32 ids share the third and Op and Status the last", n)
+	if n := unsafe.Sizeof(Event{}); n > 24 {
+		t.Errorf("Event is %d B, want <= 24: every retained, loaded and flattened schedule is an []Event; the object word goes first, the int32 ids share the second and Op and Status the last, and the position is the event's index", n)
 	}
 }
 

@@ -25,8 +25,8 @@ import (
 //
 // What is deliberately NOT restored: per-policy decision counters
 // (policy.Metrics — diagnostics, not schedule inputs) and the retained
-// []Event prefix (a resumed retained-mode run holds only the suffix; Seq
-// numbering continues via the restored trace length).
+// []Event prefix (a resumed run's schedule, retained or streamed, holds only
+// the suffix: its index i is the recording's position TraceLen + i).
 
 // ThreadState is one live thread's checkpointable state.
 type ThreadState struct {

@@ -143,7 +143,7 @@ func (m *model) traceOp(t int, op OpKind, obj uint64, st EventStatus) {
 		th.vtime = max(th.vtime, m.vLastOp) + vSyncCostTurn
 		m.vLastOp = th.vtime
 	}
-	m.trace = append(m.trace, Event{Seq: int64(len(m.trace)), TID: int32(t), Op: op, Obj: obj, Status: st})
+	m.trace = append(m.trace, Event{TID: int32(t), Op: op, Obj: obj, Status: st})
 }
 
 // addWork is compute, which can change a clock base's pick.

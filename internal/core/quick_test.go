@@ -110,18 +110,15 @@ func TestQuickScheduleDeterminism(t *testing.T) {
 	}
 }
 
-// TestQuickTraceWellFormed: every trace is a total order with contiguous
-// sequence numbers, exactly one thread_end per thread, and every wait-return
+// TestQuickTraceWellFormed: every trace has exactly one thread_end per
+// thread, and every wait-return
 // preceded by a matching wait-block from the same thread.
 func TestQuickTraceWellFormed(t *testing.T) {
 	f := func(sc script) bool {
 		tr := runScript(sc, Config{Mode: policy.RoundRobin, Policies: policy.BoostBlocked})
 		ends := map[int32]int{}
 		pendingWait := map[int32]int{}
-		for i, e := range tr {
-			if e.Seq != int64(i) {
-				return false
-			}
+		for _, e := range tr {
 			switch {
 			case e.Op == OpThreadEnd:
 				ends[e.TID]++

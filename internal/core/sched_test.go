@@ -6,6 +6,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"qithread/internal/logio"
 	"qithread/internal/policy"
 )
 
@@ -283,10 +284,15 @@ func TestTraceTotalOrder(t *testing.T) {
 	if len(tr) != 3*6 {
 		t.Fatalf("trace length %d, want %d", len(tr), 3*6)
 	}
+	h, ops := uint64(logio.FNVOffset64), map[int32]int{}
 	for i, e := range tr {
-		if e.Seq != int64(i) {
-			t.Fatalf("trace[%d].Seq = %d", i, e.Seq)
+		if ops[e.TID]++; (ops[e.TID] == 6) != (e.Op == OpThreadEnd) {
+			t.Fatalf("trace[%d] = %v is T%d's op %d", i, e, e.TID, ops[e.TID])
 		}
+		h = FoldEvent(h, e)
+	}
+	if len(ops) != 3 || h != s.TraceHash() {
+		t.Fatalf("trace covers %d threads, hash %016x, TraceHash %016x", len(ops), h, s.TraceHash())
 	}
 }
 

@@ -148,16 +148,16 @@ func (st EventStatus) String() string {
 }
 
 // Event is one synchronization operation in the deterministic total order of
-// ONE scheduler domain. Seq orders events within the domain; events of
-// different domains are not mutually ordered (cross-domain causality is
-// captured by the sequenced-pipe delivery stamps, see pipe.go).
+// ONE scheduler domain. An event's sequence number is its index in its
+// domain's schedule, so the event does not store it; events of different
+// domains are not mutually ordered (cross-domain causality is captured by the
+// sequenced-pipe delivery stamps, see pipe.go).
 //
 // TID and Domain are int32, the bound both trace codecs enforce and that
-// RegisterIn and addDomain refuse to pass. The two words come first, the two
-// int32 share the third word and Op and Status the last: 32 bytes, the size
-// of every event of every retained, loaded and flattened schedule.
+// RegisterIn and addDomain refuse to pass. The object word comes first, the
+// two int32 share the second word and Op and Status the last: 24 bytes, the
+// size of every event of every retained, loaded and flattened schedule.
 type Event struct {
-	Seq    int64       // position in the domain-local total order
 	Obj    uint64      // synchronization object ID, 0 when not applicable
 	TID    int32       // thread ID (registration order within the domain)
 	Domain int32       // scheduler domain the event belongs to (0 = default)
@@ -165,12 +165,14 @@ type Event struct {
 	Status EventStatus // blocks / returns annotation
 }
 
-// String renders the event like a row of Figure 1b. Events of non-default
-// domains carry a d<N> marker so merged listings stay attributable.
+// String renders the event like a row of Figure 1b without its position,
+// which the event does not know: a listing prints the index beside it
+// (internal/trace.Format). Events of non-default domains carry a d<N> marker
+// so merged listings stay attributable.
 func (e Event) String() string {
-	s := fmt.Sprintf("%4d T%d %s", e.Seq, e.TID, e.Op)
+	s := fmt.Sprintf("T%d %s", e.TID, e.Op)
 	if e.Domain != 0 {
-		s = fmt.Sprintf("%4d d%d.T%d %s", e.Seq, e.Domain, e.TID, e.Op)
+		s = fmt.Sprintf("d%d.T%d %s", e.Domain, e.TID, e.Op)
 	}
 	if e.Obj != 0 {
 		s += fmt.Sprintf("(#%d)", e.Obj)
@@ -193,11 +195,12 @@ type TraceSink interface {
 }
 
 // FoldEvent folds one event into an FNV-64a schedule hash: thread, operation,
-// object and status, each as a little-endian uint64. Seq and Domain are
-// position and attribution, not content. The scheduler folds each recorded
-// event as it happens and internal/trace.Hash folds a finished slice through
-// this same function, so a streaming run fingerprints in O(1) memory and a
-// retained run's hash equals trace.Hash of its trace without a final pass.
+// object and status, each as a little-endian uint64. Domain is attribution,
+// not content, and the position is not in the event at all. The scheduler
+// folds each recorded event as it happens and internal/trace.Hash folds a
+// finished slice through this same function, so a streaming run fingerprints
+// in O(1) memory and a retained run's hash equals trace.Hash of its trace
+// without a final pass.
 func FoldEvent(h uint64, e Event) uint64 {
 	h = logio.FNVFold64(h, uint64(e.TID))
 	h = logio.FNVFold64(h, uint64(e.Op))
@@ -224,12 +227,11 @@ const (
 // A replaying scheduler verifies every operation against the recording, so
 // while the trace is exactly the verified prefix of the recording it keeps a
 // count instead of a second copy: borrowed events are the recording's, with
-// Seq their position and Domain the scheduler's. The first event that is not
-// the next one of the recording — the replay ran out, recording was muted for
-// a replayed op, the trace did not start at position 0 — goes to the chunks,
-// and from then on every event does. relabeled records that some borrowed
-// event of the recording carries another Seq or Domain than the trace gives
-// it, so the recording itself cannot stand in for the trace.
+// Domain the scheduler's. The first event that is not the next one of the
+// recording — the replay ran out, recording was muted for a replayed op —
+// goes to the chunks, and from then on every event does. relabeled records
+// that some borrowed event of the recording carries another Domain than the
+// trace gives it, so the recording itself cannot stand in for the trace.
 type traceLog struct {
 	borrowed  int
 	relabeled bool
@@ -237,15 +239,16 @@ type traceLog struct {
 	cur       []Event
 }
 
-// borrow retains e, the event at trace position e.Seq, by counting it, and
-// reports whether it could: e must be the replay's event at index replayed,
-// just verified equal to it (-1 when the op was not replayed), and every
-// event retained so far must be borrowed, e.Seq of them.
+// borrow retains e, the next event of the trace, by counting it, and reports
+// whether it could: e must be the replay's event at index replayed, just
+// verified equal to it (-1 when the op was not replayed), and every event
+// retained so far must be borrowed, so that e's position in the trace is the
+// count borrowed and the same index in the replay.
 func (l *traceLog) borrow(e Event, replay []Event, replayed int) bool {
-	if len(l.cur) > 0 || replayed != l.borrowed || e.Seq != int64(l.borrowed) {
+	if len(l.cur) > 0 || replayed != l.borrowed {
 		return false
 	}
-	if r := replay[replayed]; r.Seq != e.Seq || r.Domain != e.Domain {
+	if replay[replayed].Domain != e.Domain {
 		l.relabeled = true
 	}
 	l.borrowed++
@@ -282,8 +285,8 @@ func (l *traceLog) flatten(replay []Event, domain int) []Event {
 		return replay[:n:n]
 	}
 	out := make([]Event, 0, n)
-	for i, e := range replay[:l.borrowed] {
-		e.Seq, e.Domain = int64(i), int32(domain)
+	for _, e := range replay[:l.borrowed] {
+		e.Domain = int32(domain)
 		out = append(out, e)
 	}
 	for _, c := range l.full {
@@ -312,24 +315,21 @@ func (s *Scheduler) TraceOp(t *Thread, op OpKind, obj uint64, st EventStatus) {
 		return
 	}
 	e := Event{
-		Seq:    s.traceLen,
 		TID:    int32(t.id),
 		Op:     op,
 		Obj:    obj,
 		Status: st,
 		Domain: int32(s.cfg.DomainID),
 	}
-	s.traceLen++
 	s.traceHash = FoldEvent(s.traceHash, e)
 	if s.cfg.Sink != nil {
 		if err := s.cfg.Sink.Append(e); err != nil {
-			panic(fmt.Sprintf("core: trace sink failed at event %d: %v", e.Seq, err))
+			panic(fmt.Sprintf("core: trace sink failed at event %d: %v", s.traceLen, err))
 		}
-		return
-	}
-	if !s.trace.borrow(e, s.replay, replayed) {
+	} else if !s.trace.borrow(e, s.replay, replayed) {
 		s.trace.append(e)
 	}
+	s.traceLen++
 }
 
 // traceVTime applies a synchronization operation's virtual-time accounting.
@@ -353,11 +353,10 @@ func (s *Scheduler) traceVTime(t *Thread) {
 // the run streams (Config.Sink) — then the sink's log and the running
 // TraceHash are the record. A replaying scheduler's trace starts with the
 // verified prefix of the schedule it replays (see SetReplay). When the whole
-// trace is that prefix and the schedule's events already carry their
-// positions as Seq and this scheduler's DomainID, the result is the schedule
-// itself, len == cap: it is read-only under the same borrow contract as
-// SetReplay, and an append to it copies. Otherwise the result is a fresh
-// copy the caller owns.
+// trace is that prefix and the schedule's events already carry this
+// scheduler's DomainID, the result is the schedule itself, len == cap: it is
+// read-only under the same borrow contract as SetReplay, and an append to it
+// copies. Otherwise the result is a fresh copy the caller owns.
 func (s *Scheduler) Trace() []Event {
 	defer s.unlock(s.lock())
 	return s.trace.flatten(s.replay, s.cfg.DomainID)

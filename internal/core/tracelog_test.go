@@ -40,7 +40,7 @@ func record(cfg core.Config, replay []core.Event, n int) (*core.Scheduler, uint6
 
 // TestChunkedTraceRetention: a retained trace is a list of chunks, and at
 // every chunk boundary Trace() must still be exactly the event sequence a
-// sink would have seen, positions and running hash included.
+// sink would have seen, running hash included.
 func TestChunkedTraceRetention(t *testing.T) {
 	lo, hi := core.TraceChunkMin, core.TraceChunkMax
 	for _, n := range []int{0, 1, lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, 3*hi + 7} {
@@ -53,11 +53,6 @@ func TestChunkedTraceRetention(t *testing.T) {
 		}
 		if !slices.Equal(got, sink.events) {
 			t.Fatalf("n=%d: retained trace (%d events) differs from what the sink saw (%d events)", n, len(got), len(sink.events))
-		}
-		for i, e := range got {
-			if e.Seq != int64(i) {
-				t.Fatalf("n=%d: trace[%d].Seq = %d", n, i, e.Seq)
-			}
 		}
 		if h := trace.Hash(got); s.TraceHash() != h || streamed.TraceHash() != h {
 			t.Fatalf("n=%d: TraceHash retained %016x, streamed %016x, trace.Hash(Trace()) %016x", n, s.TraceHash(), streamed.TraceHash(), h)
@@ -90,21 +85,20 @@ func TestTraceRetentionAllocBound(t *testing.T) {
 
 // TestReplayTraceBorrowsPrefix: a replaying scheduler retains the verified
 // prefix of its schedule by reference, and Trace() still returns exactly the
-// events a sink sees — Seq numbered by position and Domain the scheduler's,
-// whatever the schedule's own copies of them say — for a schedule that
-// covers the run, one cut short (the rest is recorded after the borrowed
-// prefix), and none. Replaying a schedule that covers the run copies none of
+// events a sink sees — Domain the scheduler's, whatever the schedule's own
+// copy of it says — for a schedule that covers the run, one cut short (the
+// rest is recorded after the borrowed prefix), and none. Replaying a schedule that covers the run copies none of
 // it until Trace() is called.
 func TestReplayTraceBorrowsPrefix(t *testing.T) {
 	const n = 3*core.TraceChunkMax + 7
 	cfg := core.Config{DomainID: 3}
 	full, _ := record(cfg, nil, n)
 	want := full.Trace()
-	// The schedule as a loader might hand it over: positions and domain ids
-	// are the replaying scheduler's to assign.
+	// The schedule as a loader might hand it over: domain ids are the
+	// replaying scheduler's to assign.
 	schedule := slices.Clone(want)
 	for i := range schedule {
-		schedule[i].Seq, schedule[i].Domain = int64(n-i), 9
+		schedule[i].Domain = 9
 	}
 	for _, k := range []int{0, 1, core.TraceChunkMin + 1, n / 2, n - 1, n} {
 		sink := &sliceSink{}

@@ -6,7 +6,7 @@ import (
 	"qithread/internal/core"
 )
 
-// ev builds one trace event; Seq is positional in these tests.
+// ev builds one trace event; its position is its index in the test's slice.
 func ev(tid int, op core.OpKind, obj uint64) core.Event {
 	return core.Event{TID: int32(tid), Op: op, Obj: obj}
 }

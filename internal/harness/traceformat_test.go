@@ -19,9 +19,9 @@ import (
 
 func formatEvents(domains bool) []core.Event {
 	ev := []core.Event{
-		{Seq: 0, TID: 0, Op: core.OpThreadBegin, Obj: 0, Status: core.StatusOK},
-		{Seq: 1, TID: 0, Op: core.OpMutexLock, Obj: 3, Status: core.StatusOK},
-		{Seq: 2, TID: 1, Op: core.OpMutexUnlock, Obj: 3, Status: core.StatusReturn},
+		{TID: 0, Op: core.OpThreadBegin, Obj: 0, Status: core.StatusOK},
+		{TID: 0, Op: core.OpMutexLock, Obj: 3, Status: core.StatusOK},
+		{TID: 1, Op: core.OpMutexUnlock, Obj: 3, Status: core.StatusReturn},
 	}
 	if domains {
 		ev[1].Domain = 2

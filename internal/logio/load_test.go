@@ -23,7 +23,7 @@ import (
 func TestWarmLoadsAllocateNoBuffer(t *testing.T) {
 	events := make([]core.Event, 50)
 	for i := range events {
-		events[i] = core.Event{Seq: int64(i), TID: int32(i % 3), Op: core.OpYield}
+		events[i] = core.Event{TID: int32(i % 3), Op: core.OpYield}
 	}
 	var binSched, textSched, log, cp bytes.Buffer
 	if err := trace.SaveBinary(&binSched, events); err != nil {

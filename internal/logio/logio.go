@@ -234,6 +234,7 @@ type FrameReader struct {
 	in     countingReader
 	ownBR  bool // in.br came from the free list, not from the caller
 	stored []byte
+	enc    byte // stored's encoding
 	crc    [4]byte
 	plain  bytes.Buffer
 	src    bytes.Reader
@@ -328,12 +329,30 @@ func (fr *FrameReader) Next() ([]byte, error) {
 	if want, got := binary.LittleEndian.Uint32(fr.crc[:]), crc32.Checksum(fr.stored, crcTable); want != got {
 		return nil, fmt.Errorf("logio: frame checksum mismatch: stored %08x, computed %08x", want, got)
 	}
+	fr.enc = enc
+	return fr.Unpack(enc, fr.stored)
+}
+
+// Stored returns the frame Next last returned as the log stores it: its
+// encoding byte and its checksummed stored bytes, valid until the next call
+// of Next. A compressed frame is a fraction of its payload, so a loader that
+// reads every frame before it decodes any keeps its frames this way and
+// unpacks each again when it decodes it.
+func (fr *FrameReader) Stored() (enc byte, stored []byte) {
+	return fr.enc, fr.stored
+}
+
+// Unpack returns the payload of a frame that Stored returned, as Next
+// returned it, valid until the next call of Next or Unpack. Past the
+// terminator it takes a decompressor from the free list again, which Close
+// hands back.
+func (fr *FrameReader) Unpack(enc byte, stored []byte) ([]byte, error) {
 	switch enc {
 	case encodingRaw:
-		return fr.stored, nil
+		return stored, nil
 	case encodingFlate:
 		fr.plain.Reset()
-		fr.src.Reset(fr.stored)
+		fr.src.Reset(stored)
 		if fr.fl == nil {
 			fr.fl, _ = freeInflaters.take()
 		}
@@ -371,12 +390,18 @@ func (fr *FrameReader) end() error {
 		PutReader(fr.in.br, nil)
 	}
 	fr.in.br = nil
+	fr.Close()
+	return io.EOF
+}
+
+// Close returns the decompressor to the free list, as the terminator does.
+// It is needed only after an Unpack past the terminator.
+func (fr *FrameReader) Close() {
 	if fr.fl != nil {
 		fr.fl.(flate.Resetter).Reset(noInput, nil)
 		freeInflaters.put(fr.fl)
 		fr.fl = nil
 	}
-	return io.EOF
 }
 
 // readStored reads an n-byte stored payload into fr.stored. A buffer that

@@ -220,6 +220,46 @@ func TestWarmWriterReusesCodecState(t *testing.T) {
 	}
 }
 
+// TestUnpackStoredFrames: a frame kept as Stored returned it — compressed or
+// raw — unpacks to the payload Next returned, past the terminator too, and
+// the decompressor the unpacking took goes back to the free list at Close.
+func TestUnpackStoredFrames(t *testing.T) {
+	frames := [][]byte{bytes.Repeat([]byte("deterministic "), 200), []byte("raw"), noise(CompressMin)}
+	emptyFreeLists()
+	fr := NewFrameReader(bytes.NewReader(writeFrames(t, frames)))
+	type kept struct {
+		enc    byte
+		stored []byte
+	}
+	var stored []kept
+	for {
+		p, err := fr.Next()
+		if err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		enc, b := fr.Stored()
+		if enc == encodingFlate && len(b) >= len(p) {
+			t.Fatalf("frame %d: compressed to %d bytes from %d", len(stored), len(b), len(p))
+		}
+		stored = append(stored, kept{enc, append([]byte(nil), b...)})
+	}
+	if len(stored) != len(frames) || stored[0].enc != encodingFlate || stored[1].enc != encodingRaw {
+		t.Fatalf("read %d frames, encodings %v", len(stored), stored)
+	}
+	for i, k := range stored {
+		if p, err := fr.Unpack(k.enc, k.stored); err != nil || !bytes.Equal(p, frames[i]) {
+			t.Fatalf("frame %d unpacks to %d bytes, err %v; Next read %d", i, len(p), err, len(frames[i]))
+		}
+	}
+	fl := fr.fl
+	fr.Close()
+	if got, _ := freeInflaters.take(); fl == nil || got != fl {
+		t.Fatal("Close did not return the decompressor Unpack took")
+	}
+}
+
 // TestClosedWriterOwnsNothing: a writer used after Close fails with its own
 // error while another writer compresses with the compressor and buffer it
 // gave back — under -race, any touch of them from the closed writer is a

@@ -115,7 +115,7 @@ func TestEveryProgramDeterministic(t *testing.T) {
 
 // TestEveryProgramReplaysItsTrace: replaying a catalog program's recorded
 // schedule under the configuration that recorded it returns, from Trace(), a
-// schedule deep-equal to the recording — Seq and Domain included — and the
+// schedule deep-equal to the recording — Domain included — and the
 // same output. The replaying run retains the schedule it verified by
 // reference (core's traceLog), so this is the borrowed prefix read back.
 func TestEveryProgramReplaysItsTrace(t *testing.T) {

@@ -28,8 +28,8 @@ import (
 // flags bits 0–1 carry the event status; bits 2/3/4 mean "tid/obj/domain equal
 // to the previous event's", in which case the corresponding varint is omitted.
 // The previous-event registers reset to (0, 0, 0) at each frame start, keeping
-// frames self-contained. Seq is not stored at all: the loader assigns it by
-// position.
+// frames self-contained. An event's sequence number is its position, so it
+// is not stored.
 //
 // Schedule traces are extremely repetitive (a handful of threads ping-ponging
 // over a handful of objects), so frames additionally DEFLATE-compress under
@@ -107,6 +107,7 @@ func (fe *frameEnc) flush(fw *logio.FrameWriter) error {
 type BinaryWriter struct {
 	fw     *logio.FrameWriter
 	enc    frameEnc
+	n      int // events appended
 	closed bool
 }
 
@@ -119,15 +120,16 @@ func NewBinaryWriter(w io.Writer) (*BinaryWriter, error) {
 	return &BinaryWriter{fw: logio.NewFrameWriter(w)}, nil
 }
 
-// Append adds one event to the log. Events must arrive in trace order; Seq is
-// not stored (a loader assigns it by position).
+// Append adds one event to the log. Events must arrive in trace order: an
+// event's position is its sequence number.
 func (bw *BinaryWriter) Append(e core.Event) error {
 	if bw.closed {
 		return fmt.Errorf("trace: append to closed binary schedule writer")
 	}
-	if err := checkEvent(e); err != nil {
+	if err := checkEvent(bw.n, e); err != nil {
 		return err
 	}
+	bw.n++
 	bw.enc.add(e)
 	if bw.enc.count >= frameEvents {
 		return bw.enc.flush(bw.fw)
@@ -164,17 +166,21 @@ func SaveBinary(w io.Writer, events []core.Event) error {
 // been consumed by Load's auto-detection.
 //
 // The load is two passes so that every event is written exactly once. The
-// first reads and CRC-checks every frame, keeping its decoded payload (a few
-// bytes per event) and its validated event count; the second allocates the
-// result at the exact total and decodes straight into it. Decoding frame by
-// frame into a growing slice, or into per-frame chunks concatenated at the
-// end, copies the whole 32-byte-per-event schedule at least once more.
+// first reads, CRC-checks and unpacks every frame, keeping it as stored
+// (compressed, a fraction of a byte per event; a raw frame is its payload)
+// with its validated event count; the second allocates the result at the
+// exact total and unpacks and decodes each frame straight into it. Decoding
+// frame by frame into a growing slice, or into per-frame chunks concatenated
+// at the end, copies the whole 24-byte-per-event schedule at least once more;
+// keeping the unpacked payloads instead costs a few bytes per event more.
 func loadBinary(br *bufio.Reader) ([]core.Event, error) {
 	type rawFrame struct {
-		payload []byte // past the count varint
-		count   uint64
+		stored []byte
+		enc    byte
+		count  uint64
 	}
 	fr := logio.NewFrameReader(br)
+	defer fr.Close()
 	var frames []rawFrame
 	total := uint64(0)
 	for {
@@ -193,14 +199,20 @@ func loadBinary(br *bufio.Reader) ([]core.Event, error) {
 		if count == 0 || count > uint64(len(payload))/2 {
 			return nil, fmt.Errorf("trace: schedule frame %d: implausible event count %d for a %d-byte frame", frame, count, len(payload))
 		}
-		// The reader reuses its buffer, so the payload is copied out.
-		frames = append(frames, rawFrame{payload: append([]byte(nil), d.Bytes(uint64(d.Len()))...), count: count})
+		// The reader reuses its buffer, so the stored frame is copied out.
+		enc, stored := fr.Stored()
+		frames = append(frames, rawFrame{stored: append([]byte(nil), stored...), enc: enc, count: count})
 		total += count
 	}
 	out := make([]core.Event, total)
 	pos := 0
 	for frame, f := range frames {
-		d := logio.NewDec(f.payload)
+		payload, err := fr.Unpack(f.enc, f.stored)
+		if err != nil {
+			return nil, fmt.Errorf("trace: schedule frame %d: %w", frame, err)
+		}
+		d := logio.NewDec(payload)
+		d.Uvarint() // the count, checked above
 		var prevTID, prevDom int32
 		var prevObj uint64
 		for i := uint64(0); i < f.count; i++ {
@@ -235,7 +247,6 @@ func loadBinary(br *bufio.Reader) ([]core.Event, error) {
 				return nil, fmt.Errorf("trace: schedule frame %d: %w", frame, d.Err())
 			}
 			out[pos] = core.Event{
-				Seq:    int64(pos),
 				TID:    tid,
 				Op:     core.OpKind(op),
 				Obj:    obj,

@@ -86,7 +86,7 @@ func TestFormatsPinned(t *testing.T) {
 // rows are the writers' id bound (the loaders' past-int32 rows are in
 // TestLoadersEnforceBounds and TestBinaryRejectsOutOfRangeIDs).
 func TestWritersEnforceBounds(t *testing.T) {
-	good := core.Event{Seq: 0, TID: maxID, Op: core.OpMutexLock, Obj: 1<<64 - 1, Status: maxStatus, Domain: maxID}
+	good := core.Event{TID: maxID, Op: core.OpMutexLock, Obj: 1<<64 - 1, Status: maxStatus, Domain: maxID}
 	writers := map[string]func([]core.Event) error{
 		"Save":         func(evs []core.Event) error { return Save(io.Discard, evs) },
 		"SaveBinary":   func(evs []core.Event) error { return SaveBinary(io.Discard, evs) },

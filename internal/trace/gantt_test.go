@@ -9,13 +9,13 @@ import (
 
 func TestGanttLayout(t *testing.T) {
 	events := []core.Event{
-		{Seq: 0, TID: 0, Op: core.OpCreate, Obj: 3},
-		{Seq: 1, TID: 1, Op: core.OpThreadBegin},
-		{Seq: 2, TID: 1, Op: core.OpMutexLock, Obj: 1},
-		{Seq: 3, TID: 0, Op: core.OpMutexLock, Obj: 1, Status: core.StatusBlocked},
-		{Seq: 4, TID: 1, Op: core.OpMutexUnlock, Obj: 1},
-		{Seq: 5, TID: 0, Op: core.OpMutexLock, Obj: 1, Status: core.StatusReturn},
-		{Seq: 6, TID: 1, Op: core.OpThreadEnd},
+		{TID: 0, Op: core.OpCreate, Obj: 3},
+		{TID: 1, Op: core.OpThreadBegin},
+		{TID: 1, Op: core.OpMutexLock, Obj: 1},
+		{TID: 0, Op: core.OpMutexLock, Obj: 1, Status: core.StatusBlocked},
+		{TID: 1, Op: core.OpMutexUnlock, Obj: 1},
+		{TID: 0, Op: core.OpMutexLock, Obj: 1, Status: core.StatusReturn},
+		{TID: 1, Op: core.OpThreadEnd},
 	}
 	var sb strings.Builder
 	Gantt(&sb, events, 0)

@@ -71,10 +71,11 @@ const (
 	maxChoice = math.MaxInt32
 )
 
-func checkEvent(e core.Event) error {
+// checkEvent enforces the bounds on e, the event at position pos.
+func checkEvent(pos int, e core.Event) error {
 	if uint64(e.TID) > maxID || uint64(e.Domain) > maxID || e.Status > maxStatus {
 		return fmt.Errorf("trace: event %d out of range (thread id %d, domain id %d, status %d; want ids 0..%d, status 0..%d)",
-			e.Seq, e.TID, e.Domain, uint8(e.Status), maxID, uint8(maxStatus))
+			pos, e.TID, e.Domain, uint8(e.Status), maxID, uint8(maxStatus))
 	}
 	return nil
 }
@@ -99,17 +100,17 @@ func SaveExplored(w io.Writer, events []core.Event, choices []core.Choice) error
 	return saveText(w, HeaderExplored, events, choices)
 }
 
-// saveText is the one text writer: the header, a line per event (without the
-// domain column under v1), a line per decision. Write errors stick to the
-// bufio.Writer and surface from Flush.
+// saveText is the one text writer: the header, a line per event led by its
+// position (without the domain column under v1), a line per decision. Write
+// errors stick to the bufio.Writer and surface from Flush.
 func saveText(w io.Writer, header string, events []core.Event, choices []core.Choice) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintln(bw, header)
-	for _, e := range events {
-		if err := checkEvent(e); err != nil {
+	for i, e := range events {
+		if err := checkEvent(i, e); err != nil {
 			return err
 		}
-		fmt.Fprintf(bw, "%d %d %d %d %d", e.Seq, e.TID, uint8(e.Op), e.Obj, uint8(e.Status))
+		fmt.Fprintf(bw, "%d %d %d %d %d", i, e.TID, uint8(e.Op), e.Obj, uint8(e.Status))
 		if header != scheduleHeaderV1 {
 			fmt.Fprintf(bw, " %d", e.Domain)
 		}
@@ -164,7 +165,8 @@ func load(r io.Reader, explored bool) ([]core.Event, []core.Choice, error) {
 }
 
 // loadText parses the body of a text schedule: one event per line, five
-// fields under v1 and six (the domain id) under v2 and v3. v3 additionally
+// fields under v1 and six (the domain id) under v2 and v3. A line's sequence
+// number must be its position; the event does not keep it. v3 additionally
 // accepts the decision log after the last event line — a trailer, not an
 // interleaving.
 func loadText(r io.Reader, header string) ([]core.Event, []core.Choice, error) {
@@ -210,7 +212,7 @@ func loadText(r io.Reader, header string) ([]core.Event, []core.Choice, error) {
 			return fail(fmt.Errorf("sequence %d out of order", v[0]))
 		}
 		events = append(events, core.Event{
-			Seq: int64(v[0]), TID: int32(v[1]), Op: core.OpKind(v[2]), Obj: v[3], Status: core.EventStatus(v[4]), Domain: int32(v[5]),
+			TID: int32(v[1]), Op: core.OpKind(v[2]), Obj: v[3], Status: core.EventStatus(v[4]), Domain: int32(v[5]),
 		})
 	}
 	return events, choices, logio.ScanErr(sc.Err(), "trace: schedule", line)

@@ -10,9 +10,6 @@ import (
 func TestSaveLoadRoundTrip(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		s := genSchedule(seed, int(n)+1)
-		for i := range s {
-			s[i].Seq = int64(i)
-		}
 		var buf bytes.Buffer
 		if err := Save(&buf, s); err != nil {
 			return false

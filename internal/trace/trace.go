@@ -71,14 +71,14 @@ func ScheduleClasses(schedules [][]core.Event) []int {
 }
 
 // Format renders a schedule like the rows of Figure 1b, up to limit events
-// (0 = all).
+// (0 = all), each row led by the event's position.
 func Format(events []core.Event, limit int) string {
 	if limit <= 0 || limit > len(events) {
 		limit = len(events)
 	}
 	var b strings.Builder
-	for _, e := range events[:limit] {
-		fmt.Fprintln(&b, e.String())
+	for i, e := range events[:limit] {
+		fmt.Fprintf(&b, "%4d %v\n", i, e)
 	}
 	return b.String()
 }

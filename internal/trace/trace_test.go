@@ -21,7 +21,6 @@ func genSchedule(seed int64, n int) []core.Event {
 		x ^= x >> 7
 		x ^= x << 17
 		out[i] = core.Event{
-			Seq:    int64(i),
 			TID:    int32(x % 7),
 			Op:     core.OpKind(1 + x%12),
 			Obj:    (x >> 8) % 5,
@@ -103,9 +102,9 @@ func TestDistinctSchedules(t *testing.T) {
 
 func TestFormat(t *testing.T) {
 	s := []core.Event{
-		{Seq: 0, TID: 0, Op: core.OpCreate, Obj: 4},
-		{Seq: 1, TID: 1, Op: core.OpThreadBegin},
-		{Seq: 2, TID: 0, Op: core.OpMutexLock, Obj: 1, Status: core.StatusBlocked},
+		{TID: 0, Op: core.OpCreate, Obj: 4},
+		{TID: 1, Op: core.OpThreadBegin},
+		{TID: 0, Op: core.OpMutexLock, Obj: 1, Status: core.StatusBlocked},
 	}
 	out := Format(s, 0)
 	if !strings.Contains(out, "create") || !strings.Contains(out, "thread_begin") || !strings.Contains(out, "blocks") {

@@ -198,8 +198,8 @@ func TestEngineScheduleDeterminismQuick(t *testing.T) {
 
 // TestResumedReplayTraceIsTheTail: a run resumed from an epoch checkpoint
 // against the recorded ingress log retains only what it executes after the
-// checkpoint, with Seq continuing from the checkpoint's trace length. Its
-// Trace() must be exactly the tail of the uninterrupted replay's.
+// checkpoint. Its Trace() must be exactly the tail of the uninterrupted
+// replay's.
 func TestResumedReplayTraceIsTheTail(t *testing.T) {
 	cfg := IngressServerConfig{Sources: 2, Events: 48, Workers: 2, ParseWork: 20, StateWork: 5, MaxBatch: 4, CheckpointEvery: 3}
 	p := Params{Scale: 1, InputSeed: 42}

@@ -171,7 +171,8 @@ type Config struct {
 	Chooser func(domainID int) Chooser
 }
 
-// Event re-exports the trace event type.
+// Event re-exports the trace event type: one synchronization operation of
+// a domain's schedule, whose sequence number is its index in that schedule.
 type Event = core.Event
 
 // TraceSink re-exports the streaming trace receiver used by

@@ -249,7 +249,7 @@ func serverShape(input *IngressLog, scheds [][]Event) ([][]Event, *IngressLog) {
 
 // TestServerReplayTraces: a multi-domain server replaying its ingress log
 // and every domain's recorded schedule returns, from every domain, a Trace()
-// deep-equal to the recording, Seq and Domain included — the borrowed
+// deep-equal to the recording, Domain included — the borrowed
 // prefixes carry the domain ids of their schedulers.
 func TestServerReplayTraces(t *testing.T) {
 	recorded, log := serverShape(nil, nil)
@@ -275,7 +275,7 @@ func TestServerReplayTraces(t *testing.T) {
 // schedule. Where the trace is not exactly the schedule, Trace() is a fresh
 // copy (a second call returns another array) equal to the recording: a replay
 // that ran out with recording continuing, a schedule whose borrowed events
-// carry another Seq or Domain, and a run resumed from a checkpoint.
+// carry another Domain, and a run resumed from a checkpoint.
 func TestReplayTraceIsTheSchedule(t *testing.T) {
 	sameArray := func(a, b []Event) bool { return len(a) > 0 && len(b) > 0 && &a[0] == &b[0] }
 	fresh := func(what string, trace func() []Event, want []Event) {
@@ -330,13 +330,9 @@ func TestReplayTraceIsTheSchedule(t *testing.T) {
 	want := rec.Trace()
 	for name, schedule := range map[string][]Event{
 		"replay ran out": slices.Clone(want[:len(want)/2]),
-		"other Seq":      slices.Clone(want),
 		"other Domain":   slices.Clone(want),
 	} {
-		switch name {
-		case "other Seq":
-			schedule[len(schedule)/2].Seq = -1
-		case "other Domain":
+		if name == "other Domain" {
 			schedule[len(schedule)/2].Domain = 7
 		}
 		rep := New(Config{Mode: RoundRobin, Policies: AllPolicies, Record: true, Replay: schedule})

@@ -511,9 +511,9 @@ func TestSetBaseTime(t *testing.T) {
 		cfg := Config{Mode: RoundRobin, Policies: pol, Record: true}
 		rec, bases := run(cfg)
 		var seqs [2][]int64
-		for _, e := range rec.Trace() {
+		for i, e := range rec.Trace() {
 			if e.Op == core.OpSetBaseTime {
-				seqs[e.TID] = append(seqs[e.TID], e.Seq)
+				seqs[e.TID] = append(seqs[e.TID], int64(i))
 			}
 		}
 		for tid, got := range seqs {
