@@ -154,11 +154,11 @@ func (d *Domain) finished() {
 }
 
 // Trace returns the domain's recorded schedule (empty unless Config.Record;
-// nil in Nondet mode). Event sequence numbers are domain-local. After a
-// replay that recorded nothing beyond the schedule passed to SetReplay, the
-// result may be that schedule itself (len == cap, so an append copies): it is
-// read-only under the same borrow contract as SetReplay. See
-// core.Scheduler.Trace.
+// nil in Nondet mode). An event's position in it is its sequence number
+// within the domain. After a replay that recorded nothing beyond the schedule
+// passed to SetReplay, the result may be that schedule itself (len == cap, so
+// an append copies): it is read-only under the same borrow contract as
+// SetReplay. See core.Scheduler.Trace.
 func (d *Domain) Trace() []Event {
 	if d.sched == nil {
 		return nil

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"qithread/internal/core"
 	"qithread/internal/trace"
 )
 
@@ -250,6 +252,89 @@ func TestPCSOffTurnDeadlock(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("a contender waiting outside the turn on a lock nobody can release was never reported")
+	}
+}
+
+// TestDeadlockReportsPinned: what a domain reports when none of its threads
+// can run again, byte for byte — every thread blocked, in the default domain
+// and in a launched one; a contender outside the turn on a lock nobody can
+// release; and a replay whose next event belongs to a thread the program never
+// creates while the threads it did create wait, which is a divergence raised
+// out of Run, not a deadlock. The handler ends the goroutine it runs on, the
+// domain's driver.
+func TestDeadlockReportsPinned(t *testing.T) {
+	waitForever := func(rt *Runtime, t *Thread) {
+		m, c := rt.NewMutex(t, "m"), rt.NewCond(t, "c")
+		t.Join(t.Create("w", func(w *Thread) { m.Lock(w); c.Wait(w, m) }))
+	}
+	waitOnce := func(rt *Runtime, main *Thread) {
+		m, c := rt.NewMutex(main, "m"), rt.NewCond(main, "c")
+		w := main.Create("w", func(w *Thread) { m.Lock(w); c.Wait(w, m); m.Unlock(w) })
+		main.Yield()
+		m.Lock(main)
+		c.Signal(main)
+		m.Unlock(main)
+		main.Join(w)
+	}
+	rec := New(Config{Mode: RoundRobin, Record: true})
+	rec.Run(func(main *Thread) { waitOnce(rec, main) })
+	schedule := rec.Trace()
+	cut := slices.IndexFunc(schedule, func(e Event) bool { return e.TID == 1 && e.Op == core.OpCondWait }) + 1
+	schedule = append(schedule[:cut:cut], Event{TID: 5, Op: core.OpYield})
+
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		run  func(rt *Runtime, main *Thread)
+		want string
+	}{
+		{"blocked", Config{Mode: RoundRobin, Policies: AllPolicies}, waitForever,
+			"handler: core: deterministic deadlock in domain 0: all threads blocked without timeout\n" +
+				"  turn=6 holder=<nil> stack=round-robin|BoostBlocked>CreateAll>CSWhole>WakeAMAP>BranchedWake\n" +
+				"  runQ: (empty)\n  wakeQ: (empty)\n  waitQ[cond:c#2]: T1(w)\n  waitQ[thread:w#3]: T0(main)\n"},
+		{"launched", Config{Mode: RoundRobin}, func(rt *Runtime, main *Thread) {
+			d := rt.NewDomain("d")
+			d.Start("r", func(r *Thread) { waitForever(rt, r) })
+			d.Launch()
+		}, "handler: core: deterministic deadlock in domain 1: all threads blocked without timeout\n" +
+			"  turn=8 holder=<nil> stack=round-robin\n" +
+			"  runQ: (empty)\n  wakeQ: (empty)\n  waitQ[cond:c#3]: T1(w)\n  waitQ[thread:w#4]: T0(r)\n"},
+		{"off-turn", Config{Mode: RoundRobin, Policies: AllPolicies, PCS: true}, nil,
+			"handler: core: deterministic deadlock in domain 0: every thread outside the turn waits for a lock nobody can release\n" +
+				"  offTurn: [T2(contender)]\n" +
+				"  turn=12 holder=<nil> stack=round-robin|BoostBlocked>CreateAll>CSWhole>WakeAMAP>BranchedWake\n" +
+				"  runQ: T2(contender)\n  wakeQ: (empty)\n  waitQ[sem:leave#3]: T1(holder)\n  waitQ[thread:holder#4]: T0(main)\n"},
+		{"replay", Config{Mode: RoundRobin, Replay: schedule}, waitOnce,
+			"core: replay divergence in domain 0 at op index 8: expected T5 to run yield but no thread of the domain can run (2 created)\n" +
+				"  turn=8 holder=<nil> stack=round-robin\n" +
+				"  runQ: T0(main)\n  wakeQ: (empty)\n  waitQ[cond:c#2]: T1(w)\n"},
+	} {
+		rt := New(c.cfg)
+		got := make(chan any, 1)
+		rt.Scheduler().SetDeadlockHandler(func(msg string) {
+			got <- "handler: " + msg
+			runtime.Goexit()
+		})
+		go func() {
+			defer func() {
+				if r := recover(); r != nil {
+					got <- r
+				}
+			}()
+			if c.run == nil {
+				parkInPCSSection(rt, false, func() {})
+			} else {
+				rt.Run(func(main *Thread) { c.run(rt, main) })
+			}
+		}()
+		select {
+		case r := <-got:
+			if msg, _ := r.(string); msg != c.want {
+				t.Errorf("%s: got\n%s\nwant\n%s", c.name, msg, c.want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: nothing was reported", c.name)
+		}
 	}
 }
 

@@ -298,19 +298,23 @@ func (h *Host) resume(s *Scheduler) {
 	}
 }
 
-// stuck is the driver finding no thread of its domain that can make progress.
-// Under a replay schedule that is a divergence — the recorded thread was never
-// created, and no thread can run to create it (replayEligibleLocked leaves
-// that wait to this point) — so it panics like every other divergence, in the
-// driver: out of Runtime.Run for the default domain. With threads off the
-// turn it is a deadlock on their locks; otherwise the deadlock was reported
-// already. stuck returns if the handler did, and the driver parks for good.
+// stuck is the driver finding no thread of its domain that can make progress,
+// the one place a domain's own deadlock is detected. Under a replay schedule
+// that is a divergence — the recorded thread was never created, and no thread
+// can run to create it (replayEligibleLocked leaves that wait to this point) —
+// so it panics like every other divergence, in the driver: out of Runtime.Run
+// for the default domain. Otherwise it is a deadlock, reported on the driver:
+// on the locks of the threads off the turn, if there are any, and else of
+// threads that all wait without a timeout (passTurnLocked would have expired
+// one). stuck returns if the handler did, and the driver parks for good.
 func (s *Scheduler) stuck() {
 	if s.replayingLocked() {
 		e := s.replay[s.replayPos]
 		panic(s.divergedLocked("expected T%d to run %v but no thread of the domain can run (%d created)", e.TID, e.Op, s.nextTID))
 	}
+	why := "all threads blocked without timeout"
 	if len(s.host.aside) > 0 {
-		s.deadlockLocked(fmt.Sprint("every thread outside the turn waits for a lock nobody can release\n  offTurn: ", s.host.aside))
+		why = fmt.Sprint("every thread outside the turn waits for a lock nobody can release\n  offTurn: ", s.host.aside)
 	}
+	s.ReportDeadlock(fmt.Sprintf("core: deterministic deadlock in domain %d: %s\n%s", s.cfg.DomainID, why, s.dumpLocked()))
 }

@@ -60,11 +60,17 @@ func TestHostedBodyPanicReachesDriver(t *testing.T) {
 }
 
 // TestHostedDeadlock: a hosted run whose threads all block reports the
-// deterministic deadlock like any other; a handler that freezes the reporting
-// thread freezes the run, one that returns leaves the driver parked.
+// deterministic deadlock from its driver, which finds nothing to resume; a
+// handler that freezes the driver freezes the run, one that returns leaves the
+// driver parked. The report, like Dump, names the policy stack by its
+// descriptor.
 func TestHostedDeadlock(t *testing.T) {
+	const stack = "stack=round-robin|BoostBlocked>CreateAll>CSWhole>WakeAMAP>BranchedWake\n"
 	for _, freeze := range []bool{true, false} {
-		s := New(Config{Mode: policy.RoundRobin})
+		s := New(Config{Mode: policy.RoundRobin, Policies: policy.AllPolicies})
+		if dump := s.Dump(); !strings.Contains(dump, stack) {
+			t.Fatalf("Dump() lacks %q:\n%s", stack, dump)
+		}
 		deadlock := make(chan string, 1)
 		s.SetDeadlockHandler(func(msg string) {
 			deadlock <- msg
@@ -80,7 +86,7 @@ func TestHostedDeadlock(t *testing.T) {
 			})
 			close(returned)
 		}()
-		if msg := <-deadlock; !strings.Contains(msg, "deterministic deadlock") {
+		if msg := <-deadlock; !strings.HasPrefix(msg, "core: deterministic deadlock in domain 0: all threads blocked without timeout\n") || !strings.Contains(msg, stack) {
 			t.Fatalf("freeze=%v: handler got %q", freeze, msg)
 		}
 		select {

@@ -27,9 +27,10 @@ import (
 // scheduler. A hosted scheduler (host.go) runs all its threads on one
 // goroutine, so entering it (lock) takes nothing. An unhosted one, whose
 // threads bring goroutines of their own, is entered under mu: its one user
-// is benchmark/probes.go, and unhosted_test.go its one test file. Outside its
-// threads, a hosted scheduler may be read before its first thread runs and
-// after its driver has drained it.
+// is benchmark/probes.go, and unhosted_test.go its one test file. It detects
+// no deadlock: only a hosted domain's driver sees that none of its threads can
+// run (Scheduler.stuck). Outside its threads, a hosted scheduler may be read
+// before its first thread runs and after its driver has drained it.
 type Scheduler struct {
 	mu  sync.Mutex // the entry lock of an unhosted scheduler only
 	cfg Config
@@ -205,8 +206,9 @@ func (s *Scheduler) VirtualMakespan() int64 {
 // every deadlock report instead of the panic ReportDeadlock raises without a
 // handler. Install it before Run, on the default domain's scheduler; it then
 // receives every domain's deadlock, a domain's own and a cross-domain one
-// alike. fn runs on the goroutine of the domain that reports, which does not
-// proceed once fn returns, and other domains may still be running then.
+// alike. fn runs on the goroutine of the domain that reports — for its own
+// deadlock, its driver —, which does not proceed once fn returns, and other
+// domains may still be running then.
 func (s *Scheduler) SetDeadlockHandler(fn func(msg string)) {
 	defer s.unlock(s.lock())
 	s.onDeadlock = fn
@@ -505,8 +507,9 @@ func (s *Scheduler) kickLocked(self *Thread) {
 // otherwise stays free until that thread asks. If no thread is runnable but
 // timed waiters exist, logical time jumps forward deterministically to the
 // earliest deadline — the heap top — (this is how a "logical sleep" in an
-// otherwise idle program makes progress). If nothing can ever run, the
-// deadlock handler fires.
+// otherwise idle program makes progress). If nothing can ever run, the turn
+// stays free too: the domain's driver, finding nothing to resume, reports
+// that (Scheduler.stuck).
 func (s *Scheduler) passTurnLocked(self *Thread) {
 	for {
 		e := s.eligibleLocked()
@@ -524,9 +527,6 @@ func (s *Scheduler) passTurnLocked(self *Thread) {
 		// The turn stays free: its next holder is still running user code,
 		// there are no threads at all (program finished or not started), or
 		// every thread is blocked without a timeout.
-		if e == nil && s.nWaiting != 0 {
-			s.deadlockLocked("all threads blocked without timeout")
-		}
 		return
 	}
 }
@@ -576,17 +576,6 @@ func (s *Scheduler) releaseTurnLocked() {
 	s.passTurnLocked(nil)
 }
 
-// deadlockLocked reports a deterministic deadlock of s's domain, why no
-// thread of it can ever run again, with the entry lock of an unhosted
-// scheduler released around the delivery: the caller is inside, so it holds
-// mu exactly when host is nil.
-func (s *Scheduler) deadlockLocked(why string) {
-	msg := fmt.Sprintf("core: deterministic deadlock in domain %d: %s\n%s", s.cfg.DomainID, why, s.dumpLocked())
-	s.unlock(s.host == nil)
-	defer s.lock()
-	s.ReportDeadlock(msg)
-}
-
 // Dump renders the scheduler state — queues, holder, wait lists — for
 // diagnostics (deadlock reports, failed quiescence drives).
 func (s *Scheduler) Dump() string {
@@ -598,7 +587,7 @@ func (s *Scheduler) Dump() string {
 // each object's wait list straight from the per-object structures.
 func (s *Scheduler) dumpLocked() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "  turn=%d holder=%v stack=%v\n", s.turn, s.holder, s.stack)
+	fmt.Fprintf(&b, "  turn=%d holder=%v stack=%v\n", s.turn, s.holder, &s.stack)
 	fmt.Fprintf(&b, "  runQ: %s\n", threadNames(s.runQ))
 	fmt.Fprintf(&b, "  wakeQ: %s\n", threadNames(s.wakeQ))
 	for _, k := range s.waitedObjsLocked() {

@@ -107,8 +107,9 @@ const (
 	// OutcomeAssertFail: the run completed but Program.Check rejected the
 	// output — the seeded-bug detection path.
 	OutcomeAssertFail
-	// OutcomeDeadlock: the scheduler detected a deterministic deadlock (every
-	// thread blocked without a timeout).
+	// OutcomeDeadlock: the run's driver detected a deterministic deadlock
+	// (every thread blocked without a timeout, or waiting outside the turn on
+	// a lock nobody can release).
 	OutcomeDeadlock
 	// OutcomePanic: the program panicked on the main thread.
 	OutcomePanic
@@ -246,14 +247,14 @@ func RunVariant(p *Program, base func() qithread.Config, watchdog time.Duration)
 // deadlock handler, which must name its own runtime, and cfg.Chooser.
 //
 // Failure modes leak by design: a deadlocked or hung run's threads stay
-// suspended forever (the deadlock handler blocks so the scheduler state stays
-// frozen and readable) and keep the scaffold they report on, which is
-// acceptable for a bounded-budget exploration process. A panic on any thread
-// of the default domain is OutcomePanic: the run is hosted (every
-// deterministic run is), so a child thread is a coroutine of the run
-// goroutine, its panic is re-raised there, in whatever the main thread was
-// waiting on, and unwinds into scaffold.run's recover like one of the main
-// thread's own. That run's scaffold is abandoned too, and the coroutine that
+// suspended forever (the deadlock handler, which the run's driver calls,
+// blocks it so the scheduler state stays frozen and readable) and keep the
+// scaffold they report on, which is acceptable for a bounded-budget
+// exploration process. A panic on any thread of the default domain is
+// OutcomePanic: the run is hosted (every deterministic run is), so a child
+// thread is a coroutine of the run goroutine, its panic is re-raised there,
+// in whatever the main thread was waiting on, and unwinds into
+// scaffold.run's recover like one of the main thread's own. That run's scaffold is abandoned too, and the coroutine that
 // panicked is gone, not pooled. A panic in another domain, on that domain's
 // own driving goroutine, still takes the process down with it, and that exit
 // is itself a loud bug report.
@@ -284,10 +285,11 @@ func runOnce(p *Program, replay []core.Event, ch qithread.Chooser, watchdog time
 	sc := takeScaffold(watchdog)
 	rt.Scheduler().SetDeadlockHandler(func(msg string) {
 		// The send orders every write of the run's scheduler before the
-		// reads below; then the run's goroutine freezes here for good. The
-		// later rt.Fingerprint read is race-free only because no registered
+		// reads below; then the run's driver, the goroutine every thread of
+		// the default domain runs on, freezes here for good. The later
+		// rt.Fingerprint read is race-free only because no registered
 		// program launches a domain: a launched domain's deadlock would
-		// arrive here too, on that domain's goroutine, with others running.
+		// arrive here too, on that domain's driver, with others running.
 		sc.done <- end{rt: rt, outcome: OutcomeDeadlock, msg: msg}
 		select {}
 	})

@@ -64,18 +64,19 @@ const bufSize = 1 << 16
 
 // The codec state a writer or reader needs for its lifetime — the 64 KiB
 // buffer, the DEFLATE compressor (1.2 MB at BestSpeed) and decompressor
-// (48 KB) — is recycled through bounded free lists, so a warm recording
-// run allocates none of it per log file: a FrameWriter takes its buffer and
-// compressor here and returns them at Close, a FrameReader its buffer and
-// decompressor, returned at the terminator, and a loader the buffer it reads
-// the header through (TakeReader), returned when the load ends. The records themselves are not
-// recycled, so a writer used after Close fails on its own error and never
-// reaches state another writer now holds. The lists are channels, not a
-// sync.Pool: a GC cycle empties a pool, and a run's own allocation triggers
-// one per log file. codecPoolCap is one recording run's writers (the
-// benchmark's sharded server writes a schedule for each of its three domains
-// and one ingress log), so an idle process retains at most codecPoolCap of
-// each: about 5.5 MB in all.
+// (48 KB) with the buffer it inflates into — is recycled through bounded free
+// lists, so a warm recording run allocates none of it per log file: a
+// FrameWriter takes its buffer and compressor here and returns them at Close,
+// a FrameReader its buffer and decompressor, returned at the terminator, and a
+// loader the buffer it reads the header through (TakeReader), returned when
+// the load ends. The records themselves are not recycled, so a writer used
+// after Close fails on its own error and never reaches state another writer
+// now holds. The lists are channels, not a sync.Pool: a GC cycle empties a
+// pool, and a run's own allocation triggers one per log file. codecPoolCap is
+// one recording run's writers (the benchmark's sharded server writes a
+// schedule for each of its three domains and one ingress log), so an idle
+// process retains at most codecPoolCap of each: about 5.5 MB in all, and at
+// most 4 MiB more of inflate buffers (plainKeep each).
 const codecPoolCap = 4
 
 // freeList is a bounded free list: take returns a recycled value when one is
@@ -102,11 +103,21 @@ var (
 	freeBufWriters  = make(freeList[*bufio.Writer], codecPoolCap)
 	freeCompressors = make(freeList[*flate.Writer], codecPoolCap)
 	freeBufReaders  = make(freeList[*bufio.Reader], codecPoolCap)
-	freeInflaters   = make(freeList[io.ReadCloser], codecPoolCap)
+	freeInflaters   = make(freeList[*inflater], codecPoolCap)
 	// noInput is what an idle recycled reader or decompressor reads from, so
 	// it keeps no log's input alive. Nothing reads it.
 	noInput = new(bytes.Reader)
 )
+
+// inflater is a decompressor and the buffer it inflates frames into, taken
+// and recycled together. A buffer grown past plainKeep is dropped rather than
+// kept idle on the free list: a frame may claim up to MaxFrame.
+type inflater struct {
+	fl    io.ReadCloser
+	plain bytes.Buffer
+}
+
+const plainKeep = 1 << 20
 
 // FrameWriter writes the framed binary container onto an io.Writer. Callers
 // write their header line first (w is not buffered on their behalf until the
@@ -236,10 +247,9 @@ type FrameReader struct {
 	stored []byte
 	enc    byte // stored's encoding
 	crc    [4]byte
-	plain  bytes.Buffer
 	src    bytes.Reader
 	lim    io.LimitedReader
-	fl     io.ReadCloser // nil until the first compressed frame, and after the terminator
+	inf    *inflater // nil until the first compressed frame, and after the terminator
 	done   bool
 }
 
@@ -343,7 +353,7 @@ func (fr *FrameReader) Stored() (enc byte, stored []byte) {
 }
 
 // Unpack returns the payload of a frame that Stored returned, as Next
-// returned it, valid until the next call of Next or Unpack. Past the
+// returned it, valid until the next call of Next, Unpack or Close. Past the
 // terminator it takes a decompressor from the free list again, which Close
 // hands back.
 func (fr *FrameReader) Unpack(enc byte, stored []byte) ([]byte, error) {
@@ -351,24 +361,23 @@ func (fr *FrameReader) Unpack(enc byte, stored []byte) ([]byte, error) {
 	case encodingRaw:
 		return stored, nil
 	case encodingFlate:
-		fr.plain.Reset()
+		if fr.inf == nil {
+			if fr.inf, _ = freeInflaters.take(); fr.inf == nil {
+				fr.inf = &inflater{fl: flate.NewReader(noInput)}
+			}
+		}
+		inf := fr.inf
 		fr.src.Reset(stored)
-		if fr.fl == nil {
-			fr.fl, _ = freeInflaters.take()
-		}
-		if fr.fl != nil {
-			fr.fl.(flate.Resetter).Reset(&fr.src, nil)
-		} else {
-			fr.fl = flate.NewReader(&fr.src)
-		}
-		fr.lim = io.LimitedReader{R: fr.fl, N: MaxFrame + 1}
-		if _, err := fr.plain.ReadFrom(&fr.lim); err != nil {
+		inf.fl.(flate.Resetter).Reset(&fr.src, nil)
+		inf.plain.Reset()
+		fr.lim = io.LimitedReader{R: inf.fl, N: MaxFrame + 1}
+		if _, err := inf.plain.ReadFrom(&fr.lim); err != nil {
 			return nil, fmt.Errorf("logio: corrupt compressed frame: %w", err)
 		}
-		if fr.plain.Len() > MaxFrame {
+		if inf.plain.Len() > MaxFrame {
 			return nil, fmt.Errorf("logio: decompressed frame exceeds limit %d", MaxFrame)
 		}
-		return fr.plain.Bytes(), nil
+		return inf.plain.Bytes(), nil
 	default:
 		return nil, fmt.Errorf("logio: unknown frame encoding %d", enc)
 	}
@@ -394,13 +403,16 @@ func (fr *FrameReader) end() error {
 	return io.EOF
 }
 
-// Close returns the decompressor to the free list, as the terminator does.
-// It is needed only after an Unpack past the terminator.
+// Close returns the decompressor and its buffer to the free list, as the
+// terminator does. It is needed only after an Unpack past the terminator.
 func (fr *FrameReader) Close() {
-	if fr.fl != nil {
-		fr.fl.(flate.Resetter).Reset(noInput, nil)
-		freeInflaters.put(fr.fl)
-		fr.fl = nil
+	if inf := fr.inf; inf != nil {
+		inf.fl.(flate.Resetter).Reset(noInput, nil)
+		if inf.plain.Cap() > plainKeep {
+			inf.plain = bytes.Buffer{}
+		}
+		freeInflaters.put(inf)
+		fr.inf = nil
 	}
 }
 

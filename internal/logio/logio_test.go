@@ -4,6 +4,8 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -253,10 +255,88 @@ func TestUnpackStoredFrames(t *testing.T) {
 			t.Fatalf("frame %d unpacks to %d bytes, err %v; Next read %d", i, len(p), err, len(frames[i]))
 		}
 	}
-	fl := fr.fl
+	inf := fr.inf
 	fr.Close()
-	if got, _ := freeInflaters.take(); fl == nil || got != fl {
+	if got, _ := freeInflaters.take(); inf == nil || got != inf {
 		t.Fatal("Close did not return the decompressor Unpack took")
+	}
+}
+
+// TestInflateBufferRecycled: the buffer a reader inflates into goes back to
+// the free list with its decompressor, so the next reader of a compressed log
+// inflates into the same storage instead of growing one from empty; a buffer
+// grown past plainKeep is dropped, so no idle reader keeps a hostile frame's
+// worth of memory.
+func TestInflateBufferRecycled(t *testing.T) {
+	for _, c := range []struct {
+		size int
+		kept bool
+	}{{64 << 10, true}, {2 * plainKeep, false}} {
+		log := writeFrames(t, [][]byte{bytes.Repeat([]byte("deterministic "), c.size/14)})
+		emptyFreeLists()
+		fr := NewFrameReader(bytes.NewReader(log))
+		if _, err := fr.Next(); err != nil {
+			t.Fatal(err)
+		}
+		inf := fr.inf
+		if _, err := fr.Next(); err != io.EOF {
+			t.Fatalf("%d-byte frame: Next after it: %v", c.size, err)
+		}
+		got, _ := freeInflaters.take()
+		if got != inf {
+			t.Fatalf("%d-byte frame: the terminator did not recycle the decompressor", c.size)
+		}
+		if kept := got.plain.Cap() >= c.size; kept != c.kept {
+			t.Fatalf("%d-byte frame: buffer kept %v, want %v (cap %d)", c.size, kept, c.kept, got.plain.Cap())
+		}
+	}
+}
+
+// failWriter fails every write and counts the calls.
+type failWriter struct{ calls int }
+
+var errSink = errors.New("sink failed")
+
+func (w *failWriter) Write([]byte) (int, error) {
+	w.calls++
+	return 0, errSink
+}
+
+// TestFrameWriterErrorSticks: once the writer under a FrameWriter fails, the
+// WriteFrame or Close that met the failure returns its error, so does every
+// later call, and nothing more reaches the writer.
+func TestFrameWriterErrorSticks(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		first func(fw *FrameWriter) error
+	}{
+		// A frame larger than the 64 KiB buffer is written through at once.
+		{"WriteFrame", func(fw *FrameWriter) error { return fw.WriteFrame(noise(2 * bufSize)) }},
+		// A small one waits in the buffer until Close flushes it.
+		{"Close", func(fw *FrameWriter) error {
+			if err := fw.WriteFrame([]byte("abc")); err != nil {
+				return fmt.Errorf("buffered WriteFrame: %w", err)
+			}
+			return fw.Close()
+		}},
+	} {
+		var w failWriter
+		fw := NewFrameWriter(&w)
+		if err := c.first(fw); err != errSink {
+			t.Fatalf("%s: %v, want %v", c.name, err, errSink)
+		}
+		calls := w.calls
+		for i := 0; i < 3; i++ {
+			if err := fw.WriteFrame(noise(2 * bufSize)); err != errSink {
+				t.Errorf("%s: later WriteFrame: %v, want %v", c.name, err, errSink)
+			}
+			if err := fw.Close(); err != errSink {
+				t.Errorf("%s: later Close: %v, want %v", c.name, err, errSink)
+			}
+		}
+		if w.calls != calls {
+			t.Errorf("%s: %d writes after the failure, want none", c.name, w.calls-calls)
+		}
 	}
 }
 

@@ -33,7 +33,8 @@ import (
 // imports no internal package. And every exported function and method a
 // non-test file of the root package declares is called somewhere in the
 // module, tests included, outside its own declaration: an export nothing
-// calls is a second way to do something, or a way to do nothing.
+// calls is a second way to do something, or a way to do nothing. Deadlocks
+// are reported from exactly the two detectors §4.1 names.
 func TestInventory(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -170,7 +171,7 @@ func TestInventory(t *testing.T) {
 	// reader searching the tree would; a call inside a function of the same
 	// name, the function itself or a namesake it forwards to, does not count.
 	calls := map[string]bool{}
-	var exported []string
+	var exported, reporters []string
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
@@ -200,6 +201,9 @@ func TestInventory(t *testing.T) {
 					if name != self {
 						calls[name] = true
 					}
+					if dir := filepath.Dir(path); name == "ReportDeadlock" && (dir == "." || dir == "internal/core") && !strings.HasSuffix(path, "_test.go") {
+						reporters = append(reporters, filepath.ToSlash(path)+" "+self)
+					}
 				}
 				return true
 			})
@@ -213,6 +217,14 @@ func TestInventory(t *testing.T) {
 		if !calls[name] {
 			t.Errorf("the root package exports %s, and nothing in the module calls it", name)
 		}
+	}
+
+	// One detector per kind of deadlock (DESIGN.md §4.1): a domain's own is
+	// found by its driver, which has nothing left to resume, and one across
+	// domains by the XPipe park count, when a domain parks or finishes.
+	slices.Sort(reporters)
+	if want := []string{"domain.go finished", "internal/core/host.go stuck", "pipe.go wait"}; !slices.Equal(reporters, want) {
+		t.Errorf("ReportDeadlock is called from %q, want only %q", reporters, want)
 	}
 
 	// The internal/core row: a scheduler has one owner, so nothing in it is

@@ -109,8 +109,8 @@ func (p *Pipe) Close(t *Thread) {
 // rendezvous points, not free-running queues: place them off the hot paths
 // (work distribution, result collection). Cross-domain deadlock — two
 // domains blocked on each other's pipes — is possible exactly as in a Kahn
-// process network, and as deterministic. The per-domain deadlock checkers
-// see a turn-holding thread as running, so the runtime detects it instead:
+// process network, and as deterministic. A domain's own deadlock detector
+// sees a turn-holding thread as running, so the runtime detects it instead:
 // once every live domain waits in an XPipe, it reports the cycle, or the
 // chain ending at a domain that finished without serving its pipe (see
 // parkLocked). Nondet pipes are not checked.

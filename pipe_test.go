@@ -693,10 +693,10 @@ func TestXPipeCloseUnderBlockedSendAll(t *testing.T) {
 // TestLaunchedDomainDeadlockReported: a launched domain's own deadlock reaches
 // the handler installed on the default domain's scheduler, and its report
 // names the domain. The root of domain 1 locks m and joins a child that
-// blocks on m. The report is delivered on the domain's goroutine, which would
-// then park for good; the handler ends it instead (runtime.Goexit, which a
-// hosted coroutine passes on to its driver), so the frozen domain leaves no
-// goroutine of spawn's behind for TestRunLeavesNoGoroutines to find. When the
+// blocks on m. The report is made by the domain's driver, which would then
+// park for good; the handler ends it instead (runtime.Goexit), so the frozen
+// domain leaves no goroutine of spawn's behind for TestRunLeavesNoGoroutines
+// to find. When the
 // main thread then receives on an XPipe from that domain, only the in-domain
 // report arrives: the frozen domain is live but not parked in an XPipe, so the
 // cross-domain detector stays silent. Closing the pipe then lets main finish.
