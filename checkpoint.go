@@ -72,8 +72,9 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 
 // maxQuiescenceYields bounds the yield loop that drives the scheduler to a
 // quiescent boundary. A program whose threads keep waking each other never
-// quiesces; the bound turns that into a diagnostic instead of a hang.
-const maxQuiescenceYields = 1 << 20
+// quiesces; the bound turns that into a diagnostic instead of a hang. It is
+// a variable only for SetQuiescenceYields, this package's test seam.
+var maxQuiescenceYields = 1 << 20
 
 // quiesce drives t's domain to a checkpoint boundary with traced yields and
 // returns holding the turn, or releases it and says why the boundary cannot
@@ -101,7 +102,7 @@ func (rt *Runtime) quiesce(t *Thread, what string) error {
 				return nil // the caller proceeds under this turn hold
 			}
 		case errors.Is(err, core.ErrNotQuiescent):
-			err = fmt.Errorf("qithread: %s: domain %d did not quiesce after %d yields; threads are waking each other across the boundary\n%s", what, t.dom.id, maxQuiescenceYields, s.Dump())
+			err = errors.New(s.Failure("qithread: %s: domain %d did not quiesce after %d yields; threads are waking each other across the boundary", what, t.dom.id, maxQuiescenceYields))
 		}
 		s.PutTurn(t.ct())
 		return err

@@ -12,3 +12,13 @@ func SetOffloadMin(n int64) (restore func()) {
 	offloadMin = n
 	return func() { offloadMin = old }
 }
+
+// SetQuiescenceYields bounds the yields a checkpoint boundary spends driving
+// its domain to quiescence at n until the returned function restores the
+// bound. It is a seam for this package's tests: call it only while no run is
+// in flight.
+func SetQuiescenceYields(n int) (restore func()) {
+	old := maxQuiescenceYields
+	maxQuiescenceYields = n
+	return func() { maxQuiescenceYields = old }
+}

@@ -258,10 +258,13 @@ func TestPCSOffTurnDeadlock(t *testing.T) {
 // TestDeadlockReportsPinned: what a domain reports when none of its threads
 // can run again, byte for byte — every thread blocked, in the default domain
 // and in a launched one; a contender outside the turn on a lock nobody can
-// release; and a replay whose next event belongs to a thread the program never
-// creates while the threads it did create wait, which is a divergence raised
-// out of Run, not a deadlock. The handler ends the goroutine it runs on, the
-// domain's driver.
+// release; a waiter signalled once under AllPolicies, and a run whose Chooser
+// overrides one turn pick; and a replay whose next event belongs to a thread
+// the program never creates while the threads it did create wait, which is a
+// divergence raised out of Run, not a deadlock. Each report ends with the
+// domain's last operations, and between them the pins name every source a
+// turn can come from. The handler ends the goroutine it runs on, the domain's
+// driver.
 func TestDeadlockReportsPinned(t *testing.T) {
 	waitForever := func(rt *Runtime, t *Thread) {
 		m, c := rt.NewMutex(t, "m"), rt.NewCond(t, "c")
@@ -276,13 +279,24 @@ func TestDeadlockReportsPinned(t *testing.T) {
 		m.Unlock(main)
 		main.Join(w)
 	}
+	// waitTwice is signalled once: its wake-up comes off the wake-up queue
+	// under BoostBlocked, and its second wait is for good.
+	waitTwice := func(rt *Runtime, main *Thread) {
+		m, c := rt.NewMutex(main, "m"), rt.NewCond(main, "c")
+		w := main.Create("w", func(w *Thread) { m.Lock(w); c.Wait(w, m); c.Wait(w, m) })
+		main.Yield()
+		m.Lock(main)
+		c.Signal(main)
+		m.Unlock(main)
+		main.Join(w)
+	}
 	rec := New(Config{Mode: RoundRobin, Record: true})
 	rec.Run(func(main *Thread) { waitOnce(rec, main) })
 	schedule := rec.Trace()
 	cut := slices.IndexFunc(schedule, func(e Event) bool { return e.TID == 1 && e.Op == core.OpCondWait }) + 1
 	schedule = append(schedule[:cut:cut], Event{TID: 5, Op: core.OpYield})
 
-	for _, c := range []struct {
+	cases := []struct {
 		name string
 		cfg  Config
 		run  func(rt *Runtime, main *Thread)
@@ -291,24 +305,103 @@ func TestDeadlockReportsPinned(t *testing.T) {
 		{"blocked", Config{Mode: RoundRobin, Policies: AllPolicies}, waitForever,
 			"handler: core: deterministic deadlock in domain 0: all threads blocked without timeout\n" +
 				"  turn=6 holder=<nil> stack=round-robin|BoostBlocked>CreateAll>CSWhole>WakeAMAP>BranchedWake\n" +
-				"  runQ: (empty)\n  wakeQ: (empty)\n  waitQ[cond:c#2]: T1(w)\n  waitQ[thread:w#3]: T0(main)\n"},
+				"  runQ: (empty)\n  wakeQ: (empty)\n  waitQ[cond:c#2]: T1(w)\n  waitQ[thread:w#3]: T0(main)\n" +
+				"  last 7 of 7 ops, oldest first:\n" +
+				"    turn=0 T0 mutex_init mutex:m#1 (run-queue grant)\n" +
+				"    turn=1 T0 cond_init cond:c#2 (kept)\n" +
+				"    turn=2 T0 create thread:w#3 (kept)\n" +
+				"    turn=3 T1 thread_begin (run-queue grant)\n" +
+				"    turn=4 T0 join thread:w#3 blocks (run-queue grant)\n" +
+				"    turn=5 T1 lock mutex:m#1 (run-queue grant)\n" +
+				"    turn=5 T1 wait cond:c#2 blocks (kept)\n"},
 		{"launched", Config{Mode: RoundRobin}, func(rt *Runtime, main *Thread) {
 			d := rt.NewDomain("d")
 			d.Start("r", func(r *Thread) { waitForever(rt, r) })
 			d.Launch()
 		}, "handler: core: deterministic deadlock in domain 1: all threads blocked without timeout\n" +
 			"  turn=8 holder=<nil> stack=round-robin\n" +
-			"  runQ: (empty)\n  wakeQ: (empty)\n  waitQ[cond:c#3]: T1(w)\n  waitQ[thread:w#4]: T0(r)\n"},
+			"  runQ: (empty)\n  wakeQ: (empty)\n  waitQ[cond:c#3]: T1(w)\n  waitQ[thread:w#4]: T0(r)\n" +
+			"  last 8 of 8 ops, oldest first:\n" +
+			"    turn=0 T0 thread_begin (run-queue grant)\n" +
+			"    turn=1 T0 mutex_init mutex:m#2 (kept)\n" +
+			"    turn=2 T0 cond_init cond:c#3 (kept)\n" +
+			"    turn=3 T0 create thread:w#4 (kept)\n" +
+			"    turn=4 T1 thread_begin (run-queue grant)\n" +
+			"    turn=5 T0 join thread:w#4 blocks (run-queue grant)\n" +
+			"    turn=6 T1 lock mutex:m#2 (run-queue grant)\n" +
+			"    turn=7 T1 wait cond:c#3 blocks (run-queue grant)\n"},
 		{"off-turn", Config{Mode: RoundRobin, Policies: AllPolicies, PCS: true}, nil,
 			"handler: core: deterministic deadlock in domain 0: every thread outside the turn waits for a lock nobody can release\n" +
 				"  offTurn: [T2(contender)]\n" +
 				"  turn=12 holder=<nil> stack=round-robin|BoostBlocked>CreateAll>CSWhole>WakeAMAP>BranchedWake\n" +
-				"  runQ: T2(contender)\n  wakeQ: (empty)\n  waitQ[sem:leave#3]: T1(holder)\n  waitQ[thread:holder#4]: T0(main)\n"},
+				"  runQ: T2(contender)\n  wakeQ: (empty)\n  waitQ[sem:leave#3]: T1(holder)\n  waitQ[thread:holder#4]: T0(main)\n" +
+				"  last 12 of 12 ops, oldest first:\n" +
+				"    turn=0 T0 mutex_init mutex:hot#1 (run-queue grant)\n" +
+				"    turn=1 T0 sem_init sem:inside#2 (kept)\n" +
+				"    turn=2 T0 sem_init sem:leave#3 (kept)\n" +
+				"    turn=3 T0 create thread:holder#4 (kept)\n" +
+				"    turn=4 T1 thread_begin (run-queue grant)\n" +
+				"    turn=5 T0 sem_wait sem:inside#2 blocks (run-queue grant)\n" +
+				"    turn=6 T1 sem_post sem:inside#2 (run-queue grant)\n" +
+				"    turn=7 T0 sem_wait sem:inside#2 returns (wake-queue grant)\n" +
+				"    turn=8 T1 sem_wait sem:leave#3 blocks (run-queue grant)\n" +
+				"    turn=9 T0 create thread:contender#5 (run-queue grant)\n" +
+				"    turn=10 T2 thread_begin (run-queue grant)\n" +
+				"    turn=11 T0 join thread:holder#4 blocks (run-queue grant)\n"},
+		{"woken", Config{Mode: RoundRobin, Policies: AllPolicies}, waitTwice,
+			"handler: core: deterministic deadlock in domain 0: all threads blocked without timeout\n" +
+				"  turn=9 holder=<nil> stack=round-robin|BoostBlocked>CreateAll>CSWhole>WakeAMAP>BranchedWake\n" +
+				"  runQ: (empty)\n  wakeQ: (empty)\n  waitQ[cond:c#2]: T1(w)\n  waitQ[thread:w#3]: T0(main)\n" +
+				"  last 13 of 13 ops, oldest first:\n" +
+				"    turn=0 T0 mutex_init mutex:m#1 (run-queue grant)\n" +
+				"    turn=1 T0 cond_init cond:c#2 (kept)\n" +
+				"    turn=2 T0 create thread:w#3 (kept)\n" +
+				"    turn=3 T1 thread_begin (run-queue grant)\n" +
+				"    turn=4 T0 yield (run-queue grant)\n" +
+				"    turn=5 T1 lock mutex:m#1 (run-queue grant)\n" +
+				"    turn=5 T1 wait cond:c#2 blocks (kept)\n" +
+				"    turn=6 T0 lock mutex:m#1 (run-queue grant)\n" +
+				"    turn=6 T0 signal cond:c#2 (kept)\n" +
+				"    turn=6 T0 unlock mutex:m#1 (kept)\n" +
+				"    turn=7 T1 wait cond:c#2 returns (wake-queue grant)\n" +
+				"    turn=7 T1 wait cond:c#2 blocks (kept)\n" +
+				"    turn=8 T0 join thread:w#3 blocks (run-queue grant)\n"},
+		{"chooser", Config{Mode: RoundRobin, Chooser: func(int) Chooser { return new(flipFirstTurn) }}, waitForever,
+			"handler: core: deterministic deadlock in domain 0: all threads blocked without timeout\n" +
+				"  turn=7 holder=<nil> stack=round-robin\n" +
+				"  runQ: (empty)\n  wakeQ: (empty)\n  waitQ[cond:c#2]: T1(w)\n  waitQ[thread:w#3]: T0(main)\n" +
+				"  last 7 of 7 ops, oldest first:\n" +
+				"    turn=0 T0 mutex_init mutex:m#1 (run-queue grant)\n" +
+				"    turn=1 T0 cond_init cond:c#2 (kept)\n" +
+				"    turn=2 T0 create thread:w#3 (kept)\n" +
+				"    turn=3 T0 join thread:w#3 blocks (chooser override)\n" +
+				"    turn=4 T1 thread_begin (run-queue grant)\n" +
+				"    turn=5 T1 lock mutex:m#1 (run-queue grant)\n" +
+				"    turn=6 T1 wait cond:c#2 blocks (run-queue grant)\n"},
 		{"replay", Config{Mode: RoundRobin, Replay: schedule}, waitOnce,
 			"core: replay divergence in domain 0 at op index 8: expected T5 to run yield but no thread of the domain can run (2 created)\n" +
 				"  turn=8 holder=<nil> stack=round-robin\n" +
-				"  runQ: T0(main)\n  wakeQ: (empty)\n  waitQ[cond:c#2]: T1(w)\n"},
-	} {
+				"  runQ: T0(main)\n  wakeQ: (empty)\n  waitQ[cond:c#2]: T1(w)\n" +
+				"  last 8 of 8 ops, oldest first:\n" +
+				"    turn=0 T0 mutex_init mutex:m#1 (replay)\n" +
+				"    turn=1 T0 cond_init cond:c#2 (replay)\n" +
+				"    turn=2 T0 create thread:w#3 (replay)\n" +
+				"    turn=3 T1 thread_begin (replay)\n" +
+				"    turn=4 T0 yield (replay)\n" +
+				"    turn=5 T1 lock mutex:m#1 (replay)\n" +
+				"    turn=6 T0 lock mutex:m#1 blocks (replay)\n" +
+				"    turn=7 T1 wait cond:c#2 blocks (replay)\n"},
+	}
+	var wants strings.Builder
+	for _, c := range cases {
+		wants.WriteString(c.want)
+	}
+	for _, src := range []string{"(kept)", "(run-queue grant)", "(wake-queue grant)", "(chooser override)", "(replay)"} {
+		if !strings.Contains(wants.String(), src) {
+			t.Errorf("no pinned report shows a turn whose source is %s", src)
+		}
+	}
+	for _, c := range cases {
 		rt := New(c.cfg)
 		got := make(chan any, 1)
 		rt.Scheduler().SetDeadlockHandler(func(msg string) {
@@ -441,4 +534,48 @@ func TestHostedRuntimesBackToBack(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestCheckpointNotQuiescentReported: a domain whose threads keep each other
+// runnable never reaches a checkpoint boundary, and the refusal is the
+// domain's failure report — its queues and its last operations, which show
+// the two threads trading the turn.
+func TestCheckpointNotQuiescentReported(t *testing.T) {
+	defer SetQuiescenceYields(4)()
+	rt := New(Config{Mode: RoundRobin, Record: true})
+	var err error
+	rt.Run(func(main *Thread) {
+		stop := false
+		w := main.Create("spinner", func(w *Thread) {
+			for !stop {
+				w.Yield()
+			}
+		})
+		_, err = rt.Checkpoint(main, nil)
+		stop = true
+		main.Join(w)
+	})
+	want := "qithread: Checkpoint: domain 0 did not quiesce after 4 yields; threads are waking each other across the boundary\n" +
+		"  turn=10 holder=T0(main) stack=round-robin\n  runQ: T0(main) T1(spinner)\n  wakeQ: (empty)\n" +
+		"  last 10 of 10 ops, oldest first:\n" +
+		"    turn=0 T0 create thread:spinner#1 (run-queue grant)\n" +
+		"    turn=1 T1 thread_begin (run-queue grant)\n"
+	for turn := 2; turn < 10; turn++ {
+		want += fmt.Sprintf("    turn=%d T%d yield (run-queue grant)\n", turn, turn%2)
+	}
+	if err == nil || err.Error() != want {
+		t.Errorf("Checkpoint beside a spinning thread returned\n%v\nwant\n%s", err, want)
+	}
+}
+
+// flipFirstTurn is a Chooser that overrides the policy stack's first turn
+// pick with the next candidate and keeps every other default.
+type flipFirstTurn struct{ done bool }
+
+func (f *flipFirstTurn) Choose(kind ChoiceKind, _ []int, n, def int) int {
+	if kind != ChooseTurn || f.done {
+		return def
+	}
+	f.done = true
+	return (def + 1) % n
 }

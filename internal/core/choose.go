@@ -46,6 +46,7 @@ func (s *Scheduler) chooseTurnLocked(def *Thread) *Thread {
 	// Commit even when the chooser kept the default, so the chooser is asked
 	// exactly once per handoff regardless of how many grant attempts follow.
 	s.chosen = s.pickLocked(policy.ChooseTurn, def, &s.runQ, &s.wakeQ)
+	s.overrode = s.chosen != def
 	return s.chosen
 }
 

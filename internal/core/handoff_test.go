@@ -105,7 +105,7 @@ func handoffStress(t *testing.T, cfg Config, n int, run runner) handoffRun {
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
-		t.Fatalf("handoff stress hung (lost grant?)\n%s", s.Dump())
+		t.Fatal(s.Failure("handoff stress hung (lost grant?)"))
 	}
 	// One token per handoff, consumed by the grantee before it can ask again:
 	// a token left behind means a grant went to a thread that never waited.

@@ -59,8 +59,11 @@ type Body interface{ Run() }
 // Scheduler rather than widening Thread or the root package's Runtime, whose
 // allocation size classes the byte metrics depend on, and is recycled across
 // runs (freeHosts), so a warm hosted run allocates nothing for it — nor for
-// its thread table, which keeps its capacity from run to run.
+// its thread table, which keeps its capacity from run to run, nor for its
+// flight recorder (report.go), which is emptied.
 type Host struct {
+	ring *ring // the domain's last traced operations
+
 	threads []*Thread // the scheduler's thread table (Scheduler.threads), by thread id
 	workers []*worker // by thread id: the coroutine of a started or fresh thread; nil for the driver (thread 0) and once a body returned
 	fresh   []*Thread // threads StartHosted queued, in creation order; fresh[next:] have never run
@@ -149,7 +152,7 @@ func (s *Scheduler) HostThreads() {
 	select {
 	case s.host = <-freeHosts:
 	default:
-		s.host = &Host{}
+		s.host = &Host{ring: new(ring)}
 	}
 	s.threads = &s.host.threads
 }
@@ -186,7 +189,8 @@ func (s *Scheduler) DrainHosted() {
 	}
 	s.host, s.threads = nil, nil
 	clear(h.threads)
-	*h = Host{threads: h.threads[:0], workers: h.workers[:0], fresh: h.fresh[:0], aside: h.aside[:0]}
+	h.ring.n = 0
+	*h = Host{ring: h.ring, threads: h.threads[:0], workers: h.workers[:0], fresh: h.fresh[:0], aside: h.aside[:0]}
 	select {
 	case freeHosts <- h:
 	default:
@@ -310,11 +314,11 @@ func (h *Host) resume(s *Scheduler) {
 func (s *Scheduler) stuck() {
 	if s.replayingLocked() {
 		e := s.replay[s.replayPos]
-		panic(s.divergedLocked("expected T%d to run %v but no thread of the domain can run (%d created)", e.TID, e.Op, s.nextTID))
+		panic(s.reportLocked(divergence, "expected T%d to run %v but no thread of the domain can run (%d created)", e.TID, e.Op, s.nextTID))
 	}
 	why := "all threads blocked without timeout"
 	if len(s.host.aside) > 0 {
 		why = fmt.Sprint("every thread outside the turn waits for a lock nobody can release\n  offTurn: ", s.host.aside)
 	}
-	s.ReportDeadlock(fmt.Sprintf("core: deterministic deadlock in domain %d: %s\n%s", s.cfg.DomainID, why, s.dumpLocked()))
+	s.ReportDeadlock(s.reportLocked(deadlock, "%s", why))
 }

@@ -62,14 +62,14 @@ func TestHostedBodyPanicReachesDriver(t *testing.T) {
 // TestHostedDeadlock: a hosted run whose threads all block reports the
 // deterministic deadlock from its driver, which finds nothing to resume; a
 // handler that freezes the driver freezes the run, one that returns leaves the
-// driver parked. The report, like Dump, names the policy stack by its
+// driver parked. The report, like any before the run, names the policy stack by its
 // descriptor.
 func TestHostedDeadlock(t *testing.T) {
 	const stack = "stack=round-robin|BoostBlocked>CreateAll>CSWhole>WakeAMAP>BranchedWake\n"
 	for _, freeze := range []bool{true, false} {
 		s := New(Config{Mode: policy.RoundRobin, Policies: policy.AllPolicies})
-		if dump := s.Dump(); !strings.Contains(dump, stack) {
-			t.Fatalf("Dump() lacks %q:\n%s", stack, dump)
+		if report := s.Failure("before the run"); !strings.Contains(report, stack) {
+			t.Fatalf("report lacks %q:\n%s", stack, report)
 		}
 		deadlock := make(chan string, 1)
 		s.SetDeadlockHandler(func(msg string) {

@@ -293,7 +293,7 @@ func (l *lockstep) check(th *Thread, what string) {
 	}
 	l.cov.ops++
 	if d := l.diff(); d != "" {
-		panic(fmt.Sprintf("after %v's %s: %s\n%smodel: %+v", th, what, d, l.s.dumpLocked(), *l.m))
+		panic(l.s.reportLocked(misuse, "after %v's %s: %s", th, what, d) + fmt.Sprintf("model: %+v", *l.m))
 	}
 }
 

@@ -1,7 +1,5 @@
 package core
 
-import "fmt"
-
 // Schedule replay. DMT systems make record/replay nearly free: because the
 // schedule is a deterministic function of the program and input, replaying an
 // execution only requires re-running it under the same policy. Replay mode
@@ -11,10 +9,6 @@ import "fmt"
 // produced it (the schedule itself embeds their effects), and divergence
 // (a different binary or input) is detected at the first mismatching
 // operation rather than silently producing a different interleaving.
-
-// ErrReplayDivergence is the panic value prefix used when a replayed
-// execution departs from its recorded schedule.
-const ErrReplayDivergence = "core: replay divergence"
 
 // SetReplay installs a recorded schedule to enforce. It must be called
 // before any thread is registered. While a replay schedule is active, the
@@ -43,14 +37,6 @@ func (s *Scheduler) SetReplay(schedule []Event) {
 	s.replayPos = 0
 }
 
-// divergedLocked is the one replay-divergence diagnostic, the value every
-// divergence panics with: the prefix, the domain, the op index the run left
-// the recording at, why (format and args), and the scheduler state.
-func (s *Scheduler) divergedLocked(format string, args ...any) string {
-	return fmt.Sprintf("%s in domain %d at op index %d: %s\n%s",
-		ErrReplayDivergence, s.cfg.DomainID, s.replayPos, fmt.Sprintf(format, args...), s.dumpLocked())
-}
-
 // replayingLocked reports whether a recorded schedule still dictates who
 // runs next: one is installed and not yet exhausted.
 func (s *Scheduler) replayingLocked() bool {
@@ -74,7 +60,7 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 	want := s.replay[s.replayPos].TID
 	if want < 0 {
 		// The loaders reject this; a hand-built Config.Replay passes none.
-		panic(s.divergedLocked("recorded thread id %d is negative", want))
+		panic(s.reportLocked(divergence, "recorded thread id %d is negative", want))
 	}
 	if int(want) >= s.nextTID {
 		// Thread not created yet: its creator's ops come first in any
@@ -86,7 +72,7 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 	t := (*s.threads)[want]
 	if t == nil {
 		// The thread existed and is neither runnable nor waiting: it exited.
-		panic(s.divergedLocked("expected T%d to run %v but it has exited", want, s.replay[s.replayPos].Op))
+		panic(s.reportLocked(divergence, "expected T%d to run %v but it has exited", want, s.replay[s.replayPos].Op))
 	}
 	switch t.queue {
 	case qRun, qWake:
@@ -102,10 +88,10 @@ func (s *Scheduler) replayEligibleLocked() *Thread {
 		}
 		// Blocked without a timeout: no future action can make it eligible —
 		// the executions have diverged.
-		panic(s.divergedLocked("expected T%d to run %v but it is blocked on %s#%d",
+		panic(s.reportLocked(divergence, "expected T%d to run %v but it is blocked on %s#%d",
 			want, s.replay[s.replayPos].Op, s.labelLocked(t.obj), t.obj))
 	}
-	panic(s.divergedLocked("expected T%d to run %v but it has exited", want, s.replay[s.replayPos].Op))
+	panic(s.reportLocked(divergence, "expected T%d to run %v but it has exited", want, s.replay[s.replayPos].Op))
 }
 
 // verifyReplayLocked checks one executed operation against the recording and
@@ -122,7 +108,7 @@ func (s *Scheduler) verifyReplayLocked(t *Thread, op OpKind, obj uint64, st Even
 	}
 	e := s.replay[s.replayPos]
 	if int(e.TID) != t.id || e.Op != op || e.Obj != obj || e.Status != st {
-		panic(s.divergedLocked("expected {T%d %v obj=%d(%s) %v}, executed {T%d %v obj=%d(%s) %v}",
+		panic(s.reportLocked(divergence, "expected {T%d %v obj=%d(%s) %v}, executed {T%d %v obj=%d(%s) %v}",
 			e.TID, e.Op, e.Obj, s.labelLocked(e.Obj), e.Status,
 			t.id, op, obj, s.labelLocked(obj), st))
 	}

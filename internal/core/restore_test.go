@@ -79,7 +79,7 @@ func TestRestoreRejectsHostileSnapshot(t *testing.T) {
 			case c.want == "" && err != nil:
 				t.Fatal(err)
 			case c.want != "" && err == nil:
-				t.Fatalf("RestoreState accepted the snapshot\n%s", s.Dump())
+				t.Fatal(s.Failure("RestoreState accepted the snapshot"))
 			case c.want != "" && !strings.Contains(err.Error(), c.want):
 				t.Fatalf("RestoreState: %v, want an error containing %q", err, c.want)
 			}
@@ -152,7 +152,7 @@ func TestCheckpointThroughObjectTable(t *testing.T) {
 	if !ok {
 		t.Fatalf("captured wait lists %+v, want objects %v with waiters %v", snap.WaitLists, objs, want)
 	}
-	dump := src.Dump()
+	dump := src.Failure("parked on three")
 	for _, line := range []string{"waitQ[cond:x#1]: T2(b) T4(d)", "waitQ[mutex:y#2]: T1(a) T3(c)", "waitQ[#3]: T5(e)"} {
 		if !strings.Contains(dump, line) {
 			t.Errorf("report lacks %q:\n%s", line, dump)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"strings"
 	"sync"
 
 	"qithread/internal/logio"
@@ -102,6 +101,12 @@ type Scheduler struct {
 	traceLen  int64
 	traceHash uint64
 	suspended bool
+
+	// src is where the current holder's turn came from, for the flight
+	// recorder (report.go): set by grantLocked, consumed by TraceOp. overrode
+	// says the committed chosen is the Chooser's override of the stack's pick.
+	src      source
+	overrode bool
 
 	// Replay state (see replay.go).
 	replay    []Event
@@ -357,7 +362,7 @@ func (s *Scheduler) Exit(t *Thread) {
 	s.live--
 	s.releaseTurnLocked()
 	if t.granted {
-		panic(fmt.Sprintf("core: %v exits with an unconsumed grant token\n%s", t, s.dumpLocked()))
+		panic(s.reportLocked(misuse, "core: %v exits with an unconsumed grant token", t))
 	}
 }
 
@@ -380,7 +385,7 @@ func (s *Scheduler) AddWork(t *Thread, n int64) {
 
 func (s *Scheduler) requireTurnLocked(t *Thread, op string) {
 	if s.holder != t {
-		panic(fmt.Sprintf("core: %s by %v which does not hold the turn (holder=%v)", op, t, s.holder))
+		panic(s.reportLocked(misuse, "core: %s by %v which does not hold the turn (holder=%v)", op, t, s.holder))
 	}
 }
 
@@ -427,7 +432,7 @@ func (s *Scheduler) removeRunnableLocked(t *Thread) {
 	case qWake:
 		s.wakeQ.remove(t)
 	default:
-		panic(fmt.Sprintf("core: thread %v not runnable (queue=%v)", t, t.queue))
+		panic(s.reportLocked(misuse, "core: thread %v not runnable (queue=%v)", t, t.queue))
 	}
 }
 
@@ -540,19 +545,26 @@ func (s *Scheduler) passTurnLocked(self *Thread) {
 //
 // This is also where a pick is committed, so it is where the policy stack
 // counts it (eligibleLocked is re-evaluated every time a not-yet-eligible
-// thread asks, a grant happens once per handoff) and where "the pick is
-// always on a runnable queue" is asserted. A grant the recorded schedule
-// dictated is nobody's decision and is not counted.
+// thread asks, a grant happens once per handoff), where the flight recorder
+// learns the turn's source, and where "the pick is always on a runnable
+// queue" is asserted. A grant the recorded schedule dictated is nobody's
+// decision and is not counted.
 func (s *Scheduler) grantLocked(e, self *Thread) {
-	from := policy.QueueRun
+	from, src := policy.QueueRun, srcRun
 	if e.queue == qWake {
-		from = policy.QueueWake
+		from, src = policy.QueueWake, srcWake
 	} else if e.queue != qRun {
-		panic(fmt.Sprintf("core: grant to %v which is not runnable (queue=%v)\n%s", e, e.queue, s.dumpLocked()))
+		panic(s.reportLocked(misuse, "core: grant to %v which is not runnable (queue=%v)", e, e.queue))
 	}
-	if !s.replayingLocked() {
+	if s.replayingLocked() {
+		src = srcReplay
+	} else {
 		s.stack.OnGrant(from)
+		if s.chosen != nil && s.overrode {
+			src = srcChooser
+		}
 	}
+	s.src = src
 	e.wantTurn = false
 	s.chosen = nil
 	s.holder = e
@@ -561,7 +573,7 @@ func (s *Scheduler) grantLocked(e, self *Thread) {
 	}
 	s.stats.Handoffs++
 	if e.granted {
-		panic(fmt.Sprintf("core: grant to %v which already has an unconsumed grant token\n%s", e, s.dumpLocked()))
+		panic(s.reportLocked(misuse, "core: grant to %v which already has an unconsumed grant token", e))
 	}
 	e.granted = true
 	if s.host == nil {
@@ -574,35 +586,4 @@ func (s *Scheduler) grantLocked(e, self *Thread) {
 func (s *Scheduler) releaseTurnLocked() {
 	s.holder = nil
 	s.passTurnLocked(nil)
-}
-
-// Dump renders the scheduler state — queues, holder, wait lists — for
-// diagnostics (deadlock reports, failed quiescence drives).
-func (s *Scheduler) Dump() string {
-	defer s.unlock(s.lock())
-	return s.dumpLocked()
-}
-
-// dumpLocked renders the scheduler state for deadlock diagnostics, listing
-// each object's wait list straight from the per-object structures.
-func (s *Scheduler) dumpLocked() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "  turn=%d holder=%v stack=%v\n", s.turn, s.holder, &s.stack)
-	fmt.Fprintf(&b, "  runQ: %s\n", threadNames(s.runQ))
-	fmt.Fprintf(&b, "  wakeQ: %s\n", threadNames(s.wakeQ))
-	for _, k := range s.waitedObjsLocked() {
-		fmt.Fprintf(&b, "  waitQ[%s#%d]: %s\n", s.labelLocked(k), k, threadNames(s.objs[k].waits))
-	}
-	return b.String()
-}
-
-func threadNames(q tqueue) string {
-	if q.head == nil {
-		return "(empty)"
-	}
-	var names []string
-	for t := q.head; t != nil; t = t.qnext {
-		names = append(names, t.String())
-	}
-	return strings.Join(names, " ")
 }

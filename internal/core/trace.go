@@ -306,6 +306,13 @@ func (s *Scheduler) TraceOp(t *Thread, op OpKind, obj uint64, st EventStatus) {
 	defer s.unlock(s.lock())
 	s.requireTurnLocked(t, "TraceOp")
 	replayed := s.verifyReplayLocked(t, op, obj, st)
+	if h := s.host; h != nil {
+		// Field by field: a ringOp built whole and copied in is a store of
+		// narrow fields read back wide, which stalls the copy.
+		o := h.ring.next()
+		o.obj, o.turn, o.tid, o.op, o.st, o.src = obj, s.turn, int32(t.id), op, st, s.src
+	}
+	s.src = srcKept
 	s.stats.Ops++
 	s.traceVTime(t)
 	if !s.cfg.Record || s.suspended {

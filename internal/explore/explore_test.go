@@ -375,3 +375,45 @@ func TestCSVEscapeCutsOnRune(t *testing.T) {
 		t.Errorf("csvEscape(%q) = %q", "a,b\nc", got)
 	}
 }
+
+// TestReproKeepsFailureText: runs.csv's err cell is cut at 200 bytes, so a
+// deadlock's or a panic's repro keeps its whole failure text beside it, in a
+// file of the same name ending .err — for a deadlock, the report with the
+// domain's queues and last operations. The directory's reader lists only the
+// schedules.
+func TestReproKeepsFailureText(t *testing.T) {
+	for _, c := range []struct {
+		p          *Program
+		name, want string
+	}{
+		{childDeadlockProgram, "repro-deadlock-000", "core: deterministic deadlock in domain 0: all threads blocked without timeout\n" +
+			"  turn=6 holder=<nil> stack=round-robin\n  runQ: (empty)\n  wakeQ: (empty)\n" +
+			"  waitQ[mutex:m#1]: T1(child)\n  waitQ[thread:child#2]: T0(main)\n" +
+			"  last 6 of 6 ops, oldest first:\n" +
+			"    turn=0 T0 mutex_init mutex:m#1 (run-queue grant)\n" +
+			"    turn=1 T0 create thread:child#2 (kept)\n" +
+			"    turn=2 T1 thread_begin (run-queue grant)\n" +
+			"    turn=3 T0 join thread:child#2 blocks (run-queue grant)\n" +
+			"    turn=4 T1 lock mutex:m#1 (run-queue grant)\n" +
+			"    turn=5 T1 lock mutex:m#1 blocks (run-queue grant)\n"},
+		{childPanicProgram, "repro-panic-000", "child boom"},
+	} {
+		dir := t.TempDir()
+		s, err := NewSession(c.p, dir, testWatchdog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ExploreDPOR(4, 0); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, c.name+".err"))
+		if err != nil || string(got) != c.want {
+			entries, _ := os.ReadDir(dir)
+			t.Errorf("%s: %s.err reads %q (%v), want\n%s\n(the directory holds %v)", c.p.Name, c.name, got, err, c.want, entries)
+		}
+		res, err := ReadResults(dir)
+		if err != nil || len(res.Repros) != 1 || res.Repros[0].Path != filepath.Join(dir, c.name+".sched") {
+			t.Errorf("%s: ReadResults lists repros %+v (%v), want only %s.sched", c.p.Name, res.Repros, err, c.name)
+		}
+	}
+}

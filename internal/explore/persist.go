@@ -165,8 +165,11 @@ func (s *Session) writeWorkerStats() error {
 	return atomicWrite(filepath.Join(s.Dir, workersFile), []byte(b.String()))
 }
 
-// writeRepro saves one minimized repro schedule file. A file that did not
-// close cleanly is not written.
+// writeRepro saves one minimized repro schedule file, name, and for a
+// deadlock or a panic its whole failure text beside it, in name's .err file:
+// runs.csv's err cell is cut at 200 bytes, which a deadlock report's queues
+// and last operations are past. A write that fails is the error, and the
+// caller lists no repro.
 func (s *Session) writeRepro(name string, final Result) (string, error) {
 	path := filepath.Join(s.Dir, name)
 	f, err := os.Create(path)
@@ -176,6 +179,9 @@ func (s *Session) writeRepro(name string, final Result) (string, error) {
 	err = trace.SaveExplored(f, final.Trace, choicesOf(final.log))
 	if cerr := f.Close(); err == nil {
 		err = cerr
+	}
+	if err == nil && (final.Outcome == OutcomeDeadlock || final.Outcome == OutcomePanic) {
+		err = os.WriteFile(strings.TrimSuffix(path, ".sched")+".err", []byte(final.Err), 0o644)
 	}
 	if err != nil {
 		return "", fmt.Errorf("explore: repro file: %w", err)

@@ -63,6 +63,7 @@ type Session struct {
 //	             an "L" line (its decision log) and an "F" line (their pos:alt pairs)
 //	workers.txt  per-worker throughput/prune stats of the last invocation
 //	repro-*.sched  minimized v3 repro schedules, one per distinct failure
+//	repro-*.err    beside a deadlock's or a panic's repro: its whole failure text
 //	.lock        flock target: one writing session at a time
 //
 // runs.csv grows by appends; frontier.txt and workers.txt are replaced by

@@ -34,7 +34,8 @@ import (
 // non-test file of the root package declares is called somewhere in the
 // module, tests included, outside its own declaration: an export nothing
 // calls is a second way to do something, or a way to do nothing. Deadlocks
-// are reported from exactly the two detectors §4.1 names.
+// are reported from exactly the two detectors §4.1 names, and every failure
+// text of the core is built by its one report builder (§4.1).
 func TestInventory(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -171,7 +172,7 @@ func TestInventory(t *testing.T) {
 	// reader searching the tree would; a call inside a function of the same
 	// name, the function itself or a namesake it forwards to, does not count.
 	calls := map[string]bool{}
-	var exported, reporters []string
+	var exported, reporters, renderers, prefixes []string
 	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return err
@@ -204,6 +205,21 @@ func TestInventory(t *testing.T) {
 					if dir := filepath.Dir(path); name == "ReportDeadlock" && (dir == "." || dir == "internal/core") && !strings.HasSuffix(path, "_test.go") {
 						reporters = append(reporters, filepath.ToSlash(path)+" "+self)
 					}
+					if (name == "dumpLocked" || name == "historyLocked") && filepath.Dir(path) == "internal/core" && !strings.HasSuffix(path, "_test.go") {
+						renderers = append(renderers, filepath.ToSlash(path)+" "+self+" calls "+name)
+					}
+				}
+				if dir := filepath.Dir(path); (dir == "." || dir == "internal/core") && !strings.HasSuffix(path, "_test.go") {
+					switch n := n.(type) {
+					case *ast.BasicLit:
+						if n.Kind == token.STRING && (strings.Contains(n.Value, "deterministic deadlock") || strings.Contains(n.Value, "replay divergence")) {
+							prefixes = append(prefixes, filepath.ToSlash(path)+" "+self+" "+n.Value)
+						}
+					case *ast.Ident:
+						if n.Name == "ErrReplayDivergence" {
+							prefixes = append(prefixes, filepath.ToSlash(path)+" "+self+" ErrReplayDivergence")
+						}
+					}
 				}
 				return true
 			})
@@ -225,6 +241,19 @@ func TestInventory(t *testing.T) {
 	slices.Sort(reporters)
 	if want := []string{"domain.go finished", "internal/core/host.go stuck", "pipe.go wait"}; !slices.Equal(reporters, want) {
 		t.Errorf("ReportDeadlock is called from %q, want only %q", reporters, want)
+	}
+
+	// One failure report (DESIGN.md §4.1): in the core only the builder,
+	// reportLocked, renders the scheduler state and the flight recorder, and
+	// nothing in the core or the root package but report.go spells out the
+	// prefix of a deadlock or a divergence.
+	if want := []string{"internal/core/report.go reportLocked calls dumpLocked", "internal/core/report.go reportLocked calls historyLocked"}; !slices.Equal(renderers, want) {
+		t.Errorf("the scheduler state and its last operations are rendered from %q, want only %q", renderers, want)
+	}
+	for _, p := range prefixes {
+		if !strings.HasPrefix(p, "internal/core/report.go ") {
+			t.Errorf("%s: a failure prefix outside the report builder (internal/core/report.go)", p)
+		}
 	}
 
 	// The internal/core row: a scheduler has one owner, so nothing in it is
