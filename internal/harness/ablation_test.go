@@ -2,7 +2,6 @@ package harness
 
 import (
 	"io"
-	"strings"
 	"testing"
 
 	"qithread/internal/programs"
@@ -36,25 +35,5 @@ func TestAblationStructure(t *testing.T) {
 	// re-serialize pbzip2 (worse than half of vanilla is already failure).
 	if all := cell["without none"]; cell["without WakeAMAP"] < all*2 {
 		t.Errorf("removing WakeAMAP should hurt pbzip2: all=%.2f without=%.2f", all, cell["without WakeAMAP"])
-	}
-}
-
-func TestChartRendering(t *testing.T) {
-	r := &Runner{Params: workload.Params{Scale: 0.05, InputSeed: 42}}
-	spec, _ := programs.Find("redis")
-	modes := []Mode{VanillaRR(), QiThread()}
-	rows := []Row{r.MeasureRow(spec, modes)}
-	var sb strings.Builder
-	FprintChart(&sb, rows, modes, 16)
-	out := sb.String()
-	if !strings.Contains(out, "redis") || !strings.Contains(out, "#") {
-		t.Fatalf("chart rendering broken:\n%s", out)
-	}
-	// Overflow clamp: a synthetic huge value renders with the '>' marker.
-	rows[0].Norm[VanillaRR().Name] = 99
-	sb.Reset()
-	FprintChart(&sb, rows, modes, 16)
-	if !strings.Contains(sb.String(), ">") {
-		t.Fatalf("overflow marker missing:\n%s", sb.String())
 	}
 }

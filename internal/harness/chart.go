@@ -4,64 +4,66 @@ import (
 	"fmt"
 	"io"
 	"strings"
+
+	"qithread/internal/stats"
 )
 
-// FprintChart renders Figure 8 rows as horizontal ASCII bars, the
+// chartWidth and chartClamp size Figure 8's bars: chartWidth characters span
+// normalized times 0 to chartClamp, and a longer bar is clamped like the
+// paper's broken axis (its value prints beside it).
+const chartWidth, chartClamp = 48, 16
+
+// fprintChart renders a Figure 8 table as horizontal ASCII bars, the
 // counterpart of the artifact's generate-figure notebook. Each program shows
-// one bar per configuration, normalized to the nondeterministic baseline;
-// the axis is clamped like the paper's broken axis (values beyond the clamp
-// print numerically).
-func FprintChart(w io.Writer, rows []Row, modes []Mode, clamp float64) {
-	if clamp <= 0 {
-		clamp = 16
-	}
-	const width = 48
-	scale := float64(width) / clamp
-	suite := ""
-	for _, row := range rows {
-		if row.Suite != suite {
-			suite = row.Suite
-			fmt.Fprintf(w, "\n== %s ==\n", suite)
-			fmt.Fprintf(w, "%28s  %-12s|%s|\n", "", "", axis(width, clamp))
+// one bar per configuration column the table holds, skipping "-" cells: its
+// makespan over the non-det makespan, both read back to the nanosecond, so a
+// table read from a file draws the same chart as the one the arm measured.
+func fprintChart(w io.Writer, t *Table) {
+	var modes []string
+	for _, c := range t.cols[t.exp.labels:] {
+		if m, ok := strings.CutSuffix(c, "_ms"); ok && m != Nondet().Name {
+			modes = append(modes, m)
 		}
-		for i, m := range modes {
-			v, ok := row.Norm[m.Name]
-			if !ok {
+	}
+	suite := ""
+	for _, row := range t.rows {
+		if s := row[t.col("suite")]; s != suite {
+			suite = s
+			fmt.Fprintf(w, "\n== %s ==\n", suite)
+			fmt.Fprintf(w, "%28s  %-12s|%s|\n", "", "", axis())
+		}
+		name := row[0]
+		for _, m := range modes {
+			if row[t.col(m+"_ms")] == "-" {
 				continue
 			}
-			name := ""
-			if i == 0 {
-				name = row.Program
-			}
-			bar := barOf(v, scale, width)
-			fmt.Fprintf(w, "%28s  %-12s|%s| %.2f\n", name, m.Name, bar, v)
+			v := stats.Normalized(t.dur(row, m+"_ms"), t.dur(row, Nondet().Name+"_ms"))
+			fmt.Fprintf(w, "%28s  %-12s|%s| %.2f\n", name, m, bar(v), v)
+			name = ""
 		}
 	}
 }
 
-func axis(width int, clamp float64) string {
-	a := []byte(strings.Repeat("-", width))
-	// tick at 1.0 (the baseline)
-	one := int(float64(width) / clamp)
-	if one >= 0 && one < width {
-		a[one] = '+'
-	}
+// axis is the chart's ruler, with a tick at 1.0 (the baseline).
+func axis() string {
+	a := []byte(strings.Repeat("-", chartWidth))
+	a[chartWidth/chartClamp] = '+'
 	return string(a)
 }
 
-func barOf(v, scale float64, width int) string {
-	n := int(v * scale)
+func bar(v float64) string {
+	n := int(v * (chartWidth / chartClamp))
 	overflow := false
-	if n > width {
-		n = width
+	if n > chartWidth {
+		n = chartWidth
 		overflow = true
 	}
 	if n < 1 {
 		n = 1
 	}
-	b := strings.Repeat("#", n) + strings.Repeat(" ", width-n)
+	b := strings.Repeat("#", n) + strings.Repeat(" ", chartWidth-n)
 	if overflow {
-		b = b[:width-1] + ">"
+		b = b[:chartWidth-1] + ">"
 	}
 	return b
 }

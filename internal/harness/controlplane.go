@@ -5,118 +5,65 @@ import (
 	"io"
 	"time"
 
-	"qithread"
 	"qithread/internal/workload/controlplane"
 )
 
-// ControlPlanePoint is one cell of the control-plane sweep: a fixed recorded
-// log reconciled by a (entities × controllers × shards) configuration, with
-// the observability snapshots (gateway admission counters, scheduler
-// wait-list depths) folded in alongside the workload counters.
-type ControlPlanePoint struct {
-	Entities    int
-	Controllers int
-	Shards      int
-
-	Transitions uint64
-	Conflicts   uint64
-	Requeues    uint64
-	Installed   int
-	Anomalies   uint64
-
-	Admitted int64 // gateway snapshot: events admitted
-	Shed     int64 // gateway snapshot: events shed
-	MaxQueue int   // gateway snapshot: admission queue high-water
-	Turns    int64 // scheduler snapshots: total turns across domains
-	MaxWait  int   // scheduler snapshots: deepest wait list seen
-
-	Wall time.Duration
-}
-
-// ControlPlaneSweep reconciles a recorded log across the configuration grid.
-// The makespans are wall-clock but the counters and snapshots are
-// deterministic: every cell replays the same per-entity event sequence.
-func ControlPlaneSweep(cfg qithread.Config, entities, controllers, shards []int) []ControlPlanePoint {
-	var points []ControlPlanePoint
+// runControlPlane is experiment E22: the production-shape control-plane
+// workload (internal/workload/controlplane) swept across entity-store sizes,
+// controller-pool widths and scheduler-domain shard counts. Every cell
+// reconciles the same recorded log, so its workload counters and its
+// observability snapshots — the gateways' admission counters and queue
+// high-water, the schedulers' turns and deepest wait list — are
+// deterministic; wall time, and the throughput derived from it, are the only
+// host-dependent columns. A replay gate re-runs the seeded-race scenario's
+// fixed input and fails the experiment on any fingerprint divergence, as does
+// a cell that corrupted an entity or did not install every one; the title line
+// is printed once the gate passed.
+func runControlPlane(e *Experiment, w io.Writer, _ *Runner, _ Args) (*Table, error) {
+	entities, controllers, shards := []int{8, 32, 128}, []int{1, 2, 4}, []int{0, 2}
+	cfg := QiThread().Cfg
+	t := e.newTable()
 	for _, n := range entities {
 		log := controlplane.DemoLog(n, controlplane.Transitions)
 		for _, c := range controllers {
 			for _, s := range shards {
-				wcfg := controlplane.Config{
+				start := time.Now()
+				res := controlplane.Run(controlplane.Config{
 					Entities: n, Controllers: c, Shards: s,
 					ValidateWork: 32, EventWork: 8, MaxBatch: 8,
 					Log: log,
+				}, cfg)
+				wall := time.Since(start)
+				var requeues uint64
+				for _, en := range res.Entities {
+					requeues += en.Requeues
 				}
-				start := time.Now()
-				r := controlplane.Run(wcfg, cfg)
-				pt := ControlPlanePoint{
-					Entities: n, Controllers: c, Shards: s,
-					Transitions: r.Transitions, Conflicts: r.Conflicts,
-					Installed: r.Installed, Anomalies: r.Anomalies,
-					Wall: time.Since(start),
+				var admitted, shed, turns int64
+				var maxQueue, maxWait int
+				for _, gw := range res.Gateways {
+					admitted += gw.Admitted
+					shed += gw.Shed
+					maxQueue = max(maxQueue, gw.MaxQueue)
 				}
-				for _, e := range r.Entities {
-					pt.Requeues += e.Requeues
+				for _, sc := range res.Schedulers {
+					turns += sc.Turns
+					maxWait = max(maxWait, sc.MaxWaiting)
 				}
-				for _, gw := range r.Gateways {
-					pt.Admitted += gw.Admitted
-					pt.Shed += gw.Shed
-					if gw.MaxQueue > pt.MaxQueue {
-						pt.MaxQueue = gw.MaxQueue
-					}
-				}
-				for _, sc := range r.Schedulers {
-					pt.Turns += sc.Turns
-					if sc.MaxWaiting > pt.MaxWait {
-						pt.MaxWait = sc.MaxWaiting
-					}
-				}
-				points = append(points, pt)
+				t.add(n, c, s, res.Transitions, res.Conflicts, requeues, res.Installed, res.Anomalies,
+					admitted, shed, maxQueue, turns, maxWait, wall,
+					ftoa(ratio(float64(res.Transitions), float64(wall)/float64(time.Millisecond)), 0))
 			}
 		}
 	}
-	return points
-}
-
-// ControlPlaneReplayCheck replays the seeded-race scenario's fixed input N
-// times and returns an error on any fingerprint divergence — the experiment's
-// determinism gate, mirroring IngressReplayCheck.
-func ControlPlaneReplayCheck(cfg qithread.Config, replays int) error {
-	shape := func(r controlplane.Result) string {
-		return fmt.Sprintf("%v/%x/%x/%x", r.Fingerprint, r.Output, r.AdmitHash, r.ShedHash)
+	scenario := func() string {
+		res := controlplane.Run(controlplane.ScenarioConfig(true, false), cfg)
+		return fmt.Sprintf("%v/%x/%x/%x", res.Fingerprint, res.Output, res.AdmitHash, res.ShedHash)
 	}
-	ref := shape(controlplane.Run(controlplane.ScenarioConfig(true, false), cfg))
-	for i := 0; i < replays; i++ {
-		if got := shape(controlplane.Run(controlplane.ScenarioConfig(true, false), cfg)); got != ref {
-			return fmt.Errorf("controlplane replay %d diverged:\n  ref %s\n  got %s", i, ref, got)
-		}
-	}
-	return nil
-}
-
-// runControlPlane is experiment E22: the production-shape control-plane
-// workload (internal/workload/controlplane) swept across entity-store sizes,
-// controller-pool widths and scheduler-domain shard counts, with the gateway
-// and scheduler observability snapshots reported per cell. Every cell
-// reconciles the same recorded log, so the counter columns are deterministic;
-// wall time, and the throughput derived from it, are the only host-dependent
-// columns. A replay gate re-runs the scenario input and fails the experiment
-// on any fingerprint divergence, as does a cell that corrupted an entity or
-// did not install every one; the title line is printed once the gate passed.
-func runControlPlane(e *Experiment, w io.Writer, _ *Runner, _ Args) (*Table, error) {
-	entities, controllers, shards := []int{8, 32, 128}, []int{1, 2, 4}, []int{0, 2}
-	points := ControlPlaneSweep(QiThread().Cfg, entities, controllers, shards)
-	if err := ControlPlaneReplayCheck(QiThread().Cfg, 5); err != nil {
+	if err := replayGate("controlplane replay %d diverged:\n  ref %s\n  got %s", scenario, scenario); err != nil {
 		return nil, fmt.Errorf("replay gate: %w", err)
 	}
-	fmt.Fprintf(w, "=== E22 control plane: entities %v x controllers %v x shards %v; replay gate: 5 scenario replays identical ===\n",
-		entities, controllers, shards)
-	t := e.newTable()
-	for _, pt := range points {
-		t.add(pt.Entities, pt.Controllers, pt.Shards, pt.Transitions, pt.Conflicts, pt.Requeues, pt.Installed,
-			pt.Anomalies, pt.Admitted, pt.Shed, pt.MaxQueue, pt.Turns, pt.MaxWait, pt.Wall,
-			ftoa(ratio(float64(pt.Transitions), float64(pt.Wall)/float64(time.Millisecond)), 0))
-	}
+	fmt.Fprintf(w, "=== E22 control plane: entities %v x controllers %v x shards %v; replay gate: %d scenario replays identical ===\n",
+		entities, controllers, shards, gateReplays)
 	t.Fprint(w)
 	if bad := badCells(t); bad > 0 {
 		return t, fmt.Errorf("%d control-plane cell(s) corrupted an entity or failed to install every entity", bad)

@@ -3,6 +3,7 @@ package harness
 import (
 	"runtime"
 	"testing"
+	"time"
 
 	"qithread"
 	"qithread/internal/workload"
@@ -14,9 +15,9 @@ import (
 // and the cross-domain delivery hash — and the output checksum.
 func TestDomainsDeterministic(t *testing.T) {
 	params := workload.Params{Scale: 0.5, InputSeed: 7}
-	for _, w := range DomainWorkloads() {
+	for _, w := range domainWorkloads() {
 		for _, nd := range []int{2, 4} {
-			app := w.Build(nd, 0, params)
+			app := w.build(nd, 0, params)
 			var refFP qithread.Fingerprint
 			var refOut uint64
 			first := true
@@ -32,15 +33,15 @@ func TestDomainsDeterministic(t *testing.T) {
 						refFP, refOut = fp, out
 						first = false
 						if len(fp.DomainHashes) != nd+1 {
-							t.Errorf("%s domains=%d: fingerprint covers %d domains, want %d", w.Name, nd, len(fp.DomainHashes), nd+1)
+							t.Errorf("%s domains=%d: fingerprint covers %d domains, want %d", w.name, nd, len(fp.DomainHashes), nd+1)
 						}
 						continue
 					}
 					if out != refOut {
-						t.Errorf("%s domains=%d procs=%d run=%d: output %d, want %d", w.Name, nd, procs, run, out, refOut)
+						t.Errorf("%s domains=%d procs=%d run=%d: output %d, want %d", w.name, nd, procs, run, out, refOut)
 					}
 					if !fp.Equal(refFP) {
-						t.Errorf("%s domains=%d procs=%d run=%d: fingerprint %v, want %v", w.Name, nd, procs, run, fp, refFP)
+						t.Errorf("%s domains=%d procs=%d run=%d: fingerprint %v, want %v", w.name, nd, procs, run, fp, refFP)
 					}
 				}
 				runtime.GOMAXPROCS(prev)
@@ -59,9 +60,9 @@ func TestDomainsDeterministic(t *testing.T) {
 // progress into the batch boundaries.
 func TestDomainsBatchedDeterministic(t *testing.T) {
 	params := workload.Params{Scale: 0.5, InputSeed: 7}
-	for _, w := range DomainWorkloads() {
+	for _, w := range domainWorkloads() {
 		for _, batch := range []int{1, 8} {
-			app := w.Build(3, batch, params)
+			app := w.build(3, batch, params)
 			var refFP qithread.Fingerprint
 			var refOut uint64
 			for run := 0; run < 20; run++ {
@@ -75,10 +76,10 @@ func TestDomainsBatchedDeterministic(t *testing.T) {
 					continue
 				}
 				if out != refOut {
-					t.Errorf("%s batch=%d run=%d: output %d, want %d", w.Name, batch, run, out, refOut)
+					t.Errorf("%s batch=%d run=%d: output %d, want %d", w.name, batch, run, out, refOut)
 				}
 				if !fp.Equal(refFP) {
-					t.Errorf("%s batch=%d run=%d: fingerprint %v, want %v", w.Name, batch, run, fp, refFP)
+					t.Errorf("%s batch=%d run=%d: fingerprint %v, want %v", w.name, batch, run, fp, refFP)
 				}
 			}
 		}
@@ -90,15 +91,15 @@ func TestDomainsBatchedDeterministic(t *testing.T) {
 // compute the same checksum.
 func TestDomainsBatchOutputIndependent(t *testing.T) {
 	params := workload.Params{Scale: 0.5, InputSeed: 13}
-	for _, w := range DomainWorkloads() {
+	for _, w := range domainWorkloads() {
 		var ref uint64
 		for i, batch := range []int{0, 1, 2, 8} {
 			rt := qithread.New(qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies})
-			out := w.Build(4, batch, params)(rt)
+			out := w.build(4, batch, params)(rt)
 			if i == 0 {
 				ref = out
 			} else if out != ref {
-				t.Errorf("%s: output %d at batch %d, want %d (batch size must not change the answer)", w.Name, out, batch, ref)
+				t.Errorf("%s: output %d at batch %d, want %d (batch size must not change the answer)", w.name, out, batch, ref)
 			}
 		}
 	}
@@ -108,15 +109,15 @@ func TestDomainsBatchOutputIndependent(t *testing.T) {
 // function of the input: the same answer at every domain count.
 func TestDomainsOutputIndependent(t *testing.T) {
 	params := workload.Params{Scale: 1, InputSeed: 11}
-	for _, w := range DomainWorkloads() {
+	for _, w := range domainWorkloads() {
 		var ref uint64
 		for i, nd := range []int{1, 2, 4, 8} {
 			rt := qithread.New(qithread.Config{Mode: qithread.RoundRobin, Policies: qithread.AllPolicies})
-			out := w.Build(nd, 0, params)(rt)
+			out := w.build(nd, 0, params)(rt)
 			if i == 0 {
 				ref = out
 			} else if out != ref {
-				t.Errorf("%s: output %d at %d domains, want %d (domain count must not change the answer)", w.Name, out, nd, ref)
+				t.Errorf("%s: output %d at %d domains, want %d (domain count must not change the answer)", w.name, out, nd, ref)
 			}
 		}
 	}
@@ -128,16 +129,19 @@ func TestDomainsOutputIndependent(t *testing.T) {
 // synchronization instead of the whole process sharing one turn chain.
 // Virtual makespans are deterministic, so strict comparison is safe.
 func TestDomainsMakespanMonotonic(t *testing.T) {
-	r := &Runner{Params: workload.Params{Scale: 1, InputSeed: 3}}
-	for _, w := range DomainWorkloads() {
-		var last DomainPoint
-		for i, nd := range []int{1, 2, 4} {
-			pt := r.MeasureDomains(w, nd, 0, QiThread())
-			if i > 0 && pt.Makespan >= last.Makespan {
+	params := workload.Params{Scale: 1, InputSeed: 3}
+	for _, w := range domainWorkloads() {
+		var last int64
+		counts := []int{1, 2, 4}
+		for i, nd := range counts {
+			rt := qithread.New(QiThread().Cfg)
+			w.build(nd, 0, params)(rt)
+			makespan := rt.VirtualMakespan()
+			if i > 0 && makespan >= last {
 				t.Errorf("%s: makespan %v at %d domains, not better than %v at %d domains",
-					w.Name, pt.Makespan, nd, last.Makespan, last.Domains)
+					w.name, time.Duration(makespan), nd, time.Duration(last), counts[i-1])
 			}
-			last = pt
+			last = makespan
 		}
 	}
 }

@@ -92,51 +92,34 @@ var Experiments = []Experiment{
 		summary:  soakSummary, run: runSoak},
 }
 
-// Figure8 measures every program in specs under the Figure 8 configurations:
-// Parrot without PCS hints (round robin + soft barriers), Parrot with PCS
-// hints where applicable, and QiThread with all policies, all normalized to
-// nondeterministic execution. It returns the rows in catalog order.
-func (r *Runner) Figure8(specs []programs.Spec) []Row {
-	rows := make([]Row, 0, len(specs))
-	for _, spec := range specs {
-		modes := []Mode{VanillaRR(), ParrotSoft()}
-		if spec.Hints.PCS {
-			modes = append(modes, ParrotPCS())
-		}
-		modes = append(modes, QiThread())
-		rows = append(rows, r.MeasureRow(spec, modes))
-	}
-	return rows
-}
-
+// runFig8 is Figure 8 in the results.csv schema: each program's makespan
+// under nondeterministic execution (the baseline), then its makespan and
+// normalized time under vanilla round robin, Parrot without PCS hints (round
+// robin + soft barriers), Parrot with PCS hints where the program has one to
+// apply ("-" where not) and QiThread with all policies.
 func runFig8(e *Experiment, w io.Writer, r *Runner, a Args) (*Table, error) {
 	fmt.Fprintf(w, "=== Figure 8: normalized execution times (%d programs, scale %.2f) ===\n", len(a.Specs), r.Params.Scale)
-	rows := r.Figure8(a.Specs)
-	t := fig8Table(e, rows)
-	t.Fprint(w)
-	if a.Chart {
-		FprintChart(w, rows, []Mode{VanillaRR(), ParrotSoft(), QiThread()}, 16)
-	}
-	return t, nil
-}
-
-// fig8Table lays Figure 8 rows out in the results.csv schema: the baseline
-// makespan, then makespan and normalized time per configuration, "-" where a
-// program was not measured under one (no PCS hint to apply).
-func fig8Table(e *Experiment, rows []Row) *Table {
 	t := e.newTable()
-	for _, row := range rows {
-		cells := []any{row.Program, row.Suite, row.Base}
+	for _, spec := range a.Specs {
+		base := r.Measure(spec, Nondet())
+		cells := []any{spec.Name, spec.Suite, base}
 		for _, m := range []Mode{VanillaRR(), ParrotSoft(), ParrotPCS(), QiThread()} {
-			if d, ok := row.Times[m.Name]; ok {
-				cells = append(cells, d, ftoa(row.Norm[m.Name], 4))
-			} else {
+			if m.Cfg.PCS && !spec.Hints.PCS {
 				cells = append(cells, "-", "-")
+				continue
 			}
+			d := r.Measure(spec, m)
+			norm := stats.Normalized(d, base)
+			cells = append(cells, d, ftoa(norm, 4))
+			r.logf("%-28s %-22s %10v  %.2fx\n", spec.Name, m.Name, d, norm)
 		}
 		t.add(cells...)
 	}
-	return t
+	t.Fprint(w)
+	if a.Chart {
+		fprintChart(w, t)
+	}
+	return t, nil
 }
 
 // section51 computes the headline comparisons of Section 5.1 from a Figure 8

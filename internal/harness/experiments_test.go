@@ -123,3 +123,24 @@ func FuzzReadCSV(f *testing.F) {
 		}
 	})
 }
+
+// TestReplayGate: the ingress and control-plane arms' determinism gate runs
+// the reference once and the replay gateReplays times, and fails naming the
+// first replay that differs.
+func TestReplayGate(t *testing.T) {
+	replays := 0
+	same := func() string { replays++; return "a" }
+	if err := replayGate("replay %d diverged: %s %s", func() string { return "a" }, same); err != nil || replays != gateReplays {
+		t.Fatalf("identical replays: %v after %d replays, want nil after %d", err, replays, gateReplays)
+	}
+	replays = 0
+	third := func() string {
+		if replays++; replays >= 3 {
+			return "b"
+		}
+		return "a"
+	}
+	if err := replayGate("replay %d diverged: %s %s", func() string { return "a" }, third); err == nil || err.Error() != "replay 2 diverged: a b" {
+		t.Fatalf("the third replay differs: %v, want \"replay 2 diverged: a b\"", err)
+	}
+}

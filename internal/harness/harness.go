@@ -12,7 +12,6 @@ import (
 
 	"qithread"
 	"qithread/internal/programs"
-	"qithread/internal/stats"
 	"qithread/internal/workload"
 )
 
@@ -97,40 +96,4 @@ func (r *Runner) Measure(spec programs.Spec, mode Mode) time.Duration {
 	rt := qithread.New(mode.Cfg)
 	spec.Build(r.Params)(rt)
 	return time.Duration(rt.VirtualMakespan())
-}
-
-// Row is one program's measurements across modes, normalized to the
-// nondeterministic baseline — one cluster of bars in Figure 8.
-type Row struct {
-	Program string
-	Suite   string
-	Hints   workload.Hints
-	// Base is the nondeterministic execution time.
-	Base time.Duration
-	// Times maps mode name to execution time.
-	Times map[string]time.Duration
-	// Norm maps mode name to time normalized to Base (the bar heights).
-	Norm map[string]float64
-}
-
-// MeasureRow measures spec under the nondeterministic baseline plus the given
-// modes.
-func (r *Runner) MeasureRow(spec programs.Spec, modes []Mode) Row {
-	row := Row{
-		Program: spec.Name,
-		Suite:   spec.Suite,
-		Hints:   spec.Hints,
-		Times:   make(map[string]time.Duration),
-		Norm:    make(map[string]float64),
-	}
-	row.Base = r.Measure(spec, Nondet())
-	row.Times[Nondet().Name] = row.Base
-	row.Norm[Nondet().Name] = 1.0
-	for _, m := range modes {
-		t := r.Measure(spec, m)
-		row.Times[m.Name] = t
-		row.Norm[m.Name] = stats.Normalized(t, row.Base)
-		r.logf("%-28s %-22s %10v  %.2fx\n", spec.Name, m.Name, t, row.Norm[m.Name])
-	}
-	return row
 }

@@ -169,11 +169,13 @@ func TestScalabilitySmoke(t *testing.T) {
 // suite and checks the summary bookkeeping.
 func TestSection51OnSubset(t *testing.T) {
 	r := &Runner{Params: workload.Params{Scale: 0.1, InputSeed: 42}}
-	rows := r.Figure8(programs.BySuite("phoenix"))
-	if len(rows) != 14 {
-		t.Fatalf("phoenix suite rows = %d", len(rows))
+	tab, err := experiment(t, "fig8").Run(io.Discard, r, Args{Specs: programs.BySuite("phoenix")})
+	if err != nil {
+		t.Fatal(err)
 	}
-	tab := fig8Table(experiment(t, "fig8"), rows)
+	if len(tab.rows) != 14 {
+		t.Fatalf("phoenix suite rows = %d", len(tab.rows))
+	}
 	counts, slower, _ := section51(tab)
 	if counts.Total != 14 {
 		t.Fatalf("summary total = %d", counts.Total)

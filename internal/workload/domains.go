@@ -23,8 +23,8 @@ import (
 //
 //   - Batch == 0 (aggregate): the shard reduces locally and sends ONE
 //     partial checksum over a capacity-1 pipe, the cheapest possible
-//     boundary traffic. This is the legacy shape the scaling benchmarks
-//     measure.
+//     boundary traffic. This is the shape of the domains experiment's
+//     scaling sweep (qibench -experiment domains, batch 0).
 //   - Batch >= 1 (streaming): the shard ships every per-item checksum to
 //     the coordinator through a capacity-Batch pipe using the batched
 //     boundary API (XPipe.SendAll / RecvUpTo), modeling servers that return

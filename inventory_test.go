@@ -35,7 +35,8 @@ import (
 // module, tests included, outside its own declaration: an export nothing
 // calls is a second way to do something, or a way to do nothing. Deadlocks
 // are reported from exactly the two detectors §4.1 names, and every failure
-// text of the core is built by its one report builder (§4.1).
+// text of the core is built by its one report builder (§4.1). internal/harness
+// exports exactly its allow-list (§4.14).
 func TestInventory(t *testing.T) {
 	read := func(path string) string {
 		b, err := os.ReadFile(path)
@@ -306,6 +307,72 @@ func TestInventory(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// internal/harness exports what the tools use and nothing more: the arm
+	// registry and its arguments, the table qistat reads back, the runner's one
+	// measurement, and the evaluation modes. An arm measures straight into its
+	// table, so an exported row or point type, or a Measure or Sweep wrapper
+	// beside the arm, is a second representation of its results.
+	harnessAPI := []string{
+		"Args", "Experiment", "Experiment.Run", "Experiments", "Kendo", "Mode", "ModeByName",
+		"Nondet", "ParrotPCS", "ParrotSoft", "QiThread", "QiThreadWith", "ReadCSV", "Runner",
+		"Runner.Measure", "Table", "Table.Fprint", "Table.String", "Table.WriteCSV", "VanillaRR",
+	}
+	harnessFiles, err := filepath.Glob("internal/harness/*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var harnessExports []string
+	for _, path := range harnessFiles {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch decl := decl.(type) {
+			case *ast.FuncDecl:
+				name := decl.Name.Name
+				if decl.Recv != nil {
+					recv := decl.Recv.List[0].Type
+					if star, ok := recv.(*ast.StarExpr); ok {
+						recv = star.X
+					}
+					name = recv.(*ast.Ident).Name + "." + name
+				}
+				if ast.IsExported(strings.Split(name, ".")[0]) && decl.Name.IsExported() {
+					harnessExports = append(harnessExports, name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range decl.Specs {
+					var names []*ast.Ident
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names = []*ast.Ident{spec.Name}
+					case *ast.ValueSpec:
+						names = spec.Names
+					}
+					for _, n := range names {
+						if n.IsExported() {
+							harnessExports = append(harnessExports, n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	for _, name := range harnessExports {
+		if !slices.Contains(harnessAPI, name) {
+			t.Errorf("internal/harness exports %s, which is not on its allow-list; an arm measures into its Table", name)
+		}
+	}
+	for _, name := range harnessAPI {
+		if !slices.Contains(harnessExports, name) {
+			t.Errorf("internal/harness no longer exports %s; take it off the allow-list", name)
+		}
 	}
 
 	// No exported function or method of internal/core has a sync type in its
